@@ -25,8 +25,8 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // blessed names the primitives allowed to acquire multiple document
-// write locks; both sort the names first (repo.lockSorted,
-// DurableRepository.lockLiveSorted).
+// write locks, by function name; a primitive so named must sort the
+// names first (the repository's is Repository.lockLiveSorted).
 var blessed = map[string]bool{
 	"lockSorted":     true,
 	"lockLiveSorted": true,

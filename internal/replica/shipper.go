@@ -27,8 +27,8 @@ import (
 const DefaultHeartbeat = 500 * time.Millisecond
 
 // bootstrapAttempts bounds the image-load retry loop: each retry
-// means a checkpoint raced the load (or a legacy manifest needed
-// migrating), both of which converge in one or two rounds.
+// means a checkpoint raced the load, which converges in one or two
+// rounds.
 const bootstrapAttempts = 10
 
 // ErrShipperClosed reports an operation on a closed Shipper.
@@ -372,10 +372,9 @@ func (s *Shipper) readAcks(fr *frameReader, se *session, pin *repo.SegmentPin) e
 	}
 }
 
-// loadImage reads a consistent bootstrap image, retrying the races a
+// loadImage reads a consistent bootstrap image, retrying the race a
 // live leader can produce: a checkpoint retiring a snapshot file
-// mid-load (re-read against the new manifest) and a legacy v4
-// manifest (run one checkpoint to migrate, then re-load).
+// mid-load (re-read against the new manifest).
 func (s *Shipper) loadImage() (store.BootstrapImage, error) {
 	var lastErr error
 	for i := 0; i < bootstrapAttempts; i++ {
@@ -383,10 +382,6 @@ func (s *Shipper) loadImage() (store.BootstrapImage, error) {
 		switch {
 		case err == nil:
 			return img, nil
-		case errors.Is(err, store.ErrLegacyManifest):
-			if cerr := s.d.Checkpoint(); cerr != nil {
-				return store.BootstrapImage{}, fmt.Errorf("migrating legacy manifest: %w", cerr)
-			}
 		case os.IsNotExist(err):
 			// A checkpoint raced the load and retired a file the old
 			// manifest referenced; give its manifest switch a moment to

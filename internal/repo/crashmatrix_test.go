@@ -8,7 +8,8 @@ package repo
 // asserting the recovered state equals the committed oracle. This
 // replaces the hand-enumerated kill-during-checkpoint tests: instead
 // of picking interesting moments by hand, the matrix derives them
-// from the checkpoint's own step structure (via the ckptHooks seams)
+// from the checkpoint's own step structure (via the per-repository
+// ckptHooks seams)
 // and from the log's own frame boundaries.
 
 import (
@@ -27,7 +28,7 @@ import (
 // imageDir copies every regular file in src into a fresh directory —
 // the state a crash at this instant would leave on disk (per-commit
 // sync means every committed record is already durable).
-func imageDir(t *testing.T, src string) string {
+func imageDir(t testing.TB, src string) string {
 	t.Helper()
 	dst := t.TempDir()
 	entries, err := os.ReadDir(src)
@@ -88,6 +89,7 @@ func assertImageRecovers(t *testing.T, label, dir string, parallelism int, want 
 // manifests must replay the fresh segment. Every image must recover,
 // serially and in parallel, to the state committed at that instant.
 func TestCrashMatrixCheckpointSteps(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	d, err := OpenDurable(dir, DurableOptions{AutoCheckpointBytes: -1})
 	if err != nil {
@@ -142,7 +144,7 @@ func TestCrashMatrixCheckpointSteps(t *testing.T) {
 	var images []image
 	var oracleCut map[string]string
 	snapFiles := 0
-	ckptHooks.afterCut = func() {
+	d.hooks.afterCut = func() {
 		images = append(images, image{"after-cut", imageDir(t, dir), oracle})
 		// A commit between the cut and the switch lands in the fresh
 		// segment: a crash on either side of the switch must replay it
@@ -156,23 +158,20 @@ func TestCrashMatrixCheckpointSteps(t *testing.T) {
 		oracleCut = crashStateXML(t, d)
 		images = append(images, image{"after-cut+commit", imageDir(t, dir), oracleCut})
 	}
-	ckptHooks.afterSnapFile = func(file string) {
+	d.hooks.afterSnapFile = func(file string) {
 		snapFiles++
 		images = append(images, image{"after-snap-" + file, imageDir(t, dir), oracleCut})
 	}
-	ckptHooks.afterManifest = func() {
+	d.hooks.afterManifest = func() {
 		// The switch landed but nothing is retired yet: dead segments
 		// and the dropped document's snapshot are still on disk as
 		// orphans the recovery sweep must tolerate.
 		images = append(images, image{"after-manifest", imageDir(t, dir), oracleCut})
 	}
-	defer func() {
-		ckptHooks.afterCut, ckptHooks.afterSnapFile, ckptHooks.afterManifest = nil, nil, nil
-	}()
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	ckptHooks.afterCut, ckptHooks.afterSnapFile, ckptHooks.afterManifest = nil, nil, nil
+	d.hooks = ckptHooks{}
 	if snapFiles != 1 {
 		t.Fatalf("incremental checkpoint wrote %d snapshot files, want 1 (only %q moved)", snapFiles, "a")
 	}
@@ -180,7 +179,10 @@ func TestCrashMatrixCheckpointSteps(t *testing.T) {
 
 	for _, img := range images {
 		for _, par := range []int{-1, 0} {
-			assertImageRecovers(t, img.label, img.dir, par, img.want)
+			t.Run(fmt.Sprintf("%s/parallelism=%d", img.label, par), func(t *testing.T) {
+				t.Parallel()
+				assertImageRecovers(t, img.label, imageDir(t, img.dir), par, img.want)
+			})
 		}
 	}
 }
@@ -195,6 +197,7 @@ func TestCrashMatrixCheckpointSteps(t *testing.T) {
 // No checkpoint is involved, so recovery is pure replay and the
 // comparison can use the full label tables.
 func TestCrashMatrixWALTail(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	// Small segments force a mid-workload rotation; per-commit sync
 	// (the default) means every record is on disk when captured.
@@ -281,24 +284,26 @@ func TestCrashMatrixWALTail(t *testing.T) {
 	}
 
 	check := func(label string, mutate func(t *testing.T, img string), want map[string][]encoding.Row) {
-		t.Helper()
-		img := imageDir(t, dir)
-		mutate(t, img)
-		rec, err := OpenDurable(img, DurableOptions{AutoCheckpointBytes: -1})
-		if err != nil {
-			t.Fatalf("%s: recovery failed: %v", label, err)
-		}
-		defer rec.Close()
-		got := map[string][]encoding.Row{}
-		for _, n := range rec.Names() {
-			got[n] = docTable(t, rec, n)
-			if err := rec.Verify(n); err != nil {
-				t.Fatalf("%s: verify %q: %v", label, n, err)
+		t.Run(label, func(t *testing.T) {
+			t.Parallel()
+			img := imageDir(t, dir)
+			mutate(t, img)
+			rec, err := OpenDurable(img, DurableOptions{AutoCheckpointBytes: -1})
+			if err != nil {
+				t.Fatalf("recovery failed: %v", err)
 			}
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: recovered state diverged:\n got %v\nwant %v", label, got, want)
-		}
+			defer rec.Close()
+			got := map[string][]encoding.Row{}
+			for _, n := range rec.Names() {
+				got[n] = docTable(t, rec, n)
+				if err := rec.Verify(n); err != nil {
+					t.Fatalf("verify %q: %v", n, err)
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("recovered state diverged:\n got %v\nwant %v", got, want)
+			}
+		})
 	}
 	truncate := func(size int64) func(*testing.T, string) {
 		return func(t *testing.T, img string) {

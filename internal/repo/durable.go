@@ -1,9 +1,10 @@
-// Durable repositories: the Repository's batched transactions backed
-// by a segmented write-ahead log, so every committed batch survives a
-// crash and OpenDurable replays snapshots + log back to the exact
-// committed state (labels, order and attributes included — replay
-// re-runs the same deterministic op stream the live session ran), with
-// recovery cost bounded by the live log suffix, not the full history:
+// The leader role of the durable core (core.go): the Repository's
+// batched transactions backed by a segmented write-ahead log, so every
+// committed batch survives a crash and recovery replays snapshots + log
+// back to the exact committed state (labels, order and attributes
+// included — replay re-runs the same deterministic op stream the live
+// session ran), with recovery cost bounded by the live log suffix, not
+// the full history:
 // a background auto-checkpoint folds the log into fresh snapshots
 // whenever live log bytes pass a threshold and retires the dead
 // segments. Checkpoints are incremental — only documents that changed
@@ -26,16 +27,12 @@
 //	doc-HHHH-NNNNNN.snap  version-6 per-document snapshots (hash of name, writing generation)
 //	wal-NNNNNNNN.log      numbered log segments; commits since those snapshots
 //
-// (A superseded version-4 manifest naming one snapshot-NNNNNN.xdyn
-// whole-repository container still opens; its first checkpoint
-// rewrites everything in the version-5 shape.)
-//
 // Locking protocol, outermost first (see docs/ARCHITECTURE.md):
 //
 //	ckptMu    serialises whole checkpoints (which release commitMu
 //	          between their phases)
-//	commitMu  writers share-lock it; Close and checkpoint phases 1
-//	          and 3 take it exclusively, so a cut or a manifest
+//	commitMu  (the core's) writers share-lock it; Close and checkpoint
+//	          phases 1 and 3 take it exclusively, so a cut or a manifest
 //	          switch never interleaves with a half-appended commit.
 //	          Checkpoint's encode phase holds NO lock: writers keep
 //	          committing while pinned versions serialise
@@ -49,13 +46,14 @@
 //	          each other, against Save, or against single-document
 //	          writers (which hold at most one)
 //	walMu     serialises registry records (Open/Drop), whose
-//	          check-append-register sequence must be atomic, and
-//	          guards the sticky WAL failure
+//	          check-append-register sequence must be atomic
 //	shard.mu  name-space lookups, innermost
 //
 // Mutations must go through the DurableRepository methods — the inner
 // Repository and its Docs are deliberately not exposed, because a
 // mutation that bypasses the log would be silently lost at recovery.
+// Recovery, the record applier and the read API are the durable core's
+// (core.go), shared with the follower role.
 // (File comment — the package doc lives in repo.go.)
 
 package repo
@@ -66,8 +64,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xmldyn/internal/core"
@@ -133,7 +131,7 @@ type DurableOptions struct {
 	// SegmentBytes is the WAL segment rotation threshold: an append
 	// that would grow the active segment past it seals the segment and
 	// starts a new one. Zero means wal.DefaultSegmentBytes; negative
-	// disables rotation (one ever-growing segment, as before PR 3).
+	// disables rotation (one ever-growing segment).
 	SegmentBytes int64
 	// AutoCheckpointBytes arms the background auto-checkpoint: when
 	// live log bytes (across all segments) exceed it, a checkpoint runs
@@ -172,40 +170,34 @@ func (o DurableOptions) recoveryParallelism() int {
 	return o.RecoveryParallelism
 }
 
-// DurableRepository is a Repository whose commits are write-ahead
-// logged. Reads (View, Query, QueryFunc, Names, Len, Verify) are
-// served by the in-memory repository exactly as in Repository; every
-// mutation (Open, Drop, Update, Batch) is appended to the log before
+// DurableRepository is the leader role of the durable core: a
+// repository whose commits are write-ahead logged. Reads (View, Query,
+// QueryFunc, Names, Len, Verify, Snapshot, …) are the core's, served by
+// the in-memory repository exactly as in Repository; every mutation
+// (Open, Drop, Update, Batch, MultiBatch) is appended to the log before
 // the per-document write lock is released, and Checkpoint — invoked
 // manually or by the background auto-checkpointer once live log bytes
-// pass the configured threshold — folds the log into a fresh snapshot
+// pass the configured threshold — folds the log into fresh snapshots
 // and deletes the dead segments. A DurableRepository must be owned by
 // one process at a time; there is no cross-process file locking.
 type DurableRepository struct {
-	repo *Repository
-	dir  string
-	opts DurableOptions
+	durableCore
 
-	// commitMu: writers take the read side, Close and checkpoint
-	// phases 1/3 the write side — see the file comment's locking
-	// protocol.
-	commitMu sync.RWMutex
-	// walMu serialises registry-record appends and guards failed.
-	// Batch appends do not take it: their order is already fixed by
-	// doc.mu, and holding a lock across a grouped append would
-	// serialise the very commits group fsync exists to overlap.
-	walMu    sync.Mutex
-	log      *wal.Log
-	gen      uint64
-	walFirst uint64 // first live segment index, as the manifest records
-	failed   error  // sticky ErrWALFailed cause, cleared by Checkpoint; guarded by walMu
-	closed   bool   // guarded by commitMu
+	// walMu serialises registry-record appends. Batch appends do not
+	// take it: their order is already fixed by doc.mu, and holding a
+	// lock across a grouped append would serialise the very commits
+	// group fsync exists to overlap.
+	walMu sync.Mutex
+	// failed is the sticky WAL-failure cause behind ErrWALFailed: set by
+	// the commit that could not append, cleared by the Checkpoint whose
+	// cut observed it.
+	failed atomic.Pointer[error]
 
 	// ckptMu serialises whole checkpoints: Checkpoint releases
 	// commitMu between its cut, encode and switch phases, so without
 	// it two concurrent checkpoints could compute the same generation.
-	// The incremental bookkeeping below it is only touched while it is
-	// held (or single-threaded, inside OpenDurable).
+	// base is only touched while it is held (or single-threaded, inside
+	// OpenDurable).
 	ckptMu sync.Mutex
 	// base records, per document, the state the current manifest holds:
 	// which snapshot file, written by which generation, and the
@@ -213,13 +205,9 @@ type DurableRepository struct {
 	// its file reusable — iff its entry still matches the live slot
 	// (same *Doc, same sequence).
 	base map[string]docBaseline
-	// manDocs mirrors the on-disk manifest's per-document entries, so
-	// a checkpoint can retire files the new manifest stops referencing.
-	manDocs []store.ManifestDoc
-	// container is the legacy version-4 whole-repository snapshot the
-	// current manifest names, removed by the first (migrating)
-	// checkpoint; "" on the version-5 path.
-	container string
+	// hooks are the crash-matrix test seams; production code never
+	// sets them.
+	hooks ckptHooks
 
 	// Auto-checkpoint machinery: committers nudge ckptWake when live
 	// log bytes pass the threshold; the loop goroutine runs Checkpoint
@@ -243,8 +231,6 @@ type DurableRepository struct {
 	notify   []chan<- struct{}
 }
 
-func snapshotFileName(gen uint64) string { return fmt.Sprintf("snapshot-%06d.xdyn", gen) }
-
 // docBaseline is one document's entry in the dirty-tracking map: the
 // snapshot file the current manifest holds for it and the state that
 // file captures. The *Doc pointer (not just the name) is part of the
@@ -258,242 +244,63 @@ type docBaseline struct {
 	gen  uint64 // generation that wrote file
 }
 
-// ckptHooks are test seams for the crash-matrix harness: when non-nil
-// they fire between the externally visible steps of a checkpoint —
-// after the phase-1 cut (fresh segment created, manifest not yet
-// switched), after each per-document snapshot file lands, and after
-// the manifest switch but before dead files are retired. Production
-// code never sets them.
-var ckptHooks struct {
+// ckptHooks fire, when set, between the externally visible steps of a
+// checkpoint — after the phase-1 cut (fresh segment created, manifest
+// not yet switched), after each per-document snapshot file lands, and
+// after the manifest switch but before dead files are retired — so the
+// crash-matrix harness can image the directory at every kill point.
+type ckptHooks struct {
 	afterCut      func()
 	afterSnapFile func(file string)
 	afterManifest func()
 }
 
 // OpenDurable opens (creating if necessary) the durable repository in
-// dir: it reads the manifest, loads the per-document snapshot files it
-// names — decoding them concurrently on a worker pool bounded by
-// DurableOptions.RecoveryParallelism — then replays the live WAL
-// segments in index order from the manifest's first live segment,
-// partitioned by document on the same pool (per-document record order
-// is preserved; RecMulti records are barriers), tolerating a torn tail
-// only on the last segment and truncating that tail so new commits
-// extend the last valid record. A superseded version-4 manifest (one
-// whole-repository container) still opens; the first checkpoint then
-// migrates the directory to the version-5 shape. Files the manifest
-// does not cover (snapshot files it does not name, segments below the
-// first live index: orphans of a checkpoint that crashed around its
-// manifest switch) are removed. If auto-checkpointing is enabled (it
-// is by default; see DurableOptions.AutoCheckpointBytes) the
-// background checkpointer is started before OpenDurable returns.
+// dir by running the core's recovery (durableCore.recover): snapshot
+// files and WAL replay on a worker pool bounded by
+// DurableOptions.RecoveryParallelism, a torn tail tolerated only on the
+// last segment and truncated so new commits extend the last valid
+// record, files the manifest does not cover removed. A directory with
+// no manifest is initialised first — generation 1, no snapshot, an
+// empty log starting at segment 1, then the manifest that makes them
+// current (a crash before the manifest write leaves no manifest, so
+// the next OpenDurable simply initialises again) — and then recovered
+// like any other. If auto-checkpointing is enabled (it is by default;
+// see DurableOptions.AutoCheckpointBytes) the background checkpointer
+// is started before OpenDurable returns.
 func OpenDurable(dir string, opts DurableOptions) (*DurableRepository, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	man, err := store.ReadManifest(dir)
+	d := &DurableRepository{durableCore: durableCore{dir: dir, opts: opts}}
+	err := d.recover(d.recordBaselines)
 	if os.IsNotExist(err) {
-		return bootstrapDurable(dir, opts)
+		// A fresh directory: an empty log at segment 1, then the
+		// generation-1 manifest naming it.
+		if err = emptySegment(dir, 1, opts.walOptions()); err == nil {
+			err = store.WriteManifest(dir, store.Manifest{Gen: 1, WALFirst: 1})
+		}
+		if err == nil {
+			err = d.recover(d.recordBaselines)
+		}
 	}
 	if err != nil {
-		return nil, fmt.Errorf("%w: manifest: %v", ErrReplay, err)
+		return nil, err
 	}
-
-	d := &DurableRepository{repo: New(opts.Repo), dir: dir, opts: opts, gen: man.Gen, walFirst: man.WALFirst}
-	workers := opts.recoveryParallelism()
-	// The time-travel window resets on recovery: stamps are an
-	// in-memory construct, and the replayed history must not re-enter
-	// the retained window — a pre-crash stamp that numerically lands on
-	// a replayed commit would otherwise alias an unrelated state
-	// instead of failing with ErrVersionEvicted. Retention is
-	// suppressed while snapshots load and the log replays, and restored
-	// (happens-before the repository is published) for live commits.
-	retain := d.repo.retain
-	d.repo.retain = 0
-	switch {
-	case man.Snapshot != "":
-		// Legacy version-4 manifest: one whole-repository container. No
-		// baselines are recorded, so the first checkpoint sees every
-		// document dirty and rewrites the directory in the v5 shape.
-		d.container = man.Snapshot
-		data, err := os.ReadFile(filepath.Join(dir, man.Snapshot))
-		if err != nil {
-			return nil, fmt.Errorf("%w: snapshot: %v", ErrReplay, err)
-		}
-		if d.repo, err = Load(data, opts.Repo); err != nil {
-			return nil, fmt.Errorf("%w: snapshot: %v", ErrReplay, err)
-		}
-		d.repo.retain = 0 // Load built a fresh repository; re-suppress
-	case len(man.Docs) > 0:
-		if err := d.loadDocSnaps(man.Docs, workers); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrReplay, err)
-		}
-		// Baselines are recorded BEFORE replay: replay advances the
-		// version sequence of every document it touches, which is
-		// exactly what marks those documents dirty for the next
-		// checkpoint.
-		d.base = make(map[string]docBaseline, len(man.Docs))
-		for _, e := range man.Docs {
-			doc, ok := d.repo.Get(e.Name)
-			if !ok {
-				return nil, fmt.Errorf("%w: snapshot %s did not register %q", ErrReplay, e.File, e.Name)
-			}
-			d.base[e.Name] = docBaseline{seq: doc.Version(), doc: doc, file: e.File, gen: e.Gen}
-		}
-		d.manDocs = man.Docs
-	}
-	info, err := wal.ReplayPartitioned(dir, man.WALFirst, workers, routeRecord, d.applyRecord)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrReplay, err)
-	}
-	d.repo.retain = retain
-	if d.log, err = wal.OpenAt(dir, info, opts.walOptions()); err != nil {
-		return nil, fmt.Errorf("%w: reopen log: %v", ErrReplay, err)
-	}
-	d.removeOrphans(man)
 	d.startAutoCheckpoint()
 	return d, nil
 }
 
-// loadDocSnaps reads and decodes the manifest's per-document snapshot
-// files on a bounded worker pool and registers each document in the
-// in-memory repository (the shard map is mutex-guarded, so concurrent
-// registration is safe; entry names are unique by manifest
-// validation). Each file's embedded document name must match the
-// manifest entry that referenced it — a mismatch (hash collision,
-// tampering, misplaced file) fails recovery loudly rather than loading
-// a document under the wrong name.
-func (d *DurableRepository) loadDocSnaps(docs []store.ManifestDoc, workers int) error {
-	return loadDocSnapsInto(d.dir, d.repo, docs, workers)
-}
-
-// loadDocSnapsInto is the directory-level core of loadDocSnaps, shared
-// with follower-mode recovery (follower.go), which restores snapshots
-// into a repository that has no DurableRepository around it.
-func loadDocSnapsInto(dir string, repo *Repository, docs []store.ManifestDoc, workers int) error {
-	if workers > len(docs) {
-		workers = len(docs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	for _, e := range docs {
-		wg.Add(1)
-		go func(e store.ManifestDoc) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			mu.Lock()
-			stop := firstErr != nil
-			mu.Unlock()
-			if stop {
-				return
-			}
-			data, err := os.ReadFile(filepath.Join(dir, e.File))
-			if err != nil {
-				fail(fmt.Errorf("snapshot %s: %v", e.File, err))
-				return
-			}
-			snap, err := store.UnmarshalDocSnap(data)
-			if err != nil {
-				fail(fmt.Errorf("snapshot %s: %v", e.File, err))
-				return
-			}
-			if snap.Name != e.Name {
-				fail(fmt.Errorf("snapshot %s holds document %q, manifest expects %q", e.File, snap.Name, e.Name))
-				return
-			}
-			doc, err := update.DecodeDocTree(snap.Tree)
-			if err != nil {
-				fail(fmt.Errorf("snapshot %s: %v", e.File, err))
-				return
-			}
-			if _, err := repo.Open(e.Name, doc, snap.Scheme); err != nil {
-				fail(fmt.Errorf("snapshot %s: %v", e.File, err))
-			}
-		}(e)
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// routeRecord partitions a WAL record for parallel replay without
-// decoding its body: per-document records route by the document name
-// they start with, and RecMulti — the only record touching several
-// documents — is a barrier. Malformed payloads fall through to
-// applyRecord's error reporting via a serial barrier, so parallel and
-// serial replay reject the same logs.
-func routeRecord(payload []byte) (wal.Dispatch, error) {
-	if len(payload) == 0 || payload[0] == RecMulti {
-		return wal.Dispatch{Barrier: true}, nil
-	}
-	name, _, err := readRecordString(payload[1:])
-	if err != nil {
-		return wal.Dispatch{Barrier: true}, nil
-	}
-	return wal.Dispatch{Key: name}, nil
-}
-
-// bootstrapDurable initialises a fresh directory: generation 1, no
-// snapshot, an empty log starting at segment 1, then the manifest that
-// makes them current. A crash before the manifest write leaves no
-// manifest, so the next OpenDurable simply bootstraps again.
-func bootstrapDurable(dir string, opts DurableOptions) (*DurableRepository, error) {
-	gen, first := uint64(1), uint64(1)
-	log, err := wal.Create(dir, first, opts.walOptions())
-	if err != nil {
-		return nil, err
-	}
-	if err := store.WriteManifest(dir, store.Manifest{Gen: gen, Snapshot: "", WALFirst: first}); err != nil {
-		log.Close()
-		return nil, err
-	}
-	d := &DurableRepository{repo: New(opts.Repo), dir: dir, opts: opts, log: log, gen: gen, walFirst: first}
-	d.startAutoCheckpoint()
-	return d, nil
-}
-
-// removeOrphans deletes files the manifest does not cover — snapshot
-// files it does not name and segments below the first live index,
-// leftovers of a checkpoint that crashed before or after its manifest
-// switch — plus stray atomic-write temp files. Segments at or above
-// the first live index are the live set (including an empty one a
-// crashed checkpoint or rotation created: it is contiguous with the
-// set and simply becomes the append tail).
-func (d *DurableRepository) removeOrphans(man store.Manifest) {
-	entries, err := os.ReadDir(d.dir)
-	if err != nil {
-		return
-	}
-	ref := make(map[string]bool, len(man.Docs))
+// recordBaselines notes the state each snapshot file of man captures,
+// so the next checkpoint can tell clean documents from dirty ones. It
+// runs between snapshot load and replay: replay advances the version
+// sequence of every document it touches, which is exactly what marks
+// those documents dirty.
+func (d *DurableRepository) recordBaselines(r *Repository, man store.Manifest) {
+	d.base = make(map[string]docBaseline, len(man.Docs))
 	for _, e := range man.Docs {
-		ref[e.File] = true
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if name == store.ManifestName || name == man.Snapshot || ref[name] {
-			continue
-		}
-		if idx, ok := wal.ParseSegmentName(name); ok {
-			if idx < man.WALFirst {
-				_ = os.Remove(filepath.Join(d.dir, name))
-			}
-			continue
-		}
-		if strings.HasSuffix(name, ".tmp") ||
-			store.IsDocSnapName(name) ||
-			(strings.HasPrefix(name, "snapshot-") && strings.HasSuffix(name, ".xdyn")) {
-			_ = os.Remove(filepath.Join(d.dir, name))
+		if doc, ok := r.Get(e.Name); ok {
+			d.base[e.Name] = docBaseline{seq: doc.Version(), doc: doc, file: e.File, gen: e.Gen}
 		}
 	}
 }
@@ -557,134 +364,6 @@ func (d *DurableRepository) nudgeAutoCheckpoint() {
 	}
 }
 
-// applyRecord replays one log payload during OpenDurable.
-func (d *DurableRepository) applyRecord(payload []byte) error {
-	return applyRecordTo(d.repo, payload)
-}
-
-// applyRecordTo replays one log payload into r with NO locks taken:
-// recovery is the only writer and the repository is not yet published.
-// The follower-mode live path (follower.go) wraps the same decoding
-// with the locking a concurrently read repository needs.
-func applyRecordTo(r *Repository, payload []byte) error {
-	if len(payload) == 0 {
-		return fmt.Errorf("empty record")
-	}
-	rec, body := payload[0], payload[1:]
-	if rec == RecMulti {
-		held, m, err := decodeMultiRecord(r, body)
-		if err != nil {
-			return err
-		}
-		_, err = applyMulti(held, m, false)
-		return err
-	}
-	name, pos, err := readRecordString(body)
-	if err != nil {
-		return err
-	}
-	body = body[pos:]
-	switch rec {
-	case RecOpen:
-		scheme, pos, err := readRecordString(body)
-		if err != nil {
-			return err
-		}
-		doc, err := update.DecodeDocTree(body[pos:])
-		if err != nil {
-			return err
-		}
-		_, err = r.Open(name, doc, scheme)
-		return err
-	case RecBatch:
-		doc, ok := r.Get(name)
-		if !ok {
-			// Cannot happen in a well-formed log: Drop holds the doc
-			// write lock while appending its record, and Batch re-checks
-			// membership under that lock, so no batch record can follow
-			// its document's drop record.
-			return fmt.Errorf("batch for unknown document %q", name)
-		}
-		ops, err := update.DecodeOps(doc.sess.Document(), body)
-		if err != nil {
-			return err
-		}
-		_, err = doc.sess.Apply(ops)
-		return err
-	case RecDrop:
-		if len(body) != 0 {
-			return fmt.Errorf("drop record has %d trailing bytes", len(body))
-		}
-		r.Drop(name)
-		return nil
-	default:
-		return fmt.Errorf("unknown record type %d", rec)
-	}
-}
-
-// decodeMultiRecord decodes one RecMulti payload against r's current
-// trees: every part's op program is decoded against its document's
-// pre-transaction tree before any document is touched, so the caller
-// can apply all-or-nothing via applyMulti — a record that cannot fully
-// apply rolls back whatever prefix landed and surfaces the error
-// (which aborts recovery: a multi record the state cannot follow
-// means corruption, exactly as for RecBatch). held is in record order.
-func decodeMultiRecord(r *Repository, body []byte) ([]*Doc, map[string]*MultiDoc, error) {
-	count, pos, err := labels.DecodeLEB128(body)
-	if err != nil {
-		return nil, nil, fmt.Errorf("multi record count: %v", err)
-	}
-	// Each part costs at least a name byte pair and an ops length, so
-	// bounding by len/3 rejects a crafted count before it pre-sizes
-	// the slices below.
-	if count > uint64(len(body))/3 {
-		return nil, nil, fmt.Errorf("implausible multi record count %d", count)
-	}
-	held := make([]*Doc, 0, count)
-	m := make(map[string]*MultiDoc, count)
-	for i := uint64(0); i < count; i++ {
-		name, next, err := labels.CutString(body, pos)
-		if err != nil {
-			return nil, nil, fmt.Errorf("multi record part %d name: %v", i, err)
-		}
-		pos = next
-		n, sz, err := labels.DecodeLEB128(body[pos:])
-		if err != nil {
-			return nil, nil, fmt.Errorf("multi record part %d length: %v", i, err)
-		}
-		pos += sz
-		if n > uint64(len(body)-pos) {
-			return nil, nil, fmt.Errorf("multi record part %d overruns the payload", i)
-		}
-		enc := body[pos : pos+int(n)]
-		pos += int(n)
-		if _, dup := m[name]; dup {
-			return nil, nil, fmt.Errorf("multi record names %q twice", name)
-		}
-		doc, ok := r.Get(name)
-		if !ok {
-			// Cannot happen in a well-formed log, for the same reason
-			// as RecBatch: MultiBatch re-checks membership under every
-			// involved document's write lock.
-			return nil, nil, fmt.Errorf("multi batch for unknown document %q", name)
-		}
-		ops, err := update.DecodeOps(doc.sess.Document(), enc)
-		if err != nil {
-			return nil, nil, fmt.Errorf("multi record part %d (%q): %w", i, name, err)
-		}
-		b := doc.sess.Batch()
-		for _, op := range ops {
-			b.Add(op)
-		}
-		held = append(held, doc)
-		m[name] = &MultiDoc{doc: doc, b: b}
-	}
-	if pos != len(body) {
-		return nil, nil, fmt.Errorf("multi record has %d trailing bytes", len(body)-pos)
-	}
-	return held, m, nil
-}
-
 // --- mutations ---------------------------------------------------------------
 
 // Open labels doc under the named scheme, registers it and logs the
@@ -712,13 +391,13 @@ func (d *DurableRepository) Open(name string, doc *xmltree.Document, scheme stri
 	if err := d.checkFailed(); err != nil {
 		return err
 	}
-	if _, dup := d.repo.Get(name); dup {
+	if _, dup := d.repo().Get(name); dup {
 		return fmt.Errorf("%w: %q", ErrExists, name)
 	}
 	if err := d.log.Append(payload); err != nil {
 		return d.poison(err)
 	}
-	_, err = d.repo.add(name, scheme, sess)
+	_, err = d.repo().add(name, scheme, sess)
 	d.nudgeAutoCheckpoint()
 	return err
 }
@@ -731,32 +410,13 @@ func (d *DurableRepository) Drop(name string) (bool, error) {
 	if d.closed {
 		return false, ErrClosed
 	}
-	for {
-		doc, ok := d.repo.Get(name)
-		if !ok {
-			return false, nil
-		}
-		// Hold the document's write lock across the append so no batch
-		// on this document can slip its record after the drop record.
-		doc.mu.Lock()
-		if cur, ok := d.repo.Get(name); !ok || cur != doc {
-			// The slot changed between lookup and lock — dropped, or
-			// dropped and reopened under the same name. Retry against
-			// the live name space: reporting "did not exist" here
-			// would silently skip a live document that holds the name.
-			doc.mu.Unlock()
-			continue
-		}
-		ok, err := d.dropLocked(name)
-		doc.mu.Unlock()
-		return ok, err
+	// Hold the document's write lock across the append so no batch on
+	// this document can slip its record after the drop record.
+	held, err := d.repo().lockLiveSorted([]string{name})
+	if err != nil {
+		return false, nil
 	}
-}
-
-// dropLocked appends the drop record and removes the document. The
-// caller holds the document's write lock and has verified the slot is
-// current.
-func (d *DurableRepository) dropLocked(name string) (bool, error) {
+	defer unlockDocs(held)
 	d.walMu.Lock()
 	defer d.walMu.Unlock()
 	if err := d.checkFailed(); err != nil {
@@ -766,7 +426,7 @@ func (d *DurableRepository) dropLocked(name string) (bool, error) {
 		return false, d.poison(err)
 	}
 	d.nudgeAutoCheckpoint()
-	return d.repo.Drop(name), nil
+	return d.repo().Drop(name), nil
 }
 
 // Batch runs build against the named document's live tree under the
@@ -792,13 +452,13 @@ func (d *DurableRepository) Batch(name string, build func(*xmltree.Document, *up
 	// it was concurrently dropped and reopened under the same name —
 	// the commit then lands on the live document instead of failing
 	// with a spurious ErrNotFound.
-	held, err := d.lockLiveSorted([]string{name})
+	held, err := d.repo().lockLiveSorted([]string{name})
 	if err != nil {
 		return nil, err
 	}
 	doc := held[0]
 	defer doc.mu.Unlock()
-	if err := d.checkFailedLocked(); err != nil {
+	if err := d.checkFailed(); err != nil {
 		return nil, err
 	}
 	b := doc.sess.Batch()
@@ -827,7 +487,7 @@ func (d *DurableRepository) Batch(name string, build func(*xmltree.Document, *up
 	if aerr := d.log.Append(payload); aerr != nil {
 		// The batch is applied in memory but not durable: poison the
 		// repository so the divergence cannot widen silently.
-		return nil, d.poisonLocked(aerr)
+		return nil, d.poison(aerr)
 	}
 	d.nudgeAutoCheckpoint()
 	return cloneResult(res), nil
@@ -870,12 +530,12 @@ func (d *DurableRepository) MultiBatch(names []string, build func(map[string]*Mu
 	if d.closed {
 		return nil, ErrClosed
 	}
-	held, err := d.lockLiveSorted(names)
+	held, err := d.repo().lockLiveSorted(names)
 	if err != nil {
 		return nil, err
 	}
 	defer unlockDocs(held)
-	if err := d.checkFailedLocked(); err != nil {
+	if err := d.checkFailed(); err != nil {
 		return nil, err
 	}
 	m := multiDocs(held)
@@ -909,7 +569,7 @@ func (d *DurableRepository) MultiBatch(names []string, build func(map[string]*Mu
 			// produces, and the next encoded batch would address the
 			// diverged tree. Poison so the divergence cannot widen; a
 			// checkpoint re-captures full memory state and recovers.
-			return nil, d.poisonLocked(err)
+			return nil, d.poison(err)
 		}
 		return nil, err
 	}
@@ -921,127 +581,27 @@ func (d *DurableRepository) MultiBatch(names []string, build func(map[string]*Mu
 	// As in Batch, no walMu: the held doc.mu set fixes these documents'
 	// record order, and the log serialises writes internally.
 	if aerr := d.log.Append(payload); aerr != nil {
-		return nil, d.poisonLocked(aerr)
+		return nil, d.poison(aerr)
 	}
 	d.nudgeAutoCheckpoint()
 	return out, nil
 }
 
-// lockLiveSorted write-locks the named documents in sorted-name order
-// (duplicates collapsed) and re-checks, under each lock, that the
-// locked slot is still the one serving its name. A slot swapped
-// between lookup and lock (dropped, or dropped and reopened under the
-// same name) releases everything and retries against the live name
-// space — a plain drop then surfaces as ErrNotFound on the retry.
-func (d *DurableRepository) lockLiveSorted(names []string) ([]*Doc, error) {
-	uniq := sortedUnique(names)
-	for {
-		held := make([]*Doc, 0, len(uniq))
-		for _, name := range uniq {
-			doc, ok := d.repo.Get(name)
-			if !ok {
-				return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
-			}
-			held = append(held, doc)
-		}
-		stale := false
-		for i, doc := range held {
-			doc.mu.Lock()
-			if cur, ok := d.repo.Get(uniq[i]); !ok || cur != doc {
-				unlockDocs(held[:i+1])
-				stale = true
-				break
-			}
-		}
-		if !stale {
-			return held, nil
-		}
-	}
-}
-
-// checkFailed refuses commits after a WAL append failure. The caller
-// must hold walMu; the batch path uses the Locked variant.
+// checkFailed refuses commits after a WAL append failure.
 func (d *DurableRepository) checkFailed() error {
-	if d.failed != nil { //xmldynvet:ignore lockheld documented contract: every caller holds walMu (or uses checkFailedLocked)
-		return fmt.Errorf("%w: %v", ErrWALFailed, d.failed)
+	if cause := d.failed.Load(); cause != nil {
+		return fmt.Errorf("%w: %v", ErrWALFailed, *cause)
 	}
 	return nil
 }
 
-// checkFailedLocked is checkFailed behind walMu, for the batch path.
-func (d *DurableRepository) checkFailedLocked() error {
-	d.walMu.Lock()
-	defer d.walMu.Unlock()
-	return d.checkFailed()
-}
-
-// poison records a WAL append failure (sticky until Checkpoint). The
-// caller must hold walMu; the batch path uses the Locked variant.
+// poison records a WAL append failure (sticky until Checkpoint).
 func (d *DurableRepository) poison(cause error) error {
-	d.failed = cause //xmldynvet:ignore lockheld documented contract: every caller holds walMu (or uses poisonLocked)
+	d.failed.Store(&cause)
 	return fmt.Errorf("%w: %v", ErrWALFailed, cause)
 }
 
-// poisonLocked is poison behind walMu, for the batch path.
-func (d *DurableRepository) poisonLocked(cause error) error {
-	d.walMu.Lock()
-	defer d.walMu.Unlock()
-	return d.poison(cause)
-}
-
-// --- reads -------------------------------------------------------------------
-
-// View runs fn with the named document's session under the read lock.
-// fn must not mutate: beyond the data race it would be on a durable
-// repository, an unlogged mutation is silently lost at recovery and
-// shifts the structural paths of every later log record.
-func (d *DurableRepository) View(name string, fn func(*update.Session) error) error {
-	return d.repo.View(name, fn)
-}
-
-// Query evaluates a location path against the named document,
-// returning detached deep copies of the matches.
-func (d *DurableRepository) Query(name, path string) ([]*xmltree.Node, error) {
-	return d.repo.Query(name, path)
-}
-
-// QueryFunc evaluates a location path and hands the live result nodes
-// to fn inside the read lock (zero-copy; see Doc.QueryFunc).
-func (d *DurableRepository) QueryFunc(name, path string, fn func([]*xmltree.Node) error) error {
-	return d.repo.QueryFunc(name, path, fn)
-}
-
-// Names lists all document names, sorted.
-func (d *DurableRepository) Names() []string { return d.repo.Names() }
-
-// Len counts the documents.
-func (d *DurableRepository) Len() int { return d.repo.Len() }
-
-// Verify re-checks the named document's order invariant.
-func (d *DurableRepository) Verify(name string) error {
-	doc, ok := d.repo.Get(name)
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	return doc.Verify()
-}
-
-// Scheme names the registry scheme the named document was opened
-// under, and whether the document exists.
-func (d *DurableRepository) Scheme(name string) (string, bool) {
-	doc, ok := d.repo.Get(name)
-	if !ok {
-		return "", false
-	}
-	return doc.Scheme(), true
-}
-
-// Generation returns the current checkpoint generation.
-func (d *DurableRepository) Generation() uint64 {
-	d.commitMu.RLock()
-	defer d.commitMu.RUnlock()
-	return d.gen
-}
+// --- log gauges --------------------------------------------------------------
 
 // LogSize returns the live write-ahead-log bytes across every segment
 // — the recovery-cost signal the auto-checkpointer watches, also
@@ -1102,7 +662,7 @@ type dirtyDoc struct {
 //  1. The cut (writers excluded): sync the old tail, start a fresh
 //     segment with the next index and swap it in — commits from here
 //     on land after the cut — then pin each dirty document's current
-//     persistent version (O(1) per document, PR 6).
+//     persistent version (O(1) per document).
 //  2. Encode (no locks): serialise each pinned frozen version into
 //     its doc-*.snap file via atomic writes. Writers keep committing;
 //     their records land in the fresh segment, which the new manifest
@@ -1143,13 +703,10 @@ func (d *DurableRepository) Checkpoint() error {
 	// recovery from ErrWALFailed: the cut observes the poison, the
 	// pinned versions capture everything the failed log lost, and
 	// success clears it.
-	syncErr := d.log.Sync()
-	d.walMu.Lock()
-	if syncErr != nil && d.failed == nil {
-		d.failed = syncErr
+	if syncErr := d.log.Sync(); syncErr != nil {
+		d.failed.CompareAndSwap(nil, &syncErr)
 	}
-	failedAtCut := d.failed
-	d.walMu.Unlock()
+	failedAtCut := d.failed.Load()
 	newGen := d.gen + 1
 	newFirst := d.log.ActiveIndex() + 1
 	// A fresh wal.Log (not Rotate, which refuses on a poisoned log) is
@@ -1168,13 +725,13 @@ func (d *DurableRepository) Checkpoint() error {
 	// Membership + dirty set: pin every changed document's current
 	// version; reuse the recorded file for every clean one. O(1) per
 	// document — no tree is touched.
-	names := d.repo.Names()
+	names := d.repo().Names()
 	entries := make([]store.ManifestDoc, 0, len(names))
 	newBase := make(map[string]docBaseline, len(names))
 	used := make(map[string]bool, len(names))
 	var dirty []dirtyDoc
 	for _, name := range names {
-		doc, ok := d.repo.Get(name)
+		doc, ok := d.repo().Get(name)
 		if !ok {
 			continue // dropped between Names and Get
 		}
@@ -1200,13 +757,13 @@ func (d *DurableRepository) Checkpoint() error {
 	// follower mirrors segment boundaries, and its staleness bound only
 	// reaches zero once its position matches the leader's append end).
 	d.notifyCommit()
-	if ckptHooks.afterCut != nil {
-		ckptHooks.afterCut()
+	if d.hooks.afterCut != nil {
+		d.hooks.afterCut()
 	}
 
 	// --- phase 2: encode, lock-free ----------------------------------
 	// The pinned versions are frozen: encoding walks them while writers
-	// commit freely (lazy view expansion is concurrency-safe, PR 6).
+	// commit freely (lazy view expansion is concurrency-safe).
 	var written []string
 	cleanupWritten := func() {
 		for _, f := range written {
@@ -1226,8 +783,8 @@ func (d *DurableRepository) Checkpoint() error {
 			return err
 		}
 		written = append(written, dd.file)
-		if ckptHooks.afterSnapFile != nil {
-			ckptHooks.afterSnapFile(dd.file)
+		if d.hooks.afterSnapFile != nil {
+			d.hooks.afterSnapFile(dd.file)
 		}
 	}
 
@@ -1271,67 +828,36 @@ func (d *DurableRepository) Checkpoint() error {
 		// the old one replays the contiguous segment range including
 		// the fresh tail, the new one has its complete file set.
 		d.gen = newGen
-		d.walMu.Lock()
-		d.failed = fmt.Errorf("checkpoint manifest switch in doubt: %v", err)
-		d.walMu.Unlock()
+		_ = d.poison(fmt.Errorf("checkpoint manifest switch in doubt: %v", err))
 		return err
 	}
-	if ckptHooks.afterManifest != nil {
-		ckptHooks.afterManifest()
+	if d.hooks.afterManifest != nil {
+		d.hooks.afterManifest()
 	}
 	// The new generation is current: retire the old one. Clear the WAL
 	// poison only if it is still the failure the cut observed — the
 	// pinned versions captured everything up to the cut, but a commit
 	// that failed DURING the encode phase diverged after it.
-	oldMan, oldContainer := d.manDocs, d.container
-	d.gen, d.walFirst = newGen, newFirst
-	d.base, d.manDocs, d.container = newBase, entries, ""
-	d.walMu.Lock()
-	if d.failed != nil && d.failed == failedAtCut {
-		d.failed = nil
-	}
-	d.walMu.Unlock()
-	// Retire every segment below the new first live index that no
-	// replication pin still needs. The sweep enumerates the directory
-	// rather than the [oldFirst, newFirst) range so segments an earlier
-	// checkpoint spared for a since-released pin are retired too.
-	limit := newFirst
-	if floor := d.pinFloor(); floor < limit {
-		limit = floor
-	}
-	if entries, derr := os.ReadDir(d.dir); derr == nil {
-		for _, e := range entries {
-			if idx, ok := wal.ParseSegmentName(e.Name()); ok && idx < limit {
-				_ = os.Remove(filepath.Join(d.dir, e.Name()))
-			}
-		}
-	}
-	for _, e := range oldMan {
-		if !used[e.File] {
-			_ = os.Remove(filepath.Join(d.dir, e.File))
-		}
-	}
-	if oldContainer != "" {
-		_ = os.Remove(filepath.Join(d.dir, oldContainer))
-	}
+	d.gen, d.walFirst, d.base = newGen, newFirst, newBase
+	d.failed.CompareAndSwap(failedAtCut, nil)
+	// Retire what the new manifest does not cover: snapshot files it
+	// stopped referencing, and every segment below the new first live
+	// index that no replication pin still needs. The sweep enumerates
+	// the directory rather than the [oldFirst, newFirst) range so
+	// segments an earlier checkpoint spared for a since-released pin
+	// are retired too.
+	_ = sweepDir(d.dir, &store.Manifest{WALFirst: min(newFirst, d.pinFloor()), Docs: entries})
 	return nil
 }
 
 // Close stops the auto-checkpointer, syncs and closes the log. The
 // repository refuses all further operations; reopen with OpenDurable.
 func (d *DurableRepository) Close() error {
-	d.commitMu.Lock()
-	if d.closed {
-		d.commitMu.Unlock()
-		return nil
-	}
-	d.closed = true //xmldynvet:ignore lockheld commitMu is still held here; the unlock above is the early-return branch
-	err := d.log.Close()
+	first, err := d.shut()
 	// Stop the checkpointer outside commitMu: it may be blocked inside
 	// Checkpoint waiting for the lock, and will see closed once it gets
 	// it.
-	d.commitMu.Unlock()
-	if d.ckptStop != nil {
+	if first && d.ckptStop != nil {
 		close(d.ckptStop)
 		d.ckptWG.Wait()
 	}
@@ -1346,18 +872,4 @@ func newSchemeSession(doc *xmltree.Document, scheme string) (*update.Session, er
 		return nil, fmt.Errorf("%w: %q", ErrNoScheme, scheme)
 	}
 	return update.NewSession(doc, s.Factory())
-}
-
-// --- record string helpers ---------------------------------------------------
-
-// appendRecordString and readRecordString delegate to the shared
-// length-prefixed string codec in internal/labels.
-func appendRecordString(out []byte, s string) []byte { return labels.AppendString(out, s) }
-
-func readRecordString(data []byte) (string, int, error) {
-	s, next, err := labels.CutString(data, 0)
-	if err != nil {
-		return "", 0, fmt.Errorf("record string: %v", err)
-	}
-	return s, next, nil
 }

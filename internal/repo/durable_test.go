@@ -48,7 +48,7 @@ func docXML(t *testing.T, d *DurableRepository, name string) string {
 	return out
 }
 
-func mustParse(t *testing.T, text string) *xmltree.Document {
+func mustParse(t testing.TB, text string) *xmltree.Document {
 	t.Helper()
 	doc, err := xmltree.ParseString(text)
 	if err != nil {
@@ -59,7 +59,7 @@ func mustParse(t *testing.T, text string) *xmltree.Document {
 
 // seedAndBatch opens two documents and commits n batches against each,
 // mixing inserts, deletes, attribute and text updates.
-func seedAndBatch(t *testing.T, d *DurableRepository, n int) {
+func seedAndBatch(t testing.TB, d *DurableRepository, n int) {
 	t.Helper()
 	if err := d.Open("books", mustParse(t, `<lib><book id="b0"><title>Zero</title></book></lib>`), "qed"); err != nil {
 		t.Fatal(err)
@@ -239,109 +239,60 @@ func TestCheckpointTruncatesLogAndSurvivesReopen(t *testing.T) {
 	}
 }
 
-// A directory checkpointed by the superseded version-4 scheme (one
-// whole-repository container) still opens, replays its live tail, and
-// migrates to the version-5 per-document shape on its first
-// checkpoint: the manifest gains per-document entries, the container
-// is retired, and recovery from the migrated directory is exact.
+// v4ManifestFixture is a genuine version-4 manifest (generation 2, one
+// whole-repository container "snapshot-000002.xdyn", first live
+// segment 7) with a valid checksum: a format this build does not read.
+const v4ManifestFixture = "XDYN\x04\x02\x14snapshot-000002.xdyn\a\xe3\xfa\xa6\x97\xda\x92\xf4\xfaR"
+
+// dirListing captures every file of dir with its content, to prove a
+// rejected open left the directory untouched.
+func dirListing(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(data)
+	}
+	return out
+}
+
+// A version-4 manifest (one whole-repository container) is a format
+// this build does not read: the leader and the follower both refuse
+// the directory with ErrBadVersion under ErrReplay — exactly as for a
+// version-3 manifest — and leave every file in it untouched, stray
+// files the orphan sweep would otherwise claim included.
 // (Kill-during-checkpoint crash windows are covered exhaustively by
 // the crash-matrix harness in crashmatrix_test.go.)
-func TestV4ManifestMigration(t *testing.T) {
+func TestV4ManifestRejected(t *testing.T) {
 	dir := t.TempDir()
+	files := map[string]string{
+		store.ManifestName:           v4ManifestFixture,
+		"snapshot-000002.xdyn":       "container bytes",
+		wal.SegmentName(3):           "a dead segment",
+		store.DocSnapName("x", 1, 0): "an unreferenced snapshot",
+		"stray.tmp":                  "a temp file",
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	opts := DurableOptions{AutoCheckpointBytes: -1}
-	d, err := OpenDurable(dir, opts)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := OpenDurable(dir, opts); !errors.Is(err, store.ErrBadVersion) || !errors.Is(err, ErrReplay) {
+		t.Fatalf("OpenDurable on a v4 directory: %v, want ErrBadVersion under ErrReplay", err)
 	}
-	seedAndBatch(t, d, 5)
-	want := docXML(t, d, "books")
-	wantFeeds := docXML(t, d, "feeds")
-	data, err := d.repo.Save()
-	if err != nil {
-		t.Fatal(err)
+	if _, err := OpenFollower(dir, opts); !errors.Is(err, store.ErrBadVersion) || !errors.Is(err, ErrReplay) {
+		t.Fatalf("OpenFollower on a v4 directory: %v, want ErrBadVersion under ErrReplay", err)
 	}
-	_, active, _ := d.SegmentRange()
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Rebuild the directory as a completed version-4 checkpoint would
-	// have left it: the container, a fresh segment, a version-4
-	// manifest naming both, and the dead segments gone.
-	if err := store.WriteFileAtomic(filepath.Join(dir, snapshotFileName(2)), data); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := wal.Create(dir, active+1, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = fresh.Close()
-	v4 := store.MarshalManifestV4(store.Manifest{Gen: 2, Snapshot: snapshotFileName(2), WALFirst: active + 1})
-	if err := store.WriteFileAtomic(filepath.Join(dir, store.ManifestName), v4); err != nil {
-		t.Fatal(err)
-	}
-	for idx := uint64(1); idx <= active; idx++ {
-		_ = os.Remove(filepath.Join(dir, wal.SegmentName(idx)))
-	}
-
-	rec, err := OpenDurable(dir, opts)
-	if err != nil {
-		t.Fatalf("open v4 directory: %v", err)
-	}
-	if rec.Generation() != 2 {
-		t.Fatalf("generation = %d, want 2", rec.Generation())
-	}
-	if got := docXML(t, rec, "books"); got != want {
-		t.Fatalf("v4 recovery diverged (books):\n got %v\nwant %v", got, want)
-	}
-	if got := docXML(t, rec, "feeds"); got != wantFeeds {
-		t.Fatalf("v4 recovery diverged (feeds):\n got %v\nwant %v", got, wantFeeds)
-	}
-	// Commits against the migrated-from state still log and recover.
-	if _, err := rec.Batch("books", func(doc *xmltree.Document, b *update.Batch) error {
-		b.AppendChild(doc.Root(), "migrated")
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// The first checkpoint migrates: no baselines exist for a v4
-	// directory, so every document is dirty and the new manifest is
-	// fully version-5.
-	if err := rec.Checkpoint(); err != nil {
-		t.Fatalf("migrating checkpoint: %v", err)
-	}
-	man, err := store.ReadManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man.Gen != 3 || man.Snapshot != "" || len(man.Docs) != 2 {
-		t.Fatalf("migrated manifest = %+v, want gen 3, no container, 2 docs", man)
-	}
-	for _, e := range man.Docs {
-		if e.Gen != 3 {
-			t.Fatalf("entry %q reuses gen %d, want a fresh gen-3 file on migration", e.Name, e.Gen)
-		}
-		if _, err := os.Stat(filepath.Join(dir, e.File)); err != nil {
-			t.Fatalf("migrated snapshot %s missing: %v", e.File, err)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotFileName(2))); !os.IsNotExist(err) {
-		t.Fatal("v4 container not retired by the migrating checkpoint")
-	}
-	wantXML := docXML(t, rec, "books")
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	migrated, err := OpenDurable(dir, opts)
-	if err != nil {
-		t.Fatalf("recovery from migrated directory: %v", err)
-	}
-	defer migrated.Close()
-	if got := docXML(t, migrated, "books"); got != wantXML {
-		t.Fatalf("migrated recovery diverged:\n got %s\nwant %s", got, wantXML)
-	}
-	if err := migrated.Verify("books"); err != nil {
-		t.Fatal(err)
+	if got := dirListing(t, dir); !reflect.DeepEqual(got, files) {
+		t.Fatalf("rejected open modified the directory:\n got %v\nwant %v", got, files)
 	}
 }
 
@@ -673,5 +624,34 @@ func TestDurableClosedErrors(t *testing.T) {
 	}
 	if err := d.Checkpoint(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("checkpoint after close: %v", err)
+	}
+}
+
+// The durable roles share the core's read surface by embedding, but
+// the in-memory Repository's mutators and slot accessors must never
+// become reachable through either of them: a mutation that bypasses
+// the log is silently lost at recovery. The follower additionally has
+// no commit API at all.
+func TestDurableRolesExposeNoUnloggedMutator(t *testing.T) {
+	unlogged := []string{"OpenSession", "Get", "Save"}
+	commits := []string{"Open", "Drop", "Update", "Batch", "MultiBatch", "Checkpoint"}
+	for _, tc := range []struct {
+		typ       reflect.Type
+		forbidden []string
+	}{
+		{reflect.TypeOf(&DurableRepository{}), unlogged},
+		{reflect.TypeOf(&FollowerRepository{}), append(unlogged, commits...)},
+	} {
+		for _, name := range tc.forbidden {
+			if _, ok := tc.typ.MethodByName(name); ok {
+				t.Errorf("%v exposes %s", tc.typ, name)
+			}
+		}
+		for _, name := range []string{"View", "Query", "QueryFunc", "Names", "Len", "Scheme", "Verify",
+			"Snapshot", "SnapshotAt", "Stamp", "VersionStats", "Dir", "Generation", "Close"} {
+			if _, ok := tc.typ.MethodByName(name); !ok {
+				t.Errorf("%v lacks the core's %s", tc.typ, name)
+			}
+		}
 	}
 }

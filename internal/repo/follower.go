@@ -1,35 +1,35 @@
 // Follower-mode repository (docs/REPLICATION.md): a FollowerRepository
-// is the storage half of a read replica. It owns a directory in the
-// same on-disk shape as a leader's (manifest, doc snapshots, segmented
-// WAL) but takes no local commits: records arrive from the replication
-// transport (internal/replica) already serialised by the leader, are
-// appended to the follower's own log — byte-identical to the leader's,
-// because segment boundaries are mirrored via BeginSegment and frames
-// are re-encoded deterministically — and then applied to the in-memory
-// repository under the same locks live commits would take, so MVCC
+// is the storage half of a read replica, the durable core's second
+// role. It owns a directory in the same on-disk shape as a leader's
+// (manifest, doc snapshots, segmented WAL) but takes no local commits:
+// records arrive from the replication transport (internal/replica)
+// already serialised by the leader, are appended to the follower's own
+// log — byte-identical to the leader's, because segment boundaries are
+// mirrored via BeginSegment and frames are re-encoded deterministically
+// — and then applied to the in-memory repository by the core's record
+// applier, under the same locks the leader's commit took, so MVCC
 // snapshot readers observe each replicated transaction atomically.
 //
-// Lock order (follower side): commitMu (readers and the applier share;
+// Lock order (follower side): commitMu (the applier shares;
 // InstallBootstrap and Close exclusive) → walMu (serialises appends
 // and guards the applied position) → doc.mu (sorted-name order for
-// multi records, via lockSorted). The applier is a single goroutine by
-// contract; commitMu's read side only makes the installed state
-// (repo/log pointers) stable against a concurrent bootstrap swap.
+// multi records). The applier is a single goroutine by contract;
+// commitMu's read side only makes the installed log stable against a
+// concurrent bootstrap swap. Reads take none of these: the in-memory
+// repository is reached through the core's atomic pointer.
 
 package repo
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 
 	"xmldyn/internal/store"
-	"xmldyn/internal/update"
 	"xmldyn/internal/wal"
-	"xmldyn/internal/xmltree"
 )
 
 // ErrDiverged reports a replicated record that the leader committed
@@ -41,182 +41,110 @@ import (
 // appended record and fails identically.
 var ErrDiverged = errors.New("repo: replicated record diverged from local state")
 
-// followerHooks are test seams for the bootstrap crash matrix: when
-// non-nil they run after each InstallBootstrap step, letting a test
-// image the directory mid-install and prove the documented recovery
-// (reopen, or wipe-and-rebootstrap) from every kill point.
-var followerHooks struct {
+// errNotInstalled refuses stream records while the follower has no
+// installed state; the replica layer answers with a bootstrap.
+var errNotInstalled = errors.New("repo: follower has no installed state (bootstrap required)")
+
+// followerHooks fire, when set, after each InstallBootstrap step,
+// letting the bootstrap crash matrix image the directory mid-install
+// and prove the documented recovery (reopen, or wipe-and-rebootstrap)
+// from every kill point.
+type followerHooks struct {
 	afterSnapFile func(file string)
 	afterSegments func()
 	afterWAL      func()
 	afterManifest func()
 }
 
-// followerWALOptions derives the follower's log options: same fsync
-// policy as configured, but size-based rotation disabled — the
-// follower mirrors the LEADER's segment boundaries via BeginSegment,
-// and a local rotation would desynchronise the byte-identical mirror.
-func followerWALOptions(o DurableOptions) wal.Options {
-	w := o.walOptions()
-	w.SegmentBytes = -1
-	return w
-}
-
 // FollowerRepository is a repository replica fed by a replication
-// stream instead of local commits. It serves the full lock-free MVCC
-// read API (Snapshot, SnapshotAt, Query, …) while the applier streams
+// stream instead of local commits. It serves the core's full read API
+// (Snapshot, SnapshotAt, Query, …) lock-free while the applier streams
 // records in; mutating methods do not exist — the only writers are
 // ApplyRecord, BeginSegment and InstallBootstrap, driven by
 // internal/replica's Follower. Open one with OpenFollower.
 type FollowerRepository struct {
-	dir  string
-	opts DurableOptions
-
-	// commitMu protects the installed state below (repo, log, gen)
-	// against bootstrap swaps: readers and the applier share-lock it,
-	// InstallBootstrap and Close take it exclusively. (The fields carry
-	// no per-field annotation because OpenFollower also sets them
-	// single-threaded before the value is published, as OpenDurable
-	// does for DurableRepository.)
-	commitMu sync.RWMutex
-	repo     *Repository
-	log      *wal.Log // nil until the first bootstrap on a fresh directory
-	gen      uint64
-	closed   bool // guarded by commitMu
+	durableCore
 
 	// walMu serialises replicated appends.
 	walMu sync.Mutex
 	pos   wal.Position // guarded by walMu
+	// hooks are the bootstrap crash-matrix test seams; production code
+	// never sets them.
+	hooks followerHooks
 }
 
 // OpenFollower opens (or creates) a follower-state directory and
-// recovers it exactly as OpenDurable would — snapshots, replay,
-// torn-tail truncation — minus everything leader-specific: no
-// checkpointer, no commit API. A directory with no manifest opens
-// empty, with no log: the first replication session bootstraps it. A
-// recovery failure is reported wrapped in ErrReplay; the replica layer
-// treats that as "wipe and re-bootstrap" (WipeFollowerState), since a
-// follower's whole state is reconstructible from its leader.
-// opts.AutoCheckpointBytes is ignored: followers never checkpoint (it
-// would break the byte-identical segment mirror); their log is bounded
-// by re-bootstrapping instead.
+// recovers it exactly as OpenDurable would — the same core recovery:
+// snapshots, replay, torn-tail truncation, orphan sweep — minus
+// everything leader-specific: no checkpointer, no commit API. A
+// directory with no manifest opens empty, with no log: the first
+// replication session bootstraps it. A recovery failure is reported
+// wrapped in ErrReplay; the replica layer treats that as "wipe and
+// re-bootstrap" (WipeFollowerState), since a follower's whole state is
+// reconstructible from its leader. Size-based segment rotation is
+// disabled whatever opts.SegmentBytes says — the follower mirrors the
+// LEADER's segment boundaries via BeginSegment, and a local rotation
+// would desynchronise the byte-identical mirror — and
+// opts.AutoCheckpointBytes is ignored for the same reason: followers
+// never checkpoint; their log is bounded by re-bootstrapping instead.
 func OpenFollower(dir string, opts DurableOptions) (*FollowerRepository, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	f := &FollowerRepository{dir: dir, opts: opts, repo: New(opts.Repo)}
-	man, err := store.ReadManifest(dir)
-	if os.IsNotExist(err) {
-		return f, nil // fresh: no state until the first bootstrap
+	opts.SegmentBytes = -1
+	f := &FollowerRepository{durableCore: durableCore{dir: dir, opts: opts}}
+	f.mem.Store(New(opts.Repo))
+	if err := f.reload(); err != nil && !os.IsNotExist(err) {
+		return nil, err
 	}
-	if err != nil {
-		return nil, fmt.Errorf("%w: manifest: %v", ErrReplay, err)
-	}
-	if man.Snapshot != "" {
-		return nil, fmt.Errorf("%w: legacy v4 manifest in follower directory", ErrReplay)
-	}
-	f.gen = man.Gen
-	workers := opts.recoveryParallelism()
-	retain := f.repo.retain
-	f.repo.retain = 0
-	if len(man.Docs) > 0 {
-		if err := loadDocSnapsInto(dir, f.repo, man.Docs, workers); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrReplay, err)
-		}
-	}
-	info, err := wal.ReplayPartitioned(dir, man.WALFirst, workers, routeRecord, func(payload []byte) error {
-		return applyRecordTo(f.repo, payload)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrReplay, err)
-	}
-	f.repo.retain = retain
-	if f.log, err = wal.OpenAt(dir, info, followerWALOptions(opts)); err != nil {
-		return nil, fmt.Errorf("%w: reopen log: %v", ErrReplay, err)
-	}
-	f.pos = f.log.Position() //xmldynvet:ignore lockheld construction: the value is not yet published
-	sweepOrphans(dir, man)
 	return f, nil
 }
 
-// sweepOrphans is removeOrphans for a directory without a
-// DurableRepository around it: files the manifest does not cover are
-// deleted (snapshot files it does not name, segments below the first
-// live index, stray temp files).
-func sweepOrphans(dir string, man store.Manifest) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	ref := make(map[string]bool, len(man.Docs))
-	for _, e := range man.Docs {
-		ref[e.File] = true
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if name == store.ManifestName || name == man.Snapshot || ref[name] {
-			continue
-		}
-		if idx, ok := wal.ParseSegmentName(name); ok {
-			if idx < man.WALFirst {
-				_ = os.Remove(filepath.Join(dir, name))
-			}
-			continue
-		}
-		if strings.HasSuffix(name, ".tmp") ||
-			store.IsDocSnapName(name) ||
-			(strings.HasPrefix(name, "snapshot-") && strings.HasSuffix(name, ".xdyn")) {
-			_ = os.Remove(filepath.Join(dir, name))
-		}
-	}
-}
-
-// WipeFollowerState deletes every file OpenFollower/InstallBootstrap
-// manage in dir — manifest, doc snapshots, WAL segments, legacy
-// containers, temp files — returning the directory to the fresh state
-// a bootstrap can install into. Unrelated files are left alone. This
-// is the replica layer's recovery from an unreadable follower
-// directory: a follower's state is a pure function of its leader, so
-// wiping loses nothing a re-bootstrap does not restore.
-func WipeFollowerState(dir string) error {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
+// reload runs the core recovery and anchors the applied position at
+// the recovered log's end.
+func (f *FollowerRepository) reload() error {
+	if err := f.recover(nil); err != nil {
 		return err
 	}
-	for _, e := range entries {
-		name := e.Name()
-		_, isSeg := wal.ParseSegmentName(name)
-		if name == store.ManifestName || isSeg ||
-			store.IsDocSnapName(name) ||
-			strings.HasSuffix(name, ".tmp") ||
-			(strings.HasPrefix(name, "snapshot-") && strings.HasSuffix(name, ".xdyn")) {
-			if err := os.Remove(filepath.Join(dir, name)); err != nil {
-				return err
-			}
-		}
-	}
+	f.setPos(f.log.Position())
 	return nil
 }
 
+func (f *FollowerRepository) setPos(pos wal.Position) {
+	f.walMu.Lock()
+	f.pos = pos
+	f.walMu.Unlock()
+}
+
+// WipeFollowerState deletes every file OpenFollower/InstallBootstrap
+// manage in dir — manifest, doc snapshots, WAL segments, temp files —
+// returning the directory to the fresh state a bootstrap can install
+// into. Unrelated files are left alone. This is the replica layer's
+// recovery from an unreadable follower directory: a follower's state
+// is a pure function of its leader, so wiping loses nothing a
+// re-bootstrap does not restore.
+func WipeFollowerState(dir string) error { return sweepDir(dir, nil) }
+
 // InstallBootstrap replaces the follower's whole state with a leader
 // checkpoint image: snapshot files are written first, then every old
-// segment is deleted, a fresh log is created at the image's first live
-// segment, and the manifest write commits the switch — after which the
-// in-memory repository is rebuilt from the new files and swapped in
-// (open snapshots on the old state stay valid; their versions are
-// reference-counted). A crash between the segment wipe and the
-// manifest write leaves the OLD manifest pointing at deleted segments;
-// OpenFollower then fails with ErrReplay and the replica layer wipes
-// and re-bootstraps — documented, reconstructible-by-design recovery,
-// not data loss.
-func (f *FollowerRepository) InstallBootstrap(img store.BootstrapImage) error {
-	man := img.Manifest
-	if man.Snapshot != "" {
-		return fmt.Errorf("repo: bootstrap image has legacy v4 manifest")
-	}
+// segment is deleted, a fresh empty segment is created at the image's
+// first live index, and the manifest write commits the switch — after
+// which the core recovery rebuilds the in-memory repository from the
+// installed files and swaps it in (open snapshots on the old state
+// stay valid; their versions are reference-counted).
+//
+// Writing the snapshot files destroys nothing; a failure there leaves
+// the follower as it was. Every later step destroys part of the old
+// state, so from the segment wipe on the old log is closed and a
+// failure leaves the follower with no installed state, exactly like a
+// fresh directory: ApplyRecord and BeginSegment refuse, Position is
+// zero, and the next session's Hello forces a new bootstrap, which
+// installs over whatever this attempt left behind. A crash between the
+// segment wipe and the manifest write leaves the OLD manifest pointing
+// at deleted segments; OpenFollower then fails with ErrReplay and the
+// replica layer wipes and re-bootstraps — documented,
+// reconstructible-by-design recovery, not data loss.
+func (f *FollowerRepository) InstallBootstrap(img store.BootstrapImage) (err error) {
 	f.commitMu.Lock()
 	defer f.commitMu.Unlock()
 	if f.closed {
@@ -228,74 +156,53 @@ func (f *FollowerRepository) InstallBootstrap(img store.BootstrapImage) error {
 		if err := store.WriteFileAtomic(filepath.Join(f.dir, bf.Name), bf.Data); err != nil {
 			return err
 		}
-		if followerHooks.afterSnapFile != nil {
-			followerHooks.afterSnapFile(bf.Name)
+		if f.hooks.afterSnapFile != nil {
+			f.hooks.afterSnapFile(bf.Name)
 		}
 	}
+	// The old state dies here. Its log is closed first so no later
+	// append can land in an unlinked segment; the old in-memory
+	// repository keeps serving reads until the new one is swapped in.
+	if f.log != nil {
+		_ = f.log.Close()
+		f.log = nil
+	}
+	f.setPos(wal.Position{})
+	defer func() {
+		if err != nil {
+			f.gen = 0
+			f.mem.Store(New(f.opts.Repo))
+		}
+	}()
 	// Step 2: drop the old segment set — it belongs to the state being
-	// replaced and is not contiguous with the image's WAL range.
-	entries, err := os.ReadDir(f.dir)
-	if err != nil {
+	// replaced and is not contiguous with the image's WAL range — and
+	// the old state's snapshot files with it.
+	keep := store.Manifest{WALFirst: math.MaxUint64, Docs: img.Manifest.Docs}
+	if err := sweepDir(f.dir, &keep); err != nil {
 		return err
 	}
-	for _, e := range entries {
-		if _, ok := wal.ParseSegmentName(e.Name()); ok {
-			if err := os.Remove(filepath.Join(f.dir, e.Name())); err != nil {
-				return err
-			}
-		}
+	if f.hooks.afterSegments != nil {
+		f.hooks.afterSegments()
 	}
-	if followerHooks.afterSegments != nil {
-		followerHooks.afterSegments()
-	}
-	// Step 3: fresh log at the image's first live segment, so the
+	// Step 3: an empty segment at the image's first live index, so the
 	// manifest never references a missing segment once it lands.
-	newLog, err := wal.Create(f.dir, man.WALFirst, followerWALOptions(f.opts))
-	if err != nil {
+	if err := emptySegment(f.dir, img.Manifest.WALFirst, f.opts.walOptions()); err != nil {
 		return err
 	}
-	if followerHooks.afterWAL != nil {
-		followerHooks.afterWAL()
+	if f.hooks.afterWAL != nil {
+		f.hooks.afterWAL()
 	}
 	// Step 4: the manifest write is the commit point. The leader's raw
 	// bytes are written back verbatim, keeping the installed manifest
 	// byte-identical to the leader's.
 	if err := store.WriteFileAtomic(filepath.Join(f.dir, store.ManifestName), img.Raw); err != nil {
-		newLog.Close()
 		return err
 	}
-	if err := store.SyncDir(f.dir); err != nil {
-		newLog.Close()
-		return err
+	if f.hooks.afterManifest != nil {
+		f.hooks.afterManifest()
 	}
-	if followerHooks.afterManifest != nil {
-		followerHooks.afterManifest()
-	}
-	// Step 5: sweep files the new manifest does not cover (the previous
-	// state's snapshot files).
-	sweepOrphans(f.dir, man)
-	// Rebuild the in-memory repository from the installed files and
-	// swap it in. Retention is suppressed during the load exactly as in
-	// recovery: replicated history re-enters the window only from live
-	// applies onward.
-	r := New(f.opts.Repo)
-	retain := r.retain
-	r.retain = 0
-	if len(man.Docs) > 0 {
-		if err := loadDocSnapsInto(f.dir, r, man.Docs, f.opts.recoveryParallelism()); err != nil {
-			newLog.Close()
-			return fmt.Errorf("%w: %v", ErrReplay, err)
-		}
-	}
-	r.retain = retain
-	if f.log != nil {
-		_ = f.log.Close()
-	}
-	f.repo, f.log, f.gen = r, newLog, man.Gen
-	f.walMu.Lock()
-	f.pos = newLog.Position()
-	f.walMu.Unlock()
-	return nil
+	// Step 5: recover from the installed files, as a restart would.
+	return f.reload()
 }
 
 // BeginSegment mirrors a leader segment boundary: it rotates the
@@ -311,7 +218,7 @@ func (f *FollowerRepository) BeginSegment(index uint64) error {
 		return ErrClosed
 	}
 	if f.log == nil {
-		return fmt.Errorf("repo: follower has no installed state (bootstrap required)")
+		return errNotInstalled
 	}
 	f.walMu.Lock()
 	defer f.walMu.Unlock()
@@ -328,15 +235,15 @@ func (f *FollowerRepository) BeginSegment(index uint64) error {
 }
 
 // ApplyRecord appends one replicated record payload to the follower's
-// log and applies it to the in-memory repository under the same locks
-// a live commit would hold, so concurrent snapshot readers observe the
-// record's transaction atomically. The record is re-framed by the
-// local Append exactly as the leader framed it (same length-prefix +
-// CRC codec), which is what keeps the segment files byte-identical. An
-// apply failure after a successful append means the stream and this
-// replica's memory diverged — the caller must treat the session as
-// poisoned and re-open (recovery replays the appended record and fails
-// the same way, steering the replica layer to wipe and re-bootstrap).
+// log and applies it to the in-memory repository with the core's
+// record applier — the function recovery replays the same record with.
+// The record is re-framed by the local Append exactly as the leader
+// framed it (same length-prefix + CRC codec), which is what keeps the
+// segment files byte-identical. An apply failure after a successful
+// append means the stream and this replica's memory diverged — the
+// caller must treat the session as poisoned and re-open (recovery
+// replays the appended record and fails the same way, steering the
+// replica layer to wipe and re-bootstrap).
 func (f *FollowerRepository) ApplyRecord(payload []byte) error {
 	f.commitMu.RLock()
 	defer f.commitMu.RUnlock()
@@ -344,185 +251,33 @@ func (f *FollowerRepository) ApplyRecord(payload []byte) error {
 		return ErrClosed
 	}
 	if f.log == nil {
-		return fmt.Errorf("repo: follower has no installed state (bootstrap required)")
+		return errNotInstalled
 	}
 	f.walMu.Lock()
 	defer f.walMu.Unlock()
 	if err := f.log.Append(payload); err != nil {
 		return err
 	}
-	if err := applyReplicatedRecord(f.repo, payload); err != nil {
+	if err := applyRecord(f.repo(), payload); err != nil {
 		return fmt.Errorf("%w: %v", ErrDiverged, err)
 	}
 	f.pos = f.log.Position()
 	return nil
 }
 
-// applyReplicatedRecord applies one record to a LIVE repository —
-// unlike applyRecordTo (recovery, unpublished, no locks), readers are
-// concurrently snapshotting, so every mutation takes the same locks a
-// local commit would: the document's write lock for single-document
-// records, the sorted write-lock set for a multi record. The applier
-// is the only writer, which is why decoding against the current trees
-// outside the locks is safe.
-func applyReplicatedRecord(r *Repository, payload []byte) error {
-	if len(payload) == 0 {
-		return fmt.Errorf("empty record")
-	}
-	rec, body := payload[0], payload[1:]
-	if rec == RecMulti {
-		held, m, err := decodeMultiRecord(r, body)
-		if err != nil {
-			return err
-		}
-		names := make([]string, 0, len(held))
-		for _, d := range held {
-			names = append(names, d.name)
-		}
-		locked, err := r.lockSorted(names)
-		if err != nil {
-			return err
-		}
-		defer unlockDocs(locked)
-		_, err = applyMulti(held, m, false)
-		return err
-	}
-	name, pos, err := readRecordString(body)
-	if err != nil {
-		return err
-	}
-	body = body[pos:]
-	switch rec {
-	case RecOpen:
-		scheme, pos, err := readRecordString(body)
-		if err != nil {
-			return err
-		}
-		doc, err := update.DecodeDocTree(body[pos:])
-		if err != nil {
-			return err
-		}
-		_, err = r.Open(name, doc, scheme)
-		return err
-	case RecBatch:
-		doc, ok := r.Get(name)
-		if !ok {
-			return fmt.Errorf("batch for unknown document %q", name)
-		}
-		return doc.Update(func(sess *update.Session) error {
-			ops, err := update.DecodeOps(sess.Document(), body)
-			if err != nil {
-				return err
-			}
-			_, err = sess.Apply(ops)
-			return err
-		})
-	case RecDrop:
-		if len(body) != 0 {
-			return fmt.Errorf("drop record has %d trailing bytes", len(body))
-		}
-		r.Drop(name)
-		return nil
-	default:
-		return fmt.Errorf("unknown record type %d", rec)
-	}
-}
-
-// Dir returns the follower's storage directory.
-func (f *FollowerRepository) Dir() string { return f.dir }
-
 // Position returns the follower's durable applied position: the byte
-// boundary just past the last record appended to its log. After a
-// restart this is where replication resumes from (the Hello position).
+// boundary just past the last record appended to its log, zero while
+// no state is installed. After a restart this is where replication
+// resumes from (the Hello position).
 func (f *FollowerRepository) Position() wal.Position {
 	f.walMu.Lock()
 	defer f.walMu.Unlock()
 	return f.pos
 }
 
-// Generation returns the checkpoint generation of the installed
-// bootstrap image (zero before any bootstrap).
-func (f *FollowerRepository) Generation() uint64 {
-	f.commitMu.RLock()
-	defer f.commitMu.RUnlock()
-	return f.gen
-}
-
-// cur returns the installed in-memory repository, stable against a
-// concurrent bootstrap swap (the returned pointer stays fully usable
-// after the swap; its versions are independently reference-counted).
-func (f *FollowerRepository) cur() *Repository {
-	f.commitMu.RLock()
-	defer f.commitMu.RUnlock()
-	return f.repo
-}
-
-// Snapshot pins a consistent view of the named documents (all when
-// names is empty); semantics exactly as Repository.Snapshot — reads on
-// it hold no lock and are never blocked by the replication applier.
-func (f *FollowerRepository) Snapshot(names ...string) (*Snapshot, error) {
-	return f.cur().Snapshot(names...)
-}
-
-// SnapshotAt pins a time-travel view as of a commit stamp previously
-// observed from Stamp or Snapshot.Stamps; semantics exactly as
-// Repository.SnapshotAt. Stamps are an in-memory construct local to
-// this follower — they are NOT the leader's stamps, and they reset on
-// restart and on re-bootstrap.
-func (f *FollowerRepository) SnapshotAt(stamp uint64, names ...string) (*Snapshot, error) {
-	return f.cur().SnapshotAt(stamp, names...)
-}
-
-// Stamp returns the follower's current commit stamp: it advances on
-// every applied record, so it doubles as the replica's applied-stamp
-// staleness handle (replica.Follower.AppliedStamp).
-func (f *FollowerRepository) Stamp() uint64 { return f.cur().Stamp() }
-
-// VersionStats returns the follower repository's MVCC accounting.
-func (f *FollowerRepository) VersionStats() VersionStats { return f.cur().VersionStats() }
-
-// Query evaluates a location path against the named document and
-// returns detached copies of the matching nodes (see Repository.Query).
-func (f *FollowerRepository) Query(name, path string) ([]*xmltree.Node, error) {
-	return f.cur().Query(name, path)
-}
-
-// Names lists all document names, sorted.
-func (f *FollowerRepository) Names() []string { return f.cur().Names() }
-
-// Len counts the documents.
-func (f *FollowerRepository) Len() int { return f.cur().Len() }
-
-// Scheme names the registry scheme the named document was opened
-// under, and whether the document exists.
-func (f *FollowerRepository) Scheme(name string) (string, bool) {
-	doc, ok := f.cur().Get(name)
-	if !ok {
-		return "", false
-	}
-	return doc.scheme, true
-}
-
-// Verify re-checks the named document's order invariant.
-func (f *FollowerRepository) Verify(name string) error {
-	doc, ok := f.cur().Get(name)
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	return doc.Verify()
-}
-
 // Close closes the follower's log. Open snapshots stay readable;
 // further applies and bootstraps fail with ErrClosed.
 func (f *FollowerRepository) Close() error {
-	f.commitMu.Lock()
-	defer f.commitMu.Unlock()
-	if f.closed {
-		return nil
-	}
-	f.closed = true //xmldynvet:ignore lockheld commitMu is held; the early return above is the reentry branch
-	if f.log == nil {
-		return nil
-	}
-	return f.log.Close()
+	_, err := f.shut()
+	return err
 }

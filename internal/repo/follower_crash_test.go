@@ -24,8 +24,8 @@ import (
 )
 
 // followerStateXML captures every document's serialised tree on a
-// follower, via a snapshot (the follower has no View).
-func followerStateXML(t *testing.T, f *FollowerRepository) map[string]string {
+// follower, via a snapshot.
+func followerStateXML(t testing.TB, f *FollowerRepository) map[string]string {
 	t.Helper()
 	snap, err := f.Snapshot()
 	if err != nil {
@@ -43,14 +43,8 @@ func followerStateXML(t *testing.T, f *FollowerRepository) map[string]string {
 	return out
 }
 
-func resetFollowerHooks() {
-	followerHooks.afterSnapFile = nil
-	followerHooks.afterSegments = nil
-	followerHooks.afterWAL = nil
-	followerHooks.afterManifest = nil
-}
-
 func TestFollowerBootstrapKillPoints(t *testing.T) {
+	t.Parallel()
 	// Leader history: checkpoint 1 (the follower's installed base),
 	// more commits, checkpoint 2 (the image being installed when the
 	// crash hits).
@@ -100,24 +94,22 @@ func TestFollowerBootstrapKillPoints(t *testing.T) {
 	type killPoint struct{ label, dir string }
 	var points []killPoint
 	snapCount := 0
-	followerHooks.afterSnapFile = func(file string) {
+	f.hooks.afterSnapFile = func(file string) {
 		snapCount++
 		points = append(points, killPoint{fmt.Sprintf("after snap file %d (%s)", snapCount, file), imageDir(t, fdir)})
 	}
-	followerHooks.afterSegments = func() {
+	f.hooks.afterSegments = func() {
 		points = append(points, killPoint{"after segment wipe", imageDir(t, fdir)})
 	}
-	followerHooks.afterWAL = func() {
+	f.hooks.afterWAL = func() {
 		points = append(points, killPoint{"after fresh log", imageDir(t, fdir)})
 	}
-	followerHooks.afterManifest = func() {
+	f.hooks.afterManifest = func() {
 		points = append(points, killPoint{"after manifest switch", imageDir(t, fdir)})
 	}
-	defer resetFollowerHooks()
 	if err := f.InstallBootstrap(img2); err != nil {
 		t.Fatal(err)
 	}
-	resetFollowerHooks()
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -126,40 +118,112 @@ func TestFollowerBootstrapKillPoints(t *testing.T) {
 	}
 
 	for _, kp := range points {
-		rec, err := OpenFollower(kp.dir, opts)
-		if err != nil {
-			// The documented unrecoverable window (manifest pointing at
-			// wiped segments): must be exactly ErrReplay, and the wipe
-			// path must yield a working empty follower.
-			if !errors.Is(err, ErrReplay) {
-				t.Fatalf("%s: open failed with %v, want ErrReplay", kp.label, err)
+		t.Run(kp.label, func(t *testing.T) {
+			t.Parallel()
+			rec, err := OpenFollower(kp.dir, opts)
+			if err != nil {
+				// The documented unrecoverable window (manifest pointing
+				// at wiped segments): must be exactly ErrReplay, and the
+				// wipe path must yield a working empty follower.
+				if !errors.Is(err, ErrReplay) {
+					t.Fatalf("open failed with %v, want ErrReplay", err)
+				}
+				if err := WipeFollowerState(kp.dir); err != nil {
+					t.Fatalf("wipe: %v", err)
+				}
+				if rec, err = OpenFollower(kp.dir, opts); err != nil {
+					t.Fatalf("open after wipe: %v", err)
+				}
+				if n := rec.Len(); n != 0 {
+					t.Fatalf("wiped follower still holds %d documents", n)
+				}
 			}
-			if err := WipeFollowerState(kp.dir); err != nil {
-				t.Fatalf("%s: wipe: %v", kp.label, err)
+			// The catch-up protocol's first step from any surviving state
+			// is a fresh bootstrap; after it the replica must equal the
+			// leader.
+			if err := rec.InstallBootstrap(img2); err != nil {
+				t.Fatalf("re-bootstrap: %v", err)
 			}
-			if rec, err = OpenFollower(kp.dir, opts); err != nil {
-				t.Fatalf("%s: open after wipe: %v", kp.label, err)
+			if got := followerStateXML(t, rec); !reflect.DeepEqual(got, want) {
+				t.Fatalf("state after re-bootstrap diverged:\n got %v\nwant %v", got, want)
 			}
-			if n := rec.Len(); n != 0 {
-				t.Fatalf("%s: wiped follower still holds %d documents", kp.label, n)
+			for _, name := range rec.Names() {
+				if err := rec.Verify(name); err != nil {
+					t.Fatalf("verify %q: %v", name, err)
+				}
 			}
-		}
-		// The catch-up protocol's first step from any surviving state is
-		// a fresh bootstrap; after it the replica must equal the leader.
-		if err := rec.InstallBootstrap(img2); err != nil {
-			t.Fatalf("%s: re-bootstrap: %v", kp.label, err)
-		}
-		if got := followerStateXML(t, rec); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: state after re-bootstrap diverged:\n got %v\nwant %v", kp.label, got, want)
-		}
-		for _, name := range rec.Names() {
-			if err := rec.Verify(name); err != nil {
-				t.Fatalf("%s: verify %q: %v", kp.label, name, err)
+			if err := rec.Close(); err != nil {
+				t.Fatalf("close: %v", err)
 			}
-		}
-		if err := rec.Close(); err != nil {
-			t.Fatalf("%s: close: %v", kp.label, err)
-		}
+		})
+	}
+}
+
+// TestFollowerFailedInstallLeavesNoInstalledState pins the regression:
+// an InstallBootstrap that fails after it has destroyed the old state
+// (here: an image whose snapshot file fails its checksum, so the reload
+// rejects it once the new manifest is already on disk) must not leave
+// the follower appending to the old, unlinked log. It ends with no
+// installed state, exactly like a fresh directory — stream records are
+// refused, the position is zero so the next Hello forces a bootstrap —
+// and a good image then installs over the debris.
+func TestFollowerFailedInstallLeavesNoInstalledState(t *testing.T) {
+	t.Parallel()
+	leaderDir := t.TempDir()
+	leader, err := OpenDurable(leaderDir, DurableOptions{AutoCheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	seedAndBatch(t, leader, 3)
+	if err := leader.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	good, err := store.LoadBootstrapImage(leaderDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := crashStateXML(t, leader)
+
+	f, err := OpenFollower(t.TempDir(), DurableOptions{AutoCheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.InstallBootstrap(good); err != nil {
+		t.Fatal(err)
+	}
+	if f.Position() == (wal.Position{}) {
+		t.Fatal("installed follower reports the zero position")
+	}
+
+	bad := good
+	bad.Files = append([]store.BootstrapFile(nil), good.Files...)
+	flipped := append([]byte(nil), bad.Files[0].Data...)
+	flipped[len(flipped)/2] ^= 0xFF
+	bad.Files[0].Data = flipped
+	if err := f.InstallBootstrap(bad); !errors.Is(err, ErrReplay) {
+		t.Fatalf("install of a corrupt image: %v, want ErrReplay", err)
+	}
+	record := appendRecordString([]byte{RecDrop}, "books")
+	if err := f.ApplyRecord(record); !errors.Is(err, errNotInstalled) {
+		t.Fatalf("ApplyRecord after a failed install: %v, want bootstrap-required", err)
+	}
+	if err := f.BeginSegment(good.Manifest.WALFirst + 1); !errors.Is(err, errNotInstalled) {
+		t.Fatalf("BeginSegment after a failed install: %v, want bootstrap-required", err)
+	}
+	if pos := f.Position(); pos != (wal.Position{}) {
+		t.Fatalf("position after a failed install = %v, want zero", pos)
+	}
+	if n, gen := f.Len(), f.Generation(); n != 0 || gen != 0 {
+		t.Fatalf("failed install left %d documents at generation %d, want an empty follower", n, gen)
+	}
+
+	if err := f.InstallBootstrap(good); err != nil {
+		t.Fatalf("re-bootstrap over the failed install: %v", err)
+	}
+	if got := followerStateXML(t, f); !reflect.DeepEqual(got, want) {
+		t.Fatalf("state after re-bootstrap diverged:\n got %v\nwant %v", got, want)
 	}
 }
 

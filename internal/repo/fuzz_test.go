@@ -1,0 +1,146 @@
+package repo
+
+import (
+	"errors"
+	"reflect"
+	"testing"
+
+	"xmldyn/internal/labels"
+	"xmldyn/internal/update"
+	"xmldyn/internal/wal"
+)
+
+// fuzzOpts opens the fuzz directories: no fsync per record, no
+// background checkpointer.
+var fuzzOpts = DurableOptions{AutoCheckpointBytes: -1, Sync: wal.SyncAsync}
+
+// fuzzBase builds the state every FuzzApplyRecord input is applied to —
+// two documents, checkpointed, with a live WAL tail on top — as a
+// directory template, plus one well-formed record of each type encoded
+// against exactly that state.
+func fuzzBase(f *testing.F) (template string, seeds [][]byte) {
+	f.Helper()
+	dir := f.TempDir()
+	d, err := OpenDurable(dir, fuzzOpts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seedAndBatch(f, d, 3)
+	if err := d.Checkpoint(); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := d.MultiBatch([]string{"books", "feeds"}, func(m map[string]*MultiDoc) error {
+		m["books"].Batch().AppendChild(m["books"].Document().Root(), "tail")
+		m["feeds"].Batch().AppendChild(m["feeds"].Document().Root(), "tail")
+		return nil
+	}); err != nil {
+		f.Fatal(err)
+	}
+	// ops encodes one queued append against the named document's
+	// current tree, without committing it.
+	ops := func(name string) []byte {
+		var enc []byte
+		if err := d.View(name, func(s *update.Session) error {
+			b := s.Batch()
+			b.AppendChild(s.Document().Root(), "fuzzed").SetAttr(s.Document().Root(), "k", "v")
+			var err error
+			enc, err = update.EncodeOps(s.Document(), b.Ops())
+			return err
+		}); err != nil {
+			f.Fatal(err)
+		}
+		return enc
+	}
+	part := func(name string) []byte {
+		enc := ops(name)
+		out := appendRecordString(nil, name)
+		out = append(out, labels.EncodeLEB128(uint64(len(enc)))...)
+		return append(out, enc...)
+	}
+	open := appendRecordString(appendRecordString([]byte{RecOpen}, "fresh"), "ordpath")
+	open = append(open, update.EncodeDocTree(mustParse(f, `<fresh a="1"><x/>text</fresh>`))...)
+	seeds = [][]byte{
+		open,
+		append(appendRecordString([]byte{RecBatch}, "books"), ops("books")...),
+		append(append([]byte{RecMulti, 2}, part("books")...), part("feeds")...),
+		appendRecordString([]byte{RecDrop}, "feeds"),
+		{RecBatch, 200, 'b', 'o'},                                               // name length overruns the payload
+		append(appendRecordString([]byte{RecDrop}, "feeds"), 0),                 // drop with trailing bytes
+		appendRecordString([]byte{0x7f}, "books"),                               // unknown type
+		append(append([]byte{RecMulti, 2}, part("books")...), part("books")...), // duplicate multi part
+		{RecMulti, 0xff, 0xff, 0xff, 0x7f, 1, 'x'},                              // implausible multi count
+		{},
+	}
+	if err := d.Close(); err != nil {
+		f.Fatal(err)
+	}
+	template = imageDir(f, dir)
+	// The first four seeds are the well-formed ones: each must apply
+	// cleanly to the template, or the corpus no longer exercises the
+	// accepting paths.
+	for i, seed := range seeds[:4] {
+		fr, err := OpenFollower(imageDir(f, template), fuzzOpts)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := fr.ApplyRecord(seed); err != nil {
+			f.Fatalf("well-formed seed %d rejected: %v", i, err)
+		}
+		if err := fr.Close(); err != nil {
+			f.Fatal(err)
+		}
+	}
+	return template, seeds
+}
+
+// FuzzApplyRecord feeds arbitrary payloads to the one record applier
+// through the follower's live path and through recovery replay. The
+// applier must never panic; a rejected record must leave every tree
+// byte-identical (all-or-nothing); and the two uses of the applier must
+// agree — a record applied live must replay to the identical documents
+// when the directory is recovered, and a record the live state
+// rejected must fail recovery too.
+func FuzzApplyRecord(f *testing.F) {
+	template, seeds := fuzzBase(f)
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		dir := imageDir(t, template)
+		live, err := OpenFollower(dir, fuzzOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := followerStateXML(t, live)
+		applyErr := live.ApplyRecord(payload)
+		after := followerStateXML(t, live)
+		if applyErr != nil && !reflect.DeepEqual(after, before) {
+			t.Fatalf("rejected record (%v) changed state:\n got %v\nwant %v", applyErr, after, before)
+		}
+		for _, name := range live.Names() {
+			if err := live.Verify(name); err != nil {
+				t.Fatalf("verify %q after apply (%v): %v", name, applyErr, err)
+			}
+		}
+		if err := live.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		replayed, err := OpenFollower(dir, fuzzOpts)
+		if errors.Is(applyErr, ErrDiverged) {
+			// The record is in the log and the state cannot follow it:
+			// recovery must refuse it exactly as the live apply did.
+			if !errors.Is(err, ErrReplay) {
+				t.Fatalf("live apply diverged (%v) but recovery returned %v, want ErrReplay", applyErr, err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("recovery of a log the live path accepted (apply: %v): %v", applyErr, err)
+		}
+		defer replayed.Close()
+		if got := followerStateXML(t, replayed); !reflect.DeepEqual(got, after) {
+			t.Fatalf("replay and live apply disagree:\nreplay %v\n  live %v", got, after)
+		}
+	})
+}

@@ -745,7 +745,7 @@ func TestDropRetriesWhenSlotSwapped(t *testing.T) {
 	if err := d.Open("x", mustParse(t, "<x/>"), "qed"); err != nil {
 		t.Fatal(err)
 	}
-	doc1, ok := d.repo.Get("x")
+	doc1, ok := d.repo().Get("x")
 	if !ok {
 		t.Fatal("x missing")
 	}
@@ -769,8 +769,8 @@ func TestDropRetriesWhenSlotSwapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.repo.Drop("x")
-	if _, err := d.repo.add("x", "qed", sess); err != nil {
+	d.repo().Drop("x")
+	if _, err := d.repo().add("x", "qed", sess); err != nil {
 		t.Fatal(err)
 	}
 	doc1.mu.Unlock()
@@ -781,7 +781,7 @@ func TestDropRetriesWhenSlotSwapped(t *testing.T) {
 	if !dropped {
 		t.Fatal("Drop reported \"did not exist\" while a live document held the name")
 	}
-	if _, ok := d.repo.Get("x"); ok {
+	if _, ok := d.repo().Get("x"); ok {
 		t.Fatal("x still present after the retried drop")
 	}
 }
@@ -827,7 +827,7 @@ func TestBatchRetriesWhenSlotSwapped(t *testing.T) {
 	if err := d.Open("x", mustParse(t, "<x/>"), "qed"); err != nil {
 		t.Fatal(err)
 	}
-	doc1, ok := d.repo.Get("x")
+	doc1, ok := d.repo().Get("x")
 	if !ok {
 		t.Fatal("x missing")
 	}
@@ -846,8 +846,8 @@ func TestBatchRetriesWhenSlotSwapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.repo.Drop("x")
-	if _, err := d.repo.add("x", "qed", sess); err != nil {
+	d.repo().Drop("x")
+	if _, err := d.repo().add("x", "qed", sess); err != nil {
 		t.Fatal(err)
 	}
 	doc1.mu.Unlock()

@@ -14,11 +14,6 @@ import (
 	"xmldyn/internal/wal"
 )
 
-// Dir returns the repository's on-disk directory — the segment set a
-// replication shipper tails and the checkpoint files it transfers for
-// follower bootstrap.
-func (d *DurableRepository) Dir() string { return d.dir }
-
 // EndPosition returns the log's current append position: every record
 // committed so far lies strictly below it. ok is false on a closed
 // repository.

@@ -391,7 +391,7 @@ func (m *MultiDoc) Batch() *update.Batch { return m.b }
 // The results map one entry per name; created nodes are detached deep
 // copies, as in Batch.
 func (r *Repository) MultiBatch(names []string, build func(map[string]*MultiDoc) error) (map[string]*update.BatchResult, error) {
-	held, err := r.lockSorted(names)
+	held, err := r.lockLiveSorted(names)
 	if err != nil {
 		return nil, err
 	}
@@ -403,23 +403,37 @@ func (r *Repository) MultiBatch(names []string, build func(map[string]*MultiDoc)
 	return applyMulti(held, m, true)
 }
 
-// lockSorted write-locks the named documents in sorted-name order
-// (duplicates collapsed), failing without holding any lock if a name
-// is unknown.
-func (r *Repository) lockSorted(names []string) ([]*Doc, error) {
+// lockLiveSorted write-locks the named documents in sorted-name order
+// (duplicates collapsed) and re-checks, under each lock, that the
+// locked slot is still the one serving its name. A slot swapped
+// between lookup and lock (dropped, or dropped and reopened under the
+// same name) releases everything and retries against the live name
+// space, so the caller's commit lands on the live document; an unknown
+// name fails with ErrNotFound, no lock held.
+func (r *Repository) lockLiveSorted(names []string) ([]*Doc, error) {
 	uniq := sortedUnique(names)
-	held := make([]*Doc, 0, len(uniq))
-	for _, name := range uniq {
-		d, ok := r.Get(name)
-		if !ok {
-			return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
+	for {
+		held := make([]*Doc, 0, len(uniq))
+		for _, name := range uniq {
+			d, ok := r.Get(name)
+			if !ok {
+				return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
+			}
+			held = append(held, d)
 		}
-		held = append(held, d)
+		stale := false
+		for i, d := range held {
+			d.mu.Lock()
+			if cur, ok := r.Get(uniq[i]); !ok || cur != d {
+				unlockDocs(held[:i+1])
+				stale = true
+				break
+			}
+		}
+		if !stale {
+			return held, nil
+		}
 	}
-	for _, d := range held {
-		d.mu.Lock()
-	}
-	return held, nil
 }
 
 func unlockDocs(held []*Doc) {
@@ -524,6 +538,26 @@ func (r *Repository) QueryFunc(name, path string, fn func([]*xmltree.Node) error
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	return d.QueryFunc(path, fn)
+}
+
+// Scheme names the registry scheme the named document was opened
+// under, and whether the document exists.
+func (r *Repository) Scheme(name string) (string, bool) {
+	d, ok := r.Get(name)
+	if !ok {
+		return "", false
+	}
+	return d.scheme, true
+}
+
+// Verify re-checks the named document's order invariant under the
+// read lock.
+func (r *Repository) Verify(name string) error {
+	d, ok := r.Get(name)
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrNotFound, name)
+	}
+	return d.Verify()
 }
 
 // Save serialises every document into one version-2 store container as

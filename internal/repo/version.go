@@ -112,20 +112,11 @@ func (r *Repository) VersionStats() VersionStats {
 	}
 }
 
-// VersionStats returns the durable repository's MVCC accounting (the
-// in-memory repository's; versions are never logged or recovered —
-// see docs/CONCURRENCY.md §5).
-func (d *DurableRepository) VersionStats() VersionStats { return d.repo.VersionStats() }
-
 // Stamp returns the repository's current global commit stamp: a
 // monotone counter advanced by every document open and every committed
 // mutation. Pass a stamp observed here (or from Snapshot.Stamps) to
 // SnapshotAt to read the repository as of that moment.
 func (r *Repository) Stamp() uint64 { return r.clock.Load() }
-
-// Stamp returns the durable repository's current global commit stamp
-// (see Repository.Stamp).
-func (d *DurableRepository) Stamp() uint64 { return d.repo.Stamp() }
 
 // docVersion is one published, immutable document version: a reference
 // to a persistent structure-sharing tree (version.go file comment). It
@@ -435,14 +426,6 @@ func (r *Repository) SnapshotAt(stamp uint64, names ...string) (*Snapshot, error
 	})
 }
 
-// SnapshotAt pins a time-travel view of the durable repository's
-// documents; semantics exactly as Repository.SnapshotAt (versions and
-// stamps are an in-memory construct — never logged, reset by
-// recovery).
-func (d *DurableRepository) SnapshotAt(stamp uint64, names ...string) (*Snapshot, error) {
-	return d.repo.SnapshotAt(stamp, names...)
-}
-
 // snapshotWith resolves, locks and captures per the Snapshot contract,
 // delegating the per-document version choice to pin.
 func (r *Repository) snapshotWith(names []string, pin func(*Doc) (*docVersion, error)) (*Snapshot, error) {
@@ -493,15 +476,6 @@ func (r *Repository) snapshotWith(names []string, pin func(*Doc) (*docVersion, e
 	}
 	r.vstats.open.Add(1)
 	return s, nil
-}
-
-// Snapshot pins a consistent view of the named documents of the
-// durable repository (all documents when names is empty); semantics
-// exactly as Repository.Snapshot. Snapshots are an in-memory
-// construct: they are never logged, and recovery starts with no
-// versions (docs/CONCURRENCY.md §5).
-func (d *DurableRepository) Snapshot(names ...string) (*Snapshot, error) {
-	return d.repo.Snapshot(names...)
 }
 
 // Names lists the snapshot's document names, sorted. It stays valid

@@ -9,16 +9,10 @@
 package store
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 )
-
-// ErrLegacyManifest reports a bootstrap attempt against a directory
-// whose manifest is still the legacy v4 whole-repository-container
-// shape; a checkpoint migrates it to v5, after which the load works.
-var ErrLegacyManifest = errors.New("store: legacy v4 manifest")
 
 // BootstrapFile is one snapshot file of a checkpoint image: its
 // directory-relative name and raw bytes.
@@ -46,9 +40,7 @@ type BootstrapImage struct {
 // part of the file name), so the only race is a concurrent checkpoint
 // RETIRING a file after switching manifests — which surfaces as a
 // not-exist error here, and the caller retries the whole load against
-// the new manifest. A legacy version-4 manifest (whole-repository
-// container) is rejected: replication bootstraps only from the
-// per-document v5 shape, so the caller must checkpoint first.
+// the new manifest.
 func LoadBootstrapImage(dir string) (BootstrapImage, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -57,9 +49,6 @@ func LoadBootstrapImage(dir string) (BootstrapImage, error) {
 	man, err := UnmarshalManifest(raw)
 	if err != nil {
 		return BootstrapImage{}, fmt.Errorf("bootstrap manifest: %w", err)
-	}
-	if man.Snapshot != "" {
-		return BootstrapImage{}, fmt.Errorf("%w (container %q): checkpoint first", ErrLegacyManifest, man.Snapshot)
 	}
 	img := BootstrapImage{Manifest: man, Raw: raw, Files: make([]BootstrapFile, 0, len(man.Docs))}
 	for _, d := range man.Docs {

@@ -62,8 +62,8 @@ func TestLoadBootstrapImageRoundTrip(t *testing.T) {
 }
 
 // TestLoadBootstrapImageErrors pins the three failure classes: no
-// manifest (IsNotExist, the caller's retry signal), a legacy v4
-// manifest (ErrLegacyManifest: checkpoint first), and a manifest
+// manifest (IsNotExist, the caller's retry signal), a version-4
+// manifest (ErrBadVersion: not a format this build reads), and a manifest
 // naming a missing snapshot file (IsNotExist again — a concurrent
 // checkpoint retired it; retry against the new manifest).
 func TestLoadBootstrapImageErrors(t *testing.T) {
@@ -71,13 +71,12 @@ func TestLoadBootstrapImageErrors(t *testing.T) {
 		t.Fatalf("empty dir: %v, want not-exist", err)
 	}
 
-	legacy := t.TempDir()
-	raw := MarshalManifestV4(Manifest{Gen: 2, Snapshot: "snapshot-g2.xdyn", WALFirst: 1})
-	if err := os.WriteFile(filepath.Join(legacy, ManifestName), raw, 0o644); err != nil {
+	v4 := t.TempDir()
+	if err := os.WriteFile(filepath.Join(v4, ManifestName), []byte(v4ManifestFixture), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadBootstrapImage(legacy); !errors.Is(err, ErrLegacyManifest) {
-		t.Fatalf("v4 manifest: %v, want ErrLegacyManifest", err)
+	if _, err := LoadBootstrapImage(v4); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("v4 manifest: %v, want ErrBadVersion", err)
 	}
 
 	retired := t.TempDir()

@@ -12,15 +12,11 @@ package store
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 
 	"xmldyn/internal/encoding"
 	"xmldyn/internal/labels"
 	"xmldyn/internal/xmltree"
 )
-
-// versionRepo tags multi-document containers.
-const versionRepo = VersionRepo
 
 // ErrDupName reports a container holding two documents with one name.
 var ErrDupName = errors.New("store: duplicate document name")
@@ -41,7 +37,7 @@ func MarshalRepo(docs []DocSnapshot) ([]byte, error) {
 	seen := make(map[string]bool, len(docs))
 	var out []byte
 	out = append(out, magic...)
-	out = append(out, versionRepo)
+	out = append(out, VersionRepo)
 	out = append(out, labels.EncodeLEB128(uint64(len(docs)))...)
 	for _, d := range docs {
 		if seen[d.Name] {
@@ -58,24 +54,15 @@ func MarshalRepo(docs []DocSnapshot) ([]byte, error) {
 			}
 		}
 	}
-	h := fnv.New64a()
-	_, _ = h.Write(out)
-	out = append(out, labels.EncodeLEB128(h.Sum64())...)
-	return out, nil
+	return sealRecord(out), nil
 }
 
 // UnmarshalRepo decodes a repository container, verifying the checksum.
 func UnmarshalRepo(data []byte) ([]DocSnapshot, error) {
-	if len(data) < len(magic)+1 {
-		return nil, ErrBadMagic
+	pos, err := openRecord(data, VersionRepo)
+	if err != nil {
+		return nil, err
 	}
-	if string(data[:len(magic)]) != magic {
-		return nil, ErrBadMagic
-	}
-	if data[len(magic)] != versionRepo {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, data[len(magic)])
-	}
-	pos := len(magic) + 1
 	count, n, err := labels.DecodeLEB128(data[pos:])
 	if err != nil {
 		return nil, fmt.Errorf("%w: doc count: %v", ErrCorrupt, err)
@@ -117,17 +104,8 @@ func UnmarshalRepo(data []byte) ([]DocSnapshot, error) {
 		}
 		docs = append(docs, d)
 	}
-	want, n, err := labels.DecodeLEB128(data[pos:])
-	if err != nil {
-		return nil, fmt.Errorf("%w: trailer: %v", ErrCorrupt, err)
-	}
-	h := fnv.New64a()
-	_, _ = h.Write(data[:pos])
-	if h.Sum64() != want {
-		return nil, ErrBadChecksum
-	}
-	if pos+n != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-pos-n)
+	if err := closeRecord(data, pos); err != nil {
+		return nil, err
 	}
 	return docs, nil
 }

@@ -146,7 +146,7 @@ func TestRepoTruncationRejected(t *testing.T) {
 func TestRowCountBoundTightened(t *testing.T) {
 	var data []byte
 	data = append(data, magic...)
-	data = append(data, version)
+	data = append(data, VersionSnapshot)
 	data = appendString(data, "qed")
 	// Pad so len(data) ends up well above the claimed count.
 	claimed := uint64(64)

@@ -80,9 +80,7 @@ func MarshalDocSnap(s DocSnap) []byte {
 	out = appendString(out, s.Scheme)
 	out = append(out, labels.EncodeLEB128(uint64(len(s.Tree)))...)
 	out = append(out, s.Tree...)
-	h := fnv.New64a()
-	_, _ = h.Write(out)
-	return append(out, labels.EncodeLEB128(h.Sum64())...)
+	return sealRecord(out)
 }
 
 // UnmarshalDocSnap decodes a per-document snapshot file, verifying the
@@ -90,17 +88,10 @@ func MarshalDocSnap(s DocSnap) []byte {
 // internal/update's DecodeDocTree.
 func UnmarshalDocSnap(data []byte) (DocSnap, error) {
 	var s DocSnap
-	if len(data) < len(magic)+1 {
-		return s, ErrBadMagic
+	pos, err := openRecord(data, VersionDocSnap)
+	if err != nil {
+		return s, err
 	}
-	if string(data[:len(magic)]) != magic {
-		return s, ErrBadMagic
-	}
-	if data[len(magic)] != VersionDocSnap {
-		return s, fmt.Errorf("%w: %d", ErrBadVersion, data[len(magic)])
-	}
-	pos := len(magic) + 1
-	var err error
 	if s.Name, pos, err = readString(data, pos); err != nil {
 		return s, err
 	}
@@ -117,17 +108,8 @@ func UnmarshalDocSnap(data []byte) (DocSnap, error) {
 	}
 	s.Tree = append([]byte(nil), data[pos:pos+int(size)]...)
 	pos += int(size)
-	want, n, err := labels.DecodeLEB128(data[pos:])
-	if err != nil {
-		return s, fmt.Errorf("%w: trailer: %v", ErrCorrupt, err)
-	}
-	h := fnv.New64a()
-	_, _ = h.Write(data[:pos])
-	if h.Sum64() != want {
-		return s, ErrBadChecksum
-	}
-	if pos+n != len(data) {
-		return s, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-pos-n)
+	if err := closeRecord(data, pos); err != nil {
+		return s, err
 	}
 	return s, nil
 }

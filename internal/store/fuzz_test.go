@@ -81,18 +81,13 @@ func reflectEqualDocs(a, b []DocSnapshot) bool {
 // FuzzManifestRoundTrip feeds arbitrary bytes to the manifest decoder:
 // it must never panic, fail only with the package's typed errors, and
 // whenever it accepts the input the decoded manifest must survive a
-// marshal/unmarshal round trip unchanged. The corpus seeds both
-// version-5 manifests and version-4 ones (the migration path), so an
-// accepted input is re-marshalled with the marshaller matching its
-// version byte.
+// marshal/unmarshal round trip unchanged.
 func FuzzManifestRoundTrip(f *testing.F) {
 	f.Add(MarshalManifest(Manifest{Gen: 1, WALFirst: 1}))
 	f.Add(MarshalManifest(Manifest{Gen: 9, WALFirst: 4, Docs: []ManifestDoc{
 		{Name: "books", File: DocSnapName("books", 9, 0), Gen: 9},
 		{Name: "feeds", File: DocSnapName("feeds", 2, 0), Gen: 2},
 	}}))
-	f.Add(MarshalManifestV4(Manifest{Gen: 3, Snapshot: "snapshot-000003.xdyn", WALFirst: 7}))
-	f.Add(MarshalManifestV4(Manifest{Gen: 1, WALFirst: 1}))
 	f.Add([]byte("XDYN"))
 	f.Add([]byte{})
 
@@ -102,16 +97,12 @@ func FuzzManifestRoundTrip(f *testing.F) {
 			requireTypedError(t, err)
 			return
 		}
-		marshal := MarshalManifest
-		if len(data) > len(magic) && data[len(magic)] == VersionManifestV4 {
-			marshal = MarshalManifestV4
-		}
-		again := marshal(m)
+		again := MarshalManifest(m)
 		m2, err := UnmarshalManifest(again)
 		if err != nil {
 			t.Fatalf("re-marshalled manifest rejected: %v", err)
 		}
-		if m.Gen != m2.Gen || m.Snapshot != m2.Snapshot || m.WALFirst != m2.WALFirst || len(m.Docs) != len(m2.Docs) {
+		if m.Gen != m2.Gen || m.WALFirst != m2.WALFirst || len(m.Docs) != len(m2.Docs) {
 			t.Fatalf("round trip changed manifest: %+v vs %+v", m, m2)
 		}
 		for i := range m.Docs {

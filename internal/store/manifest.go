@@ -15,14 +15,9 @@
 //	document count | count × (name | snapshot file | generation)
 //	trailer: FNV-1a checksum of everything before it
 //
-// Version 4 (PR 3) named one whole-repository version-2 container
-// instead of per-document files; UnmarshalManifest still reads it (the
-// migration path: the first incremental checkpoint over a version-4
-// directory rewrites everything as version 5), and MarshalManifestV4
-// can still write it for tests. Version 3 (PR 2) recorded a single WAL
-// file name instead of the segment index; it is superseded, and a
-// version-3 manifest is rejected with ErrBadVersion rather than
-// silently migrated.
+// Only version 5 is read or written: a manifest tagged with any other
+// version byte (3 and 4 were manifest layouts too) is rejected with
+// ErrBadVersion, never silently migrated.
 //
 // WriteManifest replaces the file atomically: write to a temp file,
 // fsync it, rename over ManifestName, fsync the directory. A crash at
@@ -36,7 +31,6 @@ package store
 
 import (
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 
@@ -52,21 +46,15 @@ type Manifest struct {
 	// Gen is the checkpoint generation, starting at 1 and incremented
 	// by every completed checkpoint.
 	Gen uint64
-	// Snapshot is the version-2 container file holding the state as of
-	// the last checkpoint in a superseded version-4 manifest; always
-	// empty in version-5 manifests (per-document files in Docs replace
-	// it) and empty in a version-4 manifest for a repository that was
-	// never checkpointed.
-	Snapshot string
 	// WALFirst is the index of the first live write-ahead-log segment:
 	// the segments WALFirst, WALFirst+1, … (internal/wal's numbered
 	// "wal-%08d.log" files) hold every batch committed since the
 	// snapshots, and everything below WALFirst is dead history a
 	// checkpoint has already folded in.
 	WALFirst uint64
-	// Docs maps every live document to its per-document snapshot file
-	// (version 5). Empty in version-4 manifests and for repositories
-	// whose only checkpointed state is the WAL itself.
+	// Docs maps every live document to its per-document snapshot file.
+	// Empty for repositories whose only checkpointed state is the WAL
+	// itself.
 	Docs []ManifestDoc
 }
 
@@ -83,9 +71,7 @@ type ManifestDoc struct {
 	Gen uint64
 }
 
-// MarshalManifest encodes a manifest in the current (version 5)
-// layout. m.Snapshot is ignored: version 5 has no whole-repository
-// container field.
+// MarshalManifest encodes a manifest.
 func MarshalManifest(m Manifest) []byte {
 	var out []byte
 	out = append(out, magic...)
@@ -98,106 +84,64 @@ func MarshalManifest(m Manifest) []byte {
 		out = appendString(out, d.File)
 		out = append(out, labels.EncodeLEB128(d.Gen)...)
 	}
-	h := fnv.New64a()
-	_, _ = h.Write(out)
-	return append(out, labels.EncodeLEB128(h.Sum64())...)
-}
-
-// MarshalManifestV4 encodes a manifest in the superseded version-4
-// layout (whole-repository container, no per-document entries). It
-// exists for migration tests and fuzz corpora; m.Docs is ignored.
-func MarshalManifestV4(m Manifest) []byte {
-	var out []byte
-	out = append(out, magic...)
-	out = append(out, VersionManifestV4)
-	out = append(out, labels.EncodeLEB128(m.Gen)...)
-	out = appendString(out, m.Snapshot)
-	out = append(out, labels.EncodeLEB128(m.WALFirst)...)
-	h := fnv.New64a()
-	_, _ = h.Write(out)
-	return append(out, labels.EncodeLEB128(h.Sum64())...)
+	return sealRecord(out)
 }
 
 // minManifestDocBytes is the smallest possible encoded manifest entry:
 // two empty length-prefixed strings plus a one-byte generation.
 const minManifestDocBytes = 3
 
-// UnmarshalManifest decodes a version-5 or version-4 manifest,
-// verifying the checksum. Version 4 decodes with Docs nil and the
-// container name in Snapshot; version 5 decodes with Snapshot empty.
+// UnmarshalManifest decodes a manifest, verifying the checksum.
 func UnmarshalManifest(data []byte) (Manifest, error) {
 	var m Manifest
-	if len(data) < len(magic)+1 {
-		return m, ErrBadMagic
+	pos, err := openRecord(data, VersionManifest)
+	if err != nil {
+		return m, err
 	}
-	if string(data[:len(magic)]) != magic {
-		return m, ErrBadMagic
-	}
-	ver := data[len(magic)]
-	if ver != VersionManifest && ver != VersionManifestV4 {
-		return m, fmt.Errorf("%w: %d", ErrBadVersion, ver)
-	}
-	pos := len(magic) + 1
 	gen, n, err := labels.DecodeLEB128(data[pos:])
 	if err != nil {
 		return m, fmt.Errorf("%w: generation: %v", ErrCorrupt, err)
 	}
 	m.Gen = gen
 	pos += n
-	if ver == VersionManifestV4 {
-		if m.Snapshot, pos, err = readString(data, pos); err != nil {
-			return m, err
-		}
-	}
 	first, n, err := labels.DecodeLEB128(data[pos:])
 	if err != nil {
 		return m, fmt.Errorf("%w: first segment: %v", ErrCorrupt, err)
 	}
 	m.WALFirst = first
 	pos += n
-	if ver == VersionManifest {
-		count, n, err := labels.DecodeLEB128(data[pos:])
-		if err != nil {
-			return m, fmt.Errorf("%w: document count: %v", ErrCorrupt, err)
-		}
-		pos += n
-		if count > uint64(len(data)-pos)/minManifestDocBytes {
-			return m, fmt.Errorf("%w: implausible document count %d", ErrCorrupt, count)
-		}
-		seen := make(map[string]bool, count)
-		m.Docs = make([]ManifestDoc, 0, count)
-		for i := uint64(0); i < count; i++ {
-			var d ManifestDoc
-			if d.Name, pos, err = readString(data, pos); err != nil {
-				return m, err
-			}
-			if d.File, pos, err = readString(data, pos); err != nil {
-				return m, err
-			}
-			g, n, err := labels.DecodeLEB128(data[pos:])
-			if err != nil {
-				return m, fmt.Errorf("%w: entry generation: %v", ErrCorrupt, err)
-			}
-			d.Gen = g
-			pos += n
-			if seen[d.Name] {
-				return m, fmt.Errorf("%w: duplicate document %q", ErrCorrupt, d.Name)
-			}
-			seen[d.Name] = true
-			m.Docs = append(m.Docs, d)
-		}
-	}
-	want, n, err := labels.DecodeLEB128(data[pos:])
+	count, n, err := labels.DecodeLEB128(data[pos:])
 	if err != nil {
-		return m, fmt.Errorf("%w: trailer: %v", ErrCorrupt, err)
+		return m, fmt.Errorf("%w: document count: %v", ErrCorrupt, err)
 	}
-	h := fnv.New64a()
-	_, _ = h.Write(data[:pos])
-	if h.Sum64() != want {
-		return m, ErrBadChecksum
+	pos += n
+	if count > uint64(len(data)-pos)/minManifestDocBytes {
+		return m, fmt.Errorf("%w: implausible document count %d", ErrCorrupt, count)
 	}
-	if pos+n != len(data) {
-		return m, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-pos-n)
+	seen := make(map[string]bool, count)
+	m.Docs = make([]ManifestDoc, 0, count)
+	for i := uint64(0); i < count; i++ {
+		var d ManifestDoc
+		if d.Name, pos, err = readString(data, pos); err != nil {
+			return m, err
+		}
+		if d.File, pos, err = readString(data, pos); err != nil {
+			return m, err
+		}
+		g, n, err := labels.DecodeLEB128(data[pos:])
+		if err != nil {
+			return m, fmt.Errorf("%w: entry generation: %v", ErrCorrupt, err)
+		}
+		d.Gen = g
+		pos += n
+		if seen[d.Name] {
+			return m, fmt.Errorf("%w: duplicate document %q", ErrCorrupt, d.Name)
+		}
+		seen[d.Name] = true
+		m.Docs = append(m.Docs, d)
+	}
+	if err := closeRecord(data, pos); err != nil {
+		return m, err
 	}
 	return m, nil
 }

@@ -39,17 +39,16 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
-// A superseded version-4 manifest still decodes (the migration path):
-// container name in Snapshot, no per-document entries.
-func TestManifestReadsV4(t *testing.T) {
-	data := MarshalManifestV4(Manifest{Gen: 3, Snapshot: "snapshot-000003.xdyn", WALFirst: 9})
-	got, err := UnmarshalManifest(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Manifest{Gen: 3, Snapshot: "snapshot-000003.xdyn", WALFirst: 9}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("v4 decode: got %+v, want %+v", got, want)
+// v4ManifestFixture is a genuine version-4 manifest (generation 2, one
+// whole-repository container "snapshot-000002.xdyn", first live
+// segment 7) with a valid checksum: a format this build does not read.
+const v4ManifestFixture = "XDYN\x04\x02\x14snapshot-000002.xdyn\a\xe3\xfa\xa6\x97\xda\x92\xf4\xfaR"
+
+// A well-formed version-4 manifest is rejected by its version byte,
+// like any other version this build does not read.
+func TestManifestRejectsV4(t *testing.T) {
+	if _, err := UnmarshalManifest([]byte(v4ManifestFixture)); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("v4 manifest: %v, want ErrBadVersion", err)
 	}
 }
 

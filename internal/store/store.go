@@ -38,18 +38,12 @@ const (
 	VersionSnapshot = 1
 	// VersionRepo tags multi-document repository containers.
 	VersionRepo = 2
-	// VersionManifestV4 tags the superseded whole-container checkpoint
-	// manifests (a single version-2 container plus the first live
-	// segment index). UnmarshalManifest still reads them so a
-	// pre-incremental directory migrates on its first checkpoint, but
-	// new manifests are always written as version 5.
-	VersionManifestV4 = 4
 	// VersionManifest tags durable-repository checkpoint manifests
 	// (version 5: incremental checkpoints — the manifest maps every
 	// live document name to a per-document snapshot file and the
-	// generation that wrote it, plus the first live segment index; the
-	// superseded version 4 named one whole-repository container, and
-	// version 3 before it named a single log file).
+	// generation that wrote it, plus the first live segment index).
+	// Versions 3 and 4 are not read: a manifest carrying either is
+	// rejected with ErrBadVersion.
 	VersionManifest = 5
 	// VersionDocSnap tags per-document snapshot files (doc-*.snap),
 	// the incremental checkpoint unit referenced by version-5
@@ -58,8 +52,7 @@ const (
 )
 
 const (
-	magic   = "XDYN"
-	version = VersionSnapshot
+	magic = "XDYN"
 	// minRowBytes is the smallest possible encoded row: a kind byte
 	// plus four empty length-prefixed strings.
 	minRowBytes = 5
@@ -80,7 +73,7 @@ func Marshal(enc *encoding.Document) ([]byte, error) {
 func MarshalRows(scheme string, rows []encoding.Row) ([]byte, error) {
 	var out []byte
 	out = append(out, magic...)
-	out = append(out, version)
+	out = append(out, VersionSnapshot)
 	out = appendString(out, scheme)
 	out = append(out, labels.EncodeLEB128(uint64(len(rows)))...)
 	for _, r := range rows {
@@ -89,25 +82,15 @@ func MarshalRows(scheme string, rows []encoding.Row) ([]byte, error) {
 			return nil, err
 		}
 	}
-	h := fnv.New64a()
-	_, _ = h.Write(out)
-	sum := h.Sum64()
-	out = append(out, labels.EncodeLEB128(sum)...)
-	return out, nil
+	return sealRecord(out), nil
 }
 
 // Unmarshal decodes a snapshot, verifying the checksum.
 func Unmarshal(data []byte) (*Snapshot, error) {
-	if len(data) < len(magic)+1 {
-		return nil, ErrBadMagic
+	pos, err := openRecord(data, VersionSnapshot)
+	if err != nil {
+		return nil, err
 	}
-	if string(data[:len(magic)]) != magic {
-		return nil, ErrBadMagic
-	}
-	if data[len(magic)] != version {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, data[len(magic)])
-	}
-	pos := len(magic) + 1
 	scheme, pos, err := readString(data, pos)
 	if err != nil {
 		return nil, err
@@ -131,17 +114,8 @@ func Unmarshal(data []byte) (*Snapshot, error) {
 		}
 		snap.Rows = append(snap.Rows, r)
 	}
-	want, n, err := labels.DecodeLEB128(data[pos:])
-	if err != nil {
-		return nil, fmt.Errorf("%w: trailer: %v", ErrCorrupt, err)
-	}
-	h := fnv.New64a()
-	_, _ = h.Write(data[:pos])
-	if h.Sum64() != want {
-		return nil, ErrBadChecksum
-	}
-	if pos+n != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-pos-n)
+	if err := closeRecord(data, pos); err != nil {
+		return nil, err
 	}
 	return snap, nil
 }
@@ -190,6 +164,47 @@ func readRow(data []byte, pos int, i uint64) (encoding.Row, int, error) {
 		return r, 0, err
 	}
 	return r, pos, nil
+}
+
+// Every store record shares one envelope: the magic, a version byte,
+// the record body, and an FNV-1a trailer over everything before it.
+// openRecord, sealRecord and closeRecord are that envelope.
+
+// openRecord checks the magic and the version byte a record of
+// version ver starts with, returning the offset of the record body.
+func openRecord(data []byte, ver byte) (int, error) {
+	if len(data) < len(magic)+1 || string(data[:len(magic)]) != magic {
+		return 0, ErrBadMagic
+	}
+	if data[len(magic)] != ver {
+		return 0, fmt.Errorf("%w: %d", ErrBadVersion, data[len(magic)])
+	}
+	return len(magic) + 1, nil
+}
+
+// sealRecord appends the checksum trailer to an encoded record.
+func sealRecord(out []byte) []byte {
+	h := fnv.New64a()
+	_, _ = h.Write(out)
+	return append(out, labels.EncodeLEB128(h.Sum64())...)
+}
+
+// closeRecord verifies the trailer at pos — the record body ended
+// there — and that nothing follows it.
+func closeRecord(data []byte, pos int) error {
+	want, n, err := labels.DecodeLEB128(data[pos:])
+	if err != nil {
+		return fmt.Errorf("%w: trailer: %v", ErrCorrupt, err)
+	}
+	h := fnv.New64a()
+	_, _ = h.Write(data[:pos])
+	if h.Sum64() != want {
+		return ErrBadChecksum
+	}
+	if pos+n != len(data) {
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-pos-n)
+	}
+	return nil
 }
 
 // appendString and readString delegate to the shared length-prefixed

@@ -56,7 +56,6 @@ func TestDurabilityDocConstants(t *testing.T) {
 		"store.ManifestName":              strconv.Quote(store.ManifestName),
 		"store.VersionSnapshot":           fmt.Sprint(store.VersionSnapshot),
 		"store.VersionRepo":               fmt.Sprint(store.VersionRepo),
-		"store.VersionManifestV4":         fmt.Sprint(store.VersionManifestV4),
 		"store.VersionManifest":           fmt.Sprint(store.VersionManifest),
 		"store.VersionDocSnap":            fmt.Sprint(store.VersionDocSnap),
 		"store.DocSnapPattern":            strconv.Quote(store.DocSnapPattern),

@@ -100,30 +100,29 @@ func OpenTail(dir string, pos Position) (*TailReader, error) {
 	if pos.Offset < int64(HeaderSize) {
 		pos.Offset = int64(HeaderSize)
 	}
-	t := &TailReader{dir: dir, pos: pos}
-	if err := t.open(); err != nil {
+	f, err := openSegment(dir, pos.Segment)
+	if err != nil {
 		return nil, err
 	}
-	return t, nil
+	return &TailReader{dir: dir, pos: pos, f: f}, nil
 }
 
-// open opens the current segment and validates its header.
-func (t *TailReader) open() error {
-	f, err := os.Open(filepath.Join(t.dir, SegmentName(t.pos.Segment)))
+// openSegment opens segment index for reading and validates its header.
+func openSegment(dir string, index uint64) (*os.File, error) {
+	f, err := os.Open(filepath.Join(dir, SegmentName(index)))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	header := make([]byte, HeaderSize)
 	if _, err := io.ReadFull(f, header); err != nil {
 		f.Close()
-		return fmt.Errorf("%w: %s: %v", ErrShortHeader, SegmentName(t.pos.Segment), err)
+		return nil, fmt.Errorf("%w: %s: %v", ErrShortHeader, SegmentName(index), err)
 	}
 	if string(header[:len(Magic)]) != Magic || header[len(Magic)] != Version {
 		f.Close()
-		return fmt.Errorf("%w: %s", ErrBadHeader, SegmentName(t.pos.Segment))
+		return nil, fmt.Errorf("%w: %s", ErrBadHeader, SegmentName(index))
 	}
-	t.f = f
-	return nil
+	return f, nil
 }
 
 // Pos returns the reader's current position: just past the last event
@@ -186,14 +185,20 @@ func (t *TailReader) Next() (TailEvent, error) {
 			return TailEvent{}, fmt.Errorf("%w: torn frame in sealed %s at offset %d",
 				ErrCorruptRecord, SegmentName(t.pos.Segment), t.pos.Offset)
 		}
-		if err := t.f.Close(); err != nil {
+		// The successor becomes visible before its header is written
+		// (creation and header write are two steps): a short header
+		// here is a rotation in flight, not damage — stay on the sealed
+		// segment and let the caller retry.
+		f, err := openSegment(t.dir, t.pos.Segment+1)
+		if errors.Is(err, ErrShortHeader) {
+			return TailEvent{}, ErrNoRecord
+		}
+		if err != nil {
 			return TailEvent{}, err
 		}
-		t.f = nil
+		_ = t.f.Close()
+		t.f = f
 		t.pos = Position{Segment: t.pos.Segment + 1, Offset: int64(HeaderSize)}
-		if err := t.open(); err != nil {
-			return TailEvent{}, err
-		}
 		return TailEvent{Payload: nil, Pos: t.pos}, nil
 	}
 }

@@ -116,6 +116,55 @@ func TestTailReaderHandsOffAtRotation(t *testing.T) {
 	}
 }
 
+// TestTailReaderWaitsForSuccessorHeader pins the rotation-in-flight
+// window: a successor segment is visible on disk before its header is
+// written (creation and header write are two steps). The reader must
+// treat that as "nothing yet" — ErrNoRecord, position unchanged — and
+// hand off once the header lands, not fail the stream with a short
+// header.
+func TestTailReaderWaitsForSuccessorHeader(t *testing.T) {
+	dir := t.TempDir()
+	log, err := wal.Create(dir, 1, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Append([]byte("sealed")); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := wal.OpenTail(dir, wal.Position{Segment: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	if ev, err := tr.Next(); err != nil || string(ev.Payload) != "sealed" {
+		t.Fatalf("first record: %q, %v", ev.Payload, err)
+	}
+	before := tr.Pos()
+
+	next := filepath.Join(dir, wal.SegmentName(2))
+	for _, partial := range [][]byte{nil, []byte(wal.Magic)[:2]} {
+		if err := os.WriteFile(next, partial, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tr.Next(); !errors.Is(err, wal.ErrNoRecord) {
+			t.Fatalf("successor with %d header bytes: got %v, want ErrNoRecord", len(partial), err)
+		}
+		if got := tr.Pos(); got != before {
+			t.Fatalf("position moved to %v while the successor header was in flight", got)
+		}
+	}
+	if err := os.WriteFile(next, append([]byte(wal.Magic), wal.Version), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ev, err := tr.Next()
+	if err != nil || ev.Payload != nil || ev.Pos != (wal.Position{Segment: 2, Offset: int64(wal.HeaderSize)}) {
+		t.Fatalf("hand-off after the header landed: %+v, %v", ev, err)
+	}
+}
+
 // TestTailReaderMidStreamStart opens a reader at a mid-segment frame
 // boundary (resume-from-position, the replication reconnect path) and
 // checks it sees exactly the suffix.
