@@ -144,10 +144,10 @@ func namedTypeName(info *types.Info, e ast.Expr) string {
 }
 
 // AcquirerCalls returns synthetic write-lock events for calls to the
-// named lock-acquisition helpers (the repository's lockSorted /
-// lockLiveSorted primitives): a successful call leaves the callee's
-// document write locks held, which the caller releases later. The
-// synthetic event's Field is field, its Path the call text.
+// named lock-acquisition helpers (the repository's lockLiveSorted
+// primitive): a successful call leaves the callee's document write
+// locks held, which the caller releases later. The synthetic event's
+// Field is field, its Path the call text.
 func AcquirerCalls(body ast.Node, names map[string]bool, field string) []LockEvent {
 	var out []LockEvent
 	ast.Inspect(body, func(n ast.Node) bool {

@@ -1,9 +1,8 @@
 // Package locksort enforces the repository's one global lock order
 // (docs/CONCURRENCY.md §3, docs/STATIC_ANALYSIS.md): a function that
 // write-locks the same mutex field of several distinct objects —
-// multiple *Doc document locks — must be one of the blessed
-// sorted-name-order primitives (lockSorted, lockLiveSorted); anywhere
-// else, a loop that write-locks through its iteration variable and
+// multiple *Doc document locks — must be the blessed sorted-name-order
+// primitive (lockLiveSorted); anywhere else, a loop that write-locks through its iteration variable and
 // holds the locks past the iteration, or a second write lock taken
 // while a sibling's is already held, is an ad-hoc multi-document lock
 // acquisition that can deadlock against the sorted order, and is
@@ -20,17 +19,14 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "locksort",
 	Doc: "flag write-locking multiple sibling objects outside the sorted-order " +
-		"primitives lockSorted/lockLiveSorted (docs/CONCURRENCY.md §3)",
+		"primitive lockLiveSorted (docs/CONCURRENCY.md §3)",
 	Run: run,
 }
 
-// blessed names the primitives allowed to acquire multiple document
+// blessed names the primitive allowed to acquire multiple document
 // write locks, by function name; a primitive so named must sort the
 // names first (the repository's is Repository.lockLiveSorted).
-var blessed = map[string]bool{
-	"lockSorted":     true,
-	"lockLiveSorted": true,
-}
+var blessed = map[string]bool{"lockLiveSorted": true}
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
@@ -97,7 +93,7 @@ func checkLoops(pass *analysis.Pass, fd *ast.FuncDecl) {
 				continue // per-iteration lock/unlock holds one at a time
 			}
 			pass.Reportf(ev.Pos,
-				"write-locking %s in a loop acquires multiple %s locks ad hoc; route multi-document locking through lockSorted/lockLiveSorted (sorted-name order, docs/CONCURRENCY.md §3)",
+				"write-locking %s in a loop acquires multiple %s locks ad hoc; route multi-document locking through lockLiveSorted (sorted-name order, docs/CONCURRENCY.md §3)",
 				ev.Path, ev.OwnerType)
 		}
 		return true
@@ -145,7 +141,7 @@ func checkPairs(pass *analysis.Pass, fd *ast.FuncDecl) {
 			}
 			if len(held[key]) > 0 && !held[key][ev.Path] {
 				pass.Reportf(ev.Pos,
-					"write-locking %s while another %s.%s lock is held; multi-document write locks must go through lockSorted/lockLiveSorted (sorted-name order, docs/CONCURRENCY.md §3)",
+					"write-locking %s while another %s.%s lock is held; multi-document write locks must go through lockLiveSorted (sorted-name order, docs/CONCURRENCY.md §3)",
 					ev.Path, ev.OwnerType, ev.Field)
 			}
 			held[key][ev.Path] = true

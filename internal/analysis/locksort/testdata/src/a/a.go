@@ -15,7 +15,7 @@ type Doc struct {
 // multi-lock that deadlocks against sorted order.
 func BadLoopLock(docs []*Doc) {
 	for _, d := range docs {
-		d.mu.Lock() // want "route multi-document locking through lockSorted/lockLiveSorted"
+		d.mu.Lock() // want "route multi-document locking through lockLiveSorted"
 	}
 }
 
@@ -23,7 +23,7 @@ func BadLoopLock(docs []*Doc) {
 func BadLoopLockViaLocal(docs []*Doc) {
 	for i := 0; i < len(docs); i++ {
 		d := docs[i]
-		d.mu.Lock() // want "route multi-document locking through lockSorted/lockLiveSorted"
+		d.mu.Lock() // want "route multi-document locking through lockLiveSorted"
 	}
 }
 
@@ -43,9 +43,9 @@ func GoodLoopRLock(docs []*Doc) {
 	}
 }
 
-// lockSorted is blessed by name: the primitive itself may lock many
+// lockLiveSorted is blessed by name: the primitive itself may lock many
 // docs in its loop.
-func lockSorted(docs []*Doc) {
+func lockLiveSorted(docs []*Doc) {
 	for _, d := range docs {
 		d.mu.Lock()
 	}

@@ -5,7 +5,8 @@
 // exclude them) AND a serialisation lock for the records themselves:
 // walMu for name-space records, or the document write lock for batch
 // records (taken directly, via the deferred-unlock idiom, or through
-// the blessed lockSorted/lockLiveSorted acquirers). A helper that
+// the blessed lockLiveSorted acquirer, as the repository's one
+// transaction routine does). A helper that
 // appends while its caller holds the locks is accepted when every
 // intra-package call site provably holds them (the dropLocked
 // pattern); test files are exempt — the wal package's own tests
@@ -31,7 +32,7 @@ var Analyzer = &analysis.Analyzer{
 
 // acquirers are the sorted-order lock helpers whose successful return
 // leaves document write locks held.
-var acquirers = map[string]bool{"lockSorted": true, "lockLiveSorted": true}
+var acquirers = map[string]bool{"lockLiveSorted": true}
 
 // maxDepth bounds caller-chain propagation.
 const maxDepth = 4

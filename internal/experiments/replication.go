@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"path/filepath"
 	"sync/atomic"
 	"time"
 
@@ -118,7 +119,7 @@ func C16ReplicationLag(docsN, commits, batchSize int, rule harness.ConvergeRule)
 			res.Rounds, res.Spread, rule.Tolerance, res.Converged),
 		fmt.Sprintf("each burst: %d batches × %d appends over %d docs; follower tails live over an in-process pipe, AckEvery 8", commits, batchSize, docsN),
 		"live_peak_lag = max Follower.Lag during the burst; ~0 is by design — the staleness target travels in-order after the bytes it covers (docs/REPLICATION.md §4)",
-		"cold_lag_bytes / cold_catchup_ms = a follower attached AFTER the burst: its initial Lag target (the full stream distance) and its attach-to-Lag-0 time")
+		"cold_lag_bytes / cold_catchup_ms = a follower attached AFTER the burst: its initial Lag target (the full stream distance, measured on its mirrored segments) and its attach-to-Lag-0 time")
 	return t, nil
 }
 
@@ -275,11 +276,7 @@ func runC16(opts repo.DurableOptions, docsN, commits, batchSize int) (*c16Run, e
 	defer cold.Close()
 	coldStart := time.Now()
 	go func() { _ = cold.Run() }()
-	var coldLag uint64
 	coldUp := func() bool {
-		if l := cold.Lag(); l > coldLag {
-			coldLag = l
-		}
 		end, ok := leader.EndPosition()
 		return ok && cold.Position() == end && cold.Lag() == 0
 	}
@@ -291,9 +288,34 @@ func runC16(opts repo.DurableOptions, docsN, commits, batchSize int) (*c16Run, e
 		time.Sleep(200 * time.Microsecond)
 	}
 	coldCatchup := time.Since(coldStart)
+	// The cold follower bootstrapped onto the leader's first live segment
+	// and then mirrored every stream byte after that segment's header, so
+	// its initial Lag target is the distance from there to where it stands
+	// — read off its own segment files, not sampled from a Lag that may
+	// rise and drain between two polls.
+	first, _, _ := leader.SegmentRange()
+	coldLag, err := streamDistance(cdir, wal.Position{Segment: first, Offset: int64(wal.HeaderSize)}, cold.Position())
+	if err != nil {
+		return nil, err
+	}
 
 	return &c16Run{
 		rec: rec, burst: burst, catchup: catchup, peakLag: peak.Load(),
 		coldLag: coldLag, coldCatchup: coldCatchup,
 	}, nil
+}
+
+// streamDistance is the byte distance from start to end within the
+// segment set of dir, in Follower.Lag's accounting: every byte of every
+// segment between the two positions, segment headers included.
+func streamDistance(dir string, start, end wal.Position) (uint64, error) {
+	n := end.Offset - start.Offset
+	for seg := start.Segment; seg < end.Segment; seg++ {
+		st, err := os.Stat(filepath.Join(dir, wal.SegmentName(seg)))
+		if err != nil {
+			return 0, err
+		}
+		n += st.Size()
+	}
+	return uint64(n), nil
 }

@@ -30,7 +30,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"xmldyn/internal/labels"
 	"xmldyn/internal/store"
 	"xmldyn/internal/update"
 	"xmldyn/internal/wal"
@@ -181,159 +180,64 @@ func loadDocSnaps(dir string, r *Repository, docs []store.ManifestDoc, workers i
 
 // routeRecord partitions a WAL record for parallel replay without
 // decoding its body: per-document records route by the document name
-// they start with, and RecMulti — the only record touching several
-// documents — is a barrier. Malformed payloads fall through to
-// applyRecord's error reporting via a serial barrier, so parallel and
-// serial replay reject the same logs.
+// parseRecord slices out of them, and RecMulti — the only record
+// touching several documents — is a barrier. Malformed payloads fall
+// through to applyRecord's error reporting via a serial barrier, so
+// parallel and serial replay reject the same logs.
 func routeRecord(payload []byte) (wal.Dispatch, error) {
-	if len(payload) == 0 || payload[0] == RecMulti {
+	rec, err := parseRecord(payload)
+	if err != nil || rec.kind == RecMulti {
 		return wal.Dispatch{Barrier: true}, nil
 	}
-	name, _, err := readRecordString(payload[1:])
-	if err != nil {
-		return wal.Dispatch{Barrier: true}, nil
-	}
-	return wal.Dispatch{Key: name}, nil
+	return wal.Dispatch{Key: rec.parts[0].name}, nil
 }
 
 // applyRecord applies one WAL record payload to r — during recovery
-// replay and live on a follower alike — holding the write lock of every
-// document it mutates, exactly as the commit that logged it did, so
+// replay and live on a follower alike. Op records run through the one
+// commit routine (txn.go) under the replay policy: the write lock of
+// every document the record names is taken exactly as by the commit
+// that logged it, the op programs are decoded against the locked
+// pre-transaction trees, and the parts apply all-or-nothing, so
 // concurrent snapshot readers observe the record's transaction
-// atomically (during recovery the locks are simply uncontended). The
-// record is decoded against the current trees before any lock is taken:
-// the caller guarantees no other writer touches the record's documents
-// (replay lanes partition by document and RecMulti is a barrier; a
-// follower has one applier). A record the state cannot follow is an
-// error and leaves every tree as it was.
+// atomically (during recovery the locks are simply uncontended). A
+// record the state cannot follow — a document no well-formed log can
+// name here, since Drop and every commit re-check membership under the
+// document's write lock — is an error and leaves every tree as it was.
 func applyRecord(r *Repository, payload []byte) error {
-	if len(payload) == 0 {
-		return fmt.Errorf("empty record")
-	}
-	rec, body := payload[0], payload[1:]
-	if rec == RecMulti {
-		held, m, err := decodeMultiRecord(r, body)
-		if err != nil {
-			return err
-		}
-		names := make([]string, len(held))
-		for i, d := range held {
-			names[i] = d.name
-		}
-		locked, err := r.lockLiveSorted(names)
-		if err != nil {
-			return err
-		}
-		defer unlockDocs(locked)
-		_, err = applyMulti(held, m, false)
-		return err
-	}
-	name, pos, err := readRecordString(body)
+	rec, err := parseRecord(payload)
 	if err != nil {
 		return err
 	}
-	body = body[pos:]
-	switch rec {
+	switch rec.kind {
 	case RecOpen:
-		scheme, pos, err := readRecordString(body)
+		doc, err := update.DecodeDocTree(rec.parts[0].data)
 		if err != nil {
 			return err
 		}
-		doc, err := update.DecodeDocTree(body[pos:])
-		if err != nil {
-			return err
-		}
-		_, err = r.Open(name, doc, scheme)
-		return err
-	case RecBatch:
-		doc, ok := r.Get(name)
-		if !ok {
-			// Cannot happen in a well-formed log: Drop holds the doc
-			// write lock while appending its record, and Batch re-checks
-			// membership under that lock, so no batch record can follow
-			// its document's drop record.
-			return fmt.Errorf("batch for unknown document %q", name)
-		}
-		doc.mu.Lock()
-		defer doc.mu.Unlock()
-		ops, err := update.DecodeOps(doc.sess.Document(), body)
-		if err != nil {
-			return err
-		}
-		_, err = doc.sess.Apply(ops)
+		_, err = r.Open(rec.parts[0].name, doc, rec.scheme)
 		return err
 	case RecDrop:
-		if len(body) != 0 {
-			return fmt.Errorf("drop record has %d trailing bytes", len(body))
-		}
-		r.Drop(name)
+		r.Drop(rec.parts[0].name)
 		return nil
-	default:
-		return fmt.Errorf("unknown record type %d", rec)
 	}
-}
-
-// decodeMultiRecord decodes one RecMulti payload against r's current
-// trees: every part's op program is decoded against its document's
-// pre-transaction tree before any document is touched, so the caller
-// can apply all-or-nothing via applyMulti — a record that cannot fully
-// apply rolls back whatever prefix landed and surfaces the error
-// (which aborts recovery: a multi record the state cannot follow
-// means corruption, exactly as for RecBatch). held is in record order.
-func decodeMultiRecord(r *Repository, body []byte) ([]*Doc, map[string]*MultiDoc, error) {
-	count, pos, err := labels.DecodeLEB128(body)
-	if err != nil {
-		return nil, nil, fmt.Errorf("multi record count: %v", err)
+	names := make([]string, len(rec.parts))
+	for i, p := range rec.parts {
+		names[i] = p.name
 	}
-	// Each part costs at least a name byte pair and an ops length, so
-	// bounding by len/3 rejects a crafted count before it pre-sizes
-	// the slices below.
-	if count > uint64(len(body))/3 {
-		return nil, nil, fmt.Errorf("implausible multi record count %d", count)
-	}
-	held := make([]*Doc, 0, count)
-	m := make(map[string]*MultiDoc, count)
-	for i := uint64(0); i < count; i++ {
-		name, next, err := labels.CutString(body, pos)
-		if err != nil {
-			return nil, nil, fmt.Errorf("multi record part %d name: %v", i, err)
+	_, err = r.commit(names, logPolicy{replay: true}, func(m map[string]*MultiDoc) error {
+		for _, p := range rec.parts {
+			md := m[p.name]
+			ops, err := update.DecodeOps(md.Document(), p.data)
+			if err != nil {
+				return fmt.Errorf("record part %q: %w", p.name, err)
+			}
+			for _, op := range ops {
+				md.b.Add(op)
+			}
 		}
-		pos = next
-		n, sz, err := labels.DecodeLEB128(body[pos:])
-		if err != nil {
-			return nil, nil, fmt.Errorf("multi record part %d length: %v", i, err)
-		}
-		pos += sz
-		if n > uint64(len(body)-pos) {
-			return nil, nil, fmt.Errorf("multi record part %d overruns the payload", i)
-		}
-		enc := body[pos : pos+int(n)]
-		pos += int(n)
-		if _, dup := m[name]; dup {
-			return nil, nil, fmt.Errorf("multi record names %q twice", name)
-		}
-		doc, ok := r.Get(name)
-		if !ok {
-			// Cannot happen in a well-formed log, for the same reason
-			// as RecBatch: MultiBatch re-checks membership under every
-			// involved document's write lock.
-			return nil, nil, fmt.Errorf("multi batch for unknown document %q", name)
-		}
-		ops, err := update.DecodeOps(doc.sess.Document(), enc)
-		if err != nil {
-			return nil, nil, fmt.Errorf("multi record part %d (%q): %w", i, name, err)
-		}
-		b := doc.sess.Batch()
-		for _, op := range ops {
-			b.Add(op)
-		}
-		held = append(held, doc)
-		m[name] = &MultiDoc{doc: doc, b: b}
-	}
-	if pos != len(body) {
-		return nil, nil, fmt.Errorf("multi record has %d trailing bytes", len(body)-pos)
-	}
-	return held, m, nil
+		return nil
+	})
+	return err
 }
 
 // sweepDir deletes from dir every file of the durable layout that live
@@ -486,17 +390,3 @@ func (c *durableCore) Stamp() uint64 { return c.repo().Stamp() }
 
 // VersionStats returns the in-memory repository's MVCC accounting.
 func (c *durableCore) VersionStats() VersionStats { return c.repo().VersionStats() }
-
-// --- record string helpers ---------------------------------------------------
-
-// appendRecordString and readRecordString delegate to the shared
-// length-prefixed string codec in internal/labels.
-func appendRecordString(out []byte, s string) []byte { return labels.AppendString(out, s) }
-
-func readRecordString(data []byte) (string, int, error) {
-	s, next, err := labels.CutString(data, 0)
-	if err != nil {
-		return "", 0, fmt.Errorf("record string: %v", err)
-	}
-	return s, next, nil
-}

@@ -36,15 +36,14 @@
 //	          switch never interleaves with a half-appended commit.
 //	          Checkpoint's encode phase holds NO lock: writers keep
 //	          committing while pinned versions serialise
-//	doc.mu    per-document writer serialisation, as in Repository;
-//	          batch records are appended while it is held, so per-
-//	          document log order equals commit order (the log file
-//	          itself serialises cross-document writes internally).
-//	          MultiBatch holds SEVERAL doc.mu at once, always acquired
-//	          in sorted-name order — the same single global order Save
-//	          uses — so multi-document writers cannot deadlock against
-//	          each other, against Save, or against single-document
-//	          writers (which hold at most one)
+//	doc.mu    per-document writer serialisation, as in Repository. The
+//	          one commit routine (txn.go) takes every document of a
+//	          transaction in sorted-name order — the same single global
+//	          order Save uses, so writers cannot deadlock against each
+//	          other or against Save — and appends the transaction's
+//	          record while they are held, so per-document log order
+//	          equals commit order (the log file itself serialises
+//	          cross-document writes internally)
 //	walMu     serialises registry records (Open/Drop), whose
 //	          check-append-register sequence must be atomic
 //	shard.mu  name-space lookups, innermost
@@ -53,7 +52,8 @@
 // Repository and its Docs are deliberately not exposed, because a
 // mutation that bypasses the log would be silently lost at recovery.
 // Recovery, the record applier and the read API are the durable core's
-// (core.go), shared with the follower role.
+// (core.go), shared with the follower role; the record layouts are
+// record.go's.
 // (File comment — the package doc lives in repo.go.)
 
 package repo
@@ -68,8 +68,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"xmldyn/internal/core"
-	"xmldyn/internal/labels"
 	"xmldyn/internal/store"
 	"xmldyn/internal/update"
 	"xmldyn/internal/wal"
@@ -87,25 +85,6 @@ var (
 	// but could not be appended to the log. The repository refuses
 	// further durable commits until a Checkpoint rewrites full state.
 	ErrWALFailed = errors.New("repo: wal append failed; checkpoint to recover")
-)
-
-// WAL record type bytes (docs/DURABILITY.md). Each log payload starts
-// with one of these.
-const (
-	// RecOpen logs a document registration: name, scheme and the
-	// initial tree image.
-	RecOpen byte = 1
-	// RecBatch logs one committed batch: document name plus the
-	// update-layer op encoding.
-	RecBatch byte = 2
-	// RecDrop logs a document removal by name.
-	RecDrop byte = 3
-	// RecMulti logs one atomic multi-document transaction: a document
-	// count, then per document its name and a length-prefixed op
-	// encoding. Being a single record is what makes crash atomicity
-	// free by construction — it is either wholly in the log or torn
-	// off the tail, never partially replayed.
-	RecMulti byte = 4
 )
 
 // DefaultAutoCheckpointBytes is the auto-checkpoint threshold used
@@ -377,9 +356,7 @@ func (d *DurableRepository) Open(name string, doc *xmltree.Document, scheme stri
 	if err != nil {
 		return err
 	}
-	payload := appendRecordString([]byte{RecOpen}, name)
-	payload = appendRecordString(payload, scheme)
-	payload = append(payload, update.EncodeDocTree(doc)...)
+	payload := appendRecord(nil, record{kind: RecOpen, scheme: scheme, parts: []recordPart{{name, update.EncodeDocTree(doc)}}})
 
 	d.commitMu.RLock()
 	defer d.commitMu.RUnlock()
@@ -422,7 +399,7 @@ func (d *DurableRepository) Drop(name string) (bool, error) {
 	if err := d.checkFailed(); err != nil {
 		return false, err
 	}
-	if err := d.log.Append(appendRecordString([]byte{RecDrop}, name)); err != nil {
+	if err := d.log.Append(appendRecord(nil, record{kind: RecDrop, parts: []recordPart{{name: name}}})); err != nil {
 		return false, d.poison(err)
 	}
 	d.nudgeAutoCheckpoint()
@@ -430,11 +407,12 @@ func (d *DurableRepository) Drop(name string) (bool, error) {
 }
 
 // Batch runs build against the named document's live tree under the
-// write lock, then commits the queued ops as one logged transaction:
-// the batch is serialised against the pre-batch tree, applied (with
-// the update layer's pre-validation, rollback and order verification),
-// and appended to the log before the lock is released. On any apply
-// error nothing is logged and the document is untouched. The result's
+// write lock, then commits the queued ops as one logged transaction
+// (commit, txn.go, under the append policy): serialised against the
+// pre-batch tree, applied with the update layer's pre-validation,
+// rollback and order verification, and appended to the log as one
+// RecBatch record before the lock is released. On any apply error
+// nothing is logged and the document is untouched. The result's
 // created nodes are detached deep copies, as in Repository.Batch.
 //
 // build receives the document (not the session) deliberately: every
@@ -443,54 +421,10 @@ func (d *DurableRepository) Drop(name string) (bool, error) {
 // from the log, and silently shift the structural paths of every later
 // record. Navigate the tree to find reference nodes, queue ops on b.
 func (d *DurableRepository) Batch(name string, build func(*xmltree.Document, *update.Batch) error) (*update.BatchResult, error) {
-	d.commitMu.RLock()
-	defer d.commitMu.RUnlock()
-	if d.closed {
-		return nil, ErrClosed
-	}
-	// lockLiveSorted re-checks the slot under the lock and retries if
-	// it was concurrently dropped and reopened under the same name —
-	// the commit then lands on the live document instead of failing
-	// with a spurious ErrNotFound.
-	held, err := d.repo().lockLiveSorted([]string{name})
-	if err != nil {
-		return nil, err
-	}
-	doc := held[0]
-	defer doc.mu.Unlock()
-	if err := d.checkFailed(); err != nil {
-		return nil, err
-	}
-	b := doc.sess.Batch()
-	if err := build(doc.sess.Document(), b); err != nil {
-		return nil, err
-	}
-	if b.Len() == 0 {
-		return &update.BatchResult{}, nil
-	}
-	// Serialise before applying: paths must address the pre-batch tree,
-	// the state replay resolves them against.
-	payload := appendRecordString([]byte{RecBatch}, name)
-	opsData, err := update.EncodeOps(doc.sess.Document(), b.Ops())
-	if err != nil {
-		return nil, err
-	}
-	payload = append(payload, opsData...)
-	res, err := doc.sess.Apply(b.Ops())
-	if err != nil {
-		return nil, err
-	}
-	// No walMu here: doc.mu fixes this document's record order and the
-	// log serialises writes internally, so concurrent batches on other
-	// documents keep committing — and, under grouped sync, share the
-	// in-flight fsync.
-	if aerr := d.log.Append(payload); aerr != nil {
-		// The batch is applied in memory but not durable: poison the
-		// repository so the divergence cannot widen silently.
-		return nil, d.poison(aerr)
-	}
-	d.nudgeAutoCheckpoint()
-	return cloneResult(res), nil
+	out, err := d.repo().commit([]string{name}, logPolicy{leader: d, kind: RecBatch}, func(m map[string]*MultiDoc) error {
+		return build(m[name].Document(), m[name].b)
+	})
+	return out[name], err
 }
 
 // Update commits pre-built ops against the named document as one
@@ -506,85 +440,14 @@ func (d *DurableRepository) Update(name string, ops ...update.Op) (*update.Batch
 	})
 }
 
-// MultiBatch commits one atomic logged transaction across the named
-// documents, with Repository.MultiBatch's semantics — build queues
-// ops per document, every involved document is write-locked in
-// sorted-name order, the per-document batches apply with staged
-// rollbacks so the transaction commits everywhere or nowhere — plus
-// durability: the whole transaction is appended as ONE RecMulti
-// record (each document's ops serialised against its pre-transaction
-// tree, before any document is touched), so a crash either preserves
-// the entire transaction or tears the entire record off the log tail;
-// recovery can never replay a subset of the involved documents.
-//
-// On an apply failure nothing is logged and every document is rolled
-// back. On an append failure the transaction is applied in memory but
-// not durable, and the repository is poisoned exactly as Batch is
-// (ErrWALFailed; checkpoint to recover). As in Batch, build receives
-// trees, not sessions: every mutation must be a queued op so it is
-// logged, and a cross-document move is a Delete plus a graft of a
-// detached copy (Node.Clone) — a node object belongs to one tree.
+// MultiBatch is Repository.MultiBatch under the append policy: the
+// whole transaction is ONE RecMulti record holding every document that
+// queued ops, so a crash either preserves the entire transaction or
+// tears the entire record off the log tail; recovery can never replay
+// a subset of the involved documents. As in Batch, build receives
+// trees, not sessions.
 func (d *DurableRepository) MultiBatch(names []string, build func(map[string]*MultiDoc) error) (map[string]*update.BatchResult, error) {
-	d.commitMu.RLock()
-	defer d.commitMu.RUnlock()
-	if d.closed {
-		return nil, ErrClosed
-	}
-	held, err := d.repo().lockLiveSorted(names)
-	if err != nil {
-		return nil, err
-	}
-	defer unlockDocs(held)
-	if err := d.checkFailed(); err != nil {
-		return nil, err
-	}
-	m := multiDocs(held)
-	if err := build(m); err != nil {
-		return nil, err
-	}
-	// Serialise every document's ops against its pre-transaction tree
-	// before any tree is touched, assembling the single multi record:
-	// type byte, part count, then per part name + length-prefixed ops.
-	var body []byte
-	parts := 0
-	for _, doc := range held {
-		md := m[doc.name]
-		if md.b.Len() == 0 {
-			continue
-		}
-		enc, err := update.EncodeOps(doc.sess.Document(), md.b.Ops())
-		if err != nil {
-			return nil, err
-		}
-		body = appendRecordString(body, doc.name)
-		body = append(body, labels.EncodeLEB128(uint64(len(enc)))...)
-		body = append(body, enc...)
-		parts++
-	}
-	out, err := applyMulti(held, m, true)
-	if err != nil {
-		if errors.Is(err, update.ErrRollback) {
-			// A rollback itself failed: some document's in-memory tree
-			// no longer matches what replaying the (record-free) log
-			// produces, and the next encoded batch would address the
-			// diverged tree. Poison so the divergence cannot widen; a
-			// checkpoint re-captures full memory state and recovers.
-			return nil, d.poison(err)
-		}
-		return nil, err
-	}
-	if parts == 0 {
-		return out, nil // nothing was queued; nothing to log
-	}
-	payload := append([]byte{RecMulti}, labels.EncodeLEB128(uint64(parts))...)
-	payload = append(payload, body...)
-	// As in Batch, no walMu: the held doc.mu set fixes these documents'
-	// record order, and the log serialises writes internally.
-	if aerr := d.log.Append(payload); aerr != nil {
-		return nil, d.poison(aerr)
-	}
-	d.nudgeAutoCheckpoint()
-	return out, nil
+	return d.repo().commit(names, logPolicy{leader: d, kind: RecMulti}, build)
 }
 
 // checkFailed refuses commits after a WAL append failure.
@@ -595,10 +458,11 @@ func (d *DurableRepository) checkFailed() error {
 	return nil
 }
 
-// poison records a WAL append failure (sticky until Checkpoint).
+// poison records the cause of a divergence between memory and log
+// (sticky until Checkpoint).
 func (d *DurableRepository) poison(cause error) error {
 	d.failed.Store(&cause)
-	return fmt.Errorf("%w: %v", ErrWALFailed, cause)
+	return fmt.Errorf("%w: %w", ErrWALFailed, cause)
 }
 
 // --- log gauges --------------------------------------------------------------
@@ -862,14 +726,4 @@ func (d *DurableRepository) Close() error {
 		d.ckptWG.Wait()
 	}
 	return err
-}
-
-// newSchemeSession builds a session for doc under a registry scheme
-// name, sharing Repository.Open's validation.
-func newSchemeSession(doc *xmltree.Document, scheme string) (*update.Session, error) {
-	s, ok := core.SchemeByName(scheme)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoScheme, scheme)
-	}
-	return update.NewSession(doc, s.Factory())
 }

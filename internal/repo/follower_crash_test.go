@@ -205,7 +205,7 @@ func TestFollowerFailedInstallLeavesNoInstalledState(t *testing.T) {
 	if err := f.InstallBootstrap(bad); !errors.Is(err, ErrReplay) {
 		t.Fatalf("install of a corrupt image: %v, want ErrReplay", err)
 	}
-	record := appendRecordString([]byte{RecDrop}, "books")
+	record := appendRecord(nil, record{kind: RecDrop, parts: []recordPart{{name: "books"}}})
 	if err := f.ApplyRecord(record); !errors.Is(err, errNotInstalled) {
 		t.Fatalf("ApplyRecord after a failed install: %v, want bootstrap-required", err)
 	}

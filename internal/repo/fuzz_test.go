@@ -1,6 +1,7 @@
 package repo
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"testing"
@@ -51,24 +52,21 @@ func fuzzBase(f *testing.F) (template string, seeds [][]byte) {
 		}
 		return enc
 	}
-	part := func(name string) []byte {
-		enc := ops(name)
-		out := appendRecordString(nil, name)
-		out = append(out, labels.EncodeLEB128(uint64(len(enc)))...)
-		return append(out, enc...)
-	}
-	open := appendRecordString(appendRecordString([]byte{RecOpen}, "fresh"), "ordpath")
-	open = append(open, update.EncodeDocTree(mustParse(f, `<fresh a="1"><x/>text</fresh>`))...)
+	part := func(name string) recordPart { return recordPart{name, ops(name)} }
+	drop := appendRecord(nil, record{kind: RecDrop, parts: []recordPart{{name: "feeds"}}})
 	seeds = [][]byte{
-		open,
-		append(appendRecordString([]byte{RecBatch}, "books"), ops("books")...),
-		append(append([]byte{RecMulti, 2}, part("books")...), part("feeds")...),
-		appendRecordString([]byte{RecDrop}, "feeds"),
-		{RecBatch, 200, 'b', 'o'},                                               // name length overruns the payload
-		append(appendRecordString([]byte{RecDrop}, "feeds"), 0),                 // drop with trailing bytes
-		appendRecordString([]byte{0x7f}, "books"),                               // unknown type
-		append(append([]byte{RecMulti, 2}, part("books")...), part("books")...), // duplicate multi part
-		{RecMulti, 0xff, 0xff, 0xff, 0x7f, 1, 'x'},                              // implausible multi count
+		appendRecord(nil, record{kind: RecOpen, scheme: "ordpath", parts: []recordPart{
+			{"fresh", update.EncodeDocTree(mustParse(f, `<fresh a="1"><x/>text</fresh>`))}}}),
+		appendRecord(nil, record{kind: RecBatch, parts: []recordPart{part("books")}}),
+		appendRecord(nil, record{kind: RecMulti, parts: []recordPart{part("books"), part("feeds")}}),
+		drop,
+		{RecBatch, 200, 'b', 'o'},             // name length overruns the payload
+		append(drop[:len(drop):len(drop)], 0), // drop with trailing bytes
+		labels.AppendString([]byte{0x7f}, "books"),                                                   // unknown type
+		appendRecord(nil, record{kind: RecMulti, parts: []recordPart{part("books"), part("books")}}), // duplicate multi part
+		{RecMulti, 0xff, 0xff, 0xff, 0x7f, 1, 'x'},                                                   // implausible multi count
+		{RecMulti, 1, 5, 'b', 'o', 'o', 'k', 's', 9, 0},                                              // part length overruns the payload
+		{RecDrop, 0x85, 0, 'f', 'e', 'e', 'd', 's'},                                                  // padded name length
 		{},
 	}
 	if err := d.Close(); err != nil {
@@ -91,6 +89,37 @@ func fuzzBase(f *testing.F) (template string, seeds [][]byte) {
 		}
 	}
 	return template, seeds
+}
+
+// FuzzParseRecord feeds arbitrary payloads to the record codec. It must
+// never panic; appendRecord must reproduce every payload parseRecord
+// accepts byte for byte; and routeRecord must route by the parsed name,
+// with a barrier exactly for RecMulti and for what does not parse.
+func FuzzParseRecord(f *testing.F) {
+	_, seeds := fuzzBase(f)
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		rec, err := parseRecord(payload)
+		route, rerr := routeRecord(payload)
+		if rerr != nil {
+			t.Fatalf("routeRecord failed: %v", rerr)
+		}
+		if err != nil || rec.kind == RecMulti {
+			if !route.Barrier {
+				t.Fatalf("record (parse: %v, type %d) routed to lane %q, want a barrier", err, rec.kind, route.Key)
+			}
+		} else if route.Barrier || route.Key != rec.parts[0].name {
+			t.Fatalf("record for %q routed to %+v", rec.parts[0].name, route)
+		}
+		if err != nil {
+			return
+		}
+		if again := appendRecord(nil, rec); !bytes.Equal(again, payload) {
+			t.Fatalf("append∘parse is not the identity:\n got %x\nwant %x", again, payload)
+		}
+	})
 }
 
 // FuzzApplyRecord feeds arbitrary payloads to the one record applier

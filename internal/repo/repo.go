@@ -24,7 +24,8 @@
 //     soon as the last snapshot pinning them closes.
 //
 // Updates go through the update layer's batched transactions
-// (update.Session.Apply): a committed batch re-verifies document order
+// (update.Session.ApplyStaged, driven by the one commit routine in
+// txn.go): a committed batch re-verifies document order
 // exactly once however many ops it carries and rolls the whole
 // transaction back if anything — including that verification — fails,
 // so a batch either commits an ordered document or leaves it
@@ -196,15 +197,21 @@ func (r *Repository) Open(name string, doc *xmltree.Document, scheme string) (*D
 	if name == "" {
 		return nil, ErrEmptyName
 	}
-	s, ok := core.SchemeByName(scheme)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoScheme, scheme)
-	}
-	sess, err := update.NewSession(doc, s.Factory())
+	sess, err := newSchemeSession(doc, scheme)
 	if err != nil {
 		return nil, err
 	}
 	return r.add(name, scheme, sess)
+}
+
+// newSchemeSession builds a session for doc under a registry scheme
+// name.
+func newSchemeSession(doc *xmltree.Document, scheme string) (*update.Session, error) {
+	s, ok := core.SchemeByName(scheme)
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNoScheme, scheme)
+	}
+	return update.NewSession(doc, s.Factory())
 }
 
 // OpenSession registers an existing session under a name, adopting it
@@ -266,8 +273,9 @@ func (r *Repository) Get(name string) (*Doc, bool) {
 }
 
 // Drop removes the named document, reporting whether it existed. A
-// dropped Doc stays usable by holders of the pointer but is no longer
-// served by name.
+// dropped Doc stays usable by holders of the pointer (Batch excepted:
+// a transaction only commits to a slot serving its name) but is no
+// longer served by name.
 func (r *Repository) Drop(name string) bool {
 	sh := r.shardFor(name)
 	sh.mu.Lock()
@@ -372,17 +380,12 @@ func (m *MultiDoc) Batch() *update.Batch { return m.b }
 
 // MultiBatch commits one atomic transaction across the named
 // documents: build receives a map from each (deduplicated) name to
-// its MultiDoc and queues ops per document; the transaction then
-// applies document by document, each document's ops as one batch with
-// the usual pre-validation, rollback and order verification. If any
-// document's batch fails, every document already applied is rolled
-// back to its pre-transaction state, so the transaction commits
-// everywhere or nowhere.
-//
-// All involved documents are write-locked for the duration, acquired
-// in sorted-name order — the same single global order Save uses — so
-// concurrent MultiBatches, Saves and single-document writers (which
-// hold at most one lock) cannot deadlock. A node object belongs to
+// its MultiDoc and queues ops per document; the transaction then runs
+// through the one commit routine (txn.go) — every involved document
+// write-locked in sorted-name order for the duration, each document's
+// ops applied as one batch, and every document already applied rolled
+// back to its pre-transaction state if a later one fails, so the
+// transaction commits everywhere or nowhere. A node object belongs to
 // one tree: moving content between documents is expressed as a Delete
 // in the source document plus a subtree graft of a detached copy
 // (Node.Clone) in the destination. build must not call back into the
@@ -391,131 +394,7 @@ func (m *MultiDoc) Batch() *update.Batch { return m.b }
 // The results map one entry per name; created nodes are detached deep
 // copies, as in Batch.
 func (r *Repository) MultiBatch(names []string, build func(map[string]*MultiDoc) error) (map[string]*update.BatchResult, error) {
-	held, err := r.lockLiveSorted(names)
-	if err != nil {
-		return nil, err
-	}
-	defer unlockDocs(held)
-	m := multiDocs(held)
-	if err := build(m); err != nil {
-		return nil, err
-	}
-	return applyMulti(held, m, true)
-}
-
-// lockLiveSorted write-locks the named documents in sorted-name order
-// (duplicates collapsed) and re-checks, under each lock, that the
-// locked slot is still the one serving its name. A slot swapped
-// between lookup and lock (dropped, or dropped and reopened under the
-// same name) releases everything and retries against the live name
-// space, so the caller's commit lands on the live document; an unknown
-// name fails with ErrNotFound, no lock held.
-func (r *Repository) lockLiveSorted(names []string) ([]*Doc, error) {
-	uniq := sortedUnique(names)
-	for {
-		held := make([]*Doc, 0, len(uniq))
-		for _, name := range uniq {
-			d, ok := r.Get(name)
-			if !ok {
-				return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
-			}
-			held = append(held, d)
-		}
-		stale := false
-		for i, d := range held {
-			d.mu.Lock()
-			if cur, ok := r.Get(uniq[i]); !ok || cur != d {
-				unlockDocs(held[:i+1])
-				stale = true
-				break
-			}
-		}
-		if !stale {
-			return held, nil
-		}
-	}
-}
-
-func unlockDocs(held []*Doc) {
-	for _, d := range held {
-		d.mu.Unlock()
-	}
-}
-
-// sortedUnique returns names sorted with duplicates collapsed.
-func sortedUnique(names []string) []string {
-	uniq := append([]string(nil), names...)
-	sort.Strings(uniq)
-	out := uniq[:0]
-	for i, name := range uniq {
-		if i == 0 || name != uniq[i-1] {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
-// multiDocs binds a fresh batch to each held document.
-func multiDocs(held []*Doc) map[string]*MultiDoc {
-	m := make(map[string]*MultiDoc, len(held))
-	for _, d := range held {
-		m[d.name] = &MultiDoc{doc: d, b: d.sess.Batch()}
-	}
-	return m
-}
-
-// applyMulti commits each held document's queued batch in order, all
-// locks held, rolling every already-applied document back if a later
-// one fails. With wantResults, the results carry detached clones of
-// created nodes; replay passes false and skips the deep copies it
-// would only discard.
-func applyMulti(held []*Doc, m map[string]*MultiDoc, wantResults bool) (map[string]*update.BatchResult, error) {
-	out := make(map[string]*update.BatchResult, len(held))
-	var applied []*Doc
-	var undo []func() error
-	fail := func(name string, err error) error {
-		err = fmt.Errorf("repo: multibatch %q: %w", name, err)
-		for i := len(undo) - 1; i >= 0; i-- {
-			if rbErr := undo[i](); rbErr != nil {
-				// Keep unwinding — the other documents' rollbacks are
-				// independent and restoring them is strictly better —
-				// but surface the failure (wrapping ErrRollback): THIS
-				// document is partially restored and should be rebuilt
-				// from a snapshot.
-				err = fmt.Errorf("repo: multibatch rollback of %q: %w (after %w)", applied[i].name, rbErr, err)
-			}
-		}
-		return err
-	}
-	for _, d := range held {
-		md := m[d.name]
-		if md.b.Len() == 0 {
-			out[d.name] = &update.BatchResult{}
-			continue
-		}
-		res, rollback, err := d.sess.ApplyStaged(md.b.Ops())
-		if err != nil {
-			return nil, fail(d.name, err)
-		}
-		applied = append(applied, d)
-		undo = append(undo, rollback)
-		if wantResults {
-			out[d.name] = cloneResult(res)
-		}
-	}
-	return out, nil
-}
-
-// cloneResult detaches a BatchResult's created nodes (the live tree
-// must only be touched under its lock, which the caller releases).
-func cloneResult(res *update.BatchResult) *update.BatchResult {
-	out := &update.BatchResult{New: make([]*xmltree.Node, len(res.New))}
-	for i, n := range res.New {
-		if n != nil {
-			out.New[i] = n.Clone()
-		}
-	}
-	return out
+	return r.commit(names, logPolicy{}, build)
 }
 
 // Query evaluates a location path against the named document under the
@@ -631,18 +510,24 @@ func (d *Doc) Update(fn func(*update.Session) error) error {
 	return fn(d.sess)
 }
 
-// Batch commits ops as one write-locked transaction. The result's New
-// nodes are detached deep copies: the live tree must only be touched
-// under the document's lock, and the caller holds it no longer. Use
-// Update with Session.Apply to work with the live created nodes.
+// Batch commits ops as one transaction through the commit routine
+// (txn.go). The result's New nodes are detached deep copies: the live
+// tree must only be touched under the document's lock, and the caller
+// holds it no longer. Use Update with Session.Apply to work with the
+// live created nodes. A slot that no longer serves its name (dropped)
+// takes no more batches: ErrNotFound.
 func (d *Doc) Batch(ops []update.Op) (*update.BatchResult, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	res, err := d.sess.Apply(ops)
-	if err != nil {
-		return nil, err
-	}
-	return cloneResult(res), nil
+	out, err := d.repo.commit([]string{d.name}, logPolicy{}, func(m map[string]*MultiDoc) error {
+		md := m[d.name]
+		if md.doc != d {
+			return fmt.Errorf("%w: %q was dropped", ErrNotFound, d.name)
+		}
+		for _, op := range ops {
+			md.b.Add(op)
+		}
+		return nil
+	})
+	return out[d.name], err
 }
 
 // Query evaluates a location path under the read lock using structural

@@ -1,0 +1,210 @@
+// The one transaction routine. Every mutation of document trees by
+// queued ops — in memory (Doc.Batch, Repository.Batch/MultiBatch),
+// logged (DurableRepository.Batch/Update/MultiBatch), replayed at
+// recovery or applied on a follower (applyRecord) — is a call of
+// Repository.commit; the callers differ only in where the ops come from
+// and in the log policy they pass. The commit critical section, the
+// lock order, the encode-before-apply rule and the poisoning rule are
+// therefore each stated here and nowhere else.
+// (File comment — the package doc lives in repo.go.)
+
+package repo
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+
+	"xmldyn/internal/update"
+	"xmldyn/internal/xmltree"
+)
+
+// logPolicy is what a transaction does about the write-ahead log. The
+// zero value is policy none: the in-memory Repository logs nothing.
+type logPolicy struct {
+	// leader selects policy append: the transaction runs inside the
+	// leader's commit protocol (commitMu shared, refused while closed or
+	// poisoned) and, once applied, is appended to its log as one record
+	// of type kind — RecBatch or RecMulti — holding every non-empty
+	// part; an empty transaction logs nothing.
+	leader *DurableRepository
+	kind   byte
+	// replay selects policy replay: the ops were decoded from a record
+	// that is already in the log (recovery reads it from there, a
+	// follower appends it before applying and keeps its own position),
+	// so nothing is written and no results are handed back.
+	replay bool
+}
+
+// commit runs one transaction over the named documents:
+//
+//  1. write-lock them in sorted-name order (lockLiveSorted), inside the
+//     leader's commitMu when the policy appends — the one lock order,
+//     commitMu → doc.mu, that keeps a checkpoint cut or a Close from
+//     interleaving with a half-logged commit;
+//  2. build: the caller queues each document's ops on its MultiDoc — a
+//     user callback, or the decode of a parsed record, either way
+//     against the locked trees;
+//  3. under policy append, serialise the ops (update.EncodeOps) against
+//     the PRE-transaction trees: structural paths must address the state
+//     replay will resolve them against;
+//  4. apply all-or-nothing (applyMulti);
+//  5. under policy append, append the record while the locks are still
+//     held, so per-document log order equals commit order. The log
+//     serialises writes internally and no walMu is taken: commits on
+//     other documents keep going and, under grouped sync, share the
+//     in-flight fsync.
+//
+// A failed build, encode or apply leaves every tree and the log as they
+// were. Memory and log diverge in exactly two cases — the record could
+// not be appended after the ops applied, or a rollback itself failed
+// (update.ErrRollback) and left a tree that replaying the log does not
+// produce — and both poison the leader here: it refuses commits with
+// ErrWALFailed until a Checkpoint re-captures full memory state.
+//
+// The results map one entry per name, created nodes as detached deep
+// copies (the live tree must only be touched under its lock, which is
+// released on return).
+func (r *Repository) commit(names []string, pol logPolicy, build func(map[string]*MultiDoc) error) (map[string]*update.BatchResult, error) {
+	ld := pol.leader
+	if ld != nil {
+		ld.commitMu.RLock()
+		defer ld.commitMu.RUnlock()
+		if ld.closed {
+			return nil, ErrClosed
+		}
+	}
+	held, err := r.lockLiveSorted(names)
+	if err != nil {
+		return nil, err
+	}
+	defer unlockDocs(held)
+	if ld != nil {
+		if err := ld.checkFailed(); err != nil {
+			return nil, err
+		}
+	}
+	m := make(map[string]*MultiDoc, len(held))
+	for _, d := range held {
+		m[d.name] = &MultiDoc{doc: d, b: d.sess.Batch()}
+	}
+	if err := build(m); err != nil {
+		return nil, err
+	}
+	rec := record{kind: pol.kind}
+	if ld != nil {
+		for _, d := range held {
+			if b := m[d.name].b; b.Len() > 0 {
+				data, err := update.EncodeOps(d.sess.Document(), b.Ops())
+				if err != nil {
+					return nil, err
+				}
+				rec.parts = append(rec.parts, recordPart{d.name, data})
+			}
+		}
+	}
+	out, err := applyMulti(held, m, !pol.replay)
+	logged := ld != nil && err == nil && len(rec.parts) > 0
+	if logged {
+		err = ld.log.Append(appendRecord(nil, rec))
+	}
+	switch {
+	case logged && err != nil, ld != nil && errors.Is(err, update.ErrRollback):
+		return nil, ld.poison(err)
+	case logged:
+		ld.nudgeAutoCheckpoint()
+	}
+	return out, err
+}
+
+// lockLiveSorted write-locks the named documents in sorted-name order
+// (duplicates collapsed) — the same single global order Save uses, so
+// multi-document writers cannot deadlock against each other, against
+// Save, or against anything holding one document lock — and re-checks,
+// under each lock, that the locked slot is still the one serving its
+// name: a slot swapped between lookup and lock (dropped, or dropped and
+// reopened under the same name) is released and looked up again, so the
+// caller's commit lands on the live document. An unknown name fails
+// with ErrNotFound, no lock held.
+func (r *Repository) lockLiveSorted(names []string) ([]*Doc, error) {
+	uniq := sortedUnique(names)
+	held := make([]*Doc, 0, len(uniq))
+	for len(held) < len(uniq) {
+		name := uniq[len(held)]
+		d, ok := r.Get(name)
+		if !ok {
+			unlockDocs(held)
+			return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
+		}
+		d.mu.Lock()
+		if cur, _ := r.Get(name); cur == d {
+			held = append(held, d)
+		} else {
+			d.mu.Unlock()
+		}
+	}
+	return held, nil
+}
+
+func unlockDocs(held []*Doc) {
+	for _, d := range held {
+		d.mu.Unlock()
+	}
+}
+
+// sortedUnique returns names sorted with duplicates collapsed.
+func sortedUnique(names []string) []string {
+	uniq := slices.Clone(names)
+	slices.Sort(uniq)
+	return slices.Compact(uniq)
+}
+
+// applyMulti commits each held document's queued batch in order, all
+// locks held, each with the update layer's pre-validation, rollback and
+// order verification, rolling every already-applied document back if a
+// later one fails. With wantResults, the results carry detached clones
+// of created nodes; replay skips the deep copies it would only discard.
+func applyMulti(held []*Doc, m map[string]*MultiDoc, wantResults bool) (map[string]*update.BatchResult, error) {
+	out := make(map[string]*update.BatchResult, len(held))
+	var applied []*Doc
+	var undo []func() error
+	for _, d := range held {
+		b := m[d.name].b
+		if b.Len() == 0 {
+			out[d.name] = &update.BatchResult{}
+			continue
+		}
+		res, rollback, err := d.sess.ApplyStaged(b.Ops())
+		if err != nil {
+			err = fmt.Errorf("repo: transaction on %q: %w", d.name, err)
+			for i := len(undo) - 1; i >= 0; i-- {
+				if rbErr := undo[i](); rbErr != nil {
+					// Keep unwinding — the other documents' rollbacks are
+					// independent and restoring them is strictly better —
+					// but surface the failure (wrapping ErrRollback): THIS
+					// document is partially restored and should be rebuilt
+					// from a snapshot.
+					err = fmt.Errorf("repo: transaction rollback of %q: %w (after %w)", applied[i].name, rbErr, err)
+				}
+			}
+			return nil, err
+		}
+		applied = append(applied, d)
+		undo = append(undo, rollback)
+		if wantResults {
+			out[d.name] = cloneResult(res)
+		}
+	}
+	return out, nil
+}
+
+// cloneResult detaches a BatchResult's created nodes.
+func cloneResult(res *update.BatchResult) *update.BatchResult {
+	out := &update.BatchResult{New: make([]*xmltree.Node, len(res.New))}
+	for i, n := range res.New {
+		if n != nil {
+			out.New[i] = n.Clone()
+		}
+	}
+	return out
+}
