@@ -149,8 +149,8 @@ func main() {
 	for _, c := range catalogue {
 		d, _ := r.Get(c.name)
 		ctr := d.Counters()
-		fmt.Printf("  %-9s %-8s batches=%-4d verifies=%-4d inserts=%-5d deletes=%d\n",
-			c.name, c.scheme, ctr.Batches, ctr.Verifies, ctr.Inserts, ctr.Deletes)
+		fmt.Printf("  %-9s %-8s batches=%-4d verifies=%-4d full=%-3d inserts=%-5d deletes=%d\n",
+			c.name, c.scheme, ctr.Batches, ctr.Verifies, ctr.FullVerifies, ctr.Inserts, ctr.Deletes)
 	}
 
 	// The whole repository round-trips through one container.

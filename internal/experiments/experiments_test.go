@@ -240,6 +240,11 @@ func TestC9BatchedUpdates(t *testing.T) {
 				t.Fatalf("%s batched: %s batches, want 8", row[0], row[4])
 			}
 		}
+		// An append-only stream changes no existing label on either
+		// scheme: only the session's first verification is a full pass.
+		if row[6] != "1" {
+			t.Fatalf("%s %s: %s full passes, want 1", row[0], row[1], row[6])
+		}
 	}
 }
 

@@ -32,7 +32,14 @@ type Interface interface {
 	Build(doc *xmltree.Document) error
 	// Label returns the label of n, or nil if n is not labelled.
 	Label(n *xmltree.Node) Label
-	// Compare orders two labels in document order.
+	// Compare orders two labels in document order. The update layer
+	// re-compares at commit only pairs with a new label or a new
+	// neighbour, and everything when Stats reports a relabelling: so
+	// Compare must depend on its two labels alone, or on state the
+	// scheme rebuilds for every labelled node whenever it changes
+	// (prime's SC value, re-derived by a document-order walk on every
+	// insert), and a change to a label already handed out must move
+	// RelabelEvents, Relabeled or OverflowEvents.
 	Compare(a, b Label) int
 	NodeInserted(n *xmltree.Node) error
 	NodeDeleting(n *xmltree.Node)
@@ -51,6 +58,15 @@ type Stats struct {
 
 // Reset zeroes the counters (used between probe phases).
 func (s *Stats) Reset() { *s = Stats{} }
+
+// Relabelling returns the counters that move exactly when the scheme
+// changes a label it had already handed out — Stats without Assigned.
+// Two equal readings bracket a stretch in which every existing label
+// kept its value (Interface.Compare states the contract).
+func (s Stats) Relabelling() Stats {
+	s.Assigned = 0
+	return s
+}
 
 // Optional capabilities, each answering from labels alone. A scheme that
 // implements none of them still supports document ordering via Compare.
@@ -119,22 +135,54 @@ func Snapshot(lab Interface, doc *xmltree.Document) map[*xmltree.Node]string {
 	return snap
 }
 
-// VerifyOrder checks that Compare agrees with the structural document
-// order for every adjacent pair of labelled nodes, returning the first
-// offending node or nil. It is the core correctness invariant every
-// scheme must preserve under updates (paper §1: "this order must be
-// maintained in the presence of updates").
-func VerifyOrder(lab Interface, doc *xmltree.Document) error {
-	nodes := doc.LabelledNodes()
-	for i := 1; i < len(nodes); i++ {
-		la, lb := lab.Label(nodes[i-1]), lab.Label(nodes[i])
-		if la == nil || lb == nil {
-			return fmt.Errorf("labeling %s: unlabelled node %q", lab.Name(), nodes[i-1].Name())
-		}
-		if lab.Compare(la, lb) >= 0 {
-			return fmt.Errorf("labeling %s: document order violated: %s (%s) !< %s (%s)",
-				lab.Name(), nodes[i-1].Name(), la, nodes[i].Name(), lb)
-		}
+// OrderCheck verifies a run of labelled nodes that are adjacent in
+// document order: each node must be labelled and must order strictly
+// after the node before it. It carries the previous node and label
+// forward, so a run of k nodes materialises k labels. The zero value is
+// not usable; set Lab.
+type OrderCheck struct {
+	Lab       Interface
+	prev      *xmltree.Node
+	prevLabel Label
+}
+
+// Restart begins a new run whose first node follows prev in document
+// order; a nil prev means the run starts the document.
+func (c *OrderCheck) Restart(prev *xmltree.Node) error {
+	c.prev, c.prevLabel = nil, nil
+	if prev == nil {
+		return nil
 	}
+	return c.Next(prev)
+}
+
+// Next checks n against the previous node of the run and makes n the
+// previous node.
+func (c *OrderCheck) Next(n *xmltree.Node) error {
+	l := c.Lab.Label(n)
+	if l == nil {
+		return fmt.Errorf("labeling %s: unlabelled node %q", c.Lab.Name(), n.Name())
+	}
+	if c.prev != nil && c.Lab.Compare(c.prevLabel, l) >= 0 {
+		return fmt.Errorf("labeling %s: document order violated: %s (%s) !< %s (%s)",
+			c.Lab.Name(), c.prev.Name(), c.prevLabel, n.Name(), l)
+	}
+	c.prev, c.prevLabel = n, l
 	return nil
+}
+
+// VerifyOrder checks that every labellable node is labelled and that
+// Compare agrees with the structural document order for every adjacent
+// pair, returning the first offence or nil. It is the core correctness
+// invariant every scheme must preserve under updates (paper §1: "this
+// order must be maintained in the presence of updates"). One streaming
+// walk: no node list is built and each label is looked up once.
+func VerifyOrder(lab Interface, doc *xmltree.Document) error {
+	c := OrderCheck{Lab: lab}
+	var err error
+	doc.WalkLabelled(func(n *xmltree.Node) bool {
+		err = c.Next(n)
+		return err == nil
+	})
+	return err
 }

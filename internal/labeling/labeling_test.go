@@ -57,13 +57,60 @@ func TestVerifyOrderReportsUnlabelled(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := labeling.VerifyOrder(lab, doc)
-	if err == nil || !strings.Contains(err.Error(), "unlabelled") {
-		t.Fatalf("VerifyOrder: %v", err)
+	if err == nil || !strings.Contains(err.Error(), `unlabelled node "stowaway"`) {
+		t.Fatalf("VerifyOrder must name the unlabelled node, got: %v", err)
+	}
+}
+
+// TestVerifyOrderChecksLoneFirstNode: a document whose only labellable
+// node is unlabelled has no adjacent pair, and must still fail.
+func TestVerifyOrderChecksLoneFirstNode(t *testing.T) {
+	doc := xmltree.NewDocument()
+	lab := dewey.New()
+	if err := lab.Build(doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := doc.SetRoot(xmltree.NewElement("only")); err != nil {
+		t.Fatal(err)
+	}
+	err := labeling.VerifyOrder(lab, doc)
+	if err == nil || !strings.Contains(err.Error(), `unlabelled node "only"`) {
+		t.Fatalf("VerifyOrder on a lone unlabelled root: %v", err)
+	}
+}
+
+// TestOrderCheckRuns: a run restarted after a given predecessor checks
+// exactly the pairs fed to it, and reports a violation with both ends.
+func TestOrderCheckRuns(t *testing.T) {
+	doc := xmltree.SampleBook()
+	lab := dewey.New()
+	if err := lab.Build(doc); err != nil {
+		t.Fatal(err)
+	}
+	title, author := doc.FindElement("title"), doc.FindElement("author")
+	c := labeling.OrderCheck{Lab: lab}
+	if err := c.Restart(title); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Next(author); err != nil {
+		t.Fatalf("title < author: %v", err)
+	}
+	if err := c.Next(title); err == nil || !strings.Contains(err.Error(), "author") || !strings.Contains(err.Error(), "title") {
+		t.Fatalf("author !< title must be reported with both nodes: %v", err)
+	}
+	if err := c.Restart(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Next(author); err != nil {
+		t.Fatalf("a run starting the document has no pair to fail: %v", err)
 	}
 }
 
 func TestStatsReset(t *testing.T) {
 	st := &labeling.Stats{Assigned: 5, Relabeled: 3, RelabelEvents: 1, OverflowEvents: 2}
+	if got, want := st.Relabelling(), (labeling.Stats{Relabeled: 3, RelabelEvents: 1, OverflowEvents: 2}); got != want || st.Assigned != 5 {
+		t.Errorf("Relabelling: %+v (receiver %+v), want %+v and the receiver untouched", got, *st, want)
+	}
 	st.Reset()
 	if *st != (labeling.Stats{}) {
 		t.Errorf("reset: %+v", *st)

@@ -168,3 +168,57 @@ func TestCommitPublishAllocsSpineBounded(t *testing.T) {
 			grow, levels, levels, 4*levels)
 	}
 }
+
+// TestVerifiedCommitAllocsIndependentOfSize: an 8-op sawtooth batch —
+// four appends, four deletes of the previous batch's appends — costs
+// the same number of allocations on a flat document of 200 nodes and of
+// 20 000. Unlike the guards above, this one leaves auto-verify on,
+// because the verification is what it guards: the commit-time check
+// compares only the adjacencies the batch created (update.Session's
+// verifyCommitted), where the full pass it replaced materialised every
+// label of the document on every commit — two allocations per node.
+func TestVerifiedCommitAllocsIndependentOfSize(t *testing.T) {
+	allocs := map[int]float64{}
+	for _, w := range []int{200, 20000} {
+		r := New(Options{})
+		doc, err := xmltree.ParseString(wideXML(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := r.Open("a", doc, "qed")
+		if err != nil {
+			t.Fatal(err)
+		}
+		commit := func() {
+			if err := d.Update(func(s *update.Session) error {
+				root := s.Document().Root()
+				b := s.Batch()
+				for i := 0; i < 4; i++ {
+					b.AppendChild(root, "item")
+				}
+				kids := root.Children()
+				for _, k := range kids[len(kids)-4:] {
+					if k.Name() == "item" {
+						b.Delete(k)
+					}
+				}
+				_, err := b.Commit()
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The first commit pays the session's one full pass and sizes
+		// the reused slices.
+		commit()
+		commit()
+		allocs[w] = testing.AllocsPerRun(50, commit)
+		if c := d.Counters(); c.FullVerifies != 1 || c.Verifies != c.Batches {
+			t.Fatalf("width %d: %d commits, %d verified, %d by the full pass; want every commit verified and one full pass",
+				w, c.Batches, c.Verifies, c.FullVerifies)
+		}
+	}
+	if d := allocs[20000] - allocs[200]; d < -4 || d > 4 {
+		t.Errorf("verified commit scales with document size: %.1f allocs at 200 nodes, %.1f at 20000", allocs[200], allocs[20000])
+	}
+}

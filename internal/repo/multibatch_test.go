@@ -117,7 +117,7 @@ func TestMultiBatchRollsBackAllOnFailure(t *testing.T) {
 	}
 	gotCtr := da.Counters()
 	// The verify that ran before the rollback is history, not state.
-	alphaCtr.Verifies = gotCtr.Verifies
+	alphaCtr.Verifies, alphaCtr.FullVerifies = gotCtr.Verifies, gotCtr.FullVerifies
 	if gotCtr != alphaCtr {
 		t.Fatalf("alpha counters = %+v, want %+v", gotCtr, alphaCtr)
 	}

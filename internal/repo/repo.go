@@ -77,10 +77,14 @@ const DefaultShards = 16
 type Options struct {
 	// Shards is the number of name-space shards (default DefaultShards).
 	Shards int
-	// AutoVerify controls per-operation order verification on the
-	// documents' sessions. Defaults to on: a repository serving many
-	// clients should never publish an unverified document. Turn it off
-	// for bulk loads where the caller verifies at the end.
+	// AutoVerify controls commit-time order verification on the
+	// documents' sessions (update.Session.SetAutoVerify). Defaults to
+	// on: a repository serving many clients should never publish an
+	// unverified document, and a commit's verification costs what the
+	// commit touched, not the document (one full pass per document,
+	// more only where a scheme renumbers; Counters.FullVerifies counts
+	// them). Turn it off for bulk loads where the caller verifies at
+	// the end with Verify, which is always the full pass.
 	AutoVerify *bool
 	// RetainVersions bounds the per-document time-travel window: the
 	// last RetainVersions superseded versions of each document are

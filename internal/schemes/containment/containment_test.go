@@ -155,6 +155,39 @@ func TestIntervalDenseRenumbers(t *testing.T) {
 	}
 }
 
+// TestIntervalRenumberInsideGraft: a nested subtree grafted into a dense
+// interval labelling exhausts the gap at its first node, and the
+// renumbering labels the whole attached subtree at once; the later
+// nodes of the graft must keep those labels (re-carving their intervals
+// over their own descendants broke containment, or failed outright).
+func TestIntervalRenumberInsideGraft(t *testing.T) {
+	doc := xmltree.GenerateWide(6)
+	s, err := update.NewSession(doc, containment.NewXRel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := xmltree.ParseString(`<g a="1"><k b="2"><m/><n c="3"/></k><l/></g>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := sub.Root()
+	root.Detach()
+	if err := s.InsertSubtreeAfter(doc.Root().FirstChild(), root); err != nil {
+		t.Fatalf("graft: %v", err)
+	}
+	if err := s.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	lab := s.Labeling()
+	anc := lab.(labeling.AncestorByLabel)
+	if !anc.IsAncestor(lab.Label(root), lab.Label(root.FirstChild().FirstChild())) {
+		t.Fatal("grafted root's interval does not contain its grandchild's")
+	}
+	if want := int64(doc.LabelledCount()); lab.Stats().Assigned != want {
+		t.Fatalf("Assigned = %d, want one per labelled node = %d", lab.Stats().Assigned, want)
+	}
+}
+
 // TestIntervalGapPostponesRelabelling reproduces the §3.1.1 claim about
 // the gap extensions [17,9,11]: gaps absorb a few insertions and "only
 // postpone the relabelling process until the interval gaps have been

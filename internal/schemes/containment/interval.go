@@ -173,6 +173,14 @@ func (iv *Interval) IsAncestor(a, d labeling.Label) bool {
 // schemes follow global order, so "a significant number of labels may
 // need to be recomputed when a node is inserted" — §3.1.1).
 func (iv *Interval) NodeInserted(n *xmltree.Node) error {
+	if _, ok := iv.lab[n]; ok {
+		// n is a later node of a subtree whose earlier node exhausted
+		// a gap: the renumbering labelled every attached node, n with
+		// them. Carving a second interval for n would ignore the ones
+		// its descendants already hold.
+		iv.stats.Assigned++
+		return nil
+	}
 	lo, hi, err := iv.bounds(n)
 	if err != nil {
 		return err

@@ -130,25 +130,22 @@ func (p Path) Len() int { return len(p.codes) }
 // Code returns the i-th positional identifier.
 func (p Path) Code(i int) labels.Code { return p.codes[i] }
 
-// Label implements labeling.Interface.
+// Label implements labeling.Interface. Two allocations: the depth is
+// counted first and the path filled from the back into one slice, then
+// the Path is boxed.
 func (pl *Labeling) Label(n *xmltree.Node) labeling.Label {
-	if _, ok := pl.codes[n]; !ok {
-		return nil
+	depth := 0
+	for x := n; x != nil; x = xmltree.LabelledParent(x) {
+		depth++
 	}
-	var rev []labels.Code
+	codes := make([]labels.Code, depth)
 	for x := n; x != nil; x = xmltree.LabelledParent(x) {
 		c, ok := pl.codes[x]
 		if !ok {
 			return nil
 		}
-		rev = append(rev, c)
-		if xmltree.LabelledParent(x) == nil {
-			break
-		}
-	}
-	codes := make([]labels.Code, len(rev))
-	for i := range rev {
-		codes[i] = rev[len(rev)-1-i]
+		depth--
+		codes[depth] = c
 	}
 	return Path{codes: codes, cfg: &pl.cfg}
 }

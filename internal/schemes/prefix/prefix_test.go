@@ -209,3 +209,27 @@ func TestPrefixBadAlgebraPropagates(t *testing.T) {
 		t.Fatal("expected bulk-assign overflow error")
 	}
 }
+
+// TestLabelAllocations pins the cost of materialising one prefix label:
+// the code slice and the boxed Path, at any depth. Every prefix scheme
+// shares Label, and commit-time verification calls it about three times
+// per inserted node.
+func TestLabelAllocations(t *testing.T) {
+	doc, err := xmltree.ParseString("<d0><d1><d2><d3><d4><d5><d6/></d5></d4></d3></d2></d1></d0>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lab := dewey.New()
+	if err := lab.Build(doc); err != nil {
+		t.Fatal(err)
+	}
+	deep := doc.FindElement("d6")
+	if got := lab.Label(deep).String(); got != "1.1.1.1.1.1.1" {
+		t.Fatalf("depth-6 label = %s", got)
+	}
+	var sink labeling.Label
+	if a := testing.AllocsPerRun(100, func() { sink = lab.Label(deep) }); a > 2 {
+		t.Fatalf("Label of a depth-6 node allocates %.0f times, want at most 2", a)
+	}
+	_ = sink
+}

@@ -4,9 +4,10 @@
 // (schemes see exactly the same insertion/deletion stream as the
 // op-at-a-time path), but on auto-verifying sessions the document-order
 // invariant is checked once per batch — where the op-at-a-time path
-// checks once per op — and the operation counter advances once per
-// batch. FLUX-style batch programs (Cheney) motivate the shape: updates
-// compose into a program that is checked as a whole.
+// checks once per op — against the batch's final tree, and the
+// operation counter advances once per batch. FLUX-style batch programs
+// (Cheney) motivate the shape: updates compose into a program that is
+// checked as a whole.
 //
 // Atomicity: Apply pre-validates every op before touching the tree, so
 // statically invalid batches commit nothing. If an op fails mid-batch
@@ -289,14 +290,21 @@ func (s *Session) ApplyStaged(ops []Op) (*BatchResult, func() error, error) {
 	s.inBatch = true
 	defer func() { s.inBatch = false }()
 	var undo []func() error
+	// The relabel counters as the batch found them: the rollback
+	// closure below must notice labels the batch itself changed.
+	before := s.lab.Stats().Relabelling()
 	fail := func(err error) (*BatchResult, func() error, error) {
 		rbErr := s.rollback(undo)
+		// Nothing of the batch is left to verify — unless the rollback
+		// broke, and then only a full pass can say what is.
+		s.forgetTouched()
 		// The tree was mutated and (on a clean rollback) restored; on a
 		// failed rollback it is partially restored. Either way notify,
 		// so a cached MVCC version can never survive a tree the batch
 		// touched (docs/CONCURRENCY.md).
 		s.notifyCommit()
 		if rbErr != nil {
+			s.baseOK = false
 			// Keep both chains matchable: the rollback failure and the
 			// op error that triggered it.
 			return nil, nil, fmt.Errorf("%w (after %w)", rbErr, err)
@@ -315,11 +323,9 @@ func (s *Session) ApplyStaged(ops []Op) (*BatchResult, func() error, error) {
 	}
 	// Mirror the single-op policy: with auto-verify on, the commit
 	// re-checks order exactly once for the whole batch; with it off
-	// (bulk loads that verify at the end), no pass runs at all.
-	if s.autoVerify {
-		if err := s.verifyCounted(); err != nil {
-			return fail(fmt.Errorf("update: batch verify: %w", err))
-		}
+	// (bulk loads that verify at the end), no check runs at all.
+	if err := s.verifyCommitted(); err != nil {
+		return fail(fmt.Errorf("update: batch verify: %w", err))
 	}
 	s.ctr.Operations++
 	s.ctr.Batches++
@@ -327,6 +333,13 @@ func (s *Session) ApplyStaged(ops []Op) (*BatchResult, func() error, error) {
 	rollback := func() error {
 		err := s.rollback(undo)
 		s.notifyCommit() // the undo log mutated the tree back
+		// The restored adjacencies passed before the batch. They pass
+		// now only with the labels they had then: a label the batch
+		// (or its undo) changed was verified beside the batch's nodes,
+		// not beside the neighbour it has got back.
+		if err != nil || s.lab.Stats().Relabelling() != before {
+			s.baseOK = false
+		}
 		if err != nil {
 			return err
 		}
@@ -579,6 +592,9 @@ func (s *Session) applyDelete(n *xmltree.Node) (func() error, error) {
 // labels as fresh inserts, using the same document-order walk as the
 // insert path.
 func (s *Session) relabelRestored(root *xmltree.Node) error {
+	// Fresh labels that no commit will verify: the rollback ends the
+	// transaction, so the next verification must be the full pass.
+	s.baseOK = false
 	return walkLabellable(root, s.lab.NodeInserted)
 }
 

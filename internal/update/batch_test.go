@@ -486,7 +486,7 @@ func TestApplyStagedRollback(t *testing.T) {
 	got := s.Counters()
 	// Verification passes are history, not state: the committed batch
 	// and its rollback genuinely ran one.
-	beforeCtr.Verifies = got.Verifies
+	beforeCtr.Verifies, beforeCtr.FullVerifies = got.Verifies, got.FullVerifies
 	if got != beforeCtr {
 		t.Fatalf("counters after rollback = %+v, want %+v", got, beforeCtr)
 	}

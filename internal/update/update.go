@@ -43,7 +43,13 @@ type Counters struct {
 	ContentUpdates int64
 	Operations     int64 // top-level operations applied (a batch counts as one)
 	Batches        int64 // committed batch transactions
-	Verifies       int64 // document-order verification passes
+	// Verifies counts commit-time order verifications: one per
+	// auto-verified transaction (a top-level op or a batch), whichever
+	// way it was answered. FullVerifies counts those among them that
+	// walked the whole document (verifyCommitted lists when); the rest
+	// compared only the adjacencies the transaction created.
+	Verifies     int64
+	FullVerifies int64
 }
 
 // Session couples a document with a labelling scheme instance.
@@ -54,6 +60,16 @@ type Session struct {
 	// autoVerify re-checks document order after every committed
 	// operation (once per batch for batched applies).
 	autoVerify bool
+	// Incremental verification state (verifyCommitted). touched holds
+	// the roots of the subtrees labelled in the open transaction and
+	// gaps, per delete, the labelled node that preceded the deleted
+	// subtree. baseOK says every adjacency of the document passed a
+	// verification, with the labels the nodes have carried since
+	// baseMark was read off the labelling's relabel counters.
+	touched  []*xmltree.Node
+	gaps     []*xmltree.Node
+	baseOK   bool
+	baseMark labeling.Stats
 	// inBatch suppresses per-op accounting and verification while
 	// Apply drains a batch; the batch commit does both once.
 	inBatch bool
@@ -83,12 +99,16 @@ func (s *Session) Labeling() labeling.Interface { return s.lab }
 // Counters returns a copy of the operation counters.
 func (s *Session) Counters() Counters { return s.ctr }
 
-// SetAutoVerify toggles per-operation order verification. With it on,
-// every single operation re-checks the document-order invariant (one
-// verification pass per op); batched applies still verify exactly once
-// per batch — the point of batching. A failed per-op check reports the
-// violation but leaves the op applied (only batches roll back); use
-// Apply for all-or-nothing semantics.
+// SetAutoVerify toggles commit-time order verification. With it on,
+// every transaction — a single top-level operation, or a whole batch —
+// ends with one check of the document-order invariant, whose verdict is
+// that of a full VerifyOrder pass but whose cost is normally
+// proportional to what the transaction labelled and deleted
+// (verifyCommitted). A failed per-op check reports the violation but
+// leaves the op applied (only batches roll back); use Apply for
+// all-or-nothing semantics. Mutations made while it is off are not
+// tracked: the first verification after turning it back on walks the
+// whole document.
 func (s *Session) SetAutoVerify(on bool) { s.autoVerify = on }
 
 // AutoVerify reports whether per-operation verification is on.
@@ -123,20 +143,131 @@ func (s *Session) finishOp() error {
 		return nil
 	}
 	s.ctr.Operations++
-	// Notify before the verification pass: a failed per-op check
-	// reports the violation but leaves the op applied (see
-	// SetAutoVerify), so the document has changed either way.
+	// Notify before the verification: a failed per-op check reports
+	// the violation but leaves the op applied (see SetAutoVerify), so
+	// the document has changed either way.
 	s.notifyCommit()
-	if s.autoVerify {
-		return s.verifyCounted()
+	return s.verifyCommitted()
+}
+
+// verifyCommitted is the one commit-time verification, run at the end
+// of every transaction (finishOp, ApplyStaged). Its verdict is that of
+// labeling.VerifyOrder over the whole document; it gets there by
+// induction. The base: at the last verification every adjacent pair of
+// labelled nodes was in order. The step: a pair that is adjacent now
+// either was adjacent then and still carries the same two labels, or is
+// new — and the only new adjacencies are the ones the transaction made:
+//
+//   - around and inside each subtree it labelled (an inserted element
+//     or attribute is a subtree of one): predecessor < first node, each
+//     internal pair, last node < successor;
+//   - across each gap a delete closed: the node that preceded the
+//     deleted subtree < whatever follows that node now.
+//
+// So checking those is checking everything. The induction is state, not
+// assumption — the full pass runs instead, and re-establishes the base,
+// whenever the base is not known to hold:
+//
+//  1. no verification has passed yet (the session's first, or the one
+//     after a failed one);
+//  2. the labelling's RelabelEvents, Relabeled or OverflowEvents moved
+//     since the base was taken: an existing label changed — the paper's
+//     Persistent Labels property is exactly that these stay put;
+//  3. a transaction ended without a verification of what it left: a
+//     rollback re-labelled the nodes it restored (relabelRestored),
+//     failed, or undid a batch that had changed labels; or a single op
+//     failed after changing the tree (dropBase);
+//  4. transactions ran with auto-verify off.
+//
+// All structural change must go through the session, as the commit
+// hook already requires: a node attached behind its back is seen only
+// by the full pass (Verify).
+func (s *Session) verifyCommitted() error {
+	if !s.autoVerify {
+		s.baseOK = false // trigger 4
+		return nil
+	}
+	s.ctr.Verifies++
+	mark := s.lab.Stats().Relabelling()
+	var err error
+	if s.baseOK && mark == s.baseMark {
+		err = s.verifyTouched()
+	} else {
+		s.ctr.FullVerifies++
+		err = labeling.VerifyOrder(s.lab, s.doc)
+	}
+	s.forgetTouched()
+	s.baseOK, s.baseMark = err == nil, mark
+	return err
+}
+
+// verifyTouched checks the adjacencies the open transaction created.
+// Neighbours are resolved now, against the final tree: a later op of
+// the batch may have moved them, and a recorded node that is detached
+// by now was deleted again — the delete recorded the gap it left.
+func (s *Session) verifyTouched() error {
+	c := &labeling.OrderCheck{Lab: s.lab}
+	next := c.Next
+	for _, root := range s.touched {
+		if !s.attached(root) {
+			continue
+		}
+		if err := c.Restart(xmltree.PrevLabelled(root)); err != nil {
+			return err
+		}
+		if err := walkLabellable(root, next); err != nil {
+			return err
+		}
+		if after := xmltree.NextLabelledAfter(root); after != nil {
+			if err := c.Next(after); err != nil {
+				return err
+			}
+		}
+	}
+	for _, prev := range s.gaps {
+		if !s.attached(prev) {
+			continue
+		}
+		if after := xmltree.NextLabelled(prev); after != nil {
+			if err := c.Restart(prev); err != nil {
+				return err
+			}
+			if err := c.Next(after); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
 
-// verifyCounted runs one accounted order-verification pass.
-func (s *Session) verifyCounted() error {
-	s.ctr.Verifies++
-	return labeling.VerifyOrder(s.lab, s.doc)
+// noteLabelled records a subtree the open transaction labelled.
+func (s *Session) noteLabelled(root *xmltree.Node) {
+	if s.autoVerify {
+		s.touched = append(s.touched, root)
+	}
+}
+
+// noteDeleting records the gap that detaching the labelled subtree at n
+// is about to close; call it while n is still attached.
+func (s *Session) noteDeleting(n *xmltree.Node) {
+	if s.autoVerify {
+		s.gaps = append(s.gaps, xmltree.PrevLabelled(n))
+	}
+}
+
+// forgetTouched ends the open transaction's bookkeeping. The slices are
+// reused; clearing them keeps deleted subtrees collectable.
+func (s *Session) forgetTouched() {
+	clear(s.touched)
+	clear(s.gaps)
+	s.touched, s.gaps = s.touched[:0], s.gaps[:0]
+}
+
+// dropBase makes the next verification a full pass: the tree changed
+// in a way no verification has seen.
+func (s *Session) dropBase() {
+	s.forgetTouched()
+	s.baseOK = false
 }
 
 // --- structural updates ----------------------------------------------------
@@ -253,6 +384,7 @@ func (s *Session) Delete(n *xmltree.Node) error {
 	removed := int64(0)
 	if n.Kind() == xmltree.KindElement || n.Kind() == xmltree.KindAttribute {
 		removed = int64(countLabellable(n))
+		s.noteDeleting(n)
 		s.lab.NodeDeleting(n)
 	}
 	n.Detach()
@@ -298,13 +430,16 @@ func (s *Session) move(n *xmltree.Node, attach func() error, dest *xmltree.Node)
 		return xmltree.ErrCycle
 	}
 	removed := int64(countLabellable(n))
+	s.noteDeleting(n)
 	s.lab.NodeDeleting(n)
 	n.Detach()
 	s.ctr.Deletes += removed
 	if err := attach(); err != nil {
 		// The subtree is detached and stays lost (the single-op path
 		// does not roll back) — the tree changed, so the commit hook
-		// must fire even though the op failed.
+		// must fire even though the op failed, and no verification
+		// has seen the change.
+		s.dropBase()
 		s.notifyCommit()
 		return err
 	}
@@ -379,11 +514,13 @@ func (s *Session) labelNew(n *xmltree.Node) error {
 		// changed and the commit hook must fire. Inside a batch the
 		// apply layer cleans up and notifies via its own fail path.
 		if !s.inBatch {
+			s.dropBase() // an attached, unlabelled node
 			s.notifyCommit()
 		}
 		return fmt.Errorf("update: label %s insert: %w", s.lab.Name(), err)
 	}
 	s.ctr.Inserts++
+	s.noteLabelled(n)
 	return s.finishOp()
 }
 
@@ -423,10 +560,12 @@ func (s *Session) labelSubtree(root *xmltree.Node) error {
 		// single-op path leaves it there, so notify on the error path
 		// too (the batch apply layer handles its own cleanup+notify).
 		if !s.inBatch {
+			s.dropBase() // a grafted, partly labelled subtree
 			s.notifyCommit()
 		}
 		return fmt.Errorf("update: subtree label %s: %w", s.lab.Name(), err)
 	}
+	s.noteLabelled(root)
 	return s.finishOp()
 }
 
@@ -445,7 +584,9 @@ func countLabellable(n *xmltree.Node) int {
 
 // Verify re-checks the session's core invariant: labels order exactly as
 // the document does. Schemes with the LSDX uniqueness defect fail here
-// once a collision occurs.
+// once a collision occurs. It is always the full pass over the whole
+// document, reads only, and leaves the counters and the commit-time
+// verification's state alone, so it is safe under a read lock.
 func (s *Session) Verify() error {
 	return labeling.VerifyOrder(s.lab, s.doc)
 }

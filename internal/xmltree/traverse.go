@@ -65,6 +65,120 @@ func LabelledParent(n *Node) *Node {
 	return p
 }
 
+// Document-order neighbours of a labellable node, computed from the
+// tree alone. Each step looks at one sibling list (the node's own, then
+// an ancestor's) and allocates nothing, so a caller that needs the
+// neighbours of k nodes pays O(k × depth × fan-out), never a walk of the
+// document. n must be an element or an attribute; a detached n is
+// bounded by its own subtree.
+
+// PrevLabelled returns the labellable node immediately before n in
+// document order, or nil when n is the first.
+func PrevLabelled(n *Node) *Node {
+	p := n.parent
+	if p == nil {
+		return nil
+	}
+	if n.kind == KindAttribute {
+		if i := n.Index(); i > 0 {
+			return p.attributes()[i-1]
+		}
+		return p
+	}
+	kids := p.children()
+	for i := n.Index() - 1; i >= 0; i-- {
+		if kids[i].kind == KindElement {
+			return lastLabelled(kids[i])
+		}
+	}
+	if attrs := p.attributes(); len(attrs) > 0 {
+		return attrs[len(attrs)-1]
+	}
+	if p.kind == KindElement {
+		return p
+	}
+	return nil
+}
+
+// lastLabelled returns the last labellable node of the subtree rooted
+// at element e: the deepest last element's last attribute, or that
+// element itself.
+func lastLabelled(e *Node) *Node {
+	for {
+		last := lastElementChild(e)
+		if last == nil {
+			break
+		}
+		e = last
+	}
+	if attrs := e.attributes(); len(attrs) > 0 {
+		return attrs[len(attrs)-1]
+	}
+	return e
+}
+
+func lastElementChild(e *Node) *Node {
+	kids := e.children()
+	for i := len(kids) - 1; i >= 0; i-- {
+		if kids[i].kind == KindElement {
+			return kids[i]
+		}
+	}
+	return nil
+}
+
+// NextLabelled returns the labellable node immediately after n in
+// document order — n's first attribute or element child when it has
+// one — or nil when n is the last.
+func NextLabelled(n *Node) *Node {
+	if n.kind == KindAttribute {
+		p := n.parent
+		if p == nil {
+			return nil
+		}
+		if attrs, i := p.attributes(), n.Index(); i+1 < len(attrs) {
+			return attrs[i+1]
+		}
+		if c := elementChildFrom(p, 0); c != nil {
+			return c
+		}
+		return NextLabelledAfter(p)
+	}
+	if attrs := n.attributes(); len(attrs) > 0 {
+		return attrs[0]
+	}
+	if c := elementChildFrom(n, 0); c != nil {
+		return c
+	}
+	return NextLabelledAfter(n)
+}
+
+// NextLabelledAfter returns the labellable node immediately after the
+// whole subtree rooted at n in document order, or nil when the subtree
+// ends the document.
+func NextLabelledAfter(n *Node) *Node {
+	if n.kind == KindAttribute {
+		return NextLabelled(n)
+	}
+	for p := n.parent; p != nil; n, p = p, p.parent {
+		if c := elementChildFrom(p, n.Index()+1); c != nil {
+			return c
+		}
+	}
+	return nil
+}
+
+// elementChildFrom returns p's first element child at index i or later.
+func elementChildFrom(p *Node, i int) *Node {
+	kids := p.children()
+	for ; i < len(kids); i++ {
+		if kids[i].kind == KindElement {
+			return kids[i]
+		}
+	}
+	return nil
+}
+
 // PreRank computes the preorder traversal rank of every labellable node,
 // starting at 0 at the root element (Figure 1(b)).
 func (d *Document) PreRank() map[*Node]int {

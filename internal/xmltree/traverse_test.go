@@ -104,6 +104,61 @@ func TestDocOrderCompareMatchesPreorder(t *testing.T) {
 	}
 }
 
+// TestLabelledNeighboursMatchWalk checks the allocation-free neighbour
+// functions against the document-order walk on random documents (text
+// leaves and attributes included), and that they allocate nothing.
+func TestLabelledNeighboursMatchWalk(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		doc := Generate(GenOptions{Seed: seed, MaxDepth: 5, MaxChildren: 5, AttrProb: 0.5, TextProb: 0.6})
+		// Text between element siblings, not only in leaves.
+		for i, n := range doc.LabelledNodes() {
+			if n.Kind() == KindElement && i%3 == 0 {
+				if err := n.InsertChildAt(len(n.Children())/2, NewText("t")); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		nodes := doc.LabelledNodes()
+		at := func(i int) *Node {
+			if i < 0 || i >= len(nodes) {
+				return nil
+			}
+			return nodes[i]
+		}
+		for i, n := range nodes {
+			if got := PrevLabelled(n); got != at(i-1) {
+				t.Fatalf("seed %d: PrevLabelled(#%d %s) = %v, want %v", seed, i, n.Name(), got, at(i-1))
+			}
+			if got := NextLabelled(n); got != at(i+1) {
+				t.Fatalf("seed %d: NextLabelled(#%d %s) = %v, want %v", seed, i, n.Name(), got, at(i+1))
+			}
+			j := i + 1
+			for j < len(nodes) && n.IsAncestorOf(nodes[j]) {
+				j++
+			}
+			if got := NextLabelledAfter(n); got != at(j) {
+				t.Fatalf("seed %d: NextLabelledAfter(#%d %s) = %v, want %v", seed, i, n.Name(), got, at(j))
+			}
+		}
+		mid := nodes[len(nodes)/2]
+		if a := testing.AllocsPerRun(20, func() {
+			PrevLabelled(mid)
+			NextLabelled(mid)
+			NextLabelledAfter(mid)
+		}); a != 0 {
+			t.Fatalf("neighbour functions allocate %.0f times", a)
+		}
+	}
+	// A detached subtree is bounded by itself.
+	sub := NewElement("sub")
+	if _, err := sub.SetAttr("a", "1"); err != nil {
+		t.Fatal(err)
+	}
+	if PrevLabelled(sub) != nil || NextLabelledAfter(sub) != nil || NextLabelled(sub) != sub.Attributes()[0] {
+		t.Fatal("detached subtree: neighbours must stay inside it")
+	}
+}
+
 func TestDocOrderAncestorPrecedesDescendant(t *testing.T) {
 	doc := SampleBook()
 	book := doc.Root()
