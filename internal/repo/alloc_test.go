@@ -1,6 +1,7 @@
 package repo
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -221,4 +222,74 @@ func TestVerifiedCommitAllocsIndependentOfSize(t *testing.T) {
 	if d := allocs[20000] - allocs[200]; d < -4 || d > 4 {
 		t.Errorf("verified commit scales with document size: %.1f allocs at 200 nodes, %.1f at 20000", allocs[200], allocs[20000])
 	}
+}
+
+// sectionsXML is a document of about nodes labellable nodes with the
+// same top in every size: a root with eight sections and four items,
+// the sections sharing the rest of the budget as bushy subtrees of
+// fan-out at most 8.
+func sectionsXML(t *testing.T, nodes int) string {
+	t.Helper()
+	root := xmltree.NewElement("r")
+	for i := 0; i < 8; i++ {
+		sec := xmltree.Generate(xmltree.GenOptions{Seed: int64(i), MaxDepth: 12, MaxChildren: 8,
+			AttrProb: 0.3, TargetNodes: nodes / 8}).Root()
+		sec.Detach()
+		if err := root.AppendChild(sec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		if err := root.AppendChild(xmltree.NewElement("item")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return xmltree.OuterXML(root)
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes.
+func bytesPerRun(runs int, f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestSnapshotQueryAllocsIndependentOfSize: the first snapshot read of
+// a freshly committed version — pin, Query("//item"), Close — costs the
+// same at 200 nodes and at 20 000, in allocations and in bytes. The
+// scan visits the persistent tree and builds view shells only for the
+// sibling lists on the way to its four matches; building a shell for
+// every node it visits is 128 bytes a node, on every new version.
+func TestSnapshotQueryAllocsIndependentOfSize(t *testing.T) {
+	sizes := []int{200, 20000}
+	allocs, bytes := map[int]float64{}, map[int]float64{}
+	for _, size := range sizes {
+		r, write := allocRepo(t, sectionsXML(t, size), leafOf)
+		read := func() {
+			write()
+			snap, err := r.Snapshot("a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes, err := snap.Query("a", "//item")
+			snap.Close()
+			if err != nil || len(nodes) != 4 || nodes[0].Parent().Name() != "r" {
+				t.Fatalf("size %d: //item returned %d nodes, %v", size, len(nodes), err)
+			}
+		}
+		read()
+		allocs[size] = testing.AllocsPerRun(50, read) - testing.AllocsPerRun(50, write)
+		bytes[size] = bytesPerRun(50, read) - bytesPerRun(50, write)
+	}
+	if d := allocs[20000] - allocs[200]; d < -3 || d > 3 {
+		t.Errorf("snapshot read scales with document size: %.1f allocs at 200 nodes, %.1f at 20000", allocs[200], allocs[20000])
+	}
+	if d := bytes[20000] - bytes[200]; d < -1024 || d > 1024 {
+		t.Errorf("snapshot read scales with document size: %.0f bytes at 200 nodes, %.0f at 20000", bytes[200], bytes[20000])
+	}
+	t.Logf("snapshot read: %.1f allocs, %.0f bytes at 200 nodes; %.1f allocs, %.0f bytes at 20000", allocs[200], bytes[200], allocs[20000], bytes[20000])
 }

@@ -626,8 +626,9 @@ func (d *DurableRepository) Checkpoint() error {
 	}
 
 	// --- phase 2: encode, lock-free ----------------------------------
-	// The pinned versions are frozen: encoding walks them while writers
-	// commit freely (lazy view expansion is concurrency-safe).
+	// The pinned versions are frozen: encoding walks each persistent
+	// root (EncodeDocTree steps from the view to its source, so no view
+	// shell is built) while writers commit freely.
 	var written []string
 	cleanupWritten := func() {
 		for _, f := range written {

@@ -2,6 +2,8 @@ package repo
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"os"
 	"path/filepath"
@@ -140,5 +142,70 @@ func TestGoldenWALBytes(t *testing.T) {
 	}
 	if !bytes.Equal(mirrored, golden) {
 		t.Fatalf("follower's segment 1 is not a byte-identical mirror of the fixture")
+	}
+}
+
+// checkpointSnapshotDigest is the SHA-256 of the document snapshot
+// files TestCheckpointSnapshotBytes writes, taken from the code before
+// checkpoints encoded from the persistent root: that change must not
+// move a byte. Snapshot files are as frozen as the log.
+const checkpointSnapshotDigest = "69d9ac9dae61fc94a52dd2432192be3a6374da8408db1fad5e74804ba5705f18"
+
+// A checkpoint encodes each dirty document from its pinned version's
+// persistent tree. The bytes must be the ones the live tree encodes
+// to, whether or not readers have materialised the version's view
+// first, and the ones the previous encoder (a walk of the view) wrote.
+func TestCheckpointSnapshotBytes(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDurable(dir, goldenOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	goldenScript(t, d)
+	big := xmltree.Generate(xmltree.GenOptions{Seed: 3, MaxDepth: 8, MaxChildren: 6, AttrProb: 0.4, TextProb: 0.6, TargetNodes: 1500})
+	if err := d.Open("gamma", big, "ordpath"); err != nil {
+		t.Fatal(err)
+	}
+	// alpha's version has a partly materialised view, gamma's none.
+	snap, err := d.Snapshot("alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snap.Query("alpha", "//z"); err != nil {
+		t.Fatal(err)
+	}
+	snap.Close()
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	man, err := store.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Docs) != 2 {
+		t.Fatalf("manifest lists %d documents, want alpha and gamma", len(man.Docs))
+	}
+	sum := sha256.New()
+	for _, e := range man.Docs {
+		got, err := os.ReadFile(filepath.Join(dir, e.File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []byte
+		if err := d.View(e.Name, func(s *update.Session) error {
+			scheme, _ := d.Scheme(e.Name)
+			want = store.MarshalDocSnap(store.DocSnap{Name: e.Name, Scheme: scheme, Tree: update.EncodeDocTree(s.Document())})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: checkpointed %d bytes, the live tree encodes to %d different ones", e.File, len(got), len(want))
+		}
+		sum.Write(got)
+	}
+	if got := hex.EncodeToString(sum.Sum(nil)); got != checkpointSnapshotDigest {
+		t.Fatalf("document snapshot bytes moved: digest %s, want %s", got, checkpointSnapshotDigest)
 	}
 }

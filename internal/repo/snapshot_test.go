@@ -164,6 +164,16 @@ func TestSnapshotSharesMaterialisedTree(t *testing.T) {
 	if d1 != d2 {
 		t.Fatal("two snapshots of the same version materialised two trees")
 	}
+	// The scan materialises through the shared view: both snapshots'
+	// queries, and navigation, hand out one and the same node.
+	n1, err1 := s1.Query("a", "//seed")
+	n2, err2 := s2.Query("a", "//seed")
+	if err1 != nil || err2 != nil || len(n1) != 1 || len(n2) != 1 {
+		t.Fatalf("queries: %v %v, %v %v", n1, err1, n2, err2)
+	}
+	if n1[0] != n2[0] || n1[0] != d1.Root().FirstChild() {
+		t.Fatal("two snapshots of one version returned different nodes for one element")
+	}
 	if st := r.VersionStats(); st.LiveVersions != 1 || st.PinnedVersions != 1 || st.OpenSnapshots != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -583,4 +593,134 @@ func TestSnapshotConcurrentWithSaveAndMultiBatch(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestSnapshotScansRaceNavigatorsAndWriter puts the three kinds of
+// reader of one pinned version side by side — scans that materialise
+// nothing but their matches, queries whose matches sit on different
+// paths (so the same sibling lists are expanded from several sides),
+// and Document() navigators that expand everything — while a writer
+// publishes the following versions. Every reader must see the pinned
+// state and every path must resolve to one node per element. Run with
+// -race: the scan reads persistent nodes a publication may be sharing,
+// and materialises through expand() beside the navigators.
+func TestSnapshotScansRaceNavigatorsAndWriter(t *testing.T) {
+	off := false
+	r := New(Options{AutoVerify: &off})
+	doc, err := xmltree.ParseString(sectionsXML(t, 2000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Open("a", doc, "qed"); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := r.Snapshot("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	live, _ := r.Get("a")
+	var wantXML string
+	var wantLabelled int
+	if err := live.View(func(s *update.Session) error {
+		wantXML, wantLabelled = s.Document().XML(), s.Document().LabelledCount()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			err := live.Update(func(s *update.Session) error {
+				root := s.Document().Root()
+				if i%2 == 0 {
+					_, err := s.AppendChild(root, "item")
+					return err
+				}
+				return s.Delete(root.LastChild())
+			})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+
+	var seen sync.Map // address of an element in the version -> its one view node
+	record := func(nodes []*xmltree.Node) {
+		for _, n := range nodes {
+			var addr []int
+			for m := n; m.Parent() != nil; m = m.Parent() {
+				addr = append(addr, m.Index())
+			}
+			if prev, loaded := seen.LoadOrStore(fmt.Sprint(addr), n); loaded && prev != n {
+				t.Errorf("element %v of one version has two view nodes", addr)
+			}
+		}
+	}
+	var readers sync.WaitGroup
+	for g := 0; g < 9; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			for i := 0; i < 30; i++ {
+				switch g % 3 {
+				case 0: // scanner
+					items, err := snap.Query("a", "//item")
+					if err != nil || len(items) != 4 {
+						t.Errorf("//item on the pinned version: %d nodes, %v", len(items), err)
+						return
+					}
+					record(items)
+					all, err := snap.Query("a", "//*")
+					attrs, err2 := snap.Query("a", "//@*")
+					if err != nil || err2 != nil || len(all)+len(attrs) != wantLabelled {
+						t.Errorf("//* and //@* found %d+%d nodes, want %d (%v, %v)", len(all), len(attrs), wantLabelled, err, err2)
+						return
+					}
+				case 1: // path materialiser
+					nodes, err := snap.Query("a", fmt.Sprintf("//e%d", 1+(g*31+i*7)%200))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					record(nodes)
+				default: // navigator
+					view, err := snap.Document("a")
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if i%2 == 0 && view.XML() != wantXML {
+						t.Error("navigator serialised a state other than the pinned one")
+						return
+					}
+					n := 0
+					view.WalkLabelled(func(m *xmltree.Node) bool {
+						if m.Parent() == nil {
+							t.Error("walked node has no parent")
+						}
+						n++
+						return true
+					})
+					if n != wantLabelled {
+						t.Errorf("navigator walked %d labelled nodes, want %d", n, wantLabelled)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	readers.Wait()
+	close(stop)
+	writer.Wait()
 }

@@ -215,25 +215,12 @@ func (iv *Interval) NodeInserted(n *xmltree.Node) error {
 // parent's end).
 func (iv *Interval) bounds(n *xmltree.Node) (lo, hi labels.Code, err error) {
 	parent := xmltree.LabelledParent(n)
-	var parentNode *xmltree.Node
-	if parent != nil {
-		parentNode = parent
-	} else {
-		parentNode = iv.doc.Node()
-	}
-	siblings := xmltree.LabelledChildren(parentNode)
-	idx := -1
-	for i, s := range siblings {
-		if s == n {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	prev, next, ok := xmltree.LabelledSiblings(n)
+	if !ok {
 		return nil, nil, fmt.Errorf("interval %s: node %q not among siblings", iv.cfg.Name, n.Name())
 	}
-	if idx > 0 {
-		if l, ok := iv.lab[siblings[idx-1]]; ok {
+	if prev != nil {
+		if l, ok := iv.lab[prev]; ok {
 			lo = l.End
 		}
 	}
@@ -242,8 +229,8 @@ func (iv *Interval) bounds(n *xmltree.Node) (lo, hi labels.Code, err error) {
 			lo = l.Begin
 		}
 	}
-	if idx+1 < len(siblings) {
-		if l, ok := iv.lab[siblings[idx+1]]; ok {
+	if next != nil {
+		if l, ok := iv.lab[next]; ok {
 			hi = l.Begin
 		}
 	}

@@ -184,29 +184,16 @@ const maxComponent = int64(1) << 60
 // NodeInserted implements labeling.Interface.
 func (dl *Labeling) NodeInserted(n *xmltree.Node) error {
 	parent := xmltree.LabelledParent(n)
-	var parentNode *xmltree.Node
-	if parent != nil {
-		parentNode = parent
-	} else {
-		parentNode = dl.doc.Node()
-	}
-	siblings := xmltree.LabelledChildren(parentNode)
-	idx := -1
-	for i, s := range siblings {
-		if s == n {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	prev, next, ok := xmltree.LabelledSiblings(n)
+	if !ok {
 		return fmt.Errorf("dde: inserted node %q not among siblings", n.Name())
 	}
 	var left, right Label
-	if idx > 0 {
-		left = dl.lab[siblings[idx-1]]
+	if prev != nil {
+		left = dl.lab[prev]
 	}
-	if idx+1 < len(siblings) {
-		right = dl.lab[siblings[idx+1]]
+	if next != nil {
+		right = dl.lab[next]
 	}
 	var l Label
 	switch {

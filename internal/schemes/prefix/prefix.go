@@ -223,30 +223,16 @@ func (pl *Labeling) Level(l labeling.Label) (int, bool) {
 // including descendants, whose paths embed the changed component — is
 // counted as relabelled.
 func (pl *Labeling) NodeInserted(n *xmltree.Node) error {
-	parent := xmltree.LabelledParent(n)
-	var parentNode *xmltree.Node
-	if parent != nil {
-		parentNode = parent
-	} else {
-		parentNode = pl.doc.Node()
-	}
-	siblings := xmltree.LabelledChildren(parentNode)
-	idx := -1
-	for i, s := range siblings {
-		if s == n {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	prev, next, ok := xmltree.LabelledSiblings(n)
+	if !ok {
 		return fmt.Errorf("prefix %s: inserted node %q not found among siblings", pl.cfg.Name, n.Name())
 	}
 	var left, right labels.Code
-	if idx > 0 {
-		left = pl.codes[siblings[idx-1]]
+	if prev != nil {
+		left = pl.codes[prev]
 	}
-	if idx+1 < len(siblings) {
-		right = pl.codes[siblings[idx+1]]
+	if next != nil {
+		right = pl.codes[next]
 	}
 	code, err := pl.cfg.Algebra.Between(left, right)
 	switch {
@@ -255,7 +241,7 @@ func (pl *Labeling) NodeInserted(n *xmltree.Node) error {
 		pl.stats.Assigned++
 		return nil
 	case isRelabelErr(err):
-		return pl.relabelSiblings(parentNode, siblings, n, err)
+		return pl.relabelSiblings(xmltree.LabelledChildren(n.Parent()), n, err)
 	default:
 		return fmt.Errorf("prefix %s: insert: %w", pl.cfg.Name, err)
 	}
@@ -267,7 +253,7 @@ func isRelabelErr(err error) bool {
 
 // relabelSiblings reassigns the whole sibling list after an insertion the
 // algebra could not absorb.
-func (pl *Labeling) relabelSiblings(parent *xmltree.Node, siblings []*xmltree.Node, inserted *xmltree.Node, cause error) error {
+func (pl *Labeling) relabelSiblings(siblings []*xmltree.Node, inserted *xmltree.Node, cause error) error {
 	pl.stats.RelabelEvents++
 	if errors.Is(cause, labels.ErrOverflow) {
 		pl.stats.OverflowEvents++

@@ -261,9 +261,11 @@ func readPath(data []byte, pos int) ([]uint64, int, error) {
 // EncodeDocTree serialises every top-level child of the document node
 // (the root element plus any document-level comments and processing
 // instructions) in document order. It is the initial-content image a
-// durable repository logs when a document is opened.
+// durable repository logs when a document is opened, and a checkpoint's
+// document snapshot; on a version view it walks the persistent tree
+// behind it, so encoding a pinned version materialises nothing.
 func EncodeDocTree(doc *xmltree.Document) []byte {
-	kids := doc.Node().Children()
+	kids := doc.Node().Source().Children()
 	out := labels.EncodeLEB128(uint64(len(kids)))
 	for _, c := range kids {
 		out = appendTree(out, c)

@@ -58,7 +58,7 @@ func (d *Document) SetRoot(root *Node) error {
 // labels (paper §3.1.1).
 func (d *Document) LabelledCount() int {
 	n := 0
-	d.WalkLabelled(func(*Node) bool { n++; return true })
+	walkLabelled(d.node.Source(), func(*Node) bool { n++; return true })
 	return n
 }
 
@@ -76,7 +76,7 @@ func (d *Document) NodeCount() int {
 			walk(c)
 		}
 	}
-	walk(d.node)
+	walk(d.node.Source())
 	return n
 }
 

@@ -141,7 +141,7 @@ func (n *Node) Text() string {
 		return n.value
 	}
 	var sb strings.Builder
-	for _, c := range n.children() {
+	for _, c := range n.Source().kids {
 		if c.kind == KindText {
 			sb.WriteString(c.value)
 		}
@@ -161,14 +161,14 @@ func (n *Node) walkDeepText(sb *strings.Builder) {
 		sb.WriteString(n.value)
 		return
 	}
-	for _, c := range n.children() {
+	for _, c := range n.Source().kids {
 		c.walkDeepText(sb)
 	}
 }
 
 // Attr returns the value of the named attribute and whether it exists.
 func (n *Node) Attr(name string) (string, bool) {
-	for _, a := range n.attributes() {
+	for _, a := range n.Source().attrs {
 		if a.name == name {
 			return a.value, true
 		}
@@ -490,13 +490,14 @@ func (n *Node) Detach() {
 // detached and always mutable: frozenness is a property of the
 // original snapshot, never of a copy (freeze.go).
 func (n *Node) Clone() *Node {
+	n = n.Source()
 	c := &Node{kind: n.kind, name: n.name, value: n.value}
-	for _, a := range n.attributes() {
+	for _, a := range n.attrs {
 		ac := a.Clone()
 		ac.parent = c
 		c.attrs = append(c.attrs, ac)
 	}
-	for _, k := range n.children() {
+	for _, k := range n.kids {
 		kc := k.Clone()
 		kc.parent = c
 		c.kids = append(c.kids, kc)

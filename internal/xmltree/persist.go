@@ -13,12 +13,20 @@
 // between two versions cannot have a per-version parent pointer. They
 // support downward navigation and serialisation, but not the upward
 // axes (Parent, Depth, Index, siblings, DocOrderCompare) that XPath
-// evaluation needs. OpenVersion therefore wraps a version root in
-// lazily materialised view nodes: frozen shells with correct parent
-// pointers, built on first access and cached, so node identity within
-// one version is stable no matter how many snapshots read it. A view
-// node's parent is always materialised before the node itself exists,
-// which keeps every upward walk allocation-free.
+// results need. OpenVersion therefore wraps a version root in lazily
+// materialised view nodes: frozen shells with correct parent pointers,
+// built a sibling list at a time on first access and cached, so node
+// identity within one version is stable no matter how many snapshots
+// read it. A view node's parent is always materialised before the node
+// itself exists, which keeps every upward walk allocation-free.
+//
+// The rule for readers: whole-subtree readers run on persistent nodes;
+// shells exist for handed-out nodes and their ancestors. Descendants
+// scans the persistent tree and materialises only the paths to its
+// matches; the readers that hand out no node at all (serialisation,
+// Text, DeepText, Attr, Clone) step from a view to its source first.
+// A read of a version is thus O(visited) in time and O(selected ×
+// depth) sibling lists in memory, like publication's O(spine).
 package xmltree
 
 import (
@@ -85,11 +93,13 @@ func publishNode(n *Node, seq uint64) *Node {
 // the same *Node identities, and opening a version is O(1) regardless
 // of document size.
 func OpenVersion(version *Node) *Document {
-	return &Document{node: newViewNode(version, nil)}
+	root := viewOf(version, nil)
+	return &Document{node: &root}
 }
 
-func newViewNode(src, parent *Node) *Node {
-	return &Node{
+// viewOf returns the shell of src under parent, children unexpanded.
+func viewOf(src, parent *Node) Node {
+	return Node{
 		kind:   src.kind,
 		frozen: true,
 		name:   src.name,
@@ -102,14 +112,15 @@ func newViewNode(src, parent *Node) *Node {
 
 // expandMu serialises first-time materialisation of view-node child
 // lists. It is global rather than per-version: the critical section is
-// a handful of shell allocations, each node expands at most once per
-// version, and the expanded fast path (an atomic load) never takes it.
+// two allocations, each node expands at most once per version, and the
+// expanded fast path (an atomic load) never takes it.
 var expandMu sync.Mutex
 
-// expand materialises the child and attribute shells of a view node.
-// Publication order guarantees the source node is immutable by the time
-// any reader can reach it, so expansion only needs to synchronise with
-// other expansions: the atomic expanded flag is written after the child
+// expand materialises the child and attribute shells of a view node,
+// as one slab of shells behind one list of pointers. Publication order
+// guarantees the source node is immutable by the time any reader can
+// reach it, so expansion only needs to synchronise with other
+// expansions: the atomic expanded flag is written after the child
 // lists (release) and checked before reading them (acquire).
 func (n *Node) expand() {
 	if atomic.LoadUint32(&n.expanded) != 0 {
@@ -121,21 +132,100 @@ func (n *Node) expand() {
 		return
 	}
 	src := n.src
-	if len(src.attrs) > 0 {
-		attrs := make([]*Node, len(src.attrs))
+	na := len(src.attrs)
+	if total := na + len(src.kids); total > 0 {
+		shells := make([]Node, total)
+		list := make([]*Node, total)
 		for i, a := range src.attrs {
-			attrs[i] = newViewNode(a, n)
+			shells[i] = viewOf(a, n)
 		}
-		n.attrs = attrs
-	}
-	if len(src.kids) > 0 {
-		kids := make([]*Node, len(src.kids))
 		for i, c := range src.kids {
-			kids[i] = newViewNode(c, n)
+			shells[na+i] = viewOf(c, n)
 		}
-		n.kids = kids
+		for i := range shells {
+			list[i] = &shells[i]
+		}
+		n.attrs, n.kids = list[:na:na], list[na:]
 	}
 	atomic.StoreUint32(&n.expanded, 1)
+}
+
+// Source returns the node a reader of n's whole subtree should walk.
+// For a version view that is the persistent node behind it — frozen,
+// parentless and shared between versions, so good for downward
+// navigation only, and walking it materialises no shell. Any other
+// node is its own source.
+func (n *Node) Source() *Node {
+	if n.src != nil {
+		return n.src
+	}
+	return n
+}
+
+// Descendants returns, in document order, the labellable proper
+// descendants of ctx — its attributes, its element descendants and
+// their attributes — that match accepts. On a version view the scan
+// runs over the persistent tree and materialises shells only on the
+// paths to its matches, so match is handed persistent nodes there: it
+// may inspect a node and what lies below it, but not navigate upwards
+// from it or keep it. The nodes returned belong to ctx's tree: for a
+// view they are view nodes, with parents and the version's stable
+// identity; any other tree is its own source, scanned the same way.
+func Descendants(ctx *Node, match func(*Node) bool) []*Node {
+	s := scan{match: match, index: make([]int, 16), views: make([]*Node, 16), ready: 1}
+	s.views[0] = ctx
+	s.walk(ctx.Source(), 0)
+	return s.out
+}
+
+// scan is one Descendants call. index and views describe the chain
+// from ctx down to the element being visited: index[d] is the position
+// of the chain's d-th node among its parent's non-attribute children,
+// and views[:ready] are the nodes to hand out for the part of the chain
+// some match has needed so far — the rest is materialised when the next
+// match needs it, so one prefix serves every match below it.
+type scan struct {
+	match func(*Node) bool
+	out   []*Node
+	index []int
+	views []*Node
+	ready int
+}
+
+// walk scans below p, the chain's node at depth.
+func (s *scan) walk(p *Node, depth int) {
+	for i, a := range p.attrs {
+		if s.match(a) {
+			s.out = append(s.out, s.view(depth).attributes()[i])
+		}
+	}
+	d := depth + 1
+	if d == len(s.index) {
+		s.index, s.views = append(s.index, 0), append(s.views, nil)
+	}
+	for i, c := range p.kids {
+		if c.kind != KindElement {
+			continue
+		}
+		s.index[d] = i
+		if s.ready > d {
+			s.ready = d
+		}
+		if s.match(c) {
+			s.out = append(s.out, s.view(d))
+		}
+		if len(c.kids) > 0 || len(c.attrs) > 0 {
+			s.walk(c, d)
+		}
+	}
+}
+
+// view returns the node to hand out for the chain's node at depth.
+func (s *scan) view(depth int) *Node {
+	for ; s.ready <= depth; s.ready++ {
+		s.views[s.ready] = s.views[s.ready-1].children()[s.index[s.ready]]
+	}
+	return s.views[depth]
 }
 
 // children returns the non-attribute child list, materialising view

@@ -358,3 +358,109 @@ func TestConcurrentViewExpansion(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// expandedNodes lists the view nodes under n whose child shells exist,
+// reading the cached lists directly so the count itself expands nothing.
+func expandedNodes(n *Node) []*Node {
+	if n.expanded == 0 {
+		return nil
+	}
+	out := []*Node{n}
+	for _, c := range n.kids {
+		out = append(out, expandedNodes(c)...)
+	}
+	return out
+}
+
+// TestDescendantsMaterialisesOnlyMatchPaths: the scan of a version view
+// expands the ancestors of its matches and nothing else, returns the
+// nodes the materialising walk returns (same identity, real parents),
+// and the readers that hand out no node expand nothing at all.
+func TestDescendantsMaterialisesOnlyMatchPaths(t *testing.T) {
+	live := Generate(GenOptions{Seed: 7, MaxDepth: 7, MaxChildren: 6, AttrProb: 0.4, TextProb: 0.5, TargetNodes: 3000})
+	var rare []*Node
+	for i, n := range live.LabelledNodes() {
+		if n.Kind() == KindElement && i%500 == 250 {
+			n.SetName("rare")
+			rare = append(rare, n)
+		}
+	}
+	version := live.PublishVersion(1)
+	isRare := func(n *Node) bool { return n.Kind() == KindElement && n.Name() == "rare" }
+
+	view := OpenVersion(version)
+	if got := view.XML(); got != live.XML() {
+		t.Fatal("view serialises differently from the live document")
+	}
+	_ = view.Node().DeepText()
+	_ = view.Node().Clone()
+	_ = view.NodeCount() + view.LabelledCount()
+	if n := len(expandedNodes(view.Node())); n != 0 {
+		t.Fatalf("readers that hand out no node expanded %d view nodes", n)
+	}
+
+	got := Descendants(view.Node(), isRare)
+	if len(got) != len(rare) {
+		t.Fatalf("scan found %d nodes, the live document has %d", len(got), len(rare))
+	}
+	onMatchPath := map[*Node]bool{}
+	for i, n := range got {
+		if n.src == nil || n.Root() != view.Node() {
+			t.Fatalf("match %d is not a node of the view", i)
+		}
+		if OuterXML(n) != OuterXML(rare[i]) || n.Index() != rare[i].Index() || n.Depth() != rare[i].Depth() {
+			t.Fatalf("match %d differs from its live counterpart", i)
+		}
+		for p := n.Parent(); p != nil; p = p.Parent() {
+			onMatchPath[p] = true
+		}
+	}
+	for _, n := range expandedNodes(view.Node()) {
+		if !onMatchPath[n] {
+			t.Fatalf("scan expanded <%s>, which is above no match", n.Name())
+		}
+	}
+
+	// The same version, fully materialised by a walk, holds the same nodes.
+	var walked []*Node
+	view.WalkLabelled(func(n *Node) bool {
+		if isRare(n) {
+			walked = append(walked, n)
+		}
+		return true
+	})
+	again := Descendants(view.Node(), isRare)
+	for i := range got {
+		if got[i] != walked[i] || got[i] != again[i] {
+			t.Fatalf("match %d: the scan and the walk disagree on node identity", i)
+		}
+	}
+}
+
+// TestDescendantsMatchesWalk: on live trees and on views, from every
+// kind of context, the scan is the labelled walk minus the context.
+func TestDescendantsMatchesWalk(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		live := Generate(GenOptions{Seed: seed, MaxDepth: 5, MaxChildren: 5, AttrProb: 0.5, TextProb: 0.6})
+		for _, doc := range []*Document{live, OpenVersion(live.PublishVersion(1))} {
+			for _, ctx := range allNodes(doc) {
+				var want []*Node
+				walkLabelled(ctx, func(n *Node) bool {
+					if n != ctx && len(n.Name())%2 == 0 {
+						want = append(want, n)
+					}
+					return true
+				})
+				got := Descendants(ctx, func(n *Node) bool { return len(n.Name())%2 == 0 })
+				if len(got) != len(want) {
+					t.Fatalf("seed %d, ctx %s: scan found %d nodes, walk %d", seed, ctx.Name(), len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("seed %d, ctx %s: result %d differs from the walk's", seed, ctx.Name(), i)
+					}
+				}
+			}
+		}
+	}
+}

@@ -17,7 +17,7 @@ type SerializeOptions struct {
 // definition (paper Definition 2) requires that the full textual document
 // be reconstructible from the tree; this is the reconstruction path.
 func (d *Document) WriteXML(w io.Writer, opt SerializeOptions) error {
-	for _, c := range d.node.children() {
+	for _, c := range d.node.Source().kids {
 		if err := writeNode(w, c, opt, 0); err != nil {
 			return err
 		}
@@ -52,6 +52,7 @@ func OuterXML(n *Node) string {
 }
 
 func writeNode(w io.Writer, n *Node, opt SerializeOptions, depth int) error {
+	n = n.Source()
 	ind := ""
 	nl := ""
 	if opt.Indent != "" {

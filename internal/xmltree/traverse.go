@@ -55,6 +55,38 @@ func LabelledChildren(n *Node) []*Node {
 	return out
 }
 
+// LabelledSiblings returns n's neighbours in its parent's
+// LabelledChildren list — nil where n is the first or the last — found in
+// place, without building the list. ok is false when n is not in such a
+// list: detached, or neither an element nor an attribute.
+func LabelledSiblings(n *Node) (prev, next *Node, ok bool) {
+	p := n.parent
+	i := n.Index()
+	if i < 0 || (n.kind != KindElement && n.kind != KindAttribute) {
+		return nil, nil, false
+	}
+	attrs := p.attributes()
+	if n.kind == KindAttribute {
+		if i > 0 {
+			prev = attrs[i-1]
+		}
+		if i+1 < len(attrs) {
+			return prev, attrs[i+1], true
+		}
+		return prev, elementChildFrom(p, 0), true
+	}
+	kids := p.children()
+	for j := i - 1; j >= 0 && prev == nil; j-- {
+		if kids[j].kind == KindElement {
+			prev = kids[j]
+		}
+	}
+	if prev == nil && len(attrs) > 0 {
+		prev = attrs[len(attrs)-1]
+	}
+	return prev, elementChildFrom(p, i+1), true
+}
+
 // LabelledParent returns the nearest labellable ancestor of n (its element
 // parent), or nil for the root element.
 func LabelledParent(n *Node) *Node {
@@ -216,59 +248,63 @@ func (d *Document) PostRank() map[*Node]int {
 
 // DocOrderCompare returns -1, 0 or +1 according to the document order of
 // two attached nodes, computed structurally (the ground truth that label
-// comparisons are probed against).
+// comparisons are probed against). It allocates nothing: the deeper node
+// climbs to the other's depth, then both climb in lockstep to the
+// children of their common ancestor, whose positions decide.
 func DocOrderCompare(a, b *Node) int {
 	if a == b {
 		return 0
 	}
-	pa := pathTo(a)
-	pb := pathTo(b)
-	i := 0
-	for i < len(pa) && i < len(pb) && pa[i] == pb[i] {
-		i++
+	ca, cb := a, b
+	da, db := ancestorCount(a), ancestorCount(b)
+	for ; da > db; da-- {
+		ca = ca.parent
 	}
-	switch {
-	case i == len(pa):
-		return -1 // a is an ancestor of b: ancestors precede descendants
-	case i == len(pb):
+	for ; db > da; db-- {
+		cb = cb.parent
+	}
+	if ca == cb {
+		// One is an ancestor of the other: ancestors precede descendants.
+		if ca == a {
+			return -1
+		}
 		return 1
-	default:
-		ca, cb := pa[i], pb[i]
-		p := ca.parent
-		// Attributes precede non-attribute children of the same parent.
-		aAttr := ca.kind == KindAttribute
-		bAttr := cb.kind == KindAttribute
-		if aAttr != bAttr {
-			if aAttr {
-				return -1
-			}
+	}
+	for ca.parent != cb.parent {
+		ca, cb = ca.parent, cb.parent
+	}
+	p := ca.parent
+	if p == nil {
+		return 0 // different trees: no order
+	}
+	// Attributes precede non-attribute children of the same parent.
+	aAttr := ca.kind == KindAttribute
+	bAttr := cb.kind == KindAttribute
+	if aAttr != bAttr {
+		if aAttr {
+			return -1
+		}
+		return 1
+	}
+	list := p.children()
+	if aAttr {
+		list = p.attributes()
+	}
+	for _, c := range list {
+		if c == ca {
+			return -1
+		}
+		if c == cb {
 			return 1
 		}
-		list := p.children()
-		if aAttr {
-			list = p.attributes()
-		}
-		for _, c := range list {
-			if c == ca {
-				return -1
-			}
-			if c == cb {
-				return 1
-			}
-		}
-		return 0 // unreachable for a valid tree
 	}
+	return 0 // unreachable for a valid tree
 }
 
-// pathTo returns the chain of nodes from the root down to n, inclusive.
-func pathTo(n *Node) []*Node {
-	var rev []*Node
-	for x := n; x != nil; x = x.parent {
-		rev = append(rev, x)
+func ancestorCount(n *Node) int {
+	d := 0
+	for p := n.parent; p != nil; p = p.parent {
+		d++
 	}
-	out := make([]*Node, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
-	}
-	return out
+	return d
 }

@@ -207,3 +207,149 @@ func sign(x int) int {
 		return 0
 	}
 }
+
+// pathTo and docOrderByPaths are DocOrderCompare as it was defined
+// before it stopped allocating: compare the root-to-node paths. Kept as
+// the oracle of TestDocOrderCompareMatchesPathDefinition.
+func pathTo(n *Node) []*Node {
+	var rev []*Node
+	for x := n; x != nil; x = x.parent {
+		rev = append(rev, x)
+	}
+	out := make([]*Node, len(rev))
+	for i := range rev {
+		out[i] = rev[len(rev)-1-i]
+	}
+	return out
+}
+
+func docOrderByPaths(a, b *Node) int {
+	if a == b {
+		return 0
+	}
+	pa, pb := pathTo(a), pathTo(b)
+	i := 0
+	for i < len(pa) && i < len(pb) && pa[i] == pb[i] {
+		i++
+	}
+	switch {
+	case i == len(pa):
+		return -1
+	case i == len(pb):
+		return 1
+	}
+	ca, cb := pa[i], pb[i]
+	if aAttr, bAttr := ca.kind == KindAttribute, cb.kind == KindAttribute; aAttr != bAttr {
+		if aAttr {
+			return -1
+		}
+		return 1
+	}
+	list := ca.parent.children()
+	if ca.kind == KindAttribute {
+		list = ca.parent.attributes()
+	}
+	for _, c := range list {
+		if c == ca {
+			return -1
+		}
+		if c == cb {
+			return 1
+		}
+	}
+	return 0
+}
+
+// allNodes lists every node of the document, text leaves and the
+// document node included.
+func allNodes(d *Document) []*Node {
+	var out []*Node
+	var walk func(*Node)
+	walk = func(n *Node) {
+		out = append(out, n)
+		for _, a := range n.attributes() {
+			walk(a)
+		}
+		for _, c := range n.children() {
+			walk(c)
+		}
+	}
+	walk(d.node)
+	return out
+}
+
+// TestDocOrderCompareMatchesPathDefinition is the seeded differential
+// of the lockstep climb against the path definition, over every kind of
+// node on live documents and on their version views, and the proof that
+// a comparison allocates nothing.
+func TestDocOrderCompareMatchesPathDefinition(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		live := Generate(GenOptions{Seed: seed, MaxDepth: 6, MaxChildren: 5, AttrProb: 0.5, TextProb: 0.6})
+		for _, doc := range []*Document{live, OpenVersion(live.PublishVersion(1))} {
+			nodes := allNodes(doc)
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 2000; i++ {
+				a, b := nodes[rng.Intn(len(nodes))], nodes[rng.Intn(len(nodes))]
+				if got, want := DocOrderCompare(a, b), docOrderByPaths(a, b); got != want {
+					t.Fatalf("seed %d: DocOrderCompare(%s,%s)=%d, path definition says %d", seed, a.Name(), b.Name(), got, want)
+				}
+			}
+			deep, shallow := nodes[len(nodes)-1], nodes[len(nodes)/3]
+			if a := testing.AllocsPerRun(20, func() {
+				DocOrderCompare(deep, shallow)
+				DocOrderCompare(shallow, deep)
+			}); a != 0 {
+				t.Fatalf("DocOrderCompare allocates %.0f times", a)
+			}
+		}
+	}
+}
+
+// TestLabelledSiblingsMatchList checks the in-place sibling neighbours
+// against the list they replace, on random documents with text between
+// the element siblings.
+func TestLabelledSiblingsMatchList(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		doc := Generate(GenOptions{Seed: seed, MaxDepth: 5, MaxChildren: 5, AttrProb: 0.5, TextProb: 0.6})
+		for i, n := range doc.LabelledNodes() {
+			if n.Kind() == KindElement && i%3 == 0 {
+				if err := n.InsertChildAt(len(n.Children())/2, NewText("t")); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, n := range doc.LabelledNodes() {
+			list := LabelledChildren(n.Parent())
+			var wantPrev, wantNext *Node
+			for i, s := range list {
+				if s != n {
+					continue
+				}
+				if i > 0 {
+					wantPrev = list[i-1]
+				}
+				if i+1 < len(list) {
+					wantNext = list[i+1]
+				}
+			}
+			prev, next, ok := LabelledSiblings(n)
+			if !ok || prev != wantPrev || next != wantNext {
+				t.Fatalf("seed %d: LabelledSiblings(%s) = %v, %v, %v; the list says %v, %v", seed, n.Name(), prev, next, ok, wantPrev, wantNext)
+			}
+		}
+		mid := doc.LabelledNodes()[doc.LabelledCount()/2]
+		if a := testing.AllocsPerRun(20, func() { LabelledSiblings(mid) }); a != 0 {
+			t.Fatalf("LabelledSiblings allocates %.0f times", a)
+		}
+	}
+	if _, _, ok := LabelledSiblings(NewElement("detached")); ok {
+		t.Fatal("a detached node has no sibling list")
+	}
+	text := NewText("t")
+	if err := SampleBook().Root().AppendChild(text); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := LabelledSiblings(text); ok {
+		t.Fatal("a text node is in no labelled sibling list")
+	}
+}

@@ -87,7 +87,7 @@ func (e *Engine) Select(ctx *xmltree.Node, axis Axis, nameTest string) ([]*xmltr
 	if e.mode == ModeLabelOnly {
 		nodes, err = e.selectByLabel(ctx, axis)
 	} else {
-		nodes, err = e.selectStructural(ctx, axis)
+		nodes, err = e.selectStructural(ctx, axis, nameTest)
 	}
 	if err != nil {
 		return nil, err
@@ -274,7 +274,10 @@ func (e *Engine) isSibling(a, b labeling.Label) (bool, error) {
 
 // --- structural evaluation ---------------------------------------------------
 
-func (e *Engine) selectStructural(ctx *xmltree.Node, axis Axis) ([]*xmltree.Node, error) {
+// selectStructural returns the nodes on the axis; Select applies the
+// name test, which only the descendant scan takes early — there it
+// decides which nodes of a version view get materialised at all.
+func (e *Engine) selectStructural(ctx *xmltree.Node, axis Axis, nameTest string) ([]*xmltree.Node, error) {
 	switch axis {
 	case AxisSelf:
 		return []*xmltree.Node{ctx}, nil
@@ -294,12 +297,8 @@ func (e *Engine) selectStructural(ctx *xmltree.Node, axis Axis) ([]*xmltree.Node
 		}
 		return nil, nil
 	case AxisDescendant, AxisDescendantOrSelf:
-		var out []*xmltree.Node
-		e.doc.WalkLabelled(func(n *xmltree.Node) bool {
-			if ctx.IsAncestorOf(n) {
-				out = append(out, n)
-			}
-			return true
+		out := xmltree.Descendants(ctx, func(n *xmltree.Node) bool {
+			return nameTest == "" || nameTest == "*" || n.Name() == nameTest
 		})
 		if axis == AxisDescendantOrSelf {
 			out = append(out, ctx)

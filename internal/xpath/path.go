@@ -15,10 +15,14 @@ import (
 //	path      := ("/" | "//") step (("/" | "//") step)*
 //	step      := nametest predicate* | "@" name
 //	nametest  := name | "*"
-//	predicate := "[" integer "]"            positional
+//	predicate := "[" integer "]"            positional, per parent
 //	           | "[@" name "]"              attribute presence
 //	           | "[@" name "='" value "']"  attribute equality
 //	           | "[" name "]"               child-element presence
+//
+// Predicates filter each context node's candidates before the contexts
+// are merged, as in XPath: /r/s/p[1] is the first p of every s, and
+// //p[2] every p that is the second p of its parent.
 //
 // Examples: /book/publisher//name, //edition[@year='2004'], /book/*[2].
 func (e *Engine) Query(path string) ([]*xmltree.Node, error) {
@@ -26,36 +30,46 @@ func (e *Engine) Query(path string) ([]*xmltree.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	root := e.doc.Root()
-	if root == nil {
+	if e.doc.Root() == nil {
 		return nil, fmt.Errorf("xpath: empty document")
 	}
 	// The initial context is the document: the first step selects the
 	// root element (child axis) or any element (descendant axis).
+	// Invariant: current is duplicate-free and in document order, and
+	// while flat holds no context is an ancestor of another.
 	current := []*xmltree.Node{e.doc.Node()}
+	flat := true
 	for _, st := range steps {
 		var next []*xmltree.Node
-		seen := make(map[*xmltree.Node]bool)
 		for _, ctx := range current {
-			nodes, err := e.stepFrom(ctx, st)
-			if err != nil {
-				return nil, err
-			}
-			for _, n := range nodes {
-				if !seen[n] {
-					seen[n] = true
-					next = append(next, n)
-				}
-			}
+			next = append(next, applyPredicates(stepFrom(ctx, st), st)...)
 		}
-		next, err = e.applyPredicates(next, st)
-		if err != nil {
-			return nil, err
+		// One context's candidates are distinct and ordered, and so are
+		// the children of flat ordered contexts (disjoint subtrees, one
+		// after the other). Nested contexts interleave, and a deep step
+		// reaches a node from each of its selected ancestors.
+		if len(current) > 1 && (st.deep || !flat) {
+			next = e.uniqueInDocOrder(next)
+		}
+		if st.deep {
+			flat = false
 		}
 		current = next
 	}
-	e.sortDocOrder(current)
 	return current, nil
+}
+
+// uniqueInDocOrder sorts nodes into document order and drops the
+// duplicates, which the sort leaves adjacent.
+func (e *Engine) uniqueInDocOrder(nodes []*xmltree.Node) []*xmltree.Node {
+	e.sortDocOrder(nodes)
+	out := nodes[:0]
+	for i, n := range nodes {
+		if i == 0 || n != nodes[i-1] {
+			out = append(out, n)
+		}
+	}
+	return out
 }
 
 type step struct {
@@ -148,70 +162,51 @@ func parsePredicate(s string) (predicate, error) {
 	return predicate{child: s}, nil
 }
 
-func (e *Engine) stepFrom(ctx *xmltree.Node, st step) ([]*xmltree.Node, error) {
+// stepFrom returns the candidates of one step from one context node,
+// distinct and in document order. Deep steps scan with
+// xmltree.Descendants, which on a version view visits persistent nodes
+// and materialises only the matches.
+func stepFrom(ctx *xmltree.Node, st step) []*xmltree.Node {
+	kind := xmltree.KindElement
 	if st.attribute {
-		if st.deep {
-			// //@name: attributes of any descendant-or-self element.
-			var out []*xmltree.Node
-			e.collectElements(ctx, true, func(n *xmltree.Node) {
-				for _, a := range n.Attributes() {
-					if st.name == "*" || a.Name() == st.name {
-						out = append(out, a)
-					}
-				}
-			})
-			return out, nil
-		}
-		var out []*xmltree.Node
-		for _, a := range ctx.Attributes() {
-			if st.name == "*" || a.Name() == st.name {
-				out = append(out, a)
-			}
-		}
-		return out, nil
+		kind = xmltree.KindAttribute
+	}
+	match := func(n *xmltree.Node) bool {
+		return n.Kind() == kind && (st.name == "*" || n.Name() == st.name)
+	}
+	if st.deep {
+		return xmltree.Descendants(ctx, match)
+	}
+	list := ctx.Children()
+	if st.attribute {
+		list = ctx.Attributes()
 	}
 	var out []*xmltree.Node
-	if st.deep {
-		e.collectElements(ctx, false, func(n *xmltree.Node) {
-			if st.name == "*" || n.Name() == st.name {
-				out = append(out, n)
-			}
-		})
-		return out, nil
-	}
-	for _, c := range ctx.Children() {
-		if c.Kind() != xmltree.KindElement {
-			continue
-		}
-		if st.name == "*" || c.Name() == st.name {
+	for _, c := range list {
+		if match(c) {
 			out = append(out, c)
 		}
 	}
-	return out, nil
+	return out
 }
 
-// collectElements visits the element descendants of ctx (and ctx itself
-// when includeSelf is set and ctx is an element).
-func (e *Engine) collectElements(ctx *xmltree.Node, includeSelf bool, visit func(*xmltree.Node)) {
-	if includeSelf && ctx.Kind() == xmltree.KindElement {
-		visit(ctx)
-	}
-	for _, c := range ctx.Children() {
-		if c.Kind() != xmltree.KindElement {
-			continue
-		}
-		visit(c)
-		e.collectElements(c, false, visit)
-	}
-}
-
-func (e *Engine) applyPredicates(nodes []*xmltree.Node, st step) ([]*xmltree.Node, error) {
+// applyPredicates filters one context's candidates through the step's
+// predicates, in order. A position counts among the candidates that
+// share a parent: all of them on a child step, a group on a deep one.
+func applyPredicates(nodes []*xmltree.Node, st step) []*xmltree.Node {
 	for _, p := range st.preds {
 		var kept []*xmltree.Node
 		switch {
-		case p.position > 0:
+		case p.position > 0 && !st.deep:
 			if p.position <= len(nodes) {
-				kept = []*xmltree.Node{nodes[p.position-1]}
+				kept = nodes[p.position-1 : p.position : p.position]
+			}
+		case p.position > 0:
+			rank := make(map[*xmltree.Node]int)
+			for _, n := range nodes {
+				if rank[n.Parent()]++; rank[n.Parent()] == p.position {
+					kept = append(kept, n)
+				}
 			}
 		case p.attrEq:
 			for _, n := range nodes {
@@ -227,7 +222,7 @@ func (e *Engine) applyPredicates(nodes []*xmltree.Node, st step) ([]*xmltree.Nod
 			}
 		case p.child != "":
 			for _, n := range nodes {
-				for _, c := range n.Children() {
+				for _, c := range n.Source().Children() {
 					if c.Kind() == xmltree.KindElement && c.Name() == p.child {
 						kept = append(kept, n)
 						break
@@ -237,5 +232,5 @@ func (e *Engine) applyPredicates(nodes []*xmltree.Node, st step) ([]*xmltree.Nod
 		}
 		nodes = kept
 	}
-	return nodes, nil
+	return nodes
 }

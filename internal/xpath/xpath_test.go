@@ -176,35 +176,102 @@ func TestPrePostPlaneAxes(t *testing.T) {
 	}
 }
 
+// sampleBookQueries is the Query table over xmltree.SampleBook.
+var sampleBookQueries = []struct {
+	path string
+	want string
+}{
+	{"/book", "book"},
+	{"/book/publisher//name", "name"},
+	{"//address", "address"},
+	{"/book/*", "title,author,publisher"},
+	{"//edition[@year]", "edition"},
+	{"//edition[@year='2004']", "edition"},
+	{"//edition[@year='1999']", ""},
+	{"/book/*[2]", "author"},
+	{"//publisher[editor]", "publisher"},
+	{"//publisher[missing]", ""},
+	{"//editor/@*", ""},
+	{"//title/@genre", "genre"},
+	{"//@year", "year"},
+}
+
 func TestQuerySampleBook(t *testing.T) {
 	doc := xmltree.SampleBook()
 	lab := built(t, doc, dewey.New())
 	e := xpath.New(doc, lab, xpath.ModeStructural)
-	cases := []struct {
-		path string
-		want string
-	}{
-		{"/book", "book"},
-		{"/book/publisher//name", "name"},
-		{"//address", "address"},
-		{"/book/*", "title,author,publisher"},
-		{"//edition[@year]", "edition"},
-		{"//edition[@year='2004']", "edition"},
-		{"//edition[@year='1999']", ""},
-		{"/book/*[2]", "author"},
-		{"//publisher[editor]", "publisher"},
-		{"//publisher[missing]", ""},
-		{"//editor/@*", ""},
-		{"//title/@genre", "genre"},
-		{"//@year", "year"},
-	}
-	for _, c := range cases {
+	for _, c := range sampleBookQueries {
 		got, err := e.Query(c.path)
 		if err != nil {
 			t.Fatalf("%s: %v", c.path, err)
 		}
 		if names(got) != c.want {
 			t.Errorf("%s: got %q, want %q", c.path, names(got), c.want)
+		}
+	}
+}
+
+func texts(nodes []*xmltree.Node) string {
+	out := make([]string, len(nodes))
+	for i, n := range nodes {
+		out[i] = n.Text()
+	}
+	return strings.Join(out, ",")
+}
+
+// TestPositionalPredicatePerContext: [n] counts among the candidates of
+// one parent, not along the merged result of the step.
+func TestPositionalPredicatePerContext(t *testing.T) {
+	doc, err := xmltree.ParseString(`<r><s><p>1</p><p>2</p></s><s><p>3</p><p>4</p></s></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := xpath.New(doc, nil, xpath.ModeStructural)
+	for _, c := range []struct{ path, want string }{
+		{"/r/s/p[1]", "1,3"},
+		{"//p[2]", "2,4"},
+		{"//s[2]/p", "3,4"},
+		{"/r/s[p][2]/p[2]", "4"},
+		{"//p[3]", ""},
+	} {
+		got, err := e.Query(c.path)
+		if err != nil {
+			t.Fatalf("%s: %v", c.path, err)
+		}
+		if texts(got) != c.want {
+			t.Errorf("%s: got %q, want %q", c.path, texts(got), c.want)
+		}
+	}
+}
+
+// TestNestedContextsUniqueAndOrdered: a step from contexts that contain
+// one another reaches nodes twice (deep) or out of order (child); the
+// result is still duplicate-free and in document order.
+func TestNestedContextsUniqueAndOrdered(t *testing.T) {
+	doc, err := xmltree.ParseString(
+		`<r><s><s><p>1</p><s><p>2</p></s></s><p>3</p></s><p>4</p><s><p>5</p></s></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := xpath.New(doc, nil, xpath.ModeStructural)
+	for _, c := range []struct{ path, want string }{
+		{"//s//p", "1,2,3,5"},
+		{"//s/p", "1,2,3,5"},
+		{"//s//s/p", "1,2"},
+		{"//s/s//p[1]", "1,2"},
+		{"//s/*", ",1,,2,3,5"},
+	} {
+		got, err := e.Query(c.path)
+		if err != nil {
+			t.Fatalf("%s: %v", c.path, err)
+		}
+		if texts(got) != c.want {
+			t.Errorf("%s: got %q, want %q", c.path, texts(got), c.want)
+		}
+		for i := 1; i < len(got); i++ {
+			if xmltree.DocOrderCompare(got[i-1], got[i]) >= 0 {
+				t.Errorf("%s: results %d and %d are not in strict document order", c.path, i-1, i)
+			}
 		}
 	}
 }
