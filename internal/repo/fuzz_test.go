@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"xmldyn/internal/labels"
@@ -37,13 +38,13 @@ func fuzzBase(f *testing.F) (template string, seeds [][]byte) {
 	}); err != nil {
 		f.Fatal(err)
 	}
-	// ops encodes one queued append against the named document's
-	// current tree, without committing it.
-	ops := func(name string) []byte {
+	// opsNamed encodes one queued append of an element called elem
+	// against the named document's current tree, without committing it.
+	opsNamed := func(name, elem string) []byte {
 		var enc []byte
 		if err := d.View(name, func(s *update.Session) error {
 			b := s.Batch()
-			b.AppendChild(s.Document().Root(), "fuzzed").SetAttr(s.Document().Root(), "k", "v")
+			b.AppendChild(s.Document().Root(), elem).SetAttr(s.Document().Root(), "k", "v")
 			var err error
 			enc, err = update.EncodeOps(s.Document(), b.Ops())
 			return err
@@ -52,7 +53,7 @@ func fuzzBase(f *testing.F) (template string, seeds [][]byte) {
 		}
 		return enc
 	}
-	part := func(name string) recordPart { return recordPart{name, ops(name)} }
+	part := func(name string) recordPart { return recordPart{name, opsNamed(name, "fuzzed")} }
 	drop := appendRecord(nil, record{kind: RecDrop, parts: []recordPart{{name: "feeds"}}})
 	seeds = [][]byte{
 		appendRecord(nil, record{kind: RecOpen, scheme: "ordpath", parts: []recordPart{
@@ -68,6 +69,9 @@ func fuzzBase(f *testing.F) (template string, seeds [][]byte) {
 		{RecMulti, 1, 5, 'b', 'o', 'o', 'k', 's', 9, 0},                                              // part length overruns the payload
 		{RecDrop, 0x85, 0, 'f', 'e', 'e', 'd', 's'},                                                  // padded name length
 		{},
+		// Well-formed, but no XML name: the one transaction routine
+		// refuses it (update.ErrBadName) live and at replay alike.
+		appendRecord(nil, record{kind: RecBatch, parts: []recordPart{{"books", opsNamed("books", "has space")}}}),
 	}
 	if err := d.Close(); err != nil {
 		f.Fatal(err)
@@ -76,13 +80,16 @@ func fuzzBase(f *testing.F) (template string, seeds [][]byte) {
 	// The first four seeds are the well-formed ones: each must apply
 	// cleanly to the template, or the corpus no longer exercises the
 	// accepting paths.
-	for i, seed := range seeds[:4] {
+	// The last one must be refused for its name.
+	for i, seed := range append(seeds[:4:4], seeds[len(seeds)-1]) {
 		fr, err := OpenFollower(imageDir(f, template), fuzzOpts)
 		if err != nil {
 			f.Fatal(err)
 		}
-		if err := fr.ApplyRecord(seed); err != nil {
+		if err := fr.ApplyRecord(seed); i < 4 && err != nil {
 			f.Fatalf("well-formed seed %d rejected: %v", i, err)
+		} else if i == 4 && !(errors.Is(err, ErrDiverged) && strings.Contains(err.Error(), update.ErrBadName.Error())) {
+			f.Fatalf("bad-name seed: %v, want ErrDiverged over update.ErrBadName", err)
 		}
 		if err := fr.Close(); err != nil {
 			f.Fatal(err)

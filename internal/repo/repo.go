@@ -23,16 +23,15 @@
 //     reference-counted so superseded versions free their memory as
 //     soon as the last snapshot pinning them closes.
 //
-// Updates go through the update layer's batched transactions
+// Updates go through the update layer's transactions
 // (update.Session.ApplyStaged, driven by the one commit routine in
-// txn.go): a committed batch re-verifies document order
-// exactly once however many ops it carries and rolls the whole
-// transaction back if anything — including that verification — fails,
-// so a batch either commits an ordered document or leaves it
-// untouched. Repository sessions run with auto-verify on, so single
-// ops through Update are order-checked too; a single op that breaks
-// order (a defective scheme like LSDX) surfaces the error on the spot
-// but is not rolled back — prefer Batch for all-or-nothing writes.
+// txn.go): a transaction re-verifies document order exactly once
+// however many ops it carries and is reverted as a whole if anything —
+// including that verification — fails, so it either commits an ordered
+// document or leaves it untouched. Repository sessions run with
+// auto-verify on, and a single op through Update is a transaction of
+// one: an op that breaks order (a defective scheme like LSDX) is
+// reverted and reported just as a Batch would be.
 //
 // The whole repository round-trips through the version-2 store
 // container (Save/Load): every document's name, scheme and
@@ -256,9 +255,10 @@ func (r *Repository) add(name, scheme string, sess *update.Session) (*Doc, error
 		d.pubSeq = d.verSeq
 		d.pubStamp = d.stamp
 	}
-	// Every committed mutation — single op, batch or rollback, plain or
-	// durable, live or replayed — republishes the document's persistent
-	// MVCC version and supersedes the previous one (version.go). The
+	// Every commit and every abort of a session transaction — single
+	// op or batch, plain or durable, live or replayed — republishes the
+	// document's persistent MVCC version and supersedes the previous
+	// one (version.go). The
 	// hook fires while the writer still holds the document's write
 	// lock, so snapshot readers (read lock) can never pin a mid-commit
 	// state.

@@ -5,7 +5,12 @@
 // Repository.commit; the callers differ only in where the ops come from
 // and in the log policy they pass. The commit critical section, the
 // lock order, the encode-before-apply rule and the poisoning rule are
-// therefore each stated here and nowhere else.
+// therefore each stated here and nowhere else. Below it, each
+// document's part is one transaction of the update layer
+// (update.Session.ApplyStaged: validate, apply, verify, commit or
+// revert); what commit adds is the locks, the log and the composition
+// of those transactions into one that commits on every document or on
+// none.
 // (File comment — the package doc lives in repo.go.)
 
 package repo
@@ -160,36 +165,30 @@ func sortedUnique(names []string) []string {
 }
 
 // applyMulti commits each held document's queued batch in order, all
-// locks held, each with the update layer's pre-validation, rollback and
-// order verification, rolling every already-applied document back if a
-// later one fails. With wantResults, the results carry detached clones
-// of created nodes; replay skips the deep copies it would only discard.
+// locks held, each as one transaction of the update layer (validate,
+// apply, verify, commit or revert), reverting every already-committed
+// document through its staged closure if a later one fails. With
+// wantResults, the results carry detached clones of created nodes;
+// replay skips the deep copies it would only discard.
 func applyMulti(held []*Doc, m map[string]*MultiDoc, wantResults bool) (map[string]*update.BatchResult, error) {
 	out := make(map[string]*update.BatchResult, len(held))
-	var applied []*Doc
-	var undo []func() error
+	undo := make([]func() error, 0, len(held)) // the staged rollbacks of held[:len(undo)]
 	for _, d := range held {
-		b := m[d.name].b
-		if b.Len() == 0 {
-			out[d.name] = &update.BatchResult{}
-			continue
-		}
-		res, rollback, err := d.sess.ApplyStaged(b.Ops())
+		res, rollback, err := d.sess.ApplyStaged(m[d.name].b.Ops())
 		if err != nil {
 			err = fmt.Errorf("repo: transaction on %q: %w", d.name, err)
-			for i := len(undo) - 1; i >= 0; i-- {
-				if rbErr := undo[i](); rbErr != nil {
-					// Keep unwinding — the other documents' rollbacks are
-					// independent and restoring them is strictly better —
-					// but surface the failure (wrapping ErrRollback): THIS
-					// document is partially restored and should be rebuilt
-					// from a snapshot.
-					err = fmt.Errorf("repo: transaction rollback of %q: %w (after %w)", applied[i].name, rbErr, err)
+			for j := len(undo) - 1; j >= 0; j-- {
+				// Keep unwinding past a failed rollback — the other
+				// documents' are independent and restoring them is
+				// strictly better — but surface it (it wraps ErrRollback):
+				// THAT document is partially restored and should be
+				// rebuilt from a snapshot.
+				if rbErr := undo[j](); rbErr != nil {
+					err = fmt.Errorf("repo: transaction rollback of %q: %w (after %w)", held[j].name, rbErr, err)
 				}
 			}
 			return nil, err
 		}
-		applied = append(applied, d)
 		undo = append(undo, rollback)
 		if wantResults {
 			out[d.name] = cloneResult(res)

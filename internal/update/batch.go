@@ -1,26 +1,29 @@
-// Batched update transactions. A Batch queues structural and content
-// operations against a session's document and Apply commits them as one
-// transaction: every op still fires the labelling callbacks per node
-// (schemes see exactly the same insertion/deletion stream as the
-// op-at-a-time path), but on auto-verifying sessions the document-order
-// invariant is checked once per batch — where the op-at-a-time path
-// checks once per op — against the batch's final tree, and the
-// operation counter advances once per batch. FLUX-style batch programs
-// (Cheney) motivate the shape: updates compose into a program that is
-// checked as a whole.
+// Transactions. Every mutation of a session's document is one run of
+// transact: validate the ops against the starting tree (validateBatch) →
+// begin (save the counters and the labelling's relabel mark) → apply
+// each op through primitives that only mutate the tree, fire the
+// labelling callbacks per node and append an undo record → verify the
+// document-order invariant once, against the final tree
+// (verifyCommitted) → commit (count one operation, notify once) or
+// revert. A single op is the one-op case, a move is a delete and a
+// graft, DeleteChildren one delete per child, Apply the n-op case:
+// FLUX-style update programs (Cheney) motivate the shape — updates
+// compose into a program that is checked as a whole.
 //
-// Atomicity: Apply pre-validates every op before touching the tree, so
-// statically invalid batches commit nothing. If an op fails mid-batch
-// (a labelling overflow, a structural cycle, a reference detached by an
-// earlier op) or the commit verification fails, the structural changes
-// applied so far are rolled back in reverse order and the error is
-// returned.
+// Atomicity: a statically invalid transaction touches nothing. If an op
+// fails at apply time (a labelling overflow, a structural cycle, a
+// reference an earlier op detached) or the verification fails, revert —
+// the one abort — runs the undo records in reverse, puts the counters
+// back and notifies once; the closure ApplyStaged returns is the same
+// revert, run after the commit.
 
 package update
 
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 
 	"xmldyn/internal/xmltree"
 )
@@ -31,7 +34,7 @@ var (
 	ErrBadOp    = errors.New("update: unknown batch op kind")
 	ErrNoTree   = errors.New("update: batch subtree op has no subtree")
 	ErrAttached = errors.New("update: batch subtree is already attached")
-	// ErrRollback wraps a rollback that itself failed: the document may
+	// ErrRollback wraps a revert that itself failed: the document may
 	// be partially updated and should be rebuilt from a snapshot.
 	ErrRollback = errors.New("update: batch rollback failed")
 )
@@ -257,12 +260,8 @@ func (b *Batch) Commit() (*BatchResult, error) {
 	return res, err
 }
 
-// Apply commits ops as one transaction: pre-validate everything, apply
-// each op (labelling callbacks fire per node exactly as in the
-// op-at-a-time path), then count one operation and — on sessions with
-// auto-verify — check document order once, where the op-at-a-time path
-// would have checked once per op. On any mid-batch failure the applied
-// prefix is rolled back in reverse order.
+// Apply commits ops as one transaction (see the file comment): all of
+// them, verified once as a whole and counted as one operation, or none.
 func (s *Session) Apply(ops []Op) (*BatchResult, error) {
 	res, _, err := s.ApplyStaged(ops)
 	return res, err
@@ -284,132 +283,218 @@ func (s *Session) ApplyStaged(ops []Op) (*BatchResult, func() error, error) {
 	if len(ops) == 0 {
 		return res, func() error { return nil }, nil
 	}
-	if err := s.validateBatch(ops); err != nil {
+	if err := s.transact(ops, res.New, true); err != nil {
 		return nil, nil, err
 	}
-	s.inBatch = true
-	defer func() { s.inBatch = false }()
-	var undo []func() error
-	// The relabel counters as the batch found them: the rollback
-	// closure below must notice labels the batch itself changed.
-	before := s.lab.Stats().Relabelling()
-	fail := func(err error) (*BatchResult, func() error, error) {
-		rbErr := s.rollback(undo)
-		// Nothing of the batch is left to verify — unless the rollback
-		// broke, and then only a full pass can say what is.
-		s.forgetTouched()
-		// The tree was mutated and (on a clean rollback) restored; on a
-		// failed rollback it is partially restored. Either way notify,
-		// so a cached MVCC version can never survive a tree the batch
-		// touched (docs/CONCURRENCY.md).
-		s.notifyCommit()
-		if rbErr != nil {
-			s.baseOK = false
-			// Keep both chains matchable: the rollback failure and the
-			// op error that triggered it.
-			return nil, nil, fmt.Errorf("%w (after %w)", rbErr, err)
+	txn := s.txn
+	return res, func() error {
+		if s.txn != txn {
+			return fmt.Errorf("%w: a later transaction has run", ErrRollback)
 		}
-		return nil, nil, err
-	}
-	for i := range ops {
-		n, u, err := s.applyOp(&ops[i])
-		if err != nil {
-			return fail(fmt.Errorf("update: batch op %d (%v): %w", i, ops[i].Kind, err))
-		}
-		res.New[i] = n
-		if u != nil {
-			undo = append(undo, u)
-		}
-	}
-	// Mirror the single-op policy: with auto-verify on, the commit
-	// re-checks order exactly once for the whole batch; with it off
-	// (bulk loads that verify at the end), no check runs at all.
-	if err := s.verifyCommitted(); err != nil {
-		return fail(fmt.Errorf("update: batch verify: %w", err))
-	}
-	s.ctr.Operations++
-	s.ctr.Batches++
-	s.notifyCommit()
-	rollback := func() error {
-		err := s.rollback(undo)
-		s.notifyCommit() // the undo log mutated the tree back
-		// The restored adjacencies passed before the batch. They pass
-		// now only with the labels they had then: a label the batch
-		// (or its undo) changed was verified beside the batch's nodes,
-		// not beside the neighbour it has got back.
-		if err != nil || s.lab.Stats().Relabelling() != before {
-			s.baseOK = false
-		}
-		if err != nil {
-			return err
-		}
-		s.ctr.Operations--
-		s.ctr.Batches--
-		return nil
-	}
-	return res, rollback, nil
+		return s.revert()
+	}, nil
 }
 
-// validateBatch rejects statically invalid batches before any mutation.
-// Later ops may still fail at apply time when they depend on document
-// state an earlier op changes (e.g. inserting relative to a node a
-// previous op deletes); those failures roll back.
-func (s *Session) validateBatch(ops []Op) error {
-	// Allocated lazily: only subtree and delete ops consult them, and
-	// the hot path (insert-only batches) should not pay two maps.
-	var seen, doomed map[*xmltree.Node]bool
-	lazySeen := func() map[*xmltree.Node]bool {
-		if seen == nil {
-			seen = make(map[*xmltree.Node]bool)
-		}
-		return seen
+// transact is the one transaction. created, when non-nil, receives per
+// op the node an insert created; batch says the commit counts as a
+// Batch too.
+func (s *Session) transact(ops []Op, created []*xmltree.Node, batch bool) error {
+	if len(ops) == 0 {
+		return nil
 	}
+	if err := s.validateBatch(ops); err != nil {
+		return err
+	}
+	clear(s.undo)
+	s.undo = s.undo[:0]
+	s.saved, s.savedMark = s.ctr, s.lab.Stats().Relabelling()
+	s.txn++
 	for i := range ops {
-		op := &ops[i]
+		n, err := s.applyOp(&ops[i])
+		if err != nil {
+			return s.abort(opError(i, &ops[i], err))
+		}
+		if created != nil {
+			created[i] = n
+		}
+	}
+	if err := s.verifyCommitted(); err != nil {
+		return s.abort(fmt.Errorf("update: commit verify: %w", err))
+	}
+	s.ctr.Operations++
+	if batch {
+		s.ctr.Batches++
+	}
+	s.notifyCommit()
+	return nil
+}
+
+// abort reverts the open transaction and returns the error that ended
+// it.
+func (s *Session) abort(err error) error {
+	if rbErr := s.revert(); rbErr != nil {
+		// Keep both chains matchable: the revert's failure and the
+		// error that triggered it.
+		return fmt.Errorf("%w (after %w)", rbErr, err)
+	}
+	return err
+}
+
+func opError(i int, op *Op, err error) error {
+	return fmt.Errorf("update: op %d (%v): %w", i, op.Kind, err)
+}
+
+// revert is the one abort: it undoes the latest transaction, open or
+// committed. The undo records run in reverse; the counters go back to
+// what begin saved — all but Verifies and FullVerifies, which are
+// history, not state. The restored adjacencies passed before the
+// transaction, and pass now only with the labels they had then: if
+// restored nodes were re-labelled, the revert failed, or the labelling
+// changed an existing label since begin (verified, if at all, beside the
+// transaction's nodes, not beside the neighbours it has got back), the
+// next verification is the full pass. One notification: the tree was
+// mutated, and mutated back.
+func (s *Session) revert() error {
+	var err error
+	relabelled := false
+	for i := len(s.undo) - 1; i >= 0 && err == nil; i-- {
+		switch r := &s.undo[i]; r.kind {
+		case undoAttach:
+			if labellable(r.n) {
+				s.lab.NodeDeleting(r.n)
+			}
+			r.n.Detach()
+		case undoDetach:
+			if r.n.Kind() == xmltree.KindAttribute {
+				// Attribute order is document order: back to its place.
+				err = r.parent.InsertAttrAt(r.idx, r.n)
+			} else {
+				err = r.parent.InsertChildAt(r.idx, r.n)
+			}
+			if err == nil && labellable(r.n) {
+				relabelled = true
+				err = walkLabellable(r.n, s.lab.NodeInserted)
+			}
+		case undoName:
+			r.n.SetName(r.old)
+		case undoValue:
+			r.n.SetValue(r.old)
+		}
+	}
+	clear(s.undo)
+	s.undo = s.undo[:0]
+	s.forgetTouched()
+	s.saved.Verifies, s.saved.FullVerifies = s.ctr.Verifies, s.ctr.FullVerifies
+	s.ctr = s.saved
+	if relabelled || err != nil || s.lab.Stats().Relabelling() != s.savedMark {
+		s.baseOK = false
+	}
+	s.notifyCommit()
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrRollback, err)
+	}
+	return nil
+}
+
+// undoRec is one entry of the transaction's undo log: how revert
+// reverses one change a primitive made to the tree.
+type undoRec struct {
+	kind undoKind
+	n    *xmltree.Node
+	// undoDetach: where n stood — parent's idx-th attribute or child.
+	parent *xmltree.Node
+	idx    int
+	old    string // undoName, undoValue
+}
+
+type undoKind uint8
+
+const (
+	undoAttach undoKind = iota // n was attached: release its labels, detach it
+	undoDetach                 // n was detached: put it back, label it again
+	undoName                   // n was renamed
+	undoValue                  // n's value was replaced
+)
+
+// validateBatch rejects statically invalid transactions before any
+// mutation. Later ops may still fail at apply time when they depend on
+// document state an earlier op changes (e.g. inserting relative to a
+// node a previous op deletes); those failures revert.
+func (s *Session) validateBatch(ops []Op) error {
+	// seen: the subtrees grafted so far; doomed: the targets of the
+	// deletes so far. They relate the ops of one transaction to each
+	// other, so a single op needs neither; allocated lazily, because the
+	// hot path (insert-only batches) should not pay two maps.
+	var seen, doomed map[*xmltree.Node]bool
+	note := func(set *map[*xmltree.Node]bool, n *xmltree.Node) {
+		if len(ops) == 1 {
+			return
+		}
+		if *set == nil {
+			*set = make(map[*xmltree.Node]bool)
+		}
+		(*set)[n] = true
+	}
+	check := func(op *Op) error {
 		if op.Ref == nil {
-			return fmt.Errorf("update: batch op %d (%v): %w", i, op.Kind, ErrEmptyOp)
+			return ErrEmptyOp
 		}
 		switch op.Kind {
 		case OpInsertBefore, OpInsertAfter:
 			if err := checkSiblingRef(op.Ref); err != nil {
-				return fmt.Errorf("update: batch op %d (%v): %w", i, op.Kind, err)
+				return err
 			}
+			return checkName(op.Name)
 		case OpInsertFirstChild, OpAppendChild:
 			// canContain errors surface at apply time.
+			return checkName(op.Name)
 		case OpInsertSubtreeBefore, OpInsertSubtreeAfter:
 			if err := checkSiblingRef(op.Ref); err != nil {
-				return fmt.Errorf("update: batch op %d (%v): %w", i, op.Kind, err)
+				return err
 			}
-			if err := checkBatchSubtree(op, lazySeen(), doomed); err != nil {
-				return fmt.Errorf("update: batch op %d (%v): %w", i, op.Kind, err)
-			}
+			fallthrough
 		case OpInsertSubtreeFirst, OpAppendSubtree:
-			if err := checkBatchSubtree(op, lazySeen(), doomed); err != nil {
-				return fmt.Errorf("update: batch op %d (%v): %w", i, op.Kind, err)
-			}
+			err := checkBatchSubtree(op, seen, doomed)
+			note(&seen, op.Subtree)
+			return err
 		case OpDelete:
 			if op.Ref.Parent() == nil {
-				return fmt.Errorf("update: batch op %d (%v): %w", i, op.Kind, ErrDetachedRef)
+				return ErrDetachedRef
 			}
-			if doomed == nil {
-				doomed = make(map[*xmltree.Node]bool)
-			}
-			doomed[op.Ref] = true
+			note(&doomed, op.Ref)
+			return nil
 		case OpSetText:
 			if op.Ref.Kind() != xmltree.KindElement {
-				return fmt.Errorf("update: batch op %d (%v): %w", i, op.Kind, ErrNotElement)
+				return ErrNotElement
 			}
-		case OpRename:
-			if k := op.Ref.Kind(); k != xmltree.KindElement && k != xmltree.KindAttribute {
-				return fmt.Errorf("update: batch op %d (%v): %w", i, op.Kind, ErrNotElement)
-			}
+			return nil
 		case OpSetAttr:
 			if op.Ref.Kind() != xmltree.KindElement {
-				return fmt.Errorf("update: batch op %d (%v): %w", i, op.Kind, ErrNotElement)
+				return ErrNotElement
 			}
+			return checkName(op.Name)
+		case OpRename:
+			if !labellable(op.Ref) {
+				return ErrNotElement
+			}
+			return checkName(op.Name)
 		default:
-			return fmt.Errorf("update: batch op %d: %w %d", i, ErrBadOp, int(op.Kind))
+			return fmt.Errorf("%w %d", ErrBadOp, int(op.Kind))
 		}
+	}
+	for i := range ops {
+		if err := check(&ops[i]); err != nil {
+			return opError(i, &ops[i], err)
+		}
+	}
+	return nil
+}
+
+// checkName accepts what can stand as an element or attribute name in
+// the serialised document and be read back as the same name.
+func checkName(name string) error {
+	if name == "" || strings.ContainsAny(name, " \t\r\n<>&\"'/=") {
+		return fmt.Errorf("%w: %q", ErrBadName, name)
 	}
 	return nil
 }
@@ -429,7 +514,6 @@ func checkBatchSubtree(op *Op, seen, doomed map[*xmltree.Node]bool) error {
 	if op.Subtree.Kind() != xmltree.KindElement {
 		return ErrNotElement
 	}
-	seen[op.Subtree] = true
 	return nil
 }
 
@@ -445,228 +529,122 @@ func (s *Session) attached(n *xmltree.Node) bool {
 	return false
 }
 
-// applyOp applies one op inside a batch, returning the created node
-// (inserts only) and an undo closure reversing the op's structural and
-// accounting effects. Every op's reference must still be attached to
-// the document: pre-validation only sees the batch's starting state,
-// so a ref inside a subtree an earlier op deleted is caught here —
-// otherwise the op would silently mutate the detached subtree.
-func (s *Session) applyOp(op *Op) (*xmltree.Node, func() error, error) {
+// applyOp applies one op of the open transaction and returns the node
+// an insert created. The op's reference must still be attached to the
+// document: pre-validation only sees the transaction's starting state,
+// so a ref inside a subtree an earlier op deleted — or one that never
+// was in this document — is caught here; otherwise the op would
+// silently mutate a detached subtree.
+func (s *Session) applyOp(op *Op) (*xmltree.Node, error) {
 	if !s.attached(op.Ref) {
-		return nil, nil, ErrDetachedRef
+		return nil, ErrDetachedRef
 	}
 	switch op.Kind {
-	case OpInsertBefore:
-		return s.applyInsert(func() (*xmltree.Node, error) { return s.InsertBefore(op.Ref, op.Name) })
-	case OpInsertAfter:
-		return s.applyInsert(func() (*xmltree.Node, error) { return s.InsertAfter(op.Ref, op.Name) })
-	case OpInsertFirstChild:
-		return s.applyInsert(func() (*xmltree.Node, error) { return s.InsertFirstChild(op.Ref, op.Name) })
-	case OpAppendChild:
-		return s.applyInsert(func() (*xmltree.Node, error) { return s.AppendChild(op.Ref, op.Name) })
-	case OpInsertSubtreeBefore:
-		u, err := s.applySubtree(op.Subtree, func() error { return s.InsertSubtreeBefore(op.Ref, op.Subtree) })
-		return nil, u, err
-	case OpInsertSubtreeAfter:
-		u, err := s.applySubtree(op.Subtree, func() error { return s.InsertSubtreeAfter(op.Ref, op.Subtree) })
-		return nil, u, err
-	case OpInsertSubtreeFirst:
-		u, err := s.applySubtree(op.Subtree, func() error { return s.InsertSubtreeFirst(op.Ref, op.Subtree) })
-		return nil, u, err
-	case OpAppendSubtree:
-		u, err := s.applySubtree(op.Subtree, func() error { return s.AppendSubtree(op.Ref, op.Subtree) })
-		return nil, u, err
+	case OpInsertBefore, OpInsertAfter, OpInsertFirstChild, OpAppendChild:
+		n := xmltree.NewElement(op.Name)
+		return n, s.graft(op, n)
+	case OpInsertSubtreeBefore, OpInsertSubtreeAfter, OpInsertSubtreeFirst, OpAppendSubtree:
+		return nil, s.graft(op, op.Subtree)
 	case OpDelete:
-		u, err := s.applyDelete(op.Ref)
-		return nil, u, err
+		s.detach(op.Ref)
+		return nil, nil
 	case OpSetText:
-		u, err := s.applySetText(op.Ref, op.Value)
-		return nil, u, err
+		return nil, s.setText(op.Ref, op.Value)
 	case OpRename:
-		old := op.Ref.Name()
-		err := s.Rename(op.Ref, op.Name)
-		if err != nil {
-			return nil, nil, err
-		}
-		target := op.Ref
-		return nil, func() error {
-			target.SetName(old)
-			s.ctr.ContentUpdates--
-			return nil
-		}, nil
-	case OpSetAttr:
-		u, err := s.applySetAttr(op.Ref, op.Name, op.Value)
-		return nil, u, err
+		return nil, s.rename(op.Ref, op.Name)
+	default: // OpSetAttr: validateBatch admits no other kind
+		return nil, s.setAttr(op.Ref, op.Name, op.Value)
+	}
+}
+
+// graft attaches n where op says and labels its subtree.
+func (s *Session) graft(op *Op, n *xmltree.Node) error {
+	var err error
+	switch op.Kind {
+	case OpInsertBefore, OpInsertSubtreeBefore:
+		err = xmltree.InsertBefore(op.Ref, n)
+	case OpInsertAfter, OpInsertSubtreeAfter:
+		err = xmltree.InsertAfter(op.Ref, n)
+	case OpInsertFirstChild, OpInsertSubtreeFirst:
+		err = op.Ref.PrependChild(n)
 	default:
-		return nil, nil, fmt.Errorf("%w %d", ErrBadOp, int(op.Kind))
+		err = op.Ref.AppendChild(n)
 	}
-}
-
-// applyInsert runs a single-element insert, cleaning up the attached
-// node if labelling failed, and returns the undo closure.
-func (s *Session) applyInsert(do func() (*xmltree.Node, error)) (*xmltree.Node, func() error, error) {
-	n, err := do()
 	if err != nil {
-		// The node comes back attached even when labelling failed;
-		// detach it so the failed op leaves no trace.
-		if n != nil && n.Parent() != nil {
-			s.lab.NodeDeleting(n)
-			n.Detach()
-		}
-		return nil, nil, err
+		return err
 	}
-	undo := func() error {
+	return s.label(n)
+}
+
+// label labels the freshly attached subtree at root, node by node in
+// document order. The undo record goes first: a labelling that refuses
+// partway leaves a partly labelled, attached subtree for revert.
+func (s *Session) label(root *xmltree.Node) error {
+	s.undo = append(s.undo, undoRec{kind: undoAttach, n: root})
+	err := walkLabellable(root, func(n *xmltree.Node) error {
+		s.ctr.Inserts++
+		return s.lab.NodeInserted(n)
+	})
+	if err != nil {
+		return fmt.Errorf("update: label %s: %w", s.lab.Name(), err)
+	}
+	s.noteLabelled(root)
+	return nil
+}
+
+// detach releases the labels of the subtree at n, if it has any, and
+// detaches it, remembering where it stood.
+func (s *Session) detach(n *xmltree.Node) {
+	s.undo = append(s.undo, undoRec{kind: undoDetach, n: n, parent: n.Parent(), idx: n.Index()})
+	if labellable(n) {
+		s.ctr.Deletes += int64(countLabellable(n))
+		s.noteDeleting(n)
 		s.lab.NodeDeleting(n)
-		n.Detach()
-		s.ctr.Inserts--
-		return nil
 	}
-	return n, undo, nil
+	n.Detach()
 }
 
-// applySubtree runs a subtree graft, unwinding a partially labelled
-// subtree on failure, and returns the undo closure.
-func (s *Session) applySubtree(root *xmltree.Node, do func() error) (func() error, error) {
-	before := s.ctr.Inserts
-	if err := do(); err != nil {
-		// Labelling may have failed partway through the subtree walk:
-		// release whatever prefix got labels and restore the count.
-		if root.Parent() != nil {
-			s.lab.NodeDeleting(root)
-			root.Detach()
+func (s *Session) setText(e *xmltree.Node, text string) error {
+	for _, c := range slices.Clone(e.Children()) {
+		if c.Kind() == xmltree.KindText {
+			s.detach(c)
 		}
-		s.ctr.Inserts = before
-		return nil, err
 	}
-	undo := func() error {
-		k := int64(countLabellable(root))
-		s.lab.NodeDeleting(root)
-		root.Detach()
-		s.ctr.Inserts -= k
-		return nil
-	}
-	return undo, nil
-}
-
-// applyDelete deletes n, remembering its position so the undo can
-// re-graft and re-label the subtree where it stood.
-func (s *Session) applyDelete(n *xmltree.Node) (func() error, error) {
-	parent := n.Parent()
-	next := n.NextSibling()
-	isAttr := n.Kind() == xmltree.KindAttribute
-	attrIdx := -1
-	if isAttr {
-		attrIdx = n.Index()
-	}
-	removed := int64(0)
-	if n.Kind() == xmltree.KindElement || isAttr {
-		removed = int64(countLabellable(n))
-	}
-	if err := s.Delete(n); err != nil {
-		return nil, err
-	}
-	return func() error {
-		var err error
-		switch {
-		case isAttr:
-			// Restore at the recorded position: attribute order is
-			// document order, so a rollback must not permute it.
-			err = parent.InsertAttrAt(attrIdx, n)
-		case next != nil:
-			err = xmltree.InsertBefore(next, n)
-		default:
-			err = parent.AppendChild(n)
-		}
-		if err != nil {
+	if text != "" {
+		t := xmltree.NewText(text)
+		if err := e.AppendChild(t); err != nil {
 			return err
 		}
-		s.ctr.Deletes -= removed
-		if removed > 0 {
-			return s.relabelRestored(n)
-		}
-		return nil
-	}, nil
+		s.undo = append(s.undo, undoRec{kind: undoAttach, n: t})
+	}
+	s.ctr.ContentUpdates++
+	return nil
 }
 
-// relabelRestored re-labels a restored subtree without counting the
-// labels as fresh inserts, using the same document-order walk as the
-// insert path.
-func (s *Session) relabelRestored(root *xmltree.Node) error {
-	// Fresh labels that no commit will verify: the rollback ends the
-	// transaction, so the next verification must be the full pass.
-	s.baseOK = false
-	return walkLabellable(root, s.lab.NodeInserted)
-}
-
-// applySetText captures e's current text children, delegates the
-// mutation to SetText (so batched and single-op text replacement can
-// never diverge), and returns an undo restoring the captured nodes at
-// their original positions.
-func (s *Session) applySetText(e *xmltree.Node, text string) (func() error, error) {
-	if e.Kind() != xmltree.KindElement {
-		return nil, ErrNotElement
-	}
-	type oldText struct {
-		node *xmltree.Node
-		idx  int
-	}
-	var olds []oldText
-	for i, c := range e.Children() {
-		if c.Kind() == xmltree.KindText {
-			olds = append(olds, oldText{c, i})
-		}
-	}
-	if err := s.SetText(e, text); err != nil {
-		return nil, err
-	}
-	// SetText appends the replacement (if any) as the last child.
-	var added *xmltree.Node
-	if text != "" {
-		added = e.LastChild()
-	}
-	return func() error {
-		if added != nil {
-			added.Detach()
-		}
-		for _, o := range olds {
-			if err := e.InsertChildAt(o.idx, o.node); err != nil {
-				return err
+func (s *Session) rename(n *xmltree.Node, name string) error {
+	if n.Kind() == xmltree.KindAttribute {
+		for _, a := range n.Parent().Attributes() {
+			if a != n && a.Name() == name {
+				return fmt.Errorf("%w: %q", ErrDupAttr, name)
 			}
 		}
-		s.ctr.ContentUpdates--
-		return nil
-	}, nil
+	}
+	s.undo = append(s.undo, undoRec{kind: undoName, n: n, old: n.Name()})
+	n.SetName(name)
+	s.ctr.ContentUpdates++
+	return nil
 }
 
-// applySetAttr sets an attribute, undoing to the prior value (or
-// removing a freshly created attribute and its label).
-func (s *Session) applySetAttr(e *xmltree.Node, name, value string) (func() error, error) {
+func (s *Session) setAttr(e *xmltree.Node, name, value string) error {
 	old, existed := e.Attr(name)
-	a, err := s.SetAttr(e, name, value)
+	a, err := e.SetAttr(name, value)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if existed {
-		return func() error {
-			a.SetValue(old)
-			s.ctr.ContentUpdates--
-			return nil
-		}, nil
-	}
-	return func() error {
-		s.lab.NodeDeleting(a)
-		e.RemoveAttr(name)
-		s.ctr.Inserts--
+		s.undo = append(s.undo, undoRec{kind: undoValue, n: a, old: old})
+		s.ctr.ContentUpdates++
 		return nil
-	}, nil
-}
-
-// rollback runs the undo log in reverse.
-func (s *Session) rollback(undo []func() error) error {
-	for i := len(undo) - 1; i >= 0; i-- {
-		if err := undo[i](); err != nil {
-			return fmt.Errorf("%w: %v", ErrRollback, err)
-		}
 	}
-	return nil
+	return s.label(a)
 }

@@ -437,69 +437,6 @@ func TestOpKindString(t *testing.T) {
 	}
 }
 
-// TestApplyStagedRollback is the cross-document-transaction contract:
-// ApplyStaged commits exactly like Apply, and the returned rollback
-// closure restores the pre-batch state — tree, labels (order still
-// verifies), and counters — so a multi-document coordinator can undo
-// a committed batch when a later document fails.
-func TestApplyStagedRollback(t *testing.T) {
-	doc := xmltree.ExampleTree()
-	s, err := NewSession(doc, qed.NewPrefix())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetAutoVerify(true)
-	before := doc.XML()
-	beforeCtr := s.Counters()
-
-	root := doc.Root()
-	kids := root.Children()
-	sub := xmltree.NewElement("staged")
-	res, rollback, err := s.ApplyStaged([]Op{
-		AppendChildOp(root, "tail"),
-		DeleteOp(kids[0]),
-		AppendSubtreeOp(root, sub),
-		SetAttrOp(root, "k", "v"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.New[0] == nil || res.New[0].Name() != "tail" {
-		t.Fatalf("staged apply result: %v", res.New)
-	}
-	if doc.XML() == before {
-		t.Fatal("staged apply did not commit")
-	}
-	if got := s.Counters(); got.Batches != beforeCtr.Batches+1 {
-		t.Fatalf("Batches=%d, want %d", got.Batches, beforeCtr.Batches+1)
-	}
-
-	if err := rollback(); err != nil {
-		t.Fatalf("rollback: %v", err)
-	}
-	if got := doc.XML(); got != before {
-		t.Fatalf("rollback diverged:\n got %s\nwant %s", got, before)
-	}
-	if err := s.Verify(); err != nil {
-		t.Fatalf("order after rollback: %v", err)
-	}
-	got := s.Counters()
-	// Verification passes are history, not state: the committed batch
-	// and its rollback genuinely ran one.
-	beforeCtr.Verifies, beforeCtr.FullVerifies = got.Verifies, got.FullVerifies
-	if got != beforeCtr {
-		t.Fatalf("counters after rollback = %+v, want %+v", got, beforeCtr)
-	}
-
-	// The session stays fully usable after a rollback.
-	if _, err := s.AppendChild(doc.Root(), "again"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Verify(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestApplyStagedEmpty: an empty staged batch returns a no-op
 // rollback, not nil.
 func TestApplyStagedEmpty(t *testing.T) {

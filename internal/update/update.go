@@ -6,6 +6,12 @@
 // one labeling and accounts for every operation, so the evaluation
 // framework can read persistence, overflow and growth behaviour straight
 // off the session counters.
+//
+// Every mutation is a transaction (batch.go): a named single op is the
+// one-op case, a move is a delete and a graft, Apply is the n-op case.
+// A transaction that fails — at validation, at an op, or at the
+// commit-time order check — leaves document, labels' order and counters
+// as it found them.
 package update
 
 import (
@@ -20,11 +26,14 @@ import (
 var (
 	ErrDetachedRef = errors.New("update: reference node is not attached")
 	ErrNotElement  = errors.New("update: operation requires an element node")
+	ErrBadName     = errors.New("update: not an XML name")
+	ErrDupAttr     = errors.New("update: element already has an attribute of that name")
 	ErrRootSibling = errors.New("update: cannot insert a sibling of the root element")
 )
 
 // checkSiblingRef validates a reference node for sibling insertion:
-// attached, and not the root element (a document has exactly one root).
+// attached, not the root element (a document has exactly one root), and
+// a child — an attribute's index says nothing about the child list.
 func checkSiblingRef(ref *xmltree.Node) error {
 	p := ref.Parent()
 	if p == nil {
@@ -32,6 +41,9 @@ func checkSiblingRef(ref *xmltree.Node) error {
 	}
 	if p.Kind() == xmltree.KindDocument {
 		return ErrRootSibling
+	}
+	if ref.Kind() == xmltree.KindAttribute {
+		return fmt.Errorf("%w: sibling of an attribute", xmltree.ErrWrongKind)
 	}
 	return nil
 }
@@ -41,13 +53,13 @@ type Counters struct {
 	Inserts        int64 // labellable nodes inserted
 	Deletes        int64 // labellable nodes deleted
 	ContentUpdates int64
-	Operations     int64 // top-level operations applied (a batch counts as one)
-	Batches        int64 // committed batch transactions
+	Operations     int64 // committed transactions (a single op, a move, a batch: one each)
+	Batches        int64 // those among them committed through Apply/ApplyStaged
 	// Verifies counts commit-time order verifications: one per
-	// auto-verified transaction (a top-level op or a batch), whichever
-	// way it was answered. FullVerifies counts those among them that
-	// walked the whole document (verifyCommitted lists when); the rest
-	// compared only the adjacencies the transaction created.
+	// auto-verified transaction, whichever way it was answered.
+	// FullVerifies counts those among them that walked the whole
+	// document (verifyCommitted lists when); the rest compared only the
+	// adjacencies the transaction created.
 	Verifies     int64
 	FullVerifies int64
 }
@@ -57,8 +69,8 @@ type Session struct {
 	doc *xmltree.Document
 	lab labeling.Interface
 	ctr Counters
-	// autoVerify re-checks document order after every committed
-	// operation (once per batch for batched applies).
+	// autoVerify re-checks document order at the end of every
+	// transaction.
 	autoVerify bool
 	// Incremental verification state (verifyCommitted). touched holds
 	// the roots of the subtrees labelled in the open transaction and
@@ -70,15 +82,19 @@ type Session struct {
 	gaps     []*xmltree.Node
 	baseOK   bool
 	baseMark labeling.Stats
-	// inBatch suppresses per-op accounting and verification while
-	// Apply drains a batch; the batch commit does both once.
-	inBatch bool
-	// onCommit, when set, runs after every committed mutation of the
-	// document — once per top-level operation, once per committed
-	// batch, and after a batch rollback (which mutates the tree back).
-	// The repository layer uses it to supersede published MVCC
-	// versions (docs/CONCURRENCY.md); it runs while the caller still
-	// holds whatever lock guards the session.
+	// The latest transaction (batch.go): its undo log, and the counters
+	// and relabel mark it began with — what revert restores. They
+	// outlive the commit for the closure ApplyStaged hands out, which
+	// txn, the transaction's number, keeps from undoing a later one.
+	undo      []undoRec
+	saved     Counters
+	savedMark labeling.Stats
+	txn       uint64
+	// onCommit, when set, runs once per commit and once per abort — the
+	// two moments the tree may differ from the last version anyone saw.
+	// The repository layer uses it to supersede published MVCC versions
+	// (docs/CONCURRENCY.md); it runs while the caller still holds
+	// whatever lock guards the session.
 	onCommit func()
 }
 
@@ -100,29 +116,27 @@ func (s *Session) Labeling() labeling.Interface { return s.lab }
 func (s *Session) Counters() Counters { return s.ctr }
 
 // SetAutoVerify toggles commit-time order verification. With it on,
-// every transaction — a single top-level operation, or a whole batch —
+// every transaction — a single operation, a move, or a whole batch —
 // ends with one check of the document-order invariant, whose verdict is
 // that of a full VerifyOrder pass but whose cost is normally
 // proportional to what the transaction labelled and deleted
-// (verifyCommitted). A failed per-op check reports the violation but
-// leaves the op applied (only batches roll back); use Apply for
-// all-or-nothing semantics. Mutations made while it is off are not
-// tracked: the first verification after turning it back on walks the
-// whole document.
+// (verifyCommitted). A failed check reverts the transaction and reports
+// the violation. Mutations made while it is off are not tracked: the
+// first verification after turning it back on walks the whole document.
 func (s *Session) SetAutoVerify(on bool) { s.autoVerify = on }
 
 // AutoVerify reports whether per-operation verification is on.
 func (s *Session) AutoVerify() bool { return s.autoVerify }
 
-// SetOnCommit installs fn as the session's commit hook: it runs after
-// every committed mutation — each top-level operation, each committed
-// batch, and each batch rollback (a rollback mutates the tree back to
-// its pre-batch state). fn must be fast and must not call back into
-// the session. The repository layer uses the hook to publish a
-// persistent path-copied MVCC version of the document on every
-// commit, which is what makes snapshot reads see only committed
-// states and snapshot pins O(1) (docs/CONCURRENCY.md);
-// a nil fn removes the hook. Sessions adopted into a repository have
+// SetOnCommit installs fn as the session's commit hook: it runs once
+// per committed transaction and once per abort — a transaction that
+// failed after validation, or a run of ApplyStaged's closure; either
+// mutated the tree on its way back to the earlier state. fn must be
+// fast and must not call back into the session. The repository layer
+// uses the hook to publish a persistent path-copied MVCC version of the
+// document on every commit, which is what makes snapshot reads see only
+// committed states and snapshot pins O(1) (docs/CONCURRENCY.md); a nil
+// fn removes the hook. Sessions adopted into a repository have
 // their hook owned by it — replacing the hook on such a session (e.g.
 // inside a View/Update callback) breaks snapshot consistency.
 func (s *Session) SetOnCommit(fn func()) { s.onCommit = fn }
@@ -134,24 +148,8 @@ func (s *Session) notifyCommit() {
 	}
 }
 
-// finishOp closes out one top-level operation: it counts the operation
-// and, when auto-verification is on, re-checks document order. Inside a
-// batch both are deferred to the commit, which performs them once for
-// the whole transaction.
-func (s *Session) finishOp() error {
-	if s.inBatch {
-		return nil
-	}
-	s.ctr.Operations++
-	// Notify before the verification: a failed per-op check reports
-	// the violation but leaves the op applied (see SetAutoVerify), so
-	// the document has changed either way.
-	s.notifyCommit()
-	return s.verifyCommitted()
-}
-
 // verifyCommitted is the one commit-time verification, run at the end
-// of every transaction (finishOp, ApplyStaged). Its verdict is that of
+// of every transaction (transact). Its verdict is that of
 // labeling.VerifyOrder over the whole document; it gets there by
 // induction. The base: at the last verification every adjacent pair of
 // labelled nodes was in order. The step: a pair that is adjacent now
@@ -173,10 +171,8 @@ func (s *Session) finishOp() error {
 //  2. the labelling's RelabelEvents, Relabeled or OverflowEvents moved
 //     since the base was taken: an existing label changed — the paper's
 //     Persistent Labels property is exactly that these stay put;
-//  3. a transaction ended without a verification of what it left: a
-//     rollback re-labelled the nodes it restored (relabelRestored),
-//     failed, or undid a batch that had changed labels; or a single op
-//     failed after changing the tree (dropBase);
+//  3. a revert re-labelled what it restored, failed, or undid label
+//     changes: it left adjacencies no verification has seen;
 //  4. transactions ran with auto-verify off.
 //
 // All structural change must go through the session, as the commit
@@ -263,74 +259,60 @@ func (s *Session) forgetTouched() {
 	s.touched, s.gaps = s.touched[:0], s.gaps[:0]
 }
 
-// dropBase makes the next verification a full pass: the tree changed
-// in a way no verification has seen.
-func (s *Session) dropBase() {
-	s.forgetTouched()
-	s.baseOK = false
+// --- single operations -------------------------------------------------------
+//
+// Each named mutator is a transaction of one op (batch.go): validated,
+// applied, verified and committed — or reverted — exactly as a batch is.
+
+// Do runs op as a transaction of one op and returns the node an insert
+// created (nil for the other kinds, and on error).
+func (s *Session) Do(op Op) (*xmltree.Node, error) {
+	ops, created := [1]Op{op}, [1]*xmltree.Node{}
+	if err := s.transact(ops[:], created[:], false); err != nil {
+		return nil, err
+	}
+	return created[0], nil
 }
 
-// --- structural updates ----------------------------------------------------
+func (s *Session) do(op Op) error {
+	_, err := s.Do(op)
+	return err
+}
 
 // InsertBefore inserts a new element with the given name immediately
 // before ref and labels it.
 func (s *Session) InsertBefore(ref *xmltree.Node, name string) (*xmltree.Node, error) {
-	if err := checkSiblingRef(ref); err != nil {
-		return nil, err
-	}
-	n := xmltree.NewElement(name)
-	if err := xmltree.InsertBefore(ref, n); err != nil {
-		return nil, err
-	}
-	return n, s.labelNew(n)
+	return s.Do(InsertBeforeOp(ref, name))
 }
 
 // InsertAfter inserts a new element immediately after ref.
 func (s *Session) InsertAfter(ref *xmltree.Node, name string) (*xmltree.Node, error) {
-	if err := checkSiblingRef(ref); err != nil {
-		return nil, err
-	}
-	n := xmltree.NewElement(name)
-	if err := xmltree.InsertAfter(ref, n); err != nil {
-		return nil, err
-	}
-	return n, s.labelNew(n)
+	return s.Do(InsertAfterOp(ref, name))
 }
 
 // InsertFirstChild inserts a new element as parent's first child.
 func (s *Session) InsertFirstChild(parent *xmltree.Node, name string) (*xmltree.Node, error) {
-	n := xmltree.NewElement(name)
-	if err := parent.PrependChild(n); err != nil {
-		return nil, err
-	}
-	return n, s.labelNew(n)
+	return s.Do(InsertFirstChildOp(parent, name))
 }
 
 // AppendChild inserts a new element as parent's last child.
 func (s *Session) AppendChild(parent *xmltree.Node, name string) (*xmltree.Node, error) {
-	n := xmltree.NewElement(name)
-	if err := parent.AppendChild(n); err != nil {
-		return nil, err
-	}
-	return n, s.labelNew(n)
+	return s.Do(AppendChildOp(parent, name))
 }
 
-// SetAttr sets an attribute; a newly created attribute node is labelled
-// (attributes are labellable leaves in the paper's model).
+// SetAttr sets an attribute and returns its node; a newly created
+// attribute node is labelled (attributes are labellable leaves in the
+// paper's model).
 func (s *Session) SetAttr(e *xmltree.Node, name, value string) (*xmltree.Node, error) {
-	if _, exists := e.Attr(name); exists {
-		a, err := e.SetAttr(name, value)
-		if err != nil {
-			return nil, err
-		}
-		s.ctr.ContentUpdates++
-		return a, s.finishOp()
-	}
-	a, err := e.SetAttr(name, value)
-	if err != nil {
+	if err := s.do(SetAttrOp(e, name, value)); err != nil {
 		return nil, err
 	}
-	return a, s.labelNew(a)
+	for _, a := range e.Attributes() {
+		if a.Name() == name {
+			return a, nil
+		}
+	}
+	panic("update: committed SetAttr left no attribute " + name)
 }
 
 // InsertSubtreeBefore grafts a detached subtree immediately before ref,
@@ -338,198 +320,86 @@ func (s *Session) SetAttr(e *xmltree.Node, name, value string) (*xmltree.Node, e
 // may be serialised as a sequence of nodes and inserted individually" —
 // §3.1.2).
 func (s *Session) InsertSubtreeBefore(ref *xmltree.Node, root *xmltree.Node) error {
-	if err := checkSiblingRef(ref); err != nil {
-		return err
-	}
-	if err := xmltree.InsertBefore(ref, root); err != nil {
-		return err
-	}
-	return s.labelSubtree(root)
+	return s.do(InsertSubtreeBeforeOp(ref, root))
 }
 
 // InsertSubtreeAfter grafts a detached subtree immediately after ref.
 func (s *Session) InsertSubtreeAfter(ref *xmltree.Node, root *xmltree.Node) error {
-	if err := checkSiblingRef(ref); err != nil {
-		return err
-	}
-	if err := xmltree.InsertAfter(ref, root); err != nil {
-		return err
-	}
-	return s.labelSubtree(root)
+	return s.do(InsertSubtreeAfterOp(ref, root))
 }
 
 // AppendSubtree grafts a detached subtree as parent's last child.
 func (s *Session) AppendSubtree(parent *xmltree.Node, root *xmltree.Node) error {
-	if err := parent.AppendChild(root); err != nil {
-		return err
-	}
-	return s.labelSubtree(root)
+	return s.do(AppendSubtreeOp(parent, root))
 }
 
 // InsertSubtreeFirst grafts a detached subtree as parent's first
 // non-attribute child.
 func (s *Session) InsertSubtreeFirst(parent *xmltree.Node, root *xmltree.Node) error {
-	if err := parent.PrependChild(root); err != nil {
-		return err
-	}
-	return s.labelSubtree(root)
+	return s.do(InsertSubtreeFirstOp(parent, root))
 }
 
 // Delete detaches the subtree rooted at n (leaf deletion is the
 // degenerate case) after releasing its labels.
-func (s *Session) Delete(n *xmltree.Node) error {
-	if n.Parent() == nil {
-		return ErrDetachedRef
-	}
-	removed := int64(0)
-	if n.Kind() == xmltree.KindElement || n.Kind() == xmltree.KindAttribute {
-		removed = int64(countLabellable(n))
-		s.noteDeleting(n)
-		s.lab.NodeDeleting(n)
-	}
-	n.Detach()
-	s.ctr.Deletes += removed
-	return s.finishOp()
-}
+func (s *Session) Delete(n *xmltree.Node) error { return s.do(DeleteOp(n)) }
+
+// SetText replaces the direct text content of an element. Content
+// updates never touch labels (§3.1).
+func (s *Session) SetText(e *xmltree.Node, text string) error { return s.do(SetTextOp(e, text)) }
+
+// Rename changes an element or attribute name (a content update).
+func (s *Session) Rename(n *xmltree.Node, name string) error { return s.do(RenameOp(n, name)) }
 
 // MoveBefore detaches the subtree rooted at n and re-inserts it
 // immediately before ref. A move is delete-plus-insert at the labelling
 // level: the subtree receives fresh labels at the destination (the
 // paper's update taxonomy has no primitive move; §3.1.2: subtrees are
-// "serialised as a sequence of nodes and inserted individually").
+// "serialised as a sequence of nodes and inserted individually"). Here
+// it is those two ops in one transaction: a move that cannot land
+// leaves n where it was.
 func (s *Session) MoveBefore(ref, n *xmltree.Node) error {
-	if err := checkSiblingRef(ref); err != nil {
-		return err
-	}
-	return s.move(n, func() error { return xmltree.InsertBefore(ref, n) }, ref)
+	return s.move(InsertSubtreeBeforeOp(ref, n))
 }
 
 // MoveAfter detaches the subtree rooted at n and re-inserts it
 // immediately after ref.
 func (s *Session) MoveAfter(ref, n *xmltree.Node) error {
-	if err := checkSiblingRef(ref); err != nil {
-		return err
-	}
-	return s.move(n, func() error { return xmltree.InsertAfter(ref, n) }, ref)
+	return s.move(InsertSubtreeAfterOp(ref, n))
 }
 
 // MoveAppend detaches the subtree rooted at n and appends it under
 // parent.
 func (s *Session) MoveAppend(parent, n *xmltree.Node) error {
-	return s.move(n, func() error { return parent.AppendChild(n) }, parent)
+	return s.move(AppendSubtreeOp(parent, n))
 }
 
-func (s *Session) move(n *xmltree.Node, attach func() error, dest *xmltree.Node) error {
-	if n.Parent() == nil {
-		return ErrDetachedRef
-	}
-	if n.Kind() != xmltree.KindElement {
-		return ErrNotElement
-	}
-	if n == dest || n.IsAncestorOf(dest) {
+func (s *Session) move(graft Op) error {
+	if n, dest := graft.Subtree, graft.Ref; n == dest || n.IsAncestorOf(dest) {
 		return xmltree.ErrCycle
 	}
-	removed := int64(countLabellable(n))
-	s.noteDeleting(n)
-	s.lab.NodeDeleting(n)
-	n.Detach()
-	s.ctr.Deletes += removed
-	if err := attach(); err != nil {
-		// The subtree is detached and stays lost (the single-op path
-		// does not roll back) — the tree changed, so the commit hook
-		// must fire even though the op failed, and no verification
-		// has seen the change.
-		s.dropBase()
-		s.notifyCommit()
-		return err
-	}
-	// labelSubtree counts the move as one operation.
-	return s.labelSubtree(n)
+	ops := [2]Op{DeleteOp(graft.Subtree), graft}
+	return s.transact(ops[:], nil, false)
 }
 
 // DeleteChildren removes all children of n (an internal-node content
-// reset), keeping n itself labelled.
+// reset), keeping n itself labelled: one transaction, one delete per
+// child.
 func (s *Session) DeleteChildren(n *xmltree.Node) error {
-	kids := append([]*xmltree.Node{}, n.Children()...)
-	detached := false
-	for _, c := range kids {
-		if c.Kind() == xmltree.KindElement {
-			if err := s.Delete(c); err != nil {
-				return err
-			}
-			continue
-		}
-		c.Detach()
-		detached = true
+	ops := make([]Op, 0, len(n.Children()))
+	for _, c := range n.Children() {
+		ops = append(ops, DeleteOp(c))
 	}
-	if detached {
-		// Non-element children are detached outside the op machinery
-		// (no label, no counter), but the tree still changed — the
-		// commit hook must fire or a cached MVCC version would survive
-		// the mutation (e.g. a text-only child list).
-		s.notifyCommit()
-	}
-	return nil
-}
-
-// --- content updates --------------------------------------------------------
-
-// SetText replaces the direct text content of an element. Content
-// updates never touch labels (§3.1).
-func (s *Session) SetText(e *xmltree.Node, text string) error {
-	if e.Kind() != xmltree.KindElement {
-		return ErrNotElement
-	}
-	kids := append([]*xmltree.Node{}, e.Children()...)
-	for _, c := range kids {
-		if c.Kind() == xmltree.KindText {
-			c.Detach()
-		}
-	}
-	if text != "" {
-		if err := e.AppendChild(xmltree.NewText(text)); err != nil {
-			return err
-		}
-	}
-	s.ctr.ContentUpdates++
-	return s.finishOp()
-}
-
-// Rename changes an element or attribute name (a content update).
-func (s *Session) Rename(n *xmltree.Node, name string) error {
-	if n.Kind() != xmltree.KindElement && n.Kind() != xmltree.KindAttribute {
-		return ErrNotElement
-	}
-	n.SetName(name)
-	s.ctr.ContentUpdates++
-	return s.finishOp()
+	return s.transact(ops, nil, false)
 }
 
 // --- internals ---------------------------------------------------------------
 
-func (s *Session) labelNew(n *xmltree.Node) error {
-	if err := s.lab.NodeInserted(n); err != nil {
-		// The node is already attached; outside a batch it stays
-		// attached (no rollback on the single-op path), so the tree
-		// changed and the commit hook must fire. Inside a batch the
-		// apply layer cleans up and notifies via its own fail path.
-		if !s.inBatch {
-			s.dropBase() // an attached, unlabelled node
-			s.notifyCommit()
-		}
-		return fmt.Errorf("update: label %s insert: %w", s.lab.Name(), err)
-	}
-	s.ctr.Inserts++
-	s.noteLabelled(n)
-	return s.finishOp()
-}
-
 // walkLabellable visits every labellable node of the subtree in
 // document order — attributes before children, the order labelling
-// relies on. Both the insert path and the batch rollback re-labelling
-// share it so their traversals can never diverge.
+// relies on. The insert path, revert's re-labelling and the commit-time
+// check share it so their traversals can never diverge.
 func walkLabellable(n *xmltree.Node, visit func(*xmltree.Node) error) error {
-	if n.Kind() == xmltree.KindElement || n.Kind() == xmltree.KindAttribute {
+	if labellable(n) {
 		if err := visit(n); err != nil {
 			return err
 		}
@@ -547,26 +417,9 @@ func walkLabellable(n *xmltree.Node, visit func(*xmltree.Node) error) error {
 	return nil
 }
 
-func (s *Session) labelSubtree(root *xmltree.Node) error {
-	err := walkLabellable(root, func(n *xmltree.Node) error {
-		if err := s.lab.NodeInserted(n); err != nil {
-			return err
-		}
-		s.ctr.Inserts++
-		return nil
-	})
-	if err != nil {
-		// As in labelNew: the subtree is already grafted and the
-		// single-op path leaves it there, so notify on the error path
-		// too (the batch apply layer handles its own cleanup+notify).
-		if !s.inBatch {
-			s.dropBase() // a grafted, partly labelled subtree
-			s.notifyCommit()
-		}
-		return fmt.Errorf("update: subtree label %s: %w", s.lab.Name(), err)
-	}
-	s.noteLabelled(root)
-	return s.finishOp()
+// labellable: elements and attributes carry labels (the paper's model).
+func labellable(n *xmltree.Node) bool {
+	return n.Kind() == xmltree.KindElement || n.Kind() == xmltree.KindAttribute
 }
 
 func countLabellable(n *xmltree.Node) int {

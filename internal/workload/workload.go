@@ -250,7 +250,7 @@ func ApplyBatched(s *update.Session, spec Spec, batchSize int) (Result, error) {
 }
 
 // insertOpAround builds one random-position insertion op relative to
-// ref (the batched counterpart of insertAround).
+// ref.
 func insertOpAround(rng *rand.Rand, doc *xmltree.Document, ref *xmltree.Node) update.Op {
 	switch rng.Intn(4) {
 	case 0:
@@ -275,21 +275,8 @@ func insertOpAround(rng *rand.Rand, doc *xmltree.Document, ref *xmltree.Node) up
 // single-op and batched streams can never drift apart (C9 and the
 // batch benchmarks rely on the two being identical).
 func insertAround(s *update.Session, rng *rand.Rand, doc *xmltree.Document, ref *xmltree.Node) error {
-	op := insertOpAround(rng, doc, ref)
-	switch op.Kind {
-	case update.OpInsertBefore:
-		_, err := s.InsertBefore(op.Ref, op.Name)
-		return err
-	case update.OpInsertAfter:
-		_, err := s.InsertAfter(op.Ref, op.Name)
-		return err
-	case update.OpInsertFirstChild:
-		_, err := s.InsertFirstChild(op.Ref, op.Name)
-		return err
-	default:
-		_, err := s.AppendChild(op.Ref, op.Name)
-		return err
-	}
+	_, err := s.Do(insertOpAround(rng, doc, ref))
+	return err
 }
 
 // skewTarget picks a stable mid-document element whose preceding
