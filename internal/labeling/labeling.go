@@ -41,6 +41,16 @@ type Interface interface {
 	// insert), and a change to a label already handed out must move
 	// RelabelEvents, Relabeled or OverflowEvents.
 	Compare(a, b Label) int
+	// CompareNodes orders two nodes of the document by their labels
+	// without handing the labels out: whenever ok is true, cmp is
+	// Compare(Label(a), Label(b)). ok is false when the scheme cannot
+	// tell in place — a or b is unlabelled (Label would return nil), or
+	// the codes it looked at tie between distinct nodes — and the caller
+	// falls back to Label and Compare. It exists because commit-time
+	// verification compares every adjacency a transaction made, and a
+	// label built only to be compared is garbage. CompareLabels is the
+	// implementation for a scheme that stores whole labels.
+	CompareNodes(a, b *xmltree.Node) (cmp int, ok bool)
 	NodeInserted(n *xmltree.Node) error
 	NodeDeleting(n *xmltree.Node)
 	Stats() *Stats
@@ -135,21 +145,37 @@ func Snapshot(lab Interface, doc *xmltree.Document) map[*xmltree.Node]string {
 	return snap
 }
 
+// CompareLabels is CompareNodes by definition: look both labels up and
+// compare them. A node compared with itself is only looked up.
+func CompareLabels(lab Interface, a, b *xmltree.Node) (cmp int, ok bool) {
+	la := lab.Label(a)
+	if la == nil {
+		return 0, false
+	}
+	if a == b {
+		return 0, true
+	}
+	lb := lab.Label(b)
+	if lb == nil {
+		return 0, false
+	}
+	return lab.Compare(la, lb), true
+}
+
 // OrderCheck verifies a run of labelled nodes that are adjacent in
 // document order: each node must be labelled and must order strictly
-// after the node before it. It carries the previous node and label
-// forward, so a run of k nodes materialises k labels. The zero value is
-// not usable; set Lab.
+// after the node before it. It carries only the previous node forward
+// and compares through CompareNodes, so a run in order materialises no
+// label. The zero value is not usable; set Lab.
 type OrderCheck struct {
-	Lab       Interface
-	prev      *xmltree.Node
-	prevLabel Label
+	Lab  Interface
+	prev *xmltree.Node
 }
 
 // Restart begins a new run whose first node follows prev in document
 // order; a nil prev means the run starts the document.
 func (c *OrderCheck) Restart(prev *xmltree.Node) error {
-	c.prev, c.prevLabel = nil, nil
+	c.prev = nil
 	if prev == nil {
 		return nil
 	}
@@ -157,17 +183,41 @@ func (c *OrderCheck) Restart(prev *xmltree.Node) error {
 }
 
 // Next checks n against the previous node of the run and makes n the
-// previous node.
+// previous node. The first node of a run is compared with itself, which
+// checks that it is labelled.
 func (c *OrderCheck) Next(n *xmltree.Node) error {
+	prev := c.prev
+	if prev == nil {
+		prev = n
+	}
+	if cmp, ok := c.Lab.CompareNodes(prev, n); !ok || (cmp >= 0 && c.prev != nil) {
+		if err := c.offence(n); err != nil {
+			return err
+		}
+	}
+	c.prev = n
+	return nil
+}
+
+// offence materialises the labels CompareNodes would not vouch for and
+// returns what is wrong with n, or nil if Compare puts it in order
+// after all.
+func (c *OrderCheck) offence(n *xmltree.Node) error {
 	l := c.Lab.Label(n)
 	if l == nil {
 		return fmt.Errorf("labeling %s: unlabelled node %q", c.Lab.Name(), n.Name())
 	}
-	if c.prev != nil && c.Lab.Compare(c.prevLabel, l) >= 0 {
-		return fmt.Errorf("labeling %s: document order violated: %s (%s) !< %s (%s)",
-			c.Lab.Name(), c.prev.Name(), c.prevLabel, n.Name(), l)
+	if c.prev == nil {
+		return nil
 	}
-	c.prev, c.prevLabel = n, l
+	pl := c.Lab.Label(c.prev)
+	if pl == nil {
+		return fmt.Errorf("labeling %s: unlabelled node %q", c.Lab.Name(), c.prev.Name())
+	}
+	if c.Lab.Compare(pl, l) >= 0 {
+		return fmt.Errorf("labeling %s: document order violated: %s (%s) !< %s (%s)",
+			c.Lab.Name(), c.prev.Name(), pl, n.Name(), l)
+	}
 	return nil
 }
 
@@ -176,7 +226,7 @@ func (c *OrderCheck) Next(n *xmltree.Node) error {
 // pair, returning the first offence or nil. It is the core correctness
 // invariant every scheme must preserve under updates (paper §1: "this
 // order must be maintained in the presence of updates"). One streaming
-// walk: no node list is built and each label is looked up once.
+// walk: no node list is built, and no label where CompareNodes decides.
 func VerifyOrder(lab Interface, doc *xmltree.Document) error {
 	c := OrderCheck{Lab: lab}
 	var err error

@@ -6,6 +6,8 @@ import (
 
 	"xmldyn/internal/labeling"
 	"xmldyn/internal/schemes/dewey"
+	"xmldyn/internal/schemes/ordpath"
+	"xmldyn/internal/schemes/qed"
 	"xmldyn/internal/xmltree"
 )
 
@@ -114,5 +116,35 @@ func TestStatsReset(t *testing.T) {
 	st.Reset()
 	if *st != (labeling.Stats{}) {
 		t.Errorf("reset: %+v", *st)
+	}
+}
+
+// TestOrderCheckAllocatesNothing: verifying a document whose labels are
+// in order builds no label on a prefix scheme — CompareNodes decides
+// every adjacent pair on the tree.
+func TestOrderCheckAllocatesNothing(t *testing.T) {
+	for name, mk := range map[string]func() labeling.Interface{
+		"qed": qed.NewPrefix, "deweyid": dewey.New, "ordpath": ordpath.New,
+	} {
+		doc := xmltree.Generate(xmltree.GenOptions{Seed: 3, MaxDepth: 6, MaxChildren: 8, AttrProb: 0.3, TextProb: 0.5, TargetNodes: 1000})
+		lab := mk()
+		if err := lab.Build(doc); err != nil {
+			t.Fatal(err)
+		}
+		nodes := doc.LabelledNodes()
+		if len(nodes) < 1000 {
+			t.Fatalf("generated %d labelled nodes, want at least 1000", len(nodes))
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			c := labeling.OrderCheck{Lab: lab}
+			for _, n := range nodes {
+				if err := c.Next(n); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: an OrderCheck run over %d nodes allocates %.0f times, want 0", name, len(nodes), allocs)
+		}
 	}
 }

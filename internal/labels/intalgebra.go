@@ -2,6 +2,7 @@ package labels
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -48,6 +49,11 @@ type IntAlgebraConfig struct {
 type IntAlgebra struct {
 	cfg      IntAlgebraConfig
 	counters Counters
+	// bulk[i] is the boxed bulk code Start + i·Gap. Codes are immutable
+	// and the i-th bulk code is the same on every Assign, so it is boxed
+	// once and shared by every assignment that reaches it: relabelling k
+	// siblings costs the result slice, not k codes.
+	bulk []Code
 }
 
 // NewIntAlgebra validates cfg and returns the algebra.
@@ -110,14 +116,15 @@ func (a *IntAlgebra) Assign(n int) ([]Code, error) {
 		a.counters.OverflowHits++
 		return nil, fmt.Errorf("%w: %d codes at gap %d exceed %d-bit space", ErrOverflow, n, a.cfg.Gap, a.cfg.Width)
 	}
-	out := make([]Code, n)
-	for i := 0; i < n; i++ {
-		out[i] = IntCode{V: a.cfg.Start + int64(i)*a.cfg.Gap, Width: a.cfg.Width}
+	for i := len(a.bulk); i < n; i++ {
+		a.bulk = append(a.bulk, IntCode{V: a.cfg.Start + int64(i)*a.cfg.Gap, Width: a.cfg.Width})
 	}
-	return out, nil
+	return slices.Clone(a.bulk[:n]), nil
 }
 
-// Between implements Algebra.
+// Between implements Algebra. An exhausted gap is the expected outcome
+// of every dense insert (DeweyID takes it on each one) and the caller
+// relabels without reading the text, so ErrNeedRelabel is returned bare.
 func (a *IntAlgebra) Between(left, right Code) (Code, error) {
 	a.counters.Betweens++
 	var l, r int64
@@ -145,7 +152,7 @@ func (a *IntAlgebra) Between(left, right Code) (Code, error) {
 	case !hasL: // before first
 		if r <= a.cfg.Floor {
 			a.counters.RelabelErrors++
-			return nil, fmt.Errorf("%w: no room before %d (floor %d)", ErrNeedRelabel, r, a.cfg.Floor)
+			return nil, ErrNeedRelabel
 		}
 		if a.cfg.Midpoint {
 			return IntCode{V: a.cfg.Floor + (r-a.cfg.Floor)>>1, Width: a.cfg.Width}, nil
@@ -161,7 +168,7 @@ func (a *IntAlgebra) Between(left, right Code) (Code, error) {
 	default:
 		if r-l < 2 {
 			a.counters.RelabelErrors++
-			return nil, fmt.Errorf("%w: gap between %d and %d exhausted", ErrNeedRelabel, l, r)
+			return nil, ErrNeedRelabel
 		}
 		if a.cfg.Midpoint {
 			return IntCode{V: l + (r-l)>>1, Width: a.cfg.Width}, nil

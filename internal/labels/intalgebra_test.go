@@ -54,14 +54,51 @@ func TestIntAlgebraAssign(t *testing.T) {
 	}
 }
 
+// TestIntAlgebraAssignShares: bulk codes are boxed once per algebra, so
+// a relabel of k siblings allocates its result slice and not k codes;
+// every call still returns the same values in a slice of its own.
+func TestIntAlgebraAssignShares(t *testing.T) {
+	a := MustIntAlgebra(IntAlgebraConfig{Name: "t", Start: 1, Gap: 3, Width: 32})
+	first, err := a.Assign(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { _, _ = a.Assign(1000) }); allocs > 2 {
+		t.Errorf("Assign(1000) allocates %.0f times, want at most 2", allocs)
+	}
+	first[0] = nil // the caller owns its slice
+	for _, n := range []int{1, 7, 1000, 1500} {
+		cs, err := a.Assign(n)
+		if err != nil || len(cs) != n {
+			t.Fatalf("Assign(%d): %d codes, %v", n, len(cs), err)
+		}
+		for i, c := range cs {
+			if want := (IntCode{V: 1 + 3*int64(i), Width: 32}); c != Code(want) {
+				t.Fatalf("Assign(%d)[%d] = %v, want %v", n, i, c, want)
+			}
+		}
+	}
+	if got := a.Counters().Assigns; got != 26 {
+		t.Errorf("Assigns = %d, want one per call = 26", got)
+	}
+}
+
 func TestIntAlgebraBetweenSequential(t *testing.T) {
 	a := MustIntAlgebra(IntAlgebraConfig{Name: "seq", Start: 1, Gap: 1, Width: 16})
 	one := IntCode{V: 1, Width: 16}
 	two := IntCode{V: 2, Width: 16}
 	five := IntCode{V: 5, Width: 16}
-	// Dense neighbours force a relabel.
+	// Dense neighbours force a relabel — the expected outcome of a dense
+	// insert, so it is counted and costs no error text.
 	if _, err := a.Between(one, two); !errors.Is(err, ErrNeedRelabel) {
 		t.Errorf("dense between: %v", err)
+	}
+	var left, right Code = one, two // boxed once, outside the measurement
+	if allocs := testing.AllocsPerRun(20, func() { _, _ = a.Between(left, right) }); allocs != 0 {
+		t.Errorf("a refused Between allocates %.0f times, want 0", allocs)
+	}
+	if got := a.Counters().RelabelErrors; got != 22 {
+		t.Errorf("RelabelErrors = %d, want one per refusal = 22", got)
 	}
 	// A deletion gap is reusable.
 	m, err := a.Between(one, five)

@@ -79,29 +79,45 @@ func UTF8StyleBits(v uint32) (int, error) {
 	return len(b) * 8, nil
 }
 
-// EncodeLEB128 is the unbounded little-endian base-128 varint used where
-// the library needs a size-unlimited integer encoding (e.g. measuring how
-// a corrected vector codec would behave once the UTF-8 ceiling is hit).
-func EncodeLEB128(v uint64) []byte {
-	var out []byte
-	for {
-		b := byte(v & 0x7F)
+// AppendLEB128 appends v as an unbounded little-endian base-128 varint:
+// the size-unlimited integer encoding of the store containers, the
+// checkpoint manifest, WAL record payloads and the batched-op codec
+// (docs/DURABILITY.md §2), and of measuring how a corrected vector codec
+// would behave once the UTF-8 ceiling is hit. It is the one writer;
+// appending in place is what keeps an encoder at one allocation per
+// output buffer instead of one per integer.
+func AppendLEB128(dst []byte, v uint64) []byte {
+	for v >= 0x80 {
+		dst = append(dst, byte(v)|0x80)
 		v >>= 7
-		if v != 0 {
-			out = append(out, b|0x80)
-			continue
-		}
-		return append(out, b)
 	}
+	return append(dst, byte(v))
+}
+
+// EncodeLEB128 returns v's varint in a fresh slice. Library code appends
+// with AppendLEB128; this form is kept for the repository benchmark's
+// record builder (bench/records.go).
+func EncodeLEB128(v uint64) []byte { return AppendLEB128(nil, v) }
+
+// LEB128Len returns the number of bytes AppendLEB128 writes for v.
+func LEB128Len(v uint64) int {
+	n := 1
+	for v >= 0x80 {
+		v >>= 7
+		n++
+	}
+	return n
 }
 
 // DecodeLEB128 decodes one LEB128 value, returning it and the bytes
-// consumed.
+// consumed. A tenth byte may carry only bit 63: anything above it (or a
+// continuation past it) does not fit 64 bits and is rejected, as
+// encoding/binary.Uvarint does, instead of being silently dropped.
 func DecodeLEB128(b []byte) (uint64, int, error) {
 	var v uint64
 	var shift uint
 	for i, x := range b {
-		if shift >= 64 {
+		if shift == 63 && x > 1 {
 			return 0, 0, fmt.Errorf("%w: LEB128 overflow", ErrBadCode)
 		}
 		v |= uint64(x&0x7F) << shift
@@ -118,8 +134,7 @@ func DecodeLEB128(b []byte) (uint64, int, error) {
 // containers, the checkpoint manifest, WAL record payloads and the
 // batched-op codec (docs/DURABILITY.md §2).
 func AppendString(out []byte, s string) []byte {
-	out = append(out, EncodeLEB128(uint64(len(s)))...)
-	return append(out, s...)
+	return append(AppendLEB128(out, uint64(len(s))), s...)
 }
 
 // CutString decodes one length-prefixed string starting at data[pos],

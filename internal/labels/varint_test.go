@@ -1,7 +1,10 @@
 package labels
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -88,11 +91,22 @@ func TestDecodeUTF8StyleErrors(t *testing.T) {
 
 func TestLEB128RoundTrip(t *testing.T) {
 	f := func(v uint64) bool {
-		got, n, err := DecodeLEB128(EncodeLEB128(v))
-		return err == nil && got == v && n == len(EncodeLEB128(v))
+		enc := AppendLEB128(nil, v)
+		got, n, err := DecodeLEB128(enc)
+		return err == nil && got == v && n == len(enc) && n == LEB128Len(v) &&
+			bytes.Equal(enc, binary.AppendUvarint(nil, v)) && bytes.Equal(enc, EncodeLEB128(v))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+	for _, v := range []uint64{0, 0x7F, 0x80, 1<<63 - 1, 1 << 63, math.MaxUint64} {
+		if !f(v) {
+			t.Errorf("edge value %#x does not round-trip", v)
+		}
+	}
+	// Appending leaves what is already in the buffer alone.
+	if got := AppendLEB128([]byte("ab"), 300); !bytes.Equal(got, []byte{'a', 'b', 0xAC, 0x02}) {
+		t.Errorf("append after a prefix: %x", got)
 	}
 	// LEB128 has no ceiling: values past the UTF-8 limit encode fine.
 	big := uint64(1) << 40
@@ -108,6 +122,26 @@ func TestLEB128Errors(t *testing.T) {
 	}
 	if _, _, err := DecodeLEB128([]byte{0x80, 0x80}); !errors.Is(err, ErrBadCode) {
 		t.Errorf("truncated: %v", err)
+	}
+}
+
+// A tenth byte holds bit 63 and nothing else: what does not fit 64 bits
+// is an error, as for encoding/binary.Uvarint, not a value with its top
+// bits dropped (FF×9 7F used to decode to MaxUint64).
+func TestLEB128RejectsOverflow(t *testing.T) {
+	nine := bytes.Repeat([]byte{0xFF}, 9)
+	for _, tenth := range [][]byte{{0x7F}, {0x02}, {0x03}, {0x80, 0x00}, {0x81, 0x00}} {
+		in := append(bytes.Clone(nine), tenth...)
+		if _, n := binary.Uvarint(in); n >= 0 {
+			t.Fatalf("%x: encoding/binary accepts it (n=%d); not an overflow case", in, n)
+		}
+		if v, n, err := DecodeLEB128(in); !errors.Is(err, ErrBadCode) {
+			t.Errorf("%x: decoded to %#x (%d bytes), err %v; want ErrBadCode", in, v, n, err)
+		}
+	}
+	in := append(bytes.Clone(nine), 0x01, 0xEE)
+	if v, n, err := DecodeLEB128(in); err != nil || v != math.MaxUint64 || n != 10 {
+		t.Errorf("MaxUint64: got %#x, %d bytes, %v", v, n, err)
 	}
 }
 

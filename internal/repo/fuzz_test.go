@@ -107,6 +107,11 @@ func FuzzParseRecord(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	// A name length and a part count whose tenth varint byte carries
+	// more than bit 63: overflow, not MaxUint64 (labels.DecodeLEB128).
+	overflow := append(bytes.Repeat([]byte{0xFF}, 9), 0x7F)
+	f.Add(append([]byte{RecBatch}, overflow...))
+	f.Add(append([]byte{RecMulti}, overflow...))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		rec, err := parseRecord(payload)
 		route, rerr := routeRecord(payload)

@@ -20,9 +20,10 @@
 package repo
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
+	"slices"
 
 	"xmldyn/internal/labels"
 )
@@ -62,14 +63,19 @@ type record struct {
 	parts  []recordPart
 }
 
-// appendRecord appends rec's payload to out.
+// appendRecord appends rec's payload to out, which it grows once: by
+// the payload's size with every length taken at a varint's widest.
 func appendRecord(out []byte, rec record) []byte {
-	out = append(out, rec.kind)
+	size := 1 + 2*binary.MaxVarintLen64 + len(rec.scheme)
+	for _, p := range rec.parts {
+		size += 2*binary.MaxVarintLen64 + len(p.name) + len(p.data)
+	}
+	out = append(slices.Grow(out, size), rec.kind)
 	if rec.kind == RecMulti {
-		out = append(out, labels.EncodeLEB128(uint64(len(rec.parts)))...)
+		out = labels.AppendLEB128(out, uint64(len(rec.parts)))
 		for _, p := range rec.parts {
 			out = labels.AppendString(out, p.name)
-			out = append(out, labels.EncodeLEB128(uint64(len(p.data)))...)
+			out = labels.AppendLEB128(out, uint64(len(p.data)))
 			out = append(out, p.data...)
 		}
 		return out
@@ -160,7 +166,7 @@ func cutLength(data []byte, pos int) (uint64, int, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	if n != (bits.Len64(v|1)+6)/7 {
+	if n != labels.LEB128Len(v) {
 		return 0, 0, fmt.Errorf("length %d is not minimally encoded", v)
 	}
 	return v, pos + n, nil

@@ -159,6 +159,12 @@ func (iv *Interval) Compare(a, b labeling.Label) int {
 	return iv.cfg.Algebra.Compare(a.(IntervalLabel).Begin, b.(IntervalLabel).Begin)
 }
 
+// CompareNodes implements labeling.Interface: the label table holds
+// whole labels, so it is a lookup of each and Compare.
+func (iv *Interval) CompareNodes(a, b *xmltree.Node) (int, bool) {
+	return labeling.CompareLabels(iv, a, b)
+}
+
 // IsAncestor implements labeling.AncestorByLabel: u.begin < v.begin and
 // v.end < u.end — "the interval of u contains the interval of v".
 func (iv *Interval) IsAncestor(a, d labeling.Label) bool {

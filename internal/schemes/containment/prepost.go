@@ -111,6 +111,12 @@ func (pp *PrePost) Compare(a, b labeling.Label) int {
 	}
 }
 
+// CompareNodes implements labeling.Interface: the label table holds
+// whole labels, so it is a lookup of each and Compare.
+func (pp *PrePost) CompareNodes(a, b *xmltree.Node) (int, bool) {
+	return labeling.CompareLabels(pp, a, b)
+}
+
 // IsAncestor implements labeling.AncestorByLabel via the pre/post plane.
 func (pp *PrePost) IsAncestor(a, d labeling.Label) bool {
 	la, ld := a.(PrePostLabel), d.(PrePostLabel)

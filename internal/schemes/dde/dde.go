@@ -37,7 +37,7 @@ func (l Label) Bits() int {
 	total := 0
 	for _, v := range l {
 		z := uint64(v<<1) ^ uint64(v>>63)
-		total += 8 * len(labels.EncodeLEB128(z))
+		total += 8 * labels.LEB128Len(z)
 	}
 	return total
 }
@@ -148,6 +148,12 @@ func (dl *Labeling) Label(n *xmltree.Node) labeling.Label {
 // Compare implements labeling.Interface.
 func (dl *Labeling) Compare(a, b labeling.Label) int {
 	return compareLabels(a.(Label), b.(Label))
+}
+
+// CompareNodes implements labeling.Interface: the label table holds
+// whole labels, so it is a lookup of each and Compare.
+func (dl *Labeling) CompareNodes(a, b *xmltree.Node) (int, bool) {
+	return labeling.CompareLabels(dl, a, b)
 }
 
 // IsAncestor implements labeling.AncestorByLabel: d descends from a iff

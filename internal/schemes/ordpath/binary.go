@@ -42,7 +42,7 @@ func EncodeBinary(c Code) ([]byte, error) {
 			bitsBuf = append(bitsBuf, byte(z>>i&1))
 		}
 	}
-	out := labels.EncodeLEB128(uint64(len(bitsBuf)))
+	out := labels.AppendLEB128(nil, uint64(len(bitsBuf)))
 	var cur byte
 	for i, b := range bitsBuf {
 		cur = cur<<1 | b

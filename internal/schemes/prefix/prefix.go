@@ -9,6 +9,7 @@
 package prefix
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"strings"
@@ -134,10 +135,7 @@ func (p Path) Code(i int) labels.Code { return p.codes[i] }
 // counted first and the path filled from the back into one slice, then
 // the Path is boxed.
 func (pl *Labeling) Label(n *xmltree.Node) labeling.Label {
-	depth := 0
-	for x := n; x != nil; x = xmltree.LabelledParent(x) {
-		depth++
-	}
+	depth := n.Depth() + 1
 	codes := make([]labels.Code, depth)
 	for x := n; x != nil; x = xmltree.LabelledParent(x) {
 		c, ok := pl.codes[x]
@@ -171,6 +169,56 @@ func (pl *Labeling) Compare(a, b labeling.Label) int {
 	default:
 		return 0
 	}
+}
+
+// CompareNodes implements labeling.Interface on the tree, building no
+// path. Two paths share the components of the nodes' common ancestors
+// and first differ at the pair of siblings below the lowest of them, so
+// comparing that pair's codes is comparing the paths; if one node is an
+// ancestor of the other (or the node itself) the shorter path is a
+// prefix and orders first. Both are what Compare does on the
+// materialised paths. ok is false when a node on either chain carries
+// no code (Label is nil then) or the sibling pair ties (an LSDX
+// collision: Compare goes on to the components below it).
+func (pl *Labeling) CompareNodes(a, b *xmltree.Node) (int, bool) {
+	da, db := a.Depth(), b.Depth()
+	// Climb to equal depth, then in lockstep until the chains meet; cx
+	// and cy end as the codes of the sibling pair below the meeting point.
+	x, y := a, b
+	for d := da; d > db; d-- {
+		if _, ok := pl.codes[x]; !ok {
+			return 0, false
+		}
+		x = xmltree.LabelledParent(x)
+	}
+	for d := db; d > da; d-- {
+		if _, ok := pl.codes[y]; !ok {
+			return 0, false
+		}
+		y = xmltree.LabelledParent(y)
+	}
+	var cx, cy labels.Code
+	forked := x != y
+	for x != y {
+		var okx, oky bool
+		if cx, okx = pl.codes[x]; !okx {
+			return 0, false
+		}
+		if cy, oky = pl.codes[y]; !oky {
+			return 0, false
+		}
+		x, y = xmltree.LabelledParent(x), xmltree.LabelledParent(y)
+	}
+	for ; x != nil; x = xmltree.LabelledParent(x) {
+		if _, ok := pl.codes[x]; !ok {
+			return 0, false
+		}
+	}
+	if !forked {
+		return cmp.Compare(da, db), true
+	}
+	c := pl.cfg.Algebra.Compare(cx, cy)
+	return c, c != 0
 }
 
 // IsAncestor implements labeling.AncestorByLabel: label(a) is a proper

@@ -212,8 +212,8 @@ func TestPrefixBadAlgebraPropagates(t *testing.T) {
 
 // TestLabelAllocations pins the cost of materialising one prefix label:
 // the code slice and the boxed Path, at any depth. Every prefix scheme
-// shares Label, and commit-time verification calls it about three times
-// per inserted node.
+// shares Label; commit-time verification no longer calls it for a pair
+// CompareNodes decides, readers and error reports still do.
 func TestLabelAllocations(t *testing.T) {
 	doc, err := xmltree.ParseString("<d0><d1><d2><d3><d4><d5><d6/></d5></d4></d3></d2></d1></d0>")
 	if err != nil {

@@ -117,6 +117,12 @@ func (pl *Labeling) Compare(a, b labeling.Label) int {
 	return ra.Cmp(rb)
 }
 
+// CompareNodes implements labeling.Interface: the label table holds
+// whole labels, so it is a lookup of each and Compare.
+func (pl *Labeling) CompareNodes(a, b *xmltree.Node) (int, bool) {
+	return labeling.CompareLabels(pl, a, b)
+}
+
 // IsAncestor implements labeling.AncestorByLabel: u is an ancestor of v
 // iff v's product is divisible by u's product (and they differ).
 func (pl *Labeling) IsAncestor(a, d labeling.Label) bool {

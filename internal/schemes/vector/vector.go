@@ -39,7 +39,7 @@ func (c Code) Bits() int {
 			b, _ := labels.UTF8StyleBits(uint32(v))
 			total += b
 		} else {
-			total += 8 * len(labels.EncodeLEB128(v))
+			total += 8 * labels.LEB128Len(v)
 		}
 	}
 	return total

@@ -38,7 +38,7 @@ func MarshalRepo(docs []DocSnapshot) ([]byte, error) {
 	var out []byte
 	out = append(out, magic...)
 	out = append(out, VersionRepo)
-	out = append(out, labels.EncodeLEB128(uint64(len(docs)))...)
+	out = labels.AppendLEB128(out, uint64(len(docs)))
 	for _, d := range docs {
 		if seen[d.Name] {
 			return nil, fmt.Errorf("%w: %q", ErrDupName, d.Name)
@@ -46,7 +46,7 @@ func MarshalRepo(docs []DocSnapshot) ([]byte, error) {
 		seen[d.Name] = true
 		out = appendString(out, d.Name)
 		out = appendString(out, d.Scheme)
-		out = append(out, labels.EncodeLEB128(uint64(len(d.Rows)))...)
+		out = labels.AppendLEB128(out, uint64(len(d.Rows)))
 		for _, r := range d.Rows {
 			var err error
 			if out, err = appendRow(out, r); err != nil {

@@ -47,7 +47,7 @@ func DocSnapName(docName string, gen, salt uint64) string {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(docName))
 	if salt != 0 {
-		_, _ = h.Write(labels.EncodeLEB128(salt))
+		_, _ = h.Write(labels.AppendLEB128(nil, salt))
 	}
 	return fmt.Sprintf(DocSnapPattern, h.Sum64(), gen)
 }
@@ -78,7 +78,7 @@ func MarshalDocSnap(s DocSnap) []byte {
 	out = append(out, VersionDocSnap)
 	out = appendString(out, s.Name)
 	out = appendString(out, s.Scheme)
-	out = append(out, labels.EncodeLEB128(uint64(len(s.Tree)))...)
+	out = labels.AppendLEB128(out, uint64(len(s.Tree)))
 	out = append(out, s.Tree...)
 	return sealRecord(out)
 }

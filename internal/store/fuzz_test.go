@@ -90,6 +90,11 @@ func FuzzManifestRoundTrip(f *testing.F) {
 	}}))
 	f.Add([]byte("XDYN"))
 	f.Add([]byte{})
+	// A correctly sealed manifest whose generation varint overflows 64
+	// bits (tenth byte 0x7F): rejected, not read as MaxUint64.
+	overflow := append([]byte(magic), VersionManifest)
+	overflow = append(overflow, bytes.Repeat([]byte{0xFF}, 9)...)
+	f.Add(sealRecord(append(overflow, 0x7F, 1, 0)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := UnmarshalManifest(data)

@@ -76,13 +76,13 @@ func MarshalManifest(m Manifest) []byte {
 	var out []byte
 	out = append(out, magic...)
 	out = append(out, VersionManifest)
-	out = append(out, labels.EncodeLEB128(m.Gen)...)
-	out = append(out, labels.EncodeLEB128(m.WALFirst)...)
-	out = append(out, labels.EncodeLEB128(uint64(len(m.Docs)))...)
+	out = labels.AppendLEB128(out, m.Gen)
+	out = labels.AppendLEB128(out, m.WALFirst)
+	out = labels.AppendLEB128(out, uint64(len(m.Docs)))
 	for _, d := range m.Docs {
 		out = appendString(out, d.Name)
 		out = appendString(out, d.File)
-		out = append(out, labels.EncodeLEB128(d.Gen)...)
+		out = labels.AppendLEB128(out, d.Gen)
 	}
 	return sealRecord(out)
 }

@@ -75,7 +75,7 @@ func MarshalRows(scheme string, rows []encoding.Row) ([]byte, error) {
 	out = append(out, magic...)
 	out = append(out, VersionSnapshot)
 	out = appendString(out, scheme)
-	out = append(out, labels.EncodeLEB128(uint64(len(rows)))...)
+	out = labels.AppendLEB128(out, uint64(len(rows)))
 	for _, r := range rows {
 		var err error
 		if out, err = appendRow(out, r); err != nil {
@@ -186,7 +186,7 @@ func openRecord(data []byte, ver byte) (int, error) {
 func sealRecord(out []byte) []byte {
 	h := fnv.New64a()
 	_, _ = h.Write(out)
-	return append(out, labels.EncodeLEB128(h.Sum64())...)
+	return labels.AppendLEB128(out, h.Sum64())
 }
 
 // closeRecord verifies the trailer at pos — the record body ended

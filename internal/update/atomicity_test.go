@@ -13,9 +13,9 @@ import (
 	"xmldyn/internal/xmltree"
 )
 
-// sabotaged is a labelling whose Compare, once armed, calls every pair
-// out of order: the commit-time verification of the next transaction
-// fails after every op of it has been applied.
+// sabotaged is a labelling whose Compare and CompareNodes, once armed,
+// call every pair out of order: the commit-time verification of the
+// next transaction fails after every op of it has been applied.
 type sabotaged struct {
 	labeling.Interface
 	armed bool
@@ -26,6 +26,13 @@ func (l *sabotaged) Compare(a, b labeling.Label) int {
 		return 0
 	}
 	return l.Interface.Compare(a, b)
+}
+
+func (l *sabotaged) CompareNodes(a, b *xmltree.Node) (int, bool) {
+	if l.armed {
+		return 0, true
+	}
+	return l.Interface.CompareNodes(a, b)
 }
 
 const atomicityDoc = `<r><a x="1" y="2">t1<b/>t2</a><c><d k="v"><e/></d></c><f q="1"/></r>`

@@ -52,20 +52,31 @@ var (
 // from the tree as it stands, which is the state a replaying decoder
 // reconstructs before resolving them.
 func EncodeOps(doc *xmltree.Document, ops []Op) ([]byte, error) {
-	out := labels.EncodeLEB128(uint64(len(ops)))
-	// Delete targets seen so far, for encoding moves as back-refs.
-	deleted := make(map[*xmltree.Node]int)
+	// One buffer, sized once: per op a kind byte, a path of a few
+	// one-byte steps and the string lengths, plus the strings. An
+	// inline subtree or an unusually deep path grows it.
+	size := 2 + 24*len(ops)
+	for i := range ops {
+		size += len(ops[i].Name) + len(ops[i].Value)
+	}
+	out := labels.AppendLEB128(make([]byte, 0, size), uint64(len(ops)))
+	// The steps of one reference path, reused from op to op.
+	var stepBuf [32]uint64
+	steps := stepBuf[:0]
+	// Delete ops by target, for encoding moves as back-refs. Built at the
+	// first subtree op that needs it: only a move grafts a subtree that
+	// is attached when the batch is encoded.
+	var deleted map[*xmltree.Node]int
 	for i := range ops {
 		op := &ops[i]
 		if op.Ref == nil {
 			return nil, fmt.Errorf("%w: op %d (%v): nil ref", ErrNotLogged, i, op.Kind)
 		}
 		out = append(out, byte(op.Kind))
-		path, err := nodePath(doc, op.Ref)
-		if err != nil {
+		var err error
+		if out, steps, err = appendRef(out, steps, doc, op.Ref); err != nil {
 			return nil, fmt.Errorf("%w: op %d (%v): %v", ErrNotLogged, i, op.Kind, err)
 		}
-		out = appendPath(out, path)
 		switch op.Kind {
 		case OpInsertBefore, OpInsertAfter, OpInsertFirstChild, OpAppendChild, OpRename:
 			out = appendCodecString(out, op.Name)
@@ -75,21 +86,32 @@ func EncodeOps(doc *xmltree.Document, ops []Op) ([]byte, error) {
 			out = appendCodecString(out, op.Name)
 			out = appendCodecString(out, op.Value)
 		case OpDelete:
-			deleted[op.Ref] = i
+			if deleted != nil {
+				deleted[op.Ref] = i
+			}
 		case OpInsertSubtreeBefore, OpInsertSubtreeAfter, OpInsertSubtreeFirst, OpAppendSubtree:
 			if op.Subtree == nil {
 				return nil, fmt.Errorf("%w: op %d (%v): %w", ErrNotLogged, i, op.Kind, ErrNoTree)
 			}
-			if j, moved := deleted[op.Subtree]; moved {
-				out = append(out, SubtreeBackref)
-				out = append(out, labels.EncodeLEB128(uint64(j))...)
+			if op.Subtree.Parent() == nil {
+				out = append(out, SubtreeInline)
+				out = appendTree(out, op.Subtree)
 				break
 			}
-			if op.Subtree.Parent() != nil {
+			if deleted == nil {
+				deleted = make(map[*xmltree.Node]int)
+				for j := range ops[:i] {
+					if ops[j].Kind == OpDelete {
+						deleted[ops[j].Ref] = j
+					}
+				}
+			}
+			j, moved := deleted[op.Subtree]
+			if !moved {
 				return nil, fmt.Errorf("%w: op %d (%v): attached subtree is not an earlier delete target", ErrNotLogged, i, op.Kind)
 			}
-			out = append(out, SubtreeInline)
-			out = appendTree(out, op.Subtree)
+			out = append(out, SubtreeBackref)
+			out = labels.AppendLEB128(out, uint64(j))
 		default:
 			return nil, fmt.Errorf("%w: op %d: kind %d", ErrNotLogged, i, int(op.Kind))
 		}
@@ -116,11 +138,7 @@ func DecodeOps(doc *xmltree.Document, data []byte) ([]Op, error) {
 		}
 		op := Op{Kind: OpKind(data[pos])}
 		pos++
-		var path []uint64
-		if path, pos, err = readPath(data, pos); err != nil {
-			return nil, fmt.Errorf("op %d: %w", i, err)
-		}
-		if op.Ref, err = resolvePath(doc, path); err != nil {
+		if op.Ref, pos, err = readRef(doc, data, pos); err != nil {
 			return nil, fmt.Errorf("op %d (%v): %w", i, op.Kind, err)
 		}
 		switch op.Kind {
@@ -178,65 +196,41 @@ func DecodeOps(doc *xmltree.Document, data []byte) ([]Op, error) {
 
 // --- structural paths --------------------------------------------------------
 
-// nodePath addresses n by the index route from the document node down:
-// one step per level, each step a child (or, only as the final step,
-// attribute) index. The document node itself has the empty path.
-func nodePath(doc *xmltree.Document, n *xmltree.Node) ([]uint64, error) {
-	var rev []uint64
+// appendRef appends the structural path that addresses n: the index
+// route from the document node down, one step per level, each step a
+// child (or, only as the final step, attribute) index, written as the
+// depth and then the steps. The document node itself has the empty
+// path. The route is found leaf-first, so it is collected in steps —
+// the caller's scratch, handed back for the next path — and written
+// from the back.
+func appendRef(out []byte, steps []uint64, doc *xmltree.Document, n *xmltree.Node) ([]byte, []uint64, error) {
+	steps = steps[:0]
 	for cur := n; cur != doc.Node(); cur = cur.Parent() {
 		if cur.Parent() == nil {
-			return nil, fmt.Errorf("node %q (%v) is not attached to the document", n.Name(), n.Kind())
+			return out, steps, fmt.Errorf("node %q (%v) is not attached to the document", n.Name(), n.Kind())
 		}
 		idx := cur.Index()
 		if idx < 0 {
-			return nil, fmt.Errorf("node %q has inconsistent parent linkage", cur.Name())
+			return out, steps, fmt.Errorf("node %q has inconsistent parent linkage", cur.Name())
 		}
 		step := uint64(idx) << 1
 		if cur.Kind() == xmltree.KindAttribute {
 			step |= 1
 		}
-		rev = append(rev, step)
+		steps = append(steps, step)
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
+	out = labels.AppendLEB128(out, uint64(len(steps)))
+	for i := len(steps) - 1; i >= 0; i-- {
+		out = labels.AppendLEB128(out, steps[i])
 	}
-	return rev, nil
+	return out, steps, nil
 }
 
-// resolvePath walks a path down from the document node.
-func resolvePath(doc *xmltree.Document, path []uint64) (*xmltree.Node, error) {
-	cur := doc.Node()
-	for d, step := range path {
-		idx := int(step >> 1)
-		if step&1 == 1 {
-			if d != len(path)-1 {
-				return nil, fmt.Errorf("%w: attribute step %d before the final level", ErrUnresolvable, d)
-			}
-			attrs := cur.Attributes()
-			if idx >= len(attrs) {
-				return nil, fmt.Errorf("%w: attribute index %d of %d at depth %d", ErrUnresolvable, idx, len(attrs), d)
-			}
-			cur = attrs[idx]
-			continue
-		}
-		kids := cur.Children()
-		if idx >= len(kids) {
-			return nil, fmt.Errorf("%w: child index %d of %d at depth %d", ErrUnresolvable, idx, len(kids), d)
-		}
-		cur = kids[idx]
-	}
-	return cur, nil
-}
-
-func appendPath(out []byte, path []uint64) []byte {
-	out = append(out, labels.EncodeLEB128(uint64(len(path)))...)
-	for _, s := range path {
-		out = append(out, labels.EncodeLEB128(s)...)
-	}
-	return out
-}
-
-func readPath(data []byte, pos int) ([]uint64, int, error) {
+// readRef reads the path at data[pos:] and walks it down from the
+// document node as it goes, returning the node it addresses and the
+// offset just past it. A path that stops resolving is still read to its
+// end: a malformed one is ErrCodecCorrupt wherever the damage sits.
+func readRef(doc *xmltree.Document, data []byte, pos int) (*xmltree.Node, int, error) {
 	depth, n, err := labels.DecodeLEB128(data[pos:])
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w: path depth: %v", ErrCodecCorrupt, err)
@@ -245,15 +239,35 @@ func readPath(data []byte, pos int) ([]uint64, int, error) {
 	if depth > uint64(len(data)-pos) {
 		return nil, 0, fmt.Errorf("%w: implausible path depth %d", ErrCodecCorrupt, depth)
 	}
-	path := make([]uint64, depth)
-	for i := range path {
-		s, n, err := labels.DecodeLEB128(data[pos:])
+	cur := doc.Node()
+	var dangling error
+	for d := uint64(0); d < depth; d++ {
+		step, n, err := labels.DecodeLEB128(data[pos:])
 		if err != nil {
-			return nil, 0, fmt.Errorf("%w: path step %d: %v", ErrCodecCorrupt, i, err)
+			return nil, 0, fmt.Errorf("%w: path step %d: %v", ErrCodecCorrupt, d, err)
 		}
-		path[i], pos = s, pos+n
+		pos += n
+		if dangling != nil {
+			continue
+		}
+		list, what := cur.Children(), "child"
+		if step&1 == 1 {
+			if d != depth-1 {
+				dangling = fmt.Errorf("%w: attribute step %d before the final level", ErrUnresolvable, d)
+				continue
+			}
+			list, what = cur.Attributes(), "attribute"
+		}
+		if idx := step >> 1; idx < uint64(len(list)) {
+			cur = list[idx]
+		} else {
+			dangling = fmt.Errorf("%w: %s index %d of %d at depth %d", ErrUnresolvable, what, idx, len(list), d)
+		}
 	}
-	return path, pos, nil
+	if dangling != nil {
+		return nil, 0, dangling
+	}
+	return cur, pos, nil
 }
 
 // --- binary trees ------------------------------------------------------------
@@ -266,7 +280,7 @@ func readPath(data []byte, pos int) ([]uint64, int, error) {
 // behind it, so encoding a pinned version materialises nothing.
 func EncodeDocTree(doc *xmltree.Document) []byte {
 	kids := doc.Node().Source().Children()
-	out := labels.EncodeLEB128(uint64(len(kids)))
+	out := labels.AppendLEB128(nil, uint64(len(kids)))
 	for _, c := range kids {
 		out = appendTree(out, c)
 	}
@@ -307,12 +321,12 @@ func appendTree(out []byte, n *xmltree.Node) []byte {
 	out = appendCodecString(out, n.Name())
 	out = appendCodecString(out, n.Value())
 	attrs := n.Attributes()
-	out = append(out, labels.EncodeLEB128(uint64(len(attrs)))...)
+	out = labels.AppendLEB128(out, uint64(len(attrs)))
 	for _, a := range attrs {
 		out = appendTree(out, a)
 	}
 	kids := n.Children()
-	out = append(out, labels.EncodeLEB128(uint64(len(kids)))...)
+	out = labels.AppendLEB128(out, uint64(len(kids)))
 	for _, c := range kids {
 		out = appendTree(out, c)
 	}

@@ -2,6 +2,7 @@ package update
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"xmldyn/internal/schemes/qed"
@@ -30,13 +31,13 @@ func openPair(t *testing.T, text string) (*Session, *Session) {
 // mirror resolves the node at the same structural path in another doc.
 func mirror(t *testing.T, from *xmltree.Document, n *xmltree.Node, to *xmltree.Document) *xmltree.Node {
 	t.Helper()
-	path, err := nodePath(from, n)
+	path, _, err := appendRef(nil, nil, from, n)
 	if err != nil {
 		t.Fatalf("mirror path: %v", err)
 	}
-	m, err := resolvePath(to, path)
-	if err != nil {
-		t.Fatalf("mirror resolve: %v", err)
+	m, end, err := readRef(to, path, 0)
+	if err != nil || end != len(path) {
+		t.Fatalf("mirror resolve: node %v, read %d of %d bytes, err %v", m, end, len(path), err)
 	}
 	return m
 }
@@ -120,6 +121,91 @@ func TestOpsCodecMoveBackref(t *testing.T) {
 	}
 }
 
+// The index of delete targets is built at the first move of a batch: it
+// must see the deletes before that point and the ones after it, and a
+// batch whose grafts are all detached subtrees never needs it.
+func TestOpsCodecBackrefAcrossBatch(t *testing.T) {
+	live, replayed := openPair(t, `<r><a/><b/><c/><d/><dest/></r>`)
+	kids := live.Document().Root().Children()
+	a, b, c, d, dest := kids[0], kids[1], kids[2], kids[3], kids[4]
+	ops := []Op{
+		DeleteOp(a),
+		AppendSubtreeOp(dest, xmltree.NewElement("fresh")), // inline: no lookup
+		DeleteOp(b),
+		AppendSubtreeOp(dest, b), // first move: deletes 0 and 2 indexed here
+		DeleteOp(c),              // indexed as it passes
+		AppendSubtreeOp(dest, c),
+		AppendSubtreeOp(dest, a),
+	}
+	data, err := EncodeOps(live.Document(), ops)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	decoded, err := DecodeOps(replayed.Document(), data)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	for graft, del := range map[int]int{3: 2, 5: 4, 6: 0} {
+		if decoded[graft].Subtree != decoded[del].Ref {
+			t.Errorf("op %d does not re-graft the target of delete op %d", graft, del)
+		}
+	}
+	if decoded[1].Subtree == nil || decoded[1].Subtree.Parent() != nil || decoded[1].Subtree.Name() != "fresh" {
+		t.Errorf("op 1 is not an inline subtree: %v", decoded[1].Subtree)
+	}
+	// d is attached and no op deleted it.
+	if _, err := EncodeOps(live.Document(), append(ops, AppendSubtreeOp(dest, d))); !errors.Is(err, ErrNotLogged) {
+		t.Errorf("graft of an attached, undeleted subtree: %v, want ErrNotLogged", err)
+	}
+	if _, err := live.Apply(ops); err != nil {
+		t.Fatalf("live apply: %v", err)
+	}
+	if _, err := replayed.Apply(decoded); err != nil {
+		t.Fatalf("replayed apply: %v", err)
+	}
+	if got, want := replayed.Document().XML(), live.Document().XML(); got != want {
+		t.Fatalf("replayed tree diverged:\n got %s\nwant %s", got, want)
+	}
+}
+
+// EncodeOps allocates its output buffer and nothing per op: the path
+// scratch lives on the stack at any depth a document reaches in
+// practice, varints are appended in place, and a batch without a move
+// builds no delete index.
+func TestEncodeOpsAllocs(t *testing.T) {
+	for _, depth := range []int{2, 12} {
+		text := strings.Repeat("<e>", depth) + "<leaf/><leaf/>" + strings.Repeat("</e>", depth)
+		doc, err := xmltree.ParseString(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parent := doc.Root()
+		for parent.Children()[0].Name() == "e" {
+			parent = parent.Children()[0]
+		}
+		leaf := parent.Children()[1]
+		if got := leaf.Depth(); got != depth {
+			t.Fatalf("leaf depth = %d, want %d", got, depth)
+		}
+		var ops []Op
+		for i := 0; i < 4; i++ {
+			ops = append(ops, InsertBeforeOp(leaf, "before"), InsertAfterOp(leaf, "after"),
+				InsertFirstChildOp(leaf, "first"), AppendChildOp(parent, "last"))
+		}
+		var data []byte
+		allocs := testing.AllocsPerRun(50, func() { data, err = EncodeOps(doc, ops) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs > 2 {
+			t.Errorf("depth %d: EncodeOps of %d inserts allocates %.0f times, want at most 2", depth, len(ops), allocs)
+		}
+		if decoded, err := DecodeOps(doc, data); err != nil || len(decoded) != len(ops) || decoded[0].Ref != leaf {
+			t.Errorf("depth %d: decode: %d ops, %v", depth, len(decoded), err)
+		}
+	}
+}
+
 // Whitespace-only text nodes must survive the binary tree codec — an
 // XML text round-trip would drop them.
 func TestDocTreeCodecPreservesWhitespaceAndPIs(t *testing.T) {
@@ -189,7 +275,7 @@ func TestDecodeOpsRejectsCorruption(t *testing.T) {
 }
 
 // mirror is exercised here to pin the path codec itself: every node of
-// a non-trivial tree must round-trip through nodePath/resolvePath.
+// a non-trivial tree must round-trip through appendRef/readRef.
 func TestStructuralPathsRoundTripEveryNode(t *testing.T) {
 	live, replayed := openPair(t, `<r a="1" b="2"><x><y z="3">t</y><!--c--></x><w/></r>`)
 	var walk func(n *xmltree.Node)
