@@ -1,8 +1,9 @@
 package xmldyn
 
-// Ablation benchmarks for the design choices DESIGN.md calls out: gap
-// sizing in containment schemes, the level field in interval labels,
-// Com-D compression, and one-sided vs adversarial insertion patterns.
+// Ablation benchmarks for the design choices docs/EXPERIMENTS.md calls
+// out under "Claims index and documented substitutions": gap sizing in
+// containment schemes, the level field in interval labels, Com-D
+// compression, and one-sided vs adversarial insertion patterns.
 // Run with: go test -bench=Ablation -benchmem
 
 import (

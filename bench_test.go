@@ -2,9 +2,13 @@ package xmldyn
 
 // The benchmark harness regenerates the computational content of every
 // figure in the paper (Figures 1-7; the paper has no numbered tables)
-// plus the qualitative claims C1-C7 of DESIGN.md. Run:
+// plus the qualitative claims C1-C7 (docs/EXPERIMENTS.md, "Claims index
+// and documented substitutions"). Run:
 //
 //	go test -bench=. -benchmem
+//
+// The engine's performance is not measured here: that is ./bench
+// (BENCHMARK.json), one workload per question.
 //
 // Figure benches measure the work the figure depicts (labelling the
 // figure's document, applying the figure's grey insertions, building
@@ -13,7 +17,6 @@ package xmldyn
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"xmldyn/internal/core"
@@ -324,147 +327,4 @@ func BenchmarkQuery(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// --- repository + batching benches -------------------------------------------
-
-// BenchmarkBatchVsSingleOps contrasts K verified single ops with one
-// K-op batched transaction: both paths fire the same per-node
-// labelling callbacks, but the single path re-verifies document order
-// after every op where the batch verifies once at commit — the
-// repository hot-path saving the C9 experiment tables.
-func BenchmarkBatchVsSingleOps(b *testing.B) {
-	const k = 64
-	for _, scheme := range []string{"qed", "deweyid"} {
-		b.Run("scheme="+scheme+"/mode=single", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				doc := workload.BaseDocument(3, 200)
-				s, err := Open(doc, scheme)
-				if err != nil {
-					b.Fatal(err)
-				}
-				s.SetAutoVerify(true)
-				root := doc.Root()
-				b.StartTimer()
-				for j := 0; j < k; j++ {
-					if _, err := s.AppendChild(root, "n"); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if got := s.Counters().Verifies; got != k {
-					b.Fatalf("Verifies = %d, want %d", got, k)
-				}
-			}
-		})
-		b.Run("scheme="+scheme+"/mode=batch", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				doc := workload.BaseDocument(3, 200)
-				s, err := Open(doc, scheme)
-				if err != nil {
-					b.Fatal(err)
-				}
-				s.SetAutoVerify(true)
-				root := doc.Root()
-				ops := make([]Op, k)
-				for j := range ops {
-					ops[j] = AppendChildOp(root, "n")
-				}
-				b.StartTimer()
-				if _, err := s.Apply(ops); err != nil {
-					b.Fatal(err)
-				}
-				if got := s.Counters().Verifies; got != 1 {
-					b.Fatalf("Verifies = %d, want 1", got)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkRepoConcurrent drives a sharded repository with parallel
-// mixed traffic: three reads (a query, a view, a verification) for
-// every batched write, spread across scheme-diverse documents.
-func BenchmarkRepoConcurrent(b *testing.B) {
-	schemes := []string{"qed", "deweyid", "ordpath", "cdqs"}
-	newRepo := func(b *testing.B) *Repository {
-		r := NewRepository(RepoOptions{})
-		for i, scheme := range schemes {
-			doc := workload.BaseDocument(int64(i), 150)
-			if _, err := r.Open(fmt.Sprintf("doc-%d", i), doc, scheme); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return r
-	}
-	b.Run("mixed", func(b *testing.B) {
-		r := newRepo(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		var seq int64
-		b.RunParallel(func(pb *testing.PB) {
-			i := int(atomic.AddInt64(&seq, 1)) // per-goroutine traffic offset
-			for pb.Next() {
-				i++
-				name := fmt.Sprintf("doc-%d", i%len(schemes))
-				switch i % 4 {
-				case 0: // batched write
-					err := r.Update(name, func(s *Session) error {
-						root := s.Document().Root()
-						bt := s.Batch()
-						for j := 0; j < 8; j++ {
-							bt.AppendChild(root, "w")
-						}
-						if kids := root.Children(); len(kids) > 400 {
-							for j := 0; j < 8; j++ {
-								bt.Delete(kids[j])
-							}
-						}
-						_, err := bt.Commit()
-						return err
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-				case 1: // query (zero-copy, lock-scoped)
-					err := r.QueryFunc(name, "//w", func(nodes []*Node) error { return nil })
-					if err != nil {
-						b.Fatal(err)
-					}
-				case 2: // view
-					err := r.View(name, func(s *Session) error {
-						_ = s.Document().LabelledCount()
-						return nil
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-				default: // verification
-					d, _ := r.Get(name)
-					if err := d.Verify(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	})
-	b.Run("read-only", func(b *testing.B) {
-		r := newRepo(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		var seq int64
-		b.RunParallel(func(pb *testing.PB) {
-			i := int(atomic.AddInt64(&seq, 1))
-			for pb.Next() {
-				i++
-				name := fmt.Sprintf("doc-%d", i%len(schemes))
-				if err := r.QueryFunc(name, "//w", func(nodes []*Node) error { return nil }); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	})
 }

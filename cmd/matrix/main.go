@@ -99,7 +99,7 @@ func run(published, measured, analyze, reports bool, scheme string) error {
 		return err
 	}
 	diffs, cells := core.DiffMatrices(core.PublishedMatrix(), rows)
-	fmt.Printf("\nDiff: %d of %d cells diverge (%.1f%% agreement); see EXPERIMENTS.md for explanations\n",
+	fmt.Printf("\nDiff: %d of %d cells diverge (%.1f%% agreement); see docs/EXPERIMENTS.md for explanations\n",
 		len(diffs), cells, 100*float64(cells-len(diffs))/float64(cells))
 	for _, d := range diffs {
 		fmt.Printf("  %-18s %-18s published %-2s measured %-2s\n", d.Scheme, d.Column, d.Published, d.Measured)

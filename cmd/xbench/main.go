@@ -1,15 +1,12 @@
-// Command xbench runs the experiment suite behind EXPERIMENTS.md: the
-// paper's qualitative claims C1-C8 (DESIGN.md's per-experiment index)
-// plus the repository-layer measurements — C9 batched transactions,
-// C10 durable-commit fsync policies, C11 recovery time under WAL
-// segmentation + auto-checkpoint, C12 multi-document transaction
-// cost (MultiBatch vs equivalent per-document batches), C13 MVCC
-// snapshot-read throughput vs lock-held reads under writer load, and
-// the hypothesis-driven experiments behind docs/EXPERIMENTS.md — C14
-// snapshot-pin tail latency under Zipf vs uniform popularity, C15
-// incremental-checkpoint cost vs dirty-set skew, and C16 follower
-// replication lag vs leader commit rate across fsync policies — as
-// measured tables.
+// Command xbench runs the experiment suite documented in
+// docs/EXPERIMENTS.md as measured tables: the paper's qualitative
+// claims C1-C8 (indexed there under "Claims index and documented
+// substitutions") and the hypothesis-driven experiments about this
+// engine — C14 snapshot-pin tail latency under Zipf vs uniform
+// popularity, C15 incremental-checkpoint cost vs dirty-set skew, and
+// C16 follower replication lag vs leader commit rate across fsync
+// policies. The ids C9-C13 are retired, not reused: docs/EXPERIMENTS.md
+// names the ./bench metric that answers each of their questions.
 //
 // Usage:
 //
@@ -17,9 +14,8 @@
 //	xbench -exp C6      # run one experiment
 //	xbench -quick       # smaller workloads
 //	xbench -exp C14 -smoke  # tiniest scale, one convergence round (CI)
-//	xbench -exp C12 -csv  # machine-readable rows (bench_repo.sh uses this)
-//	xbench -exp C13 -cpuprofile cpu.pb.gz   # profile one experiment
-//	xbench -exp C13 -memprofile mem.pb.gz   # heap profile at exit
+//	xbench -exp C14 -cpuprofile cpu.pb.gz   # profile one experiment
+//	xbench -exp C14 -memprofile mem.pb.gz   # heap profile at exit
 //
 // The profiles are standard runtime/pprof output; inspect them with
 // `go tool pprof <binary|.> cpu.pb.gz`. docs/OPERATIONS.md §8 walks
@@ -40,10 +36,9 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "", "experiment id (C1-C16); empty runs all")
+	exp := flag.String("exp", "", "experiment id ("+idList(runners(false, false))+"); empty runs all")
 	quick := flag.Bool("quick", false, "smaller workloads")
 	smoke := flag.Bool("smoke", false, "tiniest workloads, single convergence round (CI experiment-smoke)")
-	csv := flag.Bool("csv", false, "print tables as CSV (header + rows only)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
@@ -58,7 +53,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	err := run(strings.ToUpper(*exp), *quick, *smoke, *csv)
+	err := run(strings.ToUpper(*exp), *quick, *smoke)
 	if *cpuprofile != "" {
 		pprof.StopCPUProfile()
 	}
@@ -81,15 +76,20 @@ func main() {
 	}
 }
 
-func run(exp string, quick, smoke, csv bool) error {
+// runner is one row of the experiment table: an id of
+// docs/EXPERIMENTS.md and the function that measures it.
+type runner struct {
+	id string
+	fn func() (experiments.Table, error)
+}
+
+// runners is the experiment table at one scale. Its ids are what the
+// unknown-id error lists and what docs/EXPERIMENTS.md must document
+// (TestExperimentIDsMatchDoc).
+func runners(quick, smoke bool) []runner {
 	storms := 60
 	qedOps := 10000
 	growth := []int{10, 100, 1000, 5000}
-	batchOps, batchSize := 2000, 64
-	durCommits, durBatch := 200, 16
-	recHistories, recBatch := []int{250, 1000, 4000}, 8
-	multiTxns, multiBatch := 120, 8
-	snapReads, snapGroup := 2000, 8
 	latDocs, latOps := 64, 6000
 	ckptDocs, ckptCommits, ckptCycles := 64, 100, 8
 	ckptSkews := []float64{0, 1.1, 1.5, 2.0}
@@ -97,17 +97,12 @@ func run(exp string, quick, smoke, csv bool) error {
 	rule := harness.ConvergeRule{MinRounds: 3, MaxRounds: 6, Tolerance: 0.5}
 	cfg := core.DefaultProbeConfig()
 	if smoke {
-		quick = true // smoke implies the quick scale for C1-C13
+		quick = true // smoke implies the quick scale for C1-C8
 	}
 	if quick {
 		storms = 15
 		qedOps = 1500
 		growth = []int{10, 100, 1000}
-		batchOps, batchSize = 400, 32
-		durCommits, durBatch = 40, 8
-		recHistories = []int{100, 400, 1600}
-		multiTxns, multiBatch = 30, 4
-		snapReads, snapGroup = 300, 8
 		latDocs, latOps = 24, 1200
 		ckptDocs, ckptCommits, ckptCycles = 32, 40, 4
 		ckptSkews = []float64{0, 1.2, 2.0}
@@ -125,10 +120,7 @@ func run(exp string, quick, smoke, csv bool) error {
 		repDocs, repCommits, repBatch = 2, 24, 4
 		rule = harness.ConvergeRule{MinRounds: 1, MaxRounds: 1, Tolerance: 1}
 	}
-	runners := []struct {
-		id string
-		fn func() (experiments.Table, error)
-	}{
+	return []runner{
 		{"C1", experiments.C1GapExhaustion},
 		{"C2", experiments.C2DeweyRelabel},
 		{"C3", experiments.C3OrdpathWaste},
@@ -140,11 +132,6 @@ func run(exp string, quick, smoke, csv bool) error {
 			t, _, err := experiments.C8Matrix(cfg)
 			return t, err
 		}},
-		{"C9", func() (experiments.Table, error) { return experiments.C9BatchedUpdates(batchOps, batchSize) }},
-		{"C10", func() (experiments.Table, error) { return experiments.C10CommitLatency(durCommits, durBatch) }},
-		{"C11", func() (experiments.Table, error) { return experiments.C11Recovery(recHistories, recBatch) }},
-		{"C12", func() (experiments.Table, error) { return experiments.C12MultiDoc(multiTxns, multiBatch) }},
-		{"C13", func() (experiments.Table, error) { return experiments.C13SnapshotReads(snapReads, snapGroup) }},
 		{"C14", func() (experiments.Table, error) { return experiments.C14TailLatency(latDocs, latOps, rule) }},
 		{"C15", func() (experiments.Table, error) {
 			return experiments.C15CheckpointSkew(ckptDocs, ckptCommits, ckptCycles, ckptSkews, rule)
@@ -153,8 +140,22 @@ func run(exp string, quick, smoke, csv bool) error {
 			return experiments.C16ReplicationLag(repDocs, repCommits, repBatch, rule)
 		}},
 	}
+}
+
+// idList renders the table's ids for the flag help and the unknown-id
+// error.
+func idList(rs []runner) string {
+	ids := make([]string, len(rs))
+	for i, r := range rs {
+		ids[i] = r.id
+	}
+	return strings.Join(ids, " ")
+}
+
+func run(exp string, quick, smoke bool) error {
+	rs := runners(quick, smoke)
 	ran := 0
-	for _, r := range runners {
+	for _, r := range rs {
 		if exp != "" && r.id != exp {
 			continue
 		}
@@ -162,15 +163,11 @@ func run(exp string, quick, smoke, csv bool) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", r.id, err)
 		}
-		if csv {
-			fmt.Print(t.CSV())
-		} else {
-			fmt.Println(t)
-		}
+		fmt.Println(t)
 		ran++
 	}
 	if ran == 0 {
-		return fmt.Errorf("unknown experiment %q (C1-C16)", exp)
+		return fmt.Errorf("unknown experiment %q (valid ids: %s)", exp, idList(rs))
 	}
 	return nil
 }

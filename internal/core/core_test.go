@@ -40,7 +40,7 @@ func TestPublishedMatrixShape(t *testing.T) {
 // against the printed matrix itself. The claim does not in fact hold
 // for Figure 7 as published: XPath Accelerator and XRel have identical
 // rows, and so do DeweyID and LSDX. The analysis surfaces exactly those
-// two pairs (a reproduction finding recorded in EXPERIMENTS.md C8).
+// two pairs (a reproduction finding recorded in docs/EXPERIMENTS.md, C8).
 func TestSection52NoTwoSchemesShareProperties(t *testing.T) {
 	a := AnalyzeMatrix(PublishedMatrix())
 	if len(a.DuplicateSignatures) != 2 {

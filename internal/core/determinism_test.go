@@ -10,7 +10,7 @@ import (
 
 // TestEvaluateDeterministic: the probes are fully seeded, so two
 // evaluations with the same config must grade identically — the
-// property that makes EXPERIMENTS.md reproducible.
+// property that makes docs/EXPERIMENTS.md reproducible.
 func TestEvaluateDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("probe suite in -short mode")

@@ -170,7 +170,7 @@ func Evaluate(s SchemeUnderTest, cfg ProbeConfig) (Assessment, *Report, error) {
 	return Assessment{Scheme: s.Name, Order: s.Order, Encoding: s.Encoding, Grades: grades}, rep, nil
 }
 
-// compactGrade applies the thresholds DESIGN.md documents: Full for
+// compactGrade applies the thresholds docs/EXPERIMENTS.md documents: Full for
 // labels within ~10 bytes that at most double under the worst §5.1
 // scenario; Partial within 18 bytes and 6x growth; None beyond.
 func compactGrade(rep *Report) Compliance {

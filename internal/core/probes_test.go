@@ -19,14 +19,14 @@ func fastConfig() ProbeConfig {
 
 // TestEvaluateAgainstPublished measures every Figure 7 scheme and
 // checks the columns that must agree exactly; the judgement-based
-// compact column and the documented divergences (EXPERIMENTS.md) are
+// compact column and the documented divergences (docs/EXPERIMENTS.md, C8) are
 // asserted separately.
 func TestEvaluateAgainstPublished(t *testing.T) {
 	if testing.Short() {
 		t.Skip("probe suite in -short mode")
 	}
 	// Cells where our measurement legitimately diverges from Figure 7;
-	// each carries the EXPERIMENTS.md explanation.
+	// each carries the docs/EXPERIMENTS.md explanation.
 	documented := map[string]map[Property]bool{
 		"sector":         {CompactEncoding: true, NonRecursiveInit: true},
 		"qrs":            {DivisionFree: true},
@@ -87,7 +87,7 @@ func TestEvaluateExtras(t *testing.T) {
 		// DDE: fully dynamic labels, full XPath from labels. (The
 		// overflow grade depends on component width: int64 mediant
 		// components explode under adversarial zigzag, so OverflowFree
-		// is reported, not asserted — see EXPERIMENTS.md.)
+		// is reported, not asserted — see docs/EXPERIMENTS.md, C6.)
 		"dde": {PersistentLabels: Full, XPathEvaluations: Full, LevelEncoding: Full},
 		// Com-D inherits the LSDX uniqueness defect: not persistent.
 		"com-d": {PersistentLabels: None},

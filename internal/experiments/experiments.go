@@ -1,16 +1,17 @@
-// Package experiments reproduces the paper's qualitative claims (C1-C8
-// in DESIGN.md) as measured tables: gap/float exhaustion, DeweyID
-// relabelling cost, ORDPATH number-space waste, the LSDX collision,
-// QED's relabel-freedom, skewed growth of vector vs QED, CDBS
-// compactness, and the Figure 7 matrix analysis — plus the
-// repository-layer measurements C9-C13 and the hypothesis-driven pair
-// C14 (snapshot-pin tail latency under Zipf vs uniform popularity) and
-// C15 (incremental-checkpoint cost vs dirty-set skew), which state a
-// falsifiable hypothesis up front, drive internal/workload streams
-// through internal/harness percentile recorders, and report a
-// supported/refuted verdict under a convergence rule. cmd/xbench
-// prints the tables; EXPERIMENTS.md records paper-vs-measured for
-// C1-C8 and docs/EXPERIMENTS.md logs the C14/C15 findings.
+// Package experiments reproduces the paper's qualitative claims (C1-C8,
+// indexed in docs/EXPERIMENTS.md) as measured tables: gap/float
+// exhaustion, DeweyID relabelling cost, ORDPATH number-space waste, the
+// LSDX collision, QED's relabel-freedom, skewed growth of vector vs QED,
+// CDBS compactness, and the Figure 7 matrix analysis — plus the
+// hypothesis-driven experiments C14 (snapshot-pin tail latency under
+// Zipf vs uniform popularity), C15 (incremental-checkpoint cost vs
+// dirty-set skew) and C16 (follower replication lag vs leader commit
+// rate), which state a falsifiable hypothesis up front, drive
+// internal/workload streams through internal/harness percentile
+// recorders, and report a supported/refuted verdict under a convergence
+// rule. cmd/xbench prints the tables; docs/EXPERIMENTS.md records
+// paper-vs-measured for C1-C8 and logs the C14-C16 findings. The
+// engine's own performance is measured by ./bench, not here.
 package experiments
 
 import (
@@ -85,21 +86,6 @@ func (t Table) String() string {
 	}
 	for _, n := range t.Notes {
 		fmt.Fprintf(&sb, "note: %s\n", n)
-	}
-	return sb.String()
-}
-
-// CSV renders just the header and rows, comma-separated — the
-// machine-readable form scripts (scripts/bench_repo.sh) parse when
-// folding experiment numbers into BENCH_repo.json. Cells never contain
-// commas, so no quoting is needed.
-func (t Table) CSV() string {
-	var sb strings.Builder
-	sb.WriteString(strings.Join(t.Headers, ","))
-	sb.WriteString("\n")
-	for _, r := range t.Rows {
-		sb.WriteString(strings.Join(r, ","))
-		sb.WriteString("\n")
 	}
 	return sb.String()
 }
@@ -452,62 +438,6 @@ func C7CDBSCompact() (Table, error) {
 	return t, nil
 }
 
-// C9BatchedUpdates counts what batched transactions amortise on the
-// repository hot path: with commit-time verification on (the
-// repository's publish-nothing-unverified stance), the op-at-a-time
-// path verifies document order once per op, where the batched path
-// verifies once per committed batch — K times fewer verifications for
-// batches of K, with identical final documents and node counts. Since
-// a verification compares only what its transaction touched, the ones
-// that still walk the whole document are counted apart (full passes):
-// one per session on a scheme that keeps its labels.
-func C9BatchedUpdates(ops, batch int) (Table, error) {
-	t := Table{
-		ID:      "C9",
-		Claim:   "batched update transactions amortise order verification (FLUX-style batch programs)",
-		Headers: []string{"scheme", "mode", "ops", "verify passes", "batches", "relabelled", "full passes"},
-	}
-	for _, c := range []struct {
-		name string
-		mk   labeling.Factory
-	}{
-		{"qed", qed.Factory()},
-		{"deweyid", dewey.Factory()},
-	} {
-		for _, mode := range []string{"single", fmt.Sprintf("batch=%d", batch)} {
-			doc := workload.BaseDocument(9, 200)
-			s, err := update.NewSession(doc, c.mk())
-			if err != nil {
-				return t, err
-			}
-			s.SetAutoVerify(true)
-			spec := workload.Spec{Kind: workload.AppendOnly, Ops: ops, Seed: 9}
-			var res workload.Result
-			if mode == "single" {
-				res, err = workload.Apply(s, spec)
-			} else {
-				res, err = workload.ApplyBatched(s, spec, batch)
-			}
-			if err != nil {
-				return t, err
-			}
-			ctr := s.Counters()
-			t.Rows = append(t.Rows, []string{
-				c.name, mode,
-				fmt.Sprintf("%d", res.Applied),
-				fmt.Sprintf("%d", ctr.Verifies),
-				fmt.Sprintf("%d", ctr.Batches),
-				fmt.Sprintf("%d", s.Labeling().Stats().Relabeled),
-				fmt.Sprintf("%d", ctr.FullVerifies),
-			})
-		}
-	}
-	t.Notes = append(t.Notes,
-		fmt.Sprintf("batching cuts the verifications of %d ops by the batch size; each costs what its transaction touched, and only the full passes walk every labelled node", ops),
-		"labelling callbacks still fire per node, so scheme behaviour (relabels, overflow) is identical in both modes")
-	return t, nil
-}
-
 // C8Matrix runs the full framework evaluation and compares it with the
 // published Figure 7 (§5).
 func C8Matrix(cfg core.ProbeConfig) (Table, []core.Assessment, error) {
@@ -526,7 +456,7 @@ func C8Matrix(cfg core.ProbeConfig) (Table, []core.Assessment, error) {
 	}
 	agreement := 100 * float64(cells-len(diffs)) / float64(cells)
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("%d of %d cells agree (%.1f%%); every divergence is explained in EXPERIMENTS.md", cells-len(diffs), cells, agreement))
+		fmt.Sprintf("%d of %d cells agree (%.1f%%); every divergence is explained in docs/EXPERIMENTS.md", cells-len(diffs), cells, agreement))
 	analysis := core.AnalyzeMatrix(core.PublishedMatrix())
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("§5.2 check: most generic scheme = %s (%d Full grades)", analysis.MostGeneric, analysis.MostGenericFull),

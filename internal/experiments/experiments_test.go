@@ -213,41 +213,6 @@ func TestTableString(t *testing.T) {
 	}
 }
 
-// TestC9BatchedUpdates checks the batched-transaction table: the
-// single-op mode verifies once per op, the batched mode once per
-// batch — the exact amortisation the repository hot path relies on.
-func TestC9BatchedUpdates(t *testing.T) {
-	const ops, batch = 256, 32
-	tab, err := C9BatchedUpdates(ops, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(tab.Rows))
-	}
-	for _, row := range tab.Rows {
-		verifies := row[3]
-		switch row[1] {
-		case "single":
-			if verifies != "256" {
-				t.Fatalf("%s single: %s verify passes, want 256", row[0], verifies)
-			}
-		default:
-			if verifies != "8" {
-				t.Fatalf("%s batched: %s verify passes, want 8", row[0], verifies)
-			}
-			if row[4] != "8" {
-				t.Fatalf("%s batched: %s batches, want 8", row[0], row[4])
-			}
-		}
-		// An append-only stream changes no existing label on either
-		// scheme: only the session's first verification is a full pass.
-		if row[6] != "1" {
-			t.Fatalf("%s %s: %s full passes, want 1", row[0], row[1], row[6])
-		}
-	}
-}
-
 // TestC14TailLatency runs the snapshot-pin tail-latency experiment at
 // smoke scale: both distributions must produce rows for every timed op
 // class and the notes must carry the H-C14 verdict and convergence

@@ -235,8 +235,8 @@ func runC14(skew float64, docs, phaseOps int, seed int64) (*harness.Recorder, er
 
 // sawtoothCommit appends an 8-op batch until the root holds ~48 extra
 // children, then deletes the same tail back down — the label-stable
-// writer shape C13 established (append-and-trim-front grows QED labels
-// without bound and would contaminate the latency measurement).
+// writer shape (append-and-trim-front grows QED labels without bound and
+// would contaminate the latency measurement).
 func sawtoothCommit(d *repo.Doc) error {
 	return d.Update(func(s *update.Session) error {
 		root := s.Document().Root()

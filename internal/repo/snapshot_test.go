@@ -3,6 +3,7 @@ package repo
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -144,6 +145,56 @@ func TestSnapshotCloseSemantics(t *testing.T) {
 	}
 	if _, err := r.Snapshot("missing"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("snapshot of unknown name: %v", err)
+	}
+}
+
+// TestSnapshotVersionsAndStampsSurviveClose holds Versions and Stamps
+// to their "stays valid after Close" contract: the pinned sequence
+// numbers and stamps are the same before and after.
+func TestSnapshotVersionsAndStampsSurviveClose(t *testing.T) {
+	r := snapRepo(t, "a", "b")
+	if err := r.Update("b", func(s *update.Session) error {
+		_, err := s.AppendChild(s.Document().Root(), "x")
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := r.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	versions, stamps := snap.Versions(), snap.Stamps()
+	if len(versions) != 2 || len(stamps) != 2 || versions["b"] == versions["a"] {
+		t.Fatalf("before Close: versions %v, stamps %v", versions, stamps)
+	}
+	snap.Close()
+	if got := snap.Versions(); !reflect.DeepEqual(got, versions) {
+		t.Errorf("Versions after Close = %v, want %v", got, versions)
+	}
+	if got := snap.Stamps(); !reflect.DeepEqual(got, stamps) {
+		t.Errorf("Stamps after Close = %v, want %v", got, stamps)
+	}
+}
+
+// TestSnapshotCloseRacesVersionsAndStamps runs Close beside Versions
+// and Stamps; under -race it fails unless they share the snapshot's
+// lock.
+func TestSnapshotCloseRacesVersionsAndStamps(t *testing.T) {
+	r := snapRepo(t, "a", "b")
+	for i := 0; i < 50; i++ {
+		snap, err := r.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		closed := make(chan struct{})
+		go func() {
+			defer close(closed)
+			snap.Close()
+		}()
+		if v, s := snap.Versions(), snap.Stamps(); len(v) != 2 || len(s) != 2 {
+			t.Errorf("beside Close: Versions %v, Stamps %v", v, s)
+		}
+		<-closed
 	}
 }
 

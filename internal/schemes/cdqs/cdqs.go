@@ -35,8 +35,8 @@ func (a *Algebra) Counters() *labels.Counters { return &a.counters }
 // Computation and Recursive Algorithm because the original paper's bulk
 // routine is recursive. Our implementation enumerates the n shortest
 // codes in closed form — neither recursive nor dividing — so the
-// measured matrix diverges on those two cells; EXPERIMENTS.md records
-// the reason.
+// measured matrix diverges on those two cells; docs/EXPERIMENTS.md (C8)
+// records the reason.
 func (a *Algebra) Traits() labels.Traits {
 	return labels.Traits{
 		Encoding:      labels.RepVariable,

@@ -25,7 +25,7 @@ const MaxCodeBits = 255
 
 // payload widths of the compressed component encoding, selected by a
 // 3-bit prefix (a simplified version of the published Li/Lj bucket
-// table; DESIGN.md §5 records the substitution).
+// table; docs/EXPERIMENTS.md records the substitution).
 var payloadWidths = [...]int{3, 6, 9, 12, 18, 24, 36, 48}
 
 // prefixBits is the size of the bucket selector.

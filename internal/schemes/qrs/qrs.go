@@ -43,7 +43,8 @@ func (a *Algebra) Counters() *labels.Counters { return &a.counters }
 
 // Traits implements labels.Algebra. Midpoints are true floating-point
 // divisions; the published matrix grades QRS compliant on division —
-// EXPERIMENTS.md records the divergence our instrumentation measures.
+// docs/EXPERIMENTS.md (C8) records the divergence our instrumentation
+// measures.
 func (a *Algebra) Traits() labels.Traits {
 	return labels.Traits{
 		Encoding:      labels.RepFixed,

@@ -4,7 +4,7 @@
 // fixed-point circle — instead of a begin/end interval, with
 // ancestor-descendant and document-order relationships decided by range
 // formulae. We realise the sectors as fixed-point integer ranges
-// subdivided by shifts (no divisions); DESIGN.md §5 records the
+// subdivided by shifts (no divisions); docs/EXPERIMENTS.md records the
 // substitution. As a fixed-width scheme it is subject to the overflow
 // problem and relabels when a sector is exhausted.
 package sector

@@ -17,6 +17,7 @@ import (
 	"xmldyn/internal/core"
 	"xmldyn/internal/labeling"
 	"xmldyn/internal/update"
+	"xmldyn/internal/workload"
 	"xmldyn/internal/xmltree"
 )
 
@@ -597,6 +598,33 @@ func TestIncrementalVerifyMatchesFullPass(t *testing.T) {
 			t.Logf("%d commits verified, %d by the full pass (triggers allow %d), %d rejected",
 				tw.verified, tw.fullVerifies(), tw.allowedFull, tw.failed)
 		})
+	}
+}
+
+// TestAppendOnlySessionFullVerifiesOnce: an append-only stream changes
+// no existing label, on a scheme that claims persistent labels (qed)
+// and on one that does not (deweyid) — so a session verifies once per
+// transaction, single ops and batches alike, and only its first
+// verification walks the document.
+func TestAppendOnlySessionFullVerifiesOnce(t *testing.T) {
+	const ops, batch = 256, 32
+	for _, name := range []string{"qed", "deweyid"} {
+		for _, size := range []int{1, batch} {
+			s, err := update.NewSession(workload.BaseDocument(9, 200), core.MustScheme(name).Factory())
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.SetAutoVerify(true)
+			res, err := workload.ApplyBatched(s, workload.Spec{Kind: workload.AppendOnly, Ops: ops, Seed: 9}, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctr := s.Counters()
+			if res.Applied != ops || ctr.Verifies != ops/int64(size) || ctr.FullVerifies != 1 {
+				t.Errorf("%s, transactions of %d: %d ops applied, Verifies = %d, FullVerifies = %d, want %d, %d and 1",
+					name, size, res.Applied, ctr.Verifies, ctr.FullVerifies, ops, ops/size)
+			}
+		}
 	}
 }
 

@@ -3,7 +3,7 @@
 // updates and skewed frequent updates (frequent updates at a fixed
 // position)", plus the deletion mixes and bulk loads the other probes
 // need. The paper ships no datasets (it is a survey); these generators
-// are the documented substitution (DESIGN.md §5).
+// are the documented substitution (docs/EXPERIMENTS.md).
 package workload
 
 import (
@@ -272,8 +272,8 @@ func insertOpAround(rng *rand.Rand, doc *xmltree.Document, ref *xmltree.Node) up
 
 // insertAround applies one random-position insertion relative to ref.
 // The position distribution lives in insertOpAround alone, so the
-// single-op and batched streams can never drift apart (C9 and the
-// batch benchmarks rely on the two being identical).
+// single-op and batched streams can never drift apart (the tests that
+// compare the two rely on them being identical).
 func insertAround(s *update.Session, rng *rand.Rand, doc *xmltree.Document, ref *xmltree.Node) error {
 	_, err := s.Do(insertOpAround(rng, doc, ref))
 	return err

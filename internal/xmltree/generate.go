@@ -7,7 +7,8 @@ import (
 
 // GenOptions parameterises the synthetic document generator. The paper is
 // a survey and ships no datasets; the generator provides the "very large
-// documents" and structured trees its scenarios describe (DESIGN.md §5).
+// documents" and structured trees its scenarios describe (a substitution
+// docs/EXPERIMENTS.md records).
 type GenOptions struct {
 	Seed        int64
 	MaxDepth    int     // maximum element nesting depth below the root
@@ -125,7 +126,7 @@ func (g *generator) fill(e *Node, depth int) {
 
 // GenerateWide builds a document whose root has exactly n element children
 // and no deeper structure: the fan-out shape used by the sibling-insertion
-// experiments (claims C2, C6 in DESIGN.md).
+// experiments (claims C2, C6 in docs/EXPERIMENTS.md).
 func GenerateWide(n int) *Document {
 	doc := NewDocument()
 	root := NewElement("root")
