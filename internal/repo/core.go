@@ -26,6 +26,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -43,6 +44,9 @@ import (
 type durableCore struct {
 	dir  string
 	opts DurableOptions
+	// serialRecovery makes recover use one worker: the reference the
+	// tests hold parallel recovery to. Production code never sets it.
+	serialRecovery bool
 
 	// commitMu: whoever appends to the log (leader writers, the
 	// follower's applier) takes the read side; Close, the leader's
@@ -61,7 +65,7 @@ func (c *durableCore) repo() *Repository { return c.mem.Load() }
 
 // recover rebuilds the installed state from c.dir: it reads the
 // manifest, decodes the per-document snapshot files it names on a
-// worker pool bounded by DurableOptions.RecoveryParallelism, replays
+// worker pool bounded by GOMAXPROCS, replays
 // the live WAL segments from the manifest's first live index on the
 // same pool — partitioned by document; per-document record order is
 // preserved and RecMulti records are barriers — reopens the log for
@@ -89,7 +93,10 @@ func (c *durableCore) recover(loaded func(*Repository, store.Manifest)) error {
 	// (happens-before the repository is published) for live commits.
 	retain := r.retain
 	r.retain = 0
-	workers := c.opts.recoveryParallelism()
+	workers := runtime.GOMAXPROCS(0)
+	if c.serialRecovery {
+		workers = 1
+	}
 	if err := loadDocSnaps(c.dir, r, man.Docs, workers); err != nil {
 		return fmt.Errorf("%w: %v", ErrReplay, err)
 	}

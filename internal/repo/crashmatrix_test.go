@@ -62,11 +62,26 @@ func crashStateXML(t *testing.T, d *DurableRepository) map[string]string {
 	return state
 }
 
+// recoverImage recovers dir at one end of recovery's worker bound:
+// parallelism 0 is OpenDurable as shipped (GOMAXPROCS workers), anything
+// else the serial reference it is held to — same state, one worker.
+func recoverImage(dir string, parallelism int) (*DurableRepository, error) {
+	opts := DurableOptions{AutoCheckpointBytes: -1}
+	if parallelism == 0 {
+		return OpenDurable(dir, opts)
+	}
+	d := &DurableRepository{durableCore: durableCore{dir: dir, opts: opts, serialRecovery: true}}
+	if err := d.recover(d.recordBaselines); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
 // assertImageRecovers opens a crash image at the given recovery
 // parallelism and asserts the recovered state equals want.
 func assertImageRecovers(t *testing.T, label, dir string, parallelism int, want map[string]string) {
 	t.Helper()
-	rec, err := OpenDurable(dir, DurableOptions{AutoCheckpointBytes: -1, RecoveryParallelism: parallelism})
+	rec, err := recoverImage(dir, parallelism)
 	if err != nil {
 		t.Fatalf("%s (parallelism %d): recovery failed: %v", label, parallelism, err)
 	}

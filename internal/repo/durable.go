@@ -63,7 +63,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,9 +80,11 @@ var (
 	// ErrReplay wraps a recovery failure: the manifest, snapshot or log
 	// could not be read back into a consistent repository.
 	ErrReplay = errors.New("repo: wal replay failed")
-	// ErrWALFailed reports a commit whose state was applied in memory
-	// but could not be appended to the log. The repository refuses
-	// further durable commits until a Checkpoint rewrites full state.
+	// ErrWALFailed reports a commit whose record could not be appended
+	// to the log — the commit was aborted before memory showed it, but
+	// the log may hold its bytes — or whose abort itself failed. The
+	// repository refuses further durable commits until a Checkpoint
+	// cuts a fresh segment and captures memory.
 	ErrWALFailed = errors.New("repo: wal append failed; checkpoint to recover")
 )
 
@@ -119,13 +120,6 @@ type DurableOptions struct {
 	// negative disables auto-checkpointing (Checkpoint remains
 	// available manually).
 	AutoCheckpointBytes int64
-	// RecoveryParallelism bounds the worker pool OpenDurable uses to
-	// decode per-document snapshot files and to replay the WAL
-	// partitioned by document. Zero means GOMAXPROCS; negative (or 1)
-	// forces fully serial recovery. Recovery produces the same state at
-	// any setting — per-document order is preserved and RecMulti
-	// records are barriers — so this is purely a wall-clock knob.
-	RecoveryParallelism int
 }
 
 func (o DurableOptions) walOptions() wal.Options {
@@ -137,16 +131,6 @@ func (o DurableOptions) autoCheckpointBytes() int64 {
 		return o.AutoCheckpointBytes
 	}
 	return DefaultAutoCheckpointBytes
-}
-
-func (o DurableOptions) recoveryParallelism() int {
-	if o.RecoveryParallelism == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if o.RecoveryParallelism < 1 {
-		return 1
-	}
-	return o.RecoveryParallelism
 }
 
 // DurableRepository is the leader role of the durable core: a
@@ -236,10 +220,10 @@ type ckptHooks struct {
 
 // OpenDurable opens (creating if necessary) the durable repository in
 // dir by running the core's recovery (durableCore.recover): snapshot
-// files and WAL replay on a worker pool bounded by
-// DurableOptions.RecoveryParallelism, a torn tail tolerated only on the
-// last segment and truncated so new commits extend the last valid
-// record, files the manifest does not cover removed. A directory with
+// files and WAL replay on a worker pool bounded by GOMAXPROCS, a torn
+// tail tolerated only on the last segment and truncated so new commits
+// extend the last valid record, files the manifest does not cover
+// removed. A directory with
 // no manifest is initialised first — generation 1, no snapshot, an
 // empty log starting at segment 1, then the manifest that makes them
 // current (a crash before the manifest write leaves no manifest, so
@@ -409,10 +393,11 @@ func (d *DurableRepository) Drop(name string) (bool, error) {
 // Batch runs build against the named document's live tree under the
 // write lock, then commits the queued ops as one logged transaction
 // (commit, txn.go, under the append policy): serialised against the
-// pre-batch tree, applied with the update layer's pre-validation,
-// rollback and order verification, and appended to the log as one
-// RecBatch record before the lock is released. On any apply error
-// nothing is logged and the document is untouched. The result's
+// pre-batch tree, staged with the update layer's pre-validation and
+// order verification, appended to the log as one RecBatch record, and
+// only then committed — all before the lock is released. On a staging
+// error nothing is logged, on an append error (ErrWALFailed) nothing is
+// committed, and either way the document is untouched. The result's
 // created nodes are detached deep copies, as in Repository.Batch.
 //
 // build receives the document (not the session) deliberately: every
@@ -542,8 +527,10 @@ type dirtyDoc struct {
 // unreferenced orphans; after the switch the new file set is current
 // and the dead segments are orphans. Checkpoint also clears a WAL
 // append failure observed at the cut: the pinned versions re-capture
-// the full in-memory state, so nothing the failed log lost is missing
-// (post-cut failures stay sticky — their divergence is not captured).
+// the full in-memory state and the failed log's tail falls below the
+// first live segment, so recovery neither misses what that log lost nor
+// replays a record memory never held (post-cut failures stay sticky —
+// they sit in a segment the new manifest replays).
 func (d *DurableRepository) Checkpoint() error {
 	// One checkpoint at a time: commitMu is released between phases, so
 	// without this two checkpoints could race to the same generation.
@@ -565,8 +552,8 @@ func (d *DurableRepository) Checkpoint() error {
 	// shape replay tolerates — a torn segment followed by record-free
 	// ones. This is also what lets Checkpoint remain the documented
 	// recovery from ErrWALFailed: the cut observes the poison, the
-	// pinned versions capture everything the failed log lost, and
-	// success clears it.
+	// pinned versions capture memory, the doubted tail stays behind the
+	// cut, and success clears it.
 	if syncErr := d.log.Sync(); syncErr != nil {
 		d.failed.CompareAndSwap(nil, &syncErr)
 	}
@@ -702,7 +689,8 @@ func (d *DurableRepository) Checkpoint() error {
 	// The new generation is current: retire the old one. Clear the WAL
 	// poison only if it is still the failure the cut observed — the
 	// pinned versions captured everything up to the cut, but a commit
-	// that failed DURING the encode phase diverged after it.
+	// that failed DURING the encode phase may have left its record after
+	// it, in a segment this manifest replays.
 	d.gen, d.walFirst, d.base = newGen, newFirst, newBase
 	d.failed.CompareAndSwap(failedAtCut, nil)
 	// Retire what the new manifest does not cover: snapshot files it

@@ -116,6 +116,53 @@ func TestIncrementalCheckpointWritesOnlyDirtyDocs(t *testing.T) {
 	}
 }
 
+// TestCheckpointAfterAbortsWritesNothing: aborted transactions make no
+// document dirty. A checkpoint that follows only aborts writes no
+// doc-*.snap file and its manifest reuses every entry of the previous
+// generation (abortRig and abortForms: timetravel_test.go).
+func TestCheckpointAfterAbortsWritesNothing(t *testing.T) {
+	rig := newAbortRig(t, true, 0)
+	d := rig.dur
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	snapFiles := func() []string {
+		t.Helper()
+		matches, err := filepath.Glob(filepath.Join(rig.dir, "doc-*.snap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return matches
+	}
+	man, err := store.ReadManifest(rig.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := snapFiles()
+	for i := range abortForms {
+		mustAbort(t, rig, i)
+	}
+	wrote := 0
+	d.hooks.afterSnapFile = func(string) { wrote++ }
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	d.hooks = ckptHooks{}
+	if wrote != 0 {
+		t.Errorf("the checkpoint after three aborts wrote %d snapshot files, want 0", wrote)
+	}
+	if got := snapFiles(); !reflect.DeepEqual(got, files) {
+		t.Errorf("snapshot files after the checkpoint:\n got %v\nwant %v", got, files)
+	}
+	next, err := store.ReadManifest(rig.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Gen != man.Gen+1 || !reflect.DeepEqual(next.Docs, man.Docs) {
+		t.Errorf("manifest entries not reused:\n got gen %d %+v\nwant gen %d %+v", next.Gen, next.Docs, man.Gen+1, man.Docs)
+	}
+}
+
 // TestRecoveryEquivalenceProperty drives random interleavings of
 // Open, Drop, Batch, MultiBatch and Checkpoint against a durable
 // repository, then recovers from the resulting directory — serially
@@ -207,9 +254,9 @@ func TestRecoveryEquivalenceProperty(t *testing.T) {
 			}
 			oracle := crashStateXML(t, d)
 			// Crash: no Close. Recover the same directory at both ends of
-			// the parallelism knob; both must reproduce the oracle.
+			// recovery's worker bound; both must reproduce the oracle.
 			for _, par := range []int{-1, 0} {
-				rec, err := OpenDurable(dir, DurableOptions{AutoCheckpointBytes: -1, RecoveryParallelism: par})
+				rec, err := recoverImage(dir, par)
 				if err != nil {
 					t.Fatalf("recovery (parallelism %d, %d checkpoints): %v", par, checkpoints, err)
 				}

@@ -23,15 +23,17 @@
 //     reference-counted so superseded versions free their memory as
 //     soon as the last snapshot pinning them closes.
 //
-// Updates go through the update layer's transactions
-// (update.Session.ApplyStaged, driven by the one commit routine in
+// Updates go through the update layer's transactions (update.Session's
+// Stage, then Commit or Abort, driven by the one commit routine in
 // txn.go): a transaction re-verifies document order exactly once
 // however many ops it carries and is reverted as a whole if anything —
 // including that verification — fails, so it either commits an ordered
-// document or leaves it untouched. Repository sessions run with
-// auto-verify on, and a single op through Update is a transaction of
-// one: an op that breaks order (a defective scheme like LSDX) is
-// reverted and reported just as a Batch would be.
+// document or leaves it untouched; and nothing outside the session —
+// counters, Doc.Version, Stamp, a snapshot — shows it before it commits,
+// which on a durable repository is after its log record is written.
+// Repository sessions run with auto-verify on, and a single op through
+// Update is a transaction of one: an op that breaks order (a defective
+// scheme like LSDX) is reverted and reported just as a Batch would be.
 //
 // The whole repository round-trips through the version-2 store
 // container (Save/Load): every document's name, scheme and
@@ -131,8 +133,8 @@ type Doc struct {
 	scheme string
 	mu     sync.RWMutex
 	sess   *update.Session
-	// MVCC version chain (version.go): verSeq advances on every
-	// committed mutation via the session's commit hook; cur caches the
+	// MVCC version chain (version.go): verSeq advances once per
+	// committed transaction via the session's commit hook; cur caches the
 	// (possibly unmaterialised) version descriptor for the current
 	// state, nil after each commit until the next snapshot pins one;
 	// dropped marks a slot removed from the name space, so a version
@@ -255,11 +257,11 @@ func (r *Repository) add(name, scheme string, sess *update.Session) (*Doc, error
 		d.pubSeq = d.verSeq
 		d.pubStamp = d.stamp
 	}
-	// Every commit and every abort of a session transaction — single
-	// op or batch, plain or durable, live or replayed — republishes the
-	// document's persistent MVCC version and supersedes the previous
-	// one (version.go). The
-	// hook fires while the writer still holds the document's write
+	// Every commit of a session transaction — single op or batch,
+	// plain or durable, live or replayed — republishes the document's
+	// persistent MVCC version and supersedes the previous one
+	// (version.go); a staged or aborted transaction publishes nothing.
+	// The hook fires while the writer still holds the document's write
 	// lock, so snapshot readers (read lock) can never pin a mid-commit
 	// state.
 	sess.SetOnCommit(d.publishVersion)
@@ -387,9 +389,9 @@ func (m *MultiDoc) Batch() *update.Batch { return m.b }
 // its MultiDoc and queues ops per document; the transaction then runs
 // through the one commit routine (txn.go) — every involved document
 // write-locked in sorted-name order for the duration, each document's
-// ops applied as one batch, and every document already applied rolled
-// back to its pre-transaction state if a later one fails, so the
-// transaction commits everywhere or nowhere. A node object belongs to
+// ops staged as one batch, and every document already staged aborted to
+// its pre-transaction state if a later one fails, so the transaction
+// commits everywhere or nowhere. A node object belongs to
 // one tree: moving content between documents is expressed as a Delete
 // in the source document plus a subtree graft of a detached copy
 // (Node.Clone) in the destination. build must not call back into the

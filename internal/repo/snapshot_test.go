@@ -534,6 +534,43 @@ func TestSnapshotAfterRolledBackBatchSeesPreBatchState(t *testing.T) {
 	}
 }
 
+// A snapshot held open across an aborted transaction and one taken
+// after it pin the same version: same Versions and Stamps entries, one
+// shared tree (abortRig and abortForms: timetravel_test.go).
+func TestSnapshotVersionsUnmovedByAbort(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		for i, form := range abortForms {
+			t.Run(fmt.Sprintf("durable=%v/%s", durable, form.name), func(t *testing.T) {
+				rig := newAbortRig(t, durable, 0)
+				held, err := rig.mem.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer held.Close()
+				mustAbort(t, rig, i)
+				after, err := rig.mem.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer after.Close()
+				if h, a := held.Versions(), after.Versions(); !reflect.DeepEqual(h, a) {
+					t.Errorf("Versions: held across the abort %v, taken after it %v", h, a)
+				}
+				if h, a := held.Stamps(), after.Stamps(); !reflect.DeepEqual(h, a) {
+					t.Errorf("Stamps: held across the abort %v, taken after it %v", h, a)
+				}
+				for _, name := range held.Names() {
+					h, _ := held.Document(name)
+					a, _ := after.Document(name)
+					if h != a {
+						t.Errorf("%s: the two snapshots do not share one version tree", name)
+					}
+				}
+			})
+		}
+	}
+}
+
 func TestDurableSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDurable(dir, DurableOptions{})

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"xmldyn/internal/core"
 	"xmldyn/internal/update"
 	"xmldyn/internal/xmltree"
 )
@@ -361,5 +363,288 @@ func TestRecoveryEvictsPreCrashStamps(t *testing.T) {
 	defer snap.Close()
 	if got := rootChildren(t, snap, "a"); len(got) != 12 {
 		t.Fatalf("current view after recovery: %d children %v", len(got), got)
+	}
+}
+
+// --- aborted transactions ------------------------------------------------------
+//
+// An abort publishes nothing: every reader-visible quantity — versions,
+// stamps, the retained window, counters, checkpoint dirtiness — counts
+// committed transactions only. The rig and the three abort forms below
+// are shared with snapshot_test.go and incremental_test.go.
+
+// abortRig is a repository of either flavour holding "alpha" (qed,
+// <a><seed/></a>) and "beta" (lsdx, walked to the brink of its label
+// collision), with the two commit entry points the aborts go through.
+type abortRig struct {
+	mem   *Repository
+	dur   *DurableRepository // nil for the in-memory flavour
+	dir   string
+	multi func([]string, func(map[string]*MultiDoc) error) (map[string]*update.BatchResult, error)
+	batch func(name string, build func(*xmltree.Document, *update.Batch)) error
+	// brink is the next step of lsdxStep on beta: the one that collides.
+	brink int
+}
+
+// lsdxStep queues step i of the walk that drives lsdx into its
+// documented collision: inserts alternating before and after the newest
+// node.
+func lsdxStep(doc *xmltree.Document, b *update.Batch, i int) {
+	ref := doc.FindElement("y")
+	if i > 0 {
+		ref = doc.FindElement(fmt.Sprintf("n%d", i-1))
+	}
+	if name := fmt.Sprintf("n%d", i); i%2 == 0 {
+		b.InsertBefore(ref, name)
+	} else {
+		b.InsertAfter(ref, name)
+	}
+}
+
+func newAbortRig(t *testing.T, durable bool, retain int) *abortRig {
+	t.Helper()
+	rig := &abortRig{}
+	open := func(name, xml, scheme string) {
+		t.Helper()
+		var err error
+		if durable {
+			err = rig.dur.Open(name, mustParse(t, xml), scheme)
+		} else {
+			_, err = rig.mem.Open(name, mustParse(t, xml), scheme)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if durable {
+		rig.dir = t.TempDir()
+		d, err := OpenDurable(rig.dir, DurableOptions{Repo: Options{RetainVersions: retain}, AutoCheckpointBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { d.Close() })
+		rig.dur, rig.mem, rig.multi = d, d.repo(), d.MultiBatch
+		rig.batch = func(name string, build func(*xmltree.Document, *update.Batch)) error {
+			_, err := d.Batch(name, func(doc *xmltree.Document, b *update.Batch) error {
+				build(doc, b)
+				return nil
+			})
+			return err
+		}
+	} else {
+		r := New(Options{RetainVersions: retain})
+		rig.mem, rig.multi = r, r.MultiBatch
+		rig.batch = func(name string, build func(*xmltree.Document, *update.Batch)) error {
+			d, _ := r.Get(name)
+			b := d.sess.Batch()
+			build(d.sess.Document(), b)
+			_, err := r.Batch(name, b.Ops())
+			return err
+		}
+	}
+	open("alpha", `<a><seed/></a>`, "qed")
+	open("beta", `<b><x/><y/></b>`, "lsdx")
+	// Find the colliding step on a bare session, then walk beta up to it.
+	s, err := update.NewSession(mustParse(t, `<b><x/><y/></b>`), core.MustScheme("lsdx").Factory())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetAutoVerify(true)
+	for ; ; rig.brink++ {
+		if rig.brink == 2000 {
+			t.Fatal("lsdx never collided")
+		}
+		b := s.Batch()
+		lsdxStep(s.Document(), b, rig.brink)
+		if _, err := b.Commit(); err != nil {
+			break
+		}
+	}
+	for i := 0; i < rig.brink; i++ {
+		if err := rig.batch("beta", func(doc *xmltree.Document, b *update.Batch) { lsdxStep(doc, b, i) }); err != nil {
+			t.Fatalf("walk step %d of %d: %v", i, rig.brink, err)
+		}
+	}
+	return rig
+}
+
+// abortForms are transactions that mutate a tree and then fail, each at
+// a different moment of the stage.
+var abortForms = []struct {
+	name string
+	run  func(rig *abortRig) error
+	want string // a substring of the error
+}{
+	// alpha stages cleanly, then beta fails validation.
+	{"multibatch-validation", func(rig *abortRig) error {
+		_, err := rig.multi([]string{"alpha", "beta"}, func(m map[string]*MultiDoc) error {
+			m["alpha"].Batch().AppendChild(m["alpha"].Document().Root(), "ABORTED")
+			m["beta"].Batch().AppendChild(m["beta"].Document().Root(), "ABORTED")
+			m["beta"].Batch().InsertBefore(m["beta"].Document().Root(), "second-root")
+			return nil
+		})
+		return err
+	}, update.ErrRootSibling.Error()},
+	// alpha stages cleanly, then beta applies and fails verification.
+	{"multibatch-verification", func(rig *abortRig) error {
+		_, err := rig.multi([]string{"alpha", "beta"}, func(m map[string]*MultiDoc) error {
+			m["alpha"].Batch().AppendChild(m["alpha"].Document().Root(), "ABORTED")
+			lsdxStep(m["beta"].Document(), m["beta"].Batch(), rig.brink)
+			return nil
+		})
+		return err
+	}, "document order violated"},
+	// The delete applies, the insert beside the deleted node fails.
+	{"batch-apply", func(rig *abortRig) error {
+		return rig.batch("alpha", func(doc *xmltree.Document, b *update.Batch) {
+			n := doc.Root().FirstChild()
+			b.AppendChild(doc.Root(), "ABORTED").Delete(n).InsertAfter(n, "x")
+		})
+	}, update.ErrDetachedRef.Error()},
+}
+
+// mustAbort runs one abort form and checks that it failed the way it is
+// meant to.
+func mustAbort(t *testing.T, rig *abortRig, i int) {
+	t.Helper()
+	form := abortForms[i]
+	if err := form.run(rig); err == nil || !strings.Contains(err.Error(), form.want) {
+		t.Fatalf("%s: %v, want an error holding %q", form.name, err, form.want)
+	}
+}
+
+// observed is what readers can learn about the committed history of
+// alpha and beta.
+type observed struct {
+	stamp    uint64
+	retained int64
+	logSize  int64
+	version  map[string]uint64
+	counters map[string]update.Counters
+	// views: stamp → name → the XML SnapshotAt serves there, for every
+	// stamp the retained window still reaches.
+	views map[uint64]map[string]string
+}
+
+func (rig *abortRig) viewAt(t *testing.T, stamp uint64, name string) (string, bool) {
+	t.Helper()
+	snap, err := rig.mem.SnapshotAt(stamp, name)
+	if errors.Is(err, ErrVersionEvicted) {
+		return "", false
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	doc, err := snap.Document(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc.XML(), true
+}
+
+func (rig *abortRig) observe(t *testing.T) observed {
+	t.Helper()
+	o := observed{stamp: rig.mem.Stamp(), retained: rig.mem.VersionStats().RetainedVersions,
+		version: map[string]uint64{}, counters: map[string]update.Counters{}, views: map[uint64]map[string]string{}}
+	if rig.dur != nil {
+		o.logSize, _ = rig.dur.LogSize()
+	}
+	for _, name := range []string{"alpha", "beta"} {
+		d, _ := rig.mem.Get(name)
+		o.version[name], o.counters[name] = d.Version(), d.Counters()
+		for s := uint64(1); s <= o.stamp; s++ {
+			if xml, ok := rig.viewAt(t, s, name); ok {
+				if o.views[s] == nil {
+					o.views[s] = map[string]string{}
+				}
+				o.views[s][name] = xml
+			}
+		}
+	}
+	return o
+}
+
+// assertUnmoved: nothing a reader can observe differs from before.
+func (rig *abortRig) assertUnmoved(t *testing.T, label string, before observed) {
+	t.Helper()
+	now := rig.observe(t)
+	if now.stamp != before.stamp {
+		t.Errorf("%s: Stamp() %d -> %d", label, before.stamp, now.stamp)
+	}
+	if now.retained != before.retained {
+		t.Errorf("%s: RetainedVersions %d -> %d", label, before.retained, now.retained)
+	}
+	if now.logSize != before.logSize {
+		t.Errorf("%s: log grew %d -> %d bytes", label, before.logSize, now.logSize)
+	}
+	for name, was := range before.version {
+		if now.version[name] != was {
+			t.Errorf("%s: %s Doc.Version %d -> %d", label, name, was, now.version[name])
+		}
+		got, want := now.counters[name], before.counters[name]
+		got.Verifies, got.FullVerifies = want.Verifies, want.FullVerifies
+		if got != want {
+			t.Errorf("%s: %s counters %+v -> %+v", label, name, want, got)
+		}
+		if got := repoXML(t, rig.mem, name); got != before.views[before.stamp][name] {
+			t.Errorf("%s: %s live tree\n got %s\nwant %s", label, name, got, before.views[before.stamp][name])
+		}
+		// No stamp from the pre-transaction one on serves anything but
+		// the pre-transaction state.
+		for s := before.stamp; s <= now.stamp; s++ {
+			if got := now.views[s][name]; got != before.views[before.stamp][name] {
+				t.Errorf("%s: SnapshotAt(%d, %q)\n got %s\nwant %s", label, s, name, got, before.views[before.stamp][name])
+			}
+		}
+	}
+	// Every historical state that was readable still is, unchanged.
+	for s, docs := range before.views {
+		for name, want := range docs {
+			if got, ok := now.views[s][name]; !ok {
+				t.Errorf("%s: SnapshotAt(%d, %q) was evicted", label, s, name)
+			} else if got != want {
+				t.Errorf("%s: SnapshotAt(%d, %q) changed\n got %s\nwant %s", label, s, name, got, want)
+			}
+		}
+	}
+}
+
+// TestAbortPublishesNothing: after an aborted MultiBatch (failing at
+// validation or at verification, with an earlier document already
+// staged) and after an aborted Batch (failing at apply time), on either
+// repository flavour, Doc.Version, Stamp, the retained window, the
+// counters and every SnapshotAt view are what they were — and repeated
+// aborts evict nothing from a window of two.
+func TestAbortPublishesNothing(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		for i, form := range abortForms {
+			t.Run(fmt.Sprintf("durable=%v/%s", durable, form.name), func(t *testing.T) {
+				rig := newAbortRig(t, durable, 8)
+				before := rig.observe(t)
+				mustAbort(t, rig, i)
+				rig.assertUnmoved(t, form.name, before)
+			})
+		}
+		t.Run(fmt.Sprintf("durable=%v/window-of-two", durable), func(t *testing.T) {
+			rig := newAbortRig(t, durable, 2)
+			// alpha: the opened state and one commit retained, a second
+			// commit current. The window is full.
+			for _, tag := range []string{"c1", "c2"} {
+				if err := rig.batch("alpha", func(doc *xmltree.Document, b *update.Batch) { b.AppendChild(doc.Root(), tag) }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := rig.observe(t)
+			if _, ok := before.views[1]["alpha"]; !ok {
+				t.Fatal("setup: alpha's opened state is not in the window")
+			}
+			for round := 0; round < 3; round++ {
+				for i := range abortForms {
+					mustAbort(t, rig, i)
+				}
+			}
+			rig.assertUnmoved(t, "nine aborts", before)
+		})
 	}
 }

@@ -4,13 +4,14 @@
 // recovery or applied on a follower (applyRecord) — is a call of
 // Repository.commit; the callers differ only in where the ops come from
 // and in the log policy they pass. The commit critical section, the
-// lock order, the encode-before-apply rule and the poisoning rule are
-// therefore each stated here and nowhere else. Below it, each
-// document's part is one transaction of the update layer
-// (update.Session.ApplyStaged: validate, apply, verify, commit or
-// revert); what commit adds is the locks, the log and the composition
-// of those transactions into one that commits on every document or on
-// none.
+// lock order, the encode-before-apply rule, the log-before-memory rule
+// and the poisoning rule are therefore each stated here and nowhere
+// else. Below it, each document's part is one transaction of the update
+// layer, taken in its three moments (update.Session.Stage: validate,
+// apply, verify; then Commit or Abort); what commit adds is the locks,
+// the log record written between the stages and the commits, and the
+// composition of those transactions into one that commits on every
+// document or on none.
 // (File comment — the package doc lives in repo.go.)
 
 package repo
@@ -29,7 +30,7 @@ import (
 type logPolicy struct {
 	// leader selects policy append: the transaction runs inside the
 	// leader's commit protocol (commitMu shared, refused while closed or
-	// poisoned) and, once applied, is appended to its log as one record
+	// poisoned) and, once staged, is appended to its log as one record
 	// of type kind — RecBatch or RecMulti — holding every non-empty
 	// part; an empty transaction logs nothing.
 	leader *DurableRepository
@@ -53,19 +54,29 @@ type logPolicy struct {
 //  3. under policy append, serialise the ops (update.EncodeOps) against
 //     the PRE-transaction trees: structural paths must address the state
 //     replay will resolve them against;
-//  4. apply all-or-nothing (applyMulti);
-//  5. under policy append, append the record while the locks are still
-//     held, so per-document log order equals commit order. The log
+//  4. stage every document's part, in order (update.Session.Stage:
+//     validated, applied, verified, and shown to no one — counters,
+//     Doc.Version, Stamp and every snapshot still read the
+//     pre-transaction state);
+//  5. under policy append, append the one record while the locks are
+//     still held, so per-document log order equals commit order. The log
 //     serialises writes internally and no walMu is taken: commits on
 //     other documents keep going and, under grouped sync, share the
-//     in-flight fsync.
+//     in-flight fsync;
+//  6. if 4 or 5 failed, abort what is staged, in reverse; otherwise
+//     commit every document's part, which cannot fail and is what
+//     publishes the transaction.
 //
-// A failed build, encode or apply leaves every tree and the log as they
-// were. Memory and log diverge in exactly two cases — the record could
-// not be appended after the ops applied, or a rollback itself failed
-// (update.ErrRollback) and left a tree that replaying the log does not
-// produce — and both poison the leader here: it refuses commits with
-// ErrWALFailed until a Checkpoint re-captures full memory state.
+// So the log is written before memory shows anything, for every policy,
+// and a commit that returns an error was never visible: a failed build,
+// encode or stage leaves every tree and the log as they were, and a
+// failed append leaves every tree as it was. Two outcomes poison the
+// leader here — it refuses commits with ErrWALFailed until a Checkpoint
+// cuts a fresh segment and re-captures full memory state: the append
+// failed (a failed write or fsync does not say whether the bytes
+// landed, so the log may hold a record memory does not), or an abort
+// itself failed (update.ErrRollback) and left a tree that replaying the
+// log does not produce.
 //
 // The results map one entry per name, created nodes as detached deep
 // copies (the live tree must only be touched under its lock, which is
@@ -108,18 +119,45 @@ func (r *Repository) commit(names []string, pol logPolicy, build func(map[string
 			}
 		}
 	}
-	out, err := applyMulti(held, m, !pol.replay)
-	logged := ld != nil && err == nil && len(rec.parts) > 0
+	out := make(map[string]*update.BatchResult, len(held))
+	staged := 0 // held[:staged] have an open transaction
+	for ; staged < len(held); staged++ {
+		d := held[staged]
+		res, stageErr := d.sess.Stage(m[d.name].b.Ops())
+		if stageErr != nil {
+			err = fmt.Errorf("repo: transaction on %q: %w", d.name, stageErr)
+			break // d reverted itself
+		}
+		if !pol.replay {
+			out[d.name] = cloneResult(res)
+		}
+	}
+	logged := err == nil && len(rec.parts) > 0
 	if logged {
 		err = ld.log.Append(appendRecord(nil, rec))
 	}
-	switch {
-	case logged && err != nil, ld != nil && errors.Is(err, update.ErrRollback):
-		return nil, ld.poison(err)
-	case logged:
+	if err != nil {
+		for staged--; staged >= 0; staged-- {
+			// Keep unwinding past a failed abort — the other documents'
+			// are independent and restoring them is strictly better — but
+			// surface it (it wraps ErrRollback): THAT document is
+			// partially restored and should be rebuilt from a snapshot.
+			if rbErr := held[staged].sess.Abort(); rbErr != nil {
+				err = fmt.Errorf("repo: transaction rollback of %q: %w (after %w)", held[staged].name, rbErr, err)
+			}
+		}
+		if ld != nil && (logged || errors.Is(err, update.ErrRollback)) {
+			err = ld.poison(err)
+		}
+		return nil, err
+	}
+	for _, d := range held {
+		d.sess.Commit()
+	}
+	if logged {
 		ld.nudgeAutoCheckpoint()
 	}
-	return out, err
+	return out, nil
 }
 
 // lockLiveSorted write-locks the named documents in sorted-name order
@@ -162,39 +200,6 @@ func sortedUnique(names []string) []string {
 	uniq := slices.Clone(names)
 	slices.Sort(uniq)
 	return slices.Compact(uniq)
-}
-
-// applyMulti commits each held document's queued batch in order, all
-// locks held, each as one transaction of the update layer (validate,
-// apply, verify, commit or revert), reverting every already-committed
-// document through its staged closure if a later one fails. With
-// wantResults, the results carry detached clones of created nodes;
-// replay skips the deep copies it would only discard.
-func applyMulti(held []*Doc, m map[string]*MultiDoc, wantResults bool) (map[string]*update.BatchResult, error) {
-	out := make(map[string]*update.BatchResult, len(held))
-	undo := make([]func() error, 0, len(held)) // the staged rollbacks of held[:len(undo)]
-	for _, d := range held {
-		res, rollback, err := d.sess.ApplyStaged(m[d.name].b.Ops())
-		if err != nil {
-			err = fmt.Errorf("repo: transaction on %q: %w", d.name, err)
-			for j := len(undo) - 1; j >= 0; j-- {
-				// Keep unwinding past a failed rollback — the other
-				// documents' are independent and restoring them is
-				// strictly better — but surface it (it wraps ErrRollback):
-				// THAT document is partially restored and should be
-				// rebuilt from a snapshot.
-				if rbErr := undo[j](); rbErr != nil {
-					err = fmt.Errorf("repo: transaction rollback of %q: %w (after %w)", held[j].name, rbErr, err)
-				}
-			}
-			return nil, err
-		}
-		undo = append(undo, rollback)
-		if wantResults {
-			out[d.name] = cloneResult(res)
-		}
-	}
-	return out, nil
 }
 
 // cloneResult detaches a BatchResult's created nodes.

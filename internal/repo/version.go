@@ -4,10 +4,10 @@
 // file implements; the shape in brief:
 //
 //   - Every document carries a version sequence number, starting at
-//     InitialVersionSeq when the document is opened and advancing on
-//     every committed mutation (the update layer's commit hook fires
-//     once per committed op, batch or rollback, always under the
-//     document's write lock).
+//     InitialVersionSeq when the document is opened and advancing
+//     once per committed transaction (the update layer's commit hook
+//     fires once per committed op or batch — never for an aborted one —
+//     always under the document's write lock).
 //   - Versions are persistent, structure-sharing trees
 //     (xmltree.PublishVersion): committing a mutation republishes only
 //     the changed spine, sharing every untouched subtree with the
@@ -67,7 +67,7 @@ var ErrVersionEvicted = errors.New("repo: version not in the retained window")
 
 // InitialVersionSeq is the version sequence number of a freshly opened
 // document: version 0 is the state the document was opened with, and
-// every committed mutation advances the sequence by at least one
+// every committed transaction advances the sequence by exactly one
 // (docs/CONCURRENCY.md golden constant).
 const InitialVersionSeq uint64 = 0
 

@@ -1,21 +1,32 @@
-// Transactions. Every mutation of a session's document is one run of
-// transact: validate the ops against the starting tree (validateBatch) →
-// begin (save the counters and the labelling's relabel mark) → apply
-// each op through primitives that only mutate the tree, fire the
-// labelling callbacks per node and append an undo record → verify the
-// document-order invariant once, against the final tree
-// (verifyCommitted) → commit (count one operation, notify once) or
-// revert. A single op is the one-op case, a move is a delete and a
-// graft, DeleteChildren one delete per child, Apply the n-op case:
-// FLUX-style update programs (Cheney) motivate the shape — updates
-// compose into a program that is checked as a whole.
+// Transactions. Every mutation of a session's document is one
+// transaction with three moments:
+//
+//   - stage: validate the ops against the starting tree (validateBatch)
+//     → begin (save the counters and the labelling's relabel mark) →
+//     apply each op through primitives that only mutate the tree, fire
+//     the labelling callbacks per node and append an undo record →
+//     verify the document-order invariant once, against the final tree
+//     (verifyCommitted). A failure anywhere reverts and ends the
+//     transaction; otherwise it is open, and then either
+//   - commit: count one operation and fire the commit hook — the first
+//     anyone outside the session hears of it; it cannot fail — or
+//   - abort: revert — undo records in reverse, counters put back. The
+//     tree is again what the hook last announced, so the hook stays
+//     silent (it fires only for a revert that itself failed).
+//
+// Apply, Do and the named mutators stage and commit in one call; Stage,
+// Commit and Abort are the moments on their own, for a coordinator that
+// has a log record to write in between. A single op is the one-op case,
+// a move is a delete and a graft, DeleteChildren one delete per child,
+// Apply the n-op case: FLUX-style update programs (Cheney) motivate the
+// shape — updates compose into a program that is checked as a whole and
+// then either taken or dropped.
 //
 // Atomicity: a statically invalid transaction touches nothing. If an op
 // fails at apply time (a labelling overflow, a structural cycle, a
-// reference an earlier op detached) or the verification fails, revert —
-// the one abort — runs the undo records in reverse, puts the counters
-// back and notifies once; the closure ApplyStaged returns is the same
-// revert, run after the commit.
+// reference an earlier op detached) or the verification fails, the
+// stage reverts itself. One transaction is open at a time: staging
+// while one is staged is refused (ErrStaged).
 
 package update
 
@@ -37,6 +48,9 @@ var (
 	// ErrRollback wraps a revert that itself failed: the document may
 	// be partially updated and should be rebuilt from a snapshot.
 	ErrRollback = errors.New("update: batch rollback failed")
+	// ErrStaged refuses a transaction while another is staged: end that
+	// one with Commit or Abort first.
+	ErrStaged = errors.New("update: a staged transaction is open")
 )
 
 // OpKind discriminates batched operations.
@@ -60,36 +74,27 @@ const (
 	OpSetAttr
 )
 
+var opKindNames = [...]string{
+	OpInsertBefore:        "insert-before",
+	OpInsertAfter:         "insert-after",
+	OpInsertFirstChild:    "insert-first-child",
+	OpAppendChild:         "append-child",
+	OpInsertSubtreeBefore: "insert-subtree-before",
+	OpInsertSubtreeAfter:  "insert-subtree-after",
+	OpInsertSubtreeFirst:  "insert-subtree-first",
+	OpAppendSubtree:       "append-subtree",
+	OpDelete:              "delete",
+	OpSetText:             "set-text",
+	OpRename:              "rename",
+	OpSetAttr:             "set-attr",
+}
+
 // String names the op kind.
 func (k OpKind) String() string {
-	switch k {
-	case OpInsertBefore:
-		return "insert-before"
-	case OpInsertAfter:
-		return "insert-after"
-	case OpInsertFirstChild:
-		return "insert-first-child"
-	case OpAppendChild:
-		return "append-child"
-	case OpInsertSubtreeBefore:
-		return "insert-subtree-before"
-	case OpInsertSubtreeAfter:
-		return "insert-subtree-after"
-	case OpInsertSubtreeFirst:
-		return "insert-subtree-first"
-	case OpAppendSubtree:
-		return "append-subtree"
-	case OpDelete:
-		return "delete"
-	case OpSetText:
-		return "set-text"
-	case OpRename:
-		return "rename"
-	case OpSetAttr:
-		return "set-attr"
-	default:
-		return fmt.Sprintf("op(%d)", int(k))
+	if k >= 0 && int(k) < len(opKindNames) {
+		return opKindNames[k]
 	}
+	return fmt.Sprintf("op(%d)", int(k))
 }
 
 // Op is one queued operation. Ref is the reference node (sibling for
@@ -260,45 +265,77 @@ func (b *Batch) Commit() (*BatchResult, error) {
 	return res, err
 }
 
-// Apply commits ops as one transaction (see the file comment): all of
+// Apply runs ops as one transaction (see the file comment): all of
 // them, verified once as a whole and counted as one operation, or none.
 func (s *Session) Apply(ops []Op) (*BatchResult, error) {
-	res, _, err := s.ApplyStaged(ops)
+	res, err := s.Stage(ops)
+	if err == nil {
+		s.Commit()
+	}
 	return res, err
 }
 
-// ApplyStaged commits ops exactly as Apply does, but also returns a
-// rollback closure that undoes the whole committed batch — structure,
-// labels and counters — restoring the pre-batch state. It exists for
-// cross-document transactions (the repository's MultiBatch): a
-// coordinator applies one document's batch, holds the rollback, and
-// runs it if a later document's batch fails, so the transaction
-// commits everywhere or nowhere. The closure is non-nil iff err is
-// nil; it must run before any further mutation of the document (it
-// replays the undo log against the exact post-batch state) and at
-// most once. A rollback error wraps ErrRollback: the document is
-// partially restored and should be rebuilt from a snapshot.
-func (s *Session) ApplyStaged(ops []Op) (*BatchResult, func() error, error) {
+// Stage runs ops as one transaction up to its commit and leaves it
+// open: validated, applied and verified, but not yet counted or
+// announced to the commit hook. The caller ends it with Commit or Abort,
+// and until then the session refuses every other transaction
+// (ErrStaged). A coordinator (the repository's commit routine) stages
+// every document of a cross-document transaction, writes its log record
+// and only then commits them all — or aborts them all, so the
+// transaction shows everywhere or nowhere. A failed Stage has already
+// reverted itself and leaves nothing open; neither does an empty one.
+func (s *Session) Stage(ops []Op) (*BatchResult, error) {
 	res := &BatchResult{New: make([]*xmltree.Node, len(ops))}
-	if len(ops) == 0 {
-		return res, func() error { return nil }, nil
+	if err := s.stage(ops, res.New); err != nil {
+		return nil, err
 	}
-	if err := s.transact(ops, res.New, true); err != nil {
-		return nil, nil, err
-	}
-	txn := s.txn
-	return res, func() error {
-		if s.txn != txn {
-			return fmt.Errorf("%w: a later transaction has run", ErrRollback)
-		}
-		return s.revert()
-	}, nil
+	return res, nil
 }
 
-// transact is the one transaction. created, when non-nil, receives per
-// op the node an insert created; batch says the commit counts as a
-// Batch too.
-func (s *Session) transact(ops []Op, created []*xmltree.Node, batch bool) error {
+// Commit ends the staged transaction by keeping it: it counts as one
+// operation and one batch, and the commit hook fires. It cannot fail;
+// with nothing staged it does nothing.
+func (s *Session) Commit() { s.commit(true) }
+
+func (s *Session) commit(batch bool) {
+	if !s.staged {
+		return
+	}
+	s.staged = false
+	s.ctr.Operations++
+	if batch {
+		s.ctr.Batches++
+	}
+	s.notifyCommit()
+}
+
+// Abort ends the staged transaction by dropping it (revert): structure,
+// labels' order and counters are as Stage found them. An error wraps
+// ErrRollback: the document is partially restored and should be rebuilt
+// from a snapshot. With nothing staged it does nothing.
+func (s *Session) Abort() error {
+	if !s.staged {
+		return nil
+	}
+	return s.revert()
+}
+
+// transact is a transaction committed as soon as it is staged: the
+// single ops' form. created, when non-nil, receives per op the node an
+// insert created.
+func (s *Session) transact(ops []Op, created []*xmltree.Node) error {
+	err := s.stage(ops, created)
+	if err == nil {
+		s.commit(false)
+	}
+	return err
+}
+
+// stage is the one transaction, up to its commit.
+func (s *Session) stage(ops []Op, created []*xmltree.Node) error {
+	if s.staged {
+		return ErrStaged
+	}
 	if len(ops) == 0 {
 		return nil
 	}
@@ -308,7 +345,6 @@ func (s *Session) transact(ops []Op, created []*xmltree.Node, batch bool) error 
 	clear(s.undo)
 	s.undo = s.undo[:0]
 	s.saved, s.savedMark = s.ctr, s.lab.Stats().Relabelling()
-	s.txn++
 	for i := range ops {
 		n, err := s.applyOp(&ops[i])
 		if err != nil {
@@ -321,11 +357,7 @@ func (s *Session) transact(ops []Op, created []*xmltree.Node, batch bool) error 
 	if err := s.verifyCommitted(); err != nil {
 		return s.abort(fmt.Errorf("update: commit verify: %w", err))
 	}
-	s.ctr.Operations++
-	if batch {
-		s.ctr.Batches++
-	}
-	s.notifyCommit()
+	s.staged = true
 	return nil
 }
 
@@ -344,16 +376,18 @@ func opError(i int, op *Op, err error) error {
 	return fmt.Errorf("update: op %d (%v): %w", i, op.Kind, err)
 }
 
-// revert is the one abort: it undoes the latest transaction, open or
-// committed. The undo records run in reverse; the counters go back to
-// what begin saved — all but Verifies and FullVerifies, which are
-// history, not state. The restored adjacencies passed before the
-// transaction, and pass now only with the labels they had then: if
-// restored nodes were re-labelled, the revert failed, or the labelling
-// changed an existing label since begin (verified, if at all, beside the
-// transaction's nodes, not beside the neighbours it has got back), the
-// next verification is the full pass. One notification: the tree was
-// mutated, and mutated back.
+// revert is the one abort: it undoes the open transaction — one that
+// failed while being staged, or the staged one. The undo records run in
+// reverse; the counters go back to what begin saved — all but Verifies
+// and FullVerifies, which are history, not state. The restored
+// adjacencies passed before the transaction, and pass now only with the
+// labels they had then: if restored nodes were re-labelled, the revert
+// failed, or the labelling changed an existing label since begin
+// (verified, if at all, beside the transaction's nodes, not beside the
+// neighbours it has got back), the next verification is the full pass.
+// A clean revert leaves the tree content-equal to what the commit hook
+// last announced, so the hook stays silent; a failed one may not have,
+// and fires it.
 func (s *Session) revert() error {
 	var err error
 	relabelled := false
@@ -381,16 +415,15 @@ func (s *Session) revert() error {
 			r.n.SetValue(r.old)
 		}
 	}
-	clear(s.undo)
-	s.undo = s.undo[:0]
+	s.staged = false
 	s.forgetTouched()
 	s.saved.Verifies, s.saved.FullVerifies = s.ctr.Verifies, s.ctr.FullVerifies
 	s.ctr = s.saved
 	if relabelled || err != nil || s.lab.Stats().Relabelling() != s.savedMark {
 		s.baseOK = false
 	}
-	s.notifyCommit()
 	if err != nil {
+		s.notifyCommit()
 		return fmt.Errorf("%w: %v", ErrRollback, err)
 	}
 	return nil
@@ -521,12 +554,7 @@ func checkBatchSubtree(op *Op, seen, doomed map[*xmltree.Node]bool) error {
 // node: a node whose ancestor chain dead-ends below the document is
 // inside a subtree some earlier op detached.
 func (s *Session) attached(n *xmltree.Node) bool {
-	for ; n != nil; n = n.Parent() {
-		if n == s.doc.Node() {
-			return true
-		}
-	}
-	return false
+	return n != nil && n.Root() == s.doc.Node()
 }
 
 // applyOp applies one op of the open transaction and returns the node

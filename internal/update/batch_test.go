@@ -437,22 +437,30 @@ func TestOpKindString(t *testing.T) {
 	}
 }
 
-// TestApplyStagedEmpty: an empty staged batch returns a no-op
-// rollback, not nil.
-func TestApplyStagedEmpty(t *testing.T) {
+// TestStageEmpty: an empty staged batch opens no transaction — Commit
+// and Abort have nothing to end, and the next transaction is not
+// refused.
+func TestStageEmpty(t *testing.T) {
 	doc := xmltree.ExampleTree()
 	s, err := NewSession(doc, qed.NewPrefix())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rollback, err := s.ApplyStaged(nil)
-	if err != nil {
-		t.Fatal(err)
+	fired := 0
+	s.SetOnCommit(func() { fired++ })
+	for _, end := range []func() error{s.Abort, func() error { s.Commit(); return nil }} {
+		res, err := s.Stage(nil)
+		if err != nil || res == nil || len(res.New) != 0 {
+			t.Fatalf("empty stage: %v, %v", res, err)
+		}
+		if err := end(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if rollback == nil {
-		t.Fatal("empty staged batch returned nil rollback")
+	if ctr := s.Counters(); ctr != (Counters{}) || fired != 0 {
+		t.Fatalf("empty stages counted %+v and fired the hook %d times", ctr, fired)
 	}
-	if err := rollback(); err != nil {
-		t.Fatal(err)
+	if _, err := s.Stage([]Op{AppendChildOp(doc.Root(), "x")}); err != nil {
+		t.Fatalf("stage after empty stages: %v", err)
 	}
 }

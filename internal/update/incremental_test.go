@@ -53,17 +53,17 @@ const (
 	modeSingle  txnMode = iota // one named op or move: a transaction of one
 	modeBatch                  // Apply
 	modeFailing                // Apply of a batch whose last op fails at apply time
-	modeStaged                 // ApplyStaged, then its rollback closure
+	modeStaged                 // Stage, then Abort
 )
 
 func (m txnMode) String() string {
-	return [...]string{"single", "batch", "failing-batch", "staged-rollback"}[m]
+	return [...]string{"single", "batch", "failing-batch", "staged-abort"}[m]
 }
 
 // genOptions bounds what the generator emits.
 type genOptions struct {
 	moves     bool // single-op moves and delete+graft batches
-	rollbacks bool // failing batches and staged rollbacks
+	rollbacks bool // failing batches and staged aborts
 	// deletesInRollbacks lets a rolled-back batch delete labelled
 	// nodes, so its rollback re-labels them (fallback trigger 3).
 	deletesInRollbacks bool
@@ -438,7 +438,7 @@ func (tw *twin) step(pa, pb picker, opt genOptions) {
 	ta, tb := buildTxn(pa, tw.a, opt), buildTxn(pb, tw.b, opt)
 	tw.txns++
 	where := fmt.Sprintf("%s txn %d (%s: %s)", tw.scheme.Name, tw.txns, ta.mode, ta.desc)
-	before := relabelCounters(tw.a)
+	before, opsA := relabelCounters(tw.a), tw.a.Counters().Operations
 
 	// verdicts compares a's commit-time answer with the full pass over
 	// b's identical tree, and reports whether the commit stood.
@@ -463,22 +463,22 @@ func (tw *twin) step(pa, pb picker, opt genOptions) {
 		}
 	}
 
-	// a runs the transaction the way its mode says; b always stages it,
-	// to undo whatever a commits and then takes back, or refuses.
+	// a runs the transaction the way its mode says. b, the coordinator's
+	// other document, always stages it and then does what a did: commits
+	// what a kept, aborts what a took back or refused.
 	var errA error
-	var undoA func() error
 	switch ta.mode {
 	case modeSingle:
 		errA = ta.single()
 	case modeStaged:
-		_, undoA, errA = tw.a.ApplyStaged(ta.ops)
+		_, errA = tw.a.Stage(ta.ops)
 	default:
 		_, errA = tw.a.Apply(ta.ops)
 	}
-	_, undoB, errB := tw.b.ApplyStaged(tb.ops)
-	undo := func(f func() error) {
-		if err := f(); err != nil {
-			t.Fatalf("%s: rollback: %v", where, err)
+	_, errB := tw.b.Stage(tb.ops)
+	abort := func(s *update.Session) {
+		if err := s.Abort(); err != nil {
+			t.Fatalf("%s: abort: %v", where, err)
 		}
 	}
 	reverted := true
@@ -489,18 +489,22 @@ func (tw *twin) step(pa, pb picker, opt genOptions) {
 			tw.allowedFull++ // trigger 3
 		}
 	case !verdicts(errA):
-		undo(undoB) // a reverted itself
+		abort(tw.b) // a reverted itself
 		if ta.restores {
 			tw.allowedFull++
 		}
 	case ta.mode == modeStaged:
-		undo(undoA)
-		undo(undoB)
+		abort(tw.a)
+		abort(tw.b)
 		if ta.restores || relabelCounters(tw.a) != before {
-			tw.allowedFull++ // trigger 3, or the closure saw trigger 2
+			tw.allowedFull++ // trigger 3
 		}
 	default:
+		tw.b.Commit()
 		reverted = false
+	}
+	if ta.mode == modeStaged && tw.a.Counters().Operations != opsA {
+		t.Fatalf("%s: a staged and aborted transaction was counted", where)
 	}
 	if relabelCounters(tw.a) != before {
 		tw.relabelled++
@@ -557,7 +561,7 @@ func claimsPersistence(name string) bool {
 // incremental check: for every registry scheme — the defective lsdx
 // included — the verdict of every commit of a seeded stream of inserts
 // at every position, attribute sets, deletes, grafts, moves, failing
-// batches and staged rollbacks equals the full pass's verdict.
+// batches and staged aborts equals the full pass's verdict.
 func TestIncrementalVerifyMatchesFullPass(t *testing.T) {
 	txns := 12000 // one in ten is a failing batch: more than 10 000 reach a verdict
 	if testing.Short() || raceEnabled {

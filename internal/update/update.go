@@ -54,7 +54,7 @@ type Counters struct {
 	Deletes        int64 // labellable nodes deleted
 	ContentUpdates int64
 	Operations     int64 // committed transactions (a single op, a move, a batch: one each)
-	Batches        int64 // those among them committed through Apply/ApplyStaged
+	Batches        int64 // those among them that were batches (Apply, or Stage and Commit)
 	// Verifies counts commit-time order verifications: one per
 	// auto-verified transaction, whichever way it was answered.
 	// FullVerifies counts those among them that walked the whole
@@ -82,17 +82,18 @@ type Session struct {
 	gaps     []*xmltree.Node
 	baseOK   bool
 	baseMark labeling.Stats
-	// The latest transaction (batch.go): its undo log, and the counters
-	// and relabel mark it began with — what revert restores. They
-	// outlive the commit for the closure ApplyStaged hands out, which
-	// txn, the transaction's number, keeps from undoing a later one.
+	// The open transaction (batch.go): its undo log, and the counters
+	// and relabel mark it began with — what revert restores. staged
+	// says it passed verification and awaits Commit or Abort; no other
+	// transaction starts until then.
 	undo      []undoRec
 	saved     Counters
 	savedMark labeling.Stats
-	txn       uint64
-	// onCommit, when set, runs once per commit and once per abort — the
-	// two moments the tree may differ from the last version anyone saw.
-	// The repository layer uses it to supersede published MVCC versions
+	staged    bool
+	// onCommit, when set, runs once per commit — the moment the tree
+	// differs from the last state anyone outside the session saw — and
+	// once per abort that failed, which may have left it different too.
+	// The repository layer uses it to publish MVCC versions
 	// (docs/CONCURRENCY.md); it runs while the caller still holds
 	// whatever lock guards the session.
 	onCommit func()
@@ -129,14 +130,15 @@ func (s *Session) SetAutoVerify(on bool) { s.autoVerify = on }
 func (s *Session) AutoVerify() bool { return s.autoVerify }
 
 // SetOnCommit installs fn as the session's commit hook: it runs once
-// per committed transaction and once per abort — a transaction that
-// failed after validation, or a run of ApplyStaged's closure; either
-// mutated the tree on its way back to the earlier state. fn must be
-// fast and must not call back into the session. The repository layer
-// uses the hook to publish a persistent path-copied MVCC version of the
-// document on every commit, which is what makes snapshot reads see only
-// committed states and snapshot pins O(1) (docs/CONCURRENCY.md); a nil
-// fn removes the hook. Sessions adopted into a repository have
+// per committed transaction and never for a staged or a cleanly aborted
+// one, whose tree is content-equal to what the hook last announced; an
+// abort that itself failed (ErrRollback) fires it once, because the
+// tree may then hold a state no commit produced. fn must be fast and
+// must not call back into the session. The repository layer uses the
+// hook to publish a persistent path-copied MVCC version of the document
+// on every commit, which is what makes snapshot reads see only committed
+// states and snapshot pins O(1) (docs/CONCURRENCY.md); a nil fn removes
+// the hook. Sessions adopted into a repository have
 // their hook owned by it — replacing the hook on such a session (e.g.
 // inside a View/Update callback) breaks snapshot consistency.
 func (s *Session) SetOnCommit(fn func()) { s.onCommit = fn }
@@ -149,7 +151,7 @@ func (s *Session) notifyCommit() {
 }
 
 // verifyCommitted is the one commit-time verification, run at the end
-// of every transaction (transact). Its verdict is that of
+// of every transaction's stage (batch.go). Its verdict is that of
 // labeling.VerifyOrder over the whole document; it gets there by
 // induction. The base: at the last verification every adjacent pair of
 // labelled nodes was in order. The step: a pair that is adjacent now
@@ -171,8 +173,9 @@ func (s *Session) notifyCommit() {
 //  2. the labelling's RelabelEvents, Relabeled or OverflowEvents moved
 //     since the base was taken: an existing label changed — the paper's
 //     Persistent Labels property is exactly that these stay put;
-//  3. a revert re-labelled what it restored, failed, or undid label
-//     changes: it left adjacencies no verification has seen;
+//  3. an abort re-labelled what it restored or failed — or dropped a
+//     transaction that had changed an existing label: it left
+//     adjacencies no verification has seen;
 //  4. transactions ran with auto-verify off.
 //
 // All structural change must go through the session, as the commit
@@ -268,7 +271,7 @@ func (s *Session) forgetTouched() {
 // created (nil for the other kinds, and on error).
 func (s *Session) Do(op Op) (*xmltree.Node, error) {
 	ops, created := [1]Op{op}, [1]*xmltree.Node{}
-	if err := s.transact(ops[:], created[:], false); err != nil {
+	if err := s.transact(ops[:], created[:]); err != nil {
 		return nil, err
 	}
 	return created[0], nil
@@ -378,7 +381,7 @@ func (s *Session) move(graft Op) error {
 		return xmltree.ErrCycle
 	}
 	ops := [2]Op{DeleteOp(graft.Subtree), graft}
-	return s.transact(ops[:], nil, false)
+	return s.transact(ops[:], nil)
 }
 
 // DeleteChildren removes all children of n (an internal-node content
@@ -389,7 +392,7 @@ func (s *Session) DeleteChildren(n *xmltree.Node) error {
 	for _, c := range n.Children() {
 		ops = append(ops, DeleteOp(c))
 	}
-	return s.transact(ops, nil, false)
+	return s.transact(ops, nil)
 }
 
 // --- internals ---------------------------------------------------------------
@@ -422,16 +425,8 @@ func labellable(n *xmltree.Node) bool {
 	return n.Kind() == xmltree.KindElement || n.Kind() == xmltree.KindAttribute
 }
 
-func countLabellable(n *xmltree.Node) int {
-	if n.Kind() == xmltree.KindAttribute {
-		return 1
-	}
-	count := 1 + len(n.Attributes())
-	for _, c := range n.Children() {
-		if c.Kind() == xmltree.KindElement {
-			count += countLabellable(c)
-		}
-	}
+func countLabellable(n *xmltree.Node) (count int) {
+	_ = walkLabellable(n, func(*xmltree.Node) error { count++; return nil })
 	return count
 }
 

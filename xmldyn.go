@@ -497,9 +497,8 @@ type (
 	DurableRepository = repo.DurableRepository
 	// DurableOptions configures a durable repository: the inner
 	// repository options, the WAL fsync policy and flusher timing,
-	// the SegmentBytes rotation threshold, the AutoCheckpointBytes
-	// auto-checkpoint threshold, and the RecoveryParallelism worker
-	// bound for snapshot decoding and partitioned replay.
+	// the SegmentBytes rotation threshold and the AutoCheckpointBytes
+	// auto-checkpoint threshold.
 	DurableOptions = repo.DurableOptions
 	// SyncPolicy selects when committed records reach stable storage.
 	SyncPolicy = wal.SyncPolicy
@@ -520,7 +519,7 @@ var ErrRepoClosed = repo.ErrClosed
 // NewDurableRepository opens (creating if necessary) the durable
 // repository stored in dir, recovering any committed state: it loads
 // the per-document snapshot files the manifest names (decoding them
-// concurrently, bounded by DurableOptions.RecoveryParallelism),
+// concurrently, on up to GOMAXPROCS workers),
 // replays the live write-ahead-log segments on top in index order —
 // partitioned by document across the same worker pool, stopping
 // cleanly at a torn tail in the newest segment — and is then ready
