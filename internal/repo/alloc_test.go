@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"xmldyn/internal/update"
+	"xmldyn/internal/wal"
 	"xmldyn/internal/xmltree"
 )
 
@@ -292,4 +293,172 @@ func TestSnapshotQueryAllocsIndependentOfSize(t *testing.T) {
 		t.Errorf("snapshot read scales with document size: %.0f bytes at 200 nodes, %.0f at 20000", bytes[200], bytes[20000])
 	}
 	t.Logf("snapshot read: %.1f allocs, %.0f bytes at 200 nodes; %.1f allocs, %.0f bytes at 20000", allocs[200], bytes[200], allocs[20000], bytes[20000])
+}
+
+// carrierDoc is a flat document of 64 children, each with an attribute
+// "a", and carrierOps a transaction of k ops on it that creates nothing:
+// renames and sets of the existing attribute, alternating.
+func carrierDoc(t testing.TB) *xmltree.Document {
+	t.Helper()
+	doc, err := xmltree.ParseString(strings.Replace(wideXML(64), "<c/>", `<c a="0"/>`, -1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
+func carrierOps(doc *xmltree.Document, b *update.Batch, k int) {
+	for i, c := range doc.Root().Children()[:k] {
+		if i%2 == 0 {
+			b.Rename(c, "d")
+		} else {
+			b.SetAttr(c, "a", "1")
+		}
+	}
+}
+
+// TestCommitCarriersAllocNothing: what carries a transaction from the
+// caller to the log and back — the op queue, the MultiDocs, the encoded
+// program, the record, the frame — is kept from commit to commit, so a
+// transaction that creates nothing allocates a small constant, the same
+// for 4 ops and for 64: in memory, logged, and replayed from the record.
+func TestCommitCarriersAllocNothing(t *testing.T) {
+	// A committed transaction hands back a BatchResult and its New slice;
+	// a replayed one makes a string of the record's document name.
+	most := map[string]float64{"Repository.Batch": 2, "DurableRepository.Batch": 2, "applyRecord": 1}
+	allocs := map[string]map[int]float64{"Repository.Batch": {}, "DurableRepository.Batch": {}, "applyRecord": {}}
+	for _, k := range []int{4, 64} {
+		r := New(Options{})
+		if _, err := r.Open("carriers", carrierDoc(t), "qed"); err != nil {
+			t.Fatal(err)
+		}
+		var ops []update.Op
+		var payload []byte
+		if err := r.View("carriers", func(s *update.Session) error {
+			b := s.Batch()
+			carrierOps(s.Document(), b, k)
+			ops = b.Ops()
+			enc, err := update.EncodeOps(s.Document(), ops)
+			payload = appendRecord(nil, record{kind: RecBatch, parts: []recordPart{{"carriers", enc}}})
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		commit := func() {
+			if _, err := r.Batch("carriers", ops); err != nil {
+				t.Fatal(err)
+			}
+		}
+		commit()
+		allocs["Repository.Batch"][k] = testing.AllocsPerRun(100, commit)
+
+		d, err := OpenDurable(t.TempDir(), DurableOptions{Sync: wal.SyncAsync, AutoCheckpointBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { d.Close() })
+		if err := d.Open("carriers", carrierDoc(t), "qed"); err != nil {
+			t.Fatal(err)
+		}
+		durable := func() {
+			if _, err := d.Batch("carriers", func(doc *xmltree.Document, b *update.Batch) error {
+				carrierOps(doc, b, k)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		durable()
+		allocs["DurableRepository.Batch"][k] = testing.AllocsPerRun(100, durable)
+
+		replay := func() {
+			if err := applyRecord(r, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		replay()
+		allocs["applyRecord"][k] = testing.AllocsPerRun(100, replay)
+	}
+	for path, a := range allocs {
+		t.Logf("%s: %.1f allocs at 4 ops, %.1f at 64", path, a[4], a[64])
+		if d := a[64] - a[4]; d < -1 || d > 1 {
+			t.Errorf("%s: allocations grow with the transaction: %.1f at 4 ops, %.1f at 64", path, a[4], a[64])
+		}
+		if a[64] > most[path] {
+			t.Errorf("%s: %.1f allocs for a transaction that creates nothing, want <= %.0f", path, a[64], most[path])
+		}
+	}
+}
+
+// mapSink keeps the maps TestCommitAllocatesWhatItCreates measures on
+// the heap, where MultiBatch's are.
+var mapSink [2]any
+
+// insertAllocs is what a transaction of n element inserts on a qed
+// document may allocate: the n nodes, two allocations per new code (the
+// code and the label that holds it), and a constant — the BatchResult,
+// its New slice, the slab the result's detached copies are cut from, and
+// one to spare for a child list that grows.
+func insertAllocs(n int) float64 { return float64(n + 2*n + 4) }
+
+// TestCommitAllocatesWhatItCreates: a commit pays for the nodes it
+// inserts, the labels it assigns and the result it returns — not for
+// maps, batches, record buffers or a clone per created node. A
+// two-document MultiBatch pays that twice, plus the two maps its
+// signature promises.
+func TestCommitAllocatesWhatItCreates(t *testing.T) {
+	const inserts = 16
+	r := New(Options{})
+	for _, name := range []string{"left", "right"} {
+		if _, err := r.Open(name, carrierDoc(t), "qed"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queue := func(doc *xmltree.Document, b *update.Batch) {
+		for i := 0; i < inserts; i++ {
+			b.AppendChild(doc.Root(), "n")
+		}
+	}
+	var ops []update.Op
+	if err := r.View("left", func(s *update.Session) error {
+		b := s.Batch()
+		queue(s.Document(), b)
+		ops = b.Ops()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	single := func() {
+		if _, err := r.Batch("left", ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	single()
+	if got := testing.AllocsPerRun(100, single); got > insertAllocs(inserts) {
+		t.Errorf("a %d-insert batch allocates %.1f, want <= %.0f", inserts, got, insertAllocs(inserts))
+	}
+
+	names := []string{"left", "right"}
+	multi := func() {
+		if _, err := r.MultiBatch(names, func(m map[string]*MultiDoc) error {
+			queue(m["left"].Document(), m["left"].Batch())
+			queue(m["right"].Document(), m["right"].Batch())
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	multi()
+	// The two maps, as this runtime allocates them.
+	maps := testing.AllocsPerRun(100, func() {
+		in := make(map[string]*MultiDoc, 2)
+		out := make(map[string]*update.BatchResult, 2)
+		in["left"], in["right"], out["left"], out["right"] = nil, nil, nil, nil
+		mapSink = [2]any{in, out}
+	})
+	if got, most := testing.AllocsPerRun(100, multi), 2*insertAllocs(inserts)+maps; got > most {
+		t.Errorf("a two-document MultiBatch of %d inserts each allocates %.1f, want <= %.0f (%.0f for its maps)", inserts, got, most, maps)
+	} else {
+		t.Logf("two-document MultiBatch: %.1f allocs, %.0f of them its maps", got, maps)
+	}
 }

@@ -187,16 +187,19 @@ func loadDocSnaps(dir string, r *Repository, docs []store.ManifestDoc, workers i
 
 // routeRecord partitions a WAL record for parallel replay without
 // decoding its body: per-document records route by the document name
-// parseRecord slices out of them, and RecMulti — the only record
-// touching several documents — is a barrier. Malformed payloads fall
-// through to applyRecord's error reporting via a serial barrier, so
-// parallel and serial replay reject the same logs.
+// parseRecord slices out of them — into a record that never leaves this
+// stack frame, the name its one allocation — and RecMulti, the only
+// record touching several documents, is a barrier unparsed. Malformed
+// payloads fall through to applyRecord's error reporting via a serial
+// barrier, so parallel and serial replay reject the same logs.
 func routeRecord(payload []byte) (wal.Dispatch, error) {
-	rec, err := parseRecord(payload)
-	if err != nil || rec.kind == RecMulti {
-		return wal.Dispatch{Barrier: true}, nil
+	if len(payload) > 0 && payload[0] != RecMulti {
+		var one [1]recordPart
+		if rec, err := parseRecord(payload, one[:0]); err == nil {
+			return wal.Dispatch{Key: rec.parts[0].name}, nil
+		}
 	}
-	return wal.Dispatch{Key: rec.parts[0].name}, nil
+	return wal.Dispatch{Barrier: true}, nil
 }
 
 // applyRecord applies one WAL record payload to r — during recovery
@@ -204,14 +207,16 @@ func routeRecord(payload []byte) (wal.Dispatch, error) {
 // commit routine (txn.go) under the replay policy: the write lock of
 // every document the record names is taken exactly as by the commit
 // that logged it, the op programs are decoded against the locked
-// pre-transaction trees, and the parts apply all-or-nothing, so
-// concurrent snapshot readers observe the record's transaction
-// atomically (during recovery the locks are simply uncontended). A
-// record the state cannot follow — a document no well-formed log can
-// name here, since Drop and every commit re-check membership under the
-// document's write lock — is an error and leaves every tree as it was.
+// pre-transaction trees, straight onto the documents' batches, and the
+// parts apply all-or-nothing, so concurrent snapshot readers observe the
+// record's transaction atomically (during recovery the locks are simply
+// uncontended). A record the state cannot follow — a document no
+// well-formed log can name here, since Drop and every commit re-check
+// membership under the document's write lock — is an error and leaves
+// every tree as it was.
 func applyRecord(r *Repository, payload []byte) error {
-	rec, err := parseRecord(payload)
+	var one [1]recordPart
+	rec, err := parseRecord(payload, one[:0])
 	if err != nil {
 		return err
 	}
@@ -221,30 +226,30 @@ func applyRecord(r *Repository, payload []byte) error {
 		if err != nil {
 			return err
 		}
-		_, err = r.Open(rec.parts[0].name, doc, rec.scheme)
+		// A copy of the scheme name: handing out rec's own field would
+		// move rec, and the array behind its parts, to the heap.
+		_, err = r.Open(rec.parts[0].name, doc, strings.Clone(rec.scheme))
 		return err
 	case RecDrop:
 		r.Drop(rec.parts[0].name)
 		return nil
 	}
-	names := make([]string, len(rec.parts))
-	for i, p := range rec.parts {
-		names[i] = p.name
+	// The parts are in the order commit locks the documents in — sorted
+	// by name — so part i is queued on document i.
+	var nameArr [inlineDocs]string
+	var mdArr [inlineDocs]MultiDoc
+	names, mds := nameArr[:0], mdArr[:0]
+	for _, p := range rec.parts {
+		names, mds = append(names, p.name), append(mds, MultiDoc{})
 	}
-	_, err = r.commit(names, logPolicy{replay: true}, func(m map[string]*MultiDoc) error {
-		for _, p := range rec.parts {
-			md := m[p.name]
-			ops, err := update.DecodeOps(md.Document(), p.data)
-			if err != nil {
+	return r.commit(names, logPolicy{replay: true}, mds, func(int) error {
+		for i, p := range rec.parts {
+			if err := mds[i].b.AddEncoded(p.data); err != nil {
 				return fmt.Errorf("record part %q: %w", p.name, err)
-			}
-			for _, op := range ops {
-				md.b.Add(op)
 			}
 		}
 		return nil
 	})
-	return err
 }
 
 // sweepDir deletes from dir every file of the durable layout that live

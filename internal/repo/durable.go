@@ -373,7 +373,8 @@ func (d *DurableRepository) Drop(name string) (bool, error) {
 	}
 	// Hold the document's write lock across the append so no batch on
 	// this document can slip its record after the drop record.
-	held, err := d.repo().lockLiveSorted([]string{name})
+	var one [1]*Doc
+	held, err := d.repo().lockLiveSorted([]string{name}, one[:0])
 	if err != nil {
 		return false, nil
 	}
@@ -404,12 +405,15 @@ func (d *DurableRepository) Drop(name string) (bool, error) {
 // mutation must be expressed as a queued op so it is logged — a direct
 // session call inside the callback would commit in memory, be missing
 // from the log, and silently shift the structural paths of every later
-// record. Navigate the tree to find reference nodes, queue ops on b.
+// record. Navigate the tree to find reference nodes, queue ops on b —
+// the document's own batch, emptied when the commit returns: valid only
+// inside build.
 func (d *DurableRepository) Batch(name string, build func(*xmltree.Document, *update.Batch) error) (*update.BatchResult, error) {
-	out, err := d.repo().commit([]string{name}, logPolicy{leader: d, kind: RecBatch}, func(m map[string]*MultiDoc) error {
-		return build(m[name].Document(), m[name].b)
+	var md [1]MultiDoc
+	err := d.repo().commit([]string{name}, logPolicy{leader: d, kind: RecBatch}, md[:], func(int) error {
+		return build(md[0].Document(), md[0].b)
 	})
-	return out[name], err
+	return md[0].res, err
 }
 
 // Update commits pre-built ops against the named document as one
@@ -430,9 +434,9 @@ func (d *DurableRepository) Update(name string, ops ...update.Op) (*update.Batch
 // queued ops, so a crash either preserves the entire transaction or
 // tears the entire record off the log tail; recovery can never replay
 // a subset of the involved documents. As in Batch, build receives
-// trees, not sessions.
+// trees, not sessions, and what it receives is valid only inside it.
 func (d *DurableRepository) MultiBatch(names []string, build func(map[string]*MultiDoc) error) (map[string]*update.BatchResult, error) {
-	return d.repo().commit(names, logPolicy{leader: d, kind: RecMulti}, build)
+	return d.repo().commitByName(names, logPolicy{leader: d, kind: RecMulti}, build)
 }
 
 // checkFailed refuses commits after a WAL append failure.

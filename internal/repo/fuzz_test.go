@@ -113,7 +113,7 @@ func FuzzParseRecord(f *testing.F) {
 	f.Add(append([]byte{RecBatch}, overflow...))
 	f.Add(append([]byte{RecMulti}, overflow...))
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		rec, err := parseRecord(payload)
+		rec, err := parseRecord(payload, nil)
 		route, rerr := routeRecord(payload)
 		if rerr != nil {
 			t.Fatalf("routeRecord failed: %v", rerr)

@@ -88,8 +88,10 @@ func appendRecord(out []byte, rec record) []byte {
 }
 
 // parseRecord takes a payload apart without decoding any tree image or
-// op program. The returned parts alias payload.
-func parseRecord(payload []byte) (record, error) {
+// op program. The parts are appended to parts[:0] — a caller that hands
+// in room for one keeps a single-part record off the heap — and alias
+// payload.
+func parseRecord(payload []byte, parts []recordPart) (record, error) {
 	if len(payload) == 0 {
 		return record{}, errors.New("empty record")
 	}
@@ -104,8 +106,8 @@ func parseRecord(payload []byte) (record, error) {
 		if count > uint64(len(body))/3 {
 			return record{}, fmt.Errorf("implausible multi record count %d", count)
 		}
-		rec.parts = make([]recordPart, count)
-		for i := range rec.parts {
+		rec.parts = slices.Grow(parts[:0], int(count))
+		for i := 0; i < int(count); i++ {
 			var name, data []byte
 			if name, pos, err = cutField(body, pos); err == nil {
 				data, pos, err = cutField(body, pos)
@@ -113,7 +115,7 @@ func parseRecord(payload []byte) (record, error) {
 			if err != nil {
 				return record{}, fmt.Errorf("multi record part %d: %v", i, err)
 			}
-			rec.parts[i] = recordPart{string(name), data}
+			rec.parts = append(rec.parts, recordPart{string(name), data})
 			if i > 0 && rec.parts[i-1].name >= rec.parts[i].name {
 				return record{}, fmt.Errorf("multi record part %d (%q) is not in increasing name order", i, name)
 			}
@@ -142,7 +144,7 @@ func parseRecord(payload []byte) (record, error) {
 	default:
 		return record{}, fmt.Errorf("unknown record type %d", rec.kind)
 	}
-	rec.parts = []recordPart{{string(name), body[pos:]}}
+	rec.parts = append(parts[:0], recordPart{string(name), body[pos:]})
 	return rec, nil
 }
 

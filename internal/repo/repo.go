@@ -133,6 +133,8 @@ type Doc struct {
 	scheme string
 	mu     sync.RWMutex
 	sess   *update.Session
+	// scratch is the commit routine's (txn.go); guarded by mu
+	scratch docScratch
 	// MVCC version chain (version.go): verSeq advances once per
 	// committed transaction via the session's commit hook; cur caches the
 	// (possibly unmaterialised) version descriptor for the current
@@ -248,7 +250,7 @@ func (r *Repository) add(name, scheme string, sess *update.Session) (*Doc, error
 	// Adopt the session into the repository's verification policy
 	// before it becomes reachable by name.
 	sess.SetAutoVerify(r.autoVerify)
-	d := &Doc{name: name, scheme: scheme, sess: sess, verSeq: InitialVersionSeq, repo: r}
+	d := &Doc{name: name, scheme: scheme, sess: sess, scratch: docScratch{batch: sess.Batch()}, verSeq: InitialVersionSeq, repo: r}
 	d.stamp = r.clock.Add(1)
 	if r.versioning.Load() {
 		// With a retained window configured, the opened state itself
@@ -355,7 +357,10 @@ func (r *Repository) Update(name string, fn func(*update.Session) error) error {
 
 // Batch commits ops against the named document as one write-locked
 // transaction (one order verification for the whole batch under the
-// default auto-verify policy; none when the repository opted out).
+// default auto-verify policy; none when the repository opted out). The
+// created nodes in the result are detached deep copies that share one
+// allocation: holding one of them keeps the result's other copies
+// reachable.
 func (r *Repository) Batch(name string, ops []update.Op) (*update.BatchResult, error) {
 	d, ok := r.Get(name)
 	if !ok {
@@ -368,10 +373,13 @@ func (r *Repository) Batch(name string, ops []update.Op) (*update.BatchResult, e
 // the live tree for navigating to reference nodes, and the batch that
 // queues the document's ops. Every mutation must be expressed as a
 // queued op — the session is deliberately not exposed, so a durable
-// MultiBatch cannot commit an unlogged change.
+// MultiBatch cannot commit an unlogged change. Its batch is the
+// document's own, reused by its next commit: a MultiDoc is valid only
+// inside the build callback that was handed it.
 type MultiDoc struct {
 	doc *Doc
 	b   *update.Batch
+	res *update.BatchResult // what the commit created here (txn.go)
 }
 
 // Name returns the document's repository name.
@@ -381,7 +389,8 @@ func (m *MultiDoc) Name() string { return m.doc.name }
 // exclusively through ops queued on Batch.
 func (m *MultiDoc) Document() *xmltree.Document { return m.doc.sess.Document() }
 
-// Batch returns the batch queuing this document's ops.
+// Batch returns the batch queuing this document's ops. It is emptied
+// when the commit returns: do not keep it past the build callback.
 func (m *MultiDoc) Batch() *update.Batch { return m.b }
 
 // MultiBatch commits one atomic transaction across the named
@@ -397,10 +406,32 @@ func (m *MultiDoc) Batch() *update.Batch { return m.b }
 // (Node.Clone) in the destination. build must not call back into the
 // repository (see the package doc on re-entrancy).
 //
-// The results map one entry per name; created nodes are detached deep
-// copies, as in Batch.
+// The MultiDocs are valid only inside build. The results map one entry
+// per name; created nodes are detached deep copies, as in Batch.
 func (r *Repository) MultiBatch(names []string, build func(map[string]*MultiDoc) error) (map[string]*update.BatchResult, error) {
-	return r.commit(names, logPolicy{}, build)
+	return r.commitByName(names, logPolicy{}, build)
+}
+
+// commitByName is commit for the callers whose signature promises maps
+// (the two MultiBatch): the only place a transaction is keyed by name.
+func (r *Repository) commitByName(names []string, pol logPolicy, build func(map[string]*MultiDoc) error) (map[string]*update.BatchResult, error) {
+	mds := make([]MultiDoc, len(names))
+	err := r.commit(names, pol, mds, func(n int) error {
+		mds = mds[:n]
+		m := make(map[string]*MultiDoc, n)
+		for i := range mds {
+			m[mds[i].doc.name] = &mds[i]
+		}
+		return build(m)
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]*update.BatchResult, len(mds))
+	for i := range mds {
+		out[mds[i].doc.name] = mds[i].res
+	}
+	return out, nil
 }
 
 // Query evaluates a location path against the named document under the
@@ -523,17 +554,17 @@ func (d *Doc) Update(fn func(*update.Session) error) error {
 // live created nodes. A slot that no longer serves its name (dropped)
 // takes no more batches: ErrNotFound.
 func (d *Doc) Batch(ops []update.Op) (*update.BatchResult, error) {
-	out, err := d.repo.commit([]string{d.name}, logPolicy{}, func(m map[string]*MultiDoc) error {
-		md := m[d.name]
-		if md.doc != d {
+	var md [1]MultiDoc
+	err := d.repo.commit([]string{d.name}, logPolicy{}, md[:], func(int) error {
+		if md[0].doc != d {
 			return fmt.Errorf("%w: %q was dropped", ErrNotFound, d.name)
 		}
 		for _, op := range ops {
-			md.b.Add(op)
+			md[0].b.Add(op)
 		}
 		return nil
 	})
-	return out[d.name], err
+	return md[0].res, err
 }
 
 // Query evaluates a location path under the read lock using structural

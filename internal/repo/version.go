@@ -440,7 +440,7 @@ func (r *Repository) snapshotWith(names []string, pin func(*Doc) (*docVersion, e
 	if all {
 		names = r.Names()
 	}
-	uniq := sortedUnique(names)
+	uniq := sortedUnique(nil, names)
 	held := make([]*Doc, 0, len(uniq))
 	resolved := uniq[:0]
 	for _, name := range uniq {

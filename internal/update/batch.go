@@ -33,7 +33,6 @@ package update
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
 
 	"xmldyn/internal/xmltree"
@@ -177,7 +176,9 @@ type BatchResult struct {
 }
 
 // Batch accumulates ops for one session and commits them atomically.
-// The zero value is not usable; obtain one from Session.Batch.
+// The zero value is not usable; obtain one from Session.Batch. A batch
+// handed to a repository build callback is the document's own, emptied
+// when the commit returns: it is valid only inside that callback.
 type Batch struct {
 	s   *Session
 	ops []Op
@@ -195,6 +196,25 @@ func (b *Batch) Ops() []Op { return b.ops }
 
 // Add queues an already-constructed op.
 func (b *Batch) Add(op Op) *Batch { b.ops = append(b.ops, op); return b }
+
+// AddEncoded queues the ops of an EncodeOps program, decoded against the
+// session's document as it stands. After an error the batch holds the
+// ops decoded before it.
+func (b *Batch) AddEncoded(data []byte) (err error) {
+	b.ops, err = appendDecoded(b.ops, b.s.doc, data)
+	return err
+}
+
+// Reset empties the batch for reuse. The op slots are cleared, so the
+// batch keeps no node reachable, and a backing array grown past keep
+// ops is let go — with the session's validation marks, which a
+// transaction of that many ops may have grown as far.
+func (b *Batch) Reset(keep int) {
+	clear(b.ops)
+	if b.ops = b.ops[:0]; cap(b.ops) > keep {
+		b.ops, b.s.marks = nil, nil
+	}
+}
 
 // InsertBefore queues a new element immediately before ref.
 func (b *Batch) InsertBefore(ref *xmltree.Node, name string) *Batch {
@@ -291,6 +311,10 @@ func (s *Session) Stage(ops []Op) (*BatchResult, error) {
 	}
 	return res, nil
 }
+
+// StageReplay is Stage for ops decoded from a log record: nobody reads
+// what they create, so no result is built.
+func (s *Session) StageReplay(ops []Op) error { return s.stage(ops, nil) }
 
 // Commit ends the staged transaction by keeping it: it counts as one
 // operation and one batch, and the commit hook fires. It cannot fail;
@@ -449,78 +473,93 @@ const (
 	undoValue                  // n's value was replaced
 )
 
+// Marks validateBatch keeps per node: grafted by a subtree op so far,
+// target of a delete so far.
+const (
+	markGrafted uint8 = 1 << iota
+	markDoomed
+)
+
 // validateBatch rejects statically invalid transactions before any
 // mutation. Later ops may still fail at apply time when they depend on
 // document state an earlier op changes (e.g. inserting relative to a
 // node a previous op deletes); those failures revert.
 func (s *Session) validateBatch(ops []Op) error {
-	// seen: the subtrees grafted so far; doomed: the targets of the
-	// deletes so far. They relate the ops of one transaction to each
-	// other, so a single op needs neither; allocated lazily, because the
-	// hot path (insert-only batches) should not pay two maps.
-	var seen, doomed map[*xmltree.Node]bool
-	note := func(set *map[*xmltree.Node]bool, n *xmltree.Node) {
-		if len(ops) == 1 {
-			return
-		}
-		if *set == nil {
-			*set = make(map[*xmltree.Node]bool)
-		}
-		(*set)[n] = true
-	}
-	check := func(op *Op) error {
-		if op.Ref == nil {
-			return ErrEmptyOp
-		}
-		switch op.Kind {
-		case OpInsertBefore, OpInsertAfter:
-			if err := checkSiblingRef(op.Ref); err != nil {
-				return err
-			}
-			return checkName(op.Name)
-		case OpInsertFirstChild, OpAppendChild:
-			// canContain errors surface at apply time.
-			return checkName(op.Name)
-		case OpInsertSubtreeBefore, OpInsertSubtreeAfter:
-			if err := checkSiblingRef(op.Ref); err != nil {
-				return err
-			}
-			fallthrough
-		case OpInsertSubtreeFirst, OpAppendSubtree:
-			err := checkBatchSubtree(op, seen, doomed)
-			note(&seen, op.Subtree)
-			return err
-		case OpDelete:
-			if op.Ref.Parent() == nil {
-				return ErrDetachedRef
-			}
-			note(&doomed, op.Ref)
-			return nil
-		case OpSetText:
-			if op.Ref.Kind() != xmltree.KindElement {
-				return ErrNotElement
-			}
-			return nil
-		case OpSetAttr:
-			if op.Ref.Kind() != xmltree.KindElement {
-				return ErrNotElement
-			}
-			return checkName(op.Name)
-		case OpRename:
-			if !labellable(op.Ref) {
-				return ErrNotElement
-			}
-			return checkName(op.Name)
-		default:
-			return fmt.Errorf("%w %d", ErrBadOp, int(op.Kind))
-		}
-	}
+	var err error
 	for i := range ops {
-		if err := check(&ops[i]); err != nil {
-			return opError(i, &ops[i], err)
+		if err = s.checkOp(&ops[i], len(ops) > 1); err != nil {
+			err = opError(i, &ops[i], err)
+			break
 		}
 	}
-	return nil
+	// The marks hold nodes, some of them about to be deleted: none
+	// outlives the validation. The emptied map is kept for the next
+	// transaction; Batch.Reset bounds how large a one.
+	clear(s.marks)
+	return err
+}
+
+// checkOp validates one op against the transaction's starting tree and,
+// when the transaction has other ops to relate it to, marks what it
+// grafts or deletes in the session's mark set.
+func (s *Session) checkOp(op *Op, multi bool) error {
+	if op.Ref == nil {
+		return ErrEmptyOp
+	}
+	switch op.Kind {
+	case OpInsertBefore, OpInsertAfter:
+		if err := checkSiblingRef(op.Ref); err != nil {
+			return err
+		}
+		return checkName(op.Name)
+	case OpInsertFirstChild, OpAppendChild:
+		// canContain errors surface at apply time.
+		return checkName(op.Name)
+	case OpInsertSubtreeBefore, OpInsertSubtreeAfter:
+		if err := checkSiblingRef(op.Ref); err != nil {
+			return err
+		}
+		fallthrough
+	case OpInsertSubtreeFirst, OpAppendSubtree:
+		err := checkBatchSubtree(op, s.marks)
+		s.mark(op.Subtree, markGrafted, multi)
+		return err
+	case OpDelete:
+		if op.Ref.Parent() == nil {
+			return ErrDetachedRef
+		}
+		s.mark(op.Ref, markDoomed, multi)
+		return nil
+	case OpSetText:
+		if op.Ref.Kind() != xmltree.KindElement {
+			return ErrNotElement
+		}
+		return nil
+	case OpSetAttr:
+		if op.Ref.Kind() != xmltree.KindElement {
+			return ErrNotElement
+		}
+		return checkName(op.Name)
+	case OpRename:
+		if !labellable(op.Ref) {
+			return ErrNotElement
+		}
+		return checkName(op.Name)
+	default:
+		return fmt.Errorf("%w %d", ErrBadOp, int(op.Kind))
+	}
+}
+
+// mark notes n in the mark set. The marks relate the ops of one
+// transaction to each other, so a single op (multi false) sets none.
+func (s *Session) mark(n *xmltree.Node, m uint8, multi bool) {
+	if !multi {
+		return
+	}
+	if s.marks == nil {
+		s.marks = make(map[*xmltree.Node]uint8)
+	}
+	s.marks[n] |= m
 }
 
 // checkName accepts what can stand as an element or attribute name in
@@ -537,11 +576,11 @@ func checkName(name string) error {
 // the exact target of an earlier OpDelete in the same batch, which is
 // how a batch expresses a move (delete then re-graft: by the time the
 // graft applies, the delete has detached it).
-func checkBatchSubtree(op *Op, seen, doomed map[*xmltree.Node]bool) error {
+func checkBatchSubtree(op *Op, marks map[*xmltree.Node]uint8) error {
 	if op.Subtree == nil {
 		return ErrNoTree
 	}
-	if (op.Subtree.Parent() != nil && !doomed[op.Subtree]) || seen[op.Subtree] {
+	if m := marks[op.Subtree]; (op.Subtree.Parent() != nil && m&markDoomed == 0) || m&markGrafted != 0 {
 		return ErrAttached
 	}
 	if op.Subtree.Kind() != xmltree.KindElement {
@@ -633,9 +672,11 @@ func (s *Session) detach(n *xmltree.Node) {
 }
 
 func (s *Session) setText(e *xmltree.Node, text string) error {
-	for _, c := range slices.Clone(e.Children()) {
-		if c.Kind() == xmltree.KindText {
-			s.detach(c)
+	// Backwards: detaching a child shifts only the ones after it.
+	kids := e.Children()
+	for i := len(kids) - 1; i >= 0; i-- {
+		if kids[i].Kind() == xmltree.KindText {
+			s.detach(kids[i])
 		}
 	}
 	if text != "" {

@@ -3,6 +3,8 @@ package update
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"xmldyn/internal/schemes/dewey"
@@ -462,5 +464,117 @@ func TestStageEmpty(t *testing.T) {
 	}
 	if _, err := s.Stage([]Op{AppendChildOp(doc.Root(), "x")}); err != nil {
 		t.Fatalf("stage after empty stages: %v", err)
+	}
+}
+
+// TestSetTextAbortRestoresChildOrder: a SetText on an element with
+// several text children detaches them last to first; staging it and
+// aborting puts every child back where it stood — the same nodes in the
+// same order, not only the same text.
+func TestSetTextAbortRestoresChildOrder(t *testing.T) {
+	doc, err := xmltree.ParseString(`<r>one<a/>two<b/>three<c/></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSession(doc, qed.NewPrefix())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, kids := doc.XML(), slices.Clone(doc.Root().Children())
+	if _, err := s.Stage([]Op{SetTextOp(doc.Root(), "new")}); err != nil {
+		t.Fatal(err)
+	}
+	if got := doc.Root().Text(); got != "new" {
+		t.Fatalf("staged text %q, want %q", got, "new")
+	}
+	if err := s.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if got := doc.XML(); got != before {
+		t.Fatalf("after the abort:\n got %s\nwant %s", got, before)
+	}
+	if !slices.Equal(doc.Root().Children(), kids) {
+		t.Fatal("the abort restored the text but not the nodes' order")
+	}
+}
+
+// TestBatchResetAndAddEncoded: a reset batch queues nothing and keeps no
+// node reachable from its slots, lets go of a backing array past the
+// keep it is given, and takes an encoded program after ops already
+// queued — back-references and all — exactly as DecodeOps reads it.
+func TestBatchResetAndAddEncoded(t *testing.T) {
+	doc, err := xmltree.ParseString(`<r><a><b/></a><c/></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSession(doc, qed.NewPrefix())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, c := doc.FindElement("a"), doc.FindElement("c")
+	move := []Op{DeleteOp(a), AppendSubtreeOp(c, a)}
+	enc, err := EncodeOps(doc, move)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := s.Batch().Rename(c, "d")
+	if err := b.AddEncoded(enc); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Ops(); len(got) != 3 || got[1] != move[0] || got[2] != move[1] {
+		t.Fatalf("queued %+v, want the rename and then %+v", got, move)
+	}
+	if err := b.AddEncoded(enc[:len(enc)-1]); !errors.Is(err, ErrCodecCorrupt) {
+		t.Fatalf("truncated program: %v, want ErrCodecCorrupt", err)
+	}
+	slots := b.Ops()[:cap(b.Ops())]
+	b.Reset(len(slots))
+	if b.Len() != 0 || cap(b.Ops()) != len(slots) {
+		t.Fatalf("reset within keep: %d ops queued, capacity %d of %d", b.Len(), cap(b.Ops()), len(slots))
+	}
+	for i, op := range slots {
+		if op != (Op{}) {
+			t.Fatalf("slot %d still holds %+v after the reset", i, op)
+		}
+	}
+	b.Rename(c, "e").Reset(0)
+	if cap(b.Ops()) != 0 {
+		t.Fatalf("reset past keep kept a backing array of %d", cap(b.Ops()))
+	}
+}
+
+// TestOversizedTransactionMarksAreLetGo: validating a transaction of
+// 10 000 deletes grows the session's mark set to as many entries, and a
+// cleared map keeps its buckets. The reset that lets the batch's backing
+// array go lets the map go with it; a small transaction's is kept, empty.
+func TestOversizedTransactionMarksAreLetGo(t *testing.T) {
+	const keep, big = 1024, 10000
+	doc, err := xmltree.ParseString("<r>" + strings.Repeat("<x/>", big+2) + "</r>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSession(doc, qed.NewPrefix())
+	if err != nil {
+		t.Fatal(err)
+	}
+	kids := slices.Clone(doc.Root().Children())
+	b := s.Batch().Delete(kids[0]).Delete(kids[1])
+	if _, err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if b.Reset(keep); s.marks == nil || len(s.marks) != 0 {
+		t.Fatalf("after a 2-delete transaction the mark set is %v (%d entries), want kept and empty", s.marks, len(s.marks))
+	}
+	for _, k := range kids[2:] {
+		b.Delete(k)
+	}
+	if _, err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.marks) != 0 {
+		t.Fatalf("%d marks outlive the validation", len(s.marks))
+	}
+	if b.Reset(keep); s.marks != nil || cap(b.Ops()) != 0 {
+		t.Fatalf("after a %d-delete transaction the session keeps its mark set (nil: %t) and the batch room for %d ops", big, s.marks == nil, cap(b.Ops()))
 	}
 }

@@ -20,6 +20,7 @@ package update
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"xmldyn/internal/labels"
 	"xmldyn/internal/xmltree"
@@ -59,7 +60,13 @@ func EncodeOps(doc *xmltree.Document, ops []Op) ([]byte, error) {
 	for i := range ops {
 		size += len(ops[i].Name) + len(ops[i].Value)
 	}
-	out := labels.AppendLEB128(make([]byte, 0, size), uint64(len(ops)))
+	return AppendOps(make([]byte, 0, size), doc, ops)
+}
+
+// AppendOps is EncodeOps appending the program to out, for a caller
+// that keeps one buffer from commit to commit.
+func AppendOps(out []byte, doc *xmltree.Document, ops []Op) ([]byte, error) {
+	out = labels.AppendLEB128(out, uint64(len(ops)))
 	// The steps of one reference path, reused from op to op.
 	var stepBuf [32]uint64
 	steps := stepBuf[:0]
@@ -123,45 +130,53 @@ func EncodeOps(doc *xmltree.Document, ops []Op) ([]byte, error) {
 // paths against doc's current (pre-apply) state. The returned ops are
 // ready for Session.Apply.
 func DecodeOps(doc *xmltree.Document, data []byte) ([]Op, error) {
+	return appendDecoded(nil, doc, data)
+}
+
+// appendDecoded is DecodeOps appending the ops to ops (Batch.AddEncoded).
+// After an error it returns what it had decoded.
+func appendDecoded(ops []Op, doc *xmltree.Document, data []byte) ([]Op, error) {
 	count, pos, err := labels.DecodeLEB128(data)
 	if err != nil {
-		return nil, fmt.Errorf("%w: op count: %v", ErrCodecCorrupt, err)
+		return ops, fmt.Errorf("%w: op count: %v", ErrCodecCorrupt, err)
 	}
 	// Each op costs at least a kind byte and an empty path.
 	if count > uint64(len(data)) {
-		return nil, fmt.Errorf("%w: implausible op count %d", ErrCodecCorrupt, count)
+		return ops, fmt.Errorf("%w: implausible op count %d", ErrCodecCorrupt, count)
 	}
-	ops := make([]Op, 0, count)
+	// Back-references count from the program's first op.
+	base := len(ops)
+	ops = slices.Grow(ops, int(count))
 	for i := uint64(0); i < count; i++ {
 		if pos >= len(data) {
-			return nil, fmt.Errorf("%w: truncated at op %d", ErrCodecCorrupt, i)
+			return ops, fmt.Errorf("%w: truncated at op %d", ErrCodecCorrupt, i)
 		}
 		op := Op{Kind: OpKind(data[pos])}
 		pos++
 		if op.Ref, pos, err = readRef(doc, data, pos); err != nil {
-			return nil, fmt.Errorf("op %d (%v): %w", i, op.Kind, err)
+			return ops, fmt.Errorf("op %d (%v): %w", i, op.Kind, err)
 		}
 		switch op.Kind {
 		case OpInsertBefore, OpInsertAfter, OpInsertFirstChild, OpAppendChild, OpRename:
 			if op.Name, pos, err = readCodecString(data, pos); err != nil {
-				return nil, fmt.Errorf("op %d: %w", i, err)
+				return ops, fmt.Errorf("op %d: %w", i, err)
 			}
 		case OpSetText:
 			if op.Value, pos, err = readCodecString(data, pos); err != nil {
-				return nil, fmt.Errorf("op %d: %w", i, err)
+				return ops, fmt.Errorf("op %d: %w", i, err)
 			}
 		case OpSetAttr:
 			if op.Name, pos, err = readCodecString(data, pos); err != nil {
-				return nil, fmt.Errorf("op %d: %w", i, err)
+				return ops, fmt.Errorf("op %d: %w", i, err)
 			}
 			if op.Value, pos, err = readCodecString(data, pos); err != nil {
-				return nil, fmt.Errorf("op %d: %w", i, err)
+				return ops, fmt.Errorf("op %d: %w", i, err)
 			}
 		case OpDelete:
 			// Path only.
 		case OpInsertSubtreeBefore, OpInsertSubtreeAfter, OpInsertSubtreeFirst, OpAppendSubtree:
 			if pos >= len(data) {
-				return nil, fmt.Errorf("%w: op %d subtree tag", ErrCodecCorrupt, i)
+				return ops, fmt.Errorf("%w: op %d subtree tag", ErrCodecCorrupt, i)
 			}
 			tag := data[pos]
 			pos++
@@ -169,27 +184,27 @@ func DecodeOps(doc *xmltree.Document, data []byte) ([]Op, error) {
 			case SubtreeBackref:
 				j, n, err := labels.DecodeLEB128(data[pos:])
 				if err != nil {
-					return nil, fmt.Errorf("%w: op %d backref: %v", ErrCodecCorrupt, i, err)
+					return ops, fmt.Errorf("%w: op %d backref: %v", ErrCodecCorrupt, i, err)
 				}
 				pos += n
-				if j >= i || ops[j].Kind != OpDelete {
-					return nil, fmt.Errorf("%w: op %d backref %d is not an earlier delete", ErrCodecCorrupt, i, j)
+				if j >= i || ops[base+int(j)].Kind != OpDelete {
+					return ops, fmt.Errorf("%w: op %d backref %d is not an earlier delete", ErrCodecCorrupt, i, j)
 				}
-				op.Subtree = ops[j].Ref
+				op.Subtree = ops[base+int(j)].Ref
 			case SubtreeInline:
 				if op.Subtree, pos, err = readTree(data, pos); err != nil {
-					return nil, fmt.Errorf("op %d: %w", i, err)
+					return ops, fmt.Errorf("op %d: %w", i, err)
 				}
 			default:
-				return nil, fmt.Errorf("%w: op %d subtree tag %d", ErrCodecCorrupt, i, tag)
+				return ops, fmt.Errorf("%w: op %d subtree tag %d", ErrCodecCorrupt, i, tag)
 			}
 		default:
-			return nil, fmt.Errorf("%w: op %d kind %d", ErrCodecCorrupt, i, int(op.Kind))
+			return ops, fmt.Errorf("%w: op %d kind %d", ErrCodecCorrupt, i, int(op.Kind))
 		}
 		ops = append(ops, op)
 	}
 	if pos != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCodecCorrupt, len(data)-pos)
+		return ops, fmt.Errorf("%w: %d trailing bytes", ErrCodecCorrupt, len(data)-pos)
 	}
 	return ops, nil
 }

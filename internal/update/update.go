@@ -90,6 +90,8 @@ type Session struct {
 	saved     Counters
 	savedMark labeling.Stats
 	staged    bool
+	// marks is validateBatch's scratch: empty between transactions.
+	marks map[*xmltree.Node]uint8
 	// onCommit, when set, runs once per commit — the moment the tree
 	// differs from the last state anyone outside the session saw — and
 	// once per abort that failed, which may have left it different too.

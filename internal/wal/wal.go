@@ -190,6 +190,12 @@ func (o Options) segmentBytes() int64 {
 	return DefaultSegmentBytes
 }
 
+// maxKeptFrame bounds the frame buffer a Log keeps between appends: one
+// oversized record does not pin its size in memory for the log's life.
+// The repository holds each document's commit scratch to the same bytes
+// (scratchBytes, internal/repo/txn.go).
+const maxKeptFrame = 64 << 10
+
 // Log is an open write-ahead log positioned for appending to the
 // highest-numbered segment of its set. Safe for concurrent use; record
 // order is the order Append calls complete.
@@ -203,6 +209,9 @@ type Log struct {
 	size   int64    // bytes in the active segment
 	total  int64    // bytes across every live segment, sealed ones included
 	closed bool
+	// frame is where Append builds each record's frame; guarded by mu.
+	// Kept for the next append unless a record grew it past maxKeptFrame.
+	frame []byte
 	// err is sticky: once an fsync fails the log refuses further
 	// appends, because an unsynced tail may or may not survive a crash.
 	err error
@@ -323,16 +332,28 @@ func newLog(dir string, f *os.File, active uint64, size, total int64, opts Optio
 // this append would overgrow it — honouring the log's sync policy: it
 // returns once the record is durable under SyncPerCommit and
 // SyncGrouped, or once it is written (not yet synced) under SyncAsync.
+// payload stays the caller's: it is copied and not read after Append
+// returns, so the caller may reuse it. The frame it is copied into is the
+// log's — one buffer, built and written under the log's mutex and dead
+// once the write returns, whatever the policy then waits for.
 func (l *Log) Append(payload []byte) error {
 	if len(payload) > MaxRecordSize {
 		return ErrTooLarge
 	}
-	frame := make([]byte, FrameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[FrameHeaderSize:], payload)
+	var hdr [FrameHeaderSize]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
 
 	l.mu.Lock()
+	// Above the early returns because lockheld reads their unlocks as
+	// final; a closed or failed log copies nothing.
+	frame := l.frame[:0]
+	if !l.closed && l.err == nil {
+		frame = append(append(frame, hdr[:]...), payload...)
+	}
+	if l.frame = frame; cap(frame) > maxKeptFrame {
+		l.frame = nil
+	}
 	if l.closed {
 		l.mu.Unlock()
 		return ErrClosed

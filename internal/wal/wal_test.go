@@ -86,8 +86,16 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 }
 
+// TestConcurrentAppends: eight goroutines append under every policy,
+// payloads from one byte to past what the log keeps of its frame buffer,
+// each goroutine overwriting its one payload buffer as soon as Append
+// returns. The log frames every record in a buffer of its own that it
+// may only touch under its mutex — grouped sync unlocks before it waits —
+// so replay, which checks every CRC, must return exactly the records
+// appended.
 func TestConcurrentAppends(t *testing.T) {
-	for _, pol := range []SyncPolicy{SyncGrouped, SyncAsync} {
+	sizes := []int{1, 7, 300, 4 << 10, maxKeptFrame, 100, 1}
+	for _, pol := range []SyncPolicy{SyncPerCommit, SyncGrouped, SyncAsync} {
 		t.Run(pol.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			// Tiny SegmentBytes so rotation happens under concurrent load.
@@ -96,13 +104,28 @@ func TestConcurrentAppends(t *testing.T) {
 				t.Fatal(err)
 			}
 			const goroutines, per = 8, 25
+			// fill writes goroutine g's i-th payload into buf.
+			fill := func(buf []byte, g, i int) []byte {
+				buf = buf[:sizes[(g+i)%len(sizes)]]
+				for j := range buf {
+					buf[j] = byte(g*31 + i*7 + j)
+				}
+				return buf
+			}
+			want := map[string]int{}
+			for g := 0; g < goroutines; g++ {
+				for i := 0; i < per; i++ {
+					want[string(fill(make([]byte, maxKeptFrame), g, i))]++
+				}
+			}
 			var wg sync.WaitGroup
 			for g := 0; g < goroutines; g++ {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
+					buf := make([]byte, maxKeptFrame)
 					for i := 0; i < per; i++ {
-						if err := l.Append([]byte(fmt.Sprintf("g%d-%d", g, i))); err != nil {
+						if err := l.Append(fill(buf, g, i)); err != nil {
 							t.Errorf("append: %v", err)
 							return
 						}
@@ -114,8 +137,16 @@ func TestConcurrentAppends(t *testing.T) {
 				t.Fatal(err)
 			}
 			got, info := replayAll(t, dir, 1)
-			if len(got) != goroutines*per || info.Records != goroutines*per {
-				t.Fatalf("replayed %d records, want %d", len(got), goroutines*per)
+			if len(got) != goroutines*per || info.Records != goroutines*per || info.Torn {
+				t.Fatalf("replayed %d records (torn: %v), want %d", len(got), info.Torn, goroutines*per)
+			}
+			for _, p := range got {
+				want[string(p)]--
+			}
+			for p, n := range want {
+				if n != 0 {
+					t.Fatalf("record of %d bytes starting %x: appended %d more times than replayed", len(p), p[:min(len(p), 4)], n)
+				}
 			}
 			if info.Segments < 2 {
 				t.Fatalf("expected rotation under load, got %d segment(s)", info.Segments)

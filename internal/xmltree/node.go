@@ -489,16 +489,46 @@ func (n *Node) Detach() {
 // Clone returns a deep copy of the subtree rooted at n. The copy is
 // detached and always mutable: frozenness is a property of the
 // original snapshot, never of a copy (freeze.go).
-func (n *Node) Clone() *Node {
+func (n *Node) Clone() *Node { return n.clone(nil) }
+
+// CloneEach replaces every node of list by its Clone; nil entries stay.
+// The copies' nodes are cut from one slab, sized for a list of childless
+// nodes — one allocation, not one per node; a node's descendants take
+// from what is left of it and then from the heap. The copies are freed
+// together as well: holding one keeps the slab, and so all, reachable.
+func CloneEach(list []*Node) {
+	roots := 0
+	for _, n := range list {
+		if n != nil {
+			roots++
+		}
+	}
+	slab := make([]Node, roots)
+	for i, n := range list {
+		if n != nil {
+			list[i] = n.clone(&slab)
+		}
+	}
+}
+
+// clone copies the subtree at n, taking its nodes from slab while there
+// is one and it lasts.
+func (n *Node) clone(slab *[]Node) *Node {
 	n = n.Source()
-	c := &Node{kind: n.kind, name: n.name, value: n.value}
+	var c *Node
+	if slab == nil || len(*slab) == 0 {
+		c = new(Node)
+	} else {
+		c, *slab = &(*slab)[0], (*slab)[1:]
+	}
+	c.kind, c.name, c.value = n.kind, n.name, n.value
 	for _, a := range n.attrs {
-		ac := a.Clone()
+		ac := a.clone(slab)
 		ac.parent = c
 		c.attrs = append(c.attrs, ac)
 	}
 	for _, k := range n.kids {
-		kc := k.Clone()
+		kc := k.clone(slab)
 		kc.parent = c
 		c.kids = append(c.kids, kc)
 	}

@@ -2,6 +2,7 @@ package xmltree
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -286,6 +287,41 @@ func TestClone(t *testing.T) {
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCloneEach: a list of subtrees, a nil among them, is replaced in
+// place by detached, thawed, valid copies that read as their Clones do —
+// the deep one included, whose descendants outrun the slab.
+func TestCloneEach(t *testing.T) {
+	doc := SampleBook()
+	doc.Freeze()
+	title := doc.FindElement("title")
+	orig := []*Node{title.Attributes()[0], nil, doc.Root(), title}
+	list := slices.Clone(orig)
+	CloneEach(list)
+	for i, n := range orig {
+		c := list[i]
+		if n == nil {
+			if c != nil {
+				t.Fatalf("entry %d: nil became %v", i, c)
+			}
+			continue
+		}
+		if c == n || c.Parent() != nil || c.Frozen() {
+			t.Fatalf("entry %d: copy of %q is the original (%v), attached (%v) or frozen (%v)", i, n.Name(), c == n, c.Parent(), c.Frozen())
+		}
+		if got, want := OuterXML(c), OuterXML(n.Clone()); got != want {
+			t.Fatalf("entry %d reads %s, Clone %s", i, got, want)
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		CloneEach(append(list[:0], orig[0], orig[0], orig[0], orig[0]))
+	}); allocs != 1 {
+		t.Fatalf("four childless nodes cloned in %.0f allocations, want the one slab", allocs)
 	}
 }
 

@@ -376,9 +376,15 @@ type (
 	Op = update.Op
 	// OpKind discriminates queued operations.
 	OpKind = update.OpKind
-	// Batch accumulates ops for one session (Session.Batch()).
+	// Batch accumulates ops for one session (Session.Batch()). The one a
+	// repository's build callback is handed (DurableRepository.Batch,
+	// MultiDoc.Batch) is the document's own, emptied when the commit
+	// returns: queue on it inside the callback and do not keep it.
 	Batch = update.Batch
-	// BatchResult reports a committed batch's created nodes.
+	// BatchResult reports a committed batch's created nodes. From a
+	// repository they are detached deep copies that share one
+	// allocation per document: holding one keeps that transaction's
+	// other copies reachable.
 	BatchResult = update.BatchResult
 )
 
@@ -430,7 +436,8 @@ type (
 	// per-document batches commit everywhere or roll back everywhere.
 	// Both Repository.MultiBatch and DurableRepository.MultiBatch use
 	// it; the durable variant logs the whole transaction as one WAL
-	// record, so crash recovery is all-or-nothing too.
+	// record, so crash recovery is all-or-nothing too. A MultiDoc and
+	// its Batch() are valid only inside the build callback.
 	MultiDoc = repo.MultiDoc
 	// RepoSnapshot is a pinned, immutable, transaction-consistent
 	// view of one or more repository documents (Repository.Snapshot /
