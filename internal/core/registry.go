@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"xmldyn/internal/labeling"
 	"xmldyn/internal/labels"
@@ -28,8 +29,15 @@ import (
 // Com-D from §3.1.2, and the Prime and DDE schemes §6 queues up). The
 // vector scheme is registered with its containment mounting, matching
 // the survey's grading of its XPath and level columns; the prefix
-// mounting appears as the extra row "vector-prefix".
-func Registry() []SchemeUnderTest {
+// mounting appears as the extra row "vector-prefix". The slice is the
+// caller's to reorder; what its entries point to is shared.
+func Registry() []SchemeUnderTest { return slices.Clone(registry) }
+
+// registry is the table, built once: SchemeByName reads it for every
+// document a repository opens.
+var registry = newRegistry()
+
+func newRegistry() []SchemeUnderTest {
 	return []SchemeUnderTest{
 		{
 			Name:    "xpath-accelerator",
@@ -158,9 +166,9 @@ func Registry() []SchemeUnderTest {
 
 // SchemeByName looks up a registry entry.
 func SchemeByName(name string) (SchemeUnderTest, bool) {
-	for _, s := range Registry() {
-		if s.Name == name {
-			return s, true
+	for i := range registry {
+		if registry[i].Name == name {
+			return registry[i], true
 		}
 	}
 	return SchemeUnderTest{}, false

@@ -176,9 +176,9 @@ func RenderLabelledTree(doc *xmltree.Document, lab labeling.Interface, grey map[
 			}
 		}
 		fmt.Fprintf(&sb, "%s%s (%s)%s\n", connector, label, n.Name(), mark)
-		kids := xmltree.LabelledChildren(n)
-		for i, k := range kids {
-			draw(k, childPrefix, i == len(kids)-1, false)
+		end := xmltree.LabelledChildCount(n) - 1
+		for i, k := range xmltree.LabelledChildren(n) {
+			draw(k, childPrefix, i == end, false)
 		}
 	}
 	draw(root, "", true, true)

@@ -2,7 +2,6 @@ package labels
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 )
 
@@ -49,11 +48,10 @@ type IntAlgebraConfig struct {
 type IntAlgebra struct {
 	cfg      IntAlgebraConfig
 	counters Counters
-	// bulk[i] is the boxed bulk code Start + i·Gap. Codes are immutable
-	// and the i-th bulk code is the same on every Assign, so it is boxed
-	// once and shared by every assignment that reaches it: relabelling k
-	// siblings costs the result slice, not k codes.
-	bulk []Code
+	// bulk lists the boxed bulk codes Start + i·Gap of every algebra so
+	// configured: relabelling k siblings costs the result slice, not k
+	// codes.
+	bulk *Bulk
 }
 
 // NewIntAlgebra validates cfg and returns the algebra.
@@ -73,7 +71,7 @@ func NewIntAlgebra(cfg IntAlgebraConfig) (*IntAlgebra, error) {
 	if cfg.Floor > cfg.Start {
 		return nil, fmt.Errorf("labels: int algebra floor %d above start %d", cfg.Floor, cfg.Start)
 	}
-	return &IntAlgebra{cfg: cfg}, nil
+	return &IntAlgebra{cfg: cfg, bulk: BulkFor(cfg)}, nil
 }
 
 // MustIntAlgebra is NewIntAlgebra that panics on config errors (for
@@ -116,10 +114,9 @@ func (a *IntAlgebra) Assign(n int) ([]Code, error) {
 		a.counters.OverflowHits++
 		return nil, fmt.Errorf("%w: %d codes at gap %d exceed %d-bit space", ErrOverflow, n, a.cfg.Gap, a.cfg.Width)
 	}
-	for i := len(a.bulk); i < n; i++ {
-		a.bulk = append(a.bulk, IntCode{V: a.cfg.Start + int64(i)*a.cfg.Gap, Width: a.cfg.Width})
-	}
-	return slices.Clone(a.bulk[:n]), nil
+	return a.bulk.Extend(n, func(i int) Code {
+		return IntCode{V: a.cfg.Start + int64(i)*a.cfg.Gap, Width: a.cfg.Width}
+	}), nil
 }
 
 // Between implements Algebra. An exhausted gap is the expected outcome

@@ -203,33 +203,59 @@ func TestConcurrentOpenDrop(t *testing.T) {
 
 // TestConcurrentSaveDuringWrites checks Save is consistent while
 // writers are live: every snapshot it captures decodes and rebuilds.
+// The writer keeps the documents the size they are — it deletes the
+// child it appended last before appending the next — so a round costs
+// the same however long the writer has run (appending alone, a document
+// grows for as long as Load takes, and Load takes what the document has
+// grown to: ROADMAP item 8). A Save counts once the writer has committed
+// since the one before, so every counted Save had a live writer beside it.
 func TestConcurrentSaveDuringWrites(t *testing.T) {
 	r := New(Options{})
-	for i := 0; i < 3; i++ {
+	var docs [3]*Doc
+	for i := range docs {
 		doc := workload.BaseDocument(int64(i), 40)
-		if _, err := r.Open(fmt.Sprintf("doc-%d", i), doc, "qed"); err != nil {
+		var err error
+		if docs[i], err = r.Open(fmt.Sprintf("doc-%d", i), doc, "qed"); err != nil {
 			t.Fatal(err)
 		}
+	}
+	versions := func() (sum uint64) {
+		for _, d := range docs {
+			sum += d.Version()
+		}
+		return sum
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		var last [len(docs)]*xmltree.Node
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			name := fmt.Sprintf("doc-%d", i%3)
-			_ = r.Update(name, func(s *update.Session) error {
-				_, err := s.AppendChild(s.Document().Root(), "x")
+			k := i % len(docs)
+			if err := docs[k].Update(func(s *update.Session) error {
+				if last[k] != nil {
+					if err := s.Delete(last[k]); err != nil {
+						return err
+					}
+				}
+				var err error
+				last[k], err = s.AppendChild(s.Document().Root(), "x")
 				return err
-			})
+			}); err != nil {
+				t.Error(err)
+				return
+			}
 		}
 	}()
-	for i := 0; i < 20; i++ {
+	const saves, rounds = 20, 20000
+	counted, seen := 0, versions()
+	for i := 0; counted < saves && i < rounds; i++ {
 		data, err := r.Save()
 		if err != nil {
 			t.Fatal(err)
@@ -237,9 +263,15 @@ func TestConcurrentSaveDuringWrites(t *testing.T) {
 		if _, err := Load(data, Options{}); err != nil {
 			t.Fatalf("save %d not loadable: %v", i, err)
 		}
+		if now := versions(); now != seen {
+			counted, seen = counted+1, now
+		}
 	}
 	close(stop)
 	wg.Wait()
+	if counted < saves {
+		t.Fatalf("the writer committed between %d of %d rounds, want %d", counted, rounds, saves)
+	}
 }
 
 // TestSaveIsPointInTime: a writer updates doc-a then doc-b in strict

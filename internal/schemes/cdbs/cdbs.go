@@ -48,8 +48,13 @@ func (a *Algebra) Traits() labels.Traits {
 	}
 }
 
+// bulk holds the bulk codes every algebra of this package shares.
+var bulk = labels.BulkFor("cdbs")
+
 // Assign implements labels.Algebra with the compact binary enumeration.
-func (a *Algebra) Assign(n int) ([]labels.Code, error) {
+func (a *Algebra) Assign(n int) ([]labels.Code, error) { return bulk.Assign(n, &a.counters, a.assign) }
+
+func (a *Algebra) assign(n int) ([]labels.Code, error) {
 	a.counters.Assigns++
 	bs := labels.AssignCompactBitStrings(n)
 	out := make([]labels.Code, n)

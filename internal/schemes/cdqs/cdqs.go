@@ -47,8 +47,13 @@ func (a *Algebra) Traits() labels.Traits {
 	}
 }
 
+// bulk holds the bulk codes every algebra of this package shares.
+var bulk = labels.BulkFor("cdqs")
+
 // Assign implements labels.Algebra with the compact enumeration.
-func (a *Algebra) Assign(n int) ([]labels.Code, error) {
+func (a *Algebra) Assign(n int) ([]labels.Code, error) { return bulk.Assign(n, &a.counters, a.assign) }
+
+func (a *Algebra) assign(n int) ([]labels.Code, error) {
 	a.counters.Assigns++
 	qs := labels.AssignCompactQStrings(n)
 	out := make([]labels.Code, n)

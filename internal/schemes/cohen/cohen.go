@@ -64,9 +64,14 @@ func codeFor(i int) Code {
 	return Code(strings.Repeat("1", i) + "0")
 }
 
+// bulk holds the bulk codes every algebra of this package shares.
+var bulk = labels.BulkFor("cohen")
+
 // Assign implements labels.Algebra: one-bit growth per sibling, the
 // "significant label sizes" of §3.1.2 (the n-th code is n bits long).
-func (a *Algebra) Assign(n int) ([]labels.Code, error) {
+func (a *Algebra) Assign(n int) ([]labels.Code, error) { return bulk.Assign(n, &a.counters, a.assign) }
+
+func (a *Algebra) assign(n int) ([]labels.Code, error) {
 	a.counters.Assigns++
 	if n <= 0 {
 		return nil, nil

@@ -56,8 +56,13 @@ func (a *Algebra) Traits() labels.Traits {
 	return t
 }
 
+// bulk holds the bulk codes every algebra of this package shares.
+var bulk = labels.BulkFor("comd")
+
 // Assign implements labels.Algebra.
-func (a *Algebra) Assign(n int) ([]labels.Code, error) {
+func (a *Algebra) Assign(n int) ([]labels.Code, error) { return bulk.Assign(n, a.Counters(), a.assign) }
+
+func (a *Algebra) assign(n int) ([]labels.Code, error) {
 	cs, err := a.inner.Assign(n)
 	if err != nil {
 		return nil, err

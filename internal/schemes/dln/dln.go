@@ -48,14 +48,18 @@ func (c Code) Bits() int { return len(c.vals) * (c.width + 1) }
 type Algebra struct {
 	width    int
 	counters labels.Counters
+	bulk     *labels.Bulk // the bulk codes every algebra of this width shares
 }
+
+// bulkKind names the bulk table of the algebras of one width.
+type bulkKind int
 
 // NewAlgebra returns a DLN algebra with the given component bit width.
 func NewAlgebra(width int) (*Algebra, error) {
 	if width < 2 || width > 62 {
 		return nil, fmt.Errorf("dln: width %d out of range (2..62)", width)
 	}
-	return &Algebra{width: width}, nil
+	return &Algebra{width: width, bulk: labels.BulkFor(bulkKind(width))}, nil
 }
 
 // MustAlgebra panics on bad width (static constructors).
@@ -88,6 +92,10 @@ func (a *Algebra) max() uint64 { return uint64(1)<<a.width - 1 }
 
 // Assign implements labels.Algebra: positions 1..n at the primary level.
 func (a *Algebra) Assign(n int) ([]labels.Code, error) {
+	return a.bulk.Assign(n, &a.counters, a.assign)
+}
+
+func (a *Algebra) assign(n int) ([]labels.Code, error) {
 	a.counters.Assigns++
 	if n <= 0 {
 		return nil, nil

@@ -40,8 +40,11 @@ func TestFigure6ImprovedBinary(t *testing.T) {
 		t.Errorf("before-first: %s, want 001", got)
 	}
 	// After-last: extra 1 concatenated.
-	cKids := xmltree.LabelledChildren(doc.FindElement("c"))
-	lastCode := lastComponent(lab.Label(cKids[len(cKids)-1]).String())
+	var lastKid *xmltree.Node
+	for _, k := range xmltree.LabelledChildren(doc.FindElement("c")) {
+		lastKid = k
+	}
+	lastCode := lastComponent(lab.Label(lastKid).String())
 	g2, err := s.AppendChild(doc.FindElement("c"), "g2")
 	if err != nil {
 		t.Fatal(err)

@@ -64,11 +64,16 @@ func (a *Algebra) Traits() labels.Traits {
 	}
 }
 
+// bulk holds the bulk codes every algebra of this package shares.
+var bulk = labels.BulkFor("lsdx")
+
 // Assign implements labels.Algebra: "the first child of every node uses
 // the letter b instead of a to permit future insertions before the first
 // child. If the previously assigned positional identifier is z, then the
 // next identifier will be zb."
-func (a *Algebra) Assign(n int) ([]labels.Code, error) {
+func (a *Algebra) Assign(n int) ([]labels.Code, error) { return bulk.Assign(n, &a.counters, a.assign) }
+
+func (a *Algebra) assign(n int) ([]labels.Code, error) {
 	a.counters.Assigns++
 	if n <= 0 {
 		return nil, nil

@@ -69,21 +69,21 @@ func (pl *Labeling) Build(doc *xmltree.Document) error {
 }
 
 func (pl *Labeling) assignChildren(parent *xmltree.Node) error {
-	kids := xmltree.LabelledChildren(parent)
-	if len(kids) == 0 {
+	n := xmltree.LabelledChildCount(parent)
+	if n == 0 {
 		return nil
 	}
 	var cs []labels.Code
 	var err error
-	if parent.Kind() == xmltree.KindDocument && pl.cfg.RootCode != nil && len(kids) == 1 {
+	if parent.Kind() == xmltree.KindDocument && pl.cfg.RootCode != nil && n == 1 {
 		cs = []labels.Code{pl.cfg.RootCode}
 	} else {
-		cs, err = pl.cfg.Algebra.Assign(len(kids))
+		cs, err = pl.cfg.Algebra.Assign(n)
 	}
 	if err != nil {
-		return fmt.Errorf("prefix %s: bulk assign %d: %w", pl.cfg.Name, len(kids), err)
+		return fmt.Errorf("prefix %s: bulk assign %d: %w", pl.cfg.Name, n, err)
 	}
-	for i, k := range kids {
+	for i, k := range xmltree.LabelledChildren(parent) {
 		pl.codes[k] = cs[i]
 		pl.stats.Assigned++
 		if err := pl.assignChildren(k); err != nil {
@@ -289,7 +289,7 @@ func (pl *Labeling) NodeInserted(n *xmltree.Node) error {
 		pl.stats.Assigned++
 		return nil
 	case isRelabelErr(err):
-		return pl.relabelSiblings(xmltree.LabelledChildren(n.Parent()), n, err)
+		return pl.relabelSiblings(n.Parent(), n, err)
 	default:
 		return fmt.Errorf("prefix %s: insert: %w", pl.cfg.Name, err)
 	}
@@ -301,17 +301,18 @@ func isRelabelErr(err error) bool {
 
 // relabelSiblings reassigns the whole sibling list after an insertion the
 // algebra could not absorb.
-func (pl *Labeling) relabelSiblings(siblings []*xmltree.Node, inserted *xmltree.Node, cause error) error {
+func (pl *Labeling) relabelSiblings(parent, inserted *xmltree.Node, cause error) error {
 	pl.stats.RelabelEvents++
 	if errors.Is(cause, labels.ErrOverflow) {
 		pl.stats.OverflowEvents++
 	}
-	cs, err := pl.cfg.Algebra.Assign(len(siblings))
+	n := xmltree.LabelledChildCount(parent)
+	cs, err := pl.cfg.Algebra.Assign(n)
 	if err != nil {
 		pl.stats.OverflowEvents++
-		return fmt.Errorf("prefix %s: relabel of %d siblings failed: %w", pl.cfg.Name, len(siblings), err)
+		return fmt.Errorf("prefix %s: relabel of %d siblings failed: %w", pl.cfg.Name, n, err)
 	}
-	for i, s := range siblings {
+	for i, s := range xmltree.LabelledChildren(parent) {
 		old, had := pl.codes[s]
 		pl.codes[s] = cs[i]
 		switch {

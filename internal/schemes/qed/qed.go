@@ -44,8 +44,13 @@ func (a *Algebra) Traits() labels.Traits {
 	}
 }
 
+// bulk holds the bulk codes every algebra of this package shares.
+var bulk = labels.BulkFor("qed")
+
 // Assign implements labels.Algebra via the recursive thirds algorithm.
-func (a *Algebra) Assign(n int) ([]labels.Code, error) {
+func (a *Algebra) Assign(n int) ([]labels.Code, error) { return bulk.Assign(n, &a.counters, a.assign) }
+
+func (a *Algebra) assign(n int) ([]labels.Code, error) {
 	a.counters.Assigns++
 	depth := 0
 	qs, err := labels.AssignThirdsQStrings(n, &depth)

@@ -55,8 +55,13 @@ func (a *Algebra) Traits() labels.Traits {
 	}
 }
 
+// bulk holds the bulk codes every algebra of this package shares.
+var bulk = labels.BulkFor("qrs")
+
 // Assign implements labels.Algebra: whole numbers 1..n.
-func (a *Algebra) Assign(n int) ([]labels.Code, error) {
+func (a *Algebra) Assign(n int) ([]labels.Code, error) { return bulk.Assign(n, &a.counters, a.assign) }
+
+func (a *Algebra) assign(n int) ([]labels.Code, error) {
 	a.counters.Assigns++
 	if n <= 0 {
 		return nil, nil

@@ -85,10 +85,15 @@ var (
 // vectors lies strictly between them in gradient order.
 func mediant(l, r Code) Code { return Code{X: l.X + r.X, Y: l.Y + r.Y} }
 
+// bulk holds the bulk codes every algebra of this package shares.
+var bulk = labels.BulkFor("vector")
+
 // Assign implements labels.Algebra: recursive mediants between the
 // virtual bounds, mirroring the QED-style middle recursion the scheme's
 // authors describe.
-func (a *Algebra) Assign(n int) ([]labels.Code, error) {
+func (a *Algebra) Assign(n int) ([]labels.Code, error) { return bulk.Assign(n, &a.counters, a.assign) }
+
+func (a *Algebra) assign(n int) ([]labels.Code, error) {
 	a.counters.Assigns++
 	if n <= 0 {
 		return nil, nil

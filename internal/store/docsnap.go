@@ -84,8 +84,8 @@ func MarshalDocSnap(s DocSnap) []byte {
 }
 
 // UnmarshalDocSnap decodes a per-document snapshot file, verifying the
-// checksum. The tree bytes are not interpreted here; pass them to
-// internal/update's DecodeDocTree.
+// checksum. The tree bytes are not interpreted here, and not copied:
+// Tree is a window of data, for internal/update's DecodeDocTree.
 func UnmarshalDocSnap(data []byte) (DocSnap, error) {
 	var s DocSnap
 	pos, err := openRecord(data, VersionDocSnap)
@@ -106,7 +106,7 @@ func UnmarshalDocSnap(data []byte) (DocSnap, error) {
 	if size > uint64(len(data)-pos) {
 		return s, fmt.Errorf("%w: tree length %d exceeds remaining %d bytes", ErrCorrupt, size, len(data)-pos)
 	}
-	s.Tree = append([]byte(nil), data[pos:pos+int(size)]...)
+	s.Tree = data[pos : pos+int(size) : pos+int(size)]
 	pos += int(size)
 	if err := closeRecord(data, pos); err != nil {
 		return s, err

@@ -192,7 +192,7 @@ func appendDecoded(ops []Op, doc *xmltree.Document, data []byte) ([]Op, error) {
 				}
 				op.Subtree = ops[base+int(j)].Ref
 			case SubtreeInline:
-				if op.Subtree, pos, err = readTree(data, pos); err != nil {
+				if op.Subtree, pos, err = decodeTree(data, pos); err != nil {
 					return ops, fmt.Errorf("op %d: %w", i, err)
 				}
 			default:
@@ -302,27 +302,23 @@ func EncodeDocTree(doc *xmltree.Document) []byte {
 	return out
 }
 
-// DecodeDocTree rebuilds a document from its EncodeDocTree image.
+// DecodeDocTree rebuilds a document from its EncodeDocTree image, in a
+// constant number of allocations (treeReader). The document's nodes,
+// lists and strings live and die together: holding one keeps all
+// (docs/ARCHITECTURE.md, "Loading a document").
 func DecodeDocTree(data []byte) (*xmltree.Document, error) {
-	count, pos, err := labels.DecodeLEB128(data)
+	r := treeReader{data: data}
+	end, err := r.readList(nil, 0, false)
+	if err == nil && end != len(data) {
+		err = fmt.Errorf("%w: %d trailing bytes", ErrCodecCorrupt, len(data)-end)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("%w: doc child count: %v", ErrCodecCorrupt, err)
+		return nil, err
 	}
-	if count > uint64(len(data)) {
-		return nil, fmt.Errorf("%w: implausible doc child count %d", ErrCodecCorrupt, count)
-	}
+	r.build(end)
 	doc := xmltree.NewDocument()
-	for i := uint64(0); i < count; i++ {
-		var n *xmltree.Node
-		if n, pos, err = readTree(data, pos); err != nil {
-			return nil, fmt.Errorf("doc child %d: %w", i, err)
-		}
-		if err := doc.Node().AppendChild(n); err != nil {
-			return nil, fmt.Errorf("doc child %d: %w", i, err)
-		}
-	}
-	if pos != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCodecCorrupt, len(data)-pos)
+	if _, err := r.readList(doc.Node(), 0, false); err != nil {
+		return nil, err
 	}
 	return doc, nil
 }
@@ -348,71 +344,125 @@ func appendTree(out []byte, n *xmltree.Node) []byte {
 	return out
 }
 
-// readTree decodes one subtree, validating kinds and attachment rules.
-func readTree(data []byte, pos int) (*xmltree.Node, int, error) {
-	if pos >= len(data) {
+// treeReader decodes trees in two passes over the same bytes. The first,
+// before build, creates nothing: it checks every kind, length and count
+// and adds up the nodes and list entries the trees need — each claimed
+// child has to be there for the pass to succeed, so a count the bytes do
+// not back reserves nothing. The second takes the nodes and their
+// exact-size lists from one slab of that size, and every name and value
+// from text, the one string copy of the bytes the trees span; the
+// attachment rules are AppendAttr's and AppendChild's, as ever.
+type treeReader struct {
+	data         []byte
+	nodes, links int
+	building     bool         // the second pass
+	slab         xmltree.Slab // of nodes nodes and links list entries
+	text         string       // string(data), as far as the trees go
+}
+
+// build ends the first pass, which read data[:end].
+func (r *treeReader) build(end int) {
+	r.building, r.slab, r.text = true, xmltree.NewSlab(r.nodes, r.links), string(r.data[:end])
+}
+
+// decodeTree decodes the one subtree at data[pos:].
+func decodeTree(data []byte, pos int) (*xmltree.Node, int, error) {
+	r := treeReader{data: data[pos:]}
+	_, end, err := r.readTree(0)
+	if err != nil {
+		return nil, 0, err
+	}
+	r.build(end)
+	n, _, err := r.readTree(0)
+	return n, pos + end, err
+}
+
+// length reads the count or byte length at pos. What it counts takes at
+// least a byte each, so one beyond the bytes left is corrupt.
+func (r *treeReader) length(pos int, what string) (int, int, error) {
+	v, n, err := labels.DecodeLEB128(r.data[pos:])
+	if err != nil {
+		return 0, 0, fmt.Errorf("%w: %s: %v", ErrCodecCorrupt, what, err)
+	}
+	pos += n
+	if v > uint64(len(r.data)-pos) {
+		return 0, 0, fmt.Errorf("%w: implausible %s %d", ErrCodecCorrupt, what, v)
+	}
+	return int(v), pos, nil
+}
+
+// cut reads the length-prefixed string at pos — on the first pass only
+// its extent.
+func (r *treeReader) cut(pos int, what string) (string, int, error) {
+	l, pos, err := r.length(pos, what)
+	if err != nil || !r.building {
+		return "", pos + l, err
+	}
+	return r.text[pos : pos+l], pos + l, nil
+}
+
+// readTree reads the subtree at pos (a nil node on the first pass).
+func (r *treeReader) readTree(pos int) (*xmltree.Node, int, error) {
+	if pos >= len(r.data) {
 		return nil, 0, fmt.Errorf("%w: truncated tree node", ErrCodecCorrupt)
 	}
-	kind := xmltree.Kind(data[pos])
-	pos++
-	var name, value string
-	var err error
-	if name, pos, err = readCodecString(data, pos); err != nil {
+	kind := xmltree.Kind(r.data[pos])
+	name, pos, err := r.cut(pos+1, "name length")
+	if err != nil {
 		return nil, 0, err
 	}
-	if value, pos, err = readCodecString(data, pos); err != nil {
+	value, pos, err := r.cut(pos, "value length")
+	if err != nil {
 		return nil, 0, err
 	}
-	var n *xmltree.Node
+	// A kind carries the fields its constructor takes.
 	switch kind {
 	case xmltree.KindElement:
-		n = xmltree.NewElement(name)
-	case xmltree.KindAttribute:
-		n = xmltree.NewAttribute(name, value)
-	case xmltree.KindText:
-		n = xmltree.NewText(value)
-	case xmltree.KindComment:
-		n = xmltree.NewComment(value)
-	case xmltree.KindProcInst:
-		n = xmltree.NewProcInst(name, value)
+		value = ""
+	case xmltree.KindText, xmltree.KindComment:
+		name = ""
+	case xmltree.KindAttribute, xmltree.KindProcInst:
 	default:
 		return nil, 0, fmt.Errorf("%w: tree node kind %d", ErrCodecCorrupt, kind)
 	}
-	nattr, cnt, err := labels.DecodeLEB128(data[pos:])
+	var n *xmltree.Node
+	if r.building {
+		n = r.slab.New(kind, name, value)
+	}
+	r.nodes++
+	if pos, err = r.readList(n, pos, true); err == nil {
+		pos, err = r.readList(n, pos, false)
+	}
+	return n, pos, err
+}
+
+// readList reads a count and as many subtrees — the attributes of n, or
+// its children — and attaches them.
+func (r *treeReader) readList(n *xmltree.Node, pos int, attrs bool) (int, error) {
+	count, pos, err := r.length(pos, "node count")
 	if err != nil {
-		return nil, 0, fmt.Errorf("%w: attr count: %v", ErrCodecCorrupt, err)
+		return 0, err
 	}
-	pos += cnt
-	if nattr > uint64(len(data)-pos) {
-		return nil, 0, fmt.Errorf("%w: implausible attr count %d", ErrCodecCorrupt, nattr)
+	r.links += count
+	attach := (*xmltree.Node).AppendChild
+	if attrs {
+		attach = (*xmltree.Node).AppendAttr
 	}
-	for i := uint64(0); i < nattr; i++ {
-		var a *xmltree.Node
-		if a, pos, err = readTree(data, pos); err != nil {
-			return nil, 0, err
-		}
-		if err := n.AppendAttr(a); err != nil {
-			return nil, 0, fmt.Errorf("%w: %v", ErrCodecCorrupt, err)
-		}
+	if n != nil {
+		r.slab.Reserve(n, attrs, count)
 	}
-	nkid, cnt, err := labels.DecodeLEB128(data[pos:])
-	if err != nil {
-		return nil, 0, fmt.Errorf("%w: child count: %v", ErrCodecCorrupt, err)
-	}
-	pos += cnt
-	if nkid > uint64(len(data)-pos) {
-		return nil, 0, fmt.Errorf("%w: implausible child count %d", ErrCodecCorrupt, nkid)
-	}
-	for i := uint64(0); i < nkid; i++ {
+	for i := 0; i < count; i++ {
 		var c *xmltree.Node
-		if c, pos, err = readTree(data, pos); err != nil {
-			return nil, 0, err
+		if c, pos, err = r.readTree(pos); err != nil {
+			return 0, err
 		}
-		if err := n.AppendChild(c); err != nil {
-			return nil, 0, fmt.Errorf("%w: %v", ErrCodecCorrupt, err)
+		if n != nil {
+			if err := attach(n, c); err != nil {
+				return 0, fmt.Errorf("%w: %v", ErrCodecCorrupt, err)
+			}
 		}
 	}
-	return n, pos, nil
+	return pos, nil
 }
 
 // --- shared string helpers ---------------------------------------------------

@@ -486,10 +486,64 @@ func (n *Node) Detach() {
 	n.parent = nil
 }
 
+// Slab is the storage of a tree that is built in one go — decoded from
+// a snapshot, or copied: its nodes are cut from one []Node and their
+// attribute and child lists from one []*Node, so building the tree costs
+// two allocations whatever its size. The zero Slab is empty, and an
+// exhausted one behaves the same: nodes and lists come from the heap.
+// What is cut from a slab is freed with it: holding any one node keeps
+// the whole slab reachable.
+type Slab struct {
+	nodes []Node
+	links []*Node
+}
+
+// NewSlab returns a slab for nodes nodes whose lists hold links entries
+// in total.
+func NewSlab(nodes, links int) Slab {
+	return Slab{nodes: make([]Node, nodes), links: make([]*Node, links)}
+}
+
+// New returns a detached, childless node.
+func (s *Slab) New(kind Kind, name, value string) *Node {
+	var n *Node
+	if len(s.nodes) > 0 {
+		n, s.nodes = &s.nodes[0], s.nodes[1:]
+	} else {
+		n = new(Node)
+	}
+	n.kind, n.name, n.value = kind, name, value
+	return n
+}
+
+// Reserve gives n's attribute list, or its child list, room for exactly
+// count entries, if the list is still empty.
+func (s *Slab) Reserve(n *Node, attrs bool, count int) {
+	list := &n.kids
+	if attrs {
+		list = &n.attrs
+	}
+	if len(*list) == 0 && count > 0 {
+		*list = s.window(count)
+	}
+}
+
+// window cuts an empty list of capacity n. The capacity is exact (a
+// three-index slice): the windows of a slab are neighbours, and an
+// append to a full one must move it, not write into the next.
+func (s *Slab) window(n int) []*Node {
+	if n > len(s.links) {
+		return make([]*Node, 0, n)
+	}
+	w := s.links[:0:n]
+	s.links = s.links[n:]
+	return w
+}
+
 // Clone returns a deep copy of the subtree rooted at n. The copy is
 // detached and always mutable: frozenness is a property of the
 // original snapshot, never of a copy (freeze.go).
-func (n *Node) Clone() *Node { return n.clone(nil) }
+func (n *Node) Clone() *Node { return n.clone(new(Slab)) }
 
 // CloneEach replaces every node of list by its Clone; nil entries stay.
 // The copies' nodes are cut from one slab, sized for a list of childless
@@ -503,7 +557,7 @@ func CloneEach(list []*Node) {
 			roots++
 		}
 	}
-	slab := make([]Node, roots)
+	slab := NewSlab(roots, 0)
 	for i, n := range list {
 		if n != nil {
 			list[i] = n.clone(&slab)
@@ -511,17 +565,12 @@ func CloneEach(list []*Node) {
 	}
 }
 
-// clone copies the subtree at n, taking its nodes from slab while there
-// is one and it lasts.
-func (n *Node) clone(slab *[]Node) *Node {
+// clone copies the subtree at n, taking its nodes and lists from slab.
+func (n *Node) clone(slab *Slab) *Node {
 	n = n.Source()
-	var c *Node
-	if slab == nil || len(*slab) == 0 {
-		c = new(Node)
-	} else {
-		c, *slab = &(*slab)[0], (*slab)[1:]
-	}
-	c.kind, c.name, c.value = n.kind, n.name, n.value
+	c := slab.New(n.kind, n.name, n.value)
+	slab.Reserve(c, true, len(n.attrs))
+	slab.Reserve(c, false, len(n.kids))
 	for _, a := range n.attrs {
 		ac := a.clone(slab)
 		ac.parent = c

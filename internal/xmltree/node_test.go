@@ -2,6 +2,7 @@ package xmltree
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -377,4 +378,99 @@ func childNames(n *Node) string {
 		names = append(names, c.Name())
 	}
 	return strings.Join(names, ",")
+}
+
+// TestSlabWindowsAreExact: the lists of a slab-built tree are neighbours
+// in one array. Appending to a full one must move it; with a two-index
+// window the append would land in the next node's list.
+func TestSlabWindowsAreExact(t *testing.T) {
+	slab := NewSlab(7, 6)
+	root := slab.New(KindElement, "r", "")
+	slab.Reserve(root, false, 2)
+	var parents [2]*Node
+	for i := range parents {
+		p := slab.New(KindElement, fmt.Sprint("p", i), "")
+		slab.Reserve(p, true, 1)
+		slab.Reserve(p, false, 1)
+		if err := p.AppendAttr(slab.New(KindAttribute, "a", "v")); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.AppendChild(slab.New(KindElement, fmt.Sprint("c", i), "")); err != nil {
+			t.Fatal(err)
+		}
+		if err := root.AppendChild(p); err != nil {
+			t.Fatal(err)
+		}
+		parents[i] = p
+	}
+	if len(slab.nodes) != 0 || len(slab.links) != 0 {
+		t.Fatalf("slab left with %d nodes and %d links", len(slab.nodes), len(slab.links))
+	}
+	const before = `<r><p0 a="v"><c0/></p0><p1 a="v"><c1/></p1></r>`
+	if got := OuterXML(root); got != before {
+		t.Fatalf("built %s", got)
+	}
+	// Every list is full: grow each of them, at the front, at the back.
+	for _, n := range []*Node{root, parents[0], parents[1]} {
+		if cap(n.kids) != len(n.kids) || cap(n.attrs) != len(n.attrs) {
+			t.Fatalf("%s: lists of %d/%d entries have room for %d/%d", n.Name(), len(n.attrs), len(n.kids), cap(n.attrs), cap(n.kids))
+		}
+		if err := n.PrependChild(NewElement("first")); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.AppendChild(NewElement("last")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.SetAttr("z", "9"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const after = `<r z="9"><first/><p0 a="v" z="9"><first/><c0/><last/></p0><p1 a="v" z="9"><first/><c1/><last/></p1><last/></r>`
+	if got := OuterXML(root); got != after {
+		t.Errorf("after growing every list:\n got %s\nwant %s", got, after)
+	}
+	if err := root.Validate(); err != nil {
+		t.Error(err)
+	}
+	// An exhausted slab, like the zero one, hands out heap nodes and lists.
+	var none Slab
+	for _, s := range []*Slab{&slab, &none} {
+		n := s.New(KindElement, "late", "")
+		s.Reserve(n, true, 2)
+		s.Reserve(n, false, 3)
+		if cap(n.attrs) != 2 || cap(n.kids) != 3 || len(n.attrs)+len(n.kids) != 0 {
+			t.Errorf("heap fallback: room for %d/%d", cap(n.attrs), cap(n.kids))
+		}
+	}
+}
+
+// TestCloneAllocatesPerNodeAndList: a copy is its nodes and one exact
+// list per non-empty list — no growth by doubling.
+func TestCloneAllocatesPerNodeAndList(t *testing.T) {
+	doc := Generate(GenOptions{Seed: 5, MaxDepth: 5, MaxChildren: 7, AttrProb: 0.6, TextProb: 0.5, TargetNodes: 300})
+	want := 0
+	var count func(n *Node)
+	count = func(n *Node) {
+		want++
+		if len(n.attrs) > 0 {
+			want++
+		}
+		if len(n.kids) > 0 {
+			want++
+		}
+		for _, a := range n.attrs {
+			count(a)
+		}
+		for _, k := range n.kids {
+			count(k)
+		}
+	}
+	count(doc.Root())
+	var c *Node
+	if got := testing.AllocsPerRun(10, func() { c = doc.Root().Clone() }); int(got) != want {
+		t.Errorf("Clone of %d nodes: %v allocations, want %d", doc.NodeCount(), got, want)
+	}
+	if OuterXML(c) != OuterXML(doc.Root()) {
+		t.Error("the copy differs")
+	}
 }

@@ -17,17 +17,14 @@ type SerializeOptions struct {
 // definition (paper Definition 2) requires that the full textual document
 // be reconstructible from the tree; this is the reconstruction path.
 func (d *Document) WriteXML(w io.Writer, opt SerializeOptions) error {
+	x := xmlWriter{w: w, indent: opt.Indent}
 	for _, c := range d.node.Source().kids {
-		if err := writeNode(w, c, opt, 0); err != nil {
-			return err
-		}
+		x.node(c, 0, opt.Indent != "")
 		if opt.Indent != "" {
-			if _, err := io.WriteString(w, "\n"); err != nil {
-				return err
-			}
+			x.put("\n")
 		}
 	}
-	return nil
+	return x.err
 }
 
 // XML returns the serialised document as a string.
@@ -47,72 +44,84 @@ func (d *Document) IndentedXML() string {
 // OuterXML serialises the subtree rooted at n.
 func OuterXML(n *Node) string {
 	var sb strings.Builder
-	_ = writeNode(&sb, n, SerializeOptions{}, 0)
+	x := xmlWriter{w: &sb}
+	x.node(n, 0, false)
 	return sb.String()
 }
 
-func writeNode(w io.Writer, n *Node, opt SerializeOptions, depth int) error {
+// xmlWriter writes a document to w piece by piece: nothing is formatted
+// or boxed on the way, so a writer that has the room allocates nothing.
+// It keeps the first error and writes nothing after it.
+type xmlWriter struct {
+	w      io.Writer
+	indent string // SerializeOptions.Indent
+	pad    string // indent repeated, as deep as the walk has been
+	err    error
+}
+
+func (x *xmlWriter) put(parts ...string) {
+	for _, p := range parts {
+		if x.err == nil {
+			_, x.err = io.WriteString(x.w, p)
+		}
+	}
+}
+
+func (x *xmlWriter) escaped(r *strings.Replacer, s string) {
+	if x.err == nil {
+		_, x.err = r.WriteString(x.w, s)
+	}
+}
+
+// node writes the subtree at n; pretty puts it on lines of its own,
+// indented for depth.
+func (x *xmlWriter) node(n *Node, depth int, pretty bool) {
 	n = n.Source()
 	ind := ""
-	nl := ""
-	if opt.Indent != "" {
-		ind = strings.Repeat(opt.Indent, depth)
-		nl = "\n"
+	if pretty {
+		for len(x.pad) < depth*len(x.indent) {
+			x.pad += x.indent
+		}
+		ind = x.pad[:depth*len(x.indent)]
 	}
 	switch n.kind {
 	case KindText:
-		_, err := io.WriteString(w, escapeText(n.value))
-		return err
+		x.escaped(textEscaper, n.value)
 	case KindComment:
-		_, err := fmt.Fprintf(w, "%s<!--%s-->", ind, n.value)
-		return err
+		x.put(ind, "<!--", n.value, "-->")
 	case KindProcInst:
-		_, err := fmt.Fprintf(w, "%s<?%s %s?>", ind, n.name, n.value)
-		return err
+		x.put(ind, "<?", n.name, " ", n.value, "?>")
 	case KindAttribute:
-		_, err := fmt.Fprintf(w, ` %s="%s"`, n.name, escapeAttr(n.value))
-		return err
+		x.put(" ", n.name, `="`)
+		x.escaped(attrEscaper, n.value)
+		x.put(`"`)
 	case KindElement:
-		if _, err := fmt.Fprintf(w, "%s<%s", ind, n.name); err != nil {
-			return err
-		}
+		x.put(ind, "<", n.name)
 		for _, a := range n.attributes() {
-			if err := writeNode(w, a, opt, depth); err != nil {
-				return err
-			}
+			x.node(a, depth, pretty)
 		}
 		kids := n.children()
 		if len(kids) == 0 {
-			_, err := io.WriteString(w, "/>")
-			return err
+			x.put("/>")
+			return
 		}
-		if _, err := io.WriteString(w, ">"); err != nil {
-			return err
-		}
-		inline := opt.Indent == "" || textOnly(n)
+		x.put(">")
+		// Text-bearing elements are kept on one line, subtree and all.
+		lines := pretty && !textOnly(n)
 		for _, c := range kids {
-			if !inline {
-				if _, err := io.WriteString(w, nl); err != nil {
-					return err
-				}
-				if err := writeNode(w, c, opt, depth+1); err != nil {
-					return err
-				}
-			} else {
-				if err := writeNode(w, c, SerializeOptions{}, 0); err != nil {
-					return err
-				}
+			if lines {
+				x.put("\n")
 			}
+			x.node(c, depth+1, lines)
 		}
-		if !inline {
-			if _, err := fmt.Fprintf(w, "%s%s", nl, ind); err != nil {
-				return err
-			}
+		if lines {
+			x.put("\n", ind)
 		}
-		_, err := fmt.Fprintf(w, "</%s>", n.name)
-		return err
+		x.put("</", n.name, ">")
 	default:
-		return fmt.Errorf("xmltree: cannot serialise %v node", n.kind)
+		if x.err == nil {
+			x.err = fmt.Errorf("xmltree: cannot serialise %v node", n.kind)
+		}
 	}
 }
 
@@ -130,6 +139,3 @@ var textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
 var attrEscaper = strings.NewReplacer(
 	"&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;", "\n", "&#10;", "\t", "&#9;",
 )
-
-func escapeText(s string) string { return textEscaper.Replace(s) }
-func escapeAttr(s string) string { return attrEscaper.Replace(s) }

@@ -7,6 +7,8 @@ package xmltree
 // children — this ordering reproduces the pre/post ranks of the paper's
 // Figures 1(b) and 2 exactly.
 
+import "iter"
+
 // WalkLabelled visits every labellable node (elements and attributes) of
 // the document in document (preorder) order. The visit function returns
 // false to stop the walk early.
@@ -40,19 +42,32 @@ func (d *Document) LabelledNodes() []*Node {
 	return out
 }
 
-// LabelledChildren returns the labellable children of n in document order:
-// attributes first, then element children. This is the sibling list over
-// which prefix schemes assign positional identifiers.
-func LabelledChildren(n *Node) []*Node {
-	attrs, kids := n.attributes(), n.children()
-	out := make([]*Node, 0, len(attrs)+len(kids))
-	out = append(out, attrs...)
-	for _, c := range kids {
-		if c.kind == KindElement {
-			out = append(out, c)
+// LabelledChildren ranges over the labellable children of n in document
+// order — attributes first, then element children — numbering them from
+// 0. This is the sibling list over which prefix schemes assign positional
+// identifiers, walked in place.
+func LabelledChildren(n *Node) iter.Seq2[int, *Node] {
+	return func(yield func(int, *Node) bool) {
+		i := 0
+		for _, list := range [2][]*Node{n.attributes(), n.children()} {
+			for _, c := range list {
+				if c.kind == KindElement || c.kind == KindAttribute {
+					if !yield(i, c) {
+						return
+					}
+					i++
+				}
+			}
 		}
 	}
-	return out
+}
+
+// LabelledChildCount returns the length of that list.
+func LabelledChildCount(n *Node) (count int) {
+	for range LabelledChildren(n) {
+		count++
+	}
+	return count
 }
 
 // LabelledSiblings returns n's neighbours in its parent's

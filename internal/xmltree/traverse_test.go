@@ -59,20 +59,37 @@ func TestWalkLabelledOrderAndEarlyStop(t *testing.T) {
 	}
 }
 
+// labelledChildList collects LabelledChildren, checking its numbering and
+// LabelledChildCount on the way.
+func labelledChildList(t *testing.T, n *Node) []*Node {
+	t.Helper()
+	var list []*Node
+	for i, c := range LabelledChildren(n) {
+		if i != len(list) {
+			t.Fatalf("labelled child %d numbered %d", len(list), i)
+		}
+		list = append(list, c)
+	}
+	if got := LabelledChildCount(n); got != len(list) {
+		t.Fatalf("LabelledChildCount = %d, list has %d", got, len(list))
+	}
+	return list
+}
+
 func TestLabelledChildren(t *testing.T) {
 	doc := SampleBook()
 	title := doc.FindElement("title")
-	kids := LabelledChildren(title)
+	kids := labelledChildList(t, title)
 	if len(kids) != 1 || kids[0].Name() != "genre" {
 		t.Fatalf("title labelled children: %v", kids)
 	}
 	book := doc.Root()
-	kids = LabelledChildren(book)
+	kids = labelledChildList(t, book)
 	if len(kids) != 3 {
 		t.Fatalf("book labelled children: %d", len(kids))
 	}
 	edition := doc.FindElement("edition")
-	kids = LabelledChildren(edition)
+	kids = labelledChildList(t, edition)
 	if len(kids) != 1 || kids[0].Name() != "year" {
 		t.Fatalf("edition children: %v", kids)
 	}
@@ -319,7 +336,7 @@ func TestLabelledSiblingsMatchList(t *testing.T) {
 			}
 		}
 		for _, n := range doc.LabelledNodes() {
-			list := LabelledChildren(n.Parent())
+			list := labelledChildList(t, n.Parent())
 			var wantPrev, wantNext *Node
 			for i, s := range list {
 				if s != n {
