@@ -54,6 +54,7 @@ func TestReplicationDocConstants(t *testing.T) {
 		"replica.DefaultHeartbeat":      fmt.Sprint(DefaultHeartbeat),
 		"replica.DefaultAckEvery":       fmt.Sprint(DefaultAckEvery),
 		"replica.DefaultReconnectDelay": fmt.Sprint(DefaultReconnectDelay),
+		"replica.frameBytes":            fmt.Sprint(frameBytes),
 	}
 
 	for name, want := range expect {

@@ -7,6 +7,7 @@
 package replica
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -19,7 +20,7 @@ import (
 )
 
 // DefaultAckEvery is the record cadence at which a follower reports
-// its durable applied position back to the leader when
+// its applied position back to the leader when
 // FollowerOptions.AckEvery is zero. Heartbeats are always acked, so
 // this only bounds ack traffic during backfill bursts.
 const DefaultAckEvery = 32
@@ -48,7 +49,7 @@ type FollowerOptions struct {
 	// ReconnectDelay is the pause between sessions after a failure
 	// (zero means DefaultReconnectDelay).
 	ReconnectDelay time.Duration
-	// AckEvery is the record cadence for durable-position acks (zero
+	// AckEvery is the record cadence for applied-position acks (zero
 	// means DefaultAckEvery).
 	AckEvery int
 }
@@ -296,17 +297,21 @@ func (f *Follower) RunOnce(conn net.Conn) error {
 	}()
 
 	fw := &frameWriter{w: conn}
-	if err := fw.write(MsgHello, helloBody(fr.Position())); err != nil {
+	fw.end(appendHello(fw.begin(MsgHello), fr.Position()))
+	if err := fw.flush(); err != nil {
 		return err
 	}
 
-	r := &frameReader{r: conn}
+	r := &frameReader{r: bufio.NewReaderSize(conn, frameBytes)}
 	var (
 		snapFiles  []store.BootstrapFile
 		snapExpect = -1 // announced file count; -1 means no bootstrap in progress
 		sinceAck   int
-		ack        = func() error { return fw.write(MsgAck, ackBody(fr.Position())) }
-		bump       = func(n uint64) { f.mu.Lock(); f.applied += n; f.mu.Unlock() }
+		ack        = func() error {
+			fw.end(appendAck(fw.begin(MsgAck), fr.Position()))
+			return fw.flush()
+		}
+		bump = func(n uint64) { f.mu.Lock(); f.applied += n; f.mu.Unlock() }
 	)
 	for {
 		typ, body, err := r.next()

@@ -61,7 +61,7 @@ func TestNonContiguousStreamRejectedOverWire(t *testing.T) {
 	client, server := net.Pipe()
 	go func() {
 		defer server.Close()
-		fr := &frameReader{r: server}
+		fr := newFrameReader(server)
 		typ, body, err := fr.next()
 		if err != nil || typ != MsgHello {
 			return
@@ -71,7 +71,7 @@ func TestNonContiguousStreamRejectedOverWire(t *testing.T) {
 			return
 		}
 		fw := &frameWriter{w: server}
-		_ = fw.write(MsgSegStart, segStartBody(pos.Segment+2))
+		_ = fw.send(MsgSegStart, appendSegStart(nil, pos.Segment+2))
 	}()
 	if err := f.RunOnce(client); !errors.Is(err, wal.ErrMissingSegment) {
 		t.Fatalf("non-contiguous stream: RunOnce = %v, want wal.ErrMissingSegment", err)

@@ -452,10 +452,10 @@ func TestDivergedFollowerRebootstraps(t *testing.T) {
 	fw := &frameWriter{w: conn}
 	end, _ := leader.EndPosition()
 	ahead := wal.Position{Segment: end.Segment, Offset: end.Offset + 1024}
-	if err := fw.write(MsgHello, helloBody(ahead)); err != nil {
+	if err := fw.send(MsgHello, appendHello(nil, ahead)); err != nil {
 		t.Fatal(err)
 	}
-	fr := &frameReader{r: conn}
+	fr := newFrameReader(conn)
 	typ, _, err := fr.next()
 	if err != nil {
 		t.Fatal(err)
@@ -483,7 +483,7 @@ func TestHandshakeRejectsGarbage(t *testing.T) {
 		errCh := make(chan error, 1)
 		go func() { errCh <- shipper.HandleConn(server) }()
 		fw := &frameWriter{w: client}
-		if err := fw.write(typ, body); err != nil {
+		if err := fw.send(typ, body); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if err := <-errCh; !errors.Is(err, ErrHandshake) {
@@ -491,7 +491,7 @@ func TestHandshakeRejectsGarbage(t *testing.T) {
 		}
 	}
 	check("bad magic", MsgHello, append([]byte("NOPE"), make([]byte, 17)...))
-	check("wrong first type", MsgAck, ackBody(wal.Position{Segment: 1, Offset: 5}))
+	check("wrong first type", MsgAck, appendAck(nil, wal.Position{Segment: 1, Offset: 5}))
 }
 
 // severSessions severs the live session connections without closing

@@ -7,6 +7,7 @@
 package replica
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -46,7 +47,8 @@ type SessionInfo struct {
 	// Sent is the position just past the last record or hand-off
 	// shipped to the follower.
 	Sent wal.Position
-	// Acked is the follower's last reported durable applied position.
+	// Acked is the follower's last reported applied position (what it
+	// has replayed, not what it has synced).
 	Acked wal.Position
 	// Bootstrapped reports whether this session began with a
 	// checkpoint bootstrap (as opposed to resuming from the follower's
@@ -218,7 +220,7 @@ func (s *Shipper) beginClose() bool {
 // serve runs one session: handshake, catch-up decision, optional
 // bootstrap, then the tail loop.
 func (s *Shipper) serve(se *session) error {
-	fr := &frameReader{r: se.conn}
+	fr := &frameReader{r: bufio.NewReader(se.conn)}
 	typ, body, err := fr.next()
 	if err != nil {
 		return err
@@ -260,17 +262,14 @@ func (s *Shipper) serve(se *session) error {
 		if err != nil {
 			return err
 		}
-		if err := fw.write(MsgSnapBegin, snapBeginBody(img.Manifest.Gen, img.Manifest.WALFirst, len(img.Files))); err != nil {
-			return err
-		}
+		fw.end(appendSnapBegin(fw.begin(MsgSnapBegin), img.Manifest.Gen, img.Manifest.WALFirst, len(img.Files)))
 		for _, f := range img.Files {
-			if err := fw.write(MsgSnapFile, snapFileBody(f.Name, f.Data)); err != nil {
+			fw.end(appendSnapFile(fw.begin(MsgSnapFile), f.Name, f.Data))
+			if err := fw.flushFull(); err != nil {
 				return err
 			}
 		}
-		if err := fw.write(MsgSnapEnd, img.Raw); err != nil {
-			return err
-		}
+		fw.end(append(fw.begin(MsgSnapEnd), img.Raw...))
 		start = wal.Position{Segment: img.Manifest.WALFirst, Offset: int64(wal.HeaderSize)}
 		se.mu.Lock()
 		se.info.Bootstrapped = true
@@ -298,9 +297,7 @@ func (s *Shipper) serve(se *session) error {
 	var sent uint64
 	if end2, ok := s.d.EndPosition(); ok {
 		if d, err := statDistance(s.d.Dir(), start, end2); err == nil {
-			if err := fw.write(MsgHeartbeat, heartbeatBody(end2, d)); err != nil {
-				return err
-			}
+			fw.end(appendHeartbeat(fw.begin(MsgHeartbeat), end2, d))
 		}
 	}
 
@@ -308,45 +305,54 @@ func (s *Shipper) serve(se *session) error {
 	defer ticker.Stop()
 	idle := false
 	for {
-		ev, err := tr.Next()
-		switch {
-		case err == nil:
+		// The stream stops where the leader's log ends: the end is read
+		// once a wake-up and the reader is called only below it, so a
+		// caught-up session touches neither the file nor the directory.
+		// This comparison is the seam for shipping no further than the
+		// last synced position (ROADMAP 6(c)): only which position is
+		// read would change.
+		if end, ok = s.d.EndPosition(); !ok {
+			return repo.ErrClosed
+		}
+		for tr.Pos().Less(end) {
+			// Below the end every byte has landed: ErrNoRecord here is as
+			// fatal to the session as any other read error.
+			ev, err := tr.Next()
+			if err != nil {
+				return err
+			}
 			idle = false
 			if ev.Payload == nil {
-				if err := fw.write(MsgSegStart, segStartBody(ev.Pos.Segment)); err != nil {
-					return err
-				}
+				fw.end(appendSegStart(fw.begin(MsgSegStart), ev.Pos.Segment))
 				sent += uint64(wal.HeaderSize)
 			} else {
-				if err := fw.write(MsgRecord, recordBody(ev.Pos, ev.Payload)); err != nil {
-					return err
-				}
+				fw.end(appendRecord(fw.begin(MsgRecord), ev.Pos, ev.Payload))
 				sent += uint64(wal.FrameHeaderSize) + uint64(len(ev.Payload))
 			}
 			se.setSent(ev.Pos)
-		case errors.Is(err, wal.ErrNoRecord):
-			// Caught up: the reader's position IS the leader end, and
-			// sent is the exact stream total there — the heartbeat that
-			// lets Follower.Lag reach zero deterministically.
-			if !idle {
-				idle = true
-				if err := fw.write(MsgHeartbeat, heartbeatBody(tr.Pos(), sent)); err != nil {
-					return err
-				}
-			}
-			select {
-			case <-notify:
-			case <-ticker.C:
-				if err := fw.write(MsgHeartbeat, heartbeatBody(tr.Pos(), sent)); err != nil {
-					return err
-				}
-			case err := <-ackErr:
+			if err := fw.flushFull(); err != nil {
 				return err
-			case <-s.stop:
-				return nil
 			}
-		default:
+		}
+		// Caught up: the reader's position IS the leader end, and sent is
+		// the exact stream total there — the heartbeat that lets
+		// Follower.Lag reach zero deterministically. It leaves in the
+		// same Write as the records before it.
+		if !idle {
+			idle = true
+			fw.end(appendHeartbeat(fw.begin(MsgHeartbeat), tr.Pos(), sent))
+		}
+		if err := fw.flush(); err != nil {
 			return err
+		}
+		select {
+		case <-notify:
+		case <-ticker.C:
+			idle = false // re-send the staleness target
+		case err := <-ackErr:
+			return err
+		case <-s.stop:
+			return nil
 		}
 	}
 }

@@ -23,11 +23,13 @@
 package replica
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"xmldyn/internal/wal"
 )
@@ -77,8 +79,10 @@ const (
 	// session-relative stream byte total at that end — the follower's
 	// staleness target.
 	MsgHeartbeat = 7
-	// MsgAck reports the follower's durable applied position back to
-	// the leader (session bookkeeping and segment-pin advancement).
+	// MsgAck reports the follower's applied position back to the leader
+	// (session bookkeeping and segment-pin advancement). Applied, not
+	// synced: under a SyncAsync follower store the acked bytes may still
+	// be in flight to its disk (docs/REPLICATION.md §3).
 	MsgAck = 8
 )
 
@@ -93,59 +97,100 @@ var (
 	ErrHandshake = errors.New("replica: bad handshake")
 )
 
-// frameWriter writes CRC-framed messages to one connection. Not safe
-// for concurrent use; each session has exactly one writing goroutine
-// per direction.
+// frameBytes is the stream's one buffer size: a frameWriter flushes once
+// this many bytes are queued, both ends read the connection through a
+// bufio.Reader of this size, a body is read in steps of at most this
+// many bytes, and a buffer a frame grew past it goes when the frame is
+// done — the wire's counterpart of wal.maxKeptFrame and
+// repo.scratchBytes.
+const frameBytes = 64 << 10
+
+// frameWriter builds CRC-framed messages in place and queues them for
+// one connection: begin opens a frame in the queue, the message's
+// append function writes the body behind it, end seals it, and flush
+// sends everything queued in a single Write. Not safe for concurrent
+// use; each session has exactly one writing goroutine per direction.
 type frameWriter struct {
-	w   io.Writer
-	buf []byte
+	w     io.Writer
+	buf   []byte // queued frames, the last one possibly still open
+	start int    // offset in buf of the frame begin opened last
 }
 
-// write frames and sends one message. The whole frame goes out in a
-// single Write call, matching the WAL appender's torn-write discipline.
-func (fw *frameWriter) write(typ byte, body []byte) error {
-	need := FrameHeaderSize + len(body)
-	if cap(fw.buf) < need {
-		fw.buf = make([]byte, need)
+// begin opens a frame of type typ at the end of the queue and returns
+// the queue for the body to be appended to.
+func (fw *frameWriter) begin(typ byte) []byte {
+	fw.start = len(fw.buf)
+	return append(fw.buf, typ, 0, 0, 0, 0, 0, 0, 0, 0)
+}
+
+// end seals the frame begin opened, given the queue with its body
+// appended: the header's length and CRC are filled in where they lie.
+func (fw *frameWriter) end(buf []byte) {
+	hdr, body := buf[fw.start:], buf[fw.start+FrameHeaderSize:]
+	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(body)))
+	binary.LittleEndian.PutUint32(hdr[5:9], crc32.ChecksumIEEE(body))
+	fw.buf = buf
+}
+
+// flush sends the queued frames in a single Write call — whole frames
+// only, matching the WAL appender's torn-write discipline — and empties
+// the queue. Nothing queued is no Write.
+func (fw *frameWriter) flush() error {
+	if len(fw.buf) == 0 {
+		return nil
 	}
-	b := fw.buf[:need]
-	b[0] = typ
-	binary.LittleEndian.PutUint32(b[1:5], uint32(len(body)))
-	binary.LittleEndian.PutUint32(b[5:9], crc32.ChecksumIEEE(body))
-	copy(b[FrameHeaderSize:], body)
-	_, err := fw.w.Write(b)
+	_, err := fw.w.Write(fw.buf)
+	if fw.buf = fw.buf[:0]; cap(fw.buf) > 2*frameBytes {
+		fw.buf = nil // a full queue is frameBytes and a frame; past that a frame was oversized
+	}
 	return err
+}
+
+// flushFull flushes once frameBytes are queued: a backfill leaves in
+// writes of about that size rather than one a frame.
+func (fw *frameWriter) flushFull() error {
+	if len(fw.buf) < frameBytes {
+		return nil
+	}
+	return fw.flush()
 }
 
 // frameReader reads CRC-framed messages from one connection. The
 // returned body is valid until the next call (the buffer is reused).
 type frameReader struct {
-	r    io.Reader
+	r    *bufio.Reader
+	hdr  [FrameHeaderSize]byte // here, not in next: it would escape through the Read
 	body []byte
 }
 
-// next reads one frame, verifying length plausibility and body CRC.
+// next reads one frame, verifying length plausibility and body CRC. A
+// header's length is believed only as far as bytes arrive: the body
+// grows a step at a time, so a flipped length bit reserves no more than
+// a step past what the connection delivers.
 func (fr *frameReader) next() (byte, []byte, error) {
-	var hdr [FrameHeaderSize]byte
-	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
+	if cap(fr.body) > frameBytes {
+		fr.body = nil
+	}
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	length := binary.LittleEndian.Uint32(hdr[1:5])
-	want := binary.LittleEndian.Uint32(hdr[5:9])
+	length := binary.LittleEndian.Uint32(fr.hdr[1:5])
 	if length > MaxMessageSize {
 		return 0, nil, fmt.Errorf("%w: frame claims %d bytes", ErrBadFrame, length)
 	}
-	if uint32(cap(fr.body)) < length {
-		fr.body = make([]byte, length)
+	body := fr.body[:0]
+	for len(body) < int(length) {
+		step := min(int(length)-len(body), frameBytes)
+		body = slices.Grow(body, step)[:len(body)+step]
+		if _, err := io.ReadFull(fr.r, body[len(body)-step:]); err != nil {
+			return 0, nil, err
+		}
 	}
-	fr.body = fr.body[:length]
-	if _, err := io.ReadFull(fr.r, fr.body); err != nil {
-		return 0, nil, err
+	fr.body = body
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(fr.hdr[5:9]) {
+		return 0, nil, fmt.Errorf("%w: crc mismatch on type %d", ErrBadFrame, fr.hdr[0])
 	}
-	if crc32.ChecksumIEEE(fr.body) != want {
-		return 0, nil, fmt.Errorf("%w: crc mismatch on type %d", ErrBadFrame, hdr[0])
-	}
-	return hdr[0], fr.body, nil
+	return fr.hdr[0], body, nil
 }
 
 // --- message bodies ----------------------------------------------------------
@@ -169,9 +214,8 @@ func cutPosition(body []byte) (wal.Position, []byte, error) {
 	return pos, body[16:], nil
 }
 
-// helloBody encodes the handshake: magic, version, resume position.
-func helloBody(pos wal.Position) []byte {
-	out := make([]byte, 0, len(ProtoMagic)+1+16)
+// appendHello encodes the handshake: magic, version, resume position.
+func appendHello(out []byte, pos wal.Position) []byte {
 	out = append(out, ProtoMagic...)
 	out = append(out, ProtoVersion)
 	return appendPosition(out, pos)
@@ -192,10 +236,9 @@ func parseHello(body []byte) (wal.Position, error) {
 	return pos, err
 }
 
-// snapBeginBody encodes a MsgSnapBegin: generation, first live
+// appendSnapBegin encodes a MsgSnapBegin: generation, first live
 // segment, file count.
-func snapBeginBody(gen, walFirst uint64, files int) []byte {
-	out := make([]byte, 0, 20)
+func appendSnapBegin(out []byte, gen, walFirst uint64, files int) []byte {
 	out = binary.LittleEndian.AppendUint64(out, gen)
 	out = binary.LittleEndian.AppendUint64(out, walFirst)
 	return binary.LittleEndian.AppendUint32(out, uint32(files))
@@ -211,9 +254,8 @@ func parseSnapBegin(body []byte) (gen, walFirst uint64, files int, err error) {
 		int(binary.LittleEndian.Uint32(body[16:20])), nil
 }
 
-// snapFileBody encodes a MsgSnapFile: 2-byte name length, name, data.
-func snapFileBody(name string, data []byte) []byte {
-	out := make([]byte, 0, 2+len(name)+len(data))
+// appendSnapFile encodes a MsgSnapFile: 2-byte name length, name, data.
+func appendSnapFile(out []byte, name string, data []byte) []byte {
 	out = binary.LittleEndian.AppendUint16(out, uint16(len(name)))
 	out = append(out, name...)
 	return append(out, data...)
@@ -232,12 +274,10 @@ func parseSnapFile(body []byte) (name string, data []byte, err error) {
 	return string(body[2 : 2+n]), body[2+n:], nil
 }
 
-// heartbeatBody encodes a MsgHeartbeat: leader end position plus the
+// appendHeartbeat encodes a MsgHeartbeat: leader end position plus the
 // session stream byte total at that end.
-func heartbeatBody(end wal.Position, sessionBytes uint64) []byte {
-	out := make([]byte, 0, 24)
-	out = appendPosition(out, end)
-	return binary.LittleEndian.AppendUint64(out, sessionBytes)
+func appendHeartbeat(out []byte, end wal.Position, sessionBytes uint64) []byte {
+	return binary.LittleEndian.AppendUint64(appendPosition(out, end), sessionBytes)
 }
 
 // parseHeartbeat decodes a MsgHeartbeat body.
@@ -252,12 +292,10 @@ func parseHeartbeat(body []byte) (end wal.Position, sessionBytes uint64, err err
 	return end, binary.LittleEndian.Uint64(rest), nil
 }
 
-// recordBody encodes a MsgRecord: the position just past the record,
+// appendRecord encodes a MsgRecord: the position just past the record,
 // then the raw WAL payload.
-func recordBody(after wal.Position, payload []byte) []byte {
-	out := make([]byte, 0, 16+len(payload))
-	out = appendPosition(out, after)
-	return append(out, payload...)
+func appendRecord(out []byte, after wal.Position, payload []byte) []byte {
+	return append(appendPosition(out, after), payload...)
 }
 
 // parseRecord decodes a MsgRecord body. The payload aliases the frame
@@ -267,9 +305,9 @@ func parseRecord(body []byte) (after wal.Position, payload []byte, err error) {
 	return after, payload, err
 }
 
-// segStartBody encodes a MsgSegStart: the new segment's index.
-func segStartBody(index uint64) []byte {
-	return binary.LittleEndian.AppendUint64(make([]byte, 0, 8), index)
+// appendSegStart encodes a MsgSegStart: the new segment's index.
+func appendSegStart(out []byte, index uint64) []byte {
+	return binary.LittleEndian.AppendUint64(out, index)
 }
 
 // parseSegStart decodes a MsgSegStart body.
@@ -280,9 +318,10 @@ func parseSegStart(body []byte) (uint64, error) {
 	return binary.LittleEndian.Uint64(body), nil
 }
 
-// ackBody encodes a MsgAck: the follower's durable applied position.
-func ackBody(pos wal.Position) []byte {
-	return appendPosition(make([]byte, 0, 16), pos)
+// appendAck encodes a MsgAck: the follower's applied position — what
+// it has replayed and appended to its own log, synced or not.
+func appendAck(out []byte, pos wal.Position) []byte {
+	return appendPosition(out, pos)
 }
 
 // parseAck decodes a MsgAck body.

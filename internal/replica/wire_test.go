@@ -5,6 +5,7 @@ package replica
 // against the protocol spec (docs/REPLICATION.md §2).
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -12,6 +13,19 @@ import (
 
 	"xmldyn/internal/wal"
 )
+
+// send frames a ready-made body and flushes it: the tests' one-frame,
+// one-Write form of begin/end/flush.
+func (fw *frameWriter) send(typ byte, body []byte) error {
+	fw.end(append(fw.begin(typ), body...))
+	return fw.flush()
+}
+
+// newFrameReader reads frames from r the way a session does, through a
+// bufio.Reader of frameBytes.
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{r: bufio.NewReaderSize(r, frameBytes)}
+}
 
 // TestFrameRoundTrip pushes every message type through a
 // writer/reader pair and checks type and body survive.
@@ -23,21 +37,21 @@ func TestFrameRoundTrip(t *testing.T) {
 		typ  byte
 		body []byte
 	}{
-		{MsgHello, helloBody(pos)},
-		{MsgSnapBegin, snapBeginBody(7, 3, 2)},
-		{MsgSnapFile, snapFileBody("docsnap-x.xdyn", []byte("payload"))},
+		{MsgHello, appendHello(nil, pos)},
+		{MsgSnapBegin, appendSnapBegin(nil, 7, 3, 2)},
+		{MsgSnapFile, appendSnapFile(nil, "docsnap-x.xdyn", []byte("payload"))},
 		{MsgSnapEnd, []byte("raw manifest bytes")},
-		{MsgSegStart, segStartBody(4)},
-		{MsgRecord, recordBody(pos, []byte{1, 2, 3, 4})},
-		{MsgHeartbeat, heartbeatBody(pos, 12345)},
-		{MsgAck, ackBody(pos)},
+		{MsgSegStart, appendSegStart(nil, 4)},
+		{MsgRecord, appendRecord(nil, pos, []byte{1, 2, 3, 4})},
+		{MsgHeartbeat, appendHeartbeat(nil, pos, 12345)},
+		{MsgAck, appendAck(nil, pos)},
 	}
 	for _, m := range msgs {
-		if err := fw.write(m.typ, m.body); err != nil {
+		if err := fw.send(m.typ, m.body); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fr := &frameReader{r: &buf}
+	fr := newFrameReader(&buf)
 	for _, m := range msgs {
 		typ, body, err := fr.next()
 		if err != nil {
@@ -59,7 +73,7 @@ func TestFrameRejectsCorruption(t *testing.T) {
 	frame := func() []byte {
 		var buf bytes.Buffer
 		fw := &frameWriter{w: &buf}
-		if err := fw.write(MsgRecord, []byte("some payload")); err != nil {
+		if err := fw.send(MsgRecord, []byte("some payload")); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -67,7 +81,7 @@ func TestFrameRejectsCorruption(t *testing.T) {
 	for i := 0; i < len(frame()); i++ {
 		raw := frame()
 		raw[i] ^= 0x20
-		fr := &frameReader{r: bytes.NewReader(raw)}
+		fr := newFrameReader(bytes.NewReader(raw))
 		_, _, err := fr.next()
 		if err == nil {
 			// Flipping the type byte alone leaves the CRC valid — the
@@ -86,7 +100,7 @@ func TestFrameRejectsCorruption(t *testing.T) {
 // TestFrameRejectsImplausibleLength pins the MaxMessageSize guard.
 func TestFrameRejectsImplausibleLength(t *testing.T) {
 	raw := []byte{MsgRecord, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}
-	fr := &frameReader{r: bytes.NewReader(raw)}
+	fr := newFrameReader(bytes.NewReader(raw))
 	if _, _, err := fr.next(); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("4 GiB frame: %v, want ErrBadFrame", err)
 	}
@@ -94,7 +108,7 @@ func TestFrameRejectsImplausibleLength(t *testing.T) {
 
 // TestHelloValidation pins the handshake error cases.
 func TestHelloValidation(t *testing.T) {
-	good := helloBody(wal.Position{Segment: 1, Offset: 5})
+	good := appendHello(nil, wal.Position{Segment: 1, Offset: 5})
 	if _, err := parseHello(good); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +149,7 @@ func TestBodyCodecValidation(t *testing.T) {
 	if _, _, err := parseRecord(make([]byte, 8)); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("short record: %v", err)
 	}
-	name, data, err := parseSnapFile(snapFileBody("f.xdyn", []byte("d")))
+	name, data, err := parseSnapFile(appendSnapFile(nil, "f.xdyn", []byte("d")))
 	if err != nil || name != "f.xdyn" || string(data) != "d" {
 		t.Errorf("snap-file round trip: %q %q %v", name, data, err)
 	}

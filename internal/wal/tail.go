@@ -87,11 +87,20 @@ type TailEvent struct {
 // directly and needs no reference to the writing Log; it is NOT safe
 // for concurrent use by multiple goroutines.
 type TailReader struct {
-	dir     string
-	pos     Position
-	f       *os.File
-	payload []byte // reused record buffer
+	dir string
+	pos Position
+	f   *os.File
+	// buf is the read-ahead buffer, allocated once at OpenTail; win is
+	// what is read and not yet consumed of the file from pos.Offset on.
+	// It aliases buf, or a frame's own buffer when the frame is larger.
+	buf, win []byte
 }
+
+// tailWindow is how far a TailReader reads ahead: one ReadAt fetches up
+// to this many bytes and the frames that lie whole in them cost no
+// further read. A frame larger than the window is read into a buffer of
+// its own that goes with it — the tail's counterpart of maxKeptFrame.
+const tailWindow = 64 << 10
 
 // OpenTail positions a TailReader at pos. The segment file must exist
 // and hold a valid header; pos.Offset must be a frame boundary at or
@@ -104,7 +113,7 @@ func OpenTail(dir string, pos Position) (*TailReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TailReader{dir: dir, pos: pos, f: f}, nil
+	return &TailReader{dir: dir, pos: pos, f: f, buf: make([]byte, tailWindow)}, nil
 }
 
 // openSegment opens segment index for reading and validates its header.
@@ -151,108 +160,107 @@ func (t *TailReader) Close() error {
 // live tailing reads only what a healthy writer produced, so unlike
 // Replay there is no torn tail to tolerate.
 func (t *TailReader) Next() (TailEvent, error) {
-	for {
-		payload, n, err := t.tryRecord()
-		if err == nil {
-			t.pos.Offset += n
-			return TailEvent{Payload: payload, Pos: t.pos}, nil
-		}
-		if !errors.Is(err, ErrNoRecord) {
-			return TailEvent{}, err
-		}
-		// Caught up with this segment's current end. If a successor
-		// exists the segment is sealed — but bytes may have landed
-		// between our read and the rotation, so re-read once before
-		// concluding the segment is exhausted.
-		next := SegmentName(t.pos.Segment + 1)
-		if _, serr := os.Stat(filepath.Join(t.dir, next)); serr != nil {
-			return TailEvent{}, ErrNoRecord
-		}
-		payload, n, err = t.tryRecord()
-		if err == nil {
-			t.pos.Offset += n
-			return TailEvent{Payload: payload, Pos: t.pos}, nil
-		}
-		if !errors.Is(err, ErrNoRecord) {
-			return TailEvent{}, err
-		}
-		if partial, perr := t.hasPartialFrame(); perr != nil {
-			return TailEvent{}, perr
-		} else if partial {
-			// A torn frame in a sealed segment: rotation synced every
-			// appended byte before creating the successor, so this is
-			// not an in-flight append.
-			return TailEvent{}, fmt.Errorf("%w: torn frame in sealed %s at offset %d",
-				ErrCorruptRecord, SegmentName(t.pos.Segment), t.pos.Offset)
-		}
-		// The successor becomes visible before its header is written
-		// (creation and header write are two steps): a short header
-		// here is a rotation in flight, not damage — stay on the sealed
-		// segment and let the caller retry.
-		f, err := openSegment(t.dir, t.pos.Segment+1)
-		if errors.Is(err, ErrShortHeader) {
-			return TailEvent{}, ErrNoRecord
-		}
-		if err != nil {
-			return TailEvent{}, err
-		}
-		_ = t.f.Close()
-		t.f = f
-		t.pos = Position{Segment: t.pos.Segment + 1, Offset: int64(HeaderSize)}
-		return TailEvent{Payload: nil, Pos: t.pos}, nil
+	ev, err := t.tryRecord()
+	if !errors.Is(err, ErrNoRecord) {
+		return ev, err
 	}
+	// Caught up with this segment's current end. If a successor
+	// exists the segment is sealed — but bytes may have landed
+	// between our read and the rotation, so re-read once before
+	// concluding the segment is exhausted.
+	next := SegmentName(t.pos.Segment + 1)
+	if _, serr := os.Stat(filepath.Join(t.dir, next)); serr != nil {
+		return TailEvent{}, ErrNoRecord
+	}
+	if ev, err = t.tryRecord(); !errors.Is(err, ErrNoRecord) {
+		return ev, err
+	}
+	if len(t.win) > 0 {
+		// A torn frame in a sealed segment: rotation synced every
+		// appended byte before creating the successor, so this is
+		// not an in-flight append.
+		return TailEvent{}, fmt.Errorf("%w: torn frame in sealed %s at offset %d",
+			ErrCorruptRecord, SegmentName(t.pos.Segment), t.pos.Offset)
+	}
+	// The successor becomes visible before its header is written
+	// (creation and header write are two steps): a short header
+	// here is a rotation in flight, not damage — stay on the sealed
+	// segment and let the caller retry.
+	f, err := openSegment(t.dir, t.pos.Segment+1)
+	if errors.Is(err, ErrShortHeader) {
+		return TailEvent{}, ErrNoRecord
+	}
+	if err != nil {
+		return TailEvent{}, err
+	}
+	_ = t.f.Close()
+	t.f, t.win = f, nil
+	t.pos = Position{Segment: t.pos.Segment + 1, Offset: int64(HeaderSize)}
+	return TailEvent{Payload: nil, Pos: t.pos}, nil
 }
 
-// tryRecord attempts to read one complete frame at the current offset,
-// returning the payload and the frame's total length. ErrNoRecord
-// means the bytes for a full frame are not there (yet); ErrCorruptRecord
-// means a full frame is present but fails its CRC.
-func (t *TailReader) tryRecord() ([]byte, int64, error) {
-	var hdr [FrameHeaderSize]byte
-	if _, err := t.f.ReadAt(hdr[:], t.pos.Offset); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, 0, ErrNoRecord
-		}
-		return nil, 0, err
+// tryRecord consumes the frame at the current offset, if it is whole,
+// and returns it as an event. ErrNoRecord means the bytes for a full
+// frame are not there (yet); ErrCorruptRecord means a full frame is
+// present but fails its CRC.
+func (t *TailReader) tryRecord() (TailEvent, error) {
+	hdr, err := t.peek(FrameHeaderSize)
+	if err != nil {
+		return TailEvent{}, err
 	}
 	length := binary.LittleEndian.Uint32(hdr[0:4])
 	want := binary.LittleEndian.Uint32(hdr[4:8])
 	if length > MaxRecordSize {
-		return nil, 0, fmt.Errorf("%w: frame at %s claims %d bytes", ErrCorruptRecord, t.pos, length)
+		return TailEvent{}, fmt.Errorf("%w: frame at %s claims %d bytes", ErrCorruptRecord, t.pos, length)
 	}
-	if uint32(cap(t.payload)) < length {
-		t.payload = make([]byte, length)
+	n := FrameHeaderSize + int(length)
+	frame, err := t.peek(n)
+	if err != nil {
+		return TailEvent{}, err
 	}
-	t.payload = t.payload[:length]
-	if _, err := t.f.ReadAt(t.payload, t.pos.Offset+FrameHeaderSize); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, 0, ErrNoRecord
-		}
-		return nil, 0, err
+	payload := frame[FrameHeaderSize:n:n]
+	if crc32.ChecksumIEEE(payload) != want {
+		// A writer appends a frame with a single write call and the file
+		// grows only past bytes that have landed, so a fully readable
+		// frame with a bad CRC is corruption, not an append in flight.
+		return TailEvent{}, fmt.Errorf("%w: crc mismatch at %s", ErrCorruptRecord, t.pos)
 	}
-	if crc32.ChecksumIEEE(t.payload) != want {
-		// A full payload read can still be an in-flight append caught
-		// between the frame-header write and the payload bytes landing
-		// only if the file grows past the frame later; distinguishing
-		// that from corruption is the caller's re-read-after-seal job.
-		// Within one segment a writer appends a frame with a single
-		// write call, so a fully readable frame with a bad CRC is
-		// corruption.
-		return nil, 0, fmt.Errorf("%w: crc mismatch at %s", ErrCorruptRecord, t.pos)
+	t.pos.Offset += int64(n)
+	if t.win = frame[n:]; len(t.win) == 0 {
+		t.win = nil // an oversized frame's buffer is the payload's alone now
 	}
-	return t.payload, int64(FrameHeaderSize) + int64(length), nil
+	return TailEvent{Payload: payload, Pos: t.pos}, nil
 }
 
-// hasPartialFrame reports whether any bytes exist past the current
-// offset (a torn frame) without consuming them.
-func (t *TailReader) hasPartialFrame() (bool, error) {
-	var b [1]byte
-	_, err := t.f.ReadAt(b[:], t.pos.Offset)
-	if err == nil {
-		return true, nil
+// peek returns the n bytes of the file at the current offset: out of the
+// window when it holds them, else after one ReadAt that refills the
+// window from that offset — so what follows a failed peek in t.win is
+// what the file held there, and a partial frame is never trusted from an
+// earlier read. ErrNoRecord means the file does not hold n bytes there
+// (yet). A frame's length is believed only as far as the file goes: a
+// buffer larger than the window is made once the file is known to hold
+// the frame, never on the header's word alone.
+func (t *TailReader) peek(n int) ([]byte, error) {
+	if len(t.win) >= n {
+		return t.win, nil
 	}
-	if errors.Is(err, io.EOF) {
-		return false, nil
+	buf := t.buf
+	if n > len(buf) {
+		fi, err := t.f.Stat()
+		if err != nil {
+			return nil, err
+		}
+		if fi.Size()-t.pos.Offset < int64(n) {
+			return nil, ErrNoRecord
+		}
+		buf = make([]byte, n)
 	}
-	return false, err
+	got, err := t.f.ReadAt(buf, t.pos.Offset)
+	if t.win = buf[:got]; got >= n {
+		return t.win, nil
+	}
+	if errors.Is(err, io.EOF) { // a short ReadAt always says why
+		return nil, ErrNoRecord
+	}
+	return nil, err
 }
