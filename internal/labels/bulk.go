@@ -1,9 +1,6 @@
 package labels
 
-import (
-	"slices"
-	"sync"
-)
+import "sync"
 
 // bulkMax is the longest assignment a Bulk keeps, which bounds a table
 // at bulkMax²/2 codes however documents are shaped; a longer sibling
@@ -15,8 +12,11 @@ const bulkMax = 256
 // that configuration, and codes are immutable, so the n codes are
 // computed and boxed once; every later Assign(n) of the kind — a
 // document loaded again, the next sibling list of the same length —
-// costs its result slice. Concurrent loaders share a table: mu guards
-// it, for the moment it takes to read a row or to grow the list.
+// costs nothing: the result is a view of the row, for reading only,
+// with len == cap so that an append copies instead of reaching the
+// table. Concurrent loaders share a table: mu guards it, for the moment
+// it takes to read a row or to grow the list, and a kept code is never
+// written again.
 type Bulk struct {
 	mu   sync.Mutex
 	rows map[int]bulkRow // by n
@@ -56,13 +56,13 @@ func (b *Bulk) Assign(n int, c *Counters, compute func(int) ([]Code, error)) ([]
 		c.Assigns += row.assigns
 		c.Divisions += row.divisions
 		c.MaxRecursion = max(c.MaxRecursion, row.depth)
-		return slices.Clone(row.codes), nil
+		return row.codes, nil
 	}
 	// MaxRecursion is a maximum: zeroed, it reads this computation's depth.
 	was := *c
 	c.MaxRecursion = 0
 	codes, err := compute(n)
-	row = bulkRow{codes, c.Assigns - was.Assigns, c.Divisions - was.Divisions, c.MaxRecursion}
+	row = bulkRow{codes[:len(codes):len(codes)], c.Assigns - was.Assigns, c.Divisions - was.Divisions, c.MaxRecursion}
 	c.MaxRecursion = max(was.MaxRecursion, row.depth)
 	if err != nil {
 		return nil, err
@@ -73,21 +73,28 @@ func (b *Bulk) Assign(n int, c *Counters, compute func(int) ([]Code, error)) ([]
 	}
 	b.rows[n] = row
 	b.mu.Unlock()
-	return slices.Clone(codes), nil
+	return row.codes, nil
 }
 
 // Extend is Assign for an algebra whose i-th bulk code, at(i), is the
 // same whatever n: one list serves every n and grows by the codes it
 // lacks, so relabelling a sibling list that has grown by one boxes one.
+// The views are prefixes of the list: growing it appends behind them or
+// moves to a new array, and disturbs none.
 func (b *Bulk) Extend(n int, at func(i int) Code) []Code {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	list := b.list
+	list, keep := b.list, n <= bulkMax*bulkMax/2
+	if !keep {
+		// The tail must not land in the kept list's spare capacity: the
+		// next such call would write it again under this one's reader.
+		list = list[:len(list):len(list)]
+	}
 	for i := len(list); i < n; i++ {
 		list = append(list, at(i))
 	}
-	if n <= bulkMax*bulkMax/2 {
+	if keep {
 		b.list = list
 	}
-	return slices.Clone(list[:n])
+	return list[:n:n]
 }

@@ -66,6 +66,21 @@ func TestBuildCountersSameColdAndWarm(t *testing.T) {
 			t.Errorf("%d instrumented schemes, %d pinned", seen, len(buildCounters))
 		}
 	}
+	if n, err := labels.VerifyBulks(registryAlgebras()...); err != nil || n == 0 {
+		t.Errorf("after the builds: %d kept codes recomputed, %v", n, err)
+	}
+}
+
+// registryAlgebras returns a fresh algebra of every registry scheme that
+// has one, for VerifyBulks to recompute the kept rows with.
+func registryAlgebras() []labels.Algebra {
+	var out []labels.Algebra
+	for _, s := range core.Registry() {
+		if ap, ok := s.Factory().(interface{ Algebra() labels.Algebra }); ok {
+			out = append(out, ap.Algebra())
+		}
+	}
+	return out
 }
 
 // fakeCode and fakeAlgebra: a recursive, dividing Assign whose cost
@@ -98,29 +113,53 @@ func (a *fakeAlgebra) assign(n int) ([]labels.Code, error) {
 	return out, nil
 }
 
+// isView holds got to the contract of a shared row: exactly full, so
+// that an append moves to an array of its own and the row stays what
+// it was.
+func isView(t *testing.T, what string, got []labels.Code) {
+	t.Helper()
+	if len(got) == 0 {
+		return
+	}
+	if cap(got) != len(got) {
+		t.Fatalf("%s: len %d, cap %d: an append would reach the table", what, len(got), cap(got))
+	}
+	last := got[len(got)-1]
+	if grown := append(got, fakeCode(-1)); &grown[0] == &got[0] || got[len(got)-1] != last {
+		t.Fatalf("%s: an append wrote into the shared row", what)
+	}
+}
+
 // TestBulkAssign: a hit returns the codes and moves the counters exactly
-// as the computation would have; the caller owns the slice it gets; an
-// error, an n beyond the bound and n ≤ 0 are computed every time.
+// as the computation would have; what a caller gets is a view of the
+// kept row — len == cap == n, an append leaves the table intact, and two
+// Assign(n) share one backing array; an error, an n beyond the bound and
+// n ≤ 0 are computed every time.
 func TestBulkAssign(t *testing.T) {
 	table := labels.BulkFor(t.Name())
 	var direct, first, second fakeAlgebra
 	sizes := []int{5, 0, 3, 13, 5, 6, labels.BulkMax, labels.BulkMax + 1, 13, -1, 3}
 	for _, n := range sizes {
 		want, wantErr := direct.assign(n)
-		for _, a := range []*fakeAlgebra{&first, &second} {
+		var views [2][]labels.Code
+		for k, a := range []*fakeAlgebra{&first, &second} {
 			got, err := table.Assign(n, &a.c, a.assign)
 			if !errors.Is(err, wantErr) || len(got) != len(want) {
 				t.Fatalf("Assign(%d) = %d codes, %v; want %d, %v", n, len(got), err, len(want), wantErr)
 			}
+			isView(t, fmt.Sprintf("Assign(%d)", n), got)
 			for i := range got {
 				if got[i] != want[i] {
 					t.Fatalf("Assign(%d)[%d] = %v, want %v", n, i, got[i], want[i])
 				}
-				got[i] = nil // the table must not see this
 			}
 			if a.c != direct.c {
 				t.Fatalf("after Assign(%d): counters %+v, computing every time gives %+v", n, a.c, direct.c)
 			}
+			views[k] = got
+		}
+		if kept := n > 0 && n <= labels.BulkMax && wantErr == nil; kept && &views[0][0] != &views[1][0] {
+			t.Fatalf("two Assign(%d) do not share a backing array", n)
 		}
 	}
 	// 5, 3, 6 and BulkMax were computed once, by whoever came first.
@@ -129,34 +168,81 @@ func TestBulkAssign(t *testing.T) {
 	}
 }
 
-// TestBulkExtend: the list grows by what it lacks, and a request it
-// covers costs the result slice alone.
+// TestBulkExtend: the list grows by what it lacks, every result is a
+// view of it — len == cap == n, an append leaves the list intact, an
+// earlier view still reads its codes after the list has grown past it —
+// and a request the list covers costs nothing. Past the bound the list
+// is not kept, and the tail is computed into an array no other call
+// writes.
 func TestBulkExtend(t *testing.T) {
 	table := labels.BulkFor(t.Name())
 	boxed := 0
 	at := func(i int) labels.Code { boxed++; return fakeCode(i) }
+	var views [][]labels.Code
 	for _, n := range []int{4, 2, 9, 9, 0} {
 		got := table.Extend(n, at)
 		if len(got) != n {
 			t.Fatalf("Extend(%d) returned %d codes", n, len(got))
 		}
-		for i := range got {
-			if got[i] != fakeCode(i) {
-				t.Fatalf("Extend(%d)[%d] = %v", n, i, got[i])
-			}
-			got[i] = nil
-		}
+		isView(t, fmt.Sprintf("Extend(%d)", n), got)
+		views = append(views, got)
 	}
 	if boxed != 9 {
 		t.Errorf("boxed %d codes for a list of 9", boxed)
 	}
-	if a := testing.AllocsPerRun(20, func() { table.Extend(9, at) }); a != 1 {
-		t.Errorf("a covered Extend allocates %v, want the result slice", a)
+	if &views[2][0] != &views[3][0] {
+		t.Error("two Extend(9) do not share a backing array")
+	}
+	if a := testing.AllocsPerRun(20, func() { table.Extend(9, at) }); a != 0 {
+		t.Errorf("a covered Extend allocates %v, want nothing", a)
+	}
+	const beyond = labels.BulkMax*labels.BulkMax/2 + 1
+	views = append(views, table.Extend(beyond, at), table.Extend(beyond, at))
+	if boxed != 9+2*(beyond-9) {
+		t.Errorf("boxed %d codes, want the list's 9 and two unkept tails of %d", boxed, beyond-9)
+	}
+	if &views[5][9] == &views[6][9] {
+		t.Error("two Extend past the bound wrote their tails into one array")
+	}
+	for _, v := range views {
+		isView(t, fmt.Sprintf("Extend(%d), afterwards", len(v)), v)
+		for i, c := range v {
+			if c != fakeCode(i) {
+				t.Fatalf("Extend(%d)[%d] = %v", len(v), i, c)
+			}
+		}
+	}
+}
+
+// TestVerifyBulksSeesAWrite: the check the registry-wide storms end with
+// fails when a caller has written into a view — of a row or of the list
+// — and passes again once the table is what its algebra computes.
+func TestVerifyBulksSeesAWrite(t *testing.T) {
+	labels.ResetBulks()
+	for _, a := range []labels.Algebra{
+		labels.MustIntAlgebra(labels.IntAlgebraConfig{Name: t.Name(), Start: 1, Gap: 2, Width: 16}), // a list
+		core.MustScheme("qed").Factory().(interface{ Algebra() labels.Algebra }).Algebra(),          // rows
+	} {
+		if _, err := a.Assign(7); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := labels.VerifyBulks(a); n != 7 || err != nil {
+			t.Fatalf("%s, untouched: %d codes recomputed, %v", a.Name(), n, err)
+		}
+		view, _ := a.Assign(7)
+		view[3] = view[4]
+		if _, err := labels.VerifyBulks(a); err == nil {
+			t.Fatalf("%s: a view was written and VerifyBulks passed", a.Name())
+		}
+		if n, err := labels.VerifyBulks(a); n != 7 || err != nil {
+			t.Fatalf("%s, computed again: %d codes recomputed, %v", a.Name(), n, err)
+		}
 	}
 }
 
 // TestBulkConcurrentLoaders: doc-snaps load in parallel, so algebras of
-// one kind fill and read one table from many goroutines (run with -race).
+// one kind fill one table and read views of it from many goroutines
+// (run with -race).
 func TestBulkConcurrentLoaders(t *testing.T) {
 	table := labels.BulkFor(t.Name())
 	var wg sync.WaitGroup
@@ -168,11 +254,14 @@ func TestBulkConcurrentLoaders(t *testing.T) {
 			for i := 0; i < 400; i++ {
 				n := 1 + (i*7+g)%12 // short of the 13 that fails
 				direct.assign(n)
-				if got, err := table.Assign(n, &a.c, a.assign); err != nil || len(got) != n {
+				got, err := table.Assign(n, &a.c, a.assign)
+				if err != nil || len(got) != n || got[n-1] != fakeCode(n*1000+n-1) {
 					t.Errorf("Assign(%d) = %d codes, %v", n, len(got), err)
 				}
-				if got := table.Extend(n, func(i int) labels.Code { return fakeCode(i) }); len(got) != n {
-					t.Errorf("Extend(%d) = %d codes", n, len(got))
+				// The list keeps growing under the readers of its earlier views.
+				m := n + i + g
+				if got := table.Extend(m, func(i int) labels.Code { return fakeCode(i) }); len(got) != m || got[0] != fakeCode(0) || got[m-1] != fakeCode(m-1) {
+					t.Errorf("Extend(%d) = %d codes", m, len(got))
 				}
 			}
 			if a.c != direct.c {

@@ -49,8 +49,8 @@ type IntAlgebra struct {
 	cfg      IntAlgebraConfig
 	counters Counters
 	// bulk lists the boxed bulk codes Start + i·Gap of every algebra so
-	// configured: relabelling k siblings costs the result slice, not k
-	// codes.
+	// configured: relabelling k siblings costs a view of the list, not k
+	// codes and not a copy of it.
 	bulk *Bulk
 }
 

@@ -54,23 +54,31 @@ func TestIntAlgebraAssign(t *testing.T) {
 	}
 }
 
-// TestIntAlgebraAssignShares: bulk codes are boxed once per algebra, so
-// a relabel of k siblings allocates its result slice and not k codes;
-// every call still returns the same values in a slice of its own.
+// TestIntAlgebraAssignShares: bulk codes are boxed once per algebra and
+// every Assign returns a view of that one list, so a relabel of k
+// siblings allocates neither k codes nor a copy of them: len == cap ==
+// n, two Assign(n) share a backing array, and an append on a view
+// leaves the list intact.
 func TestIntAlgebraAssignShares(t *testing.T) {
 	a := MustIntAlgebra(IntAlgebraConfig{Name: "t", Start: 1, Gap: 3, Width: 32})
 	first, err := a.Assign(1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if allocs := testing.AllocsPerRun(20, func() { _, _ = a.Assign(1000) }); allocs > 2 {
-		t.Errorf("Assign(1000) allocates %.0f times, want at most 2", allocs)
+	if allocs := testing.AllocsPerRun(20, func() { _, _ = a.Assign(1000) }); allocs != 0 {
+		t.Errorf("Assign(1000) allocates %.0f times, want 0", allocs)
 	}
-	first[0] = nil // the caller owns its slice
+	if again, _ := a.Assign(1000); &again[0] != &first[0] {
+		t.Error("two Assign(1000) do not share a backing array")
+	}
+	if len(first) != 1000 || cap(first) != 1000 {
+		t.Fatalf("Assign(1000): len %d, cap %d", len(first), cap(first))
+	}
+	_ = append(first, IntCode{V: -1, Width: 32}) // copies: the list's 1001st code is not this
 	for _, n := range []int{1, 7, 1000, 1500} {
 		cs, err := a.Assign(n)
-		if err != nil || len(cs) != n {
-			t.Fatalf("Assign(%d): %d codes, %v", n, len(cs), err)
+		if err != nil || len(cs) != n || cap(cs) != n {
+			t.Fatalf("Assign(%d): %d codes, cap %d, %v", n, len(cs), cap(cs), err)
 		}
 		for i, c := range cs {
 			if want := (IntCode{V: 1 + 3*int64(i), Width: 32}); c != Code(want) {
@@ -78,8 +86,11 @@ func TestIntAlgebraAssignShares(t *testing.T) {
 			}
 		}
 	}
-	if got := a.Counters().Assigns; got != 26 {
-		t.Errorf("Assigns = %d, want one per call = 26", got)
+	if got := a.Counters().Assigns; got != 27 {
+		t.Errorf("Assigns = %d, want one per call = 27", got)
+	}
+	if n, err := VerifyBulks(a); n < 1500 || err != nil {
+		t.Errorf("%d kept codes recomputed, %v", n, err)
 	}
 }
 

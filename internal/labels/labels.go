@@ -94,7 +94,9 @@ type Traits struct {
 // Algebra is a totally ordered code space.
 //
 // Assign produces n codes in strictly ascending order for initial
-// document loading. Between produces a code strictly between left and
+// document loading; the result is a read-only view of a row the whole
+// process shares (Bulk) — index it, copy out of it, never write it, and
+// an append copies. Between produces a code strictly between left and
 // right; a nil left means "before the first code", a nil right means
 // "after the last code". Compare orders any two codes of the algebra.
 type Algebra interface {

@@ -3,6 +3,7 @@ package containment
 import (
 	"errors"
 	"fmt"
+	"reflect"
 
 	"xmldyn/internal/labeling"
 	"xmldyn/internal/labels"
@@ -108,40 +109,58 @@ func (iv *Interval) Algebra() labels.Algebra { return iv.cfg.Algebra }
 // traversed twice").
 func (iv *Interval) Build(doc *xmltree.Document) error {
 	iv.doc = doc
-	n := doc.LabelledCount()
-	codes, err := iv.cfg.Algebra.Assign(2 * n)
+	return iv.number(true)
+}
+
+// number asks the algebra for two endpoints a labellable node — first,
+// so that a refusal leaves every label as it was — and hands them out
+// over the table in place: a node whose label does not move is not
+// written, one that had a label and gets another counts in Relabeled.
+// fresh is Build's call: a new table, every node Assigned. Codes decide
+// "moved"; only when both endpoints compare equal is the spelling looked
+// at — one position can be spelt two ways, as a vector (2,4) for (1,2),
+// and that is a changed label.
+func (iv *Interval) number(fresh bool) error {
+	n, alg := iv.doc.LabelledCount(), iv.cfg.Algebra
+	codes, err := alg.Assign(2 * n) // a view of a shared row: read only
 	if err != nil {
 		return fmt.Errorf("interval %s: assign %d endpoints: %w", iv.cfg.Name, 2*n, err)
 	}
-	iv.lab = make(map[*xmltree.Node]IntervalLabel, n)
-	iv.stats.Reset()
-	i := 0
-	var walk func(x *xmltree.Node)
-	walk = func(x *xmltree.Node) {
-		labelled := x.Kind() == xmltree.KindElement || x.Kind() == xmltree.KindAttribute
-		var begin labels.Code
-		if labelled {
-			begin = codes[i]
-			i++
-		}
-		for _, a := range x.Attributes() {
-			walk(a)
-		}
-		for _, c := range x.Children() {
-			walk(c)
-		}
-		if labelled {
-			end := codes[i]
-			i++
-			iv.lab[x] = IntervalLabel{
-				Begin: begin, End: end, Lvl: x.Depth(),
-				withLevel: iv.cfg.WithLevel, levelBits: iv.cfg.LevelBits,
-			}
-			iv.stats.Assigned++
-		}
+	if fresh {
+		iv.lab = make(map[*xmltree.Node]IntervalLabel, n)
+		iv.stats = labeling.Stats{Assigned: int64(n)}
 	}
-	walk(doc.Node())
+	// The walk numbers endpoints as it meets them. A node opens behind
+	// the pre nodes before it, all of which but its lvl ancestors have
+	// closed too: endpoint 2·pre − lvl. It closes behind the post nodes
+	// that closed before it and the pre + 1 + (post − pre + lvl) that
+	// have opened — those before it, itself, its descendants: endpoint
+	// 2·post + lvl + 1.
+	ranks(iv.doc, func(x *xmltree.Node, pre, post, lvl int) {
+		l := IntervalLabel{
+			Begin: codes[2*pre-lvl], End: codes[2*post+lvl+1], Lvl: lvl,
+			withLevel: iv.cfg.WithLevel, levelBits: iv.cfg.LevelBits,
+		}
+		if o, ok := iv.lab[x]; ok {
+			if alg.Compare(o.Begin, l.Begin) == 0 && alg.Compare(o.End, l.End) == 0 &&
+				sameSpelling(o.Begin, l.Begin) && sameSpelling(o.End, l.End) && (o.Lvl == lvl || !l.withLevel) {
+				return
+			}
+			iv.stats.Relabeled++
+		}
+		iv.lab[x] = l
+	})
 	return nil
+}
+
+// sameSpelling reports whether two codes render alike: by == where the
+// codes' type has one, by rendering them where it has not (a DLN or
+// ORDPATH code holds a slice).
+func sameSpelling(a, b labels.Code) bool {
+	if reflect.ValueOf(a).Comparable() && reflect.ValueOf(b).Comparable() {
+		return a == b
+	}
+	return a.String() == b.String()
 }
 
 // Label implements labeling.Interface.
@@ -248,30 +267,19 @@ func (iv *Interval) bounds(n *xmltree.Node) (lo, hi labels.Code, err error) {
 	return lo, hi, nil
 }
 
-// renumber rebuilds every interval after an exhausted gap, counting the
-// relabelled nodes.
+// renumber numbers every interval again after an exhausted gap. If the
+// algebra cannot supply the endpoints the attempt is counted and every
+// label is what it was.
 func (iv *Interval) renumber(cause error) error {
-	saved := iv.stats
-	saved.RelabelEvents++
+	iv.stats.RelabelEvents++
 	if errors.Is(cause, labels.ErrOverflow) {
-		saved.OverflowEvents++
+		iv.stats.OverflowEvents++
 	}
-	old := iv.lab
-	if err := iv.Build(iv.doc); err != nil {
-		saved.OverflowEvents++
-		iv.stats = saved
+	if err := iv.number(false); err != nil {
+		iv.stats.OverflowEvents++
 		return fmt.Errorf("interval %s: renumber: %w", iv.cfg.Name, err)
 	}
-	// Build reset the stats; restore the cumulative view.
-	relabelled := int64(0)
-	for n, l := range iv.lab {
-		if o, ok := old[n]; ok && o.String() != l.String() {
-			relabelled++
-		}
-	}
-	saved.Assigned++ // the newly inserted node
-	saved.Relabeled += relabelled
-	iv.stats = saved
+	iv.stats.Assigned++ // the newly inserted node
 	return nil
 }
 

@@ -56,36 +56,49 @@ func (pp *PrePost) Stats() *labeling.Stats { return &pp.stats }
 func (pp *PrePost) Build(doc *xmltree.Document) error {
 	pp.doc = doc
 	pp.lab = make(map[*xmltree.Node]PrePostLabel, doc.LabelledCount())
-	pp.renumber(true)
+	pp.renumber()
 	return nil
 }
 
-// renumber recomputes all ranks. When counting, labels that change (for
-// pre-existing nodes) increment Relabeled.
-func (pp *PrePost) renumber(initial bool) {
-	pre := pp.doc.PreRank()
-	post := pp.doc.PostRank()
-	fresh := make(map[*xmltree.Node]PrePostLabel, len(pre))
+// renumber recomputes all ranks over the table in place. A node without
+// a label is Assigned one; a label that changes counts in Relabeled; one
+// that stays is not written.
+func (pp *PrePost) renumber() {
 	changed := int64(0)
-	pp.doc.WalkLabelled(func(n *xmltree.Node) bool {
-		l := PrePostLabel{Pre: int64(pre[n]), Post: int64(post[n]), Lvl: n.Depth()}
-		if !initial {
-			if old, ok := pp.lab[n]; ok && old != l {
-				changed++
-			} else if !ok {
-				pp.stats.Assigned++
-			}
-		} else {
+	ranks(pp.doc, func(x *xmltree.Node, pre, post, lvl int) {
+		l := PrePostLabel{Pre: int64(pre), Post: int64(post), Lvl: lvl}
+		switch old, ok := pp.lab[x]; {
+		case !ok:
 			pp.stats.Assigned++
+		case old != l:
+			changed++
+		default:
+			return
 		}
-		fresh[n] = l
-		return true
+		pp.lab[x] = l
 	})
 	if changed > 0 {
 		pp.stats.Relabeled += changed
 		pp.stats.RelabelEvents++
 	}
-	pp.lab = fresh
+}
+
+// ranks walks the labellable nodes of doc depth first, once, and hands
+// each — on the way back up, its attributes and children behind it — its
+// preorder rank, its postorder rank and its level.
+func ranks(doc *xmltree.Document, visit func(x *xmltree.Node, pre, post, lvl int)) {
+	pre, post := 0, 0
+	var walk func(x *xmltree.Node, lvl int)
+	walk = func(x *xmltree.Node, lvl int) {
+		for _, c := range xmltree.LabelledChildren(x) {
+			mine := pre
+			pre++
+			walk(c, lvl+1)
+			visit(c, mine, post, lvl)
+			post++
+		}
+	}
+	walk(doc.Node(), 0)
 }
 
 // Label implements labeling.Interface.
@@ -139,7 +152,7 @@ func (pp *PrePost) Level(l labeling.Label) (int, bool) {
 // the ranks of every node after the insertion point, so the whole
 // document is renumbered and the moved labels are counted.
 func (pp *PrePost) NodeInserted(n *xmltree.Node) error {
-	pp.renumber(false)
+	pp.renumber()
 	if _, ok := pp.lab[n]; !ok {
 		return fmt.Errorf("xpath-accelerator: inserted node %q not reachable", n.Name())
 	}

@@ -312,17 +312,22 @@ func (pl *Labeling) relabelSiblings(parent, inserted *xmltree.Node, cause error)
 		pl.stats.OverflowEvents++
 		return fmt.Errorf("prefix %s: relabel of %d siblings failed: %w", pl.cfg.Name, n, err)
 	}
+	// cs is a view of a shared row: read, and written nowhere. A sibling
+	// whose code compares equal keeps it — under skewed insertion, every
+	// one before the insertion point.
 	for i, s := range xmltree.LabelledChildren(parent) {
 		old, had := pl.codes[s]
-		pl.codes[s] = cs[i]
 		switch {
 		case s == inserted || !had:
 			pl.stats.Assigned++
-		case pl.cfg.Algebra.Compare(old, cs[i]) != 0:
+		case pl.cfg.Algebra.Compare(old, cs[i]) == 0:
+			continue
+		default:
 			// The sibling's own component changed: the sibling and every
 			// labelled descendant carry a new label.
-			pl.stats.Relabeled += 1 + int64(countLabelled(s)-1)
+			pl.stats.Relabeled += int64(countLabelled(s))
 		}
+		pl.codes[s] = cs[i]
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package prefix_test
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 
 	"xmldyn/internal/labeling"
@@ -232,4 +234,92 @@ func TestLabelAllocations(t *testing.T) {
 		t.Fatalf("Label of a depth-6 node allocates %.0f times, want at most 2", a)
 	}
 	_ = sink
+}
+
+// TestRelabelAllocsIndependentOfSiblings: a DeweyID front insert
+// relabels every sibling and pays for none of them — the new codes are a
+// view of the algebra's shared list. Among 8 siblings and among 2 048 it
+// allocates the same number of times, and the bytes do not scale (a copy
+// of the list would be 32 KB an insert at 2 048).
+func TestRelabelAllocsIndependentOfSiblings(t *testing.T) {
+	cost := func(siblings int) (allocs float64, bytes uint64) {
+		doc := xmltree.GenerateWide(siblings)
+		s, err := update.NewSession(doc, dewey.New())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The last sibling leaves, so the list keeps its length and the
+		// next front insert finds no free position either.
+		insert := func() {
+			if _, err := s.InsertFirstChild(doc.Root(), "front"); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Delete(doc.Root().LastChild()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const runs = 100
+		allocs = testing.AllocsPerRun(runs, insert) // its warm-up run grows the shared list
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			insert()
+		}
+		runtime.ReadMemStats(&after)
+		if got, want := s.Labeling().Stats().Relabeled, int64(siblings)*(2*runs+1); got != want {
+			t.Fatalf("%d siblings: %d relabelled, want every sibling every time = %d", siblings, got, want)
+		}
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	fewAllocs, fewBytes := cost(8)
+	manyAllocs, manyBytes := cost(2048)
+	t.Logf("a front insert and a delete: %v allocations and %d B among 8 siblings, %v and %d B among 2048", fewAllocs, fewBytes, manyAllocs, manyBytes)
+	if fewAllocs != manyAllocs {
+		t.Errorf("a front insert allocates %v times among 8 siblings and %v among 2048", fewAllocs, manyAllocs)
+	}
+	if manyBytes > fewBytes+256 {
+		t.Errorf("a front insert allocates %d B among 8 siblings and %d B among 2048", fewBytes, manyBytes)
+	}
+}
+
+// TestRelabelSiblingsKeepsTheCodesItCannotReplace: when the algebra
+// cannot supply the relabel's codes, the attempt is counted and every
+// code is what it was — siblings, their descendants, and no code for the
+// node that could not be placed.
+func TestRelabelSiblingsKeepsTheCodesItCannotReplace(t *testing.T) {
+	lab := prefix.New(prefix.Config{
+		Name: "tiny-dewey",
+		Algebra: labels.MustIntAlgebra(labels.IntAlgebraConfig{
+			Name: "tiny-int", Start: 1, Gap: 1, Width: 4,
+		}),
+	})
+	doc := xmltree.GenerateWide(15) // a 4-bit component holds 1..15
+	if err := doc.Root().FirstChild().AppendChild(xmltree.NewElement("below")); err != nil {
+		t.Fatal(err)
+	}
+	if err := lab.Build(doc); err != nil {
+		t.Fatal(err)
+	}
+	before, stats := labeling.Snapshot(lab, doc), *lab.Stats()
+	front := xmltree.NewElement("front")
+	if err := doc.Root().PrependChild(front); err != nil {
+		t.Fatal(err)
+	}
+	if err := lab.NodeInserted(front); !errors.Is(err, labels.ErrOverflow) {
+		t.Fatalf("a 16th sibling under a 4-bit DeweyID: %v", err)
+	}
+	front.Detach()
+	if lab.Label(front) != nil {
+		t.Errorf("the node that could not be placed is labelled %s", lab.Label(front))
+	}
+	for n, now := range labeling.Snapshot(lab, doc) {
+		if now != before[n] {
+			t.Errorf("%s: label %s became %s in a relabel that failed", n.Name(), before[n], now)
+		}
+	}
+	stats.RelabelEvents++  // the attempt
+	stats.OverflowEvents++ // and why it failed
+	if got := *lab.Stats(); got != stats {
+		t.Errorf("after the failed relabel: %+v, want %+v", got, stats)
+	}
 }

@@ -132,6 +132,7 @@ func atomicityRows() []atomicityRow {
 // found them, and the commit hook has heard nothing: it fires per
 // commit, and none happened.
 func TestTransactionAtomicity(t *testing.T) {
+	holdBulkViews(t)
 	forms := []string{"single", "apply", "staged"}
 	for _, scheme := range core.Registry() {
 		for _, row := range atomicityRows() {

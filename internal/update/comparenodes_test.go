@@ -89,6 +89,7 @@ func checkPairs(t *testing.T, s *update.Session, rng *rand.Rand, st *pairStats) 
 }
 
 func TestCompareNodesMatchesCompare(t *testing.T) {
+	holdBulkViews(t)
 	txns := 400
 	if testing.Short() || raceEnabled {
 		txns = 80

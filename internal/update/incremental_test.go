@@ -563,6 +563,7 @@ func claimsPersistence(name string) bool {
 // at every position, attribute sets, deletes, grafts, moves, failing
 // batches and staged aborts equals the full pass's verdict.
 func TestIncrementalVerifyMatchesFullPass(t *testing.T) {
+	holdBulkViews(t)
 	txns := 12000 // one in ten is a failing batch: more than 10 000 reach a verdict
 	if testing.Short() || raceEnabled {
 		txns = 1200
