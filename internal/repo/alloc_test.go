@@ -473,3 +473,44 @@ func TestCommitAllocatesWhatItCreates(t *testing.T) {
 		t.Logf("two-document MultiBatch: %.1f allocs, %.0f of them its maps", got, maps)
 	}
 }
+
+// TestQueryAllocatesItsAnswer: a lock-held QueryFunc("//item") allocates
+// only its answer — the result slice as it grows — and nothing for the
+// parse, the contexts or the scan's chain, so a chain 64 deep costs what
+// one 8 deep does.
+func TestQueryAllocatesItsAnswer(t *testing.T) {
+	const items = 48
+	growth := 0
+	var answer []*xmltree.Node
+	for i := 0; i < items; i++ {
+		if len(answer) == cap(answer) {
+			growth++
+		}
+		answer = append(answer, nil)
+	}
+	for _, depth := range []int{8, 64} {
+		xml := deepXML(depth)
+		xml = strings.Replace(xml, "<leaf/>", strings.Repeat("<item/>", items), 1)
+		doc, err := xmltree.ParseString(xml)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := New(Options{})
+		if _, err := r.Open("a", doc, "qed"); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := r.QueryFunc("a", "//item", func(nodes []*xmltree.Node) error {
+				if len(nodes) != items {
+					t.Fatalf("depth %d: //item found %d nodes, want %d", depth, len(nodes), items)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != float64(growth) {
+			t.Errorf("depth %d: //item allocates %v, want %d (the answer's growth to %d nodes)", depth, allocs, growth, items)
+		}
+	}
+}

@@ -373,6 +373,52 @@ func TestFailedBatchLogsNothing(t *testing.T) {
 	_ = recovered.Close()
 }
 
+// A document with two root elements is refused at Open, by both
+// repositories, and so is a batch that would add a second root: neither
+// reaches the log, whose images DecodeDocTree would refuse at recovery.
+func TestSecondRootNeverLogged(t *testing.T) {
+	twoRoots := func() *xmltree.Document {
+		doc := xmltree.NewDocument()
+		_ = doc.Node().AppendChild(xmltree.NewElement("a"))
+		_ = doc.Node().AppendChild(xmltree.NewElement("b"))
+		return doc
+	}
+	if _, err := New(Options{}).Open("two", twoRoots(), "qed"); !errors.Is(err, update.ErrRootSibling) {
+		t.Errorf("Repository.Open of two roots: %v, want ErrRootSibling", err)
+	}
+	dir := t.TempDir()
+	d, err := OpenDurable(dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedAndBatch(t, d, 1)
+	want := docTable(t, d, "books")
+	size, _ := d.LogSize()
+	if err := d.Open("two", twoRoots(), "qed"); !errors.Is(err, update.ErrRootSibling) {
+		t.Errorf("DurableRepository.Open of two roots: %v, want ErrRootSibling", err)
+	}
+	if _, err := d.Batch("books", func(doc *xmltree.Document, b *update.Batch) error {
+		b.AppendChild(doc.Node(), "second")
+		return nil
+	}); !errors.Is(err, update.ErrRootSibling) {
+		t.Errorf("batch adding a second root: %v, want ErrRootSibling", err)
+	}
+	if after, _ := d.LogSize(); after != size {
+		t.Fatal("a refused second root reached the log")
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recovered, err := OpenDurable(dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	if got := docTable(t, recovered, "books"); !reflect.DeepEqual(got, want) {
+		t.Fatal("recovery diverged after refused second roots")
+	}
+}
+
 // Concurrent writers on distinct documents commit in parallel under
 // every sync policy, and recovery replays the interleaved log.
 func TestConcurrentDurableCommits(t *testing.T) {

@@ -666,8 +666,13 @@ func (ns *freshNodes) cut(kind xmltree.Kind, name, value string) *xmltree.Node {
 	return ns.slab.New(kind, name, value)
 }
 
-// graft attaches n where op says and labels its subtree.
+// graft attaches n where op says and labels its subtree. Under the
+// document node it goes only where no root element stands (n is an
+// element: an insert's new node or a subtree root).
 func (s *Session) graft(op *Op, n *xmltree.Node) error {
+	if op.Ref.Kind() == xmltree.KindDocument && s.doc.Root() != nil {
+		return ErrRootSibling
+	}
 	var err error
 	switch op.Kind {
 	case OpInsertBefore, OpInsertSubtreeBefore:

@@ -141,7 +141,7 @@ func appendDecoded(ops []Op, doc *xmltree.Document, data []byte) ([]Op, error) {
 		return ops, fmt.Errorf("%w: op count: %v", ErrCodecCorrupt, err)
 	}
 	// Each op costs at least a kind byte and an empty path.
-	if count > uint64(len(data)) {
+	if count > uint64(len(data)-pos)/2 {
 		return ops, fmt.Errorf("%w: implausible op count %d", ErrCodecCorrupt, count)
 	}
 	// Back-references count from the program's first op.
@@ -190,7 +190,13 @@ func appendDecoded(ops []Op, doc *xmltree.Document, data []byte) ([]Op, error) {
 				if j >= i || ops[base+int(j)].Kind != OpDelete {
 					return ops, fmt.Errorf("%w: op %d backref %d is not an earlier delete", ErrCodecCorrupt, i, j)
 				}
+				// AppendOps writes a parentless subtree inline. A node
+				// deleted twice is left to Apply, which refuses the second
+				// delete (ErrDetachedRef).
 				op.Subtree = ops[base+int(j)].Ref
+				if op.Subtree.Parent() == nil {
+					return ops, fmt.Errorf("%w: op %d backref %d names the document node", ErrCodecCorrupt, i, j)
+				}
 			case SubtreeInline:
 				if op.Subtree, pos, err = decodeTree(data, pos); err != nil {
 					return ops, fmt.Errorf("op %d: %w", i, err)
@@ -305,7 +311,9 @@ func EncodeDocTree(doc *xmltree.Document) []byte {
 // DecodeDocTree rebuilds a document from its EncodeDocTree image, in a
 // constant number of allocations (treeReader). The document's nodes,
 // lists and strings live and die together: holding one keeps all
-// (docs/ARCHITECTURE.md, "Loading a document").
+// (docs/ARCHITECTURE.md, "Loading a document"). An image with more than
+// one root element is corrupt: a session holds no such document, as
+// NewSession and every insert refuse a second root (ErrRootSibling).
 func DecodeDocTree(data []byte) (*xmltree.Document, error) {
 	r := treeReader{data: data}
 	end, err := r.readList(nil, 0, false)
@@ -319,6 +327,9 @@ func DecodeDocTree(data []byte) (*xmltree.Document, error) {
 	doc := xmltree.NewDocument()
 	if _, err := r.readList(doc.Node(), 0, false); err != nil {
 		return nil, err
+	}
+	if roots := doc.RootCount(); roots > 1 {
+		return nil, fmt.Errorf("%w: %d root elements", ErrCodecCorrupt, roots)
 	}
 	return doc, nil
 }

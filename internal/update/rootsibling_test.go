@@ -50,6 +50,55 @@ func TestRootSiblingRejected(t *testing.T) {
 	}
 }
 
+// TestSessionRefusesSecondRoot: no session holds a document with two
+// root elements. NewSession refuses one, and an insert under the
+// document node refuses to add a second root; replacing the root in one
+// transaction is not a second root.
+func TestSessionRefusesSecondRoot(t *testing.T) {
+	two := xmltree.NewDocument()
+	for _, name := range []string{"a", "b"} {
+		if err := two.Node().AppendChild(xmltree.NewElement(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := update.NewSession(two, qed.NewPrefix()); !errors.Is(err, update.ErrRootSibling) {
+		t.Errorf("NewSession of a two-root document: %v, want ErrRootSibling", err)
+	}
+
+	doc := xmltree.SampleBook()
+	s, err := update.NewSession(doc, qed.NewPrefix())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, top := doc.XML(), doc.Node()
+	for _, op := range []update.Op{
+		update.AppendChildOp(top, "x"),
+		update.InsertFirstChildOp(top, "x"),
+		update.AppendSubtreeOp(top, xmltree.NewElement("x")),
+		update.InsertSubtreeFirstOp(top, xmltree.NewElement("x")),
+	} {
+		if _, err := s.Do(op); !errors.Is(err, update.ErrRootSibling) {
+			t.Errorf("%v under the document node: %v, want ErrRootSibling", op.Kind, err)
+		}
+	}
+	if err := s.MoveAppend(top, doc.FindElement("editor")); !errors.Is(err, update.ErrRootSibling) {
+		t.Errorf("MoveAppend under the document node: %v, want ErrRootSibling", err)
+	}
+	if doc.XML() != before {
+		t.Fatalf("refused ops changed the document:\n%s", doc.XML())
+	}
+
+	if _, err := s.Apply([]update.Op{update.DeleteOp(doc.Root()), update.AppendChildOp(top, "fresh")}); err != nil {
+		t.Fatalf("replacing the root: %v", err)
+	}
+	if doc.RootCount() != 1 || doc.Root().Name() != "fresh" {
+		t.Fatalf("after replacing the root: %s", doc.XML())
+	}
+	if err := s.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestInsertSubtreeFirst(t *testing.T) {
 	doc := xmltree.ExampleTree()
 	s, err := update.NewSession(doc, qed.NewPrefix())

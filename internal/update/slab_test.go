@@ -182,6 +182,30 @@ func TestDecodeDocTreeLiesReserveNothing(t *testing.T) {
 	}
 }
 
+// TestDecodeDocTreeRefusesSecondRoot: an image whose document holds two
+// root elements — side by side, or apart with a comment between — is
+// corrupt, since no session holds that state (TestSessionRefusesSecondRoot); document-level
+// comments and processing instructions around one root are not.
+func TestDecodeDocTreeRefusesSecondRoot(t *testing.T) {
+	elem := func(name string) []byte { return []byte{byte(xmltree.KindElement), 1, name[0], 0, 0, 0} }
+	comment := []byte{byte(xmltree.KindComment), 0, 1, 'c', 0, 0}
+	image := func(parts ...[]byte) []byte { return bytes.Join(append([][]byte{{byte(len(parts))}}, parts...), nil) }
+	for _, img := range [][]byte{image(elem("a"), elem("b")), image(elem("a"), comment, elem("b")), image(comment, elem("a"), elem("b"), comment)} {
+		if _, err := update.DecodeDocTree(img); !errors.Is(err, update.ErrCodecCorrupt) {
+			t.Errorf("%q: %v, want ErrCodecCorrupt", img, err)
+		}
+	}
+	for _, img := range [][]byte{image(), image(elem("a")), image(comment, elem("a"), comment), image(comment)} {
+		doc, err := update.DecodeDocTree(img)
+		if err != nil {
+			t.Fatalf("%q: %v", img, err)
+		}
+		if !bytes.Equal(update.EncodeDocTree(doc), img) {
+			t.Errorf("%q re-encodes as %q", img, update.EncodeDocTree(doc))
+		}
+	}
+}
+
 // FuzzDecodeDocTree: the decoder of checkpoint snapshots, RecOpen records
 // and bootstrap images never panics; what it rejects it rejects for the
 // price of a slab no larger than the input; what it accepts is a valid
@@ -209,10 +233,9 @@ func FuzzDecodeDocTree(f *testing.F) {
 			}
 			return
 		}
-		// Structure only: an image may hold several root elements, as it
-		// always might — one root is the session's rule (ErrRootSibling),
-		// and no encoder of ours writes two.
-		if err := doc.Node().Validate(); err != nil {
+		// A valid tree with one root element at most, as the session
+		// keeps it (ErrRootSibling).
+		if err := doc.Validate(); err != nil {
 			t.Fatalf("decoded an invalid tree: %v", err)
 		}
 		enc := update.EncodeDocTree(doc)

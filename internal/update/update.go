@@ -34,6 +34,7 @@ var (
 // checkSiblingRef validates a reference node for sibling insertion:
 // attached, not the root element (a document has exactly one root), and
 // a child — an attribute's index says nothing about the child list.
+// graft refuses a second root inserted as a child of the document node.
 func checkSiblingRef(ref *xmltree.Node) error {
 	p := ref.Parent()
 	if p == nil {
@@ -101,8 +102,12 @@ type Session struct {
 	onCommit func()
 }
 
-// NewSession builds the labeling for doc and returns the session.
+// NewSession builds the labeling for doc and returns the session. A
+// document with more than one root element is refused (ErrRootSibling).
 func NewSession(doc *xmltree.Document, lab labeling.Interface) (*Session, error) {
+	if roots := doc.RootCount(); roots > 1 {
+		return nil, fmt.Errorf("%w: document has %d root elements", ErrRootSibling, roots)
+	}
 	if err := lab.Build(doc); err != nil {
 		return nil, fmt.Errorf("update: build %s: %w", lab.Name(), err)
 	}

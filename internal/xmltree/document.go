@@ -5,7 +5,8 @@ import "fmt"
 // Document is the virtual root of an XML tree. It owns exactly one root
 // element plus any top-level comments and processing instructions.
 type Document struct {
-	node *Node // KindDocument
+	node      *Node // KindDocument
+	published bool  // PublishVersion has run (persist.go)
 }
 
 // NewDocument returns an empty document.
@@ -93,18 +94,24 @@ func (d *Document) MaxDepth() int {
 	return max
 }
 
-// Validate checks the structural invariants of the whole tree.
-func (d *Document) Validate() error {
-	if err := d.node.Validate(); err != nil {
-		return err
-	}
+// RootCount returns the number of element children of the document
+// node: 1 for a well-formed document, 0 for an empty one.
+func (d *Document) RootCount() int {
 	roots := 0
 	for _, c := range d.node.children() {
 		if c.kind == KindElement {
 			roots++
 		}
 	}
-	if roots > 1 {
+	return roots
+}
+
+// Validate checks the structural invariants of the whole tree.
+func (d *Document) Validate() error {
+	if err := d.node.Validate(); err != nil {
+		return err
+	}
+	if roots := d.RootCount(); roots > 1 {
 		return fmt.Errorf("xmltree: document has %d root elements", roots)
 	}
 	return nil

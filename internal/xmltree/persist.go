@@ -9,6 +9,16 @@
 // with the previous version. A publication therefore allocates
 // O(changed spine) nodes, not O(document).
 //
+// A document's first publication copies everything, and does it in one
+// go: its nodes and lists are cut from one Slab, two allocations
+// whatever the size. Later spines stay one allocation per node and per
+// list. That split bounds what the mirror keeps: a first-version node
+// still shared keeps its slab reachable, and that slab is one copy of
+// the first version, never more; a spine node keeps only itself. Spines
+// cut from slabs would let every old slab live on through its one
+// still-shared node, and live heap grow with commit history
+// (TestPublicationRetentionBounded).
+//
 // Persistent nodes are frozen and parentless — a subtree shared
 // between two versions cannot have a per-version parent pointer. They
 // support downward navigation and serialisation, but not the upward
@@ -59,25 +69,46 @@ func (n *Node) markChanged() {
 // with other PublishVersion calls by the caller's locking; concurrent
 // readers of the live tree are unaffected (they never read shadows).
 func (d *Document) PublishVersion(seq uint64) *Node {
-	return publishNode(d.node, seq)
+	var slab Slab
+	if !d.published {
+		// Not birth == 0: a pin at sequence 0 leaves every birth at 0.
+		d.published = true
+		slab = NewSlab(unpublished(d.node))
+	}
+	return publishNode(d.node, seq, &slab)
 }
 
-func publishNode(n *Node, seq uint64) *Node {
+// unpublished counts the nodes under n that have no valid shadow, and
+// the list entries they hold: what publishing n copies.
+func unpublished(n *Node) (nodes, links int) {
+	if n.shadow != nil {
+		return 0, 0
+	}
+	nodes, links = 1, len(n.attrs)+len(n.kids)
+	for _, list := range [2][]*Node{n.attrs, n.kids} {
+		for _, c := range list {
+			k, l := unpublished(c)
+			nodes, links = nodes+k, links+l
+		}
+	}
+	return nodes, links
+}
+
+// publishNode copies what changed under n, taking nodes and lists from
+// slab while it lasts and from the heap after.
+func publishNode(n *Node, seq uint64, slab *Slab) *Node {
 	if n.shadow != nil {
 		return n.shadow
 	}
-	p := &Node{kind: n.kind, frozen: true, name: n.name, value: n.value, birth: seq}
-	if len(n.attrs) > 0 {
-		p.attrs = make([]*Node, len(n.attrs))
-		for i, a := range n.attrs {
-			p.attrs[i] = publishNode(a, seq)
-		}
+	p := slab.New(n.kind, n.name, n.value)
+	p.frozen, p.birth = true, seq
+	slab.Reserve(p, true, len(n.attrs))
+	slab.Reserve(p, false, len(n.kids))
+	for _, a := range n.attrs {
+		p.attrs = append(p.attrs, publishNode(a, seq, slab))
 	}
-	if len(n.kids) > 0 {
-		p.kids = make([]*Node, len(n.kids))
-		for i, c := range n.kids {
-			p.kids[i] = publishNode(c, seq)
-		}
+	for _, c := range n.kids {
+		p.kids = append(p.kids, publishNode(c, seq, slab))
 	}
 	n.birth = seq
 	n.shadow = p
@@ -172,50 +203,71 @@ func (n *Node) Source() *Node {
 // view they are view nodes, with parents and the version's stable
 // identity; any other tree is its own source, scanned the same way.
 func Descendants(ctx *Node, match func(*Node) bool) []*Node {
-	s := scan{match: match, index: make([]int, 16), views: make([]*Node, 16), ready: 1}
-	s.views[0] = ctx
-	s.walk(ctx.Source(), 0)
+	s := scan{ready: 1}
+	s.chain[0].view = ctx
+	s.walk(ctx.Source(), 0, match)
 	return s.out
 }
 
-// scan is one Descendants call. index and views describe the chain
-// from ctx down to the element being visited: index[d] is the position
-// of the chain's d-th node among its parent's non-attribute children,
-// and views[:ready] are the nodes to hand out for the part of the chain
-// some match has needed so far — the rest is materialised when the next
-// match needs it, so one prefix serves every match below it.
+// scanDepth is how deep a scan's chain runs inside the scan itself; a
+// deeper document spills the rest of it to the heap.
+const scanDepth = 128
+
+// link is one node of a scan's chain: its position among its parent's
+// non-attribute children, and the node to hand out for it.
+type link struct {
+	index int
+	view  *Node
+}
+
+// scan is one Descendants call. Its chain runs from ctx, at depth 0,
+// down to the element being visited. The views of the chain's first
+// ready links are set — the part some match has needed so far — and
+// the rest are materialised when the next match needs them, so one
+// prefix serves every match below it. The chain is held in the scan,
+// not behind a slice, so a scan on its caller's stack keeps it there.
 type scan struct {
-	match func(*Node) bool
 	out   []*Node
-	index []int
-	views []*Node
 	ready int
+	chain [scanDepth]link
+	spill []link // the links at scanDepth and below
+}
+
+// at returns the chain's link at depth, which is at most one below the
+// deepest link so far.
+func (s *scan) at(depth int) *link {
+	if depth < scanDepth {
+		return &s.chain[depth]
+	}
+	if depth -= scanDepth; depth == len(s.spill) {
+		s.spill = append(s.spill, link{})
+	}
+	return &s.spill[depth]
 }
 
 // walk scans below p, the chain's node at depth.
-func (s *scan) walk(p *Node, depth int) {
+func (s *scan) walk(p *Node, depth int, match func(*Node) bool) {
 	for i, a := range p.attrs {
-		if s.match(a) {
+		if match(a) {
 			s.out = append(s.out, s.view(depth).attributes()[i])
 		}
 	}
 	d := depth + 1
-	if d == len(s.index) {
-		s.index, s.views = append(s.index, 0), append(s.views, nil)
-	}
+	l := s.at(d)
 	for i, c := range p.kids {
 		if c.kind != KindElement {
 			continue
 		}
-		s.index[d] = i
+		l.index = i
 		if s.ready > d {
 			s.ready = d
 		}
-		if s.match(c) {
+		if match(c) {
 			s.out = append(s.out, s.view(d))
 		}
 		if len(c.kids) > 0 || len(c.attrs) > 0 {
-			s.walk(c, d)
+			s.walk(c, d, match)
+			l = s.at(d) // the walk below may have moved the spill
 		}
 	}
 }
@@ -223,9 +275,10 @@ func (s *scan) walk(p *Node, depth int) {
 // view returns the node to hand out for the chain's node at depth.
 func (s *scan) view(depth int) *Node {
 	for ; s.ready <= depth; s.ready++ {
-		s.views[s.ready] = s.views[s.ready-1].children()[s.index[s.ready]]
+		l := s.at(s.ready)
+		l.view = s.at(s.ready - 1).view.children()[l.index]
 	}
-	return s.views[depth]
+	return s.at(depth).view
 }
 
 // children returns the non-attribute child list, materialising view

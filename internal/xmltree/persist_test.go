@@ -2,6 +2,8 @@ package xmltree
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -438,10 +440,32 @@ func TestDescendantsMaterialisesOnlyMatchPaths(t *testing.T) {
 }
 
 // TestDescendantsMatchesWalk: on live trees and on views, from every
-// kind of context, the scan is the labelled walk minus the context.
+// kind of context, the scan is the labelled walk minus the context —
+// also on a chain 1 000 deep, far below what the scan keeps on the
+// stack.
 func TestDescendantsMatchesWalk(t *testing.T) {
+	var lives []*Document
 	for seed := int64(0); seed < 6; seed++ {
-		live := Generate(GenOptions{Seed: seed, MaxDepth: 5, MaxChildren: 5, AttrProb: 0.5, TextProb: 0.6})
+		lives = append(lives, Generate(GenOptions{Seed: seed, MaxDepth: 5, MaxChildren: 5, AttrProb: 0.5, TextProb: 0.6}))
+	}
+	// The chain's links from the 128th down live on the heap and move as
+	// the scan goes deeper; the siblings after a deep descent catch a
+	// scan that still writes to where a link used to be.
+	chain := GenerateDeep(1000)
+	for i, n := range chain.LabelledNodes() {
+		if i%3 == 0 {
+			if _, err := n.SetAttr([]string{"a", "ab"}[i%2], "v"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i%100 == 50 {
+			if err := n.AppendChild(NewElement("sb")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	lives = append(lives, chain)
+	for li, live := range lives {
 		for _, doc := range []*Document{live, OpenVersion(live.PublishVersion(1))} {
 			for _, ctx := range allNodes(doc) {
 				var want []*Node
@@ -453,14 +477,138 @@ func TestDescendantsMatchesWalk(t *testing.T) {
 				})
 				got := Descendants(ctx, func(n *Node) bool { return len(n.Name())%2 == 0 })
 				if len(got) != len(want) {
-					t.Fatalf("seed %d, ctx %s: scan found %d nodes, walk %d", seed, ctx.Name(), len(got), len(want))
+					t.Fatalf("doc %d, ctx %s: scan found %d nodes, walk %d", li, ctx.Name(), len(got), len(want))
 				}
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("seed %d, ctx %s: result %d differs from the walk's", seed, ctx.Name(), i)
+						t.Fatalf("doc %d, ctx %s: result %d differs from the walk's", li, ctx.Name(), i)
 					}
 				}
 			}
 		}
+	}
+}
+
+// firstPublications publishes a fresh copy of doc once per call, each
+// copy made before any is published, and returns the mean allocations
+// of one publication.
+func firstPublications(doc *Document) float64 {
+	const runs = 4
+	copies := make([]*Document, runs+1) // AllocsPerRun warms up once
+	for i := range copies {
+		copies[i] = doc.Clone()
+	}
+	next := 0
+	return testing.AllocsPerRun(runs, func() {
+		copies[next].PublishVersion(1)
+		next++
+	})
+}
+
+// TestFirstPublicationIsOneSlab: a document's first version is cut from
+// one slab — its nodes and its lists, two allocations at any size — and
+// a spine published after it still costs one allocation per node.
+func TestFirstPublicationIsOneSlab(t *testing.T) {
+	for _, size := range []int{200, 20000} {
+		doc := Generate(GenOptions{Seed: 3, MaxDepth: 8, MaxChildren: 8, AttrProb: 0.3, TextProb: 0.5, TargetNodes: size})
+		if allocs := firstPublications(doc); allocs > 2 {
+			t.Errorf("first publication of %d nodes: %v allocs, want <= 2", size, allocs)
+		}
+	}
+
+	// A pin before the first commit publishes at sequence 0, leaving
+	// every birth at 0: only the first call may take the slab.
+	doc := GenerateDeep(64)
+	view := OpenVersion(doc.PublishVersion(0))
+	tip := doc.Root()
+	for tip.FirstChild() != nil {
+		tip = tip.FirstChild()
+	}
+	if allocs := testing.AllocsPerRun(4, func() {
+		tip.SetName(tip.Name() + "'")
+		doc.PublishVersion(0)
+	}); allocs < 64 {
+		t.Errorf("spine publication after a first one at sequence 0: %v allocs, want one per node (at least 64)", allocs)
+	}
+	if view.XML() == doc.XML() {
+		t.Error("the first version saw a later change")
+	}
+}
+
+// liveHeap returns the bytes of live heap objects after a full
+// collection.
+func liveHeap() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestPublicationRetentionBounded: what the published versions keep
+// alive does not grow with commit history. A document of about 4 000
+// nodes takes 100 000 publications of a sawtooth — batches of 1 to 16
+// item inserts under random elements, or deletes of random items — and
+// then the latest version alone keeps at most what a node-by-node copy
+// of that state costs plus one copy of the first version: the first
+// version's slab, which a still-shared first-version node keeps
+// reachable. Spines cut from slabs fail here: every old slab lives on
+// through its one still-shared node.
+func TestPublicationRetentionBounded(t *testing.T) {
+	publications := 100000
+	if testing.Short() {
+		publications = 10000
+	}
+	h0 := liveHeap()
+	live := Generate(GenOptions{Seed: 5, MaxDepth: 7, MaxChildren: 6, AttrProb: 0.3, TextProb: 0.5, TargetNodes: 4000})
+	var elems []*Node
+	for _, n := range live.LabelledNodes() {
+		if n.Kind() == KindElement {
+			elems = append(elems, n)
+		}
+	}
+	h1 := liveHeap()
+	version := live.PublishVersion(1)
+	first := liveHeap() - h1
+
+	rng := rand.New(rand.NewSource(5))
+	var items []*Node
+	growing := true
+	for seq := uint64(2); seq < uint64(publications)+2; seq++ {
+		for k := 1 + rng.Intn(16); k > 0; k-- {
+			if growing = growing && len(items) < 256 || len(items) == 0; growing {
+				item := NewElement("item")
+				if err := item.AppendChild(NewText("x")); err != nil {
+					t.Fatal(err)
+				}
+				if err := elems[rng.Intn(len(elems))].AppendChild(item); err != nil {
+					t.Fatal(err)
+				}
+				items = append(items, item)
+				continue
+			}
+			i := rng.Intn(len(items))
+			items[i].Detach()
+			items[i] = items[len(items)-1]
+			items = items[:len(items)-1]
+		}
+		version = live.PublishVersion(seq)
+	}
+
+	// The same state, published node by node: a fresh copy whose first
+	// publication is marked done. From here on only the versions are
+	// live, and then only the latest.
+	twin := live.Clone()
+	twin.published = true
+	twinVersion := twin.PublishVersion(1)
+	withTwin := liveHeap()
+	runtime.KeepAlive(twinVersion)
+	perNode := withTwin - liveHeap()
+	kept := liveHeap() - h0
+	runtime.KeepAlive(version)
+
+	t.Logf("first version %d B, node-by-node copy %d B, kept after %d publications %d B", first, perNode, publications, kept)
+	if bound := perNode + first + first/16; kept > bound {
+		t.Errorf("after %d publications the latest version keeps %d B, want <= %d (node-by-node %d + first version %d, 1/16 slack)",
+			publications, kept, bound, perNode, first)
 	}
 }

@@ -26,7 +26,8 @@ import (
 //
 // Examples: /book/publisher//name, //edition[@year='2004'], /book/*[2].
 func (e *Engine) Query(path string) ([]*xmltree.Node, error) {
-	steps, err := parsePath(path)
+	var buf [4]step
+	steps, err := parsePath(buf[:0], path)
 	if err != nil {
 		return nil, err
 	}
@@ -36,13 +37,19 @@ func (e *Engine) Query(path string) ([]*xmltree.Node, error) {
 	// The initial context is the document: the first step selects the
 	// root element (child axis) or any element (descendant axis).
 	// Invariant: current is duplicate-free and in document order, and
-	// while flat holds no context is an ancestor of another.
-	current := []*xmltree.Node{e.doc.Node()}
-	flat := true
-	for _, st := range steps {
+	// while flat holds no context is an ancestor of another. Each
+	// selection is a fresh slice, so the first context's one is the next
+	// list as it is and the later ones append to it.
+	current := stepFrom(e.doc.Node(), steps[0])
+	flat := !steps[0].deep
+	for _, st := range steps[1:] {
 		var next []*xmltree.Node
-		for _, ctx := range current {
-			next = append(next, applyPredicates(stepFrom(ctx, st), st)...)
+		for i, ctx := range current {
+			if i == 0 {
+				next = stepFrom(ctx, st)
+			} else {
+				next = append(next, stepFrom(ctx, st)...)
+			}
 		}
 		// One context's candidates are distinct and ordered, and so are
 		// the children of flat ordered contexts (disjoint subtrees, one
@@ -87,14 +94,14 @@ type predicate struct {
 	child    string // child element presence
 }
 
-func parsePath(path string) ([]step, error) {
+// parsePath appends the steps of path to steps.
+func parsePath(steps []step, path string) ([]step, error) {
 	if path == "" {
 		return nil, fmt.Errorf("xpath: empty path")
 	}
 	if path[0] != '/' {
 		return nil, fmt.Errorf("xpath: path must start with / or //")
 	}
-	var steps []step
 	i := 0
 	for i < len(path) {
 		deep := false
@@ -162,10 +169,11 @@ func parsePredicate(s string) (predicate, error) {
 	return predicate{child: s}, nil
 }
 
-// stepFrom returns the candidates of one step from one context node,
-// distinct and in document order. Deep steps scan with
-// xmltree.Descendants, which on a version view visits persistent nodes
-// and materialises only the matches.
+// stepFrom returns one step's selection from one context node: its
+// candidates, distinct and in document order, filtered by its
+// predicates. Deep steps scan with xmltree.Descendants, which on a
+// version view visits persistent nodes and materialises only the
+// matches.
 func stepFrom(ctx *xmltree.Node, st step) []*xmltree.Node {
 	kind := xmltree.KindElement
 	if st.attribute {
@@ -175,7 +183,7 @@ func stepFrom(ctx *xmltree.Node, st step) []*xmltree.Node {
 		return n.Kind() == kind && (st.name == "*" || n.Name() == st.name)
 	}
 	if st.deep {
-		return xmltree.Descendants(ctx, match)
+		return applyPredicates(xmltree.Descendants(ctx, match), st)
 	}
 	list := ctx.Children()
 	if st.attribute {
@@ -187,7 +195,7 @@ func stepFrom(ctx *xmltree.Node, st step) []*xmltree.Node {
 			out = append(out, c)
 		}
 	}
-	return out
+	return applyPredicates(out, st)
 }
 
 // applyPredicates filters one context's candidates through the step's
