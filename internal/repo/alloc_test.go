@@ -320,14 +320,17 @@ func carrierOps(doc *xmltree.Document, b *update.Batch, k int) {
 
 // TestCommitCarriersAllocNothing: what carries a transaction from the
 // caller to the log and back — the op queue, the MultiDocs, the encoded
-// program, the record, the frame — is kept from commit to commit, so a
-// transaction that creates nothing allocates a small constant, the same
-// for 4 ops and for 64: in memory, logged, and replayed from the record.
+// program, the record, the frame, a grouped fsync's wait — is kept from
+// commit to commit, so a transaction that creates nothing allocates a
+// small constant, the same for 4 ops and for 64: in memory, logged
+// (asynchronously and under grouped sync), and replayed from the record.
 func TestCommitCarriersAllocNothing(t *testing.T) {
-	// A committed transaction hands back a BatchResult and its New slice;
-	// a replayed one makes a string of the record's document name.
-	most := map[string]float64{"Repository.Batch": 2, "DurableRepository.Batch": 2, "applyRecord": 1}
-	allocs := map[string]map[int]float64{"Repository.Batch": {}, "DurableRepository.Batch": {}, "applyRecord": {}}
+	// A committed transaction hands back its BatchResult's New slice; a
+	// replayed one resolves the record's document name to the open
+	// document's, and its one-byte names and values are the runtime's.
+	const grouped = "DurableRepository.Batch (grouped)"
+	most := map[string]float64{"Repository.Batch": 1, "DurableRepository.Batch": 1, grouped: 1, "applyRecord": 0}
+	allocs := map[string]map[int]float64{"Repository.Batch": {}, "DurableRepository.Batch": {}, grouped: {}, "applyRecord": {}}
 	for _, k := range []int{4, 64} {
 		r := New(Options{})
 		if _, err := r.Open("carriers", carrierDoc(t), "qed"); err != nil {
@@ -353,24 +356,26 @@ func TestCommitCarriersAllocNothing(t *testing.T) {
 		commit()
 		allocs["Repository.Batch"][k] = testing.AllocsPerRun(100, commit)
 
-		d, err := OpenDurable(t.TempDir(), DurableOptions{Sync: wal.SyncAsync, AutoCheckpointBytes: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { d.Close() })
-		if err := d.Open("carriers", carrierDoc(t), "qed"); err != nil {
-			t.Fatal(err)
-		}
-		durable := func() {
-			if _, err := d.Batch("carriers", func(doc *xmltree.Document, b *update.Batch) error {
-				carrierOps(doc, b, k)
-				return nil
-			}); err != nil {
+		for path, sync := range map[string]wal.SyncPolicy{"DurableRepository.Batch": wal.SyncAsync, grouped: wal.SyncGrouped} {
+			d, err := OpenDurable(t.TempDir(), DurableOptions{Sync: sync, AutoCheckpointBytes: -1})
+			if err != nil {
 				t.Fatal(err)
 			}
+			t.Cleanup(func() { d.Close() })
+			if err := d.Open("carriers", carrierDoc(t), "qed"); err != nil {
+				t.Fatal(err)
+			}
+			durable := func() {
+				if _, err := d.Batch("carriers", func(doc *xmltree.Document, b *update.Batch) error {
+					carrierOps(doc, b, k)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			durable()
+			allocs[path][k] = testing.AllocsPerRun(100, durable)
 		}
-		durable()
-		allocs["DurableRepository.Batch"][k] = testing.AllocsPerRun(100, durable)
 
 		replay := func() {
 			if err := applyRecord(r, payload); err != nil {
@@ -399,9 +404,9 @@ var mapSink [2]any
 // document may allocate — per transaction, not per node: its nodes' slabs
 // (four nodes to a slab, update.Session.newNode), at most one chunk of
 // code digits and one of code headers (labels.QCodes; the codes here stay
-// short), the BatchResult, its New slice and the slab of the result's
-// detached copies, and one to spare for a child list that grows.
-func insertAllocs(n int) float64 { return float64((n+3)/4 + 2 + 3 + 1) }
+// short), the result's New slice and the slab of its detached copies, and
+// one to spare for a child list that grows.
+func insertAllocs(n int) float64 { return float64((n+3)/4 + 2 + 2 + 1) }
 
 // TestCommitAllocatesWhatItCreates: a commit pays for the nodes it
 // inserts, the labels it assigns and the result it returns — by the
@@ -463,8 +468,9 @@ func TestCommitAllocatesWhatItCreates(t *testing.T) {
 	// The two maps, as this runtime allocates them.
 	maps := testing.AllocsPerRun(100, func() {
 		in := make(map[string]*MultiDoc, 2)
-		out := make(map[string]*update.BatchResult, 2)
-		in["left"], in["right"], out["left"], out["right"] = nil, nil, nil, nil
+		out := make(map[string]update.BatchResult, 2)
+		in["left"], in["right"] = nil, nil
+		out["left"], out["right"] = update.BatchResult{}, update.BatchResult{}
 		mapSink = [2]any{in, out}
 	})
 	if got, most := testing.AllocsPerRun(100, multi), 2*insertAllocs(inserts)+maps; got > most {

@@ -22,6 +22,7 @@
 package repo
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"os"
@@ -121,68 +122,68 @@ func (c *durableCore) recover(loaded func(*Repository, store.Manifest)) error {
 }
 
 // loadDocSnaps reads and decodes the manifest's per-document snapshot
-// files on a bounded worker pool and registers each document in r (the
-// shard map is mutex-guarded, so concurrent registration is safe;
-// entry names are unique by manifest validation). Each file's embedded
-// document name must match the manifest entry that referenced it — a
-// mismatch (hash collision, tampering, misplaced file) fails recovery
-// loudly rather than loading a document under the wrong name.
+// files on a pool of workers goroutines, each taking the next entry by
+// index until none is left or a load has failed, and registers each
+// document in r (the shard map is mutex-guarded, so concurrent
+// registration is safe; entry names are unique by manifest validation).
+// The first error is returned. Each file's embedded document name must
+// match the manifest entry that referenced it — a mismatch (hash
+// collision, tampering, misplaced file) fails recovery loudly rather than
+// loading a document under the wrong name.
 func loadDocSnaps(dir string, r *Repository, docs []store.ManifestDoc, workers int) error {
-	if workers > len(docs) {
-		workers = len(docs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	for _, e := range docs {
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		next     int   // guarded by mu
+		firstErr error // guarded by mu
+	)
+	for range max(1, min(workers, len(docs))) {
 		wg.Add(1)
-		go func(e store.ManifestDoc) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			mu.Lock()
-			stop := firstErr != nil
-			mu.Unlock()
-			if stop {
-				return
+			for {
+				mu.Lock()
+				i := next
+				next++
+				stop := firstErr != nil || i >= len(docs)
+				mu.Unlock()
+				if stop {
+					return
+				}
+				if err := loadDocSnap(dir, r, docs[i]); err != nil {
+					mu.Lock()
+					firstErr = cmp.Or(firstErr, err)
+					mu.Unlock()
+					return
+				}
 			}
-			data, err := os.ReadFile(filepath.Join(dir, e.File))
-			if err != nil {
-				fail(fmt.Errorf("snapshot %s: %v", e.File, err))
-				return
-			}
-			snap, err := store.UnmarshalDocSnap(data)
-			if err != nil {
-				fail(fmt.Errorf("snapshot %s: %v", e.File, err))
-				return
-			}
-			if snap.Name != e.Name {
-				fail(fmt.Errorf("snapshot %s holds document %q, manifest expects %q", e.File, snap.Name, e.Name))
-				return
-			}
-			doc, err := update.DecodeDocTree(snap.Tree)
-			if err != nil {
-				fail(fmt.Errorf("snapshot %s: %v", e.File, err))
-				return
-			}
-			if _, err := r.Open(e.Name, doc, snap.Scheme); err != nil {
-				fail(fmt.Errorf("snapshot %s: %v", e.File, err))
-			}
-		}(e)
+		}()
 	}
 	wg.Wait()
 	return firstErr
+}
+
+// loadDocSnap loads one manifest entry's snapshot file into r.
+func loadDocSnap(dir string, r *Repository, e store.ManifestDoc) error {
+	data, err := os.ReadFile(filepath.Join(dir, e.File))
+	if err != nil {
+		return fmt.Errorf("snapshot %s: %v", e.File, err)
+	}
+	snap, err := store.UnmarshalDocSnap(data)
+	if err != nil {
+		return fmt.Errorf("snapshot %s: %v", e.File, err)
+	}
+	if snap.Name != e.Name {
+		return fmt.Errorf("snapshot %s holds document %q, manifest expects %q", e.File, snap.Name, e.Name)
+	}
+	doc, err := update.DecodeDocTree(snap.Tree)
+	if err == nil {
+		_, err = r.Open(e.Name, doc, snap.Scheme)
+	}
+	if err != nil {
+		return fmt.Errorf("snapshot %s: %v", e.File, err)
+	}
+	return nil
 }
 
 // routeRecord partitions a WAL record for parallel replay without
@@ -195,7 +196,7 @@ func loadDocSnaps(dir string, r *Repository, docs []store.ManifestDoc, workers i
 func routeRecord(payload []byte) (wal.Dispatch, error) {
 	if len(payload) > 0 && payload[0] != RecMulti {
 		var one [1]recordPart
-		if rec, err := parseRecord(payload, one[:0]); err == nil {
+		if rec, err := parseRecord(payload, one[:0], nil); err == nil {
 			return wal.Dispatch{Key: rec.parts[0].name}, nil
 		}
 	}
@@ -210,13 +211,14 @@ func routeRecord(payload []byte) (wal.Dispatch, error) {
 // pre-transaction trees, straight onto the documents' batches, and the
 // parts apply all-or-nothing, so concurrent snapshot readers observe the
 // record's transaction atomically (during recovery the locks are simply
-// uncontended). A record the state cannot follow — a document no
-// well-formed log can name here, since Drop and every commit re-check
-// membership under the document's write lock — is an error and leaves
-// every tree as it was.
+// uncontended). The record's names are the open documents' own strings,
+// so only a RecOpen copies its name. A record the state cannot follow — a
+// document no well-formed log can name here, since Drop and every commit
+// re-check membership under the document's write lock — is an error and
+// leaves every tree as it was.
 func applyRecord(r *Repository, payload []byte) error {
 	var one [1]recordPart
-	rec, err := parseRecord(payload, one[:0])
+	rec, err := parseRecord(payload, one[:0], r)
 	if err != nil {
 		return err
 	}

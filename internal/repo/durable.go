@@ -408,7 +408,7 @@ func (d *DurableRepository) Drop(name string) (bool, error) {
 // record. Navigate the tree to find reference nodes, queue ops on b —
 // the document's own batch, emptied when the commit returns: valid only
 // inside build.
-func (d *DurableRepository) Batch(name string, build func(*xmltree.Document, *update.Batch) error) (*update.BatchResult, error) {
+func (d *DurableRepository) Batch(name string, build func(*xmltree.Document, *update.Batch) error) (update.BatchResult, error) {
 	var md [1]MultiDoc
 	err := d.repo().commit([]string{name}, logPolicy{leader: d, kind: RecBatch}, md[:], func(int) error {
 		return build(md[0].Document(), md[0].b)
@@ -420,7 +420,7 @@ func (d *DurableRepository) Batch(name string, build func(*xmltree.Document, *up
 // logged transaction. The ops' reference nodes must belong to the
 // document's live tree (obtain them inside a Batch build function, or
 // via View/QueryFunc while no writer runs).
-func (d *DurableRepository) Update(name string, ops ...update.Op) (*update.BatchResult, error) {
+func (d *DurableRepository) Update(name string, ops ...update.Op) (update.BatchResult, error) {
 	return d.Batch(name, func(_ *xmltree.Document, b *update.Batch) error {
 		for _, op := range ops {
 			b.Add(op)
@@ -435,7 +435,7 @@ func (d *DurableRepository) Update(name string, ops ...update.Op) (*update.Batch
 // tears the entire record off the log tail; recovery can never replay
 // a subset of the involved documents. As in Batch, build receives
 // trees, not sessions, and what it receives is valid only inside it.
-func (d *DurableRepository) MultiBatch(names []string, build func(map[string]*MultiDoc) error) (map[string]*update.BatchResult, error) {
+func (d *DurableRepository) MultiBatch(names []string, build func(map[string]*MultiDoc) error) (map[string]update.BatchResult, error) {
 	return d.repo().commitByName(names, logPolicy{leader: d, kind: RecMulti}, build)
 }
 

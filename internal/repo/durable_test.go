@@ -296,6 +296,59 @@ func TestV4ManifestRejected(t *testing.T) {
 	}
 }
 
+// TestCorruptSnapshotFailsRecovery: one corrupt doc-snap among sixteen
+// fails recovery with ErrReplay on the parallel worker pool and on the
+// serial one, and the failed recovery installs nothing — no repository,
+// no log. The first error stops new loads: a serial pool that meets the
+// corrupt file first loads no other.
+func TestCorruptSnapshotFailsRecovery(t *testing.T) {
+	dir := t.TempDir()
+	opts := DurableOptions{AutoCheckpointBytes: -1}
+	d, err := OpenDurable(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 16 {
+		if err := d.Open(fmt.Sprintf("doc-%02d", i), mustParse(t, "<r><c/></r>"), "qed"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	man, err := store.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := man.Docs[len(man.Docs)/2]
+	path := filepath.Join(dir, bad.File)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xFF
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, serial := range []bool{false, true} {
+		c := &durableCore{dir: dir, opts: opts, serialRecovery: serial}
+		if err := c.recover(nil); !errors.Is(err, ErrReplay) {
+			t.Fatalf("serial %v: recovery with a corrupt snapshot: %v, want ErrReplay", serial, err)
+		}
+		if c.repo() != nil || c.log != nil {
+			t.Fatalf("serial %v: a failed recovery installed state", serial)
+		}
+	}
+	r := New(Options{})
+	docs := append([]store.ManifestDoc{bad}, man.Docs...)
+	if err := loadDocSnaps(dir, r, docs, 1); err == nil || r.Len() != 0 {
+		t.Fatalf("serial load behind a corrupt snapshot: %v, %d documents loaded, want an error and none", err, r.Len())
+	}
+}
+
 // Opens and drops are logged too: a document opened after the last
 // checkpoint, then dropped, then reopened with different content must
 // recover to exactly the final state.

@@ -9,12 +9,13 @@
 //	RecMulti  LEB128 part count, then per part a name field and an ops
 //	          field, names strictly increasing
 //
-// parseRecord only slices: names become strings, tree images and op
-// programs stay undecoded sub-slices of the payload, so routing a
-// record costs no tree work and the applier decodes under the document
-// locks. It accepts exactly the payloads appendRecord produces — every
-// length minimally encoded, nothing trailing — so parse then append is
-// the identity on accepted bytes.
+// parseRecord only slices: names become strings — the open documents'
+// own, for the applier — and tree images and op programs stay undecoded
+// sub-slices of the payload, so routing a record costs no tree work and
+// the applier decodes under the document locks. It accepts exactly the
+// payloads appendRecord produces — every length minimally encoded,
+// nothing trailing — so parse then append is the identity on accepted
+// bytes.
 // (File comment — the package doc lives in repo.go.)
 
 package repo
@@ -90,8 +91,9 @@ func appendRecord(out []byte, rec record) []byte {
 // parseRecord takes a payload apart without decoding any tree image or
 // op program. The parts are appended to parts[:0] — a caller that hands
 // in room for one keeps a single-part record off the heap — and alias
-// payload.
-func parseRecord(payload []byte, parts []recordPart) (record, error) {
+// payload; their names are live's (Repository.nameOf), copies only where
+// live has no such document.
+func parseRecord(payload []byte, parts []recordPart, live *Repository) (record, error) {
 	if len(payload) == 0 {
 		return record{}, errors.New("empty record")
 	}
@@ -115,7 +117,7 @@ func parseRecord(payload []byte, parts []recordPart) (record, error) {
 			if err != nil {
 				return record{}, fmt.Errorf("multi record part %d: %v", i, err)
 			}
-			rec.parts = append(rec.parts, recordPart{string(name), data})
+			rec.parts = append(rec.parts, recordPart{live.nameOf(name), data})
 			if i > 0 && rec.parts[i-1].name >= rec.parts[i].name {
 				return record{}, fmt.Errorf("multi record part %d (%q) is not in increasing name order", i, name)
 			}
@@ -144,7 +146,7 @@ func parseRecord(payload []byte, parts []recordPart) (record, error) {
 	default:
 		return record{}, fmt.Errorf("unknown record type %d", rec.kind)
 	}
-	rec.parts = append(parts[:0], recordPart{string(name), body[pos:]})
+	rec.parts = append(parts[:0], recordPart{live.nameOf(name), body[pos:]})
 	return rec, nil
 }
 

@@ -188,14 +188,27 @@ const (
 	fnvPrime32  = 16777619
 )
 
-// shardFor hashes a document name onto its shard (FNV-1a, zero-alloc).
-func (r *Repository) shardFor(name string) *shard {
+// shardFor hashes a document name — a string, or the bytes of one in a
+// log record — onto its shard (FNV-1a, zero-alloc).
+func shardFor[T string | []byte](r *Repository, name T) *shard {
 	h := uint32(fnvOffset32)
 	for i := 0; i < len(name); i++ {
 		h ^= uint32(name[i])
 		h *= fnvPrime32
 	}
 	return &r.shards[h%uint32(len(r.shards))]
+}
+
+// nameOf returns the name b spells: the open document's own string when
+// there is one, so that resolving a logged name allocates nothing — and a
+// copy only for a name no document of r (or no r) has.
+func (r *Repository) nameOf(b []byte) string {
+	if r != nil {
+		if d, ok := lookup(r, b); ok {
+			return d.name
+		}
+	}
+	return string(b)
 }
 
 // Open labels doc under the named scheme and registers it. The
@@ -241,7 +254,7 @@ func (r *Repository) OpenSession(name string, sess *update.Session) (*Doc, error
 }
 
 func (r *Repository) add(name, scheme string, sess *update.Session) (*Doc, error) {
-	sh := r.shardFor(name)
+	sh := shardFor(r, name)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if _, dup := sh.docs[name]; dup {
@@ -272,11 +285,14 @@ func (r *Repository) add(name, scheme string, sess *update.Session) (*Doc, error
 }
 
 // Get returns the named document slot.
-func (r *Repository) Get(name string) (*Doc, bool) {
-	sh := r.shardFor(name)
+func (r *Repository) Get(name string) (*Doc, bool) { return lookup(r, name) }
+
+// lookup is Get for a name given as a string or as its bytes.
+func lookup[T string | []byte](r *Repository, name T) (*Doc, bool) {
+	sh := shardFor(r, name)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	d, ok := sh.docs[name]
+	d, ok := sh.docs[string(name)]
 	return d, ok
 }
 
@@ -285,7 +301,7 @@ func (r *Repository) Get(name string) (*Doc, bool) {
 // a transaction only commits to a slot serving its name) but is no
 // longer served by name.
 func (r *Repository) Drop(name string) bool {
-	sh := r.shardFor(name)
+	sh := shardFor(r, name)
 	sh.mu.Lock()
 	d, ok := sh.docs[name]
 	if !ok {
@@ -361,10 +377,10 @@ func (r *Repository) Update(name string, fn func(*update.Session) error) error {
 // created nodes in the result are detached deep copies that share one
 // allocation: holding one of them keeps the result's other copies
 // reachable.
-func (r *Repository) Batch(name string, ops []update.Op) (*update.BatchResult, error) {
+func (r *Repository) Batch(name string, ops []update.Op) (update.BatchResult, error) {
 	d, ok := r.Get(name)
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
+		return update.BatchResult{}, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	return d.Batch(ops)
 }
@@ -379,7 +395,7 @@ func (r *Repository) Batch(name string, ops []update.Op) (*update.BatchResult, e
 type MultiDoc struct {
 	doc *Doc
 	b   *update.Batch
-	res *update.BatchResult // what the commit created here (txn.go)
+	res update.BatchResult // what the commit created here (txn.go)
 }
 
 // Name returns the document's repository name.
@@ -408,13 +424,13 @@ func (m *MultiDoc) Batch() *update.Batch { return m.b }
 //
 // The MultiDocs are valid only inside build. The results map one entry
 // per name; created nodes are detached deep copies, as in Batch.
-func (r *Repository) MultiBatch(names []string, build func(map[string]*MultiDoc) error) (map[string]*update.BatchResult, error) {
+func (r *Repository) MultiBatch(names []string, build func(map[string]*MultiDoc) error) (map[string]update.BatchResult, error) {
 	return r.commitByName(names, logPolicy{}, build)
 }
 
 // commitByName is commit for the callers whose signature promises maps
 // (the two MultiBatch): the only place a transaction is keyed by name.
-func (r *Repository) commitByName(names []string, pol logPolicy, build func(map[string]*MultiDoc) error) (map[string]*update.BatchResult, error) {
+func (r *Repository) commitByName(names []string, pol logPolicy, build func(map[string]*MultiDoc) error) (map[string]update.BatchResult, error) {
 	mds := make([]MultiDoc, len(names))
 	err := r.commit(names, pol, mds, func(n int) error {
 		mds = mds[:n]
@@ -427,7 +443,7 @@ func (r *Repository) commitByName(names []string, pol logPolicy, build func(map[
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]*update.BatchResult, len(mds))
+	out := make(map[string]update.BatchResult, len(mds))
 	for i := range mds {
 		out[mds[i].doc.name] = mds[i].res
 	}
@@ -553,7 +569,7 @@ func (d *Doc) Update(fn func(*update.Session) error) error {
 // holds it no longer. Use Update with Session.Apply to work with the
 // live created nodes. A slot that no longer serves its name (dropped)
 // takes no more batches: ErrNotFound.
-func (d *Doc) Batch(ops []update.Op) (*update.BatchResult, error) {
+func (d *Doc) Batch(ops []update.Op) (update.BatchResult, error) {
 	var md [1]MultiDoc
 	err := d.repo.commit([]string{d.name}, logPolicy{}, md[:], func(int) error {
 		if md[0].doc != d {

@@ -380,7 +380,7 @@ type abortRig struct {
 	mem   *Repository
 	dur   *DurableRepository // nil for the in-memory flavour
 	dir   string
-	multi func([]string, func(map[string]*MultiDoc) error) (map[string]*update.BatchResult, error)
+	multi func([]string, func(map[string]*MultiDoc) error) (map[string]update.BatchResult, error)
 	batch func(name string, build func(*xmltree.Document, *update.Batch)) error
 	// brink is the next step of lsdxStep on beta: the one that collides.
 	brink int

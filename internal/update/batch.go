@@ -170,7 +170,8 @@ func SetAttrOp(e *xmltree.Node, name, value string) Op {
 }
 
 // BatchResult reports a committed batch. New holds, per op, the node an
-// insert created (nil for subtree, delete and content ops).
+// insert created (nil for subtree, delete and content ops). It is passed
+// by value: a result is its one slice.
 type BatchResult struct {
 	New []*xmltree.Node
 }
@@ -277,7 +278,7 @@ func (b *Batch) SetAttr(e *xmltree.Node, name, value string) *Batch {
 
 // Commit applies the queued ops as one transaction and resets the
 // batch for reuse.
-func (b *Batch) Commit() (*BatchResult, error) {
+func (b *Batch) Commit() (BatchResult, error) {
 	res, err := b.s.Apply(b.ops)
 	if err == nil {
 		b.ops = b.ops[:0]
@@ -287,7 +288,7 @@ func (b *Batch) Commit() (*BatchResult, error) {
 
 // Apply runs ops as one transaction (see the file comment): all of
 // them, verified once as a whole and counted as one operation, or none.
-func (s *Session) Apply(ops []Op) (*BatchResult, error) {
+func (s *Session) Apply(ops []Op) (BatchResult, error) {
 	res, err := s.Stage(ops)
 	if err == nil {
 		s.Commit()
@@ -304,10 +305,10 @@ func (s *Session) Apply(ops []Op) (*BatchResult, error) {
 // and only then commits them all — or aborts them all, so the
 // transaction shows everywhere or nowhere. A failed Stage has already
 // reverted itself and leaves nothing open; neither does an empty one.
-func (s *Session) Stage(ops []Op) (*BatchResult, error) {
-	res := &BatchResult{New: make([]*xmltree.Node, len(ops))}
+func (s *Session) Stage(ops []Op) (BatchResult, error) {
+	res := BatchResult{New: make([]*xmltree.Node, len(ops))}
 	if err := s.stage(ops, res.New); err != nil {
-		return nil, err
+		return BatchResult{}, err
 	}
 	return res, nil
 }

@@ -452,7 +452,7 @@ func TestStageEmpty(t *testing.T) {
 	s.SetOnCommit(func() { fired++ })
 	for _, end := range []func() error{s.Abort, func() error { s.Commit(); return nil }} {
 		res, err := s.Stage(nil)
-		if err != nil || res == nil || len(res.New) != 0 {
+		if err != nil || len(res.New) != 0 {
 			t.Fatalf("empty stage: %v, %v", res, err)
 		}
 		if err := end(); err != nil {

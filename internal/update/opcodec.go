@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 
 	"xmldyn/internal/labels"
 	"xmldyn/internal/xmltree"
@@ -134,7 +135,9 @@ func DecodeOps(doc *xmltree.Document, data []byte) ([]Op, error) {
 }
 
 // appendDecoded is DecodeOps appending the ops to ops (Batch.AddEncoded).
-// After an error it returns what it had decoded.
+// After an error it returns what it had decoded. Its names and values are
+// counted first and then cut from one string, as treeReader does: queued
+// holds their bytes until the ops are read (readField, cutFields).
 func appendDecoded(ops []Op, doc *xmltree.Document, data []byte) ([]Op, error) {
 	count, pos, err := labels.DecodeLEB128(data)
 	if err != nil {
@@ -146,6 +149,9 @@ func appendDecoded(ops []Op, doc *xmltree.Document, data []byte) ([]Op, error) {
 	}
 	// Back-references count from the program's first op.
 	base := len(ops)
+	var queuedArr [maxField]byte
+	queued := queuedArr[:0]
+	defer func() { cutFields(ops[base:], queued) }()
 	ops = slices.Grow(ops, int(count))
 	for i := uint64(0); i < count; i++ {
 		if pos >= len(data) {
@@ -158,18 +164,18 @@ func appendDecoded(ops []Op, doc *xmltree.Document, data []byte) ([]Op, error) {
 		}
 		switch op.Kind {
 		case OpInsertBefore, OpInsertAfter, OpInsertFirstChild, OpAppendChild, OpRename:
-			if op.Name, pos, err = readCodecString(data, pos); err != nil {
+			if op.Name, pos, queued, err = readField(data, pos, queued); err != nil {
 				return ops, fmt.Errorf("op %d: %w", i, err)
 			}
 		case OpSetText:
-			if op.Value, pos, err = readCodecString(data, pos); err != nil {
+			if op.Value, pos, queued, err = readField(data, pos, queued); err != nil {
 				return ops, fmt.Errorf("op %d: %w", i, err)
 			}
 		case OpSetAttr:
-			if op.Name, pos, err = readCodecString(data, pos); err != nil {
+			if op.Name, pos, queued, err = readField(data, pos, queued); err != nil {
 				return ops, fmt.Errorf("op %d: %w", i, err)
 			}
-			if op.Value, pos, err = readCodecString(data, pos); err != nil {
+			if op.Value, pos, queued, err = readField(data, pos, queued); err != nil {
 				return ops, fmt.Errorf("op %d: %w", i, err)
 			}
 		case OpDelete:
@@ -478,15 +484,48 @@ func (r *treeReader) readList(n *xmltree.Node, pos int, attrs bool) (int, error)
 
 // --- shared string helpers ---------------------------------------------------
 
-// appendCodecString and readCodecString delegate to the shared
-// length-prefixed string codec in internal/labels, wrapping decode
-// failures in this package's corruption error.
+// appendCodecString delegates to the shared length-prefixed string codec
+// in internal/labels.
 func appendCodecString(out []byte, s string) []byte { return labels.AppendString(out, s) }
 
-func readCodecString(data []byte, pos int) (string, int, error) {
-	s, next, err := labels.CutString(data, pos)
+// maxField is the most bytes of names and values a decoded program cuts
+// from the one string it shares: a live node keeps at most that much of
+// its record reachable.
+const maxField = 512
+
+// fieldPad supplies the placeholders readField returns.
+var fieldPad = strings.Repeat("?", maxField)
+
+// readField reads the length-prefixed name or value at data[pos:]. While
+// queued has room for it, a field of 2 bytes or more is appended there and
+// read as a placeholder of its length, fieldPad's prefix, for cutFields to
+// replace. Any other field is a string of its own (the runtime's, for a
+// byte), and so is every one after the first that finds queued full.
+func readField(data []byte, pos int, queued []byte) (string, int, []byte, error) {
+	l, pos, err := (&treeReader{data: data}).length(pos, "string length")
 	if err != nil {
-		return "", 0, fmt.Errorf("%w: %v", ErrCodecCorrupt, err)
+		return "", 0, queued, err
 	}
-	return s, next, nil
+	f, next := data[pos:pos+l], pos+l
+	switch {
+	case len(f) < 2 || len(f) > maxField:
+		return string(f), next, queued, nil
+	case len(f) > cap(queued)-len(queued):
+		return string(f), next, queued[:len(queued):len(queued)], nil
+	}
+	return fieldPad[:len(f)], next, append(queued, f...), nil
+}
+
+// cutFields replaces the placeholders among the names and values of ops —
+// in reading order, the ones whose bytes queued holds — with cuts of one
+// string.
+func cutFields(ops []Op, queued []byte) {
+	text := string(queued)
+	for i := range ops {
+		for _, f := range [...]*string{&ops[i].Name, &ops[i].Value} {
+			if l := len(*f); len(text) > 0 && l >= 2 && l <= maxField {
+				*f, text = text[:l], text[l:]
+			}
+		}
+	}
 }

@@ -206,6 +206,58 @@ func TestEncodeOpsAllocs(t *testing.T) {
 	}
 }
 
+// TestDecodedFieldsShareStrings: a decoded program's names and values are
+// cut from one string of at most maxField bytes; a field longer than that,
+// and every field past the first that does not fit, is a string of its
+// own, and a field of a byte or none costs nothing. Every field reads back
+// as it was encoded.
+func TestDecodedFieldsShareStrings(t *testing.T) {
+	doc, err := xmltree.ParseString(`<r><a/></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSession(doc, qed.NewPrefix())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := doc.Root().Children()[0]
+	for _, c := range []struct {
+		name    string
+		values  []int // a set-text op's value of each length
+		strings float64
+	}{
+		{"one string a record", []int{40, 40, 40, 40, 1, 0}, 1},
+		{"past maxField", []int{100, 100, 100, 100, 100, 100, 10, 1}, 3},
+		{"a long field alone", []int{maxField + 1, 100, 100}, 2},
+		{"one-byte fields", []int{1, 0, 1}, 0},
+	} {
+		var ops []Op
+		for i, l := range c.values {
+			ops = append(ops, SetTextOp(a, strings.Repeat(string(rune('a'+i)), l)))
+		}
+		data, err := EncodeOps(doc, ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := s.Batch()
+		decode := func() {
+			b.Reset(64)
+			if err := b.AddEncoded(data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		decode()
+		if got := testing.AllocsPerRun(50, decode); got != c.strings {
+			t.Errorf("%s: decoding allocates %.1f, want %.0f strings", c.name, got, c.strings)
+		}
+		for i, op := range b.Ops() {
+			if op.Value != ops[i].Value {
+				t.Errorf("%s: op %d decoded value %q, want %q", c.name, i, op.Value, ops[i].Value)
+			}
+		}
+	}
+}
+
 // Whitespace-only text nodes must survive the binary tree codec — an
 // XML text round-trip would drop them.
 func TestDocTreeCodecPreservesWhitespaceAndPIs(t *testing.T) {

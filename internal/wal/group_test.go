@@ -1,0 +1,148 @@
+package wal
+
+import (
+	"errors"
+	"os"
+	"testing"
+	"time"
+)
+
+// TestGroupedAppendAllocatesNothing: a grouped append takes a sequence
+// number and waits for the flusher to pass it, so one writer's appends —
+// the flusher's fsyncs included — allocate nothing.
+func TestGroupedAppendAllocatesNothing(t *testing.T) {
+	l, err := Create(t.TempDir(), 1, Options{Policy: SyncGrouped})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	payload := []byte("a grouped record")
+	appendOne := func() {
+		if err := l.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendOne()
+	if got := testing.AllocsPerRun(100, appendOne); got != 0 {
+		t.Errorf("a grouped append allocates %.1f, want 0", got)
+	}
+}
+
+// parkAppends starts n grouped appends on l and returns once all n hold
+// a sequence number, with their results to come on the channel.
+func parkAppends(t *testing.T, l *Log, n int) <-chan error {
+	t.Helper()
+	done := make(chan error, n)
+	for range n {
+		go func() { done <- l.Append([]byte("parked")) }()
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		l.mu.Lock()
+		numbered := l.appended
+		l.mu.Unlock()
+		if numbered == uint64(n) {
+			return done
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d appends numbered after 10s", numbered, n)
+		}
+	}
+}
+
+// collect waits for n results, failing the test if one does not come
+// within the deadline.
+func collect(t *testing.T, done <-chan error, n int, within time.Duration) []error {
+	t.Helper()
+	var errs []error
+	timeout := time.After(within)
+	for range n {
+		select {
+		case err := <-done:
+			errs = append(errs, err)
+		case <-timeout:
+			t.Fatalf("%d of %d parked appends returned within %v", len(errs), n, within)
+		}
+	}
+	return errs
+}
+
+// TestFailedGroupedSyncReachesEveryWaiter: the log fails under appends
+// parked behind a flusher's pacing pause — its segment is closed, so the
+// shared fsync fails, or a later append's write fails and Close stops the
+// flusher before it syncs — and no append it was to cover is durable.
+// Every parked append and every later one returns the failure, and none
+// hangs.
+func TestFailedGroupedSyncReachesEveryWaiter(t *testing.T) {
+	const parked = 6
+	for _, c := range []struct {
+		name   string
+		window time.Duration
+	}{{"failed fsync", 200 * time.Millisecond}, {"failed write, then Close", time.Minute}} {
+		t.Run(c.name, func(t *testing.T) {
+			l, err := Create(t.TempDir(), 1, Options{Policy: SyncGrouped, GroupWindow: c.window})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			done := parkAppends(t, l, parked)
+			l.mu.Lock()
+			l.f.Close()
+			l.mu.Unlock()
+			if c.window == time.Minute {
+				if err := l.Append([]byte("unwritable")); !errors.Is(err, os.ErrClosed) {
+					t.Fatalf("append to a closed segment returned %v", err)
+				}
+				l.Close()
+			}
+			for i, err := range collect(t, done, parked, 10*time.Second) {
+				if !errors.Is(err, os.ErrClosed) {
+					t.Errorf("parked append %d returned %v, want the log's failure", i, err)
+				}
+			}
+			for i := range 3 {
+				if err := l.Append([]byte("later")); err == nil {
+					t.Errorf("append %d after the failure returned nil", i)
+				}
+			}
+		})
+	}
+}
+
+// TestCloseAndRotateReleaseParkedAppends: a rotation's seal and Close's
+// final sync cover every append numbered before them, so the appends
+// parked behind a flusher's pacing pause return nil at once, and their
+// records replay.
+func TestCloseAndRotateReleaseParkedAppends(t *testing.T) {
+	const parked = 5
+	for _, release := range []string{"Rotate", "Close"} {
+		t.Run(release, func(t *testing.T) {
+			dir := t.TempDir()
+			l, err := Create(dir, 1, Options{Policy: SyncGrouped, GroupWindow: time.Minute})
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := parkAppends(t, l, parked)
+			if release == "Rotate" {
+				_, err = l.Rotate()
+			} else {
+				err = l.Close()
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", release, err)
+			}
+			for i, err := range collect(t, done, parked, 10*time.Second) {
+				if err != nil {
+					t.Errorf("parked append %d returned %v, want nil", i, err)
+				}
+			}
+			if release == "Rotate" {
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, _ := replayAll(t, dir, 1); len(got) != parked {
+				t.Fatalf("replayed %d records, want %d", len(got), parked)
+			}
+		})
+	}
+}

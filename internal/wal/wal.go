@@ -216,19 +216,16 @@ type Log struct {
 	// appends, because an unsynced tail may or may not survive a crash.
 	err error
 
-	// Grouped-sync state: committers wait on the current epoch, the
-	// flusher resolves it after one shared fsync.
-	epoch  *flushEpoch
-	wake   chan struct{}
-	stop   chan struct{}
-	doneWG sync.WaitGroup
-}
-
-// flushEpoch is one group-commit generation: every Append that wrote
-// before the flusher's fsync shares its result.
-type flushEpoch struct {
-	ready chan struct{}
-	err   error
+	// Grouped sync, under mu like the fields above: an append takes the
+	// sequence number appended+1 and waits until synced — the last number
+	// a successful fsync covered: the flusher's, a rotation's seal or
+	// Close's — reaches it, or the log fails (err). Both are broadcast on
+	// covered.
+	appended, synced uint64
+	covered          sync.Cond
+	wake             chan struct{}
+	stop             chan struct{}
+	doneWG           sync.WaitGroup
 }
 
 // Create creates (or truncates) segment index in dir as a new log's
@@ -312,9 +309,9 @@ func syncDir(dir string) error {
 
 func newLog(dir string, f *os.File, active uint64, size, total int64, opts Options) *Log {
 	l := &Log{opts: opts, dir: dir, f: f, active: active, size: size, total: total}
+	l.covered.L = &l.mu
 	switch opts.Policy {
 	case SyncGrouped:
-		l.epoch = &flushEpoch{ready: make(chan struct{})}
 		l.wake = make(chan struct{}, 1)
 		l.stop = make(chan struct{})
 		l.doneWG.Add(1)
@@ -386,14 +383,21 @@ func (l *Log) Append(payload []byte) error {
 		l.mu.Unlock()
 		return err
 	case SyncGrouped:
-		e := l.epoch
-		l.mu.Unlock()
+		l.appended++
+		seq := l.appended
 		select {
 		case l.wake <- struct{}{}:
 		default:
 		}
-		<-e.ready
-		return e.err
+		for l.synced < seq && l.err == nil {
+			l.covered.Wait()
+		}
+		var err error
+		if l.synced < seq {
+			err = l.err
+		}
+		l.mu.Unlock()
+		return err
 	default: // SyncAsync
 		l.mu.Unlock()
 		return nil
@@ -432,20 +436,15 @@ func (l *Log) rotateLocked() error {
 		l.err = err
 		return err
 	}
+	// Grouped appends parked on the old segment are durable now: release
+	// them rather than leave them to a flush of the new file.
+	l.synced = l.appended
+	l.covered.Broadcast()
 	nf, err := createSegment(l.dir, l.active+1)
 	if err != nil {
 		// Nothing was lost and the active segment is intact: report the
 		// error (the caller's append fails) without poisoning.
 		return err
-	}
-	// Committers parked on the current grouped epoch wrote to the old
-	// segment; the sync above made them durable, so resolve the epoch
-	// now rather than leaving them to wait for a flush of the new file
-	// that never covered them.
-	if l.epoch != nil {
-		old := l.epoch
-		l.epoch = &flushEpoch{ready: make(chan struct{})}
-		close(old.ready)
 	}
 	old := l.f
 	l.f = nf
@@ -518,40 +517,45 @@ func (l *Log) Close() error {
 	defer l.mu.Unlock()
 	var err error
 	if l.err == nil {
-		err = l.f.Sync()
+		if err = l.f.Sync(); err == nil {
+			l.synced = l.appended
+		} else {
+			l.err = err
+		}
 	}
-	// Resolve any committers still parked on the last grouped epoch.
-	if l.epoch != nil {
-		l.epoch.err = err
-		close(l.epoch.ready)
-		l.epoch = nil
-	}
+	// Release grouped appends still parked: covered by this sync, or with
+	// the log's failure.
+	l.covered.Broadcast()
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}
 	return err
 }
 
-// groupFlusher services SyncGrouped: each wake-up swaps the epoch and
-// resolves the old one with the result of a single shared fsync. The
-// fsync runs outside the log mutex, so committers keep writing (and
-// accumulating into the next epoch) while the disk flush is in flight
-// — that in-flight window is where grouping comes from.
+// groupFlusher services SyncGrouped: each wake-up fsyncs once for every
+// append numbered so far, then advances synced to the last of them (or,
+// if the fsync failed, poisons the log) and broadcasts. The fsync runs
+// outside the log mutex, so committers keep appending — and waiting for
+// the next fsync — while the disk flush is in flight: that in-flight
+// window is where grouping comes from.
 func (l *Log) groupFlusher() {
 	defer l.doneWG.Done()
+	// The pacing pause's one timer: Reset discards an expiry no one
+	// received (Go 1.23 timers).
+	pace := time.NewTimer(l.opts.GroupWindow)
+	defer pace.Stop()
 	for {
 		select {
 		case <-l.stop:
 			return
 		case <-l.wake:
 		}
-		if w := l.opts.GroupWindow; w > 0 {
-			timer := time.NewTimer(w)
+		if l.opts.GroupWindow > 0 {
+			pace.Reset(l.opts.GroupWindow)
 			select {
 			case <-l.stop:
-				timer.Stop()
 				return
-			case <-timer.C:
+			case <-pace.C:
 			}
 		}
 		l.mu.Lock()
@@ -559,26 +563,22 @@ func (l *Log) groupFlusher() {
 			l.mu.Unlock()
 			return
 		}
-		old := l.epoch
-		l.epoch = &flushEpoch{ready: make(chan struct{})}
-		f := l.f
+		f, seq := l.f, l.appended
 		l.mu.Unlock()
 		err := f.Sync()
-		if err != nil {
-			l.mu.Lock()
-			if l.f != f {
-				// The segment was rotated away after the flusher captured
-				// it; rotation synced it before sealing, so every byte the
-				// epoch covers is durable and the failure (typically
-				// "file already closed") is moot.
-				err = nil
-			} else if l.err == nil {
-				l.err = err
-			}
-			l.mu.Unlock()
+		l.mu.Lock()
+		// A segment rotated away after it was captured was synced when it
+		// was sealed, which already covered seq: its failure (typically
+		// "file already closed") is moot. Once the log has failed, no
+		// fsync counts: one may succeed where an earlier one lost data.
+		if err != nil && l.f == f && l.err == nil {
+			l.err = err
 		}
-		old.err = err
-		close(old.ready)
+		if l.err == nil {
+			l.synced = max(l.synced, seq)
+		}
+		l.covered.Broadcast()
+		l.mu.Unlock()
 	}
 }
 

@@ -406,7 +406,7 @@ var (
 )
 
 // ApplyBatch commits ops against a session as one transaction.
-func ApplyBatch(s *Session, ops []Op) (*BatchResult, error) { return s.Apply(ops) }
+func ApplyBatch(s *Session, ops []Op) (BatchResult, error) { return s.Apply(ops) }
 
 // ApplyWorkloadBatched drives a §5.1 scenario through batched
 // transactions of up to batchSize ops each.
