@@ -9,8 +9,6 @@ import (
 	"testing"
 
 	"xmldyn/internal/core"
-	"xmldyn/internal/encoding"
-	"xmldyn/internal/store"
 	"xmldyn/internal/update"
 	"xmldyn/internal/uql"
 	"xmldyn/internal/workload"
@@ -70,40 +68,30 @@ func BenchmarkInsert(b *testing.B) {
 	}
 }
 
-// BenchmarkStore measures snapshot marshal/unmarshal/rebuild.
+// BenchmarkStore measures a session's snapshot: Save encodes the tree,
+// Restore decodes it and relabels it under its scheme.
 func BenchmarkStore(b *testing.B) {
-	doc := workload.BaseDocument(13, 1000)
-	lab := core.MustScheme("cdqs").Factory()
-	if err := lab.Build(doc); err != nil {
-		b.Fatal(err)
-	}
-	enc := encoding.Wrap(doc, lab)
-	data, err := store.Marshal(enc)
+	s, err := Open(workload.BaseDocument(13, 1000), "cdqs")
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("marshal", func(b *testing.B) {
+	data, err := Save(s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("save", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := store.Marshal(enc); err != nil {
+			if _, err := Save(s); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.ReportMetric(float64(len(data)), "snapshot-bytes")
 	})
-	b.Run("unmarshal", func(b *testing.B) {
+	b.Run("restore", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := store.Unmarshal(data); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	snap, _ := store.Unmarshal(data)
-	b.Run("rebuild", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := snap.Rebuild(); err != nil {
+			if _, err := Restore(data); err != nil {
 				b.Fatal(err)
 			}
 		}

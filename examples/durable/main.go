@@ -4,11 +4,11 @@
 // batches across several small WAL segments (an artificially tiny
 // rotation threshold so segmentation is visible), "crashes" by
 // abandoning the repository without Close, and reopens the directory:
-// recovery replays snapshot + segments back to the exact committed
+// recovery replays snapshots + segments back to the exact committed
 // state, verifying document order as it goes. A checkpoint then folds
-// the log into a fresh snapshot, retiring the dead segments, and the
-// cycle repeats on the fresh one. The directory listing is printed at
-// each stage — README.md annotates what you will see.
+// the log into per-document snapshots, retiring the dead segments, and
+// the cycle repeats on the fresh segment. The directory listing is
+// printed at each stage — README.md annotates what you will see.
 // docs/DURABILITY.md specifies the on-disk format this walks over.
 package main
 
@@ -24,8 +24,8 @@ import (
 )
 
 // listDir prints the repository directory's files with sizes, sorted,
-// so each stage's on-disk shape (manifest, snapshot, wal segments) is
-// visible.
+// so each stage's on-disk shape (manifest, per-document snapshots, wal
+// segments) is visible.
 func listDir(dir, label string) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -46,12 +46,13 @@ func listDir(dir, label string) {
 		switch {
 		case name == "MANIFEST":
 			kind = "generation pointer"
-		case strings.HasPrefix(name, "snapshot-"):
-			kind = "checkpoint snapshot"
+		case strings.HasPrefix(name, "doc-") && strings.HasSuffix(name, ".snap"):
+			kind = "document snapshot"
 		case strings.HasPrefix(name, "wal-"):
 			kind = "wal segment"
 		}
-		fmt.Printf("  %-22s %7d bytes  %s\n", name, info.Size(), kind)
+		// 32 columns: a doc-<hash>-<generation>.snap name, the longest.
+		fmt.Printf("  %-32s %7d bytes  %s\n", name, info.Size(), kind)
 	}
 }
 

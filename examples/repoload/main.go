@@ -43,21 +43,18 @@ func main() {
 	flag.Parse()
 	// Writer names drive the reader queries; with no writers the
 	// readers query a name no writer uses (and never divide by zero).
-	wmod := *writers
-	if wmod < 1 {
-		wmod = 1
-	}
+	wmod := max(*writers, 1)
 	r := xmldyn.NewRepository(xmldyn.RepoOptions{Shards: 4})
 	for _, c := range catalogue {
 		doc, err := xmldyn.ParseString("<root/>")
 		if err != nil {
 			log.Fatal(err)
 		}
-		if _, err := r.Open(c.name, doc, c.scheme); err != nil {
+		d, err := r.Open(c.name, doc, c.scheme)
+		if err != nil {
 			log.Fatal(err)
 		}
 		// Seed each document with some content in one batch.
-		d, _ := r.Get(c.name)
 		err = d.Update(func(s *xmldyn.Session) error {
 			b := s.Batch()
 			for i := 0; i < 20; i++ {
@@ -94,12 +91,10 @@ func main() {
 					if kids := root.Children(); len(kids) > 60 {
 						b.Delete(kids[0])
 					}
-					n, err := b.Commit()
-					if err == nil {
-						for _, created := range n.New {
-							if created != nil {
-								atomic.AddInt64(&batch, 1)
-							}
+					n, err := b.Commit() // a failed commit ends the run below
+					for _, created := range n.New {
+						if created != nil {
+							atomic.AddInt64(&batch, 1)
 						}
 					}
 					return err
@@ -121,8 +116,7 @@ func main() {
 			name := catalogue[g%len(catalogue)].name
 			for i := 0; i < *opsPerWriter; i++ {
 				if i%4 == 0 {
-					d, _ := r.Get(name)
-					if err := d.Verify(); err != nil {
+					if err := r.Verify(name); err != nil {
 						log.Fatalf("reader %d: order violated: %v", g, err)
 					}
 					continue
@@ -153,7 +147,8 @@ func main() {
 			c.name, c.scheme, ctr.Batches, ctr.Verifies, ctr.FullVerifies, ctr.Inserts, ctr.Deletes)
 	}
 
-	// The whole repository round-trips through one container.
+	// The whole repository round-trips through one image: every
+	// document comes back identical, and in order.
 	blob, err := xmldyn.SaveRepository(r)
 	if err != nil {
 		log.Fatal(err)
@@ -162,12 +157,21 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("save/restore: %d bytes, %d documents restored, all verified: ", len(blob), r2.Len())
-	for _, name := range r2.Names() {
-		d, _ := r2.Get(name)
-		if err := d.Verify(); err != nil {
-			log.Fatalf("%s: %v", name, err)
+	fmt.Printf("save/restore: %d bytes, %d documents restored, all identical and verified: ", len(blob), r2.Len())
+	for _, name := range r.Names() {
+		if verifiedXML(r2, name) != verifiedXML(r, name) {
+			log.Fatalf("%s: restored document differs from the original", name)
 		}
 	}
 	fmt.Println("yes")
+}
+
+// verifiedXML re-checks the named document's order and serialises it,
+// or fails the run.
+func verifiedXML(r *xmldyn.Repository, name string) (out string) {
+	err := r.View(name, func(s *xmldyn.Session) error { out = s.Document().XML(); return s.Verify() })
+	if err != nil {
+		log.Fatalf("%s: %v", name, err)
+	}
+	return out
 }

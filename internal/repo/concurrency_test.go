@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"xmldyn/internal/store"
 	"xmldyn/internal/update"
 	"xmldyn/internal/workload"
 	"xmldyn/internal/xmltree"
@@ -309,34 +308,29 @@ func TestSaveIsPointInTime(t *testing.T) {
 			}
 		}
 	}()
-	read := func(docs []store.DocSnapshot, name string) int {
-		for _, d := range docs {
-			if d.Name != name {
-				continue
-			}
-			for _, row := range d.Rows {
-				if row.Kind == xmltree.KindAttribute && row.Name == "v" {
-					v, err := strconv.Atoi(row.Value)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return v
-				}
-			}
+	read := func(r *Repository, name string) int {
+		var v int
+		err := r.View(name, func(s *update.Session) error {
+			attr, _ := s.Document().Root().Attr("v")
+			var err error
+			v, err = strconv.Atoi(attr)
+			return err
+		})
+		if err != nil {
+			t.Fatalf("v attr of %q: %v", name, err)
 		}
-		t.Fatalf("no v attr for %q", name)
-		return -1
+		return v
 	}
 	for i := 0; i < 50; i++ {
 		data, err := r.Save()
 		if err != nil {
 			t.Fatal(err)
 		}
-		docs, err := store.UnmarshalRepo(data)
+		saved, err := Load(data, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		va, vb := read(docs, "a"), read(docs, "b")
+		va, vb := read(saved, "a"), read(saved, "b")
 		if va != vb && va != vb+1 {
 			t.Fatalf("snapshot %d captured impossible state: a=%d b=%d", i, va, vb)
 		}

@@ -176,11 +176,7 @@ func loadDocSnap(dir string, r *Repository, e store.ManifestDoc) error {
 	if snap.Name != e.Name {
 		return fmt.Errorf("snapshot %s holds document %q, manifest expects %q", e.File, snap.Name, e.Name)
 	}
-	doc, err := update.DecodeDocTree(snap.Tree)
-	if err == nil {
-		_, err = r.Open(e.Name, doc, snap.Scheme)
-	}
-	if err != nil {
+	if err := r.openSnap(snap); err != nil {
 		return fmt.Errorf("snapshot %s: %v", e.File, err)
 	}
 	return nil

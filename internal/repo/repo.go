@@ -35,9 +35,9 @@
 // Update is a transaction of one: an op that breaks order (a defective
 // scheme like LSDX) is reverted and reported just as a Batch would be.
 //
-// The whole repository round-trips through the version-2 store
-// container (Save/Load): every document's name, scheme and
-// encoding table in one checksummed blob.
+// The whole repository round-trips through the version-7 store image
+// (Save/Load): every document's name, scheme and doc-tree image — the
+// checkpoint's version-6 snapshot — in one checksummed blob.
 //
 // Re-entrancy: the locks are not re-entrant. A View/Update/QueryFunc
 // callback must not call back into the repository or its Docs (a
@@ -56,7 +56,6 @@ import (
 	"sync/atomic"
 
 	"xmldyn/internal/core"
-	"xmldyn/internal/encoding"
 	"xmldyn/internal/store"
 	"xmldyn/internal/update"
 	"xmldyn/internal/xmltree"
@@ -238,7 +237,7 @@ func newSchemeSession(doc *xmltree.Document, scheme string) (*update.Session, er
 // into the repository's auto-verify policy. A rejected registration
 // (ErrExists, ErrNoScheme) leaves the session untouched. The session's
 // labeling must report a registry scheme name — enforced here so the
-// failure surfaces at registration, not when a Save container turns
+// failure surfaces at registration, not when a Save image turns
 // out to be unloadable (variant labelings like vector.NewRange's
 // "vector-range" have no registry entry; open those via Open, which
 // records the registry name).
@@ -492,10 +491,11 @@ func (r *Repository) Verify(name string) error {
 	return d.Verify()
 }
 
-// Save serialises every document into one version-2 store container as
-// a consistent point-in-time snapshot: all document read locks are
-// held simultaneously while the tables are built, so the container
-// never captures a cross-document state that existed at no instant.
+// Save serialises every document into one version-7 store image — each
+// document a version-6 snapshot, as a checkpoint writes it — as a
+// consistent point-in-time snapshot: all document read locks are held
+// simultaneously while the trees are encoded, so the image never
+// captures a cross-document state that existed at no instant.
 // Locks are acquired in sorted-name order — a single global order, so
 // concurrent Saves cannot deadlock, and writers (which hold at most
 // one document lock at a time) cannot form a cycle against it. The
@@ -518,16 +518,15 @@ func (r *Repository) Save() ([]byte, error) {
 			d.mu.RUnlock()
 		}
 	}()
-	docs := make([]store.DocSnapshot, 0, len(held))
-	for _, d := range held {
-		enc := encoding.Wrap(d.sess.Document(), d.sess.Labeling())
-		docs = append(docs, store.DocSnapshot{Name: d.name, Scheme: d.scheme, Rows: enc.Table()})
+	docs := make([]store.DocSnap, len(held))
+	for i, d := range held {
+		docs[i] = store.DocSnap{Name: d.name, Scheme: d.scheme, Tree: update.EncodeDocTree(d.sess.Document())}
 	}
-	return store.MarshalRepo(docs)
+	return store.MarshalRepo(docs), nil
 }
 
-// Load rebuilds a repository from a Save container: every document is
-// reconstructed from its rows and reopened under its recorded scheme.
+// Load rebuilds a repository from a Save image: every document is
+// decoded and reopened under its recorded scheme.
 func Load(data []byte, opts Options) (*Repository, error) {
 	docs, err := store.UnmarshalRepo(data)
 	if err != nil {
@@ -535,15 +534,22 @@ func Load(data []byte, opts Options) (*Repository, error) {
 	}
 	r := New(opts)
 	for _, d := range docs {
-		doc, err := d.Rebuild()
-		if err != nil {
-			return nil, fmt.Errorf("repo: load %q: %w", d.Name, err)
-		}
-		if _, err := r.Open(d.Name, doc, d.Scheme); err != nil {
+		if err := r.openSnap(d); err != nil {
 			return nil, fmt.Errorf("repo: load %q: %w", d.Name, err)
 		}
 	}
 	return r, nil
+}
+
+// openSnap decodes a per-document snapshot's tree and opens it in r
+// under the snapshot's name and scheme: a Load, and a recovery's
+// checkpointed documents.
+func (r *Repository) openSnap(s store.DocSnap) error {
+	doc, err := update.DecodeDocTree(s.Tree)
+	if err == nil {
+		_, err = r.Open(s.Name, doc, s.Scheme)
+	}
+	return err
 }
 
 // Name returns the slot's document name.

@@ -85,7 +85,7 @@ func TestOpenErrors(t *testing.T) {
 }
 
 // TestOpenSessionSchemeContract: sessions whose labeling is not a
-// registry scheme are rejected at registration (their Save containers
+// registry scheme are rejected at registration (their Save images
 // could never Load), while registry-named sessions register and keep
 // their name through save/restore.
 func TestOpenSessionSchemeContract(t *testing.T) {
@@ -207,8 +207,8 @@ func TestAutoVerifyOptOut(t *testing.T) {
 	}
 }
 
-// TestSaveLoad round-trips a scheme-diverse repository through the v2
-// container.
+// TestSaveLoad round-trips a scheme-diverse repository through the v7
+// image.
 func TestSaveLoad(t *testing.T) {
 	r := testRepo(t)
 	// Mutate every document a little first.

@@ -1,122 +1,99 @@
 package store
 
 import (
+	"bytes"
 	"errors"
-	"strings"
 	"testing"
 
-	"xmldyn/internal/encoding"
 	"xmldyn/internal/labels"
-	"xmldyn/internal/schemes/dewey"
-	"xmldyn/internal/schemes/ordpath"
-	"xmldyn/internal/schemes/qed"
+	"xmldyn/internal/update"
 	"xmldyn/internal/xmltree"
 )
 
-// buildRepo builds a scheme-diverse multi-document container from real
-// encoded documents.
-func buildRepo(t *testing.T) []DocSnapshot {
-	t.Helper()
-	var docs []DocSnapshot
-	add := func(name string, enc *encoding.Document) {
-		docs = append(docs, DocSnapshot{Name: name, Scheme: enc.Labeling().Name(), Rows: enc.Table()})
+// buildRepo is a scheme-diverse repository's documents, in name order,
+// each with a real doc-tree image.
+func buildRepo() []DocSnap {
+	gen := xmltree.Generate(xmltree.GenOptions{Seed: 7, MaxDepth: 4, MaxChildren: 4, AttrProb: 0.3, TextProb: 0.4})
+	return []DocSnap{
+		{Name: "books", Scheme: "qed", Tree: update.EncodeDocTree(xmltree.SampleBook())},
+		{Name: "examples", Scheme: "deweyid", Tree: update.EncodeDocTree(xmltree.ExampleTree())},
+		{Name: "generated", Scheme: "ordpath", Tree: update.EncodeDocTree(gen)},
 	}
-	e1, err := encoding.New(xmltree.SampleBook(), qed.NewPrefix())
-	if err != nil {
-		t.Fatal(err)
-	}
-	add("books", e1)
-	e2, err := encoding.New(xmltree.ExampleTree(), dewey.New())
-	if err != nil {
-		t.Fatal(err)
-	}
-	add("examples", e2)
-	e3, err := encoding.New(xmltree.Generate(xmltree.GenOptions{Seed: 7, MaxDepth: 4, MaxChildren: 4, AttrProb: 0.3, TextProb: 0.4}), ordpath.New())
-	if err != nil {
-		t.Fatal(err)
-	}
-	add("generated", e3)
-	return docs
 }
 
-func TestRepoRoundTrip(t *testing.T) {
-	docs := buildRepo(t)
-	data, err := MarshalRepo(docs)
-	if err != nil {
-		t.Fatal(err)
+// requireSameDocs fails unless got holds want's documents, in order.
+func requireSameDocs(t *testing.T, got, want []DocSnap) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("docs = %d, want %d", len(got), len(want))
 	}
+	for i := range want {
+		if got[i].Name != want[i].Name || got[i].Scheme != want[i].Scheme || !bytes.Equal(got[i].Tree, want[i].Tree) {
+			t.Fatalf("doc %d = %s/%s (%d tree bytes), want %s/%s (%d)", i,
+				got[i].Name, got[i].Scheme, len(got[i].Tree), want[i].Name, want[i].Scheme, len(want[i].Tree))
+		}
+	}
+}
+
+// TestRepoRoundTrip: an image decodes to the documents it was made of,
+// each tree a window of the image rather than a copy.
+func TestRepoRoundTrip(t *testing.T) {
+	docs := buildRepo()
+	data := MarshalRepo(docs)
 	got, err := UnmarshalRepo(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(docs) {
-		t.Fatalf("docs = %d, want %d", len(got), len(docs))
-	}
-	for i := range docs {
-		if got[i].Name != docs[i].Name || got[i].Scheme != docs[i].Scheme {
-			t.Fatalf("doc %d = %s/%s, want %s/%s", i, got[i].Name, got[i].Scheme, docs[i].Name, docs[i].Scheme)
-		}
-		if len(got[i].Rows) != len(docs[i].Rows) {
-			t.Fatalf("doc %s rows = %d, want %d", got[i].Name, len(got[i].Rows), len(docs[i].Rows))
-		}
-		for j := range docs[i].Rows {
-			if got[i].Rows[j] != docs[i].Rows[j] {
-				t.Fatalf("doc %s row %d = %+v, want %+v", got[i].Name, j, got[i].Rows[j], docs[i].Rows[j])
-			}
-		}
-		doc, err := got[i].Rebuild()
-		if err != nil {
-			t.Fatalf("doc %s rebuild: %v", got[i].Name, err)
-		}
-		if doc.Root() == nil {
-			t.Fatalf("doc %s rebuilt empty", got[i].Name)
+	requireSameDocs(t, got, docs)
+	for _, d := range got {
+		if !bytes.Contains(data, d.Tree) || cap(d.Tree) != len(d.Tree) {
+			t.Fatalf("%s: tree is not a capped window of the image", d.Name)
 		}
 	}
 }
 
 func TestRepoEmpty(t *testing.T) {
-	data, err := MarshalRepo(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalRepo(data)
+	got, err := UnmarshalRepo(MarshalRepo(nil))
 	if err != nil || len(got) != 0 {
-		t.Fatalf("empty container: %v, %d docs", err, len(got))
+		t.Fatalf("empty image: %v, %d docs", err, len(got))
 	}
 }
 
+// TestRepoVersionMismatch: a per-document snapshot is not a repository
+// image and vice versa, and neither decoder reads the row-table formats
+// (version 1, the session snapshot, and version 2, the container).
 func TestRepoVersionMismatch(t *testing.T) {
-	// A v1 snapshot is not a container and vice versa.
-	docs := buildRepo(t)
-	repoData, err := MarshalRepo(docs)
-	if err != nil {
-		t.Fatal(err)
+	docs := buildRepo()
+	if _, err := UnmarshalDocSnap(MarshalRepo(docs)); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("repository image via UnmarshalDocSnap: %v", err)
 	}
-	if _, err := Unmarshal(repoData); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("v2 via Unmarshal: %v", err)
+	if _, err := UnmarshalRepo(MarshalDocSnap(docs[0])); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("doc snapshot via UnmarshalRepo: %v", err)
 	}
-	single, err := MarshalRows("qed", docs[0].Rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := UnmarshalRepo(single); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("v1 via UnmarshalRepo: %v", err)
+	for _, ver := range []byte{1, 2} {
+		old := sealRecord(append([]byte(magic), ver, 0))
+		if _, err := UnmarshalRepo(old); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("version %d via UnmarshalRepo: %v", ver, err)
+		}
+		if _, err := UnmarshalDocSnap(old); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("version %d via UnmarshalDocSnap: %v", ver, err)
+		}
 	}
 }
 
+// TestRepoDupNameRejected: names are strictly increasing, so an image
+// naming a document twice, or out of order, is corrupt.
 func TestRepoDupNameRejected(t *testing.T) {
-	docs := buildRepo(t)[:1]
-	dup := append([]DocSnapshot{}, docs[0], docs[0])
-	if _, err := MarshalRepo(dup); !errors.Is(err, ErrDupName) {
-		t.Fatalf("marshal dup: %v", err)
+	docs := buildRepo()
+	for _, bad := range [][]DocSnap{{docs[0], docs[0]}, {docs[1], docs[0]}} {
+		if _, err := UnmarshalRepo(MarshalRepo(bad)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s then %s: %v, want ErrCorrupt", bad[0].Name, bad[1].Name, err)
+		}
 	}
 }
 
 func TestRepoChecksumDetectsFlips(t *testing.T) {
-	data, err := MarshalRepo(buildRepo(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := MarshalRepo(buildRepo())
 	for _, pos := range []int{6, len(data) / 3, len(data) / 2, len(data) - 3} {
 		bad := append([]byte{}, data...)
 		bad[pos] ^= 0x20
@@ -127,10 +104,7 @@ func TestRepoChecksumDetectsFlips(t *testing.T) {
 }
 
 func TestRepoTruncationRejected(t *testing.T) {
-	data, err := MarshalRepo(buildRepo(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := MarshalRepo(buildRepo())
 	for cut := 0; cut < len(data)-1; cut += 7 {
 		if _, err := UnmarshalRepo(data[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
@@ -138,30 +112,29 @@ func TestRepoTruncationRejected(t *testing.T) {
 	}
 }
 
-// TestRowCountBoundTightened is the regression test for the sanity
-// bound: a crafted header claiming more rows than the buffer could
-// possibly hold (at >=5 bytes per row) must be rejected as implausible
-// even when the claimed count is smaller than the buffer length, which
-// the old `count > len(data)` check accepted.
-func TestRowCountBoundTightened(t *testing.T) {
-	var data []byte
-	data = append(data, magic...)
-	data = append(data, VersionSnapshot)
-	data = appendString(data, "qed")
-	// Pad so len(data) ends up well above the claimed count.
-	claimed := uint64(64)
-	data = append(data, labels.EncodeLEB128(claimed)...)
-	for len(data) < 100 {
-		data = append(data, 0)
-	}
-	if claimed >= uint64(len(data)) {
-		t.Fatalf("test setup: claimed %d must be below len %d", claimed, len(data))
-	}
-	if claimed*minRowBytes <= uint64(len(data)) {
-		t.Fatalf("test setup: claimed %d rows must exceed the %d-byte budget", claimed, len(data))
-	}
-	_, err := Unmarshal(data)
-	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "implausible row count") {
-		t.Fatalf("err = %v, want implausible row count", err)
+// lyingImage is a size-byte image whose document count claims 2^40
+// documents and whose first record length claims 2^40 bytes, padded out
+// with bytes that back neither. A decoder that reserved by either claim
+// would allocate terabytes.
+func lyingImage(size int) []byte {
+	out := append([]byte(magic), VersionRepo)
+	out = labels.AppendLEB128(out, 1<<40)
+	out = labels.AppendLEB128(out, 1<<40)
+	return append(out, make([]byte, max(0, size-len(out)))...)
+}
+
+// TestRepoLiesReserveNothing: a rejected image costs its error, however
+// long it is and whatever its count and lengths claim.
+func TestRepoLiesReserveNothing(t *testing.T) {
+	for _, size := range []int{1 << 10, 1 << 14, 1 << 17} {
+		img := lyingImage(size)
+		var err error
+		objects, used := memUse(func() { _, err = UnmarshalRepo(img) })
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%d bytes of lies: %v, want ErrCorrupt", size, err)
+		}
+		if objects > 16 || used > 4096 {
+			t.Errorf("%d bytes of lies: rejected after %d allocations, %d bytes", size, objects, used)
+		}
 	}
 }

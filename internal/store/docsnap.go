@@ -3,7 +3,9 @@
 // doc-*.snap file per dirty document and reference it (together with
 // every reused, unchanged file from the previous generation) from a
 // version-5 manifest; recovery decodes the referenced files — in
-// parallel — and replays the live WAL suffix on top.
+// parallel — and replays the live WAL suffix on top. The same record is
+// every document of a repository image (container.go) and, with an
+// empty name, a session's Save image.
 //
 // Layout (LEB128 integers, length-prefixed strings, FNV-1a trailer):
 //
@@ -98,18 +100,23 @@ func UnmarshalDocSnap(data []byte) (DocSnap, error) {
 	if s.Scheme, pos, err = readString(data, pos); err != nil {
 		return s, err
 	}
+	if s.Tree, pos, err = readBytes(data, pos); err != nil {
+		return s, fmt.Errorf("tree: %w", err)
+	}
+	return s, closeRecord(data, pos)
+}
+
+// readBytes cuts one length-prefixed field at data[pos:] — a window of
+// data, not a copy — returning it and the offset just past it.
+func readBytes(data []byte, pos int) ([]byte, int, error) {
 	size, n, err := labels.DecodeLEB128(data[pos:])
 	if err != nil {
-		return s, fmt.Errorf("%w: tree length: %v", ErrCorrupt, err)
+		return nil, 0, fmt.Errorf("%w: length: %v", ErrCorrupt, err)
 	}
 	pos += n
 	if size > uint64(len(data)-pos) {
-		return s, fmt.Errorf("%w: tree length %d exceeds remaining %d bytes", ErrCorrupt, size, len(data)-pos)
+		return nil, 0, fmt.Errorf("%w: length %d exceeds remaining %d bytes", ErrCorrupt, size, len(data)-pos)
 	}
-	s.Tree = data[pos : pos+int(size) : pos+int(size)]
-	pos += int(size)
-	if err := closeRecord(data, pos); err != nil {
-		return s, err
-	}
-	return s, nil
+	end := pos + int(size)
+	return data[pos:end:end], end, nil
 }

@@ -5,77 +5,46 @@ import (
 	"errors"
 	"testing"
 
-	"xmldyn/internal/encoding"
-	"xmldyn/internal/schemes/dewey"
-	"xmldyn/internal/schemes/qed"
+	"xmldyn/internal/update"
 	"xmldyn/internal/xmltree"
 )
 
-// FuzzRepoRoundTrip feeds arbitrary bytes to the v2 container decoder:
-// it must never panic, and whenever it accepts the input, the decoded
-// documents must survive a marshal/unmarshal round trip unchanged.
-// (Byte-level canonicality does not hold: LEB128 tolerates non-minimal
-// encodings on decode, so equality is checked on the decoded form.)
+// FuzzRepoRoundTrip feeds arbitrary bytes to the repository image
+// decoder: it must never panic, reject only with the package's typed
+// errors, and pay for what the bytes hold, not for what a count or a
+// length claims; whenever it accepts the input, the decoded documents
+// must survive a marshal/unmarshal round trip unchanged. (Byte-level
+// canonicality does not hold: LEB128 tolerates non-minimal encodings on
+// decode, so equality is checked on the decoded form.) The tree bytes
+// are opaque here: FuzzDecodeDocTree in internal/update fuzzes their
+// decoder.
 func FuzzRepoRoundTrip(f *testing.F) {
-	e1, err := encoding.New(xmltree.SampleBook(), qed.NewPrefix())
-	if err != nil {
-		f.Fatal(err)
-	}
-	e2, err := encoding.New(xmltree.ExampleTree(), dewey.New())
-	if err != nil {
-		f.Fatal(err)
-	}
-	valid, err := MarshalRepo([]DocSnapshot{
-		{Name: "books", Scheme: e1.Labeling().Name(), Rows: e1.Table()},
-		{Name: "examples", Scheme: e2.Labeling().Name(), Rows: e2.Table()},
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	empty, err := MarshalRepo(nil)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Add(empty)
+	f.Add(MarshalRepo(buildRepo()))
+	f.Add(MarshalRepo(nil))
 	f.Add([]byte("XDYN"))
 	f.Add([]byte{})
+	f.Add(lyingImage(200))
+	f.Add(MarshalDocSnap(buildRepo()[0]))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		docs, err := UnmarshalRepo(data)
+		// A document costs the image at least 11 bytes and the decoder
+		// its two strings and a 56-byte slot, which append at most
+		// doubles.
+		objects, size := memUse(func() { UnmarshalRepo(data) })
+		if objects > uint64(len(data))/3+32 || size > uint64(16*len(data)+4096) {
+			t.Fatalf("decoding %d bytes took %d allocations, %d bytes", len(data), objects, size)
+		}
 		if err != nil {
+			requireTypedError(t, err)
 			return
 		}
-		again, err := MarshalRepo(docs)
+		again, err := UnmarshalRepo(MarshalRepo(docs))
 		if err != nil {
-			t.Fatalf("accepted container fails to re-marshal: %v", err)
+			t.Fatalf("re-marshalled image rejected: %v", err)
 		}
-		docs2, err := UnmarshalRepo(again)
-		if err != nil {
-			t.Fatalf("re-marshalled container rejected: %v", err)
-		}
-		if !reflectEqualDocs(docs, docs2) {
-			t.Fatalf("round trip changed documents:\n in  %+v\n out %+v", docs, docs2)
-		}
+		requireSameDocs(t, again, docs)
 	})
-}
-
-// reflectEqualDocs compares two snapshot slices field by field.
-func reflectEqualDocs(a, b []DocSnapshot) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Name != b[i].Name || a[i].Scheme != b[i].Scheme || len(a[i].Rows) != len(b[i].Rows) {
-			return false
-		}
-		for j := range a[i].Rows {
-			if a[i].Rows[j] != b[i].Rows[j] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // FuzzManifestRoundTrip feeds arbitrary bytes to the manifest decoder:
@@ -142,52 +111,61 @@ func FuzzDocSnapRoundTrip(f *testing.F) {
 	})
 }
 
+// FuzzSnapshotRoundTrip does the same for a session snapshot, the v6
+// doc-snap whose tree Restore decodes: the envelope and the tree are
+// read as Restore reads them, a rejection must be typed (a store error,
+// or update.ErrCodecCorrupt for the tree), and an accepted snapshot,
+// saved again from its decoded document, must restore to the same
+// scheme and the same XML.
+func FuzzSnapshotRoundTrip(f *testing.F) {
+	f.Add(MarshalDocSnap(DocSnap{Scheme: "qed", Tree: update.EncodeDocTree(xmltree.SampleBook())}))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, doc, err := restoreSnap(data)
+		if err != nil {
+			if !isTyped(err) && !errors.Is(err, update.ErrCodecCorrupt) {
+				t.Fatalf("rejection is not typed: %v", err)
+			}
+			return
+		}
+		s2, doc2, err := restoreSnap(MarshalDocSnap(DocSnap{Name: s.Name, Scheme: s.Scheme, Tree: update.EncodeDocTree(doc)}))
+		if err != nil {
+			t.Fatalf("re-saved snapshot rejected: %v", err)
+		}
+		if s.Name != s2.Name || s.Scheme != s2.Scheme || doc.XML() != doc2.XML() {
+			t.Fatalf("round trip changed snapshot: %s/%s %q vs %s/%s %q",
+				s.Name, s.Scheme, doc.XML(), s2.Name, s2.Scheme, doc2.XML())
+		}
+	})
+}
+
+// restoreSnap decodes a session snapshot's envelope and tree.
+func restoreSnap(data []byte) (DocSnap, *xmltree.Document, error) {
+	s, err := UnmarshalDocSnap(data)
+	if err != nil {
+		return s, nil, err
+	}
+	doc, err := update.DecodeDocTree(s.Tree)
+	return s, doc, err
+}
+
 // requireTypedError fails the test when a decoder rejection is not one
 // of the package's typed errors — callers triage on errors.Is, so an
 // untyped rejection is an API break.
 func requireTypedError(t *testing.T, err error) {
 	t.Helper()
-	for _, want := range []error{ErrBadMagic, ErrBadVersion, ErrCorrupt, ErrBadChecksum} {
-		if errors.Is(err, want) {
-			return
-		}
+	if !isTyped(err) {
+		t.Fatalf("rejection is not a typed store error: %v", err)
 	}
-	t.Fatalf("rejection is not a typed store error: %v", err)
 }
 
-// FuzzSnapshotRoundTrip does the same for the v1 single-document format.
-func FuzzSnapshotRoundTrip(f *testing.F) {
-	enc, err := encoding.New(xmltree.SampleBook(), qed.NewPrefix())
-	if err != nil {
-		f.Fatal(err)
+// isTyped reports whether err is one of the package's typed errors.
+func isTyped(err error) bool {
+	for _, want := range []error{ErrBadMagic, ErrBadVersion, ErrCorrupt, ErrBadChecksum} {
+		if errors.Is(err, want) {
+			return true
+		}
 	}
-	valid, err := Marshal(enc)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Add([]byte{})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		snap, err := Unmarshal(data)
-		if err != nil {
-			return
-		}
-		again, err := MarshalRows(snap.Scheme, snap.Rows)
-		if err != nil {
-			t.Fatalf("accepted snapshot fails to re-marshal: %v", err)
-		}
-		snap2, err := Unmarshal(again)
-		if err != nil {
-			t.Fatalf("re-marshalled snapshot rejected: %v", err)
-		}
-		if snap.Scheme != snap2.Scheme || len(snap.Rows) != len(snap2.Rows) {
-			t.Fatalf("round trip changed snapshot: %+v vs %+v", snap, snap2)
-		}
-		for i := range snap.Rows {
-			if snap.Rows[i] != snap2.Rows[i] {
-				t.Fatalf("row %d changed: %+v vs %+v", i, snap.Rows[i], snap2.Rows[i])
-			}
-		}
-	})
+	return false
 }

@@ -8,7 +8,7 @@
 // the directory (orphans from a checkpoint that crashed before its
 // atomic manifest switch).
 //
-// Layout (same conventions as versions 1 and 2 — LEB128 integers,
+// Layout (the shared envelope of store.go — LEB128 integers,
 // length-prefixed strings, FNV-1a trailer):
 //
 //	magic "XDYN" | version 5 | generation | first live segment index
@@ -172,7 +172,7 @@ func WriteManifest(dir string, m Manifest) error {
 
 // WriteFileAtomic writes data to path durably via a temp file in the
 // same directory: write, fsync, rename, directory fsync. Used for
-// snapshot containers so a crashed checkpoint never leaves a partial
+// per-document snapshot files so a crashed checkpoint never leaves a partial
 // file under the final name.
 func WriteFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"

@@ -1,14 +1,16 @@
-// Package store serialises encoded documents (the Definition 2 table of
-// internal/encoding) to a compact, self-describing binary snapshot and
-// back. A snapshot captures what an XML repository persists: the scheme
-// name, every labelled node's label, kind, parent label, name and value
-// — enough to rebuild the document text (Definition 2's reconstruction
-// requirement) or to reopen it under the same scheme.
+// Package store holds the binary records a repository persists: the
+// per-document snapshot (a document's name, its scheme and the update
+// layer's doc-tree image, docsnap.go), the repository image of many of
+// them (container.go), the checkpoint manifest (manifest.go) and the
+// checkpoint a follower bootstraps from (bootstrap.go). The tree bytes
+// are opaque here: internal/update's EncodeDocTree/DecodeDocTree
+// own that format, which keeps every node, text, comment and processing
+// instruction in place.
 //
-// Format (all integers LEB128, all strings length-prefixed):
+// Every record shares one envelope (all integers LEB128, all strings
+// length-prefixed):
 //
-//	magic "XDYN" | version byte | scheme | row count
-//	rows: kind | label | parent | name | value
+//	magic "XDYN" | version byte | record body
 //	trailer: FNV-1a checksum of everything before it
 package store
 
@@ -17,9 +19,7 @@ import (
 	"fmt"
 	"hash/fnv"
 
-	"xmldyn/internal/encoding"
 	"xmldyn/internal/labels"
-	"xmldyn/internal/xmltree"
 )
 
 // Errors reported by the codec.
@@ -32,143 +32,24 @@ var (
 
 // Format version bytes for the store record types; docs/
 // DURABILITY.md documents them and the wal golden-constants test keeps
-// doc and code aligned.
+// doc and code aligned. A record carrying any other version byte — 1
+// and 2 were the row-table snapshot and container, 3 and 4 manifest
+// layouts — is rejected with ErrBadVersion, never migrated.
 const (
-	// VersionSnapshot tags single-document snapshots.
-	VersionSnapshot = 1
-	// VersionRepo tags multi-document repository containers.
-	VersionRepo = 2
 	// VersionManifest tags durable-repository checkpoint manifests
 	// (version 5: incremental checkpoints — the manifest maps every
 	// live document name to a per-document snapshot file and the
 	// generation that wrote it, plus the first live segment index).
-	// Versions 3 and 4 are not read: a manifest carrying either is
-	// rejected with ErrBadVersion.
 	VersionManifest = 5
-	// VersionDocSnap tags per-document snapshot files (doc-*.snap),
-	// the incremental checkpoint unit referenced by version-5
-	// manifests.
+	// VersionDocSnap tags per-document snapshots: the doc-*.snap files
+	// version-5 manifests reference, and a session's Save image.
 	VersionDocSnap = 6
+	// VersionRepo tags repository images: a sequence of version-6
+	// per-document snapshots in one checksummed blob (Repository.Save).
+	VersionRepo = 7
 )
 
-const (
-	magic = "XDYN"
-	// minRowBytes is the smallest possible encoded row: a kind byte
-	// plus four empty length-prefixed strings.
-	minRowBytes = 5
-)
-
-// Snapshot is a decoded store image.
-type Snapshot struct {
-	Scheme string
-	Rows   []encoding.Row
-}
-
-// Marshal snapshots an encoded document.
-func Marshal(enc *encoding.Document) ([]byte, error) {
-	return MarshalRows(enc.Labeling().Name(), enc.Table())
-}
-
-// MarshalRows snapshots a row table under a scheme name.
-func MarshalRows(scheme string, rows []encoding.Row) ([]byte, error) {
-	var out []byte
-	out = append(out, magic...)
-	out = append(out, VersionSnapshot)
-	out = appendString(out, scheme)
-	out = labels.AppendLEB128(out, uint64(len(rows)))
-	for _, r := range rows {
-		var err error
-		if out, err = appendRow(out, r); err != nil {
-			return nil, err
-		}
-	}
-	return sealRecord(out), nil
-}
-
-// Unmarshal decodes a snapshot, verifying the checksum.
-func Unmarshal(data []byte) (*Snapshot, error) {
-	pos, err := openRecord(data, VersionSnapshot)
-	if err != nil {
-		return nil, err
-	}
-	scheme, pos, err := readString(data, pos)
-	if err != nil {
-		return nil, err
-	}
-	count, n, err := labels.DecodeLEB128(data[pos:])
-	if err != nil {
-		return nil, fmt.Errorf("%w: row count: %v", ErrCorrupt, err)
-	}
-	pos += n
-	// Sanity bound: each row costs at least minRowBytes, so a count
-	// claiming more rows than the buffer could hold is corrupt. The
-	// division form avoids overflowing count*minRowBytes.
-	if count > uint64(len(data))/minRowBytes {
-		return nil, fmt.Errorf("%w: implausible row count %d", ErrCorrupt, count)
-	}
-	snap := &Snapshot{Scheme: scheme, Rows: make([]encoding.Row, 0, count)}
-	for i := uint64(0); i < count; i++ {
-		var r encoding.Row
-		if r, pos, err = readRow(data, pos, i); err != nil {
-			return nil, err
-		}
-		snap.Rows = append(snap.Rows, r)
-	}
-	if err := closeRecord(data, pos); err != nil {
-		return nil, err
-	}
-	return snap, nil
-}
-
-// Rebuild reconstructs the document tree from the snapshot's rows.
-func (s *Snapshot) Rebuild() (*xmltree.Document, error) {
-	return encoding.Reconstruct(s.Rows)
-}
-
-// appendRow encodes one table row.
-func appendRow(out []byte, r encoding.Row) ([]byte, error) {
-	if r.Kind != xmltree.KindElement && r.Kind != xmltree.KindAttribute {
-		return nil, fmt.Errorf("store: row kind %v not storable", r.Kind)
-	}
-	out = append(out, byte(r.Kind))
-	out = appendString(out, r.Label)
-	out = appendString(out, r.Parent)
-	out = appendString(out, r.Name)
-	out = appendString(out, r.Value)
-	return out, nil
-}
-
-// readRow decodes one table row (i names the row in errors).
-func readRow(data []byte, pos int, i uint64) (encoding.Row, int, error) {
-	var r encoding.Row
-	if pos >= len(data) {
-		return r, 0, fmt.Errorf("%w: truncated at row %d", ErrCorrupt, i)
-	}
-	kind := xmltree.Kind(data[pos])
-	pos++
-	if kind != xmltree.KindElement && kind != xmltree.KindAttribute {
-		return r, 0, fmt.Errorf("%w: row %d kind %d", ErrCorrupt, i, kind)
-	}
-	var err error
-	r.Kind = kind
-	if r.Label, pos, err = readString(data, pos); err != nil {
-		return r, 0, err
-	}
-	if r.Parent, pos, err = readString(data, pos); err != nil {
-		return r, 0, err
-	}
-	if r.Name, pos, err = readString(data, pos); err != nil {
-		return r, 0, err
-	}
-	if r.Value, pos, err = readString(data, pos); err != nil {
-		return r, 0, err
-	}
-	return r, pos, nil
-}
-
-// Every store record shares one envelope: the magic, a version byte,
-// the record body, and an FNV-1a trailer over everything before it.
-// openRecord, sealRecord and closeRecord are that envelope.
+const magic = "XDYN"
 
 // openRecord checks the magic and the version byte a record of
 // version ver starts with, returning the offset of the record body.

@@ -2,145 +2,133 @@ package store
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 
-	"xmldyn/internal/encoding"
-	"xmldyn/internal/schemes/dewey"
-	"xmldyn/internal/schemes/qed"
+	"xmldyn/internal/update"
 	"xmldyn/internal/xmltree"
 )
 
-func sampleSnapshot(t *testing.T) []byte {
+// memUse runs f and reports the allocations and bytes it cost, the least
+// of four runs, so a collection or a background allocation in one run
+// does not count.
+func memUse(f func()) (objects, size uint64) {
+	objects, size = ^uint64(0), ^uint64(0)
+	for try := 0; try < 4; try++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		f()
+		runtime.ReadMemStats(&m1)
+		objects, size = min(objects, m1.Mallocs-m0.Mallocs), min(size, m1.TotalAlloc-m0.TotalAlloc)
+	}
+	return objects, size
+}
+
+// sampleImage is a one-document repository image of the paper's sample
+// document.
+func sampleImage() []byte {
+	return MarshalRepo([]DocSnap{{Name: "book", Scheme: "qed", Tree: update.EncodeDocTree(xmltree.SampleBook())}})
+}
+
+// decodeAll decodes every tree of an image and returns their XML.
+func decodeAll(t *testing.T, data []byte) []string {
 	t.Helper()
-	enc, err := encoding.New(xmltree.SampleBook(), qed.NewPrefix())
+	docs, err := UnmarshalRepo(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := Marshal(enc)
-	if err != nil {
-		t.Fatal(err)
+	out := make([]string, len(docs))
+	for i, d := range docs {
+		doc, err := update.DecodeDocTree(d.Tree)
+		if err != nil {
+			t.Fatalf("%s: %v", d.Name, err)
+		}
+		out[i] = doc.XML()
 	}
-	return data
+	return out
 }
 
 func TestRoundTrip(t *testing.T) {
-	data := sampleSnapshot(t)
-	snap, err := Unmarshal(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Scheme != "qed" {
-		t.Errorf("scheme: %s", snap.Scheme)
-	}
-	if len(snap.Rows) != 10 {
-		t.Errorf("rows: %d", len(snap.Rows))
-	}
-	doc, err := snap.Rebuild()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc.XML() != xmltree.SampleBook().XML() {
-		t.Fatalf("rebuild mismatch:\n%s", doc.XML())
+	got := decodeAll(t, sampleImage())
+	if len(got) != 1 || got[0] != xmltree.SampleBook().XML() {
+		t.Fatalf("rebuild mismatch:\n%q", got)
 	}
 }
 
 func TestRoundTripGenerated(t *testing.T) {
+	var docs []DocSnap
+	var want []string
 	for seed := int64(0); seed < 6; seed++ {
 		src := xmltree.Generate(xmltree.GenOptions{Seed: seed, MaxDepth: 4, MaxChildren: 5, AttrProb: 0.4, TextProb: 0.5})
-		enc, err := encoding.New(src.Clone(), dewey.New())
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := Marshal(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap, err := Unmarshal(data)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		doc, err := snap.Rebuild()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if doc.XML() != src.XML() {
-			t.Fatalf("seed %d: rebuild mismatch", seed)
+		docs = append(docs, DocSnap{Name: string(rune('a' + seed)), Scheme: "deweyid", Tree: update.EncodeDocTree(src)})
+		want = append(want, src.XML())
+	}
+	got := decodeAll(t, MarshalRepo(docs))
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("seed %d: rebuild mismatch", i)
 		}
 	}
 }
 
 func TestChecksumDetectsFlips(t *testing.T) {
-	data := sampleSnapshot(t)
+	data := sampleImage()
 	// Flip one byte in the middle of the payload.
 	data[len(data)/2] ^= 0x40
-	_, err := Unmarshal(data)
+	_, err := UnmarshalRepo(data)
 	if err == nil {
-		t.Fatal("corrupted snapshot accepted")
+		t.Fatal("corrupted image accepted")
 	}
-	// Either structural corruption or the checksum catches it.
+	// Either structural corruption or a checksum catches it.
 	if !errors.Is(err, ErrBadChecksum) && !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("unexpected error: %v", err)
 	}
 }
 
 func TestHeaderErrors(t *testing.T) {
-	if _, err := Unmarshal(nil); !errors.Is(err, ErrBadMagic) {
+	if _, err := UnmarshalRepo(nil); !errors.Is(err, ErrBadMagic) {
 		t.Errorf("nil: %v", err)
 	}
-	if _, err := Unmarshal([]byte("NOPE!123")); !errors.Is(err, ErrBadMagic) {
+	if _, err := UnmarshalRepo([]byte("NOPE!123")); !errors.Is(err, ErrBadMagic) {
 		t.Errorf("bad magic: %v", err)
 	}
-	bad := sampleSnapshot(t)
+	bad := sampleImage()
 	bad[4] = 99 // version byte
-	if _, err := Unmarshal(bad); !errors.Is(err, ErrBadVersion) {
+	if _, err := UnmarshalRepo(bad); !errors.Is(err, ErrBadVersion) {
 		t.Errorf("bad version: %v", err)
 	}
 }
 
 func TestTruncationErrors(t *testing.T) {
-	data := sampleSnapshot(t)
+	data := sampleImage()
 	for _, cut := range []int{5, 8, len(data) / 2, len(data) - 2} {
-		if _, err := Unmarshal(data[:cut]); err == nil {
+		if _, err := UnmarshalRepo(data[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
 }
 
 func TestTrailingGarbageRejected(t *testing.T) {
-	data := append(sampleSnapshot(t), 0x00, 0x01)
-	if _, err := Unmarshal(data); err == nil {
+	data := append(sampleImage(), 0x00, 0x01)
+	if _, err := UnmarshalRepo(data); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
 }
 
-func TestUnstorableRowRejected(t *testing.T) {
-	rows := []encoding.Row{{Kind: xmltree.KindText, Label: "1", Name: "t"}}
-	if _, err := MarshalRows("x", rows); err == nil {
-		t.Fatal("text row stored")
-	}
-}
-
-// TestFlipFuzzNeverPanics: arbitrary single-byte corruption either
-// round-trips to an error or a valid snapshot — never a panic or a
-// silent wrong answer on the checksum.
+// TestFlipFuzzNeverPanics: arbitrary single-byte corruption is detected
+// with one of the package's typed errors — never a panic, and never
+// accepted: the flip lands under the image's checksum.
 func TestFlipFuzzNeverPanics(t *testing.T) {
-	base := sampleSnapshot(t)
+	base := sampleImage()
 	f := func(pos uint16, mask byte) bool {
 		if mask == 0 {
 			return true
 		}
 		data := append([]byte{}, base...)
 		data[int(pos)%len(data)] ^= mask
-		snap, err := Unmarshal(data)
-		if err != nil {
-			return true // detected
-		}
-		// The only way corruption passes is flipping then unflipping —
-		// impossible with a single flip — or a checksum collision,
-		// which FNV makes vanishingly unlikely at this size. Accept a
-		// decoded snapshot only if it equals the original bytes' view.
-		return snap != nil
+		_, err := UnmarshalRepo(data)
+		return isTyped(err)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

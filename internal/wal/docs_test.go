@@ -54,7 +54,6 @@ func TestDurabilityDocConstants(t *testing.T) {
 		"wal.DefaultSegmentBytes":         fmt.Sprint(wal.DefaultSegmentBytes),
 		"repo.DefaultAutoCheckpointBytes": fmt.Sprint(repo.DefaultAutoCheckpointBytes),
 		"store.ManifestName":              strconv.Quote(store.ManifestName),
-		"store.VersionSnapshot":           fmt.Sprint(store.VersionSnapshot),
 		"store.VersionRepo":               fmt.Sprint(store.VersionRepo),
 		"store.VersionManifest":           fmt.Sprint(store.VersionManifest),
 		"store.VersionDocSnap":            fmt.Sprint(store.VersionDocSnap),

@@ -32,8 +32,10 @@
 // last N superseded versions of each document stay reachable and
 // Repository.SnapshotAt time-travels to the state at an earlier
 // commit stamp (docs/CONCURRENCY.md specifies the consistency model;
-// RepoVersionStats exposes the version accounting). SaveRepository/RestoreRepository round-trip
-// the whole repository through one checksummed container, and
+// RepoVersionStats exposes the version accounting). Save/Restore
+// round-trip one session and SaveRepository/RestoreRepository the
+// whole repository through the checksummed per-document snapshot
+// format checkpoints write, which keeps every tree exactly, and
 // NewDurableRepository backs the same layer with a write-ahead log:
 // committed batches survive a crash and replay to the identical
 // state, with a multi-document transaction logged as one record so
@@ -218,9 +220,7 @@ func OpenWith(doc *Document, lab Labeling) (*Session, error) {
 
 // Encode builds the Definition 2 encoding table over a session's
 // labelled document.
-func Encode(s *Session) *EncodedDocument {
-	return encoding.Wrap(s.Document(), s.Labeling())
-}
+func Encode(s *Session) *EncodedDocument { return encoding.Wrap(s.Document(), s.Labeling()) }
 
 // Reconstruct rebuilds a document from encoding rows (Definition 2's
 // reconstruction requirement).
@@ -228,27 +228,22 @@ func Reconstruct(rows []EncodingRow) (*Document, error) {
 	return encoding.Reconstruct(rows)
 }
 
-// Save serialises a session's encoded document to the binary snapshot
-// format of internal/store (scheme name, labels, encoding rows,
-// checksum).
+// Save serialises a session's document to the per-document snapshot
+// format checkpoints write (internal/store: scheme name, the exact tree
+// — text, comments and processing instructions in place — and a
+// checksum). Labels are not stored: Restore relabels.
 func Save(s *Session) ([]byte, error) {
-	return store.Marshal(Encode(s))
+	return store.MarshalDocSnap(store.DocSnap{Scheme: s.Labeling().Name(), Tree: update.EncodeDocTree(s.Document())}), nil
 }
 
-// Snapshot is a decoded binary snapshot.
-type Snapshot = store.Snapshot
-
-// Load decodes a snapshot produced by Save.
-func Load(data []byte) (*Snapshot, error) { return store.Unmarshal(data) }
-
-// Restore rebuilds the document from a snapshot and reopens it under
-// the snapshot's scheme.
+// Restore decodes a Save snapshot and reopens its document under the
+// snapshot's scheme.
 func Restore(data []byte) (*Session, error) {
-	snap, err := store.Unmarshal(data)
+	snap, err := store.UnmarshalDocSnap(data)
 	if err != nil {
 		return nil, err
 	}
-	doc, err := snap.Rebuild()
+	doc, err := update.DecodeDocTree(snap.Tree)
 	if err != nil {
 		return nil, err
 	}
@@ -474,11 +469,11 @@ var (
 func NewRepository(opts RepoOptions) *Repository { return repo.New(opts) }
 
 // SaveRepository serialises every document of a repository into one
-// version-2 store container.
+// version-7 store image of per-document snapshots.
 func SaveRepository(r *Repository) ([]byte, error) { return r.Save() }
 
 // RestoreRepository rebuilds a repository from a SaveRepository
-// container, reopening every document under its recorded scheme.
+// image, reopening every document under its recorded scheme.
 func RestoreRepository(data []byte, opts RepoOptions) (*Repository, error) {
 	return repo.Load(data, opts)
 }
