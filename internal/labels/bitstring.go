@@ -12,6 +12,9 @@ import (
 // order. Bits reports one bit per symbol: CDBS stores codes with a
 // fixed-size length field, which is what makes it subject to the §4
 // overflow problem despite its compactness.
+//
+// As a Code, a binary string is a *BitString (Codes): improvedbinary and
+// cdbs accept no other form.
 type BitString string
 
 // ValidBitString reports whether s contains only '0' and '1'.
@@ -60,25 +63,26 @@ func (b BitString) EndsInOne() bool {
 //
 // Both inputs, when non-empty, must end in 1; the result always ends in 1.
 func BetweenBitStrings(left, right BitString) (BitString, error) {
+	base, suffix, err := left.split(right)
+	return base + BitString(suffix), err
+}
+
+// split is BetweenBitStrings' case analysis: the new code is left or a
+// prefix of right followed by "1" or "01".
+func (left BitString) split(right BitString) (base BitString, suffix string, err error) {
 	if left != "" && !left.EndsInOne() {
-		return "", fmt.Errorf("%w: left code %q does not end in 1", ErrBadCode, left)
+		return "", "", fmt.Errorf("%w: left code %q does not end in 1", ErrBadCode, left)
 	}
 	if right != "" && !right.EndsInOne() {
-		return "", fmt.Errorf("%w: right code %q does not end in 1", ErrBadCode, right)
+		return "", "", fmt.Errorf("%w: right code %q does not end in 1", ErrBadCode, right)
 	}
 	if left != "" && right != "" && CompareBitStrings(left, right) >= 0 {
-		return "", fmt.Errorf("%w: %q is not before %q", ErrBadCode, left, right)
+		return "", "", fmt.Errorf("%w: %q is not before %q", ErrBadCode, left, right)
 	}
-	switch {
-	case left == "" && right == "":
-		return "1", nil
-	case right == "":
-		return left + "1", nil
-	case left == "" || len(left) < len(right):
-		return right[:len(right)-1] + "01", nil
-	default:
-		return left + "1", nil
+	if right != "" && (left == "" || len(left) < len(right)) {
+		return right[:len(right)-1], "01", nil
 	}
+	return left, "1", nil
 }
 
 // AssignCompactBitStrings is the CDBS bulk-assignment algorithm [15]:

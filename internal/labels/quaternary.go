@@ -16,7 +16,7 @@ import (
 // what makes insertion before, after and between arbitrary codes possible
 // without touching neighbours.
 //
-// As a Code, a quaternary code is a *QString (QCodes): qed and cdqs
+// As a Code, a quaternary code is a *QString (Codes): qed and cdqs
 // accept no other form.
 type QString string
 
@@ -67,13 +67,13 @@ func CompareQStrings(a, b QString) int {
 //	between, len(l)>=len(r): same as after-last on left
 //	between, len(l)<len(r):  same as before-first on right
 func BetweenQStrings(left, right QString) (QString, error) {
-	base, suffix, err := between(left, right)
+	base, suffix, err := left.split(right)
 	return base + QString(suffix), err
 }
 
-// between is BetweenQStrings' case analysis: the new code is a prefix
-// of left or right followed by one or two digits.
-func between(left, right QString) (base QString, suffix string, err error) {
+// split is BetweenQStrings' case analysis: the new code is a prefix of
+// left or right followed by one or two digits.
+func (left QString) split(right QString) (base QString, suffix string, err error) {
 	if left != "" && !left.EndsInTwoOrThree() {
 		return "", "", fmt.Errorf("%w: left QED code %q must end in 2 or 3", ErrBadCode, left)
 	}
@@ -105,91 +105,6 @@ func between(left, right QString) (base QString, suffix string, err error) {
 		}
 		return right[:len(right)-1], "12", nil
 	}
-}
-
-// The chunks of a QCodes: each starts at its minimum and doubles, up to
-// 512 B of headers and 256 B of digits. The minimums, 128 B and 32 B,
-// are the starts that allocated least on a recovery of 64 documents
-// (docs/EXPERIMENTS.md): a labelling that is used for a few codes and
-// dropped leaves the unused end of its last chunks behind.
-const (
-	qHeadsMin, qHeadsMax   = 8, 32
-	qDigitsMin, qDigitsMax = 32, 256
-)
-
-// QCodes mints the QED codes of one labelling. *QString is the one boxed
-// form of a quaternary code — the pointer boxes as a Code for free — and
-// Between cuts both halves of it from chunks instead of allocating them
-// per code: the digits are written into an append-only string arena (a
-// strings.Builder never rewrites bytes it has handed out), the header
-// into a []QString that is replaced when full, never grown. So a code,
-// once handed out, is never written again. Each chunk starts small and
-// doubles up to its cap; a code of more than 64 digits that does not fit
-// is a string of its own. A live code keeps its two chunks reachable: at
-// most 768 B, or 512 B and itself. A QCodes serves one writer at a time
-// (the labelling's); bulk codes are not cut from it but boxed into their
-// row's own slice, which the process shares (Bulk).
-type QCodes struct {
-	digits strings.Builder
-	heads  []QString
-}
-
-// Between is BetweenQStrings on what left and right point to (nil is an
-// open end), with the result cut from the chunks.
-func (c *QCodes) Between(left, right Code) (Code, error) {
-	l, err := qstring(left)
-	if err != nil {
-		return nil, err
-	}
-	r, err := qstring(right)
-	if err != nil {
-		return nil, err
-	}
-	base, suffix, err := between(l, r)
-	if err != nil {
-		return nil, err
-	}
-	var q QString
-	switch n := len(base) + len(suffix); {
-	case n <= c.digits.Cap()-c.digits.Len():
-		q = c.cut(base, suffix)
-	case n > qDigitsMax/4:
-		// A long code that does not fit is a chunk of its own, sized as
-		// a string is, and leaves the arena's room to the short ones.
-		q = base + QString(suffix)
-	default:
-		size := max(min(2*c.digits.Cap(), qDigitsMax), qDigitsMin, n)
-		c.digits.Reset()
-		c.digits.Grow(size)
-		q = c.cut(base, suffix)
-	}
-	if len(c.heads) == cap(c.heads) {
-		c.heads = make([]QString, 0, max(min(2*cap(c.heads), qHeadsMax), qHeadsMin))
-	}
-	c.heads = append(c.heads, q)
-	return &c.heads[len(c.heads)-1], nil
-}
-
-// cut writes base+suffix behind the arena's last code and returns it.
-func (c *QCodes) cut(base QString, suffix string) QString {
-	at := c.digits.Len()
-	c.digits.WriteString(string(base))
-	c.digits.WriteString(suffix)
-	return QString(c.digits.String()[at:])
-}
-
-// qstring reads a code in the one boxed form, *QString; nil is "". A
-// QString value is refused like any foreign code, so a caller that boxes
-// one fails here rather than passing unnoticed.
-func qstring(c Code) (QString, error) {
-	if c == nil {
-		return "", nil
-	}
-	q, ok := c.(*QString)
-	if !ok {
-		return "", fmt.Errorf("%w: %T is not a quaternary code", ErrBadCode, c)
-	}
-	return *q, nil
 }
 
 // AssignCompactQStrings is the CDQS bulk assignment [16]: the n shortest

@@ -2,7 +2,9 @@ package labels
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -276,59 +278,84 @@ func TestQStreamSeparatorProperty(t *testing.T) {
 	}
 }
 
-// FuzzQCodesBetween holds QCodes to BetweenQStrings: the input spells a
-// run of insertions into one ordered sequence of codes — a byte's low
-// bits pick the gap, its top bit asks for the pair reversed, which both
-// must refuse — and after every call every code handed out so far must
-// still read what BetweenQStrings gave for it, so a write into digits or
-// a header already handed out fails here. The corpus is
-// testdata/fuzz/FuzzQCodesBetween.
+// FuzzQCodesBetween holds QCodes to BetweenQStrings (mintMatchesValues).
+// The corpus is testdata/fuzz/FuzzQCodesBetween.
 func FuzzQCodesBetween(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0x80, 1, 1, 1, 1})
 	f.Fuzz(func(t *testing.T, steps []byte) {
-		if len(steps) > 1024 {
-			steps = steps[:1024]
-		}
-		var c QCodes
-		var seq []*QString // in order
-		var want []QString // what BetweenQStrings gave for seq[i]
-		for i, b := range steps {
-			k := int(b&0x7f) % (len(seq) + 1)
-			var l, r Code // nil: an open end
-			var lq, rq QString
-			if k > 0 {
-				l, lq = seq[k-1], *seq[k-1]
-			}
-			if k < len(seq) {
-				r, rq = seq[k], *seq[k]
-			}
-			if b&0x80 != 0 {
-				l, r, lq, rq = r, l, rq, lq
-			}
-			got, err := c.Between(l, r)
-			w, werr := BetweenQStrings(lq, rq)
-			if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
-				t.Fatalf("step %d: Between(%q, %q) = %v, BetweenQStrings: %v", i, lq, rq, err, werr)
-			}
-			if err != nil {
-				if got != nil {
-					t.Fatalf("step %d: a refused Between handed out %v", i, got)
-				}
-				continue
-			}
-			q := got.(*QString)
-			if *q != w {
-				t.Fatalf("step %d: Between(%q, %q) = %q, BetweenQStrings %q", i, lq, rq, *q, w)
-			}
-			seq = slices.Insert(seq, k, q)
-			want = slices.Insert(want, k, w)
-			for j := range seq {
-				if *seq[j] != want[j] || (j > 0 && seq[j] == seq[j-1]) {
-					t.Fatalf("step %d: code %d reads %q, was handed out as %q", i, j, *seq[j], want[j])
-				}
-			}
-		}
+		mintMatchesValues(t, &QCodes{}, steps, BetweenQStrings)
 	})
+}
+
+// FuzzBitCodesBetween holds BitCodes, limited as CDBS's are, to
+// BetweenBitStrings and that limit (mintMatchesValues). The corpus is
+// testdata/fuzz/FuzzBitCodesBetween.
+func FuzzBitCodesBetween(f *testing.F) {
+	const limit = 255
+	f.Add([]byte{0, 1, 2, 3, 0x80, 1, 1, 1, 1})
+	f.Fuzz(func(t *testing.T, steps []byte) {
+		mintMatchesValues(t, &BitCodes{Max: limit}, steps, func(l, r BitString) (BitString, error) {
+			w, err := BetweenBitStrings(l, r)
+			if err == nil && len(w) > limit {
+				err = fmt.Errorf("%w: a code of %d symbols exceeds the limit of %d", ErrOverflow, len(w), limit)
+			}
+			return w, err
+		})
+	})
+}
+
+// mintMatchesValues runs steps against c: the input spells a run of
+// insertions into one ordered sequence of codes — a byte's low bits pick
+// the gap, its top bit asks for the pair reversed, which both must
+// refuse — and each result must be what values gives on the codes'
+// values, refusals included. After every call every code handed out so
+// far must still read what values gave for it, so a write into symbols
+// or a header already handed out fails here.
+func mintMatchesValues[S spelling[S], P interface {
+	*S
+	Code
+}](t *testing.T, c *Codes[S, P], steps []byte, values func(l, r S) (S, error)) {
+	if len(steps) > 1024 {
+		steps = steps[:1024]
+	}
+	var seq []P  // in order
+	var want []S // what values gave for seq[i]
+	for i, b := range steps {
+		k := int(b&0x7f) % (len(seq) + 1)
+		var l, r Code // nil: an open end
+		var lv, rv S
+		if k > 0 {
+			l, lv = seq[k-1], *seq[k-1]
+		}
+		if k < len(seq) {
+			r, rv = seq[k], *seq[k]
+		}
+		if b&0x80 != 0 {
+			l, r, lv, rv = r, l, rv, lv
+		}
+		got, err := c.Between(l, r)
+		w, werr := values(lv, rv)
+		if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
+			t.Fatalf("step %d: Between(%q, %q) = %v, on values: %v", i, lv, rv, err, werr)
+		}
+		if err != nil {
+			if got != nil {
+				t.Fatalf("step %d: a refused Between handed out %v", i, got)
+			}
+			continue
+		}
+		q := got.(P)
+		if *q != w {
+			t.Fatalf("step %d: Between(%q, %q) = %q, on values %q", i, lv, rv, *q, w)
+		}
+		seq = slices.Insert(seq, k, q)
+		want = slices.Insert(want, k, w)
+		for j := range seq {
+			if *seq[j] != want[j] || (j > 0 && seq[j] == seq[j-1]) {
+				t.Fatalf("step %d: code %d reads %q, was handed out as %q", i, j, *seq[j], want[j])
+			}
+		}
+	}
 }
 
 // TestQCodesRefusesValues: *QString is the one boxed form of a
@@ -347,31 +374,42 @@ func TestQCodesRefusesValues(t *testing.T) {
 	}
 }
 
-// TestQCodesChunkCaps pins what QCodes allocates: header chunks of 8
-// doubling to 32 (512 B), digit chunks of 32 B doubling to 256 B and
-// never more, and a string of its own for a code of more than 64 digits
-// that does not fit — which leaves the chunk to the short codes after
-// it. A labelling that mints three codes pays for eight headers and 32 B
-// of digits, not for 32 and 256.
+// TestQCodesChunkCaps pins what a Codes allocates, for quaternary and
+// binary codes alike: header chunks of 8 doubling to 32 (512 B), symbol
+// chunks of 32 B doubling to 256 B and never more — so a live code keeps
+// at most 768 B of chunks reachable — and a string of its own for a code
+// of more than 64 symbols that does not fit, which leaves the chunk to
+// the short codes after it. A labelling that mints three codes pays for
+// eight headers and 32 B of symbols, not for 32 and 256.
 func TestQCodesChunkCaps(t *testing.T) {
-	var c QCodes
+	t.Run("quaternary", func(t *testing.T) { chunkCaps(t, &QCodes{}, "2", "3") })
+	t.Run("binary", func(t *testing.T) { chunkCaps(t, &BitCodes{}, "1", "11") })
+}
+
+// chunkCaps mints into c: three codes after-last, then 400 directly
+// after lo, each a symbol longer than the last.
+func chunkCaps[S spelling[S], P interface {
+	*S
+	Code
+}](t *testing.T, c *Codes[S, P], lo, hi S) {
 	var heads, digits []int // each new chunk's capacity
 	own := 0                // codes that are strings of their own
-	mint := func(l, r QString) QString {
+	head := int(reflect.TypeFor[S]().Size())
+	mint := func(l, r S) S {
 		t.Helper()
 		var lc, rc Code
 		if l != "" {
-			lc = &l
+			lc = P(&l)
 		}
 		if r != "" {
-			rc = &r
+			rc = P(&r)
 		}
 		was := c.digits.Len()
 		code, err := c.Between(lc, rc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := code.(*QString)
+		q := code.(P)
 		if len(c.heads) == 1 {
 			heads = append(heads, cap(c.heads))
 		}
@@ -380,23 +418,24 @@ func TestQCodesChunkCaps(t *testing.T) {
 			digits = append(digits, c.digits.Cap())
 		case c.digits.Len() == was:
 			if len(*q) <= qDigitsMax/4 {
-				t.Fatalf("a %d-digit code is a string of its own", len(*q))
+				t.Fatalf("a %d-symbol code is a string of its own", len(*q))
 			}
 			own++
 		}
+		if reach := head*cap(c.heads) + c.digits.Cap(); reach > 768 {
+			t.Fatalf("chunks of %d headers and %d B of symbols keep %d B reachable", cap(c.heads), c.digits.Cap(), reach)
+		}
 		return *q
 	}
-	q := QString("")
+	var q S
 	for i := 0; i < 3; i++ {
 		q = mint(q, "")
 	}
 	if !slices.Equal(heads, []int{8}) || !slices.Equal(digits, []int{32}) {
-		t.Fatalf("three codes: header chunks %v, digit chunks %v; want [8], [32]", heads, digits)
+		t.Fatalf("three codes: header chunks %v, symbol chunks %v; want [8], [32]", heads, digits)
 	}
-	// Directly after "2", each code is a digit longer than the last.
-	hi := QString("3")
 	for i := 0; i < 400; i++ {
-		hi = mint("2", hi)
+		hi = mint(lo, hi)
 	}
 	want := []int{8, 16, 32}
 	if !slices.Equal(heads[:len(want)], want) || slices.Max(heads) != qHeadsMax || heads[len(heads)-1] != qHeadsMax {
@@ -404,14 +443,14 @@ func TestQCodesChunkCaps(t *testing.T) {
 	}
 	want = []int{32, 64, 128, 256}
 	if !slices.Equal(digits[:len(want)], want) || slices.Max(digits) != qDigitsMax {
-		t.Fatalf("digit chunks %v: want 32 doubling to %d, and never more", digits, qDigitsMax)
+		t.Fatalf("symbol chunks %v: want 32 doubling to %d, and never more", digits, qDigitsMax)
 	}
 	if own < 300 {
-		t.Fatalf("%d of the codes past 64 digits were strings of their own; want most of 336", own)
+		t.Fatalf("%d of the codes past 64 symbols were strings of their own; want most of 336", own)
 	}
 	// A short code still fits in what the long ones left.
 	was := len(digits)
-	mint(q, "")
+	mint(lo, "")
 	if len(digits) != was {
 		t.Fatalf("a short code after the long ones opened a chunk of %d", digits[len(digits)-1])
 	}

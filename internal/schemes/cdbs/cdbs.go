@@ -7,6 +7,7 @@
 package cdbs
 
 import (
+	"errors"
 	"fmt"
 
 	"xmldyn/internal/labeling"
@@ -24,10 +25,11 @@ const LengthFieldBits = 8
 // Algebra is the CDBS code algebra.
 type Algebra struct {
 	counters labels.Counters
+	codes    labels.BitCodes // what Between mints
 }
 
 // NewAlgebra returns a fresh algebra.
-func NewAlgebra() *Algebra { return &Algebra{} }
+func NewAlgebra() *Algebra { return &Algebra{codes: labels.BitCodes{Max: MaxCodeBits}} }
 
 // Name implements labels.Algebra.
 func (a *Algebra) Name() string { return "cdbs" }
@@ -58,13 +60,13 @@ func (a *Algebra) assign(n int) ([]labels.Code, error) {
 	a.counters.Assigns++
 	bs := labels.AssignCompactBitStrings(n)
 	out := make([]labels.Code, n)
-	for i, b := range bs {
-		if len(b) > MaxCodeBits {
+	for i := range bs {
+		if len(bs[i]) > MaxCodeBits {
 			a.counters.OverflowHits++
 			return nil, fmt.Errorf("%w: bulk code of %d bits exceeds the %d-bit length field",
-				labels.ErrOverflow, len(b), MaxCodeBits)
+				labels.ErrOverflow, len(bs[i]), MaxCodeBits)
 		}
-		out[i] = b
+		out[i] = &bs[i]
 	}
 	return out, nil
 }
@@ -72,41 +74,20 @@ func (a *Algebra) assign(n int) ([]labels.Code, error) {
 // Between implements labels.Algebra (the ImprovedBinary insertion rule).
 func (a *Algebra) Between(left, right labels.Code) (labels.Code, error) {
 	a.counters.Betweens++
-	l, err := toBits(left)
-	if err != nil {
-		return nil, err
-	}
-	r, err := toBits(right)
-	if err != nil {
-		return nil, err
-	}
-	m, err := labels.BetweenBitStrings(l, r)
-	if err != nil {
-		return nil, err
-	}
-	if len(m) > MaxCodeBits {
+	m, err := a.codes.Between(left, right)
+	if errors.Is(err, labels.ErrOverflow) {
 		a.counters.OverflowHits++
-		return nil, fmt.Errorf("%w: code of %d bits exceeds the %d-bit length field",
-			labels.ErrOverflow, len(m), MaxCodeBits)
 	}
-	return m, nil
+	return m, err
 }
 
 // Compare implements labels.Algebra.
 func (a *Algebra) Compare(x, y labels.Code) int {
-	return labels.CompareBitStrings(x.(labels.BitString), y.(labels.BitString))
+	return labels.CompareBitStrings(*x.(*labels.BitString), *y.(*labels.BitString))
 }
 
-func toBits(c labels.Code) (labels.BitString, error) {
-	if c == nil {
-		return "", nil
-	}
-	b, ok := c.(labels.BitString)
-	if !ok {
-		return "", fmt.Errorf("%w: %T is not a binary-string code", labels.ErrBadCode, c)
-	}
-	return b, nil
-}
+// rootCode is the root element's code, the empty string.
+var rootCode labels.BitString
 
 // New returns a CDBS prefix labeling. As in ImprovedBinary, the root
 // element carries the empty string.
@@ -115,7 +96,7 @@ func New() labeling.Interface {
 		Name:              "cdbs",
 		Algebra:           NewAlgebra(),
 		ExtraBitsPerLevel: LengthFieldBits,
-		RootCode:          labels.BitString(""),
+		RootCode:          &rootCode,
 	})
 }
 

@@ -32,6 +32,16 @@ func TestForeignCodesRejected(t *testing.T) {
 	if _, err := a.Between(nil, labels.IntCode{V: 3, Width: 8}); !errors.Is(err, labels.ErrBadCode) {
 		t.Errorf("foreign right: %v", err)
 	}
+	// *BitString is the one boxed form: a BitString value is refused too.
+	one, err := a.Between(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range [][2]labels.Code{{labels.BitString("1"), nil}, {nil, labels.BitString("1")}, {one, labels.BitString("11")}} {
+		if got, err := a.Between(pair[0], pair[1]); !errors.Is(err, labels.ErrBadCode) || got != nil {
+			t.Errorf("Between(%#v, %#v) = %v, %v; want ErrBadCode", pair[0], pair[1], got, err)
+		}
+	}
 }
 
 func TestCompareAndAssignEdge(t *testing.T) {

@@ -64,7 +64,7 @@ func TestBinaryRoundTripAfterStorm(t *testing.T) {
 		codes[k] = m
 	}
 	for _, c := range codes {
-		oc := c.(Code)
+		oc := *c.(*Code)
 		data, err := EncodeBinary(oc)
 		if err != nil {
 			t.Fatal(err)

@@ -11,6 +11,7 @@ package ordpath
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -49,7 +50,8 @@ func componentBits(v int64) (int, error) {
 // Code is one ORDPATH positional identifier: a component sequence of
 // zero or more even "caret" values followed by a terminal odd value.
 // Valid codes are prefix-free, so component-wise numeric comparison is a
-// total order.
+// total order. As a labels.Code, an ORDPATH code is a *Code (Algebra);
+// a Code value is EncodeBinary's and DecodeBinary's form.
 type Code struct {
 	comps []int64
 }
@@ -104,9 +106,21 @@ func (c Code) Bits() int {
 	return total
 }
 
-// Algebra is the ORDPATH code algebra.
+// The chunks an Algebra cuts codes from: headers 4 doubling to 16
+// (384 B), components 8 doubling to 48 (384 B), so a live code keeps at
+// most 768 B reachable, or 384 B and its own components when it has
+// more than 12 of them (labels.Cut).
+const (
+	headsMin, headsMax = 4, 16
+	compsMin, compsMax = 8, 48
+)
+
+// Algebra is the ORDPATH code algebra. *Code is the one boxed form of a
+// code; Between cuts the header from heads and the components from comps.
 type Algebra struct {
 	counters labels.Counters
+	heads    []Code
+	comps    []int64
 }
 
 // NewAlgebra returns a fresh algebra.
@@ -143,14 +157,18 @@ func (a *Algebra) assign(n int) ([]labels.Code, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	out := make([]labels.Code, n)
-	for i := 0; i < n; i++ {
-		out[i] = Code{comps: []int64{int64(2*i + 1)}}
+	out, row, comps := make([]labels.Code, n), make([]Code, n), make([]int64, n)
+	for i := range row {
+		comps[i] = int64(2*i + 1)
+		row[i] = Code{comps: comps[i : i+1 : i+1]}
+		out[i] = &row[i]
 	}
 	return out, nil
 }
 
-// Between implements labels.Algebra: the careting-in insertion.
+// Between implements labels.Algebra: the careting-in insertion. The
+// new code is spelled in a buffer on the stack and copied into the
+// chunks.
 func (a *Algebra) Between(left, right labels.Code) (labels.Code, error) {
 	a.counters.Betweens++
 	l, err := toCode(left)
@@ -161,30 +179,43 @@ func (a *Algebra) Between(left, right labels.Code) (labels.Code, error) {
 	if err != nil {
 		return nil, err
 	}
-	var m Code
+	var buf [16]int64
+	m, err := a.spell(buf[:0], l, r)
+	if err != nil {
+		return nil, err
+	}
+	h := labels.Cut(&a.heads, 1, headsMin, headsMax)
+	h[0].comps = labels.Cut(&a.comps, len(m), compsMin, compsMax)
+	copy(h[0].comps, m)
+	return &h[0], nil
+}
+
+// spell appends to dst the components of the code between l and r (a
+// zero Code is an open end), once they fit the budget.
+func (a *Algebra) spell(dst []int64, l, r Code) ([]int64, error) {
 	switch {
 	case l.comps == nil && r.comps == nil:
-		m = Code{comps: []int64{1}}
+		dst = append(dst, 1)
 	case l.comps == nil:
-		m = beforeCode(r)
+		dst = beforeCode(dst, r.comps)
 	case r.comps == nil:
-		m = afterCode(l)
+		dst = afterCode(dst, l.comps)
 	default:
-		if a.Compare(l, r) >= 0 {
+		if a.Compare(&l, &r) >= 0 {
 			return nil, fmt.Errorf("%w: %s not before %s", labels.ErrBadCode, l, r)
 		}
-		m = a.betweenCodes(l, r)
+		dst = a.betweenCodes(dst, l.comps, r.comps)
 	}
-	if err := checkBudget(m); err != nil {
+	if err := checkBudget(dst); err != nil {
 		a.counters.OverflowHits++
 		return nil, err
 	}
-	return m, nil
+	return dst, nil
 }
 
-func checkBudget(c Code) error {
+func checkBudget(comps []int64) error {
 	total := 0
-	for _, v := range c.comps {
+	for _, v := range comps {
 		b, err := componentBits(v)
 		if err != nil {
 			return err
@@ -192,66 +223,68 @@ func checkBudget(c Code) error {
 		total += b
 	}
 	if total > MaxCodeBits {
-		return fmt.Errorf("%w: ORDPATH code %s needs %d bits (budget %d)", labels.ErrOverflow, c, total, MaxCodeBits)
+		// A copy: formatting comps itself would move Between's stack
+		// buffer to the heap on every call.
+		return fmt.Errorf("%w: ORDPATH code %s needs %d bits (budget %d)",
+			labels.ErrOverflow, Code{comps: slices.Clone(comps)}, total, MaxCodeBits)
 	}
 	return nil
 }
 
-// beforeCode produces a code ordered before t: "a new node inserted to
-// the left of all existing child nodes is labelled by adding -2 to the
-// positional identifier of the left-most child node" (Figure 4's 1.1.-1).
-func beforeCode(t Code) Code {
-	v := t.comps[0]
+// beforeCode appends to dst a code ordered before t: "a new node
+// inserted to the left of all existing child nodes is labelled by adding
+// -2 to the positional identifier of the left-most child node" (Figure
+// 4's 1.1.-1).
+func beforeCode(dst, t []int64) []int64 {
+	v := t[0]
 	if v%2 != 0 {
-		return Code{comps: []int64{v - 2}}
+		return append(dst, v-2)
 	}
-	return Code{comps: []int64{v - 1}}
+	return append(dst, v-1)
 }
 
-// afterCode produces a code ordered after t: "adding two to the
+// afterCode appends to dst a code ordered after t: "adding two to the
 // positional identifier of the right-most child node" (Figure 4's 1.3.3).
-func afterCode(t Code) Code {
-	v := t.comps[0]
+func afterCode(dst, t []int64) []int64 {
+	v := t[0]
 	if v%2 != 0 {
-		return Code{comps: []int64{v + 2}}
+		return append(dst, v+2)
 	}
-	return Code{comps: []int64{v + 1}}
+	return append(dst, v+1)
 }
 
-// betweenCodes carets a new code strictly between l and r.
-func (a *Algebra) betweenCodes(l, r Code) Code {
+// betweenCodes appends to dst a code careted strictly between l and r.
+func (a *Algebra) betweenCodes(dst, l, r []int64) []int64 {
 	i := 0
-	for i < len(l.comps) && i < len(r.comps) && l.comps[i] == r.comps[i] {
+	for i < len(l) && i < len(r) && l[i] == r[i] {
 		i++
 	}
 	// Valid codes are prefix-free, so both sides still have components.
-	x, y := l.comps[i], r.comps[i]
-	common := append([]int64{}, l.comps[:i]...)
+	x, y := l[i], r[i]
+	dst = append(dst, l[:i]...)
 	switch {
 	case y-x > 1:
 		a.counters.Divisions++
 		mid := x + (y-x)/2
 		if mid%2 != 0 {
-			return Code{comps: append(common, mid)}
+			return append(dst, mid)
 		}
 		// Even midpoint: caret in and open a fresh odd level.
-		return Code{comps: append(common, mid, 1)}
+		return append(dst, mid, 1)
 	case x%2 != 0:
 		// x odd and y = x+1 even: l ends here, r continues; slide just
 		// below r's continuation.
-		tail := beforeCode(Code{comps: r.comps[i+1:]})
-		return Code{comps: append(append(common, y), tail.comps...)}
+		return beforeCode(append(dst, y), r[i+1:])
 	default:
 		// x even: l continues; slide just above l's continuation.
-		tail := afterCode(Code{comps: l.comps[i+1:]})
-		return Code{comps: append(append(common, x), tail.comps...)}
+		return afterCode(append(dst, x), l[i+1:])
 	}
 }
 
 // Compare implements labels.Algebra: component-wise numeric order.
 func (a *Algebra) Compare(p, q labels.Code) int {
-	cp := p.(Code)
-	cq := q.(Code)
+	cp := p.(*Code)
+	cq := q.(*Code)
 	n := len(cp.comps)
 	if len(cq.comps) < n {
 		n = len(cq.comps)
@@ -274,15 +307,17 @@ func (a *Algebra) Compare(p, q labels.Code) int {
 	}
 }
 
+// toCode reads a code in the one boxed form, *Code; nil is the zero
+// Code. A Code value is refused like any foreign code.
 func toCode(c labels.Code) (Code, error) {
 	if c == nil {
 		return Code{}, nil
 	}
-	oc, ok := c.(Code)
+	oc, ok := c.(*Code)
 	if !ok {
 		return Code{}, fmt.Errorf("%w: %T is not an ORDPATH code", labels.ErrBadCode, c)
 	}
-	return oc, nil
+	return *oc, nil
 }
 
 // Level counts the odd components of a full ORDPATH label: "the level or
@@ -292,7 +327,7 @@ func toCode(c labels.Code) (Code, error) {
 func Level(path []labels.Code) int {
 	level := 0
 	for _, c := range path {
-		for _, v := range c.(Code).comps {
+		for _, v := range c.(*Code).comps {
 			if v%2 != 0 {
 				level++
 			}

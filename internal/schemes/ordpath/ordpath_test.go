@@ -119,7 +119,7 @@ func TestBetweenProperty(t *testing.T) {
 			}
 			t.Fatalf("step %d: %v", i, err)
 		}
-		mc := m.(Code)
+		mc := m.(*Code)
 		if _, err := NewCode(mc.comps...); err != nil {
 			t.Fatalf("step %d: invalid grammar %s: %v", i, mc, err)
 		}
@@ -147,7 +147,7 @@ func TestOddNumberingWastesHalf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := cs[99].(Code)
+	last := cs[99].(*Code)
 	if last.comps[0] != 199 {
 		t.Errorf("last bulk component = %d, want 199", last.comps[0])
 	}
