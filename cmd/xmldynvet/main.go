@@ -4,25 +4,24 @@
 // docs/CONCURRENCY.md and docs/DURABILITY.md at compile time (see
 // docs/STATIC_ANALYSIS.md for the analyzer-by-analyzer mapping).
 //
-// Two modes share the same analyzers:
+// It runs under the go vet driver, which covers the full build graph,
+// test variants included, and caches results per package:
 //
 //	go build -o xmldynvet ./cmd/xmldynvet
-//	go vet -vettool=./xmldynvet ./...   # vet driver: full build graph, tests included
-//	go run ./cmd/xmldynvet ./...        # standalone: non-test packages, no vet driver
-//	go run ./cmd/xmldynvet -test ./...  # standalone, test variants included
+//	go vet -vettool=./xmldynvet ./...
 //
-// Under -vettool the binary speaks cmd/go's vet protocol (-flags,
-// -V=full, then one vet.cfg per package); standalone it loads
-// packages itself via `go list -export`. Diagnostics print as
-// file:line:col: message (analyzer); the exit status is 2 when any
-// diagnostic is reported. Suppress a finding by annotating the line
-// (or the line above) with
+// The binary speaks cmd/go's vet protocol (-flags, -V=full, then one
+// vet.cfg per package); any other argument prints usage and exits 2.
+// Diagnostics print as file:line:col: message (analyzer); the exit
+// status is 2 when any diagnostic is reported. Suppress a finding by
+// annotating the line (or the line above) with
 //
 //	//xmldynvet:ignore <analyzer> <justification>
 package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -45,10 +44,7 @@ var analyzers = []*analysis.Analyzer{
 }
 
 func main() {
-	args := os.Args[1:]
-	loadTests := false
-	var patterns []string
-	for _, arg := range args {
+	for _, arg := range os.Args[1:] {
 		switch {
 		case arg == "-V=full" || arg == "--V=full":
 			// cmd/go fingerprints the tool for its build cache; the
@@ -59,30 +55,23 @@ func main() {
 			// cmd/go asks which flags the tool accepts (JSON).
 			fmt.Println("[]")
 			return
-		case arg == "-test":
-			loadTests = true
 		case arg == "-help" || arg == "--help" || arg == "-h":
-			usage()
+			usage(os.Stdout)
 			return
 		case strings.HasSuffix(arg, ".cfg"):
 			os.Exit(runVet(arg))
-		case strings.HasPrefix(arg, "-"):
-			fmt.Fprintf(os.Stderr, "xmldynvet: unknown flag %s\n", arg)
-			os.Exit(2)
-		default:
-			patterns = append(patterns, arg)
 		}
 	}
-	os.Exit(runStandalone(loadTests, patterns))
+	usage(os.Stderr)
+	os.Exit(2)
 }
 
-// usage prints the analyzer roster.
-func usage() {
-	fmt.Println("xmldynvet [-test] [package patterns]   # standalone")
-	fmt.Println("go vet -vettool=$(which xmldynvet) ./...  # vet driver")
-	fmt.Println("\nanalyzers:")
+// usage prints how to run the tool and the analyzer roster.
+func usage(w io.Writer) {
+	fmt.Fprintln(w, "go vet -vettool=$(which xmldynvet) ./...")
+	fmt.Fprintln(w, "\nanalyzers:")
 	for _, a := range analyzers {
-		fmt.Printf("  %-12s %s\n", a.Name, a.Doc)
+		fmt.Fprintf(w, "  %-12s %s\n", a.Name, a.Doc)
 	}
 }
 
@@ -100,26 +89,4 @@ func runVet(cfg string) int {
 		fmt.Fprintf(os.Stderr, "%s: %s (%s)\n", fset.Position(d.Pos), d.Message, d.Analyzer)
 	}
 	return 2
-}
-
-// runStandalone loads patterns via go list and analyzes each package.
-func runStandalone(tests bool, patterns []string) int {
-	pkgs, err := analysis.LoadPatterns("", tests, patterns...)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xmldynvet: %v\n", err)
-		return 1
-	}
-	exit := 0
-	for _, pkg := range pkgs {
-		diags, err := analysis.Run(pkg, analyzers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xmldynvet: %s: %v\n", pkg.Types.Path(), err)
-			return 1
-		}
-		for _, d := range diags {
-			fmt.Fprintf(os.Stderr, "%s: %s (%s)\n", pkg.Fset.Position(d.Pos), d.Message, d.Analyzer)
-			exit = 2
-		}
-	}
-	return exit
 }

@@ -127,6 +127,9 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("recovered: %d entries (want %d), order verified\n", entries, *commits+1)
+	if entries != *commits+1 {
+		log.Fatalf("recovered %d entries, want %d", entries, *commits+1)
+	}
 
 	// Phase 3: checkpoint folds the log into a snapshot and retires the
 	// dead segments — this is what the auto-checkpointer does in the

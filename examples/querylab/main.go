@@ -37,8 +37,19 @@ func main() {
 	fmt.Println()
 	for _, ax := range axes {
 		fmt.Printf("%-20s", ax.name)
+		want, answered := "", ""
 		for _, scheme := range schemes {
-			fmt.Printf("  %-18s", evalAxis(scheme, ax.axis))
+			names, ok := evalAxis(scheme, ax.axis)
+			if !ok {
+				fmt.Printf("  %-18s", "unsupported")
+				continue
+			}
+			if answered == "" {
+				want, answered = names, scheme
+			} else if names != want {
+				log.Fatalf("%s axis: %s answers %q, %s answers %q", ax.name, scheme, names, answered, want)
+			}
+			fmt.Printf("  %-18s", cell(names))
 		}
 		fmt.Println()
 	}
@@ -46,7 +57,10 @@ func main() {
 	fmt.Println(" 'unsupported' cells are the paper's Partial XPath grades made visible)")
 }
 
-func evalAxis(scheme string, axis xmldyn.Axis) string {
+// evalAxis evaluates axis at <editor> from scheme's labels alone and
+// returns the comma-joined names of the nodes it selects; ok is false
+// when the scheme's labels cannot decide the axis.
+func evalAxis(scheme string, axis xmldyn.Axis) (names string, ok bool) {
 	doc := xmldyn.SampleBook()
 	s, err := xmldyn.Open(doc, scheme)
 	if err != nil {
@@ -57,22 +71,26 @@ func evalAxis(scheme string, axis xmldyn.Axis) string {
 	nodes, err := eng.Select(editor, axis, "")
 	if err != nil {
 		if errors.Is(err, xmldyn.ErrAxisUnsupported) {
-			return "unsupported"
+			return "", false
 		}
 		log.Fatal(err)
 	}
-	if len(nodes) == 0 {
-		return "(empty)"
-	}
-	names := ""
 	for i, n := range nodes {
 		if i > 0 {
 			names += ","
 		}
 		names += n.Name()
 	}
+	return names, true
+}
+
+// cell fits an answer into a table column.
+func cell(names string) string {
+	if names == "" {
+		return "(empty)"
+	}
 	if len(names) > 18 {
-		names = names[:15] + "..."
+		return names[:15] + "..."
 	}
 	return names
 }

@@ -47,6 +47,9 @@ func main() {
 	printLabels(s)
 	st := s.Labeling().Stats()
 	fmt.Printf("relabelled nodes: %d (QED's §4 guarantee)\n", st.Relabeled)
+	if st.Relabeled != 0 {
+		log.Fatalf("QED relabelled %d nodes, want 0", st.Relabeled)
+	}
 	if err := xmldyn.VerifyOrder(s); err != nil {
 		log.Fatal(err)
 	}
@@ -82,6 +85,9 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nreconstruction identical: %v\n", re.XML() == doc.XML())
+	if re.XML() != doc.XML() {
+		log.Fatal("reconstruction differs from the document")
+	}
 }
 
 func printLabels(s *xmldyn.Session) {

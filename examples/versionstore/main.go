@@ -28,13 +28,19 @@ type entry struct {
 
 func main() {
 	fmt.Println("== version store on a persistent scheme (qed) ==")
-	run("qed")
+	if stale, relabelled := run("qed"); stale != 0 || relabelled != 0 {
+		log.Fatalf("qed: %d stale entries and %d relabels, want 0 and 0", stale, relabelled)
+	}
 	fmt.Println()
 	fmt.Println("== the same workflow on DeweyID (not persistent) ==")
-	run("deweyid")
+	if stale, _ := run("deweyid"); stale == 0 {
+		log.Fatal("deweyid: no stale entries, want the front insertions to shift labels")
+	}
 }
 
-func run(scheme string) {
+// run replays the journal workflow under scheme and returns how many
+// journal entries went stale and how many nodes the scheme relabelled.
+func run(scheme string) (stale int, relabelled int64) {
 	doc, err := xmldyn.ParseString(
 		`<report><section>alpha</section><section>beta</section><section>gamma</section></report>`)
 	if err != nil {
@@ -71,7 +77,6 @@ func run(scheme string) {
 		current[s.Labeling().Label(n).String()] = n.Text()
 		return true
 	})
-	stale := 0
 	for _, e := range journal {
 		got, ok := current[e.label]
 		status := "ok"
@@ -84,4 +89,5 @@ func run(scheme string) {
 	st := s.Labeling().Stats()
 	fmt.Printf("  -> %d of %d journal entries stale; scheme relabelled %d nodes\n",
 		stale, len(journal), st.Relabeled)
+	return stale, st.Relabeled
 }

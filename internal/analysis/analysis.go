@@ -3,12 +3,11 @@
 // type-checked package, reporting position-anchored diagnostics. The
 // repository's invariant checkers (locksort, frozenguard, lockheld,
 // walappend, sentinelerr — see docs/STATIC_ANALYSIS.md) are built on
-// it, and cmd/xmldynvet drives them either standalone or under
-// `go vet -vettool=`.
+// it, and cmd/xmldynvet drives them under `go vet -vettool=`.
 //
 // The framework is deliberately dependency-free: it re-implements just
 // the slice of go/analysis the suite needs (Analyzer/Pass/Diagnostic,
-// a suppression-comment filter, and the loaders in load.go/vet.go) on
+// a suppression-comment filter, and the vet.cfg loader in vet.go) on
 // top of the standard library's go/ast, go/types and go/importer, so
 // the module keeps building in hermetic environments where
 // golang.org/x/tools cannot be fetched. The analyzer API mirrors
@@ -79,7 +78,7 @@ type Diagnostic struct {
 }
 
 // A Package bundles everything a Pass needs about one type-checked
-// package. The loaders in load.go, vet.go and analysistest produce it.
+// package. The loaders in vet.go and analysistest produce it.
 type Package struct {
 	// Fset maps token positions.
 	Fset *token.FileSet

@@ -20,11 +20,9 @@ type CallSite struct {
 	Call *ast.CallExpr
 }
 
-// A CallGraph indexes a package's static calls and declarations by
-// callee object.
+// A CallGraph indexes a package's static calls by callee object.
 type CallGraph struct {
 	callers map[*types.Func][]CallSite
-	decls   map[*types.Func]*ast.FuncDecl
 	// refs counts every reference to a function object, calls or not:
 	// a function whose reference count exceeds its call count escapes
 	// as a value (goroutine, callback, method value) and cannot be
@@ -32,11 +30,10 @@ type CallGraph struct {
 	refs map[*types.Func]int
 }
 
-// BuildCallGraph indexes files' function declarations and call sites.
+// BuildCallGraph indexes the call sites in files' function declarations.
 func BuildCallGraph(info *types.Info, files []*ast.File) *CallGraph {
 	g := &CallGraph{
 		callers: make(map[*types.Func][]CallSite),
-		decls:   make(map[*types.Func]*ast.FuncDecl),
 		refs:    make(map[*types.Func]int),
 	}
 	for _, f := range files {
@@ -44,9 +41,6 @@ func BuildCallGraph(info *types.Info, files []*ast.File) *CallGraph {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok {
 				continue
-			}
-			if fn, ok := info.Defs[fd.Name].(*types.Func); ok {
-				g.decls[fn] = fd
 			}
 			cur := fd
 			ast.Inspect(fd, func(n ast.Node) bool {
@@ -86,9 +80,6 @@ func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 
 // CallersOf returns the package-internal static call sites of fn.
 func (g *CallGraph) CallersOf(fn *types.Func) []CallSite { return g.callers[fn] }
-
-// DeclOf returns fn's declaration within the package, or nil.
-func (g *CallGraph) DeclOf(fn *types.Func) *ast.FuncDecl { return g.decls[fn] }
 
 // Escapes reports whether fn is referenced other than by its static
 // calls (passed as a value, launched as a goroutine, bound as a method

@@ -14,9 +14,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
 )
 
@@ -112,4 +114,30 @@ func RunVetConfig(cfgPath string, analyzers []*Analyzer) ([]Diagnostic, *token.F
 		return nil, nil, err
 	}
 	return diags, fset, nil
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+// Import implements types.Importer.
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// exportImporter returns a types.Importer that resolves source import
+// paths through importMap (test-variant packages import their
+// package-under-test's variant) and reads compiled gc export data
+// from the files map.
+func exportImporter(fset *token.FileSet, importMap, files map[string]string) types.Importer {
+	compiled := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := files[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	})
+	return importerFunc(func(path string) (*types.Package, error) {
+		if mapped, ok := importMap[path]; ok {
+			path = mapped
+		}
+		return compiled.(types.ImporterFrom).ImportFrom(path, "", 0)
+	})
 }

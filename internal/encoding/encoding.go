@@ -135,11 +135,6 @@ func pad(s string, w int) string {
 	return s + strings.Repeat(" ", w-len(s))
 }
 
-// TotalLabelBits reports the storage cost of all labels in the encoding.
-func (e *Document) TotalLabelBits() int {
-	return labeling.TotalBits(e.lab, e.doc)
-}
-
 // Reconstruct rebuilds a document from the table alone, satisfying
 // Definition 2's reconstruction requirement. Rows must be in document
 // order (Table emits them that way). Element values become single text

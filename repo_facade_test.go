@@ -120,8 +120,8 @@ func TestSnapshotTimeTravelFacade(t *testing.T) {
 	}
 }
 
-// TestSessionBatchFacade: the batch builder reached through the
-// Session alias, plus the batched workload driver.
+// TestSessionBatchFacade: the batch builder and Apply reached through
+// the Session alias.
 func TestSessionBatchFacade(t *testing.T) {
 	doc, err := ParseString(`<r><a/></r>`)
 	if err != nil {
@@ -142,21 +142,10 @@ func TestSessionBatchFacade(t *testing.T) {
 	if len(res.New) != 2 {
 		t.Fatalf("New = %d, want 2", len(res.New))
 	}
-	if _, err := ApplyBatch(s, []Op{DeleteOp(a)}); err != nil {
+	if _, err := s.Apply([]Op{DeleteOp(a)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := VerifyOrder(s); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := Open(SampleBook(), "deweyid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ApplyWorkloadBatched(s2, WorkloadSpec{Kind: WorkloadRandom, Ops: 40, Seed: 2}, 10); err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyOrder(s2); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -17,7 +17,7 @@
 // On top of the single-document session sits a concurrent repository
 // layer (NewRepository): many named labelled documents behind sharded
 // locks, queries running in parallel with per-document-serialized
-// writers, batched update transactions (Session.Batch, ApplyBatch)
+// writers, batched update transactions (Session.Batch, Session.Apply)
 // that verify document order once per batch instead of once per op,
 // atomic multi-document transactions (MultiBatch) that commit
 // across several named documents or roll back across all of them,
@@ -62,7 +62,6 @@ import (
 
 	"xmldyn/internal/core"
 	"xmldyn/internal/encoding"
-	"xmldyn/internal/figures"
 	"xmldyn/internal/labeling"
 	"xmldyn/internal/replica"
 	"xmldyn/internal/repo"
@@ -70,7 +69,6 @@ import (
 	"xmldyn/internal/update"
 	"xmldyn/internal/uql"
 	"xmldyn/internal/wal"
-	"xmldyn/internal/workload"
 	"xmldyn/internal/xmltree"
 	"xmldyn/internal/xpath"
 )
@@ -109,14 +107,6 @@ type (
 	Property = core.Property
 	// Compliance is the F/P/N grade.
 	Compliance = core.Compliance
-	// ProbeConfig sizes the framework's measurement workloads.
-	ProbeConfig = core.ProbeConfig
-	// Report carries the raw measurements behind an Assessment.
-	Report = core.Report
-	// WorkloadSpec describes an update stream (§5.1 scenarios).
-	WorkloadSpec = workload.Spec
-	// WorkloadKind names an update stream shape (WorkloadRandom etc.).
-	WorkloadKind = workload.Kind
 )
 
 // Node kinds.
@@ -143,15 +133,6 @@ const (
 	AxisFollowingSibling = xpath.AxisFollowingSibling
 	AxisPrecedingSibling = xpath.AxisPrecedingSibling
 	AxisAttribute        = xpath.AxisAttribute
-)
-
-// Workload shapes (§5.1).
-const (
-	WorkloadRandom     = workload.Random
-	WorkloadUniform    = workload.Uniform
-	WorkloadSkewed     = workload.Skewed
-	WorkloadAppendOnly = workload.AppendOnly
-	WorkloadChurn      = workload.Churn
 )
 
 // Framework properties (Figure 7 columns).
@@ -195,27 +176,13 @@ func Schemes() []string {
 	return out
 }
 
-// NewLabeling returns a fresh, unbound labeling for the named scheme.
-func NewLabeling(scheme string) (Labeling, error) {
-	s, ok := core.SchemeByName(scheme)
+// Open labels doc with the named scheme and returns an update session.
+func Open(doc *Document, scheme string) (*Session, error) {
+	sch, ok := core.SchemeByName(scheme)
 	if !ok {
 		return nil, fmt.Errorf("xmldyn: unknown scheme %q (known: %v)", scheme, Schemes())
 	}
-	return s.Factory(), nil
-}
-
-// Open labels doc with the named scheme and returns an update session.
-func Open(doc *Document, scheme string) (*Session, error) {
-	lab, err := NewLabeling(scheme)
-	if err != nil {
-		return nil, err
-	}
-	return update.NewSession(doc, lab)
-}
-
-// OpenWith labels doc with a caller-supplied labeling.
-func OpenWith(doc *Document, lab Labeling) (*Session, error) {
-	return update.NewSession(doc, lab)
+	return update.NewSession(doc, sch.Factory())
 }
 
 // Encode builds the Definition 2 encoding table over a session's
@@ -267,13 +234,6 @@ func LabelQuery(s *Session) *Engine {
 // scheme's labels cannot decide.
 var ErrAxisUnsupported = xpath.ErrUnsupported
 
-// ApplyWorkload drives a session through one of the §5.1 update
-// scenarios.
-func ApplyWorkload(s *Session, spec WorkloadSpec) error {
-	_, err := workload.Apply(s, spec)
-	return err
-}
-
 // UpdateResult summarises an ApplyUpdates run.
 type UpdateResult = uql.Result
 
@@ -289,67 +249,6 @@ func ApplyUpdates(s *Session, script string) (UpdateResult, error) {
 
 // PublishedMatrix returns the paper's Figure 7 verbatim.
 func PublishedMatrix() []Assessment { return core.PublishedMatrix() }
-
-// MeasuredMatrix evaluates every registered scheme with the framework
-// probes and returns the measured matrix rows with their reports.
-func MeasuredMatrix(cfg ProbeConfig) ([]Assessment, []*Report, error) {
-	return core.EvaluateAll(cfg)
-}
-
-// DefaultProbeConfig returns the standard probe sizes.
-func DefaultProbeConfig() ProbeConfig { return core.DefaultProbeConfig() }
-
-// EvaluateScheme measures a single scheme against the framework.
-func EvaluateScheme(name string, cfg ProbeConfig) (Assessment, *Report, error) {
-	s, ok := core.SchemeByName(name)
-	if !ok {
-		return Assessment{}, nil, fmt.Errorf("xmldyn: unknown scheme %q", name)
-	}
-	return core.Evaluate(s, cfg)
-}
-
-// RenderMatrix writes matrix rows in the Figure 7 layout.
-func RenderMatrix(w io.Writer, rows []Assessment) error {
-	return core.RenderMatrix(w, rows)
-}
-
-// Advisor types: the §5.2 selection guidance as code.
-type (
-	// Requirements captures what a repository needs from its scheme.
-	Requirements = core.Requirements
-	// Recommendation is one ranked advisor result.
-	Recommendation = core.Recommendation
-	// Profile names a built-in selection scenario.
-	Profile = core.Profile
-)
-
-// Built-in advisor profiles (§5.2's worked examples and relatives).
-const (
-	ProfileVersionControl = core.ProfileVersionControl
-	ProfileLargeDocuments = core.ProfileLargeDocuments
-	ProfileQueryHeavy     = core.ProfileQueryHeavy
-	ProfileGeneral        = core.ProfileGeneral
-)
-
-// Recommend ranks matrix rows against requirements (use
-// PublishedMatrix() rows, or MeasuredMatrix(...) rows for grades probed
-// from the live implementations).
-func Recommend(rows []Assessment, req Requirements) []Recommendation {
-	return core.Recommend(rows, req)
-}
-
-// RecommendProfile runs a named profile against the published matrix.
-func RecommendProfile(p Profile) ([]Recommendation, error) {
-	req, err := core.ProfileRequirements(p)
-	if err != nil {
-		return nil, err
-	}
-	return core.Recommend(core.PublishedMatrix(), req), nil
-}
-
-// Figure renders the paper's figure n (1-6) from the live
-// implementations.
-func Figure(n int) (string, error) { return figures.Figure(n) }
 
 // MeanLabelBits reports the average label storage cost of a session's
 // document.
@@ -399,16 +298,6 @@ var (
 	RenameOp              = update.RenameOp
 	SetAttrOp             = update.SetAttrOp
 )
-
-// ApplyBatch commits ops against a session as one transaction.
-func ApplyBatch(s *Session, ops []Op) (BatchResult, error) { return s.Apply(ops) }
-
-// ApplyWorkloadBatched drives a §5.1 scenario through batched
-// transactions of up to batchSize ops each.
-func ApplyWorkloadBatched(s *Session, spec WorkloadSpec, batchSize int) error {
-	_, err := workload.ApplyBatched(s, spec, batchSize)
-	return err
-}
 
 // --- concurrent repository ---------------------------------------------------
 

@@ -49,9 +49,6 @@ func TestSchemesRegistry(t *testing.T) {
 			t.Errorf("scheme %s missing from %v", want, names)
 		}
 	}
-	if _, err := NewLabeling("nope"); err == nil {
-		t.Error("unknown scheme accepted")
-	}
 	if _, err := Open(SampleBook(), "nope"); err == nil {
 		t.Error("Open with unknown scheme accepted")
 	}
@@ -130,52 +127,10 @@ func TestLabelQueryCapabilities(t *testing.T) {
 	}
 }
 
-func TestWorkloadFacade(t *testing.T) {
-	s, err := Open(ExampleTree(), "cdqs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ApplyWorkload(s, WorkloadSpec{Kind: WorkloadSkewed, Ops: 50, Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Labeling().Stats(); st.Relabeled != 0 {
-		t.Errorf("cdqs relabelled %d", st.Relabeled)
-	}
-}
-
 func TestMatrixFacade(t *testing.T) {
 	pub := PublishedMatrix()
 	if len(pub) != 12 {
 		t.Fatalf("published rows: %d", len(pub))
-	}
-	var sb strings.Builder
-	if err := RenderMatrix(&sb, pub); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "cdqs") {
-		t.Error("render missing cdqs")
-	}
-	cfg := DefaultProbeConfig()
-	cfg.BaseNodes, cfg.StormOps, cfg.SkewedOps, cfg.ZigzagOps, cfg.XPathNodes = 60, 60, 120, 40, 24
-	a, rep, err := EvaluateScheme("qed", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Grade(OverflowFree) != Compliance(2) { // Full
-		t.Errorf("qed overflow grade: %v (report %+v)", a.Grade(OverflowFree), *rep)
-	}
-	if _, _, err := EvaluateScheme("nope", cfg); err == nil {
-		t.Error("unknown scheme evaluated")
-	}
-}
-
-func TestFigureFacade(t *testing.T) {
-	out, err := Figure(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "1.5.2.1") {
-		t.Errorf("figure 4 via facade:\n%s", out)
 	}
 }
 
@@ -337,27 +292,5 @@ func TestSubtreeBuildersExported(t *testing.T) {
 	}
 	if !strings.Contains(doc.XML(), "<chapter>hello</chapter>") {
 		t.Fatalf("xml: %s", doc.XML())
-	}
-}
-
-func TestRecommendFacade(t *testing.T) {
-	recs, err := RecommendProfile(ProfileVersionControl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) == 0 || recs[0].Scheme != "cdqs" {
-		t.Fatalf("recommendations: %v", recs)
-	}
-	if _, err := RecommendProfile(Profile("nope")); err == nil {
-		t.Fatal("unknown profile accepted")
-	}
-	// Custom requirements through the facade.
-	custom := Recommend(PublishedMatrix(), Requirements{
-		Require: []Property{OverflowFree, CompactEncoding},
-	})
-	for _, r := range custom {
-		if r.Scheme != "cdqs" && r.Scheme != "vector" {
-			t.Errorf("unexpected scheme %s", r.Scheme)
-		}
 	}
 }
