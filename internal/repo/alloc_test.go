@@ -8,6 +8,7 @@ import (
 
 	"xmldyn/internal/update"
 	"xmldyn/internal/wal"
+	"xmldyn/internal/workload"
 	"xmldyn/internal/xmltree"
 )
 
@@ -517,6 +518,119 @@ func TestQueryAllocatesItsAnswer(t *testing.T) {
 		})
 		if allocs != float64(growth) {
 			t.Errorf("depth %d: //item allocates %v, want %d (the answer's growth to %d nodes)", depth, allocs, growth, items)
+		}
+	}
+}
+
+// recoveryDir is a checkpointed directory of docs documents of the
+// benchmark's ckpt_restart shape (96 nodes, mixed, qed) with a live log of
+// records batches on the first four: each appends eight items to a
+// document's root, or deletes eight once 24 stand, the sawtooth that
+// workload commits.
+func recoveryDir(t *testing.T, docs, records int) string {
+	t.Helper()
+	dir := t.TempDir()
+	d, err := OpenDurable(dir, DurableOptions{Sync: wal.SyncAsync, AutoCheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, trees := workload.BuildCorpus(workload.Profile{Docs: docs, Nodes: 96, Shape: workload.ShapeMixed}, 1)
+	for i, name := range names {
+		if err := d.Open(name, trees[i], "qed"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	shrinking := map[string]bool{}
+	for j := range records {
+		name := names[j%4]
+		if _, err := d.Batch(name, func(doc *xmltree.Document, b *update.Batch) error {
+			root := doc.Root()
+			var items []*xmltree.Node
+			for _, k := range root.Children() {
+				if k.Name() == "item" {
+					items = append(items, k)
+				}
+			}
+			shrinking[name] = len(items) >= 24 || shrinking[name] && len(items) > 0
+			for i := range 8 {
+				if shrinking[name] {
+					b.Delete(items[len(items)-1-i])
+				} else {
+					b.AppendChild(root, "item")
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// recoveryAllocs is what one recovery of dir allocates, the mean of
+// runs. testing.AllocsPerRun would run it at GOMAXPROCS 1, and so at one
+// worker.
+func recoveryAllocs(t *testing.T, dir string, serial bool) float64 {
+	t.Helper()
+	once := func() {
+		c := &durableCore{dir: dir, opts: DurableOptions{AutoCheckpointBytes: -1}, serialRecovery: serial}
+		if err := c.recover(nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.log.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	once()
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		once()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / runs
+}
+
+// TestRecoveryAllocatesWhatItRebuilds: a recovery allocates, for each
+// document, what the document is — its file handle, slab, session,
+// labelling and label map — and for each replayed record what the record
+// creates, on the parallel worker pool and on the serial one alike. The
+// slopes are measured on directories that differ only in document count,
+// then only in record count:
+//   - at most 26 a document (22.4 measured; 30.4 while the loader
+//     stat'ed every file into a fresh buffer, both directory listings
+//     made an entry object for every file, the manifest copied every
+//     name and file, and a document and its labelling each made an
+//     object that was thrown away);
+//   - at most 2.25 a replayed record (1.75 measured; 3.75 on the
+//     parallel pool and 2.75 on the serial one while routing copied the
+//     record's name and a lane's payload was a copy of its own).
+func TestRecoveryAllocatesWhatItRebuilds(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	const fewDocs, manyDocs, fewRecords, manyRecords = 16, 48, 48, 240
+	base := recoveryDir(t, fewDocs, fewRecords)
+	moreDocs := recoveryDir(t, manyDocs, fewRecords)
+	moreRecords := recoveryDir(t, fewDocs, manyRecords)
+	for _, serial := range []bool{false, true} {
+		at := recoveryAllocs(t, base, serial)
+		perDoc := (recoveryAllocs(t, moreDocs, serial) - at) / (manyDocs - fewDocs)
+		perRecord := (recoveryAllocs(t, moreRecords, serial) - at) / (manyRecords - fewRecords)
+		t.Logf("serial %v: %.0f allocs for %d documents and %d records; %.2f a document, %.2f a record",
+			serial, at, fewDocs, fewRecords, perDoc, perRecord)
+		if perDoc > 26 {
+			t.Errorf("serial %v: a recovery allocates %.2f a document, want <= 26", serial, perDoc)
+		}
+		if perRecord > 2.25 {
+			t.Errorf("serial %v: a recovery allocates %.2f a replayed record, want <= 2.25", serial, perRecord)
 		}
 	}
 }

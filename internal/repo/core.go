@@ -22,6 +22,7 @@
 package repo
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"math"
@@ -104,7 +105,9 @@ func (c *durableCore) recover(loaded func(*Repository, store.Manifest)) error {
 	if loaded != nil {
 		loaded(r, man)
 	}
-	info, err := wal.ReplayPartitioned(c.dir, man.WALFirst, workers, routeRecord, func(payload []byte) error {
+	info, err := wal.ReplayPartitioned(c.dir, man.WALFirst, workers, func(payload []byte) (wal.Dispatch, error) {
+		return routeRecord(r, payload)
+	}, func(payload []byte) error {
 		return applyRecord(r, payload)
 	})
 	if err != nil {
@@ -141,6 +144,7 @@ func loadDocSnaps(dir string, r *Repository, docs []store.ManifestDoc, workers i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var buf bytes.Buffer // the worker's read buffer, from file to file
 			for {
 				mu.Lock()
 				i := next
@@ -150,7 +154,7 @@ func loadDocSnaps(dir string, r *Repository, docs []store.ManifestDoc, workers i
 				if stop {
 					return
 				}
-				if err := loadDocSnap(dir, r, docs[i]); err != nil {
+				if err := loadDocSnap(dir, r, docs[i], &buf); err != nil {
 					mu.Lock()
 					firstErr = cmp.Or(firstErr, err)
 					mu.Unlock()
@@ -163,13 +167,20 @@ func loadDocSnaps(dir string, r *Repository, docs []store.ManifestDoc, workers i
 	return firstErr
 }
 
-// loadDocSnap loads one manifest entry's snapshot file into r.
-func loadDocSnap(dir string, r *Repository, e store.ManifestDoc) error {
-	data, err := os.ReadFile(filepath.Join(dir, e.File))
+// loadDocSnap loads one manifest entry's snapshot file into r, reading it
+// into buf. The document keeps nothing of buf — UnmarshalDocSnap and
+// DecodeDocTree copy out what they keep — so the next file reuses it.
+func loadDocSnap(dir string, r *Repository, e store.ManifestDoc, buf *bytes.Buffer) error {
+	f, err := os.Open(filepath.Join(dir, e.File))
+	if err == nil {
+		buf.Reset()
+		_, err = buf.ReadFrom(f)
+		f.Close()
+	}
 	if err != nil {
 		return fmt.Errorf("snapshot %s: %v", e.File, err)
 	}
-	snap, err := store.UnmarshalDocSnap(data)
+	snap, err := store.UnmarshalDocSnap(buf.Bytes())
 	if err != nil {
 		return fmt.Errorf("snapshot %s: %v", e.File, err)
 	}
@@ -185,14 +196,17 @@ func loadDocSnap(dir string, r *Repository, e store.ManifestDoc) error {
 // routeRecord partitions a WAL record for parallel replay without
 // decoding its body: per-document records route by the document name
 // parseRecord slices out of them — into a record that never leaves this
-// stack frame, the name its one allocation — and RecMulti, the only
-// record touching several documents, is a barrier unparsed. Malformed
-// payloads fall through to applyRecord's error reporting via a serial
-// barrier, so parallel and serial replay reject the same logs.
-func routeRecord(payload []byte) (wal.Dispatch, error) {
+// stack frame — resolved against r, the recovering repository, so the
+// key of a record whose document is open is that document's own string
+// and only a name a RecOpen still queued on a lane introduces is copied.
+// RecMulti, the only record touching several documents, is a barrier
+// unparsed. Malformed payloads fall through to applyRecord's error
+// reporting via a serial barrier, so parallel and serial replay reject
+// the same logs.
+func routeRecord(r *Repository, payload []byte) (wal.Dispatch, error) {
 	if len(payload) > 0 && payload[0] != RecMulti {
 		var one [1]recordPart
-		if rec, err := parseRecord(payload, one[:0], nil); err == nil {
+		if rec, err := parseRecord(payload, one[:0], r); err == nil {
 			return wal.Dispatch{Key: rec.parts[0].name}, nil
 		}
 	}
@@ -262,11 +276,16 @@ func applyRecord(r *Repository, payload []byte) error {
 // the fresh state. Files outside the layout are never touched. Every
 // dead file is attempted; the first removal error is returned.
 func sweepDir(dir string, live *store.Manifest) error {
-	entries, err := os.ReadDir(dir)
+	d, err := os.Open(dir)
+	if os.IsNotExist(err) {
+		return nil
+	}
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
+		return err
+	}
+	names, err := d.Readdirnames(-1) // names only: no entry object, no sorted copy
+	d.Close()
+	if err != nil {
 		return err
 	}
 	keep := map[string]bool{}
@@ -279,8 +298,7 @@ func sweepDir(dir string, live *store.Manifest) error {
 		}
 	}
 	var firstErr error
-	for _, e := range entries {
-		name := e.Name()
+	for _, name := range names {
 		idx, isSeg := wal.ParseSegmentName(name)
 		dead := false
 		switch {

@@ -101,7 +101,11 @@ func fuzzBase(f *testing.F) (template string, seeds [][]byte) {
 // FuzzParseRecord feeds arbitrary payloads to the record codec. It must
 // never panic; appendRecord must reproduce every payload parseRecord
 // accepts byte for byte; and routeRecord must route by the parsed name,
-// with a barrier exactly for RecMulti and for what does not parse.
+// with a barrier exactly for RecMulti and for what does not parse —
+// the same key and the same barrier whether it resolves the name against
+// no repository or against one with the record's documents open. Routing
+// a record whose document is open allocates nothing: the key is that
+// document's own string.
 func FuzzParseRecord(f *testing.F) {
 	_, seeds := fuzzBase(f)
 	for _, s := range seeds {
@@ -112,11 +116,39 @@ func FuzzParseRecord(f *testing.F) {
 	overflow := append(bytes.Repeat([]byte{0xFF}, 9), 0x7F)
 	f.Add(append([]byte{RecBatch}, overflow...))
 	f.Add(append([]byte{RecMulti}, overflow...))
+	// withOpen is a repository holding a document of each name rec parts.
+	withOpen := func(t testing.TB, rec record) *Repository {
+		r := New(Options{})
+		for _, p := range rec.parts {
+			if _, err := r.Open(p.name, mustParse(t, "<r/>"), "qed"); err != nil && !errors.Is(err, ErrEmptyName) {
+				t.Fatal(err)
+			}
+		}
+		return r
+	}
+	// seeds[1] is a RecBatch for "books", seeds[3] a RecDrop for "feeds".
+	for _, seed := range [][]byte{seeds[1], seeds[3]} {
+		rec, err := parseRecord(seed, nil, nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		r := withOpen(f, rec)
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := routeRecord(r, seed); err != nil {
+				f.Fatal(err)
+			}
+		}); allocs != 0 {
+			f.Errorf("routing a record for open document %q allocates %.1f, want 0", rec.parts[0].name, allocs)
+		}
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		rec, err := parseRecord(payload, nil, nil)
-		route, rerr := routeRecord(payload)
+		route, rerr := routeRecord(nil, payload)
 		if rerr != nil {
 			t.Fatalf("routeRecord failed: %v", rerr)
+		}
+		if again, aerr := routeRecord(withOpen(t, rec), payload); aerr != nil || again != route {
+			t.Fatalf("routed to %+v with no repository, to %+v (%v) with the record's documents open", route, again, aerr)
 		}
 		if err != nil || rec.kind == RecMulti {
 			if !route.Barrier {

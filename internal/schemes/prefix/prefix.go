@@ -44,9 +44,9 @@ type Labeling struct {
 	stats labeling.Stats
 }
 
-// New returns an unbound prefix labeling.
+// New returns an unbound prefix labeling; Build makes its code map.
 func New(cfg Config) *Labeling {
-	return &Labeling{cfg: cfg, codes: make(map[*xmltree.Node]labels.Code)}
+	return &Labeling{cfg: cfg}
 }
 
 // Name implements labeling.Interface.

@@ -120,14 +120,18 @@ func UnmarshalManifest(data []byte) (Manifest, error) {
 	}
 	seen := make(map[string]bool, count)
 	m.Docs = make([]ManifestDoc, 0, count)
+	text := string(data) // every name and file is a cut of this one copy
 	for i := uint64(0); i < count; i++ {
 		var d ManifestDoc
-		if d.Name, pos, err = readString(data, pos); err != nil {
+		var name, file []byte
+		if name, pos, err = readBytes(data, pos); err != nil {
 			return m, err
 		}
-		if d.File, pos, err = readString(data, pos); err != nil {
+		d.Name = text[pos-len(name) : pos]
+		if file, pos, err = readBytes(data, pos); err != nil {
 			return m, err
 		}
+		d.File = text[pos-len(file) : pos]
 		g, n, err := labels.DecodeLEB128(data[pos:])
 		if err != nil {
 			return m, fmt.Errorf("%w: entry generation: %v", ErrCorrupt, err)

@@ -35,6 +35,10 @@ type Dispatch struct {
 	Barrier bool
 }
 
+// laneChunk is the size of the chunks lane payloads are copied into, so
+// that one allocation serves many records.
+const laneChunk = 32 << 10
+
 // laneJob is one unit of lane work: a record payload to apply, or —
 // when flush is non-nil — a drain marker the lane acknowledges.
 type laneJob struct {
@@ -76,7 +80,10 @@ func (p *partitionState) first() error {
 //     route never runs concurrently at all (it is called on the
 //     dispatching goroutine in log order — it must be cheap and must
 //     not retain the payload, which is reused between calls);
-//   - the payload slice passed to apply is private to that call.
+//   - on a lane, the payload apply receives is a window of a chunk of
+//     laneChunk bytes, cut to its length and capacity, that nothing
+//     writes again; a barrier's is Replay's, reused between records, as
+//     is every payload with workers <= 1.
 //
 // The first error from route or apply stops dispatch; remaining queued
 // records are drained without applying and the error is returned.
@@ -132,6 +139,7 @@ func ReplayPartitioned(dir string, first uint64, workers int, route func(payload
 		return lanes[h.Sum32()%uint32(len(lanes))]
 	}
 
+	var chunk []byte // the lane payloads are cut from it
 	info, err := Replay(dir, first, func(payload []byte) error {
 		if err := state.first(); err != nil {
 			return err // a lane already failed: stop reading the log
@@ -147,9 +155,16 @@ func ReplayPartitioned(dir string, first uint64, workers int, route func(payload
 			}
 			return apply(payload)
 		}
-		// Replay reuses its payload buffer between callbacks; the lane
-		// applies asynchronously, so it needs its own copy.
-		laneFor(d.Key) <- laneJob{payload: append([]byte(nil), payload...)}
+		// Replay reuses its payload buffer between callbacks and the lane
+		// applies asynchronously, so the lane gets a copy: a window of the
+		// current chunk, which is never reused — a full one is left to the
+		// lanes still reading it — or a slice of its own past laneChunk.
+		if len(payload) > cap(chunk)-len(chunk) {
+			chunk = make([]byte, 0, max(laneChunk, len(payload)))
+		}
+		at := len(chunk)
+		chunk = append(chunk, payload...)
+		laneFor(d.Key) <- laneJob{payload: chunk[at:len(chunk):len(chunk)]}
 		return nil
 	})
 

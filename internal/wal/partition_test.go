@@ -84,6 +84,67 @@ func TestReplayPartitionedPreservesPerKeyOrder(t *testing.T) {
 	}
 }
 
+// A lane payload is apply's to keep: apply holds on to every one and
+// scribbles over whatever capacity it has past its end, and at the end
+// every kept payload still spells the record that was logged — no later
+// record was copied over it and no neighbour's scribble reached it —
+// with its capacity cut to its length. The records fill several chunks,
+// and one is larger than a chunk.
+func TestReplayPartitionedLanePayloadsAreKept(t *testing.T) {
+	var records []string
+	for i := range 2000 {
+		records = append(records, fmt.Sprintf("k%d:%d:%s", i%5, i, strings.Repeat("x", i%50)))
+		if i == 1000 {
+			records = append(records, "k1:big:"+strings.Repeat("y", laneChunk+100))
+		}
+	}
+	dir := t.TempDir()
+	l, err := Create(dir, 1, Options{SegmentBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range records {
+		if err := l.Append([]byte(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	var kept [][]byte
+	clipped := true
+	if _, err := ReplayPartitioned(dir, 1, 4, routeByPrefix, func(payload []byte) error {
+		for i, full := len(payload), payload[:cap(payload)]; i < len(full); i++ {
+			full[i] = '#'
+		}
+		mu.Lock()
+		kept = append(kept, payload)
+		clipped = clipped && cap(payload) == len(payload)
+		mu.Unlock()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !clipped {
+		t.Error("a lane payload has capacity past its length")
+	}
+	logged := map[string]bool{}
+	for _, r := range records {
+		logged[r] = true
+	}
+	for _, p := range kept {
+		if !logged[string(p)] {
+			t.Fatalf("a kept payload no longer spells a logged record: %.40q…", p)
+		}
+		delete(logged, string(p))
+	}
+	if len(kept) != len(records) || len(logged) != 0 {
+		t.Fatalf("kept %d payloads of %d records, %d records never seen", len(kept), len(records), len(logged))
+	}
+}
+
 // A barrier record observes every earlier record and precedes every
 // later one, regardless of which lanes they ride.
 func TestReplayPartitionedBarrierOrdering(t *testing.T) {

@@ -9,7 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 )
 
 // ReplayInfo summarises a Replay pass over a segment set.
@@ -132,20 +132,25 @@ func requireRecordFree(path string) error {
 // checkpoint retired; the repository deletes them as orphans). A
 // missing first segment or a gap is ErrMissingSegment.
 func listSegments(dir string, first uint64) ([]uint64, error) {
-	entries, err := os.ReadDir(dir)
+	d, err := os.Open(dir)
+	if err != nil {
+		return nil, err
+	}
+	names, err := d.Readdirnames(-1) // names only: no entry object, no sorted copy
+	d.Close()
 	if err != nil {
 		return nil, err
 	}
 	var indices []uint64
-	for _, e := range entries {
-		if idx, ok := ParseSegmentName(e.Name()); ok && idx >= first {
+	for _, name := range names {
+		if idx, ok := ParseSegmentName(name); ok && idx >= first {
 			indices = append(indices, idx)
 		}
 	}
 	if len(indices) == 0 {
 		return nil, fmt.Errorf("%w: no segment at or above %s", ErrMissingSegment, SegmentName(first))
 	}
-	sort.Slice(indices, func(i, j int) bool { return indices[i] < indices[j] })
+	slices.Sort(indices)
 	if indices[0] != first {
 		return nil, fmt.Errorf("%w: first live segment %s missing (lowest present: %s)",
 			ErrMissingSegment, SegmentName(first), SegmentName(indices[0]))

@@ -9,9 +9,15 @@ type Document struct {
 	published bool  // PublishVersion has run (persist.go)
 }
 
-// NewDocument returns an empty document.
+// NewDocument returns an empty document, allocated with its document
+// node.
 func NewDocument() *Document {
-	return &Document{node: &Node{kind: KindDocument}}
+	both := &struct {
+		doc  Document
+		node Node
+	}{node: Node{kind: KindDocument}}
+	both.doc.node = &both.node
+	return &both.doc
 }
 
 // NewDocumentWithRoot returns a document whose root element is root.
