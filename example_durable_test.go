@@ -185,7 +185,11 @@ func ExampleDurableRepository_Checkpoint() {
 		log.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := r.Update("ledger", xmldyn.AppendChildOp(doc.Root(), "entry")); err != nil {
+		_, err := r.Batch("ledger", func(doc *xmldyn.Document, b *xmldyn.Batch) error {
+			b.AppendChild(doc.Root(), "entry")
+			return nil
+		})
+		if err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -97,7 +97,7 @@ func ExampleQuery() {
 func ExampleRepository_Snapshot() {
 	r := xmldyn.NewRepository(xmldyn.RepoOptions{})
 	doc, _ := xmldyn.ParseString("<shelf><book/></shelf>")
-	if _, err := r.Open("books", doc, "qed"); err != nil {
+	if err := r.Open("books", doc, "qed"); err != nil {
 		log.Fatal(err)
 	}
 
@@ -108,8 +108,9 @@ func ExampleRepository_Snapshot() {
 	defer snap.Close()
 
 	// A writer commits after the pin...
-	if _, err := r.Batch("books", []xmldyn.Op{
-		xmldyn.AppendChildOp(doc.Root(), "book"),
+	if _, err := r.Batch("books", func(doc *xmldyn.Document, b *xmldyn.Batch) error {
+		b.AppendChild(doc.Root(), "book")
+		return nil
 	}); err != nil {
 		log.Fatal(err)
 	}

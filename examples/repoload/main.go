@@ -44,24 +44,21 @@ func main() {
 	// Writer names drive the reader queries; with no writers the
 	// readers query a name no writer uses (and never divide by zero).
 	wmod := max(*writers, 1)
-	r := xmldyn.NewRepository(xmldyn.RepoOptions{Shards: 4})
+	r := xmldyn.NewRepository(xmldyn.RepoOptions{})
 	for _, c := range catalogue {
 		doc, err := xmldyn.ParseString("<root/>")
 		if err != nil {
 			log.Fatal(err)
 		}
-		d, err := r.Open(c.name, doc, c.scheme)
-		if err != nil {
+		if err := r.Open(c.name, doc, c.scheme); err != nil {
 			log.Fatal(err)
 		}
 		// Seed each document with some content in one batch.
-		err = d.Update(func(s *xmldyn.Session) error {
-			b := s.Batch()
+		_, err = r.Batch(c.name, func(doc *xmldyn.Document, b *xmldyn.Batch) error {
 			for i := 0; i < 20; i++ {
-				b.AppendChild(s.Document().Root(), fmt.Sprintf("item%d", i%4))
+				b.AppendChild(doc.Root(), fmt.Sprintf("item%d", i%4))
 			}
-			_, err := b.Commit()
-			return err
+			return nil
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -82,25 +79,25 @@ func main() {
 			defer wg.Done()
 			name := catalogue[w%len(catalogue)].name
 			for i := 0; i < *opsPerWriter; i++ {
-				err := r.Update(name, func(s *xmldyn.Session) error {
-					root := s.Document().Root()
-					b := s.Batch()
+				// One transaction: the build queues ops against the
+				// locked tree, and the commit verifies order once.
+				res, err := r.Batch(name, func(doc *xmldyn.Document, b *xmldyn.Batch) error {
+					root := doc.Root()
 					for j := 0; j < *batchSize; j++ {
 						b.AppendChild(root, fmt.Sprintf("w%d", w))
 					}
 					if kids := root.Children(); len(kids) > 60 {
 						b.Delete(kids[0])
 					}
-					n, err := b.Commit() // a failed commit ends the run below
-					for _, created := range n.New {
-						if created != nil {
-							atomic.AddInt64(&batch, 1)
-						}
-					}
-					return err
+					return nil
 				})
 				if err != nil {
 					log.Fatalf("writer %d: %v", w, err)
+				}
+				for _, created := range res.New {
+					if created != nil {
+						atomic.AddInt64(&batch, 1)
+					}
 				}
 				atomic.AddInt64(&commits, 1)
 			}
@@ -141,10 +138,15 @@ func main() {
 	fmt.Printf("writers:    %d batch commits, %d nodes inserted\n", commits, batch)
 	fmt.Printf("readers:    %d queries, %d nodes matched\n", queries, hits)
 	for _, c := range catalogue {
-		d, _ := r.Get(c.name)
-		ctr := d.Counters()
-		fmt.Printf("  %-9s %-8s batches=%-4d verifies=%-4d full=%-3d inserts=%-5d deletes=%d\n",
-			c.name, c.scheme, ctr.Batches, ctr.Verifies, ctr.FullVerifies, ctr.Inserts, ctr.Deletes)
+		err := r.View(c.name, func(s *xmldyn.Session) error {
+			ctr := s.Counters()
+			fmt.Printf("  %-9s %-8s batches=%-4d verifies=%-4d full=%-3d inserts=%-5d deletes=%d\n",
+				c.name, c.scheme, ctr.Batches, ctr.Verifies, ctr.FullVerifies, ctr.Inserts, ctr.Deletes)
+			return nil
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	// The whole repository round-trips through one image: every

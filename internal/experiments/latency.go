@@ -115,7 +115,7 @@ func runC14(skew float64, docs, phaseOps int, seed int64) (*harness.Recorder, er
 	r := repo.New(repo.Options{})
 	names, trees := workload.BuildCorpus(workload.Profile{Docs: docs, Nodes: 96, Shape: workload.ShapeMixed}, seed)
 	for i, name := range names {
-		if _, err := r.Open(name, trees[i], "qed"); err != nil {
+		if err := r.Open(name, trees[i], "qed"); err != nil {
 			return nil, err
 		}
 	}
@@ -153,12 +153,7 @@ func runC14(skew float64, docs, phaseOps int, seed int64) (*harness.Recorder, er
 					return
 				default:
 				}
-				d, ok := r.Get(names[picker.Next()])
-				if !ok {
-					fail(fmt.Errorf("writer lost its document"))
-					return
-				}
-				if err := sawtoothCommit(d); err != nil {
+				if err := sawtoothCommit(r, names[picker.Next()]); err != nil {
 					fail(err)
 					return
 				}
@@ -190,12 +185,7 @@ func runC14(skew float64, docs, phaseOps int, seed int64) (*harness.Recorder, er
 				snap.Close()
 			}
 		case workload.OpBatch:
-			d, ok := r.Get(name)
-			if !ok {
-				err = fmt.Errorf("driver lost %q", name)
-				break
-			}
-			err = rec.Time(ev.Kind.String(), func() error { return sawtoothCommit(d) })
+			err = rec.Time(ev.Kind.String(), func() error { return sawtoothCommit(r, name) })
 		case workload.OpMultiBatch:
 			other := names[ev.Doc2]
 			err = rec.Time(ev.Kind.String(), func() error {
@@ -237,11 +227,10 @@ func runC14(skew float64, docs, phaseOps int, seed int64) (*harness.Recorder, er
 // children, then deletes the same tail back down — the label-stable
 // writer shape (append-and-trim-front grows QED labels without bound and
 // would contaminate the latency measurement).
-func sawtoothCommit(d *repo.Doc) error {
-	return d.Update(func(s *update.Session) error {
-		root := s.Document().Root()
+func sawtoothCommit(r *repo.Repository, name string) error {
+	_, err := r.Batch(name, func(doc *xmltree.Document, bt *update.Batch) error {
+		root := doc.Root()
 		kids := root.Children()
-		bt := s.Batch()
 		items := 0
 		for _, k := range kids {
 			if k.Name() == "item" {
@@ -261,7 +250,7 @@ func sawtoothCommit(d *repo.Doc) error {
 				bt.AppendChild(root, "item")
 			}
 		}
-		_, err := bt.Commit()
-		return err
+		return nil
 	})
+	return err
 }

@@ -22,8 +22,8 @@ import (
 //     flat document costs the same at any width and a deep chain costs
 //     O(depth).
 //
-// Auto-verify is switched off so the numbers measure the version
-// machinery, not the per-commit order verification walk.
+// Every commit verifies order, but a rename changes no label adjacency,
+// so the numbers measure the version machinery.
 
 // allocRepo builds a repository holding one document parsed from xml,
 // with versioning activated and the lazy paths warmed, plus a write
@@ -31,13 +31,12 @@ import (
 // that still supersedes the published version).
 func allocRepo(t *testing.T, xml string, navigate func(*xmltree.Document) *xmltree.Node) (*Repository, func()) {
 	t.Helper()
-	off := false
-	r := New(Options{AutoVerify: &off})
+	r := New(Options{})
 	doc, err := xmltree.ParseString(xml)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Open("a", doc, "qed"); err != nil {
+	if err := r.Open("a", doc, "qed"); err != nil {
 		t.Fatal(err)
 	}
 	flip := false
@@ -47,8 +46,9 @@ func allocRepo(t *testing.T, xml string, navigate func(*xmltree.Document) *xmltr
 		if flip {
 			name = "tb"
 		}
-		if err := r.Update("a", func(s *update.Session) error {
-			return s.Rename(navigate(s.Document()), name)
+		if _, err := r.Batch("a", func(doc *xmltree.Document, b *update.Batch) error {
+			b.Rename(navigate(doc), name)
+			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func TestCommitPublishAllocsSpineBounded(t *testing.T) {
 // TestVerifiedCommitAllocsIndependentOfSize: an 8-op sawtooth batch —
 // four appends, four deletes of the previous batch's appends — costs
 // the same number of allocations on a flat document of 200 nodes and of
-// 20 000. Unlike the guards above, this one leaves auto-verify on,
+// 20 000. Unlike the guards above, this one inserts and deletes,
 // because the verification is what it guards: the commit-time check
 // compares only the adjacencies the batch created (update.Session's
 // verifyCommitted), where the full pass it replaced materialised every
@@ -189,14 +189,12 @@ func TestVerifiedCommitAllocsIndependentOfSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := r.Open("a", doc, "qed")
-		if err != nil {
+		if err := r.Open("a", doc, "qed"); err != nil {
 			t.Fatal(err)
 		}
 		commit := func() {
-			if err := d.Update(func(s *update.Session) error {
-				root := s.Document().Root()
-				b := s.Batch()
+			if _, err := r.Batch("a", func(doc *xmltree.Document, b *update.Batch) error {
+				root := doc.Root()
 				for i := 0; i < 4; i++ {
 					b.AppendChild(root, "item")
 				}
@@ -206,8 +204,7 @@ func TestVerifiedCommitAllocsIndependentOfSize(t *testing.T) {
 						b.Delete(k)
 					}
 				}
-				_, err := b.Commit()
-				return err
+				return nil
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -217,7 +214,7 @@ func TestVerifiedCommitAllocsIndependentOfSize(t *testing.T) {
 		commit()
 		commit()
 		allocs[w] = testing.AllocsPerRun(50, commit)
-		if c := d.Counters(); c.FullVerifies != 1 || c.Verifies != c.Batches {
+		if c := counters(t, r, "a"); c.FullVerifies != 1 || c.Verifies != c.Batches {
 			t.Fatalf("width %d: %d commits, %d verified, %d by the full pass; want every commit verified and one full pass",
 				w, c.Batches, c.Verifies, c.FullVerifies)
 		}
@@ -334,23 +331,25 @@ func TestCommitCarriersAllocNothing(t *testing.T) {
 	allocs := map[string]map[int]float64{"Repository.Batch": {}, "DurableRepository.Batch": {}, grouped: {}, "applyRecord": {}}
 	for _, k := range []int{4, 64} {
 		r := New(Options{})
-		if _, err := r.Open("carriers", carrierDoc(t), "qed"); err != nil {
+		if err := r.Open("carriers", carrierDoc(t), "qed"); err != nil {
 			t.Fatal(err)
 		}
-		var ops []update.Op
 		var payload []byte
 		if err := r.View("carriers", func(s *update.Session) error {
 			b := s.Batch()
 			carrierOps(s.Document(), b, k)
-			ops = b.Ops()
-			enc, err := update.EncodeOps(s.Document(), ops)
+			enc, err := update.EncodeOps(s.Document(), b.Ops())
 			payload = appendRecord(nil, record{kind: RecBatch, parts: []recordPart{{"carriers", enc}}})
 			return err
 		}); err != nil {
 			t.Fatal(err)
 		}
+		build := func(doc *xmltree.Document, b *update.Batch) error {
+			carrierOps(doc, b, k)
+			return nil
+		}
 		commit := func() {
-			if _, err := r.Batch("carriers", ops); err != nil {
+			if _, err := r.Batch("carriers", build); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -367,10 +366,7 @@ func TestCommitCarriersAllocNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			durable := func() {
-				if _, err := d.Batch("carriers", func(doc *xmltree.Document, b *update.Batch) error {
-					carrierOps(doc, b, k)
-					return nil
-				}); err != nil {
+				if _, err := d.Batch("carriers", build); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -418,10 +414,8 @@ func TestCommitAllocatesWhatItCreates(t *testing.T) {
 	const inserts = 16
 	r := New(Options{})
 	names := []string{"left", "right"}
-	docs := map[string]*xmltree.Document{}
 	for _, name := range names {
-		docs[name] = carrierDoc(t)
-		if _, err := r.Open(name, docs[name], "qed"); err != nil {
+		if err := r.Open(name, carrierDoc(t), "qed"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -431,17 +425,15 @@ func TestCommitAllocatesWhatItCreates(t *testing.T) {
 	// paper's skewed case — and past 256 digits each is a chunk of its
 	// own.)
 	rng := rand.New(rand.NewSource(1))
-	queue := func(doc *xmltree.Document, ops []update.Op) []update.Op {
+	queue := func(doc *xmltree.Document, b *update.Batch) error {
 		kids := doc.Root().Children()
 		for range inserts {
-			ops = append(ops, update.InsertAfterOp(kids[rng.Intn(len(kids))], "n"))
+			b.InsertAfter(kids[rng.Intn(len(kids))], "n")
 		}
-		return ops
+		return nil
 	}
-	var ops []update.Op
 	single := func() {
-		ops = queue(docs["left"], ops[:0])
-		if _, err := r.Batch("left", ops); err != nil {
+		if _, err := r.Batch("left", queue); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -455,9 +447,8 @@ func TestCommitAllocatesWhatItCreates(t *testing.T) {
 	multi := func() {
 		if _, err := r.MultiBatch(names, func(m map[string]*MultiDoc) error {
 			for _, name := range names {
-				ops = queue(m[name].Document(), ops[:0])
-				for _, op := range ops {
-					m[name].Batch().Add(op)
+				if err := queue(m[name].Document(), m[name].Batch()); err != nil {
+					return err
 				}
 			}
 			return nil
@@ -503,7 +494,7 @@ func TestQueryAllocatesItsAnswer(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := New(Options{})
-		if _, err := r.Open("a", doc, "qed"); err != nil {
+		if err := r.Open("a", doc, "qed"); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(50, func() {

@@ -13,16 +13,16 @@ import (
 )
 
 // TestConcurrentReadersWriters drives parallel readers (queries and
-// verifications) against parallel writers (single ops and batches)
+// verifications) against parallel writers (one-op and four-op batches)
 // across several scheme-diverse documents. Run under -race this is the
 // repository's core soundness test: per-document writer serialization,
 // parallel readers, and no cross-document interference.
 func TestConcurrentReadersWriters(t *testing.T) {
-	r := New(Options{Shards: 4})
+	r := New(Options{})
 	schemes := []string{"qed", "deweyid", "ordpath", "cdqs"}
 	for i, scheme := range schemes {
 		doc := workload.BaseDocument(int64(i), 80)
-		if _, err := r.Open(fmt.Sprintf("doc-%d", i), doc, scheme); err != nil {
+		if err := r.Open(fmt.Sprintf("doc-%d", i), doc, scheme); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -45,28 +45,25 @@ func TestConcurrentReadersWriters(t *testing.T) {
 				if i%2 == 0 {
 					// Batched write: a handful of appends in one
 					// transaction.
-					err := r.Update(name, func(s *update.Session) error {
-						b := s.Batch()
-						root := s.Document().Root()
+					_, err := r.Batch(name, func(doc *xmltree.Document, b *update.Batch) error {
 						for j := 0; j < 4; j++ {
-							b.AppendChild(root, "w")
+							b.AppendChild(doc.Root(), "w")
 						}
-						_, err := b.Commit()
-						return err
+						return nil
 					})
 					if err != nil {
 						errc <- fmt.Errorf("writer %d batch: %w", w, err)
 						return
 					}
 				} else {
-					err := r.Update(name, func(s *update.Session) error {
-						root := s.Document().Root()
-						kids := root.Children()
-						if len(kids) > 40 {
-							return s.Delete(kids[len(kids)-1])
+					_, err := r.Batch(name, func(doc *xmltree.Document, b *update.Batch) error {
+						root := doc.Root()
+						if kids := root.Children(); len(kids) > 40 {
+							b.Delete(kids[len(kids)-1])
+						} else {
+							b.AppendChild(root, "w")
 						}
-						_, err := s.AppendChild(root, "w")
-						return err
+						return nil
 					})
 					if err != nil {
 						errc <- fmt.Errorf("writer %d single: %w", w, err)
@@ -150,8 +147,7 @@ func TestConcurrentReadersWriters(t *testing.T) {
 	}
 	// Every document still satisfies the order invariant.
 	for _, name := range r.Names() {
-		d, _ := r.Get(name)
-		if err := d.Verify(); err != nil {
+		if err := r.Verify(name); err != nil {
 			t.Fatalf("%s after storm: %v", name, err)
 		}
 	}
@@ -160,7 +156,7 @@ func TestConcurrentReadersWriters(t *testing.T) {
 // TestConcurrentOpenDrop hammers the shard maps themselves: goroutines
 // opening, looking up, listing and dropping distinct names.
 func TestConcurrentOpenDrop(t *testing.T) {
-	r := New(Options{Shards: 8})
+	r := New(Options{})
 	const workers = 12
 	var wg sync.WaitGroup
 	errc := make(chan error, workers)
@@ -171,11 +167,11 @@ func TestConcurrentOpenDrop(t *testing.T) {
 			for i := 0; i < 30; i++ {
 				name := fmt.Sprintf("w%d-doc%d", w, i)
 				doc := workload.BaseDocument(int64(i), 20)
-				if _, err := r.Open(name, doc, "qed"); err != nil {
+				if err := r.Open(name, doc, "qed"); err != nil {
 					errc <- err
 					return
 				}
-				if _, ok := r.Get(name); !ok {
+				if _, ok := r.Scheme(name); !ok {
 					errc <- fmt.Errorf("just-opened %q missing", name)
 					return
 				}
@@ -212,11 +208,11 @@ func TestConcurrentSaveDuringWrites(t *testing.T) {
 	r := New(Options{})
 	var docs [3]*Doc
 	for i := range docs {
-		doc := workload.BaseDocument(int64(i), 40)
-		var err error
-		if docs[i], err = r.Open(fmt.Sprintf("doc-%d", i), doc, "qed"); err != nil {
+		name := fmt.Sprintf("doc-%d", i)
+		if err := r.Open(name, workload.BaseDocument(int64(i), 40), "qed"); err != nil {
 			t.Fatal(err)
 		}
+		docs[i] = mustDoc(t, r, name)
 	}
 	versions := func() (sum uint64) {
 		for _, d := range docs {
@@ -229,7 +225,6 @@ func TestConcurrentSaveDuringWrites(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		var last [len(docs)]*xmltree.Node
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
@@ -237,15 +232,12 @@ func TestConcurrentSaveDuringWrites(t *testing.T) {
 			default:
 			}
 			k := i % len(docs)
-			if err := docs[k].Update(func(s *update.Session) error {
-				if last[k] != nil {
-					if err := s.Delete(last[k]); err != nil {
-						return err
-					}
+			if _, err := r.Batch(fmt.Sprintf("doc-%d", k), func(doc *xmltree.Document, b *update.Batch) error {
+				if i >= len(docs) {
+					b.Delete(doc.Root().LastChild()) // the x this writer appended last
 				}
-				var err error
-				last[k], err = s.AppendChild(s.Document().Root(), "x")
-				return err
+				b.AppendChild(doc.Root(), "x")
+				return nil
 			}); err != nil {
 				t.Error(err)
 				return
@@ -285,7 +277,7 @@ func TestSaveIsPointInTime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.Open(name, doc, "qed"); err != nil {
+		if err := r.Open(name, doc, "qed"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -301,9 +293,9 @@ func TestSaveIsPointInTime(t *testing.T) {
 			default:
 			}
 			for _, name := range []string{"a", "b"} {
-				_ = r.Update(name, func(s *update.Session) error {
-					_, err := s.SetAttr(s.Document().Root(), "v", fmt.Sprint(i))
-					return err
+				_, _ = r.Batch(name, func(doc *xmltree.Document, b *update.Batch) error {
+					b.SetAttr(doc.Root(), "v", fmt.Sprint(i))
+					return nil
 				})
 			}
 		}

@@ -240,8 +240,7 @@ func applyRecord(r *Repository, payload []byte) error {
 		}
 		// A copy of the scheme name: handing out rec's own field would
 		// move rec, and the array behind its parts, to the heap.
-		_, err = r.Open(rec.parts[0].name, doc, strings.Clone(rec.scheme))
-		return err
+		return r.Open(rec.parts[0].name, doc, strings.Clone(rec.scheme))
 	case RecDrop:
 		r.Drop(rec.parts[0].name)
 		return nil
@@ -373,7 +372,7 @@ func (c *durableCore) Query(name, path string) ([]*xmltree.Node, error) {
 }
 
 // QueryFunc evaluates a location path and hands the live result nodes
-// to fn inside the read lock (zero-copy; see Doc.QueryFunc).
+// to fn inside the read lock (zero-copy; see Repository.QueryFunc).
 func (c *durableCore) QueryFunc(name, path string, fn func([]*xmltree.Node) error) error {
 	return c.repo().QueryFunc(name, path, fn)
 }

@@ -96,10 +96,9 @@ const DefaultAutoCheckpointBytes = 16 << 20
 
 // DurableOptions configures OpenDurable.
 type DurableOptions struct {
-	// Repo configures the in-memory repository (shards, auto-verify,
-	// and the SnapshotAt retained-version window via RetainVersions —
-	// versions are an in-memory construct, so the window resets on
-	// recovery).
+	// Repo configures the in-memory repository: the SnapshotAt
+	// retained-version window (RetainVersions — versions are an
+	// in-memory construct, so the window resets on recovery).
 	Repo Options
 	// Sync is the WAL fsync policy (default wal.SyncPerCommit).
 	Sync wal.SyncPolicy
@@ -137,7 +136,7 @@ func (o DurableOptions) autoCheckpointBytes() int64 {
 // repository whose commits are write-ahead logged. Reads (View, Query,
 // QueryFunc, Names, Len, Verify, Snapshot, …) are the core's, served by
 // the in-memory repository exactly as in Repository; every mutation
-// (Open, Drop, Update, Batch, MultiBatch) is appended to the log before
+// (Open, Drop, Batch, MultiBatch) is appended to the log before
 // the per-document write lock is released, and Checkpoint — invoked
 // manually or by the background auto-checkpointer once live log bytes
 // pass the configured threshold — folds the log into fresh snapshots
@@ -262,7 +261,7 @@ func OpenDurable(dir string, opts DurableOptions) (*DurableRepository, error) {
 func (d *DurableRepository) recordBaselines(r *Repository, man store.Manifest) {
 	d.base = make(map[string]docBaseline, len(man.Docs))
 	for _, e := range man.Docs {
-		if doc, ok := r.Get(e.Name); ok {
+		if doc, ok := lookup(r, e.Name); ok {
 			d.base[e.Name] = docBaseline{seq: doc.Version(), doc: doc, file: e.File, gen: e.Gen}
 		}
 	}
@@ -352,13 +351,13 @@ func (d *DurableRepository) Open(name string, doc *xmltree.Document, scheme stri
 	if err := d.checkFailed(); err != nil {
 		return err
 	}
-	if _, dup := d.repo().Get(name); dup {
+	if _, dup := lookup(d.repo(), name); dup {
 		return fmt.Errorf("%w: %q", ErrExists, name)
 	}
 	if err := d.log.Append(payload); err != nil {
 		return d.poison(err)
 	}
-	_, err = d.repo().add(name, scheme, sess)
+	err = d.repo().add(name, scheme, sess)
 	d.nudgeAutoCheckpoint()
 	return err
 }
@@ -391,42 +390,21 @@ func (d *DurableRepository) Drop(name string) (bool, error) {
 	return d.repo().Drop(name), nil
 }
 
-// Batch runs build against the named document's live tree under the
-// write lock, then commits the queued ops as one logged transaction
-// (commit, txn.go, under the append policy): serialised against the
-// pre-batch tree, staged with the update layer's pre-validation and
-// order verification, appended to the log as one RecBatch record, and
-// only then committed — all before the lock is released. On a staging
-// error nothing is logged, on an append error (ErrWALFailed) nothing is
-// committed, and either way the document is untouched. The result's
-// created nodes are detached deep copies, as in Repository.Batch.
+// Batch is Repository.Batch under the append policy (commit, txn.go):
+// the queued ops are serialised against the pre-batch tree, staged with
+// the update layer's pre-validation and order verification, appended to
+// the log as one RecBatch record, and only then committed — all before
+// the lock is released. On a staging error nothing is logged, on an
+// append error (ErrWALFailed) nothing is committed, and either way the
+// document is untouched.
 //
 // build receives the document (not the session) deliberately: every
 // mutation must be expressed as a queued op so it is logged — a direct
 // session call inside the callback would commit in memory, be missing
 // from the log, and silently shift the structural paths of every later
-// record. Navigate the tree to find reference nodes, queue ops on b —
-// the document's own batch, emptied when the commit returns: valid only
-// inside build.
+// record.
 func (d *DurableRepository) Batch(name string, build func(*xmltree.Document, *update.Batch) error) (update.BatchResult, error) {
-	var md [1]MultiDoc
-	err := d.repo().commit([]string{name}, logPolicy{leader: d, kind: RecBatch}, md[:], func(int) error {
-		return build(md[0].Document(), md[0].b)
-	})
-	return md[0].res, err
-}
-
-// Update commits pre-built ops against the named document as one
-// logged transaction. The ops' reference nodes must belong to the
-// document's live tree (obtain them inside a Batch build function, or
-// via View/QueryFunc while no writer runs).
-func (d *DurableRepository) Update(name string, ops ...update.Op) (update.BatchResult, error) {
-	return d.Batch(name, func(_ *xmltree.Document, b *update.Batch) error {
-		for _, op := range ops {
-			b.Add(op)
-		}
-		return nil
-	})
+	return d.repo().batch(name, logPolicy{leader: d, kind: RecBatch}, build)
 }
 
 // MultiBatch is Repository.MultiBatch under the append policy: the
@@ -586,9 +564,9 @@ func (d *DurableRepository) Checkpoint() error {
 	used := make(map[string]bool, len(names))
 	var dirty []dirtyDoc
 	for _, name := range names {
-		doc, ok := d.repo().Get(name)
+		doc, ok := lookup(d.repo(), name)
 		if !ok {
-			continue // dropped between Names and Get
+			continue // dropped between Names and lookup
 		}
 		seq := doc.Version()
 		if b, ok := d.base[name]; ok && b.doc == doc && b.seq == seq {

@@ -436,7 +436,7 @@ func TestSecondRootNeverLogged(t *testing.T) {
 		_ = doc.Node().AppendChild(xmltree.NewElement("b"))
 		return doc
 	}
-	if _, err := New(Options{}).Open("two", twoRoots(), "qed"); !errors.Is(err, update.ErrRootSibling) {
+	if err := New(Options{}).Open("two", twoRoots(), "qed"); !errors.Is(err, update.ErrRootSibling) {
 		t.Errorf("Repository.Open of two roots: %v, want ErrRootSibling", err)
 	}
 	dir := t.TempDir()
@@ -726,31 +726,66 @@ func TestDurableClosedErrors(t *testing.T) {
 	}
 }
 
-// The durable roles share the core's read surface by embedding, but
-// the in-memory Repository's mutators and slot accessors must never
-// become reachable through either of them: a mutation that bypasses
-// the log is silently lost at recovery. The follower additionally has
-// no commit API at all.
-func TestDurableRolesExposeNoUnloggedMutator(t *testing.T) {
-	unlogged := []string{"OpenSession", "Get", "Save"}
-	commits := []string{"Open", "Drop", "Update", "Batch", "MultiBatch", "Checkpoint"}
-	for _, tc := range []struct {
-		typ       reflect.Type
-		forbidden []string
-	}{
-		{reflect.TypeOf(&DurableRepository{}), unlogged},
-		{reflect.TypeOf(&FollowerRepository{}), append(unlogged, commits...)},
-	} {
-		for _, name := range tc.forbidden {
-			if _, ok := tc.typ.MethodByName(name); ok {
-				t.Errorf("%v exposes %s", tc.typ, name)
-			}
+// TestOneWriteAPI: the in-memory Repository and the leader have one
+// write API — Open, Batch and MultiBatch, each write an op list queued
+// under the write lock — and one read surface, with identical
+// signatures. The Repository exports nothing else but Save, which the
+// leader lacks, and Drop, whose in-memory form returns a bare bool
+// because only a log can fail a drop. A Doc is only its Version, and
+// the follower has the read surface and no write at all.
+func TestOneWriteAPI(t *testing.T) {
+	reads := []string{"View", "Query", "QueryFunc", "Names", "Len", "Scheme", "Verify",
+		"Snapshot", "SnapshotAt", "Stamp", "VersionStats"}
+	shared := append([]string{"Open", "Batch", "MultiBatch"}, reads...)
+	mem, leader, follower := reflect.TypeOf(&Repository{}), reflect.TypeOf(&DurableRepository{}), reflect.TypeOf(&FollowerRepository{})
+	// sig is the method's signature without its receiver, "" if typ has
+	// no such method.
+	sig := func(typ reflect.Type, name string) string {
+		m, ok := typ.MethodByName(name)
+		if !ok {
+			return ""
 		}
-		for _, name := range []string{"View", "Query", "QueryFunc", "Names", "Len", "Scheme", "Verify",
-			"Snapshot", "SnapshotAt", "Stamp", "VersionStats", "Dir", "Generation", "Close"} {
-			if _, ok := tc.typ.MethodByName(name); !ok {
-				t.Errorf("%v lacks the core's %s", tc.typ, name)
-			}
+		var in, out []reflect.Type
+		for i := 1; i < m.Type.NumIn(); i++ {
+			in = append(in, m.Type.In(i))
 		}
+		for i := 0; i < m.Type.NumOut(); i++ {
+			out = append(out, m.Type.Out(i))
+		}
+		return reflect.FuncOf(in, out, m.Type.IsVariadic()).String()
+	}
+	for _, name := range shared {
+		if a, b := sig(mem, name), sig(leader, name); a == "" || a != b {
+			t.Errorf("%s: Repository has %q, DurableRepository %q", name, a, b)
+		}
+	}
+	allowed := map[string]bool{"Drop": true, "Save": true}
+	for _, name := range shared {
+		allowed[name] = true
+	}
+	for i := range mem.NumMethod() {
+		if name := mem.Method(i).Name; !allowed[name] {
+			t.Errorf("Repository exports %s, beyond the shared surface, Drop and Save", name)
+		}
+	}
+	if got := sig(mem, "Drop"); got != "func(string) bool" {
+		t.Errorf("Repository.Drop is %s: only a log can fail a drop, so the in-memory one returns a bare bool", got)
+	}
+	if doc := reflect.TypeOf(&Doc{}); doc.NumMethod() != 1 || doc.Method(0).Name != "Version" {
+		t.Errorf("Doc exports %d methods, want Version alone", doc.NumMethod())
+	}
+	for _, name := range reads {
+		if a, b := sig(mem, name), sig(follower, name); a != b {
+			t.Errorf("FollowerRepository.%s is %q, Repository's %q", name, b, a)
+		}
+	}
+	for _, name := range []string{"Open", "Drop", "Batch", "MultiBatch", "Checkpoint", "Save"} {
+		if _, ok := follower.MethodByName(name); ok {
+			t.Errorf("FollowerRepository exposes %s", name)
+		}
+	}
+	// The leader's image of its state is a checkpoint, not Save's.
+	if _, ok := leader.MethodByName("Save"); ok {
+		t.Error("DurableRepository exposes Save")
 	}
 }

@@ -120,7 +120,7 @@ func FuzzParseRecord(f *testing.F) {
 	withOpen := func(t testing.TB, rec record) *Repository {
 		r := New(Options{})
 		for _, p := range rec.parts {
-			if _, err := r.Open(p.name, mustParse(t, "<r/>"), "qed"); err != nil && !errors.Is(err, ErrEmptyName) {
+			if err := r.Open(p.name, mustParse(t, "<r/>"), "qed"); err != nil && !errors.Is(err, ErrEmptyName) {
 				t.Fatal(err)
 			}
 		}

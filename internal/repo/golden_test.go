@@ -45,12 +45,11 @@ func goldenScript(t *testing.T, d *DurableRepository) {
 		return nil
 	})
 	must(err)
-	var k *xmltree.Node
-	must(d.View("beta", func(s *update.Session) error {
-		k = s.Document().Root().Children()[0]
+	_, err = d.Batch("beta", func(doc *xmltree.Document, b *update.Batch) error {
+		k := doc.Root().Children()[0]
+		b.InsertAfter(k, "l").SetText(k, "kay").Rename(k, "kk")
 		return nil
-	}))
-	_, err = d.Update("beta", update.InsertAfterOp(k, "l"), update.SetTextOp(k, "kay"), update.RenameOp(k, "kk"))
+	})
 	must(err)
 	_, err = d.MultiBatch([]string{"beta", "alpha"}, func(m map[string]*MultiDoc) error {
 		a, b := m["alpha"], m["beta"]

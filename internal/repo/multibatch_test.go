@@ -41,7 +41,7 @@ func openPair(t *testing.T, r *Repository) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.Open(d.name, doc, d.scheme); err != nil {
+		if err := r.Open(d.name, doc, d.scheme); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -79,8 +79,7 @@ func TestMultiBatchCommits(t *testing.T) {
 		t.Fatalf("beta = %s", got)
 	}
 	for _, name := range []string{"alpha", "beta"} {
-		d, _ := r.Get(name)
-		if err := d.Verify(); err != nil {
+		if err := r.Verify(name); err != nil {
 			t.Fatalf("%s order: %v", name, err)
 		}
 	}
@@ -92,9 +91,7 @@ func TestMultiBatchRollsBackAllOnFailure(t *testing.T) {
 	r := New(Options{})
 	openPair(t, r)
 	beforeA, beforeB := repoXML(t, r, "alpha"), repoXML(t, r, "beta")
-	var alphaCtr update.Counters
-	da, _ := r.Get("alpha")
-	alphaCtr = da.Counters()
+	alphaCtr := counters(t, r, "alpha")
 
 	_, err := r.MultiBatch([]string{"alpha", "beta"}, func(m map[string]*MultiDoc) error {
 		a, b := m["alpha"], m["beta"]
@@ -115,15 +112,14 @@ func TestMultiBatchRollsBackAllOnFailure(t *testing.T) {
 	if got := repoXML(t, r, "beta"); got != beforeB {
 		t.Fatalf("beta not rolled back:\n got %s\nwant %s", got, beforeB)
 	}
-	gotCtr := da.Counters()
+	gotCtr := counters(t, r, "alpha")
 	// The verify that ran before the rollback is history, not state.
 	alphaCtr.Verifies, alphaCtr.FullVerifies = gotCtr.Verifies, gotCtr.FullVerifies
 	if gotCtr != alphaCtr {
 		t.Fatalf("alpha counters = %+v, want %+v", gotCtr, alphaCtr)
 	}
 	for _, name := range []string{"alpha", "beta"} {
-		d, _ := r.Get(name)
-		if err := d.Verify(); err != nil {
+		if err := r.Verify(name); err != nil {
 			t.Fatalf("%s order after rollback: %v", name, err)
 		}
 	}
@@ -170,10 +166,10 @@ func TestMultiBatchCrossDocumentMove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Open("archive", src, "qed"); err != nil {
+	if err := r.Open("archive", src, "qed"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Open("active", dst, "qed"); err != nil {
+	if err := r.Open("active", dst, "qed"); err != nil {
 		t.Fatal(err)
 	}
 	_, err = r.MultiBatch([]string{"archive", "active"}, func(m map[string]*MultiDoc) error {
@@ -205,7 +201,7 @@ func TestMultiBatchConcurrentNoDeadlock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.Open(name, doc, "qed"); err != nil {
+		if err := r.Open(name, doc, "qed"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -233,7 +229,7 @@ func TestMultiBatchConcurrentNoDeadlock(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			if _, err := r.Batch("b", []update.Op{}); err != nil {
+			if _, err := r.Batch("b", func(*xmltree.Document, *update.Batch) error { return nil }); err != nil {
 				t.Errorf("batch: %v", err)
 				return
 			}
@@ -745,10 +741,7 @@ func TestDropRetriesWhenSlotSwapped(t *testing.T) {
 	if err := d.Open("x", mustParse(t, "<x/>"), "qed"); err != nil {
 		t.Fatal(err)
 	}
-	doc1, ok := d.repo().Get("x")
-	if !ok {
-		t.Fatal("x missing")
-	}
+	doc1 := mustDoc(t, d.repo(), "x")
 	// Park a writer on the slot so the concurrent Drop blocks after
 	// its lookup.
 	doc1.mu.Lock()
@@ -770,7 +763,7 @@ func TestDropRetriesWhenSlotSwapped(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.repo().Drop("x")
-	if _, err := d.repo().add("x", "qed", sess); err != nil {
+	if err := d.repo().add("x", "qed", sess); err != nil {
 		t.Fatal(err)
 	}
 	doc1.mu.Unlock()
@@ -781,7 +774,7 @@ func TestDropRetriesWhenSlotSwapped(t *testing.T) {
 	if !dropped {
 		t.Fatal("Drop reported \"did not exist\" while a live document held the name")
 	}
-	if _, ok := d.repo().Get("x"); ok {
+	if _, ok := lookup(d.repo(), "x"); ok {
 		t.Fatal("x still present after the retried drop")
 	}
 }
@@ -827,10 +820,7 @@ func TestBatchRetriesWhenSlotSwapped(t *testing.T) {
 	if err := d.Open("x", mustParse(t, "<x/>"), "qed"); err != nil {
 		t.Fatal(err)
 	}
-	doc1, ok := d.repo().Get("x")
-	if !ok {
-		t.Fatal("x missing")
-	}
+	doc1 := mustDoc(t, d.repo(), "x")
 	doc1.mu.Lock()
 	done := make(chan struct{})
 	var batchErr error
@@ -847,7 +837,7 @@ func TestBatchRetriesWhenSlotSwapped(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.repo().Drop("x")
-	if _, err := d.repo().add("x", "qed", sess); err != nil {
+	if err := d.repo().add("x", "qed", sess); err != nil {
 		t.Fatal(err)
 	}
 	doc1.mu.Unlock()

@@ -13,8 +13,8 @@ import (
 )
 
 // flakyLabeling is a registry scheme's labeling (it reports the
-// scheme's name, so OpenSession accepts it) whose NodeInserted fails on
-// demand.
+// scheme's name; the test registers its session through add) whose
+// NodeInserted fails on demand.
 type flakyLabeling struct {
 	labeling.Interface
 	fail bool
@@ -70,7 +70,7 @@ func TestFailedRollbackPoisons(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := d.repo().OpenSession("flaky", sess); err != nil {
+			if err := d.repo().add("flaky", "qed", sess); err != nil {
 				t.Fatal(err)
 			}
 			appendTo := func(doc string) error {
@@ -154,12 +154,11 @@ func TestFailedAppendPublishesNothing(t *testing.T) {
 		t.Helper()
 		s := seen{stamp: d.Stamp(), xml: crashStateXML(t, d), versions: map[string]uint64{}, counters: map[string]update.Counters{}}
 		for _, name := range names {
-			doc, _ := d.repo().Get(name)
 			// Verifies and FullVerifies are history, not state: a staged
 			// and aborted part did run its verification.
-			ctr := doc.Counters()
+			ctr := counters(t, d.repo(), name)
 			ctr.Verifies, ctr.FullVerifies = 0, 0
-			s.versions[name], s.counters[name] = doc.Version(), ctr
+			s.versions[name], s.counters[name] = mustDoc(t, d.repo(), name).Version(), ctr
 		}
 		snap, err := d.Snapshot()
 		if err != nil {

@@ -8,11 +8,12 @@
 // specification):
 //
 //   - The name space is sharded: an FNV-1a hash of the document name
-//     picks one of N shards, each guarded by its own sync.RWMutex, so
-//     opens/lookups/drops on different names rarely contend.
+//     picks one of DefaultShards shards, each guarded by its own
+//     sync.RWMutex, so opens/lookups/drops on different names rarely
+//     contend.
 //   - Each document carries its own sync.RWMutex: any number of
 //     readers (queries, verifications) proceed in parallel while
-//     writers — single updates or batched transactions — are
+//     writers — Batch and MultiBatch transactions — are
 //     serialized per document and never block traffic on other
 //     documents.
 //   - MVCC snapshot reads (version.go): Snapshot pins an immutable,
@@ -23,29 +24,31 @@
 //     reference-counted so superseded versions free their memory as
 //     soon as the last snapshot pinning them closes.
 //
-// Updates go through the update layer's transactions (update.Session's
-// Stage, then Commit or Abort, driven by the one commit routine in
-// txn.go): a transaction re-verifies document order exactly once
-// however many ops it carries and is reverted as a whole if anything —
-// including that verification — fails, so it either commits an ordered
-// document or leaves it untouched; and nothing outside the session —
-// counters, Doc.Version, Stamp, a snapshot — shows it before it commits,
-// which on a durable repository is after its log record is written.
-// Repository sessions run with auto-verify on, and a single op through
-// Update is a transaction of one: an op that breaks order (a defective
-// scheme like LSDX) is reverted and reported just as a Batch would be.
+// Every write is an op list: Batch and MultiBatch hand a build callback
+// the locked document and its batch, and what build queues is the
+// transaction. It goes through the update layer's transactions
+// (update.Session's Stage, then Commit or Abort, driven by the one
+// commit routine in txn.go): a transaction re-verifies document order
+// exactly once however many ops it carries and is reverted as a whole if
+// anything — including that verification — fails, so it either commits
+// an ordered document or leaves it untouched (an op that breaks order,
+// as a defective scheme like LSDX's can, is reverted and reported); and
+// nothing outside the session — counters, Doc.Version, Stamp, a snapshot
+// — shows it before it commits, which on a durable repository is after
+// its log record is written. The in-memory Repository and the durable
+// leader have the same write methods with the same signatures.
 //
 // The whole repository round-trips through the version-7 store image
 // (Save/Load): every document's name, scheme and doc-tree image — the
 // checkpoint's version-6 snapshot — in one checksummed blob.
 //
-// Re-entrancy: the locks are not re-entrant. A View/Update/QueryFunc
-// callback must not call back into the repository or its Docs (a
-// nested read of the same document deadlocks once a writer is
-// queued, and Save from inside an Update self-deadlocks). That
-// includes Snapshot, which takes document read locks. Do all
-// repository calls from outside the callback; reads on an
-// already-taken Snapshot are lock-free and safe anywhere.
+// Re-entrancy: the locks are not re-entrant. A View/QueryFunc callback
+// or a Batch/MultiBatch build must not call back into the repository (a
+// nested read of the same document deadlocks once a writer is queued,
+// and Save from inside a build self-deadlocks). That includes Snapshot,
+// which takes document read locks. Do all repository calls from outside
+// the callback; reads on an already-taken Snapshot are lock-free and
+// safe anywhere.
 package repo
 
 import (
@@ -70,22 +73,11 @@ var (
 	ErrEmptyName = errors.New("repo: empty document name")
 )
 
-// DefaultShards is the shard count used when Options leaves it zero.
+// DefaultShards is the number of name-space shards.
 const DefaultShards = 16
 
 // Options configures a Repository.
 type Options struct {
-	// Shards is the number of name-space shards (default DefaultShards).
-	Shards int
-	// AutoVerify controls commit-time order verification on the
-	// documents' sessions (update.Session.SetAutoVerify). Defaults to
-	// on: a repository serving many clients should never publish an
-	// unverified document, and a commit's verification costs what the
-	// commit touched, not the document (one full pass per document,
-	// more only where a scheme renumbers; Counters.FullVerifies counts
-	// them). Turn it off for bulk loads where the caller verifies at
-	// the end with Verify, which is always the full pass.
-	AutoVerify *bool
 	// RetainVersions bounds the per-document time-travel window: the
 	// last RetainVersions superseded versions of each document are
 	// retained for SnapshotAt reads (version.go). Zero (the default)
@@ -96,9 +88,13 @@ type Options struct {
 }
 
 // Repository manages many named labelled documents for concurrent use.
+// Every commit verifies document order (update.Session.SetAutoVerify):
+// a repository serving many clients never publishes an unverified
+// document, and a commit's verification costs what the commit touched,
+// not the document (one full pass per document, more only where a
+// scheme renumbers; Counters.FullVerifies counts them).
 type Repository struct {
-	shards     []shard
-	autoVerify bool
+	shards [DefaultShards]shard
 	// vstats is the repository-wide MVCC accounting behind
 	// VersionStats (version.go).
 	vstats versionStats
@@ -121,8 +117,8 @@ type shard struct {
 }
 
 // Doc is one named document slot. Its lock serializes writers and
-// admits parallel readers; access the session only through View,
-// Update and Batch so the locking holds.
+// admits parallel readers; the repository's methods reach the session
+// only under it. Outside the package a Doc is only its Version.
 type Doc struct {
 	name string
 	// scheme is the registry name the document was opened under (the
@@ -160,15 +156,7 @@ type Doc struct {
 
 // New creates an empty repository.
 func New(opts Options) *Repository {
-	n := opts.Shards
-	if n <= 0 {
-		n = DefaultShards
-	}
-	av := true
-	if opts.AutoVerify != nil {
-		av = *opts.AutoVerify
-	}
-	r := &Repository{shards: make([]shard, n), autoVerify: av, retain: opts.RetainVersions}
+	r := &Repository{retain: opts.RetainVersions}
 	if r.retain > 0 {
 		// A time-travel window needs every committed state published,
 		// so eager publication is on from the start.
@@ -195,7 +183,7 @@ func shardFor[T string | []byte](r *Repository, name T) *shard {
 		h ^= uint32(name[i])
 		h *= fnvPrime32
 	}
-	return &r.shards[h%uint32(len(r.shards))]
+	return &r.shards[h%DefaultShards]
 }
 
 // nameOf returns the name b spells: the open document's own string when
@@ -211,14 +199,15 @@ func (r *Repository) nameOf(b []byte) string {
 }
 
 // Open labels doc under the named scheme and registers it. The
-// document must not already exist.
-func (r *Repository) Open(name string, doc *xmltree.Document, scheme string) (*Doc, error) {
+// document must not already exist; a scheme the registry does not name
+// is ErrNoScheme.
+func (r *Repository) Open(name string, doc *xmltree.Document, scheme string) error {
 	if name == "" {
-		return nil, ErrEmptyName
+		return ErrEmptyName
 	}
 	sess, err := newSchemeSession(doc, scheme)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	return r.add(name, scheme, sess)
 }
@@ -233,35 +222,18 @@ func newSchemeSession(doc *xmltree.Document, scheme string) (*update.Session, er
 	return update.NewSession(doc, s.Factory())
 }
 
-// OpenSession registers an existing session under a name, adopting it
-// into the repository's auto-verify policy. A rejected registration
-// (ErrExists, ErrNoScheme) leaves the session untouched. The session's
-// labeling must report a registry scheme name — enforced here so the
-// failure surfaces at registration, not when a Save image turns
-// out to be unloadable (variant labelings like vector.NewRange's
-// "vector-range" have no registry entry; open those via Open, which
-// records the registry name).
-func (r *Repository) OpenSession(name string, sess *update.Session) (*Doc, error) {
-	if name == "" {
-		return nil, ErrEmptyName
-	}
-	scheme := sess.Labeling().Name()
-	if _, ok := core.SchemeByName(scheme); !ok {
-		return nil, fmt.Errorf("%w: %q (labeling does not correspond to a registry scheme; use Open)", ErrNoScheme, scheme)
-	}
-	return r.add(name, scheme, sess)
-}
-
-func (r *Repository) add(name, scheme string, sess *update.Session) (*Doc, error) {
+// add registers sess under name, scheme being the registry name it was
+// built from.
+func (r *Repository) add(name, scheme string, sess *update.Session) error {
 	sh := shardFor(r, name)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if _, dup := sh.docs[name]; dup {
-		return nil, fmt.Errorf("%w: %q", ErrExists, name)
+		return fmt.Errorf("%w: %q", ErrExists, name)
 	}
-	// Adopt the session into the repository's verification policy
-	// before it becomes reachable by name.
-	sess.SetAutoVerify(r.autoVerify)
+	// Every commit verifies, from before the session is reachable by
+	// name.
+	sess.SetAutoVerify(true)
 	d := &Doc{name: name, scheme: scheme, sess: sess, scratch: docScratch{batch: sess.Batch()}, verSeq: InitialVersionSeq, repo: r}
 	d.stamp = r.clock.Add(1)
 	if r.versioning.Load() {
@@ -280,13 +252,11 @@ func (r *Repository) add(name, scheme string, sess *update.Session) (*Doc, error
 	// state.
 	sess.SetOnCommit(d.publishVersion)
 	sh.docs[name] = d
-	return d, nil
+	return nil
 }
 
-// Get returns the named document slot.
-func (r *Repository) Get(name string) (*Doc, bool) { return lookup(r, name) }
-
-// lookup is Get for a name given as a string or as its bytes.
+// lookup returns the document serving a name given as a string or as
+// its bytes.
 func lookup[T string | []byte](r *Repository, name T) (*Doc, bool) {
 	sh := shardFor(r, name)
 	sh.mu.RLock()
@@ -295,10 +265,18 @@ func lookup[T string | []byte](r *Repository, name T) (*Doc, bool) {
 	return d, ok
 }
 
-// Drop removes the named document, reporting whether it existed. A
-// dropped Doc stays usable by holders of the pointer (Batch excepted:
-// a transaction only commits to a slot serving its name) but is no
-// longer served by name.
+// served returns the document serving name, or ErrNotFound.
+func (r *Repository) served(name string) (*Doc, error) {
+	if d, ok := lookup(r, name); ok {
+		return d, nil
+	}
+	return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
+}
+
+// Drop removes the named document, reporting whether it existed: only a
+// log can fail a drop, so the in-memory one returns no error. Snapshots
+// pinned before the drop keep reading the dropped document; nothing
+// else reaches it.
 func (r *Repository) Drop(name string) bool {
 	sh := shardFor(r, name)
 	sh.mu.Lock()
@@ -351,37 +329,37 @@ func (r *Repository) Names() []string {
 // must not call back into the repository (see the package doc on
 // re-entrancy).
 func (r *Repository) View(name string, fn func(*update.Session) error) error {
-	d, ok := r.Get(name)
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
+	d, err := r.served(name)
+	if err != nil {
+		return err
 	}
-	return d.View(fn)
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return fn(d.sess)
 }
 
-// Update runs fn with the named document's session under the write
-// lock, serialized against all other access to that document only. fn
-// must not call back into the repository (see the package doc on
-// re-entrancy).
-func (r *Repository) Update(name string, fn func(*update.Session) error) error {
-	d, ok := r.Get(name)
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	return d.Update(fn)
+// Batch runs build against the named document's live tree under the
+// write lock and commits the ops it queues on b as one transaction
+// through the commit routine (txn.go): one order verification for the
+// whole batch, and all of it or none. Navigate the tree to find
+// reference nodes and queue ops on b — the document's own batch,
+// emptied when the commit returns: valid only inside build. build must
+// not mutate the tree itself or call back into the repository (see the
+// package doc on re-entrancy). The created nodes in the result are
+// detached deep copies that share one allocation: holding one of them
+// keeps the result's other copies reachable.
+func (r *Repository) Batch(name string, build func(*xmltree.Document, *update.Batch) error) (update.BatchResult, error) {
+	return r.batch(name, logPolicy{}, build)
 }
 
-// Batch commits ops against the named document as one write-locked
-// transaction (one order verification for the whole batch under the
-// default auto-verify policy; none when the repository opted out). The
-// created nodes in the result are detached deep copies that share one
-// allocation: holding one of them keeps the result's other copies
-// reachable.
-func (r *Repository) Batch(name string, ops []update.Op) (update.BatchResult, error) {
-	d, ok := r.Get(name)
-	if !ok {
-		return update.BatchResult{}, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	return d.Batch(ops)
+// batch is Batch under a log policy: the in-memory Batch logs nothing,
+// the leader's appends a RecBatch record.
+func (r *Repository) batch(name string, pol logPolicy, build func(*xmltree.Document, *update.Batch) error) (update.BatchResult, error) {
+	var md [1]MultiDoc
+	err := r.commit([]string{name}, pol, md[:], func(int) error {
+		return build(md[0].Document(), md[0].b)
+	})
+	return md[0].res, err
 }
 
 // MultiDoc is one document's handle inside a MultiBatch transaction:
@@ -450,31 +428,46 @@ func (r *Repository) commitByName(names []string, pol logPolicy, build func(map[
 }
 
 // Query evaluates a location path against the named document under the
-// read lock, returning detached deep copies of the matches (safe to
-// use after the lock is released; see Doc.Query).
+// read lock using structural navigation and returns detached deep
+// copies of the matches, so the results stay valid — and race-free
+// against concurrent writers — after the lock is released. Large result
+// sets pay the copy; use QueryFunc for zero-copy access scoped inside
+// the lock.
 func (r *Repository) Query(name, path string) ([]*xmltree.Node, error) {
-	d, ok := r.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	return d.Query(path)
+	var out []*xmltree.Node
+	err := r.QueryFunc(name, path, func(nodes []*xmltree.Node) error {
+		out = make([]*xmltree.Node, len(nodes))
+		for i, n := range nodes {
+			out[i] = n.Clone()
+		}
+		return nil
+	})
+	return out, err
 }
 
-// QueryFunc evaluates a location path against the named document and
-// hands the live result nodes to fn inside the read lock (zero-copy;
-// see Doc.QueryFunc).
+// QueryFunc evaluates a location path against the named document under
+// the read lock and hands the live result nodes to fn. The nodes belong
+// to the locked document: fn must not mutate them, retain them past its
+// return, or call back into the repository (see the package doc on
+// re-entrancy).
 func (r *Repository) QueryFunc(name, path string, fn func([]*xmltree.Node) error) error {
-	d, ok := r.Get(name)
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
+	d, err := r.served(name)
+	if err != nil {
+		return err
 	}
-	return d.QueryFunc(path, fn)
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	nodes, err := xpath.New(d.sess.Document(), d.sess.Labeling(), xpath.ModeStructural).Query(path)
+	if err != nil {
+		return err
+	}
+	return fn(nodes)
 }
 
 // Scheme names the registry scheme the named document was opened
 // under, and whether the document exists.
 func (r *Repository) Scheme(name string) (string, bool) {
-	d, ok := r.Get(name)
+	d, ok := lookup(r, name)
 	if !ok {
 		return "", false
 	}
@@ -482,14 +475,8 @@ func (r *Repository) Scheme(name string) (string, bool) {
 }
 
 // Verify re-checks the named document's order invariant under the
-// read lock.
-func (r *Repository) Verify(name string) error {
-	d, ok := r.Get(name)
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	return d.Verify()
-}
+// read lock. It is always the full pass.
+func (r *Repository) Verify(name string) error { return r.View(name, (*update.Session).Verify) }
 
 // Save serialises every document into one version-7 store image — each
 // document a version-6 snapshot, as a checkpoint writes it — as a
@@ -506,7 +493,7 @@ func (r *Repository) Save() ([]byte, error) {
 	names := r.Names()
 	held := make([]*Doc, 0, len(names))
 	for _, name := range names {
-		if d, ok := r.Get(name); ok {
+		if d, ok := lookup(r, name); ok {
 			held = append(held, d)
 		}
 	}
@@ -547,96 +534,7 @@ func Load(data []byte, opts Options) (*Repository, error) {
 func (r *Repository) openSnap(s store.DocSnap) error {
 	doc, err := update.DecodeDocTree(s.Tree)
 	if err == nil {
-		_, err = r.Open(s.Name, doc, s.Scheme)
+		err = r.Open(s.Name, doc, s.Scheme)
 	}
 	return err
 }
-
-// Name returns the slot's document name.
-func (d *Doc) Name() string { return d.name }
-
-// View runs fn under the read lock.
-func (d *Doc) View(fn func(*update.Session) error) error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return fn(d.sess)
-}
-
-// Update runs fn under the write lock.
-func (d *Doc) Update(fn func(*update.Session) error) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return fn(d.sess)
-}
-
-// Batch commits ops as one transaction through the commit routine
-// (txn.go). The result's New nodes are detached deep copies: the live
-// tree must only be touched under the document's lock, and the caller
-// holds it no longer. Use Update with Session.Apply to work with the
-// live created nodes. A slot that no longer serves its name (dropped)
-// takes no more batches: ErrNotFound.
-func (d *Doc) Batch(ops []update.Op) (update.BatchResult, error) {
-	var md [1]MultiDoc
-	err := d.repo.commit([]string{d.name}, logPolicy{}, md[:], func(int) error {
-		if md[0].doc != d {
-			return fmt.Errorf("%w: %q was dropped", ErrNotFound, d.name)
-		}
-		for _, op := range ops {
-			md[0].b.Add(op)
-		}
-		return nil
-	})
-	return md[0].res, err
-}
-
-// Query evaluates a location path under the read lock using structural
-// navigation and returns detached deep copies of the matches, so the
-// results stay valid — and race-free against concurrent writers —
-// after the lock is released. Large result sets pay the copy; use
-// QueryFunc for zero-copy access scoped inside the lock.
-func (d *Doc) Query(path string) ([]*xmltree.Node, error) {
-	var out []*xmltree.Node
-	err := d.QueryFunc(path, func(nodes []*xmltree.Node) error {
-		out = make([]*xmltree.Node, len(nodes))
-		for i, n := range nodes {
-			out[i] = n.Clone()
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// QueryFunc evaluates a location path under the read lock and hands
-// the live result nodes to fn. The nodes belong to the locked
-// document: fn must not mutate them, retain them past its return, or
-// call back into the repository (see the package doc on re-entrancy).
-func (d *Doc) QueryFunc(path string, fn func([]*xmltree.Node) error) error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	eng := xpath.New(d.sess.Document(), d.sess.Labeling(), xpath.ModeStructural)
-	nodes, err := eng.Query(path)
-	if err != nil {
-		return err
-	}
-	return fn(nodes)
-}
-
-// Verify re-checks the document-order invariant under the read lock.
-func (d *Doc) Verify() error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.sess.Verify()
-}
-
-// Counters returns the session counters under the read lock.
-func (d *Doc) Counters() update.Counters {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.sess.Counters()
-}
-
-// Scheme names the registry scheme the document was opened under.
-func (d *Doc) Scheme() string { return d.scheme }

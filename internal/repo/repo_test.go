@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"xmldyn/internal/schemes/qed"
-	"xmldyn/internal/schemes/vector"
 	"xmldyn/internal/update"
 	"xmldyn/internal/workload"
 	"xmldyn/internal/xmltree"
@@ -14,15 +12,45 @@ import (
 
 func testRepo(t *testing.T) *Repository {
 	t.Helper()
-	r := New(Options{Shards: 4})
+	r := New(Options{})
 	for i, scheme := range []string{"qed", "deweyid", "ordpath", "vector", "cdqs"} {
 		name := fmt.Sprintf("doc-%d", i)
 		doc := workload.BaseDocument(int64(i), 60)
-		if _, err := r.Open(name, doc, scheme); err != nil {
+		if err := r.Open(name, doc, scheme); err != nil {
 			t.Fatalf("open %s under %s: %v", name, scheme, err)
 		}
 	}
 	return r
+}
+
+// appendTo is a build that appends an element named child under the
+// document's root.
+func appendTo(child string) func(*xmltree.Document, *update.Batch) error {
+	return func(doc *xmltree.Document, b *update.Batch) error {
+		b.AppendChild(doc.Root(), child)
+		return nil
+	}
+}
+
+// counters reads the named document's session counters under its read
+// lock.
+func counters(t testing.TB, r *Repository, name string) update.Counters {
+	t.Helper()
+	var c update.Counters
+	if err := r.View(name, func(s *update.Session) error { c = s.Counters(); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// mustDoc returns the slot serving name.
+func mustDoc(t testing.TB, r *Repository, name string) *Doc {
+	t.Helper()
+	d, ok := lookup(r, name)
+	if !ok {
+		t.Fatalf("no document %q", name)
+	}
+	return d
 }
 
 func TestOpenGetDrop(t *testing.T) {
@@ -40,12 +68,11 @@ func TestOpenGetDrop(t *testing.T) {
 			t.Fatalf("Names = %v, want %v", names, want)
 		}
 	}
-	d, ok := r.Get("doc-2")
-	if !ok || d.Name() != "doc-2" || d.Scheme() != "ordpath" {
-		t.Fatalf("Get doc-2 = %v %v", d, ok)
+	if scheme, ok := r.Scheme("doc-2"); !ok || scheme != "ordpath" {
+		t.Fatalf("Scheme doc-2 = %q %v", scheme, ok)
 	}
-	if _, ok := r.Get("missing"); ok {
-		t.Fatal("Get missing succeeded")
+	if _, ok := r.Scheme("missing"); ok {
+		t.Fatal("Scheme missing succeeded")
 	}
 	if !r.Drop("doc-2") || r.Drop("doc-2") {
 		t.Fatal("Drop semantics broken")
@@ -55,66 +82,64 @@ func TestOpenGetDrop(t *testing.T) {
 	}
 }
 
+// TestOpenErrors: Open refuses an empty name, a duplicate and a scheme
+// the registry does not name, and every by-name method refuses a
+// missing document.
 func TestOpenErrors(t *testing.T) {
 	r := New(Options{})
 	doc := xmltree.ExampleTree()
-	if _, err := r.Open("", doc, "qed"); !errors.Is(err, ErrEmptyName) {
+	if err := r.Open("", doc, "qed"); !errors.Is(err, ErrEmptyName) {
 		t.Fatalf("empty name: %v", err)
 	}
-	if _, err := r.Open("d", doc, "no-such-scheme"); !errors.Is(err, ErrNoScheme) {
+	if err := r.Open("d", doc, "no-such-scheme"); !errors.Is(err, ErrNoScheme) {
 		t.Fatalf("bad scheme: %v", err)
 	}
-	if _, err := r.Open("d", doc, "qed"); err != nil {
+	if err := r.Open("d", doc, "qed"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Open("d", xmltree.ExampleTree(), "qed"); !errors.Is(err, ErrExists) {
+	if err := r.Open("d", xmltree.ExampleTree(), "qed"); !errors.Is(err, ErrExists) {
 		t.Fatalf("duplicate: %v", err)
 	}
 	if err := r.View("missing", func(*update.Session) error { return nil }); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("view missing: %v", err)
 	}
-	if err := r.Update("missing", func(*update.Session) error { return nil }); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("update missing: %v", err)
-	}
-	if _, err := r.Batch("missing", nil); !errors.Is(err, ErrNotFound) {
+	if _, err := r.Batch("missing", appendTo("x")); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("batch missing: %v", err)
 	}
 	if _, err := r.Query("missing", "//a"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("query missing: %v", err)
 	}
+	if err := r.Verify("missing"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("verify missing: %v", err)
+	}
 }
 
-// TestOpenSessionSchemeContract: sessions whose labeling is not a
-// registry scheme are rejected at registration (their Save images
-// could never Load), while registry-named sessions register and keep
-// their name through save/restore.
+// TestOpenSessionSchemeContract: a labelling's variant self-name such
+// as vector.NewRange's "vector-range" is not a registry scheme and is
+// refused at registration (its Save image could never Load), while a
+// registry-named document registers and keeps its scheme through
+// save/load.
 func TestOpenSessionSchemeContract(t *testing.T) {
 	r := New(Options{})
-	s, err := update.NewSession(xmltree.ExampleTree(), vector.NewRange())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// "vector-range" is a variant self-name with no registry entry.
-	if _, err := r.OpenSession("v", s); !errors.Is(err, ErrNoScheme) {
+	if err := r.Open("v", xmltree.ExampleTree(), "vector-range"); !errors.Is(err, ErrNoScheme) {
 		t.Fatalf("variant labeling: %v, want ErrNoScheme", err)
 	}
-	s2, err := update.NewSession(xmltree.ExampleTree(), qed.NewPrefix())
-	if err != nil {
+	if err := r.Open("q", xmltree.ExampleTree(), "qed"); err != nil {
 		t.Fatal(err)
 	}
-	d, err := r.OpenSession("q", s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Scheme() != "qed" {
-		t.Fatalf("scheme = %q", d.Scheme())
+	if scheme, ok := r.Scheme("q"); !ok || scheme != "qed" {
+		t.Fatalf("scheme = %q %v", scheme, ok)
 	}
 	data, err := r.Save()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(data, Options{}); err != nil {
+	back, err := Load(data, Options{})
+	if err != nil {
 		t.Fatalf("round trip: %v", err)
+	}
+	if scheme, ok := back.Scheme("q"); !ok || scheme != "qed" {
+		t.Fatalf("loaded scheme = %q %v", scheme, ok)
 	}
 }
 
@@ -124,14 +149,10 @@ func TestUpdateAndQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Open("lib", doc, "qed"); err != nil {
+	if err := r.Open("lib", doc, "qed"); err != nil {
 		t.Fatal(err)
 	}
-	err = r.Update("lib", func(s *update.Session) error {
-		_, err := s.AppendChild(s.Document().Root(), "book")
-		return err
-	})
-	if err != nil {
+	if _, err := r.Batch("lib", appendTo("book")); err != nil {
 		t.Fatal(err)
 	}
 	nodes, err := r.Query("lib", "//book")
@@ -143,67 +164,79 @@ func TestUpdateAndQuery(t *testing.T) {
 	}
 }
 
-// TestBatchThroughRepo: a repository batch verifies once, and the
-// auto-verify default means single updates verify per op.
+// TestBatchThroughRepo: a repository batch verifies once however many
+// ops it carries, and so does the next one.
 func TestBatchThroughRepo(t *testing.T) {
 	r := New(Options{})
 	doc, err := xmltree.ParseString(`<r><a/></r>`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := r.Open("d", doc, "qed")
-	if err != nil {
+	if err := r.Open("d", doc, "qed"); err != nil {
 		t.Fatal(err)
 	}
 	const k = 16
-	ops := make([]update.Op, k)
-	for i := range ops {
-		ops[i] = update.AppendChildOp(doc.Root(), "n")
-	}
-	res, err := d.Batch(ops)
+	res, err := r.Batch("d", func(doc *xmltree.Document, b *update.Batch) error {
+		for range k {
+			b.AppendChild(doc.Root(), "n")
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.New) != k {
 		t.Fatalf("New = %d, want %d", len(res.New), k)
 	}
-	ctr := d.Counters()
-	if ctr.Verifies != 1 || ctr.Batches != 1 {
+	if ctr := counters(t, r, "d"); ctr.Verifies != 1 || ctr.Batches != 1 {
 		t.Fatalf("batch counters = %+v, want one verify/batch", ctr)
 	}
-	// A single op through Update verifies again (auto-verify default).
-	err = d.Update(func(s *update.Session) error {
-		_, err := s.AppendChild(doc.Root(), "single")
-		return err
-	})
-	if err != nil {
+	if _, err := r.Batch("d", appendTo("single")); err != nil {
 		t.Fatal(err)
 	}
-	if ctr = d.Counters(); ctr.Verifies != 2 {
-		t.Fatalf("after single op Verifies = %d, want 2", ctr.Verifies)
+	if ctr := counters(t, r, "d"); ctr.Verifies != 2 || ctr.Batches != 2 {
+		t.Fatalf("after a one-op batch Verifies = %d, Batches = %d, want 2 and 2", ctr.Verifies, ctr.Batches)
 	}
-	if err := d.Verify(); err != nil {
+	if err := r.Verify("d"); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestAutoVerifyOptOut(t *testing.T) {
-	off := false
-	r := New(Options{AutoVerify: &off})
-	doc := xmltree.ExampleTree()
-	d, err := r.Open("d", doc, "deweyid")
+// TestBatchAdvancesVersionOnce: a three-op Batch is one transaction, on
+// the in-memory repository and on the leader alike — the document's
+// Version and the repository's Stamp each advance by exactly one.
+func TestBatchAdvancesVersionOnce(t *testing.T) {
+	three := func(doc *xmltree.Document, b *update.Batch) error {
+		b.AppendChild(doc.Root(), "x")
+		b.SetAttr(doc.Root(), "n", "3")
+		b.InsertFirstChild(doc.Root(), "y")
+		return nil
+	}
+	r := New(Options{})
+	d, err := OpenDurable(t.TempDir(), DurableOptions{AutoCheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = d.Update(func(s *update.Session) error {
-		_, err := s.AppendChild(doc.Root(), "x")
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ctr := d.Counters(); ctr.Verifies != 0 {
-		t.Fatalf("opted-out Verifies = %d, want 0", ctr.Verifies)
+	defer d.Close()
+	for _, c := range []struct {
+		role  string
+		mem   *Repository
+		open  func(string, *xmltree.Document, string) error
+		batch func(string, func(*xmltree.Document, *update.Batch) error) (update.BatchResult, error)
+	}{
+		{"Repository", r, r.Open, r.Batch},
+		{"DurableRepository", d.repo(), d.Open, d.Batch},
+	} {
+		if err := c.open("v", mustParse(t, "<r><a/></r>"), "qed"); err != nil {
+			t.Fatal(err)
+		}
+		v0, s0 := mustDoc(t, c.mem, "v").Version(), c.mem.Stamp()
+		if _, err := c.batch("v", three); err != nil {
+			t.Fatal(err)
+		}
+		if v, s := mustDoc(t, c.mem, "v").Version(), c.mem.Stamp(); v != v0+1 || s != s0+1 {
+			t.Errorf("%s: a 3-op Batch moved Version %d → %d and Stamp %d → %d, want +1 each", c.role, v0, v, s0, s)
+		}
 	}
 }
 
@@ -213,11 +246,7 @@ func TestSaveLoad(t *testing.T) {
 	r := testRepo(t)
 	// Mutate every document a little first.
 	for _, name := range r.Names() {
-		err := r.Update(name, func(s *update.Session) error {
-			_, err := s.AppendChild(s.Document().Root(), "mut")
-			return err
-		})
-		if err != nil {
+		if _, err := r.Batch(name, appendTo("mut")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -225,7 +254,7 @@ func TestSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Load(data, Options{Shards: 2})
+	r2, err := Load(data, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,33 +262,23 @@ func TestSaveLoad(t *testing.T) {
 		t.Fatalf("loaded %d docs, want %d", r2.Len(), r.Len())
 	}
 	for _, name := range r.Names() {
-		d1, _ := r.Get(name)
-		d2, ok := r2.Get(name)
+		s1, _ := r.Scheme(name)
+		s2, ok := r2.Scheme(name)
 		if !ok {
 			t.Fatalf("loaded repo missing %q", name)
 		}
-		if d1.Scheme() != d2.Scheme() {
-			t.Fatalf("%q scheme %s != %s", name, d2.Scheme(), d1.Scheme())
+		if s1 != s2 {
+			t.Fatalf("%q scheme %s != %s", name, s2, s1)
 		}
-		var x1, x2 string
-		if err := d1.View(func(s *update.Session) error { x1 = s.Document().XML(); return nil }); err != nil {
-			t.Fatal(err)
-		}
-		if err := d2.View(func(s *update.Session) error { x2 = s.Document().XML(); return nil }); err != nil {
-			t.Fatal(err)
-		}
-		if x1 != x2 {
+		if x1, x2 := repoXML(t, r, name), repoXML(t, r2, name); x1 != x2 {
 			t.Fatalf("%q round-trip mismatch:\n%s\nvs\n%s", name, x1, x2)
 		}
-		if err := d2.Verify(); err != nil {
+		if err := r2.Verify(name); err != nil {
 			t.Fatalf("%q after load: %v", name, err)
 		}
 	}
 	// Loaded repository accepts further updates.
-	if err := r2.Update("doc-0", func(s *update.Session) error {
-		_, err := s.AppendChild(s.Document().Root(), "more")
-		return err
-	}); err != nil {
+	if _, err := r2.Batch("doc-0", appendTo("more")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -276,13 +295,13 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 }
 
 func TestShardDistribution(t *testing.T) {
-	r := New(Options{Shards: 8})
+	r := New(Options{})
 	for i := 0; i < 256; i++ {
 		doc, err := xmltree.ParseString("<r/>")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.Open(fmt.Sprintf("doc-%d", i), doc, "qed"); err != nil {
+		if err := r.Open(fmt.Sprintf("doc-%d", i), doc, "qed"); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -25,10 +25,7 @@ import (
 // zero Op, and the capacities kept.
 func scratchState(t *testing.T, r *Repository, name string) (queued, dirty, opCap, bufCap int) {
 	t.Helper()
-	d, ok := r.Get(name)
-	if !ok {
-		t.Fatalf("no document %q", name)
-	}
+	d := mustDoc(t, r, name)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	ops := d.scratch.batch.Ops()
@@ -170,7 +167,7 @@ func TestFailedCommitLeavesNoScratch(t *testing.T) {
 // with it.
 func TestBatchKeptPastBuildCommitsNothing(t *testing.T) {
 	r := New(Options{})
-	if _, err := r.Open("a", mustParse(t, `<r/>`), "qed"); err != nil {
+	if err := r.Open("a", mustParse(t, `<r/>`), "qed"); err != nil {
 		t.Fatal(err)
 	}
 	var kept *update.Batch
@@ -182,7 +179,7 @@ func TestBatchKeptPastBuildCommitsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	kept.AppendChild(root, "STALE")
-	if _, err := r.Batch("a", []update.Op{update.AppendChildOp(root, "fresh")}); err != nil {
+	if _, err := r.Batch("a", appendTo("fresh")); err != nil {
 		t.Fatal(err)
 	}
 	nodes, err := r.Query("a", "/r/*")
@@ -234,7 +231,7 @@ func TestResultsAreDetachedUnderInterleavedMultiBatch(t *testing.T) {
 	r := New(Options{})
 	names := []string{"left", "right"}
 	for _, name := range names {
-		if _, err := r.Open(name, mustParse(t, `<r/>`), "qed"); err != nil {
+		if err := r.Open(name, mustParse(t, `<r/>`), "qed"); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -22,7 +22,7 @@ func snapRepo(t *testing.T, names ...string) *Repository {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.Open(name, doc, "qed"); err != nil {
+		if err := r.Open(name, doc, "qed"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -54,18 +54,15 @@ func TestSnapshotObservesPinnedStateOnly(t *testing.T) {
 	}
 
 	// Commit after the snapshot: the live doc moves, the snapshot must not.
-	if err := r.Update("a", func(s *update.Session) error {
-		_, err := s.AppendChild(s.Document().Root(), "late")
-		return err
-	}); err != nil {
+	if _, err := r.Batch("a", appendTo("late")); err != nil {
 		t.Fatal(err)
 	}
 	if n := childCount(t, snap, "a"); n != 1 {
 		t.Fatalf("snapshot moved after a concurrent commit: %d children", n)
 	}
-	d, _ := r.Get("a")
-	if v := d.Version(); v <= InitialVersionSeq {
-		t.Fatalf("live version did not advance: %d", v)
+	// One Batch is one transaction: the version moves by exactly one.
+	if v := mustDoc(t, r, "a").Version(); v != InitialVersionSeq+1 {
+		t.Fatalf("live version after one commit = %d, want %d", v, InitialVersionSeq+1)
 	}
 	// A new snapshot sees the new state under a new version.
 	snap2, err := r.Snapshot("a")
@@ -153,10 +150,7 @@ func TestSnapshotCloseSemantics(t *testing.T) {
 // numbers and stamps are the same before and after.
 func TestSnapshotVersionsAndStampsSurviveClose(t *testing.T) {
 	r := snapRepo(t, "a", "b")
-	if err := r.Update("b", func(s *update.Session) error {
-		_, err := s.AppendChild(s.Document().Root(), "x")
-		return err
-	}); err != nil {
+	if _, err := r.Batch("b", appendTo("x")); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := r.Snapshot()
@@ -246,16 +240,16 @@ func TestSnapshotPinsVersionWhileWritersCommit(t *testing.T) {
 					return
 				default:
 				}
-				_, err := r.Batch("a", []update.Op{update.AppendChildOp(nil, "")})
+				_, err := r.Batch("a", func(_ *xmltree.Document, b *update.Batch) error {
+					b.Add(update.AppendChildOp(nil, ""))
+					return nil
+				})
 				_ = err // nil ref: rejected, but exercises the lock path
-				d, _ := r.Get("a")
-				err = d.Update(func(s *update.Session) error {
-					root := s.Document().Root()
-					if _, err := s.AppendChild(root, "item"); err != nil {
-						return err
-					}
+				_, err = r.Batch("a", func(doc *xmltree.Document, b *update.Batch) error {
+					root := doc.Root()
+					b.AppendChild(root, "item")
 					if kids := root.Children(); len(kids) > 32 {
-						return s.Delete(kids[0])
+						b.Delete(kids[0])
 					}
 					return nil
 				})
@@ -295,12 +289,9 @@ func TestSnapshotNeverObservesTornMultiBatch(t *testing.T) {
 	r := snapRepo(t, "a", "b")
 	// Seed each doc with 8 items (plus the <seed/> child already there).
 	for _, name := range []string{"a", "b"} {
-		d, _ := r.Get(name)
-		err := d.Update(func(s *update.Session) error {
+		_, err := r.Batch(name, func(doc *xmltree.Document, b *update.Batch) error {
 			for i := 0; i < 8; i++ {
-				if _, err := s.AppendChild(s.Document().Root(), "item"); err != nil {
-					return err
-				}
+				b.AppendChild(doc.Root(), "item")
 			}
 			return nil
 		})
@@ -372,12 +363,7 @@ func TestVersionGCReclaimsUnpinned(t *testing.T) {
 	r := snapRepo(t, "a", "b")
 	write := func(name string) {
 		t.Helper()
-		d, _ := r.Get(name)
-		err := d.Update(func(s *update.Session) error {
-			_, err := s.AppendChild(s.Document().Root(), "x")
-			return err
-		})
-		if err != nil {
+		if _, err := r.Batch(name, appendTo("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -442,7 +428,7 @@ func TestSnapshotSurvivesDrop(t *testing.T) {
 // so the last unpin releases its tree and the gauges return to zero.
 func TestSnapshotRacingDropDoesNotLeakVersion(t *testing.T) {
 	r := snapRepo(t, "a")
-	d, _ := r.Get("a")
+	d := mustDoc(t, r, "a")
 	if !r.Drop("a") {
 		t.Fatal("drop failed")
 	}
@@ -487,7 +473,7 @@ func TestSnapshotAllToleratesConcurrentDrop(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if _, err := r.Open("churn", doc, "qed"); err != nil {
+			if err := r.Open("churn", doc, "qed"); err != nil {
 				t.Error(err)
 				return
 			}
@@ -515,12 +501,9 @@ func TestSnapshotAfterRolledBackBatchSeesPreBatchState(t *testing.T) {
 	}
 	defer snapBefore.Close()
 	// A batch whose second op fails: rolled back, document unchanged.
-	detached := xmltree.NewElement("loose")
-	d, _ := r.Get("a")
-	root := d.sess.Document().Root()
-	if _, err := r.Batch("a", []update.Op{
-		update.AppendChildOp(root, "c"),
-		update.SetTextOp(detached, "x"),
+	if _, err := r.Batch("a", func(doc *xmltree.Document, b *update.Batch) error {
+		b.AppendChild(doc.Root(), "c").SetText(xmltree.NewElement("loose"), "x")
+		return nil
 	}); err == nil {
 		t.Fatal("batch with detached ref committed")
 	}
@@ -693,13 +676,12 @@ func TestSnapshotConcurrentWithSaveAndMultiBatch(t *testing.T) {
 // -race: the scan reads persistent nodes a publication may be sharing,
 // and materialises through expand() beside the navigators.
 func TestSnapshotScansRaceNavigatorsAndWriter(t *testing.T) {
-	off := false
-	r := New(Options{AutoVerify: &off})
+	r := New(Options{})
 	doc, err := xmltree.ParseString(sectionsXML(t, 2000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Open("a", doc, "qed"); err != nil {
+	if err := r.Open("a", doc, "qed"); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := r.Snapshot("a")
@@ -707,10 +689,9 @@ func TestSnapshotScansRaceNavigatorsAndWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer snap.Close()
-	live, _ := r.Get("a")
 	var wantXML string
 	var wantLabelled int
-	if err := live.View(func(s *update.Session) error {
+	if err := r.View("a", func(s *update.Session) error {
 		wantXML, wantLabelled = s.Document().XML(), s.Document().LabelledCount()
 		return nil
 	}); err != nil {
@@ -728,13 +709,13 @@ func TestSnapshotScansRaceNavigatorsAndWriter(t *testing.T) {
 				return
 			default:
 			}
-			err := live.Update(func(s *update.Session) error {
-				root := s.Document().Root()
-				if i%2 == 0 {
-					_, err := s.AppendChild(root, "item")
-					return err
+			_, err := r.Batch("a", func(doc *xmltree.Document, b *update.Batch) error {
+				if root := doc.Root(); i%2 == 0 {
+					b.AppendChild(root, "item")
+				} else {
+					b.Delete(root.LastChild())
 				}
-				return s.Delete(root.LastChild())
+				return nil
 			})
 			if err != nil {
 				t.Error(err)

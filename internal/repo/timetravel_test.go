@@ -22,15 +22,12 @@ func travelRepo(t *testing.T, retain int) (*Repository, func(tag string) uint64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Open("a", doc, "qed"); err != nil {
+	if err := r.Open("a", doc, "qed"); err != nil {
 		t.Fatal(err)
 	}
 	write := func(tag string) uint64 {
 		t.Helper()
-		if err := r.Update("a", func(s *update.Session) error {
-			_, err := s.AppendChild(s.Document().Root(), tag)
-			return err
-		}); err != nil {
+		if _, err := r.Batch("a", appendTo(tag)); err != nil {
 			t.Fatal(err)
 		}
 		return r.Stamp()
@@ -404,18 +401,10 @@ func lsdxStep(doc *xmltree.Document, b *update.Batch, i int) {
 func newAbortRig(t *testing.T, durable bool, retain int) *abortRig {
 	t.Helper()
 	rig := &abortRig{}
-	open := func(name, xml, scheme string) {
-		t.Helper()
-		var err error
-		if durable {
-			err = rig.dur.Open(name, mustParse(t, xml), scheme)
-		} else {
-			_, err = rig.mem.Open(name, mustParse(t, xml), scheme)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	var (
+		openDoc func(string, *xmltree.Document, string) error
+		batch   func(string, func(*xmltree.Document, *update.Batch) error) (update.BatchResult, error)
+	)
 	if durable {
 		rig.dir = t.TempDir()
 		d, err := OpenDurable(rig.dir, DurableOptions{Repo: Options{RetainVersions: retain}, AutoCheckpointBytes: -1})
@@ -423,23 +412,22 @@ func newAbortRig(t *testing.T, durable bool, retain int) *abortRig {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { d.Close() })
-		rig.dur, rig.mem, rig.multi = d, d.repo(), d.MultiBatch
-		rig.batch = func(name string, build func(*xmltree.Document, *update.Batch)) error {
-			_, err := d.Batch(name, func(doc *xmltree.Document, b *update.Batch) error {
-				build(doc, b)
-				return nil
-			})
-			return err
-		}
+		rig.dur, rig.mem, rig.multi, openDoc, batch = d, d.repo(), d.MultiBatch, d.Open, d.Batch
 	} else {
 		r := New(Options{RetainVersions: retain})
-		rig.mem, rig.multi = r, r.MultiBatch
-		rig.batch = func(name string, build func(*xmltree.Document, *update.Batch)) error {
-			d, _ := r.Get(name)
-			b := d.sess.Batch()
-			build(d.sess.Document(), b)
-			_, err := r.Batch(name, b.Ops())
-			return err
+		rig.mem, rig.multi, openDoc, batch = r, r.MultiBatch, r.Open, r.Batch
+	}
+	rig.batch = func(name string, build func(*xmltree.Document, *update.Batch)) error {
+		_, err := batch(name, func(doc *xmltree.Document, b *update.Batch) error {
+			build(doc, b)
+			return nil
+		})
+		return err
+	}
+	open := func(name, xml, scheme string) {
+		t.Helper()
+		if err := openDoc(name, mustParse(t, xml), scheme); err != nil {
+			t.Fatal(err)
 		}
 	}
 	open("alpha", `<a><seed/></a>`, "qed")
@@ -551,8 +539,7 @@ func (rig *abortRig) observe(t *testing.T) observed {
 		o.logSize, _ = rig.dur.LogSize()
 	}
 	for _, name := range []string{"alpha", "beta"} {
-		d, _ := rig.mem.Get(name)
-		o.version[name], o.counters[name] = d.Version(), d.Counters()
+		o.version[name], o.counters[name] = mustDoc(t, rig.mem, name).Version(), counters(t, rig.mem, name)
 		for s := uint64(1); s <= o.stamp; s++ {
 			if xml, ok := rig.viewAt(t, s, name); ok {
 				if o.views[s] == nil {

@@ -1,9 +1,10 @@
-// The one transaction routine. Every mutation of document trees by
-// queued ops — in memory (Doc.Batch, Repository.Batch/MultiBatch),
-// logged (DurableRepository.Batch/Update/MultiBatch), replayed at
-// recovery or applied on a follower (applyRecord) — is a call of
-// Repository.commit; the callers differ only in where the ops come from
-// and in the log policy they pass. The commit critical section, the
+// The one transaction routine. Every mutation of document trees — in
+// memory (Repository.Batch/MultiBatch), logged
+// (DurableRepository.Batch/MultiBatch), replayed at recovery or applied
+// on a follower (applyRecord) — is a call of Repository.commit, and
+// every one is an op list queued under the write lock; the callers
+// differ only in where the ops come from and in the log policy they
+// pass. The commit critical section, the
 // lock order, the encode-before-apply rule, the log-before-memory rule
 // and the poisoning rule are therefore each stated here and nowhere
 // else. Below it, each document's part is one transaction of the update
@@ -15,13 +16,13 @@
 //
 // A transaction is carried on slices parallel to the locked documents,
 // and what carries it is not allocated per commit: the MultiDocs are the
-// caller's (an array of one on its stack, for a single document), the
-// other slices sit in arrays on commit's stack, and the op queue and the
-// byte buffer belong to each document (docScratch), guarded by the write
-// lock commit holds anyway. A commit allocates what it creates — nodes,
-// labels, the result it returns. Only the two MultiBatch signatures
-// promise maps, and commitByName (repo.go) builds them around this
-// routine.
+// caller's (an array of one on its stack, for a single document: batch,
+// repo.go), the other slices sit in arrays on commit's stack, and the op
+// queue and the byte buffer belong to each document (docScratch),
+// guarded by the write lock commit holds anyway. A commit allocates what
+// it creates — nodes, labels, the result it returns. Only the two
+// MultiBatch signatures promise maps, and commitByName (repo.go) builds
+// them around this routine.
 // (File comment — the package doc lives in repo.go.)
 
 package repo
@@ -240,13 +241,13 @@ func (r *Repository) lockLiveSorted(names []string, held []*Doc) ([]*Doc, error)
 	names = sortedUnique(arr[:0], names)
 	for len(held) < len(names) {
 		name := names[len(held)]
-		d, ok := r.Get(name)
-		if !ok {
+		d, err := r.served(name)
+		if err != nil {
 			unlockDocs(held)
-			return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
+			return nil, err
 		}
 		d.mu.Lock()
-		if cur, _ := r.Get(name); cur == d {
+		if cur, _ := lookup(r, name); cur == d {
 			held = append(held, d)
 		} else {
 			d.mu.Unlock()

@@ -444,7 +444,7 @@ func (r *Repository) snapshotWith(names []string, pin func(*Doc) (*docVersion, e
 	held := make([]*Doc, 0, len(uniq))
 	resolved := uniq[:0]
 	for _, name := range uniq {
-		d, ok := r.Get(name)
+		d, ok := lookup(r, name)
 		if !ok {
 			if all {
 				continue

@@ -8,25 +8,24 @@ import (
 // TestRepositoryFacade exercises the public repository surface:
 // NewRepository, Open, batched writes, queries, save/restore.
 func TestRepositoryFacade(t *testing.T) {
-	r := NewRepository(RepoOptions{Shards: 2})
+	r := NewRepository(RepoOptions{})
 	doc, err := ParseString(`<shelf><book/><book/></shelf>`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := r.Open("shelf", doc, "qed")
-	if err != nil {
+	if err := r.Open("shelf", doc, "qed"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Open("shelf", doc, "qed"); !errors.Is(err, ErrRepoExists) {
+	if err := r.Open("shelf", doc, "qed"); !errors.Is(err, ErrRepoExists) {
 		t.Fatalf("dup open: %v", err)
 	}
 
-	ops := []Op{
-		AppendChildOp(doc.Root(), "book"),
-		AppendChildOp(doc.Root(), "book"),
-		SetAttrOp(doc.Root(), "owner", "me"),
-	}
-	res, err := d.Batch(ops)
+	res, err := r.Batch("shelf", func(doc *Document, b *Batch) error {
+		b.Add(AppendChildOp(doc.Root(), "book"))
+		b.Add(AppendChildOp(doc.Root(), "book"))
+		b.Add(SetAttrOp(doc.Root(), "owner", "me"))
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +39,14 @@ func TestRepositoryFacade(t *testing.T) {
 	if len(nodes) != 4 {
 		t.Fatalf("books = %d, want 4", len(nodes))
 	}
-	if ctr := d.Counters(); ctr.Batches != 1 || ctr.Verifies != 1 {
-		t.Fatalf("counters = %+v", ctr)
+	err = r.View("shelf", func(s *Session) error {
+		if ctr := s.Counters(); ctr.Batches != 1 || ctr.Verifies != 1 {
+			t.Errorf("counters = %+v", ctr)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	blob, err := SaveRepository(r)
@@ -52,11 +57,10 @@ func TestRepositoryFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, ok := r2.Get("shelf")
-	if !ok || d2.Scheme() != "qed" {
-		t.Fatalf("restored: %v %v", d2, ok)
+	if scheme, ok := r2.Scheme("shelf"); !ok || scheme != "qed" {
+		t.Fatalf("restored: %q %v", scheme, ok)
 	}
-	if err := d2.Verify(); err != nil {
+	if err := r2.Verify("shelf"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r2.Query("missing", "//x"); !errors.Is(err, ErrRepoNotFound) {
@@ -74,13 +78,16 @@ func TestSnapshotTimeTravelFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := r.Open("shelf", doc, "qed")
-	if err != nil {
+	if err := r.Open("shelf", doc, "qed"); err != nil {
 		t.Fatal(err)
 	}
 	first := r.Stamp()
 	for i := 0; i < 4; i++ {
-		if _, err := d.Batch([]Op{AppendChildOp(doc.Root(), "book")}); err != nil {
+		_, err := r.Batch("shelf", func(doc *Document, b *Batch) error {
+			b.AppendChild(doc.Root(), "book")
+			return nil
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -99,7 +99,7 @@ func TestSoakSnapshotChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.Open(names[i], doc, "qed"); err != nil {
+		if err := r.Open(names[i], doc, "qed"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -116,14 +116,11 @@ func TestSoakSnapshotChurn(t *testing.T) {
 					return
 				default:
 				}
-				d, _ := r.Get(name)
-				err := d.Update(func(s *update.Session) error {
-					root := s.Document().Root()
-					if _, err := s.AppendChild(root, "item"); err != nil {
-						return err
-					}
+				_, err := r.Batch(name, func(doc *xmltree.Document, b *update.Batch) error {
+					root := doc.Root()
+					b.AppendChild(root, "item")
 					if kids := root.Children(); len(kids) > 48 {
-						return s.Delete(kids[0])
+						b.Delete(kids[0])
 					}
 					return nil
 				})
@@ -169,10 +166,9 @@ func TestSoakSnapshotChurn(t *testing.T) {
 		t.Fatalf("snapshot soak leaked versions: %+v", st)
 	}
 	for _, name := range names {
-		d, _ := r.Get(name)
-		if err := d.Update(func(s *update.Session) error {
-			_, err := s.AppendChild(s.Document().Root(), "final")
-			return err
+		if _, err := r.Batch(name, func(doc *xmltree.Document, b *update.Batch) error {
+			b.AppendChild(doc.Root(), "final")
+			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}

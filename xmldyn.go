@@ -17,8 +17,9 @@
 // On top of the single-document session sits a concurrent repository
 // layer (NewRepository): many named labelled documents behind sharded
 // locks, queries running in parallel with per-document-serialized
-// writers, batched update transactions (Session.Batch, Session.Apply)
-// that verify document order once per batch instead of once per op,
+// writers, every write an op list committed as one transaction
+// (Repository.Batch) that verifies document order once per batch
+// instead of once per op,
 // atomic multi-document transactions (MultiBatch) that commit
 // across several named documents or roll back across all of them,
 // and MVCC snapshot reads (Repository.Snapshot → RepoSnapshot): every
@@ -271,9 +272,10 @@ type (
 	// OpKind discriminates queued operations.
 	OpKind = update.OpKind
 	// Batch accumulates ops for one session (Session.Batch()). The one a
-	// repository's build callback is handed (DurableRepository.Batch,
-	// MultiDoc.Batch) is the document's own, emptied when the commit
-	// returns: queue on it inside the callback and do not keep it.
+	// repository's build callback is handed (Repository.Batch,
+	// DurableRepository.Batch, MultiDoc.Batch) is the document's own,
+	// emptied when the commit returns: queue on it inside the callback
+	// and do not keep it.
 	Batch = update.Batch
 	// BatchResult reports a committed batch's created nodes. From a
 	// repository they are detached deep copies that share one
@@ -305,23 +307,24 @@ var (
 // documents behind sharded locks (see internal/repo).
 type (
 	// Repository manages named documents for concurrent readers and
-	// per-document-serialized writers.
+	// per-document-serialized writers. Its writes are Open, Batch,
+	// MultiBatch and Drop: each is an op list queued and committed under
+	// the write lock, with the durable leader's signatures.
 	Repository = repo.Repository
-	// RepoDoc is one named document slot in a repository.
-	RepoDoc = repo.Doc
-	// RepoOptions configures shard count, auto-verification and the
-	// time-travel retention window (RetainVersions: how many
-	// superseded versions per document stay reachable by SnapshotAt).
+	// RepoOptions configures the time-travel retention window
+	// (RetainVersions: how many superseded versions per document stay
+	// reachable by SnapshotAt).
 	RepoOptions = repo.Options
 	// MultiDoc is one document's handle inside a MultiBatch — an
 	// atomic transaction across several named documents: the build
-	// callback navigates Document() and queues ops on Batch(), every
-	// involved document is write-locked in sorted-name order, and the
-	// per-document batches commit everywhere or roll back everywhere.
-	// Both Repository.MultiBatch and DurableRepository.MultiBatch use
-	// it; the durable variant logs the whole transaction as one WAL
-	// record, so crash recovery is all-or-nothing too. A MultiDoc and
-	// its Batch() are valid only inside the build callback.
+	// callback navigates Document() and queues ops on Batch(), as a
+	// Batch build does for one document, every involved document is
+	// write-locked in sorted-name order, and the per-document batches
+	// commit everywhere or roll back everywhere. Both
+	// Repository.MultiBatch and DurableRepository.MultiBatch use it; the
+	// durable variant logs the whole transaction as one WAL record, so
+	// crash recovery is all-or-nothing too. A MultiDoc and its Batch()
+	// are valid only inside the build callback.
 	MultiDoc = repo.MultiDoc
 	// RepoSnapshot is a pinned, immutable, transaction-consistent
 	// view of one or more repository documents (Repository.Snapshot /
@@ -353,8 +356,8 @@ var (
 	ErrFrozen = xmltree.ErrFrozen
 )
 
-// NewRepository creates an empty repository (zero options give 16
-// shards with auto-verify on).
+// NewRepository creates an empty repository; zero options retain no
+// superseded versions.
 func NewRepository(opts RepoOptions) *Repository { return repo.New(opts) }
 
 // SaveRepository serialises every document of a repository into one
@@ -376,9 +379,10 @@ func RestoreRepository(data []byte, opts RepoOptions) (*Repository, error) {
 // format and recovery protocol, and docs/OPERATIONS.md for the
 // operator's guide).
 type (
-	// DurableRepository is a write-ahead-logged repository: every
-	// Open/Drop/Update/Batch is appended to the segmented log before
-	// the document lock is released, Checkpoint (manual, or the
+	// DurableRepository is a write-ahead-logged repository with the
+	// Repository's write methods: every Open/Drop/Batch/MultiBatch is
+	// appended to the segmented log before the document lock is
+	// released, Checkpoint (manual, or the
 	// background auto-checkpoint once live log bytes pass the
 	// threshold) incrementally folds the log into per-document
 	// snapshot files — only documents that changed are rewritten — and

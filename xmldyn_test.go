@@ -197,7 +197,7 @@ func TestSaveRestoreFidelity(t *testing.T) {
 			}
 
 			r := NewRepository(RepoOptions{})
-			if _, err := r.Open("d", doc, scheme); err != nil {
+			if err := r.Open("d", doc, scheme); err != nil {
 				t.Fatal(err)
 			}
 			blob, err := SaveRepository(r)
@@ -241,7 +241,7 @@ func TestRestoreRefusesOtherFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRepository(RepoOptions{})
-	if _, err := r.OpenSession("book", s); err != nil {
+	if err := r.Open("book", SampleBook(), "qed"); err != nil {
 		t.Fatal(err)
 	}
 	repository, err := SaveRepository(r)
