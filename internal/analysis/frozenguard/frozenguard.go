@@ -1,8 +1,9 @@
 // Package frozenguard enforces the xmltree mutation contract
 // (docs/CONCURRENCY.md §7, docs/STATIC_ANALYSIS.md): every exported
 // mutator in a package named xmltree — an exported method on Node or
-// Document that writes a content field (name, value, parent, attrs,
-// kids) of a node reachable from its receiver or parameters — must
+// Document that writes a content field (name, value, parent, and the
+// one list of attributes then children, links, with its attribute count
+// nattrs) of a node reachable from its receiver or parameters — must
 // both gate on the frozen state (mustThaw, or an ErrFrozen-style
 // check of the frozen field / Frozen method) and invalidate the
 // persistent shadows via markChanged(). Missing the gate lets writers
@@ -14,7 +15,7 @@
 // Writes to freshly allocated nodes (composite literals, constructor
 // and Clone results) are not mutations of published state and are
 // exempt, as are the persistence bookkeeping fields themselves
-// (frozen, birth, shadow, src, expanded).
+// (frozen, view, mirror, expanded).
 package frozenguard
 
 import (
@@ -37,7 +38,7 @@ var Analyzer = &analysis.Analyzer{
 // contentFields are the Node fields whose mutation publishes state;
 // the remaining fields are persistence bookkeeping.
 var contentFields = map[string]bool{
-	"name": true, "value": true, "parent": true, "attrs": true, "kids": true,
+	"name": true, "value": true, "parent": true, "links": true, "nattrs": true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -170,6 +171,8 @@ func aliasExpr(e ast.Expr) bool {
 			e = x.X
 		case *ast.IndexExpr:
 			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
 		case *ast.StarExpr:
 			e = x.X
 		case *ast.ParenExpr:
@@ -194,6 +197,8 @@ func rootDerived(pass *analysis.Pass, derived map[types.Object]bool, e ast.Expr)
 			e = x.X
 		case *ast.IndexExpr:
 			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
 		case *ast.StarExpr:
 			e = x.X
 		case *ast.ParenExpr:
@@ -206,20 +211,33 @@ func rootDerived(pass *analysis.Pass, derived map[types.Object]bool, e ast.Expr)
 	}
 }
 
-// contentWrite returns the position of the first assignment to a
-// content field of a Node reached through a derived object, or NoPos.
+// contentWrite returns the position of the first assignment,
+// increment or copy to a content field of a Node reached through a
+// derived object — to the field itself or to an element or slice of
+// it — or NoPos.
 func contentWrite(pass *analysis.Pass, fd *ast.FuncDecl, derived map[types.Object]bool) token.Pos {
 	var pos token.Pos
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if pos.IsValid() {
 			return false
 		}
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
+		var lhss []ast.Expr
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			lhss = n.Lhs
+		case *ast.IncDecStmt:
+			lhss = []ast.Expr{n.X}
+		case *ast.CallExpr:
+			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && len(n.Args) == 2 {
+				if _, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok && id.Name == "copy" {
+					lhss = n.Args[:1]
+				}
+			}
+		default:
 			return true
 		}
-		for _, lhs := range as.Lhs {
-			sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+		for _, lhs := range lhss {
+			sel, ok := writtenField(lhs).(*ast.SelectorExpr)
 			if !ok || !contentFields[sel.Sel.Name] {
 				continue
 			}
@@ -238,6 +256,21 @@ func contentWrite(pass *analysis.Pass, fd *ast.FuncDecl, derived map[types.Objec
 		return true
 	})
 	return pos
+}
+
+// writtenField strips the indexes and slices off a written expression:
+// a write to n.links[i] or n.links[a:b] is a write to n.links.
+func writtenField(e ast.Expr) ast.Expr {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		default:
+			return x
+		}
+	}
 }
 
 // namedRecvName names a selection's receiver type, pointers stripped.

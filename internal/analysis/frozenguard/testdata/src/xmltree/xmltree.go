@@ -8,15 +8,17 @@ import "errors"
 // ErrFrozen mirrors the real frozen-version sentinel.
 var ErrFrozen = errors.New("node is frozen")
 
-// Node mirrors the real node layout: content fields plus persistence
-// bookkeeping.
+// Node mirrors the real node layout: content fields — one list,
+// attributes first — plus persistence bookkeeping.
 type Node struct {
+	frozen bool
+	view   bool
+	nattrs uint32
 	name   string
 	value  string
 	parent *Node
-	kids   []*Node
-	frozen bool
-	shadow *Node
+	links  []*Node
+	mirror *Node
 }
 
 // mustThaw mirrors the real frozen gate.
@@ -28,7 +30,7 @@ func (n *Node) mustThaw() error {
 }
 
 // markChanged mirrors the real shadow invalidation.
-func (n *Node) markChanged() { n.shadow = nil }
+func (n *Node) markChanged() { n.mirror = nil }
 
 // Frozen reports the freeze state; read-only methods are exempt.
 func (n *Node) Frozen() bool { return n.frozen }
@@ -66,19 +68,65 @@ func (n *Node) BadReinsert(child *Node, at int) error { // want "without calling
 	if n.frozen {
 		return ErrFrozen
 	}
-	kids := make([]*Node, 0, len(n.kids)+1)
-	kids = append(kids, n.kids[:at]...)
-	kids = append(kids, child)
-	kids = append(kids, n.kids[at:]...)
-	n.kids = kids
+	at += int(n.nattrs)
+	links := make([]*Node, 0, len(n.links)+1)
+	links = append(links, n.links[:at]...)
+	links = append(links, child)
+	links = append(links, n.links[at:]...)
+	n.links = links
 	child.parent = n
 	return nil
 }
 
 // BadDeepWrite mutates through an alias chain without the gate.
 func (n *Node) BadDeepWrite(v string) { // want "without a frozen-state gate" "without calling markChanged"
-	k := n.kids[0]
+	k := n.links[0]
 	k.value = v
+}
+
+// BadInsertAttr splices the one list and counts the attribute in, and
+// invalidates the shadows, but never gates on frozen state: a published
+// version's attributes and children would shift under its readers.
+func (n *Node) BadInsertAttr(a *Node) { // want "without a frozen-state gate"
+	n.markChanged()
+	n.links = append(n.links, nil)
+	copy(n.links[n.nattrs+1:], n.links[n.nattrs:])
+	n.links[n.nattrs] = a
+	n.nattrs++
+}
+
+// BadDropAttrCount only decrements the attribute count: the first child
+// turns into the last attribute.
+func (n *Node) BadDropAttrCount() { // want "without a frozen-state gate" "without calling markChanged"
+	n.nattrs--
+}
+
+// BadRenameAttrs writes through the attributes' part of the list.
+func (n *Node) BadRenameAttrs(name string) { // want "without a frozen-state gate" "without calling markChanged"
+	for _, a := range n.links[:n.nattrs] {
+		a.name = name
+	}
+}
+
+// BadSwapLinks reorders two entries inside the list's own backing
+// array: no field is assigned, but every version sharing the list sees
+// the swap.
+func (n *Node) BadSwapLinks(i, j int) { // want "without a frozen-state gate" "without calling markChanged"
+	n.links[i], n.links[j] = n.links[j], n.links[i]
+}
+
+// BadShiftLinks moves the children one place left with copy alone.
+func (n *Node) BadShiftLinks() { // want "without a frozen-state gate" "without calling markChanged"
+	copy(n.links[n.nattrs:], n.links[n.nattrs+1:])
+}
+
+// GoodSwapFresh reorders a list it has just made; construction is
+// exempt.
+func (n *Node) GoodSwapFresh() []*Node {
+	links := append([]*Node(nil), n.links...)
+	links[0], links[1] = links[1], links[0]
+	copy(links, links[1:])
+	return links
 }
 
 // GoodClone writes only a freshly allocated node; construction is

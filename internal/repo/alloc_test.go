@@ -263,7 +263,8 @@ func bytesPerRun(runs int, f func()) float64 {
 // same at 200 nodes and at 20 000, in allocations and in bytes. The
 // scan visits the persistent tree and builds view shells only for the
 // sibling lists on the way to its four matches; building a shell for
-// every node it visits is 128 bytes a node, on every new version.
+// every node it visits is a node's 88 bytes and a list entry, for every
+// node, on every new version.
 func TestSnapshotQueryAllocsIndependentOfSize(t *testing.T) {
 	sizes := []int{200, 20000}
 	allocs, bytes := map[int]float64{}, map[int]float64{}

@@ -91,10 +91,14 @@ func (l *silentLabels) NodeInserted(*xmltree.Node) error { return nil }
 func (l *silentLabels) NodeDeleting(*xmltree.Node)       {}
 func (l *silentLabels) Stats() *labeling.Stats           { return &l.stats }
 
+// slabBytes is what a slab of 1 to 4 nodes of 88 bytes costs: the size
+// class of its array, no more (xmltree.TestNodeSize holds the 88).
+var slabBytes = [...]uint64{0, 96, 176, 288, 352}
+
 // TestTransactionNodesFromSlabs: the nodes a transaction creates — one
 // per element insert and per set-text with a value — are cut from slabs
-// of at most four, so k of them cost ⌈k/4⌉ allocations and 128 B each,
-// as many bytes as k nodes allocated one by one.
+// of at most four, so k of them cost ⌈k/4⌉ allocations: the first slab
+// holds what full slabs leave over, and each costs its size class.
 func TestTransactionNodesFromSlabs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -143,8 +147,9 @@ func TestTransactionNodesFromSlabs(t *testing.T) {
 			}
 			empty()
 			allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
-			if want := uint64(k+3) / 4; allocs != want || bytes != 128*uint64(k) {
-				t.Errorf("k=%d (set-text %v): %d allocations, %d B; want %d and %d B", k, text, allocs, bytes, want, 128*k)
+			want, wantBytes := uint64(k+3)/4, uint64(k/4)*slabBytes[4]+slabBytes[k%4]
+			if allocs != want || bytes != wantBytes {
+				t.Errorf("k=%d (set-text %v): %d allocations, %d B; want %d and %d B", k, text, allocs, bytes, want, wantBytes)
 			}
 		}
 	}

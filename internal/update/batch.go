@@ -626,10 +626,10 @@ func (s *Session) applyOp(op *Op, fresh *freshNodes) (*xmltree.Node, error) {
 	}
 }
 
-// slabNodes is the most nodes one slab of a transaction holds: 4 × 128 B
-// is the largest object with pointers the runtime allocates without a
-// header, so a node still costs 128 B, and a live node keeps at most
-// three others reachable.
+// slabNodes is the most nodes one slab of a transaction holds: 4 × 88 B
+// = 352 B is a size class, so a full slab costs exactly its nodes, and a
+// live node keeps at most three others reachable, 352 B of the 512 B a
+// live node may keep.
 const slabNodes = 4
 
 // freshNodes is where the nodes a transaction creates are cut from:

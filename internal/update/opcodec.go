@@ -454,7 +454,8 @@ func (r *treeReader) readTree(pos int) (*xmltree.Node, int, error) {
 }
 
 // readList reads a count and as many subtrees — the attributes of n, or
-// its children — and attaches them.
+// its children — and attaches them. The children's room extends the
+// attributes' window: an attribute reserves none of its own.
 func (r *treeReader) readList(n *xmltree.Node, pos int, attrs bool) (int, error) {
 	count, pos, err := r.length(pos, "node count")
 	if err != nil {
@@ -466,7 +467,7 @@ func (r *treeReader) readList(n *xmltree.Node, pos int, attrs bool) (int, error)
 		attach = (*xmltree.Node).AppendAttr
 	}
 	if n != nil {
-		r.slab.Reserve(n, attrs, count)
+		r.slab.Reserve(n, count)
 	}
 	for i := 0; i < count; i++ {
 		var c *xmltree.Node

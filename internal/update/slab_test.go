@@ -153,6 +153,36 @@ func TestLoadAllocsIndependentOfSize(t *testing.T) {
 	}
 }
 
+// liveHeap returns the bytes of live heap objects after a full
+// collection, as xmltree's retention test reads them.
+func liveHeap() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestDecodedNodeFootprint: a decoded document of 20 000 nodes keeps
+// at most 120 bytes a node live — its slab of 88-byte nodes, their one
+// list each, and the one string their names and values are cut from:
+// 107. Nodes of 128 bytes, with a list for attributes and one for
+// children, kept 147.
+func TestDecodedNodeFootprint(t *testing.T) {
+	img := update.EncodeDocTree(workload.BaseDocument(1, 20000))
+	before := liveHeap()
+	doc, err := update.DecodeDocTree(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perNode := float64(liveHeap()-before) / float64(doc.NodeCount())
+	runtime.KeepAlive(doc)
+	runtime.KeepAlive(img)
+	t.Logf("%d nodes decoded from %d bytes keep %.1f B a node live", doc.NodeCount(), len(img), perNode)
+	if perNode > 120 {
+		t.Errorf("a decoded node keeps %.1f B live, want at most 120", perNode)
+	}
+}
+
 // lyingTree is len bytes of nested lies: every element claims as many
 // children as bytes remain — the most the plausibility check lets
 // through — and holds one, down to where the bytes run out. A decoder

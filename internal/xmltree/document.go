@@ -76,10 +76,7 @@ func (d *Document) NodeCount() int {
 	var walk func(*Node)
 	walk = func(x *Node) {
 		n++
-		for _, a := range x.attributes() {
-			walk(a)
-		}
-		for _, c := range x.children() {
+		for _, c := range x.list() {
 			walk(c)
 		}
 	}

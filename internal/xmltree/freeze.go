@@ -33,10 +33,7 @@ const frozenPanic = "xmltree: mutation of a frozen (snapshot) node"
 // (the repository freezes version clones under the document read lock).
 func (n *Node) Freeze() {
 	n.frozen = true
-	for _, a := range n.attrs {
-		a.Freeze()
-	}
-	for _, c := range n.kids {
+	for _, c := range n.links {
 		c.Freeze()
 	}
 }

@@ -136,6 +136,8 @@ func TestRandomOpsPreservePinnedVersions(t *testing.T) {
 					t.Fatalf("round %d: live tree invalid: %v", round, err)
 				}
 				pin()
+				checkIndices(t, doc.Node())
+				checkIndices(t, pins[len(pins)-1].view.Node())
 				for _, p := range pins {
 					if got := p.view.XML(); got != p.xml {
 						t.Fatalf("round %d: pinned version %d changed:\n got %s\nwant %s",
@@ -144,6 +146,23 @@ func TestRandomOpsPreservePinnedVersions(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkIndices fails unless every attribute and child under n reports
+// its position in Attributes() or Children() as its Index().
+func checkIndices(t *testing.T, n *Node) {
+	t.Helper()
+	for i, a := range n.Attributes() {
+		if a.Index() != i {
+			t.Fatalf("attribute %s of <%s> is at %d, Index says %d", a.Name(), n.Name(), i, a.Index())
+		}
+	}
+	for i, c := range n.Children() {
+		if c.Index() != i {
+			t.Fatalf("child %s of <%s> is at %d, Index says %d", c.Name(), n.Name(), i, c.Index())
+		}
+		checkIndices(t, c)
 	}
 }
 
@@ -162,7 +181,7 @@ func randomMutation(t *testing.T, rng *rand.Rand, doc *Document) {
 		return
 	}
 	n := elems[rng.Intn(len(elems))]
-	switch rng.Intn(7) {
+	switch rng.Intn(9) {
 	case 0:
 		if err := n.AppendChild(NewElement(fmt.Sprintf("e%d", rng.Intn(100)))); err != nil {
 			t.Fatal(err)
@@ -197,6 +216,24 @@ func randomMutation(t *testing.T, rng *rand.Rand, doc *Document) {
 			return
 		}
 		if err := dst.AppendChild(n); err != nil {
+			t.Fatal(err)
+		}
+	case 7:
+		// Insert an attribute at a random place, clamped at both ends, or
+		// move one of n's own there: half the time, and whenever the new
+		// one's name is taken.
+		attrs := n.Attributes()
+		a := NewAttribute(attrName(rng.Intn(20)), "i")
+		if _, taken := n.Attr(a.Name()); taken || len(attrs) > 0 && rng.Intn(2) == 0 {
+			a = attrs[rng.Intn(len(attrs))]
+		}
+		if err := n.InsertAttrAt(rng.Intn(len(attrs)+3)-1, a); err != nil {
+			t.Fatal(err)
+		}
+	case 8:
+		// Insert a child anywhere among the others, the middle included.
+		i := rng.Intn(len(n.Children()) + 1)
+		if err := n.InsertChildAt(i, NewElement(fmt.Sprintf("m%d", rng.Intn(100)))); err != nil {
 			t.Fatal(err)
 		}
 	}

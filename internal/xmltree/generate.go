@@ -3,6 +3,7 @@ package xmltree
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 )
 
 // GenOptions parameterises the synthetic document generator. The paper is
@@ -47,6 +48,7 @@ func Generate(opt GenOptions) *Document {
 	} else {
 		g.fill(root, 0)
 	}
+	g.cut()
 	return doc
 }
 
@@ -62,7 +64,7 @@ func (g *generator) fillToTarget(root *Node) {
 		it := queue[0]
 		queue = queue[1:]
 		if g.rng.Float64() < g.opt.AttrProb && g.budgetLeft() {
-			if _, err := it.n.SetAttr(fmt.Sprintf("a%d", g.next), fmt.Sprintf("v%d", g.next)); err == nil {
+			if err := it.n.AppendAttr(g.named(NewAttribute("", ""), 'a', 'v')); err == nil {
 				g.count++
 				g.next++
 			}
@@ -72,7 +74,7 @@ func (g *generator) fillToTarget(root *Node) {
 		}
 		n := 1 + g.rng.Intn(g.opt.MaxChildren)
 		for i := 0; i < n && g.budgetLeft(); i++ {
-			c := NewElement(fmt.Sprintf("e%d", g.next))
+			c := g.named(NewElement(""), 'e', 0)
 			g.next++
 			if err := it.n.AppendChild(c); err != nil {
 				return
@@ -88,6 +90,45 @@ type generator struct {
 	rng   *rand.Rand
 	count int
 	next  int
+	text  []byte // every name and value, in the order of marks
+	marks []mark
+}
+
+// mark is a generated node and where its name and value end in text.
+type mark struct {
+	n           *Node
+	name, value int
+}
+
+// named records n, numbered g.next, for cut: its name is the name
+// prefix and the number, its value the value prefix and the number, and
+// a zero prefix leaves either empty.
+func (g *generator) named(n *Node, name, value byte) *Node {
+	g.number(name)
+	m := mark{n: n, name: len(g.text)}
+	g.number(value)
+	m.value = len(g.text)
+	g.marks = append(g.marks, m)
+	return n
+}
+
+// number appends prefix and g.next to text, or nothing for a zero prefix.
+func (g *generator) number(prefix byte) {
+	if prefix != 0 {
+		g.text = strconv.AppendInt(append(g.text, prefix), int64(g.next), 10)
+	}
+}
+
+// cut gives every generated node its name and value as windows of one
+// string, as a decoded document's are. A name allocated on its own can
+// hold a 16-byte block, about three times its bytes, for as long as any
+// version keeps its node.
+func (g *generator) cut() {
+	s, at := string(g.text), 0
+	for _, m := range g.marks {
+		m.n.name, m.n.value = s[at:m.name], s[m.name:m.value]
+		at = m.value
+	}
 }
 
 func (g *generator) budgetLeft() bool {
@@ -96,21 +137,21 @@ func (g *generator) budgetLeft() bool {
 
 func (g *generator) fill(e *Node, depth int) {
 	if g.rng.Float64() < g.opt.AttrProb && g.budgetLeft() {
-		if _, err := e.SetAttr(fmt.Sprintf("a%d", g.next), fmt.Sprintf("v%d", g.next)); err == nil {
+		if err := e.AppendAttr(g.named(NewAttribute("", ""), 'a', 'v')); err == nil {
 			g.count++
 			g.next++
 		}
 	}
 	if depth >= g.opt.MaxDepth || !g.budgetLeft() {
 		if g.rng.Float64() < g.opt.TextProb {
-			_ = e.AppendChild(NewText(fmt.Sprintf("t%d", g.next)))
+			_ = e.AppendChild(g.named(NewText(""), 0, 't'))
 			g.next++
 		}
 		return
 	}
 	n := g.rng.Intn(g.opt.MaxChildren + 1)
 	for i := 0; i < n && g.budgetLeft(); i++ {
-		c := NewElement(fmt.Sprintf("e%d", g.next))
+		c := g.named(NewElement(""), 'e', 0)
 		g.next++
 		if err := e.AppendChild(c); err != nil {
 			return
@@ -119,7 +160,7 @@ func (g *generator) fill(e *Node, depth int) {
 		g.fill(c, depth+1)
 	}
 	if n == 0 && g.rng.Float64() < g.opt.TextProb {
-		_ = e.AppendChild(NewText(fmt.Sprintf("t%d", g.next)))
+		_ = e.AppendChild(g.named(NewText(""), 0, 't'))
 		g.next++
 	}
 }

@@ -64,22 +64,19 @@ var (
 type Node struct {
 	kind   Kind
 	frozen bool   // immutable snapshot node (freeze.go); mutators refuse it
+	view   bool   // version-view shell: mirror is its source (persist.go)
+	nattrs uint32 // links[:nattrs] are the attributes
 	name   string // element/attribute name, PI target
 	value  string // attribute value, text/comment content, PI data
 	parent *Node
-	attrs  []*Node // attribute children, in document order (elements only)
-	kids   []*Node // non-attribute children, in document order
+	links  []*Node // attributes, then non-attribute children, each in document order
 
-	// Persistent-version bookkeeping (persist.go). birth is the version
-	// sequence at which this node's state was last published. shadow
-	// points from a live node to its up-to-date persistent counterpart
-	// (nil while the node has unpublished changes). src points from a
-	// version-view node to the persistent node it mirrors; expanded
-	// (accessed atomically) marks a view node whose child shells have
-	// been materialised.
-	birth    uint64
-	shadow   *Node
-	src      *Node
+	// Persistent-version bookkeeping (persist.go). On a live node mirror
+	// is its shadow: its up-to-date persistent counterpart, nil while the
+	// node has unpublished changes. On a view node it is the persistent
+	// node the view mirrors. expanded (accessed atomically) marks a view
+	// node whose child shells have been materialised.
+	mirror   *Node
 	expanded uint32
 }
 
@@ -141,7 +138,7 @@ func (n *Node) Text() string {
 		return n.value
 	}
 	var sb strings.Builder
-	for _, c := range n.Source().kids {
+	for _, c := range n.Source().children() {
 		if c.kind == KindText {
 			sb.WriteString(c.value)
 		}
@@ -161,14 +158,14 @@ func (n *Node) walkDeepText(sb *strings.Builder) {
 		sb.WriteString(n.value)
 		return
 	}
-	for _, c := range n.Source().kids {
+	for _, c := range n.Source().children() {
 		c.walkDeepText(sb)
 	}
 }
 
 // Attr returns the value of the named attribute and whether it exists.
 func (n *Node) Attr(name string) (string, bool) {
-	for _, a := range n.Source().attrs {
+	for _, a := range n.Source().attributes() {
 		if a.name == name {
 			return a.value, true
 		}
@@ -302,7 +299,7 @@ func (n *Node) SetAttr(name, value string) (*Node, error) {
 	if n.kind != KindElement {
 		return nil, fmt.Errorf("%w: attributes on %v", ErrWrongKind, n.kind)
 	}
-	for _, a := range n.attrs {
+	for _, a := range n.links[:n.nattrs] {
 		if a.name == name {
 			a.markChanged()
 			a.value = value
@@ -310,34 +307,15 @@ func (n *Node) SetAttr(name, value string) (*Node, error) {
 		}
 	}
 	a := NewAttribute(name, value)
-	a.parent = n
-	n.markChanged()
-	n.attrs = append(n.attrs, a)
-	return a, nil
+	return a, n.InsertAttrAt(int(n.nattrs), a)
 }
 
 // AppendAttr appends an attribute node, preserving insertion order.
-func (n *Node) AppendAttr(a *Node) error {
-	if n.frozen || a.frozen {
-		return ErrFrozen
-	}
-	if n.kind != KindElement {
-		return fmt.Errorf("%w: attributes on %v", ErrWrongKind, n.kind)
-	}
-	if a.kind != KindAttribute {
-		return fmt.Errorf("%w: AppendAttr of %v", ErrWrongKind, a.kind)
-	}
-	if a.parent != nil {
-		a.Detach()
-	}
-	a.parent = n
-	n.markChanged()
-	n.attrs = append(n.attrs, a)
-	return nil
-}
+func (n *Node) AppendAttr(a *Node) error { return n.InsertAttrAt(int(n.nattrs), a) }
 
 // InsertAttrAt inserts a as the i-th attribute of n (clamped to the
-// list bounds), preserving the order of the others.
+// list bounds), preserving the order of the others. The non-attribute
+// children after it move up by one in n's list.
 func (n *Node) InsertAttrAt(i int, a *Node) error {
 	if n.frozen || a.frozen {
 		return ErrFrozen
@@ -346,14 +324,9 @@ func (n *Node) InsertAttrAt(i int, a *Node) error {
 		return fmt.Errorf("%w: attributes on %v", ErrWrongKind, n.kind)
 	}
 	if a.kind != KindAttribute {
-		return fmt.Errorf("%w: InsertAttrAt of %v", ErrWrongKind, a.kind)
+		return fmt.Errorf("%w: %v inserted as attribute", ErrWrongKind, a.kind)
 	}
-	if i < 0 {
-		i = 0
-	}
-	if i > len(n.attrs) {
-		i = len(n.attrs)
-	}
+	i = max(0, min(i, int(n.nattrs)))
 	if a.parent != nil {
 		// Moving an attribute within the same element: its detach
 		// shifts everything after it left by one, so adjust the
@@ -367,9 +340,10 @@ func (n *Node) InsertAttrAt(i int, a *Node) error {
 	}
 	a.parent = n
 	n.markChanged()
-	n.attrs = append(n.attrs, nil)
-	copy(n.attrs[i+1:], n.attrs[i:])
-	n.attrs[i] = a
+	n.links = append(n.links, nil)
+	copy(n.links[i+1:], n.links[i:])
+	n.links[i] = a
+	n.nattrs++
 	return nil
 }
 
@@ -377,10 +351,11 @@ func (n *Node) InsertAttrAt(i int, a *Node) error {
 // Panics on a frozen node (see freeze.go).
 func (n *Node) RemoveAttr(name string) bool {
 	n.mustThaw()
-	for i, a := range n.attrs {
+	for i, a := range n.links[:n.nattrs] {
 		if a.name == name {
 			n.markChanged()
-			n.attrs = append(n.attrs[:i], n.attrs[i+1:]...)
+			n.links = append(n.links[:i], n.links[i+1:]...)
+			n.nattrs--
 			a.parent = nil
 			return true
 		}
@@ -399,7 +374,7 @@ func (n *Node) InsertChildAt(i int, c *Node) error {
 	if c.kind == KindAttribute {
 		return fmt.Errorf("%w: attribute inserted as child", ErrWrongKind)
 	}
-	if i < 0 || i > len(n.kids) {
+	if i < 0 || i > len(n.links)-int(n.nattrs) {
 		return ErrIndexOutOfRange
 	}
 	if c.parent != nil {
@@ -416,14 +391,17 @@ func (n *Node) InsertChildAt(i int, c *Node) error {
 	}
 	c.parent = n
 	n.markChanged()
-	n.kids = append(n.kids, nil)
-	copy(n.kids[i+1:], n.kids[i:])
-	n.kids[i] = c
+	i += int(n.nattrs)
+	n.links = append(n.links, nil)
+	copy(n.links[i+1:], n.links[i:])
+	n.links[i] = c
 	return nil
 }
 
 // AppendChild appends c as the last non-attribute child of n.
-func (n *Node) AppendChild(c *Node) error { return n.InsertChildAt(len(n.kids), c) }
+func (n *Node) AppendChild(c *Node) error {
+	return n.InsertChildAt(len(n.links)-int(n.nattrs), c)
+}
 
 // PrependChild inserts c as the first non-attribute child of n.
 func (n *Node) PrependChild(c *Node) error { return n.InsertChildAt(0, c) }
@@ -468,19 +446,13 @@ func (n *Node) Detach() {
 	// unchanged, so a later re-graft (move) still shares it with prior
 	// versions. Only the old parent's spine is invalidated.
 	p.markChanged()
-	if n.kind == KindAttribute {
-		for i, a := range p.attrs {
-			if a == n {
-				p.attrs = append(p.attrs[:i], p.attrs[i+1:]...)
-				break
+	for i, c := range p.links {
+		if c == n {
+			p.links = append(p.links[:i], p.links[i+1:]...)
+			if n.kind == KindAttribute {
+				p.nattrs--
 			}
-		}
-	} else {
-		for i, c := range p.kids {
-			if c == n {
-				p.kids = append(p.kids[:i], p.kids[i+1:]...)
-				break
-			}
+			break
 		}
 	}
 	n.parent = nil
@@ -488,14 +460,14 @@ func (n *Node) Detach() {
 
 // Slab is the storage of a tree that is built in one go — decoded from
 // a snapshot, or copied: its nodes are cut from one []Node and their
-// attribute and child lists from one []*Node, so building the tree costs
-// two allocations whatever its size. The zero Slab is empty, and an
-// exhausted one behaves the same: nodes and lists come from the heap.
-// What is cut from a slab is freed with it: holding any one node keeps
-// the whole slab reachable.
+// lists from one []*Node, so building the tree costs two allocations
+// whatever its size. The zero Slab is empty, and an exhausted one behaves
+// the same: nodes and lists come from the heap. What is cut from a slab
+// is freed with it: holding any one node keeps the whole slab reachable.
 type Slab struct {
-	nodes []Node
-	links []*Node
+	nodes  []Node
+	links  []*Node // what is left to cut
+	newest []*Node // the newest window and all that is left after it
 }
 
 // NewSlab returns a slab for nodes nodes whose lists hold links entries
@@ -516,15 +488,18 @@ func (s *Slab) New(kind Kind, name, value string) *Node {
 	return n
 }
 
-// Reserve gives n's attribute list, or its child list, room for exactly
-// count entries, if the list is still empty.
-func (s *Slab) Reserve(n *Node, attrs bool, count int) {
-	list := &n.kids
-	if attrs {
-		list = &n.attrs
-	}
-	if len(*list) == 0 && count > 0 {
-		*list = s.window(count)
+// Reserve gives n's full list room for exactly count more entries. A list
+// that is the slab's newest window grows in place, so a decoder that
+// reserves a node's attributes, reads them, then reserves its children
+// uses one window; any other list is copied into a new one.
+func (s *Slab) Reserve(n *Node, count int) {
+	l := len(n.links)
+	switch {
+	case count <= 0:
+	case l > 0 && l == cap(n.links) && l+count <= len(s.newest) && &n.links[0] == &s.newest[0]:
+		n.links, s.links = s.newest[:l:l+count], s.links[count:]
+	default:
+		n.links = append(s.window(l+count), n.links...)
 	}
 }
 
@@ -535,6 +510,7 @@ func (s *Slab) window(n int) []*Node {
 	if n > len(s.links) {
 		return make([]*Node, 0, n)
 	}
+	s.newest = s.links
 	w := s.links[:0:n]
 	s.links = s.links[n:]
 	return w
@@ -569,17 +545,12 @@ func CloneEach(list []*Node) {
 func (n *Node) clone(slab *Slab) *Node {
 	n = n.Source()
 	c := slab.New(n.kind, n.name, n.value)
-	slab.Reserve(c, true, len(n.attrs))
-	slab.Reserve(c, false, len(n.kids))
-	for _, a := range n.attrs {
-		ac := a.clone(slab)
-		ac.parent = c
-		c.attrs = append(c.attrs, ac)
-	}
-	for _, k := range n.kids {
+	c.nattrs = n.nattrs
+	slab.Reserve(c, len(n.links))
+	for _, k := range n.links {
 		kc := k.clone(slab)
 		kc.parent = c
-		c.kids = append(c.kids, kc)
+		c.links = append(c.links, kc)
 	}
 	return c
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestNewNodes(t *testing.T) {
@@ -380,21 +381,33 @@ func childNames(n *Node) string {
 	return strings.Join(names, ",")
 }
 
+// TestNodeSize: a node is at most 88 bytes — one list, attributes
+// first, and one mirror pointer for a live node's shadow and a view's
+// source. Every document, version, slab and result copy is made of
+// nodes, so each byte here is paid per node everywhere.
+func TestNodeSize(t *testing.T) {
+	if size := unsafe.Sizeof(Node{}); size > 88 {
+		t.Errorf("a node is %d bytes, want at most 88", size)
+	}
+}
+
 // TestSlabWindowsAreExact: the lists of a slab-built tree are neighbours
 // in one array. Appending to a full one must move it; with a two-index
-// window the append would land in the next node's list.
+// window the append would land in the next node's list. A node's list
+// grows in place while it is the newest window, as a decoder grows it
+// from the attributes to the children, and is copied otherwise.
 func TestSlabWindowsAreExact(t *testing.T) {
 	slab := NewSlab(7, 6)
 	root := slab.New(KindElement, "r", "")
-	slab.Reserve(root, false, 2)
+	slab.Reserve(root, 2)
 	var parents [2]*Node
 	for i := range parents {
 		p := slab.New(KindElement, fmt.Sprint("p", i), "")
-		slab.Reserve(p, true, 1)
-		slab.Reserve(p, false, 1)
+		slab.Reserve(p, 1)
 		if err := p.AppendAttr(slab.New(KindAttribute, "a", "v")); err != nil {
 			t.Fatal(err)
 		}
+		slab.Reserve(p, 1)
 		if err := p.AppendChild(slab.New(KindElement, fmt.Sprint("c", i), "")); err != nil {
 			t.Fatal(err)
 		}
@@ -412,8 +425,8 @@ func TestSlabWindowsAreExact(t *testing.T) {
 	}
 	// Every list is full: grow each of them, at the front, at the back.
 	for _, n := range []*Node{root, parents[0], parents[1]} {
-		if cap(n.kids) != len(n.kids) || cap(n.attrs) != len(n.attrs) {
-			t.Fatalf("%s: lists of %d/%d entries have room for %d/%d", n.Name(), len(n.attrs), len(n.kids), cap(n.attrs), cap(n.kids))
+		if cap(n.links) != len(n.links) {
+			t.Fatalf("%s: a list of %d entries has room for %d", n.Name(), len(n.links), cap(n.links))
 		}
 		if err := n.PrependChild(NewElement("first")); err != nil {
 			t.Fatal(err)
@@ -432,37 +445,49 @@ func TestSlabWindowsAreExact(t *testing.T) {
 	if err := root.Validate(); err != nil {
 		t.Error(err)
 	}
+	// A list that is no longer the newest window is copied, not grown
+	// over its neighbour.
+	pair := NewSlab(2, 5)
+	a, b := pair.New(KindElement, "a", ""), pair.New(KindElement, "b", "")
+	pair.Reserve(a, 1)
+	if _, err := a.SetAttr("x", "1"); err != nil {
+		t.Fatal(err)
+	}
+	pair.Reserve(b, 1)
+	if err := b.AppendChild(NewText("b")); err != nil {
+		t.Fatal(err)
+	}
+	pair.Reserve(a, 1)
+	if err := a.AppendChild(NewText("a")); err != nil {
+		t.Fatal(err)
+	}
+	if got := OuterXML(a) + OuterXML(b); got != `<a x="1">a</a><b>b</b>` || len(pair.links) != 1 {
+		t.Errorf("after growing a behind b: %s, %d links left, want 1", got, len(pair.links))
+	}
 	// An exhausted slab, like the zero one, hands out heap nodes and lists.
 	var none Slab
 	for _, s := range []*Slab{&slab, &none} {
 		n := s.New(KindElement, "late", "")
-		s.Reserve(n, true, 2)
-		s.Reserve(n, false, 3)
-		if cap(n.attrs) != 2 || cap(n.kids) != 3 || len(n.attrs)+len(n.kids) != 0 {
-			t.Errorf("heap fallback: room for %d/%d", cap(n.attrs), cap(n.kids))
+		s.Reserve(n, 5)
+		if cap(n.links) != 5 || len(n.links) != 0 {
+			t.Errorf("heap fallback: room for %d", cap(n.links))
 		}
 	}
 }
 
 // TestCloneAllocatesPerNodeAndList: a copy is its nodes and one exact
-// list per non-empty list — no growth by doubling.
+// list per node that has attributes or children — no growth by doubling.
 func TestCloneAllocatesPerNodeAndList(t *testing.T) {
 	doc := Generate(GenOptions{Seed: 5, MaxDepth: 5, MaxChildren: 7, AttrProb: 0.6, TextProb: 0.5, TargetNodes: 300})
 	want := 0
 	var count func(n *Node)
 	count = func(n *Node) {
 		want++
-		if len(n.attrs) > 0 {
+		if len(n.links) > 0 {
 			want++
 		}
-		if len(n.kids) > 0 {
-			want++
-		}
-		for _, a := range n.attrs {
-			count(a)
-		}
-		for _, k := range n.kids {
-			count(k)
+		for _, c := range n.links {
+			count(c)
 		}
 	}
 	count(doc.Root())

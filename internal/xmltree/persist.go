@@ -49,10 +49,12 @@ import (
 // is nil too (a node cannot change without its ancestors' child lists
 // or subtree content changing), so the walk stops at the first
 // already-invalid node. On a document that has never been published
-// every mutation pays exactly one nil check here.
+// every mutation pays exactly one nil check here. Mutators refuse frozen
+// nodes before they get here, so the walk never meets a view, whose
+// mirror is its source.
 func (n *Node) markChanged() {
-	for m := n; m != nil && m.shadow != nil; m = m.parent {
-		m.shadow = nil
+	for m := n; m != nil && m.mirror != nil; m = m.parent {
+		m.mirror = nil
 	}
 }
 
@@ -60,58 +62,51 @@ func (n *Node) markChanged() {
 // into the document's persistent mirror and returns the new version
 // root: a frozen, parentless tree in which all subtrees untouched since
 // the last publication are shared, by pointer, with the version
-// published then. Rebuilt nodes are stamped with the birth sequence
-// seq. Publishing an unchanged document returns the previous version
-// root unchanged, without allocating.
+// published then. seq is the caller's name for the version; the tree
+// keeps no record of it, since sharing is pointer identity
+// (Node.Source). Publishing an unchanged document returns the previous
+// version root unchanged, without allocating.
 //
-// PublishVersion mutates the live tree's bookkeeping fields (shadows
-// and birth sequences), so it must be serialised with mutators and
-// with other PublishVersion calls by the caller's locking; concurrent
-// readers of the live tree are unaffected (they never read shadows).
+// PublishVersion mutates the live tree's shadows, so it must be
+// serialised with mutators and with other PublishVersion calls by the
+// caller's locking; concurrent readers of the live tree are unaffected
+// (they never read shadows).
 func (d *Document) PublishVersion(seq uint64) *Node {
 	var slab Slab
 	if !d.published {
-		// Not birth == 0: a pin at sequence 0 leaves every birth at 0.
 		d.published = true
 		slab = NewSlab(unpublished(d.node))
 	}
-	return publishNode(d.node, seq, &slab)
+	return publishNode(d.node, &slab)
 }
 
 // unpublished counts the nodes under n that have no valid shadow, and
 // the list entries they hold: what publishing n copies.
 func unpublished(n *Node) (nodes, links int) {
-	if n.shadow != nil {
+	if n.mirror != nil {
 		return 0, 0
 	}
-	nodes, links = 1, len(n.attrs)+len(n.kids)
-	for _, list := range [2][]*Node{n.attrs, n.kids} {
-		for _, c := range list {
-			k, l := unpublished(c)
-			nodes, links = nodes+k, links+l
-		}
+	nodes, links = 1, len(n.links)
+	for _, c := range n.links {
+		k, l := unpublished(c)
+		nodes, links = nodes+k, links+l
 	}
 	return nodes, links
 }
 
 // publishNode copies what changed under n, taking nodes and lists from
 // slab while it lasts and from the heap after.
-func publishNode(n *Node, seq uint64, slab *Slab) *Node {
-	if n.shadow != nil {
-		return n.shadow
+func publishNode(n *Node, slab *Slab) *Node {
+	if n.mirror != nil {
+		return n.mirror
 	}
 	p := slab.New(n.kind, n.name, n.value)
-	p.frozen, p.birth = true, seq
-	slab.Reserve(p, true, len(n.attrs))
-	slab.Reserve(p, false, len(n.kids))
-	for _, a := range n.attrs {
-		p.attrs = append(p.attrs, publishNode(a, seq, slab))
+	p.frozen, p.nattrs = true, n.nattrs
+	slab.Reserve(p, len(n.links))
+	for _, c := range n.links {
+		p.links = append(p.links, publishNode(c, slab))
 	}
-	for _, c := range n.kids {
-		p.kids = append(p.kids, publishNode(c, seq, slab))
-	}
-	n.birth = seq
-	n.shadow = p
+	n.mirror = p
 	return p
 }
 
@@ -133,11 +128,11 @@ func viewOf(src, parent *Node) Node {
 	return Node{
 		kind:   src.kind,
 		frozen: true,
+		view:   true,
 		name:   src.name,
 		value:  src.value,
 		parent: parent,
-		birth:  src.birth,
-		src:    src,
+		mirror: src,
 	}
 }
 
@@ -147,12 +142,13 @@ func viewOf(src, parent *Node) Node {
 // expanded fast path (an atomic load) never takes it.
 var expandMu sync.Mutex
 
-// expand materialises the child and attribute shells of a view node,
-// as one slab of shells behind one list of pointers. Publication order
+// expand materialises the attribute and child shells of a view node, as
+// one slab of shells behind one list of pointers. Publication order
 // guarantees the source node is immutable by the time any reader can
 // reach it, so expansion only needs to synchronise with other
-// expansions: the atomic expanded flag is written after the child
-// lists (release) and checked before reading them (acquire).
+// expansions: the atomic expanded flag is written after the list and
+// its attribute count (release) and checked before reading them
+// (acquire).
 func (n *Node) expand() {
 	if atomic.LoadUint32(&n.expanded) != 0 {
 		return
@@ -162,21 +158,14 @@ func (n *Node) expand() {
 	if atomic.LoadUint32(&n.expanded) != 0 {
 		return
 	}
-	src := n.src
-	na := len(src.attrs)
-	if total := na + len(src.kids); total > 0 {
-		shells := make([]Node, total)
-		list := make([]*Node, total)
-		for i, a := range src.attrs {
-			shells[i] = viewOf(a, n)
-		}
-		for i, c := range src.kids {
-			shells[na+i] = viewOf(c, n)
-		}
-		for i := range shells {
+	if src := n.mirror; len(src.links) > 0 {
+		shells := make([]Node, len(src.links))
+		list := make([]*Node, len(src.links))
+		for i, c := range src.links {
+			shells[i] = viewOf(c, n)
 			list[i] = &shells[i]
 		}
-		n.attrs, n.kids = list[:na:na], list[na:]
+		n.links, n.nattrs = list, src.nattrs
 	}
 	atomic.StoreUint32(&n.expanded, 1)
 }
@@ -187,8 +176,8 @@ func (n *Node) expand() {
 // navigation only, and walking it materialises no shell. Any other
 // node is its own source.
 func (n *Node) Source() *Node {
-	if n.src != nil {
-		return n.src
+	if n.view {
+		return n.mirror
 	}
 	return n
 }
@@ -247,14 +236,14 @@ func (s *scan) at(depth int) *link {
 
 // walk scans below p, the chain's node at depth.
 func (s *scan) walk(p *Node, depth int, match func(*Node) bool) {
-	for i, a := range p.attrs {
+	for i, a := range p.attributes() {
 		if match(a) {
 			s.out = append(s.out, s.view(depth).attributes()[i])
 		}
 	}
 	d := depth + 1
 	l := s.at(d)
-	for i, c := range p.kids {
+	for i, c := range p.children() {
 		if c.kind != KindElement {
 			continue
 		}
@@ -265,7 +254,7 @@ func (s *scan) walk(p *Node, depth int, match func(*Node) bool) {
 		if match(c) {
 			s.out = append(s.out, s.view(d))
 		}
-		if len(c.kids) > 0 || len(c.attrs) > 0 {
+		if len(c.links) > 0 {
 			s.walk(c, d, match)
 			l = s.at(d) // the walk below may have moved the spill
 		}
@@ -281,28 +270,26 @@ func (s *scan) view(depth int) *Node {
 	return s.at(depth).view
 }
 
-// children returns the non-attribute child list, materialising view
-// shells on demand. Every in-package read of n.kids on a node that may
-// be a version view goes through here; live and persistent nodes take
-// the one-branch fast path.
+// list returns the attributes and then the non-attribute children,
+// materialising view shells on demand. Every in-package read of n.links
+// on a node that may be a version view goes through here, children or
+// attributes; live and persistent nodes take the one-branch fast path.
+func (n *Node) list() []*Node {
+	if n.view {
+		n.expand()
+	}
+	return n.links
+}
+
+// children returns the non-attribute children.
 func (n *Node) children() []*Node {
-	if n.src != nil {
-		n.expand()
-	}
-	return n.kids
+	l := n.list() // before n.nattrs: expanding a view sets it
+	return l[n.nattrs:]
 }
 
-// attributes is the attribute-list counterpart of children.
+// attributes returns the attributes, with no room to append into the
+// children's places.
 func (n *Node) attributes() []*Node {
-	if n.src != nil {
-		n.expand()
-	}
-	return n.attrs
+	l := n.list()
+	return l[:n.nattrs:n.nattrs]
 }
-
-// BirthSeq returns the version sequence at which the node's current
-// state was last published, or 0 for a node that predates the first
-// publication. Two versions share a subtree exactly when the subtree
-// root's birth sequence predates the younger version — tests use this
-// to assert structure sharing.
-func (n *Node) BirthSeq() uint64 { return n.birth }

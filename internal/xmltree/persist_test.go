@@ -43,22 +43,23 @@ func TestPublishVersionSharesUntouchedSubtrees(t *testing.T) {
 	if r1 == r2 {
 		t.Fatal("spine (root element) was shared despite a change below it")
 	}
+	// The views of the two versions are distinct shells; what they
+	// mirror is shared exactly where nothing changed.
+	w1, w2 := OpenVersion(v1).Root(), OpenVersion(v2).Root()
 	for i := range kids {
 		s1, s2 := r1.Children()[i], r2.Children()[i]
+		x1, x2 := w1.Children()[i], w2.Children()[i]
+		if x1 == x2 || x1.Source() != s1 || x2.Source() != s2 {
+			t.Fatalf("child %d: the views do not mirror their versions", i)
+		}
 		if i == 3 {
 			if s1 == s2 {
 				t.Fatal("changed child was shared between versions")
-			}
-			if s2.BirthSeq() != 2 {
-				t.Fatalf("changed child birth seq = %d, want 2", s2.BirthSeq())
 			}
 			continue
 		}
 		if s1 != s2 {
 			t.Fatalf("untouched child %d was recopied", i)
-		}
-		if s1.BirthSeq() != 1 {
-			t.Fatalf("untouched child %d birth seq = %d, want 1", i, s1.BirthSeq())
 		}
 	}
 }
@@ -218,7 +219,7 @@ func TestDetachRegraftSharesSubtree(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc.PublishVersion(1)
-	g1 := moved.shadow
+	g1 := moved.mirror
 	if g1 == nil {
 		t.Fatal("published subtree has no shadow")
 	}
@@ -229,7 +230,7 @@ func TestDetachRegraftSharesSubtree(t *testing.T) {
 		t.Fatal(err)
 	}
 	v2 := doc.PublishVersion(2)
-	if moved.shadow != g1 {
+	if moved.mirror != g1 {
 		t.Fatal("moved subtree was recopied on publish")
 	}
 	g2 := v2.Children()[0].Children()[1].Children()[0]
@@ -368,7 +369,7 @@ func expandedNodes(n *Node) []*Node {
 		return nil
 	}
 	out := []*Node{n}
-	for _, c := range n.kids {
+	for _, c := range n.links {
 		out = append(out, expandedNodes(c)...)
 	}
 	return out
@@ -407,7 +408,7 @@ func TestDescendantsMaterialisesOnlyMatchPaths(t *testing.T) {
 	}
 	onMatchPath := map[*Node]bool{}
 	for i, n := range got {
-		if n.src == nil || n.Root() != view.Node() {
+		if !n.view || n.Root() != view.Node() {
 			t.Fatalf("match %d is not a node of the view", i)
 		}
 		if OuterXML(n) != OuterXML(rare[i]) || n.Index() != rare[i].Index() || n.Depth() != rare[i].Depth() {
@@ -516,8 +517,8 @@ func TestFirstPublicationIsOneSlab(t *testing.T) {
 		}
 	}
 
-	// A pin before the first commit publishes at sequence 0, leaving
-	// every birth at 0: only the first call may take the slab.
+	// A pin before the first commit publishes at sequence 0, and so does
+	// every publication after it: only the first call may take the slab.
 	doc := GenerateDeep(64)
 	view := OpenVersion(doc.PublishVersion(0))
 	tip := doc.Root()

@@ -18,7 +18,7 @@ type SerializeOptions struct {
 // be reconstructible from the tree; this is the reconstruction path.
 func (d *Document) WriteXML(w io.Writer, opt SerializeOptions) error {
 	x := xmlWriter{w: w, indent: opt.Indent}
-	for _, c := range d.node.Source().kids {
+	for _, c := range d.node.Source().children() {
 		x.node(c, 0, opt.Indent != "")
 		if opt.Indent != "" {
 			x.put("\n")

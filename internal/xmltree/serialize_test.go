@@ -222,8 +222,8 @@ func TestSerializeReportsFirstWriteError(t *testing.T) {
 func nestedDocumentNode() *Document {
 	doc := NewDocument()
 	root := NewElement("r")
-	root.kids = []*Node{{kind: KindDocument, parent: root}}
+	root.links = []*Node{{kind: KindDocument, parent: root}}
 	root.parent = doc.node
-	doc.node.kids = []*Node{root}
+	doc.node.links = []*Node{root}
 	return doc
 }

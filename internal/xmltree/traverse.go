@@ -22,12 +22,7 @@ func walkLabelled(n *Node, visit func(*Node) bool) bool {
 			return false
 		}
 	}
-	for _, a := range n.attributes() {
-		if !walkLabelled(a, visit) {
-			return false
-		}
-	}
-	for _, c := range n.children() {
+	for _, c := range n.list() {
 		if !walkLabelled(c, visit) {
 			return false
 		}
@@ -49,14 +44,12 @@ func (d *Document) LabelledNodes() []*Node {
 func LabelledChildren(n *Node) iter.Seq2[int, *Node] {
 	return func(yield func(int, *Node) bool) {
 		i := 0
-		for _, list := range [2][]*Node{n.attributes(), n.children()} {
-			for _, c := range list {
-				if c.kind == KindElement || c.kind == KindAttribute {
-					if !yield(i, c) {
-						return
-					}
-					i++
+		for _, c := range n.list() {
+			if c.kind == KindElement || c.kind == KindAttribute {
+				if !yield(i, c) {
+					return
 				}
+				i++
 			}
 		}
 	}
@@ -246,10 +239,7 @@ func (d *Document) PostRank() map[*Node]int {
 	i := 0
 	var walk func(n *Node)
 	walk = func(n *Node) {
-		for _, a := range n.attributes() {
-			walk(a)
-		}
-		for _, c := range n.children() {
+		for _, c := range n.list() {
 			walk(c)
 		}
 		if n.kind == KindElement || n.kind == KindAttribute {
@@ -292,20 +282,8 @@ func DocOrderCompare(a, b *Node) int {
 	if p == nil {
 		return 0 // different trees: no order
 	}
-	// Attributes precede non-attribute children of the same parent.
-	aAttr := ca.kind == KindAttribute
-	bAttr := cb.kind == KindAttribute
-	if aAttr != bAttr {
-		if aAttr {
-			return -1
-		}
-		return 1
-	}
-	list := p.children()
-	if aAttr {
-		list = p.attributes()
-	}
-	for _, c := range list {
+	// Attributes precede non-attribute children in p's one list.
+	for _, c := range p.list() {
 		if c == ca {
 			return -1
 		}
