@@ -98,10 +98,12 @@ func leafOf(d *xmltree.Document) *xmltree.Node {
 	return n
 }
 
-// TestSnapshotPinAllocsConstant: pinning costs a handful of
-// allocations — the Snapshot wrapper and bookkeeping — and the number
-// does not grow with document size, whether the pinned version is
-// cached or freshly superseded by a commit.
+// TestSnapshotPinAllocsConstant: pinning a cached version costs two
+// allocations — the Snapshot and its one slice of entries (five while a
+// snapshot also copied its names, listed its documents and kept a map
+// of entries) — and the number does not grow with document size,
+// whether the pinned version is cached or freshly superseded by a
+// commit. Names repeated and out of order cost nothing more.
 func TestSnapshotPinAllocsConstant(t *testing.T) {
 	widths := []int{64, 2048}
 	cached := map[int]float64{}
@@ -127,8 +129,8 @@ func TestSnapshotPinAllocsConstant(t *testing.T) {
 		fresh[w] = both - writeOnly
 	}
 	for _, w := range widths {
-		if cached[w] > 10 {
-			t.Errorf("cached pin at width %d: %.1f allocs, want <= 10", w, cached[w])
+		if cached[w] > 2 {
+			t.Errorf("cached pin at width %d: %.1f allocs, want <= 2", w, cached[w])
 		}
 		if fresh[w] > 15 {
 			t.Errorf("fresh pin at width %d: %.1f allocs, want <= 15", w, fresh[w])
@@ -139,6 +141,31 @@ func TestSnapshotPinAllocsConstant(t *testing.T) {
 	}
 	if d := fresh[2048] - fresh[64]; d < -4 || d > 4 {
 		t.Errorf("fresh pin scales with width: %.1f vs %.1f allocs", fresh[64], fresh[2048])
+	}
+
+	r := snapRepo(t, "a", "b")
+	var names []string
+	pin := func() {
+		snap, err := r.Snapshot("b", "a", "a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		names = snap.Names()
+		snap.Close()
+	}
+	pin()
+	pinAllocs := testing.AllocsPerRun(100, func() {
+		snap, err := r.Snapshot("b", "a", "a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap.Close()
+	})
+	if pinAllocs != 2 {
+		t.Errorf(`Snapshot("b", "a", "a"): %.1f allocs, want 2`, pinAllocs)
+	}
+	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
+		t.Errorf(`Snapshot("b", "a", "a").Names() = %v, want [a b]`, names)
 	}
 }
 
@@ -473,43 +500,54 @@ func TestCommitAllocatesWhatItCreates(t *testing.T) {
 	}
 }
 
-// TestQueryAllocatesItsAnswer: a lock-held QueryFunc("//item") allocates
-// only its answer — the result slice as it grows — and nothing for the
-// parse, the contexts or the scan's chain, so a chain 64 deep costs what
-// one 8 deep does.
-func TestQueryAllocatesItsAnswer(t *testing.T) {
-	const items = 48
-	growth := 0
-	var answer []*xmltree.Node
-	for i := 0; i < items; i++ {
-		if len(answer) == cap(answer) {
-			growth++
-		}
-		answer = append(answer, nil)
+// queryAllocs opens xml as a document and returns what a lock-held
+// QueryFunc(path) allocates, checking that it finds want nodes.
+func queryAllocs(t *testing.T, xml, path string, want int) float64 {
+	t.Helper()
+	doc, err := xmltree.ParseString(xml)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, depth := range []int{8, 64} {
-		xml := deepXML(depth)
-		xml = strings.Replace(xml, "<leaf/>", strings.Repeat("<item/>", items), 1)
-		doc, err := xmltree.ParseString(xml)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := New(Options{})
-		if err := r.Open("a", doc, "qed"); err != nil {
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(50, func() {
-			if err := r.QueryFunc("a", "//item", func(nodes []*xmltree.Node) error {
-				if len(nodes) != items {
-					t.Fatalf("depth %d: //item found %d nodes, want %d", depth, len(nodes), items)
-				}
-				return nil
-			}); err != nil {
-				t.Fatal(err)
+	r := New(Options{})
+	if err := r.Open("a", doc, "qed"); err != nil {
+		t.Fatal(err)
+	}
+	return testing.AllocsPerRun(50, func() {
+		if err := r.QueryFunc("a", path, func(nodes []*xmltree.Node) error {
+			if len(nodes) != want {
+				t.Fatalf("%s found %d nodes, want %d", path, len(nodes), want)
 			}
-		})
-		if allocs != float64(growth) {
-			t.Errorf("depth %d: //item allocates %v, want %d (the answer's growth to %d nodes)", depth, allocs, growth, items)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// itemsAt is a chain depth deep with items <item/> leaves at its bottom.
+func itemsAt(depth, items int) string {
+	return strings.Replace(deepXML(depth), "<leaf/>", strings.Repeat("<item/>", items), 1)
+}
+
+// TestQueryAllocatesItsAnswer: a lock-held QueryFunc allocates its
+// answer once and nothing for the parse, the contexts or the scan's
+// chain, so a chain 64 deep costs what one 8 deep does. The descendant
+// scan holds up to 64 matches in itself and hands out one exact-size
+// copy (48 matches cost 7 allocations while the answer grew by append);
+// a larger answer moves to the heap once at 128 and grows from there, so
+// no answer costs more than an append from nil would.
+func TestQueryAllocatesItsAnswer(t *testing.T) {
+	for _, depth := range []int{8, 64} {
+		if got := queryAllocs(t, itemsAt(depth, 48), "//item", 48); got != 1 {
+			t.Errorf("depth %d: //item allocates %v, want 1 (its answer of 48 nodes)", depth, got)
+		}
+	}
+	for _, c := range []struct {
+		items int
+		most  float64
+	}{{0, 0}, {64, 1}, {65, 1}, {200, 3}} {
+		if got := queryAllocs(t, itemsAt(8, c.items), "//item", c.items); got > c.most {
+			t.Errorf("//item with %d matches allocates %v, want <= %v", c.items, got, c.most)
 		}
 	}
 }

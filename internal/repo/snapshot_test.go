@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"xmldyn/internal/update"
 	"xmldyn/internal/xmltree"
@@ -792,4 +793,64 @@ func TestSnapshotScansRaceNavigatorsAndWriter(t *testing.T) {
 	readers.Wait()
 	close(stop)
 	writer.Wait()
+}
+
+// TestFailedSnapshotAtReleasesPins: a SnapshotAt that resolves one
+// document and finds the next evicted returns ErrVersionEvicted and
+// leaves the gauges as they were — the pin it took is released — and a
+// Snapshot naming an unknown document fails before it locks anything:
+// a write on either document commits afterwards.
+func TestFailedSnapshotAtReleasesPins(t *testing.T) {
+	r := New(Options{RetainVersions: 1})
+	for _, name := range []string{"a", "b"} {
+		doc, err := xmltree.ParseString("<r><seed/></r>")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Open(name, doc, "qed"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stamp := r.Stamp()
+	for _, tag := range []string{"c0", "c1"} {
+		if _, err := r.Batch("b", appendTo(tag)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Cache a's current version, so the failed call leaves it as it
+	// found it: a resolves at stamp, b's version there has aged out.
+	snap, err := r.Snapshot("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Close()
+	before := r.VersionStats()
+	if _, err := r.SnapshotAt(stamp, "a", "b"); !errors.Is(err, ErrVersionEvicted) {
+		t.Fatalf("SnapshotAt(%d, a, b): err = %v, want ErrVersionEvicted", stamp, err)
+	}
+	if after := r.VersionStats(); after.OpenSnapshots != before.OpenSnapshots ||
+		after.PinnedVersions != before.PinnedVersions || after.LiveVersions != before.LiveVersions {
+		t.Fatalf("gauges after a failed SnapshotAt: %+v, want %+v", after, before)
+	}
+	if _, err := r.Snapshot("a", "missing"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf(`Snapshot("a", "missing"): err = %v, want ErrNotFound`, err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		for _, name := range []string{"a", "b"} {
+			if _, err := r.Batch(name, appendTo("after")); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a write after the failed snapshots still waits: a read lock leaked")
+	}
 }

@@ -50,6 +50,8 @@ package repo
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -356,10 +358,13 @@ func (d *Doc) pinAt(stamp uint64) (*docVersion, error) {
 		ErrVersionEvicted, d.name, stamp, d.stamp, len(d.hist))
 }
 
-// snapEntry is one document inside a snapshot: the pinned version and
-// its frozen view, resolved once at capture time. Close drops the view
-// and keeps the descriptor.
+// snapEntry is one document inside a snapshot: its name, the pinned
+// version and its frozen view, resolved once at capture time. Close
+// drops the view and keeps the descriptor; doc is the live document
+// only while the snapshot is being captured.
 type snapEntry struct {
+	name string
+	doc  *Doc
 	v    *docVersion
 	tree *xmltree.Document
 }
@@ -375,11 +380,12 @@ type snapEntry struct {
 // its versions can be reclaimed (docs/CONCURRENCY.md specifies the
 // full observation model).
 //
-// A Snapshot is safe for concurrent use by multiple goroutines.
+// A Snapshot is safe for concurrent use by multiple goroutines. It is
+// the struct and one slice of entries sorted by name, searched by
+// binary search; there is no map.
 type Snapshot struct {
 	mu     sync.RWMutex
-	docs   map[string]snapEntry
-	names  []string // sorted
+	docs   []snapEntry // sorted by name
 	stats  *versionStats
 	closed bool
 }
@@ -440,50 +446,61 @@ func (r *Repository) snapshotWith(names []string, pin func(*Doc) (*docVersion, e
 	if all {
 		names = r.Names()
 	}
-	uniq := sortedUnique(nil, names)
-	held := make([]*Doc, 0, len(uniq))
-	resolved := uniq[:0]
-	for _, name := range uniq {
-		d, ok := lookup(r, name)
+	docs := make([]snapEntry, len(names))
+	for i, name := range names {
+		docs[i].name = name
+	}
+	slices.SortFunc(docs, func(a, b snapEntry) int { return strings.Compare(a.name, b.name) })
+	docs = slices.CompactFunc(docs, func(a, b snapEntry) bool { return a.name == b.name })
+	resolved := docs[:0]
+	for _, e := range docs {
+		d, ok := lookup(r, e.name)
 		if !ok {
 			if all {
 				continue
 			}
-			return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
+			return nil, fmt.Errorf("%w: %q", ErrNotFound, e.name)
 		}
-		held = append(held, d)
-		resolved = append(resolved, name)
+		e.doc = d
+		resolved = append(resolved, e)
 	}
-	uniq = resolved
-	for _, d := range held {
-		d.mu.RLock()
+	docs = resolved
+	for _, e := range docs {
+		e.doc.mu.RLock()
 	}
-	s := &Snapshot{docs: make(map[string]snapEntry, len(held)), names: uniq, stats: &r.vstats}
 	var pinErr error
-	for _, d := range held {
-		v, err := pin(d)
-		if err != nil {
-			pinErr = err
+	for i := range docs {
+		e := &docs[i]
+		if e.v, pinErr = pin(e.doc); pinErr != nil {
 			break
 		}
-		s.docs[d.name] = snapEntry{v: v, tree: v.document()}
+		e.tree = e.v.document()
 	}
-	for i := len(held) - 1; i >= 0; i-- {
-		held[i].mu.RUnlock()
+	for i := len(docs) - 1; i >= 0; i-- {
+		docs[i].doc.mu.RUnlock()
+		docs[i].doc = nil
 	}
 	if pinErr != nil {
-		for _, e := range s.docs {
-			e.v.unpin()
+		for _, e := range docs {
+			if e.v != nil {
+				e.v.unpin()
+			}
 		}
 		return nil, pinErr
 	}
 	r.vstats.open.Add(1)
-	return s, nil
+	return &Snapshot{docs: docs, stats: &r.vstats}, nil
 }
 
 // Names lists the snapshot's document names, sorted. It stays valid
-// after Close.
-func (s *Snapshot) Names() []string { return append([]string(nil), s.names...) }
+// after Close, and reads only the names, which Close leaves alone.
+func (s *Snapshot) Names() []string {
+	out := make([]string, len(s.docs))
+	for i := range s.docs {
+		out[i] = s.docs[i].name
+	}
+	return out
+}
 
 // Versions maps each document in the snapshot to the version sequence
 // number it was pinned at — the observability handle for "did anything
@@ -492,8 +509,8 @@ func (s *Snapshot) Versions() map[string]uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make(map[string]uint64, len(s.docs))
-	for name, e := range s.docs {
-		out[name] = e.v.seq
+	for _, e := range s.docs {
+		out[e.name] = e.v.seq
 	}
 	return out
 }
@@ -506,8 +523,8 @@ func (s *Snapshot) Stamps() map[string]uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make(map[string]uint64, len(s.docs))
-	for name, e := range s.docs {
-		out[name] = e.v.stamp
+	for _, e := range s.docs {
+		out[e.name] = e.v.stamp
 	}
 	return out
 }
@@ -560,11 +577,11 @@ func (s *Snapshot) entry(name string) (snapEntry, error) {
 	if s.closed {
 		return snapEntry{}, ErrSnapshotClosed
 	}
-	e, ok := s.docs[name]
+	i, ok := slices.BinarySearchFunc(s.docs, name, func(e snapEntry, name string) int { return strings.Compare(e.name, name) })
 	if !ok {
 		return snapEntry{}, fmt.Errorf("%w: %q (not in this snapshot)", ErrNotFound, name)
 	}
-	return e, nil
+	return s.docs[i], nil
 }
 
 // Close releases the snapshot's version pins; superseded versions it
@@ -582,9 +599,8 @@ func (s *Snapshot) Close() {
 	s.closed = true
 	// Drop the trees, keep the descriptors: Versions and Stamps read
 	// their immutable seq and stamp after Close.
-	for name, e := range s.docs {
-		e.tree = nil
-		s.docs[name] = e
+	for i := range s.docs {
+		s.docs[i].tree = nil
 	}
 	s.mu.Unlock()
 	// closed is set, so nothing writes s.docs any more.

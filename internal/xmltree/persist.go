@@ -195,12 +195,20 @@ func Descendants(ctx *Node, match func(*Node) bool) []*Node {
 	s := scan{ready: 1}
 	s.chain[0].view = ctx
 	s.walk(ctx.Source(), 0, match)
-	return s.out
+	if s.n > scanAnswer {
+		return s.more
+	}
+	return append([]*Node(nil), s.buf[:s.n]...)
 }
 
 // scanDepth is how deep a scan's chain runs inside the scan itself; a
 // deeper document spills the rest of it to the heap.
 const scanDepth = 128
+
+// scanAnswer is how many matches a scan holds inside itself. A smaller
+// answer leaves in one copy, or as nil; a larger one moves to the heap
+// once, at twice this, and grows there as an append from nil would.
+const scanAnswer = 64
 
 // link is one node of a scan's chain: its position among its parent's
 // non-attribute children, and the node to hand out for it.
@@ -214,9 +222,13 @@ type link struct {
 // ready links are set — the part some match has needed so far — and
 // the rest are materialised when the next match needs them, so one
 // prefix serves every match below it. The chain is held in the scan,
-// not behind a slice, so a scan on its caller's stack keeps it there.
+// not behind a slice, so a scan on its caller's stack keeps it there;
+// so is the answer while it fits in buf. The answer is counted, not a
+// slice of buf, because a scan that points into itself escapes.
 type scan struct {
-	out   []*Node
+	n     int     // matches so far: in buf, or all in more past scanAnswer
+	more  []*Node // the answer once it outgrew buf
+	buf   [scanAnswer]*Node
 	ready int
 	chain [scanDepth]link
 	spill []link // the links at scanDepth and below
@@ -234,11 +246,24 @@ func (s *scan) at(depth int) *link {
 	return &s.spill[depth]
 }
 
+// add appends n to the answer.
+func (s *scan) add(n *Node) {
+	if s.n < scanAnswer {
+		s.buf[s.n] = n
+	} else {
+		if s.n == scanAnswer {
+			s.more = append(make([]*Node, 0, 2*scanAnswer), s.buf[:]...)
+		}
+		s.more = append(s.more, n)
+	}
+	s.n++
+}
+
 // walk scans below p, the chain's node at depth.
 func (s *scan) walk(p *Node, depth int, match func(*Node) bool) {
 	for i, a := range p.attributes() {
 		if match(a) {
-			s.out = append(s.out, s.view(depth).attributes()[i])
+			s.add(s.view(depth).attributes()[i])
 		}
 	}
 	d := depth + 1
@@ -252,7 +277,7 @@ func (s *scan) walk(p *Node, depth int, match func(*Node) bool) {
 			s.ready = d
 		}
 		if match(c) {
-			s.out = append(s.out, s.view(d))
+			s.add(s.view(d))
 		}
 		if len(c.links) > 0 {
 			s.walk(c, d, match)
