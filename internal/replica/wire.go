@@ -40,7 +40,9 @@ const (
 	// speaking this protocol is rejected at the handshake.
 	ProtoMagic = "XREP"
 	// ProtoVersion is the protocol version byte carried in MsgHello.
-	ProtoVersion = 1
+	// Version 2 ships records and bootstrap files in the compact tree
+	// grammar; a version-1 peer fails the handshake, not the stream.
+	ProtoVersion = 2
 	// FrameHeaderSize is the bytes preceding every message body: one
 	// type byte, a uint32 LE body length, a uint32 LE CRC-32 (IEEE) of
 	// the body.

@@ -100,7 +100,7 @@ func (c *durableCore) recover(loaded func(*Repository, store.Manifest)) error {
 		workers = 1
 	}
 	if err := loadDocSnaps(c.dir, r, man.Docs, workers); err != nil {
-		return fmt.Errorf("%w: %v", ErrReplay, err)
+		return fmt.Errorf("%w: %w", ErrReplay, err)
 	}
 	if loaded != nil {
 		loaded(r, man)
@@ -111,12 +111,12 @@ func (c *durableCore) recover(loaded func(*Repository, store.Manifest)) error {
 		return applyRecord(r, payload)
 	})
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrReplay, err)
+		return fmt.Errorf("%w: %w", ErrReplay, err)
 	}
 	r.retain = retain
 	log, err := wal.OpenAt(c.dir, info, c.opts.walOptions())
 	if err != nil {
-		return fmt.Errorf("%w: reopen log: %v", ErrReplay, err)
+		return fmt.Errorf("%w: reopen log: %w", ErrReplay, err)
 	}
 	c.mem.Store(r)
 	c.log, c.gen, c.walFirst = log, man.Gen, man.WALFirst
@@ -178,17 +178,17 @@ func loadDocSnap(dir string, r *Repository, e store.ManifestDoc, buf *bytes.Buff
 		f.Close()
 	}
 	if err != nil {
-		return fmt.Errorf("snapshot %s: %v", e.File, err)
+		return fmt.Errorf("snapshot %s: %w", e.File, err)
 	}
 	snap, err := store.UnmarshalDocSnap(buf.Bytes())
 	if err != nil {
-		return fmt.Errorf("snapshot %s: %v", e.File, err)
+		return fmt.Errorf("snapshot %s: %w", e.File, err)
 	}
 	if snap.Name != e.Name {
 		return fmt.Errorf("snapshot %s holds document %q, manifest expects %q", e.File, snap.Name, e.Name)
 	}
 	if err := r.openSnap(snap); err != nil {
-		return fmt.Errorf("snapshot %s: %v", e.File, err)
+		return fmt.Errorf("snapshot %s: %w", e.File, err)
 	}
 	return nil
 }

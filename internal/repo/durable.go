@@ -24,7 +24,7 @@
 //
 //	MANIFEST              store version-5 manifest: generation, first live segment,
 //	                      document name → snapshot file + generation map
-//	doc-HHHH-NNNNNN.snap  version-6 per-document snapshots (hash of name, writing generation)
+//	doc-HHHH-NNNNNN.snap  version-8 per-document snapshots (hash of name, writing generation)
 //	wal-NNNNNNNN.log      numbered log segments; commits since those snapshots
 //
 // Locking protocol, outermost first (see docs/ARCHITECTURE.md):

@@ -148,7 +148,8 @@ func TestGoldenWALBytes(t *testing.T) {
 // files TestCheckpointSnapshotBytes writes, taken from the code before
 // checkpoints encoded from the persistent root: that change must not
 // move a byte. Snapshot files are as frozen as the log.
-const checkpointSnapshotDigest = "69d9ac9dae61fc94a52dd2432192be3a6374da8408db1fad5e74804ba5705f18"
+// The compact tree grammar of version-8 doc-snaps moved it, on purpose.
+const checkpointSnapshotDigest = "2ec8cf958d4cceff12be94a91f55a5957c5f1fb7b70aa37e687bc9df2c7026a8"
 
 // A checkpoint encodes each dirty document from its pinned version's
 // persistent tree. The bytes must be the ones the live tree encodes

@@ -1,0 +1,124 @@
+package repo_test
+
+import (
+	"bytes"
+	"errors"
+	"hash/fnv"
+	"maps"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"xmldyn"
+	"xmldyn/internal/labels"
+	"xmldyn/internal/repo"
+	"xmldyn/internal/store"
+	"xmldyn/internal/wal"
+)
+
+// v1Segment is the golden segment 1 the leader wrote while the log
+// carried version 1 and trees in the grammar before the compact one.
+const v1Segment = "testdata/v1-wal-00000001.log"
+
+// sealed appends the trailer store seals every record with: the FNV-1a
+// 64 checksum of everything before it.
+func sealed(out []byte) []byte {
+	h := fnv.New64a()
+	h.Write(out)
+	return labels.AppendLEB128(out, h.Sum64())
+}
+
+// v6DocSnap is a version-6 doc-snap of <a/>, its tree in the grammar
+// before the compact one: kind, name, empty value, no attributes, no
+// children.
+func v6DocSnap(name string) []byte {
+	out := labels.AppendString(append([]byte("XDYN"), 6), name)
+	out = labels.AppendString(out, "qed")
+	tree := []byte{1, 1, 1, 'a', 0, 0, 0}
+	out = labels.AppendLEB128(out, uint64(len(tree)))
+	return sealed(append(out, tree...))
+}
+
+// dirFiles maps every file of dir to its bytes.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string)
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(data)
+	}
+	return files
+}
+
+// TestOldFormatsRefused: bytes written in the tree grammar before the
+// compact one are refused by their version byte wherever they are
+// stored — a log segment, a checkpoint's doc-snap, a record inside a
+// repository image, a session image — and never misread as the new
+// grammar. Nothing migrates them, and a refused directory is left as it
+// was.
+func TestOldFormatsRefused(t *testing.T) {
+	segment, err := os.ReadFile(v1Segment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(segment, []byte("XWAL\x01")) {
+		t.Fatalf("%s does not begin XWAL\\x01", v1Segment)
+	}
+	opts := repo.DurableOptions{AutoCheckpointBytes: -1}
+
+	logDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(logDir, wal.SegmentName(1)), segment, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.WriteManifest(logDir, store.Manifest{Gen: 1, WALFirst: 1}); err != nil {
+		t.Fatal(err)
+	}
+	before := dirFiles(t, logDir)
+	if d, err := repo.OpenDurable(logDir, opts); !errors.Is(err, repo.ErrReplay) || !errors.Is(err, wal.ErrBadHeader) {
+		if err == nil {
+			d.Close()
+		}
+		t.Errorf("a version-1 segment: %v, want ErrReplay wrapping wal.ErrBadHeader", err)
+	}
+	if after := dirFiles(t, logDir); !maps.Equal(before, after) {
+		t.Errorf("a refused open changed the directory: %d files before, %d after", len(before), len(after))
+	}
+
+	// A directory that would open but for its version-6 doc-snap: an
+	// empty current segment 1 beside it.
+	snapDir := t.TempDir()
+	file := store.DocSnapName("old", 1, 0)
+	if err := os.WriteFile(filepath.Join(snapDir, file), v6DocSnap("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(snapDir, wal.SegmentName(1)), append([]byte(wal.Magic), wal.Version), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	man := store.Manifest{Gen: 1, WALFirst: 1, Docs: []store.ManifestDoc{{Name: "old", File: file, Gen: 1}}}
+	if err := store.WriteManifest(snapDir, man); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := repo.OpenDurable(snapDir, opts); !errors.Is(err, repo.ErrReplay) || !errors.Is(err, store.ErrBadVersion) {
+		if err == nil {
+			d.Close()
+		}
+		t.Errorf("a manifest naming a version-6 doc-snap: %v, want ErrReplay wrapping store.ErrBadVersion", err)
+	}
+
+	rec := v6DocSnap("old")
+	image := labels.AppendLEB128(labels.AppendLEB128(append([]byte("XDYN"), store.VersionRepo), 1), uint64(len(rec)))
+	if _, err := store.UnmarshalRepo(sealed(append(image, rec...))); !errors.Is(err, store.ErrBadVersion) {
+		t.Errorf("a version-%d image holding a version-6 record: %v, want store.ErrBadVersion", store.VersionRepo, err)
+	}
+
+	if _, err := xmldyn.Restore(v6DocSnap("")); !errors.Is(err, store.ErrBadVersion) {
+		t.Errorf("a version-6 session image: %v, want store.ErrBadVersion", err)
+	}
+}

@@ -40,7 +40,7 @@
 //
 // The whole repository round-trips through the version-7 store image
 // (Save/Load): every document's name, scheme and doc-tree image — the
-// checkpoint's version-6 snapshot — in one checksummed blob.
+// checkpoint's version-8 snapshot — in one checksummed blob.
 //
 // Re-entrancy: the locks are not re-entrant. A View/QueryFunc callback
 // or a Batch/MultiBatch build must not call back into the repository (a
@@ -479,7 +479,7 @@ func (r *Repository) Scheme(name string) (string, bool) {
 func (r *Repository) Verify(name string) error { return r.View(name, (*update.Session).Verify) }
 
 // Save serialises every document into one version-7 store image — each
-// document a version-6 snapshot, as a checkpoint writes it — as a
+// document a version-8 snapshot, as a checkpoint writes it — as a
 // consistent point-in-time snapshot: all document read locks are held
 // simultaneously while the trees are encoded, so the image never
 // captures a cross-document state that existed at no instant.

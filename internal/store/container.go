@@ -1,10 +1,10 @@
 // Repository images: the version-7 store record holding many named
 // documents, so a whole repository round-trips Save/Load in one blob.
-// Each document is a whole version-6 per-document snapshot, so an image
+// Each document is a whole version-8 per-document snapshot, so an image
 // carries exactly the tree bytes a checkpoint would write. Layout:
 //
 //	magic "XDYN" | version 7 | LEB128 document count
-//	count × (LEB128 length | version-6 doc-snap record)
+//	count × (LEB128 length | version-8 doc-snap record)
 //	trailer: FNV-1a checksum of everything before it
 //
 // Names are strictly increasing, the order the repository locks its

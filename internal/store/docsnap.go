@@ -1,4 +1,4 @@
-// Per-document snapshot files: the version-6 store record holding one
+// Per-document snapshot files: the version-8 store record holding one
 // document's checkpointed state. Incremental checkpoints write one
 // doc-*.snap file per dirty document and reference it (together with
 // every reused, unchanged file from the previous generation) from a
@@ -9,7 +9,7 @@
 //
 // Layout (LEB128 integers, length-prefixed strings, FNV-1a trailer):
 //
-//	magic "XDYN" | version 6 | document name | scheme name
+//	magic "XDYN" | version 8 | document name | scheme name
 //	tree length | tree bytes (the update layer's doc-tree image)
 //	trailer: FNV-1a checksum of everything before it
 //

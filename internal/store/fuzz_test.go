@@ -87,7 +87,7 @@ func FuzzManifestRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzDocSnapRoundTrip does the same for the v6 per-document snapshot
+// FuzzDocSnapRoundTrip does the same for the v8 per-document snapshot
 // format (the tree payload is opaque bytes at this layer).
 func FuzzDocSnapRoundTrip(f *testing.F) {
 	f.Add(MarshalDocSnap(DocSnap{Name: "books", Scheme: "qed", Tree: []byte{1, 2, 3}}))
@@ -111,7 +111,7 @@ func FuzzDocSnapRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzSnapshotRoundTrip does the same for a session snapshot, the v6
+// FuzzSnapshotRoundTrip does the same for a session snapshot, the v8
 // doc-snap whose tree Restore decodes: the envelope and the tree are
 // read as Restore reads them, a rejection must be typed (a store error,
 // or update.ErrCodecCorrupt for the tree), and an accepted snapshot,

@@ -34,7 +34,8 @@ var (
 // DURABILITY.md documents them and the wal golden-constants test keeps
 // doc and code aligned. A record carrying any other version byte — 1
 // and 2 were the row-table snapshot and container, 3 and 4 manifest
-// layouts — is rejected with ErrBadVersion, never migrated.
+// layouts, 6 the doc-snap of the tree grammar before the compact one —
+// is rejected with ErrBadVersion, never migrated.
 const (
 	// VersionManifest tags durable-repository checkpoint manifests
 	// (version 5: incremental checkpoints — the manifest maps every
@@ -43,9 +44,11 @@ const (
 	VersionManifest = 5
 	// VersionDocSnap tags per-document snapshots: the doc-*.snap files
 	// version-5 manifests reference, and a session's Save image.
-	VersionDocSnap = 6
-	// VersionRepo tags repository images: a sequence of version-6
+	VersionDocSnap = 8
+	// VersionRepo tags repository images: a sequence of version-8
 	// per-document snapshots in one checksummed blob (Repository.Save).
+	// Each carries its own version byte, so an image holding a
+	// version-6 record is refused by that record's check.
 	VersionRepo = 7
 )
 

@@ -322,7 +322,7 @@ func EncodeDocTree(doc *xmltree.Document) []byte {
 // NewSession and every insert refuse a second root (ErrRootSibling).
 func DecodeDocTree(data []byte) (*xmltree.Document, error) {
 	r := treeReader{data: data}
-	end, err := r.readList(nil, 0, false)
+	end, err := r.readList(nil, 0, 0)
 	if err == nil && end != len(data) {
 		err = fmt.Errorf("%w: %d trailing bytes", ErrCodecCorrupt, len(data)-end)
 	}
@@ -331,7 +331,7 @@ func DecodeDocTree(data []byte) (*xmltree.Document, error) {
 	}
 	r.build(end)
 	doc := xmltree.NewDocument()
-	if _, err := r.readList(doc.Node(), 0, false); err != nil {
+	if _, err := r.readList(doc.Node(), 0, 0); err != nil {
 		return nil, err
 	}
 	if roots := doc.RootCount(); roots > 1 {
@@ -340,23 +340,42 @@ func DecodeDocTree(data []byte) (*xmltree.Document, error) {
 	return doc, nil
 }
 
-// appendTree serialises the subtree rooted at n: kind, name, value,
-// then attributes and children recursively, in document order. Unlike
-// an XML text round-trip this preserves whitespace-only text nodes and
-// every value byte exactly.
+// Head-byte flags of an encoded node (docs/DURABILITY.md §7): the low
+// three bits are its kind, and a flag says a non-empty attribute or
+// child list follows its fields.
+const (
+	hasAttrs byte = 0x08
+	hasKids  byte = 0x10
+)
+
+// appendTree serialises the subtree rooted at n: a head byte, the name
+// and value its kind carries, then attributes and children recursively,
+// in document order, each list only if it is non-empty. Unlike an XML
+// text round-trip this preserves whitespace-only text nodes and every
+// value byte exactly.
 func appendTree(out []byte, n *xmltree.Node) []byte {
-	out = append(out, byte(n.Kind()))
-	out = appendCodecString(out, n.Name())
-	out = appendCodecString(out, n.Value())
-	attrs := n.Attributes()
-	out = labels.AppendLEB128(out, uint64(len(attrs)))
-	for _, a := range attrs {
-		out = appendTree(out, a)
+	kind, attrs, kids := n.Kind(), n.Attributes(), n.Children()
+	head := byte(kind)
+	if len(attrs) > 0 {
+		head |= hasAttrs
 	}
-	kids := n.Children()
-	out = labels.AppendLEB128(out, uint64(len(kids)))
-	for _, c := range kids {
-		out = appendTree(out, c)
+	if len(kids) > 0 {
+		head |= hasKids
+	}
+	out = append(out, head)
+	if kind != xmltree.KindText && kind != xmltree.KindComment {
+		out = appendCodecString(out, n.Name())
+	}
+	if kind != xmltree.KindElement {
+		out = appendCodecString(out, n.Value())
+	}
+	for _, list := range [...][]*xmltree.Node{attrs, kids} {
+		if len(list) > 0 {
+			out = labels.AppendLEB128(out, uint64(len(list)))
+			for _, c := range list {
+				out = appendTree(out, c)
+			}
+		}
 	}
 	return out
 }
@@ -419,51 +438,67 @@ func (r *treeReader) cut(pos int, what string) (string, int, error) {
 }
 
 // readTree reads the subtree at pos (a nil node on the first pass).
+// Bar a varint spelt long, only the spelling appendTree writes is read:
+// a head with an unknown kind or bit, a list flagged on an attribute,
+// and a flagged list that is empty are corrupt.
 func (r *treeReader) readTree(pos int) (*xmltree.Node, int, error) {
 	if pos >= len(r.data) {
 		return nil, 0, fmt.Errorf("%w: truncated tree node", ErrCodecCorrupt)
 	}
-	kind := xmltree.Kind(r.data[pos])
-	name, pos, err := r.cut(pos+1, "name length")
-	if err != nil {
-		return nil, 0, err
+	head := r.data[pos]
+	kind := xmltree.Kind(head &^ (hasAttrs | hasKids))
+	if kind == xmltree.KindAttribute && head != byte(kind) {
+		return nil, 0, fmt.Errorf("%w: attribute head %#x", ErrCodecCorrupt, head)
 	}
-	value, pos, err := r.cut(pos, "value length")
-	if err != nil {
-		return nil, 0, err
-	}
-	// A kind carries the fields its constructor takes.
+	pos++
+	var name, value string
+	var err error
 	switch kind {
 	case xmltree.KindElement:
-		value = ""
+		name, pos, err = r.cut(pos, "name length")
 	case xmltree.KindText, xmltree.KindComment:
-		name = ""
+		value, pos, err = r.cut(pos, "value length")
 	case xmltree.KindAttribute, xmltree.KindProcInst:
+		if name, pos, err = r.cut(pos, "name length"); err == nil {
+			value, pos, err = r.cut(pos, "value length")
+		}
 	default:
-		return nil, 0, fmt.Errorf("%w: tree node kind %d", ErrCodecCorrupt, kind)
+		return nil, 0, fmt.Errorf("%w: tree node head %#x", ErrCodecCorrupt, head)
+	}
+	if err != nil {
+		return nil, 0, err
 	}
 	var n *xmltree.Node
 	if r.building {
 		n = r.slab.New(kind, name, value)
 	}
 	r.nodes++
-	if pos, err = r.readList(n, pos, true); err == nil {
-		pos, err = r.readList(n, pos, false)
+	for _, flag := range [...]byte{hasAttrs, hasKids} {
+		if head&flag != 0 {
+			if pos, err = r.readList(n, pos, flag); err != nil {
+				return nil, 0, err
+			}
+		}
 	}
-	return n, pos, err
+	return n, pos, nil
 }
 
-// readList reads a count and as many subtrees — the attributes of n, or
-// its children — and attaches them. The children's room extends the
-// attributes' window: an attribute reserves none of its own.
-func (r *treeReader) readList(n *xmltree.Node, pos int, attrs bool) (int, error) {
+// readList reads a count and as many subtrees — the attributes of n
+// (flag hasAttrs), its children (hasKids) or, with flag 0, the
+// document's top-level nodes — and attaches them. A flagged list is
+// never empty. The children's room extends the attributes' window: an
+// attribute reserves none of its own.
+func (r *treeReader) readList(n *xmltree.Node, pos int, flag byte) (int, error) {
 	count, pos, err := r.length(pos, "node count")
 	if err != nil {
 		return 0, err
 	}
+	if count == 0 && flag != 0 {
+		return 0, fmt.Errorf("%w: empty list flagged %#x", ErrCodecCorrupt, flag)
+	}
 	r.links += count
 	attach := (*xmltree.Node).AppendChild
-	if attrs {
+	if flag == hasAttrs {
 		attach = (*xmltree.Node).AppendAttr
 	}
 	if n != nil {

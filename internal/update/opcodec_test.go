@@ -1,6 +1,7 @@
 package update
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -287,6 +288,75 @@ func TestDocTreeCodecPreservesWhitespaceAndPIs(t *testing.T) {
 	}
 	if out.Node().Children()[2].Kind() != xmltree.KindProcInst {
 		t.Fatal("document-level PI not preserved")
+	}
+}
+
+// TestDocTreeImageBytes: a node costs its head byte, the strings its
+// kind carries and, for a non-empty list only, a count — and the decoder
+// reads no other spelling of a node.
+func TestDocTreeImageBytes(t *testing.T) {
+	leaf := func(name string) *xmltree.Node { return xmltree.NewElement(name) }
+	parent := func(name string, kids ...*xmltree.Node) *xmltree.Node {
+		n := leaf(name)
+		for _, k := range kids {
+			if err := n.AppendChild(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return n
+	}
+	size := func(n *xmltree.Node) int { return len(appendTree(nil, n)) }
+	for _, c := range []struct {
+		node *xmltree.Node
+		want int
+	}{
+		{leaf("book"), 2 + 4},
+		{parent("shelf", leaf("a"), leaf("bb"), xmltree.NewText("ccc")), 3 + 5 + (2 + 1) + (2 + 2) + (2 + 3)},
+		{xmltree.NewAttribute("lang", "en"), 3 + 4 + 2},
+		{xmltree.NewText("hello"), 2 + 5},
+		{xmltree.NewText(""), 2},
+		{xmltree.NewComment("note"), 2 + 4},
+		{xmltree.NewProcInst("pi", "d"), 3 + 2 + 1},
+	} {
+		if got := size(c.node); got != c.want {
+			t.Errorf("%v %q costs %d bytes, want %d", c.node.Kind(), c.node.Name()+c.node.Value(), got, c.want)
+		}
+	}
+	withAttr := leaf("e")
+	if _, err := withAttr.SetAttr("k", "v"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := size(withAttr), 3+1+(3+1+1); got != want {
+		t.Errorf("an element with one attribute costs %d bytes, want %d", got, want)
+	}
+
+	doc := xmltree.NewDocument()
+	if err := doc.Node().AppendChild(parent("r", leaf("e"), xmltree.NewText("t"))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := doc.Root().SetAttr("a", "v"); err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{1, 0x19, 1, 'r', 1, 0x02, 1, 'a', 1, 'v', 2, 0x01, 1, 'e', 0x03, 1, 't'}
+	if got := EncodeDocTree(doc); !bytes.Equal(got, want) {
+		t.Fatalf("<r a=\"v\"><e/>t</r> encodes as %x, want %x", got, want)
+	}
+
+	for name, img := range map[string][]byte{
+		"kind 0":                 {1, 0x00, 1, 'e'},
+		"kind 6":                 {1, 0x06, 1, 'p', 0},
+		"kind 7":                 {1, 0x07, 1, 'p', 0},
+		"bit 0x20":               {1, 0x21, 1, 'e'},
+		"bit 0x40":               {1, 0x41, 1, 'e'},
+		"bit 0x80":               {1, 0x81, 1, 'e'},
+		"attribute with attrs":   {1, 0x09, 1, 'e', 1, 0x0A, 1, 'a', 1, 'v', 1, 0x02, 1, 'b', 1, 'w'},
+		"attribute with kids":    {1, 0x09, 1, 'e', 1, 0x12, 1, 'a', 1, 'v', 1, 0x03, 1, 't'},
+		"flagged empty attrs":    {1, 0x09, 1, 'e', 0},
+		"flagged empty children": {1, 0x11, 1, 'e', 0},
+	} {
+		if _, err := DecodeDocTree(img); !errors.Is(err, ErrCodecCorrupt) {
+			t.Errorf("%s: %v, want ErrCodecCorrupt", name, err)
+		}
 	}
 }
 

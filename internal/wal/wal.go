@@ -62,8 +62,10 @@ import (
 const (
 	// Magic opens every WAL segment file.
 	Magic = "XWAL"
-	// Version is the current WAL format version byte.
-	Version = 1
+	// Version is the current WAL format version byte. Version 1 logged
+	// trees in the grammar before the compact one; its segments are
+	// refused (ErrBadHeader), never migrated.
+	Version = 2
 	// HeaderSize is the byte length of the segment header (magic + version).
 	HeaderSize = len(Magic) + 1
 	// FrameHeaderSize is the byte length of a record frame header
