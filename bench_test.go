@@ -21,7 +21,6 @@ import (
 
 	"xmldyn/internal/core"
 	"xmldyn/internal/encoding"
-	"xmldyn/internal/experiments"
 	"xmldyn/internal/figures"
 	"xmldyn/internal/labeling"
 	"xmldyn/internal/labels"
@@ -156,7 +155,7 @@ func BenchmarkFig7Matrix(b *testing.B) {
 
 func BenchmarkClaimGapExhaustion(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.C1GapExhaustion(); err != nil {
+		if _, err := gapExhaustion(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -188,7 +187,7 @@ func BenchmarkClaimDeweyRelabel(b *testing.B) {
 
 func BenchmarkClaimOrdpathWaste(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.C3OrdpathWaste(); err != nil {
+		if _, err := ordpathWaste(); err != nil {
 			b.Fatal(err)
 		}
 	}

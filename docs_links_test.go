@@ -102,8 +102,8 @@ func TestDocsNoDeadLinks(t *testing.T) {
 		t.Fatalf("scan of the Go sources for *.md names: %d found, error %v", mentions, err)
 	}
 	// These docs must stay present by name, not just transitively via
-	// whoever happens to still link them: CI's experiment-smoke step
-	// and internal/experiments cite the findings log, and the replica
+	// whoever happens to still link them: the claim tests read the
+	// paper-vs-measured section of the experiments log, and the replica
 	// package docs cite the protocol spec by section number.
 	for _, required := range []string{"docs/EXPERIMENTS.md", "docs/REPLICATION.md"} {
 		if _, err := os.Stat(required); err != nil {

@@ -1,18 +1,12 @@
-// Package harness is the measurement substrate of the hypothesis-driven
-// experiment pipeline (docs/EXPERIMENTS.md): per-op-type latency
-// percentiles from HDR-style log-linear histograms, and a convergence
-// loop that repeats a measurement until its rounds agree. Experiments
-// (internal/experiments C14+) record every operation's latency into a
-// Recorder keyed by the workload op classes (internal/workload.OpKind)
-// and report p50/p99/p999 per class instead of a single aggregate
-// throughput number.
+// Package harness holds an HDR-style log-linear latency histogram:
+// lock-free to record into, with quantiles inside a documented 1/64
+// relative error, so a latency is reported as percentiles rather than
+// one aggregate throughput number.
 package harness
 
 import (
 	"math"
 	"math/bits"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -30,18 +24,15 @@ const (
 )
 
 // Histogram is a fixed-size log-linear latency histogram in
-// nanoseconds. Observe is lock-free (one atomic add per sample) and
-// safe for concurrent use; quantile reads taken while writers are
-// still observing see a consistent-enough prefix but experiments read
-// only after their workload finishes.
+// nanoseconds; the zero value is empty and ready to use. Observe is
+// lock-free (one atomic add per sample) and safe for concurrent use;
+// quantile reads taken while writers are still observing see a
+// consistent-enough prefix, so read them after the workload finishes.
 type Histogram struct {
 	counts [numBuckets]atomic.Uint64
 	count  atomic.Uint64
 	sum    atomic.Uint64
 }
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram { return &Histogram{} }
 
 // bucketIndex maps a non-negative nanosecond value to its bucket.
 func bucketIndex(v uint64) int {
@@ -131,90 +122,4 @@ func (h *Histogram) Quantile(q float64) (time.Duration, bool) {
 		}
 	}
 	return 0, false
-}
-
-// OpStats is one op class's latency summary.
-type OpStats struct {
-	Op    string
-	Count uint64
-	Mean  time.Duration
-	P50   time.Duration
-	P99   time.Duration
-	P999  time.Duration
-}
-
-// Recorder files latency samples under op-class names (the workload
-// layer's OpKind strings) and summarises each class's percentiles.
-// Safe for concurrent use.
-type Recorder struct {
-	mu    sync.RWMutex
-	hists map[string]*Histogram
-}
-
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{hists: make(map[string]*Histogram)} }
-
-// Histogram returns the histogram for an op class, creating it on
-// first use.
-func (r *Recorder) Histogram(op string) *Histogram {
-	r.mu.RLock()
-	h := r.hists[op]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.hists[op]; h == nil {
-		h = NewHistogram()
-		r.hists[op] = h
-	}
-	return h
-}
-
-// Observe records one sample under an op class.
-func (r *Recorder) Observe(op string, d time.Duration) { r.Histogram(op).Observe(d) }
-
-// Time runs fn, records its wall-clock duration under op, and returns
-// fn's error (failed operations are recorded too — a timeout that
-// errors is still latency the caller saw).
-func (r *Recorder) Time(op string, fn func() error) error {
-	start := time.Now()
-	err := fn()
-	r.Observe(op, time.Since(start))
-	return err
-}
-
-// Stats summarises one op class; ok is false when the class has no
-// samples.
-func (r *Recorder) Stats(op string) (OpStats, bool) {
-	r.mu.RLock()
-	h := r.hists[op]
-	r.mu.RUnlock()
-	if h == nil || h.Count() == 0 {
-		return OpStats{Op: op}, false
-	}
-	p50, _ := h.Quantile(0.50)
-	p99, _ := h.Quantile(0.99)
-	p999, _ := h.Quantile(0.999)
-	return OpStats{Op: op, Count: h.Count(), Mean: h.Mean(), P50: p50, P99: p99, P999: p999}, true
-}
-
-// Summary returns every op class's stats, sorted by op name so table
-// rows and CSV output are deterministic.
-func (r *Recorder) Summary() []OpStats {
-	r.mu.RLock()
-	ops := make([]string, 0, len(r.hists))
-	for op := range r.hists {
-		ops = append(ops, op)
-	}
-	r.mu.RUnlock()
-	sort.Strings(ops)
-	out := make([]OpStats, 0, len(ops))
-	for _, op := range ops {
-		if st, ok := r.Stats(op); ok {
-			out = append(out, st)
-		}
-	}
-	return out
 }

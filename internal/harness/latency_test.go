@@ -3,7 +3,6 @@ package harness
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 )
@@ -14,7 +13,7 @@ import (
 func TestQuantileKnownDistribution(t *testing.T) {
 	const relBound = 1.0/64 + 1e-9
 	t.Run("uniform-1..100000", func(t *testing.T) {
-		h := NewHistogram()
+		h := new(Histogram)
 		const n = 100000
 		for v := 1; v <= n; v++ {
 			h.Observe(time.Duration(v))
@@ -34,7 +33,7 @@ func TestQuantileKnownDistribution(t *testing.T) {
 		// Quantiles of Exp(λ): −ln(1−q)/λ. With 200k samples the
 		// empirical quantile is within ~1% of the ideal at p50/p99, so
 		// bucketing error plus sampling error stays under 5%.
-		h := NewHistogram()
+		h := new(Histogram)
 		rng := rand.New(rand.NewSource(42))
 		const n, scale = 200000, 50000.0 // mean 50µs
 		for i := 0; i < n; i++ {
@@ -52,7 +51,7 @@ func TestQuantileKnownDistribution(t *testing.T) {
 		}
 	})
 	t.Run("small-values-exact", func(t *testing.T) {
-		h := NewHistogram()
+		h := new(Histogram)
 		for v := 0; v < subBuckets; v++ {
 			h.Observe(time.Duration(v))
 		}
@@ -69,7 +68,7 @@ func TestQuantileKnownDistribution(t *testing.T) {
 // sample answers every quantile with itself (to bucket precision), and
 // quantile arguments outside (0,1] clamp instead of panicking.
 func TestQuantileEdgeCases(t *testing.T) {
-	h := NewHistogram()
+	h := new(Histogram)
 	if v, ok := h.Quantile(0.5); ok || v != 0 {
 		t.Errorf("empty histogram answered %v, %v", v, ok)
 	}
@@ -93,7 +92,7 @@ func TestQuantileEdgeCases(t *testing.T) {
 	}
 
 	// Negative durations clamp to zero rather than corrupting a bucket.
-	h2 := NewHistogram()
+	h2 := new(Histogram)
 	h2.Observe(-time.Second)
 	if got, ok := h2.Quantile(0.5); !ok || got != 0 {
 		t.Errorf("negative observation: %v, %v", got, ok)
@@ -122,70 +121,3 @@ func TestBucketRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-// TestRecorderConcurrent hammers one recorder from many goroutines —
-// the -race proof that Observe's lock-free path and the lazy histogram
-// creation are safe — then checks totals.
-func TestRecorderConcurrent(t *testing.T) {
-	r := NewRecorder()
-	ops := []string{"query", "batch", "snapshot-pin"}
-	const goroutines, perG = 8, 5000
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				r.Observe(ops[(g+i)%len(ops)], time.Duration(1000+i))
-			}
-		}(g)
-	}
-	wg.Wait()
-	var total uint64
-	for _, st := range r.Summary() {
-		total += st.Count
-		if st.P50 > st.P99 || st.P99 > st.P999 {
-			t.Errorf("%s: percentiles out of order: %+v", st.Op, st)
-		}
-	}
-	if total != goroutines*perG {
-		t.Errorf("recorded %d samples, want %d", total, goroutines*perG)
-	}
-}
-
-// TestRecorderSummaryAndTime: Time records wall clock and passes the
-// error through; Summary is sorted and skips empty classes.
-func TestRecorderSummaryAndTime(t *testing.T) {
-	r := NewRecorder()
-	if err := r.Time("checkpoint", func() error { time.Sleep(time.Millisecond); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	wantErr := r.Time("batch", func() error { return errFixed })
-	if wantErr != errFixed {
-		t.Fatalf("Time swallowed the error: %v", wantErr)
-	}
-	r.Observe("a-first", time.Microsecond)
-	_ = r.Histogram("never-observed")
-	sum := r.Summary()
-	if len(sum) != 3 {
-		t.Fatalf("summary has %d classes: %+v", len(sum), sum)
-	}
-	for i := 1; i < len(sum); i++ {
-		if sum[i-1].Op >= sum[i].Op {
-			t.Errorf("summary unsorted: %q before %q", sum[i-1].Op, sum[i].Op)
-		}
-	}
-	ck, ok := r.Stats("checkpoint")
-	if !ok || ck.P50 < 500*time.Microsecond {
-		t.Errorf("checkpoint stats: %+v, %v", ck, ok)
-	}
-	if _, ok := r.Stats("never-observed"); ok {
-		t.Error("empty class reported stats")
-	}
-}
-
-type fixedErr struct{}
-
-func (fixedErr) Error() string { return "fixed" }
-
-var errFixed = fixedErr{}

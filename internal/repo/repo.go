@@ -99,8 +99,8 @@ type Repository struct {
 	// VersionStats (version.go).
 	vstats versionStats
 	// clock is the global commit stamp (Stamp): advanced on every
-	// document open and every committed mutation; SnapshotAt reads the
-	// repository as of a stamp.
+	// document open, every drop and once per committed transaction;
+	// SnapshotAt reads the repository as of a stamp.
 	clock atomic.Uint64
 	// versioning is sticky: set by the first snapshot (or at New when
 	// RetainVersions > 0), it switches commit hooks from counter-only
@@ -244,13 +244,13 @@ func (r *Repository) add(name, scheme string, sess *update.Session) error {
 		d.pubStamp = d.stamp
 	}
 	// Every commit of a session transaction — single op or batch,
-	// plain or durable, live or replayed — republishes the document's
-	// persistent MVCC version and supersedes the previous one
-	// (version.go); a staged or aborted transaction publishes nothing.
-	// The hook fires while the writer still holds the document's write
-	// lock, so snapshot readers (read lock) can never pin a mid-commit
-	// state.
-	sess.SetOnCommit(d.publishVersion)
+	// plain or durable, live or replayed — advances the document's
+	// version under the transaction's stamp (txn.go) and supersedes the
+	// previous one, publishing it once versioning is on (version.go); a
+	// staged or aborted transaction publishes nothing. The hook fires
+	// while the writer still holds the document's write lock, so
+	// snapshot readers (read lock) can never pin a mid-commit state.
+	sess.SetOnCommit(func() { d.publishVersion(d.scratchLocked().stamp) })
 	sh.docs[name] = d
 	return nil
 }
@@ -483,9 +483,9 @@ func (r *Repository) Verify(name string) error { return r.View(name, (*update.Se
 // consistent point-in-time snapshot: all document read locks are held
 // simultaneously while the trees are encoded, so the image never
 // captures a cross-document state that existed at no instant.
-// Locks are acquired in sorted-name order — a single global order, so
-// concurrent Saves cannot deadlock, and writers (which hold at most
-// one document lock at a time) cannot form a cycle against it. The
+// Locks are acquired in sorted-name order — the single global order
+// every multi-lock holder uses, MultiBatch's write locks included — so
+// no Save, writer or snapshot can form a cycle against it. The
 // membership is fixed at the moment of listing; documents opened or
 // dropped during the acquisition are respectively excluded or
 // retained.

@@ -180,6 +180,54 @@ func TestSnapshotStampsRoundTrip(t *testing.T) {
 	snap.Close()
 }
 
+// TestSnapshotAtNeverObservesTornMultiBatch: a MultiBatch gives all its
+// documents one stamp, so a SnapshotAt at any stamp from before the
+// transaction to after it shows the transaction on every document or on
+// none (docs/CONCURRENCY.md, G3).
+func TestSnapshotAtNeverObservesTornMultiBatch(t *testing.T) {
+	r := New(Options{RetainVersions: 4})
+	names := []string{"a", "b", "c"}
+	for _, name := range names {
+		doc, err := xmltree.ParseString("<r><seed/></r>")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Open(name, doc, "qed"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := r.Stamp()
+	if _, err := r.MultiBatch(names, func(m map[string]*MultiDoc) error {
+		for _, md := range m {
+			md.Batch().AppendChild(md.Document().Root(), "moved")
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	after := r.Stamp()
+	for stamp := before; stamp <= after; stamp++ {
+		snap, err := r.SnapshotAt(stamp)
+		if err != nil {
+			t.Fatalf("stamp %d: %v", stamp, err)
+		}
+		applied := 0
+		for _, name := range names {
+			if len(rootChildren(t, snap, name)) == 2 {
+				applied++
+			}
+		}
+		if applied != 0 && applied != len(names) {
+			t.Errorf("stamp %d (transaction between %d and %d): applied on %d of %d documents", stamp, before, after, applied, len(names))
+		}
+		stamps := snap.Stamps()
+		if applied == len(names) && (stamps["a"] != stamps["b"] || stamps["b"] != stamps["c"]) {
+			t.Errorf("stamp %d: the transaction's documents carry stamps %v", stamp, stamps)
+		}
+		snap.Close()
+	}
+}
+
 // TestSnapshotAtGaugesReturnToZero: retained versions release on drop
 // and the gauges settle after snapshots close.
 func TestSnapshotAtGaugesReturnToZero(t *testing.T) {

@@ -18,8 +18,8 @@
 //   - Snapshot readers then run against the published version with NO
 //     lock held: a slow reader cannot stall writers, and a writer
 //     storm cannot starve readers (repo.query_p99_us and
-//     repo.contention_ratio on the read_heavy workload of ./bench, and
-//     the C14 experiment of cmd/xbench, measure both).
+//     repo.contention_ratio on the read_heavy workload of ./bench
+//     measure both).
 //   - Version lifetime is reference-counted for deterministic memory
 //     accounting: a version releases its tree reference as soon as it
 //     is superseded (a newer commit exists, or the document was
@@ -41,8 +41,9 @@
 // any subset of the snapshot's documents holds all its write locks
 // until its versions are installed, so the snapshot observes the
 // transaction on every involved document or on none (never a torn
-// prefix). SnapshotAt is per-document consistent but its historical
-// cuts can be torn ACROSS documents — see the method comment.
+// prefix). SnapshotAt inherits the guarantee: a transaction's documents
+// all carry its one commit stamp (txn.go), so a historical cut holds
+// every transaction at or before its stamp and none after.
 // (File comment — the package doc lives in repo.go.)
 
 package repo
@@ -117,8 +118,9 @@ func (r *Repository) VersionStats() VersionStats {
 }
 
 // Stamp returns the repository's current global commit stamp: a
-// monotone counter advanced by every document open and every committed
-// mutation. Pass a stamp observed here (or from Snapshot.Stamps) to
+// monotone counter advanced by every document open, every drop and
+// every committed transaction (once, however many documents it
+// touched). Pass a stamp observed here (or from Snapshot.Stamps) to
 // SnapshotAt to read the repository as of that moment.
 func (r *Repository) Stamp() uint64 { return r.clock.Load() }
 
@@ -232,7 +234,9 @@ func (d *Doc) Version() uint64 {
 	return d.verSeq
 }
 
-// publishVersion advances the version sequence and commit stamp,
+// publishVersion advances the version sequence, records stamp (zero
+// takes a fresh tick of the clock: a drop, or the hook fired by a failed
+// rollback — not a commit, which took one stamp for its transaction),
 // supersedes the cached current version and — once versioning is
 // active — publishes the new state as a persistent version (an
 // O(changed-spine) structure-sharing republication) and maintains the
@@ -246,11 +250,14 @@ func (d *Doc) Version() uint64 {
 // retained window configured) the hook only advances counters:
 // write-only workloads pay nothing for versioning, and the first pin
 // publishes the accumulated delta.
-func (d *Doc) publishVersion() {
+func (d *Doc) publishVersion(stamp uint64) {
 	d.vmu.Lock()
 	prevSeq, prevStamp, prevGreen := d.pubSeq, d.pubStamp, d.green
 	d.verSeq++
-	d.stamp = d.repo.clock.Add(1)
+	if stamp == 0 {
+		stamp = d.repo.clock.Add(1)
+	}
+	d.stamp = stamp
 	cur := d.cur
 	d.cur = nil
 	var evicted *docVersion
@@ -302,7 +309,7 @@ func (d *Doc) markDropped() {
 		v.supersede()
 		v.evict()
 	}
-	d.publishVersion()
+	d.publishVersion(0)
 }
 
 // pinCurrent pins (creating on first use) the version descriptor for
@@ -420,15 +427,9 @@ func (r *Repository) Snapshot(names ...string) (*Snapshot, error) {
 // not exceed stamp: the current version if the document has not
 // changed since, otherwise a version from the retained window
 // (Options.RetainVersions); a stamp older than the window fails with
-// ErrVersionEvicted.
-//
-// Every document in the result is individually a committed state, but
-// unlike Snapshot the cut is NOT guaranteed transaction-consistent
-// across documents: a MultiBatch commits its documents under one write
-// lock set yet stamps them sequentially, so a historical stamp can
-// land between the stamps of one transaction and observe it on some
-// documents and not others. Use Snapshot (and remember its Stamps)
-// when cross-document consistency of the cut matters.
+// ErrVersionEvicted. Like Snapshot, the cut is transaction-consistent:
+// a MultiBatch stamps all its documents with one stamp, so it shows on
+// every one of them or on none.
 func (r *Repository) SnapshotAt(stamp uint64, names ...string) (*Snapshot, error) {
 	return r.snapshotWith(names, func(d *Doc) (*docVersion, error) {
 		return d.pinAt(stamp)

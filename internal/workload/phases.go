@@ -5,10 +5,9 @@ import (
 	"math/rand"
 )
 
-// OpKind classifies the repository operations a phased stream emits —
-// the same classes the latency harness (internal/harness) buckets
-// percentiles by, so a stream's plan and its measurement share one
-// vocabulary.
+// OpKind classifies the repository operations a phased stream emits,
+// so a stream's plan and the per-op-class percentiles measured from it
+// share one vocabulary.
 type OpKind int
 
 // The op classes of the phased generator.
@@ -28,8 +27,7 @@ const (
 	numOpKinds = iota
 )
 
-// String names the op class — the key the latency recorder files it
-// under.
+// String names the op class.
 func (k OpKind) String() string {
 	switch k {
 	case OpQuery:
@@ -104,7 +102,7 @@ type Event struct {
 // Stream expands phases into one deterministic operation stream over
 // a corpus of docs documents whose popularity follows Zipf(skew)
 // (skew 0 = uniform). Identical arguments yield an identical stream —
-// byte-for-byte — which is what makes experiment rounds and
+// byte-for-byte — which is what makes benchmark runs and
 // uniform-vs-skewed comparisons differ only in the variable under
 // test (docs/EXPERIMENTS.md).
 func Stream(seed int64, docs int, skew float64, phases ...Phase) ([]Event, error) {

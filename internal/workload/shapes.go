@@ -58,8 +58,8 @@ func ShapeDocument(shape Shape, seed int64, target int) *xmltree.Document {
 }
 
 // Profile describes a document corpus: how many documents, how big
-// each is, and what silhouette they share. The two ends the experiment
-// harness cares about are many tiny documents (checkpoint and
+// each is, and what silhouette they share. The two ends the benchmark
+// cares about are many tiny documents (checkpoint and
 // name-space pressure) and few huge ones (per-document lock and
 // version pressure).
 type Profile struct {

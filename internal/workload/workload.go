@@ -9,6 +9,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"xmldyn/internal/update"
 	"xmldyn/internal/xmltree"
@@ -99,44 +100,42 @@ func Apply(s *update.Session, spec Spec) (Result, error) {
 			res.Applied++
 		}
 		return res, nil
-	case Uniform:
-		for i := 0; i < spec.Ops; i++ {
-			elems := elements(doc)
-			ref := elems[i%len(elems)]
-			if err := insertAround(s, rng, doc, ref); err != nil {
-				return res, fmt.Errorf("workload %s op %d: %w", spec.Kind, i, err)
-			}
-			res.Applied++
-		}
-		return res, nil
-	case Random:
-		for i := 0; i < spec.Ops; i++ {
-			elems := elements(doc)
-			ref := elems[rng.Intn(len(elems))]
-			if err := insertAround(s, rng, doc, ref); err != nil {
-				return res, fmt.Errorf("workload %s op %d: %w", spec.Kind, i, err)
-			}
-			res.Applied++
-		}
-		return res, nil
-	case Churn:
+	case Uniform, Random, Churn:
 		ratio := spec.DeleteRatio
 		if ratio <= 0 {
 			ratio = 0.4
 		}
+		// The document's elements in document order, walked once and then
+		// kept in step with every op, so each op picks its ref from the
+		// list a fresh walk would return.
+		elems := elements(doc)
 		for i := 0; i < spec.Ops; i++ {
-			elems := elements(doc)
-			ref := elems[rng.Intn(len(elems))]
-			if rng.Float64() < ratio && ref != doc.Root() {
+			at := i % len(elems)
+			if spec.Kind != Uniform {
+				at = rng.Intn(len(elems))
+			}
+			ref := elems[at]
+			if spec.Kind == Churn && rng.Float64() < ratio && ref != doc.Root() {
 				if err := s.Delete(ref); err != nil {
 					return res, fmt.Errorf("workload churn delete %d: %w", i, err)
 				}
+				elems = slices.Delete(elems, at, subtreeEnd(elems, at))
 				res.Applied++
 				continue
 			}
-			if err := insertAround(s, rng, doc, ref); err != nil {
-				return res, fmt.Errorf("workload churn insert %d: %w", i, err)
+			op := insertOpAround(rng, doc, ref)
+			n, err := s.Do(op)
+			if err != nil {
+				return res, fmt.Errorf("workload %s op %d: %w", spec.Kind, i, err)
 			}
+			switch op.Kind {
+			case update.OpInsertBefore:
+			case update.OpInsertFirstChild:
+				at++
+			default: // after ref or as its last child: past its subtree
+				at = subtreeEnd(elems, at)
+			}
+			elems = slices.Insert(elems, at, n)
 			res.Applied++
 		}
 		return res, nil
@@ -250,7 +249,9 @@ func ApplyBatched(s *update.Session, spec Spec, batchSize int) (Result, error) {
 }
 
 // insertOpAround builds one random-position insertion op relative to
-// ref.
+// ref. The position distribution lives here alone, so the single-op and
+// batched streams can never drift apart (the tests that compare the two
+// rely on them being identical).
 func insertOpAround(rng *rand.Rand, doc *xmltree.Document, ref *xmltree.Node) update.Op {
 	switch rng.Intn(4) {
 	case 0:
@@ -270,15 +271,6 @@ func insertOpAround(rng *rand.Rand, doc *xmltree.Document, ref *xmltree.Node) up
 	}
 }
 
-// insertAround applies one random-position insertion relative to ref.
-// The position distribution lives in insertOpAround alone, so the
-// single-op and batched streams can never drift apart (the tests that
-// compare the two rely on them being identical).
-func insertAround(s *update.Session, rng *rand.Rand, doc *xmltree.Document, ref *xmltree.Node) error {
-	_, err := s.Do(insertOpAround(rng, doc, ref))
-	return err
-}
-
 // skewTarget picks a stable mid-document element whose preceding
 // position becomes the fixed insertion point.
 func skewTarget(doc *xmltree.Document) *xmltree.Node {
@@ -289,6 +281,16 @@ func skewTarget(doc *xmltree.Document) *xmltree.Node {
 		}
 	}
 	return nil
+}
+
+// subtreeEnd returns the index just past elems[at]'s element subtree in
+// a document-order list of elements.
+func subtreeEnd(elems []*xmltree.Node, at int) int {
+	end := at + 1
+	for end < len(elems) && elems[at].IsAncestorOf(elems[end]) {
+		end++
+	}
+	return end
 }
 
 func elements(doc *xmltree.Document) []*xmltree.Node {

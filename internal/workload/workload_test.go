@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math/rand"
 	"testing"
 
 	"xmldyn/internal/schemes/dewey"
@@ -111,6 +112,48 @@ func TestApplyErrorsSurface(t *testing.T) {
 	}
 	if _, err := Apply(s, Spec{Kind: Skewed, Ops: 20, Seed: 2}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestApplyMatchesWalkPerOp: Apply keeps its element list in step with
+// the document, so its op stream is the one a fresh walk before every op
+// would pick — the same refs, the same positions, the same tree.
+func TestApplyMatchesWalkPerOp(t *testing.T) {
+	walkPerOp := func(s *update.Session, spec Spec) error {
+		rng := rand.New(rand.NewSource(spec.Seed))
+		doc := s.Document()
+		for i := 0; i < spec.Ops; i++ {
+			elems := elements(doc)
+			ref := elems[i%len(elems)]
+			if spec.Kind != Uniform {
+				ref = elems[rng.Intn(len(elems))]
+			}
+			if spec.Kind == Churn && rng.Float64() < 0.4 && ref != doc.Root() {
+				if err := s.Delete(ref); err != nil {
+					return err
+				}
+				continue
+			}
+			if _, err := s.Do(insertOpAround(rng, doc, ref)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, kind := range []Kind{Random, Uniform, Churn} {
+		for seed := int64(1); seed <= 4; seed++ {
+			spec := Spec{Kind: kind, Ops: 300, Seed: seed}
+			got, want := session(t, 80), session(t, 80)
+			if _, err := Apply(got, spec); err != nil {
+				t.Fatalf("%s seed %d: %v", kind, seed, err)
+			}
+			if err := walkPerOp(want, spec); err != nil {
+				t.Fatalf("%s seed %d: reference: %v", kind, seed, err)
+			}
+			if got.Document().XML() != want.Document().XML() {
+				t.Errorf("%s seed %d: Apply's tree differs from a walk per op", kind, seed)
+			}
+		}
 	}
 }
 

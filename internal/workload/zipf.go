@@ -13,8 +13,8 @@ import (
 // classic web-popularity shape; s ≥ 2 concentrates almost all mass on
 // the first few ranks. Sampling is inverse-CDF over the exact finite
 // probability mass (no rejection, any s ≥ 0), so a Zipf is fully
-// deterministic for a given seed — the property that makes experiment
-// rounds and A/B workload streams comparable (docs/EXPERIMENTS.md).
+// deterministic for a given seed — the property that makes benchmark
+// runs and A/B workload streams comparable (docs/EXPERIMENTS.md).
 type Zipf struct {
 	rng  *rand.Rand
 	cum  []float64 // cum[r] = P(rank ≤ r); cum[n-1] == 1

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestZipfRankFrequency is the property test behind the experiment
-// harness: across seeds and skews, the empirical rank-frequency of a
+// TestZipfRankFrequency is the property test behind the skewed
+// workloads: across seeds and skews, the empirical rank-frequency of a
 // large sample must match the configured distribution within a
 // tolerance that shrinks-to-significance with the expected count
 // (only ranks expecting >= 500 hits are held to the relative bound —
@@ -55,7 +55,7 @@ func TestZipfRankFrequency(t *testing.T) {
 
 // TestZipfMonotoneMass: higher skew concentrates more mass on rank 0,
 // and within one distribution the ranks are non-increasing in
-// probability — the shape the C14/C15 hypotheses lean on.
+// probability — the shape the skewed ./bench workloads lean on.
 func TestZipfMonotoneMass(t *testing.T) {
 	prev := -1.0
 	for _, skew := range []float64{0, 0.5, 1.0, 1.5, 2.0} {

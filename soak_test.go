@@ -183,10 +183,11 @@ func TestSoakSnapshotChurn(t *testing.T) {
 // document popularity) against a DurableRepository with 4 concurrent
 // workers per phase, pinning a snapshot at each phase boundary and
 // holding it open across the whole next phase — the combination the
-// hypothesis experiments (C14/C15) time and this test races. At the
-// end the MVCC gauges must settle exactly as docs/CONCURRENCY.md §4
-// promises: no open snapshots, no pinned versions, and one round of
-// final writes reclaiming every superseded version.
+// read_heavy and ckpt_restart workloads of ./bench time and this test
+// races. At the end the MVCC gauges must settle exactly as
+// docs/CONCURRENCY.md §4 promises: no open snapshots, no pinned
+// versions, and one round of final writes reclaiming every superseded
+// version.
 func TestSoakPhasedDurableWorkload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test in -short mode")
