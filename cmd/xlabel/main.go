@@ -7,22 +7,24 @@
 //	xlabel -scheme qed doc.xml                      # labelled tree
 //	xlabel -scheme deweyid -table doc.xml           # encoding table
 //	xlabel -scheme ordpath -query //name doc.xml    # location path
-//	xlabel -scheme qed -update 'after //b new' doc.xml
+//	xlabel -scheme qed -xquf 'insert node <new/> after //b' doc.xml
 //	xlabel -schemes                                 # list schemes
 //
-// Update script: semicolon-separated commands, each
+// The -xquf script is XQuery-Update-style statements separated by ';'
+// (grammar in internal/uql), for example
 //
-//	before <path> <name> | after <path> <name> | first <path> <name> |
-//	append <path> <name> | delete <path> | text <path> <value>
+//	insert node <preface/> as first into /book;
+//	replace value of node //title with "Homecoming";
+//	delete node //edition
 //
-// where <path> is a location path selecting the reference node.
+// A statement's path must select exactly one node, except in
+// "delete node", which deletes every match.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"xmldyn"
 	"xmldyn/internal/figures"
@@ -32,7 +34,6 @@ func main() {
 	scheme := flag.String("scheme", "qed", "labelling scheme")
 	table := flag.Bool("table", false, "print the encoding table instead of the tree")
 	query := flag.String("query", "", "evaluate a location path and print matches")
-	script := flag.String("update", "", "update script to apply before printing")
 	xquf := flag.String("xquf", "", "XQuery-Update-style script to apply (see internal/uql)")
 	save := flag.String("save", "", "write a binary snapshot to this file after updates")
 	load := flag.String("load", "", "read the document from a binary snapshot instead of XML")
@@ -47,26 +48,21 @@ func main() {
 		return
 	}
 	opts := options{
-		scheme: *scheme, table: *table, query: *query, script: *script,
+		scheme: *scheme, table: *table, query: *query,
 		xquf: *xquf, save: *save, load: *load, stats: *stats,
 	}
-	if err := runWith(opts, flag.Args()); err != nil {
+	if err := run(opts, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "xlabel:", err)
 		os.Exit(1)
 	}
 }
 
 type options struct {
-	scheme, query, script, xquf, save, load string
-	table, stats                            bool
+	scheme, query, xquf, save, load string
+	table, stats                    bool
 }
 
-// run keeps the original narrow signature for tests and simple callers.
-func run(scheme string, table bool, query, script string, stats bool, args []string) error {
-	return runWith(options{scheme: scheme, table: table, query: query, script: script, stats: stats}, args)
-}
-
-func runWith(opts options, args []string) error {
+func run(opts options, args []string) error {
 	var s *xmldyn.Session
 	var doc *xmldyn.Document
 	var err error
@@ -99,11 +95,6 @@ func runWith(opts options, args []string) error {
 		}
 		s, err = xmldyn.Open(doc, opts.scheme)
 		if err != nil {
-			return err
-		}
-	}
-	if opts.script != "" {
-		if err := applyScript(s, opts.script); err != nil {
 			return err
 		}
 	}
@@ -142,52 +133,6 @@ func runWith(opts options, args []string) error {
 		st := s.Labeling().Stats()
 		fmt.Printf("\nassigned %d, relabelled %d (events %d, overflow %d), mean label %.1f bits\n",
 			st.Assigned, st.Relabeled, st.RelabelEvents, st.OverflowEvents, xmldyn.MeanLabelBits(s))
-	}
-	return nil
-}
-
-func applyScript(s *xmldyn.Session, script string) error {
-	for _, cmd := range strings.Split(script, ";") {
-		cmd = strings.TrimSpace(cmd)
-		if cmd == "" {
-			continue
-		}
-		fields := strings.Fields(cmd)
-		if len(fields) < 2 {
-			return fmt.Errorf("bad update command %q", cmd)
-		}
-		op, path := fields[0], fields[1]
-		nodes, err := xmldyn.Query(s, path)
-		if err != nil {
-			return fmt.Errorf("%q: %w", cmd, err)
-		}
-		if len(nodes) == 0 {
-			return fmt.Errorf("%q: no match for %s", cmd, path)
-		}
-		ref := nodes[0]
-		arg := ""
-		if len(fields) > 2 {
-			arg = strings.Join(fields[2:], " ")
-		}
-		switch op {
-		case "before":
-			_, err = s.InsertBefore(ref, arg)
-		case "after":
-			_, err = s.InsertAfter(ref, arg)
-		case "first":
-			_, err = s.InsertFirstChild(ref, arg)
-		case "append":
-			_, err = s.AppendChild(ref, arg)
-		case "delete":
-			err = s.Delete(ref)
-		case "text":
-			err = s.SetText(ref, arg)
-		default:
-			return fmt.Errorf("unknown update op %q", op)
-		}
-		if err != nil {
-			return fmt.Errorf("%q: %w", cmd, err)
-		}
 	}
 	return nil
 }

@@ -29,13 +29,6 @@ const DefaultAckEvery = 32
 // FollowerOptions.ReconnectDelay is zero.
 const DefaultReconnectDelay = 250 * time.Millisecond
 
-// errStateLost marks session failures that reconnecting cannot cure:
-// the follower's on-disk state must be wiped and rebuilt from a fresh
-// checkpoint bootstrap. It wraps bootstrap-install failures; together
-// with repo.ErrDiverged it defines the wipe-and-rebootstrap class of
-// the failure matrix (docs/REPLICATION.md §5).
-var errStateLost = errors.New("replica: follower state unusable")
-
 // FollowerOptions configures a Follower.
 type FollowerOptions struct {
 	// Store configures the follower's local durable layer (fsync
@@ -60,25 +53,24 @@ type FollowerOptions struct {
 // time, including mid-bootstrap; Lag and AppliedStamp bound their
 // staleness explicitly.
 type Follower struct {
-	dir  string
 	opts FollowerOptions
+	fr   *repo.FollowerRepository // one for the Follower's life; bootstraps install in place
 
 	mu        sync.Mutex
-	fr        *repo.FollowerRepository // guarded by mu (swapped on re-bootstrap)
-	applied   uint64                   // guarded by mu
-	target    uint64                   // guarded by mu
-	leaderEnd wal.Position             // guarded by mu
-	conn      net.Conn                 // guarded by mu
-	closed    bool                     // guarded by mu
+	applied   uint64       // guarded by mu
+	target    uint64       // guarded by mu
+	leaderEnd wal.Position // guarded by mu
+	conn      net.Conn     // guarded by mu
+	closed    bool         // guarded by mu
 	stop      chan struct{}
 }
 
 // OpenFollower opens (or creates) the follower state at dir. A replay
-// failure — the signature of a crash mid-bootstrap, or of a leader
-// divergence detected on a previous session — is handled by the
-// documented recovery: wipe the directory's replicated state and
-// start over from an empty follower, which forces a fresh checkpoint
-// bootstrap on the first session.
+// failure — the signature of a crash mid-bootstrap, or of a crash after
+// a divergence and before its bootstrap — is handled by the documented
+// recovery: wipe the directory's replicated state and start over from
+// an empty follower, which forces a fresh checkpoint bootstrap on the
+// first session.
 func OpenFollower(dir string, opts FollowerOptions) (*Follower, error) {
 	fr, err := repo.OpenFollower(dir, opts.Store)
 	if errors.Is(err, repo.ErrReplay) {
@@ -90,7 +82,7 @@ func OpenFollower(dir string, opts FollowerOptions) (*Follower, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Follower{dir: dir, opts: opts, fr: fr, stop: make(chan struct{})}, nil
+	return &Follower{opts: opts, fr: fr, stop: make(chan struct{})}, nil
 }
 
 func (f *Follower) ackEvery() int {
@@ -105,15 +97,6 @@ func (f *Follower) reconnectDelay() time.Duration {
 		return f.opts.ReconnectDelay
 	}
 	return DefaultReconnectDelay
-}
-
-// repoNow returns the current follower repository (stable for the
-// caller's use; a re-bootstrap swap only happens between sessions,
-// and the old value keeps serving reads until closed).
-func (f *Follower) repoNow() *repo.FollowerRepository {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.fr
 }
 
 // Lag is the follower's staleness bound in stream bytes: the distance
@@ -136,10 +119,10 @@ func (f *Follower) Lag() uint64 {
 // the monotone per-replica counter SnapshotAt addresses. It is
 // follower-local (it resets on restart and re-bootstrap); cross-site
 // ordering comes from Position, not stamps.
-func (f *Follower) AppliedStamp() uint64 { return f.repoNow().Stamp() }
+func (f *Follower) AppliedStamp() uint64 { return f.fr.Stamp() }
 
 // Position is the follower's durable applied WAL position.
-func (f *Follower) Position() wal.Position { return f.repoNow().Position() }
+func (f *Follower) Position() wal.Position { return f.fr.Position() }
 
 // LeaderEnd is the leader's append end position as of the last
 // heartbeat (zero before the first heartbeat of the first session).
@@ -150,55 +133,55 @@ func (f *Follower) LeaderEnd() wal.Position {
 }
 
 // Repo exposes the underlying follower repository for its full read
-// API (Query, Names, Verify, …). The returned value is the current
-// one; after a wipe-and-rebootstrap a new repository replaces it, so
-// long-lived readers should re-fetch rather than cache.
-func (f *Follower) Repo() *repo.FollowerRepository { return f.repoNow() }
+// API (Query, Names, Verify, …). It is the same repository for the
+// Follower's whole life: every bootstrap, a divergence's included,
+// installs into it in place, so a cached handle stays current.
+func (f *Follower) Repo() *repo.FollowerRepository { return f.fr }
 
 // Snapshot pins a lock-free MVCC snapshot of the named documents (all
 // documents when none are named) at the follower's current stamp.
 func (f *Follower) Snapshot(names ...string) (*repo.Snapshot, error) {
-	return f.repoNow().Snapshot(names...)
+	return f.fr.Snapshot(names...)
 }
 
 // SnapshotAt pins a snapshot at an earlier follower-local stamp, if
 // its versions are still retained.
 func (f *Follower) SnapshotAt(stamp uint64, names ...string) (*repo.Snapshot, error) {
-	return f.repoNow().SnapshotAt(stamp, names...)
+	return f.fr.SnapshotAt(stamp, names...)
 }
 
 // VersionStats reports the follower repository's version-chain gauges.
-func (f *Follower) VersionStats() repo.VersionStats { return f.repoNow().VersionStats() }
+func (f *Follower) VersionStats() repo.VersionStats { return f.fr.VersionStats() }
 
 // Close stops the session loop and closes the follower repository.
 func (f *Follower) Close() error {
-	fr := f.beginClose()
-	if fr == nil {
+	if !f.beginClose() {
 		return nil
 	}
-	return fr.Close()
+	return f.fr.Close()
 }
 
-// beginClose marks the follower closed and severs the live connection,
-// returning the repository to close (nil when already closed).
-func (f *Follower) beginClose() *repo.FollowerRepository {
+// beginClose marks the follower closed and severs the live connection;
+// it reports false when the follower was already closed.
+func (f *Follower) beginClose() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
-		return nil
+		return false
 	}
 	f.closed = true
 	close(f.stop)
 	if f.conn != nil {
 		_ = f.conn.Close()
 	}
-	return f.fr
+	return true
 }
 
 // Run drives the session loop until Close: dial, run one session,
-// classify the failure (reconnect-and-resume vs wipe-and-rebootstrap),
-// pause, repeat. It returns nil after Close, or the first fatal error
-// (a wipe that cannot be completed).
+// pause, repeat. Every session failure reconnects; the Hello position
+// decides between resuming and bootstrapping (a divergence, or an
+// install that failed after deleting the old state, leaves it at zero,
+// which asks for a bootstrap). It returns nil after Close.
 func (f *Follower) Run() error {
 	if f.opts.Dial == nil {
 		return fmt.Errorf("replica: FollowerOptions.Dial is required for Run")
@@ -209,20 +192,8 @@ func (f *Follower) Run() error {
 			return nil
 		default:
 		}
-		conn, err := f.opts.Dial()
-		if err == nil {
-			err = f.RunOnce(conn)
-		}
-		f.mu.Lock()
-		closed := f.closed
-		f.mu.Unlock()
-		if closed {
-			return nil
-		}
-		if errors.Is(err, repo.ErrDiverged) || errors.Is(err, errStateLost) {
-			if rerr := f.rebootstrap(); rerr != nil {
-				return rerr
-			}
+		if conn, err := f.opts.Dial(); err == nil {
+			_ = f.RunOnce(conn)
 		}
 		select {
 		case <-f.stop:
@@ -232,42 +203,17 @@ func (f *Follower) Run() error {
 	}
 }
 
-// rebootstrap discards the follower's replicated state entirely and
-// reopens empty, so the next session starts with a fresh checkpoint
-// bootstrap. This is the documented response to divergence and to
-// install failures; plain transport errors never reach here.
-func (f *Follower) rebootstrap() error {
-	f.mu.Lock()
-	old := f.fr
-	f.mu.Unlock()
-	if err := old.Close(); err != nil && !errors.Is(err, repo.ErrClosed) {
-		return err
-	}
-	if err := repo.WipeFollowerState(f.dir); err != nil {
-		return err
-	}
-	fr, err := repo.OpenFollower(f.dir, f.opts.Store)
-	if err != nil {
-		return err
-	}
-	f.mu.Lock()
-	f.fr = fr
-	f.applied, f.target = 0, 0
-	f.mu.Unlock()
-	return nil
-}
-
 // beginSession registers conn as the live connection (so Close can
 // sever it) and resets the session-relative staleness counters.
-func (f *Follower) beginSession(conn net.Conn) (*repo.FollowerRepository, error) {
+func (f *Follower) beginSession(conn net.Conn) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
-		return nil, repo.ErrClosed
+		return repo.ErrClosed
 	}
 	f.conn = conn
 	f.applied, f.target = 0, 0
-	return f.fr, nil
+	return nil
 }
 
 // endSession forgets conn if it is still the registered one.
@@ -286,8 +232,7 @@ func (f *Follower) endSession(conn net.Conn) {
 // directly; it is exported for deterministic tests and custom
 // transports.
 func (f *Follower) RunOnce(conn net.Conn) error {
-	fr, err := f.beginSession(conn)
-	if err != nil {
+	if err := f.beginSession(conn); err != nil {
 		conn.Close()
 		return err
 	}
@@ -297,7 +242,7 @@ func (f *Follower) RunOnce(conn net.Conn) error {
 	}()
 
 	fw := &frameWriter{w: conn}
-	fw.end(appendHello(fw.begin(MsgHello), fr.Position()))
+	fw.end(appendHello(fw.begin(MsgHello), f.fr.Position()))
 	if err := fw.flush(); err != nil {
 		return err
 	}
@@ -308,7 +253,7 @@ func (f *Follower) RunOnce(conn net.Conn) error {
 		snapExpect = -1 // announced file count; -1 means no bootstrap in progress
 		sinceAck   int
 		ack        = func() error {
-			fw.end(appendAck(fw.begin(MsgAck), fr.Position()))
+			fw.end(appendAck(fw.begin(MsgAck), f.fr.Position()))
 			return fw.flush()
 		}
 		bump = func(n uint64) { f.mu.Lock(); f.applied += n; f.mu.Unlock() }
@@ -341,11 +286,11 @@ func (f *Follower) RunOnce(conn net.Conn) error {
 			}
 			man, err := store.UnmarshalManifest(body)
 			if err != nil {
-				return fmt.Errorf("%w: %v", errStateLost, err)
+				return err
 			}
 			img := store.BootstrapImage{Manifest: man, Raw: append([]byte(nil), body...), Files: snapFiles}
-			if err := fr.InstallBootstrap(img); err != nil {
-				return fmt.Errorf("%w: installing bootstrap: %v", errStateLost, err)
+			if err := f.fr.InstallBootstrap(img); err != nil {
+				return fmt.Errorf("replica: installing bootstrap: %w", err)
 			}
 			snapFiles, snapExpect = nil, -1
 			f.mu.Lock()
@@ -359,7 +304,7 @@ func (f *Follower) RunOnce(conn net.Conn) error {
 			if err != nil {
 				return err
 			}
-			if err := fr.BeginSegment(index); err != nil {
+			if err := f.fr.BeginSegment(index); err != nil {
 				return err
 			}
 			bump(uint64(wal.HeaderSize))
@@ -374,12 +319,12 @@ func (f *Follower) RunOnce(conn net.Conn) error {
 			// continuation of what we have — tear the connection down and
 			// resume from the durable position instead of corrupting the
 			// replica.
-			cur := fr.Position()
+			cur := f.fr.Position()
 			want := wal.Position{Segment: cur.Segment, Offset: cur.Offset + wal.FrameHeaderSize + int64(len(payload))}
 			if after != want {
 				return fmt.Errorf("%w: record ends at %v, expected %v", ErrBadFrame, after, want)
 			}
-			if err := fr.ApplyRecord(payload); err != nil {
+			if err := f.fr.ApplyRecord(payload); err != nil {
 				return err
 			}
 			bump(uint64(wal.FrameHeaderSize) + uint64(len(payload)))

@@ -4,10 +4,14 @@ package replica
 // non-contiguous segment stream (wal.ErrMissingSegment over the wire)
 // and a mid-stream CRC flip — and for the requirement that both are
 // RECONNECT faults: the follower resumes from its last durable offset
-// on the next session, with no wipe and no re-bootstrap.
+// on the next session, with no wipe and no re-bootstrap. A divergence
+// reconnects too, but its next session bootstraps, in place.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"net"
 	"reflect"
 	"sync/atomic"
@@ -54,7 +58,6 @@ func TestNonContiguousStreamRejectedOverWire(t *testing.T) {
 	conn.Close()
 	<-sessionDone
 	resumePos := f.Position()
-	repoBefore := f.Repo()
 
 	// Session 2: a fake leader answers the hello with a segment
 	// boundary two past the follower's active segment.
@@ -80,9 +83,6 @@ func TestNonContiguousStreamRejectedOverWire(t *testing.T) {
 	// The rejection must not have moved or wiped anything.
 	if got := f.Position(); got != resumePos {
 		t.Fatalf("position moved across rejected stream: %v -> %v", resumePos, got)
-	}
-	if f.Repo() != repoBefore {
-		t.Fatal("rejected stream triggered a re-bootstrap")
 	}
 
 	// Session 3: genuine reconnect resumes from the durable offset.
@@ -178,7 +178,6 @@ func TestCRCFlipResumesWithoutRebootstrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repoBefore := f.Repo()
 	done := make(chan error, 1)
 	go func() { done <- f.Run() }()
 	defer func() {
@@ -192,9 +191,6 @@ func TestCRCFlipResumesWithoutRebootstrap(t *testing.T) {
 	if n := dials.Load(); n < 2 {
 		t.Fatalf("corrupted frame did not force a reconnect (dials = %d)", n)
 	}
-	if f.Repo() != repoBefore {
-		t.Fatal("CRC flip triggered a re-bootstrap; want resume")
-	}
 	for _, s := range shipper.Sessions() {
 		if s.Bootstrapped {
 			t.Fatalf("resumed session re-bootstrapped: %+v", s)
@@ -204,4 +200,108 @@ func TestCRCFlipResumesWithoutRebootstrap(t *testing.T) {
 		t.Fatalf("state diverged:\n got %v\nwant %v", got, want)
 	}
 	assertSegmentsIdentical(t, leaderDir, f.Repo().Dir())
+}
+
+// TestDivergenceKeepsCachedRepoCurrent makes a follower diverge from
+// its leader under Run: on the second dial a proxy misspells the
+// document name of the first RecBatch record ("books" → "bookz", same
+// length) and re-frames it with a valid CRC, so the follower appends a
+// record its state cannot apply. The next session must bootstrap, and
+// the repository handle cached before the divergence must show the
+// leader's state afterwards: the bootstrap installs in place.
+func TestDivergenceKeepsCachedRepoCurrent(t *testing.T) {
+	leader, err := repo.OpenDurable(t.TempDir(), repo.DurableOptions{AutoCheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	seedLeader(t, leader, 3)
+
+	ln := newPipeListener()
+	defer ln.Close()
+	shipper := NewShipper(leader, ShipperOptions{Heartbeat: 10 * time.Millisecond})
+	defer shipper.Close()
+	go shipper.Serve(ln)
+
+	var dials atomic.Int64
+	var misspelled atomic.Bool
+	dial := func() (net.Conn, error) {
+		up, err := ln.Dial()
+		if err != nil {
+			return nil, err
+		}
+		if dials.Add(1) != 2 {
+			return up, nil
+		}
+		client, server := net.Pipe()
+		go func() {
+			defer func() { up.Close(); server.Close() }()
+			for {
+				raw, err := readRawFrame(up)
+				if err != nil {
+					return
+				}
+				// A MsgRecord body is the end position (16 bytes), then
+				// the payload: RecBatch, the name's length, the name.
+				if body := raw[FrameHeaderSize:]; raw[0] == MsgRecord && !misspelled.Load() &&
+					body[16] == repo.RecBatch && bytes.HasPrefix(body[17:], []byte("\x05books")) {
+					body[22] = 'z'
+					binary.LittleEndian.PutUint32(raw[5:9], crc32.ChecksumIEEE(body))
+					misspelled.Store(true)
+				}
+				if _, err := server.Write(raw); err != nil {
+					return
+				}
+			}
+		}()
+		go func() {
+			for {
+				raw, err := readRawFrame(server)
+				if err != nil {
+					up.Close()
+					return
+				}
+				if _, err := up.Write(raw); err != nil {
+					server.Close()
+					return
+				}
+			}
+		}()
+		return client, nil
+	}
+
+	f, err := OpenFollower(t.TempDir(), FollowerOptions{Dial: dial, ReconnectDelay: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- f.Run() }()
+	defer func() {
+		f.Close()
+		if err := <-done; err != nil {
+			t.Errorf("Run: %v", err)
+		}
+	}()
+	waitUntil(t, 5*time.Second, "initial catch-up", func() bool { return caughtUp(leader, f) })
+	cached := f.Repo()
+
+	// Sever the clean session; the second dial carries the misspelling.
+	shipper.severSessions()
+	commitLeader(t, leader, 2)
+	waitUntil(t, 5*time.Second, "the misspelled record", misspelled.Load)
+	waitUntil(t, 5*time.Second, "catch-up after the divergence", func() bool { return caughtUp(leader, f) })
+
+	if n := dials.Load(); n < 3 {
+		t.Fatalf("divergence did not force a reconnect (dials = %d)", n)
+	}
+	bootstrapped := false
+	for _, s := range shipper.Sessions() {
+		bootstrapped = bootstrapped || s.Bootstrapped
+	}
+	if !bootstrapped {
+		t.Fatalf("the session after the divergence resumed; want a bootstrap: %+v", shipper.Sessions())
+	}
+	if got, want := stateXML(t, cached), stateXML(t, leader); !reflect.DeepEqual(got, want) {
+		t.Fatalf("cached repository is stale after the divergence:\n got %v\nwant %v", got, want)
+	}
 }

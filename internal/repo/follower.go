@@ -35,10 +35,10 @@ import (
 // ErrDiverged reports a replicated record that the leader committed
 // but the follower's in-memory state rejected: the replica's history
 // no longer matches the leader's (typically after an async-policy
-// leader crash lost a tail the follower had applied). The replica
-// layer reacts by wiping the follower state and re-bootstrapping —
-// reconnecting alone cannot help, because recovery replays the
-// appended record and fails identically.
+// leader crash lost a tail the follower had applied). Resuming cannot
+// help, so ApplyRecord also sets the follower's position to zero: the
+// next session's Hello asks for a bootstrap, and InstallBootstrap
+// replaces the state in place.
 var ErrDiverged = errors.New("repo: replicated record diverged from local state")
 
 // errNotInstalled refuses stream records while the follower has no
@@ -240,10 +240,12 @@ func (f *FollowerRepository) BeginSegment(index uint64) error {
 // The record is re-framed by the local Append exactly as the leader
 // framed it (same length-prefix + CRC codec), which is what keeps the
 // segment files byte-identical. An apply failure after a successful
-// append means the stream and this replica's memory diverged — the
-// caller must treat the session as poisoned and re-open (recovery
-// replays the appended record and fails the same way, steering the
-// replica layer to wipe and re-bootstrap).
+// append means the stream and this replica's memory diverged: the
+// record is refused with ErrDiverged and the position drops to zero,
+// so the next session bootstraps. Reads keep serving the last applied
+// state until InstallBootstrap swaps in the new one. (A restart before
+// then replays the appended record, fails with ErrReplay and is wiped
+// at open.)
 func (f *FollowerRepository) ApplyRecord(payload []byte) error {
 	f.commitMu.RLock()
 	defer f.commitMu.RUnlock()
@@ -259,6 +261,7 @@ func (f *FollowerRepository) ApplyRecord(payload []byte) error {
 		return err
 	}
 	if err := applyRecord(f.repo(), payload); err != nil {
+		f.pos = wal.Position{}
 		return fmt.Errorf("%w: %v", ErrDiverged, err)
 	}
 	f.pos = f.log.Position()
@@ -267,8 +270,9 @@ func (f *FollowerRepository) ApplyRecord(payload []byte) error {
 
 // Position returns the follower's durable applied position: the byte
 // boundary just past the last record appended to its log, zero while
-// no state is installed. After a restart this is where replication
-// resumes from (the Hello position).
+// no state is installed and after a divergence (ErrDiverged). After a
+// restart this is where replication resumes from (the Hello position);
+// a zero position asks the leader for a bootstrap.
 func (f *FollowerRepository) Position() wal.Position {
 	f.walMu.Lock()
 	defer f.walMu.Unlock()

@@ -620,14 +620,27 @@ func TestAppendOnlySessionFullVerifiesOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.SetAutoVerify(true)
-			res, err := workload.ApplyBatched(s, workload.Spec{Kind: workload.AppendOnly, Ops: ops, Seed: 9}, size)
-			if err != nil {
-				t.Fatal(err)
+			root := s.Document().Root()
+			before := len(root.Children())
+			for done := 0; done < ops; done += size {
+				if size == 1 {
+					_, err = s.AppendChild(root, "ap")
+				} else {
+					batch := make([]update.Op, size)
+					for i := range batch {
+						batch[i] = update.AppendChildOp(root, "ap")
+					}
+					_, err = s.Apply(batch)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
 			}
+			applied := len(root.Children()) - before
 			ctr := s.Counters()
-			if res.Applied != ops || ctr.Verifies != ops/int64(size) || ctr.FullVerifies != 1 {
+			if applied != ops || ctr.Verifies != ops/int64(size) || ctr.FullVerifies != 1 {
 				t.Errorf("%s, transactions of %d: %d ops applied, Verifies = %d, FullVerifies = %d, want %d, %d and 1",
-					name, size, res.Applied, ctr.Verifies, ctr.FullVerifies, ops, ops/size)
+					name, size, applied, ctr.Verifies, ctr.FullVerifies, ops, ops/size)
 			}
 		}
 	}

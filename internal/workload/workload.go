@@ -67,7 +67,6 @@ type Spec struct {
 type Result struct {
 	Applied int
 	Skipped int // operations that had no valid target (e.g. empty doc)
-	Batches int // batched transactions committed (ApplyBatched only)
 }
 
 // Apply drives the session through the workload. Errors from the update
@@ -144,114 +143,9 @@ func Apply(s *update.Session, spec Spec) (Result, error) {
 	}
 }
 
-// ApplyBatched drives the same scenarios as Apply but groups the
-// update stream into batched transactions of up to batchSize ops each
-// (update.Session.Apply), so document order is verified once per batch
-// instead of once per op on sessions with auto-verify. Refs are chosen
-// against the document state at batch-assembly time; within a churn
-// batch, targets that fall inside an already-doomed subtree are
-// re-rolled (falling back to a root append) so no op references a node
-// another op in the same batch deletes and exactly spec.Ops operations
-// are applied, matching Apply.
-func ApplyBatched(s *update.Session, spec Spec, batchSize int) (Result, error) {
-	if batchSize <= 1 {
-		return Apply(s, spec)
-	}
-	rng := rand.New(rand.NewSource(spec.Seed))
-	doc := s.Document()
-	var res Result
-	commit := func(ops []update.Op) error {
-		if len(ops) == 0 {
-			return nil
-		}
-		if _, err := s.Apply(ops); err != nil {
-			return err
-		}
-		res.Applied += len(ops)
-		res.Batches++
-		return nil
-	}
-	var skewRef *xmltree.Node
-	if spec.Kind == Skewed {
-		if skewRef = skewTarget(doc); skewRef == nil {
-			return res, fmt.Errorf("workload: no skew target in document")
-		}
-	}
-	ratio := spec.DeleteRatio
-	if ratio <= 0 {
-		ratio = 0.4
-	}
-	for done := 0; done < spec.Ops; {
-		n := batchSize
-		if rest := spec.Ops - done; rest < n {
-			n = rest
-		}
-		var ops []update.Op
-		switch spec.Kind {
-		case Skewed:
-			for i := 0; i < n; i++ {
-				ops = append(ops, update.InsertBeforeOp(skewRef, "sk"))
-			}
-		case AppendOnly:
-			root := doc.Root()
-			for i := 0; i < n; i++ {
-				ops = append(ops, update.AppendChildOp(root, "ap"))
-			}
-		case Uniform, Random:
-			elems := elements(doc)
-			for i := 0; i < n; i++ {
-				var ref *xmltree.Node
-				if spec.Kind == Uniform {
-					ref = elems[(done+i)%len(elems)]
-				} else {
-					ref = elems[rng.Intn(len(elems))]
-				}
-				ops = append(ops, insertOpAround(rng, doc, ref))
-			}
-		case Churn:
-			elems := elements(doc)
-			var doomed []*xmltree.Node
-			clear := func(ref *xmltree.Node) bool {
-				for _, d := range doomed {
-					if d == ref || d.IsAncestorOf(ref) {
-						return false
-					}
-				}
-				return true
-			}
-			for i := 0; i < n; i++ {
-				ref := elems[rng.Intn(len(elems))]
-				for tries := 0; !clear(ref) && tries < 8; tries++ {
-					ref = elems[rng.Intn(len(elems))]
-				}
-				if !clear(ref) {
-					// Re-rolls exhausted: the root is never doomed, so
-					// append there rather than shorting the op budget.
-					ops = append(ops, update.AppendChildOp(doc.Root(), "w"))
-					continue
-				}
-				if rng.Float64() < ratio && ref != doc.Root() {
-					doomed = append(doomed, ref)
-					ops = append(ops, update.DeleteOp(ref))
-					continue
-				}
-				ops = append(ops, insertOpAround(rng, doc, ref))
-			}
-		default:
-			return res, fmt.Errorf("workload: unknown kind %v", spec.Kind)
-		}
-		if err := commit(ops); err != nil {
-			return res, fmt.Errorf("workload %s batch at op %d: %w", spec.Kind, done, err)
-		}
-		done += n
-	}
-	return res, nil
-}
-
 // insertOpAround builds one random-position insertion op relative to
-// ref. The position distribution lives here alone, so the single-op and
-// batched streams can never drift apart (the tests that compare the two
-// rely on them being identical).
+// ref: before or after it (as its parent's child when ref is the root),
+// as its first child or as its last, each a quarter of the time.
 func insertOpAround(rng *rand.Rand, doc *xmltree.Document, ref *xmltree.Node) update.Op {
 	switch rng.Intn(4) {
 	case 0:

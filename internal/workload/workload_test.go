@@ -7,6 +7,7 @@ import (
 	"xmldyn/internal/schemes/dewey"
 	"xmldyn/internal/schemes/qed"
 	"xmldyn/internal/update"
+	"xmldyn/internal/xmltree"
 )
 
 func session(t *testing.T, nodes int) *update.Session {
@@ -168,5 +169,38 @@ func TestBaseDocumentDeterministic(t *testing.T) {
 	}
 	if BaseDocument(9, 0).LabelledCount() < 150 {
 		t.Error("default size")
+	}
+}
+
+// TestInsertOpAroundCoversPositions: the op generator reaches all four
+// insertion positions and respects the root special case.
+func TestInsertOpAroundCoversPositions(t *testing.T) {
+	s := session(t, 40)
+	doc := s.Document()
+	root := doc.Root()
+	seen := map[update.OpKind]bool{}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200; i++ {
+		op := insertOpAround(rng, doc, root)
+		seen[op.Kind] = true
+		if op.Kind == update.OpInsertBefore || op.Kind == update.OpInsertAfter {
+			t.Fatal("sibling insert relative to root")
+		}
+	}
+	var target *xmltree.Node
+	doc.WalkLabelled(func(n *xmltree.Node) bool {
+		if n != root && n.Kind() == xmltree.KindElement {
+			target = n
+			return false
+		}
+		return true
+	})
+	for i := 0; i < 200; i++ {
+		seen[insertOpAround(rng, doc, target).Kind] = true
+	}
+	for _, k := range []update.OpKind{update.OpInsertBefore, update.OpInsertAfter, update.OpInsertFirstChild, update.OpAppendChild} {
+		if !seen[k] {
+			t.Fatalf("position %v never generated", k)
+		}
 	}
 }

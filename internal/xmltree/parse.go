@@ -7,31 +7,19 @@ import (
 	"strings"
 )
 
-// ParseOptions controls how textual XML is turned into a tree.
-type ParseOptions struct {
-	// KeepWhitespaceText retains text nodes that consist entirely of
-	// whitespace. The default drops them, matching the paper's example
-	// where indentation does not appear as tree nodes.
-	KeepWhitespaceText bool
-	// KeepComments retains comment nodes. Default: true-like behaviour is
-	// desired, so the flag is inverted: set DropComments to discard them.
-	DropComments bool
-	// DropProcInsts discards processing instructions.
-	DropProcInsts bool
-}
-
-// Parse reads a complete XML document from r using the default options.
-func Parse(r io.Reader) (*Document, error) {
-	return ParseWithOptions(r, ParseOptions{})
-}
-
 // ParseString parses a document held in a string.
 func ParseString(s string) (*Document, error) {
 	return Parse(strings.NewReader(s))
 }
 
-// ParseWithOptions reads a complete XML document from r.
-func ParseWithOptions(r io.Reader, opt ParseOptions) (*Document, error) {
+// Parse reads a complete XML document from r. Text nodes that are all
+// whitespace are dropped, as in the paper's example, where indentation
+// does not appear as tree nodes. Comments and processing instructions
+// are kept (they are not labelled); the XML declaration, DOCTYPE and
+// other directives, and text outside the root element are not tree
+// nodes. Namespace declarations stay ordinary attributes, so
+// serialisation round-trips.
+func Parse(r io.Reader) (*Document, error) {
 	dec := xml.NewDecoder(r)
 	doc := NewDocument()
 	cur := doc.node
@@ -77,7 +65,7 @@ func ParseWithOptions(r io.Reader, opt ParseOptions) (*Document, error) {
 			cur = cur.parent
 		case xml.CharData:
 			s := string(t)
-			if !opt.KeepWhitespaceText && strings.TrimSpace(s) == "" {
+			if strings.TrimSpace(s) == "" {
 				continue
 			}
 			if cur == doc.node {
@@ -87,14 +75,11 @@ func ParseWithOptions(r io.Reader, opt ParseOptions) (*Document, error) {
 				return nil, fmt.Errorf("xmltree: parse: %w", err)
 			}
 		case xml.Comment:
-			if opt.DropComments {
-				continue
-			}
 			if err := cur.AppendChild(NewComment(string(t))); err != nil {
 				return nil, fmt.Errorf("xmltree: parse: %w", err)
 			}
 		case xml.ProcInst:
-			if opt.DropProcInsts || t.Target == "xml" {
+			if t.Target == "xml" {
 				continue // the XML declaration is not a tree node
 			}
 			if err := cur.AppendChild(NewProcInst(t.Target, string(t.Inst))); err != nil {

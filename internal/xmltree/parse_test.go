@@ -86,14 +86,6 @@ func TestParseCommentsAndPIs(t *testing.T) {
 	if doc.LabelledCount() != 2 {
 		t.Fatalf("labelled: %d", doc.LabelledCount())
 	}
-
-	drop, err := ParseWithOptions(strings.NewReader(in), ParseOptions{DropComments: true, DropProcInsts: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(drop.Root().Children()) != 1 {
-		t.Fatalf("drop options: %d children", len(drop.Root().Children()))
-	}
 }
 
 func TestParseWhitespaceHandling(t *testing.T) {
@@ -104,13 +96,6 @@ func TestParseWhitespaceHandling(t *testing.T) {
 	}
 	if len(doc.Root().Children()) != 1 {
 		t.Fatalf("whitespace text kept: %d children", len(doc.Root().Children()))
-	}
-	keep, err := ParseWithOptions(strings.NewReader(in), ParseOptions{KeepWhitespaceText: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keep.Root().Children()) != 3 {
-		t.Fatalf("whitespace text dropped: %d children", len(keep.Root().Children()))
 	}
 }
 

@@ -459,8 +459,8 @@ type (
 	// and whether the session began with a checkpoint bootstrap.
 	ShipperSessionInfo = replica.SessionInfo
 	// Follower is a live read replica: Run drives the session loop
-	// (reconnect on transient failures, wipe-and-rebootstrap on
-	// divergence), while Snapshot/SnapshotAt serve lock-free reads at
+	// (every failure reconnects; after a divergence the next session
+	// bootstraps, in place, into the same repository), while Snapshot/SnapshotAt serve lock-free reads at
 	// any time and Lag/AppliedStamp bound their staleness explicitly —
 	// Lag is the stream distance to the leader's last advertised
 	// durable end, in bytes; 0 means caught up.
@@ -476,10 +476,10 @@ var ErrShipperClosed = replica.ErrShipperClosed
 
 // ErrFollowerDiverged reports a replicated record that contradicts
 // the follower's local state — the leader and follower histories have
-// forked (e.g. the follower's async-policy store lost a tail the
-// leader kept). The Follower.Run loop recovers by wiping its state
-// and re-bootstrapping from a leader checkpoint
-// (docs/REPLICATION.md §5).
+// forked (e.g. an async-policy leader crashed and lost a tail the
+// follower had applied). The follower's position drops to zero, so
+// the Follower.Run loop's next session bootstraps from a leader
+// checkpoint, installed in place (docs/REPLICATION.md §5).
 var ErrFollowerDiverged = repo.ErrDiverged
 
 // NewShipper wraps a durable repository with the leader side of
