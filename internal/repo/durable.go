@@ -208,9 +208,11 @@ type docBaseline struct {
 
 // ckptHooks fire, when set, between the externally visible steps of a
 // checkpoint — after the phase-1 cut (fresh segment created, manifest
-// not yet switched), after each per-document snapshot file lands, and
-// after the manifest switch but before dead files are retired — so the
-// crash-matrix harness can image the directory at every kill point.
+// not yet switched), after each per-document snapshot file is renamed
+// into place (before the batch's one directory fsync), and after the
+// manifest switch, once the commit lock is released, before dead files
+// are retired — so the crash-matrix harness can image the directory at
+// every kill point.
 type ckptHooks struct {
 	afterCut      func()
 	afterSnapFile func(file string)
@@ -495,12 +497,15 @@ type dirtyDoc struct {
 //     on land after the cut — then pin each dirty document's current
 //     persistent version (O(1) per document).
 //  2. Encode (no locks): serialise each pinned frozen version into
-//     its doc-*.snap file via atomic writes. Writers keep committing;
-//     their records land in the fresh segment, which the new manifest
-//     replays.
+//     its doc-*.snap file as one batch (store.WriteFiles): up to eight
+//     writers encode and write fsynced temp files, every file is then
+//     renamed into place and the directory fsynced once. Writers keep
+//     committing; their records land in the fresh segment, which the
+//     new manifest replays.
 //  3. The switch (writers excluded): write the version-5 manifest
-//     naming every entry and the fresh segment as first live, then
-//     retire dead segments and unreferenced old snapshot files.
+//     naming every entry and the fresh segment as first live; then,
+//     with writers readmitted, retire dead segments and unreferenced
+//     old snapshot files.
 //
 // A crash at any step recovers to a consistent state: before the
 // manifest switch the old manifest is current and its segment range —
@@ -594,42 +599,42 @@ func (d *DurableRepository) Checkpoint() error {
 		d.hooks.afterCut()
 	}
 
-	// --- phase 2: encode, lock-free ----------------------------------
-	// The pinned versions are frozen: encoding walks each persistent
-	// root (EncodeDocTree steps from the view to its source, so no view
-	// shell is built) while writers commit freely.
-	var written []string
-	cleanupWritten := func() {
-		for _, f := range written {
-			_ = os.Remove(filepath.Join(d.dir, f))
+	// --- phase 2: encode and write, lock-free -------------------------
+	// The pinned versions are frozen: each of the batch's writers
+	// encodes its documents from their persistent roots (EncodeDocTree
+	// steps from the view to its source, so no view shell is built)
+	// while writers commit freely. Every pin is dropped once the batch
+	// is over, whatever its outcome.
+	err = store.WriteFiles(d.dir, len(dirty), func(i int) (string, []byte) {
+		dd := dirty[i]
+		tree := update.EncodeDocTree(dd.v.document())
+		return dd.file, store.MarshalDocSnap(store.DocSnap{Name: dd.name, Scheme: dd.v.scheme, Tree: tree})
+	}, d.hooks.afterSnapFile)
+	for _, dd := range dirty {
+		dd.v.unpin()
+	}
+	// cleanup removes this attempt's snapshot files. Their generation
+	// is above every file the current manifest names, so whatever of
+	// them exists is this attempt's or an earlier failed one's.
+	cleanup := func() {
+		for _, dd := range dirty {
+			_ = os.Remove(filepath.Join(d.dir, dd.file))
 		}
 	}
-	for i, dd := range dirty {
-		scheme := dd.v.scheme
-		tree := update.EncodeDocTree(dd.v.document())
-		dd.v.unpin()
-		data := store.MarshalDocSnap(store.DocSnap{Name: dd.name, Scheme: scheme, Tree: tree})
-		if err := store.WriteFileAtomic(filepath.Join(d.dir, dd.file), data); err != nil {
-			for _, rest := range dirty[i+1:] {
-				rest.v.unpin()
-			}
-			cleanupWritten()
-			return err
-		}
-		written = append(written, dd.file)
-		if d.hooks.afterSnapFile != nil {
-			d.hooks.afterSnapFile(dd.file)
-		}
+	if err != nil {
+		cleanup()
+		return err
 	}
 
 	// --- phase 3: the switch -----------------------------------------
 	d.commitMu.Lock()
-	defer d.commitMu.Unlock()
 	if d.closed {
-		cleanupWritten()
+		d.commitMu.Unlock()
+		cleanup()
 		return ErrClosed
 	}
 	if err := store.WriteManifest(d.dir, store.Manifest{Gen: newGen, WALFirst: newFirst, Docs: entries}); err != nil {
+		defer d.commitMu.Unlock()
 		// The switch may have landed even though WriteManifest errored
 		// (its rename can succeed and only the directory fsync fail),
 		// so re-read the manifest to learn which generation is current
@@ -644,7 +649,7 @@ func (d *DurableRepository) Checkpoint() error {
 			// contiguous with the old manifest's range (recovery
 			// replays it; the only cost is a 5-byte header per failed
 			// attempt).
-			cleanupWritten()
+			cleanup()
 			return err
 		}
 		// The switch landed (or the manifest state is unknowable) while
@@ -665,23 +670,32 @@ func (d *DurableRepository) Checkpoint() error {
 		_ = d.poison(fmt.Errorf("checkpoint manifest switch in doubt: %v", err))
 		return err
 	}
+	// The new generation is current. Clear the WAL poison only if it is
+	// still the failure the cut observed — the pinned versions captured
+	// everything up to the cut, but a commit that failed DURING the
+	// encode phase may have left its record after it, in a segment this
+	// manifest replays.
+	d.gen, d.walFirst, d.base = newGen, newFirst, newBase
+	d.failed.CompareAndSwap(failedAtCut, nil)
+	floor := min(newFirst, d.pinFloor())
+	d.commitMu.Unlock()
 	if d.hooks.afterManifest != nil {
 		d.hooks.afterManifest()
 	}
-	// The new generation is current: retire the old one. Clear the WAL
-	// poison only if it is still the failure the cut observed — the
-	// pinned versions captured everything up to the cut, but a commit
-	// that failed DURING the encode phase may have left its record after
-	// it, in a segment this manifest replays.
-	d.gen, d.walFirst, d.base = newGen, newFirst, newBase
-	d.failed.CompareAndSwap(failedAtCut, nil)
 	// Retire what the new manifest does not cover: snapshot files it
-	// stopped referencing, and every segment below the new first live
-	// index that no replication pin still needs. The sweep enumerates
-	// the directory rather than the [oldFirst, newFirst) range so
-	// segments an earlier checkpoint spared for a since-released pin
-	// are retired too.
-	_ = sweepDir(d.dir, &store.Manifest{WALFirst: min(newFirst, d.pinFloor()), Docs: entries})
+	// stopped referencing, and every segment below the floor — the new
+	// first live index, or the lowest replication pin under it. The
+	// sweep enumerates the directory rather than the [oldFirst,
+	// newFirst) range so segments an earlier checkpoint spared for a
+	// since-released pin are retired too. It runs after commitMu is
+	// released, so commits do not stall on its unlinks, and that is
+	// safe: the keep-set and the floor were fixed under the lock;
+	// ckptMu, still held, keeps out the only other writer of doc-*.snap
+	// and temp files; and PinSegments reads walFirst under commitMu, so
+	// a pin taken after the unlock has a floor at or above newFirst —
+	// above every segment the sweep deletes. A pin released meanwhile
+	// only keeps its segments until the next checkpoint.
+	_ = sweepDir(d.dir, &store.Manifest{WALFirst: floor, Docs: entries})
 	return nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"xmldyn/internal/encoding"
 	"xmldyn/internal/store"
@@ -787,5 +788,66 @@ func TestOneWriteAPI(t *testing.T) {
 	// The leader's image of its state is a checkpoint, not Save's.
 	if _, ok := leader.MethodByName("Save"); ok {
 		t.Error("DurableRepository exposes Save")
+	}
+}
+
+// TestCommitProceedsDuringRetireSweep parks a checkpoint at the start
+// of its retire sweep (the afterManifest hook) and requires a commit on
+// another goroutine to complete meanwhile: the sweep runs after the
+// commit lock is released. The commit lands above the new first live
+// segment, so the sweep must leave it alone and a reopen must see it.
+func TestCommitProceedsDuringRetireSweep(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDurable(dir, DurableOptions{AutoCheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	seedAndBatch(t, d, 4)
+	parked, release := make(chan struct{}), make(chan struct{})
+	d.hooks.afterManifest = func() {
+		close(parked)
+		<-release
+	}
+	ckpt := make(chan error, 1)
+	go func() { ckpt <- d.Checkpoint() }()
+	select {
+	case <-parked:
+	case err := <-ckpt:
+		t.Fatalf("checkpoint returned before its sweep: %v", err)
+	}
+	committed := make(chan error, 1)
+	go func() {
+		_, err := d.Batch("books", func(doc *xmltree.Document, b *update.Batch) error {
+			b.AppendChild(doc.Root(), "during-sweep")
+			return nil
+		})
+		committed <- err
+	}()
+	select {
+	case err := <-committed:
+		close(release)
+		if err != nil {
+			t.Fatalf("commit during the retire sweep: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("a commit waited on the checkpoint's retire sweep")
+	}
+	if err := <-ckpt; err != nil {
+		t.Fatal(err)
+	}
+	d.hooks = ckptHooks{}
+	want := docXML(t, d, "books")
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenDurable(dir, DurableOptions{AutoCheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if got := docXML(t, reopened, "books"); got != want {
+		t.Fatalf("recovered state diverged:\n got %v\nwant %v", got, want)
 	}
 }

@@ -126,7 +126,9 @@ func (f *FollowerRepository) setPos(pos wal.Position) {
 func WipeFollowerState(dir string) error { return sweepDir(dir, nil) }
 
 // InstallBootstrap replaces the follower's whole state with a leader
-// checkpoint image: snapshot files are written first, then every old
+// checkpoint image: snapshot files are written first, as one batch
+// (up to eight writers write and fsync temp files, which are then
+// renamed into place under one directory fsync), then every old
 // segment is deleted, a fresh empty segment is created at the image's
 // first live index, and the manifest write commits the switch — after
 // which the core recovery rebuilds the in-memory repository from the
@@ -134,31 +136,29 @@ func WipeFollowerState(dir string) error { return sweepDir(dir, nil) }
 // stay valid; their versions are reference-counted).
 //
 // Writing the snapshot files destroys nothing; a failure there leaves
-// the follower as it was. Every later step destroys part of the old
-// state, so from the segment wipe on the old log is closed and a
-// failure leaves the follower with no installed state, exactly like a
-// fresh directory: ApplyRecord and BeginSegment refuse, Position is
-// zero, and the next session's Hello forces a new bootstrap, which
-// installs over whatever this attempt left behind. A crash between the
-// segment wipe and the manifest write leaves the OLD manifest pointing
-// at deleted segments; OpenFollower then fails with ErrReplay and the
-// replica layer wipes and re-bootstraps — documented,
-// reconstructible-by-design recovery, not data loss.
+// the follower as it was, but for orphan snapshot files the next sweep
+// removes. Every later step destroys part of the old state, so from
+// the segment wipe on the old log is closed and a failure leaves the
+// follower with no installed state, exactly like a fresh directory:
+// ApplyRecord and BeginSegment refuse, Position is zero, and the next
+// session's Hello forces a new bootstrap, which installs over whatever
+// this attempt left behind. A crash between the segment wipe and the
+// manifest write leaves the OLD manifest pointing at deleted segments;
+// OpenFollower then fails with ErrReplay and the replica layer wipes
+// and re-bootstraps — documented, reconstructible-by-design recovery,
+// not data loss.
 func (f *FollowerRepository) InstallBootstrap(img store.BootstrapImage) (err error) {
 	f.commitMu.Lock()
 	defer f.commitMu.Unlock()
 	if f.closed {
 		return ErrClosed
 	}
-	// Step 1: snapshot files. Atomic writes; until the manifest switch
-	// they are orphans a recovery sweep may delete.
-	for _, bf := range img.Files {
-		if err := store.WriteFileAtomic(filepath.Join(f.dir, bf.Name), bf.Data); err != nil {
-			return err
-		}
-		if f.hooks.afterSnapFile != nil {
-			f.hooks.afterSnapFile(bf.Name)
-		}
+	// Step 1: snapshot files, as one batch (store.WriteFiles); until
+	// the manifest switch they are orphans a recovery sweep may delete.
+	if err := store.WriteFiles(f.dir, len(img.Files), func(i int) (string, []byte) {
+		return img.Files[i].Name, img.Files[i].Data
+	}, f.hooks.afterSnapFile); err != nil {
+		return err
 	}
 	// The old state dies here. Its log is closed first so no later
 	// append can land in an unlinked segment; the old in-memory

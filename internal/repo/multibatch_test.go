@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"xmldyn/internal/store"
 	"xmldyn/internal/update"
 	"xmldyn/internal/wal"
 	"xmldyn/internal/xmltree"
@@ -703,6 +704,47 @@ func TestCheckpointFailureLeavesNoOrphans(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("commit after failed manifest switch: %v", err)
 	}
+	// Failure mode 3: one dirty document's snapshot cannot be written
+	// (its temp path is taken by a directory). Both documents are
+	// dirty, so the batch has two writers: the checkpoint must fail
+	// before any rename, leave none of this attempt's doc-*.snap or
+	// temp files besides the blockers, and the repository must keep
+	// committing.
+	if _, err := d.Batch("feeds", func(doc *xmltree.Document, b *update.Batch) error {
+		b.AppendChild(doc.Root(), "dirty")
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	blockSnap := filepath.Join(dir, store.DocSnapName("books", d.gen+1, 0)+".tmp")
+	if err := os.Mkdir(blockSnap, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Checkpoint(); err == nil {
+		t.Fatal("checkpoint succeeded despite a blocked snapshot write")
+	}
+	if got := snapFiles(); len(got) != 0 {
+		t.Fatalf("failed snapshot batch left snapshot files: %v", got)
+	}
+	tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tmp := range tmps {
+		if tmp != blockSnap && tmp != blockMan {
+			t.Fatalf("failed snapshot batch left a temp file: %s", tmp)
+		}
+	}
+	if _, err := d.Batch("books", func(doc *xmltree.Document, b *update.Batch) error {
+		b.AppendChild(doc.Root(), "after-batch")
+		return nil
+	}); err != nil {
+		t.Fatalf("commit after failed snapshot batch: %v", err)
+	}
+	if err := os.Remove(blockSnap); err != nil {
+		t.Fatal(err)
+	}
+
 	// The succeeding checkpoint below routes recovery through a
 	// snapshot, which relabels — compare the label-independent form.
 	want := docXML(t, d, "books")

@@ -19,10 +19,10 @@
 // version byte (3 and 4 were manifest layouts too) is rejected with
 // ErrBadVersion, never silently migrated.
 //
-// WriteManifest replaces the file atomically: write to a temp file,
-// fsync it, rename over ManifestName, fsync the directory. A crash at
-// any step leaves either the old or the new manifest intact, never a
-// partial one. The rename is the commit point of a checkpoint: every
+// WriteManifest replaces the file atomically (WriteFileAtomic): write
+// to a temp file, fsync it, rename over ManifestName, fsync the
+// directory. A crash at any step leaves either the old or the new
+// manifest intact, never a partial one. The rename is the commit point of a checkpoint: every
 // snapshot file a manifest names is written (and fsynced) before the
 // manifest that references it, and snapshot files are never modified
 // once a manifest names them.
@@ -30,9 +30,12 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 
 	"xmldyn/internal/labels"
 )
@@ -164,29 +167,78 @@ func ReadManifest(dir string) (Manifest, error) {
 // WriteManifest atomically replaces the directory's manifest:
 // temp-file write, fsync, rename, directory fsync.
 func WriteManifest(dir string, m Manifest) error {
-	tmp := filepath.Join(dir, ManifestName+".tmp")
-	if err := writeFileSync(tmp, MarshalManifest(m)); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, ManifestName)); err != nil {
-		return err
-	}
-	return SyncDir(dir)
+	return WriteFileAtomic(filepath.Join(dir, ManifestName), MarshalManifest(m))
 }
 
 // WriteFileAtomic writes data to path durably via a temp file in the
-// same directory: write, fsync, rename, directory fsync. Used for
-// per-document snapshot files so a crashed checkpoint never leaves a partial
-// file under the final name.
+// same directory: write, fsync, rename, directory fsync — WriteFiles'
+// one-file case. A crash never leaves a partial file under the final
+// name.
 func WriteFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := writeFileSync(tmp, data); err != nil {
+	return WriteFiles(filepath.Dir(path), 1, func(int) (string, []byte) { return filepath.Base(path), data }, nil)
+}
+
+// fileWriters bounds the goroutines WriteFiles writes with. On ext4
+// over a virtual disk, 55 files of 800 bytes took 10–12 ms with eight
+// writers against 17 ms with one, and thirty-two did no better than
+// eight: the fsyncs overlap, the directory lock does not.
+const fileWriters = 8
+
+// WriteFiles writes n files into dir as one durable batch. Up to
+// fileWriters goroutines, the caller's among them, each take the next
+// index i, call file(i) for the file's name and bytes, write them to
+// name+".tmp" and fsync it. Once every temp file is complete, each is
+// renamed over its final name in index order — renamed, if non-nil, is
+// called with the name after each rename — and the directory is
+// fsynced once, making every rename durable together. A crash leaves
+// no partial file under a final name. On failure the temp files this
+// call created are removed (a path it could not create is left alone)
+// and no further rename is made; files already renamed stay, for the
+// caller to judge.
+func WriteFiles(dir string, n int, file func(i int) (name string, data []byte), renamed func(name string)) error {
+	if n == 0 {
+		return nil
+	}
+	names := make([]string, n) // set once file i's temp copy is complete
+	errs := make([]error, n)
+	var next atomic.Int64
+	var stop atomic.Bool
+	work := func() {
+		for i := int(next.Add(1) - 1); i < n && !stop.Load(); i = int(next.Add(1) - 1) {
+			name, data := file(i)
+			if errs[i] = writeFileSync(filepath.Join(dir, name+".tmp"), data); errs[i] != nil {
+				stop.Store(true)
+			} else {
+				names[i] = name
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(n, fileWriters) - 1 {
+		wg.Add(1)
+		go func() { defer wg.Done(); work() }()
+	}
+	work()
+	wg.Wait()
+	err := errors.Join(errs...)
+	for _, name := range names {
+		path := filepath.Join(dir, name)
+		switch {
+		case name == "":
+		case err != nil:
+			_ = os.Remove(path + ".tmp")
+		default:
+			if err = os.Rename(path+".tmp", path); err != nil {
+				_ = os.Remove(path + ".tmp")
+			} else if renamed != nil {
+				renamed(name)
+			}
+		}
+	}
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	return SyncDir(filepath.Dir(path))
+	return SyncDir(dir)
 }
 
 // SyncDir fsyncs a directory, making completed renames and creations
@@ -200,19 +252,22 @@ func SyncDir(dir string) error {
 	return d.Sync()
 }
 
-// writeFileSync writes data to path and fsyncs the file.
+// writeFileSync writes data to path and fsyncs the file. A failure
+// after the file was created removes it again.
 func writeFileSync(path string, data []byte) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	if err != nil {
+		_ = os.Remove(path)
+	}
+	return err
 }

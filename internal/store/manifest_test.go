@@ -2,9 +2,11 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -142,5 +144,72 @@ func TestDocSnapName(t *testing.T) {
 		if IsDocSnapName(name) {
 			t.Fatalf("IsDocSnapName(%q) = true", name)
 		}
+	}
+}
+
+// TestWriteFiles: a batch of more files than there are writers lands
+// every file under its final name with its bytes, names each to the
+// rename callback once, in index order, and leaves no temp file.
+func TestWriteFiles(t *testing.T) {
+	dir := t.TempDir()
+	const n = 3*fileWriters + 1
+	var renamed []string
+	err := WriteFiles(dir, n, func(i int) (string, []byte) {
+		return fmt.Sprintf("f%02d", i), []byte(strings.Repeat("x", i))
+	}, func(name string) { renamed = append(renamed, name) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("f%02d", i)
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data) != strings.Repeat("x", i) {
+			t.Errorf("%s holds %q", name, data)
+		}
+		if i >= len(renamed) || renamed[i] != name {
+			t.Errorf("rename callback %d: got %v, want %s", i, renamed, name)
+		}
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+		t.Errorf("temp files left: %v", tmps)
+	}
+	if err := WriteFiles(dir, 0, nil, nil); err != nil {
+		t.Errorf("empty batch: %v", err)
+	}
+}
+
+// TestWriteFilesFailureLeavesNoTemp: when one file's temp path cannot
+// be written (a directory occupies it), the batch fails, renames
+// nothing, removes every temp file it created and leaves the blocking
+// path alone.
+func TestWriteFilesFailureLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	block := filepath.Join(dir, "f05.tmp")
+	if err := os.Mkdir(block, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	renamed := 0
+	err := WriteFiles(dir, 2*fileWriters, func(i int) (string, []byte) {
+		return fmt.Sprintf("f%02d", i), []byte("data")
+	}, func(string) { renamed++ })
+	if err == nil {
+		t.Fatal("batch succeeded despite a blocked temp path")
+	}
+	if renamed != 0 {
+		t.Errorf("a failed batch renamed %d files", renamed)
+	}
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 1 || left[0].Name() != "f05.tmp" || !left[0].IsDir() {
+		var names []string
+		for _, e := range left {
+			names = append(names, e.Name())
+		}
+		t.Errorf("directory after the failed batch: %v, want only the blocking f05.tmp", names)
 	}
 }

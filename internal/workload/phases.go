@@ -73,20 +73,6 @@ func ReadMostly(ops int) Phase {
 	return Phase{Name: "read-mostly", Ops: ops, Mix: Mix{Query: 0.70, SnapshotPin: 0.22, Batch: 0.08}}
 }
 
-// WriteStorm is the ingest phase: dominated by batched writes with
-// cross-document transactions mixed in, and just enough reads to keep
-// the version machinery honest.
-func WriteStorm(ops int) Phase {
-	return Phase{Name: "write-storm", Ops: ops, Mix: Mix{Query: 0.08, SnapshotPin: 0.07, Batch: 0.70, MultiBatch: 0.15}}
-}
-
-// RecoveryDrill is the operational phase: checkpoint-heavy with
-// background writes and reads — the shape an operator's compaction
-// window or a follower catch-up produces.
-func RecoveryDrill(ops int) Phase {
-	return Phase{Name: "recovery", Ops: ops, Mix: Mix{Query: 0.30, SnapshotPin: 0.10, Batch: 0.50, Checkpoint: 0.10}}
-}
-
 // Event is one operation of a generated phased stream: which phase it
 // belongs to, its op class, and the rank(s) of the document(s) it
 // targets (rank → name via the corpus the driver opened; Doc2 is only

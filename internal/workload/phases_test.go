@@ -7,12 +7,23 @@ import (
 	"xmldyn/internal/xmltree"
 )
 
+// The ingest and checkpoint-heavy mixes the stream tests draw beside
+// ReadMostly.
+var (
+	stormMix    = Mix{Query: 0.08, SnapshotPin: 0.07, Batch: 0.70, MultiBatch: 0.15}
+	recoveryMix = Mix{Query: 0.30, SnapshotPin: 0.10, Batch: 0.50, Checkpoint: 0.10}
+)
+
 // TestStreamDeterminism: identical arguments ⇒ identical event
 // streams, byte for byte; a different seed diverges. This is the
 // second half of the ISSUE 8 determinism satellite (the first is the
 // Zipf sampler itself).
 func TestStreamDeterminism(t *testing.T) {
-	phases := []Phase{ReadMostly(400), WriteStorm(400), RecoveryDrill(200)}
+	phases := []Phase{
+		ReadMostly(400),
+		{Name: "write-storm", Ops: 400, Mix: stormMix},
+		{Name: "recovery", Ops: 200, Mix: recoveryMix},
+	}
 	a, err := Stream(11, 16, 1.2, phases...)
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +49,7 @@ func TestStreamDeterminism(t *testing.T) {
 // weights (loose bounds — the draw is random, the seed fixed).
 func TestStreamPhasesAndMix(t *testing.T) {
 	const ops = 2000
-	events, err := Stream(3, 8, 0, ReadMostly(ops), WriteStorm(ops))
+	events, err := Stream(3, 8, 0, ReadMostly(ops), Phase{Name: "write-storm", Ops: ops, Mix: stormMix})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +97,7 @@ func TestStreamPhasesAndMix(t *testing.T) {
 func TestStreamSkewConcentrates(t *testing.T) {
 	const docs, ops = 32, 4000
 	hot := func(skew float64) int {
-		events, err := Stream(5, docs, skew, WriteStorm(ops))
+		events, err := Stream(5, docs, skew, Phase{Name: "write-storm", Ops: ops, Mix: stormMix})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -217,7 +217,15 @@ func TestSoakPhasedDurableWorkload(t *testing.T) {
 		}
 	}
 	events, err := workload.Stream(404, docs, skew,
-		workload.ReadMostly(phaseOps), workload.WriteStorm(phaseOps), workload.RecoveryDrill(phaseOps/2))
+		workload.ReadMostly(phaseOps),
+		// Ingest: batched writes with cross-document transactions mixed
+		// in, and just enough reads to keep the versions honest.
+		workload.Phase{Name: "write-storm", Ops: phaseOps,
+			Mix: workload.Mix{Query: 0.08, SnapshotPin: 0.07, Batch: 0.70, MultiBatch: 0.15}},
+		// Recovery drill: checkpoints — their snapshot batches written
+		// by several writers — beside writes, queries and snapshots.
+		workload.Phase{Name: "recovery", Ops: phaseOps / 2,
+			Mix: workload.Mix{Query: 0.30, SnapshotPin: 0.10, Batch: 0.50, Checkpoint: 0.10}})
 	if err != nil {
 		t.Fatal(err)
 	}
