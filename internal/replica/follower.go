@@ -49,9 +49,9 @@ type FollowerOptions struct {
 
 // Follower is a live read replica: it owns a follower-mode repository
 // and drives the replication session loop against a leader's Shipper.
-// Reads (Snapshot, SnapshotAt, …) are lock-free MVCC and safe at any
-// time, including mid-bootstrap; Lag and AppliedStamp bound their
-// staleness explicitly.
+// Reads (Snapshot, and Repo's SnapshotAt, Query, …) are lock-free MVCC
+// and safe at any time, including mid-bootstrap; Lag and AppliedStamp
+// bound their staleness explicitly.
 type Follower struct {
 	opts FollowerOptions
 	fr   *repo.FollowerRepository // one for the Follower's life; bootstraps install in place
@@ -116,7 +116,7 @@ func (f *Follower) Lag() uint64 {
 }
 
 // AppliedStamp is the follower repository's current version stamp —
-// the monotone per-replica counter SnapshotAt addresses. It is
+// the monotone per-replica counter Repo().SnapshotAt addresses. It is
 // follower-local (it resets on restart and re-bootstrap); cross-site
 // ordering comes from Position, not stamps.
 func (f *Follower) AppliedStamp() uint64 { return f.fr.Stamp() }
@@ -143,15 +143,6 @@ func (f *Follower) Repo() *repo.FollowerRepository { return f.fr }
 func (f *Follower) Snapshot(names ...string) (*repo.Snapshot, error) {
 	return f.fr.Snapshot(names...)
 }
-
-// SnapshotAt pins a snapshot at an earlier follower-local stamp, if
-// its versions are still retained.
-func (f *Follower) SnapshotAt(stamp uint64, names ...string) (*repo.Snapshot, error) {
-	return f.fr.SnapshotAt(stamp, names...)
-}
-
-// VersionStats reports the follower repository's version-chain gauges.
-func (f *Follower) VersionStats() repo.VersionStats { return f.fr.VersionStats() }
 
 // Close stops the session loop and closes the follower repository.
 func (f *Follower) Close() error {

@@ -27,7 +27,7 @@ func TestSoakReplicationUnderConcurrency(t *testing.T) {
 		opts repo.DurableOptions
 	}{
 		{"per-commit", repo.DurableOptions{Sync: wal.SyncPerCommit}},
-		{"grouped", repo.DurableOptions{Sync: wal.SyncGrouped, GroupWindow: 200 * time.Microsecond}},
+		{"grouped", repo.DurableOptions{Sync: wal.SyncGrouped}},
 		{"async", repo.DurableOptions{Sync: wal.SyncAsync, FlushInterval: time.Millisecond}},
 	}
 	for _, pol := range policies {
@@ -127,7 +127,7 @@ func TestSoakReplicationUnderConcurrency(t *testing.T) {
 				return vs.OpenSnapshots == 0 && vs.PinnedVersions == 0
 			})
 			waitUntil(t, 10*time.Second, "follower gauges settle", func() bool {
-				vs := h.follower.VersionStats()
+				vs := h.follower.Repo().VersionStats()
 				return vs.OpenSnapshots == 0 && vs.PinnedVersions == 0
 			})
 		})

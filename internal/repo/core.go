@@ -242,7 +242,9 @@ func applyRecord(r *Repository, payload []byte) error {
 		// move rec, and the array behind its parts, to the heap.
 		return r.Open(rec.parts[0].name, doc, strings.Clone(rec.scheme))
 	case RecDrop:
-		r.Drop(rec.parts[0].name)
+		if !r.Drop(rec.parts[0].name) {
+			return fmt.Errorf("%w: drop of %q", ErrNotFound, rec.parts[0].name)
+		}
 		return nil
 	}
 	// The parts are in the order commit locks the documents in — sorted

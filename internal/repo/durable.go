@@ -102,8 +102,6 @@ type DurableOptions struct {
 	Repo Options
 	// Sync is the WAL fsync policy (default wal.SyncPerCommit).
 	Sync wal.SyncPolicy
-	// GroupWindow overrides the grouped-sync accumulation window.
-	GroupWindow time.Duration
 	// FlushInterval overrides the async policy's background fsync
 	// period (the crash loss window).
 	FlushInterval time.Duration
@@ -122,7 +120,7 @@ type DurableOptions struct {
 }
 
 func (o DurableOptions) walOptions() wal.Options {
-	return wal.Options{Policy: o.Sync, GroupWindow: o.GroupWindow, FlushInterval: o.FlushInterval, SegmentBytes: o.SegmentBytes}
+	return wal.Options{Policy: o.Sync, FlushInterval: o.FlushInterval, SegmentBytes: o.SegmentBytes}
 }
 
 func (o DurableOptions) autoCheckpointBytes() int64 {

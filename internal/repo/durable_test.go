@@ -851,3 +851,53 @@ func TestCommitProceedsDuringRetireSweep(t *testing.T) {
 		t.Fatalf("recovered state diverged:\n got %v\nwant %v", got, want)
 	}
 }
+
+// TestDropOfAbsentDocumentIsRefused: a RecDrop that names a document the
+// state lacks is a record the state cannot follow, as for every other
+// record kind. A follower fed one diverges and falls to position zero,
+// and a directory whose log drops one document twice does not recover.
+func TestDropOfAbsentDocumentIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDurable(dir, DurableOptions{AutoCheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedAndBatch(t, d, 1)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dropOf := func(name string) []byte {
+		return appendRecord(nil, record{kind: RecDrop, parts: []recordPart{{name: name}}})
+	}
+
+	f, err := OpenFollower(imageDir(t, dir), DurableOptions{AutoCheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.ApplyRecord(dropOf("absent")); !errors.Is(err, ErrDiverged) {
+		t.Fatalf("follower fed a drop of an absent document: %v, want ErrDiverged", err)
+	}
+	if pos := f.Position(); pos != (wal.Position{}) {
+		t.Fatalf("position after the refused drop = %v, want zero", pos)
+	}
+
+	if d, err = OpenDurable(dir, DurableOptions{AutoCheckpointBytes: -1}); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := d.Drop("feeds"); !ok || err != nil {
+		t.Fatalf("Drop(feeds) = %v, %v", ok, err)
+	}
+	if err := d.log.Append(dropOf("feeds")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := OpenDurable(dir, DurableOptions{AutoCheckpointBytes: -1}); !errors.Is(err, ErrReplay) || !errors.Is(err, ErrNotFound) {
+		if err == nil {
+			r.Close()
+		}
+		t.Fatalf("recovery of a log that drops feeds twice: %v, want ErrNotFound under ErrReplay", err)
+	}
+}

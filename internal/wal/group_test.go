@@ -28,6 +28,13 @@ func TestGroupedAppendAllocatesNothing(t *testing.T) {
 	}
 }
 
+// clock reads l's durability clock.
+func clock(l *Log) (appended, synced uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.appended, l.synced
+}
+
 // parkAppends starts n grouped appends on l and returns once all n hold
 // a sequence number, with their results to come on the channel.
 func parkAppends(t *testing.T, l *Log, n int) <-chan error {
@@ -37,9 +44,7 @@ func parkAppends(t *testing.T, l *Log, n int) <-chan error {
 		go func() { done <- l.Append([]byte("parked")) }()
 	}
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		l.mu.Lock()
-		numbered := l.appended
-		l.mu.Unlock()
+		numbered, _ := clock(l)
 		if numbered == uint64(n) {
 			return done
 		}
@@ -67,7 +72,7 @@ func collect(t *testing.T, done <-chan error, n int, within time.Duration) []err
 }
 
 // TestFailedGroupedSyncReachesEveryWaiter: the log fails under appends
-// parked behind a flusher's pacing pause — its segment is closed, so the
+// parked behind the flusher's pace — its segment is closed, so the
 // shared fsync fails, or a later append's write fails and Close stops the
 // flusher before it syncs — and no append it was to cover is durable.
 // Every parked append and every later one returns the failure, and none
@@ -75,11 +80,11 @@ func collect(t *testing.T, done <-chan error, n int, within time.Duration) []err
 func TestFailedGroupedSyncReachesEveryWaiter(t *testing.T) {
 	const parked = 6
 	for _, c := range []struct {
-		name   string
-		window time.Duration
+		name string
+		pace time.Duration
 	}{{"failed fsync", 200 * time.Millisecond}, {"failed write, then Close", time.Minute}} {
 		t.Run(c.name, func(t *testing.T) {
-			l, err := Create(t.TempDir(), 1, Options{Policy: SyncGrouped, GroupWindow: c.window})
+			l, err := Create(t.TempDir(), 1, Options{Policy: SyncGrouped, pace: c.pace})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,7 +93,7 @@ func TestFailedGroupedSyncReachesEveryWaiter(t *testing.T) {
 			l.mu.Lock()
 			l.f.Close()
 			l.mu.Unlock()
-			if c.window == time.Minute {
+			if c.pace == time.Minute {
 				if err := l.Append([]byte("unwritable")); !errors.Is(err, os.ErrClosed) {
 					t.Fatalf("append to a closed segment returned %v", err)
 				}
@@ -110,14 +115,14 @@ func TestFailedGroupedSyncReachesEveryWaiter(t *testing.T) {
 
 // TestCloseAndRotateReleaseParkedAppends: a rotation's seal and Close's
 // final sync cover every append numbered before them, so the appends
-// parked behind a flusher's pacing pause return nil at once, and their
+// parked behind the flusher's pace return nil at once, and their
 // records replay.
 func TestCloseAndRotateReleaseParkedAppends(t *testing.T) {
 	const parked = 5
 	for _, release := range []string{"Rotate", "Close"} {
 		t.Run(release, func(t *testing.T) {
 			dir := t.TempDir()
-			l, err := Create(dir, 1, Options{Policy: SyncGrouped, GroupWindow: time.Minute})
+			l, err := Create(dir, 1, Options{Policy: SyncGrouped, pace: time.Minute})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,5 +149,77 @@ func TestCloseAndRotateReleaseParkedAppends(t *testing.T) {
 				t.Fatalf("replayed %d records, want %d", len(got), parked)
 			}
 		})
+	}
+}
+
+// TestEveryFsyncAdvancesSynced: every policy numbers its appends, and
+// every fsync that covers them — a per-commit append's own, a flusher
+// round, Sync, a rotation's seal and Close — advances synced to the
+// last number it made durable.
+func TestEveryFsyncAdvancesSynced(t *testing.T) {
+	for _, pol := range []SyncPolicy{SyncPerCommit, SyncGrouped, SyncAsync} {
+		t.Run(pol.String(), func(t *testing.T) {
+			l, err := Create(t.TempDir(), 1, Options{Policy: pol, FlushInterval: time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			appendOne := func() {
+				if err := l.Append([]byte("clocked")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for range 3 {
+				appendOne()
+			}
+			if appended, _ := clock(l); appended != 3 {
+				t.Fatalf("3 appends numbered up to %d", appended)
+			}
+			// At once under per-commit; within a flusher round otherwise.
+			deadline := time.Now().Add(10 * time.Second)
+			for _, synced := clock(l); synced != 3; _, synced = clock(l) {
+				if pol == SyncPerCommit || time.Now().After(deadline) {
+					t.Fatalf("synced %d after 3 appends, want 3", synced)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			for i, op := range []struct {
+				name string
+				run  func() error
+			}{
+				{"Sync", l.Sync},
+				{"Rotate", func() error { _, err := l.Rotate(); return err }},
+				{"Close", l.Close},
+			} {
+				appendOne()
+				if err := op.run(); err != nil {
+					t.Fatalf("%s: %v", op.name, err)
+				}
+				if appended, synced := clock(l); appended != uint64(4+i) || synced != appended {
+					t.Errorf("after %s: appended %d, synced %d, want both %d", op.name, appended, synced, 4+i)
+				}
+			}
+		})
+	}
+}
+
+// TestSyncReleasesParkedAppends: Sync covers every append numbered
+// before it, so grouped appends parked behind the flusher's pace return
+// nil at once.
+func TestSyncReleasesParkedAppends(t *testing.T) {
+	const parked = 4
+	l, err := Create(t.TempDir(), 1, Options{Policy: SyncGrouped, pace: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	done := parkAppends(t, l, parked)
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for i, err := range collect(t, done, parked, 10*time.Second) {
+		if err != nil {
+			t.Errorf("parked append %d returned %v, want nil", i, err)
+		}
 	}
 }

@@ -40,8 +40,10 @@
 //
 // Durability is configurable per log (SyncPolicy): fsync on every
 // append, grouped fsyncs that let concurrent committers share one disk
-// flush, or fully asynchronous fsyncs from a background flusher with a
-// bounded loss window.
+// flush, or fully asynchronous fsyncs with a bounded loss window. One
+// background flusher serves the last two, and every append is numbered
+// under all three, so one rule (settle) turns each fsync into the last
+// number it made durable.
 package wal
 
 import (
@@ -164,11 +166,6 @@ func (p SyncPolicy) String() string {
 type Options struct {
 	// Policy is the fsync policy (default SyncPerCommit).
 	Policy SyncPolicy
-	// GroupWindow is an optional pacing pause the grouped flusher
-	// inserts before each shared fsync, trading commit latency for
-	// larger groups. Default none: group size emerges from committers
-	// accumulating while the previous fsync is in flight.
-	GroupWindow time.Duration
 	// FlushInterval overrides DefaultFlushInterval for SyncAsync.
 	FlushInterval time.Duration
 	// SegmentBytes is the rotation threshold: an append that would grow
@@ -176,6 +173,9 @@ type Options struct {
 	// segment always holds at least one record, however large). Zero
 	// means DefaultSegmentBytes; negative disables rotation.
 	SegmentBytes int64
+	// pace is a pause the flusher takes before each fsync round, which
+	// parks appends behind it (in-package tests only).
+	pace time.Duration
 }
 
 func (o Options) flushInterval() time.Duration {
@@ -218,11 +218,11 @@ type Log struct {
 	// appends, because an unsynced tail may or may not survive a crash.
 	err error
 
-	// Grouped sync, under mu like the fields above: an append takes the
-	// sequence number appended+1 and waits until synced — the last number
-	// a successful fsync covered: the flusher's, a rotation's seal or
-	// Close's — reaches it, or the log fails (err). Both are broadcast on
-	// covered.
+	// The durability clock, under mu like the fields above: every append
+	// takes the sequence number appended+1, and synced is the last number
+	// a successful fsync covered (settle). Under SyncPerCommit and
+	// SyncGrouped an append waits until synced reaches its number or the
+	// log fails (err); both are broadcast on covered.
 	appended, synced uint64
 	covered          sync.Cond
 	wake             chan struct{}
@@ -312,16 +312,11 @@ func syncDir(dir string) error {
 func newLog(dir string, f *os.File, active uint64, size, total int64, opts Options) *Log {
 	l := &Log{opts: opts, dir: dir, f: f, active: active, size: size, total: total}
 	l.covered.L = &l.mu
-	switch opts.Policy {
-	case SyncGrouped:
+	if opts.Policy != SyncPerCommit {
 		l.wake = make(chan struct{}, 1)
 		l.stop = make(chan struct{})
 		l.doneWG.Add(1)
-		go l.groupFlusher()
-	case SyncAsync:
-		l.stop = make(chan struct{})
-		l.doneWG.Add(1)
-		go l.asyncFlusher()
+		go l.flusher()
 	}
 	return l
 }
@@ -331,6 +326,8 @@ func newLog(dir string, f *os.File, active uint64, size, total int64, opts Optio
 // this append would overgrow it — honouring the log's sync policy: it
 // returns once the record is durable under SyncPerCommit and
 // SyncGrouped, or once it is written (not yet synced) under SyncAsync.
+// Under every policy the record takes the next sequence number of the
+// log's durability clock (appended).
 // payload stays the caller's: it is copied and not read after Append
 // returns, so the caller may reuse it. The frame it is copied into is the
 // log's — one buffer, built and written under the log's mutex and dead
@@ -375,35 +372,30 @@ func (l *Log) Append(payload []byte) error {
 	}
 	l.size += int64(len(frame))
 	l.total += int64(len(frame))
+	l.appended++
+	seq := l.appended
 
 	switch l.opts.Policy {
 	case SyncPerCommit:
-		err := l.f.Sync()
-		if err != nil {
-			l.err = err
-		}
-		l.mu.Unlock()
-		return err
+		l.settle(l.f, seq, l.f.Sync())
 	case SyncGrouped:
-		l.appended++
-		seq := l.appended
 		select {
 		case l.wake <- struct{}{}:
 		default:
 		}
-		for l.synced < seq && l.err == nil {
-			l.covered.Wait()
-		}
-		var err error
-		if l.synced < seq {
-			err = l.err
-		}
-		l.mu.Unlock()
-		return err
 	default: // SyncAsync
 		l.mu.Unlock()
 		return nil
 	}
+	for l.synced < seq && l.err == nil {
+		l.covered.Wait()
+	}
+	var err error
+	if l.synced < seq {
+		err = l.err
+	}
+	l.mu.Unlock()
+	return err
 }
 
 // Rotate seals the active segment (fsync, close) and opens a fresh one
@@ -432,16 +424,11 @@ func (l *Log) Rotate() (uint64, error) {
 // "only the last segment may be torn" rule is an invariant of the file
 // set, not an assumption. Caller holds l.mu.
 func (l *Log) rotateLocked() error {
-	if err := l.f.Sync(); err != nil {
-		// The unsynced tail may or may not survive: poison, exactly as
-		// a failed policy fsync would.
-		l.err = err
+	// The seal covers every append parked on the old segment: it releases
+	// them rather than leave them to a flush of the new file.
+	if err := l.settle(l.f, l.appended, l.f.Sync()); err != nil {
 		return err
 	}
-	// Grouped appends parked on the old segment are durable now: release
-	// them rather than leave them to a flush of the new file.
-	l.synced = l.appended
-	l.covered.Broadcast()
 	nf, err := createSegment(l.dir, l.active+1)
 	if err != nil {
 		// Nothing was lost and the active segment is intact: report the
@@ -458,7 +445,8 @@ func (l *Log) rotateLocked() error {
 }
 
 // Sync forces an fsync of everything appended to the active segment
-// (sealed segments were synced when they were sealed).
+// (sealed segments were synced when they were sealed), which releases
+// the appends parked on it.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -468,18 +456,7 @@ func (l *Log) Sync() error {
 	if l.err != nil {
 		return l.err
 	}
-	if err := l.f.Sync(); err != nil {
-		l.err = err
-		return err
-	}
-	return nil
-}
-
-// Size returns the active segment's current size (header plus frames).
-func (l *Log) Size() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.size
+	return l.settle(l.f, l.appended, l.f.Sync())
 }
 
 // LiveBytes returns the total bytes across every live segment — sealed
@@ -517,47 +494,65 @@ func (l *Log) Close() error {
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	// A failed log syncs nothing; settle still releases the appends
+	// parked on it, with its failure.
 	var err error
 	if l.err == nil {
-		if err = l.f.Sync(); err == nil {
-			l.synced = l.appended
-		} else {
-			l.err = err
-		}
+		err = l.f.Sync()
 	}
-	// Release grouped appends still parked: covered by this sync, or with
-	// the log's failure.
-	l.covered.Broadcast()
+	l.settle(l.f, l.appended, err)
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}
 	return err
 }
 
-// groupFlusher services SyncGrouped: each wake-up fsyncs once for every
-// append numbered so far, then advances synced to the last of them (or,
-// if the fsync failed, poisons the log) and broadcasts. The fsync runs
-// outside the log mutex, so committers keep appending — and waiting for
-// the next fsync — while the disk flush is in flight: that in-flight
-// window is where grouping comes from.
-func (l *Log) groupFlusher() {
+// settle is the one rule for the outcome of an fsync of f that was to
+// cover every append numbered up to seq. A failure of the active
+// segment poisons the log: its unsynced tail may or may not survive a
+// crash. A segment rotated away after it was captured was synced when
+// it was sealed, which already covered seq, so its failure (typically
+// "file already closed") is moot. Once the log has failed no fsync
+// counts, because one may succeed where an earlier one lost data;
+// otherwise synced advances to seq. Either way the waiters wake. It
+// returns the fsync's own error. Caller holds l.mu.
+func (l *Log) settle(f *os.File, seq uint64, err error) error {
+	if err != nil && l.f == f && l.err == nil {
+		l.err = err
+	}
+	if l.err == nil {
+		l.synced = max(l.synced, seq)
+	}
+	l.covered.Broadcast()
+	return err
+}
+
+// flusher is the background fsync of SyncGrouped and SyncAsync. A round
+// starts when a grouped append wakes it, or at each FlushInterval tick
+// under SyncAsync, and fsyncs once for every append numbered so far.
+// The fsync runs outside the log mutex, so committers keep appending —
+// and waiting for the next round — while the disk flush is in flight:
+// that in-flight window is where grouping comes from.
+func (l *Log) flusher() {
 	defer l.doneWG.Done()
-	// The pacing pause's one timer: Reset discards an expiry no one
-	// received (Go 1.23 timers).
-	pace := time.NewTimer(l.opts.GroupWindow)
-	defer pace.Stop()
+	var tick <-chan time.Time
+	if l.opts.Policy == SyncAsync {
+		ticker := time.NewTicker(l.opts.flushInterval())
+		defer ticker.Stop()
+		tick = ticker.C
+	}
 	for {
 		select {
 		case <-l.stop:
 			return
 		case <-l.wake:
+		case <-tick:
 		}
-		if l.opts.GroupWindow > 0 {
-			pace.Reset(l.opts.GroupWindow)
+		if l.opts.pace > 0 {
 			select {
 			case <-l.stop:
 				return
-			case <-pace.C:
+			case <-time.After(l.opts.pace):
 			}
 		}
 		l.mu.Lock()
@@ -569,53 +564,7 @@ func (l *Log) groupFlusher() {
 		l.mu.Unlock()
 		err := f.Sync()
 		l.mu.Lock()
-		// A segment rotated away after it was captured was synced when it
-		// was sealed, which already covered seq: its failure (typically
-		// "file already closed") is moot. Once the log has failed, no
-		// fsync counts: one may succeed where an earlier one lost data.
-		if err != nil && l.f == f && l.err == nil {
-			l.err = err
-		}
-		if l.err == nil {
-			l.synced = max(l.synced, seq)
-		}
-		l.covered.Broadcast()
+		l.settle(f, seq, err)
 		l.mu.Unlock()
-	}
-}
-
-// asyncFlusher services SyncAsync: periodic fsyncs bound the loss
-// window; a sync failure is recorded and poisons later appends.
-func (l *Log) asyncFlusher() {
-	defer l.doneWG.Done()
-	ticker := time.NewTicker(l.opts.flushInterval())
-	defer ticker.Stop()
-	for {
-		select {
-		case <-l.stop:
-			return
-		case <-ticker.C:
-			l.mu.Lock()
-			if l.closed {
-				l.mu.Unlock()
-				return
-			}
-			f := l.f
-			bad := l.err != nil
-			l.mu.Unlock()
-			if bad {
-				continue
-			}
-			// Sync outside the mutex: appends proceed during the flush.
-			if err := f.Sync(); err != nil {
-				l.mu.Lock()
-				// As in groupFlusher: a rotated-away segment was synced
-				// at sealing, so only the still-active file can poison.
-				if l.f == f && l.err == nil {
-					l.err = err
-				}
-				l.mu.Unlock()
-			}
-		}
 	}
 }

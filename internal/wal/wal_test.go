@@ -45,7 +45,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	for _, pol := range []SyncPolicy{SyncPerCommit, SyncGrouped, SyncAsync} {
 		t.Run(pol.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			l, err := Create(dir, 1, Options{Policy: pol, GroupWindow: time.Millisecond, FlushInterval: time.Millisecond})
+			l, err := Create(dir, 1, Options{Policy: pol, FlushInterval: time.Millisecond})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,7 +99,7 @@ func TestConcurrentAppends(t *testing.T) {
 		t.Run(pol.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			// Tiny SegmentBytes so rotation happens under concurrent load.
-			l, err := Create(dir, 1, Options{Policy: pol, GroupWindow: time.Millisecond, FlushInterval: time.Millisecond, SegmentBytes: 256})
+			l, err := Create(dir, 1, Options{Policy: pol, FlushInterval: time.Millisecond, SegmentBytes: 256})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -460,7 +460,7 @@ type (
 	ShipperSessionInfo = replica.SessionInfo
 	// Follower is a live read replica: Run drives the session loop
 	// (every failure reconnects; after a divergence the next session
-	// bootstraps, in place, into the same repository), while Snapshot/SnapshotAt serve lock-free reads at
+	// bootstraps, in place, into the same repository), while Snapshot and Repo's reads serve lock-free at
 	// any time and Lag/AppliedStamp bound their staleness explicitly —
 	// Lag is the stream distance to the leader's last advertised
 	// durable end, in bytes; 0 means caught up.
