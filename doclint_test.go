@@ -26,7 +26,6 @@ func TestExportedSymbolsDocumented(t *testing.T) {
 		"internal/store",
 		"internal/wal",
 		"internal/workload",
-		"internal/harness",
 		"internal/analysis",
 		"internal/analysis/analysistest",
 		"internal/analysis/locksort",

@@ -56,13 +56,12 @@ type Follower struct {
 	opts FollowerOptions
 	fr   *repo.FollowerRepository // one for the Follower's life; bootstraps install in place
 
-	mu        sync.Mutex
-	applied   uint64       // guarded by mu
-	target    uint64       // guarded by mu
-	leaderEnd wal.Position // guarded by mu
-	conn      net.Conn     // guarded by mu
-	closed    bool         // guarded by mu
-	stop      chan struct{}
+	mu      sync.Mutex
+	applied uint64   // guarded by mu
+	target  uint64   // guarded by mu
+	conn    net.Conn // guarded by mu
+	closed  bool     // guarded by mu
+	stop    chan struct{}
 }
 
 // OpenFollower opens (or creates) the follower state at dir. A replay
@@ -123,14 +122,6 @@ func (f *Follower) AppliedStamp() uint64 { return f.fr.Stamp() }
 
 // Position is the follower's durable applied WAL position.
 func (f *Follower) Position() wal.Position { return f.fr.Position() }
-
-// LeaderEnd is the leader's append end position as of the last
-// heartbeat (zero before the first heartbeat of the first session).
-func (f *Follower) LeaderEnd() wal.Position {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.leaderEnd
-}
 
 // Repo exposes the underlying follower repository for its full read
 // API (Query, Names, Verify, …). It is the same repository for the
@@ -326,7 +317,7 @@ func (f *Follower) RunOnce(conn net.Conn) error {
 				}
 			}
 		case MsgHeartbeat:
-			end, sessionBytes, err := parseHeartbeat(body)
+			_, sessionBytes, err := parseHeartbeat(body)
 			if err != nil {
 				return err
 			}
@@ -334,7 +325,6 @@ func (f *Follower) RunOnce(conn net.Conn) error {
 			if sessionBytes > f.target {
 				f.target = sessionBytes
 			}
-			f.leaderEnd = end
 			f.mu.Unlock()
 			sinceAck = 0
 			if err := ack(); err != nil {

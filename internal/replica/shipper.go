@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"xmldyn/internal/repo"
-	"xmldyn/internal/store"
 	"xmldyn/internal/wal"
 )
 
@@ -26,11 +25,6 @@ import (
 // ship it re-sends its staleness target this often, so a follower can
 // distinguish "caught up" from "leader gone".
 const DefaultHeartbeat = 500 * time.Millisecond
-
-// bootstrapAttempts bounds the image-load retry loop: each retry
-// means a checkpoint raced the load, which converges in one or two
-// rounds.
-const bootstrapAttempts = 10
 
 // ErrShipperClosed reports an operation on a closed Shipper.
 var ErrShipperClosed = errors.New("replica: shipper is closed")
@@ -258,7 +252,7 @@ func (s *Shipper) serve(se *session) error {
 	// follower had already applied (divergence; the follower's history
 	// must be discarded).
 	if start.Segment == 0 || start.Segment < first || end.Less(start) {
-		img, err := s.loadImage()
+		img, err := s.d.BootstrapImage()
 		if err != nil {
 			return err
 		}
@@ -376,29 +370,6 @@ func (s *Shipper) readAcks(fr *frameReader, se *session, pin *repo.SegmentPin) e
 		se.setAcked(pos)
 		pin.Advance(pos.Segment)
 	}
-}
-
-// loadImage reads a consistent bootstrap image, retrying the race a
-// live leader can produce: a checkpoint retiring a snapshot file
-// mid-load (re-read against the new manifest).
-func (s *Shipper) loadImage() (store.BootstrapImage, error) {
-	var lastErr error
-	for i := 0; i < bootstrapAttempts; i++ {
-		img, err := store.LoadBootstrapImage(s.d.Dir())
-		switch {
-		case err == nil:
-			return img, nil
-		case os.IsNotExist(err):
-			// A checkpoint raced the load and retired a file the old
-			// manifest referenced; give its manifest switch a moment to
-			// land, then re-read against the new manifest.
-			time.Sleep(10 * time.Millisecond)
-		default:
-			return store.BootstrapImage{}, err
-		}
-		lastErr = err
-	}
-	return store.BootstrapImage{}, fmt.Errorf("replica: bootstrap image unstable after %d attempts: %w", bootstrapAttempts, lastErr)
 }
 
 // statDistance computes the exact stream byte distance from to — the

@@ -610,7 +610,7 @@ func recoveryAllocs(t *testing.T, dir string, serial bool) float64 {
 	t.Helper()
 	once := func() {
 		c := &durableCore{dir: dir, opts: DurableOptions{AutoCheckpointBytes: -1}, serialRecovery: serial}
-		if err := c.recover(nil); err != nil {
+		if err := c.recover(); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.log.Close(); err != nil {

@@ -60,6 +60,27 @@ type durableCore struct {
 	gen      uint64
 	walFirst uint64 // first live segment index, as the manifest records
 	closed   bool   // guarded by commitMu
+	// hooks are the crash matrices' seams; production code never sets
+	// them.
+	hooks stepHooks
+}
+
+// stepHooks fire, when set, between the externally visible steps of a
+// leader's checkpoint and of a follower's bootstrap install, so the
+// crash matrices can image the directory at every kill point. A
+// checkpoint fires afterCut once its fresh segment exists (manifest not
+// yet switched), afterSnapFile as each doc-snap is renamed into place
+// (before the batch's one directory fsync) and afterManifest after the
+// switch, once the commit lock is released and before dead files are
+// retired. An install fires afterSnapFile likewise, afterSegments once
+// the old segment set is gone, afterWAL once the fresh empty segment
+// exists, and afterManifest once the leader's manifest is in place.
+type stepHooks struct {
+	afterCut      func()
+	afterSnapFile func(file string)
+	afterSegments func()
+	afterWAL      func()
+	afterManifest func()
 }
 
 // repo returns the installed in-memory repository.
@@ -72,12 +93,13 @@ func (c *durableCore) repo() *Repository { return c.mem.Load() }
 // same pool — partitioned by document; per-document record order is
 // preserved and RecMulti records are barriers — reopens the log for
 // appending with any torn tail truncated, and removes the files the
-// manifest does not cover. loaded, if non-nil, sees the repository
-// after the snapshots load and before replay advances any version
-// sequence. A missing manifest is returned as the bare os.IsNotExist
-// error (a fresh directory, not corruption); every other failure wraps
-// ErrReplay. The installed state is replaced only on success.
-func (c *durableCore) recover(loaded func(*Repository, store.Manifest)) error {
+// manifest does not cover. Each loaded document records the manifest
+// entry it came from (Doc.ckpt); replay advances the version sequence
+// of every document it touches, which is what marks those dirty. A
+// missing manifest is returned as the bare os.IsNotExist error (a fresh
+// directory, not corruption); every other failure wraps ErrReplay. The
+// installed state is replaced only on success.
+func (c *durableCore) recover() error {
 	man, err := store.ReadManifest(c.dir)
 	if os.IsNotExist(err) {
 		return err
@@ -101,9 +123,6 @@ func (c *durableCore) recover(loaded func(*Repository, store.Manifest)) error {
 	}
 	if err := loadDocSnaps(c.dir, r, man.Docs, workers); err != nil {
 		return fmt.Errorf("%w: %w", ErrReplay, err)
-	}
-	if loaded != nil {
-		loaded(r, man)
 	}
 	info, err := wal.ReplayPartitioned(c.dir, man.WALFirst, workers, func(payload []byte) (wal.Dispatch, error) {
 		return routeRecord(r, payload)
@@ -190,6 +209,10 @@ func loadDocSnap(dir string, r *Repository, e store.ManifestDoc, buf *bytes.Buff
 	if err := r.openSnap(snap); err != nil {
 		return fmt.Errorf("snapshot %s: %w", e.File, err)
 	}
+	// The loaded slot is what its file captures: clean until a replayed
+	// record moves it.
+	doc, _ := lookup(r, e.Name)
+	doc.ckpt, doc.ckptSeq = e, doc.Version()
 	return nil
 }
 

@@ -9,7 +9,7 @@ package repo
 // replaces the hand-enumerated kill-during-checkpoint tests: instead
 // of picking interesting moments by hand, the matrix derives them
 // from the checkpoint's own step structure (via the per-repository
-// ckptHooks seams)
+// stepHooks seams)
 // and from the log's own frame boundaries.
 
 import (
@@ -71,7 +71,7 @@ func recoverImage(dir string, parallelism int) (*DurableRepository, error) {
 		return OpenDurable(dir, opts)
 	}
 	d := &DurableRepository{durableCore: durableCore{dir: dir, opts: opts, serialRecovery: true}}
-	if err := d.recover(d.recordBaselines); err != nil {
+	if err := d.recover(); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -186,7 +186,7 @@ func TestCrashMatrixCheckpointSteps(t *testing.T) {
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	d.hooks = ckptHooks{}
+	d.hooks = stepHooks{}
 	if snapFiles != 1 {
 		t.Fatalf("incremental checkpoint wrote %d snapshot files, want 1 (only %q moved)", snapFiles, "a")
 	}

@@ -30,7 +30,8 @@
 // Locking protocol, outermost first (see docs/ARCHITECTURE.md):
 //
 //	ckptMu    serialises whole checkpoints (which release commitMu
-//	          between their phases)
+//	          between their phases) and bootstrap image reads
+//	          (BootstrapImage), and guards each Doc's checkpoint state
 //	commitMu  (the core's) writers share-lock it; Close and checkpoint
 //	          phases 1 and 3 take it exclusively, so a cut or a manifest
 //	          switch never interleaves with a half-appended commit.
@@ -156,18 +157,10 @@ type DurableRepository struct {
 	// ckptMu serialises whole checkpoints: Checkpoint releases
 	// commitMu between its cut, encode and switch phases, so without
 	// it two concurrent checkpoints could compute the same generation.
-	// base is only touched while it is held (or single-threaded, inside
-	// OpenDurable).
+	// It also guards every Doc's checkpoint state (Doc.ckpt), and
+	// BootstrapImage holds it so no manifest switch or sweep can
+	// interleave with an image read.
 	ckptMu sync.Mutex
-	// base records, per document, the state the current manifest holds:
-	// which snapshot file, written by which generation, and the
-	// document's version sequence at that point. A document is clean —
-	// its file reusable — iff its entry still matches the live slot
-	// (same *Doc, same sequence).
-	base map[string]docBaseline
-	// hooks are the crash-matrix test seams; production code never
-	// sets them.
-	hooks ckptHooks
 
 	// Auto-checkpoint machinery: committers nudge ckptWake when live
 	// log bytes pass the threshold; the loop goroutine runs Checkpoint
@@ -191,32 +184,6 @@ type DurableRepository struct {
 	notify   []chan<- struct{}
 }
 
-// docBaseline is one document's entry in the dirty-tracking map: the
-// snapshot file the current manifest holds for it and the state that
-// file captures. The *Doc pointer (not just the name) is part of the
-// identity so a document dropped and reopened under the same name —
-// whose fresh version sequence could coincide with the recorded one —
-// can never be mistaken for clean.
-type docBaseline struct {
-	seq  uint64 // Doc.Version() the snapshot file captures
-	doc  *Doc   // the live slot the sequence belongs to
-	file string // per-document snapshot file (store.DocSnapName)
-	gen  uint64 // generation that wrote file
-}
-
-// ckptHooks fire, when set, between the externally visible steps of a
-// checkpoint — after the phase-1 cut (fresh segment created, manifest
-// not yet switched), after each per-document snapshot file is renamed
-// into place (before the batch's one directory fsync), and after the
-// manifest switch, once the commit lock is released, before dead files
-// are retired — so the crash-matrix harness can image the directory at
-// every kill point.
-type ckptHooks struct {
-	afterCut      func()
-	afterSnapFile func(file string)
-	afterManifest func()
-}
-
 // OpenDurable opens (creating if necessary) the durable repository in
 // dir by running the core's recovery (durableCore.recover): snapshot
 // files and WAL replay on a worker pool bounded by GOMAXPROCS, a torn
@@ -235,7 +202,7 @@ func OpenDurable(dir string, opts DurableOptions) (*DurableRepository, error) {
 		return nil, err
 	}
 	d := &DurableRepository{durableCore: durableCore{dir: dir, opts: opts}}
-	err := d.recover(d.recordBaselines)
+	err := d.recover()
 	if os.IsNotExist(err) {
 		// A fresh directory: an empty log at segment 1, then the
 		// generation-1 manifest naming it.
@@ -243,7 +210,7 @@ func OpenDurable(dir string, opts DurableOptions) (*DurableRepository, error) {
 			err = store.WriteManifest(dir, store.Manifest{Gen: 1, WALFirst: 1})
 		}
 		if err == nil {
-			err = d.recover(d.recordBaselines)
+			err = d.recover()
 		}
 	}
 	if err != nil {
@@ -251,20 +218,6 @@ func OpenDurable(dir string, opts DurableOptions) (*DurableRepository, error) {
 	}
 	d.startAutoCheckpoint()
 	return d, nil
-}
-
-// recordBaselines notes the state each snapshot file of man captures,
-// so the next checkpoint can tell clean documents from dirty ones. It
-// runs between snapshot load and replay: replay advances the version
-// sequence of every document it touches, which is exactly what marks
-// those documents dirty.
-func (d *DurableRepository) recordBaselines(r *Repository, man store.Manifest) {
-	d.base = make(map[string]docBaseline, len(man.Docs))
-	for _, e := range man.Docs {
-		if doc, ok := lookup(r, e.Name); ok {
-			d.base[e.Name] = docBaseline{seq: doc.Version(), doc: doc, file: e.File, gen: e.Gen}
-		}
-	}
 }
 
 // startAutoCheckpoint launches the background checkpointer when the
@@ -474,13 +427,13 @@ func (d *DurableRepository) AutoCheckpoints() (uint64, error) {
 
 // --- checkpoint and close ----------------------------------------------------
 
-// dirtyDoc is one document a checkpoint must rewrite: its pinned
-// version (frozen, so encoding needs no locks) and the snapshot file
-// it will become.
+// dirtyDoc is one document a checkpoint must rewrite: its slot, its
+// pinned version (frozen, so encoding needs no locks) and the manifest
+// entry it will become.
 type dirtyDoc struct {
-	name string
-	file string
-	v    *docVersion
+	doc *Doc
+	e   store.ManifestDoc
+	v   *docVersion
 }
 
 // Checkpoint folds the log into fresh per-document snapshots,
@@ -558,12 +511,12 @@ func (d *DurableRepository) Checkpoint() error {
 	oldLog := d.log
 	d.log = newLog
 	_ = oldLog.Close()
-	// Membership + dirty set: pin every changed document's current
-	// version; reuse the recorded file for every clean one. O(1) per
+	// Membership + dirty set: a document whose version sequence still
+	// matches the one its checkpoint state captures is clean and keeps
+	// its entry; every other one pins its current version. O(1) per
 	// document — no tree is touched.
 	names := d.repo().Names()
 	entries := make([]store.ManifestDoc, 0, len(names))
-	newBase := make(map[string]docBaseline, len(names))
 	used := make(map[string]bool, len(names))
 	var dirty []dirtyDoc
 	for _, name := range names {
@@ -571,21 +524,18 @@ func (d *DurableRepository) Checkpoint() error {
 		if !ok {
 			continue // dropped between Names and lookup
 		}
-		seq := doc.Version()
-		if b, ok := d.base[name]; ok && b.doc == doc && b.seq == seq {
-			entries = append(entries, store.ManifestDoc{Name: name, File: b.file, Gen: b.gen})
-			newBase[name] = b
-			used[b.file] = true
+		if doc.ckpt.File != "" && doc.ckptSeq == doc.Version() {
+			entries = append(entries, doc.ckpt)
+			used[doc.ckpt.File] = true
 			continue
 		}
-		file := store.DocSnapName(name, newGen, 0)
-		for salt := uint64(1); used[file]; salt++ {
-			file = store.DocSnapName(name, newGen, salt)
+		e := store.ManifestDoc{Name: name, File: store.DocSnapName(name, newGen, 0), Gen: newGen}
+		for salt := uint64(1); used[e.File]; salt++ {
+			e.File = store.DocSnapName(name, newGen, salt)
 		}
-		used[file] = true
-		dirty = append(dirty, dirtyDoc{name: name, file: file, v: doc.pinCurrent()})
-		entries = append(entries, store.ManifestDoc{Name: name, File: file, Gen: newGen})
-		newBase[name] = docBaseline{seq: seq, doc: doc, file: file, gen: newGen}
+		used[e.File] = true
+		dirty = append(dirty, dirtyDoc{doc: doc, e: e, v: doc.pinCurrent()})
+		entries = append(entries, e)
 	}
 	d.commitMu.Unlock()
 	// Wake replication shippers: the cut created a fresh segment, and a
@@ -606,7 +556,7 @@ func (d *DurableRepository) Checkpoint() error {
 	err = store.WriteFiles(d.dir, len(dirty), func(i int) (string, []byte) {
 		dd := dirty[i]
 		tree := update.EncodeDocTree(dd.v.document())
-		return dd.file, store.MarshalDocSnap(store.DocSnap{Name: dd.name, Scheme: dd.v.scheme, Tree: tree})
+		return dd.e.File, store.MarshalDocSnap(store.DocSnap{Name: dd.e.Name, Scheme: dd.v.scheme, Tree: tree})
 	}, d.hooks.afterSnapFile)
 	for _, dd := range dirty {
 		dd.v.unpin()
@@ -616,7 +566,7 @@ func (d *DurableRepository) Checkpoint() error {
 	// them exists is this attempt's or an earlier failed one's.
 	cleanup := func() {
 		for _, dd := range dirty {
-			_ = os.Remove(filepath.Join(d.dir, dd.file))
+			_ = os.Remove(filepath.Join(d.dir, dd.e.File))
 		}
 	}
 	if err != nil {
@@ -668,12 +618,16 @@ func (d *DurableRepository) Checkpoint() error {
 		_ = d.poison(fmt.Errorf("checkpoint manifest switch in doubt: %v", err))
 		return err
 	}
-	// The new generation is current. Clear the WAL poison only if it is
+	// The new generation is current, and with it each rewritten
+	// document's checkpoint state. Clear the WAL poison only if it is
 	// still the failure the cut observed — the pinned versions captured
 	// everything up to the cut, but a commit that failed DURING the
 	// encode phase may have left its record after it, in a segment this
 	// manifest replays.
-	d.gen, d.walFirst, d.base = newGen, newFirst, newBase
+	d.gen, d.walFirst = newGen, newFirst
+	for _, dd := range dirty {
+		dd.doc.ckpt, dd.doc.ckptSeq = dd.e, dd.v.seq
+	}
 	d.failed.CompareAndSwap(failedAtCut, nil)
 	floor := min(newFirst, d.pinFloor())
 	d.commitMu.Unlock()

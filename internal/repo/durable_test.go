@@ -336,7 +336,7 @@ func TestCorruptSnapshotFailsRecovery(t *testing.T) {
 	}
 	for _, serial := range []bool{false, true} {
 		c := &durableCore{dir: dir, opts: opts, serialRecovery: serial}
-		if err := c.recover(nil); !errors.Is(err, ErrReplay) {
+		if err := c.recover(); !errors.Is(err, ErrReplay) {
 			t.Fatalf("serial %v: recovery with a corrupt snapshot: %v, want ErrReplay", serial, err)
 		}
 		if c.repo() != nil || c.log != nil {
@@ -837,7 +837,7 @@ func TestCommitProceedsDuringRetireSweep(t *testing.T) {
 	if err := <-ckpt; err != nil {
 		t.Fatal(err)
 	}
-	d.hooks = ckptHooks{}
+	d.hooks = stepHooks{}
 	want := docXML(t, d, "books")
 	if err := d.Close(); err != nil {
 		t.Fatal(err)

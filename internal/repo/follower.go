@@ -45,17 +45,6 @@ var ErrDiverged = errors.New("repo: replicated record diverged from local state"
 // installed state; the replica layer answers with a bootstrap.
 var errNotInstalled = errors.New("repo: follower has no installed state (bootstrap required)")
 
-// followerHooks fire, when set, after each InstallBootstrap step,
-// letting the bootstrap crash matrix image the directory mid-install
-// and prove the documented recovery (reopen, or wipe-and-rebootstrap)
-// from every kill point.
-type followerHooks struct {
-	afterSnapFile func(file string)
-	afterSegments func()
-	afterWAL      func()
-	afterManifest func()
-}
-
 // FollowerRepository is a repository replica fed by a replication
 // stream instead of local commits. It serves the core's full read API
 // (Snapshot, SnapshotAt, Query, …) lock-free while the applier streams
@@ -68,9 +57,6 @@ type FollowerRepository struct {
 	// walMu serialises replicated appends.
 	walMu sync.Mutex
 	pos   wal.Position // guarded by walMu
-	// hooks are the bootstrap crash-matrix test seams; production code
-	// never sets them.
-	hooks followerHooks
 }
 
 // OpenFollower opens (or creates) a follower-state directory and
@@ -103,7 +89,7 @@ func OpenFollower(dir string, opts DurableOptions) (*FollowerRepository, error) 
 // reload runs the core recovery and anchors the applied position at
 // the recovered log's end.
 func (f *FollowerRepository) reload() error {
-	if err := f.recover(nil); err != nil {
+	if err := f.recover(); err != nil {
 		return err
 	}
 	f.setPos(f.log.Position())

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"xmldyn/internal/store"
@@ -156,6 +157,115 @@ func TestFollowerBootstrapKillPoints(t *testing.T) {
 				t.Fatalf("close: %v", err)
 			}
 		})
+	}
+}
+
+// TestBootstrapImageDuringCheckpoints takes images while a writer
+// commits and checkpoints in a loop. The writer moves only the last of
+// 64 documents, the file an image reads last, so a checkpoint that
+// could switch and sweep mid-read would retire it under the reader.
+// BootstrapImage reads under the checkpoint lock, so every image is
+// whole: it holds exactly the files its manifest names, each decoding
+// under its entry's name, and the last one installs into a fresh
+// follower, which recovers it.
+func TestBootstrapImageDuringCheckpoints(t *testing.T) {
+	var names []string
+	for i := 0; i < 64; i++ {
+		names = append(names, fmt.Sprintf("d%02d", i))
+	}
+	leader, err := OpenDurable(t.TempDir(), DurableOptions{AutoCheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	for _, n := range names {
+		if err := leader.Open(n, mustParse(t, fmt.Sprintf(`<%s/>`, n)), "qed"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := leader.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	stop, done := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			_, err := leader.Batch(names[len(names)-1], func(doc *xmltree.Document, b *update.Batch) error {
+				b.AppendChild(doc.Root(), fmt.Sprintf("c%d", i))
+				return nil
+			})
+			if err == nil {
+				err = leader.Checkpoint()
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+	finish := sync.OnceValue(func() error { close(stop); return <-done })
+	defer finish()
+
+	var img store.BootstrapImage
+	want := map[string]string{}
+	// Images back to back, at least 50 and across at least 20
+	// checkpoints, so the checkpoints' switches and sweeps land while
+	// images are being read.
+	first := leader.Generation()
+	for i := 0; i < 50 || leader.Generation() < first+20; i++ {
+		if img, err = leader.BootstrapImage(); err != nil {
+			t.Fatalf("image %d: %v", i, err)
+		}
+		if len(img.Files) != len(img.Manifest.Docs) || len(img.Files) != len(names) {
+			t.Fatalf("image %d holds %d files for %d manifest entries, want %d", i, len(img.Files), len(img.Manifest.Docs), len(names))
+		}
+		clear(want)
+		for j, e := range img.Manifest.Docs {
+			if img.Files[j].Name != e.File {
+				t.Fatalf("image %d file %d is %s, manifest names %s", i, j, img.Files[j].Name, e.File)
+			}
+			snap, err := store.UnmarshalDocSnap(img.Files[j].Data)
+			if err != nil || snap.Name != e.Name {
+				t.Fatalf("image %d file %s: document %q, err %v; want %q", i, e.File, snap.Name, err, e.Name)
+			}
+			doc, err := update.DecodeDocTree(snap.Tree)
+			if err != nil {
+				t.Fatalf("image %d file %s: %v", i, e.File, err)
+			}
+			want[e.Name] = doc.XML()
+		}
+	}
+	if err := finish(); err != nil {
+		t.Fatalf("commit and checkpoint loop: %v", err)
+	}
+
+	opts := DurableOptions{AutoCheckpointBytes: -1}
+	fdir := t.TempDir()
+	f, err := OpenFollower(fdir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.InstallBootstrap(img); err != nil {
+		t.Fatal(err)
+	}
+	if got := followerStateXML(t, f); !reflect.DeepEqual(got, want) {
+		t.Fatalf("installed state diverged from the image:\n got %v\nwant %v", got, want)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := OpenFollower(fdir, opts)
+	if err != nil {
+		t.Fatalf("recovery of the installed image: %v", err)
+	}
+	defer rec.Close()
+	if got := followerStateXML(t, rec); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered state diverged from the image:\n got %v\nwant %v", got, want)
 	}
 }
 

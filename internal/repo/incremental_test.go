@@ -116,6 +116,98 @@ func TestIncrementalCheckpointWritesOnlyDirtyDocs(t *testing.T) {
 	}
 }
 
+// TestCheckpointAfterRestartRewritesOnlyReplayedDocs: after a crash, a
+// document recovery loads from its snapshot file and replay leaves
+// untouched is clean, so the first checkpoint after the restart reuses
+// its file. Only the documents the log moved are rewritten: one a batch
+// changed, and one dropped and opened again under the same name — a new
+// document, whatever its version sequence says.
+func TestCheckpointAfterRestartRewritesOnlyReplayedDocs(t *testing.T) {
+	names := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	dir := t.TempDir()
+	opts := DurableOptions{AutoCheckpointBytes: -1}
+	d, err := OpenDurable(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for _, n := range names {
+		if err := d.Open(n, mustParse(t, fmt.Sprintf(`<%s><seed/></%s>`, n, n)), "qed"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Batch("a", func(doc *xmltree.Document, b *update.Batch) error {
+		b.AppendChild(doc.Root(), "moved")
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Drop("b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Open("b", mustParse(t, `<b><reopened/></b>`), "qed"); err != nil {
+		t.Fatal(err)
+	}
+	oracle := crashStateXML(t, d)
+	before, err := store.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Crash: no Close.
+	rec, err := OpenDurable(dir, opts)
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer rec.Close()
+	if got := crashStateXML(t, rec); !reflect.DeepEqual(got, oracle) {
+		t.Fatalf("recovered state diverged:\n got %v\nwant %v", got, oracle)
+	}
+	if err := rec.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := store.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := map[string]store.ManifestDoc{}
+	for _, e := range before.Docs {
+		prev[e.Name] = e
+	}
+	var rewritten []string
+	for _, e := range after.Docs {
+		if e.Gen == after.Gen {
+			rewritten = append(rewritten, e.Name)
+		} else if e != prev[e.Name] {
+			t.Errorf("clean entry %+v changed, was %+v", e, prev[e.Name])
+		}
+	}
+	if len(after.Docs) != len(names) || !reflect.DeepEqual(rewritten, []string{"a", "b"}) {
+		t.Fatalf("%d entries, rewritten %v; want %d entries, rewritten [a b]", len(after.Docs), rewritten, len(names))
+	}
+	matches, err := filepath.Glob(filepath.Join(dir, fmt.Sprintf("doc-*-%06d.snap", after.Gen)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(matches) != 2 {
+		t.Fatalf("%d files carry generation %d, want 2", len(matches), after.Gen)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := OpenDurable(dir, opts)
+	if err != nil {
+		t.Fatalf("recovery after the checkpoint: %v", err)
+	}
+	defer again.Close()
+	if got := crashStateXML(t, again); !reflect.DeepEqual(got, oracle) {
+		t.Fatalf("state after the checkpoint diverged:\n got %v\nwant %v", got, oracle)
+	}
+}
+
 // TestCheckpointAfterAbortsWritesNothing: aborted transactions make no
 // document dirty. A checkpoint that follows only aborts writes no
 // doc-*.snap file and its manifest reuses every entry of the previous
@@ -147,7 +239,7 @@ func TestCheckpointAfterAbortsWritesNothing(t *testing.T) {
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	d.hooks = ckptHooks{}
+	d.hooks = stepHooks{}
 	if wrote != 0 {
 		t.Errorf("the checkpoint after three aborts wrote %d snapshot files, want 0", wrote)
 	}

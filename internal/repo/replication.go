@@ -1,16 +1,18 @@
 // Leader-side replication hooks (docs/REPLICATION.md). A shipper
-// (internal/replica) streaming the WAL to followers needs three things
-// from the durable commit path, all provided here: the log's append
-// end (to decide bootstrap vs resume and to report staleness), segment
-// pins (so a checkpoint cannot retire segments the shipper has yet to
-// stream), and commit notifications (so a tailing reader wakes without
-// polling).
+// (internal/replica) streaming the WAL to followers needs four things
+// from the durable repository, all provided here: the log's append
+// end (to decide bootstrap vs resume and to report staleness), a whole
+// checkpoint image (to bootstrap a follower that cannot resume),
+// segment pins (so a checkpoint cannot retire segments the shipper has
+// yet to stream), and commit notifications (so a tailing reader wakes
+// without polling).
 
 package repo
 
 import (
 	"math"
 
+	"xmldyn/internal/store"
 	"xmldyn/internal/wal"
 )
 
@@ -24,6 +26,17 @@ func (d *DurableRepository) EndPosition() (wal.Position, bool) {
 		return wal.Position{}, false
 	}
 	return d.log.Position(), true
+}
+
+// BootstrapImage reads the current checkpoint image: the manifest and
+// every snapshot file it names. It holds the checkpoint lock while it
+// reads, so no checkpoint can switch the manifest or retire a file the
+// image names in the middle, and the image is whole. A running
+// checkpoint delays the read until it finishes.
+func (d *DurableRepository) BootstrapImage() (store.BootstrapImage, error) {
+	d.ckptMu.Lock()
+	defer d.ckptMu.Unlock()
+	return store.LoadBootstrapImage(d.dir)
 }
 
 // SegmentPin protects a suffix of the live WAL segment set from

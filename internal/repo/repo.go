@@ -152,6 +152,15 @@ type Doc struct {
 	pubStamp uint64
 	stamp    uint64
 	hist     []*docVersion
+	// ckpt is what the leader's current manifest holds for this slot
+	// (durable.go): the snapshot file and the generation that wrote it;
+	// ckptSeq is the version sequence that file captures. ckpt.File is
+	// empty until a recovery loads the slot from its file or a
+	// checkpoint writes one, so a slot opened since — a dropped name
+	// reopened included — is dirty. Written before the repository is
+	// published, or under the leader's checkpoint lock.
+	ckpt    store.ManifestDoc
+	ckptSeq uint64
 }
 
 // New creates an empty repository.

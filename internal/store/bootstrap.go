@@ -35,12 +35,12 @@ type BootstrapImage struct {
 }
 
 // LoadBootstrapImage reads the current manifest and every snapshot
-// file it references, in one pass with no locking or retry: snapshot
-// files are immutable once a manifest names them (the generation is
-// part of the file name), so the only race is a concurrent checkpoint
-// RETIRING a file after switching manifests — which surfaces as a
-// not-exist error here, and the caller retries the whole load against
-// the new manifest.
+// file it references, in one pass. Snapshot files are immutable once a
+// manifest names them (the generation is part of the file name), so
+// the only race is a concurrent checkpoint switching manifests and
+// retiring a file mid-read — which surfaces as a not-exist error. The
+// caller keeps checkpoints out for the read's duration
+// (repo.DurableRepository.BootstrapImage holds the checkpoint lock).
 func LoadBootstrapImage(dir string) (BootstrapImage, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {

@@ -133,9 +133,6 @@ func (s *Session) Counters() Counters { return s.ctr }
 // first verification after turning it back on walks the whole document.
 func (s *Session) SetAutoVerify(on bool) { s.autoVerify = on }
 
-// AutoVerify reports whether per-operation verification is on.
-func (s *Session) AutoVerify() bool { return s.autoVerify }
-
 // SetOnCommit installs fn as the session's commit hook: it runs once
 // per committed transaction and never for a staged or a cleanly aborted
 // one, whose tree is content-equal to what the hook last announced; an
