@@ -4,10 +4,10 @@
 // batches across several small WAL segments (an artificially tiny
 // rotation threshold so segmentation is visible), "crashes" by
 // abandoning the repository without Close, and reopens the directory:
-// recovery replays snapshots + segments back to the exact committed
-// state, verifying document order as it goes. A checkpoint then folds
-// the log into per-document snapshots, retiring the dead segments, and
-// the cycle repeats on the fresh segment. The directory listing is
+// recovery replays the checkpoint pack + segments back to the exact
+// committed state, verifying document order as it goes. A checkpoint
+// then folds the log into one pack, retiring the dead segments and the
+// pack it replaced, and the cycle repeats on the fresh segment. The directory listing is
 // printed at each stage — README.md annotates what you will see.
 // docs/DURABILITY.md specifies the on-disk format this walks over.
 package main
@@ -24,9 +24,9 @@ import (
 )
 
 // listDir prints the repository directory's files with sizes, sorted,
-// so each stage's on-disk shape (manifest, per-document snapshots, wal
-// segments) is visible.
-func listDir(dir, label string) {
+// so each stage's on-disk shape (checkpoint packs, wal segments) is
+// visible, and returns their names.
+func listDir(dir, label string) []string {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		log.Fatal(err)
@@ -44,16 +44,14 @@ func listDir(dir, label string) {
 		}
 		kind := ""
 		switch {
-		case name == "MANIFEST":
-			kind = "generation pointer"
-		case strings.HasPrefix(name, "doc-") && strings.HasSuffix(name, ".snap"):
-			kind = "document snapshot"
+		case strings.HasPrefix(name, "ckpt-") && strings.HasSuffix(name, ".pack"):
+			kind = "checkpoint pack"
 		case strings.HasPrefix(name, "wal-"):
 			kind = "wal segment"
 		}
-		// 32 columns: a doc-<hash>-<generation>.snap name, the longest.
-		fmt.Printf("  %-32s %7d bytes  %s\n", name, info.Size(), kind)
+		fmt.Printf("  %-20s %7d bytes  %s\n", name, info.Size(), kind)
 	}
+	return names
 }
 
 func main() {
@@ -131,9 +129,10 @@ func main() {
 		log.Fatalf("recovered %d entries, want %d", entries, *commits+1)
 	}
 
-	// Phase 3: checkpoint folds the log into a snapshot and retires the
-	// dead segments — this is what the auto-checkpointer does in the
-	// background once live bytes pass AutoCheckpointBytes.
+	// Phase 3: checkpoint folds the log into one pack and retires the
+	// dead segments and the pack it replaced — this is what the
+	// auto-checkpointer does in the background once live bytes pass
+	// AutoCheckpointBytes.
 	before, _ := recovered.LogSize()
 	if err := recovered.Checkpoint(); err != nil {
 		log.Fatalf("checkpoint: %v", err)
@@ -142,7 +141,18 @@ func main() {
 	after, _ := recovered.LogSize()
 	fmt.Printf("checkpoint: generation %d, log %d -> %d bytes, live segments now [%d..%d]\n",
 		recovered.Generation(), before, after, f2, a2)
-	listDir(*dir, "after checkpoint")
+	packs := 0
+	for _, name := range listDir(*dir, "after checkpoint") {
+		if name == "MANIFEST" || strings.HasPrefix(name, "doc-") && strings.HasSuffix(name, ".snap") {
+			log.Fatalf("checkpoint left %s, a file of the per-file layout packs replaced", name)
+		}
+		if strings.HasPrefix(name, "ckpt-") && strings.HasSuffix(name, ".pack") {
+			packs++
+		}
+	}
+	if packs != 1 {
+		log.Fatalf("checkpoint left %d packs, want exactly 1", packs)
+	}
 
 	// Post-checkpoint commits land in the fresh segment.
 	if _, err := recovered.Batch("ledger", func(doc *xmldyn.Document, b *xmldyn.Batch) error {

@@ -266,11 +266,11 @@ func (f *Follower) RunOnce(conn net.Conn) error {
 			if snapExpect < 0 || len(snapFiles) != snapExpect {
 				return fmt.Errorf("%w: bootstrap announced %d files, got %d", ErrBadFrame, snapExpect, len(snapFiles))
 			}
-			man, err := store.UnmarshalManifest(body)
+			pack, err := store.UnmarshalPack(body)
 			if err != nil {
 				return err
 			}
-			img := store.BootstrapImage{Manifest: man, Raw: append([]byte(nil), body...), Files: snapFiles}
+			img := store.BootstrapImage{Manifest: pack, Raw: append([]byte(nil), body...), Files: snapFiles}
 			if err := f.fr.InstallBootstrap(img); err != nil {
 				return fmt.Errorf("replica: installing bootstrap: %w", err)
 			}

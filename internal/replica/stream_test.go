@@ -62,7 +62,7 @@ func TestFramesAllocateNothing(t *testing.T) {
 
 // TestFrameBuffersLetOversizedFramesGo: a frame past frameBytes is read
 // and written, and neither end keeps the buffer it needed once the
-// frame is done (a bootstrap's largest doc-snap is not pinned for the
+// frame is done (a bootstrap's largest pack is not pinned for the
 // session).
 func TestFrameBuffersLetOversizedFramesGo(t *testing.T) {
 	var buf bytes.Buffer

@@ -40,16 +40,17 @@ const (
 	// speaking this protocol is rejected at the handshake.
 	ProtoMagic = "XREP"
 	// ProtoVersion is the protocol version byte carried in MsgHello.
-	// Version 2 ships records and bootstrap files in the compact tree
-	// grammar; a version-1 peer fails the handshake, not the stream.
-	ProtoVersion = 2
+	// Version 3 bootstraps with packs (records in the compact tree
+	// grammar since version 2); an older peer fails the handshake, not
+	// the stream.
+	ProtoVersion = 3
 	// FrameHeaderSize is the bytes preceding every message body: one
 	// type byte, a uint32 LE body length, a uint32 LE CRC-32 (IEEE) of
 	// the body.
 	FrameHeaderSize = 9
 	// MaxMessageSize bounds a frame's declared body length — matching
-	// wal.MaxRecordSize, since WAL payloads and snapshot files are the
-	// largest bodies shipped. An implausible length is a framing error.
+	// wal.MaxRecordSize, since WAL payloads and packs are the largest
+	// bodies shipped. An implausible length is a framing error.
 	MaxMessageSize = 1 << 30
 )
 
@@ -60,11 +61,12 @@ const (
 	// durable resume position.
 	MsgHello = 1
 	// MsgSnapBegin announces a checkpoint bootstrap: generation, first
-	// live WAL segment, and the snapshot file count that follows.
+	// live WAL segment, and the count of older packs that follows.
 	MsgSnapBegin = 2
-	// MsgSnapFile carries one doc snapshot file: name, then raw bytes.
+	// MsgSnapFile carries one older pack the current one references:
+	// file name, then raw bytes.
 	MsgSnapFile = 3
-	// MsgSnapEnd carries the manifest's raw bytes and commits the
+	// MsgSnapEnd carries the current pack's raw bytes and commits the
 	// bootstrap on the follower.
 	MsgSnapEnd = 4
 	// MsgSegStart announces a leader segment boundary: the follower
@@ -239,7 +241,7 @@ func parseHello(body []byte) (wal.Position, error) {
 }
 
 // appendSnapBegin encodes a MsgSnapBegin: generation, first live
-// segment, file count.
+// segment, older-pack count.
 func appendSnapBegin(out []byte, gen, walFirst uint64, files int) []byte {
 	out = binary.LittleEndian.AppendUint64(out, gen)
 	out = binary.LittleEndian.AppendUint64(out, walFirst)

@@ -5,7 +5,7 @@
 // same function, so they are the same code here:
 //
 //   - recover rebuilds the in-memory repository from a directory
-//     (manifest → per-document snapshot files → WAL replay → log
+//     (current pack and the packs it references → WAL replay → log
 //     reopened for appending → orphan sweep);
 //   - applyRecord is the one WAL-record applier, always under the
 //     write lock(s) of the documents the record touches;
@@ -22,10 +22,10 @@
 package repo
 
 import (
-	"bytes"
 	"cmp"
+	"errors"
 	"fmt"
-	"math"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -58,8 +58,13 @@ type durableCore struct {
 	mem      atomic.Pointer[Repository]
 	log      *wal.Log // nil while a follower has no installed state
 	gen      uint64
-	walFirst uint64 // first live segment index, as the manifest records
+	walFirst uint64 // first live segment index, as the current pack records
 	closed   bool   // guarded by commitMu
+	// packs holds the size in bytes of the current pack and of every
+	// pack it references, by generation: the packs a sweep keeps, and
+	// what a leader's checkpoint weighs live records against. Written
+	// by recover and, on a leader, under its checkpoint lock.
+	packs map[uint64]int64
 	// hooks are the crash matrices' seams; production code never sets
 	// them.
 	hooks stepHooks
@@ -68,44 +73,46 @@ type durableCore struct {
 // stepHooks fire, when set, between the externally visible steps of a
 // leader's checkpoint and of a follower's bootstrap install, so the
 // crash matrices can image the directory at every kill point. A
-// checkpoint fires afterCut once its fresh segment exists (manifest not
-// yet switched), afterSnapFile as each doc-snap is renamed into place
-// (before the batch's one directory fsync) and afterManifest after the
-// switch, once the commit lock is released and before dead files are
-// retired. An install fires afterSnapFile likewise, afterSegments once
-// the old segment set is gone, afterWAL once the fresh empty segment
-// exists, and afterManifest once the leader's manifest is in place.
+// checkpoint fires afterCut once its fresh segment exists (its pack not
+// yet written) and afterPack once its pack is current, the commit lock
+// is released and dead files are not yet retired. An install fires
+// afterSegments once the old segments and packs are gone, afterPackFile
+// as each older pack of the image lands, afterWAL once the fresh empty
+// segment exists, and afterPack once the image's current pack is in
+// place.
 type stepHooks struct {
 	afterCut      func()
-	afterSnapFile func(file string)
 	afterSegments func()
+	afterPackFile func(file string)
 	afterWAL      func()
-	afterManifest func()
+	afterPack     func()
 }
 
 // repo returns the installed in-memory repository.
 func (c *durableCore) repo() *Repository { return c.mem.Load() }
 
 // recover rebuilds the installed state from c.dir: it reads the
-// manifest, decodes the per-document snapshot files it names on a
-// worker pool bounded by GOMAXPROCS, replays
-// the live WAL segments from the manifest's first live index on the
-// same pool — partitioned by document; per-document record order is
-// preserved and RecMulti records are barriers — reopens the log for
-// appending with any torn tail truncated, and removes the files the
-// manifest does not cover. Each loaded document records the manifest
-// entry it came from (Doc.ckpt); replay advances the version sequence
-// of every document it touches, which is what marks those dirty. A
-// missing manifest is returned as the bare os.IsNotExist error (a fresh
-// directory, not corruption); every other failure wraps ErrReplay. The
-// installed state is replaced only on success.
+// current pack and each pack it references, once each
+// (store.ReadPacks), decodes their records on a worker pool bounded by
+// GOMAXPROCS, replays the live WAL segments from the pack's first live
+// index on the same pool — partitioned by document; per-document record
+// order is preserved and RecMulti records are barriers — reopens the
+// log for appending with any torn tail truncated, and removes the files
+// the pack does not cover. Each loaded document records where its
+// record is (Doc.ckpt); replay advances the version sequence of every
+// document it touches, which is what marks those dirty. A directory
+// with no pack is returned as the bare fs.ErrNotExist error (a fresh
+// directory, not corruption); every other failure — a directory in the
+// per-file layout packs replaced, a missing referenced pack or first
+// live segment included — wraps ErrReplay, before anything is written.
+// The installed state is replaced only on success.
 func (c *durableCore) recover() error {
-	man, err := store.ReadManifest(c.dir)
-	if os.IsNotExist(err) {
+	pack, packs, err := store.ReadPacks(c.dir)
+	if errors.Is(err, fs.ErrNotExist) {
 		return err
 	}
 	if err != nil {
-		return fmt.Errorf("%w: manifest: %w", ErrReplay, err)
+		return fmt.Errorf("%w: %w", ErrReplay, err)
 	}
 	r := New(c.opts.Repo)
 	// The time-travel window resets on recovery: stamps are an
@@ -121,10 +128,10 @@ func (c *durableCore) recover() error {
 	if c.serialRecovery {
 		workers = 1
 	}
-	if err := loadDocSnaps(c.dir, r, man.Docs, workers); err != nil {
+	if err := loadRecords(r, pack.Docs, packs, workers); err != nil {
 		return fmt.Errorf("%w: %w", ErrReplay, err)
 	}
-	info, err := wal.ReplayPartitioned(c.dir, man.WALFirst, workers, func(payload []byte) (wal.Dispatch, error) {
+	info, err := wal.ReplayPartitioned(c.dir, pack.WALFirst, workers, func(payload []byte) (wal.Dispatch, error) {
 		return routeRecord(r, payload)
 	}, func(payload []byte) error {
 		return applyRecord(r, payload)
@@ -137,43 +144,45 @@ func (c *durableCore) recover() error {
 	if err != nil {
 		return fmt.Errorf("%w: reopen log: %w", ErrReplay, err)
 	}
+	sizes := make(map[uint64]int64, len(packs))
+	for gen, data := range packs {
+		sizes[gen] = int64(len(data))
+	}
 	c.mem.Store(r)
-	c.log, c.gen, c.walFirst = log, man.Gen, man.WALFirst
-	_ = sweepDir(c.dir, &man)
+	c.log, c.gen, c.walFirst, c.packs = log, pack.Gen, pack.WALFirst, sizes
+	_ = sweepDir(c.dir, pack.WALFirst, sizes)
 	return nil
 }
 
-// loadDocSnaps reads and decodes the manifest's per-document snapshot
-// files on a pool of workers goroutines, each taking the next entry by
-// index until none is left or a load has failed, and registers each
-// document in r (the shard map is mutex-guarded, so concurrent
-// registration is safe; entry names are unique by manifest validation).
-// The first error is returned. Each file's embedded document name must
-// match the manifest entry that referenced it — a mismatch (hash
-// collision, tampering, misplaced file) fails recovery loudly rather than
-// loading a document under the wrong name.
-func loadDocSnaps(dir string, r *Repository, docs []store.ManifestDoc, workers int) error {
+// loadRecords decodes the records entries name — each in packs, by
+// generation — on a pool of workers goroutines, each taking the next
+// entry by index until none is left or a load has failed, and registers
+// each document in r (the shard map is mutex-guarded, so concurrent
+// registration is safe; entry names are unique by pack validation). The
+// first error is returned. A record must hold the document its entry
+// names (store.UnmarshalRecord), so a misplaced reference fails
+// recovery loudly rather than loading a document under the wrong name.
+func loadRecords(r *Repository, entries []store.PackDoc, packs map[uint64][]byte, workers int) error {
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		next     int   // guarded by mu
 		firstErr error // guarded by mu
 	)
-	for range max(1, min(workers, len(docs))) {
+	for range max(1, min(workers, len(entries))) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var buf bytes.Buffer // the worker's read buffer, from file to file
 			for {
 				mu.Lock()
 				i := next
 				next++
-				stop := firstErr != nil || i >= len(docs)
+				stop := firstErr != nil || i >= len(entries)
 				mu.Unlock()
 				if stop {
 					return
 				}
-				if err := loadDocSnap(dir, r, docs[i], &buf); err != nil {
+				if err := loadRecord(r, entries[i], packs[entries[i].Ref.Gen]); err != nil {
 					mu.Lock()
 					firstErr = cmp.Or(firstErr, err)
 					mu.Unlock()
@@ -186,33 +195,21 @@ func loadDocSnaps(dir string, r *Repository, docs []store.ManifestDoc, workers i
 	return firstErr
 }
 
-// loadDocSnap loads one manifest entry's snapshot file into r, reading it
-// into buf. The document keeps nothing of buf — UnmarshalDocSnap and
-// DecodeDocTree copy out what they keep — so the next file reuses it.
-func loadDocSnap(dir string, r *Repository, e store.ManifestDoc, buf *bytes.Buffer) error {
-	f, err := os.Open(filepath.Join(dir, e.File))
+// loadRecord loads one entry's record from data, the bytes of the pack
+// that holds it, into r. The document keeps nothing of data:
+// DecodeDocTree copies out what it keeps.
+func loadRecord(r *Repository, e store.PackDoc, data []byte) error {
+	snap, err := store.UnmarshalRecord(data, e)
 	if err == nil {
-		buf.Reset()
-		_, err = buf.ReadFrom(f)
-		f.Close()
+		err = r.openSnap(snap)
 	}
 	if err != nil {
-		return fmt.Errorf("snapshot %s: %w", e.File, err)
+		return fmt.Errorf("%s: %w", store.PackName(e.Ref.Gen), err)
 	}
-	snap, err := store.UnmarshalDocSnap(buf.Bytes())
-	if err != nil {
-		return fmt.Errorf("snapshot %s: %w", e.File, err)
-	}
-	if snap.Name != e.Name {
-		return fmt.Errorf("snapshot %s holds document %q, manifest expects %q", e.File, snap.Name, e.Name)
-	}
-	if err := r.openSnap(snap); err != nil {
-		return fmt.Errorf("snapshot %s: %w", e.File, err)
-	}
-	// The loaded slot is what its file captures: clean until a replayed
-	// record moves it.
+	// The loaded slot is what its record captures: clean until a
+	// replayed record moves it.
 	doc, _ := lookup(r, e.Name)
-	doc.ckpt, doc.ckptSeq = e, doc.Version()
+	doc.ckpt, doc.ckptSeq = e.Ref, doc.Version()
 	return nil
 }
 
@@ -288,18 +285,19 @@ func applyRecord(r *Repository, payload []byte) error {
 	})
 }
 
-// sweepDir deletes from dir every file of the durable layout that live
-// does not cover: WAL segments below live.WALFirst, per-document
-// snapshot files live.Docs does not name, and stray atomic-write temp
-// files — leftovers of a checkpoint or bootstrap install that crashed
-// around its manifest switch, or the generation a completed one just
-// retired. Segments at or above live.WALFirst are the live set
-// (including an empty one a crashed checkpoint or rotation created: it
-// is contiguous with the set and simply becomes the append tail). A nil
-// live covers nothing, the manifest included: the directory returns to
-// the fresh state. Files outside the layout are never touched. Every
-// dead file is attempted; the first removal error is returned.
-func sweepDir(dir string, live *store.Manifest) error {
+// sweepDir deletes from dir every file of the durable layout that is
+// not live: WAL segments below first, packs packs does not hold, stray
+// atomic-write temp files, and files of the per-file layout packs
+// replaced (recovery refuses those before any sweep, so only a
+// follower's wipe meets them) — leftovers of a checkpoint or bootstrap
+// install that crashed around its commit point, or what a completed one
+// just retired. Segments at or above first are the live set (including
+// an empty one a crashed checkpoint or rotation created: it is
+// contiguous with the set and simply becomes the append tail). A first
+// of math.MaxUint64 and no packs return the directory to the fresh
+// state. Files outside the layout are never touched. Every dead file is
+// attempted; the first removal error is returned.
+func sweepDir(dir string, first uint64, packs map[uint64]int64) error {
 	d, err := os.Open(dir)
 	if os.IsNotExist(err) {
 		return nil
@@ -312,25 +310,16 @@ func sweepDir(dir string, live *store.Manifest) error {
 	if err != nil {
 		return err
 	}
-	keep := map[string]bool{}
-	first := uint64(math.MaxUint64)
-	if live != nil {
-		keep[store.ManifestName] = true
-		first = live.WALFirst
-		for _, e := range live.Docs {
-			keep[e.File] = true
-		}
-	}
 	var firstErr error
 	for _, name := range names {
-		idx, isSeg := wal.ParseSegmentName(name)
-		dead := false
-		switch {
-		case keep[name]:
-		case isSeg:
+		var dead bool
+		if idx, ok := wal.ParseSegmentName(name); ok {
 			dead = idx < first
-		default:
-			dead = name == store.ManifestName || store.IsDocSnapName(name) || strings.HasSuffix(name, ".tmp")
+		} else if gen, ok := store.ParsePackName(name); ok {
+			_, live := packs[gen]
+			dead = !live
+		} else {
+			dead = strings.HasSuffix(name, ".tmp") || store.IsLegacyName(name)
 		}
 		if dead {
 			if err := os.Remove(filepath.Join(dir, name)); err != nil && firstErr == nil {
@@ -342,8 +331,8 @@ func sweepDir(dir string, live *store.Manifest) error {
 }
 
 // emptySegment creates segment index of the log in dir holding nothing
-// but its header, durably, so a manifest naming it as first live
-// segment never references a missing file.
+// but its header, durably, so a pack naming it as first live segment
+// never references a missing file.
 func emptySegment(dir string, index uint64, opts wal.Options) error {
 	log, err := wal.Create(dir, index, opts)
 	if err != nil {
@@ -370,12 +359,12 @@ func (c *durableCore) shut() (bool, error) {
 // --- the read surface --------------------------------------------------------
 
 // Dir returns the on-disk directory: the segment set a replication
-// shipper tails and the checkpoint files it transfers on a leader, the
-// mirrored copy of both on a follower.
+// shipper tails and the packs it transfers on a leader, the mirrored
+// copy of both on a follower.
 func (c *durableCore) Dir() string { return c.dir }
 
-// Generation returns the checkpoint generation of the installed
-// manifest (zero on a follower before its first bootstrap).
+// Generation returns the checkpoint generation of the installed pack
+// (zero on a follower before its first bootstrap).
 func (c *durableCore) Generation() uint64 {
 	c.commitMu.RLock()
 	defer c.commitMu.RUnlock()

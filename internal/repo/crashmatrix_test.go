@@ -17,9 +17,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"xmldyn/internal/encoding"
+	"xmldyn/internal/store"
 	"xmldyn/internal/update"
 	"xmldyn/internal/wal"
 	"xmldyn/internal/xmltree"
@@ -48,6 +50,23 @@ func imageDir(t testing.TB, src string) string {
 		}
 	}
 	return dst
+}
+
+// ownRecords lists the documents whose records the current pack of dir
+// holds itself: the ones its checkpoint wrote.
+func ownRecords(t testing.TB, dir string) []string {
+	t.Helper()
+	pack, _, err := store.ReadPacks(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var own []string
+	for _, e := range pack.Docs {
+		if e.Ref.Gen == pack.Gen {
+			own = append(own, e.Name)
+		}
+	}
+	return own
 }
 
 // crashStateXML captures the label-independent observable state: every
@@ -98,11 +117,11 @@ func assertImageRecovers(t *testing.T, label, dir string, parallelism int, want 
 }
 
 // TestCrashMatrixCheckpointSteps crashes an incremental checkpoint at
-// every externally visible step — after the cut, after each snapshot
-// file, after the manifest switch (before retirement) — plus a
-// post-cut commit injected between the cut and the encode, so both
-// manifests must replay the fresh segment. Every image must recover,
-// serially and in parallel, to the state committed at that instant.
+// every externally visible step — after the cut, after the pack switch
+// (before retirement), after the checkpoint — plus a post-cut commit
+// injected between the cut and the encode, so both packs must replay
+// the fresh segment. Every image must recover, serially and in
+// parallel, to the state committed at that instant.
 func TestCrashMatrixCheckpointSteps(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
@@ -113,9 +132,15 @@ func TestCrashMatrixCheckpointSteps(t *testing.T) {
 	defer d.Close()
 
 	// Scripted history: three documents, single-doc batches, a
-	// cross-document transaction, then a first (full) checkpoint.
+	// cross-document transaction, then a first (full) checkpoint. b is
+	// the largest, so its record alone keeps the first pack more than
+	// half live below.
 	for _, n := range []string{"a", "b", "c"} {
-		if err := d.Open(n, mustParse(t, fmt.Sprintf(`<%s><seed/></%s>`, n, n)), "qed"); err != nil {
+		seed := "<seed/>"
+		if n == "b" {
+			seed = strings.Repeat("<keep/>", 40)
+		}
+		if err := d.Open(n, mustParse(t, fmt.Sprintf(`<%s>%s</%s>`, n, seed, n)), "qed"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -139,7 +164,7 @@ func TestCrashMatrixCheckpointSteps(t *testing.T) {
 	}
 	// Post-checkpoint history: drop one document, touch exactly one
 	// other — so the crashing checkpoint below is incremental (one
-	// dirty document, one reused entry, one retired snapshot).
+	// dirty document, one reused entry, one dropped).
 	if _, err := d.Drop("c"); err != nil {
 		t.Fatal(err)
 	}
@@ -158,12 +183,11 @@ func TestCrashMatrixCheckpointSteps(t *testing.T) {
 	}
 	var images []image
 	var oracleCut map[string]string
-	snapFiles := 0
 	d.hooks.afterCut = func() {
 		images = append(images, image{"after-cut", imageDir(t, dir), oracle})
 		// A commit between the cut and the switch lands in the fresh
 		// segment: a crash on either side of the switch must replay it
-		// (old manifest: contiguous extension; new manifest: its range).
+		// (old pack: contiguous extension; new pack: its range).
 		if _, err := d.Batch("b", func(doc *xmltree.Document, b *update.Batch) error {
 			b.AppendChild(doc.Root(), "cutmark")
 			return nil
@@ -173,22 +197,18 @@ func TestCrashMatrixCheckpointSteps(t *testing.T) {
 		oracleCut = crashStateXML(t, d)
 		images = append(images, image{"after-cut+commit", imageDir(t, dir), oracleCut})
 	}
-	d.hooks.afterSnapFile = func(file string) {
-		snapFiles++
-		images = append(images, image{"after-snap-" + file, imageDir(t, dir), oracleCut})
-	}
-	d.hooks.afterManifest = func() {
+	d.hooks.afterPack = func() {
 		// The switch landed but nothing is retired yet: dead segments
-		// and the dropped document's snapshot are still on disk as
-		// orphans the recovery sweep must tolerate.
-		images = append(images, image{"after-manifest", imageDir(t, dir), oracleCut})
+		// are still on disk as orphans the recovery sweep must
+		// tolerate.
+		images = append(images, image{"after-pack", imageDir(t, dir), oracleCut})
 	}
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	d.hooks = stepHooks{}
-	if snapFiles != 1 {
-		t.Fatalf("incremental checkpoint wrote %d snapshot files, want 1 (only %q moved)", snapFiles, "a")
+	if got := ownRecords(t, dir); !reflect.DeepEqual(got, []string{"a"}) {
+		t.Fatalf("incremental checkpoint wrote the records of %v, want [a] (only %q moved)", got, "a")
 	}
 	images = append(images, image{"after-checkpoint", imageDir(t, dir), oracleCut})
 

@@ -5,27 +5,25 @@
 // included — replay re-runs the same deterministic op stream the live
 // session ran), with recovery cost bounded by the live log suffix, not
 // the full history:
-// a background auto-checkpoint folds the log into fresh snapshots
+// a background auto-checkpoint folds the log into a fresh pack
 // whenever live log bytes pass a threshold and retires the dead
-// segments. Checkpoints are incremental — only documents that changed
-// since the previous checkpoint are rewritten, each into its own
-// per-document snapshot file serialised from a pinned persistent
-// version (so writers are never blocked while state is encoded), and
-// the version-5 manifest maps every live document to its file, reusing
-// unchanged files across generations. Recovery is parallel: the
-// referenced snapshot files decode on a bounded worker pool and WAL
-// replay is partitioned by document (wal.ReplayPartitioned; RecMulti
-// is the barrier record). docs/DURABILITY.md specifies the on-disk
-// format and recovery protocol in full; docs/OPERATIONS.md is the
-// field guide.
+// segments. Checkpoints are incremental — one pack file holds the
+// records of the documents that changed since the previous checkpoint,
+// each serialised from a pinned persistent version (so writers are
+// never blocked while state is encoded), and references the records of
+// every other document in the older packs that hold them. Recovery is
+// parallel: the records decode on a bounded worker pool and WAL replay
+// is partitioned by document (wal.ReplayPartitioned; RecMulti is the
+// barrier record). docs/DURABILITY.md specifies the on-disk format and
+// recovery protocol in full; docs/OPERATIONS.md is the field guide.
 //
-// Directory layout (the manifest names the snapshot files and the
-// first live segment; segment indices are global and never reused):
+// Directory layout (the newest pack is the current state: it names
+// every document's record and the first live segment; generations and
+// segment indices are global and never reused):
 //
-//	MANIFEST              store version-5 manifest: generation, first live segment,
-//	                      document name → snapshot file + generation map
-//	doc-HHHH-NNNNNN.snap  version-8 per-document snapshots (hash of name, writing generation)
-//	wal-NNNNNNNN.log      numbered log segments; commits since those snapshots
+//	ckpt-NNNNNN.pack  store version-9 packs: the current one, and the
+//	                  older ones it references
+//	wal-NNNNNNNN.log  numbered log segments; commits since the current pack
 //
 // Locking protocol, outermost first (see docs/ARCHITECTURE.md):
 //
@@ -33,7 +31,7 @@
 //	          between their phases) and bootstrap image reads
 //	          (BootstrapImage), and guards each Doc's checkpoint state
 //	commitMu  (the core's) writers share-lock it; Close and checkpoint
-//	          phases 1 and 3 take it exclusively, so a cut or a manifest
+//	          phases 1 and 3 take it exclusively, so a cut or a pack
 //	          switch never interleaves with a half-appended commit.
 //	          Checkpoint's encode phase holds NO lock: writers keep
 //	          committing while pinned versions serialise
@@ -62,6 +60,7 @@ package repo
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -78,8 +77,8 @@ import (
 var (
 	// ErrClosed reports use of a closed durable repository.
 	ErrClosed = errors.New("repo: durable repository is closed")
-	// ErrReplay wraps a recovery failure: the manifest, snapshot or log
-	// could not be read back into a consistent repository.
+	// ErrReplay wraps a recovery failure: the packs or the log could
+	// not be read back into a consistent repository.
 	ErrReplay = errors.New("repo: wal replay failed")
 	// ErrWALFailed reports a commit whose record could not be appended
 	// to the log — the commit was aborted before memory showed it, but
@@ -157,9 +156,9 @@ type DurableRepository struct {
 	// ckptMu serialises whole checkpoints: Checkpoint releases
 	// commitMu between its cut, encode and switch phases, so without
 	// it two concurrent checkpoints could compute the same generation.
-	// It also guards every Doc's checkpoint state (Doc.ckpt), and
-	// BootstrapImage holds it so no manifest switch or sweep can
-	// interleave with an image read.
+	// It also guards every Doc's checkpoint state (Doc.ckpt) and the
+	// core's pack sizes, and BootstrapImage holds it so no pack switch
+	// or sweep can interleave with an image read.
 	ckptMu sync.Mutex
 
 	// Auto-checkpoint machinery: committers nudge ckptWake when live
@@ -185,29 +184,30 @@ type DurableRepository struct {
 }
 
 // OpenDurable opens (creating if necessary) the durable repository in
-// dir by running the core's recovery (durableCore.recover): snapshot
-// files and WAL replay on a worker pool bounded by GOMAXPROCS, a torn
+// dir by running the core's recovery (durableCore.recover): the packs'
+// records and WAL replay on a worker pool bounded by GOMAXPROCS, a torn
 // tail tolerated only on the last segment and truncated so new commits
-// extend the last valid record, files the manifest does not cover
-// removed. A directory with
-// no manifest is initialised first — generation 1, no snapshot, an
-// empty log starting at segment 1, then the manifest that makes them
-// current (a crash before the manifest write leaves no manifest, so
-// the next OpenDurable simply initialises again) — and then recovered
-// like any other. If auto-checkpointing is enabled (it is by default;
-// see DurableOptions.AutoCheckpointBytes) the background checkpointer
-// is started before OpenDurable returns.
+// extend the last valid record, files the current pack does not cover
+// removed. A directory with no pack is initialised first — an empty
+// log starting at segment 1, then the generation-1 pack with no
+// document that makes it current (a crash before the pack lands leaves
+// no pack, so the next OpenDurable simply initialises again) — and then
+// recovered like any other. A directory in the per-file layout packs
+// replaced is refused with ErrReplay and left as it is. If
+// auto-checkpointing is enabled (it is by default; see
+// DurableOptions.AutoCheckpointBytes) the background checkpointer is
+// started before OpenDurable returns.
 func OpenDurable(dir string, opts DurableOptions) (*DurableRepository, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	d := &DurableRepository{durableCore: durableCore{dir: dir, opts: opts}}
 	err := d.recover()
-	if os.IsNotExist(err) {
+	if errors.Is(err, fs.ErrNotExist) {
 		// A fresh directory: an empty log at segment 1, then the
-		// generation-1 manifest naming it.
+		// generation-1 pack naming it.
 		if err = emptySegment(dir, 1, opts.walOptions()); err == nil {
-			err = store.WriteManifest(dir, store.Manifest{Gen: 1, WALFirst: 1})
+			err = store.WriteFileAtomic(filepath.Join(dir, store.PackName(1)), store.MarshalPack(&store.Pack{Gen: 1, WALFirst: 1}, nil))
 		}
 		if err == nil {
 			err = d.recover()
@@ -427,48 +427,50 @@ func (d *DurableRepository) AutoCheckpoints() (uint64, error) {
 
 // --- checkpoint and close ----------------------------------------------------
 
-// dirtyDoc is one document a checkpoint must rewrite: its slot, its
-// pinned version (frozen, so encoding needs no locks) and the manifest
-// entry it will become.
+// dirtyDoc is one document a checkpoint must rewrite: its slot, the
+// index of its entry in the new pack and its pinned version (frozen, so
+// encoding needs no locks).
 type dirtyDoc struct {
 	doc *Doc
-	e   store.ManifestDoc
+	i   int
 	v   *docVersion
 }
 
-// Checkpoint folds the log into fresh per-document snapshots,
-// incrementally: only documents whose version sequence moved since the
-// current manifest are rewritten; every other manifest entry reuses
-// the previous generation's file. It runs in three phases so writers
-// are excluded only for two O(documents) bookkeeping windows, never
-// while state is serialised:
+// Checkpoint folds the log into a fresh pack, incrementally: the pack
+// holds the records of the documents whose version sequence moved since
+// their record was written, and references every other document's
+// record in the older pack that holds it. It runs in three phases so
+// writers are excluded only for two O(documents) bookkeeping windows,
+// never while state is serialised:
 //
 //  1. The cut (writers excluded): sync the old tail, start a fresh
 //     segment with the next index and swap it in — commits from here
 //     on land after the cut — then pin each dirty document's current
-//     persistent version (O(1) per document).
-//  2. Encode (no locks): serialise each pinned frozen version into
-//     its doc-*.snap file as one batch (store.WriteFiles): up to eight
-//     writers encode and write fsynced temp files, every file is then
-//     renamed into place and the directory fsynced once. Writers keep
-//     committing; their records land in the fresh segment, which the
-//     new manifest replays.
-//  3. The switch (writers excluded): write the version-5 manifest
+//     persistent version (O(1) per document). An older pack whose live
+//     records fill less than half of it is compacted: its documents
+//     count as dirty, so the sweep can retire it.
+//  2. Encode (no locks): serialise each pinned frozen version into the
+//     new pack's records. Writers keep committing; their records land
+//     in the fresh segment, which the new pack replays.
+//  3. The switch (writers excluded): write the pack — temp file,
+//     fsync, rename, directory fsync; the rename is the commit point —
 //     naming every entry and the fresh segment as first live; then,
-//     with writers readmitted, retire dead segments and unreferenced
-//     old snapshot files.
+//     with writers readmitted, retire dead segments and every pack the
+//     new one does not reference.
 //
-// A crash at any step recovers to a consistent state: before the
-// manifest switch the old manifest is current and its segment range —
-// which extends contiguously into the fresh segment and any post-cut
-// commits — replays everything, with this attempt's snapshot files as
-// unreferenced orphans; after the switch the new file set is current
-// and the dead segments are orphans. Checkpoint also clears a WAL
-// append failure observed at the cut: the pinned versions re-capture
-// the full in-memory state and the failed log's tail falls below the
-// first live segment, so recovery neither misses what that log lost nor
-// replays a record memory never held (post-cut failures stay sticky —
-// they sit in a segment the new manifest replays).
+// A checkpoint thus costs five fsyncs, whatever the number of dirty
+// documents: the old tail, the fresh segment and its directory entry at
+// the cut, the pack and the directory at the switch. A crash at any
+// step recovers to a consistent state: before the rename the old pack
+// is current and its segment range — which extends contiguously into
+// the fresh segment and any post-cut commits — replays everything;
+// after it the new pack is current and the dead segments and packs are
+// orphans. Checkpoint also clears a WAL append failure observed at the
+// cut: the pinned versions re-capture the full in-memory state and the
+// failed log's tail falls below the first live segment, so recovery
+// neither misses what that log lost nor replays a record memory never
+// held (post-cut failures stay sticky — they sit in a segment the new
+// pack replays).
 func (d *DurableRepository) Checkpoint() error {
 	// One checkpoint at a time: commitMu is released between phases, so
 	// without this two checkpoints could race to the same generation.
@@ -500,9 +502,9 @@ func (d *DurableRepository) Checkpoint() error {
 	newFirst := d.log.ActiveIndex() + 1
 	// A fresh wal.Log (not Rotate, which refuses on a poisoned log) is
 	// the cut: records appended after this line land in segment
-	// newFirst or later, which the new manifest will replay — and the
-	// old manifest replays them too, as a contiguous extension of its
-	// range, so the cut is crash-safe before the switch.
+	// newFirst or later, which the new pack will replay — and the old
+	// pack replays them too, as a contiguous extension of its range, so
+	// the cut is crash-safe before the switch.
 	newLog, err := wal.Create(d.dir, newFirst, d.opts.walOptions())
 	if err != nil {
 		d.commitMu.Unlock()
@@ -512,30 +514,34 @@ func (d *DurableRepository) Checkpoint() error {
 	d.log = newLog
 	_ = oldLog.Close()
 	// Membership + dirty set: a document whose version sequence still
-	// matches the one its checkpoint state captures is clean and keeps
-	// its entry; every other one pins its current version. O(1) per
-	// document — no tree is touched.
+	// matches the one its record captures is clean and keeps its
+	// reference, unless the pack holding it is compacted; every other
+	// one pins its current version. O(1) per document — no tree is
+	// touched.
 	names := d.repo().Names()
-	entries := make([]store.ManifestDoc, 0, len(names))
-	used := make(map[string]bool, len(names))
-	var dirty []dirtyDoc
+	pack := store.Pack{Gen: newGen, WALFirst: newFirst, Docs: make([]store.PackDoc, 0, len(names))}
+	docs := make([]*Doc, 0, len(names))
+	live := make(map[uint64]int64) // bytes of the records each older pack still serves
 	for _, name := range names {
 		doc, ok := lookup(d.repo(), name)
 		if !ok {
 			continue // dropped between Names and lookup
 		}
-		if doc.ckpt.File != "" && doc.ckptSeq == doc.Version() {
-			entries = append(entries, doc.ckpt)
-			used[doc.ckpt.File] = true
+		ref := store.Ref{Gen: newGen}
+		if doc.ckpt.Gen != 0 && doc.ckptSeq == doc.Version() {
+			ref = doc.ckpt
+			live[ref.Gen] += int64(ref.Len)
+		}
+		pack.Docs = append(pack.Docs, store.PackDoc{Name: name, Ref: ref})
+		docs = append(docs, doc)
+	}
+	var dirty []dirtyDoc
+	for i := range pack.Docs {
+		if gen := pack.Docs[i].Ref.Gen; gen != newGen && 2*live[gen] >= d.packs[gen] {
 			continue
 		}
-		e := store.ManifestDoc{Name: name, File: store.DocSnapName(name, newGen, 0), Gen: newGen}
-		for salt := uint64(1); used[e.File]; salt++ {
-			e.File = store.DocSnapName(name, newGen, salt)
-		}
-		used[e.File] = true
-		dirty = append(dirty, dirtyDoc{doc: doc, e: e, v: doc.pinCurrent()})
-		entries = append(entries, e)
+		pack.Docs[i].Ref = store.Ref{Gen: newGen}
+		dirty = append(dirty, dirtyDoc{doc: docs[i], i: i, v: docs[i].pinCurrent()})
 	}
 	d.commitMu.Unlock()
 	// Wake replication shippers: the cut created a fresh segment, and a
@@ -547,107 +553,84 @@ func (d *DurableRepository) Checkpoint() error {
 		d.hooks.afterCut()
 	}
 
-	// --- phase 2: encode and write, lock-free -------------------------
-	// The pinned versions are frozen: each of the batch's writers
-	// encodes its documents from their persistent roots (EncodeDocTree
-	// steps from the view to its source, so no view shell is built)
-	// while writers commit freely. Every pin is dropped once the batch
-	// is over, whatever its outcome.
-	err = store.WriteFiles(d.dir, len(dirty), func(i int) (string, []byte) {
-		dd := dirty[i]
-		tree := update.EncodeDocTree(dd.v.document())
-		return dd.e.File, store.MarshalDocSnap(store.DocSnap{Name: dd.e.Name, Scheme: dd.v.scheme, Tree: tree})
-	}, d.hooks.afterSnapFile)
-	for _, dd := range dirty {
+	// --- phase 2: encode, lock-free ----------------------------------
+	// The pinned versions are frozen: each encodes from its persistent
+	// root (EncodeDocTree steps from the view to its source, so no view
+	// shell is built) while writers commit freely.
+	recs := make([]store.DocSnap, len(dirty))
+	for j, dd := range dirty {
+		recs[j] = store.DocSnap{Name: pack.Docs[dd.i].Name, Scheme: dd.v.scheme, Tree: update.EncodeDocTree(dd.v.document())}
 		dd.v.unpin()
 	}
-	// cleanup removes this attempt's snapshot files. Their generation
-	// is above every file the current manifest names, so whatever of
-	// them exists is this attempt's or an earlier failed one's.
-	cleanup := func() {
-		for _, dd := range dirty {
-			_ = os.Remove(filepath.Join(d.dir, dd.e.File))
-		}
-	}
-	if err != nil {
-		cleanup()
-		return err
-	}
+	data := store.MarshalPack(&pack, recs)
 
 	// --- phase 3: the switch -----------------------------------------
 	d.commitMu.Lock()
 	if d.closed {
 		d.commitMu.Unlock()
-		cleanup()
 		return ErrClosed
 	}
-	if err := store.WriteManifest(d.dir, store.Manifest{Gen: newGen, WALFirst: newFirst, Docs: entries}); err != nil {
+	path := filepath.Join(d.dir, store.PackName(newGen))
+	if err := store.WriteFileAtomic(path, data); err != nil {
 		defer d.commitMu.Unlock()
-		// The switch may have landed even though WriteManifest errored
-		// (its rename can succeed and only the directory fsync fail),
-		// so re-read the manifest to learn which generation is current
-		// before cleaning up — deleting files a switched manifest
-		// points at would corrupt the repository to fix a leak.
-		if man, rerr := store.ReadManifest(d.dir); rerr == nil && man.Gen == d.gen {
-			// The switch did not land: this attempt's snapshot files
-			// are orphans; remove them so a repeatedly failing
-			// checkpoint does not accumulate garbage. The fresh
-			// segment is NOT removable — post-cut commits may already
-			// sit in it — so it stays as the live append tail,
-			// contiguous with the old manifest's range (recovery
-			// replays it; the only cost is a 5-byte header per failed
-			// attempt).
-			cleanup()
+		// The switch landed if the pack is in place, even though the
+		// write errored (its rename can succeed and only the directory
+		// fsync fail). If it is not, the old pack is current and the
+		// attempt left nothing behind but the fresh segment, which is
+		// NOT removable — post-cut commits may already sit in it — so
+		// it stays as the live append tail, contiguous with the old
+		// pack's range (the only cost is a 5-byte header per failed
+		// attempt).
+		if _, serr := os.Stat(path); serr != nil {
 			return err
 		}
-		// The switch landed (or the manifest state is unknowable) while
-		// the in-memory bookkeeping still describes the old generation.
-		// Poison commits and advance the in-memory generation PAST the
-		// doubted one: a retried checkpoint must not reuse generation
-		// newGen for new snapshot files — the doubted manifest, if it
-		// landed, references files of that name, and overwriting them
-		// with post-poison state would break replay (the on-disk
-		// WALFirst would no longer match the snapshot's cut). With the
-		// generation skipped, the retry writes fresh file names and a
-		// fresh manifest, converging under either on-disk outcome;
-		// whichever files lose become orphans for the next open's
-		// sweep. Recovery is correct under either manifest meanwhile:
-		// the old one replays the contiguous segment range including
-		// the fresh tail, the new one has its complete file set.
+		// The switch may have landed while the in-memory bookkeeping
+		// still describes the old generation. Poison commits and advance
+		// the in-memory generation PAST the doubted one, so a retry
+		// writes a newer pack, which wins under either on-disk outcome;
+		// recovery is correct under either pack meanwhile: the old one
+		// replays the contiguous segment range including the fresh tail,
+		// the new one has its complete record set.
 		d.gen = newGen
-		_ = d.poison(fmt.Errorf("checkpoint manifest switch in doubt: %v", err))
+		_ = d.poison(fmt.Errorf("checkpoint pack switch in doubt: %v", err))
 		return err
 	}
 	// The new generation is current, and with it each rewritten
-	// document's checkpoint state. Clear the WAL poison only if it is
-	// still the failure the cut observed — the pinned versions captured
-	// everything up to the cut, but a commit that failed DURING the
-	// encode phase may have left its record after it, in a segment this
-	// manifest replays.
+	// document's record. Clear the WAL poison only if it is still the
+	// failure the cut observed — the pinned versions captured everything
+	// up to the cut, but a commit that failed DURING the encode phase
+	// may have left its record after it, in a segment this pack
+	// replays.
 	d.gen, d.walFirst = newGen, newFirst
 	for _, dd := range dirty {
-		dd.doc.ckpt, dd.doc.ckptSeq = dd.e, dd.v.seq
+		dd.doc.ckpt, dd.doc.ckptSeq = pack.Docs[dd.i].Ref, dd.v.seq
 	}
+	packs := make(map[uint64]int64)
+	for _, e := range pack.Docs {
+		packs[e.Ref.Gen] = d.packs[e.Ref.Gen]
+	}
+	packs[newGen] = int64(len(data))
+	d.packs = packs
 	d.failed.CompareAndSwap(failedAtCut, nil)
 	floor := min(newFirst, d.pinFloor())
 	d.commitMu.Unlock()
-	if d.hooks.afterManifest != nil {
-		d.hooks.afterManifest()
+	if d.hooks.afterPack != nil {
+		d.hooks.afterPack()
 	}
-	// Retire what the new manifest does not cover: snapshot files it
-	// stopped referencing, and every segment below the floor — the new
-	// first live index, or the lowest replication pin under it. The
-	// sweep enumerates the directory rather than the [oldFirst,
-	// newFirst) range so segments an earlier checkpoint spared for a
+	// Retire what the new pack does not cover: packs it does not
+	// reference, and every segment below the floor — the new first live
+	// index, or the lowest replication pin under it. The sweep
+	// enumerates the directory rather than the [oldFirst, newFirst)
+	// range so segments an earlier checkpoint spared for a
 	// since-released pin are retired too. It runs after commitMu is
 	// released, so commits do not stall on its unlinks, and that is
 	// safe: the keep-set and the floor were fixed under the lock;
-	// ckptMu, still held, keeps out the only other writer of doc-*.snap
-	// and temp files; and PinSegments reads walFirst under commitMu, so
-	// a pin taken after the unlock has a floor at or above newFirst —
+	// ckptMu, still held, keeps out the only other writer of packs and
+	// temp files; and PinSegments reads walFirst under commitMu, so a
+	// pin taken after the unlock has a floor at or above newFirst —
 	// above every segment the sweep deletes. A pin released meanwhile
 	// only keeps its segments until the next checkpoint.
-	_ = sweepDir(d.dir, &store.Manifest{WALFirst: floor, Docs: entries})
+	_ = sweepDir(d.dir, floor, packs)
 	return nil
 }
 

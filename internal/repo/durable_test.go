@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -157,11 +158,11 @@ func TestRecoveryStopsAtTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	man, err := store.ReadManifest(dir)
+	pack, _, err := store.ReadPacks(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	walPath := filepath.Join(dir, wal.SegmentName(man.WALFirst))
+	walPath := filepath.Join(dir, wal.SegmentName(pack.WALFirst))
 	st, err := os.Stat(walPath)
 	if err != nil {
 		t.Fatal(err)
@@ -266,15 +267,16 @@ func dirListing(t *testing.T, dir string) map[string]string {
 
 // A version-4 manifest (one whole-repository container) is a format
 // this build does not read: the leader and the follower both refuse
-// the directory with ErrBadVersion under ErrReplay — exactly as for a
-// version-3 manifest — and leave every file in it untouched, stray
-// files the orphan sweep would otherwise claim included.
+// the directory with ErrBadVersion under ErrReplay — as any directory
+// holding a MANIFEST or a doc-*.snap, the per-file layout packs
+// replaced — and leave every file in it untouched, stray files the
+// orphan sweep would otherwise claim included.
 // (Kill-during-checkpoint crash windows are covered exhaustively by
 // the crash-matrix harness in crashmatrix_test.go.)
 func TestV4ManifestRejected(t *testing.T) {
 	dir := t.TempDir()
 	files := map[string]string{
-		store.ManifestName:           v4ManifestFixture,
+		"MANIFEST":                   v4ManifestFixture,
 		"snapshot-000002.xdyn":       "container bytes",
 		wal.SegmentName(3):           "a dead segment",
 		store.DocSnapName("x", 1, 0): "an unreferenced snapshot",
@@ -297,11 +299,12 @@ func TestV4ManifestRejected(t *testing.T) {
 	}
 }
 
-// TestCorruptSnapshotFailsRecovery: one corrupt doc-snap among sixteen
-// fails recovery with ErrReplay on the parallel worker pool and on the
-// serial one, and the failed recovery installs nothing — no repository,
-// no log. The first error stops new loads: a serial pool that meets the
-// corrupt file first loads no other.
+// TestCorruptSnapshotFailsRecovery: one corrupt record among sixteen,
+// in an older pack the current one references (so no pack trailer
+// covers it), fails recovery with ErrReplay on the parallel worker pool
+// and on the serial one, and the failed recovery installs nothing — no
+// repository, no log. The first error stops new loads: a serial pool
+// that meets the corrupt record first loads no other.
 func TestCorruptSnapshotFailsRecovery(t *testing.T) {
 	dir := t.TempDir()
 	opts := DurableOptions{AutoCheckpointBytes: -1}
@@ -317,21 +320,31 @@ func TestCorruptSnapshotFailsRecovery(t *testing.T) {
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	// One more checkpoint with one dirty document: the other fifteen
+	// records stay in the first pack, which the second references.
+	if _, err := d.Batch("doc-00", func(doc *xmltree.Document, b *update.Batch) error {
+		b.AppendChild(doc.Root(), "moved")
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	man, err := store.ReadManifest(dir)
+	pack, packs, err := store.ReadPacks(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := man.Docs[len(man.Docs)/2]
-	path := filepath.Join(dir, bad.File)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	bad := pack.Docs[len(pack.Docs)/2]
+	if bad.Ref.Gen == pack.Gen {
+		t.Fatalf("%s's record is in the current pack, want an older one", bad.Name)
 	}
-	data[len(data)/2] ^= 0xFF
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	data := packs[bad.Ref.Gen]
+	data[bad.Ref.Off+bad.Ref.Len/2] ^= 0xFF
+	if err := os.WriteFile(filepath.Join(dir, store.PackName(bad.Ref.Gen)), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, serial := range []bool{false, true} {
@@ -344,9 +357,52 @@ func TestCorruptSnapshotFailsRecovery(t *testing.T) {
 		}
 	}
 	r := New(Options{})
-	docs := append([]store.ManifestDoc{bad}, man.Docs...)
-	if err := loadDocSnaps(dir, r, docs, 1); err == nil || r.Len() != 0 {
+	docs := append([]store.PackDoc{bad}, pack.Docs...)
+	if err := loadRecords(r, docs, packs, 1); err == nil || r.Len() != 0 {
 		t.Fatalf("serial load behind a corrupt snapshot: %v, %d documents loaded, want an error and none", err, r.Len())
+	}
+}
+
+// TestMissingPackFailsRecovery: a current pack whose referenced older
+// pack is gone fails recovery with ErrReplay — never read as a fresh
+// directory, which OpenDurable would initialise over the survivors —
+// and the refused open leaves the directory as it was.
+func TestMissingPackFailsRecovery(t *testing.T) {
+	dir := t.TempDir()
+	opts := DurableOptions{AutoCheckpointBytes: -1}
+	d, err := OpenDurable(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedAndBatch(t, d, 2)
+	if err := d.Open("shelf", mustParse(t, "<shelf>"+strings.Repeat("<item>unchanged</item>", 20)+"</shelf>"), "qed"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	older := store.PackName(d.Generation())
+	if _, err := d.Batch("books", func(doc *xmltree.Document, b *update.Batch) error {
+		b.AppendChild(doc.Root(), "moved")
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, older)); err != nil {
+		t.Fatalf("the second pack does not reference %s: %v", older, err)
+	}
+	before := dirListing(t, dir)
+	if _, err := OpenDurable(dir, opts); !errors.Is(err, ErrReplay) || !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("recovery without %s: %v, want ErrReplay wrapping store.ErrCorrupt", older, err)
+	}
+	if got := dirListing(t, dir); !reflect.DeepEqual(got, before) {
+		t.Fatalf("refused open changed the directory: %d files before, %d after", len(before), len(got))
 	}
 }
 
@@ -792,7 +848,7 @@ func TestOneWriteAPI(t *testing.T) {
 }
 
 // TestCommitProceedsDuringRetireSweep parks a checkpoint at the start
-// of its retire sweep (the afterManifest hook) and requires a commit on
+// of its retire sweep (the afterPack hook) and requires a commit on
 // another goroutine to complete meanwhile: the sweep runs after the
 // commit lock is released. The commit lands above the new first live
 // segment, so the sweep must leave it alone and a reopen must see it.
@@ -805,7 +861,7 @@ func TestCommitProceedsDuringRetireSweep(t *testing.T) {
 	defer d.Close()
 	seedAndBatch(t, d, 4)
 	parked, release := make(chan struct{}), make(chan struct{})
-	d.hooks.afterManifest = func() {
+	d.hooks.afterPack = func() {
 		close(parked)
 		<-release
 	}

@@ -1,7 +1,7 @@
 // Follower-mode repository (docs/REPLICATION.md): a FollowerRepository
 // is the storage half of a read replica, the durable core's second
 // role. It owns a directory in the same on-disk shape as a leader's
-// (manifest, doc snapshots, segmented WAL) but takes no local commits:
+// (packs, segmented WAL) but takes no local commits:
 // records arrive from the replication transport (internal/replica)
 // already serialised by the leader, are appended to the follower's own
 // log — byte-identical to the leader's, because segment boundaries are
@@ -23,6 +23,7 @@ package repo
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -61,9 +62,9 @@ type FollowerRepository struct {
 
 // OpenFollower opens (or creates) a follower-state directory and
 // recovers it exactly as OpenDurable would — the same core recovery:
-// snapshots, replay, torn-tail truncation, orphan sweep — minus
+// packs, replay, torn-tail truncation, orphan sweep — minus
 // everything leader-specific: no checkpointer, no commit API. A
-// directory with no manifest opens empty, with no log: the first
+// directory with no pack opens empty, with no log: the first
 // replication session bootstraps it. A recovery failure is reported
 // wrapped in ErrReplay; the replica layer treats that as "wipe and
 // re-bootstrap" (WipeFollowerState), since a follower's whole state is
@@ -80,7 +81,7 @@ func OpenFollower(dir string, opts DurableOptions) (*FollowerRepository, error) 
 	opts.SegmentBytes = -1
 	f := &FollowerRepository{durableCore: durableCore{dir: dir, opts: opts}}
 	f.mem.Store(New(opts.Repo))
-	if err := f.reload(); err != nil && !os.IsNotExist(err) {
+	if err := f.reload(); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, err
 	}
 	return f, nil
@@ -103,48 +104,50 @@ func (f *FollowerRepository) setPos(pos wal.Position) {
 }
 
 // WipeFollowerState deletes every file OpenFollower/InstallBootstrap
-// manage in dir — manifest, doc snapshots, WAL segments, temp files —
+// manage in dir — packs, WAL segments, temp files, and the files of the
+// per-file layout packs replaced —
 // returning the directory to the fresh state a bootstrap can install
 // into. Unrelated files are left alone. This is the replica layer's
 // recovery from an unreadable follower directory: a follower's state
 // is a pure function of its leader, so wiping loses nothing a
 // re-bootstrap does not restore.
-func WipeFollowerState(dir string) error { return sweepDir(dir, nil) }
+func WipeFollowerState(dir string) error { return sweepDir(dir, math.MaxUint64, nil) }
 
 // InstallBootstrap replaces the follower's whole state with a leader
-// checkpoint image: snapshot files are written first, as one batch
-// (up to eight writers write and fsync temp files, which are then
-// renamed into place under one directory fsync), then every old
-// segment is deleted, a fresh empty segment is created at the image's
-// first live index, and the manifest write commits the switch — after
-// which the core recovery rebuilds the in-memory repository from the
-// installed files and swaps it in (open snapshots on the old state
-// stay valid; their versions are reference-counted).
+// checkpoint image: the old log is closed, every old segment and every
+// pack but the image's older ones are deleted, the image's older packs
+// are written, a fresh empty segment is created at the image's
+// first live index, and the image's current pack is written last — its
+// rename is the commit point — after which the core recovery rebuilds
+// the in-memory repository from the installed files and swaps it in
+// (open snapshots on the old state stay valid; their versions are
+// reference-counted).
 //
-// Writing the snapshot files destroys nothing; a failure there leaves
-// the follower as it was, but for orphan snapshot files the next sweep
-// removes. Every later step destroys part of the old state, so from
-// the segment wipe on the old log is closed and a failure leaves the
-// follower with no installed state, exactly like a fresh directory:
-// ApplyRecord and BeginSegment refuse, Position is zero, and the next
-// session's Hello forces a new bootstrap, which installs over whatever
-// this attempt left behind. A crash between the segment wipe and the
-// manifest write leaves the OLD manifest pointing at deleted segments;
-// OpenFollower then fails with ErrReplay and the replica layer wipes
-// and re-bootstraps — documented, reconstructible-by-design recovery,
-// not data loss.
+// The old state dies at the first step, so a failure at any step
+// leaves the follower with no installed state, exactly like a fresh
+// directory: ApplyRecord and BeginSegment refuse, Position is zero, and
+// the next session's Hello forces a new bootstrap, which installs over
+// whatever this attempt left behind. A crash before the commit point
+// leaves either no pack (the follower reopens empty) or older packs
+// whose first live segment is gone; OpenFollower then fails with
+// ErrReplay and the replica layer wipes and re-bootstraps — documented,
+// reconstructible-by-design recovery, not data loss.
 func (f *FollowerRepository) InstallBootstrap(img store.BootstrapImage) (err error) {
 	f.commitMu.Lock()
 	defer f.commitMu.Unlock()
 	if f.closed {
 		return ErrClosed
 	}
-	// Step 1: snapshot files, as one batch (store.WriteFiles); until
-	// the manifest switch they are orphans a recovery sweep may delete.
-	if err := store.WriteFiles(f.dir, len(img.Files), func(i int) (string, []byte) {
-		return img.Files[i].Name, img.Files[i].Data
-	}, f.hooks.afterSnapFile); err != nil {
-		return err
+	// The image's older packs: their names come off the wire, so each
+	// must name a pack older than the current one before anything is
+	// destroyed or written.
+	keep := make(map[uint64]int64, len(img.Files))
+	for _, file := range img.Files {
+		gen, ok := store.ParsePackName(file.Name)
+		if !ok || gen >= img.Manifest.Gen {
+			return fmt.Errorf("%w: bootstrap file %q is not a pack older than %s", store.ErrCorrupt, file.Name, store.PackName(img.Manifest.Gen))
+		}
+		keep[gen] = int64(len(file.Data))
 	}
 	// The old state dies here. Its log is closed first so no later
 	// append can land in an unlinked segment; the old in-memory
@@ -160,32 +163,39 @@ func (f *FollowerRepository) InstallBootstrap(img store.BootstrapImage) (err err
 			f.mem.Store(New(f.opts.Repo))
 		}
 	}()
-	// Step 2: drop the old segment set — it belongs to the state being
+	// Step 1: drop the old segment set — it belongs to the state being
 	// replaced and is not contiguous with the image's WAL range — and
-	// the old state's snapshot files with it.
-	keep := store.Manifest{WALFirst: math.MaxUint64, Docs: img.Manifest.Docs}
-	if err := sweepDir(f.dir, &keep); err != nil {
+	// every pack but the image's older ones, which step 2 rewrites.
+	if err := sweepDir(f.dir, math.MaxUint64, keep); err != nil {
 		return err
 	}
 	if f.hooks.afterSegments != nil {
 		f.hooks.afterSegments()
 	}
+	// Step 2: the older packs the current one references.
+	for _, file := range img.Files {
+		if err := store.WriteFileAtomic(filepath.Join(f.dir, file.Name), file.Data); err != nil {
+			return err
+		}
+		if f.hooks.afterPackFile != nil {
+			f.hooks.afterPackFile(file.Name)
+		}
+	}
 	// Step 3: an empty segment at the image's first live index, so the
-	// manifest never references a missing segment once it lands.
+	// current pack never references a missing segment once it lands.
 	if err := emptySegment(f.dir, img.Manifest.WALFirst, f.opts.walOptions()); err != nil {
 		return err
 	}
 	if f.hooks.afterWAL != nil {
 		f.hooks.afterWAL()
 	}
-	// Step 4: the manifest write is the commit point. The leader's raw
-	// bytes are written back verbatim, keeping the installed manifest
-	// byte-identical to the leader's.
-	if err := store.WriteFileAtomic(filepath.Join(f.dir, store.ManifestName), img.Raw); err != nil {
+	// Step 4: the current pack is the commit point, the leader's bytes
+	// written back verbatim.
+	if err := store.WriteFileAtomic(filepath.Join(f.dir, store.PackName(img.Manifest.Gen)), img.Raw); err != nil {
 		return err
 	}
-	if f.hooks.afterManifest != nil {
-		f.hooks.afterManifest()
+	if f.hooks.afterPack != nil {
+		f.hooks.afterPack()
 	}
 	// Step 5: recover from the installed files, as a restart would.
 	return f.reload()

@@ -1,14 +1,14 @@
 package repo
 
 // Bootstrap kill-point matrix for the follower: a crash is injected
-// after every externally visible step of InstallBootstrap (each
-// snapshot file, the segment wipe, the fresh log, the manifest
-// switch) by imaging the directory at that instant. Every image must
-// recover along the documented path — either it opens directly
-// (before the segment wipe the old state is intact; after the
-// manifest switch the new state is) or it fails with ErrReplay and,
-// after WipeFollowerState, reaches the leader's state via a fresh
-// bootstrap. No image may open silently wrong.
+// after every externally visible step of InstallBootstrap (the wipe of
+// the old segments and packs, each older pack of the image, the fresh
+// log, the pack switch) by imaging the directory at that instant. Every
+// image must recover along the documented path — either it opens
+// directly (empty before any pack of the image lands; the new state
+// after the switch) or it fails with ErrReplay and, after
+// WipeFollowerState, reaches the leader's state via a fresh bootstrap.
+// No image may open silently wrong.
 
 import (
 	"errors"
@@ -56,6 +56,12 @@ func TestFollowerBootstrapKillPoints(t *testing.T) {
 	}
 	defer leader.Close()
 	seedAndBatch(t, leader, 4)
+	// A document no later commit touches, large enough that the first
+	// checkpoint's pack stays referenced: the second image holds an
+	// older pack beside its current one.
+	if err := leader.Open("shelf", mustParse(t, "<shelf>"+strings.Repeat("<item>unchanged</item>", 20)+"</shelf>"), "qed"); err != nil {
+		t.Fatal(err)
+	}
 	if err := leader.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -94,19 +100,19 @@ func TestFollowerBootstrapKillPoints(t *testing.T) {
 
 	type killPoint struct{ label, dir string }
 	var points []killPoint
-	snapCount := 0
-	f.hooks.afterSnapFile = func(file string) {
-		snapCount++
-		points = append(points, killPoint{fmt.Sprintf("after snap file %d (%s)", snapCount, file), imageDir(t, fdir)})
-	}
+	packCount := 0
 	f.hooks.afterSegments = func() {
 		points = append(points, killPoint{"after segment wipe", imageDir(t, fdir)})
+	}
+	f.hooks.afterPackFile = func(file string) {
+		packCount++
+		points = append(points, killPoint{fmt.Sprintf("after pack file %d (%s)", packCount, file), imageDir(t, fdir)})
 	}
 	f.hooks.afterWAL = func() {
 		points = append(points, killPoint{"after fresh log", imageDir(t, fdir)})
 	}
-	f.hooks.afterManifest = func() {
-		points = append(points, killPoint{"after manifest switch", imageDir(t, fdir)})
+	f.hooks.afterPack = func() {
+		points = append(points, killPoint{"after pack switch", imageDir(t, fdir)})
 	}
 	if err := f.InstallBootstrap(img2); err != nil {
 		t.Fatal(err)
@@ -114,8 +120,8 @@ func TestFollowerBootstrapKillPoints(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if len(points) < 4 {
-		t.Fatalf("only %d kill points captured", len(points))
+	if len(points) < 4 || packCount == 0 {
+		t.Fatalf("only %d kill points captured, %d of them older packs", len(points), packCount)
 	}
 
 	for _, kp := range points {
@@ -123,9 +129,9 @@ func TestFollowerBootstrapKillPoints(t *testing.T) {
 			t.Parallel()
 			rec, err := OpenFollower(kp.dir, opts)
 			if err != nil {
-				// The documented unrecoverable window (manifest pointing
-				// at wiped segments): must be exactly ErrReplay, and the
-				// wipe path must yield a working empty follower.
+				// The documented unrecoverable window (a pack whose first
+				// live segment is gone): must be exactly ErrReplay, and
+				// the wipe path must yield a working empty follower.
 				if !errors.Is(err, ErrReplay) {
 					t.Fatalf("open failed with %v, want ErrReplay", err)
 				}
@@ -162,12 +168,13 @@ func TestFollowerBootstrapKillPoints(t *testing.T) {
 
 // TestBootstrapImageDuringCheckpoints takes images while a writer
 // commits and checkpoints in a loop. The writer moves only the last of
-// 64 documents, the file an image reads last, so a checkpoint that
-// could switch and sweep mid-read would retire it under the reader.
-// BootstrapImage reads under the checkpoint lock, so every image is
-// whole: it holds exactly the files its manifest names, each decoding
-// under its entry's name, and the last one installs into a fresh
-// follower, which recovers it.
+// 64 documents, so every checkpoint writes a new pack that references
+// an older one, and a checkpoint that could switch and sweep mid-read
+// would retire a pack under the reader. BootstrapImage reads under the
+// checkpoint lock, so every image is whole: it holds exactly the packs
+// its current pack references, every entry's record decoding under its
+// name, and the last one installs into a fresh follower, which recovers
+// it.
 func TestBootstrapImageDuringCheckpoints(t *testing.T) {
 	var names []string
 	for i := 0; i < 64; i++ {
@@ -221,23 +228,30 @@ func TestBootstrapImageDuringCheckpoints(t *testing.T) {
 		if img, err = leader.BootstrapImage(); err != nil {
 			t.Fatalf("image %d: %v", i, err)
 		}
-		if len(img.Files) != len(img.Manifest.Docs) || len(img.Files) != len(names) {
-			t.Fatalf("image %d holds %d files for %d manifest entries, want %d", i, len(img.Files), len(img.Manifest.Docs), len(names))
+		if len(img.Manifest.Docs) != len(names) {
+			t.Fatalf("image %d has %d entries, want %d", i, len(img.Manifest.Docs), len(names))
 		}
+		packs := map[uint64][]byte{img.Manifest.Gen: img.Raw}
+		for _, file := range img.Files {
+			gen, _ := store.ParsePackName(file.Name)
+			packs[gen] = file.Data
+		}
+		referenced := map[uint64]bool{img.Manifest.Gen: true}
 		clear(want)
-		for j, e := range img.Manifest.Docs {
-			if img.Files[j].Name != e.File {
-				t.Fatalf("image %d file %d is %s, manifest names %s", i, j, img.Files[j].Name, e.File)
-			}
-			snap, err := store.UnmarshalDocSnap(img.Files[j].Data)
-			if err != nil || snap.Name != e.Name {
-				t.Fatalf("image %d file %s: document %q, err %v; want %q", i, e.File, snap.Name, err, e.Name)
+		for _, e := range img.Manifest.Docs {
+			referenced[e.Ref.Gen] = true
+			snap, err := store.UnmarshalRecord(packs[e.Ref.Gen], e)
+			if err != nil {
+				t.Fatalf("image %d: %s: %v", i, e.Name, err)
 			}
 			doc, err := update.DecodeDocTree(snap.Tree)
 			if err != nil {
-				t.Fatalf("image %d file %s: %v", i, e.File, err)
+				t.Fatalf("image %d: %s: %v", i, e.Name, err)
 			}
 			want[e.Name] = doc.XML()
+		}
+		if len(referenced) != len(packs) {
+			t.Fatalf("image %d holds %d packs, its entries reference %d", i, len(packs), len(referenced))
 		}
 	}
 	if err := finish(); err != nil {
@@ -271,8 +285,8 @@ func TestBootstrapImageDuringCheckpoints(t *testing.T) {
 
 // TestFollowerFailedInstallLeavesNoInstalledState pins the regression:
 // an InstallBootstrap that fails after it has destroyed the old state
-// (here: an image whose snapshot file fails its checksum, so the reload
-// rejects it once the new manifest is already on disk) must not leave
+// (here: an image whose current pack fails its checksum, so the reload
+// rejects it once the pack is already on disk) must not leave
 // the follower appending to the old, unlinked log. It ends with no
 // installed state, exactly like a fresh directory — stream records are
 // refused, the position is zero so the next Hello forces a bootstrap —
@@ -308,10 +322,8 @@ func TestFollowerFailedInstallLeavesNoInstalledState(t *testing.T) {
 	}
 
 	bad := good
-	bad.Files = append([]store.BootstrapFile(nil), good.Files...)
-	flipped := append([]byte(nil), bad.Files[0].Data...)
-	flipped[len(flipped)/2] ^= 0xFF
-	bad.Files[0].Data = flipped
+	bad.Raw = append([]byte(nil), good.Raw...)
+	bad.Raw[len(bad.Raw)/2] ^= 0xFF
 	if err := f.InstallBootstrap(bad); !errors.Is(err, ErrReplay) {
 		t.Fatalf("install of a corrupt image: %v, want ErrReplay", err)
 	}
@@ -334,6 +346,48 @@ func TestFollowerFailedInstallLeavesNoInstalledState(t *testing.T) {
 	}
 	if got := followerStateXML(t, f); !reflect.DeepEqual(got, want) {
 		t.Fatalf("state after re-bootstrap diverged:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestInstallBootstrapRefusesForeignFiles: an image's older files come
+// off the wire, so one that is not a pack older than the image's
+// current one — a path outside the directory, the current pack's own
+// name — is refused with ErrCorrupt before anything is destroyed: the
+// follower keeps serving its installed state.
+func TestInstallBootstrapRefusesForeignFiles(t *testing.T) {
+	t.Parallel()
+	leaderDir := t.TempDir()
+	leader, err := OpenDurable(leaderDir, DurableOptions{AutoCheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	seedAndBatch(t, leader, 2)
+	if err := leader.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	good, err := store.LoadBootstrapImage(leaderDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := crashStateXML(t, leader)
+	f, err := OpenFollower(t.TempDir(), DurableOptions{AutoCheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.InstallBootstrap(good); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"../escape.pack", store.PackName(good.Manifest.Gen), "wal-00000001.log"} {
+		bad := good
+		bad.Files = []store.BootstrapFile{{Name: name, Data: []byte("x")}}
+		if err := f.InstallBootstrap(bad); !errors.Is(err, store.ErrCorrupt) {
+			t.Fatalf("image with file %q: %v, want ErrCorrupt", name, err)
+		}
+		if got := followerStateXML(t, f); !reflect.DeepEqual(got, want) || f.Position() == (wal.Position{}) {
+			t.Fatalf("a refused image with file %q changed the installed state", name)
+		}
 	}
 }
 

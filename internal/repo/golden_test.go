@@ -109,7 +109,7 @@ func TestGoldenWALBytes(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(replayDir, wal.SegmentName(1)), golden, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.WriteManifest(replayDir, store.Manifest{Gen: 1, WALFirst: 1}); err != nil {
+	if err := os.WriteFile(filepath.Join(replayDir, store.PackName(1)), store.MarshalPack(&store.Pack{Gen: 1, WALFirst: 1}, nil), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	assertImageRecovers(t, "golden fixture", replayDir, 1, want)
@@ -144,12 +144,13 @@ func TestGoldenWALBytes(t *testing.T) {
 	}
 }
 
-// checkpointSnapshotDigest is the SHA-256 of the document snapshot
-// files TestCheckpointSnapshotBytes writes, taken from the code before
+// checkpointSnapshotDigest is the SHA-256 of the document records
+// TestCheckpointSnapshotBytes writes, taken from the code before
 // checkpoints encoded from the persistent root: that change must not
-// move a byte. Snapshot files are as frozen as the log.
-// The compact tree grammar of version-8 doc-snaps moved it, on purpose.
-const checkpointSnapshotDigest = "2ec8cf958d4cceff12be94a91f55a5957c5f1fb7b70aa37e687bc9df2c7026a8"
+// move a byte. Records are as frozen as the log. The compact tree
+// grammar of version-8 doc-snaps moved it, on purpose, and so did the
+// version-9 pack record that replaced the doc-snap file.
+const checkpointSnapshotDigest = "7c174cf4e32a834d6be903f22b0d51b34c447861687f9af52dc87d4eae242ae1"
 
 // A checkpoint encodes each dirty document from its pinned version's
 // persistent tree. The bytes must be the ones the live tree encodes
@@ -179,29 +180,28 @@ func TestCheckpointSnapshotBytes(t *testing.T) {
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	man, err := store.ReadManifest(dir)
+	pack, packs, err := store.ReadPacks(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(man.Docs) != 2 {
-		t.Fatalf("manifest lists %d documents, want alpha and gamma", len(man.Docs))
+	if len(pack.Docs) != 2 {
+		t.Fatalf("pack lists %d documents, want alpha and gamma", len(pack.Docs))
 	}
 	sum := sha256.New()
-	for _, e := range man.Docs {
-		got, err := os.ReadFile(filepath.Join(dir, e.File))
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, e := range pack.Docs {
+		got := packs[e.Ref.Gen][e.Ref.Off : e.Ref.Off+e.Ref.Len]
 		var want []byte
 		if err := d.View(e.Name, func(s *update.Session) error {
 			scheme, _ := d.Scheme(e.Name)
-			want = store.MarshalDocSnap(store.DocSnap{Name: e.Name, Scheme: scheme, Tree: update.EncodeDocTree(s.Document())})
+			one := store.Pack{Docs: []store.PackDoc{{Name: e.Name}}}
+			data := store.MarshalPack(&one, []store.DocSnap{{Name: e.Name, Scheme: scheme, Tree: update.EncodeDocTree(s.Document())}})
+			want = data[one.Docs[0].Ref.Off : one.Docs[0].Ref.Off+one.Docs[0].Ref.Len]
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: checkpointed %d bytes, the live tree encodes to %d different ones", e.File, len(got), len(want))
+			t.Fatalf("%s: checkpointed %d bytes, the live tree encodes to %d different ones", e.Name, len(got), len(want))
 		}
 		sum.Write(got)
 	}

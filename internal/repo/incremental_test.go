@@ -1,7 +1,8 @@
 package repo
 
-// Incremental-checkpoint coverage: the O(dirty) file-write guarantee,
-// a randomized recovery-equivalence property, and the interaction of
+// Incremental-checkpoint coverage: the O(dirty) record-write guarantee,
+// compaction's bound on dead pack bytes, a randomized
+// recovery-equivalence property, and the interaction of
 // in-memory versioning (SnapshotAt / VersionStats) with checkpoints
 // and recovery.
 
@@ -9,20 +10,36 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"path/filepath"
+	"os"
 	"reflect"
+	"slices"
 	"testing"
 
 	"xmldyn/internal/store"
 	"xmldyn/internal/update"
+	"xmldyn/internal/wal"
 	"xmldyn/internal/xmltree"
 )
 
-// TestIncrementalCheckpointWritesOnlyDirtyDocs is the tentpole
+// dirNames lists the names in dir, sorted.
+func dirNames(t testing.TB, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return names
+}
+
+// TestIncrementalCheckpointWritesOnlyDirtyDocs is the incremental
 // guarantee: with 256 live documents and one commit since the last
-// checkpoint, the next checkpoint writes exactly ONE snapshot file —
-// every other manifest entry reuses the previous generation's file
-// byte-for-byte.
+// checkpoint, the next checkpoint writes ONE record — every other entry
+// references the previous generation's record — and adds exactly one
+// file besides its fresh segment: its pack.
 func TestIncrementalCheckpointWritesOnlyDirtyDocs(t *testing.T) {
 	const docs = 256
 	dir := t.TempDir()
@@ -41,17 +58,8 @@ func TestIncrementalCheckpointWritesOnlyDirtyDocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseGen := d.Generation()
-
-	countGen := func(gen uint64) int {
-		t.Helper()
-		matches, err := filepath.Glob(filepath.Join(dir, fmt.Sprintf("doc-*-%06d.snap", gen)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(matches)
-	}
-	if got := countGen(baseGen); got != docs {
-		t.Fatalf("full checkpoint wrote %d files, want %d", got, docs)
+	if got := len(ownRecords(t, dir)); got != docs {
+		t.Fatalf("full checkpoint wrote %d records, want %d", got, docs)
 	}
 
 	// One commit, one dirty document.
@@ -63,26 +71,34 @@ func TestIncrementalCheckpointWritesOnlyDirtyDocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := docXML(t, d, touched)
+	before := dirNames(t, dir)
+	_, active, _ := d.SegmentRange()
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	newGen := d.Generation()
-	if got := countGen(newGen); got != 1 {
-		t.Fatalf("incremental checkpoint wrote %d files at generation %d, want exactly 1", got, newGen)
+	if got := ownRecords(t, dir); !reflect.DeepEqual(got, []string{touched}) {
+		t.Fatalf("incremental checkpoint wrote the records of %v at generation %d, want [%s]", got, newGen, touched)
 	}
-	if got := countGen(baseGen); got != docs-1 {
-		t.Fatalf("%d generation-%d files survive, want %d (only the touched one retired)", got, baseGen, docs-1)
+	var added []string
+	for _, name := range dirNames(t, dir) {
+		if !slices.Contains(before, name) {
+			added = append(added, name)
+		}
 	}
-	man, err := store.ReadManifest(dir)
+	if want := []string{store.PackName(newGen), wal.SegmentName(active + 1)}; !reflect.DeepEqual(added, want) {
+		t.Fatalf("the checkpoint added %v to the directory, want its pack and its fresh segment %v", added, want)
+	}
+	man, _, err := store.ReadPacks(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(man.Docs) != docs {
-		t.Fatalf("manifest has %d entries, want %d", len(man.Docs), docs)
+		t.Fatalf("pack has %d entries, want %d", len(man.Docs), docs)
 	}
 	fresh := 0
 	for _, e := range man.Docs {
-		switch e.Gen {
+		switch e.Ref.Gen {
 		case baseGen:
 		case newGen:
 			fresh++
@@ -90,11 +106,11 @@ func TestIncrementalCheckpointWritesOnlyDirtyDocs(t *testing.T) {
 				t.Fatalf("entry %q carries the new generation; only %q moved", e.Name, touched)
 			}
 		default:
-			t.Fatalf("entry %q at unexpected generation %d", e.Name, e.Gen)
+			t.Fatalf("entry %q at unexpected generation %d", e.Name, e.Ref.Gen)
 		}
 	}
 	if fresh != 1 {
-		t.Fatalf("%d manifest entries at the new generation, want 1", fresh)
+		t.Fatalf("%d entries at the new generation, want 1", fresh)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -117,9 +133,9 @@ func TestIncrementalCheckpointWritesOnlyDirtyDocs(t *testing.T) {
 }
 
 // TestCheckpointAfterRestartRewritesOnlyReplayedDocs: after a crash, a
-// document recovery loads from its snapshot file and replay leaves
-// untouched is clean, so the first checkpoint after the restart reuses
-// its file. Only the documents the log moved are rewritten: one a batch
+// document recovery loads from its record and replay leaves untouched
+// is clean, so the first checkpoint after the restart references its
+// record. Only the documents the log moved are rewritten: one a batch
 // changed, and one dropped and opened again under the same name — a new
 // document, whatever its version sequence says.
 func TestCheckpointAfterRestartRewritesOnlyReplayedDocs(t *testing.T) {
@@ -152,7 +168,7 @@ func TestCheckpointAfterRestartRewritesOnlyReplayedDocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	oracle := crashStateXML(t, d)
-	before, err := store.ReadManifest(dir)
+	before, _, err := store.ReadPacks(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,17 +185,17 @@ func TestCheckpointAfterRestartRewritesOnlyReplayedDocs(t *testing.T) {
 	if err := rec.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	after, err := store.ReadManifest(dir)
+	after, _, err := store.ReadPacks(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := map[string]store.ManifestDoc{}
+	prev := map[string]store.PackDoc{}
 	for _, e := range before.Docs {
 		prev[e.Name] = e
 	}
 	var rewritten []string
 	for _, e := range after.Docs {
-		if e.Gen == after.Gen {
+		if e.Ref.Gen == after.Gen {
 			rewritten = append(rewritten, e.Name)
 		} else if e != prev[e.Name] {
 			t.Errorf("clean entry %+v changed, was %+v", e, prev[e.Name])
@@ -187,13 +203,6 @@ func TestCheckpointAfterRestartRewritesOnlyReplayedDocs(t *testing.T) {
 	}
 	if len(after.Docs) != len(names) || !reflect.DeepEqual(rewritten, []string{"a", "b"}) {
 		t.Fatalf("%d entries, rewritten %v; want %d entries, rewritten [a b]", len(after.Docs), rewritten, len(names))
-	}
-	matches, err := filepath.Glob(filepath.Join(dir, fmt.Sprintf("doc-*-%06d.snap", after.Gen)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) != 2 {
-		t.Fatalf("%d files carry generation %d, want 2", len(matches), after.Gen)
 	}
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
@@ -210,48 +219,102 @@ func TestCheckpointAfterRestartRewritesOnlyReplayedDocs(t *testing.T) {
 
 // TestCheckpointAfterAbortsWritesNothing: aborted transactions make no
 // document dirty. A checkpoint that follows only aborts writes no
-// doc-*.snap file and its manifest reuses every entry of the previous
-// generation (abortRig and abortForms: timetravel_test.go).
+// record: its pack references every record of the previous generation
+// (abortRig and abortForms: timetravel_test.go).
 func TestCheckpointAfterAbortsWritesNothing(t *testing.T) {
 	rig := newAbortRig(t, true, 0)
 	d := rig.dur
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	snapFiles := func() []string {
-		t.Helper()
-		matches, err := filepath.Glob(filepath.Join(rig.dir, "doc-*.snap"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return matches
-	}
-	man, err := store.ReadManifest(rig.dir)
+	man, _, err := store.ReadPacks(rig.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	files := snapFiles()
 	for i := range abortForms {
 		mustAbort(t, rig, i)
 	}
-	wrote := 0
-	d.hooks.afterSnapFile = func(string) { wrote++ }
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	d.hooks = stepHooks{}
-	if wrote != 0 {
-		t.Errorf("the checkpoint after three aborts wrote %d snapshot files, want 0", wrote)
+	if got := ownRecords(t, rig.dir); len(got) != 0 {
+		t.Errorf("the checkpoint after three aborts wrote the records of %v, want none", got)
 	}
-	if got := snapFiles(); !reflect.DeepEqual(got, files) {
-		t.Errorf("snapshot files after the checkpoint:\n got %v\nwant %v", got, files)
-	}
-	next, err := store.ReadManifest(rig.dir)
+	next, _, err := store.ReadPacks(rig.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if next.Gen != man.Gen+1 || !reflect.DeepEqual(next.Docs, man.Docs) {
-		t.Errorf("manifest entries not reused:\n got gen %d %+v\nwant gen %d %+v", next.Gen, next.Docs, man.Gen+1, man.Docs)
+		t.Errorf("entries not reused:\n got gen %d %+v\nwant gen %d %+v", next.Gen, next.Docs, man.Gen+1, man.Docs)
+	}
+}
+
+// TestCheckpointCompactsHalfDeadPacks: 64 documents, Zipf(1.2) commits
+// and 30 checkpoints. Hot documents leave the older packs behind, and a
+// pack whose live records fall below half its size is compacted, so
+// after every checkpoint the packs on disk are the current one and the
+// packs it references, no more; their bytes are at most twice the bytes
+// of the records the current pack's entries name; and a crash copy
+// recovers to the leader's state.
+func TestCheckpointCompactsHalfDeadPacks(t *testing.T) {
+	const docs = 64
+	dir := t.TempDir()
+	d, err := OpenDurable(dir, DurableOptions{AutoCheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	name := func(i uint64) string { return fmt.Sprintf("d%02d", i) }
+	for i := range uint64(docs) {
+		if err := d.Open(name(i), mustParse(t, fmt.Sprintf(`<d n="%d"><seed/></d>`, i)), "qed"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.2, 1, docs-1)
+	compacted := 0
+	for c := 0; c < 30; c++ {
+		touched := map[string]bool{}
+		for range 20 {
+			n := name(zipf.Uint64())
+			touched[n] = true
+			if _, err := d.Batch(n, func(doc *xmltree.Document, b *update.Batch) error {
+				b.AppendChild(doc.Root(), fmt.Sprintf("c%d", c))
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		pack, packs, err := store.ReadPacks(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var live, onDisk int64
+		for _, e := range pack.Docs {
+			live += int64(e.Ref.Len)
+			if c > 0 && e.Ref.Gen == pack.Gen && !touched[e.Name] {
+				compacted++ // a clean document, rewritten to retire its old pack
+			}
+		}
+		for _, file := range dirNames(t, dir) {
+			gen, ok := store.ParsePackName(file)
+			if !ok {
+				continue
+			}
+			if _, ok := packs[gen]; !ok {
+				t.Fatalf("checkpoint %d: %s is neither the current pack nor referenced by it", c, file)
+			}
+			onDisk += int64(len(packs[gen]))
+		}
+		if onDisk > 2*live {
+			t.Fatalf("checkpoint %d: %d pack bytes on disk for %d live record bytes", c, onDisk, live)
+		}
+		assertImageRecovers(t, fmt.Sprintf("checkpoint %d", c), imageDir(t, dir), 0, crashStateXML(t, d))
+	}
+	if compacted == 0 {
+		t.Fatal("no checkpoint compacted a pack")
 	}
 }
 

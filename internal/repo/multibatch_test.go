@@ -625,11 +625,11 @@ func TestOpenDropReopenAcrossSegments(t *testing.T) {
 	}
 }
 
-// A failing Checkpoint must not leave snapshot orphans behind: a
-// repeatedly failing checkpoint would otherwise accumulate one file
-// per try. The fresh segment a failed manifest switch leaves is NOT
-// an orphan — post-cut commits may already live in it, so it stays
-// the live tail (cost: one near-empty segment per failed attempt).
+// A failing Checkpoint must not leave orphans behind: a repeatedly
+// failing checkpoint would otherwise accumulate one file per try. The
+// fresh segment a failed pack switch leaves is NOT an orphan — post-cut
+// commits may already live in it, so it stays the live tail (cost: one
+// near-empty segment per failed attempt).
 func TestCheckpointFailureLeavesNoOrphans(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDurable(dir, DurableOptions{AutoCheckpointBytes: -1})
@@ -639,15 +639,15 @@ func TestCheckpointFailureLeavesNoOrphans(t *testing.T) {
 	defer d.Close()
 	seedAndBatch(t, d, 4)
 
-	snapFiles := func() []string {
+	// orphans lists the packs newer than the current generation, and
+	// the files of the per-file layout packs replaced.
+	orphans := func() []string {
 		t.Helper()
 		var got []string
-		for _, pat := range []string{"doc-*.snap", "snapshot-*.xdyn"} {
-			matches, err := filepath.Glob(filepath.Join(dir, pat))
-			if err != nil {
-				t.Fatal(err)
+		for _, name := range dirNames(t, dir) {
+			if gen, ok := store.ParsePackName(name); ok && gen > d.gen || store.IsLegacyName(name) {
+				got = append(got, name)
 			}
-			got = append(got, matches...)
 		}
 		return got
 	}
@@ -655,7 +655,7 @@ func TestCheckpointFailureLeavesNoOrphans(t *testing.T) {
 
 	// Failure mode 1: segment creation fails (the next segment's path
 	// is taken by a directory). The checkpoint aborts at the cut,
-	// before any snapshot is written — twice, to prove nothing
+	// before any pack is written — twice, to prove nothing
 	// accumulates — and the repository keeps committing on the old log.
 	blockSeg := filepath.Join(dir, wal.SegmentName(active+1))
 	if err := os.Mkdir(blockSeg, 0o755); err != nil {
@@ -665,8 +665,8 @@ func TestCheckpointFailureLeavesNoOrphans(t *testing.T) {
 		if err := d.Checkpoint(); err == nil {
 			t.Fatal("checkpoint succeeded despite blocked segment creation")
 		}
-		if got := snapFiles(); len(got) != 0 {
-			t.Fatalf("failed checkpoint left snapshot orphans: %v", got)
+		if got := orphans(); len(got) != 0 {
+			t.Fatalf("failed checkpoint left orphans: %v", got)
 		}
 	}
 	if _, err := d.Batch("books", func(doc *xmltree.Document, b *update.Batch) error {
@@ -676,24 +676,37 @@ func TestCheckpointFailureLeavesNoOrphans(t *testing.T) {
 		t.Fatalf("commit after aborted cut: %v", err)
 	}
 
-	// Failure mode 2: the manifest switch fails (its temp path is
-	// taken by a directory). The attempt's snapshot files must be
-	// removed, but the fresh segment created at the cut survives as
-	// the live tail: the old manifest plus the contiguous segment
-	// chain still replays everything, including commits made after
-	// the failed attempt.
+	// Failure mode 2: the pack write fails (its temp path is taken by a
+	// directory), with both documents dirty. The attempt must leave no
+	// pack and no temp file besides the blocker, but the fresh segment
+	// created at the cut survives as the live tail: the old pack plus
+	// the contiguous segment chain still replays everything, including
+	// commits made after the failed attempt.
 	if err := os.Remove(blockSeg); err != nil {
 		t.Fatal(err)
 	}
-	blockMan := filepath.Join(dir, "MANIFEST.tmp")
-	if err := os.Mkdir(blockMan, 0o755); err != nil {
+	if _, err := d.Batch("feeds", func(doc *xmltree.Document, b *update.Batch) error {
+		b.AppendChild(doc.Root(), "dirty")
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	blockPack := filepath.Join(dir, store.PackName(d.gen+1)+".tmp")
+	if err := os.Mkdir(blockPack, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Checkpoint(); err == nil {
-		t.Fatal("checkpoint succeeded despite blocked manifest write")
+		t.Fatal("checkpoint succeeded despite a blocked pack write")
 	}
-	if got := snapFiles(); len(got) != 0 {
-		t.Fatalf("failed checkpoint left snapshot orphans: %v", got)
+	if got := orphans(); len(got) != 0 {
+		t.Fatalf("failed checkpoint left orphans: %v", got)
+	}
+	tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tmps) != 1 || tmps[0] != blockPack {
+		t.Fatalf("failed checkpoint left temp files: %v", tmps)
 	}
 	if _, err := os.Stat(blockSeg); err != nil {
 		t.Fatalf("fresh segment (the post-cut live tail) missing: %v", err)
@@ -702,47 +715,7 @@ func TestCheckpointFailureLeavesNoOrphans(t *testing.T) {
 		b.AppendChild(doc.Root(), "after")
 		return nil
 	}); err != nil {
-		t.Fatalf("commit after failed manifest switch: %v", err)
-	}
-	// Failure mode 3: one dirty document's snapshot cannot be written
-	// (its temp path is taken by a directory). Both documents are
-	// dirty, so the batch has two writers: the checkpoint must fail
-	// before any rename, leave none of this attempt's doc-*.snap or
-	// temp files besides the blockers, and the repository must keep
-	// committing.
-	if _, err := d.Batch("feeds", func(doc *xmltree.Document, b *update.Batch) error {
-		b.AppendChild(doc.Root(), "dirty")
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	blockSnap := filepath.Join(dir, store.DocSnapName("books", d.gen+1, 0)+".tmp")
-	if err := os.Mkdir(blockSnap, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Checkpoint(); err == nil {
-		t.Fatal("checkpoint succeeded despite a blocked snapshot write")
-	}
-	if got := snapFiles(); len(got) != 0 {
-		t.Fatalf("failed snapshot batch left snapshot files: %v", got)
-	}
-	tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tmp := range tmps {
-		if tmp != blockSnap && tmp != blockMan {
-			t.Fatalf("failed snapshot batch left a temp file: %s", tmp)
-		}
-	}
-	if _, err := d.Batch("books", func(doc *xmltree.Document, b *update.Batch) error {
-		b.AppendChild(doc.Root(), "after-batch")
-		return nil
-	}); err != nil {
-		t.Fatalf("commit after failed snapshot batch: %v", err)
-	}
-	if err := os.Remove(blockSnap); err != nil {
-		t.Fatal(err)
+		t.Fatalf("commit after failed pack switch: %v", err)
 	}
 
 	// The succeeding checkpoint below routes recovery through a
@@ -751,7 +724,7 @@ func TestCheckpointFailureLeavesNoOrphans(t *testing.T) {
 
 	// Unblock: the next checkpoint must succeed, and recovery must see
 	// every commit made around the failed attempts.
-	if err := os.Remove(blockMan); err != nil {
+	if err := os.Remove(blockPack); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Checkpoint(); err != nil {

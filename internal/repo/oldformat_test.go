@@ -13,6 +13,7 @@ import (
 	"xmldyn/internal/labels"
 	"xmldyn/internal/repo"
 	"xmldyn/internal/store"
+	"xmldyn/internal/update"
 	"xmldyn/internal/wal"
 )
 
@@ -28,15 +29,28 @@ func sealed(out []byte) []byte {
 	return labels.AppendLEB128(out, h.Sum64())
 }
 
+// docSnap is a per-document snapshot file of the given version
+// holding tree under the qed scheme.
+func docSnap(version byte, name string, tree []byte) []byte {
+	out := labels.AppendString(append([]byte("XDYN"), version), name)
+	out = labels.AppendString(out, "qed")
+	out = labels.AppendLEB128(out, uint64(len(tree)))
+	return sealed(append(out, tree...))
+}
+
 // v6DocSnap is a version-6 doc-snap of <a/>, its tree in the grammar
 // before the compact one: kind, name, empty value, no attributes, no
 // children.
-func v6DocSnap(name string) []byte {
-	out := labels.AppendString(append([]byte("XDYN"), 6), name)
-	out = labels.AppendString(out, "qed")
-	tree := []byte{1, 1, 1, 'a', 0, 0, 0}
-	out = labels.AppendLEB128(out, uint64(len(tree)))
-	return sealed(append(out, tree...))
+func v6DocSnap(name string) []byte { return docSnap(6, name, []byte{1, 1, 1, 'a', 0, 0, 0}) }
+
+// v8DocSnap is a version-8 doc-snap of <a/> in the compact tree
+// grammar, the record packs replaced.
+func v8DocSnap(name string) []byte {
+	doc, err := xmldyn.ParseString("<a/>")
+	if err != nil {
+		panic(err)
+	}
+	return docSnap(8, name, update.EncodeDocTree(doc))
 }
 
 // dirFiles maps every file of dir to its bytes.
@@ -57,12 +71,13 @@ func dirFiles(t *testing.T, dir string) map[string]string {
 	return files
 }
 
-// TestOldFormatsRefused: bytes written in the tree grammar before the
-// compact one are refused by their version byte wherever they are
-// stored — a log segment, a checkpoint's doc-snap, a record inside a
-// repository image, a session image — and never misread as the new
-// grammar. Nothing migrates them, and a refused directory is left as it
-// was.
+// TestOldFormatsRefused: bytes written in a format this build does not
+// read are refused by their version byte — a log segment in the tree
+// grammar before the compact one, a session image in it or in the
+// version-8 doc-snap that packs replaced, a version-7 repository image
+// — and a directory in the per-file checkpoint layout packs replaced
+// is refused by its MANIFEST and doc-*.snap names. Nothing migrates
+// them, and a refused directory is left as it was.
 func TestOldFormatsRefused(t *testing.T) {
 	segment, err := os.ReadFile(v1Segment)
 	if err != nil {
@@ -77,7 +92,7 @@ func TestOldFormatsRefused(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(logDir, wal.SegmentName(1)), segment, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.WriteManifest(logDir, store.Manifest{Gen: 1, WALFirst: 1}); err != nil {
+	if err := os.WriteFile(filepath.Join(logDir, store.PackName(1)), store.MarshalPack(&store.Pack{Gen: 1, WALFirst: 1}, nil), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	before := dirFiles(t, logDir)
@@ -91,11 +106,13 @@ func TestOldFormatsRefused(t *testing.T) {
 		t.Errorf("a refused open changed the directory: %d files before, %d after", len(before), len(after))
 	}
 
-	// A directory that would open but for its version-6 doc-snap: an
-	// empty current segment 1 beside it.
+	// A directory in the per-file layout — a manifest naming a
+	// version-8 doc-snap, an empty current segment 1 beside them — has
+	// no pack, and would look fresh but for the refusal: generation 1
+	// written over it, its files swept.
 	snapDir := t.TempDir()
 	file := store.DocSnapName("old", 1, 0)
-	if err := os.WriteFile(filepath.Join(snapDir, file), v6DocSnap("old"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(snapDir, file), v8DocSnap("old"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(snapDir, wal.SegmentName(1)), append([]byte(wal.Magic), wal.Version), 0o644); err != nil {
@@ -105,17 +122,24 @@ func TestOldFormatsRefused(t *testing.T) {
 	if err := store.WriteManifest(snapDir, man); err != nil {
 		t.Fatal(err)
 	}
+	before = dirFiles(t, snapDir)
 	if d, err := repo.OpenDurable(snapDir, opts); !errors.Is(err, repo.ErrReplay) || !errors.Is(err, store.ErrBadVersion) {
 		if err == nil {
 			d.Close()
 		}
-		t.Errorf("a manifest naming a version-6 doc-snap: %v, want ErrReplay wrapping store.ErrBadVersion", err)
+		t.Errorf("a per-file layout directory: %v, want ErrReplay wrapping store.ErrBadVersion", err)
+	}
+	if after := dirFiles(t, snapDir); !maps.Equal(before, after) {
+		t.Errorf("a refused per-file layout directory changed: %d files before, %d after", len(before), len(after))
 	}
 
-	rec := v6DocSnap("old")
-	image := labels.AppendLEB128(labels.AppendLEB128(append([]byte("XDYN"), store.VersionRepo), 1), uint64(len(rec)))
-	if _, err := store.UnmarshalRepo(sealed(append(image, rec...))); !errors.Is(err, store.ErrBadVersion) {
-		t.Errorf("a version-%d image holding a version-6 record: %v, want store.ErrBadVersion", store.VersionRepo, err)
+	if _, err := xmldyn.Restore(v8DocSnap("")); !errors.Is(err, store.ErrBadVersion) {
+		t.Errorf("a version-8 session image: %v, want store.ErrBadVersion", err)
+	}
+	rec := v8DocSnap("old")
+	image := labels.AppendLEB128(labels.AppendLEB128(append([]byte("XDYN"), 7), 1), uint64(len(rec)))
+	if _, err := xmldyn.RestoreRepository(sealed(append(image, rec...)), xmldyn.RepoOptions{}); !errors.Is(err, store.ErrBadVersion) {
+		t.Errorf("a version-7 repository image: %v, want store.ErrBadVersion", err)
 	}
 
 	if _, err := xmldyn.Restore(v6DocSnap("")); !errors.Is(err, store.ErrBadVersion) {

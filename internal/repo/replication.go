@@ -28,10 +28,10 @@ func (d *DurableRepository) EndPosition() (wal.Position, bool) {
 	return d.log.Position(), true
 }
 
-// BootstrapImage reads the current checkpoint image: the manifest and
-// every snapshot file it names. It holds the checkpoint lock while it
-// reads, so no checkpoint can switch the manifest or retire a file the
-// image names in the middle, and the image is whole. A running
+// BootstrapImage reads the current checkpoint image: the current pack
+// and every older pack it references. It holds the checkpoint lock
+// while it reads, so no checkpoint can switch packs or retire one the
+// image needs in the middle, and the image is whole. A running
 // checkpoint delays the read until it finishes.
 func (d *DurableRepository) BootstrapImage() (store.BootstrapImage, error) {
 	d.ckptMu.Lock()

@@ -152,14 +152,14 @@ type Doc struct {
 	pubStamp uint64
 	stamp    uint64
 	hist     []*docVersion
-	// ckpt is what the leader's current manifest holds for this slot
-	// (durable.go): the snapshot file and the generation that wrote it;
-	// ckptSeq is the version sequence that file captures. ckpt.File is
-	// empty until a recovery loads the slot from its file or a
-	// checkpoint writes one, so a slot opened since — a dropped name
-	// reopened included — is dirty. Written before the repository is
-	// published, or under the leader's checkpoint lock.
-	ckpt    store.ManifestDoc
+	// ckpt is where the leader's current pack finds this slot's record
+	// (durable.go): the generation of the pack that holds it, its offset
+	// and its length; ckptSeq is the version sequence the record
+	// captures. ckpt.Gen is zero until a recovery loads the slot from a
+	// record or a checkpoint writes one, so a slot opened since — a
+	// dropped name reopened included — is dirty. Written before the
+	// repository is published, or under the leader's checkpoint lock.
+	ckpt    store.Ref
 	ckptSeq uint64
 }
 
@@ -487,8 +487,8 @@ func (r *Repository) Scheme(name string) (string, bool) {
 // read lock. It is always the full pass.
 func (r *Repository) Verify(name string) error { return r.View(name, (*update.Session).Verify) }
 
-// Save serialises every document into one version-7 store image — each
-// document a version-8 snapshot, as a checkpoint writes it — as a
+// Save serialises every document into one store image — a pack whose
+// every record is its own, each record as a checkpoint writes it — as a
 // consistent point-in-time snapshot: all document read locks are held
 // simultaneously while the trees are encoded, so the image never
 // captures a cross-document state that existed at no instant.
@@ -518,13 +518,13 @@ func (r *Repository) Save() ([]byte, error) {
 	for i, d := range held {
 		docs[i] = store.DocSnap{Name: d.name, Scheme: d.scheme, Tree: update.EncodeDocTree(d.sess.Document())}
 	}
-	return store.MarshalRepo(docs), nil
+	return store.MarshalImage(docs), nil
 }
 
 // Load rebuilds a repository from a Save image: every document is
 // decoded and reopened under its recorded scheme.
 func Load(data []byte, opts Options) (*Repository, error) {
-	docs, err := store.UnmarshalRepo(data)
+	docs, err := store.UnmarshalImage(data)
 	if err != nil {
 		return nil, err
 	}
@@ -537,9 +537,9 @@ func Load(data []byte, opts Options) (*Repository, error) {
 	return r, nil
 }
 
-// openSnap decodes a per-document snapshot's tree and opens it in r
-// under the snapshot's name and scheme: a Load, and a recovery's
-// checkpointed documents.
+// openSnap decodes a document record's tree and opens it in r under
+// the record's name and scheme: a Load, and a recovery's checkpointed
+// documents.
 func (r *Repository) openSnap(s store.DocSnap) error {
 	doc, err := update.DecodeDocTree(s.Tree)
 	if err == nil {

@@ -8,33 +8,23 @@ import (
 	"testing"
 )
 
-// TestLoadBootstrapImageRoundTrip writes a v5 manifest plus the
-// snapshot files it names and checks the loaded image carries the
-// manifest bytes verbatim and every file in manifest order.
+// TestLoadBootstrapImageRoundTrip writes a current pack that references
+// an older one, beside a pack neither is nor references, and checks the
+// loaded image carries the current pack's bytes verbatim and exactly the
+// older pack it references.
 func TestLoadBootstrapImageRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	m := Manifest{
-		Gen:      3,
-		WALFirst: 7,
-		Docs: []ManifestDoc{
-			{Name: "books", File: "docsnap-books-g2.xdyn", Gen: 2},
-			{Name: "feeds", File: "docsnap-feeds-g3.xdyn", Gen: 3},
-		},
-	}
-	raw := MarshalManifest(m)
-	if err := os.WriteFile(filepath.Join(dir, ManifestName), raw, 0o644); err != nil {
+	writePack(t, dir, Pack{Gen: 1, WALFirst: 1}, nil) // retired: nothing references it
+	older := writePack(t, dir, Pack{Gen: 2, WALFirst: 4, Docs: []PackDoc{{Name: "feeds", Ref: Ref{Gen: 2}}}},
+		[]DocSnap{{Name: "feeds", Scheme: "deweyid", Tree: []byte{7}}})
+	prev, err := UnmarshalPack(older)
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string][]byte{}
-	for _, d := range m.Docs {
-		data := []byte("snapshot bytes for " + d.Name)
-		want[d.File] = data
-		if err := os.WriteFile(filepath.Join(dir, d.File), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// An orphan file must not leak into the image.
-	if err := os.WriteFile(filepath.Join(dir, "docsnap-orphan-g1.xdyn"), []byte("orphan"), 0o644); err != nil {
+	m := Pack{Gen: 3, WALFirst: 7, Docs: []PackDoc{{Name: "books", Ref: Ref{Gen: 3}}, prev.Docs[0]}}
+	raw := writePack(t, dir, m, []DocSnap{{Name: "books", Scheme: "qed", Tree: []byte{1, 2}}})
+	want, err := UnmarshalPack(raw)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -42,37 +32,29 @@ func TestLoadBootstrapImageRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(img.Manifest, m) {
-		t.Fatalf("manifest round trip:\n got %+v\nwant %+v", img.Manifest, m)
+	if !reflect.DeepEqual(img.Manifest, want) {
+		t.Fatalf("pack round trip:\n got %+v\nwant %+v", img.Manifest, want)
 	}
 	if string(img.Raw) != string(raw) {
-		t.Fatal("raw manifest bytes differ from the file")
+		t.Fatal("raw pack bytes differ from the file")
 	}
-	if len(img.Files) != len(m.Docs) {
-		t.Fatalf("image holds %d files, want %d", len(img.Files), len(m.Docs))
-	}
-	for i, f := range img.Files {
-		if f.Name != m.Docs[i].File {
-			t.Fatalf("file %d is %q, want manifest order %q", i, f.Name, m.Docs[i].File)
-		}
-		if string(f.Data) != string(want[f.Name]) {
-			t.Fatalf("file %q bytes differ", f.Name)
-		}
+	if len(img.Files) != 1 || img.Files[0].Name != PackName(2) || string(img.Files[0].Data) != string(older) {
+		t.Fatalf("image holds %d older packs, want exactly %s byte for byte", len(img.Files), PackName(2))
 	}
 }
 
-// TestLoadBootstrapImageErrors pins the three failure classes: no
-// manifest (IsNotExist, the caller's retry signal), a version-4
-// manifest (ErrBadVersion: not a format this build reads), and a manifest
-// naming a missing snapshot file (IsNotExist again — a concurrent
-// checkpoint retired it; retry against the new manifest).
+// TestLoadBootstrapImageErrors pins the three failure classes: no pack
+// (not-exist: a fresh directory), a directory in the per-file layout
+// (ErrBadVersion: not a format this build reads), and a pack
+// referencing a missing one (ErrCorrupt: never mistaken for a fresh
+// directory).
 func TestLoadBootstrapImageErrors(t *testing.T) {
-	if _, err := LoadBootstrapImage(t.TempDir()); !os.IsNotExist(err) {
+	if _, err := LoadBootstrapImage(t.TempDir()); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("empty dir: %v, want not-exist", err)
 	}
 
 	v4 := t.TempDir()
-	if err := os.WriteFile(filepath.Join(v4, ManifestName), []byte(v4ManifestFixture), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(v4, legacyManifest), []byte(v4ManifestFixture), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadBootstrapImage(v4); !errors.Is(err, ErrBadVersion) {
@@ -80,11 +62,8 @@ func TestLoadBootstrapImageErrors(t *testing.T) {
 	}
 
 	retired := t.TempDir()
-	m := Manifest{Gen: 1, WALFirst: 1, Docs: []ManifestDoc{{Name: "a", File: "docsnap-a-g1.xdyn", Gen: 1}}}
-	if err := os.WriteFile(filepath.Join(retired, ManifestName), MarshalManifest(m), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadBootstrapImage(retired); !os.IsNotExist(err) {
-		t.Fatalf("retired snapshot file: %v, want not-exist", err)
+	writePack(t, retired, Pack{Gen: 2, WALFirst: 1, Docs: []PackDoc{{Name: "a", Ref: Ref{Gen: 1, Off: 9, Len: 20}}}}, nil)
+	if _, err := LoadBootstrapImage(retired); !errors.Is(err, ErrCorrupt) || errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("missing referenced pack: %v, want ErrCorrupt", err)
 	}
 }

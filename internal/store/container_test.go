@@ -39,8 +39,8 @@ func requireSameDocs(t *testing.T, got, want []DocSnap) {
 // each tree a window of the image rather than a copy.
 func TestRepoRoundTrip(t *testing.T) {
 	docs := buildRepo()
-	data := MarshalRepo(docs)
-	got, err := UnmarshalRepo(data)
+	data := MarshalImage(docs)
+	got, err := UnmarshalImage(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,27 +53,33 @@ func TestRepoRoundTrip(t *testing.T) {
 }
 
 func TestRepoEmpty(t *testing.T) {
-	got, err := UnmarshalRepo(MarshalRepo(nil))
+	got, err := UnmarshalImage(MarshalImage(nil))
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty image: %v, %d docs", err, len(got))
 	}
 }
 
-// TestRepoVersionMismatch: a per-document snapshot is not a repository
-// image and vice versa, and neither decoder reads the row-table formats
-// (version 1, the session snapshot, and version 2, the container).
+// TestRepoVersionMismatch: a session image is a one-entry repository
+// image, so a many-document image is not a session image; a pack that
+// references an older one is not an image at all; and neither decoder
+// reads an earlier format (version 1, the row-table session snapshot,
+// 2 its container, 7 the image of version-8 doc-snaps).
 func TestRepoVersionMismatch(t *testing.T) {
 	docs := buildRepo()
-	if _, err := UnmarshalDocSnap(MarshalRepo(docs)); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("repository image via UnmarshalDocSnap: %v", err)
+	if _, err := UnmarshalDocSnap(MarshalImage(docs)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("repository image via UnmarshalDocSnap: %v, want ErrCorrupt", err)
 	}
-	if _, err := UnmarshalRepo(MarshalDocSnap(docs[0])); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("doc snapshot via UnmarshalRepo: %v", err)
+	if got, err := UnmarshalImage(MarshalDocSnap(docs[0])); err != nil || len(got) != 1 {
+		t.Fatalf("session image via UnmarshalImage: %d documents, %v", len(got), err)
 	}
-	for _, ver := range []byte{1, 2} {
+	ref := Pack{Gen: 2, Docs: []PackDoc{{Name: "books", Ref: Ref{Gen: 1, Off: 9, Len: 30}}}}
+	if _, err := UnmarshalImage(MarshalPack(&ref, nil)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("a pack referencing an older one via UnmarshalImage: %v, want ErrCorrupt", err)
+	}
+	for _, ver := range []byte{1, 2, 7} {
 		old := sealRecord(append([]byte(magic), ver, 0))
-		if _, err := UnmarshalRepo(old); !errors.Is(err, ErrBadVersion) {
-			t.Fatalf("version %d via UnmarshalRepo: %v", ver, err)
+		if _, err := UnmarshalImage(old); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("version %d via UnmarshalImage: %v", ver, err)
 		}
 		if _, err := UnmarshalDocSnap(old); !errors.Is(err, ErrBadVersion) {
 			t.Fatalf("version %d via UnmarshalDocSnap: %v", ver, err)
@@ -86,38 +92,38 @@ func TestRepoVersionMismatch(t *testing.T) {
 func TestRepoDupNameRejected(t *testing.T) {
 	docs := buildRepo()
 	for _, bad := range [][]DocSnap{{docs[0], docs[0]}, {docs[1], docs[0]}} {
-		if _, err := UnmarshalRepo(MarshalRepo(bad)); !errors.Is(err, ErrCorrupt) {
+		if _, err := UnmarshalImage(MarshalImage(bad)); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s then %s: %v, want ErrCorrupt", bad[0].Name, bad[1].Name, err)
 		}
 	}
 }
 
 func TestRepoChecksumDetectsFlips(t *testing.T) {
-	data := MarshalRepo(buildRepo())
+	data := MarshalImage(buildRepo())
 	for _, pos := range []int{6, len(data) / 3, len(data) / 2, len(data) - 3} {
 		bad := append([]byte{}, data...)
 		bad[pos] ^= 0x20
-		if _, err := UnmarshalRepo(bad); err == nil {
+		if _, err := UnmarshalImage(bad); err == nil {
 			t.Fatalf("flip at %d accepted", pos)
 		}
 	}
 }
 
 func TestRepoTruncationRejected(t *testing.T) {
-	data := MarshalRepo(buildRepo())
+	data := MarshalImage(buildRepo())
 	for cut := 0; cut < len(data)-1; cut += 7 {
-		if _, err := UnmarshalRepo(data[:cut]); err == nil {
+		if _, err := UnmarshalImage(data[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
 }
 
-// lyingImage is a size-byte image whose document count claims 2^40
-// documents and whose first record length claims 2^40 bytes, padded out
-// with bytes that back neither. A decoder that reserved by either claim
+// lyingImage is a size-byte image whose entry count claims 2^40
+// documents and whose first name claims 2^40 bytes, padded out with
+// bytes that back neither. A decoder that reserved by either claim
 // would allocate terabytes.
 func lyingImage(size int) []byte {
-	out := append([]byte(magic), VersionRepo)
+	out := append([]byte(magic), VersionPack, 0, 0)
 	out = labels.AppendLEB128(out, 1<<40)
 	out = labels.AppendLEB128(out, 1<<40)
 	return append(out, make([]byte, max(0, size-len(out)))...)
@@ -129,7 +135,7 @@ func TestRepoLiesReserveNothing(t *testing.T) {
 	for _, size := range []int{1 << 10, 1 << 14, 1 << 17} {
 		img := lyingImage(size)
 		var err error
-		objects, used := memUse(func() { _, err = UnmarshalRepo(img) })
+		objects, used := memUse(func() { _, err = UnmarshalImage(img) })
 		if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%d bytes of lies: %v, want ErrCorrupt", size, err)
 		}

@@ -3,6 +3,8 @@ package store
 import (
 	"bytes"
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 
 	"xmldyn/internal/update"
@@ -13,33 +15,25 @@ import (
 // decoder: it must never panic, reject only with the package's typed
 // errors, and pay for what the bytes hold, not for what a count or a
 // length claims; whenever it accepts the input, the decoded documents
-// must survive a marshal/unmarshal round trip unchanged. (Byte-level
-// canonicality does not hold: LEB128 tolerates non-minimal encodings on
-// decode, so equality is checked on the decoded form.) The tree bytes
+// must survive a marshal/unmarshal round trip unchanged. The tree bytes
 // are opaque here: FuzzDecodeDocTree in internal/update fuzzes their
 // decoder.
 func FuzzRepoRoundTrip(f *testing.F) {
-	f.Add(MarshalRepo(buildRepo()))
-	f.Add(MarshalRepo(nil))
+	f.Add(MarshalImage(buildRepo()))
+	f.Add(MarshalImage(nil))
 	f.Add([]byte("XDYN"))
 	f.Add([]byte{})
 	f.Add(lyingImage(200))
 	f.Add(MarshalDocSnap(buildRepo()[0]))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		docs, err := UnmarshalRepo(data)
-		// A document costs the image at least 11 bytes and the decoder
-		// its two strings and a 56-byte slot, which append at most
-		// doubles.
-		objects, size := memUse(func() { UnmarshalRepo(data) })
-		if objects > uint64(len(data))/3+32 || size > uint64(16*len(data)+4096) {
-			t.Fatalf("decoding %d bytes took %d allocations, %d bytes", len(data), objects, size)
-		}
+		docs, err := UnmarshalImage(data)
+		requireBoundedDecode(t, data, func() { UnmarshalImage(data) })
 		if err != nil {
 			requireTypedError(t, err)
 			return
 		}
-		again, err := UnmarshalRepo(MarshalRepo(docs))
+		again, err := UnmarshalImage(MarshalImage(docs))
 		if err != nil {
 			t.Fatalf("re-marshalled image rejected: %v", err)
 		}
@@ -47,48 +41,81 @@ func FuzzRepoRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzManifestRoundTrip feeds arbitrary bytes to the manifest decoder:
-// it must never panic, fail only with the package's typed errors, and
-// whenever it accepts the input the decoded manifest must survive a
-// marshal/unmarshal round trip unchanged.
-func FuzzManifestRoundTrip(f *testing.F) {
-	f.Add(MarshalManifest(Manifest{Gen: 1, WALFirst: 1}))
-	f.Add(MarshalManifest(Manifest{Gen: 9, WALFirst: 4, Docs: []ManifestDoc{
-		{Name: "books", File: DocSnapName("books", 9, 0), Gen: 9},
-		{Name: "feeds", File: DocSnapName("feeds", 2, 0), Gen: 2},
-	}}))
+// requireBoundedDecode fails unless decode paid for what data holds:
+// an entry costs the pack at least three bytes and the decoder its
+// name and a 40-byte slot, which append at most doubles.
+func requireBoundedDecode(t *testing.T, data []byte, decode func()) {
+	t.Helper()
+	objects, size := memUse(decode)
+	if objects > uint64(len(data))/3+32 || size > uint64(32*len(data)+4096) {
+		t.Fatalf("decoding %d bytes took %d allocations, %d bytes", len(data), objects, size)
+	}
+}
+
+// FuzzPackRoundTrip feeds arbitrary bytes to the pack decoder: it must
+// never panic, reject only with the package's typed errors — a
+// reference outside its pack, a duplicate name and a count larger than
+// the bytes among them — and pay for what the bytes hold; whenever it
+// accepts a pack whose own records decode, encoding the decoded header
+// and records again gives back the same bytes.
+func FuzzPackRoundTrip(f *testing.F) {
+	docs := buildRepo()
+	full := Pack{Gen: 4, WALFirst: 9, Docs: []PackDoc{{Name: docs[0].Name, Ref: Ref{Gen: 4}}, {Name: docs[1].Name, Ref: Ref{Gen: 4}}}}
+	f.Add(MarshalPack(&full, docs[:2]))
+	next := Pack{Gen: 6, WALFirst: 12, Docs: []PackDoc{full.Docs[0], {Name: docs[1].Name, Ref: Ref{Gen: 6}}}}
+	f.Add(MarshalPack(&next, docs[1:2]))
+	f.Add(MarshalPack(&Pack{Gen: 1, WALFirst: 1}, nil))
 	f.Add([]byte("XDYN"))
-	f.Add([]byte{})
-	// A correctly sealed manifest whose generation varint overflows 64
-	// bits (tenth byte 0x7F): rejected, not read as MaxUint64.
-	overflow := append([]byte(magic), VersionManifest)
+	for _, c := range []struct {
+		what string
+		data []byte
+	}{
+		{"a reference outside its pack", sealRecord(append([]byte(magic), VersionPack, 1, 1, 1, 1, 'a', 1, 0x7f))},
+		{"a duplicate name", MarshalPack(&Pack{Gen: 2, Docs: []PackDoc{{Name: "a", Ref: Ref{Gen: 1, Len: 9}}, {Name: "a", Ref: Ref{Gen: 1, Len: 9}}}}, nil)},
+		{"a count larger than the bytes", lyingImage(200)},
+	} {
+		if _, err := UnmarshalPack(c.data); !errors.Is(err, ErrCorrupt) {
+			f.Fatalf("%s: %v, want ErrCorrupt", c.what, err)
+		}
+		f.Add(c.data)
+	}
+	// A correctly sealed pack whose generation varint overflows 64 bits
+	// (tenth byte 0x7F): rejected, not read as MaxUint64.
+	overflow := append([]byte(magic), VersionPack)
 	overflow = append(overflow, bytes.Repeat([]byte{0xFF}, 9)...)
 	f.Add(sealRecord(append(overflow, 0x7F, 1, 0)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := UnmarshalManifest(data)
+		p, err := UnmarshalPack(data)
+		requireBoundedDecode(t, data, func() { UnmarshalPack(data) })
 		if err != nil {
 			requireTypedError(t, err)
 			return
 		}
-		again := MarshalManifest(m)
-		m2, err := UnmarshalManifest(again)
-		if err != nil {
-			t.Fatalf("re-marshalled manifest rejected: %v", err)
-		}
-		if m.Gen != m2.Gen || m.WALFirst != m2.WALFirst || len(m.Docs) != len(m2.Docs) {
-			t.Fatalf("round trip changed manifest: %+v vs %+v", m, m2)
-		}
-		for i := range m.Docs {
-			if m.Docs[i] != m2.Docs[i] {
-				t.Fatalf("entry %d changed: %+v vs %+v", i, m.Docs[i], m2.Docs[i])
+		var recs []DocSnap
+		for _, d := range p.Docs {
+			if d.Ref.Gen != p.Gen {
+				continue
 			}
+			s, err := UnmarshalRecord(data, d)
+			if err != nil {
+				requireTypedError(t, err)
+				return
+			}
+			recs = append(recs, s)
+		}
+		again := Pack{Gen: p.Gen, WALFirst: p.WALFirst, Docs: slices.Clone(p.Docs)}
+		if got := MarshalPack(&again, recs); !bytes.Equal(got, data) {
+			t.Fatalf("decoded pack re-encodes to other bytes:\n got %x\nwant %x", got, data)
+		}
+		if !reflect.DeepEqual(again.Docs, p.Docs) {
+			t.Fatalf("re-encoding moved records:\n got %+v\nwant %+v", again.Docs, p.Docs)
 		}
 	})
 }
 
-// FuzzDocSnapRoundTrip does the same for the v8 per-document snapshot
-// format (the tree payload is opaque bytes at this layer).
+// FuzzDocSnapRoundTrip does the same for a session image, the
+// one-entry pack (the tree payload is opaque bytes at this layer).
 func FuzzDocSnapRoundTrip(f *testing.F) {
 	f.Add(MarshalDocSnap(DocSnap{Name: "books", Scheme: "qed", Tree: []byte{1, 2, 3}}))
 	f.Add(MarshalDocSnap(DocSnap{}))
@@ -111,8 +138,8 @@ func FuzzDocSnapRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzSnapshotRoundTrip does the same for a session snapshot, the v8
-// doc-snap whose tree Restore decodes: the envelope and the tree are
+// FuzzSnapshotRoundTrip does the same for a session snapshot, the
+// one-entry pack whose tree Restore decodes: the envelope and the tree are
 // read as Restore reads them, a rejection must be typed (a store error,
 // or update.ErrCodecCorrupt for the tree), and an accepted snapshot,
 // saved again from its decoded document, must restore to the same

@@ -1,16 +1,17 @@
-// Package store holds the binary records a repository persists: the
-// per-document snapshot (a document's name, its scheme and the update
-// layer's doc-tree image, docsnap.go), the repository image of many of
-// them (container.go), the checkpoint manifest (manifest.go) and the
-// checkpoint a follower bootstraps from (bootstrap.go). The tree bytes
-// are opaque here: internal/update's EncodeDocTree/DecodeDocTree
-// own that format, which keeps every node, text, comment and processing
-// instruction in place.
+// Package store holds the one binary format a repository persists its
+// documents in: the pack (pack.go). A pack holds one record per
+// document — its name, its scheme and the update layer's doc-tree
+// image — behind a header that maps every document to its record, in
+// this pack or in an older one. A durable repository's checkpoint is a
+// pack (ckpt-<generation>.pack), and so is a repository's Save image
+// and a session's. The tree bytes are opaque here: internal/update's
+// EncodeDocTree/DecodeDocTree own that format, which keeps every node,
+// text, comment and processing instruction in place.
 //
-// Every record shares one envelope (all integers LEB128, all strings
+// A pack uses the shared envelope (all integers LEB128, all strings
 // length-prefixed):
 //
-//	magic "XDYN" | version byte | record body
+//	magic "XDYN" | version byte | body
 //	trailer: FNV-1a checksum of everything before it
 package store
 
@@ -18,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 
 	"xmldyn/internal/labels"
 )
@@ -30,27 +32,13 @@ var (
 	ErrBadChecksum = errors.New("store: checksum mismatch")
 )
 
-// Format version bytes for the store record types; docs/
-// DURABILITY.md documents them and the wal golden-constants test keeps
-// doc and code aligned. A record carrying any other version byte — 1
-// and 2 were the row-table snapshot and container, 3 and 4 manifest
-// layouts, 6 the doc-snap of the tree grammar before the compact one —
-// is rejected with ErrBadVersion, never migrated.
-const (
-	// VersionManifest tags durable-repository checkpoint manifests
-	// (version 5: incremental checkpoints — the manifest maps every
-	// live document name to a per-document snapshot file and the
-	// generation that wrote it, plus the first live segment index).
-	VersionManifest = 5
-	// VersionDocSnap tags per-document snapshots: the doc-*.snap files
-	// version-5 manifests reference, and a session's Save image.
-	VersionDocSnap = 8
-	// VersionRepo tags repository images: a sequence of version-8
-	// per-document snapshots in one checksummed blob (Repository.Save).
-	// Each carries its own version byte, so an image holding a
-	// version-6 record is refused by that record's check.
-	VersionRepo = 7
-)
+// VersionPack is the format version byte of a pack; docs/DURABILITY.md
+// documents it and the wal golden-constants test keeps doc and code
+// aligned. A record carrying any other version byte — 1 and 2 were the
+// row-table snapshot and container, 3 to 5 manifest layouts, 6 and 8
+// per-document snapshot files, 7 the image of many of them — is
+// rejected with ErrBadVersion, never migrated.
+const VersionPack = 9
 
 const magic = "XDYN"
 
@@ -76,30 +64,52 @@ func sealRecord(out []byte) []byte {
 // closeRecord verifies the trailer at pos — the record body ended
 // there — and that nothing follows it.
 func closeRecord(data []byte, pos int) error {
-	want, n, err := labels.DecodeLEB128(data[pos:])
+	want, end, err := readUint(data, pos, "trailer")
 	if err != nil {
-		return fmt.Errorf("%w: trailer: %v", ErrCorrupt, err)
+		return err
 	}
 	h := fnv.New64a()
 	_, _ = h.Write(data[:pos])
 	if h.Sum64() != want {
 		return ErrBadChecksum
 	}
-	if pos+n != len(data) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-pos-n)
+	if end != len(data) {
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-end)
 	}
 	return nil
 }
 
-// appendString and readString delegate to the shared length-prefixed
-// string codec in internal/labels, wrapping decode failures in this
-// package's corruption error.
+// appendString delegates to the shared length-prefixed string codec in
+// internal/labels.
 func appendString(out []byte, s string) []byte { return labels.AppendString(out, s) }
 
-func readString(data []byte, pos int) (string, int, error) {
-	s, next, err := labels.CutString(data, pos)
-	if err != nil {
-		return "", 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+// readUint decodes the LEB128 integer at data[pos:], returning it and
+// the offset just past it. A non-minimal encoding is corruption, so a
+// pack the decoder accepts re-encodes to the same bytes.
+func readUint(data []byte, pos int, what string) (uint64, int, error) {
+	v, n, err := labels.DecodeLEB128(data[pos:])
+	if err == nil && n != uintLen(v) {
+		err = errors.New("non-minimal LEB128")
 	}
-	return s, next, nil
+	if err != nil {
+		return 0, 0, fmt.Errorf("%w: %s: %v", ErrCorrupt, what, err)
+	}
+	return v, pos + n, nil
+}
+
+// uintLen is the length of v's minimal LEB128 encoding.
+func uintLen(v uint64) int { return max(1, (bits.Len64(v)+6)/7) }
+
+// readBytes cuts one length-prefixed field at data[pos:] — a window of
+// data, not a copy — returning it and the offset just past it.
+func readBytes(data []byte, pos int, what string) ([]byte, int, error) {
+	size, pos, err := readUint(data, pos, what)
+	if err != nil {
+		return nil, 0, err
+	}
+	if size > uint64(len(data)-pos) {
+		return nil, 0, fmt.Errorf("%w: %s: length %d exceeds remaining %d bytes", ErrCorrupt, what, size, len(data)-pos)
+	}
+	end := pos + int(size)
+	return data[pos:end:end], end, nil
 }

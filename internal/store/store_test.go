@@ -28,13 +28,13 @@ func memUse(f func()) (objects, size uint64) {
 // sampleImage is a one-document repository image of the paper's sample
 // document.
 func sampleImage() []byte {
-	return MarshalRepo([]DocSnap{{Name: "book", Scheme: "qed", Tree: update.EncodeDocTree(xmltree.SampleBook())}})
+	return MarshalImage([]DocSnap{{Name: "book", Scheme: "qed", Tree: update.EncodeDocTree(xmltree.SampleBook())}})
 }
 
 // decodeAll decodes every tree of an image and returns their XML.
 func decodeAll(t *testing.T, data []byte) []string {
 	t.Helper()
-	docs, err := UnmarshalRepo(data)
+	docs, err := UnmarshalImage(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestRoundTripGenerated(t *testing.T) {
 		docs = append(docs, DocSnap{Name: string(rune('a' + seed)), Scheme: "deweyid", Tree: update.EncodeDocTree(src)})
 		want = append(want, src.XML())
 	}
-	got := decodeAll(t, MarshalRepo(docs))
+	got := decodeAll(t, MarshalImage(docs))
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("seed %d: rebuild mismatch", i)
@@ -76,7 +76,7 @@ func TestChecksumDetectsFlips(t *testing.T) {
 	data := sampleImage()
 	// Flip one byte in the middle of the payload.
 	data[len(data)/2] ^= 0x40
-	_, err := UnmarshalRepo(data)
+	_, err := UnmarshalImage(data)
 	if err == nil {
 		t.Fatal("corrupted image accepted")
 	}
@@ -87,15 +87,15 @@ func TestChecksumDetectsFlips(t *testing.T) {
 }
 
 func TestHeaderErrors(t *testing.T) {
-	if _, err := UnmarshalRepo(nil); !errors.Is(err, ErrBadMagic) {
+	if _, err := UnmarshalImage(nil); !errors.Is(err, ErrBadMagic) {
 		t.Errorf("nil: %v", err)
 	}
-	if _, err := UnmarshalRepo([]byte("NOPE!123")); !errors.Is(err, ErrBadMagic) {
+	if _, err := UnmarshalImage([]byte("NOPE!123")); !errors.Is(err, ErrBadMagic) {
 		t.Errorf("bad magic: %v", err)
 	}
 	bad := sampleImage()
 	bad[4] = 99 // version byte
-	if _, err := UnmarshalRepo(bad); !errors.Is(err, ErrBadVersion) {
+	if _, err := UnmarshalImage(bad); !errors.Is(err, ErrBadVersion) {
 		t.Errorf("bad version: %v", err)
 	}
 }
@@ -103,7 +103,7 @@ func TestHeaderErrors(t *testing.T) {
 func TestTruncationErrors(t *testing.T) {
 	data := sampleImage()
 	for _, cut := range []int{5, 8, len(data) / 2, len(data) - 2} {
-		if _, err := UnmarshalRepo(data[:cut]); err == nil {
+		if _, err := UnmarshalImage(data[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
@@ -111,7 +111,7 @@ func TestTruncationErrors(t *testing.T) {
 
 func TestTrailingGarbageRejected(t *testing.T) {
 	data := append(sampleImage(), 0x00, 0x01)
-	if _, err := UnmarshalRepo(data); err == nil {
+	if _, err := UnmarshalImage(data); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
 }
@@ -127,7 +127,7 @@ func TestFlipFuzzNeverPanics(t *testing.T) {
 		}
 		data := append([]byte{}, base...)
 		data[int(pos)%len(data)] ^= mask
-		_, err := UnmarshalRepo(data)
+		_, err := UnmarshalImage(data)
 		return isTyped(err)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

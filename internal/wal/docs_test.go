@@ -53,11 +53,8 @@ func TestDurabilityDocConstants(t *testing.T) {
 		"wal.SegmentPattern":              strconv.Quote(wal.SegmentPattern),
 		"wal.DefaultSegmentBytes":         fmt.Sprint(wal.DefaultSegmentBytes),
 		"repo.DefaultAutoCheckpointBytes": fmt.Sprint(repo.DefaultAutoCheckpointBytes),
-		"store.ManifestName":              strconv.Quote(store.ManifestName),
-		"store.VersionRepo":               fmt.Sprint(store.VersionRepo),
-		"store.VersionManifest":           fmt.Sprint(store.VersionManifest),
-		"store.VersionDocSnap":            fmt.Sprint(store.VersionDocSnap),
-		"store.DocSnapPattern":            strconv.Quote(store.DocSnapPattern),
+		"store.VersionPack":               fmt.Sprint(store.VersionPack),
+		"store.PackPattern":               strconv.Quote(store.PackPattern),
 		"repo.RecOpen":                    fmt.Sprint(repo.RecOpen),
 		"repo.RecBatch":                   fmt.Sprint(repo.RecBatch),
 		"repo.RecDrop":                    fmt.Sprint(repo.RecDrop),

@@ -299,7 +299,7 @@ func createSegment(dir string, index uint64) (*os.File, error) {
 }
 
 // syncDir fsyncs a directory, making completed file creations in it
-// durable (local twin of internal/store.SyncDir; wal stays store-free).
+// durable (wal stays store-free, so internal/store fsyncs its own).
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {

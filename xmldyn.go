@@ -38,8 +38,8 @@
 // commit stamp (docs/CONCURRENCY.md specifies the consistency model;
 // RepoVersionStats exposes the version accounting). Save/Restore
 // round-trip one session and SaveRepository/RestoreRepository the
-// whole repository through the checksummed per-document snapshot
-// format checkpoints write, which keeps every tree exactly, and
+// whole repository through the checksummed pack format checkpoints
+// write, which keeps every tree exactly, and
 // NewDurableRepository backs the same layer with a write-ahead log:
 // committed batches survive a crash and replay to the identical
 // state, with a multi-document transaction logged as one record so
@@ -199,10 +199,10 @@ func Reconstruct(rows []EncodingRow) (*Document, error) {
 	return encoding.Reconstruct(rows)
 }
 
-// Save serialises a session's document to the per-document snapshot
-// format checkpoints write (internal/store: scheme name, the exact tree
-// — text, comments and processing instructions in place — and a
-// checksum). Labels are not stored: Restore relabels.
+// Save serialises a session's document to the record format
+// checkpoints write, as a one-entry pack (internal/store: scheme name,
+// the exact tree — text, comments and processing instructions in place
+// — and checksums). Labels are not stored: Restore relabels.
 func Save(s *Session) ([]byte, error) {
 	return store.MarshalDocSnap(store.DocSnap{Scheme: s.Labeling().Name(), Tree: update.EncodeDocTree(s.Document())}), nil
 }
@@ -364,7 +364,7 @@ var (
 func NewRepository(opts RepoOptions) *Repository { return repo.New(opts) }
 
 // SaveRepository serialises every document of a repository into one
-// version-7 store image of per-document snapshots.
+// store image: a pack whose every record is its own.
 func SaveRepository(r *Repository) ([]byte, error) { return r.Save() }
 
 // RestoreRepository rebuilds a repository from a SaveRepository
@@ -387,11 +387,10 @@ type (
 	// appended to the segmented log before the document lock is
 	// released, Checkpoint (manual, or the
 	// background auto-checkpoint once live log bytes pass the
-	// threshold) incrementally folds the log into per-document
-	// snapshot files — only documents that changed are rewritten — and
-	// deletes the dead segments, and NewDurableRepository replays
-	// snapshots + segments back to the exact committed state after a
-	// crash.
+	// threshold) incrementally folds the log into one pack file —
+	// only documents that changed are rewritten — and deletes the dead
+	// segments, and NewDurableRepository replays packs + segments back
+	// to the exact committed state after a crash.
 	DurableRepository = repo.DurableRepository
 	// DurableOptions configures a durable repository: the inner
 	// repository options, the WAL fsync policy and flusher timing,
@@ -416,14 +415,14 @@ var ErrRepoClosed = repo.ErrClosed
 
 // NewDurableRepository opens (creating if necessary) the durable
 // repository stored in dir, recovering any committed state: it loads
-// the per-document snapshot files the manifest names (decoding them
-// concurrently, on up to GOMAXPROCS workers),
+// the records of the current pack and the older packs it references
+// (decoding them concurrently, on up to GOMAXPROCS workers),
 // replays the live write-ahead-log segments on top in index order —
 // partitioned by document across the same worker pool, stopping
 // cleanly at a torn tail in the newest segment — and is then ready
 // for logged commits. The log rotates into fresh segments as it
 // grows, and a background auto-checkpoint (on by default; see
-// DurableOptions.AutoCheckpointBytes) folds it into fresh snapshots
+// DurableOptions.AutoCheckpointBytes) folds it into a fresh pack
 // for the documents that changed whenever live log bytes pass the
 // threshold, so recovery time stays bounded regardless of total
 // history. Call Checkpoint() to fold the log on demand, and Close()

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"xmldyn/internal/repo"
 	"xmldyn/internal/store"
 )
 
@@ -228,9 +229,12 @@ const (
 	v2ContainerFixture = "XDYN\x02\x01\x01a\x07deweyid\x03\x01\x011\x00\x01a\x00\x02\x031.1\x011\x01x\x011\x01\x031.2\x011\x01b\x01t\x8c\xb8\xce\x87\x86\xd9\xda\x9c\xde\x01"
 )
 
-// TestRestoreRefusesOtherFormats: old row-table bytes, and each of the
-// two current images fed to the other's reader, fail with the store's
-// version error rather than decoding as something else.
+// TestRestoreRefusesOtherFormats: old row-table bytes fail with the
+// store's version error rather than decoding as something else. Session
+// and repository images are one format — a pack whose every record is
+// its own — so each reader refuses the other's image by its contents: a
+// session image holds exactly one document, a repository's documents
+// have names.
 func TestRestoreRefusesOtherFormats(t *testing.T) {
 	s, err := Open(SampleBook(), "qed")
 	if err != nil {
@@ -241,22 +245,28 @@ func TestRestoreRefusesOtherFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRepository(RepoOptions{})
-	if err := r.Open("book", SampleBook(), "qed"); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"book", "copy"} {
+		if err := r.Open(name, SampleBook(), "qed"); err != nil {
+			t.Fatal(err)
+		}
 	}
 	repository, err := SaveRepository(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, data := range map[string][]byte{"v1": []byte(v1SnapshotFixture), "v2": []byte(v2ContainerFixture), "repository image": repository} {
+	for name, data := range map[string][]byte{"v1": []byte(v1SnapshotFixture), "v2": []byte(v2ContainerFixture)} {
 		if _, err := Restore(data); !errors.Is(err, store.ErrBadVersion) {
 			t.Errorf("Restore(%s): %v, want ErrBadVersion", name, err)
 		}
-	}
-	for name, data := range map[string][]byte{"v1": []byte(v1SnapshotFixture), "v2": []byte(v2ContainerFixture), "session image": session} {
 		if _, err := RestoreRepository(data, RepoOptions{}); !errors.Is(err, store.ErrBadVersion) {
 			t.Errorf("RestoreRepository(%s): %v, want ErrBadVersion", name, err)
 		}
+	}
+	if _, err := Restore(repository); !errors.Is(err, store.ErrCorrupt) {
+		t.Errorf("Restore(two-document repository image): %v, want ErrCorrupt", err)
+	}
+	if _, err := RestoreRepository(session, RepoOptions{}); !errors.Is(err, repo.ErrEmptyName) {
+		t.Errorf("RestoreRepository(session image): %v, want ErrEmptyName", err)
 	}
 }
 
