@@ -81,7 +81,7 @@ func UTF8StyleBits(v uint32) (int, error) {
 
 // AppendLEB128 appends v as an unbounded little-endian base-128 varint:
 // the size-unlimited integer encoding of the store snapshots, the
-// checkpoint manifest, WAL record payloads and the batched-op codec
+// checkpoint pack, WAL record payloads and the batched-op codec
 // (docs/DURABILITY.md §2), and of measuring how a corrected vector codec
 // would behave once the UTF-8 ceiling is hit. It is the one writer;
 // appending in place is what keeps an encoder at one allocation per
@@ -131,7 +131,7 @@ func DecodeLEB128(b []byte) (uint64, int, error) {
 
 // AppendString appends a length-prefixed string: LEB128 byte length,
 // then the raw bytes. It is the shared wire convention of the store
-// snapshots, the checkpoint manifest, WAL record payloads and the
+// snapshots, the checkpoint pack, WAL record payloads and the
 // batched-op codec (docs/DURABILITY.md §2).
 func AppendString(out []byte, s string) []byte {
 	return append(AppendLEB128(out, uint64(len(s))), s...)

@@ -112,7 +112,7 @@ type DurableOptions struct {
 	SegmentBytes int64
 	// AutoCheckpointBytes arms the background auto-checkpoint: when
 	// live log bytes (across all segments) exceed it, a checkpoint runs
-	// off the commit path, folding the log into fresh snapshots and
+	// off the commit path, folding the log into a fresh pack and
 	// deleting dead segments. Zero means DefaultAutoCheckpointBytes;
 	// negative disables auto-checkpointing (Checkpoint remains
 	// available manually).
@@ -137,7 +137,7 @@ func (o DurableOptions) autoCheckpointBytes() int64 {
 // (Open, Drop, Batch, MultiBatch) is appended to the log before
 // the per-document write lock is released, and Checkpoint — invoked
 // manually or by the background auto-checkpointer once live log bytes
-// pass the configured threshold — folds the log into fresh snapshots
+// pass the configured threshold — folds the log into a fresh pack
 // and deletes the dead segments. A DurableRepository must be owned by
 // one process at a time; there is no cross-process file locking.
 type DurableRepository struct {

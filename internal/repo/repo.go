@@ -38,9 +38,9 @@
 // its log record is written. The in-memory Repository and the durable
 // leader have the same write methods with the same signatures.
 //
-// The whole repository round-trips through the version-7 store image
-// (Save/Load): every document's name, scheme and doc-tree image — the
-// checkpoint's version-8 snapshot — in one checksummed blob.
+// The whole repository round-trips through one store image (Save/Load):
+// the all-local pack Save writes, every document's name, scheme and
+// doc-tree image as a checkpoint records it, in one checksummed blob.
 //
 // Re-entrancy: the locks are not re-entrant. A View/QueryFunc callback
 // or a Batch/MultiBatch build must not call back into the repository (a

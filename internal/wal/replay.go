@@ -1,14 +1,9 @@
 package wal
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
-	"path/filepath"
 	"slices"
 )
 
@@ -41,25 +36,21 @@ type ReplayInfo struct {
 	Torn bool
 }
 
-// errRecordAfterTear aborts the record-free scan of segments past a
-// torn one: finding any record there means real corruption.
-var errRecordAfterTear = errors.New("record after torn segment")
-
 // Replay streams every valid record of the segment set in dir through
 // fn in append order: segments first, first+1, … are replayed in index
-// order, one frame at a time — recovery memory stays O(largest
-// record), not O(log size). A truncated or corrupt tail in the LAST
-// segment is not an error: replay stops cleanly at the last record
-// whose frame and CRC check out and reports the cut in the returned
-// info. Likewise a last segment shorter than its header is a crashed
-// creation — it cannot hold a record (the header is synced before a
-// segment accepts appends) — reported as a torn empty tail for OpenAt
-// to recreate.
+// order through one TailReader, the shipper's frame decoder — recovery
+// memory stays O(max(largest record, 64 KiB)), not O(log size). A
+// truncated or corrupt tail in the LAST segment is not an error: replay
+// stops cleanly at the last record whose frame and CRC check out and
+// reports the cut in the returned info. Likewise a last segment shorter
+// than its header is a crashed creation — it cannot hold a record (the
+// header is synced before a segment accepts appends) — reported as a
+// torn empty tail for OpenAt to recreate.
 //
 // A torn frame in a NON-final segment is tolerated only when every
 // later segment holds zero records (then the tear is still a clean
 // suffix cut of the global stream — the signature of a crash between
-// a checkpoint's segment creation and its manifest switch while the
+// a checkpoint's segment creation and its pack's rename while the
 // old tail was unsynced); Replay then cuts the stream at the tear and
 // OpenAt resumes appending there. If any record exists after the
 // tear, replay aborts with ErrTornSegment: rotation seals a segment
@@ -81,50 +72,30 @@ func Replay(dir string, first uint64, fn func(payload []byte) error) (ReplayInfo
 	}
 	info.First = indices[0]
 	last := indices[len(indices)-1]
+	t := &TailReader{dir: dir}
+	defer t.Close()
 	cut := false // a non-final tear was seen; later segments must be record-free
 	for _, idx := range indices {
-		name := SegmentName(idx)
-		path := filepath.Join(dir, name)
-		if cut {
-			if err := requireRecordFree(path); err != nil {
-				return info, fmt.Errorf("segment %s after torn %s: %w", name, SegmentName(info.Last), err)
-			}
-			continue
-		}
-		records, validSize, torn, err := replaySegment(path, fn)
+		records, torn, err := t.scan(idx, cut, fn)
 		switch {
+		case cut && err != nil && !errors.Is(err, ErrShortHeader):
+			return info, fmt.Errorf("segment %s after torn %s: %w", SegmentName(idx), SegmentName(info.Last), err)
+		case cut:
+			continue // record-free, or another crashed creation
 		case errors.Is(err, ErrShortHeader) && idx == last:
 			// Crashed creation: adopt it as a torn, empty tail.
 			info.Last, info.ValidSize, info.Torn = idx, 0, true
 			continue
 		case err != nil:
-			return info, fmt.Errorf("segment %s: %w", name, err)
+			return info, fmt.Errorf("segment %s: %w", SegmentName(idx), err)
 		}
 		info.Records += records
-		info.LiveBytes += validSize
-		info.Last, info.ValidSize, info.Torn = idx, validSize, torn
-		if torn && idx != last {
-			cut = true
-		}
+		info.LiveBytes += t.pos.Offset
+		info.Last, info.ValidSize, info.Torn = idx, t.pos.Offset, torn
+		cut = torn && idx != last
 	}
 	info.Segments = int(info.Last - info.First + 1)
 	return info, nil
-}
-
-// requireRecordFree verifies a segment past a tear holds no records: a
-// missing-or-short header is fine (another crashed creation), a
-// record is ErrTornSegment-grade corruption. No payload reaches any
-// callback.
-func requireRecordFree(path string) error {
-	_, _, _, err := replaySegment(path, func([]byte) error { return errRecordAfterTear })
-	switch {
-	case errors.Is(err, errRecordAfterTear):
-		return ErrTornSegment
-	case errors.Is(err, ErrShortHeader):
-		return nil
-	default:
-		return err
-	}
 }
 
 // listSegments returns the contiguous segment indices first, first+1,
@@ -162,73 +133,4 @@ func listSegments(dir string, first uint64) ([]uint64, error) {
 		}
 	}
 	return indices, nil
-}
-
-// replaySegment streams one segment's valid records through fn,
-// returning the record count, the valid prefix length, and whether a
-// torn tail was cut. The caller decides whether torn is tolerable
-// (last segment) or corruption (any earlier one).
-func replaySegment(path string, fn func(payload []byte) error) (records int, validSize int64, torn bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return 0, 0, false, err
-	}
-	r := bufio.NewReader(f)
-
-	header := make([]byte, HeaderSize)
-	if _, err := io.ReadFull(r, header); err != nil {
-		return 0, 0, false, ErrShortHeader
-	}
-	if string(header[:len(Magic)]) != Magic {
-		return 0, 0, false, fmt.Errorf("%w: magic %q", ErrBadHeader, header[:len(Magic)])
-	}
-	if header[len(Magic)] != Version {
-		return 0, 0, false, fmt.Errorf("%w: version %d", ErrBadHeader, header[len(Magic)])
-	}
-	validSize = int64(HeaderSize)
-
-	frame := make([]byte, FrameHeaderSize)
-	var payload []byte
-	for {
-		if _, err := io.ReadFull(r, frame); err != nil {
-			if errors.Is(err, io.EOF) {
-				return records, validSize, false, nil // clean end
-			}
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				return records, validSize, true, nil
-			}
-			return records, validSize, false, err
-		}
-		length := binary.LittleEndian.Uint32(frame[0:4])
-		want := binary.LittleEndian.Uint32(frame[4:8])
-		// A header is believed only as far as the file goes: a length
-		// past its end is a torn frame, as reading it would find, and
-		// reserves nothing.
-		if length > MaxRecordSize || int64(length) > fi.Size()-validSize-FrameHeaderSize {
-			return records, validSize, true, nil
-		}
-		if uint32(cap(payload)) < length {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(r, payload); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return records, validSize, true, nil
-			}
-			return records, validSize, false, err
-		}
-		if crc32.ChecksumIEEE(payload) != want {
-			return records, validSize, true, nil
-		}
-		if err := fn(payload); err != nil {
-			return records, validSize, false, fmt.Errorf("wal: replay record %d: %w", records, err)
-		}
-		records++
-		validSize += int64(FrameHeaderSize) + int64(length)
-	}
 }

@@ -1,10 +1,10 @@
-// Record-level tailing: a TailReader follows a live segment set from a
-// byte position, yielding one CRC-checked record at a time and handing
-// off to the successor segment at rotation — the read-side twin of
-// Append that replication's shipper (internal/replica) streams from.
-// Unlike Replay, which consumes a closed set once, a TailReader is
-// meant to outlive the current end of the log: when it catches up with
-// the append tail it reports ErrNoRecord and can be retried after the
+// Record-level reading: a TailReader reads a segment set from a byte
+// position, yielding one CRC-checked record at a time — the read-side
+// twin of Append, and the log's one frame decoder. Replay drives it over
+// a closed set once, segment by segment (scan); replication's shipper
+// (internal/replica) drives it over the live set (Next), handing off to
+// the successor segment at rotation, and when it catches up with the
+// append tail it reports ErrNoRecord and can be retried after the
 // writer signals progress.
 
 package wal
@@ -90,7 +90,8 @@ type TailReader struct {
 	dir string
 	pos Position
 	f   *os.File
-	// buf is the read-ahead buffer, allocated once at OpenTail; win is
+	// buf is the read-ahead buffer, allocated once at OpenTail (Replay's
+	// grows to the largest segment it scans, up to tailWindow); win is
 	// what is read and not yet consumed of the file from pos.Offset on.
 	// It aliases buf, or a frame's own buffer when the frame is larger.
 	buf, win []byte
@@ -129,7 +130,7 @@ func openSegment(dir string, index uint64) (*os.File, error) {
 	}
 	if string(header[:len(Magic)]) != Magic || header[len(Magic)] != Version {
 		f.Close()
-		return nil, fmt.Errorf("%w: %s", ErrBadHeader, SegmentName(index))
+		return nil, fmt.Errorf("%w: %s: magic %q, version %d", ErrBadHeader, SegmentName(index), header[:len(Magic)], header[len(Magic)])
 	}
 	return f, nil
 }
@@ -157,8 +158,8 @@ func (t *TailReader) Close() error {
 // active segment (no successor yet) Next returns ErrNoRecord; retry
 // after the writer signals progress. A partial frame whose segment has
 // a successor, or a full frame failing its CRC, is ErrCorruptRecord:
-// live tailing reads only what a healthy writer produced, so unlike
-// Replay there is no torn tail to tolerate.
+// live tailing reads only what a healthy writer produced, so there is
+// no torn tail to tolerate (Replay tolerates one, after a crash).
 func (t *TailReader) Next() (TailEvent, error) {
 	ev, err := t.tryRecord()
 	if !errors.Is(err, ErrNoRecord) {
@@ -197,6 +198,42 @@ func (t *TailReader) Next() (TailEvent, error) {
 	t.f, t.win = f, nil
 	t.pos = Position{Segment: t.pos.Segment + 1, Offset: int64(HeaderSize)}
 	return TailEvent{Payload: nil, Pos: t.pos}, nil
+}
+
+// scan reads segment index from its header on for Replay: each whole,
+// CRC-valid record goes to fn in order, and the scan stops at the first
+// frame that is not one — the segment is torn when the file holds bytes
+// past it, clean when it holds none. A recordFree scan fails with
+// ErrTornSegment on its first record instead. The window grows to the
+// largest segment scanned so far, up to tailWindow.
+func (t *TailReader) scan(index uint64, recordFree bool, fn func(payload []byte) error) (records int, torn bool, err error) {
+	f, err := openSegment(t.dir, index)
+	if err != nil {
+		return 0, false, err
+	}
+	_ = t.Close()
+	t.f, t.win, t.pos = f, nil, Position{Segment: index, Offset: int64(HeaderSize)}
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, false, err
+	}
+	if n := min(fi.Size()-t.pos.Offset, tailWindow); n > int64(len(t.buf)) {
+		t.buf = make([]byte, n)
+	}
+	for ; ; records++ {
+		ev, err := t.tryRecord()
+		switch {
+		case errors.Is(err, ErrNoRecord), errors.Is(err, ErrCorruptRecord):
+			return records, t.pos.Offset < fi.Size(), nil
+		case err != nil:
+			return records, false, err
+		case recordFree:
+			return records, false, ErrTornSegment
+		}
+		if err := fn(ev.Payload); err != nil {
+			return records, false, fmt.Errorf("wal: replay record %d: %w", records, err)
+		}
+	}
 }
 
 // tryRecord consumes the frame at the current offset, if it is whole,

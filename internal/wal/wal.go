@@ -33,7 +33,7 @@
 // one; replay therefore accepts damage elsewhere only in the one
 // shape a crash can legitimately produce (a tear followed by nothing
 // but record-free segments — a checkpoint that died between creating
-// its fresh segment and switching the manifest) and aborts as corrupt
+// its fresh segment and renaming its pack) and aborts as corrupt
 // on any record past a tear or any gap in the index sequence. OpenAt
 // then truncates the torn tail so new appends extend the last valid
 // record, recreating the tail segment if its creation itself crashed.
@@ -233,7 +233,7 @@ type Log struct {
 // Create creates (or truncates) segment index in dir as a new log's
 // active segment, writing and syncing the header and fsyncing the
 // directory so the file survives a crash. The caller is responsible
-// for making the segment the manifest's first live segment before
+// for making the segment the pack's first live segment before
 // relying on it.
 func Create(dir string, index uint64, opts Options) (*Log, error) {
 	f, err := createSegment(dir, index)

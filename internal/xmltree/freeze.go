@@ -29,8 +29,9 @@ const frozenPanic = "xmltree: mutation of a frozen (snapshot) node"
 // Freeze marks the subtree rooted at n — the node, its attributes and
 // all descendants — immutable. Freezing an already frozen subtree is a
 // no-op. Freeze itself is not safe to run concurrently with mutators;
-// callers freeze while they still hold whatever lock guarded the tree
-// (the repository freezes version clones under the document read lock).
+// callers freeze while they still hold whatever lock guarded the tree.
+// The repository's versions do not come through here: publication marks
+// each path-copied node frozen as it makes it (persist.go).
 func (n *Node) Freeze() {
 	n.frozen = true
 	for _, c := range n.links {
