@@ -142,6 +142,12 @@ func main() {
 			ctr := s.Counters()
 			fmt.Printf("  %-9s %-8s batches=%-4d verifies=%-4d full=%-3d inserts=%-5d deletes=%d\n",
 				c.name, c.scheme, ctr.Batches, ctr.Verifies, ctr.FullVerifies, ctr.Inserts, ctr.Deletes)
+			// A session starts verified from Build's labels: only a
+			// commit in which the scheme changed an existing label
+			// walks the whole document.
+			if ctr.FullVerifies != 0 && s.Labeling().Stats().Relabelling() == (xmldyn.LabelStats{}) {
+				return fmt.Errorf("%s: %d full passes, yet the scheme changed no label", c.name, ctr.FullVerifies)
+			}
 			return nil
 		})
 		if err != nil {

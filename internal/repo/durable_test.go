@@ -957,3 +957,97 @@ func TestDropOfAbsentDocumentIsRefused(t *testing.T) {
 		t.Fatalf("recovery of a log that drops feeds twice: %v, want ErrNotFound under ErrReplay", err)
 	}
 }
+
+// TestLifecycleTakesNoFullPass: Build's labels are the base of every
+// session's commit-time verification, so no way the engine makes a
+// session — Open, recovery of a crash copy and the records it replays,
+// a follower's bootstrap and the records it applies, Load of a Save
+// image — walks a whole document, neither then nor at the first commit
+// that follows. Every commit is still verified.
+func TestLifecycleTakesNoFullPass(t *testing.T) {
+	noFull := func(stage string, r *Repository) {
+		t.Helper()
+		for _, name := range r.Names() {
+			if c := counters(t, r, name); c.FullVerifies != 0 || c.Verifies != c.Batches {
+				t.Errorf("%s: %q: %d commits, %d verified, %d by the full pass; want every commit verified and none by the full pass",
+					stage, name, c.Batches, c.Verifies, c.FullVerifies)
+			}
+		}
+	}
+	type batcher = func(string, func(*xmltree.Document, *update.Batch) error) (update.BatchResult, error)
+	batchAll := func(stage string, r *Repository, batch batcher) {
+		t.Helper()
+		for _, name := range r.Names() {
+			if _, err := batch(name, appendTo("more")); err != nil {
+				t.Fatalf("%s: %q: %v", stage, name, err)
+			}
+		}
+		noFull(stage+", then a batch", r)
+	}
+
+	opts := DurableOptions{AutoCheckpointBytes: -1}
+	dir := t.TempDir()
+	leader, err := OpenDurable(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	seedAndBatch(t, leader, 1)
+	noFull("leader open", leader.repo())
+	if err := leader.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	img, err := leader.BootstrapImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	batchAll("leader checkpoint", leader.repo(), leader.Batch)
+	first, _, _ := leader.SegmentRange()
+	var records [][]byte
+	if _, err := wal.Replay(dir, first, func(payload []byte) error {
+		records = append(records, append([]byte(nil), payload...))
+		return nil
+	}); err != nil || len(records) == 0 {
+		t.Fatalf("%d records past the checkpoint: %v", len(records), err)
+	}
+
+	rec, err := OpenDurable(imageDir(t, dir), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if c := counters(t, rec.repo(), "books"); c.Batches == 0 {
+		t.Fatal("recovery replayed no batch of books")
+	}
+	noFull("recovery", rec.repo())
+	batchAll("recovery", rec.repo(), rec.Batch)
+
+	f, err := OpenFollower(t.TempDir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.InstallBootstrap(img); err != nil {
+		t.Fatal(err)
+	}
+	noFull("follower bootstrap", f.repo())
+	for _, payload := range records {
+		if err := f.ApplyRecord(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	noFull("follower apply", f.repo())
+
+	mem := testRepo(t)
+	batchAll("open", mem, mem.Batch)
+	data, err := mem.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(data, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	noFull("load", loaded)
+	batchAll("load", loaded, loaded.Batch)
+}

@@ -89,10 +89,11 @@ type Options struct {
 
 // Repository manages many named labelled documents for concurrent use.
 // Every commit verifies document order (update.Session.SetAutoVerify):
-// a repository serving many clients never publishes an unverified
-// document, and a commit's verification costs what the commit touched,
-// not the document (one full pass per document, more only where a
-// scheme renumbers; Counters.FullVerifies counts them).
+// a repository serving many clients publishes only states whose order
+// holds — an opened document's is Build's, in order by construction,
+// and every later one passed its commit's verification. That costs what
+// the commit touched, not the document; a full pass runs only where a
+// scheme renumbers or a verification failed (Counters.FullVerifies).
 type Repository struct {
 	shards [DefaultShards]shard
 	// vstats is the repository-wide MVCC accounting behind

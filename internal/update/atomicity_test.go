@@ -151,6 +151,16 @@ func TestTransactionAtomicity(t *testing.T) {
 					fired := 0
 					s.SetOnCommit(func() { fired++ })
 					el := doc.FindElement
+					if form == "single" {
+						// A sabotaged insert fails its verification, so
+						// the base of the induction is unknown when the
+						// row runs.
+						lab.armed = true
+						if _, err := s.AppendChild(doc.Root(), "p"); err == nil || !strings.Contains(err.Error(), "document order violated") {
+							t.Fatalf("sabotaged insert: %v", err)
+						}
+						lab.armed = false
+					}
 
 					xml, ctr, mark := doc.XML(), s.Counters(), lab.Stats().Relabelling()
 					labels := labeling.Snapshot(lab, doc)
@@ -158,8 +168,9 @@ func TestTransactionAtomicity(t *testing.T) {
 
 					switch form {
 					case "single":
-						// The session's first verification is the full
-						// pass, so every adjacency meets the sabotage.
+						// The verification after a failed one is the full
+						// pass, so every adjacency meets the sabotage —
+						// even for a row that touches no adjacency.
 						lab.armed = true
 						if err := row.single(s, el); err == nil || !strings.Contains(err.Error(), "document order violated") {
 							t.Fatalf("sabotaged single op: %v", err)

@@ -76,9 +76,10 @@ type Session struct {
 	// Incremental verification state (verifyCommitted). touched holds
 	// the roots of the subtrees labelled in the open transaction and
 	// gaps, per delete, the labelled node that preceded the deleted
-	// subtree. baseOK says every adjacency of the document passed a
-	// verification, with the labels the nodes have carried since
-	// baseMark was read off the labelling's relabel counters.
+	// subtree. baseOK says every adjacency of the document is in order
+	// — Build labelled it so, or a verification passed — with the labels
+	// the nodes have carried since baseMark was read off the labelling's
+	// relabel counters.
 	touched  []*xmltree.Node
 	gaps     []*xmltree.Node
 	baseOK   bool
@@ -104,6 +105,9 @@ type Session struct {
 
 // NewSession builds the labeling for doc and returns the session. A
 // document with more than one root element is refused (ErrRootSibling).
+// Build labels a tree in document order by construction, so the session
+// starts verified: Build's labels are the base of verifyCommitted's
+// induction, and the first commit checks only what it changed.
 func NewSession(doc *xmltree.Document, lab labeling.Interface) (*Session, error) {
 	if roots := doc.RootCount(); roots > 1 {
 		return nil, fmt.Errorf("%w: document has %d root elements", ErrRootSibling, roots)
@@ -111,7 +115,7 @@ func NewSession(doc *xmltree.Document, lab labeling.Interface) (*Session, error)
 	if err := lab.Build(doc); err != nil {
 		return nil, fmt.Errorf("update: build %s: %w", lab.Name(), err)
 	}
-	return &Session{doc: doc, lab: lab}, nil
+	return &Session{doc: doc, lab: lab, baseOK: true, baseMark: lab.Stats().Relabelling()}, nil
 }
 
 // Document returns the session's document.
@@ -172,8 +176,8 @@ func (s *Session) notifyCommit() {
 // assumption — the full pass runs instead, and re-establishes the base,
 // whenever the base is not known to hold:
 //
-//  1. no verification has passed yet (the session's first, or the one
-//     after a failed one);
+//  1. the last verification failed (a session starts from Build's
+//     labels, which need no pass: they are in order by construction);
 //  2. the labelling's RelabelEvents, Relabeled or OverflowEvents moved
 //     since the base was taken: an existing label changed — the paper's
 //     Persistent Labels property is exactly that these stay put;
