@@ -1,8 +1,8 @@
 package xmldyn
 
 // Supplementary benchmarks: every scheme's bulk build and steady-state
-// insertion throughput, the snapshot store, the textual update language
-// and label-only vs structural axis evaluation.
+// insertion throughput, the snapshot store and its doc-tree codec, the
+// textual update language and label-only vs structural axis evaluation.
 
 import (
 	"fmt"
@@ -96,6 +96,39 @@ func BenchmarkStore(b *testing.B) {
 			}
 		}
 	})
+}
+
+// codecDocument is read_heavy's first document at seed 1: 20 000 nodes,
+// every name distinct, so every name of its image is a literal that
+// enters the image's name table and evicts the oldest.
+func codecDocument() *Document {
+	_, docs := workload.BuildCorpus(workload.FewHugeDocs(), 1)
+	return docs[0]
+}
+
+// BenchmarkEncodeDocTree measures the doc-tree image a checkpoint, an
+// Open record and a Save write.
+func BenchmarkEncodeDocTree(b *testing.B) {
+	doc := codecDocument()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		update.EncodeDocTree(doc)
+	}
+	b.ReportMetric(float64(len(update.EncodeDocTree(doc))), "image-bytes")
+}
+
+// BenchmarkDecodeDocTree measures loading that image back, as recovery
+// and Restore do.
+func BenchmarkDecodeDocTree(b *testing.B) {
+	img := update.EncodeDocTree(codecDocument())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := update.DecodeDocTree(img); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkUQL measures the textual update language end to end.

@@ -40,10 +40,10 @@ const (
 	// speaking this protocol is rejected at the handshake.
 	ProtoMagic = "XREP"
 	// ProtoVersion is the protocol version byte carried in MsgHello.
-	// Version 3 bootstraps with packs (records in the compact tree
-	// grammar since version 2); an older peer fails the handshake, not
-	// the stream.
-	ProtoVersion = 3
+	// Version 4 writes a repeated name as its slot (version 3 spelt it
+	// in full; packs since 3, the compact tree grammar since 2); an
+	// older peer fails the handshake, not the stream.
+	ProtoVersion = 4
 	// FrameHeaderSize is the bytes preceding every message body: one
 	// type byte, a uint32 LE body length, a uint32 LE CRC-32 (IEEE) of
 	// the body.

@@ -21,7 +21,7 @@
 // every document's record and the first live segment; generations and
 // segment indices are global and never reused):
 //
-//	ckpt-NNNNNN.pack  store version-9 packs: the current one, and the
+//	ckpt-NNNNNN.pack  store version-10 packs: the current one, and the
 //	                  older ones it references
 //	wal-NNNNNNNN.log  numbered log segments; commits since the current pack
 //

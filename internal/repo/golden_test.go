@@ -149,8 +149,9 @@ func TestGoldenWALBytes(t *testing.T) {
 // checkpoints encoded from the persistent root: that change must not
 // move a byte. Records are as frozen as the log. The compact tree
 // grammar of version-8 doc-snaps moved it, on purpose, and so did the
-// version-9 pack record that replaced the doc-snap file.
-const checkpointSnapshotDigest = "7c174cf4e32a834d6be903f22b0d51b34c447861687f9af52dc87d4eae242ae1"
+// version-9 pack record that replaced the doc-snap file and the
+// version-10 one that writes a repeated name as its slot.
+const checkpointSnapshotDigest = "8e958e7ff9e8a701ca9290e246b068cd6fe6a7e74397bb2e02761d14b531308d"
 
 // A checkpoint encodes each dirty document from its pinned version's
 // persistent tree. The bytes must be the ones the live tree encodes

@@ -1,4 +1,4 @@
-// Packs: the version-9 store record every stored state is. A pack maps
+// Packs: the version-10 store record every stored state is. A pack maps
 // every document to its record — name, scheme and doc-tree image —
 // either in the pack itself or in an older pack, by that pack's
 // generation and the record's offset and length in it. A durable
@@ -8,7 +8,7 @@
 //
 // Layout (the shared envelope of store.go):
 //
-//	magic "XDYN" | version 9 | generation | first live segment
+//	magic "XDYN" | version 10 | generation | first live segment
 //	entry count | count × (name | record generation | record length
 //	                       [| record offset: only when the record
 //	                          generation is not the pack's own])

@@ -36,9 +36,10 @@ var (
 // documents it and the wal golden-constants test keeps doc and code
 // aligned. A record carrying any other version byte — 1 and 2 were the
 // row-table snapshot and container, 3 to 5 manifest layouts, 6 and 8
-// per-document snapshot files, 7 the image of many of them — is
-// rejected with ErrBadVersion, never migrated.
-const VersionPack = 9
+// per-document snapshot files, 7 the image of many of them, 9 the pack
+// whose trees spelt every name in full — is rejected with ErrBadVersion,
+// never migrated.
+const VersionPack = 10
 
 const magic = "XDYN"
 

@@ -2,7 +2,8 @@
 // committed batch is logged as a replayable program: each op's
 // reference node is addressed by its structural path in the
 // pre-batch tree (the state replay resolves against before calling
-// Apply), names and values are length-prefixed strings, and subtree
+// Apply), values are length-prefixed strings, a name is spelt once and
+// then referred to by its slot in a name table, and subtree
 // grafts carry either an inline binary tree or — for the delete-then-
 // regraft idiom that expresses a move — a back-reference to the
 // earlier delete op whose target they re-attach. The full wire grammar
@@ -68,6 +69,8 @@ func EncodeOps(doc *xmltree.Document, ops []Op) ([]byte, error) {
 // that keeps one buffer from commit to commit.
 func AppendOps(out []byte, doc *xmltree.Document, ops []Op) ([]byte, error) {
 	out = labels.AppendLEB128(out, uint64(len(ops)))
+	// The names of the program's ops; each inline subtree has its own.
+	var names nameTable
 	// The steps of one reference path, reused from op to op.
 	var stepBuf [32]uint64
 	steps := stepBuf[:0]
@@ -87,11 +90,11 @@ func AppendOps(out []byte, doc *xmltree.Document, ops []Op) ([]byte, error) {
 		}
 		switch op.Kind {
 		case OpInsertBefore, OpInsertAfter, OpInsertFirstChild, OpAppendChild, OpRename:
-			out = appendCodecString(out, op.Name)
+			out = names.appendName(out, op.Name)
 		case OpSetText:
 			out = appendCodecString(out, op.Value)
 		case OpSetAttr:
-			out = appendCodecString(out, op.Name)
+			out = names.appendName(out, op.Name)
 			out = appendCodecString(out, op.Value)
 		case OpDelete:
 			if deleted != nil {
@@ -103,7 +106,7 @@ func AppendOps(out []byte, doc *xmltree.Document, ops []Op) ([]byte, error) {
 			}
 			if op.Subtree.Parent() == nil {
 				out = append(out, SubtreeInline)
-				out = appendTree(out, op.Subtree)
+				out = appendTree(out, op.Subtree, &nameTable{})
 				break
 			}
 			if deleted == nil {
@@ -149,6 +152,7 @@ func appendDecoded(ops []Op, doc *xmltree.Document, data []byte) ([]Op, error) {
 	}
 	// Back-references count from the program's first op.
 	base := len(ops)
+	var names nameTable
 	var queuedArr [maxField]byte
 	queued := queuedArr[:0]
 	defer func() { cutFields(ops[base:], queued) }()
@@ -164,18 +168,18 @@ func appendDecoded(ops []Op, doc *xmltree.Document, data []byte) ([]Op, error) {
 		}
 		switch op.Kind {
 		case OpInsertBefore, OpInsertAfter, OpInsertFirstChild, OpAppendChild, OpRename:
-			if op.Name, pos, queued, err = readField(data, pos, queued); err != nil {
+			if op.Name, pos, queued, err = readField(data, pos, queued, &names); err != nil {
 				return ops, fmt.Errorf("op %d: %w", i, err)
 			}
 		case OpSetText:
-			if op.Value, pos, queued, err = readField(data, pos, queued); err != nil {
+			if op.Value, pos, queued, err = readField(data, pos, queued, nil); err != nil {
 				return ops, fmt.Errorf("op %d: %w", i, err)
 			}
 		case OpSetAttr:
-			if op.Name, pos, queued, err = readField(data, pos, queued); err != nil {
+			if op.Name, pos, queued, err = readField(data, pos, queued, &names); err != nil {
 				return ops, fmt.Errorf("op %d: %w", i, err)
 			}
-			if op.Value, pos, queued, err = readField(data, pos, queued); err != nil {
+			if op.Value, pos, queued, err = readField(data, pos, queued, nil); err != nil {
 				return ops, fmt.Errorf("op %d: %w", i, err)
 			}
 		case OpDelete:
@@ -308,8 +312,9 @@ func readRef(doc *xmltree.Document, data []byte, pos int) (*xmltree.Node, int, e
 func EncodeDocTree(doc *xmltree.Document) []byte {
 	kids := doc.Node().Source().Children()
 	out := labels.AppendLEB128(nil, uint64(len(kids)))
+	var names nameTable
 	for _, c := range kids {
-		out = appendTree(out, c)
+		out = appendTree(out, c, &names)
 	}
 	return out
 }
@@ -349,11 +354,12 @@ const (
 )
 
 // appendTree serialises the subtree rooted at n: a head byte, the name
-// and value its kind carries, then attributes and children recursively,
-// in document order, each list only if it is non-empty. Unlike an XML
-// text round-trip this preserves whitespace-only text nodes and every
-// value byte exactly.
-func appendTree(out []byte, n *xmltree.Node) []byte {
+// (through names, the table of its image or inline subtree) and value
+// its kind carries, then attributes and children recursively, in
+// document order, each list only if it is non-empty. Unlike an XML text
+// round-trip this preserves whitespace-only text nodes and every value
+// byte exactly.
+func appendTree(out []byte, n *xmltree.Node, names *nameTable) []byte {
 	kind, attrs, kids := n.Kind(), n.Attributes(), n.Children()
 	head := byte(kind)
 	if len(attrs) > 0 {
@@ -364,7 +370,7 @@ func appendTree(out []byte, n *xmltree.Node) []byte {
 	}
 	out = append(out, head)
 	if kind != xmltree.KindText && kind != xmltree.KindComment {
-		out = appendCodecString(out, n.Name())
+		out = names.appendName(out, n.Name())
 	}
 	if kind != xmltree.KindElement {
 		out = appendCodecString(out, n.Value())
@@ -373,7 +379,7 @@ func appendTree(out []byte, n *xmltree.Node) []byte {
 		if len(list) > 0 {
 			out = labels.AppendLEB128(out, uint64(len(list)))
 			for _, c := range list {
-				out = appendTree(out, c)
+				out = appendTree(out, c, names)
 			}
 		}
 	}
@@ -387,10 +393,12 @@ func appendTree(out []byte, n *xmltree.Node) []byte {
 // not back reserves nothing. The second takes the nodes and their
 // exact-size lists from one slab of that size, and every name and value
 // from text, the one string copy of the bytes the trees span; the
-// attachment rules are AppendAttr's and AppendChild's, as ever.
+// attachment rules are AppendAttr's and AppendChild's, as ever. Each pass
+// starts from an empty name table.
 type treeReader struct {
 	data         []byte
 	nodes, links int
+	names        nameTable
 	building     bool         // the second pass
 	slab         xmltree.Slab // of nodes nodes and links list entries
 	text         string       // string(data), as far as the trees go
@@ -399,6 +407,7 @@ type treeReader struct {
 // build ends the first pass, which read data[:end].
 func (r *treeReader) build(end int) {
 	r.building, r.slab, r.text = true, xmltree.NewSlab(r.nodes, r.links), string(r.data[:end])
+	r.names = nameTable{}
 }
 
 // decodeTree decodes the one subtree at data[pos:].
@@ -413,15 +422,16 @@ func decodeTree(data []byte, pos int) (*xmltree.Node, int, error) {
 	return n, pos + end, err
 }
 
-// length reads the count or byte length at pos. What it counts takes at
-// least a byte each, so one beyond the bytes left is corrupt.
-func (r *treeReader) length(pos int, what string) (int, int, error) {
-	v, n, err := labels.DecodeLEB128(r.data[pos:])
+// readLength reads the count or byte length at data[pos:]. What it
+// counts takes at least a byte each, so one beyond the bytes left is
+// corrupt.
+func readLength(data []byte, pos int, what string) (int, int, error) {
+	v, n, err := labels.DecodeLEB128(data[pos:])
 	if err != nil {
 		return 0, 0, fmt.Errorf("%w: %s: %v", ErrCodecCorrupt, what, err)
 	}
 	pos += n
-	if v > uint64(len(r.data)-pos) {
+	if v > uint64(len(data)-pos) {
 		return 0, 0, fmt.Errorf("%w: implausible %s %d", ErrCodecCorrupt, what, v)
 	}
 	return int(v), pos, nil
@@ -430,11 +440,20 @@ func (r *treeReader) length(pos int, what string) (int, int, error) {
 // cut reads the length-prefixed string at pos — on the first pass only
 // its extent.
 func (r *treeReader) cut(pos int, what string) (string, int, error) {
-	l, pos, err := r.length(pos, what)
+	l, pos, err := readLength(r.data, pos, what)
 	if err != nil || !r.building {
 		return "", pos + l, err
 	}
 	return r.text[pos : pos+l], pos + l, nil
+}
+
+// name reads the name field at pos — on the first pass only its extent.
+func (r *treeReader) name(pos int) (string, int, error) {
+	s, pos, err := r.names.read(r.data, pos)
+	if err != nil || !r.building {
+		return "", pos, err
+	}
+	return r.text[r.names.off[s]:r.names.end[s]], pos, nil
 }
 
 // readTree reads the subtree at pos (a nil node on the first pass).
@@ -455,11 +474,11 @@ func (r *treeReader) readTree(pos int) (*xmltree.Node, int, error) {
 	var err error
 	switch kind {
 	case xmltree.KindElement:
-		name, pos, err = r.cut(pos, "name length")
+		name, pos, err = r.name(pos)
 	case xmltree.KindText, xmltree.KindComment:
 		value, pos, err = r.cut(pos, "value length")
 	case xmltree.KindAttribute, xmltree.KindProcInst:
-		if name, pos, err = r.cut(pos, "name length"); err == nil {
+		if name, pos, err = r.name(pos); err == nil {
 			value, pos, err = r.cut(pos, "value length")
 		}
 	default:
@@ -489,7 +508,7 @@ func (r *treeReader) readTree(pos int) (*xmltree.Node, int, error) {
 // never empty. The children's room extends the attributes' window: an
 // attribute reserves none of its own.
 func (r *treeReader) readList(n *xmltree.Node, pos int, flag byte) (int, error) {
-	count, pos, err := r.length(pos, "node count")
+	count, pos, err := readLength(r.data, pos, "node count")
 	if err != nil {
 		return 0, err
 	}
@@ -532,24 +551,35 @@ const maxField = 512
 // fieldPad supplies the placeholders readField returns.
 var fieldPad = strings.Repeat("?", maxField)
 
-// readField reads the length-prefixed name or value at data[pos:]. While
-// queued has room for it, a field of 2 bytes or more is appended there and
-// read as a placeholder of its length, fieldPad's prefix, for cutFields to
-// replace. Any other field is a string of its own (the runtime's, for a
-// byte), and so is every one after the first that finds queued full.
-func readField(data []byte, pos int, queued []byte) (string, int, []byte, error) {
-	l, pos, err := (&treeReader{data: data}).length(pos, "string length")
+// readField reads the length-prefixed value at data[pos:] or, with names,
+// the name field there. While queued has room for it, a field of 2 bytes
+// or more is appended there and read as a placeholder of its length,
+// fieldPad's prefix, for cutFields to replace. Any other field is a
+// string of its own (the runtime's, for a byte), and so is every one
+// after the first that finds queued full.
+func readField(data []byte, pos int, queued []byte, names *nameTable) (string, int, []byte, error) {
+	var off, end int
+	var err error
+	if names == nil {
+		end, off, err = readLength(data, pos, "string length")
+		end += off
+		pos = end
+	} else {
+		var s int
+		s, pos, err = names.read(data, pos)
+		off, end = names.off[s], names.end[s]
+	}
 	if err != nil {
 		return "", 0, queued, err
 	}
-	f, next := data[pos:pos+l], pos+l
+	f := data[off:end]
 	switch {
 	case len(f) < 2 || len(f) > maxField:
-		return string(f), next, queued, nil
+		return string(f), pos, queued, nil
 	case len(f) > cap(queued)-len(queued):
-		return string(f), next, queued[:len(queued):len(queued)], nil
+		return string(f), pos, queued[:len(queued):len(queued)], nil
 	}
-	return fieldPad[:len(f)], next, append(queued, f...), nil
+	return fieldPad[:len(f)], pos, append(queued, f...), nil
 }
 
 // cutFields replaces the placeholders among the names and values of ops —
@@ -564,4 +594,98 @@ func cutFields(ops []Op, queued []byte) {
 			}
 		}
 	}
+}
+
+// --- name tables ---------------------------------------------------------------
+
+// nameSlots is the size of the name table of each tree image, op
+// program and inline subtree (docs/DURABILITY.md §6). A name field is
+// LEB128 v: an even v a literal of v/2 bytes, which enters slot
+// (literals so far) mod nameSlots, an odd v the name in slot (v-1)/2.
+// The encoder refers to every name a slot holds, so the decoder refuses
+// a literal a slot holds.
+const nameSlots = 64
+
+// nameTable is a name table: each slot's hash and where its literal
+// lies in the bytes written or read, and an index that chains the live
+// slots of each bucket of hashes, oldest first.
+type nameTable struct {
+	lits       int // literals so far
+	hash       [nameSlots]uint32
+	off, end   [nameSlots]int
+	head, tail [nameBuckets]uint8 // 1 + a bucket's oldest, newest slot
+	next       [nameSlots]uint8   // 1 + the bucket's next newer slot
+}
+
+// nameBuckets is how many buckets the top bits of a hash pick from. A
+// bucket's head is 0 while it is empty, and a chain ends in a next of 0.
+const nameBuckets = 256
+
+// nameHash folds a name a byte at a time, each step a multiply by
+// 2^32/φ, which carries every bit into the top bits that pick a bucket.
+func nameHash[T string | []byte](s T) uint32 {
+	h := uint32(len(s))
+	for i := range len(s) {
+		h = (h ^ uint32(s[i])) * 0x9e3779b1
+	}
+	return h
+}
+
+// findName returns the slot of t holding name in buf, or -1, with the
+// name's hash.
+func findName[T string | []byte](t *nameTable, buf []byte, name T) (int, uint32) {
+	h := nameHash(name)
+	for i := t.head[h>>24]; i != 0; i = t.next[i-1] {
+		if s := i - 1; t.hash[s] == h && string(buf[t.off[s]:t.end[s]]) == string(name) {
+			return int(s), h
+		}
+	}
+	return -1, h
+}
+
+// enter gives the next slot to the literal at [off, end) of hash h. The
+// slot's name, the oldest, leaves the head of its bucket's chain, and
+// the new one joins the tail of its own.
+func (t *nameTable) enter(h uint32, off, end int) int {
+	s := t.lits % nameSlots
+	if t.lits >= nameSlots {
+		t.head[t.hash[s]>>24] = t.next[s]
+	}
+	t.lits++
+	t.hash[s], t.off[s], t.end[s], t.next[s] = h, off, end, 0
+	b := h >> 24
+	if t.head[b] == 0 {
+		t.head[b] = uint8(s + 1)
+	} else {
+		t.next[t.tail[b]-1] = uint8(s + 1)
+	}
+	t.tail[b] = uint8(s + 1)
+	return s
+}
+
+// appendName appends the name field of name to out, the bytes t is
+// written to.
+func (t *nameTable) appendName(out []byte, name string) []byte {
+	s, h := findName(t, out, name)
+	if s >= 0 {
+		return append(out, byte(2*s+1))
+	}
+	out = labels.AppendLEB128(out, uint64(len(name))<<1)
+	t.enter(h, len(out), len(out)+len(name))
+	return append(out, name...)
+}
+
+// read reads the name field at data[pos:], the bytes t is read from,
+// returning its slot and the offset past it.
+func (t *nameTable) read(data []byte, pos int) (int, int, error) {
+	v, n, err := labels.DecodeLEB128(data[pos:])
+	pos += n
+	if err == nil && v&1 == 1 && v>>1 < uint64(min(t.lits, nameSlots)) {
+		return int(v >> 1), pos, nil
+	}
+	f := data[pos : pos+int(min(v>>1, uint64(len(data)-pos)))]
+	if s, h := findName(t, data, f); err == nil && v&1 == 0 && v>>1 == uint64(len(f)) && s < 0 {
+		return t.enter(h, pos, pos+len(f)), pos + len(f), nil
+	}
+	return 0, 0, fmt.Errorf("%w: name field %d, %d literals read: a reference past them, a literal a slot holds or one past the bytes (%v)", ErrCodecCorrupt, v, t.lits, err)
 }

@@ -305,7 +305,7 @@ func TestDocTreeImageBytes(t *testing.T) {
 		}
 		return n
 	}
-	size := func(n *xmltree.Node) int { return len(appendTree(nil, n)) }
+	size := func(n *xmltree.Node) int { return len(appendTree(nil, n, new(nameTable))) }
 	for _, c := range []struct {
 		node *xmltree.Node
 		want int
@@ -337,22 +337,22 @@ func TestDocTreeImageBytes(t *testing.T) {
 	if _, err := doc.Root().SetAttr("a", "v"); err != nil {
 		t.Fatal(err)
 	}
-	want := []byte{1, 0x19, 1, 'r', 1, 0x02, 1, 'a', 1, 'v', 2, 0x01, 1, 'e', 0x03, 1, 't'}
+	want := []byte{1, 0x19, 2, 'r', 1, 0x02, 2, 'a', 1, 'v', 2, 0x01, 2, 'e', 0x03, 1, 't'}
 	if got := EncodeDocTree(doc); !bytes.Equal(got, want) {
 		t.Fatalf("<r a=\"v\"><e/>t</r> encodes as %x, want %x", got, want)
 	}
 
 	for name, img := range map[string][]byte{
-		"kind 0":                 {1, 0x00, 1, 'e'},
-		"kind 6":                 {1, 0x06, 1, 'p', 0},
-		"kind 7":                 {1, 0x07, 1, 'p', 0},
-		"bit 0x20":               {1, 0x21, 1, 'e'},
-		"bit 0x40":               {1, 0x41, 1, 'e'},
-		"bit 0x80":               {1, 0x81, 1, 'e'},
-		"attribute with attrs":   {1, 0x09, 1, 'e', 1, 0x0A, 1, 'a', 1, 'v', 1, 0x02, 1, 'b', 1, 'w'},
-		"attribute with kids":    {1, 0x09, 1, 'e', 1, 0x12, 1, 'a', 1, 'v', 1, 0x03, 1, 't'},
-		"flagged empty attrs":    {1, 0x09, 1, 'e', 0},
-		"flagged empty children": {1, 0x11, 1, 'e', 0},
+		"kind 0":                 {1, 0x00, 2, 'e'},
+		"kind 6":                 {1, 0x06, 2, 'p', 0},
+		"kind 7":                 {1, 0x07, 2, 'p', 0},
+		"bit 0x20":               {1, 0x21, 2, 'e'},
+		"bit 0x40":               {1, 0x41, 2, 'e'},
+		"bit 0x80":               {1, 0x81, 2, 'e'},
+		"attribute with attrs":   {1, 0x09, 2, 'e', 1, 0x0A, 2, 'a', 1, 'v', 1, 0x02, 2, 'b', 1, 'w'},
+		"attribute with kids":    {1, 0x09, 2, 'e', 1, 0x12, 2, 'a', 1, 'v', 1, 0x03, 1, 't'},
+		"flagged empty attrs":    {1, 0x09, 2, 'e', 0},
+		"flagged empty children": {1, 0x11, 2, 'e', 0},
 	} {
 		if _, err := DecodeDocTree(img); !errors.Is(err, ErrCodecCorrupt) {
 			t.Errorf("%s: %v, want ErrCodecCorrupt", name, err)

@@ -186,12 +186,16 @@ func TestDecodedNodeFootprint(t *testing.T) {
 // lyingTree is len bytes of nested lies: every element claims as many
 // children as bytes remain — the most the plausibility check lets
 // through — and holds one, down to where the bytes run out. A decoder
-// that reserved room by the claims would allocate len²/12 list entries.
+// that reserved room by the claims would allocate len²/10 list entries.
+// The elements are all named e: the first spells it, the rest refer to
+// its slot.
 func lyingTree(size int) []byte {
 	out := []byte{1} // one top-level child
+	name := []byte{2, 'e'}
 	for len(out)+16 <= size {
-		out = append(out, byte(xmltree.KindElement)|0x10, 1, 'e') // has children
+		out = append(append(out, byte(xmltree.KindElement)|0x10), name...) // has children
 		out = labels.AppendLEB128(out, uint64(size-len(out)-10))
+		name = []byte{1}
 	}
 	return out
 }
@@ -217,7 +221,7 @@ func TestDecodeDocTreeLiesReserveNothing(t *testing.T) {
 // corrupt, since no session holds that state (TestSessionRefusesSecondRoot); document-level
 // comments and processing instructions around one root are not.
 func TestDecodeDocTreeRefusesSecondRoot(t *testing.T) {
-	elem := func(name string) []byte { return []byte{byte(xmltree.KindElement), 1, name[0]} }
+	elem := func(name string) []byte { return []byte{byte(xmltree.KindElement), 2, name[0]} }
 	comment := []byte{byte(xmltree.KindComment), 1, 'c'}
 	image := func(parts ...[]byte) []byte { return bytes.Join(append([][]byte{{byte(len(parts))}}, parts...), nil) }
 	for _, img := range [][]byte{image(elem("a"), elem("b")), image(elem("a"), comment, elem("b")), image(comment, elem("a"), elem("b"), comment)} {

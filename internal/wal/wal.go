@@ -65,9 +65,10 @@ const (
 	// Magic opens every WAL segment file.
 	Magic = "XWAL"
 	// Version is the current WAL format version byte. Version 1 logged
-	// trees in the grammar before the compact one; its segments are
-	// refused (ErrBadHeader), never migrated.
-	Version = 2
+	// trees in the grammar before the compact one, version 2 spelt every
+	// name in full; their segments are refused (ErrBadHeader), never
+	// migrated.
+	Version = 3
 	// HeaderSize is the byte length of the segment header (magic + version).
 	HeaderSize = len(Magic) + 1
 	// FrameHeaderSize is the byte length of a record frame header
