@@ -9,7 +9,7 @@ import (
 // NewDurableRepository, logged batches, crash recovery, checkpoint.
 func TestDurableRepositoryFacade(t *testing.T) {
 	dir := t.TempDir()
-	r, err := NewDurableRepository(dir, DurableOptions{Sync: SyncPerCommit})
+	r, err := NewDurableRepository(dir, DurableOptions{Sync: SyncGrouped})
 	if err != nil {
 		t.Fatal(err)
 	}

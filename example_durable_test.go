@@ -19,7 +19,7 @@ func ExampleNewDurableRepository() {
 	}
 	defer os.RemoveAll(dir)
 
-	r, err := xmldyn.NewDurableRepository(dir, xmldyn.DurableOptions{Sync: xmldyn.SyncPerCommit})
+	r, err := xmldyn.NewDurableRepository(dir, xmldyn.DurableOptions{Sync: xmldyn.SyncGrouped})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func ExampleNewDurableRepository() {
 		}
 	}
 	// Crash: the handle is abandoned — no Close, no Checkpoint. Every
-	// returned Batch is already durable under SyncPerCommit.
+	// returned Batch is already durable under SyncGrouped.
 
 	recovered, err := xmldyn.NewDurableRepository(dir, xmldyn.DurableOptions{})
 	if err != nil {

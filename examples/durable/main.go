@@ -1,6 +1,6 @@
 // Durable demonstrates the crash-safe repository layer: a directory-
-// backed repository whose commits are write-ahead logged (fsync per
-// commit here), surviving an abrupt process death. The demo commits
+// backed repository whose commits are write-ahead logged (durable,
+// grouped sync here), surviving an abrupt process death. The demo commits
 // batches across several small WAL segments (an artificially tiny
 // rotation threshold so segmentation is visible), "crashes" by
 // abandoning the repository without Close, and reopens the directory:
@@ -70,7 +70,7 @@ func main() {
 	// Auto-checkpoint is disabled here so the demo's manual Checkpoint
 	// is the only compaction and the segment files stay put for the
 	// crash; production code would usually leave the default threshold.
-	opts := xmldyn.DurableOptions{Sync: xmldyn.SyncPerCommit, SegmentBytes: *segBytes, AutoCheckpointBytes: -1}
+	opts := xmldyn.DurableOptions{Sync: xmldyn.SyncGrouped, SegmentBytes: *segBytes, AutoCheckpointBytes: -1}
 
 	// Phase 1: open, commit, crash (no Close, no Checkpoint).
 	r, err := xmldyn.NewDurableRepository(*dir, opts)

@@ -25,7 +25,7 @@ import (
 
 // copyDirImage copies every regular file in src into a fresh
 // directory — the bytes a crash at this instant would leave behind
-// (per-commit sync makes every committed record durable).
+// (durable (grouped) sync makes every committed record durable).
 func copyDirImage(t *testing.T, src string) string {
 	t.Helper()
 	dst := t.TempDir()

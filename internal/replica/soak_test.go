@@ -1,6 +1,6 @@
 package replica
 
-// The -race soak: concurrent leader committers under all three fsync
+// The -race soak: concurrent leader committers under both fsync
 // policies, a checkpointer retiring segments under the session's pin,
 // a tailing follower, and snapshot readers pinning MVCC versions on
 // BOTH sides across segment rotations. After the storm the follower
@@ -26,7 +26,6 @@ func TestSoakReplicationUnderConcurrency(t *testing.T) {
 		name string
 		opts repo.DurableOptions
 	}{
-		{"per-commit", repo.DurableOptions{Sync: wal.SyncPerCommit}},
 		{"grouped", repo.DurableOptions{Sync: wal.SyncGrouped}},
 		{"async", repo.DurableOptions{Sync: wal.SyncAsync, FlushInterval: time.Millisecond}},
 	}

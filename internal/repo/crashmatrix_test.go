@@ -28,8 +28,8 @@ import (
 )
 
 // imageDir copies every regular file in src into a fresh directory —
-// the state a crash at this instant would leave on disk (per-commit
-// sync means every committed record is already durable).
+// the state a crash at this instant would leave on disk (durable
+// (grouped) sync means every committed record is already durable).
 func imageDir(t testing.TB, src string) string {
 	t.Helper()
 	dst := t.TempDir()
@@ -234,8 +234,8 @@ func TestCrashMatrixCheckpointSteps(t *testing.T) {
 func TestCrashMatrixWALTail(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	// Small segments force a mid-workload rotation; per-commit sync
-	// (the default) means every record is on disk when captured.
+	// Small segments force a mid-workload rotation; durable (grouped)
+	// sync, the default, means every record is on disk when captured.
 	d, err := OpenDurable(dir, DurableOptions{AutoCheckpointBytes: -1, SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)

@@ -100,7 +100,7 @@ type DurableOptions struct {
 	// retained-version window (RetainVersions — versions are an
 	// in-memory construct, so the window resets on recovery).
 	Repo Options
-	// Sync is the WAL fsync policy (default wal.SyncPerCommit).
+	// Sync is the WAL fsync policy (default wal.SyncGrouped).
 	Sync wal.SyncPolicy
 	// FlushInterval overrides the async policy's background fsync
 	// period (the crash loss window).

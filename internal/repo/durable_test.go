@@ -107,8 +107,8 @@ func TestKillAndRecoverReplaysExactly(t *testing.T) {
 		t.Fatal(err)
 	}
 	seedAndBatch(t, crashed, batches)
-	// Crash: no Close, no Checkpoint. SyncPerCommit means every commit
-	// is already in the file.
+	// Crash: no Close, no Checkpoint. Durable (grouped) sync means every
+	// commit is already in the file.
 	wantBooks := docTable(t, crashed, "books")
 	wantFeeds := docTable(t, crashed, "feeds")
 
@@ -532,7 +532,7 @@ func TestSecondRootNeverLogged(t *testing.T) {
 // Concurrent writers on distinct documents commit in parallel under
 // every sync policy, and recovery replays the interleaved log.
 func TestConcurrentDurableCommits(t *testing.T) {
-	for _, pol := range []wal.SyncPolicy{wal.SyncPerCommit, wal.SyncGrouped, wal.SyncAsync} {
+	for _, pol := range []wal.SyncPolicy{wal.SyncGrouped, wal.SyncAsync} {
 		t.Run(pol.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			// Tiny thresholds: rotation and auto-checkpoints race the

@@ -25,7 +25,7 @@ const goldenWAL = "testdata/golden-wal-00000001.log"
 
 // goldenOpts keeps the whole script in segment 1, every record on disk
 // when its call returns.
-var goldenOpts = DurableOptions{Sync: wal.SyncPerCommit, SegmentBytes: -1, AutoCheckpointBytes: -1}
+var goldenOpts = DurableOptions{Sync: wal.SyncGrouped, SegmentBytes: -1, AutoCheckpointBytes: -1}
 
 // goldenScript drives one call of every logged kind, and every kind
 // that must log nothing, through the leader's public API.

@@ -419,8 +419,8 @@ func TestKillDuringMultiBatchAppend(t *testing.T) {
 		}
 		post = capture(t, d)
 		sizeAfter, _ = d.LogSize()
-		// Crash: abandon without Close. SyncPerCommit means every byte
-		// below sizeAfter is already in the file.
+		// Crash: abandon without Close. Durable (grouped) sync means every
+		// byte below sizeAfter is already in the file.
 		return pre, post, sizeBefore, sizeAfter
 	}
 

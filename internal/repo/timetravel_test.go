@@ -377,8 +377,8 @@ func TestRecoveryEvictsPreCrashStamps(t *testing.T) {
 		}
 		snap.Close()
 	}
-	// Crash: no Close. Per-commit sync (the default) makes every batch
-	// durable, so recovery replays all ten.
+	// Crash: no Close. Durable (grouped) sync, the default, makes every
+	// batch durable, so recovery replays all ten.
 	rec, err := OpenDurable(dir, opts)
 	if err != nil {
 		t.Fatalf("recovery: %v", err)

@@ -28,6 +28,44 @@ func TestGroupedAppendAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestZeroPolicyWaitsOnFlusher: the zero Options is the durable policy,
+// and a durable append has one way back — a flusher round, which here
+// starts only after its pace — so four concurrent appends released
+// together each return nil, and none sooner than the pace after its
+// release.
+func TestZeroPolicyWaitsOnFlusher(t *testing.T) {
+	const pace, writers = 20 * time.Millisecond, 4
+	l, err := Create(t.TempDir(), 1, Options{pace: pace})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	type result struct {
+		err  error
+		took time.Duration
+	}
+	gate, done := make(chan struct{}), make(chan result, writers)
+	var released time.Time
+	for range writers {
+		go func() {
+			<-gate
+			err := l.Append([]byte("waits"))
+			done <- result{err, time.Since(released)}
+		}()
+	}
+	released = time.Now()
+	close(gate)
+	for range writers {
+		r := <-done
+		if r.err != nil {
+			t.Errorf("append returned %v", r.err)
+		}
+		if r.took < pace {
+			t.Errorf("append returned %v after its release, before the flusher's %v pace", r.took, pace)
+		}
+	}
+}
+
 // clock reads l's durability clock.
 func clock(l *Log) (appended, synced uint64) {
 	l.mu.Lock()
@@ -153,11 +191,11 @@ func TestCloseAndRotateReleaseParkedAppends(t *testing.T) {
 }
 
 // TestEveryFsyncAdvancesSynced: every policy numbers its appends, and
-// every fsync that covers them — a per-commit append's own, a flusher
-// round, Sync, a rotation's seal and Close — advances synced to the
-// last number it made durable.
+// every fsync that covers them — a flusher round, Sync, a rotation's
+// seal and Close — advances synced to the last number it made durable.
+// A durable append returns already synced.
 func TestEveryFsyncAdvancesSynced(t *testing.T) {
-	for _, pol := range []SyncPolicy{SyncPerCommit, SyncGrouped, SyncAsync} {
+	for _, pol := range []SyncPolicy{SyncGrouped, SyncAsync} {
 		t.Run(pol.String(), func(t *testing.T) {
 			l, err := Create(t.TempDir(), 1, Options{Policy: pol, FlushInterval: time.Millisecond})
 			if err != nil {
@@ -175,10 +213,10 @@ func TestEveryFsyncAdvancesSynced(t *testing.T) {
 			if appended, _ := clock(l); appended != 3 {
 				t.Fatalf("3 appends numbered up to %d", appended)
 			}
-			// At once under per-commit; within a flusher round otherwise.
+			// At once under grouped; within a flusher round under async.
 			deadline := time.Now().Add(10 * time.Second)
 			for _, synced := clock(l); synced != 3; _, synced = clock(l) {
-				if pol == SyncPerCommit || time.Now().After(deadline) {
+				if pol != SyncAsync || time.Now().After(deadline) {
 					t.Fatalf("synced %d after 3 appends, want 3", synced)
 				}
 				time.Sleep(time.Millisecond)

@@ -38,12 +38,11 @@
 // then truncates the torn tail so new appends extend the last valid
 // record, recreating the tail segment if its creation itself crashed.
 //
-// Durability is configurable per log (SyncPolicy): fsync on every
-// append, grouped fsyncs that let concurrent committers share one disk
-// flush, or fully asynchronous fsyncs with a bounded loss window. One
-// background flusher serves the last two, and every append is numbered
-// under all three, so one rule (settle) turns each fsync into the last
-// number it made durable.
+// Durability is configurable per log (SyncPolicy): grouped fsyncs that
+// let concurrent committers share one disk flush, or fully asynchronous
+// fsyncs with a bounded loss window. One background flusher serves
+// both, and every append is numbered under both, so one rule (settle)
+// turns each fsync into the last number it made durable.
 package wal
 
 import (
@@ -134,26 +133,24 @@ type SyncPolicy int
 
 // The fsync policies.
 const (
-	// SyncPerCommit fsyncs inside every Append: a returned Append is
-	// durable. Highest latency, zero loss window.
-	SyncPerCommit SyncPolicy = iota
-	// SyncGrouped batches committers into shared fsyncs: Append blocks
-	// until a flusher fsync covers it, so a returned Append is still
-	// durable, but committers that arrive while an fsync is in flight
+	// SyncGrouped (the default) batches committers into shared fsyncs:
+	// Append blocks until an fsync covers it, so a returned Append is
+	// durable, and committers that arrive while an fsync is in flight
 	// share the next one — N concurrent committers pay ~1 fsync between
-	// them instead of N.
-	SyncGrouped
+	// them instead of N. Zero loss window.
+	SyncGrouped SyncPolicy = iota
 	// SyncAsync returns from Append after the buffered write; a
 	// background flusher fsyncs every FlushInterval. Lowest latency,
 	// loss window bounded by the interval.
 	SyncAsync
+	// SyncPerCommit is SyncGrouped under another name, kept only
+	// because the benchmark harness in bench/ names it.
+	SyncPerCommit = SyncGrouped
 )
 
 // String names the policy.
 func (p SyncPolicy) String() string {
 	switch p {
-	case SyncPerCommit:
-		return "per-commit"
 	case SyncGrouped:
 		return "grouped"
 	case SyncAsync:
@@ -165,7 +162,7 @@ func (p SyncPolicy) String() string {
 
 // Options configures a log.
 type Options struct {
-	// Policy is the fsync policy (default SyncPerCommit).
+	// Policy is the fsync policy (default SyncGrouped).
 	Policy SyncPolicy
 	// FlushInterval overrides DefaultFlushInterval for SyncAsync.
 	FlushInterval time.Duration
@@ -221,9 +218,9 @@ type Log struct {
 
 	// The durability clock, under mu like the fields above: every append
 	// takes the sequence number appended+1, and synced is the last number
-	// a successful fsync covered (settle). Under SyncPerCommit and
-	// SyncGrouped an append waits until synced reaches its number or the
-	// log fails (err); both are broadcast on covered.
+	// a successful fsync covered (settle). Under SyncGrouped an append
+	// waits until synced reaches its number or the log fails (err); both
+	// are broadcast on covered.
 	appended, synced uint64
 	covered          sync.Cond
 	wake             chan struct{}
@@ -313,20 +310,18 @@ func syncDir(dir string) error {
 func newLog(dir string, f *os.File, active uint64, size, total int64, opts Options) *Log {
 	l := &Log{opts: opts, dir: dir, f: f, active: active, size: size, total: total}
 	l.covered.L = &l.mu
-	if opts.Policy != SyncPerCommit {
-		l.wake = make(chan struct{}, 1)
-		l.stop = make(chan struct{})
-		l.doneWG.Add(1)
-		go l.flusher()
-	}
+	l.wake = make(chan struct{}, 1)
+	l.stop = make(chan struct{})
+	l.doneWG.Add(1)
+	go l.flusher()
 	return l
 }
 
 // Append frames payload (length + CRC) and appends it to the active
 // segment — rotating to a fresh segment first if the size policy says
 // this append would overgrow it — honouring the log's sync policy: it
-// returns once the record is durable under SyncPerCommit and
-// SyncGrouped, or once it is written (not yet synced) under SyncAsync.
+// returns once the record is durable under SyncGrouped, or once it is
+// written (not yet synced) under SyncAsync.
 // Under every policy the record takes the next sequence number of the
 // log's durability clock (appended).
 // payload stays the caller's: it is copied and not read after Append
@@ -376,17 +371,13 @@ func (l *Log) Append(payload []byte) error {
 	l.appended++
 	seq := l.appended
 
-	switch l.opts.Policy {
-	case SyncPerCommit:
-		l.settle(l.f, seq, l.f.Sync())
-	case SyncGrouped:
-		select {
-		case l.wake <- struct{}{}:
-		default:
-		}
-	default: // SyncAsync
+	if l.opts.Policy == SyncAsync {
 		l.mu.Unlock()
 		return nil
+	}
+	select {
+	case l.wake <- struct{}{}:
+	default:
 	}
 	for l.synced < seq && l.err == nil {
 		l.covered.Wait()
@@ -488,10 +479,8 @@ func (l *Log) Close() error {
 	l.closed = true
 	l.mu.Unlock()
 
-	if l.stop != nil {
-		close(l.stop)
-		l.doneWG.Wait()
-	}
+	close(l.stop)
+	l.doneWG.Wait()
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -528,9 +517,9 @@ func (l *Log) settle(f *os.File, seq uint64, err error) error {
 	return err
 }
 
-// flusher is the background fsync of SyncGrouped and SyncAsync. A round
-// starts when a grouped append wakes it, or at each FlushInterval tick
-// under SyncAsync, and fsyncs once for every append numbered so far.
+// flusher is the log's one background fsync, which every log runs. A
+// round starts when a grouped append wakes it, or at each FlushInterval
+// tick under SyncAsync, and fsyncs once for every append numbered so far.
 // The fsync runs outside the log mutex, so committers keep appending —
 // and waiting for the next round — while the disk flush is in flight:
 // that in-flight window is where grouping comes from.

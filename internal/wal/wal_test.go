@@ -42,7 +42,7 @@ func segmentFiles(t *testing.T, dir string) []string {
 }
 
 func TestAppendReplayRoundTrip(t *testing.T) {
-	for _, pol := range []SyncPolicy{SyncPerCommit, SyncGrouped, SyncAsync} {
+	for _, pol := range []SyncPolicy{SyncGrouped, SyncAsync} {
 		t.Run(pol.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			l, err := Create(dir, 1, Options{Policy: pol, FlushInterval: time.Millisecond})
@@ -95,7 +95,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 // appended.
 func TestConcurrentAppends(t *testing.T) {
 	sizes := []int{1, 7, 300, 4 << 10, maxKeptFrame, 100, 1}
-	for _, pol := range []SyncPolicy{SyncPerCommit, SyncGrouped, SyncAsync} {
+	for _, pol := range []SyncPolicy{SyncGrouped, SyncAsync} {
 		t.Run(pol.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			// Tiny SegmentBytes so rotation happens under concurrent load.

@@ -401,13 +401,12 @@ type (
 	SyncPolicy = wal.SyncPolicy
 )
 
-// WAL fsync policies for DurableOptions.Sync: fsync per commit,
-// grouped fsyncs shared by concurrent committers, or asynchronous
-// background fsyncs with a bounded loss window.
+// WAL fsync policies for DurableOptions.Sync: grouped fsyncs shared by
+// concurrent committers (the default), or asynchronous background
+// fsyncs with a bounded loss window.
 const (
-	SyncPerCommit = wal.SyncPerCommit
-	SyncGrouped   = wal.SyncGrouped
-	SyncAsync     = wal.SyncAsync
+	SyncGrouped = wal.SyncGrouped
+	SyncAsync   = wal.SyncAsync
 )
 
 // ErrRepoClosed reports use of a closed durable repository.
