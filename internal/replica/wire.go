@@ -40,10 +40,10 @@ const (
 	// speaking this protocol is rejected at the handshake.
 	ProtoMagic = "XREP"
 	// ProtoVersion is the protocol version byte carried in MsgHello.
-	// Version 4 writes a repeated name as its slot (version 3 spelt it
-	// in full; packs since 3, the compact tree grammar since 2); an
-	// older peer fails the handshake, not the stream.
-	ProtoVersion = 4
+	// Version 5 addresses an op from the op before (version 4 by a path;
+	// name slots since 4, packs since 3, the compact tree grammar since
+	// 2); an older peer fails the handshake, not the stream.
+	ProtoVersion = 5
 	// FrameHeaderSize is the bytes preceding every message body: one
 	// type byte, a uint32 LE body length, a uint32 LE CRC-32 (IEEE) of
 	// the body.

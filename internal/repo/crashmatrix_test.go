@@ -234,9 +234,11 @@ func TestCrashMatrixCheckpointSteps(t *testing.T) {
 func TestCrashMatrixWALTail(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	// Small segments force a mid-workload rotation; durable (grouped)
-	// sync, the default, means every record is on disk when captured.
-	d, err := OpenDurable(dir, DurableOptions{AutoCheckpointBytes: -1, SegmentBytes: 256})
+	// The workload rotates once, by hand, so the last segment holds the
+	// same two records whatever the earlier ones encode to; durable
+	// (grouped) sync, the default, means every record is on disk when
+	// captured.
+	d, err := OpenDurable(dir, DurableOptions{AutoCheckpointBytes: -1, SegmentBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,6 +286,9 @@ func TestCrashMatrixWALTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	capture()
+	if _, err := d.log.Rotate(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := d.MultiBatch([]string{"a", "b"}, func(m map[string]*MultiDoc) error {
 		m["a"].Batch().AppendChild(m["a"].Document().Root(), "xa")
 		m["b"].Batch().AppendChild(m["b"].Document().Root(), "xb")
@@ -305,7 +310,7 @@ func TestCrashMatrixWALTail(t *testing.T) {
 
 	last := history[len(history)-1]
 	if history[0].seg == last.seg {
-		t.Fatalf("workload never rotated (all %d records in segment %d); shrink SegmentBytes", len(history)-1, last.seg)
+		t.Fatalf("workload never rotated (all %d records in segment %d)", len(history)-1, last.seg)
 	}
 	lastPath := wal.SegmentName(last.seg)
 	// preRotation is the state holding exactly the records of the

@@ -25,10 +25,12 @@ import (
 // v1Segment is the golden segment 1 the leader wrote while the log
 // carried version 1 and trees in the grammar before the compact one;
 // v2Segment the one it wrote while the log carried version 2 and
-// spelt every name in full.
+// spelt every name in full; v3Segment the one of version 3, which
+// addressed every op's target by its path.
 const (
 	v1Segment = "testdata/v1-wal-00000001.log"
 	v2Segment = "testdata/v2-wal-00000001.log"
+	v3Segment = "testdata/v3-wal-00000001.log"
 )
 
 // sealed appends the trailer store seals every record with: the FNV-1a
@@ -100,17 +102,18 @@ func dirFiles(t *testing.T, dir string) map[string]string {
 
 // TestOldFormatsRefused: bytes written in a format this build does not
 // read are refused by their version byte — a log segment in the tree
-// grammar before the compact one or in the one that spelt every name in
-// full, a checkpoint or session image in a version-9 pack, a session
-// image in the version-8 doc-snap that packs replaced or in the grammar
-// before the compact one, a version-7 repository image, a follower
-// speaking protocol 3 — and a directory in the per-file checkpoint
+// grammar before the compact one, in the one that spelt every name in
+// full or in the op grammar that addressed every target by its path, a
+// checkpoint or session image in a version-9 pack, a session image in
+// the version-8 doc-snap that packs replaced or in the grammar before
+// the compact one, a version-7 repository image, a follower speaking
+// protocol 4 — and a directory in the per-file checkpoint
 // layout packs replaced is refused by its MANIFEST and doc-*.snap
 // names. Nothing migrates them, and a refused directory is left as it
 // was.
 func TestOldFormatsRefused(t *testing.T) {
 	opts := repo.DurableOptions{AutoCheckpointBytes: -1}
-	for version, file := range []string{1: v1Segment, 2: v2Segment} {
+	for version, file := range []string{1: v1Segment, 2: v2Segment, 3: v3Segment} {
 		if file == "" {
 			continue
 		}
@@ -164,13 +167,13 @@ func TestOldFormatsRefused(t *testing.T) {
 		t.Errorf("a version-9 session image: %v, want store.ErrBadVersion", err)
 	}
 
-	// A follower's hello in protocol 3, from segment 1.
+	// A follower's hello in protocol 4, from segment 1.
 	leader, err := repo.OpenDurable(t.TempDir(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer leader.Close()
-	hello := binary.LittleEndian.AppendUint64(append([]byte(replica.ProtoMagic), 3), 1)
+	hello := binary.LittleEndian.AppendUint64(append([]byte(replica.ProtoMagic), 4), 1)
 	hello = binary.LittleEndian.AppendUint64(hello, uint64(wal.HeaderSize))
 	frame := binary.LittleEndian.AppendUint32([]byte{replica.MsgHello}, uint32(len(hello)))
 	frame = append(binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(hello)), hello...)
@@ -180,7 +183,7 @@ func TestOldFormatsRefused(t *testing.T) {
 		follower.Close()
 	}()
 	if err := replica.NewShipper(leader, replica.ShipperOptions{}).HandleConn(conn); !errors.Is(err, replica.ErrHandshake) {
-		t.Errorf("a protocol-3 hello: %v, want replica.ErrHandshake", err)
+		t.Errorf("a protocol-4 hello: %v, want replica.ErrHandshake", err)
 	}
 
 	// A directory in the per-file layout — a manifest naming a

@@ -30,9 +30,10 @@ func TestNamesWrittenOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A count, then each op a kind byte and a two-byte path; item
-		// spelt once (a length byte and 4) and referred to seven times.
-		if want := 1 + 8*3 + 5 + 7; len(data) != want {
+		// A count; the first op a kind byte, a two-byte path and item
+		// spelt (a length byte and 4); the other seven a kind byte that
+		// marks the target and the name as the last op's.
+		if want := 1 + (1 + 2 + 5) + 7; len(data) != want {
 			t.Errorf("8 appends of item encode in %d bytes, want %d: %x", len(data), want, data)
 		}
 	})
@@ -149,11 +150,12 @@ func TestNamesWrittenOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// One or two appends under the root: kind 3, path 01 00.
+		// Appends under the root: kind 3, path 01 00, then the same
+		// target (0x13).
 		for name, prog := range map[string][]byte{
 			"a reference to an empty slot": {1, 3, 1, 0, 1},
-			"a reference past slot 63":     {2, 3, 1, 0, 2, 'x', 3, 1, 0, 0x81, 0x01},
-			"a literal a slot holds":       {2, 3, 1, 0, 2, 'x', 3, 1, 0, 2, 'x'},
+			"a reference past slot 63":     {2, 3, 1, 0, 2, 'x', 0x13, 0x81, 0x01},
+			"a literal a slot holds":       {3, 3, 1, 0, 2, 'x', 0x13, 2, 'y', 0x13, 2, 'x'},
 		} {
 			if _, err := update.DecodeOps(doc, prog); !errors.Is(err, update.ErrCodecCorrupt) {
 				t.Errorf("program with %s: %v, want ErrCodecCorrupt", name, err)

@@ -2,13 +2,14 @@
 // committed batch is logged as a replayable program: each op's
 // reference node is addressed by its structural path in the
 // pre-batch tree (the state replay resolves against before calling
-// Apply), values are length-prefixed strings, a name is spelt once and
-// then referred to by its slot in a name table, and subtree
-// grafts carry either an inline binary tree or — for the delete-then-
-// regraft idiom that expresses a move — a back-reference to the
-// earlier delete op whose target they re-attach. The full wire grammar
-// is specified in docs/DURABILITY.md; the same LEB128 and string
-// conventions as internal/store apply.
+// Apply) or from the previous op's, values are length-prefixed strings,
+// a name is spelt once and then referred to by its slot in a name table
+// or, if it is the last name the program wrote, by a bit of the kind
+// byte, and subtree grafts carry either an inline binary tree or — for
+// the delete-then-regraft idiom that expresses a move — a
+// back-reference to the earlier delete op whose target they re-attach.
+// The full wire grammar is specified in docs/DURABILITY.md; the same
+// LEB128 and string conventions as internal/store apply.
 //
 // Determinism is the load-bearing property: EncodeOps runs against the
 // exact tree state DecodeOps will see at replay (pre-batch, by
@@ -35,6 +36,14 @@ const (
 	// SubtreeBackref marks a subtree op re-grafting the target of an
 	// earlier OpDelete in the same batch (a batched move).
 	SubtreeBackref byte = 1
+)
+
+// The bits of an op's kind byte above its kind (docs/DURABILITY.md §6).
+const (
+	kindBits   byte = 0x0F
+	refSame    byte = 0x10 // the previous op's target
+	refSibling byte = 0x20 // one step under the previous target's parent
+	nameLast   byte = 0x40 // the last name the program wrote
 )
 
 // Codec errors.
@@ -74,6 +83,8 @@ func AppendOps(out []byte, doc *xmltree.Document, ops []Op) ([]byte, error) {
 	// The steps of one reference path, reused from op to op.
 	var stepBuf [32]uint64
 	steps := stepBuf[:0]
+	var prev *xmltree.Node // the previous op's target
+	named := -1            // the last op whose name the program wrote
 	// Delete ops by target, for encoding moves as back-refs. Built at the
 	// first subtree op that needs it: only a move grafts a subtree that
 	// is attached when the batch is encoded.
@@ -83,18 +94,31 @@ func AppendOps(out []byte, doc *xmltree.Document, ops []Op) ([]byte, error) {
 		if op.Ref == nil {
 			return nil, fmt.Errorf("%w: op %d (%v): nil ref", ErrNotLogged, i, op.Kind)
 		}
-		out = append(out, byte(op.Kind))
+		at, form := len(out), refForm(prev, op.Ref)
+		out = append(out, byte(op.Kind)|form)
 		var err error
-		if out, steps, err = appendRef(out, steps, doc, op.Ref); err != nil {
+		switch form {
+		case 0:
+			out, steps, err = appendRef(out, steps, doc.Node(), op.Ref, true)
+		case refSibling:
+			out, steps, err = appendRef(out, steps, prev.Parent(), op.Ref, false)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("%w: op %d (%v): %v", ErrNotLogged, i, op.Kind, err)
 		}
+		prev = op.Ref
 		switch op.Kind {
-		case OpInsertBefore, OpInsertAfter, OpInsertFirstChild, OpAppendChild, OpRename:
-			out = names.appendName(out, op.Name)
+		case OpInsertBefore, OpInsertAfter, OpInsertFirstChild, OpAppendChild, OpRename, OpSetAttr:
+			if named >= 0 && ops[named].Name == op.Name {
+				out[at] |= nameLast
+			} else {
+				out = names.appendName(out, op.Name)
+			}
+			named = i
+			if op.Kind == OpSetAttr {
+				out = appendCodecString(out, op.Value)
+			}
 		case OpSetText:
-			out = appendCodecString(out, op.Value)
-		case OpSetAttr:
-			out = names.appendName(out, op.Name)
 			out = appendCodecString(out, op.Value)
 		case OpDelete:
 			if deleted != nil {
@@ -140,14 +164,14 @@ func DecodeOps(doc *xmltree.Document, data []byte) ([]Op, error) {
 // appendDecoded is DecodeOps appending the ops to ops (Batch.AddEncoded).
 // After an error it returns what it had decoded. Its names and values are
 // counted first and then cut from one string, as treeReader does: queued
-// holds their bytes until the ops are read (readField, cutFields).
+// holds their bytes until the ops are read (queueField, cutFields).
 func appendDecoded(ops []Op, doc *xmltree.Document, data []byte) ([]Op, error) {
 	count, pos, err := labels.DecodeLEB128(data)
 	if err != nil {
 		return ops, fmt.Errorf("%w: op count: %v", ErrCodecCorrupt, err)
 	}
-	// Each op costs at least a kind byte and an empty path.
-	if count > uint64(len(data)-pos)/2 {
+	// Each op costs at least its kind byte.
+	if count > uint64(len(data)-pos) {
 		return ops, fmt.Errorf("%w: implausible op count %d", ErrCodecCorrupt, count)
 	}
 	// Back-references count from the program's first op.
@@ -157,31 +181,42 @@ func appendDecoded(ops []Op, doc *xmltree.Document, data []byte) ([]Op, error) {
 	queued := queuedArr[:0]
 	defer func() { cutFields(ops[base:], queued) }()
 	ops = slices.Grow(ops, int(count))
+	var prev *xmltree.Node
+	last := -1 // the slot of the last name read
 	for i := uint64(0); i < count; i++ {
 		if pos >= len(data) {
 			return ops, fmt.Errorf("%w: truncated at op %d", ErrCodecCorrupt, i)
 		}
-		op := Op{Kind: OpKind(data[pos])}
+		b := data[pos]
+		op, mark, form := Op{Kind: OpKind(b & kindBits)}, b&nameLast != 0, b&^(kindBits|nameLast)
 		pos++
-		if op.Ref, pos, err = readRef(doc, data, pos); err != nil {
+		switch {
+		case form == 0:
+			op.Ref, pos, err = readRef(doc.Node(), data, pos, true)
+		case form == refSame:
+			op.Ref = prev
+		case form == refSibling && prev != nil && prev.Parent() != nil:
+			op.Ref, pos, err = readRef(prev.Parent(), data, pos, false)
+		}
+		// AppendOps writes the shortest address, and marks only names.
+		if err == nil && (op.Ref == nil || refForm(prev, op.Ref) != form || mark && op.Kind >= OpInsertSubtreeBefore && op.Kind <= OpSetText) {
+			err = fmt.Errorf("%w: kind byte %#x", ErrCodecCorrupt, b)
+		}
+		if err != nil {
 			return ops, fmt.Errorf("op %d (%v): %w", i, op.Kind, err)
 		}
+		prev = op.Ref
 		switch op.Kind {
-		case OpInsertBefore, OpInsertAfter, OpInsertFirstChild, OpAppendChild, OpRename:
-			if op.Name, pos, queued, err = readField(data, pos, queued, &names); err != nil {
+		case OpInsertBefore, OpInsertAfter, OpInsertFirstChild, OpAppendChild, OpRename, OpSetAttr:
+			if last, pos, err = names.readOpName(data, pos, last, mark); err != nil {
 				return ops, fmt.Errorf("op %d: %w", i, err)
+			}
+			op.Name, queued = queueField(data[names.off[last]:names.end[last]], queued)
+			if op.Kind == OpSetAttr {
+				op.Value, pos, queued, err = readField(data, pos, queued)
 			}
 		case OpSetText:
-			if op.Value, pos, queued, err = readField(data, pos, queued, nil); err != nil {
-				return ops, fmt.Errorf("op %d: %w", i, err)
-			}
-		case OpSetAttr:
-			if op.Name, pos, queued, err = readField(data, pos, queued, &names); err != nil {
-				return ops, fmt.Errorf("op %d: %w", i, err)
-			}
-			if op.Value, pos, queued, err = readField(data, pos, queued, nil); err != nil {
-				return ops, fmt.Errorf("op %d: %w", i, err)
-			}
+			op.Value, pos, queued, err = readField(data, pos, queued)
 		case OpDelete:
 			// Path only.
 		case OpInsertSubtreeBefore, OpInsertSubtreeAfter, OpInsertSubtreeFirst, OpAppendSubtree:
@@ -208,14 +243,15 @@ func appendDecoded(ops []Op, doc *xmltree.Document, data []byte) ([]Op, error) {
 					return ops, fmt.Errorf("%w: op %d backref %d names the document node", ErrCodecCorrupt, i, j)
 				}
 			case SubtreeInline:
-				if op.Subtree, pos, err = decodeTree(data, pos); err != nil {
-					return ops, fmt.Errorf("op %d: %w", i, err)
-				}
+				op.Subtree, pos, err = decodeTree(data, pos)
 			default:
 				return ops, fmt.Errorf("%w: op %d subtree tag %d", ErrCodecCorrupt, i, tag)
 			}
 		default:
 			return ops, fmt.Errorf("%w: op %d kind %d", ErrCodecCorrupt, i, int(op.Kind))
+		}
+		if err != nil {
+			return ops, fmt.Errorf("op %d: %w", i, err)
 		}
 		ops = append(ops, op)
 	}
@@ -227,16 +263,16 @@ func appendDecoded(ops []Op, doc *xmltree.Document, data []byte) ([]Op, error) {
 
 // --- structural paths --------------------------------------------------------
 
-// appendRef appends the structural path that addresses n: the index
-// route from the document node down, one step per level, each step a
-// child (or, only as the final step, attribute) index, written as the
-// depth and then the steps. The document node itself has the empty
-// path. The route is found leaf-first, so it is collected in steps —
-// the caller's scratch, handed back for the next path — and written
-// from the back.
-func appendRef(out []byte, steps []uint64, doc *xmltree.Document, n *xmltree.Node) ([]byte, []uint64, error) {
+// appendRef appends the index route from top down to n, one step per
+// level, each step a child (or, only as the final step, attribute)
+// index, and with path, the depth before them: a structural path is
+// the route from the document node, which itself has the empty path.
+// The route is found leaf-first, so it is collected in steps — the
+// caller's scratch, handed back for the next path — and written from
+// the back.
+func appendRef(out []byte, steps []uint64, top, n *xmltree.Node, path bool) ([]byte, []uint64, error) {
 	steps = steps[:0]
-	for cur := n; cur != doc.Node(); cur = cur.Parent() {
+	for cur := n; cur != top; cur = cur.Parent() {
 		if cur.Parent() == nil {
 			return out, steps, fmt.Errorf("node %q (%v) is not attached to the document", n.Name(), n.Kind())
 		}
@@ -250,19 +286,36 @@ func appendRef(out []byte, steps []uint64, doc *xmltree.Document, n *xmltree.Nod
 		}
 		steps = append(steps, step)
 	}
-	out = labels.AppendLEB128(out, uint64(len(steps)))
+	if path {
+		out = labels.AppendLEB128(out, uint64(len(steps)))
+	}
 	for i := len(steps) - 1; i >= 0; i-- {
 		out = labels.AppendLEB128(out, steps[i])
 	}
 	return out, steps, nil
 }
 
-// readRef reads the path at data[pos:] and walks it down from the
-// document node as it goes, returning the node it addresses and the
-// offset just past it. A path that stops resolving is still read to its
-// end: a malformed one is ErrCodecCorrupt wherever the damage sits.
-func readRef(doc *xmltree.Document, data []byte, pos int) (*xmltree.Node, int, error) {
-	depth, n, err := labels.DecodeLEB128(data[pos:])
+// refForm is the shortest address of target n after an op on prev.
+func refForm(prev, n *xmltree.Node) byte {
+	if n == prev {
+		return refSame
+	}
+	if prev != nil && prev.Parent() != nil && n.Parent() == prev.Parent() {
+		return refSibling
+	}
+	return 0
+}
+
+// readRef reads a route as appendRef writes it (with path, a depth and
+// as many steps, else one step), walking it down from cur as it goes,
+// and returns the node it addresses and the offset just past it. A
+// route that stops resolving is still read to its end: a malformed one
+// is ErrCodecCorrupt wherever the damage sits.
+func readRef(cur *xmltree.Node, data []byte, pos int, path bool) (*xmltree.Node, int, error) {
+	depth, n, err := uint64(1), 0, error(nil)
+	if path {
+		depth, n, err = labels.DecodeLEB128(data[pos:])
+	}
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w: path depth: %v", ErrCodecCorrupt, err)
 	}
@@ -270,7 +323,6 @@ func readRef(doc *xmltree.Document, data []byte, pos int) (*xmltree.Node, int, e
 	if depth > uint64(len(data)-pos) {
 		return nil, 0, fmt.Errorf("%w: implausible path depth %d", ErrCodecCorrupt, depth)
 	}
-	cur := doc.Node()
 	var dangling error
 	for d := uint64(0); d < depth; d++ {
 		step, n, err := labels.DecodeLEB128(data[pos:])
@@ -548,38 +600,33 @@ func appendCodecString(out []byte, s string) []byte { return labels.AppendString
 // its record reachable.
 const maxField = 512
 
-// fieldPad supplies the placeholders readField returns.
+// fieldPad supplies the placeholders queueField returns.
 var fieldPad = strings.Repeat("?", maxField)
 
-// readField reads the length-prefixed value at data[pos:] or, with names,
-// the name field there. While queued has room for it, a field of 2 bytes
-// or more is appended there and read as a placeholder of its length,
-// fieldPad's prefix, for cutFields to replace. Any other field is a
-// string of its own (the runtime's, for a byte), and so is every one
-// after the first that finds queued full.
-func readField(data []byte, pos int, queued []byte, names *nameTable) (string, int, []byte, error) {
-	var off, end int
-	var err error
-	if names == nil {
-		end, off, err = readLength(data, pos, "string length")
-		end += off
-		pos = end
-	} else {
-		var s int
-		s, pos, err = names.read(data, pos)
-		off, end = names.off[s], names.end[s]
-	}
+// readField reads the length-prefixed value at data[pos:] (queueField).
+func readField(data []byte, pos int, queued []byte) (string, int, []byte, error) {
+	l, pos, err := readLength(data, pos, "string length")
 	if err != nil {
 		return "", 0, queued, err
 	}
-	f := data[off:end]
+	f, queued := queueField(data[pos:pos+l], queued)
+	return f, pos + l, queued, nil
+}
+
+// queueField returns a name or value of a decoded op, the bytes f. While
+// queued has room, a field of 2 bytes or more is appended there and
+// returned as a placeholder of its length, fieldPad's prefix, for
+// cutFields to replace. Any other field is a string of its own (the
+// runtime's, for a byte), as is every one after the first that finds
+// queued full.
+func queueField(f, queued []byte) (string, []byte) {
 	switch {
 	case len(f) < 2 || len(f) > maxField:
-		return string(f), pos, queued, nil
+		return string(f), queued
 	case len(f) > cap(queued)-len(queued):
-		return string(f), pos, queued[:len(queued):len(queued)], nil
+		return string(f), queued[:len(queued):len(queued)]
 	}
-	return fieldPad[:len(f)], pos, append(queued, f...), nil
+	return fieldPad[:len(f)], append(queued, f...)
 }
 
 // cutFields replaces the placeholders among the names and values of ops —
@@ -688,4 +735,23 @@ func (t *nameTable) read(data []byte, pos int) (int, int, error) {
 		return t.enter(h, pos, pos+len(f)), pos + len(f), nil
 	}
 	return 0, 0, fmt.Errorf("%w: name field %d, %d literals read: a reference past them, a literal a slot holds or one past the bytes (%v)", ErrCodecCorrupt, v, t.lits, err)
+}
+
+// readOpName reads an op's name and returns its slot: marked, the slot
+// last of the last name read, else the name field at data[pos:], which
+// AppendOps never writes as a reference to slot last. A literal may
+// enter slot last: the last name held the oldest slot, and leaves it.
+func (t *nameTable) readOpName(data []byte, pos, last int, marked bool) (int, int, error) {
+	if marked {
+		if last < 0 {
+			return 0, 0, fmt.Errorf("%w: a name mark before any name", ErrCodecCorrupt)
+		}
+		return last, pos, nil
+	}
+	lits := t.lits
+	s, pos, err := t.read(data, pos)
+	if err == nil && s == last && t.lits == lits {
+		err = fmt.Errorf("%w: a reference to the last name's slot %d", ErrCodecCorrupt, s)
+	}
+	return s, pos, err
 }

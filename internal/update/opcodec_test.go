@@ -32,11 +32,11 @@ func openPair(t *testing.T, text string) (*Session, *Session) {
 // mirror resolves the node at the same structural path in another doc.
 func mirror(t *testing.T, from *xmltree.Document, n *xmltree.Node, to *xmltree.Document) *xmltree.Node {
 	t.Helper()
-	path, _, err := appendRef(nil, nil, from, n)
+	path, _, err := appendRef(nil, nil, from.Node(), n, true)
 	if err != nil {
 		t.Fatalf("mirror path: %v", err)
 	}
-	m, end, err := readRef(to, path, 0)
+	m, end, err := readRef(to.Node(), path, 0, true)
 	if err != nil || end != len(path) {
 		t.Fatalf("mirror resolve: node %v, read %d of %d bytes, err %v", m, end, len(path), err)
 	}

@@ -18,10 +18,14 @@ type opProgram struct {
 // opPrograms are op programs against xmltree.SampleBook: one for every
 // op kind — element and attribute references, inline subtrees — a move,
 // which is a delete and the back-reference that regrafts its target,
-// and one of every kind at once. FuzzDecodeOps' checked-in corpus
+// one of every kind at once, and one for each way an op refers to the
+// op before: its target, a sibling of it (an element's or an
+// attribute's) and its name, the last also when a literal then evicts
+// its slot. FuzzDecodeOps' checked-in corpus
 // (testdata/fuzz/FuzzDecodeOps) holds their encodings.
 func opPrograms(doc *xmltree.Document) []opProgram {
 	root, title, editor := doc.Root(), doc.FindElement("title"), doc.FindElement("editor")
+	publisher := doc.FindElement("publisher")
 	genre := title.Attributes()[0]
 	tree := func() *xmltree.Node {
 		e := xmltree.NewElement("s")
@@ -49,7 +53,13 @@ func opPrograms(doc *xmltree.Document) []opProgram {
 		every = append(every, p.ops...)
 	}
 	every = append(every, progs[len(progs)-1].ops...)
-	return append(progs, opProgram{"every-kind", every})
+	return append(progs, opProgram{"every-kind", every},
+		opProgram{"same-target", []update.Op{update.SetTextOp(title, "t"), update.RenameOp(title, "g")}},
+		opProgram{"sibling-target", []update.Op{update.DeleteOp(title), update.DeleteOp(publisher)}},
+		opProgram{"attribute-sibling", []update.Op{update.RenameOp(genre, "g"), update.InsertBeforeOp(title.Children()[0], "x")}},
+		opProgram{"name-mark", []update.Op{update.AppendChildOp(root, "x"), update.InsertFirstChildOp(root, "x"), update.SetAttrOp(editor, "x", "v")}},
+		opProgram{"name-literal-into-last-slot", lastSlotEvicted(root)},
+	)
 }
 
 // FuzzDecodeOps: the decoder of op programs — the body of every logged
@@ -75,12 +85,16 @@ func FuzzDecodeOps(f *testing.F) {
 			if !errors.Is(err, update.ErrCodecCorrupt) && !errors.Is(err, update.ErrUnresolvable) {
 				t.Fatalf("rejection is neither ErrCodecCorrupt nor ErrUnresolvable: %v", err)
 			}
-			// The ops decoded so far, each under 64 bytes and at least two
+			// The ops decoded so far, each under 64 bytes and at least one
 			// of the input's, the slabs of their subtrees and the error.
 			if objects, size := memUse(func() { update.DecodeOps(doc, data) }); size > uint64(64*len(data)+4096) {
 				t.Fatalf("rejecting %d bytes took %d allocations, %d bytes", len(data), objects, size)
 			}
 			return
+		}
+		// What it accepts costs what a rejection may.
+		if objects, size := memUse(func() { update.DecodeOps(doc, data) }); size > uint64(64*len(data)+4096) {
+			t.Fatalf("accepting %d bytes took %d allocations, %d bytes", len(data), objects, size)
 		}
 		enc, err := update.EncodeOps(doc, ops)
 		if err != nil {

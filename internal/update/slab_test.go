@@ -278,6 +278,10 @@ func FuzzDecodeDocTree(f *testing.F) {
 			}
 			return
 		}
+		// What it accepts costs what a rejection may.
+		if objects, size := memUse(func() { update.DecodeDocTree(data) }); objects > 24 || size > uint64(64*len(data)+4096) {
+			t.Fatalf("accepting %d bytes took %d allocations, %d bytes", len(data), objects, size)
+		}
 		// A valid tree with one root element at most, as the session
 		// keeps it (ErrRootSibling).
 		if err := doc.Validate(); err != nil {

@@ -65,9 +65,9 @@ const (
 	Magic = "XWAL"
 	// Version is the current WAL format version byte. Version 1 logged
 	// trees in the grammar before the compact one, version 2 spelt every
-	// name in full; their segments are refused (ErrBadHeader), never
-	// migrated.
-	Version = 3
+	// name in full, version 3 every op's target as a path; their segments
+	// are refused (ErrBadHeader), never migrated.
+	Version = 4
 	// HeaderSize is the byte length of the segment header (magic + version).
 	HeaderSize = len(Magic) + 1
 	// FrameHeaderSize is the byte length of a record frame header
