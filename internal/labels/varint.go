@@ -112,7 +112,11 @@ func LEB128Len(v uint64) int {
 // DecodeLEB128 decodes one LEB128 value, returning it and the bytes
 // consumed. A tenth byte may carry only bit 63: anything above it (or a
 // continuation past it) does not fit 64 bits and is rejected, as
-// encoding/binary.Uvarint does, instead of being silently dropped.
+// encoding/binary.Uvarint does, instead of being silently dropped. A
+// value spelt longer than AppendLEB128 writes it — a final zero byte
+// after the first — is rejected too, so every decoder built on this one
+// accepts a single spelling of each value and what it accepts
+// re-encodes to the same bytes.
 func DecodeLEB128(b []byte) (uint64, int, error) {
 	var v uint64
 	var shift uint
@@ -122,6 +126,9 @@ func DecodeLEB128(b []byte) (uint64, int, error) {
 		}
 		v |= uint64(x&0x7F) << shift
 		if x&0x80 == 0 {
+			if x == 0 && i > 0 {
+				return 0, 0, fmt.Errorf("%w: LEB128 spelt long", ErrBadCode)
+			}
 			return v, i + 1, nil
 		}
 		shift += 7

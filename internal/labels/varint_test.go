@@ -123,6 +123,33 @@ func TestLEB128Errors(t *testing.T) {
 	if _, _, err := DecodeLEB128([]byte{0x80, 0x80}); !errors.Is(err, ErrBadCode) {
 		t.Errorf("truncated: %v", err)
 	}
+	// 1 and 0 spelt longer than AppendLEB128 writes them.
+	for _, in := range [][]byte{{0x81, 0x00}, {0x80, 0x80, 0x00}} {
+		if v, n, err := DecodeLEB128(in); !errors.Is(err, ErrBadCode) {
+			t.Errorf("%x: decoded to %d (%d bytes), err %v; want ErrBadCode", in, v, n, err)
+		}
+	}
+}
+
+// FuzzDecodeLEB128: a value is accepted in one spelling only, the one
+// AppendLEB128 writes, so the bytes an accepted decode consumes are that
+// spelling.
+func FuzzDecodeLEB128(f *testing.F) {
+	for _, in := range [][]byte{{0}, {0x7F}, {0x80, 0x01}, {0x81, 0x00}, {0x80, 0x80, 0x00}, append(bytes.Repeat([]byte{0xFF}, 9), 0x01)} {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		v, n, err := DecodeLEB128(in)
+		if err != nil {
+			if !errors.Is(err, ErrBadCode) {
+				t.Fatalf("%x: %v, want ErrBadCode", in, err)
+			}
+			return
+		}
+		if want := AppendLEB128(nil, v); !bytes.Equal(in[:n], want) {
+			t.Fatalf("%x: accepted %x as %d, which is spelt %x", in, in[:n], v, want)
+		}
+	})
 }
 
 // A tenth byte holds bit 63 and nothing else: what does not fit 64 bits

@@ -105,7 +105,8 @@ func fuzzBase(f *testing.F) (template string, seeds [][]byte) {
 // the same key and the same barrier whether it resolves the name against
 // no repository or against one with the record's documents open. Routing
 // a record whose document is open allocates nothing: the key is that
-// document's own string.
+// document's own string. A parse, accepted or not, costs no more than a
+// parts slice of len/3 entries, a copy of every name and an error.
 func FuzzParseRecord(f *testing.F) {
 	_, seeds := fuzzBase(f)
 	for _, s := range seeds {
@@ -143,6 +144,11 @@ func FuzzParseRecord(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		rec, err := parseRecord(payload, nil, nil)
+		// A recordPart is 40 bytes, 64 with its size class's slack.
+		limit := 64*(len(payload)/3+1) + len(payload) + 4096
+		if size := bytesPerRun(4, func() { parseRecord(payload, nil, nil) }); size > float64(limit) {
+			t.Fatalf("parsing %d bytes (%v) took %.0f bytes, limit %d", len(payload), err, size, limit)
+		}
 		route, rerr := routeRecord(nil, payload)
 		if rerr != nil {
 			t.Fatalf("routeRecord failed: %v", rerr)

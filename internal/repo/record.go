@@ -163,15 +163,10 @@ func cutField(data []byte, pos int) ([]byte, int, error) {
 	return data[pos : pos+int(n)], pos + int(n), nil
 }
 
-// cutLength reads one LEB128 value at data[pos:] and insists on the
-// minimal encoding, the only one appendRecord writes.
+// cutLength reads one LEB128 value at data[pos:] — in its minimal
+// encoding, the only one appendRecord writes and labels.DecodeLEB128
+// accepts.
 func cutLength(data []byte, pos int) (uint64, int, error) {
 	v, n, err := labels.DecodeLEB128(data[pos:])
-	if err != nil {
-		return 0, 0, err
-	}
-	if n != labels.LEB128Len(v) {
-		return 0, 0, fmt.Errorf("length %d is not minimally encoded", v)
-	}
-	return v, pos + n, nil
+	return v, pos + n, err
 }

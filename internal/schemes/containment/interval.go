@@ -57,7 +57,7 @@ func (l IntervalLabel) Bits() int {
 type Interval struct {
 	cfg   IntervalConfig
 	doc   *xmltree.Document
-	lab   map[*xmltree.Node]IntervalLabel
+	lab   labeling.Table[IntervalLabel]
 	stats labeling.Stats
 }
 
@@ -70,7 +70,7 @@ func NewInterval(cfg IntervalConfig) labeling.Interface {
 	if cfg.WithLevel && cfg.LevelBits == 0 {
 		cfg.LevelBits = 8
 	}
-	iv := &Interval{cfg: cfg, lab: make(map[*xmltree.Node]IntervalLabel)}
+	iv := &Interval{cfg: cfg}
 	if cfg.WithLevel {
 		return &LevelledInterval{Interval: iv}
 	}
@@ -127,7 +127,7 @@ func (iv *Interval) number(fresh bool) error {
 		return fmt.Errorf("interval %s: assign %d endpoints: %w", iv.cfg.Name, 2*n, err)
 	}
 	if fresh {
-		iv.lab = make(map[*xmltree.Node]IntervalLabel, n)
+		iv.lab.Reset(n)
 		iv.stats = labeling.Stats{Assigned: int64(n)}
 	}
 	// The walk numbers endpoints as it meets them. A node opens behind
@@ -141,14 +141,14 @@ func (iv *Interval) number(fresh bool) error {
 			Begin: codes[2*pre-lvl], End: codes[2*post+lvl+1], Lvl: lvl,
 			withLevel: iv.cfg.WithLevel, levelBits: iv.cfg.LevelBits,
 		}
-		if o, ok := iv.lab[x]; ok {
+		if o, ok := iv.lab.Get(x); ok {
 			if alg.Compare(o.Begin, l.Begin) == 0 && alg.Compare(o.End, l.End) == 0 &&
 				sameSpelling(o.Begin, l.Begin) && sameSpelling(o.End, l.End) && (o.Lvl == lvl || !l.withLevel) {
 				return
 			}
 			iv.stats.Relabeled++
 		}
-		iv.lab[x] = l
+		iv.lab.Set(x, l)
 	})
 	return nil
 }
@@ -167,13 +167,7 @@ func sameSpelling(a, b labels.Code) bool {
 }
 
 // Label implements labeling.Interface.
-func (iv *Interval) Label(n *xmltree.Node) labeling.Label {
-	l, ok := iv.lab[n]
-	if !ok {
-		return nil
-	}
-	return l
-}
+func (iv *Interval) Label(n *xmltree.Node) labeling.Label { return labeling.LabelOf(&iv.lab, n) }
 
 // Compare implements labeling.Interface: document order is begin-code
 // order (ancestors open their interval before descendants).
@@ -201,7 +195,7 @@ func (iv *Interval) IsAncestor(a, d labeling.Label) bool {
 // schemes follow global order, so "a significant number of labels may
 // need to be recomputed when a node is inserted" — §3.1.1).
 func (iv *Interval) NodeInserted(n *xmltree.Node) error {
-	if _, ok := iv.lab[n]; ok {
+	if _, ok := iv.lab.Get(n); ok {
 		// n is a later node of a subtree whose earlier node exhausted
 		// a gap: the renumbering labelled every attached node, n with
 		// them. Carving a second interval for n would ignore the ones
@@ -220,10 +214,10 @@ func (iv *Interval) NodeInserted(n *xmltree.Node) error {
 		end, err2 = iv.cfg.Algebra.Between(begin, hi)
 	}
 	if err1 == nil && err2 == nil {
-		iv.lab[n] = IntervalLabel{
+		iv.lab.Set(n, IntervalLabel{
 			Begin: begin, End: end, Lvl: n.Depth(),
 			withLevel: iv.cfg.WithLevel, levelBits: iv.cfg.LevelBits,
-		}
+		})
 		iv.stats.Assigned++
 		return nil
 	}
@@ -248,22 +242,22 @@ func (iv *Interval) bounds(n *xmltree.Node) (lo, hi labels.Code, err error) {
 		return nil, nil, fmt.Errorf("interval %s: node %q not among siblings", iv.cfg.Name, n.Name())
 	}
 	if prev != nil {
-		if l, ok := iv.lab[prev]; ok {
+		if l, ok := iv.lab.Get(prev); ok {
 			lo = l.End
 		}
 	}
 	if lo == nil && parent != nil {
-		if l, ok := iv.lab[parent]; ok {
+		if l, ok := iv.lab.Get(parent); ok {
 			lo = l.Begin
 		}
 	}
 	if next != nil {
-		if l, ok := iv.lab[next]; ok {
+		if l, ok := iv.lab.Get(next); ok {
 			hi = l.Begin
 		}
 	}
 	if hi == nil && parent != nil {
-		if l, ok := iv.lab[parent]; ok {
+		if l, ok := iv.lab.Get(parent); ok {
 			hi = l.End
 		}
 	}
@@ -288,14 +282,4 @@ func (iv *Interval) renumber(cause error) error {
 
 // NodeDeleting implements labeling.Interface. Intervals of surviving
 // nodes keep their codes: deletion never disturbs containment order.
-func (iv *Interval) NodeDeleting(n *xmltree.Node) {
-	delete(iv.lab, n)
-	for _, a := range n.Attributes() {
-		delete(iv.lab, a)
-	}
-	for _, c := range n.Children() {
-		if c.Kind() == xmltree.KindElement {
-			iv.NodeDeleting(c)
-		}
-	}
-}
+func (iv *Interval) NodeDeleting(n *xmltree.Node) { iv.lab.Forget(n) }

@@ -37,13 +37,13 @@ func (l PrePostLabel) Bits() int { return 32 + 32 + 8 }
 // labelling scheme" (§3.1).
 type PrePost struct {
 	doc   *xmltree.Document
-	lab   map[*xmltree.Node]PrePostLabel
+	lab   labeling.Table[PrePostLabel]
 	stats labeling.Stats
 }
 
 // NewPrePost returns an unbound XPath Accelerator labeling.
 func NewPrePost() *PrePost {
-	return &PrePost{lab: make(map[*xmltree.Node]PrePostLabel)}
+	return &PrePost{}
 }
 
 // Name implements labeling.Interface.
@@ -55,7 +55,7 @@ func (pp *PrePost) Stats() *labeling.Stats { return &pp.stats }
 // Build implements labeling.Interface.
 func (pp *PrePost) Build(doc *xmltree.Document) error {
 	pp.doc = doc
-	pp.lab = make(map[*xmltree.Node]PrePostLabel, doc.LabelledCount())
+	pp.lab.Reset(doc.LabelledCount())
 	pp.renumber()
 	return nil
 }
@@ -67,7 +67,7 @@ func (pp *PrePost) renumber() {
 	changed := int64(0)
 	ranks(pp.doc, func(x *xmltree.Node, pre, post, lvl int) {
 		l := PrePostLabel{Pre: int64(pre), Post: int64(post), Lvl: lvl}
-		switch old, ok := pp.lab[x]; {
+		switch old, ok := pp.lab.Get(x); {
 		case !ok:
 			pp.stats.Assigned++
 		case old != l:
@@ -75,7 +75,7 @@ func (pp *PrePost) renumber() {
 		default:
 			return
 		}
-		pp.lab[x] = l
+		pp.lab.Set(x, l)
 	})
 	if changed > 0 {
 		pp.stats.Relabeled += changed
@@ -102,13 +102,7 @@ func ranks(doc *xmltree.Document, visit func(x *xmltree.Node, pre, post, lvl int
 }
 
 // Label implements labeling.Interface.
-func (pp *PrePost) Label(n *xmltree.Node) labeling.Label {
-	l, ok := pp.lab[n]
-	if !ok {
-		return nil
-	}
-	return l
-}
+func (pp *PrePost) Label(n *xmltree.Node) labeling.Label { return labeling.LabelOf(&pp.lab, n) }
 
 // Compare implements labeling.Interface: document order is preorder rank
 // order (global order).
@@ -153,27 +147,17 @@ func (pp *PrePost) Level(l labeling.Label) (int, bool) {
 // document is renumbered and the moved labels are counted.
 func (pp *PrePost) NodeInserted(n *xmltree.Node) error {
 	pp.renumber()
-	if _, ok := pp.lab[n]; !ok {
+	if _, ok := pp.lab.Get(n); !ok {
 		return fmt.Errorf("xpath-accelerator: inserted node %q not reachable", n.Name())
 	}
 	return nil
 }
 
-// NodeDeleting implements labeling.Interface.
-func (pp *PrePost) NodeDeleting(n *xmltree.Node) {
-	delete(pp.lab, n)
-	for _, a := range n.Attributes() {
-		delete(pp.lab, a)
-	}
-	for _, c := range n.Children() {
-		if c.Kind() == xmltree.KindElement {
-			pp.NodeDeleting(c)
-		}
-	}
-	// Remaining nodes keep stale ranks until the next insertion; order
-	// among surviving nodes is preserved, which is all deletion needs
-	// (paper §3.1: deletions do not disturb document order).
-}
+// NodeDeleting implements labeling.Interface. Remaining nodes keep
+// stale ranks until the next insertion; order among surviving nodes is
+// preserved, which is all deletion needs (paper §3.1: deletions do not
+// disturb document order).
+func (pp *PrePost) NodeDeleting(n *xmltree.Node) { pp.lab.Forget(n) }
 
 // FollowingCount answers the Grust-style region query "how many labelled
 // nodes follow u in document order" from the label plane; exposed for the
@@ -181,7 +165,7 @@ func (pp *PrePost) NodeDeleting(n *xmltree.Node) {
 func (pp *PrePost) FollowingCount(u labeling.Label) int {
 	lu := u.(PrePostLabel)
 	count := 0
-	for _, l := range pp.lab {
+	for _, l := range pp.lab.All() {
 		if l.Pre > lu.Pre && l.Post > lu.Post {
 			count++
 		}

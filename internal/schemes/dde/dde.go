@@ -94,13 +94,13 @@ func proportionalPrefix(a, d Label, k int) bool {
 // Labeling is the DDE labeling bound to one document.
 type Labeling struct {
 	doc   *xmltree.Document
-	lab   map[*xmltree.Node]Label
+	lab   labeling.Table[Label]
 	stats labeling.Stats
 }
 
 // New returns an unbound DDE labeling.
 func New() *Labeling {
-	return &Labeling{lab: make(map[*xmltree.Node]Label)}
+	return &Labeling{}
 }
 
 // Name implements labeling.Interface.
@@ -113,7 +113,7 @@ func (dl *Labeling) Stats() *labeling.Stats { return &dl.stats }
 // labellable child of a node extends the parent's label with i.
 func (dl *Labeling) Build(doc *xmltree.Document) error {
 	dl.doc = doc
-	dl.lab = make(map[*xmltree.Node]Label, doc.LabelledCount())
+	dl.lab.Reset(doc.LabelledCount())
 	dl.stats.Reset()
 	var assign func(parent *xmltree.Node, parentLabel Label)
 	assign = func(parent *xmltree.Node, parentLabel Label) {
@@ -121,7 +121,7 @@ func (dl *Labeling) Build(doc *xmltree.Document) error {
 			l := make(Label, len(parentLabel)+1)
 			copy(l, parentLabel)
 			l[len(parentLabel)] = int64(i + 1)
-			dl.lab[k] = l
+			dl.lab.Set(k, l)
 			dl.stats.Assigned++
 			assign(k, l)
 		}
@@ -130,20 +130,14 @@ func (dl *Labeling) Build(doc *xmltree.Document) error {
 	if root == nil {
 		return fmt.Errorf("dde: empty document")
 	}
-	dl.lab[root] = Label{1}
+	dl.lab.Set(root, Label{1})
 	dl.stats.Assigned++
 	assign(root, Label{1})
 	return nil
 }
 
 // Label implements labeling.Interface.
-func (dl *Labeling) Label(n *xmltree.Node) labeling.Label {
-	l, ok := dl.lab[n]
-	if !ok {
-		return nil
-	}
-	return l
-}
+func (dl *Labeling) Label(n *xmltree.Node) labeling.Label { return labeling.LabelOf(&dl.lab, n) }
 
 // Compare implements labeling.Interface.
 func (dl *Labeling) Compare(a, b labeling.Label) int {
@@ -196,10 +190,10 @@ func (dl *Labeling) NodeInserted(n *xmltree.Node) error {
 	}
 	var left, right Label
 	if prev != nil {
-		left = dl.lab[prev]
+		left, _ = dl.lab.Get(prev)
 	}
 	if next != nil {
-		right = dl.lab[next]
+		right, _ = dl.lab.Get(next)
 	}
 	var l Label
 	switch {
@@ -207,7 +201,7 @@ func (dl *Labeling) NodeInserted(n *xmltree.Node) error {
 		// Only labellable child: first child of its parent.
 		var parentLabel Label
 		if parent != nil {
-			parentLabel = dl.lab[parent]
+			parentLabel, _ = dl.lab.Get(parent)
 		}
 		l = append(append(Label{}, parentLabel...), 1)
 	case left == nil:
@@ -234,23 +228,13 @@ func (dl *Labeling) NodeInserted(n *xmltree.Node) error {
 			return fmt.Errorf("%w: DDE component %d beyond the additive budget", labels.ErrOverflow, v)
 		}
 	}
-	dl.lab[n] = l
+	dl.lab.Set(n, l)
 	dl.stats.Assigned++
 	return nil
 }
 
 // NodeDeleting implements labeling.Interface.
-func (dl *Labeling) NodeDeleting(n *xmltree.Node) {
-	delete(dl.lab, n)
-	for _, a := range n.Attributes() {
-		delete(dl.lab, a)
-	}
-	for _, c := range n.Children() {
-		if c.Kind() == xmltree.KindElement {
-			dl.NodeDeleting(c)
-		}
-	}
-}
+func (dl *Labeling) NodeDeleting(n *xmltree.Node) { dl.lab.Forget(n) }
 
 // Factory returns fresh DDE labelings.
 func Factory() labeling.Factory {

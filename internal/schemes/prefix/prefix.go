@@ -40,11 +40,11 @@ type Config struct {
 type Labeling struct {
 	cfg   Config
 	doc   *xmltree.Document
-	codes map[*xmltree.Node]labels.Code // own positional identifier
+	codes labeling.Table[labels.Code] // own positional identifier
 	stats labeling.Stats
 }
 
-// New returns an unbound prefix labeling; Build makes its code map.
+// New returns an unbound prefix labeling; Build fills its code table.
 func New(cfg Config) *Labeling {
 	return &Labeling{cfg: cfg}
 }
@@ -63,7 +63,7 @@ func (pl *Labeling) Algebra() labels.Algebra { return pl.cfg.Algebra }
 // code assignment from the algebra, top-down.
 func (pl *Labeling) Build(doc *xmltree.Document) error {
 	pl.doc = doc
-	pl.codes = make(map[*xmltree.Node]labels.Code, doc.LabelledCount())
+	pl.codes.Reset(doc.LabelledCount())
 	pl.stats.Reset()
 	return pl.assignChildren(doc.Node())
 }
@@ -84,7 +84,7 @@ func (pl *Labeling) assignChildren(parent *xmltree.Node) error {
 		return fmt.Errorf("prefix %s: bulk assign %d: %w", pl.cfg.Name, n, err)
 	}
 	for i, k := range xmltree.LabelledChildren(parent) {
-		pl.codes[k] = cs[i]
+		pl.codes.Set(k, cs[i])
 		pl.stats.Assigned++
 		if err := pl.assignChildren(k); err != nil {
 			return err
@@ -138,7 +138,7 @@ func (pl *Labeling) Label(n *xmltree.Node) labeling.Label {
 	depth := n.Depth() + 1
 	codes := make([]labels.Code, depth)
 	for x := n; x != nil; x = xmltree.LabelledParent(x) {
-		c, ok := pl.codes[x]
+		c, ok := pl.codes.Get(x)
 		if !ok {
 			return nil
 		}
@@ -186,13 +186,13 @@ func (pl *Labeling) CompareNodes(a, b *xmltree.Node) (int, bool) {
 	// and cy end as the codes of the sibling pair below the meeting point.
 	x, y := a, b
 	for d := da; d > db; d-- {
-		if _, ok := pl.codes[x]; !ok {
+		if _, ok := pl.codes.Get(x); !ok {
 			return 0, false
 		}
 		x = xmltree.LabelledParent(x)
 	}
 	for d := db; d > da; d-- {
-		if _, ok := pl.codes[y]; !ok {
+		if _, ok := pl.codes.Get(y); !ok {
 			return 0, false
 		}
 		y = xmltree.LabelledParent(y)
@@ -201,16 +201,16 @@ func (pl *Labeling) CompareNodes(a, b *xmltree.Node) (int, bool) {
 	forked := x != y
 	for x != y {
 		var okx, oky bool
-		if cx, okx = pl.codes[x]; !okx {
+		if cx, okx = pl.codes.Get(x); !okx {
 			return 0, false
 		}
-		if cy, oky = pl.codes[y]; !oky {
+		if cy, oky = pl.codes.Get(y); !oky {
 			return 0, false
 		}
 		x, y = xmltree.LabelledParent(x), xmltree.LabelledParent(y)
 	}
 	for ; x != nil; x = xmltree.LabelledParent(x) {
-		if _, ok := pl.codes[x]; !ok {
+		if _, ok := pl.codes.Get(x); !ok {
 			return 0, false
 		}
 	}
@@ -277,15 +277,15 @@ func (pl *Labeling) NodeInserted(n *xmltree.Node) error {
 	}
 	var left, right labels.Code
 	if prev != nil {
-		left = pl.codes[prev]
+		left, _ = pl.codes.Get(prev)
 	}
 	if next != nil {
-		right = pl.codes[next]
+		right, _ = pl.codes.Get(next)
 	}
 	code, err := pl.cfg.Algebra.Between(left, right)
 	switch {
 	case err == nil:
-		pl.codes[n] = code
+		pl.codes.Set(n, code)
 		pl.stats.Assigned++
 		return nil
 	case isRelabelErr(err):
@@ -316,7 +316,7 @@ func (pl *Labeling) relabelSiblings(parent, inserted *xmltree.Node, cause error)
 	// whose code compares equal keeps it — under skewed insertion, every
 	// one before the insertion point.
 	for i, s := range xmltree.LabelledChildren(parent) {
-		old, had := pl.codes[s]
+		old, had := pl.codes.Get(s)
 		switch {
 		case s == inserted || !had:
 			pl.stats.Assigned++
@@ -325,32 +325,12 @@ func (pl *Labeling) relabelSiblings(parent, inserted *xmltree.Node, cause error)
 		default:
 			// The sibling's own component changed: the sibling and every
 			// labelled descendant carry a new label.
-			pl.stats.Relabeled += int64(countLabelled(s))
+			pl.stats.Relabeled += int64(s.LabelledCount())
 		}
-		pl.codes[s] = cs[i]
+		pl.codes.Set(s, cs[i])
 	}
 	return nil
 }
 
-func countLabelled(n *xmltree.Node) int {
-	count := 1 + len(n.Attributes())
-	for _, c := range n.Children() {
-		if c.Kind() == xmltree.KindElement {
-			count += countLabelled(c)
-		}
-	}
-	return count
-}
-
 // NodeDeleting implements labeling.Interface: forget the subtree's codes.
-func (pl *Labeling) NodeDeleting(n *xmltree.Node) {
-	delete(pl.codes, n)
-	for _, a := range n.Attributes() {
-		delete(pl.codes, a)
-	}
-	for _, c := range n.Children() {
-		if c.Kind() == xmltree.KindElement {
-			pl.NodeDeleting(c)
-		}
-	}
-}
+func (pl *Labeling) NodeDeleting(n *xmltree.Node) { pl.codes.Forget(n) }

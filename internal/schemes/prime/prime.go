@@ -48,7 +48,7 @@ type orderState struct {
 // Labeling is the prime labeling bound to one document.
 type Labeling struct {
 	doc       *xmltree.Document
-	lab       map[*xmltree.Node]Label
+	lab       labeling.Table[Label]
 	primes    []*big.Int
 	nextPrime int
 	ord       *orderState
@@ -60,7 +60,7 @@ type Labeling struct {
 
 // New returns an unbound prime labeling.
 func New() *Labeling {
-	return &Labeling{lab: make(map[*xmltree.Node]Label), ord: &orderState{sc: big.NewInt(0)}}
+	return &Labeling{ord: &orderState{sc: big.NewInt(0)}}
 }
 
 // Name implements labeling.Interface.
@@ -72,9 +72,9 @@ func (pl *Labeling) Stats() *labeling.Stats { return &pl.stats }
 // Build implements labeling.Interface.
 func (pl *Labeling) Build(doc *xmltree.Document) error {
 	pl.doc = doc
-	pl.lab = make(map[*xmltree.Node]Label, doc.LabelledCount())
-	pl.stats.Reset()
 	n := doc.LabelledCount()
+	pl.lab.Reset(n)
+	pl.stats.Reset()
 	// Headroom: document-order ranks must stay below every node's
 	// prime for the CRT order values to decode; skipping the primes
 	// below 64n leaves room for 63n further insertions before the
@@ -89,10 +89,11 @@ func (pl *Labeling) Build(doc *xmltree.Document) error {
 		p := pl.takePrime()
 		parentValue := big.NewInt(1)
 		if par := xmltree.LabelledParent(x); par != nil {
-			parentValue = pl.lab[par].Value
+			l, _ := pl.lab.Get(par)
+			parentValue = l.Value
 		}
 		v := new(big.Int).Mul(parentValue, p)
-		pl.lab[x] = Label{Self: p, Value: v, Lvl: x.Depth(), ord: pl.ord}
+		pl.lab.Set(x, Label{Self: p, Value: v, Lvl: x.Depth(), ord: pl.ord})
 		pl.stats.Assigned++
 		return true
 	})
@@ -100,13 +101,7 @@ func (pl *Labeling) Build(doc *xmltree.Document) error {
 }
 
 // Label implements labeling.Interface.
-func (pl *Labeling) Label(n *xmltree.Node) labeling.Label {
-	l, ok := pl.lab[n]
-	if !ok {
-		return nil
-	}
-	return l
-}
+func (pl *Labeling) Label(n *xmltree.Node) labeling.Label { return labeling.LabelOf(&pl.lab, n) }
 
 // Compare implements labeling.Interface: ranks are recovered from the
 // shared SC value by a modulo with each label's prime.
@@ -153,14 +148,14 @@ func (pl *Labeling) NodeInserted(n *xmltree.Node) error {
 	par := xmltree.LabelledParent(n)
 	parentValue := big.NewInt(1)
 	if par != nil {
-		l, ok := pl.lab[par]
+		l, ok := pl.lab.Get(par)
 		if !ok {
 			return fmt.Errorf("prime: parent of %q is unlabelled", n.Name())
 		}
 		parentValue = l.Value
 	}
 	p := pl.takePrime()
-	pl.lab[n] = Label{Self: p, Value: new(big.Int).Mul(parentValue, p), Lvl: n.Depth(), ord: pl.ord}
+	pl.lab.Set(n, Label{Self: p, Value: new(big.Int).Mul(parentValue, p), Lvl: n.Depth(), ord: pl.ord})
 	pl.stats.Assigned++
 	if err := pl.recomputeSC(); err != nil {
 		if errors.Is(err, errNeedReprime) {
@@ -177,7 +172,7 @@ var errNeedReprime = errors.New("prime: rank space outgrew prime headroom")
 // reprime reassigns every prime with fresh headroom; every existing
 // label changes, which the stats record as a relabel event.
 func (pl *Labeling) reprime() error {
-	existing := int64(len(pl.lab))
+	existing := int64(pl.lab.Len())
 	saved := pl.stats
 	saved.RelabelEvents++
 	if existing > 0 {
@@ -193,17 +188,7 @@ func (pl *Labeling) reprime() error {
 
 // NodeDeleting implements labeling.Interface. Remaining labels and even
 // the SC value stay valid (surviving ranks keep their relative order).
-func (pl *Labeling) NodeDeleting(n *xmltree.Node) {
-	delete(pl.lab, n)
-	for _, a := range n.Attributes() {
-		delete(pl.lab, a)
-	}
-	for _, c := range n.Children() {
-		if c.Kind() == xmltree.KindElement {
-			pl.NodeDeleting(c)
-		}
-	}
-}
+func (pl *Labeling) NodeDeleting(n *xmltree.Node) { pl.lab.Forget(n) }
 
 // recomputeSC rebuilds the simultaneous congruence value: SC ≡ rank(v)
 // (mod prime(v)) for every labelled node v, via CRT.
@@ -214,7 +199,7 @@ func (pl *Labeling) recomputeSC() error {
 	rank := int64(1)
 	var err error
 	pl.doc.WalkLabelled(func(x *xmltree.Node) bool {
-		l, ok := pl.lab[x]
+		l, ok := pl.lab.Get(x)
 		if !ok {
 			// Mid-subtree insertion: later nodes of the batch are not
 			// yet labelled; the batch's final insertion recomputes the

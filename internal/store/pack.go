@@ -79,8 +79,8 @@ const recordTrailer = 8
 
 // recordSize is the encoded length of s as a pack record.
 func recordSize(s DocSnap) uint64 {
-	n := uintLen(uint64(len(s.Name))) + len(s.Name) + uintLen(uint64(len(s.Scheme))) + len(s.Scheme) +
-		uintLen(uint64(len(s.Tree))) + len(s.Tree) + recordTrailer
+	n := labels.LEB128Len(uint64(len(s.Name))) + len(s.Name) + labels.LEB128Len(uint64(len(s.Scheme))) + len(s.Scheme) +
+		labels.LEB128Len(uint64(len(s.Tree))) + len(s.Tree) + recordTrailer
 	return uint64(n)
 }
 

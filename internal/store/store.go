@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math/bits"
 
 	"xmldyn/internal/labels"
 )
@@ -85,21 +84,16 @@ func closeRecord(data []byte, pos int) error {
 func appendString(out []byte, s string) []byte { return labels.AppendString(out, s) }
 
 // readUint decodes the LEB128 integer at data[pos:], returning it and
-// the offset just past it. A non-minimal encoding is corruption, so a
-// pack the decoder accepts re-encodes to the same bytes.
+// the offset just past it. A non-minimal encoding is corruption
+// (labels.DecodeLEB128), so a pack the decoder accepts re-encodes to the
+// same bytes.
 func readUint(data []byte, pos int, what string) (uint64, int, error) {
 	v, n, err := labels.DecodeLEB128(data[pos:])
-	if err == nil && n != uintLen(v) {
-		err = errors.New("non-minimal LEB128")
-	}
 	if err != nil {
 		return 0, 0, fmt.Errorf("%w: %s: %v", ErrCorrupt, what, err)
 	}
 	return v, pos + n, nil
 }
-
-// uintLen is the length of v's minimal LEB128 encoding.
-func uintLen(v uint64) int { return max(1, (bits.Len64(v)+6)/7) }
 
 // readBytes cuts one length-prefixed field at data[pos:] — a window of
 // data, not a copy — returning it and the offset just past it.

@@ -712,7 +712,7 @@ func (s *Session) label(root *xmltree.Node) error {
 func (s *Session) detach(n *xmltree.Node) {
 	s.undo = append(s.undo, undoRec{kind: undoDetach, n: n, parent: n.Parent(), idx: n.Index()})
 	if labellable(n) {
-		s.ctr.Deletes += int64(countLabellable(n))
+		s.ctr.Deletes += int64(n.LabelledCount())
 		s.noteDeleting(n)
 		s.lab.NodeDeleting(n)
 	}

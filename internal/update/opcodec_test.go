@@ -396,6 +396,40 @@ func TestDecodeOpsRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestLongVarintsRefused: a count or a length spelt longer than
+// AppendLEB128 writes it (1 as 0x81 0x00) is corrupt in a tree image and
+// in an op program alike, as it is in a pack and a WAL record, so what
+// the decoders accept re-encodes to itself.
+func TestLongVarintsRefused(t *testing.T) {
+	elem := byte(xmltree.KindElement)
+	short := []byte{1, elem, 2, 'a'}
+	if doc, err := DecodeDocTree(short); err != nil || !bytes.Equal(EncodeDocTree(doc), short) {
+		t.Fatalf("%x: %v", short, err)
+	}
+	for _, img := range [][]byte{{0x81, 0x00, elem, 2, 'a'}, {1, elem, 0x82, 0x00, 'a'}} {
+		if _, err := DecodeDocTree(img); !errors.Is(err, ErrCodecCorrupt) {
+			t.Errorf("tree image %x: %v, want ErrCodecCorrupt", img, err)
+		}
+	}
+	live, replayed := openPair(t, "<r><a/></r>")
+	prog, err := EncodeOps(live.Document(), []Op{InsertAfterOp(live.Document().Root().Children()[0], "b")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := bytes.LastIndex(prog, []byte{2, 'b'})
+	if prog[0] != 1 || name < 0 {
+		t.Fatalf("program %x: no count of 1 or literal name b", prog)
+	}
+	for _, long := range [][]byte{
+		append([]byte{0x81, 0x00}, prog[1:]...),
+		append(append(bytes.Clone(prog[:name]), 0x82, 0x00), prog[name+1:]...),
+	} {
+		if _, err := DecodeOps(replayed.Document(), long); !errors.Is(err, ErrCodecCorrupt) {
+			t.Errorf("op program %x: %v, want ErrCodecCorrupt", long, err)
+		}
+	}
+}
+
 // mirror is exercised here to pin the path codec itself: every node of
 // a non-trivial tree must round-trip through appendRef/readRef.
 func TestStructuralPathsRoundTripEveryNode(t *testing.T) {

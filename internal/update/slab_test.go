@@ -240,24 +240,11 @@ func TestDecodeDocTreeRefusesSecondRoot(t *testing.T) {
 	}
 }
 
-// spellsLongVarint reports whether data holds a byte with the
-// continuation bit followed by a zero byte: the last two bytes of a
-// varint spelt longer than it needs, wherever one sits.
-func spellsLongVarint(data []byte) bool {
-	for i := 1; i < len(data); i++ {
-		if data[i] == 0 && data[i-1]&0x80 != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // FuzzDecodeDocTree: the decoder of checkpoint snapshots, RecOpen records
 // and bootstrap images never panics; what it rejects it rejects for the
 // price of a slab no larger than the input; what it accepts is a valid
-// tree that re-encodes to the input itself, unless that spelt a varint
-// long — the one freedom the grammar leaves, which only ever makes the
-// re-encoding shorter — and that form decodes to the same tree.
+// tree that re-encodes to the input itself: the grammar leaves no
+// freedom, a varint's spelling included (labels.DecodeLEB128).
 func FuzzDecodeDocTree(f *testing.F) {
 	for _, shape := range []workload.Shape{workload.ShapeMixed, workload.ShapeWide, workload.ShapeDeep} {
 		f.Add(update.EncodeDocTree(workload.ShapeDocument(shape, 1, 24)))
@@ -287,16 +274,8 @@ func FuzzDecodeDocTree(f *testing.F) {
 		if err := doc.Validate(); err != nil {
 			t.Fatalf("decoded an invalid tree: %v", err)
 		}
-		enc := update.EncodeDocTree(doc)
-		if !bytes.Equal(enc, data) && (len(enc) >= len(data) || !spellsLongVarint(data)) {
+		if enc := update.EncodeDocTree(doc); !bytes.Equal(enc, data) {
 			t.Fatalf("decode then encode turned\n%q into\n%q", data, enc)
-		}
-		again, err := update.DecodeDocTree(enc)
-		if err != nil {
-			t.Fatalf("re-encoded image rejected: %v", err)
-		}
-		if !bytes.Equal(update.EncodeDocTree(again), enc) || again.XML() != doc.XML() {
-			t.Fatalf("the encoder's form does not decode to itself: %q", enc)
 		}
 	})
 }

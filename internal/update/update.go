@@ -405,37 +405,18 @@ func (s *Session) DeleteChildren(n *xmltree.Node) error {
 
 // --- internals ---------------------------------------------------------------
 
-// walkLabellable visits every labellable node of the subtree in
-// document order — attributes before children, the order labelling
-// relies on. The insert path, revert's re-labelling and the commit-time
-// check share it so their traversals can never diverge.
-func walkLabellable(n *xmltree.Node, visit func(*xmltree.Node) error) error {
-	if labellable(n) {
-		if err := visit(n); err != nil {
-			return err
-		}
-	}
-	for _, a := range n.Attributes() {
-		if err := walkLabellable(a, visit); err != nil {
-			return err
-		}
-	}
-	for _, c := range n.Children() {
-		if err := walkLabellable(c, visit); err != nil {
-			return err
-		}
-	}
-	return nil
+// walkLabellable is xmltree's labelled-subtree walk, stopped by the
+// first error visit returns. The insert path, revert's re-labelling and
+// the commit-time check share it, and the labellings forget a deleted
+// subtree along the same walk, so their traversals can never diverge.
+func walkLabellable(n *xmltree.Node, visit func(*xmltree.Node) error) (err error) {
+	n.WalkLabelled(func(x *xmltree.Node) bool { err = visit(x); return err == nil })
+	return err
 }
 
 // labellable: elements and attributes carry labels (the paper's model).
 func labellable(n *xmltree.Node) bool {
 	return n.Kind() == xmltree.KindElement || n.Kind() == xmltree.KindAttribute
-}
-
-func countLabellable(n *xmltree.Node) (count int) {
-	_ = walkLabellable(n, func(*xmltree.Node) error { count++; return nil })
-	return count
 }
 
 // Verify re-checks the session's core invariant: labels order exactly as

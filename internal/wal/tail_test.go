@@ -446,7 +446,8 @@ func TestReplayLyingLengthReservesNothing(t *testing.T) {
 // FuzzTailReader is the differential that makes the read-ahead safe:
 // over any bytes after a valid segment header, a TailReader yields
 // exactly the records Replay yields for the clean prefix — byte for
-// byte, none whose CRC fails — and then stops with ErrNoRecord or
+// byte, none whose CRC fails, for no more allocation than the read
+// window and the segment's bytes — and then stops with ErrNoRecord or
 // ErrCorruptRecord. The input spells a run of well-formed frames first
 // (three bytes each: an 18-bit payload length, so that a few input bytes
 // reach frames that straddle and exceed the 64 KiB window) and raw
@@ -485,6 +486,8 @@ func FuzzTailReader(f *testing.F) {
 		}
 		clean := !info.Torn || info.Last == 2 // Last is 2 only when segment 1 ended cleanly
 
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		tr, err := wal.OpenTail(dir, wal.Position{Segment: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -498,6 +501,13 @@ func FuzzTailReader(f *testing.F) {
 			if ev.Payload == nil || !bytes.Equal(ev.Payload, w) {
 				t.Fatalf("record %d: tail read %d bytes, replay %d", i, len(ev.Payload), len(w))
 			}
+		}
+		// Reading the clean prefix costs the 64 KiB read window, the
+		// buffers of frames larger than it (together no more than the
+		// segment, each rounded up by under a page) and the open file.
+		runtime.ReadMemStats(&after)
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+len(seg)+8<<10*(len(want)+1)); grew > limit {
+			t.Fatalf("reading %d records of a %d-byte segment cost %d bytes of allocation, limit %d", len(want), len(seg), grew, limit)
 		}
 		ev, err := tr.Next()
 		switch {

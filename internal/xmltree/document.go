@@ -63,11 +63,7 @@ func (d *Document) SetRoot(root *Node) error {
 // LabelledCount returns the number of labellable nodes (elements and
 // attributes) in the document. Text, comment and PI nodes do not receive
 // labels (paper §3.1.1).
-func (d *Document) LabelledCount() int {
-	n := 0
-	walkLabelled(d.node.Source(), func(*Node) bool { n++; return true })
-	return n
-}
+func (d *Document) LabelledCount() int { return d.node.LabelledCount() }
 
 // NodeCount returns the total number of nodes of all kinds, excluding the
 // document node itself.

@@ -12,8 +12,22 @@ import "iter"
 // WalkLabelled visits every labellable node (elements and attributes) of
 // the document in document (preorder) order. The visit function returns
 // false to stop the walk early.
-func (d *Document) WalkLabelled(visit func(*Node) bool) {
-	walkLabelled(d.node, visit)
+func (d *Document) WalkLabelled(visit func(*Node) bool) { d.node.WalkLabelled(visit) }
+
+// WalkLabelled visits the labelled subtree at n in document order — n,
+// if it is an element or an attribute, then its attributes, then each
+// element child's labelled subtree in turn: the order labelling relies
+// on. The visit function returns false to stop the walk early. It is the
+// one walk of a labelled subtree: the document walk, label tables
+// forgetting a deleted subtree and the update layer's labelling all go
+// through it.
+func (n *Node) WalkLabelled(visit func(*Node) bool) { walkLabelled(n, visit) }
+
+// LabelledCount returns the number of nodes n.WalkLabelled visits. On a
+// version view it counts the persistent tree, materialising nothing.
+func (n *Node) LabelledCount() (count int) {
+	walkLabelled(n.Source(), func(*Node) bool { count++; return true })
+	return count
 }
 
 func walkLabelled(n *Node, visit func(*Node) bool) bool {

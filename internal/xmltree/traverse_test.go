@@ -2,6 +2,7 @@ package xmltree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -368,5 +369,52 @@ func TestLabelledSiblingsMatchList(t *testing.T) {
 	}
 	if _, _, ok := LabelledSiblings(text); ok {
 		t.Fatal("a text node is in no labelled sibling list")
+	}
+}
+
+// TestNodeWalkLabelledIsASubtreeRun: for every node n of the sample
+// document, the document node and text nodes included, n.WalkLabelled
+// visits exactly the run of LabelledNodes that n's subtree spans, and
+// n.LabelledCount is that run's length.
+func TestNodeWalkLabelledIsASubtreeRun(t *testing.T) {
+	doc := SampleBook()
+	all := doc.LabelledNodes()
+	within := func(m, n *Node) bool {
+		for ; m != nil; m = m.Parent() {
+			if m == n {
+				return true
+			}
+		}
+		return false
+	}
+	var every []*Node
+	var gather func(*Node)
+	gather = func(n *Node) {
+		every = append(every, n)
+		for _, c := range n.list() {
+			gather(c)
+		}
+	}
+	gather(doc.Node())
+	for _, n := range every {
+		var want []*Node
+		for _, m := range all {
+			if within(m, n) {
+				want = append(want, m)
+			}
+		}
+		if len(want) > 0 {
+			if i := slices.Index(all, want[0]); !slices.Equal(all[i:i+len(want)], want) {
+				t.Fatalf("%q: its labellable nodes are not one run of the document's", n.Name())
+			}
+		}
+		var got []*Node
+		n.WalkLabelled(func(m *Node) bool { got = append(got, m); return true })
+		if !slices.Equal(got, want) {
+			t.Fatalf("%q (kind %d): walked %d nodes, want the %d of its run", n.Name(), n.Kind(), len(got), len(want))
+		}
+		if c := n.LabelledCount(); c != len(want) {
+			t.Errorf("%q: LabelledCount %d, want %d", n.Name(), c, len(want))
+		}
 	}
 }
