@@ -95,7 +95,7 @@ func ExampleQuery() {
 // commits next to it (docs/CONCURRENCY.md is the full consistency
 // model).
 func ExampleRepository_Snapshot() {
-	r := xmldyn.NewRepository(xmldyn.RepoOptions{})
+	r := xmldyn.NewRepository()
 	doc, _ := xmldyn.ParseString("<shelf><book/></shelf>")
 	if err := r.Open("books", doc, "qed"); err != nil {
 		log.Fatal(err)

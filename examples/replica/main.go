@@ -51,8 +51,8 @@ func awaitCaughtUp(label string, leader *xmldyn.DurableRepository, f *xmldyn.Fol
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
-	fmt.Printf("%s: caught up at %v (peak observed lag %d bytes, applied stamp %d)\n",
-		label, f.Position(), peak, f.AppliedStamp())
+	fmt.Printf("%s: caught up at %v, lag %d (peak observed lag %d bytes)\n",
+		label, f.Position(), f.Lag(), peak)
 }
 
 func main() {

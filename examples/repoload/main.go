@@ -44,7 +44,7 @@ func main() {
 	// Writer names drive the reader queries; with no writers the
 	// readers query a name no writer uses (and never divide by zero).
 	wmod := max(*writers, 1)
-	r := xmldyn.NewRepository(xmldyn.RepoOptions{})
+	r := xmldyn.NewRepository()
 	for _, c := range catalogue {
 		doc, err := xmldyn.ParseString("<root/>")
 		if err != nil {
@@ -161,7 +161,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	r2, err := xmldyn.RestoreRepository(blob, xmldyn.RepoOptions{})
+	r2, err := xmldyn.RestoreRepository(blob)
 	if err != nil {
 		log.Fatal(err)
 	}

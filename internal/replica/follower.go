@@ -1,6 +1,6 @@
 // Follower side: dials the leader, replays the replication stream
 // into a follower-mode repository, and exposes the staleness bound
-// (AppliedStamp / Lag) plus the lock-free MVCC read API while
+// (Position / Lag) plus the lock-free MVCC read API while
 // catching up. The catch-up protocol and failure handling follow
 // docs/REPLICATION.md §3–§5.
 
@@ -32,9 +32,9 @@ const DefaultReconnectDelay = 250 * time.Millisecond
 // FollowerOptions configures a Follower.
 type FollowerOptions struct {
 	// Store configures the follower's local durable layer (fsync
-	// policy, recovery parallelism). Rotation and checkpoint settings
-	// are ignored: the follower mirrors the leader's segment boundaries
-	// and never checkpoints locally.
+	// policy and flush interval). Rotation and checkpoint settings are
+	// ignored: the follower mirrors the leader's segment boundaries and
+	// never checkpoints locally.
 	Store repo.DurableOptions
 	// Dial opens a connection to the leader. Required for Run; RunOnce
 	// can be driven with externally created connections instead.
@@ -49,9 +49,9 @@ type FollowerOptions struct {
 
 // Follower is a live read replica: it owns a follower-mode repository
 // and drives the replication session loop against a leader's Shipper.
-// Reads (Snapshot, and Repo's SnapshotAt, Query, …) are lock-free MVCC
-// and safe at any time, including mid-bootstrap; Lag and AppliedStamp
-// bound their staleness explicitly.
+// Reads (Snapshot, and Repo's Query, …) are lock-free MVCC and safe at
+// any time, including mid-bootstrap; Lag and Position bound their
+// staleness explicitly.
 type Follower struct {
 	opts FollowerOptions
 	fr   *repo.FollowerRepository // one for the Follower's life; bootstraps install in place
@@ -114,12 +114,6 @@ func (f *Follower) Lag() uint64 {
 	return f.target - f.applied
 }
 
-// AppliedStamp is the follower repository's current version stamp —
-// the monotone per-replica counter Repo().SnapshotAt addresses. It is
-// follower-local (it resets on restart and re-bootstrap); cross-site
-// ordering comes from Position, not stamps.
-func (f *Follower) AppliedStamp() uint64 { return f.fr.Stamp() }
-
 // Position is the follower's durable applied WAL position.
 func (f *Follower) Position() wal.Position { return f.fr.Position() }
 
@@ -130,7 +124,7 @@ func (f *Follower) Position() wal.Position { return f.fr.Position() }
 func (f *Follower) Repo() *repo.FollowerRepository { return f.fr }
 
 // Snapshot pins a lock-free MVCC snapshot of the named documents (all
-// documents when none are named) at the follower's current stamp.
+// documents when none are named) at the follower's applied state.
 func (f *Follower) Snapshot(names ...string) (*repo.Snapshot, error) {
 	return f.fr.Snapshot(names...)
 }

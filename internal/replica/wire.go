@@ -4,7 +4,7 @@
 // then sealed-segment backfill and the live record tail — over any
 // net.Conn, and a Follower replays it continuously into its own
 // follower-mode repository, serving lock-free MVCC snapshot reads with
-// an explicit staleness bound (AppliedStamp / Lag).
+// an explicit staleness bound (Position / Lag).
 // docs/REPLICATION.md is the authoritative protocol specification; the
 // golden constants below are pinned against it by the docs-check gate
 // (docs_test.go).

@@ -31,7 +31,7 @@ import (
 // that still supersedes the published version).
 func allocRepo(t *testing.T, xml string, navigate func(*xmltree.Document) *xmltree.Node) (*Repository, func()) {
 	t.Helper()
-	r := New(Options{})
+	r := New()
 	doc, err := xmltree.ParseString(xml)
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestCommitPublishAllocsSpineBounded(t *testing.T) {
 func TestVerifiedCommitAllocsIndependentOfSize(t *testing.T) {
 	allocs := map[int]float64{}
 	for _, w := range []int{200, 20000} {
-		r := New(Options{})
+		r := New()
 		doc, err := xmltree.ParseString(wideXML(w))
 		if err != nil {
 			t.Fatal(err)
@@ -357,7 +357,7 @@ func TestCommitCarriersAllocNothing(t *testing.T) {
 	most := map[string]float64{"Repository.Batch": 1, "DurableRepository.Batch": 1, grouped: 1, "applyRecord": 0}
 	allocs := map[string]map[int]float64{"Repository.Batch": {}, "DurableRepository.Batch": {}, grouped: {}, "applyRecord": {}}
 	for _, k := range []int{4, 64} {
-		r := New(Options{})
+		r := New()
 		if err := r.Open("carriers", carrierDoc(t), "qed"); err != nil {
 			t.Fatal(err)
 		}
@@ -439,7 +439,7 @@ func insertAllocs(n int) float64 { return float64((n+3)/4 + 2 + 2 + 1) }
 // that twice, plus the two maps its signature promises.
 func TestCommitAllocatesWhatItCreates(t *testing.T) {
 	const inserts = 16
-	r := New(Options{})
+	r := New()
 	names := []string{"left", "right"}
 	for _, name := range names {
 		if err := r.Open(name, carrierDoc(t), "qed"); err != nil {
@@ -507,7 +507,7 @@ func queryAllocs(t *testing.T, xml, path string, want int) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := New(Options{})
+	r := New()
 	if err := r.Open("a", doc, "qed"); err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 // repository's core soundness test: per-document writer serialization,
 // parallel readers, and no cross-document interference.
 func TestConcurrentReadersWriters(t *testing.T) {
-	r := New(Options{})
+	r := New()
 	schemes := []string{"qed", "deweyid", "ordpath", "cdqs"}
 	for i, scheme := range schemes {
 		doc := workload.BaseDocument(int64(i), 80)
@@ -156,7 +156,7 @@ func TestConcurrentReadersWriters(t *testing.T) {
 // TestConcurrentOpenDrop hammers the shard maps themselves: goroutines
 // opening, looking up, listing and dropping distinct names.
 func TestConcurrentOpenDrop(t *testing.T) {
-	r := New(Options{})
+	r := New()
 	const workers = 12
 	var wg sync.WaitGroup
 	errc := make(chan error, workers)
@@ -205,7 +205,7 @@ func TestConcurrentOpenDrop(t *testing.T) {
 // grown to: ROADMAP item 8). A Save counts once the writer has committed
 // since the one before, so every counted Save had a live writer beside it.
 func TestConcurrentSaveDuringWrites(t *testing.T) {
-	r := New(Options{})
+	r := New()
 	var docs [3]*Doc
 	for i := range docs {
 		name := fmt.Sprintf("doc-%d", i)
@@ -251,7 +251,7 @@ func TestConcurrentSaveDuringWrites(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Load(data, Options{}); err != nil {
+		if _, err := Load(data); err != nil {
 			t.Fatalf("save %d not loadable: %v", i, err)
 		}
 		if now := versions(); now != seen {
@@ -271,7 +271,7 @@ func TestConcurrentSaveDuringWrites(t *testing.T) {
 // invariant; per-document snapshots taken at different moments could
 // capture b ahead of a — a state that never existed.
 func TestSaveIsPointInTime(t *testing.T) {
-	r := New(Options{})
+	r := New()
 	for _, name := range []string{"a", "b"} {
 		doc, err := xmltree.ParseString(`<r v="0"/>`)
 		if err != nil {
@@ -318,7 +318,7 @@ func TestSaveIsPointInTime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		saved, err := Load(data, Options{})
+		saved, err := Load(data)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -114,16 +114,7 @@ func (c *durableCore) recover() error {
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrReplay, err)
 	}
-	r := New(c.opts.Repo)
-	// The time-travel window resets on recovery: stamps are an
-	// in-memory construct, and the replayed history must not re-enter
-	// the retained window — a pre-crash stamp that numerically lands on
-	// a replayed commit would otherwise alias an unrelated state
-	// instead of failing with ErrVersionEvicted. Retention is
-	// suppressed while snapshots load and the log replays, and restored
-	// (happens-before the repository is published) for live commits.
-	retain := r.retain
-	r.retain = 0
+	r := New()
 	workers := runtime.GOMAXPROCS(0)
 	if c.serialRecovery {
 		workers = 1
@@ -139,7 +130,6 @@ func (c *durableCore) recover() error {
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrReplay, err)
 	}
-	r.retain = retain
 	log, err := wal.OpenAt(c.dir, info, c.opts.walOptions())
 	if err != nil {
 		return fmt.Errorf("%w: reopen log: %w", ErrReplay, err)
@@ -413,21 +403,6 @@ func (c *durableCore) Verify(name string) error { return c.repo().Verify(name) }
 func (c *durableCore) Snapshot(names ...string) (*Snapshot, error) {
 	return c.repo().Snapshot(names...)
 }
-
-// SnapshotAt pins a time-travel view as of a commit stamp previously
-// observed from Stamp or Snapshot.Stamps; semantics exactly as
-// Repository.SnapshotAt. Stamps are local to this process — a
-// follower's are NOT its leader's — and reset on recovery and on
-// re-bootstrap.
-func (c *durableCore) SnapshotAt(stamp uint64, names ...string) (*Snapshot, error) {
-	return c.repo().SnapshotAt(stamp, names...)
-}
-
-// Stamp returns the current global commit stamp (see
-// Repository.Stamp). On a follower it advances with every applied
-// record, so it doubles as the replica's applied-stamp staleness
-// handle (replica.Follower.AppliedStamp).
-func (c *durableCore) Stamp() uint64 { return c.repo().Stamp() }
 
 // VersionStats returns the in-memory repository's MVCC accounting.
 func (c *durableCore) VersionStats() VersionStats { return c.repo().VersionStats() }

@@ -96,10 +96,6 @@ const DefaultAutoCheckpointBytes = 16 << 20
 
 // DurableOptions configures OpenDurable.
 type DurableOptions struct {
-	// Repo configures the in-memory repository: the SnapshotAt
-	// retained-version window (RetainVersions — versions are an
-	// in-memory construct, so the window resets on recovery).
-	Repo Options
 	// Sync is the WAL fsync policy (default wal.SyncGrouped).
 	Sync wal.SyncPolicy
 	// FlushInterval overrides the async policy's background fsync

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -356,7 +357,7 @@ func TestCorruptSnapshotFailsRecovery(t *testing.T) {
 			t.Fatalf("serial %v: a failed recovery installed state", serial)
 		}
 	}
-	r := New(Options{})
+	r := New()
 	docs := append([]store.PackDoc{bad}, pack.Docs...)
 	if err := loadRecords(r, docs, packs, 1); err == nil || r.Len() != 0 {
 		t.Fatalf("serial load behind a corrupt snapshot: %v, %d documents loaded, want an error and none", err, r.Len())
@@ -493,7 +494,7 @@ func TestSecondRootNeverLogged(t *testing.T) {
 		_ = doc.Node().AppendChild(xmltree.NewElement("b"))
 		return doc
 	}
-	if err := New(Options{}).Open("two", twoRoots(), "qed"); !errors.Is(err, update.ErrRootSibling) {
+	if err := New().Open("two", twoRoots(), "qed"); !errors.Is(err, update.ErrRootSibling) {
 		t.Errorf("Repository.Open of two roots: %v, want ErrRootSibling", err)
 	}
 	dir := t.TempDir()
@@ -789,12 +790,16 @@ func TestDurableClosedErrors(t *testing.T) {
 // signatures. The Repository exports nothing else but Save, which the
 // leader lacks, and Drop, whose in-memory form returns a bare bool
 // because only a log can fail a drop. A Doc is only its Version, and
-// the follower has the read surface and no write at all.
+// the follower has the read surface and no write at all. The exported
+// method sets of all three roles and of Snapshot are fixed exactly, so
+// a read method is added or removed here or not at all.
 func TestOneWriteAPI(t *testing.T) {
 	reads := []string{"View", "Query", "QueryFunc", "Names", "Len", "Scheme", "Verify",
-		"Snapshot", "SnapshotAt", "Stamp", "VersionStats"}
+		"Snapshot", "VersionStats"}
 	shared := append([]string{"Open", "Batch", "MultiBatch"}, reads...)
 	mem, leader, follower := reflect.TypeOf(&Repository{}), reflect.TypeOf(&DurableRepository{}), reflect.TypeOf(&FollowerRepository{})
+	// durable is what both durable roles have beside the read surface.
+	durable := []string{"Close", "Dir", "Generation"}
 	// sig is the method's signature without its receiver, "" if typ has
 	// no such method.
 	sig := func(typ reflect.Type, name string) string {
@@ -816,13 +821,23 @@ func TestOneWriteAPI(t *testing.T) {
 			t.Errorf("%s: Repository has %q, DurableRepository %q", name, a, b)
 		}
 	}
-	allowed := map[string]bool{"Drop": true, "Save": true}
-	for _, name := range shared {
-		allowed[name] = true
-	}
-	for i := range mem.NumMethod() {
-		if name := mem.Method(i).Name; !allowed[name] {
-			t.Errorf("Repository exports %s, beyond the shared surface, Drop and Save", name)
+	for _, c := range []struct {
+		typ  reflect.Type
+		want [][]string
+	}{
+		{mem, [][]string{shared, {"Drop", "Save"}}},
+		{leader, [][]string{shared, durable, {"Drop", "Checkpoint", "AutoCheckpoints", "LogSize",
+			"BootstrapImage", "CommitNotify", "StopCommitNotify", "EndPosition", "PinSegments", "SegmentRange"}}},
+		{follower, [][]string{reads, durable, {"ApplyRecord", "BeginSegment", "InstallBootstrap", "Position"}}},
+		{reflect.TypeOf(&Snapshot{}), [][]string{{"Close", "Document", "Names", "Query", "Scheme", "Versions"}}},
+	} {
+		want := slices.Sorted(slices.Values(slices.Concat(c.want...)))
+		var got []string
+		for i := range c.typ.NumMethod() {
+			got = append(got, c.typ.Method(i).Name)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s exports %v, want exactly %v", c.typ, got, want)
 		}
 	}
 	if got := sig(mem, "Drop"); got != "func(string) bool" {
@@ -1044,7 +1059,7 @@ func TestLifecycleTakesNoFullPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(data, Options{})
+	loaded, err := Load(data)
 	if err != nil {
 		t.Fatal(err)
 	}

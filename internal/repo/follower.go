@@ -48,7 +48,7 @@ var errNotInstalled = errors.New("repo: follower has no installed state (bootstr
 
 // FollowerRepository is a repository replica fed by a replication
 // stream instead of local commits. It serves the core's full read API
-// (Snapshot, SnapshotAt, Query, …) lock-free while the applier streams
+// (Snapshot, Query, …) lock-free while the applier streams
 // records in; mutating methods do not exist — the only writers are
 // ApplyRecord, BeginSegment and InstallBootstrap, driven by
 // internal/replica's Follower. Open one with OpenFollower.
@@ -80,7 +80,7 @@ func OpenFollower(dir string, opts DurableOptions) (*FollowerRepository, error) 
 	}
 	opts.SegmentBytes = -1
 	f := &FollowerRepository{durableCore: durableCore{dir: dir, opts: opts}}
-	f.mem.Store(New(opts.Repo))
+	f.mem.Store(New())
 	if err := f.reload(); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, err
 	}
@@ -160,7 +160,7 @@ func (f *FollowerRepository) InstallBootstrap(img store.BootstrapImage) (err err
 	defer func() {
 		if err != nil {
 			f.gen = 0
-			f.mem.Store(New(f.opts.Repo))
+			f.mem.Store(New())
 		}
 	}()
 	// Step 1: drop the old segment set — it belongs to the state being

@@ -119,7 +119,7 @@ func FuzzParseRecord(f *testing.F) {
 	f.Add(append([]byte{RecMulti}, overflow...))
 	// withOpen is a repository holding a document of each name rec parts.
 	withOpen := func(t testing.TB, rec record) *Repository {
-		r := New(Options{})
+		r := New()
 		for _, p := range rec.parts {
 			if err := r.Open(p.name, mustParse(t, "<r/>"), "qed"); err != nil && !errors.Is(err, ErrEmptyName) {
 				t.Fatal(err)

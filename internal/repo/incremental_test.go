@@ -3,11 +3,10 @@ package repo
 // Incremental-checkpoint coverage: the O(dirty) record-write guarantee,
 // compaction's bound on dead pack bytes, a randomized
 // recovery-equivalence property, and the interaction of
-// in-memory versioning (SnapshotAt / VersionStats) with checkpoints
+// in-memory versioning (Snapshot / VersionStats) with checkpoints
 // and recovery.
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -220,9 +219,9 @@ func TestCheckpointAfterRestartRewritesOnlyReplayedDocs(t *testing.T) {
 // TestCheckpointAfterAbortsWritesNothing: aborted transactions make no
 // document dirty. A checkpoint that follows only aborts writes no
 // record: its pack references every record of the previous generation
-// (abortRig and abortForms: timetravel_test.go).
+// (abortRig and abortForms: abort_test.go).
 func TestCheckpointAfterAbortsWritesNothing(t *testing.T) {
-	rig := newAbortRig(t, true, 0)
+	rig := newAbortRig(t, true)
 	d := rig.dur
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -427,116 +426,5 @@ func TestRecoveryEquivalenceProperty(t *testing.T) {
 				rec.Close()
 			}
 		})
-	}
-}
-
-// TestSnapshotAtAcrossRecovery pins the documented boundary between
-// versioning and durability: stamps and retained versions are an
-// in-memory construct, so recovery RESTARTS the stamp clock, and a
-// stamp taken before the crash — even one that worked then — fails
-// with ErrVersionEvicted afterwards rather than silently reading the
-// wrong state. VersionStats gauges must also settle back to zero
-// around a checkpoint: the encode phase pins versions, and a leak
-// would show as a permanently raised PinnedVersions.
-func TestSnapshotAtAcrossRecovery(t *testing.T) {
-	dir := t.TempDir()
-	opts := DurableOptions{AutoCheckpointBytes: -1, Repo: Options{RetainVersions: 3}}
-	d, err := OpenDurable(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if err := d.Open("books", mustParse(t, `<lib><seed/></lib>`), "qed"); err != nil {
-		t.Fatal(err)
-	}
-	commit := func(tag string) {
-		t.Helper()
-		if _, err := d.Batch("books", func(doc *xmltree.Document, b *update.Batch) error {
-			b.AppendChild(doc.Root(), tag)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	commit("early")
-	// Activate versioning and capture the early stamp.
-	s, err := d.Snapshot("books")
-	if err != nil {
-		t.Fatal(err)
-	}
-	early := s.Stamps()["books"]
-	earlyXML := docXML(t, d, "books")
-	s.Close()
-
-	// Within the retained window the early stamp time-travels.
-	commit("w1")
-	commit("w2")
-	at, err := d.SnapshotAt(early, "books")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := at.Document("books")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tree.XML(); got != earlyXML {
-		t.Fatalf("time travel diverged:\n got %s\nwant %s", got, earlyXML)
-	}
-	at.Close()
-
-	// A checkpoint pins each dirty version while encoding; afterwards
-	// the gauges must be back where they were — no pin leak.
-	if err := d.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if vs := d.VersionStats(); vs.OpenSnapshots != 0 || vs.PinnedVersions != 0 {
-		t.Fatalf("gauges did not settle after checkpoint: %+v", vs)
-	}
-
-	// Push the early stamp out of the retained window, then crash.
-	commit("w3")
-	commit("w4")
-	commit("w5")
-	commit("w6")
-	if _, err := d.SnapshotAt(early, "books"); !errors.Is(err, ErrVersionEvicted) {
-		t.Fatalf("evicted stamp pre-crash: err = %v, want ErrVersionEvicted", err)
-	}
-	preCrash := d.Stamp()
-	want := docXML(t, d, "books")
-
-	rec, err := OpenDurable(dir, opts)
-	if err != nil {
-		t.Fatalf("recovery: %v", err)
-	}
-	defer rec.Close()
-	if got := docXML(t, rec, "books"); got != want {
-		t.Fatalf("recovered state diverged:\n got %s\nwant %s", got, want)
-	}
-	// The stamp clock restarted: only the commits replayed from the
-	// post-checkpoint log advanced it.
-	if restarted := rec.Stamp(); restarted >= preCrash {
-		t.Fatalf("stamp clock did not restart: %d >= pre-crash %d", restarted, preCrash)
-	}
-	// The pre-crash stamp is meaningless now; the window is gone and
-	// the request must fail loudly, not read an arbitrary state.
-	if _, err := rec.SnapshotAt(early, "books"); !errors.Is(err, ErrVersionEvicted) {
-		t.Fatalf("pre-crash stamp after recovery: err = %v, want ErrVersionEvicted", err)
-	}
-	// Stamps at or above the restarted clock read the current state —
-	// the documented "future stamps mean now" semantics.
-	cur, err := rec.SnapshotAt(rec.Stamp()+1000, "books")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err = cur.Document("books")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tree.XML(); got != want {
-		t.Fatalf("future-stamp snapshot diverged:\n got %s\nwant %s", got, want)
-	}
-	cur.Close()
-	if vs := rec.VersionStats(); vs.OpenSnapshots != 0 || vs.PinnedVersions != 0 {
-		t.Fatalf("gauges did not settle after recovery reads: %+v", vs)
 	}
 }

@@ -52,7 +52,7 @@ func openPair(t *testing.T, r *Repository) {
 // transaction, returns per-document results, and leaves every
 // document order-verified.
 func TestMultiBatchCommits(t *testing.T) {
-	r := New(Options{})
+	r := New()
 	openPair(t, r)
 	res, err := r.MultiBatch([]string{"beta", "alpha", "beta"}, func(m map[string]*MultiDoc) error {
 		if len(m) != 2 {
@@ -89,7 +89,7 @@ func TestMultiBatchCommits(t *testing.T) {
 // If a later document's batch fails, every earlier document must be
 // rolled back: the transaction commits everywhere or nowhere.
 func TestMultiBatchRollsBackAllOnFailure(t *testing.T) {
-	r := New(Options{})
+	r := New()
 	openPair(t, r)
 	beforeA, beforeB := repoXML(t, r, "alpha"), repoXML(t, r, "beta")
 	alphaCtr := counters(t, r, "alpha")
@@ -129,7 +129,7 @@ func TestMultiBatchRollsBackAllOnFailure(t *testing.T) {
 // A build error or an unknown name must abort before any lock or
 // mutation side effect.
 func TestMultiBatchErrors(t *testing.T) {
-	r := New(Options{})
+	r := New()
 	openPair(t, r)
 	if _, err := r.MultiBatch([]string{"alpha", "ghost"}, func(map[string]*MultiDoc) error {
 		t.Fatal("build ran despite unknown document")
@@ -158,7 +158,7 @@ func TestMultiBatchErrors(t *testing.T) {
 // A cross-document move: delete the subtree in the source document
 // and graft a detached copy into the destination, atomically.
 func TestMultiBatchCrossDocumentMove(t *testing.T) {
-	r := New(Options{})
+	r := New()
 	src, err := xmltree.ParseString(`<archive><box id="1"><item>x</item></box><box id="2"/></archive>`)
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +195,7 @@ func TestMultiBatchCrossDocumentMove(t *testing.T) {
 // Batches, Saves and Views: the sorted-name lock order must admit all
 // of it without deadlock, and every increment must land exactly once.
 func TestMultiBatchConcurrentNoDeadlock(t *testing.T) {
-	r := New(Options{})
+	r := New()
 	names := []string{"a", "b", "c", "d"}
 	for _, name := range names {
 		doc, err := xmltree.ParseString("<r/>")

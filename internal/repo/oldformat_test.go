@@ -218,7 +218,7 @@ func TestOldFormatsRefused(t *testing.T) {
 	}
 	rec := v8DocSnap("old")
 	image := labels.AppendLEB128(labels.AppendLEB128(append([]byte("XDYN"), 7), 1), uint64(len(rec)))
-	if _, err := xmldyn.RestoreRepository(sealed(append(image, rec...)), xmldyn.RepoOptions{}); !errors.Is(err, store.ErrBadVersion) {
+	if _, err := xmldyn.RestoreRepository(sealed(append(image, rec...))); !errors.Is(err, store.ErrBadVersion) {
 		t.Errorf("a version-7 repository image: %v, want store.ErrBadVersion", err)
 	}
 

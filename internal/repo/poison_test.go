@@ -145,14 +145,13 @@ func TestFailedAppendPublishesNothing(t *testing.T) {
 	}
 	names := []string{"alpha", "beta"}
 	type seen struct {
-		stamp    uint64
 		xml      map[string]string
 		versions map[string]uint64
 		counters map[string]update.Counters
 	}
 	look := func(d *DurableRepository) seen {
 		t.Helper()
-		s := seen{stamp: d.Stamp(), xml: crashStateXML(t, d), versions: map[string]uint64{}, counters: map[string]update.Counters{}}
+		s := seen{xml: crashStateXML(t, d), versions: map[string]uint64{}, counters: map[string]update.Counters{}}
 		for _, name := range names {
 			// Verifies and FullVerifies are history, not state: a staged
 			// and aborted part did run its verification.
@@ -182,7 +181,7 @@ func TestFailedAppendPublishesNothing(t *testing.T) {
 	for name, commit := range cases {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			opts := DurableOptions{Repo: Options{RetainVersions: 4}, AutoCheckpointBytes: -1}
+			opts := DurableOptions{AutoCheckpointBytes: -1}
 			d, err := OpenDurable(dir, opts)
 			if err != nil {
 				t.Fatal(err)

@@ -33,8 +33,8 @@
 // anything — including that verification — fails, so it either commits
 // an ordered document or leaves it untouched (an op that breaks order,
 // as a defective scheme like LSDX's can, is reverted and reported); and
-// nothing outside the session — counters, Doc.Version, Stamp, a snapshot
-// — shows it before it commits, which on a durable repository is after
+// nothing outside the session — counters, Doc.Version, a snapshot —
+// shows it before it commits, which on a durable repository is after
 // its log record is written. The in-memory Repository and the durable
 // leader have the same write methods with the same signatures.
 //
@@ -76,17 +76,6 @@ var (
 // DefaultShards is the number of name-space shards.
 const DefaultShards = 16
 
-// Options configures a Repository.
-type Options struct {
-	// RetainVersions bounds the per-document time-travel window: the
-	// last RetainVersions superseded versions of each document are
-	// retained for SnapshotAt reads (version.go). Zero (the default)
-	// retains nothing — SnapshotAt can only reach each document's
-	// current state. Retained versions share structure with the live
-	// tree, so the cost is per-version spine roots, not tree copies.
-	RetainVersions int
-}
-
 // Repository manages many named labelled documents for concurrent use.
 // Every commit verifies document order (update.Session.SetAutoVerify):
 // a repository serving many clients publishes only states whose order
@@ -99,17 +88,11 @@ type Repository struct {
 	// vstats is the repository-wide MVCC accounting behind
 	// VersionStats (version.go).
 	vstats versionStats
-	// clock is the global commit stamp (Stamp): advanced on every
-	// document open, every drop and once per committed transaction;
-	// SnapshotAt reads the repository as of a stamp.
-	clock atomic.Uint64
-	// versioning is sticky: set by the first snapshot (or at New when
-	// RetainVersions > 0), it switches commit hooks from counter-only
-	// updates to eager persistent publication, so snapshot pins stay
-	// O(1) while snapshot-free write workloads pay nothing.
+	// versioning is sticky: set by the first snapshot, it switches
+	// commit hooks from counter-only updates to eager persistent
+	// publication, so snapshot pins stay O(1) while snapshot-free write
+	// workloads pay nothing.
 	versioning atomic.Bool
-	// retain is Options.RetainVersions.
-	retain int
 }
 
 type shard struct {
@@ -143,16 +126,11 @@ type Doc struct {
 	cur     *docVersion
 	dropped bool
 	// Persistent publication state (version.go): green is the last
-	// published version root with its seq/stamp (pubSeq, pubStamp);
-	// stamp is the global commit stamp of the current state; hist is
-	// the retained time-travel window, oldest first. repo links back
-	// to the owning repository for its clock, stats and policy.
-	repo     *Repository
-	green    *xmltree.Node
-	pubSeq   uint64
-	pubStamp uint64
-	stamp    uint64
-	hist     []*docVersion
+	// published version root and pubSeq its sequence number. repo links
+	// back to the owning repository for its stats and publication mode.
+	repo   *Repository
+	green  *xmltree.Node
+	pubSeq uint64
 	// ckpt is where the leader's current pack finds this slot's record
 	// (durable.go): the generation of the pack that holds it, its offset
 	// and its length; ckptSeq is the version sequence the record
@@ -165,13 +143,8 @@ type Doc struct {
 }
 
 // New creates an empty repository.
-func New(opts Options) *Repository {
-	r := &Repository{retain: opts.RetainVersions}
-	if r.retain > 0 {
-		// A time-travel window needs every committed state published,
-		// so eager publication is on from the start.
-		r.versioning.Store(true)
-	}
+func New() *Repository {
+	r := &Repository{}
 	for i := range r.shards {
 		r.shards[i].docs = make(map[string]*Doc) //xmldynvet:ignore lockheld constructor: the repository is not yet shared
 	}
@@ -245,22 +218,14 @@ func (r *Repository) add(name, scheme string, sess *update.Session) error {
 	// name.
 	sess.SetAutoVerify(true)
 	d := &Doc{name: name, scheme: scheme, sess: sess, scratch: docScratch{batch: sess.Batch()}, verSeq: InitialVersionSeq, repo: r}
-	d.stamp = r.clock.Add(1)
-	if r.versioning.Load() {
-		// With a retained window configured, the opened state itself
-		// must be reachable by SnapshotAt, so publish it up front.
-		d.green = sess.Document().PublishVersion(d.verSeq)
-		d.pubSeq = d.verSeq
-		d.pubStamp = d.stamp
-	}
 	// Every commit of a session transaction — single op or batch,
 	// plain or durable, live or replayed — advances the document's
-	// version under the transaction's stamp (txn.go) and supersedes the
-	// previous one, publishing it once versioning is on (version.go); a
-	// staged or aborted transaction publishes nothing. The hook fires
-	// while the writer still holds the document's write lock, so
-	// snapshot readers (read lock) can never pin a mid-commit state.
-	sess.SetOnCommit(func() { d.publishVersion(d.scratchLocked().stamp) })
+	// version and supersedes the previous one, publishing it once
+	// versioning is on (version.go); a staged or aborted transaction
+	// publishes nothing. The hook fires while the writer still holds
+	// the document's write lock, so snapshot readers (read lock) can
+	// never pin a mid-commit state.
+	sess.SetOnCommit(d.publishVersion)
 	sh.docs[name] = d
 	return nil
 }
@@ -524,12 +489,12 @@ func (r *Repository) Save() ([]byte, error) {
 
 // Load rebuilds a repository from a Save image: every document is
 // decoded and reopened under its recorded scheme.
-func Load(data []byte, opts Options) (*Repository, error) {
+func Load(data []byte) (*Repository, error) {
 	docs, err := store.UnmarshalImage(data)
 	if err != nil {
 		return nil, err
 	}
-	r := New(opts)
+	r := New()
 	for _, d := range docs {
 		if err := r.openSnap(d); err != nil {
 			return nil, fmt.Errorf("repo: load %q: %w", d.Name, err)

@@ -12,7 +12,7 @@ import (
 
 func testRepo(t *testing.T) *Repository {
 	t.Helper()
-	r := New(Options{})
+	r := New()
 	for i, scheme := range []string{"qed", "deweyid", "ordpath", "vector", "cdqs"} {
 		name := fmt.Sprintf("doc-%d", i)
 		doc := workload.BaseDocument(int64(i), 60)
@@ -86,7 +86,7 @@ func TestOpenGetDrop(t *testing.T) {
 // the registry does not name, and every by-name method refuses a
 // missing document.
 func TestOpenErrors(t *testing.T) {
-	r := New(Options{})
+	r := New()
 	doc := xmltree.ExampleTree()
 	if err := r.Open("", doc, "qed"); !errors.Is(err, ErrEmptyName) {
 		t.Fatalf("empty name: %v", err)
@@ -120,7 +120,7 @@ func TestOpenErrors(t *testing.T) {
 // registry-named document registers and keeps its scheme through
 // save/load.
 func TestOpenSessionSchemeContract(t *testing.T) {
-	r := New(Options{})
+	r := New()
 	if err := r.Open("v", xmltree.ExampleTree(), "vector-range"); !errors.Is(err, ErrNoScheme) {
 		t.Fatalf("variant labeling: %v, want ErrNoScheme", err)
 	}
@@ -134,7 +134,7 @@ func TestOpenSessionSchemeContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Load(data, Options{})
+	back, err := Load(data)
 	if err != nil {
 		t.Fatalf("round trip: %v", err)
 	}
@@ -144,7 +144,7 @@ func TestOpenSessionSchemeContract(t *testing.T) {
 }
 
 func TestUpdateAndQuery(t *testing.T) {
-	r := New(Options{})
+	r := New()
 	doc, err := xmltree.ParseString(`<lib><book/><book/></lib>`)
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func TestUpdateAndQuery(t *testing.T) {
 // TestBatchThroughRepo: a repository batch verifies once however many
 // ops it carries, and so does the next one.
 func TestBatchThroughRepo(t *testing.T) {
-	r := New(Options{})
+	r := New()
 	doc, err := xmltree.ParseString(`<r><a/></r>`)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestBatchThroughRepo(t *testing.T) {
 
 // TestBatchAdvancesVersionOnce: a three-op Batch is one transaction, on
 // the in-memory repository and on the leader alike — the document's
-// Version and the repository's Stamp each advance by exactly one.
+// Version advances by exactly one.
 func TestBatchAdvancesVersionOnce(t *testing.T) {
 	three := func(doc *xmltree.Document, b *update.Batch) error {
 		b.AppendChild(doc.Root(), "x")
@@ -212,7 +212,7 @@ func TestBatchAdvancesVersionOnce(t *testing.T) {
 		b.InsertFirstChild(doc.Root(), "y")
 		return nil
 	}
-	r := New(Options{})
+	r := New()
 	d, err := OpenDurable(t.TempDir(), DurableOptions{AutoCheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -230,12 +230,12 @@ func TestBatchAdvancesVersionOnce(t *testing.T) {
 		if err := c.open("v", mustParse(t, "<r><a/></r>"), "qed"); err != nil {
 			t.Fatal(err)
 		}
-		v0, s0 := mustDoc(t, c.mem, "v").Version(), c.mem.Stamp()
+		v0 := mustDoc(t, c.mem, "v").Version()
 		if _, err := c.batch("v", three); err != nil {
 			t.Fatal(err)
 		}
-		if v, s := mustDoc(t, c.mem, "v").Version(), c.mem.Stamp(); v != v0+1 || s != s0+1 {
-			t.Errorf("%s: a 3-op Batch moved Version %d → %d and Stamp %d → %d, want +1 each", c.role, v0, v, s0, s)
+		if v := mustDoc(t, c.mem, "v").Version(); v != v0+1 {
+			t.Errorf("%s: a 3-op Batch moved Version %d → %d, want +1", c.role, v0, v)
 		}
 	}
 }
@@ -254,7 +254,7 @@ func TestSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Load(data, Options{})
+	r2, err := Load(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,13 +289,13 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	data[len(data)/2] ^= 0x10
-	if _, err := Load(data, Options{}); err == nil {
+	if _, err := Load(data); err == nil {
 		t.Fatal("corrupt container loaded")
 	}
 }
 
 func TestShardDistribution(t *testing.T) {
-	r := New(Options{})
+	r := New()
 	for i := 0; i < 256; i++ {
 		doc, err := xmltree.ParseString("<r/>")
 		if err != nil {

@@ -166,7 +166,7 @@ func TestFailedCommitLeavesNoScratch(t *testing.T) {
 // dropped at the start of the document's next commit, not committed
 // with it.
 func TestBatchKeptPastBuildCommitsNothing(t *testing.T) {
-	r := New(Options{})
+	r := New()
 	if err := r.Open("a", mustParse(t, `<r/>`), "qed"); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestOversizedTransactionScratchIsLetGo(t *testing.T) {
 // without the live tree or a later snapshot noticing.
 func TestResultsAreDetachedUnderInterleavedMultiBatch(t *testing.T) {
 	const writers, commits = 4, 500
-	r := New(Options{})
+	r := New()
 	names := []string{"left", "right"}
 	for _, name := range names {
 		if err := r.Open(name, mustParse(t, `<r/>`), "qed"); err != nil {

@@ -17,7 +17,7 @@ import (
 // <r><seed/></r> under qed.
 func snapRepo(t *testing.T, names ...string) *Repository {
 	t.Helper()
-	r := New(Options{})
+	r := New()
 	for _, name := range names {
 		doc, err := xmltree.ParseString("<r><seed/></r>")
 		if err != nil {
@@ -76,6 +76,13 @@ func TestSnapshotObservesPinnedStateOnly(t *testing.T) {
 	}
 	if snap2.Versions()["a"] == snap.Versions()["a"] {
 		t.Fatal("distinct states share a version number")
+	}
+	// The two versions are distinct trees, but they mirror one
+	// persistent node for the untouched seed subtree.
+	oldDoc, _ := snap.Document("a")
+	curDoc, _ := snap2.Document("a")
+	if was, is := oldDoc.Root().FirstChild(), curDoc.Root().FirstChild(); was == is || was.Source() != is.Source() {
+		t.Fatal("seed subtree recopied: the versions mirror different nodes")
 	}
 }
 
@@ -144,11 +151,34 @@ func TestSnapshotCloseSemantics(t *testing.T) {
 	if _, err := r.Snapshot("missing"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("snapshot of unknown name: %v", err)
 	}
+	// A snapshot naming an unknown document fails before it locks
+	// anything: a write on either document commits afterwards.
+	if _, err := r.Snapshot("a", "missing"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf(`Snapshot("a", "missing"): err = %v, want ErrNotFound`, err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		for _, name := range []string{"a", "b"} {
+			if _, err := r.Batch(name, appendTo("after")); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a write after the failed snapshot still waits: a read lock leaked")
+	}
 }
 
-// TestSnapshotVersionsAndStampsSurviveClose holds Versions and Stamps
-// to their "stays valid after Close" contract: the pinned sequence
-// numbers and stamps are the same before and after.
+// TestSnapshotVersionsAndStampsSurviveClose holds Versions to its
+// "stays valid after Close" contract: the pinned sequence numbers are
+// the same before and after.
 func TestSnapshotVersionsAndStampsSurviveClose(t *testing.T) {
 	r := snapRepo(t, "a", "b")
 	if _, err := r.Batch("b", appendTo("x")); err != nil {
@@ -158,22 +188,18 @@ func TestSnapshotVersionsAndStampsSurviveClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	versions, stamps := snap.Versions(), snap.Stamps()
-	if len(versions) != 2 || len(stamps) != 2 || versions["b"] == versions["a"] {
-		t.Fatalf("before Close: versions %v, stamps %v", versions, stamps)
+	versions := snap.Versions()
+	if len(versions) != 2 || versions["b"] == versions["a"] {
+		t.Fatalf("before Close: versions %v", versions)
 	}
 	snap.Close()
 	if got := snap.Versions(); !reflect.DeepEqual(got, versions) {
 		t.Errorf("Versions after Close = %v, want %v", got, versions)
 	}
-	if got := snap.Stamps(); !reflect.DeepEqual(got, stamps) {
-		t.Errorf("Stamps after Close = %v, want %v", got, stamps)
-	}
 }
 
-// TestSnapshotCloseRacesVersionsAndStamps runs Close beside Versions
-// and Stamps; under -race it fails unless they share the snapshot's
-// lock.
+// TestSnapshotCloseRacesVersionsAndStamps runs Close beside Versions;
+// under -race it fails unless they share the snapshot's lock.
 func TestSnapshotCloseRacesVersionsAndStamps(t *testing.T) {
 	r := snapRepo(t, "a", "b")
 	for i := 0; i < 50; i++ {
@@ -186,8 +212,8 @@ func TestSnapshotCloseRacesVersionsAndStamps(t *testing.T) {
 			defer close(closed)
 			snap.Close()
 		}()
-		if v, s := snap.Versions(), snap.Stamps(); len(v) != 2 || len(s) != 2 {
-			t.Errorf("beside Close: Versions %v, Stamps %v", v, s)
+		if v := snap.Versions(); len(v) != 2 {
+			t.Errorf("beside Close: Versions %v", v)
 		}
 		<-closed
 	}
@@ -519,13 +545,13 @@ func TestSnapshotAfterRolledBackBatchSeesPreBatchState(t *testing.T) {
 }
 
 // A snapshot held open across an aborted transaction and one taken
-// after it pin the same version: same Versions and Stamps entries, one
-// shared tree (abortRig and abortForms: timetravel_test.go).
+// after it pin the same version: same Versions entries, one shared
+// tree (abortRig and abortForms: abort_test.go).
 func TestSnapshotVersionsUnmovedByAbort(t *testing.T) {
 	for _, durable := range []bool{false, true} {
 		for i, form := range abortForms {
 			t.Run(fmt.Sprintf("durable=%v/%s", durable, form.name), func(t *testing.T) {
-				rig := newAbortRig(t, durable, 0)
+				rig := newAbortRig(t, durable)
 				held, err := rig.mem.Snapshot()
 				if err != nil {
 					t.Fatal(err)
@@ -539,9 +565,6 @@ func TestSnapshotVersionsUnmovedByAbort(t *testing.T) {
 				defer after.Close()
 				if h, a := held.Versions(), after.Versions(); !reflect.DeepEqual(h, a) {
 					t.Errorf("Versions: held across the abort %v, taken after it %v", h, a)
-				}
-				if h, a := held.Stamps(), after.Stamps(); !reflect.DeepEqual(h, a) {
-					t.Errorf("Stamps: held across the abort %v, taken after it %v", h, a)
 				}
 				for _, name := range held.Names() {
 					h, _ := held.Document(name)
@@ -611,6 +634,19 @@ func TestDurableSnapshot(t *testing.T) {
 	if n := childCount(t, snap, "a"); n != 1 {
 		t.Fatalf("snapshot moved across a checkpoint: %d", n)
 	}
+	// A checkpoint pins each dirty version while encoding; once every
+	// snapshot is closed the gauges settle at zero — no pin leak.
+	snap.Close()
+	live.Close()
+	if _, err := d.Batch("a", appendTo("dirty")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if st := d.VersionStats(); st.OpenSnapshots != 0 || st.PinnedVersions != 0 {
+		t.Fatalf("gauges did not settle after checkpoint: %+v", st)
+	}
 }
 
 func TestSnapshotConcurrentWithSaveAndMultiBatch(t *testing.T) {
@@ -677,7 +713,7 @@ func TestSnapshotConcurrentWithSaveAndMultiBatch(t *testing.T) {
 // -race: the scan reads persistent nodes a publication may be sharing,
 // and materialises through expand() beside the navigators.
 func TestSnapshotScansRaceNavigatorsAndWriter(t *testing.T) {
-	r := New(Options{})
+	r := New()
 	doc, err := xmltree.ParseString(sectionsXML(t, 2000))
 	if err != nil {
 		t.Fatal(err)
@@ -793,64 +829,4 @@ func TestSnapshotScansRaceNavigatorsAndWriter(t *testing.T) {
 	readers.Wait()
 	close(stop)
 	writer.Wait()
-}
-
-// TestFailedSnapshotAtReleasesPins: a SnapshotAt that resolves one
-// document and finds the next evicted returns ErrVersionEvicted and
-// leaves the gauges as they were — the pin it took is released — and a
-// Snapshot naming an unknown document fails before it locks anything:
-// a write on either document commits afterwards.
-func TestFailedSnapshotAtReleasesPins(t *testing.T) {
-	r := New(Options{RetainVersions: 1})
-	for _, name := range []string{"a", "b"} {
-		doc, err := xmltree.ParseString("<r><seed/></r>")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Open(name, doc, "qed"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stamp := r.Stamp()
-	for _, tag := range []string{"c0", "c1"} {
-		if _, err := r.Batch("b", appendTo(tag)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Cache a's current version, so the failed call leaves it as it
-	// found it: a resolves at stamp, b's version there has aged out.
-	snap, err := r.Snapshot("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap.Close()
-	before := r.VersionStats()
-	if _, err := r.SnapshotAt(stamp, "a", "b"); !errors.Is(err, ErrVersionEvicted) {
-		t.Fatalf("SnapshotAt(%d, a, b): err = %v, want ErrVersionEvicted", stamp, err)
-	}
-	if after := r.VersionStats(); after.OpenSnapshots != before.OpenSnapshots ||
-		after.PinnedVersions != before.PinnedVersions || after.LiveVersions != before.LiveVersions {
-		t.Fatalf("gauges after a failed SnapshotAt: %+v, want %+v", after, before)
-	}
-	if _, err := r.Snapshot("a", "missing"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf(`Snapshot("a", "missing"): err = %v, want ErrNotFound`, err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		for _, name := range []string{"a", "b"} {
-			if _, err := r.Batch(name, appendTo("after")); err != nil {
-				done <- err
-				return
-			}
-		}
-		done <- nil
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("a write after the failed snapshots still waits: a read lock leaked")
-	}
 }

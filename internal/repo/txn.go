@@ -76,9 +76,6 @@ type docScratch struct {
 	// document's, the record assembled from the programs. The log copies
 	// what it is handed, so nothing reads buf once Append has returned.
 	buf []byte
-	// stamp is the transaction's one commit stamp, set on every involved
-	// document before its part commits; the commit hook records it.
-	stamp uint64
 }
 
 // scratchLocked returns the commit scratch of d, whose write lock the
@@ -93,7 +90,6 @@ func (d *Doc) scratchLocked() *docScratch {
 // caller queued on a batch it kept past its build is not committed.
 func (sc *docScratch) reset() {
 	sc.batch.Reset(scratchBytes / 64) // an update.Op is 56 bytes
-	sc.stamp = 0
 	if sc.buf = sc.buf[:0]; cap(sc.buf) > scratchBytes {
 		sc.buf = nil
 	}
@@ -117,8 +113,8 @@ func (sc *docScratch) reset() {
 //     paths must address the state replay will resolve them against;
 //  4. stage every document's part, in order (update.Session.Stage:
 //     validated, applied, verified, and shown to no one — counters,
-//     Doc.Version, Stamp and every snapshot still read the
-//     pre-transaction state);
+//     Doc.Version and every snapshot still read the pre-transaction
+//     state);
 //  5. under policy append, assemble the one record behind the first
 //     document's program and append it while the locks are still held,
 //     so per-document log order equals commit order. The log serialises
@@ -126,11 +122,10 @@ func (sc *docScratch) reset() {
 //     documents keep going and, under grouped sync, share the in-flight
 //     fsync;
 //  6. if 4 or 5 failed, abort what is staged, in reverse; otherwise
-//     take one commit stamp and commit every document's part under it,
-//     which cannot fail and is what publishes the transaction. The stamp
-//     is taken while every involved write lock is held, so stamp order
-//     extends conflict order and every stamp cuts a serial prefix: a
-//     SnapshotAt shows a transaction on all its documents or on none.
+//     commit every document's part, which cannot fail and is what
+//     publishes the transaction. Every involved write lock is still
+//     held, so a snapshot shows the transaction on all its documents or
+//     on none.
 //
 // So the log is written before memory shows anything, for every policy,
 // and a commit that returns an error was never visible: a failed build,
@@ -224,9 +219,7 @@ func (r *Repository) commit(names []string, pol logPolicy, mds []MultiDoc, build
 		clear(mds)
 		return err
 	}
-	stamp := r.clock.Add(1)
 	for _, d := range held {
-		d.scratchLocked().stamp = stamp
 		d.sess.Commit()
 	}
 	if logged {

@@ -1,7 +1,7 @@
 // MVCC snapshot reads: the persistent version chain behind
-// Repository.Snapshot and Repository.SnapshotAt. docs/CONCURRENCY.md
-// is the authoritative specification of the consistency model this
-// file implements; the shape in brief:
+// Repository.Snapshot. docs/CONCURRENCY.md is the authoritative
+// specification of the consistency model this file implements; the
+// shape in brief:
 //
 //   - Every document carries a version sequence number, starting at
 //     InitialVersionSeq when the document is opened and advancing
@@ -23,27 +23,23 @@
 //   - Version lifetime is reference-counted for deterministic memory
 //     accounting: a version releases its tree reference as soon as it
 //     is superseded (a newer commit exists, or the document was
-//     dropped), unpinned (no open snapshot references it) and outside
-//     the retained time-travel window. The current version of a live
-//     document stays cached even when unpinned — it is what the next
-//     snapshot will share. Subtrees shared with younger versions stay
-//     reachable through them; release only drops this version's root.
-//   - With Options.RetainVersions > 0, the last N superseded versions
-//     of each document are retained for SnapshotAt time-travel reads,
-//     keyed by a repository-wide commit stamp (Repository.Stamp).
+//     dropped) and unpinned (no open snapshot references it). The
+//     current version of a live document stays cached even when
+//     unpinned — it is what the next snapshot will share. Subtrees
+//     shared with younger versions stay reachable through them;
+//     release only drops this version's root. No history is kept: an
+//     earlier state is readable only through a snapshot that pinned it.
 //
-// Lock order: Snapshot and SnapshotAt acquire the requested documents'
-// read locks in sorted-name order — the same single global order
-// MultiBatch (write locks) and Save (read locks) use — capture every
-// version while ALL those read locks are held, and release them before
+// Lock order: Snapshot acquires the requested documents' read locks
+// in sorted-name order — the same single global order MultiBatch
+// (write locks) and Save (read locks) use — captures every version
+// while ALL those read locks are held, and releases them before
 // returning. Holding the full read-lock set at capture time is the
 // multi-document consistency argument for Snapshot: a MultiBatch over
 // any subset of the snapshot's documents holds all its write locks
 // until its versions are installed, so the snapshot observes the
 // transaction on every involved document or on none (never a torn
-// prefix). SnapshotAt inherits the guarantee: a transaction's documents
-// all carry its one commit stamp (txn.go), so a historical cut holds
-// every transaction at or before its stamp and none after.
+// prefix).
 // (File comment — the package doc lives in repo.go.)
 
 package repo
@@ -63,11 +59,6 @@ import (
 // ErrSnapshotClosed reports a read on a snapshot after Close.
 var ErrSnapshotClosed = errors.New("repo: snapshot is closed")
 
-// ErrVersionEvicted reports a SnapshotAt stamp older than the
-// document's retained version window (or older than the document
-// itself).
-var ErrVersionEvicted = errors.New("repo: version not in the retained window")
-
 // InitialVersionSeq is the version sequence number of a freshly opened
 // document: version 0 is the state the document was opened with, and
 // every committed transaction advances the sequence by exactly one
@@ -77,15 +68,14 @@ const InitialVersionSeq uint64 = 0
 // versionStats aggregates repository-wide version accounting; the
 // exported view is VersionStats.
 type versionStats struct {
-	open     atomic.Int64 // snapshots opened and not yet closed
-	pinned   atomic.Int64 // versions referenced by at least one open snapshot
-	live     atomic.Int64 // version descriptors holding a tree reference
-	retained atomic.Int64 // superseded versions kept for time travel
+	open   atomic.Int64 // snapshots opened and not yet closed
+	pinned atomic.Int64 // versions referenced by at least one open snapshot
+	live   atomic.Int64 // version descriptors holding a tree reference
 }
 
 // VersionStats is a point-in-time view of the repository's MVCC
 // accounting, for operators triaging snapshot leaks and GC backlogs
-// (docs/OPERATIONS.md §7). All four gauges are exact, not sampled.
+// (docs/OPERATIONS.md §7). The three gauges are exact, not sampled.
 type VersionStats struct {
 	// OpenSnapshots counts snapshots opened and not yet closed. A
 	// monotonically climbing value under steady load is a snapshot
@@ -96,64 +86,50 @@ type VersionStats struct {
 	// memory that cannot be released until their snapshots close.
 	PinnedVersions int64
 	// LiveVersions counts version descriptors currently holding a
-	// version-tree reference — pinned ones, at most one cached current
-	// version per document, plus the retained time-travel window.
-	// Persistent versions share subtrees, so this counts roots, not
-	// tree copies.
+	// version-tree reference — pinned ones plus at most one cached
+	// current version per document. Persistent versions share
+	// subtrees, so this counts roots, not tree copies.
 	LiveVersions int64
-	// RetainedVersions counts superseded versions held only for
-	// SnapshotAt time travel (Options.RetainVersions). Bounded by
-	// RetainVersions × number of documents.
+	// RetainedVersions always reads 0: the repository keeps no
+	// superseded version that no snapshot pins. The field stays for
+	// readers that still report it.
 	RetainedVersions int64
 }
 
 // VersionStats returns the repository's current MVCC accounting.
 func (r *Repository) VersionStats() VersionStats {
 	return VersionStats{
-		OpenSnapshots:    r.vstats.open.Load(),
-		PinnedVersions:   r.vstats.pinned.Load(),
-		LiveVersions:     r.vstats.live.Load(),
-		RetainedVersions: r.vstats.retained.Load(),
+		OpenSnapshots:  r.vstats.open.Load(),
+		PinnedVersions: r.vstats.pinned.Load(),
+		LiveVersions:   r.vstats.live.Load(),
 	}
 }
 
-// Stamp returns the repository's current global commit stamp: a
-// monotone counter advanced by every document open, every drop and
-// every committed transaction (once, however many documents it
-// touched). Pass a stamp observed here (or from Snapshot.Stamps) to
-// SnapshotAt to read the repository as of that moment.
-func (r *Repository) Stamp() uint64 { return r.clock.Load() }
-
 // docVersion is one published, immutable document version: a reference
 // to a persistent structure-sharing tree (version.go file comment). It
-// is created by the first snapshot that pins the state — or by the
-// commit hook when a retained time-travel window is configured — and
-// is shared by every snapshot of the same version.
+// is created by the first snapshot that pins the state and is shared by
+// every snapshot of the same version.
 type docVersion struct {
 	seq    uint64
-	stamp  uint64
-	name   string
 	scheme string
 	stats  *versionStats
 
 	mu         sync.Mutex
 	pins       int
 	superseded bool
-	retained   bool
 	green      *xmltree.Node     // persistent version root; nil after release
 	view       *xmltree.Document // lazily opened navigable view over green
 }
 
 // newVersion wraps a published version root in a descriptor. One
 // LiveVersions unit is held until release.
-func newVersion(seq, stamp uint64, name, scheme string, stats *versionStats, green *xmltree.Node, superseded bool) *docVersion {
+func newVersion(seq uint64, scheme string, stats *versionStats, green *xmltree.Node, superseded bool) *docVersion {
 	stats.live.Add(1)
-	return &docVersion{seq: seq, stamp: stamp, name: name, scheme: scheme,
-		stats: stats, green: green, superseded: superseded}
+	return &docVersion{seq: seq, scheme: scheme, stats: stats, green: green, superseded: superseded}
 }
 
-// pin registers one snapshot reference. Caller: Doc.pinCurrent or
-// Doc.pinAt, under the document's vmu.
+// pin registers one snapshot reference. Caller: Doc.pinCurrent, under
+// the document's vmu.
 func (v *docVersion) pin() {
 	v.mu.Lock()
 	v.pins++
@@ -164,7 +140,7 @@ func (v *docVersion) pin() {
 }
 
 // unpin drops one snapshot reference, releasing the tree reference if
-// the version is also superseded and unretained.
+// the version is also superseded.
 func (v *docVersion) unpin() {
 	v.mu.Lock()
 	v.pins--
@@ -177,7 +153,7 @@ func (v *docVersion) unpin() {
 
 // supersede marks the version no longer current (a newer commit
 // exists, or the document was dropped), releasing the tree reference
-// if it is also unpinned and unretained.
+// if it is also unpinned.
 func (v *docVersion) supersede() {
 	v.mu.Lock()
 	v.superseded = true
@@ -185,25 +161,13 @@ func (v *docVersion) supersede() {
 	v.mu.Unlock()
 }
 
-// evict removes the version from the retained time-travel window.
-func (v *docVersion) evict() {
-	v.mu.Lock()
-	if v.retained {
-		v.retained = false
-		v.stats.retained.Add(-1)
-	}
-	v.maybeReleaseLocked()
-	v.mu.Unlock()
-}
-
 // maybeReleaseLocked drops the version's tree reference once nothing
 // can read it again: superseded means no future snapshot can pin it,
-// zero pins means no open snapshot reads it now, unretained means
-// SnapshotAt cannot reach it. Subtrees shared with younger versions
-// remain reachable through those versions; only this root reference
-// dies. Callers hold v.mu.
+// zero pins means no open snapshot reads it now. Subtrees shared with
+// younger versions remain reachable through those versions; only this
+// root reference dies. Callers hold v.mu.
 func (v *docVersion) maybeReleaseLocked() {
-	if v.superseded && v.pins == 0 && !v.retained && v.green != nil {
+	if v.superseded && v.pins == 0 && v.green != nil {
 		v.green = nil
 		v.view = nil
 		v.stats.live.Add(-1)
@@ -234,82 +198,41 @@ func (d *Doc) Version() uint64 {
 	return d.verSeq
 }
 
-// publishVersion advances the version sequence, records stamp (zero
-// takes a fresh tick of the clock: a drop, or the hook fired by a failed
-// rollback — not a commit, which took one stamp for its transaction),
-// supersedes the cached current version and — once versioning is
-// active — publishes the new state as a persistent version (an
-// O(changed-spine) structure-sharing republication) and maintains the
-// retained time-travel window. It is the session commit hook
-// (installed by Repository.add), so it runs on every committed
-// mutation while the writer still holds the document's write lock;
-// Drop also routes here so a dropped document's versions are released
-// once unpinned.
+// publishVersion advances the version sequence, supersedes the cached
+// current version and — once versioning is active — publishes the new
+// state as a persistent version (an O(changed-spine) structure-sharing
+// republication). It is the session commit hook (installed by
+// Repository.add), so it runs on every committed mutation while the
+// writer still holds the document's write lock; Drop also routes here
+// so a dropped document's versions are released once unpinned.
 //
-// Before the first snapshot ever touches the repository (and with no
-// retained window configured) the hook only advances counters:
-// write-only workloads pay nothing for versioning, and the first pin
-// publishes the accumulated delta.
-func (d *Doc) publishVersion(stamp uint64) {
+// Before the first snapshot ever touches the repository the hook only
+// advances counters: write-only workloads pay nothing for versioning,
+// and the first pin publishes the accumulated delta.
+func (d *Doc) publishVersion() {
 	d.vmu.Lock()
-	prevSeq, prevStamp, prevGreen := d.pubSeq, d.pubStamp, d.green
 	d.verSeq++
-	if stamp == 0 {
-		stamp = d.repo.clock.Add(1)
-	}
-	d.stamp = stamp
 	cur := d.cur
 	d.cur = nil
-	var evicted *docVersion
 	if d.repo.versioning.Load() {
 		d.green = d.sess.Document().PublishVersion(d.verSeq)
 		d.pubSeq = d.verSeq
-		d.pubStamp = d.stamp
-		if retain := d.repo.retain; retain > 0 && prevGreen != nil && !d.dropped {
-			prev := cur
-			if prev == nil {
-				// Born superseded: the commit that is publishing right now
-				// replaced this state, and no later supersede call will ever
-				// reach a window-only descriptor — without the flag, aging
-				// out of the window would never release it.
-				prev = newVersion(prevSeq, prevStamp, d.name, d.scheme, &d.repo.vstats, prevGreen, true)
-			}
-			prev.mu.Lock()
-			prev.retained = true
-			prev.mu.Unlock()
-			d.repo.vstats.retained.Add(1)
-			d.hist = append(d.hist, prev)
-			if len(d.hist) > retain {
-				evicted = d.hist[0]
-				d.hist = d.hist[:copy(d.hist, d.hist[1:])]
-			}
-		}
 	}
 	d.vmu.Unlock()
 	if cur != nil {
 		cur.supersede()
 	}
-	if evicted != nil {
-		evicted.evict()
-	}
 }
 
-// markDropped supersedes the cached version, evicts the retained
-// window and marks the slot dropped: versions pinned from here on are
-// born superseded, because no commit hook will ever fire on the slot
-// again to supersede them (Repository.Drop calls this after unlinking
-// the name).
+// markDropped marks the slot dropped and supersedes the cached version:
+// versions pinned from here on are born superseded, because no commit
+// hook will ever fire on the slot again to supersede them
+// (Repository.Drop calls this after unlinking the name).
 func (d *Doc) markDropped() {
 	d.vmu.Lock()
 	d.dropped = true
-	hist := d.hist
-	d.hist = nil
 	d.vmu.Unlock()
-	for _, v := range hist {
-		v.supersede()
-		v.evict()
-	}
-	d.publishVersion(0)
+	d.publishVersion()
 }
 
 // pinCurrent pins (creating on first use) the version descriptor for
@@ -322,47 +245,19 @@ func (d *Doc) markDropped() {
 // publishers. Steady-state cost is O(1): one descriptor, no tree work.
 func (d *Doc) pinCurrent() *docVersion {
 	d.vmu.Lock()
-	v := d.pinCurrentLocked()
-	d.vmu.Unlock()
-	return v
-}
-
-func (d *Doc) pinCurrentLocked() *docVersion {
+	defer d.vmu.Unlock()
 	if d.cur == nil {
 		if d.green == nil || d.pubSeq != d.verSeq {
 			d.green = d.sess.Document().PublishVersion(d.verSeq)
 			d.pubSeq = d.verSeq
-			d.pubStamp = d.stamp
 		}
 		// A snapshot can still pin a dropped slot (it resolved the
 		// name before the drop); the version must free on its last
 		// unpin, since no future commit will supersede it.
-		d.cur = newVersion(d.verSeq, d.pubStamp, d.name, d.scheme, &d.repo.vstats, d.green, d.dropped)
+		d.cur = newVersion(d.verSeq, d.scheme, &d.repo.vstats, d.green, d.dropped)
 	}
-	v := d.cur
-	v.pin()
-	return v
-}
-
-// pinAt pins the youngest version whose commit stamp does not exceed
-// stamp: the current version if the document has not changed since,
-// otherwise a version from the retained time-travel window. The caller
-// holds the document's read lock.
-func (d *Doc) pinAt(stamp uint64) (*docVersion, error) {
-	d.vmu.Lock()
-	defer d.vmu.Unlock()
-	if stamp >= d.stamp {
-		return d.pinCurrentLocked(), nil
-	}
-	for i := len(d.hist) - 1; i >= 0; i-- {
-		if d.hist[i].stamp <= stamp {
-			v := d.hist[i]
-			v.pin()
-			return v, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: %q at stamp %d (current stamp %d, %d retained)",
-		ErrVersionEvicted, d.name, stamp, d.stamp, len(d.hist))
+	d.cur.pin()
+	return d.cur
 }
 
 // snapEntry is one document inside a snapshot: its name, the pinned
@@ -382,10 +277,9 @@ type snapEntry struct {
 // committed state, however many writers commit meanwhile. A snapshot
 // of several documents is consistent ACROSS them: it can never observe
 // a MultiBatch transaction on some involved documents but not others.
-// Obtain one from Repository.Snapshot or DurableRepository.Snapshot
-// (or their SnapshotAt time-travel variants); Close it when done so
-// its versions can be reclaimed (docs/CONCURRENCY.md specifies the
-// full observation model).
+// Obtain one from Repository.Snapshot or DurableRepository.Snapshot;
+// Close it when done so its versions can be reclaimed
+// (docs/CONCURRENCY.md specifies the full observation model).
 //
 // A Snapshot is safe for concurrent use by multiple goroutines. It is
 // the struct and one slice of entries sorted by name, searched by
@@ -415,30 +309,6 @@ type Snapshot struct {
 // resolution is simply excluded, as in Save — the membership was never
 // the caller's to pin. Close the snapshot when done.
 func (r *Repository) Snapshot(names ...string) (*Snapshot, error) {
-	return r.snapshotWith(names, func(d *Doc) (*docVersion, error) {
-		return d.pinCurrent(), nil
-	})
-}
-
-// SnapshotAt pins a time-travel view of the named documents (all
-// documents when names is empty) as of the given commit stamp — a
-// value previously observed from Stamp or Snapshot.Stamps. Each
-// document resolves to the youngest version whose commit stamp does
-// not exceed stamp: the current version if the document has not
-// changed since, otherwise a version from the retained window
-// (Options.RetainVersions); a stamp older than the window fails with
-// ErrVersionEvicted. Like Snapshot, the cut is transaction-consistent:
-// a MultiBatch stamps all its documents with one stamp, so it shows on
-// every one of them or on none.
-func (r *Repository) SnapshotAt(stamp uint64, names ...string) (*Snapshot, error) {
-	return r.snapshotWith(names, func(d *Doc) (*docVersion, error) {
-		return d.pinAt(stamp)
-	})
-}
-
-// snapshotWith resolves, locks and captures per the Snapshot contract,
-// delegating the per-document version choice to pin.
-func (r *Repository) snapshotWith(names []string, pin func(*Doc) (*docVersion, error)) (*Snapshot, error) {
 	// Any snapshot activates eager publication at commit, permanently:
 	// from here on writers republish the changed spine in the commit
 	// hook so pins stay O(1).
@@ -469,25 +339,14 @@ func (r *Repository) snapshotWith(names []string, pin func(*Doc) (*docVersion, e
 	for _, e := range docs {
 		e.doc.mu.RLock()
 	}
-	var pinErr error
 	for i := range docs {
 		e := &docs[i]
-		if e.v, pinErr = pin(e.doc); pinErr != nil {
-			break
-		}
+		e.v = e.doc.pinCurrent()
 		e.tree = e.v.document()
 	}
 	for i := len(docs) - 1; i >= 0; i-- {
 		docs[i].doc.mu.RUnlock()
 		docs[i].doc = nil
-	}
-	if pinErr != nil {
-		for _, e := range docs {
-			if e.v != nil {
-				e.v.unpin()
-			}
-		}
-		return nil, pinErr
 	}
 	r.vstats.open.Add(1)
 	return &Snapshot{docs: docs, stats: &r.vstats}, nil
@@ -512,20 +371,6 @@ func (s *Snapshot) Versions() map[string]uint64 {
 	out := make(map[string]uint64, len(s.docs))
 	for _, e := range s.docs {
 		out[e.name] = e.v.seq
-	}
-	return out
-}
-
-// Stamps maps each document in the snapshot to the global commit stamp
-// of the version it was pinned at. Any of these stamps (or Stamp's
-// live value) can be passed to SnapshotAt to revisit that state while
-// it stays within the retained window. It stays valid after Close.
-func (s *Snapshot) Stamps() map[string]uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[string]uint64, len(s.docs))
-	for _, e := range s.docs {
-		out[e.name] = e.v.stamp
 	}
 	return out
 }
@@ -598,8 +443,8 @@ func (s *Snapshot) Close() {
 		return
 	}
 	s.closed = true
-	// Drop the trees, keep the descriptors: Versions and Stamps read
-	// their immutable seq and stamp after Close.
+	// Drop the trees, keep the descriptors: Versions reads their
+	// immutable seq after Close.
 	for i := range s.docs {
 		s.docs[i].tree = nil
 	}

@@ -21,7 +21,7 @@
 // payload grammar the repository writes, lives in docs/DURABILITY.md
 // and is kept honest by a golden-constants test):
 //
-//	header:  magic "XWAL" | version byte 1
+//	header:  magic "XWAL" | version byte (Version)
 //	record:  payload length (uint32 LE) | CRC-32/IEEE of payload (uint32 LE) | payload
 //
 // Records are appended, never rewritten. Replay streams the segment

@@ -8,7 +8,7 @@
 // is spelled Clone.
 //
 // Enforcement is split by signature, and the split is part of the
-// contract (docs/CONCURRENCY.md §6): mutators that can return an error
+// contract (docs/CONCURRENCY.md §7): mutators that can return an error
 // report ErrFrozen; mutators with no error path (SetName, SetValue,
 // Detach, RemoveAttr) panic, because silently ignoring a write to a
 // published snapshot would hide a real bug in the caller.

@@ -8,7 +8,7 @@ import (
 // TestRepositoryFacade exercises the public repository surface:
 // NewRepository, Open, batched writes, queries, save/restore.
 func TestRepositoryFacade(t *testing.T) {
-	r := NewRepository(RepoOptions{})
+	r := NewRepository()
 	doc, err := ParseString(`<shelf><book/><book/></shelf>`)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestRepositoryFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RestoreRepository(blob, RepoOptions{})
+	r2, err := RestoreRepository(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,65 +65,6 @@ func TestRepositoryFacade(t *testing.T) {
 	}
 	if _, err := r2.Query("missing", "//x"); !errors.Is(err, ErrRepoNotFound) {
 		t.Fatalf("missing doc: %v", err)
-	}
-}
-
-// TestSnapshotTimeTravelFacade exercises the public snapshot surface:
-// RetainVersions, Stamp, Snapshot.Stamps, SnapshotAt, the eviction
-// error and the RetainedVersions gauge — all through the facade
-// aliases.
-func TestSnapshotTimeTravelFacade(t *testing.T) {
-	r := NewRepository(RepoOptions{RetainVersions: 2})
-	doc, err := ParseString(`<shelf><book/></shelf>`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Open("shelf", doc, "qed"); err != nil {
-		t.Fatal(err)
-	}
-	first := r.Stamp()
-	for i := 0; i < 4; i++ {
-		_, err := r.Batch("shelf", func(doc *Document, b *Batch) error {
-			b.AppendChild(doc.Root(), "book")
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	snap, err := r.Snapshot("shelf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer snap.Close()
-	stamp, ok := snap.Stamps()["shelf"]
-	if !ok {
-		t.Fatal("Stamps missing pinned document")
-	}
-	back, err := r.SnapshotAt(stamp, "shelf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer back.Close()
-	if back.Versions()["shelf"] != snap.Versions()["shelf"] {
-		t.Fatalf("SnapshotAt(%d) pinned version %d, want %d",
-			stamp, back.Versions()["shelf"], snap.Versions()["shelf"])
-	}
-	nodes, err := back.Query("shelf", "//book")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nodes) != 5 {
-		t.Fatalf("books at stamp %d = %d, want 5", stamp, len(nodes))
-	}
-
-	// The opened state is 4 commits back — outside the 2-version window.
-	if _, err := r.SnapshotAt(first, "shelf"); !errors.Is(err, ErrVersionEvicted) {
-		t.Fatalf("evicted stamp: %v", err)
-	}
-	if st := r.VersionStats(); st.RetainedVersions != 2 {
-		t.Fatalf("RetainedVersions = %d, want 2", st.RetainedVersions)
 	}
 }
 

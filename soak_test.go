@@ -91,7 +91,7 @@ func TestSoakSnapshotChurn(t *testing.T) {
 		readers        = 4
 		readsPerReader = 250
 	)
-	r := repo.New(repo.Options{})
+	r := repo.New()
 	names := make([]string, docs)
 	for i := range names {
 		names[i] = fmt.Sprintf("doc%d", i)

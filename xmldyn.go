@@ -23,20 +23,18 @@
 // atomic multi-document transactions (MultiBatch) that commit
 // across several named documents or roll back across all of them,
 // and MVCC snapshot reads (Repository.Snapshot → RepoSnapshot): once
-// a repository has taken its first snapshot (or from the start, with
-// RepoOptions.RetainVersions set), every commit publishes a persistent
-// path-copied version of the document — unchanged subtrees shared
-// with the live tree, only the mutated spine copied — and before that
-// the first pin publishes the accumulated changes once, so a snapshot
-// pins an immutable,
-// transaction-consistent version of one or more documents in O(1)
-// and serves every read from it with no lock held: slow readers never
-// stall writers and a multi-document snapshot can never observe a
-// MultiBatch half applied. With RepoOptions.RetainVersions set, the
-// last N superseded versions of each document stay reachable and
-// Repository.SnapshotAt time-travels to the state at an earlier
-// commit stamp (docs/CONCURRENCY.md specifies the consistency model;
-// RepoVersionStats exposes the version accounting). Save/Restore
+// a repository has taken its first snapshot, every commit publishes a
+// persistent path-copied version of the document — unchanged subtrees
+// shared with the live tree, only the mutated spine copied — and
+// before that the first pin publishes the accumulated changes once, so
+// a snapshot pins an immutable, transaction-consistent version of one
+// or more documents in O(1) and serves every read from it with no lock
+// held: slow readers never stall writers and a multi-document snapshot
+// can never observe a MultiBatch half applied. A superseded version
+// lives only as long as a snapshot pins it; document history belongs
+// to Persistent Labels, not to the repository (docs/CONCURRENCY.md
+// specifies the consistency model; RepoVersionStats exposes the
+// version accounting). Save/Restore
 // round-trip one session and SaveRepository/RestoreRepository the
 // whole repository through the checksummed pack format checkpoints
 // write, which keeps every tree exactly, and
@@ -314,10 +312,6 @@ type (
 	// MultiBatch and Drop: each is an op list queued and committed under
 	// the write lock, with the durable leader's signatures.
 	Repository = repo.Repository
-	// RepoOptions configures the time-travel retention window
-	// (RetainVersions: how many superseded versions per document stay
-	// reachable by SnapshotAt).
-	RepoOptions = repo.Options
 	// MultiDoc is one document's handle inside a MultiBatch — an
 	// atomic transaction across several named documents: the build
 	// callback navigates Document() and queues ops on Batch(), as a
@@ -331,17 +325,14 @@ type (
 	MultiDoc = repo.MultiDoc
 	// RepoSnapshot is a pinned, immutable, transaction-consistent
 	// view of one or more repository documents (Repository.Snapshot /
-	// DurableRepository.Snapshot, or SnapshotAt for the state at an
-	// earlier commit stamp): reads on it hold no lock, always observe
-	// the identical committed state, and cannot see a MultiBatch half
-	// applied. Stamps reports the commit stamp each pinned version
-	// was current at, so a later SnapshotAt can revisit it. Close it
-	// when done so its versions can be reclaimed. docs/CONCURRENCY.md
-	// specifies the full model.
+	// DurableRepository.Snapshot): reads on it hold no lock, always
+	// observe the identical committed state, and cannot see a
+	// MultiBatch half applied. Close it when done so its versions can
+	// be reclaimed. docs/CONCURRENCY.md specifies the full model.
 	RepoSnapshot = repo.Snapshot
 	// RepoVersionStats is the repository's MVCC accounting — open
-	// snapshots, pinned versions, live version roots, retained
-	// time-travel versions — for leak triage (docs/OPERATIONS.md §7).
+	// snapshots, pinned versions, live version roots — for leak triage
+	// (docs/OPERATIONS.md §7).
 	RepoVersionStats = repo.VersionStats
 )
 
@@ -351,17 +342,13 @@ var (
 	ErrRepoNotFound = repo.ErrNotFound
 	// ErrSnapshotClosed reports a read on a RepoSnapshot after Close.
 	ErrSnapshotClosed = repo.ErrSnapshotClosed
-	// ErrVersionEvicted reports a SnapshotAt stamp older than the
-	// retained window (RepoOptions.RetainVersions).
-	ErrVersionEvicted = repo.ErrVersionEvicted
 	// ErrFrozen reports a mutation attempted on a frozen snapshot
-	// node; Clone the node for a mutable copy (docs/CONCURRENCY.md §6).
+	// node; Clone the node for a mutable copy (docs/CONCURRENCY.md §7).
 	ErrFrozen = xmltree.ErrFrozen
 )
 
-// NewRepository creates an empty repository; zero options retain no
-// superseded versions.
-func NewRepository(opts RepoOptions) *Repository { return repo.New(opts) }
+// NewRepository creates an empty repository.
+func NewRepository() *Repository { return repo.New() }
 
 // SaveRepository serialises every document of a repository into one
 // store image: a pack whose every record is its own.
@@ -369,8 +356,8 @@ func SaveRepository(r *Repository) ([]byte, error) { return r.Save() }
 
 // RestoreRepository rebuilds a repository from a SaveRepository
 // image, reopening every document under its recorded scheme.
-func RestoreRepository(data []byte, opts RepoOptions) (*Repository, error) {
-	return repo.Load(data, opts)
+func RestoreRepository(data []byte) (*Repository, error) {
+	return repo.Load(data)
 }
 
 // --- durable repository ------------------------------------------------------
@@ -459,7 +446,7 @@ type (
 	// Follower is a live read replica: Run drives the session loop
 	// (every failure reconnects; after a divergence the next session
 	// bootstraps, in place, into the same repository), while Snapshot and Repo's reads serve lock-free at
-	// any time and Lag/AppliedStamp bound their staleness explicitly —
+	// any time and Lag/Position bound their staleness explicitly —
 	// Lag is the stream distance to the leader's last advertised
 	// durable end, in bytes; 0 means caught up.
 	Follower = replica.Follower

@@ -197,7 +197,7 @@ func TestSaveRestoreFidelity(t *testing.T) {
 				t.Errorf("%s: Restore(Save) gave %s, want %s", scheme, got, src)
 			}
 
-			r := NewRepository(RepoOptions{})
+			r := NewRepository()
 			if err := r.Open("d", doc, scheme); err != nil {
 				t.Fatal(err)
 			}
@@ -205,7 +205,7 @@ func TestSaveRestoreFidelity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r2, err := RestoreRepository(blob, RepoOptions{})
+			r2, err := RestoreRepository(blob)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -244,7 +244,7 @@ func TestRestoreRefusesOtherFormats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRepository(RepoOptions{})
+	r := NewRepository()
 	for _, name := range []string{"book", "copy"} {
 		if err := r.Open(name, SampleBook(), "qed"); err != nil {
 			t.Fatal(err)
@@ -258,14 +258,14 @@ func TestRestoreRefusesOtherFormats(t *testing.T) {
 		if _, err := Restore(data); !errors.Is(err, store.ErrBadVersion) {
 			t.Errorf("Restore(%s): %v, want ErrBadVersion", name, err)
 		}
-		if _, err := RestoreRepository(data, RepoOptions{}); !errors.Is(err, store.ErrBadVersion) {
+		if _, err := RestoreRepository(data); !errors.Is(err, store.ErrBadVersion) {
 			t.Errorf("RestoreRepository(%s): %v, want ErrBadVersion", name, err)
 		}
 	}
 	if _, err := Restore(repository); !errors.Is(err, store.ErrCorrupt) {
 		t.Errorf("Restore(two-document repository image): %v, want ErrCorrupt", err)
 	}
-	if _, err := RestoreRepository(session, RepoOptions{}); !errors.Is(err, repo.ErrEmptyName) {
+	if _, err := RestoreRepository(session); !errors.Is(err, repo.ErrEmptyName) {
 		t.Errorf("RestoreRepository(session image): %v, want ErrEmptyName", err)
 	}
 }
