@@ -64,10 +64,10 @@ func BenchmarkAblationIntervalLevel(b *testing.B) {
 	doc := xmltree.GenerateBalanced(5, 4)
 	for _, withLevel := range []bool{false, true} {
 		b.Run(fmt.Sprintf("withLevel=%v", withLevel), func(b *testing.B) {
+			doc, lab := doc.Clone(), mk(withLevel) // one labelling a document
 			b.ReportAllocs()
 			var bits float64
 			for i := 0; i < b.N; i++ {
-				lab := mk(withLevel)
 				if err := lab.Build(doc); err != nil {
 					b.Fatal(err)
 				}

@@ -14,8 +14,9 @@
 //
 // Writes to freshly allocated nodes (composite literals, constructor
 // and Clone results) are not mutations of published state and are
-// exempt, as are the persistence bookkeeping fields themselves
-// (frozen, view, mirror, expanded).
+// exempt, as are the bookkeeping fields themselves: the persistence
+// fields (frozen, view, mirror, expanded) and the label slot (slot),
+// which a labelling writes and no version copies.
 package frozenguard
 
 import (
@@ -36,7 +37,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // contentFields are the Node fields whose mutation publishes state;
-// the remaining fields are persistence bookkeeping.
+// the remaining fields are persistence and labelling bookkeeping.
 var contentFields = map[string]bool{
 	"name": true, "value": true, "parent": true, "links": true, "nattrs": true,
 }

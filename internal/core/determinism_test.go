@@ -39,14 +39,9 @@ func TestConcurrentLabelReads(t *testing.T) {
 	doc := workload.BaseDocument(42, 300)
 	for _, name := range []string{"qed", "deweyid", "xpath-accelerator", "dde"} {
 		s, _ := SchemeByName(name)
+		// One labelling a document: each scheme reads its own clone.
+		target := doc.Clone()
 		lab := s.Factory()
-		if err := lab.Build(doc.Clone()); err != nil {
-			// Build against a fresh clone per scheme.
-			t.Fatal(err)
-		}
-		target := doc
-		// Rebuild against the shared doc for the read test.
-		lab = s.Factory()
 		if err := lab.Build(target); err != nil {
 			t.Fatal(err)
 		}

@@ -53,7 +53,7 @@ func TestBuildCountersSameColdAndWarm(t *testing.T) {
 			if !ok {
 				continue
 			}
-			if err := lab.Build(doc); err != nil {
+			if err := lab.Build(doc.Clone()); err != nil { // one labelling a document
 				t.Fatalf("%s: %v", s.Name, err)
 			}
 			want, pinned := buildCounters[s.Name]

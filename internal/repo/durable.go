@@ -284,6 +284,9 @@ func (d *DurableRepository) Open(name string, doc *xmltree.Document, scheme stri
 	if name == "" {
 		return ErrEmptyName
 	}
+	if _, dup := lookup(d.repo(), name); dup { // before doc is labelled a second time
+		return fmt.Errorf("%w: %q", ErrExists, name)
+	}
 	sess, err := newSchemeSession(doc, scheme)
 	if err != nil {
 		return err

@@ -188,6 +188,9 @@ func (r *Repository) Open(name string, doc *xmltree.Document, scheme string) err
 	if name == "" {
 		return ErrEmptyName
 	}
+	if _, dup := lookup(r, name); dup { // before doc is labelled a second time
+		return fmt.Errorf("%w: %q", ErrExists, name)
+	}
 	sess, err := newSchemeSession(doc, scheme)
 	if err != nil {
 		return err

@@ -127,7 +127,9 @@ func (iv *Interval) number(fresh bool) error {
 		return fmt.Errorf("interval %s: assign %d endpoints: %w", iv.cfg.Name, 2*n, err)
 	}
 	if fresh {
-		iv.lab.Reset(n)
+		if err := iv.lab.Reset(iv.doc, n); err != nil {
+			return err
+		}
 		iv.stats = labeling.Stats{Assigned: int64(n)}
 	}
 	// The walk numbers endpoints as it meets them. A node opens behind

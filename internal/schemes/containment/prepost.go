@@ -55,7 +55,9 @@ func (pp *PrePost) Stats() *labeling.Stats { return &pp.stats }
 // Build implements labeling.Interface.
 func (pp *PrePost) Build(doc *xmltree.Document) error {
 	pp.doc = doc
-	pp.lab.Reset(doc.LabelledCount())
+	if err := pp.lab.Reset(doc, doc.LabelledCount()); err != nil {
+		return err
+	}
 	pp.renumber()
 	return nil
 }

@@ -113,7 +113,9 @@ func (dl *Labeling) Stats() *labeling.Stats { return &dl.stats }
 // labellable child of a node extends the parent's label with i.
 func (dl *Labeling) Build(doc *xmltree.Document) error {
 	dl.doc = doc
-	dl.lab.Reset(doc.LabelledCount())
+	if err := dl.lab.Reset(doc, doc.LabelledCount()); err != nil {
+		return err
+	}
 	dl.stats.Reset()
 	var assign func(parent *xmltree.Node, parentLabel Label)
 	assign = func(parent *xmltree.Node, parentLabel Label) {

@@ -63,7 +63,9 @@ func (pl *Labeling) Algebra() labels.Algebra { return pl.cfg.Algebra }
 // code assignment from the algebra, top-down.
 func (pl *Labeling) Build(doc *xmltree.Document) error {
 	pl.doc = doc
-	pl.codes.Reset(doc.LabelledCount())
+	if err := pl.codes.Reset(doc, doc.LabelledCount()); err != nil {
+		return err
+	}
 	pl.stats.Reset()
 	return pl.assignChildren(doc.Node())
 }

@@ -73,7 +73,9 @@ func (pl *Labeling) Stats() *labeling.Stats { return &pl.stats }
 func (pl *Labeling) Build(doc *xmltree.Document) error {
 	pl.doc = doc
 	n := doc.LabelledCount()
-	pl.lab.Reset(n)
+	if err := pl.lab.Reset(doc, n); err != nil {
+		return err
+	}
 	pl.stats.Reset()
 	// Headroom: document-order ranks must stay below every node's
 	// prime for the CRT order values to decode; skipping the primes

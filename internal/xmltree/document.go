@@ -1,12 +1,16 @@
 package xmltree
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Document is the virtual root of an XML tree. It owns exactly one root
 // element plus any top-level comments and processing instructions.
 type Document struct {
-	node      *Node // KindDocument
-	published bool  // PublishVersion has run (persist.go)
+	node      *Node         // KindDocument
+	published bool          // PublishVersion has run (persist.go)
+	holder    atomic.Uint64 // the labelling writing the nodes' label slots (HoldLabels)
 }
 
 // NewDocument returns an empty document, allocated with its document
@@ -59,6 +63,12 @@ func (d *Document) SetRoot(root *Node) error {
 	}
 	return d.node.AppendChild(root)
 }
+
+// HoldLabels makes the labelling numbered id the holder of d's label
+// slots (Node.LabelSlot) in place of the one numbered was, 0 meaning
+// none. It reports false, and changes nothing, when was is not the
+// holder: one document, one labelling writing its nodes' slots.
+func (d *Document) HoldLabels(was, id uint64) bool { return d.holder.CompareAndSwap(was, id) }
 
 // LabelledCount returns the number of labellable nodes (elements and
 // attributes) in the document. Text, comment and PI nodes do not receive

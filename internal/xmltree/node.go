@@ -78,6 +78,11 @@ type Node struct {
 	// node whose child shells have been materialised.
 	mirror   *Node
 	expanded uint32
+
+	// slot is the node's index in the label table of the labelling that
+	// holds its document (labeling.Table). It is bookkeeping, not
+	// content: a copy or a version of the node does not carry it.
+	slot uint32
 }
 
 // NewElement returns a detached element node.
@@ -117,6 +122,13 @@ func (n *Node) Value() string { return n.value }
 // SetValue updates the node's data value (content update). Panics on
 // a frozen node (see freeze.go).
 func (n *Node) SetValue(v string) { n.mustThaw(); n.markChanged(); n.value = v }
+
+// LabelSlot returns the node's label slot (see Document.HoldLabels).
+func (n *Node) LabelSlot() uint32 { return n.slot }
+
+// SetLabelSlot sets the node's label slot. Only the labelling that holds
+// the node's document calls it.
+func (n *Node) SetLabelSlot(s uint32) { n.slot = s }
 
 // Parent returns the parent node, or nil for a detached node or the
 // document root.

@@ -1,0 +1,129 @@
+package xmldyn
+
+// Performance claims as tests, the P series beside the paper's C1–C8.
+// Each claim measures a count per scheme, holds each reading to the
+// bound the claim set, and renders its row of docs/EXPERIMENTS.md's
+// "Performance claims" table: TestPClaims requires the doc to print
+// the row as measured, and TestPClaimIDsMatchDoc holds the doc's ids to
+// this file's. A reading is a count or a heap size after two
+// runtime.GC calls, never a time, and it repeats within 1 % at its
+// seed. A later change may tighten a bound, not loosen it.
+
+import (
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"regexp"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+
+	"xmldyn/internal/core"
+	"xmldyn/internal/update"
+	"xmldyn/internal/workload"
+)
+
+// pclaims is every row of the "Performance claims" table.
+var pclaims = []struct {
+	id, what string
+	seed     int64
+	bounds   []pbound
+	measure  func(scheme string, seed int64) (float64, error)
+}{
+	{"P1", "label heap per labelled node after `update.NewSession` on `workload.BaseDocument(seed, 20000)`, bytes", 1,
+		[]pbound{{"qed", 26}, {"ordpath", 26}, {"deweyid", 26}, {"cdbs", 26}, {"xpath-accelerator", 35}, {"vector", 100}},
+		labelHeapPerNode},
+}
+
+type pbound struct {
+	scheme string
+	max    float64
+}
+
+// liveHeap returns the bytes the heap holds once garbage is collected.
+func liveHeap() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// labelHeapPerNode is P1: what a session's labels keep live, per
+// labelled node. A first session on a clone fills the code rows every
+// document shares, so the reading is the document's own.
+func labelHeapPerNode(scheme string, seed int64) (float64, error) {
+	doc := workload.BaseDocument(seed, 20000)
+	factory := core.MustScheme(scheme).Factory
+	if _, err := update.NewSession(doc.Clone(), factory()); err != nil {
+		return 0, err
+	}
+	before := liveHeap()
+	s, err := update.NewSession(doc, factory())
+	if err != nil {
+		return 0, err
+	}
+	after := liveHeap()
+	runtime.KeepAlive(s)
+	return float64(after-before) / float64(doc.LabelledCount()), nil
+}
+
+// pclaimsSection returns docs/EXPERIMENTS.md's "Performance claims"
+// section with every run of whitespace folded to one space.
+func pclaimsSection(t *testing.T) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("docs", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, doc, ok := strings.Cut(string(data), "\n## Performance claims")
+	if !ok {
+		t.Fatal(`docs/EXPERIMENTS.md has no "## Performance claims" section`)
+	}
+	doc, _, _ = strings.Cut(doc, "\n## ")
+	return folded(doc)
+}
+
+// TestPClaims measures every P-claim, holds each reading to its bound
+// and requires the doc to print the claim's row: the readings rounded
+// to whole units, each with its bound.
+func TestPClaims(t *testing.T) {
+	doc := pclaimsSection(t)
+	for _, c := range pclaims {
+		t.Run(c.id, func(t *testing.T) {
+			var cells []string
+			for _, b := range c.bounds {
+				got, err := c.measure(b.scheme, c.seed)
+				if err != nil {
+					t.Fatalf("%s: %v", b.scheme, err)
+				}
+				t.Logf("%s %s: %.2f (bound %g)", c.id, b.scheme, got, b.max)
+				if got > b.max {
+					t.Errorf("%s %s: %.2f, over the bound %g", c.id, b.scheme, got, b.max)
+				}
+				cells = append(cells, fmt.Sprintf("`%s` %g (≤ %g)", b.scheme, math.Round(got), b.max))
+			}
+			row := fmt.Sprintf("| %s | %s | %d | %s |", c.id, c.what, c.seed, strings.Join(cells, ", "))
+			if !strings.Contains(doc, folded(row)) {
+				t.Errorf("docs/EXPERIMENTS.md, \"Performance claims\", does not print %s as measured:\n%s", c.id, row)
+			}
+		})
+	}
+}
+
+// TestPClaimIDsMatchDoc: the claim ids of the "Performance claims"
+// table are exactly the claims TestPClaims measures.
+func TestPClaimIDsMatchDoc(t *testing.T) {
+	var documented, tested []string
+	for _, m := range regexp.MustCompile(`\| (P\d+) \|`).FindAllStringSubmatch(pclaimsSection(t), -1) {
+		documented = append(documented, m[1])
+	}
+	for _, c := range pclaims {
+		tested = append(tested, c.id)
+	}
+	if !slices.Equal(documented, tested) {
+		t.Errorf("docs/EXPERIMENTS.md's P-claim ids %v, P-claim tests %v", documented, tested)
+	}
+}

@@ -29,6 +29,8 @@ func TestSoakLargeDocumentBulk(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
+			// One labelling a document: each scheme labels a clone.
+			doc := doc.Clone()
 			lab := core.MustScheme(name).Factory()
 			if err := lab.Build(doc); err != nil {
 				t.Fatal(err)

@@ -179,6 +179,9 @@ func Schemes() []string {
 }
 
 // Open labels doc with the named scheme and returns an update session.
+// A document has one labelling: Open, or a repository's Open, on a
+// document another session holds fails with ErrDocumentHeld, so a
+// second scheme labels doc.Clone().
 func Open(doc *Document, scheme string) (*Session, error) {
 	sch, ok := core.SchemeByName(scheme)
 	if !ok {
@@ -345,6 +348,8 @@ var (
 	// ErrFrozen reports a mutation attempted on a frozen snapshot
 	// node; Clone the node for a mutable copy (docs/CONCURRENCY.md §7).
 	ErrFrozen = xmltree.ErrFrozen
+	// ErrDocumentHeld reports a document labelled by another session.
+	ErrDocumentHeld = labeling.ErrHeld
 )
 
 // NewRepository creates an empty repository.

@@ -198,7 +198,7 @@ func TestSaveRestoreFidelity(t *testing.T) {
 			}
 
 			r := NewRepository()
-			if err := r.Open("d", doc, scheme); err != nil {
+			if err := r.Open("d", doc.Clone(), scheme); err != nil { // s holds doc
 				t.Fatal(err)
 			}
 			blob, err := SaveRepository(r)
@@ -235,6 +235,29 @@ const (
 // its own — so each reader refuses the other's image by its contents: a
 // session image holds exactly one document, a repository's documents
 // have names.
+// TestOpenRefusesHeldDocument: a document has one labelling. A second
+// Open of it, plain or by a repository, fails with ErrDocumentHeld and
+// leaves the first session's labels whole; a clone opens.
+func TestOpenRefusesHeldDocument(t *testing.T) {
+	doc := SampleBook()
+	s, err := Open(doc, "qed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(doc, "deweyid"); !errors.Is(err, ErrDocumentHeld) {
+		t.Fatalf("a second Open: %v, want ErrDocumentHeld", err)
+	}
+	if err := NewRepository().Open("book", doc, "qed"); !errors.Is(err, ErrDocumentHeld) {
+		t.Fatalf("a repository's Open: %v, want ErrDocumentHeld", err)
+	}
+	if _, err := Open(doc.Clone(), "deweyid"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRestoreRefusesOtherFormats(t *testing.T) {
 	s, err := Open(SampleBook(), "qed")
 	if err != nil {
