@@ -10,7 +10,6 @@ package encoding
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"xmldyn/internal/labeling"
@@ -195,12 +194,4 @@ func Reconstruct(rows []Row) (*xmltree.Document, error) {
 		return nil, fmt.Errorf("encoding: no root row")
 	}
 	return doc, nil
-}
-
-// SortRows orders rows by label using the labeling's comparator-free
-// string forms; used when rows arrive shuffled (e.g. from storage).
-// The relative order of a parent before its children must still hold
-// for Reconstruct, which document-order labels guarantee.
-func SortRows(rows []Row, less func(a, b string) bool) {
-	sort.SliceStable(rows, func(i, j int) bool { return less(rows[i].Label, rows[j].Label) })
 }

@@ -124,18 +124,3 @@ func TestReconstructErrors(t *testing.T) {
 		}
 	}
 }
-
-func TestSortRows(t *testing.T) {
-	rows := []Row{
-		{Label: "1.2", Kind: xmltree.KindElement, Parent: "1", Name: "b"},
-		{Label: "1", Kind: xmltree.KindElement, Parent: "", Name: "r"},
-		{Label: "1.1", Kind: xmltree.KindElement, Parent: "1", Name: "a"},
-	}
-	SortRows(rows, func(a, b string) bool { return a < b })
-	if rows[0].Label != "1" || rows[1].Label != "1.1" || rows[2].Label != "1.2" {
-		t.Fatalf("sorted: %v", rows)
-	}
-	if _, err := Reconstruct(rows); err != nil {
-		t.Fatal(err)
-	}
-}

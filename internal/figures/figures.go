@@ -8,7 +8,6 @@ package figures
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"xmldyn/internal/encoding"
@@ -183,31 +182,4 @@ func RenderLabelledTree(doc *xmltree.Document, lab labeling.Interface, grey map[
 	}
 	draw(root, "", true, true)
 	return sb.String()
-}
-
-// Labels returns the rendered label of every labellable node keyed by
-// node name, for tests that pin figure values.
-func Labels(doc *xmltree.Document, lab labeling.Interface) map[string]string {
-	out := make(map[string]string)
-	doc.WalkLabelled(func(n *xmltree.Node) bool {
-		out[n.Name()] = lab.Label(n).String()
-		return true
-	})
-	return out
-}
-
-// SortedLabelList renders "name=label" pairs sorted by name (stable
-// golden-ish output for tests).
-func SortedLabelList(doc *xmltree.Document, lab labeling.Interface) []string {
-	m := Labels(doc, lab)
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]string, len(keys))
-	for i, k := range keys {
-		out[i] = k + "=" + m[k]
-	}
-	return out
 }

@@ -3,10 +3,6 @@ package figures
 import (
 	"strings"
 	"testing"
-
-	"xmldyn/internal/labeling"
-	"xmldyn/internal/schemes/dewey"
-	"xmldyn/internal/xmltree"
 )
 
 func TestFigure1(t *testing.T) {
@@ -99,22 +95,3 @@ func TestFigureDispatch(t *testing.T) {
 		t.Error("figure 0 should fail")
 	}
 }
-
-func TestLabelsAndSortedList(t *testing.T) {
-	doc := xmltreeExample()
-	lab := deweyNew()
-	if err := lab.Build(doc); err != nil {
-		t.Fatal(err)
-	}
-	m := Labels(doc, lab)
-	if m["r"] != "1" || m["c3"] != "1.3.3" {
-		t.Fatalf("labels map: %v", m)
-	}
-	list := SortedLabelList(doc, lab)
-	if len(list) != 10 || list[0] != "a=1.1" {
-		t.Fatalf("sorted list: %v", list)
-	}
-}
-
-func xmltreeExample() *xmltree.Document { return xmltree.ExampleTree() }
-func deweyNew() labeling.Interface      { return dewey.New() }

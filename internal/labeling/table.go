@@ -2,7 +2,6 @@ package labeling
 
 import (
 	"errors"
-	"iter"
 	"math/bits"
 	"slices"
 	"sync/atomic"
@@ -111,17 +110,6 @@ func (t *Table[L]) Set(n *xmltree.Node, l L) {
 
 // Len returns the number of labelled nodes.
 func (t *Table[L]) Len() int { return t.len }
-
-// All ranges over the entries in no particular order.
-func (t *Table[L]) All() iter.Seq2[*xmltree.Node, L] {
-	return func(yield func(*xmltree.Node, L) bool) {
-		for s := range t.next {
-			if e := t.at(s); e.n != nil && !yield(e.n, e.l) {
-				return
-			}
-		}
-	}
-}
 
 // Forget drops the entries of the labelled subtree at n: n, its
 // attributes and its element descendants with theirs. It is every

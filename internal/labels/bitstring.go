@@ -17,24 +17,6 @@ import (
 // cdbs accept no other form.
 type BitString string
 
-// ValidBitString reports whether s contains only '0' and '1'.
-func ValidBitString(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] != '0' && s[i] != '1' {
-			return false
-		}
-	}
-	return true
-}
-
-// MustBitString converts s, panicking on invalid input (test helper).
-func MustBitString(s string) BitString {
-	if !ValidBitString(s) {
-		panic(fmt.Sprintf("labels: invalid bit string %q", s))
-	}
-	return BitString(s)
-}
-
 // String returns the printable binary form.
 func (b BitString) String() string { return string(b) }
 

@@ -2,6 +2,7 @@ package labels
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -225,4 +226,22 @@ func TestCheckAscending(t *testing.T) {
 	if i := CheckAscending(bad, cmp); i != 1 {
 		t.Fatalf("bad sequence not flagged: %d", i)
 	}
+}
+
+// MustBitString converts s, panicking on invalid input.
+func MustBitString(s string) BitString {
+	if !ValidBitString(s) {
+		panic(fmt.Sprintf("labels: invalid bit string %q", s))
+	}
+	return BitString(s)
+}
+
+// ValidBitString reports whether s contains only '0' and '1'.
+func ValidBitString(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] != '0' && s[i] != '1' {
+			return false
+		}
+	}
+	return true
 }

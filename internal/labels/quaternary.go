@@ -20,24 +20,6 @@ import (
 // accept no other form.
 type QString string
 
-// ValidQString reports whether s contains only the digits 1-3.
-func ValidQString(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] < '1' || s[i] > '3' {
-			return false
-		}
-	}
-	return true
-}
-
-// MustQString converts s, panicking on invalid input (test helper).
-func MustQString(s string) QString {
-	if !ValidQString(s) {
-		panic(fmt.Sprintf("labels: invalid quaternary string %q", s))
-	}
-	return QString(s)
-}
-
 // String returns the printable digit form.
 func (q QString) String() string { return string(q) }
 

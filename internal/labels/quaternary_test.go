@@ -455,3 +455,21 @@ func chunkCaps[S spelling[S], P interface {
 		t.Fatalf("a short code after the long ones opened a chunk of %d", digits[len(digits)-1])
 	}
 }
+
+// MustQString converts s, panicking on invalid input.
+func MustQString(s string) QString {
+	if !ValidQString(s) {
+		panic(fmt.Sprintf("labels: invalid quaternary string %q", s))
+	}
+	return QString(s)
+}
+
+// ValidQString reports whether s contains only the digits 1-3.
+func ValidQString(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] < '1' || s[i] > '3' {
+			return false
+		}
+	}
+	return true
+}

@@ -8,7 +8,7 @@ import (
 // Com-D label compression (Duong & Zhang [8], paper §3.1.2): repetitive
 // letters or letter groups inside an LSDX-style label are replaced by a
 // repeat count, e.g. "aaaaabcbcbcdddde" -> "5a3(bc)4de". The compressed
-// form is storage-only; comparisons operate on the decompressed label.
+// form is storage-only; comparisons operate on the uncompressed label.
 
 // CompressRuns rewrites s replacing runs of a repeated unit (a single
 // letter, or a group wrapped in parentheses) with "<count><unit>". Units
@@ -58,49 +58,4 @@ func CompressRuns(s string) string {
 		i += bestLen * bestCount
 	}
 	return sb.String()
-}
-
-// DecompressRuns reverses CompressRuns.
-func DecompressRuns(s string) (string, error) {
-	var sb strings.Builder
-	i := 0
-	for i < len(s) {
-		c := s[i]
-		if c < '0' || c > '9' {
-			sb.WriteByte(c)
-			i++
-			continue
-		}
-		j := i
-		for j < len(s) && s[j] >= '0' && s[j] <= '9' {
-			j++
-		}
-		count := 0
-		for _, d := range s[i:j] {
-			count = count*10 + int(d-'0')
-		}
-		if j >= len(s) {
-			return "", fmt.Errorf("%w: dangling repeat count in %q", ErrBadCode, s)
-		}
-		var unit string
-		if s[j] == '(' {
-			end := strings.IndexByte(s[j:], ')')
-			if end < 0 {
-				return "", fmt.Errorf("%w: unterminated group in %q", ErrBadCode, s)
-			}
-			unit = s[j+1 : j+end]
-			j += end + 1
-		} else {
-			unit = string(s[j])
-			j++
-		}
-		if count <= 0 || count > 1<<20 {
-			return "", fmt.Errorf("%w: unreasonable repeat count %d", ErrBadCode, count)
-		}
-		for k := 0; k < count; k++ {
-			sb.WriteString(unit)
-		}
-		i = j
-	}
-	return sb.String(), nil
 }

@@ -8,75 +8,29 @@ import "fmt"
 // integer that may be encoded with a single UTF-8 4-byte instance is
 // 2^21, it is unclear how the vector labelling scheme uses UTF-8 to
 // process delimiters for larger integer values". We reproduce exactly
-// that ceiling so the critique is measurable: EncodeUTF8Style fails with
+// that ceiling so the critique is measurable: UTF8StyleBits fails with
 // ErrOverflow for values >= 2^21.
 
 // MaxUTF8Value is the largest value encodable by the UTF-8-style codec
 // (2^21 - 1), matching the paper's §4 analysis of a 4-byte UTF-8 unit.
 const MaxUTF8Value = 1<<21 - 1
 
-// EncodeUTF8Style encodes v in 1-4 bytes using UTF-8-like framing:
-// 0xxxxxxx, 110xxxxx 10xxxxxx, 1110xxxx 10xxxxxx 10xxxxxx, or
-// 11110xxx 10xxxxxx 10xxxxxx 10xxxxxx.
-func EncodeUTF8Style(v uint32) ([]byte, error) {
+// UTF8StyleBits returns the storage cost of v in bits under UTF-8-like
+// framing (0xxxxxxx, 110xxxxx 10xxxxxx, 1110xxxx 10xxxxxx 10xxxxxx, or
+// 11110xxx 10xxxxxx 10xxxxxx 10xxxxxx), or an error past the 2^21
+// ceiling.
+func UTF8StyleBits(v uint32) (int, error) {
 	switch {
 	case v < 1<<7:
-		return []byte{byte(v)}, nil
+		return 8, nil
 	case v < 1<<11:
-		return []byte{0xC0 | byte(v>>6), 0x80 | byte(v&0x3F)}, nil
+		return 16, nil
 	case v < 1<<16:
-		return []byte{0xE0 | byte(v>>12), 0x80 | byte(v>>6&0x3F), 0x80 | byte(v&0x3F)}, nil
+		return 24, nil
 	case v <= MaxUTF8Value:
-		return []byte{
-			0xF0 | byte(v>>18), 0x80 | byte(v>>12&0x3F),
-			0x80 | byte(v>>6&0x3F), 0x80 | byte(v&0x3F),
-		}, nil
-	default:
-		return nil, fmt.Errorf("%w: value %d exceeds UTF-8-style limit %d (paper §4)", ErrOverflow, v, MaxUTF8Value)
+		return 32, nil
 	}
-}
-
-// DecodeUTF8Style decodes one value and returns it with the number of
-// bytes consumed.
-func DecodeUTF8Style(b []byte) (uint32, int, error) {
-	if len(b) == 0 {
-		return 0, 0, fmt.Errorf("%w: empty varint", ErrBadCode)
-	}
-	b0 := b[0]
-	var n int
-	var v uint32
-	switch {
-	case b0&0x80 == 0:
-		return uint32(b0), 1, nil
-	case b0&0xE0 == 0xC0:
-		n, v = 2, uint32(b0&0x1F)
-	case b0&0xF0 == 0xE0:
-		n, v = 3, uint32(b0&0x0F)
-	case b0&0xF8 == 0xF0:
-		n, v = 4, uint32(b0&0x07)
-	default:
-		return 0, 0, fmt.Errorf("%w: invalid varint lead byte %#x", ErrBadCode, b0)
-	}
-	if len(b) < n {
-		return 0, 0, fmt.Errorf("%w: truncated varint", ErrBadCode)
-	}
-	for i := 1; i < n; i++ {
-		if b[i]&0xC0 != 0x80 {
-			return 0, 0, fmt.Errorf("%w: invalid continuation byte %#x", ErrBadCode, b[i])
-		}
-		v = v<<6 | uint32(b[i]&0x3F)
-	}
-	return v, n, nil
-}
-
-// UTF8StyleBits returns the storage cost of v in bits under the
-// UTF-8-style codec, or an error past the 2^21 ceiling.
-func UTF8StyleBits(v uint32) (int, error) {
-	b, err := EncodeUTF8Style(v)
-	if err != nil {
-		return 0, err
-	}
-	return len(b) * 8, nil
+	return 0, fmt.Errorf("%w: value %d exceeds UTF-8-style limit %d (paper §4)", ErrOverflow, v, MaxUTF8Value)
 }
 
 // AppendLEB128 appends v as an unbounded little-endian base-128 varint:

@@ -9,23 +9,6 @@ import (
 	"testing/quick"
 )
 
-func TestUTF8StyleRoundTrip(t *testing.T) {
-	cases := []uint32{0, 1, 127, 128, 2047, 2048, 65535, 65536, MaxUTF8Value}
-	for _, v := range cases {
-		b, err := EncodeUTF8Style(v)
-		if err != nil {
-			t.Fatalf("%d: %v", v, err)
-		}
-		got, n, err := DecodeUTF8Style(b)
-		if err != nil {
-			t.Fatalf("%d: %v", v, err)
-		}
-		if got != v || n != len(b) {
-			t.Fatalf("%d: got %d (consumed %d of %d)", v, got, n, len(b))
-		}
-	}
-}
-
 func TestUTF8StyleSizes(t *testing.T) {
 	sizes := []struct {
 		v    uint32
@@ -34,12 +17,12 @@ func TestUTF8StyleSizes(t *testing.T) {
 		{0, 1}, {127, 1}, {128, 2}, {2047, 2}, {2048, 3}, {65535, 3}, {65536, 4}, {MaxUTF8Value, 4},
 	}
 	for _, s := range sizes {
-		b, err := EncodeUTF8Style(s.v)
+		bits, err := UTF8StyleBits(s.v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(b) != s.want {
-			t.Errorf("%d: %d bytes, want %d", s.v, len(b), s.want)
+		if bits != 8*s.want {
+			t.Errorf("%d: %d bytes, want %d", s.v, bits/8, s.want)
 		}
 	}
 }
@@ -47,7 +30,7 @@ func TestUTF8StyleSizes(t *testing.T) {
 // TestUTF8StyleCeiling reproduces the paper's §4 critique: the codec
 // fails past 2^21 - 1.
 func TestUTF8StyleCeiling(t *testing.T) {
-	if _, err := EncodeUTF8Style(MaxUTF8Value + 1); !errors.Is(err, ErrOverflow) {
+	if _, err := UTF8StyleBits(MaxUTF8Value + 1); !errors.Is(err, ErrOverflow) {
 		t.Fatalf("want ErrOverflow, got %v", err)
 	}
 	if _, err := UTF8StyleBits(1 << 22); !errors.Is(err, ErrOverflow) {
@@ -55,37 +38,6 @@ func TestUTF8StyleCeiling(t *testing.T) {
 	}
 	if bits, err := UTF8StyleBits(100); err != nil || bits != 8 {
 		t.Fatalf("bits(100) = %d, %v", bits, err)
-	}
-}
-
-func TestUTF8StyleQuickRoundTrip(t *testing.T) {
-	f := func(v uint32) bool {
-		v %= MaxUTF8Value + 1
-		b, err := EncodeUTF8Style(v)
-		if err != nil {
-			return false
-		}
-		got, _, err := DecodeUTF8Style(b)
-		return err == nil && got == v
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDecodeUTF8StyleErrors(t *testing.T) {
-	cases := [][]byte{
-		{},
-		{0x80},       // bare continuation byte
-		{0xC0},       // truncated 2-byte
-		{0xE0, 0x80}, // truncated 3-byte
-		{0xC0, 0x00}, // invalid continuation
-		{0xFF},       // invalid lead
-	}
-	for _, c := range cases {
-		if _, _, err := DecodeUTF8Style(c); !errors.Is(err, ErrBadCode) {
-			t.Errorf("%v: want ErrBadCode, got %v", c, err)
-		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"xmldyn/internal/labels"
 	"xmldyn/internal/schemes/lsdx"
 	"xmldyn/internal/update"
 	"xmldyn/internal/xmltree"
@@ -92,17 +91,5 @@ func TestSessionStorm(t *testing.T) {
 	}
 	if st := s.Labeling().Stats(); st.Relabeled != 0 {
 		t.Fatalf("Com-D relabelled: %+v", *st)
-	}
-}
-
-func TestCodeRoundTrip(t *testing.T) {
-	c := Code{raw: "aaabcbc"}
-	compressed := c.String()
-	back, err := labels.DecompressRuns(compressed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back != c.Raw() {
-		t.Fatalf("round trip: %q -> %q -> %q", c.Raw(), compressed, back)
 	}
 }

@@ -61,24 +61,6 @@ func TestNewGapIntervalAbsorbsThenRenumbers(t *testing.T) {
 	}
 }
 
-func TestFollowingCount(t *testing.T) {
-	doc := xmltree.SampleBook()
-	pp := containment.NewPrePost()
-	if err := pp.Build(doc); err != nil {
-		t.Fatal(err)
-	}
-	editor := pp.Label(doc.FindElement("editor"))
-	// Following editor in the plane: edition and year (attribute
-	// nodes participate in the rank plane).
-	if got := pp.FollowingCount(editor); got != 2 {
-		t.Errorf("following count: %d, want 2", got)
-	}
-	book := pp.Label(doc.FindElement("book"))
-	if got := pp.FollowingCount(book); got != 0 {
-		t.Errorf("book following count: %d", got)
-	}
-}
-
 func TestLevelledIntervalExposesAlgebra(t *testing.T) {
 	// The levelled wrapper must still expose the embedded interval's
 	// algebra for the framework's division/recursion instrumentation.

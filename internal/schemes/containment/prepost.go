@@ -160,17 +160,3 @@ func (pp *PrePost) NodeInserted(n *xmltree.Node) error {
 // preserved, which is all deletion needs (paper §3.1: deletions do not
 // disturb document order).
 func (pp *PrePost) NodeDeleting(n *xmltree.Node) { pp.lab.Forget(n) }
-
-// FollowingCount answers the Grust-style region query "how many labelled
-// nodes follow u in document order" from the label plane; exposed for the
-// XPath axis engine's use of the accelerator.
-func (pp *PrePost) FollowingCount(u labeling.Label) int {
-	lu := u.(PrePostLabel)
-	count := 0
-	for _, l := range pp.lab.All() {
-		if l.Pre > lu.Pre && l.Post > lu.Post {
-			count++
-		}
-	}
-	return count
-}

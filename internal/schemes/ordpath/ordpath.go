@@ -50,35 +50,9 @@ func componentBits(v int64) (int, error) {
 // Code is one ORDPATH positional identifier: a component sequence of
 // zero or more even "caret" values followed by a terminal odd value.
 // Valid codes are prefix-free, so component-wise numeric comparison is a
-// total order. As a labels.Code, an ORDPATH code is a *Code (Algebra);
-// a Code value is EncodeBinary's and DecodeBinary's form.
+// total order. As a labels.Code, an ORDPATH code is a *Code (Algebra).
 type Code struct {
 	comps []int64
-}
-
-// NewCode validates the grammar and returns a code.
-func NewCode(comps ...int64) (Code, error) {
-	if len(comps) == 0 {
-		return Code{}, fmt.Errorf("%w: empty ORDPATH code", labels.ErrBadCode)
-	}
-	for i, c := range comps[:len(comps)-1] {
-		if c%2 != 0 {
-			return Code{}, fmt.Errorf("%w: non-terminal component %d at %d must be even", labels.ErrBadCode, c, i)
-		}
-	}
-	if comps[len(comps)-1]%2 == 0 {
-		return Code{}, fmt.Errorf("%w: terminal component %d must be odd", labels.ErrBadCode, comps[len(comps)-1])
-	}
-	out := make([]int64, len(comps))
-	copy(out, comps)
-	return Code{comps: out}, nil
-}
-
-// Components returns a copy of the component values.
-func (c Code) Components() []int64 {
-	out := make([]int64, len(c.comps))
-	copy(out, c.comps)
-	return out
 }
 
 // String joins components with dots, as in the paper's Figure 4
@@ -318,22 +292,6 @@ func toCode(c labels.Code) (Code, error) {
 		return Code{}, fmt.Errorf("%w: %T is not an ORDPATH code", labels.ErrBadCode, c)
 	}
 	return *oc, nil
-}
-
-// Level counts the odd components of a full ORDPATH label: "the level or
-// depth of each node in the tree may be determined by counting the
-// number of odd component values in the label" (§3.1.2). Exposed for the
-// figure generator; the prefix labeling's Level uses path length.
-func Level(path []labels.Code) int {
-	level := 0
-	for _, c := range path {
-		for _, v := range c.(*Code).comps {
-			if v%2 != 0 {
-				level++
-			}
-		}
-	}
-	return level - 1
 }
 
 // New returns an ORDPATH labeling.

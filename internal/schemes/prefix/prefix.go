@@ -130,9 +130,6 @@ func (p Path) Bits() int {
 // Len returns the number of path components (level + 1).
 func (p Path) Len() int { return len(p.codes) }
 
-// Code returns the i-th positional identifier.
-func (p Path) Code(i int) labels.Code { return p.codes[i] }
-
 // Label implements labeling.Interface. Two allocations: the depth is
 // counted first and the path filled from the back into one slice, then
 // the Path is boxed.

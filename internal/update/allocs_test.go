@@ -138,15 +138,24 @@ func TestTransactionNodesFromSlabs(t *testing.T) {
 			}
 			run()
 			empty()
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			run()
-			runtime.ReadMemStats(&after)
-			if got := len(root.Children()); got != k {
-				t.Fatalf("k=%d: the transaction left %d children, want %d", k, got, k)
+			// MemStats count the whole process, so another goroutine's
+			// allocation can land in a reading but only ever adds to it:
+			// of three readings, the one with the fewest allocations is
+			// the transaction's, and a real extra slab shows in all three.
+			var allocs, bytes uint64
+			for i := range 3 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				run()
+				runtime.ReadMemStats(&after)
+				if got := len(root.Children()); got != k {
+					t.Fatalf("k=%d: the transaction left %d children, want %d", k, got, k)
+				}
+				empty()
+				if a := after.Mallocs - before.Mallocs; i == 0 || a < allocs {
+					allocs, bytes = a, after.TotalAlloc-before.TotalAlloc
+				}
 			}
-			empty()
-			allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
 			want, wantBytes := uint64(k+3)/4, uint64(k/4)*slabBytes[4]+slabBytes[k%4]
 			if allocs != want || bytes != wantBytes {
 				t.Errorf("k=%d (set-text %v): %d allocations, %d B; want %d and %d B", k, text, allocs, bytes, want, wantBytes)

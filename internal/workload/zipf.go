@@ -16,9 +16,8 @@ import (
 // deterministic for a given seed — the property that makes benchmark
 // runs and A/B workload streams comparable (docs/EXPERIMENTS.md).
 type Zipf struct {
-	rng  *rand.Rand
-	cum  []float64 // cum[r] = P(rank ≤ r); cum[n-1] == 1
-	skew float64
+	rng *rand.Rand
+	cum []float64 // cum[r] = P(rank ≤ r); cum[n-1] == 1
 }
 
 // NewZipf builds a sampler over n ranks with exponent s, seeded
@@ -40,7 +39,7 @@ func NewZipf(seed int64, n int, s float64) (*Zipf, error) {
 		cum[r] /= total
 	}
 	cum[n-1] = 1 // exact upper bound despite rounding
-	return &Zipf{rng: rand.New(rand.NewSource(seed)), cum: cum, skew: s}, nil
+	return &Zipf{rng: rand.New(rand.NewSource(seed)), cum: cum}, nil
 }
 
 // Next draws the next rank. The stream is a pure function of the
@@ -64,6 +63,3 @@ func (z *Zipf) Prob(rank int) float64 {
 
 // Ranks returns the number of ranks the sampler draws from.
 func (z *Zipf) Ranks() int { return len(z.cum) }
-
-// Skew returns the configured exponent.
-func (z *Zipf) Skew() float64 { return z.skew }

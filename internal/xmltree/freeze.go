@@ -10,7 +10,7 @@
 // Enforcement is split by signature, and the split is part of the
 // contract (docs/CONCURRENCY.md §7): mutators that can return an error
 // report ErrFrozen; mutators with no error path (SetName, SetValue,
-// Detach, RemoveAttr) panic, because silently ignoring a write to a
+// Detach) panic, because silently ignoring a write to a
 // published snapshot would hide a real bug in the caller.
 // (File comment — the package doc lives in xmltree.go's sibling,
 // node.go.)

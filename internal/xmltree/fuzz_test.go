@@ -198,7 +198,7 @@ func randomMutation(t *testing.T, rng *rand.Rand, doc *Document) {
 		n.SetName(fmt.Sprintf("r%d", rng.Intn(100)))
 	case 4:
 		if attrs := n.Attributes(); len(attrs) > 0 {
-			n.RemoveAttr(attrs[rng.Intn(len(attrs))].Name())
+			attrs[rng.Intn(len(attrs))].Detach()
 		}
 	case 5:
 		// Delete a non-root subtree.

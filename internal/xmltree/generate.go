@@ -21,11 +21,6 @@ type GenOptions struct {
 	TargetNodes int
 }
 
-// DefaultGenOptions returns a mid-sized bushy document profile.
-func DefaultGenOptions() GenOptions {
-	return GenOptions{Seed: 1, MaxDepth: 6, MaxChildren: 8, AttrProb: 0.3, TextProb: 0.5}
-}
-
 // Generate builds a random document according to opt. Generation is fully
 // deterministic for a given options value.
 func Generate(opt GenOptions) *Document {

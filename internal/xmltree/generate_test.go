@@ -3,7 +3,7 @@ package xmltree
 import "testing"
 
 func TestGenerateDeterministic(t *testing.T) {
-	opt := DefaultGenOptions()
+	opt := GenOptions{Seed: 1, MaxDepth: 6, MaxChildren: 8, AttrProb: 0.3, TextProb: 0.5}
 	a := Generate(opt)
 	b := Generate(opt)
 	if a.XML() != b.XML() {

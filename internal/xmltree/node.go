@@ -158,23 +158,6 @@ func (n *Node) Text() string {
 	return sb.String()
 }
 
-// DeepText returns the concatenated text content of the whole subtree.
-func (n *Node) DeepText() string {
-	var sb strings.Builder
-	n.walkDeepText(&sb)
-	return sb.String()
-}
-
-func (n *Node) walkDeepText(sb *strings.Builder) {
-	if n.kind == KindText {
-		sb.WriteString(n.value)
-		return
-	}
-	for _, c := range n.Source().children() {
-		c.walkDeepText(sb)
-	}
-}
-
 // Attr returns the value of the named attribute and whether it exists.
 func (n *Node) Attr(name string) (string, bool) {
 	for _, a := range n.Source().attributes() {
@@ -357,22 +340,6 @@ func (n *Node) InsertAttrAt(i int, a *Node) error {
 	n.links[i] = a
 	n.nattrs++
 	return nil
-}
-
-// RemoveAttr removes the named attribute, reporting whether it existed.
-// Panics on a frozen node (see freeze.go).
-func (n *Node) RemoveAttr(name string) bool {
-	n.mustThaw()
-	for i, a := range n.links[:n.nattrs] {
-		if a.name == name {
-			n.markChanged()
-			n.links = append(n.links[:i], n.links[i+1:]...)
-			n.nattrs--
-			a.parent = nil
-			return true
-		}
-	}
-	return false
 }
 
 // InsertChildAt inserts c as the i-th non-attribute child of n.

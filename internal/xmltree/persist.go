@@ -34,7 +34,7 @@
 // shells exist for handed-out nodes and their ancestors. Descendants
 // scans the persistent tree and materialises only the paths to its
 // matches; the readers that hand out no node at all (serialisation,
-// Text, DeepText, Attr, Clone) step from a view to its source first.
+// Text, Attr, Clone) step from a view to its source first.
 // A read of a version is thus O(visited) in time and O(selected ×
 // depth) sibling lists in memory, like publication's O(spine).
 package xmltree

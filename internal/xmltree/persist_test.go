@@ -334,7 +334,7 @@ func TestSameParentReinsert(t *testing.T) {
 // reading the same version view concurrently agree on content (run
 // with -race to exercise the expansion synchronisation).
 func TestConcurrentViewExpansion(t *testing.T) {
-	doc := Generate(DefaultGenOptions())
+	doc := Generate(GenOptions{Seed: 1, MaxDepth: 6, MaxChildren: 8, AttrProb: 0.3, TextProb: 0.5})
 	want := doc.XML()
 	view := OpenVersion(doc.PublishVersion(1))
 
@@ -395,7 +395,6 @@ func TestDescendantsMaterialisesOnlyMatchPaths(t *testing.T) {
 	if got := view.XML(); got != live.XML() {
 		t.Fatal("view serialises differently from the live document")
 	}
-	_ = view.Node().DeepText()
 	_ = view.Node().Clone()
 	_ = view.NodeCount() + view.LabelledCount()
 	if n := len(expandedNodes(view.Node())); n != 0 {

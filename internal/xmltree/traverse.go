@@ -246,25 +246,6 @@ func (d *Document) PreRank() map[*Node]int {
 	return ranks
 }
 
-// PostRank computes the postorder traversal rank of every labellable node:
-// a node is ranked after all its labellable children (Figure 1(b)).
-func (d *Document) PostRank() map[*Node]int {
-	ranks := make(map[*Node]int)
-	i := 0
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		for _, c := range n.list() {
-			walk(c)
-		}
-		if n.kind == KindElement || n.kind == KindAttribute {
-			ranks[n] = i
-			i++
-		}
-	}
-	walk(d.node)
-	return ranks
-}
-
 // DocOrderCompare returns -1, 0 or +1 according to the document order of
 // two attached nodes, computed structurally (the ground truth that label
 // comparisons are probed against). It allocates nothing: the deeper node
