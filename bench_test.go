@@ -117,10 +117,10 @@ func benchFigureScheme(b *testing.B, factory labeling.Factory) {
 	})
 }
 
-func BenchmarkFig3DeweyID(b *testing.B)        { benchFigureScheme(b, dewey.Factory()) }
-func BenchmarkFig4ORDPATH(b *testing.B)        { benchFigureScheme(b, ordpath.Factory()) }
+func BenchmarkFig3DeweyID(b *testing.B)        { benchFigureScheme(b, dewey.New) }
+func BenchmarkFig4ORDPATH(b *testing.B)        { benchFigureScheme(b, ordpath.New) }
 func BenchmarkFig5LSDX(b *testing.B)           { benchFigureScheme(b, core.MustScheme("lsdx").Factory) }
-func BenchmarkFig6ImprovedBinary(b *testing.B) { benchFigureScheme(b, improvedbinary.Factory()) }
+func BenchmarkFig6ImprovedBinary(b *testing.B) { benchFigureScheme(b, improvedbinary.New) }
 
 // BenchmarkFigureRender measures the text rendering of Figures 1-6.
 func BenchmarkFigureRender(b *testing.B) {

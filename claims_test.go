@@ -422,13 +422,13 @@ func qedNoRelabel() (qedRow, cdqsRow, deweyRow stormRow, err error) {
 		st := s.Labeling().Stats()
 		return stormRow{int(st.Relabeled), int(st.OverflowEvents), labeling.MeanBits(s.Labeling(), doc)}, nil
 	}
-	if qedRow, err = run(qed.Factory()); err != nil {
+	if qedRow, err = run(qed.NewPrefix); err != nil {
 		return
 	}
-	if cdqsRow, err = run(cdqs.Factory()); err != nil {
+	if cdqsRow, err = run(cdqs.New); err != nil {
 		return
 	}
-	deweyRow, err = run(dewey.Factory())
+	deweyRow, err = run(dewey.New)
 	return
 }
 

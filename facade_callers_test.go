@@ -3,11 +3,12 @@ package xmldyn
 import (
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -94,7 +95,7 @@ func callerFiles(t *testing.T, dirs ...string) []string {
 // the reason it stays.
 var internalKeep = map[string]string{
 	"analysistest.Run":              "the test-support package's entry: every analyzer's golden test runs through it",
-	"analysistest.loader.Import":    "the types.Importer the test-support package hands its type checker",
+	"analysistest.loader.Import":    "the types.Importer the test-support package hands go/types, which calls it",
 	"containment.NewGapInterval":    "claim C1's scheme in TestClaims and the ablation",
 	"core.MustScheme":               "the registry lookup tests in eight packages share",
 	"core.PublishedRow":             "the published Figure 7 row the matrix tests compare against",
@@ -106,6 +107,7 @@ var internalKeep = map[string]string{
 	"update.Session.DeleteChildren": "TestTransactionAtomicity's mid-transaction failure",
 	"workload.Zipf.Prob":            "the exact pmf the Zipf property test compares against",
 	"workload.Zipf.Ranks":           "the rank count the Zipf property test walks",
+	"xmltree.Document.Clone":        "the documented way past labeling.ErrHeld: tests label one tree under several schemes",
 	"xmltree.Document.NodeCount":    "a tree oracle of tests across packages",
 	"xmltree.Document.PreRank":      "a tree oracle of tests across packages",
 	"xmltree.Document.Validate":     "a tree oracle of tests across packages",
@@ -117,128 +119,80 @@ var internalKeep = map[string]string{
 // another name listed here. Nothing else may start calling it, so it
 // goes when bench/ lets it go.
 var internalBenchOnly = map[string]string{
-	"labels.CutString":            "bench/records.go",
-	"labels.EncodeLEB128":         "bench/records.go",
-	"store.DocSnapName":           "bench/traced.go",
-	"store.MarshalManifest":       "bench/traced.go",
-	"store.ReadManifest":          "bench/traced.go",
-	"store.WriteManifest":         "bench/traced.go",
-	"update.DecodeOps":            "bench/traced.go",
-	"update.EncodeOps":            "bench/traced.go",
-	"wal.SyncPerCommit":           "bench/spec.go",
-	"workload.BuildCorpus":        "bench/scenario.go",
-	"workload.FewHugeDocs":        "bench/spec.go",
-	"workload.ManyTinyDocs":       "bench/spec.go",
-	"workload.NewZipf":            "bench/ops.go",
-	"workload.ReadMostly":         "bench/ops.go",
-	"workload.ShapeDocument":      "bench/scenario.go",
-	"workload.Stream":             "bench/ops.go",
-	"xmltree.GenerateDeep":        "bench/scenario.go",
-	"xmltree.GenerateWide":        "bench/scenario.go",
-	"xmltree.NewDocumentWithRoot": "bench/probes.go",
+	"labels.CutString":              "bench/records.go",
+	"labels.EncodeLEB128":           "bench/records.go",
+	"store.DocSnapName":             "bench/traced.go",
+	"store.MarshalManifest":         "bench/traced.go",
+	"store.ReadManifest":            "bench/traced.go",
+	"store.WriteManifest":           "bench/traced.go",
+	"update.Batch.InsertBefore":     "bench/ops.go",
+	"update.Batch.InsertFirstChild": "bench/ops.go",
+	"update.Batch.Rename":           "bench/ops.go",
+	"update.Batch.SetText":          "bench/ops.go",
+	"update.DecodeOps":              "bench/traced.go",
+	"update.EncodeOps":              "bench/traced.go",
+	"update.Session.Apply":          "bench/traced.go",
+	"wal.SyncPerCommit":             "bench/spec.go",
+	"workload.BuildCorpus":          "bench/scenario.go",
+	"workload.FewHugeDocs":          "bench/spec.go",
+	"workload.ManyTinyDocs":         "bench/spec.go",
+	"workload.NewZipf":              "bench/ops.go",
+	"workload.ReadMostly":           "bench/ops.go",
+	"workload.ShapeDocument":        "bench/scenario.go",
+	"workload.Stream":               "bench/ops.go",
+	"workload.Zipf.Next":            "bench/ops.go",
+	"xmltree.GenerateDeep":          "bench/scenario.go",
+	"xmltree.GenerateWide":          "bench/scenario.go",
+	"xmltree.NewDocumentWithRoot":   "bench/probes.go",
 }
 
 // TestInternalFunctionsHaveCallers holds internal/ to what is used, as
 // TestFacadeFunctionsHaveCallers holds the facade: every exported
 // function and method declared in a non-test file under internal/ has a
-// caller in a non-test file of the module or a root example*_test.go. A
-// function's caller is pkg.Name in another package, or a bare Name in
-// its own package outside its declaration; a method's is a .Name
-// selector outside its declaration, or Name declared on an interface.
-// String and Error methods are skipped, as are the method sets
-// TestOneWriteAPI fixes. What only tests need is named in internalKeep,
-// what only bench/ calls in internalBenchOnly (constants and variables
-// are checked only there), and a stale entry in either fails too.
+// caller in a non-test file of the module or a root example*_test.go.
+// The module is type-checked, so a caller is a use of the declared
+// object itself — a call, a method value or a function value — outside
+// its own declaration, not a selector that merely shares its name. A
+// method also counts as called when its type implements an interface
+// whose method of that name has a caller in the module; a method only
+// the standard library calls, through an interface of its own, is
+// listed in internalKeep. String and Error methods are skipped, as are
+// the method sets TestOneWriteAPI fixes. What only tests need is named
+// in internalKeep, what only bench/ calls in internalBenchOnly
+// (constants and variables are checked only there), and a stale entry
+// in either fails too.
 func TestInternalFunctionsHaveCallers(t *testing.T) {
 	type use struct {
 		file  string
 		owner string // key of the declaration the use sits in
 	}
 	type decl struct {
-		key, pkg, file, name string
-		recv                 string // receiver type name; "" for a function
-		value                bool   // a constant or variable
+		key, file string
+		obj       types.Object
+		recv      *types.Named // nil for a function, constant or variable
 	}
 	sep := string(filepath.Separator)
-	fset := token.NewFileSet()
-	parsed := map[string]*ast.File{}
-	pkgNames := map[string]string{} // import path → package name
-	importPath := func(file string) string {
-		if dir := filepath.ToSlash(filepath.Dir(file)); dir != "." {
-			return "xmldyn/" + dir
+	mod := loadModule(t, callerFiles(t, "."))
+	keyOf := func(obj types.Object) string {
+		key := obj.Pkg().Name() + "." + obj.Name()
+		if recv := receiver(obj); recv != nil {
+			key = obj.Pkg().Name() + "." + recv.Obj().Name() + "." + obj.Name()
 		}
-		return "xmldyn"
-	}
-	for _, path := range callerFiles(t, ".") {
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parsed[path] = f
-		if !strings.HasSuffix(path, "_test.go") {
-			pkgNames[importPath(path)] = f.Name.Name
-		}
-	}
-	typeName := func(x ast.Expr) string {
-		if star, ok := x.(*ast.StarExpr); ok {
-			x = star.X
-		}
-		switch g := x.(type) {
-		case *ast.IndexExpr:
-			x = g.X
-		case *ast.IndexListExpr:
-			x = g.X
-		}
-		if id, ok := x.(*ast.Ident); ok {
-			return id.Name
-		}
-		return ""
+		return key
 	}
 
 	var decls []decl
-	pkgUses := map[string][]use{}     // "path.Name" → selectors from other packages
-	bareUses := map[string][]use{}    // "path.Name" → bare identifiers in that package
-	methodUses := map[string][]use{}  // Name → .Name selectors
-	ifaceMethods := map[string]bool{} // names declared on interface types
-	// The repo types whose method sets TestOneWriteAPI fixes, and the
-	// types they embed.
-	fixed := map[string]bool{"Repository": true, "DurableRepository": true, "FollowerRepository": true, "Snapshot": true}
-	for path, f := range parsed {
-		self, pkg := importPath(path), f.Name.Name
+	uses := map[types.Object][]use{}
+	for path, f := range mod.files {
 		internal := strings.HasPrefix(path, "internal"+sep)
-		imports := map[string]string{} // local name → module import path
-		for _, spec := range f.Imports {
-			p := strings.Trim(spec.Path.Value, `"`)
-			name, ok := pkgNames[p]
-			if !ok {
-				continue
-			}
-			if spec.Name != nil {
-				name = spec.Name.Name
-			}
-			imports[name] = p
-		}
 		owner := ""
-		var visit func(ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if id, ok := n.X.(*ast.Ident); ok && imports[id.Name] != "" {
-					key := imports[id.Name] + "." + n.Sel.Name
-					pkgUses[key] = append(pkgUses[key], use{path, owner})
-					return false
-				}
-				methodUses[n.Sel.Name] = append(methodUses[n.Sel.Name], use{path, owner})
-				ast.Inspect(n.X, visit)
-				return false
-			case *ast.Ident:
-				key := self + "." + n.Name
-				bareUses[key] = append(bareUses[key], use{path, owner})
-			case *ast.InterfaceType:
-				for _, m := range n.Methods.List {
-					for _, name := range m.Names {
-						ifaceMethods[name.Name] = true
+		visit := func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if obj := mod.info.Uses[id]; obj != nil {
+					if fn, ok := obj.(*types.Func); ok {
+						obj = fn.Origin()
 					}
+					uses[obj] = append(uses[obj], use{path, owner})
 				}
 			}
 			return true
@@ -247,43 +201,47 @@ func TestInternalFunctionsHaveCallers(t *testing.T) {
 			owner = ""
 			switch d := d.(type) {
 			case *ast.FuncDecl:
-				dc := decl{key: pkg + "." + d.Name.Name, pkg: self, file: path, name: d.Name.Name}
-				if d.Recv != nil {
-					dc.recv = typeName(d.Recv.List[0].Type)
-					dc.key = pkg + "." + dc.recv + "." + dc.name
+				obj := mod.info.Defs[d.Name]
+				owner = keyOf(obj)
+				if internal && d.Name.IsExported() {
+					decls = append(decls, decl{key: owner, file: path, obj: obj, recv: receiver(obj)})
 				}
-				if internal {
-					owner = dc.key
-					if d.Name.IsExported() {
-						decls = append(decls, dc)
-					}
-				}
-				ast.Inspect(d, visit)
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
-					switch s := spec.(type) {
-					case *ast.ValueSpec:
+					if s, ok := spec.(*ast.ValueSpec); ok && internal {
 						for _, name := range s.Names {
-							if internal && name.IsExported() {
-								decls = append(decls, decl{key: pkg + "." + name.Name, pkg: self, file: path, name: name.Name, value: true})
+							if name.IsExported() {
+								obj := mod.info.Defs[name]
+								decls = append(decls, decl{key: keyOf(obj), file: path, obj: obj})
 							}
 						}
-						for _, v := range s.Values {
-							ast.Inspect(v, visit)
-						}
-						if s.Type != nil {
-							ast.Inspect(s.Type, visit)
-						}
-					case *ast.TypeSpec:
-						if st, ok := s.Type.(*ast.StructType); ok && self == "xmldyn/internal/repo" && fixed[s.Name.Name] {
-							for _, field := range st.Fields.List {
-								if len(field.Names) == 0 {
-									fixed[typeName(field.Type)] = true
-								}
-							}
-						}
-						ast.Inspect(s, visit)
 					}
+				}
+			}
+			ast.Inspect(d, visit)
+		}
+	}
+
+	// The interface methods with a caller, by name: a method of that
+	// name on a type implementing the interface is called with them.
+	ifaceUses := map[string][]*types.Func{}
+	for obj := range uses {
+		if fn, ok := obj.(*types.Func); ok && receiver(fn) == nil && fn.Type().(*types.Signature).Recv() != nil {
+			ifaceUses[fn.Name()] = append(ifaceUses[fn.Name()], fn)
+		}
+	}
+	// The repo types whose method sets TestOneWriteAPI fixes, and the
+	// types they embed.
+	fixed := map[*types.Named]bool{}
+	repoScope := mod.pkgs["xmldyn/internal/repo"].Scope()
+	for _, name := range []string{"Repository", "DurableRepository", "FollowerRepository", "Snapshot"} {
+		named := repoScope.Lookup(name).Type().(*types.Named)
+		fixed[named] = true
+		st := named.Underlying().(*types.Struct)
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); f.Embedded() {
+				if e, ok := types.Unalias(derefType(f.Type())).(*types.Named); ok {
+					fixed[e] = true
 				}
 			}
 		}
@@ -295,21 +253,28 @@ func TestInternalFunctionsHaveCallers(t *testing.T) {
 	for _, d := range decls {
 		seen[d.key] = true
 		keep, benchFile := internalKeep[d.key], internalBenchOnly[d.key]
+		name := d.obj.Name()
+		_, isFunc := d.obj.(*types.Func)
 		switch {
-		case d.value && keep == "" && benchFile == "":
+		case !isFunc && keep == "" && benchFile == "":
 			continue
-		case d.recv != "" && (d.name == "String" || d.name == "Error"):
+		case d.recv != nil && (name == "String" || name == "Error"):
 			continue
-		case d.recv != "" && d.pkg == "xmldyn/internal/repo" && fixed[d.recv]:
+		case d.recv != nil && fixed[d.recv]:
 			continue
 		}
-		uses := slices.Concat(pkgUses[d.pkg+"."+d.name], bareUses[d.pkg+"."+d.name])
-		if d.recv != "" {
-			uses = methodUses[d.name]
+		all := uses[d.obj]
+		if d.recv != nil {
+			ptr := types.NewPointer(d.recv)
+			for _, m := range ifaceUses[name] {
+				if iface := interfaceOf(m); iface != nil && types.Implements(ptr, iface) {
+					all = append(all, uses[m]...)
+				}
+			}
 		}
 		var callers, outside []string // every caller; callers outside bench/
 		benchCalls := false
-		for _, u := range uses {
+		for _, u := range all {
 			if u.owner == d.key {
 				continue
 			}
@@ -322,10 +287,6 @@ func TestInternalFunctionsHaveCallers(t *testing.T) {
 			default:
 				outside = append(outside, u.file)
 			}
-		}
-		if d.recv != "" && ifaceMethods[d.name] {
-			callers = append(callers, "an interface")
-			outside = append(outside, "an interface")
 		}
 		switch {
 		case keep != "":
@@ -358,4 +319,94 @@ func TestInternalFunctionsHaveCallers(t *testing.T) {
 	for _, f := range failures {
 		t.Error(f)
 	}
+}
+
+// module is the type-checked module: every file callerFiles lists, by
+// path, with one types.Info over all of them.
+type module struct {
+	fset  *token.FileSet
+	std   types.Importer
+	dirs  map[string][]*ast.File // import path → its files
+	files map[string]*ast.File   // file path → syntax
+	pkgs  map[string]*types.Package
+	info  *types.Info
+}
+
+// loadModule parses paths and type-checks their packages: module import
+// paths from source, the standard library from GOROOT source.
+func loadModule(t *testing.T, paths []string) *module {
+	t.Helper()
+	fset := token.NewFileSet()
+	m := &module{fset: fset, std: importer.ForCompiler(fset, "source", nil), dirs: map[string][]*ast.File{},
+		files: map[string]*ast.File{}, pkgs: map[string]*types.Package{},
+		info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}}
+	for _, path := range paths {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := "xmldyn"
+		if d := filepath.ToSlash(filepath.Dir(path)); d != "." {
+			dir += "/" + d
+		} else if strings.HasSuffix(f.Name.Name, "_test") {
+			dir = f.Name.Name // the root example files' external test package
+		}
+		m.files[path] = f
+		m.dirs[dir] = append(m.dirs[dir], f)
+	}
+	for dir := range m.dirs {
+		if _, err := m.Import(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m
+}
+
+// Import implements types.Importer over the module and GOROOT.
+func (m *module) Import(path string) (*types.Package, error) {
+	if p := m.pkgs[path]; p != nil {
+		return p, nil
+	}
+	files, ok := m.dirs[path]
+	if !ok {
+		return m.std.Import(path)
+	}
+	p, err := (&types.Config{Importer: m}).Check(path, m.fset, files, m.info)
+	if err != nil {
+		return nil, err
+	}
+	m.pkgs[path] = p
+	return p, nil
+}
+
+// receiver is the named type a concrete method is declared on, or nil
+// for a function or an interface method.
+func receiver(obj types.Object) *types.Named {
+	fn, ok := obj.(*types.Func)
+	if !ok || fn.Type().(*types.Signature).Recv() == nil {
+		return nil
+	}
+	named, _ := types.Unalias(derefType(fn.Type().(*types.Signature).Recv().Type())).(*types.Named)
+	if named == nil || types.IsInterface(named) {
+		return nil
+	}
+	return named.Origin()
+}
+
+// interfaceOf is the interface an interface method belongs to: its
+// receiver's, or its type parameter's constraint.
+func interfaceOf(fn *types.Func) *types.Interface {
+	typ := fn.Type().(*types.Signature).Recv().Type()
+	if tp, ok := typ.(*types.TypeParam); ok {
+		typ = tp.Constraint()
+	}
+	iface, _ := typ.Underlying().(*types.Interface)
+	return iface
+}
+
+func derefType(t types.Type) types.Type {
+	if p, ok := t.(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
 }

@@ -157,7 +157,9 @@ func (a Assessment) Signature() string {
 }
 
 // SchemeUnderTest bundles everything the probes need to evaluate one
-// scheme implementation.
+// scheme implementation. Its registry row is the one place a scheme's
+// Figure 7 facts are stated; the division and recursion grades are
+// measured from its algebra's Counters.
 type SchemeUnderTest struct {
 	Name    string
 	Factory labeling.Factory
@@ -167,9 +169,6 @@ type SchemeUnderTest struct {
 	// RangeFactory, when non-nil, is the scheme's containment mounting
 	// (the orthogonality witness).
 	RangeFactory labeling.Factory
-	// DeclaredTraits supplies division/recursion facts for schemes
-	// whose labeling exposes no instrumented algebra.
-	DeclaredTraits *labels.Traits
 	// Scale shrinks probe workloads for expensive schemes (prime
 	// recomputes a CRT per insertion). 0 means 1.0.
 	Scale float64

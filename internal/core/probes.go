@@ -114,7 +114,6 @@ func Evaluate(s SchemeUnderTest, cfg ProbeConfig) (Assessment, *Report, error) {
 	if err := probeCompact(s, cfg, rep); err != nil {
 		return Assessment{}, rep, fmt.Errorf("core: %s compact probe: %w", s.Name, err)
 	}
-	applyDeclaredTraits(s, rep)
 
 	// Persistent Labels: no existing label may move, and labels must be
 	// dependable as identities (the LSDX uniqueness defect voids that).
@@ -454,35 +453,18 @@ func probeCompact(s SchemeUnderTest, cfg ProbeConfig, rep *Report) error {
 	return nil
 }
 
-// collectCounters folds an instrumented algebra's division/recursion
-// counters into the report; schemes without one keep declared traits.
+// collectCounters folds the division/recursion counters of a labeling's
+// algebra into the report; a labeling without an algebra (prime, dde,
+// xpath-accelerator) leaves it "declared", with none of either.
 func collectCounters(lab labeling.Interface, rep *Report) {
 	ap, ok := lab.(algebraProvider)
 	if !ok {
 		return
 	}
-	inst, ok := ap.Algebra().(labels.Instrumented)
-	if !ok {
-		return
-	}
-	c := inst.Counters()
+	c := ap.Algebra().Counters()
 	rep.Divisions += c.Divisions
 	if c.MaxRecursion > rep.MaxRecursion {
 		rep.MaxRecursion = c.MaxRecursion
 	}
 	rep.TraitsSource = "instrumented"
-}
-
-// applyDeclaredTraits overrides division/recursion measurements for
-// schemes without an instrumented algebra.
-func applyDeclaredTraits(s SchemeUnderTest, rep *Report) {
-	if rep.TraitsSource == "instrumented" || s.DeclaredTraits == nil {
-		return
-	}
-	if !s.DeclaredTraits.DivisionFree {
-		rep.Divisions = 1
-	}
-	if s.DeclaredTraits.RecursiveInit {
-		rep.MaxRecursion = 1
-	}
 }

@@ -43,121 +43,118 @@ func newRegistry() []SchemeUnderTest {
 			Name:    "xpath-accelerator",
 			Factory: func() labeling.Interface { return containment.NewPrePost() },
 			Order:   labels.OrderGlobal, Encoding: labels.RepFixed,
-			DeclaredTraits: &labels.Traits{DivisionFree: true},
-			UniqueLabels:   true, InMatrix: true,
+			UniqueLabels: true, InMatrix: true,
 		},
 		{
 			Name:    "xrel",
-			Factory: func() labeling.Interface { return containment.NewXRel() },
+			Factory: containment.NewXRel,
 			Order:   labels.OrderGlobal, Encoding: labels.RepFixed,
 			UniqueLabels: true, InMatrix: true,
 		},
 		{
 			Name:    "sector",
-			Factory: sector.Factory(),
+			Factory: sector.New,
 			Order:   labels.OrderHybrid, Encoding: labels.RepFixed,
 			UniqueLabels: true, InMatrix: true,
 		},
 		{
 			Name:    "qrs",
-			Factory: qrs.Factory(),
+			Factory: qrs.New,
 			Order:   labels.OrderGlobal, Encoding: labels.RepFixed,
 			UniqueLabels: true, InMatrix: true,
 		},
 		{
 			Name:    "deweyid",
-			Factory: dewey.Factory(),
+			Factory: dewey.New,
 			Order:   labels.OrderHybrid, Encoding: labels.RepVariable,
 			UniqueLabels: true, InMatrix: true,
 		},
 		{
 			Name:    "ordpath",
-			Factory: ordpath.Factory(),
+			Factory: ordpath.New,
 			Order:   labels.OrderHybrid, Encoding: labels.RepVariable,
 			UniqueLabels: true, InMatrix: true,
 		},
 		{
 			Name:    "dln",
-			Factory: dln.Factory(),
+			Factory: dln.New,
 			Order:   labels.OrderHybrid, Encoding: labels.RepFixed,
 			UniqueLabels: true, InMatrix: true,
 		},
 		{
 			Name:    "lsdx",
-			Factory: lsdx.Factory(),
+			Factory: lsdx.New,
 			Order:   labels.OrderHybrid, Encoding: labels.RepVariable,
 			UniqueLabels: false, InMatrix: true,
 		},
 		{
 			Name:    "improvedbinary",
-			Factory: improvedbinary.Factory(),
+			Factory: improvedbinary.New,
 			Order:   labels.OrderHybrid, Encoding: labels.RepVariable,
 			UniqueLabels: true, InMatrix: true,
 		},
 		{
 			Name:    "qed",
-			Factory: qed.Factory(),
+			Factory: qed.NewPrefix,
 			Order:   labels.OrderHybrid, Encoding: labels.RepVariable,
-			RangeFactory: func() labeling.Interface { return qed.NewRange() },
+			RangeFactory: qed.NewRange,
 			UniqueLabels: true, InMatrix: true,
 		},
 		{
 			Name:    "cdqs",
-			Factory: cdqs.Factory(),
+			Factory: cdqs.New,
 			Order:   labels.OrderHybrid, Encoding: labels.RepVariable,
-			RangeFactory: func() labeling.Interface { return cdqs.NewRange() },
+			RangeFactory: cdqs.NewRange,
 			UniqueLabels: true, InMatrix: true,
 		},
 		{
 			Name:    "vector",
-			Factory: func() labeling.Interface { return vector.NewRange() },
+			Factory: vector.NewRange,
 			Order:   labels.OrderHybrid, Encoding: labels.RepVariable,
-			RangeFactory: func() labeling.Interface { return vector.NewRange() },
+			RangeFactory: vector.NewRange,
 			UniqueLabels: true, InMatrix: true,
 		},
 
 		// Measured-only rows (no published Figure 7 entry).
 		{
 			Name:    "vector-prefix",
-			Factory: vector.Factory(),
+			Factory: vector.NewPrefix,
 			Order:   labels.OrderHybrid, Encoding: labels.RepVariable,
-			RangeFactory: func() labeling.Interface { return vector.NewRange() },
+			RangeFactory: vector.NewRange,
 			UniqueLabels: true,
 		},
 		{
 			Name:    "cdbs",
-			Factory: cdbs.Factory(),
+			Factory: cdbs.New,
 			Order:   labels.OrderHybrid, Encoding: labels.RepFixed,
-			RangeFactory: func() labeling.Interface { return cdbs.NewRange() },
+			RangeFactory: cdbs.NewRange,
 			UniqueLabels: true,
 		},
 		{
 			Name:    "com-d",
-			Factory: comd.Factory(),
+			Factory: comd.New,
 			Order:   labels.OrderHybrid, Encoding: labels.RepVariable,
 			UniqueLabels: false,
 		},
 		{
 			Name:    "prime",
-			Factory: prime.Factory(),
+			Factory: func() labeling.Interface { return prime.New() },
 			Order:   labels.OrderGlobal, Encoding: labels.RepVariable,
-			DeclaredTraits: &labels.Traits{DivisionFree: true},
-			Scale:          0.15,
-			UniqueLabels:   true,
+			Scale:        0.15,
+			UniqueLabels: true,
 		},
 		{
 			Name:    "dde",
-			Factory: dde.Factory(),
+			Factory: func() labeling.Interface { return dde.New() },
 			Order:   labels.OrderHybrid, Encoding: labels.RepVariable,
-			DeclaredTraits: &labels.Traits{DivisionFree: true},
-			UniqueLabels:   true,
+			UniqueLabels: true,
 		},
 		{
 			// Described in §3.1.2 but excluded from the matrix ("does
 			// not support the maintenance of document order under
 			// updates"); measured to show what the exclusion costs.
 			Name:    "cohen",
-			Factory: cohen.Factory(),
+			Factory: cohen.New,
 			Order:   labels.OrderHybrid, Encoding: labels.RepVariable,
 			UniqueLabels: true,
 		},

@@ -46,12 +46,6 @@ func Wrap(doc *xmltree.Document, lab labeling.Interface) *Document {
 	return &Document{doc: doc, lab: lab}
 }
 
-// Tree returns the underlying document.
-func (e *Document) Tree() *xmltree.Document { return e.doc }
-
-// Labeling returns the underlying labeling.
-func (e *Document) Labeling() labeling.Interface { return e.lab }
-
 // Table produces the encoding rows in document order.
 func (e *Document) Table() []Row {
 	var rows []Row

@@ -85,7 +85,7 @@ func TestReconstructUnderPrefixSchemes(t *testing.T) {
 			t.Fatal(err)
 		}
 		if re.XML() != xmltree.SampleBook().XML() {
-			t.Fatalf("%s: reconstruction mismatch", enc.Labeling().Name())
+			t.Fatalf("%s: reconstruction mismatch", enc.lab.Name())
 		}
 	}
 }

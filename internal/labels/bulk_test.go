@@ -49,15 +49,11 @@ func TestBuildCountersSameColdAndWarm(t *testing.T) {
 			if !ok {
 				continue
 			}
-			inst, ok := ap.Algebra().(labels.Instrumented)
-			if !ok {
-				continue
-			}
 			if err := lab.Build(doc.Clone()); err != nil { // one labelling a document
 				t.Fatalf("%s: %v", s.Name, err)
 			}
 			want, pinned := buildCounters[s.Name]
-			if got := *inst.Counters(); !pinned || got != want {
+			if got := *ap.Algebra().Counters(); !pinned || got != want {
 				t.Errorf("%s, tables %s: Build counted %+v, want %+v (pinned: %v)", s.Name, tables, got, want, pinned)
 			}
 			seen++
@@ -227,15 +223,15 @@ func TestVerifyBulksSeesAWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 		if n, err := labels.VerifyBulks(a); n != 7 || err != nil {
-			t.Fatalf("%s, untouched: %d codes recomputed, %v", a.Name(), n, err)
+			t.Fatalf("%T, untouched: %d codes recomputed, %v", a, n, err)
 		}
 		view, _ := a.Assign(7)
 		view[3] = view[4]
 		if _, err := labels.VerifyBulks(a); err == nil {
-			t.Fatalf("%s: a view was written and VerifyBulks passed", a.Name())
+			t.Fatalf("%T: a view was written and VerifyBulks passed", a)
 		}
 		if n, err := labels.VerifyBulks(a); n != 7 || err != nil {
-			t.Fatalf("%s, computed again: %d codes recomputed, %v", a.Name(), n, err)
+			t.Fatalf("%T, computed again: %d codes recomputed, %v", a, n, err)
 		}
 	}
 }

@@ -84,22 +84,8 @@ func MustIntAlgebra(cfg IntAlgebraConfig) *IntAlgebra {
 	return a
 }
 
-// Name implements Algebra.
-func (a *IntAlgebra) Name() string { return a.cfg.Name }
-
-// Counters implements Instrumented.
+// Counters implements Algebra.
 func (a *IntAlgebra) Counters() *Counters { return &a.counters }
-
-// Traits implements Algebra.
-func (a *IntAlgebra) Traits() Traits {
-	return Traits{
-		Encoding:      RepFixed,
-		DivisionFree:  true, // midpoint uses a shift, never a division
-		RecursiveInit: false,
-		OverflowFree:  false,
-		Orthogonal:    false,
-	}
-}
 
 func (a *IntAlgebra) max() int64 { return int64(1) << a.cfg.Width }
 

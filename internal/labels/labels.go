@@ -79,18 +79,6 @@ var (
 	ErrBadCode = errors.New("labels: foreign or malformed code")
 )
 
-// Traits are static facts about an algebra used by the evaluation
-// framework for the Division-Computation and Recursive-Algorithm
-// properties (which are algorithm facts, not runtime observables) and as
-// declared fallbacks for the measurable properties.
-type Traits struct {
-	Encoding      Rep
-	DivisionFree  bool // true: never divides when assigning or inserting
-	RecursiveInit bool // true: bulk assignment is recursive
-	OverflowFree  bool // true: claims immunity to the §4 overflow problem
-	Orthogonal    bool // true: mountable on prefix AND containment labelings
-}
-
 // Algebra is a totally ordered code space.
 //
 // Assign produces n codes in strictly ascending order for initial
@@ -99,12 +87,14 @@ type Traits struct {
 // an append copies. Between produces a code strictly between left and
 // right; a nil left means "before the first code", a nil right means
 // "after the last code". Compare orders any two codes of the algebra.
+// Counters exposes the algebra's live counters, from which the
+// framework measures the Division-Computation and Recursive-Algorithm
+// properties.
 type Algebra interface {
-	Name() string
 	Assign(n int) ([]Code, error)
 	Between(left, right Code) (Code, error)
 	Compare(a, b Code) int
-	Traits() Traits
+	Counters() *Counters
 }
 
 // Counters instruments an algebra for the framework's division and
@@ -116,11 +106,6 @@ type Counters struct {
 	MaxRecursion  int   // deepest recursion observed during Assign
 	RelabelErrors int64 // ErrNeedRelabel returns
 	OverflowHits  int64 // ErrOverflow returns
-}
-
-// Instrumented is implemented by algebras that expose live counters.
-type Instrumented interface {
-	Counters() *Counters
 }
 
 // TotalBits sums the storage cost of a code slice.

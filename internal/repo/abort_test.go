@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"xmldyn/internal/core"
 	"xmldyn/internal/update"
 	"xmldyn/internal/xmltree"
 )
@@ -19,31 +18,14 @@ import (
 // are shared with snapshot_test.go and incremental_test.go.
 
 // abortRig is a repository of either flavour holding "alpha" (qed,
-// <a><seed/></a>) and "beta" (lsdx, walked to the brink of its label
-// collision), with the two commit entry points the aborts go through.
+// <a><seed/></a>) and "beta" (deweyid, <b><x/><y/></b>), with the two
+// commit entry points the aborts go through.
 type abortRig struct {
 	mem   *Repository
 	dur   *DurableRepository // nil for the in-memory flavour
 	dir   string
 	multi func([]string, func(map[string]*MultiDoc) error) (map[string]update.BatchResult, error)
 	batch func(name string, build func(*xmltree.Document, *update.Batch)) error
-	// brink is the next step of lsdxStep on beta: the one that collides.
-	brink int
-}
-
-// lsdxStep queues step i of the walk that drives lsdx into its
-// documented collision: inserts alternating before and after the newest
-// node.
-func lsdxStep(doc *xmltree.Document, b *update.Batch, i int) {
-	ref := doc.FindElement("y")
-	if i > 0 {
-		ref = doc.FindElement(fmt.Sprintf("n%d", i-1))
-	}
-	if name := fmt.Sprintf("n%d", i); i%2 == 0 {
-		b.InsertBefore(ref, name)
-	} else {
-		b.InsertAfter(ref, name)
-	}
 }
 
 func newAbortRig(t *testing.T, durable bool) *abortRig {
@@ -79,28 +61,7 @@ func newAbortRig(t *testing.T, durable bool) *abortRig {
 		}
 	}
 	open("alpha", `<a><seed/></a>`, "qed")
-	open("beta", `<b><x/><y/></b>`, "lsdx")
-	// Find the colliding step on a bare session, then walk beta up to it.
-	s, err := update.NewSession(mustParse(t, `<b><x/><y/></b>`), core.MustScheme("lsdx").Factory())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetAutoVerify(true)
-	for ; ; rig.brink++ {
-		if rig.brink == 2000 {
-			t.Fatal("lsdx never collided")
-		}
-		b := s.Batch()
-		lsdxStep(s.Document(), b, rig.brink)
-		if _, err := b.Commit(); err != nil {
-			break
-		}
-	}
-	for i := 0; i < rig.brink; i++ {
-		if err := rig.batch("beta", func(doc *xmltree.Document, b *update.Batch) { lsdxStep(doc, b, i) }); err != nil {
-			t.Fatalf("walk step %d of %d: %v", i, rig.brink, err)
-		}
-	}
+	open("beta", `<b><x/><y/></b>`, "deweyid")
 	return rig
 }
 
@@ -121,15 +82,18 @@ var abortForms = []struct {
 		})
 		return err
 	}, update.ErrRootSibling.Error()},
-	// alpha stages cleanly, then beta applies and fails verification.
+	// alpha stages cleanly, then beta passes validation, applies its
+	// first ops and fails on a later one that names a node an earlier
+	// one deleted.
 	{"multibatch-verification", func(rig *abortRig) error {
 		_, err := rig.multi([]string{"alpha", "beta"}, func(m map[string]*MultiDoc) error {
 			m["alpha"].Batch().AppendChild(m["alpha"].Document().Root(), "ABORTED")
-			lsdxStep(m["beta"].Document(), m["beta"].Batch(), rig.brink)
+			x := m["beta"].Document().FindElement("x")
+			m["beta"].Batch().AppendChild(m["beta"].Document().Root(), "ABORTED").Delete(x).InsertAfter(x, "z")
 			return nil
 		})
 		return err
-	}, "document order violated"},
+	}, update.ErrDetachedRef.Error()},
 	// The delete applies, the insert beside the deleted node fails.
 	{"batch-apply", func(rig *abortRig) error {
 		return rig.batch("alpha", func(doc *xmltree.Document, b *update.Batch) {

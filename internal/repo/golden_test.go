@@ -55,7 +55,7 @@ func goldenScript(t *testing.T, d *DurableRepository) {
 		a, b := m["alpha"], m["beta"]
 		moved := b.Document().Root().Children()[1]
 		b.Batch().Delete(moved)
-		a.Batch().AppendSubtree(a.Document().Root(), moved.Clone()).InsertFirstChild(a.Document().Root(), "first")
+		a.Batch().Add(update.AppendSubtreeOp(a.Document().Root(), moved.Clone())).InsertFirstChild(a.Document().Root(), "first")
 		return nil
 	})
 	must(err)

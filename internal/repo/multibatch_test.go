@@ -177,7 +177,7 @@ func TestMultiBatchCrossDocumentMove(t *testing.T) {
 		from, to := m["archive"], m["active"]
 		box := from.Document().Root().Children()[0]
 		from.Batch().Delete(box)
-		to.Batch().AppendSubtree(to.Document().Root(), box.Clone())
+		to.Batch().Add(update.AppendSubtreeOp(to.Document().Root(), box.Clone()))
 		return nil
 	})
 	if err != nil {
@@ -291,7 +291,7 @@ func seedMulti(t *testing.T, d *DurableRepository, n int) {
 				bk, tr := m["books"], m["trash"]
 				victim := bk.Document().Root().Children()[0]
 				bk.Batch().Delete(victim)
-				tr.Batch().AppendSubtree(tr.Document().Root(), victim.Clone())
+				tr.Batch().Add(update.AppendSubtreeOp(tr.Document().Root(), victim.Clone()))
 				return nil
 			})
 			if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"xmldyn/internal/core"
 	"xmldyn/internal/update"
 	"xmldyn/internal/workload"
 	"xmldyn/internal/xmltree"
@@ -140,6 +141,41 @@ func TestOpenSessionSchemeContract(t *testing.T) {
 	}
 	if scheme, ok := back.Scheme("q"); !ok || scheme != "qed" {
 		t.Fatalf("loaded scheme = %q %v", scheme, ok)
+	}
+}
+
+// TestOpenAdmitsUniqueLabelSchemes: on either repository flavour, Open
+// takes every registry scheme Figure 7 grades as keeping labels unique
+// and refuses the others (lsdx, com-d) with ErrNoScheme before
+// labelling, so the refused document opens under another scheme.
+func TestOpenAdmitsUniqueLabelSchemes(t *testing.T) {
+	d, err := OpenDurable(t.TempDir(), DurableOptions{AutoCheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for flavour, open := range map[string]func(string, *xmltree.Document, string) error{"memory": New().Open, "durable": d.Open} {
+		var refused []string
+		for _, s := range core.Registry() {
+			doc := xmltree.ExampleTree()
+			err := open(s.Name, doc, s.Name)
+			if s.UniqueLabels {
+				if err != nil {
+					t.Errorf("%s: %s: %v", flavour, s.Name, err)
+				}
+				continue
+			}
+			refused = append(refused, s.Name)
+			if !errors.Is(err, ErrNoScheme) {
+				t.Errorf("%s: %s: %v, want ErrNoScheme", flavour, s.Name, err)
+			}
+			if err := open(s.Name, doc, "qed"); err != nil {
+				t.Errorf("%s: the document %s refused: %v", flavour, s.Name, err)
+			}
+		}
+		if fmt.Sprint(refused) != "[lsdx com-d]" {
+			t.Errorf("%s: refused %v, want [lsdx com-d]", flavour, refused)
+		}
 	}
 }
 

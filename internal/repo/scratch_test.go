@@ -67,7 +67,7 @@ func TestFailedCommitLeavesNoScratch(t *testing.T) {
 		for _, md := range m {
 			root := md.Document().Root()
 			md.Batch().AppendChild(root, "LOST").SetAttr(root, "lost", "yes").
-				AppendSubtree(root, mustParse(t, `<lost><deep/></lost>`).Root().Clone())
+				Add(update.AppendSubtreeOp(root, mustParse(t, `<lost><deep/></lost>`).Root().Clone()))
 		}
 	}
 	boom := errors.New("boom")

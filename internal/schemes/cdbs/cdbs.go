@@ -31,24 +31,8 @@ type Algebra struct {
 // NewAlgebra returns a fresh algebra.
 func NewAlgebra() *Algebra { return &Algebra{codes: labels.BitCodes{Max: MaxCodeBits}} }
 
-// Name implements labels.Algebra.
-func (a *Algebra) Name() string { return "cdbs" }
-
-// Counters implements labels.Instrumented.
+// Counters implements labels.Algebra.
 func (a *Algebra) Counters() *labels.Counters { return &a.counters }
-
-// Traits implements labels.Algebra: the closed-form bulk assignment is
-// neither recursive nor divides, and CDBS codes mount on both prefix and
-// range labelings; the fixed length field keeps it overflow-prone.
-func (a *Algebra) Traits() labels.Traits {
-	return labels.Traits{
-		Encoding:      labels.RepFixed,
-		DivisionFree:  true,
-		RecursiveInit: false,
-		OverflowFree:  false,
-		Orthogonal:    true,
-	}
-}
 
 // bulk holds the bulk codes every algebra of this package shares.
 var bulk = labels.BulkFor("cdbs")
@@ -106,9 +90,4 @@ func NewRange() labeling.Interface {
 		Name:    "cdbs-range",
 		Algebra: NewAlgebra(),
 	})
-}
-
-// Factory returns fresh CDBS instances.
-func Factory() labeling.Factory {
-	return func() labeling.Interface { return New() }
 }

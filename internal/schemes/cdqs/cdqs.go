@@ -22,34 +22,17 @@ type Algebra struct {
 // NewAlgebra returns a fresh algebra.
 func NewAlgebra() *Algebra { return &Algebra{} }
 
-// Name implements labels.Algebra.
-func (a *Algebra) Name() string { return "cdqs" }
-
-// Counters implements labels.Instrumented.
+// Counters implements labels.Algebra.
 func (a *Algebra) Counters() *labels.Counters { return &a.counters }
-
-// Traits implements labels.Algebra.
-//
-// Note: the published matrix grades CDQS non-compliant on Division
-// Computation and Recursive Algorithm because the original paper's bulk
-// routine is recursive. Our implementation enumerates the n shortest
-// codes in closed form — neither recursive nor dividing — so the
-// measured matrix diverges on those two cells; docs/EXPERIMENTS.md (C8)
-// records the reason.
-func (a *Algebra) Traits() labels.Traits {
-	return labels.Traits{
-		Encoding:      labels.RepVariable,
-		DivisionFree:  true,
-		RecursiveInit: false,
-		OverflowFree:  true,
-		Orthogonal:    true,
-	}
-}
 
 // bulk holds the bulk codes every algebra of this package shares.
 var bulk = labels.BulkFor("cdqs")
 
-// Assign implements labels.Algebra with the compact enumeration.
+// Assign implements labels.Algebra with the compact enumeration. The
+// published matrix grades CDQS N on Division Computation and Recursive
+// Algorithm because the original bulk routine is recursive; this one
+// enumerates the n shortest codes in closed form, neither recursive nor
+// dividing, so the measured cells diverge (docs/EXPERIMENTS.md, C8).
 func (a *Algebra) Assign(n int) ([]labels.Code, error) { return bulk.Assign(n, &a.counters, a.assign) }
 
 func (a *Algebra) assign(n int) ([]labels.Code, error) {
@@ -87,9 +70,4 @@ func NewRange() labeling.Interface {
 		Name:    "cdqs-range",
 		Algebra: NewAlgebra(),
 	})
-}
-
-// Factory returns fresh CDQS instances.
-func Factory() labeling.Factory {
-	return func() labeling.Interface { return New() }
 }

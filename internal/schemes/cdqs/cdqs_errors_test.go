@@ -7,17 +7,20 @@ import (
 	"xmldyn/internal/labels"
 )
 
+// TestAlgebraMetadata measures CDQS's Division-Computation and
+// Recursive-Algorithm facts: the closed-form bulk routine and
+// between-insertion neither divide nor recurse.
 func TestAlgebraMetadata(t *testing.T) {
 	a := NewAlgebra()
-	if a.Name() != "cdqs" {
-		t.Errorf("name: %s", a.Name())
+	cs, err := a.Assign(50)
+	if err != nil {
+		t.Fatal(err)
 	}
-	tr := a.Traits()
-	if !tr.OverflowFree || !tr.Orthogonal || !tr.DivisionFree || tr.RecursiveInit {
-		t.Errorf("traits: %+v", tr)
+	if _, err := a.Between(cs[0], cs[1]); err != nil {
+		t.Fatal(err)
 	}
-	if a.Counters() == nil {
-		t.Error("counters nil")
+	if c := a.Counters(); c.Assigns != 1 || c.Betweens != 1 || c.Divisions != 0 || c.MaxRecursion != 0 {
+		t.Errorf("counters: %+v", *c)
 	}
 }
 

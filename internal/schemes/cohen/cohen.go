@@ -41,22 +41,8 @@ type Algebra struct {
 // NewAlgebra returns a fresh algebra.
 func NewAlgebra() *Algebra { return &Algebra{} }
 
-// Name implements labels.Algebra.
-func (a *Algebra) Name() string { return "cohen-bitcode" }
-
-// Counters implements labels.Instrumented.
+// Counters implements labels.Algebra.
 func (a *Algebra) Counters() *labels.Counters { return &a.counters }
-
-// Traits implements labels.Algebra.
-func (a *Algebra) Traits() labels.Traits {
-	return labels.Traits{
-		Encoding:      labels.RepVariable,
-		DivisionFree:  true,
-		RecursiveInit: false,
-		OverflowFree:  false,
-		Orthogonal:    false,
-	}
-}
 
 // codeFor returns the identifier of the i-th child (0-based): i ones
 // and a terminal zero.
@@ -134,9 +120,4 @@ func New() labeling.Interface {
 		Name:    "cohen",
 		Algebra: NewAlgebra(),
 	})
-}
-
-// Factory returns fresh instances.
-func Factory() labeling.Factory {
-	return func() labeling.Interface { return New() }
 }

@@ -23,9 +23,6 @@ type Code struct {
 // String renders the compressed storage form.
 func (c Code) String() string { return labels.CompressRuns(c.raw) }
 
-// Raw returns the decompressed letter string.
-func (c Code) Raw() string { return c.raw }
-
 // Bits implements labels.Code: bytes of the compressed form.
 func (c Code) Bits() int { return 8 * len(labels.CompressRuns(c.raw)) }
 
@@ -43,18 +40,8 @@ type Algebra struct {
 // unbounded; the compressed-size budget is enforced here.
 func NewAlgebra() *Algebra { return &Algebra{inner: lsdx.NewUnboundedAlgebra()} }
 
-// Name implements labels.Algebra.
-func (a *Algebra) Name() string { return "com-d" }
-
-// Counters implements labels.Instrumented.
+// Counters implements labels.Algebra.
 func (a *Algebra) Counters() *labels.Counters { return a.inner.Counters() }
-
-// Traits implements labels.Algebra: as LSDX, with the compact storage
-// upgrade the authors proposed.
-func (a *Algebra) Traits() labels.Traits {
-	t := a.inner.Traits()
-	return t
-}
 
 // bulk holds the bulk codes every algebra of this package shares.
 var bulk = labels.BulkFor("comd")
@@ -137,9 +124,4 @@ func New() labeling.Interface {
 		Render:   Render,
 		RootCode: Code{raw: string(lsdx.RootCode)},
 	})
-}
-
-// Factory returns fresh Com-D instances.
-func Factory() labeling.Factory {
-	return func() labeling.Interface { return New() }
 }

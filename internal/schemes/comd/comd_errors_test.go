@@ -8,16 +8,15 @@ import (
 	"xmldyn/internal/labels"
 )
 
+// TestAlgebraMetadata measures Com-D's variable encoding: the first and
+// the last of 30 bulk codes differ in size.
 func TestAlgebraMetadata(t *testing.T) {
-	a := NewAlgebra()
-	if a.Name() != "com-d" {
-		t.Errorf("name: %s", a.Name())
+	cs, err := NewAlgebra().Assign(30)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a.Counters() == nil {
-		t.Error("counters nil")
-	}
-	if a.Traits().Encoding != labels.RepVariable {
-		t.Error("encoding")
+	if cs[0].Bits() == cs[len(cs)-1].Bits() {
+		t.Errorf("fixed-size codes: %v", cs)
 	}
 }
 
@@ -48,7 +47,7 @@ func TestCompressedBudgetBeatsRawBudget(t *testing.T) {
 		}
 		r = m
 	}
-	if raw := r.(Code).Raw(); len(raw) < 400 {
+	if raw := r.(Code).raw; len(raw) < 400 {
 		t.Fatalf("raw letters: %d", len(raw))
 	}
 	if r.Bits() > 8*16 {

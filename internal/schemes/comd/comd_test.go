@@ -48,8 +48,8 @@ func TestCompressionShrinksRepetitiveLabels(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.(Code).Raw() != l.String() {
-		t.Fatalf("Com-D letters diverged from LSDX: %q vs %q", c.(Code).Raw(), l)
+	if c.(Code).raw != l.String() {
+		t.Fatalf("Com-D letters diverged from LSDX: %q vs %q", c.(Code).raw, l)
 	}
 	if c.Bits() >= l.Bits() {
 		t.Errorf("compressed bits %d !< raw bits %d", c.Bits(), l.Bits())

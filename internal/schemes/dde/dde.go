@@ -237,8 +237,3 @@ func (dl *Labeling) NodeInserted(n *xmltree.Node) error {
 
 // NodeDeleting implements labeling.Interface.
 func (dl *Labeling) NodeDeleting(n *xmltree.Node) { dl.lab.Forget(n) }
-
-// Factory returns fresh DDE labelings.
-func Factory() labeling.Factory {
-	return func() labeling.Interface { return New() }
-}

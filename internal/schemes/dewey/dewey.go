@@ -33,8 +33,3 @@ func New() labeling.Interface {
 		Algebra: NewAlgebra(),
 	})
 }
-
-// Factory returns fresh DeweyID instances for the evaluation framework.
-func Factory() labeling.Factory {
-	return func() labeling.Interface { return New() }
-}

@@ -71,22 +71,8 @@ func MustAlgebra(width int) *Algebra {
 	return a
 }
 
-// Name implements labels.Algebra.
-func (a *Algebra) Name() string { return fmt.Sprintf("dln-%dbit", a.width) }
-
-// Counters implements labels.Instrumented.
+// Counters implements labels.Algebra.
 func (a *Algebra) Counters() *labels.Counters { return &a.counters }
-
-// Traits implements labels.Algebra.
-func (a *Algebra) Traits() labels.Traits {
-	return labels.Traits{
-		Encoding:      labels.RepFixed,
-		DivisionFree:  true, // midpoints are shifts on the fixed grid
-		RecursiveInit: false,
-		OverflowFree:  false,
-		Orthogonal:    false,
-	}
-}
 
 func (a *Algebra) max() uint64 { return uint64(1)<<a.width - 1 }
 
@@ -260,9 +246,4 @@ func NewWithWidth(width int) labeling.Interface {
 		Name:    "dln",
 		Algebra: MustAlgebra(width),
 	})
-}
-
-// Factory returns fresh DLN instances.
-func Factory() labeling.Factory {
-	return func() labeling.Interface { return New() }
 }

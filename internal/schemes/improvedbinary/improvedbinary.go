@@ -32,24 +32,8 @@ type Algebra struct {
 // NewAlgebra returns a fresh algebra.
 func NewAlgebra() *Algebra { return &Algebra{codes: labels.BitCodes{Max: MaxCodeBits}} }
 
-// Name implements labels.Algebra.
-func (a *Algebra) Name() string { return "improvedbinary" }
-
-// Counters implements labels.Instrumented.
+// Counters implements labels.Algebra.
 func (a *Algebra) Counters() *labels.Counters { return &a.counters }
-
-// Traits implements labels.Algebra: the middle position (1+n)/2 is a
-// division and the bulk labelling is recursive — the two N gradings the
-// paper assigns ImprovedBinary beyond the overflow problem.
-func (a *Algebra) Traits() labels.Traits {
-	return labels.Traits{
-		Encoding:      labels.RepVariable,
-		DivisionFree:  false,
-		RecursiveInit: true,
-		OverflowFree:  false,
-		Orthogonal:    false,
-	}
-}
 
 // bulk holds the bulk codes every algebra of this package shares.
 var bulk = labels.BulkFor("improvedbinary")
@@ -108,9 +92,4 @@ func New() labeling.Interface {
 		ExtraBitsPerLevel: LengthFieldBits,
 		RootCode:          &rootCode,
 	})
-}
-
-// Factory returns fresh ImprovedBinary instances.
-func Factory() labeling.Factory {
-	return func() labeling.Interface { return New() }
 }

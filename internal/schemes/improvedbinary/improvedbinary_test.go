@@ -141,7 +141,4 @@ func TestRecursiveInitCounted(t *testing.T) {
 	if a.Counters().Divisions == 0 {
 		t.Error("middle-position divisions not counted")
 	}
-	if !a.Traits().RecursiveInit {
-		t.Error("trait must declare recursive initial labelling")
-	}
 }

@@ -47,22 +47,8 @@ func NewAlgebra() *Algebra { return &Algebra{maxBytes: MaxCodeBytes} }
 // NewUnboundedAlgebra returns an algebra without a length budget.
 func NewUnboundedAlgebra() *Algebra { return &Algebra{} }
 
-// Name implements labels.Algebra.
-func (a *Algebra) Name() string { return "lsdx" }
-
-// Counters implements labels.Instrumented.
+// Counters implements labels.Algebra.
 func (a *Algebra) Counters() *labels.Counters { return &a.counters }
-
-// Traits implements labels.Algebra.
-func (a *Algebra) Traits() labels.Traits {
-	return labels.Traits{
-		Encoding:      labels.RepVariable,
-		DivisionFree:  true,
-		RecursiveInit: false,
-		OverflowFree:  false,
-		Orthogonal:    false,
-	}
-}
 
 // bulk holds the bulk codes every algebra of this package shares.
 var bulk = labels.BulkFor("lsdx")
@@ -180,9 +166,4 @@ func New() labeling.Interface {
 		Render:   Render,
 		RootCode: RootCode,
 	})
-}
-
-// Factory returns fresh LSDX instances.
-func Factory() labeling.Factory {
-	return func() labeling.Interface { return New() }
 }

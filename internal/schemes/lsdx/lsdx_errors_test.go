@@ -7,16 +7,15 @@ import (
 	"xmldyn/internal/labels"
 )
 
+// TestAlgebraMetadata measures LSDX's variable encoding: the first and
+// the last of 30 bulk codes differ in size.
 func TestAlgebraMetadata(t *testing.T) {
-	a := NewAlgebra()
-	if a.Name() != "lsdx" {
-		t.Errorf("name: %s", a.Name())
+	cs, err := NewAlgebra().Assign(30)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a.Traits().Encoding != labels.RepVariable {
-		t.Error("encoding trait")
-	}
-	if a.Counters() == nil {
-		t.Error("counters nil")
+	if cs[0].Bits() == cs[len(cs)-1].Bits() {
+		t.Errorf("fixed-size codes: %v", cs)
 	}
 }
 

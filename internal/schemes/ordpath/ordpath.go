@@ -100,25 +100,8 @@ type Algebra struct {
 // NewAlgebra returns a fresh algebra.
 func NewAlgebra() *Algebra { return &Algebra{} }
 
-// Name implements labels.Algebra.
-func (a *Algebra) Name() string { return "ordpath" }
-
-// Counters implements labels.Instrumented.
+// Counters implements labels.Algebra.
 func (a *Algebra) Counters() *labels.Counters { return &a.counters }
-
-// Traits implements labels.Algebra: sequential (non-recursive) initial
-// labelling, midpoint divisions during careting, variable encoding,
-// subject to overflow, not orthogonal (the careting grammar is tied to
-// the prefix mounting).
-func (a *Algebra) Traits() labels.Traits {
-	return labels.Traits{
-		Encoding:      labels.RepVariable,
-		DivisionFree:  false,
-		RecursiveInit: false,
-		OverflowFree:  false,
-		Orthogonal:    false,
-	}
-}
 
 // bulk holds the bulk codes every algebra of this package shares.
 var bulk = labels.BulkFor("ordpath")
@@ -300,9 +283,4 @@ func New() labeling.Interface {
 		Name:    "ordpath",
 		Algebra: NewAlgebra(),
 	})
-}
-
-// Factory returns fresh ORDPATH instances.
-func Factory() labeling.Factory {
-	return func() labeling.Interface { return New() }
 }

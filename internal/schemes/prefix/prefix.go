@@ -127,9 +127,6 @@ func (p Path) Bits() int {
 	return total + p.cfg.ExtraBitsPerLevel*len(p.codes)
 }
 
-// Len returns the number of path components (level + 1).
-func (p Path) Len() int { return len(p.codes) }
-
 // Label implements labeling.Interface. Two allocations: the depth is
 // counted first and the path filled from the back into one slice, then
 // the Path is boxed.

@@ -294,8 +294,3 @@ func lowerBoundPrime(primes []*big.Int, bound int64) int {
 	}
 	return lo
 }
-
-// Factory returns fresh prime labelings.
-func Factory() labeling.Factory {
-	return func() labeling.Interface { return New() }
-}

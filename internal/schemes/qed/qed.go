@@ -13,8 +13,7 @@ import (
 	"xmldyn/internal/schemes/prefix"
 )
 
-// Algebra is the QED code algebra. It implements labels.Algebra and
-// labels.Instrumented.
+// Algebra is the QED code algebra. It implements labels.Algebra.
 type Algebra struct {
 	counters labels.Counters
 	codes    labels.QCodes // what Between mints
@@ -23,25 +22,8 @@ type Algebra struct {
 // NewAlgebra returns a fresh QED algebra.
 func NewAlgebra() *Algebra { return &Algebra{} }
 
-// Name implements labels.Algebra.
-func (a *Algebra) Name() string { return "qed" }
-
-// Counters implements labels.Instrumented.
+// Counters implements labels.Algebra.
 func (a *Algebra) Counters() *labels.Counters { return &a.counters }
-
-// Traits implements labels.Algebra. QED's bulk labelling recurses on the
-// 1/3 and 2/3 positions (computed with divisions), which is why the
-// paper grades it non-compliant on the Division-Computation and
-// Recursive-Algorithm properties while fully compliant on overflow.
-func (a *Algebra) Traits() labels.Traits {
-	return labels.Traits{
-		Encoding:      labels.RepVariable,
-		DivisionFree:  false,
-		RecursiveInit: true,
-		OverflowFree:  true,
-		Orthogonal:    true,
-	}
-}
 
 // bulk holds the bulk codes every algebra of this package shares.
 var bulk = labels.BulkFor("qed")
@@ -95,9 +77,4 @@ func NewRange() labeling.Interface {
 		Name:    "qed-range",
 		Algebra: NewAlgebra(),
 	})
-}
-
-// Factory returns fresh QED-Prefix instances.
-func Factory() labeling.Factory {
-	return func() labeling.Interface { return NewPrefix() }
 }

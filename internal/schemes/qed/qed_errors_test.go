@@ -7,17 +7,15 @@ import (
 	"xmldyn/internal/labels"
 )
 
+// TestAlgebraMetadata measures QED's variable encoding: bulk codes
+// differ in size.
 func TestAlgebraMetadata(t *testing.T) {
-	a := NewAlgebra()
-	if a.Name() != "qed" {
-		t.Errorf("name: %s", a.Name())
+	cs, err := NewAlgebra().Assign(50)
+	if err != nil {
+		t.Fatal(err)
 	}
-	tr := a.Traits()
-	if !tr.OverflowFree || !tr.Orthogonal || tr.DivisionFree || !tr.RecursiveInit {
-		t.Errorf("traits: %+v", tr)
-	}
-	if tr.Encoding != labels.RepVariable {
-		t.Errorf("encoding: %v", tr.Encoding)
+	if cs[0].Bits() == cs[len(cs)/2].Bits() && cs[0].Bits() == cs[len(cs)-1].Bits() {
+		t.Errorf("fixed-size codes: %v", cs)
 	}
 }
 
@@ -55,7 +53,7 @@ func TestRangeFactorySmoke(t *testing.T) {
 	if lab.Name() != "qed-range" {
 		t.Errorf("range name: %s", lab.Name())
 	}
-	if Factory()().Name() != "qed" {
-		t.Error("factory name")
+	if NewPrefix().Name() != "qed" {
+		t.Error("prefix name")
 	}
 }

@@ -35,25 +35,10 @@ type Algebra struct {
 // NewAlgebra returns a fresh algebra.
 func NewAlgebra() *Algebra { return &Algebra{} }
 
-// Name implements labels.Algebra.
-func (a *Algebra) Name() string { return "qrs" }
-
-// Counters implements labels.Instrumented.
+// Counters implements labels.Algebra. Midpoints are true floating-point
+// divisions and are counted as such, although the published matrix
+// grades QRS division-free (docs/EXPERIMENTS.md, C8).
 func (a *Algebra) Counters() *labels.Counters { return &a.counters }
-
-// Traits implements labels.Algebra. Midpoints are true floating-point
-// divisions; the published matrix grades QRS compliant on division —
-// docs/EXPERIMENTS.md (C8) records the divergence our instrumentation
-// measures.
-func (a *Algebra) Traits() labels.Traits {
-	return labels.Traits{
-		Encoding:      labels.RepFixed,
-		DivisionFree:  false,
-		RecursiveInit: false,
-		OverflowFree:  false,
-		Orthogonal:    false,
-	}
-}
 
 // bulk holds the bulk codes every algebra of this package shares.
 var bulk = labels.BulkFor("qrs")
@@ -134,9 +119,4 @@ func New() labeling.Interface {
 		Name:    "qrs",
 		Algebra: NewAlgebra(),
 	})
-}
-
-// Factory returns fresh QRS instances.
-func Factory() labeling.Factory {
-	return func() labeling.Interface { return New() }
 }

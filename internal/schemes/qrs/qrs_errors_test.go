@@ -7,17 +7,23 @@ import (
 	"xmldyn/internal/labels"
 )
 
+// TestAlgebraMetadata measures QRS's Division-Computation and
+// Recursive-Algorithm facts: bulk codes are counted out without
+// recursion, and an interior midpoint is a division.
 func TestAlgebraMetadata(t *testing.T) {
 	a := NewAlgebra()
-	if a.Name() != "qrs" {
-		t.Errorf("name: %s", a.Name())
+	cs, err := a.Assign(50)
+	if err != nil {
+		t.Fatal(err)
 	}
-	tr := a.Traits()
-	if tr.DivisionFree || tr.OverflowFree || tr.Orthogonal || tr.RecursiveInit {
-		t.Errorf("traits: %+v", tr)
+	if c := a.Counters(); c.MaxRecursion != 0 || c.Divisions != 0 {
+		t.Errorf("after Assign: %+v", *c)
 	}
-	if tr.Encoding != labels.RepFixed {
-		t.Errorf("encoding: %v", tr.Encoding)
+	if _, err := a.Between(cs[0], cs[1]); err != nil {
+		t.Fatal(err)
+	}
+	if a.Counters().Divisions != 1 {
+		t.Errorf("after Between: %+v", *a.Counters())
 	}
 }
 

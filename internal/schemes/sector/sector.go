@@ -43,8 +43,3 @@ func New() labeling.Interface {
 		Algebra: NewAlgebra(),
 	})
 }
-
-// Factory returns fresh sector instances.
-func Factory() labeling.Factory {
-	return func() labeling.Interface { return New() }
-}

@@ -56,24 +56,8 @@ type Algebra struct {
 // NewAlgebra returns a fresh algebra.
 func NewAlgebra() *Algebra { return &Algebra{} }
 
-// Name implements labels.Algebra.
-func (a *Algebra) Name() string { return "vector" }
-
-// Counters implements labels.Instrumented.
+// Counters implements labels.Algebra.
 func (a *Algebra) Counters() *labels.Counters { return &a.counters }
-
-// Traits implements labels.Algebra: division-free (cross
-// multiplication), recursive bulk assignment, overflow-free up to the
-// UTF-8 codec ceiling, orthogonal.
-func (a *Algebra) Traits() labels.Traits {
-	return labels.Traits{
-		Encoding:      labels.RepVariable,
-		DivisionFree:  true,
-		RecursiveInit: true,
-		OverflowFree:  true,
-		Orthogonal:    true,
-	}
-}
 
 // virtual bounds of the gradient space.
 var (
@@ -192,9 +176,4 @@ func NewRange() labeling.Interface {
 		Name:    "vector-range",
 		Algebra: NewAlgebra(),
 	})
-}
-
-// Factory returns fresh vector-prefix instances.
-func Factory() labeling.Factory {
-	return func() labeling.Interface { return NewPrefix() }
 }

@@ -176,10 +176,11 @@ type BatchResult struct {
 	New []*xmltree.Node
 }
 
-// Batch accumulates ops for one session and commits them atomically.
-// The zero value is not usable; obtain one from Session.Batch. A batch
-// handed to a repository build callback is the document's own, emptied
-// when the commit returns: it is valid only inside that callback.
+// Batch accumulates ops for one session; Session.Apply, or a
+// repository's Batch or MultiBatch, commits them atomically. The zero
+// value is not usable; obtain one from Session.Batch. A batch handed to
+// a repository build callback is the document's own, emptied when the
+// commit returns: it is valid only inside that callback.
 type Batch struct {
 	s   *Session
 	ops []Op
@@ -237,27 +238,6 @@ func (b *Batch) AppendChild(parent *xmltree.Node, name string) *Batch {
 	return b.Add(AppendChildOp(parent, name))
 }
 
-// InsertSubtreeBefore queues grafting a detached subtree before ref.
-func (b *Batch) InsertSubtreeBefore(ref, root *xmltree.Node) *Batch {
-	return b.Add(InsertSubtreeBeforeOp(ref, root))
-}
-
-// InsertSubtreeAfter queues grafting a detached subtree after ref.
-func (b *Batch) InsertSubtreeAfter(ref, root *xmltree.Node) *Batch {
-	return b.Add(InsertSubtreeAfterOp(ref, root))
-}
-
-// InsertSubtreeFirst queues grafting a detached subtree as parent's
-// first non-attribute child.
-func (b *Batch) InsertSubtreeFirst(parent, root *xmltree.Node) *Batch {
-	return b.Add(InsertSubtreeFirstOp(parent, root))
-}
-
-// AppendSubtree queues grafting a detached subtree under parent.
-func (b *Batch) AppendSubtree(parent, root *xmltree.Node) *Batch {
-	return b.Add(AppendSubtreeOp(parent, root))
-}
-
 // Delete queues deleting the subtree rooted at n.
 func (b *Batch) Delete(n *xmltree.Node) *Batch { return b.Add(DeleteOp(n)) }
 
@@ -274,16 +254,6 @@ func (b *Batch) Rename(n *xmltree.Node, name string) *Batch {
 // SetAttr queues setting an attribute on e.
 func (b *Batch) SetAttr(e *xmltree.Node, name, value string) *Batch {
 	return b.Add(SetAttrOp(e, name, value))
-}
-
-// Commit applies the queued ops as one transaction and resets the
-// batch for reuse.
-func (b *Batch) Commit() (BatchResult, error) {
-	res, err := b.s.Apply(b.ops)
-	if err == nil {
-		b.ops = b.ops[:0]
-	}
-	return res, err
 }
 
 // Apply runs ops as one transaction (see the file comment): all of

@@ -95,15 +95,15 @@ func TestBatchBuilder(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := s.Batch().
+	res, err := s.Apply(s.Batch().
 		InsertAfter(book, "cd").
 		AppendChild(book, "isbn").
 		SetText(title, "New").
 		Rename(mag, "magazine").
 		SetAttr(book, "year", "2010").
-		AppendSubtree(book, sub).
+		Add(AppendSubtreeOp(book, sub)).
 		Delete(title).
-		Commit()
+		Ops())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,7 +559,7 @@ func TestOversizedTransactionMarksAreLetGo(t *testing.T) {
 	}
 	kids := slices.Clone(doc.Root().Children())
 	b := s.Batch().Delete(kids[0]).Delete(kids[1])
-	if _, err := b.Commit(); err != nil {
+	if _, err := s.Apply(b.Ops()); err != nil {
 		t.Fatal(err)
 	}
 	if b.Reset(keep); s.marks == nil || len(s.marks) != 0 {
@@ -568,7 +568,7 @@ func TestOversizedTransactionMarksAreLetGo(t *testing.T) {
 	for _, k := range kids[2:] {
 		b.Delete(k)
 	}
-	if _, err := b.Commit(); err != nil {
+	if _, err := s.Apply(b.Ops()); err != nil {
 		t.Fatal(err)
 	}
 	if len(s.marks) != 0 {

@@ -23,11 +23,11 @@ import (
 // pre-existing label moves.
 func TestOrderInvariantQuick(t *testing.T) {
 	factories := map[string]labeling.Factory{
-		"qed":     qed.Factory(),
-		"cdqs":    cdqs.Factory(),
-		"ordpath": ordpath.Factory(),
-		"vector":  vector.Factory(),
-		"dde":     dde.Factory(),
+		"qed":     qed.NewPrefix,
+		"cdqs":    cdqs.New,
+		"ordpath": ordpath.New,
+		"vector":  vector.NewPrefix,
+		"dde":     func() labeling.Interface { return dde.New() },
 	}
 	for name, factory := range factories {
 		name, factory := name, factory
@@ -64,7 +64,7 @@ func TestOrderInvariantQuick(t *testing.T) {
 // subtree survives, gets fresh labels at the destination, and order
 // holds.
 func TestMoveSubtree(t *testing.T) {
-	for _, factory := range []labeling.Factory{qed.Factory(), ordpath.Factory()} {
+	for _, factory := range []labeling.Factory{qed.NewPrefix, ordpath.New} {
 		doc := xmltree.SampleBook()
 		s, err := update.NewSession(doc, factory())
 		if err != nil {

@@ -38,21 +38,21 @@ type schemeCase struct {
 func allSchemes() []schemeCase {
 	return []schemeCase{
 		{"xpath-accelerator", func() labeling.Interface { return containment.NewPrePost() }, 300, true},
-		{"deweyid", dewey.Factory(), 400, true},
-		{"ordpath", ordpath.Factory(), 400, true},
-		{"dln", dln.Factory(), 400, true},
-		{"improvedbinary", improvedbinary.Factory(), 400, true},
-		{"qed", qed.Factory(), 400, true},
+		{"deweyid", dewey.New, 400, true},
+		{"ordpath", ordpath.New, 400, true},
+		{"dln", dln.New, 400, true},
+		{"improvedbinary", improvedbinary.New, 400, true},
+		{"qed", qed.NewPrefix, 400, true},
 		{"qed-range", func() labeling.Interface { return qed.NewRange() }, 300, true},
-		{"cdbs", cdbs.Factory(), 400, true},
-		{"cdqs", cdqs.Factory(), 400, true},
-		{"vector", vector.Factory(), 400, true},
+		{"cdbs", cdbs.New, 400, true},
+		{"cdqs", cdqs.New, 400, true},
+		{"vector", vector.NewPrefix, 400, true},
 		{"vector-range", func() labeling.Interface { return vector.NewRange() }, 300, true},
-		{"sector", sector.Factory(), 300, true},
-		{"qrs", qrs.Factory(), 300, true},
-		{"prime", prime.Factory(), 40, true},
-		{"dde", dde.Factory(), 400, true},
-		{"com-d", comd.Factory(), 200, false},
+		{"sector", sector.New, 300, true},
+		{"qrs", qrs.New, 300, true},
+		{"prime", func() labeling.Interface { return prime.New() }, 40, true},
+		{"dde", func() labeling.Interface { return dde.New() }, 400, true},
+		{"com-d", comd.New, 200, false},
 	}
 }
 

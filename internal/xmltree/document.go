@@ -90,19 +90,6 @@ func (d *Document) NodeCount() int {
 	return n
 }
 
-// MaxDepth returns the maximum element/attribute depth of the document
-// (root element depth 0), or -1 for an empty document.
-func (d *Document) MaxDepth() int {
-	max := -1
-	d.WalkLabelled(func(n *Node) bool {
-		if dd := n.Depth(); dd > max {
-			max = dd
-		}
-		return true
-	})
-	return max
-}
-
 // RootCount returns the number of element children of the document
 // node: 1 for a well-formed document, 0 for an empty one.
 func (d *Document) RootCount() int {

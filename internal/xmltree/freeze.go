@@ -1,11 +1,11 @@
-// Frozen subtrees: the immutability primitive behind the repository's
-// MVCC snapshot reads (docs/CONCURRENCY.md). Freezing a subtree marks
-// every node in it immutable; a frozen tree can be navigated, queried
-// and serialised concurrently by any number of goroutines with no lock
-// held, because nothing can change under them — every mutator refuses
-// frozen nodes. Freezing is one-way: a frozen node never thaws, but
-// Clone of a frozen node returns an ordinary mutable copy, so "thaw"
-// is spelled Clone.
+// Frozen nodes: the immutability primitive behind the repository's
+// MVCC snapshot reads (docs/CONCURRENCY.md). Publication marks each
+// node it makes frozen (persist.go); a frozen tree can be navigated,
+// queried and serialised concurrently by any number of goroutines with
+// no lock held, because nothing can change under them — every mutator
+// refuses frozen nodes. Freezing is one-way: a frozen node never thaws,
+// but Clone of a frozen node returns an ordinary mutable copy, so
+// "thaw" is spelled Clone.
 //
 // Enforcement is split by signature, and the split is part of the
 // contract (docs/CONCURRENCY.md §7): mutators that can return an error
@@ -26,27 +26,8 @@ var ErrFrozen = errors.New("xmltree: node is frozen (snapshot); Clone it to get 
 // frozenPanic is the message void mutators panic with; tests match it.
 const frozenPanic = "xmltree: mutation of a frozen (snapshot) node"
 
-// Freeze marks the subtree rooted at n — the node, its attributes and
-// all descendants — immutable. Freezing an already frozen subtree is a
-// no-op. Freeze itself is not safe to run concurrently with mutators;
-// callers freeze while they still hold whatever lock guarded the tree.
-// The repository's versions do not come through here: publication marks
-// each path-copied node frozen as it makes it (persist.go).
-func (n *Node) Freeze() {
-	n.frozen = true
-	for _, c := range n.links {
-		c.Freeze()
-	}
-}
-
 // Frozen reports whether the node is frozen.
 func (n *Node) Frozen() bool { return n.frozen }
-
-// Freeze marks the whole document tree immutable (see Node.Freeze).
-func (d *Document) Freeze() { d.node.Freeze() }
-
-// Frozen reports whether the document is frozen.
-func (d *Document) Frozen() bool { return d.node.frozen }
 
 // mustThaw panics when n is frozen; void mutators call it first.
 func (n *Node) mustThaw() {

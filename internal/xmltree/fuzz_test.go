@@ -68,8 +68,8 @@ func TestDeepNesting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if doc.MaxDepth() != depth-1 {
-		t.Fatalf("depth: %d", doc.MaxDepth())
+	if maxDepth(doc) != depth-1 {
+		t.Fatalf("depth: %d", maxDepth(doc))
 	}
 	if _, err := ParseString(doc.XML()); err != nil {
 		t.Fatal(err)

@@ -289,7 +289,7 @@ func TestClone(t *testing.T) {
 // the deep one included, whose descendants outrun the slab.
 func TestCloneEach(t *testing.T) {
 	doc := SampleBook()
-	doc.Freeze()
+	doc.node.Freeze()
 	title := doc.FindElement("title")
 	orig := []*Node{title.Attributes()[0], nil, doc.Root(), title}
 	list := slices.Clone(orig)
@@ -360,7 +360,7 @@ func TestCounts(t *testing.T) {
 	if got := doc.NodeCount(); got != 15 {
 		t.Fatalf("node count = %d, want 15", got)
 	}
-	if got := doc.MaxDepth(); got != 3 { // name/address/year depth
+	if got := maxDepth(doc); got != 3 { // name/address/year depth
 		t.Fatalf("max depth = %d, want 3", got)
 	}
 }

@@ -92,7 +92,7 @@ func TestVersionViewNavigation(t *testing.T) {
 	if got := view.XML(); got != want {
 		t.Fatalf("view serialisation differs:\n got %s\nwant %s", got, want)
 	}
-	if !view.Frozen() {
+	if !view.node.Frozen() {
 		t.Fatal("version view is not frozen")
 	}
 	if err := view.Validate(); err != nil {

@@ -179,7 +179,7 @@ func TestSerializeAllocatesNothingPerNode(t *testing.T) {
 			// is the builder's, the levels of indentation are the rest.
 			limit := 1.0
 			if indent != "" {
-				limit += float64(doc.MaxDepth() + 1)
+				limit += float64(maxDepth(doc) + 1)
 			}
 			if allocs > limit {
 				t.Errorf("%s (%d nodes), indent %q: %v allocations, want at most %v", name, doc.NodeCount(), indent, allocs, limit)

@@ -80,10 +80,10 @@ func TestSessionBatchFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := doc.FindElement("a")
-	res, err := s.Batch().
+	res, err := s.Apply(s.Batch().
 		InsertAfter(a, "b").
 		AppendChild(doc.Root(), "c").
-		Commit()
+		Ops())
 	if err != nil {
 		t.Fatal(err)
 	}
