@@ -66,9 +66,9 @@ func main() {
 	}
 
 	var (
-		wg             sync.WaitGroup
-		queries, hits  int64
-		commits, batch int64
+		wg               sync.WaitGroup
+		queries, hits    int64
+		commits, inserts int64
 	)
 
 	// Writers: batched mixed insert/delete transactions, serialized
@@ -81,7 +81,7 @@ func main() {
 			for i := 0; i < *opsPerWriter; i++ {
 				// One transaction: the build queues ops against the
 				// locked tree, and the commit verifies order once.
-				res, err := r.Batch(name, func(doc *xmldyn.Document, b *xmldyn.Batch) error {
+				inserted, err := r.Batch(name, func(doc *xmldyn.Document, b *xmldyn.Batch) error {
 					root := doc.Root()
 					for j := 0; j < *batchSize; j++ {
 						b.AppendChild(root, fmt.Sprintf("w%d", w))
@@ -94,11 +94,7 @@ func main() {
 				if err != nil {
 					log.Fatalf("writer %d: %v", w, err)
 				}
-				for _, created := range res.New {
-					if created != nil {
-						atomic.AddInt64(&batch, 1)
-					}
-				}
+				atomic.AddInt64(&inserts, int64(inserted))
 				atomic.AddInt64(&commits, 1)
 			}
 		}(w)
@@ -135,7 +131,7 @@ func main() {
 	wg.Wait()
 
 	fmt.Printf("repository: %d documents %v\n", r.Len(), r.Names())
-	fmt.Printf("writers:    %d batch commits, %d nodes inserted\n", commits, batch)
+	fmt.Printf("writers:    %d batch commits, %d nodes inserted\n", commits, inserts)
 	fmt.Printf("readers:    %d queries, %d nodes matched\n", queries, hits)
 	for _, c := range catalogue {
 		err := r.View(c.name, func(s *xmldyn.Session) error {

@@ -24,7 +24,7 @@ type abortRig struct {
 	mem   *Repository
 	dur   *DurableRepository // nil for the in-memory flavour
 	dir   string
-	multi func([]string, func(map[string]*MultiDoc) error) (map[string]update.BatchResult, error)
+	multi func([]string, func(map[string]*MultiDoc) error) (int, error)
 	batch func(name string, build func(*xmltree.Document, *update.Batch)) error
 }
 
@@ -33,7 +33,7 @@ func newAbortRig(t *testing.T, durable bool) *abortRig {
 	rig := &abortRig{}
 	var (
 		openDoc func(string, *xmltree.Document, string) error
-		batch   func(string, func(*xmltree.Document, *update.Batch) error) (update.BatchResult, error)
+		batch   func(string, func(*xmltree.Document, *update.Batch) error) (int, error)
 	)
 	if durable {
 		rig.dir = t.TempDir()

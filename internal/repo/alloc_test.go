@@ -346,15 +346,15 @@ func carrierOps(doc *xmltree.Document, b *update.Batch, k int) {
 // TestCommitCarriersAllocNothing: what carries a transaction from the
 // caller to the log and back — the op queue, the MultiDocs, the encoded
 // program, the record, the frame, a grouped fsync's wait — is kept from
-// commit to commit, so a transaction that creates nothing allocates a
-// small constant, the same for 4 ops and for 64: in memory, logged
-// (asynchronously and under grouped sync), and replayed from the record.
+// commit to commit, so a transaction that creates nothing allocates
+// nothing, for 4 ops as for 64: in memory, logged (asynchronously and
+// under grouped sync), and replayed from the record.
 func TestCommitCarriersAllocNothing(t *testing.T) {
-	// A committed transaction hands back its BatchResult's New slice; a
+	// A committed transaction hands back a count, not a result slice; a
 	// replayed one resolves the record's document name to the open
 	// document's, and its one-byte names and values are the runtime's.
 	const grouped = "DurableRepository.Batch (grouped)"
-	most := map[string]float64{"Repository.Batch": 1, "DurableRepository.Batch": 1, grouped: 1, "applyRecord": 0}
+	most := map[string]float64{"Repository.Batch": 0, "DurableRepository.Batch": 0, grouped: 0, "applyRecord": 0}
 	allocs := map[string]map[int]float64{"Repository.Batch": {}, "DurableRepository.Batch": {}, grouped: {}, "applyRecord": {}}
 	for _, k := range []int{4, 64} {
 		r := New()
@@ -420,23 +420,22 @@ func TestCommitCarriersAllocNothing(t *testing.T) {
 	}
 }
 
-// mapSink keeps the maps TestCommitAllocatesWhatItCreates measures on
-// the heap, where MultiBatch's are.
-var mapSink [2]any
+// mapSink keeps the map TestCommitAllocatesWhatItCreates measures on the
+// heap, where MultiBatch's is.
+var mapSink any
 
 // insertAllocs is what a transaction of n element inserts on a qed
 // document may allocate — per transaction, not per node: its nodes' slabs
-// (four nodes to a slab, update.Session.newNode), at most one chunk of
-// code digits and one of code headers (labels.QCodes; the codes here stay
-// short), the result's New slice and the slab of its detached copies, and
-// one to spare for a child list that grows.
-func insertAllocs(n int) float64 { return float64((n+3)/4 + 2 + 2 + 1) }
+// (four nodes to a slab, update.freshFor), at most one chunk of code
+// digits and one of code headers (labels.QCodes; the codes here stay
+// short), and one to spare for a child list that grows.
+func insertAllocs(n int) float64 { return float64((n+3)/4 + 2 + 1) }
 
 // TestCommitAllocatesWhatItCreates: a commit pays for the nodes it
-// inserts, the labels it assigns and the result it returns — by the
-// transaction, not by the node — and not for maps, batches, record
-// buffers or a clone per created node. A two-document MultiBatch pays
-// that twice, plus the two maps its signature promises.
+// inserts and the labels it assigns — by the transaction, not by the
+// node — and not for a result, maps, batches, record buffers or a copy
+// of a created node. A two-document MultiBatch pays that twice, plus
+// its MultiDocs and the one map its build callback is handed.
 func TestCommitAllocatesWhatItCreates(t *testing.T) {
 	const inserts = 16
 	r := New()
@@ -484,18 +483,17 @@ func TestCommitAllocatesWhatItCreates(t *testing.T) {
 		}
 	}
 	multi()
-	// The two maps, as this runtime allocates them.
-	maps := testing.AllocsPerRun(100, func() {
-		in := make(map[string]*MultiDoc, 2)
-		out := make(map[string]update.BatchResult, 2)
-		in["left"], in["right"] = nil, nil
-		out["left"], out["right"] = update.BatchResult{}, update.BatchResult{}
-		mapSink = [2]any{in, out}
+	// The MultiDocs and the map, as this runtime allocates them.
+	carriers := testing.AllocsPerRun(100, func() {
+		mds := make([]MultiDoc, 2)
+		m := make(map[string]*MultiDoc, 2)
+		m["left"], m["right"] = &mds[0], &mds[1]
+		mapSink = m
 	})
-	if got, most := testing.AllocsPerRun(100, multi), 2*insertAllocs(inserts)+maps; got > most {
-		t.Errorf("a two-document MultiBatch of %d inserts each allocates %.1f, want <= %.0f (%.0f for its maps)", inserts, got, most, maps)
+	if got, most := testing.AllocsPerRun(100, multi), 2*insertAllocs(inserts)+carriers; got > most {
+		t.Errorf("a two-document MultiBatch of %d inserts each allocates %.1f, want <= %.0f (%.0f for its MultiDocs and map)", inserts, got, most, carriers)
 	} else {
-		t.Logf("two-document MultiBatch: %.1f allocs, %.0f of them its maps", got, maps)
+		t.Logf("two-document MultiBatch: %.1f allocs, %.0f of them its MultiDocs and map", got, carriers)
 	}
 }
 

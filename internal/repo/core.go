@@ -225,17 +225,17 @@ func routeRecord(r *Repository, payload []byte) (wal.Dispatch, error) {
 
 // applyRecord applies one WAL record payload to r — during recovery
 // replay and live on a follower alike. Op records run through the one
-// commit routine (txn.go) under the replay policy: the write lock of
-// every document the record names is taken exactly as by the commit
-// that logged it, the op programs are decoded against the locked
-// pre-transaction trees, straight onto the documents' batches, and the
-// parts apply all-or-nothing, so concurrent snapshot readers observe the
-// record's transaction atomically (during recovery the locks are simply
-// uncontended). The record's names are the open documents' own strings,
-// so only a RecOpen copies its name. A record the state cannot follow — a
-// document no well-formed log can name here, since Drop and every commit
-// re-check membership under the document's write lock — is an error and
-// leaves every tree as it was.
+// commit routine (txn.go) under policy none, the record being logged
+// already: the write lock of every document the record names is taken
+// exactly as by the commit that logged it, the op programs are decoded
+// against the locked pre-transaction trees, straight onto the
+// documents' batches, and the parts apply all-or-nothing, so concurrent
+// snapshot readers observe the record's transaction atomically (during
+// recovery the locks are simply uncontended). The record's names are the
+// open documents' own strings, so only a RecOpen copies its name. A
+// record the state cannot follow — a document no well-formed log can
+// name here, since Drop and every commit re-check membership under the
+// document's write lock — is an error and leaves every tree as it was.
 func applyRecord(r *Repository, payload []byte) error {
 	var one [1]recordPart
 	rec, err := parseRecord(payload, one[:0], r)
@@ -265,7 +265,7 @@ func applyRecord(r *Repository, payload []byte) error {
 	for _, p := range rec.parts {
 		names, mds = append(names, p.name), append(mds, MultiDoc{})
 	}
-	return r.commit(names, logPolicy{replay: true}, mds, func(int) error {
+	_, err = r.commit(names, logPolicy{}, mds, func(int) error {
 		for i, p := range rec.parts {
 			if err := mds[i].b.AddEncoded(p.data); err != nil {
 				return fmt.Errorf("record part %q: %w", p.name, err)
@@ -273,6 +273,7 @@ func applyRecord(r *Repository, payload []byte) error {
 		}
 		return nil
 	})
+	return err
 }
 
 // sweepDir deletes from dir every file of the durable layout that is

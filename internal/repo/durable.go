@@ -355,7 +355,7 @@ func (d *DurableRepository) Drop(name string) (bool, error) {
 // session call inside the callback would commit in memory, be missing
 // from the log, and silently shift the structural paths of every later
 // record.
-func (d *DurableRepository) Batch(name string, build func(*xmltree.Document, *update.Batch) error) (update.BatchResult, error) {
+func (d *DurableRepository) Batch(name string, build func(*xmltree.Document, *update.Batch) error) (int, error) {
 	return d.repo().batch(name, logPolicy{leader: d, kind: RecBatch}, build)
 }
 
@@ -365,7 +365,7 @@ func (d *DurableRepository) Batch(name string, build func(*xmltree.Document, *up
 // tears the entire record off the log tail; recovery can never replay
 // a subset of the involved documents. As in Batch, build receives
 // trees, not sessions, and what it receives is valid only inside it.
-func (d *DurableRepository) MultiBatch(names []string, build func(map[string]*MultiDoc) error) (map[string]update.BatchResult, error) {
+func (d *DurableRepository) MultiBatch(names []string, build func(map[string]*MultiDoc) error) (int, error) {
 	return d.repo().commitByName(names, logPolicy{leader: d, kind: RecMulti}, build)
 }
 

@@ -989,7 +989,7 @@ func TestLifecycleTakesNoFullPass(t *testing.T) {
 			}
 		}
 	}
-	type batcher = func(string, func(*xmltree.Document, *update.Batch) error) (update.BatchResult, error)
+	type batcher = func(string, func(*xmltree.Document, *update.Batch) error) (int, error)
 	batchAll := func(stage string, r *Repository, batch batcher) {
 		t.Helper()
 		for _, name := range r.Names() {

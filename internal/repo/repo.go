@@ -329,21 +329,20 @@ func (r *Repository) View(name string, fn func(*update.Session) error) error {
 // reference nodes and queue ops on b — the document's own batch,
 // emptied when the commit returns: valid only inside build. build must
 // not mutate the tree itself or call back into the repository (see the
-// package doc on re-entrancy). The created nodes in the result are
-// detached deep copies that share one allocation: holding one of them
-// keeps the result's other copies reachable.
-func (r *Repository) Batch(name string, build func(*xmltree.Document, *update.Batch) error) (update.BatchResult, error) {
+// package doc on re-entrancy). It returns the number of elements the
+// transaction inserted; the committed nodes are read through Query,
+// View or a Snapshot.
+func (r *Repository) Batch(name string, build func(*xmltree.Document, *update.Batch) error) (int, error) {
 	return r.batch(name, logPolicy{}, build)
 }
 
 // batch is Batch under a log policy: the in-memory Batch logs nothing,
 // the leader's appends a RecBatch record.
-func (r *Repository) batch(name string, pol logPolicy, build func(*xmltree.Document, *update.Batch) error) (update.BatchResult, error) {
+func (r *Repository) batch(name string, pol logPolicy, build func(*xmltree.Document, *update.Batch) error) (int, error) {
 	var md [1]MultiDoc
-	err := r.commit([]string{name}, pol, md[:], func(int) error {
+	return r.commit([]string{name}, pol, md[:], func(int) error {
 		return build(md[0].Document(), md[0].b)
 	})
-	return md[0].res, err
 }
 
 // MultiDoc is one document's handle inside a MultiBatch transaction:
@@ -356,7 +355,6 @@ func (r *Repository) batch(name string, pol logPolicy, build func(*xmltree.Docum
 type MultiDoc struct {
 	doc *Doc
 	b   *update.Batch
-	res update.BatchResult // what the commit created here (txn.go)
 }
 
 // Document returns the live tree, for navigation only: mutate it
@@ -380,32 +378,23 @@ func (m *MultiDoc) Batch() *update.Batch { return m.b }
 // (Node.Clone) in the destination. build must not call back into the
 // repository (see the package doc on re-entrancy).
 //
-// The MultiDocs are valid only inside build. The results map one entry
-// per name; created nodes are detached deep copies, as in Batch.
-func (r *Repository) MultiBatch(names []string, build func(map[string]*MultiDoc) error) (map[string]update.BatchResult, error) {
+// The MultiDocs are valid only inside build. It returns the number of
+// elements the transaction inserted, summed over the documents.
+func (r *Repository) MultiBatch(names []string, build func(map[string]*MultiDoc) error) (int, error) {
 	return r.commitByName(names, logPolicy{}, build)
 }
 
-// commitByName is commit for the callers whose signature promises maps
-// (the two MultiBatch): the only place a transaction is keyed by name.
-func (r *Repository) commitByName(names []string, pol logPolicy, build func(map[string]*MultiDoc) error) (map[string]update.BatchResult, error) {
+// commitByName is commit for the callers whose build takes a map (the
+// two MultiBatch): the only place a transaction is keyed by name.
+func (r *Repository) commitByName(names []string, pol logPolicy, build func(map[string]*MultiDoc) error) (int, error) {
 	mds := make([]MultiDoc, len(names))
-	err := r.commit(names, pol, mds, func(n int) error {
-		mds = mds[:n]
+	return r.commit(names, pol, mds, func(n int) error {
 		m := make(map[string]*MultiDoc, n)
-		for i := range mds {
+		for i := range mds[:n] {
 			m[mds[i].doc.name] = &mds[i]
 		}
 		return build(m)
 	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]update.BatchResult, len(mds))
-	for i := range mds {
-		out[mds[i].doc.name] = mds[i].res
-	}
-	return out, nil
 }
 
 // Query evaluates a location path against the named document under the

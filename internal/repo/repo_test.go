@@ -212,7 +212,7 @@ func TestBatchThroughRepo(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k = 16
-	res, err := r.Batch("d", func(doc *xmltree.Document, b *update.Batch) error {
+	inserted, err := r.Batch("d", func(doc *xmltree.Document, b *update.Batch) error {
 		for range k {
 			b.AppendChild(doc.Root(), "n")
 		}
@@ -221,8 +221,8 @@ func TestBatchThroughRepo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.New) != k {
-		t.Fatalf("New = %d, want %d", len(res.New), k)
+	if inserted != k {
+		t.Fatalf("inserted %d, want %d", inserted, k)
 	}
 	if ctr := counters(t, r, "d"); ctr.Verifies != 1 || ctr.Batches != 1 {
 		t.Fatalf("batch counters = %+v, want one verify/batch", ctr)
@@ -258,7 +258,7 @@ func TestBatchAdvancesVersionOnce(t *testing.T) {
 		role  string
 		mem   *Repository
 		open  func(string, *xmltree.Document, string) error
-		batch func(string, func(*xmltree.Document, *update.Batch) error) (update.BatchResult, error)
+		batch func(string, func(*xmltree.Document, *update.Batch) error) (int, error)
 	}{
 		{"Repository", r, r.Open, r.Batch},
 		{"DurableRepository", d.repo(), d.Open, d.Batch},

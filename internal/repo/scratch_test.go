@@ -18,7 +18,8 @@ import (
 // buffer a commit needs (docScratch, txn.go). These tests hold the reuse
 // to what a fresh allocation gave for free: a transaction that fails
 // leaves nothing of itself for the next, an oversized one does not pin
-// its size, and a result handed back shares nothing with the live tree.
+// its size, and interleaved commits that share documents each land
+// whole.
 
 // scratchState reads the named document's scratch under its lock: the
 // queued ops, every slot of the queue's backing array that is not the
@@ -221,12 +222,13 @@ func TestOversizedTransactionScratchIsLetGo(t *testing.T) {
 	}
 }
 
-// TestResultsAreDetachedUnderInterleavedMultiBatch: four writers commit
-// interleaved two-document transactions, 2 000 in all. Every node a
-// result hands back is thawed and parentless, reads exactly as a Clone
-// of the live node it copies, and may be renamed and given children
-// without the live tree or a later snapshot noticing.
-func TestResultsAreDetachedUnderInterleavedMultiBatch(t *testing.T) {
+// TestInterleavedMultiBatchCommitsWhatItCounts: four writers commit
+// interleaved two-document transactions, 2 000 in all, naming the
+// documents in alternating order. Each returns the four elements it
+// inserted, and each document then holds its two, adjacent and
+// childless — read under the document's lock and, every fiftieth
+// commit, through a snapshot.
+func TestInterleavedMultiBatchCommitsWhatItCounts(t *testing.T) {
 	const writers, commits = 4, 500
 	r := New()
 	names := []string{"left", "right"}
@@ -235,21 +237,15 @@ func TestResultsAreDetachedUnderInterleavedMultiBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// liveXML serialises the named document's child called elem, read
-	// under the document's lock.
-	liveXML := func(name, elem string) (xml string) {
-		if err := r.View(name, func(s *update.Session) error {
-			for c := s.Document().Root().LastChild(); c != nil; c = c.PrevSibling() {
-				if c.Name() == elem {
-					xml = xmltree.OuterXML(c.Clone())
-					return nil
-				}
-			}
-			return fmt.Errorf("no <%s> in %q", elem, name)
-		}); err != nil {
-			t.Error(err)
+	// pair checks that nodes is one childless elem followed by its twin.
+	pair := func(nodes []*xmltree.Node, elem string) error {
+		if len(nodes) != 1 || nodes[0].FirstChild() != nil {
+			return fmt.Errorf("%d nodes named %s, want one childless", len(nodes), elem)
 		}
-		return xml
+		if next := nodes[0].NextSibling(); next == nil || next.Name() != elem+"-twin" {
+			return fmt.Errorf("%s is followed by %v, want its twin", elem, next)
+		}
+		return nil
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -260,7 +256,7 @@ func TestResultsAreDetachedUnderInterleavedMultiBatch(t *testing.T) {
 				elem := fmt.Sprintf("w%d-c%d", w, c)
 				// Writers alternate the order they name the documents in.
 				order := []string{names[(w+c)%2], names[(w+c+1)%2]}
-				out, err := r.MultiBatch(order, func(m map[string]*MultiDoc) error {
+				inserted, err := r.MultiBatch(order, func(m map[string]*MultiDoc) error {
 					for _, md := range m {
 						md.Batch().AppendChild(md.Document().Root(), elem).AppendChild(md.Document().Root(), elem+"-twin")
 					}
@@ -270,24 +266,13 @@ func TestResultsAreDetachedUnderInterleavedMultiBatch(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				if inserted != 4 {
+					t.Errorf("%s: MultiBatch inserted %d elements, want 4", elem, inserted)
+					return
+				}
 				for _, name := range names {
-					n := out[name].New[0]
-					if n.Frozen() || n.Parent() != nil {
-						t.Errorf("%s: result node of %q is frozen (%v) or attached (parent %v)", elem, name, n.Frozen(), n.Parent())
-						return
-					}
-					want := liveXML(name, elem)
-					if got := xmltree.OuterXML(n); got != want {
-						t.Errorf("%s: result node of %q reads %s, the live node %s", elem, name, got, want)
-						return
-					}
-					n.SetName("renamed")
-					if err := n.AppendChild(xmltree.NewElement("grafted")); err != nil {
-						t.Error(err)
-						return
-					}
-					if got := liveXML(name, elem); got != want {
-						t.Errorf("%s: mutating the result changed the live node of %q to %s", elem, name, got)
+					if err := r.QueryFunc(name, "/r/"+elem, func(nodes []*xmltree.Node) error { return pair(nodes, elem) }); err != nil {
+						t.Errorf("%q: %v", name, err)
 						return
 					}
 				}
@@ -299,8 +284,11 @@ func TestResultsAreDetachedUnderInterleavedMultiBatch(t *testing.T) {
 					}
 					for _, name := range names {
 						found, err := snap.Query(name, "/r/"+elem)
-						if err != nil || len(found) != 1 || found[0].FirstChild() != nil {
-							t.Errorf("%s: a later snapshot of %q shows %d such nodes (%v), want the one childless original", elem, name, len(found), err)
+						if err == nil {
+							err = pair(found, elem)
+						}
+						if err != nil {
+							t.Errorf("a later snapshot of %q: %v", name, err)
 						}
 					}
 					snap.Close()

@@ -20,9 +20,10 @@
 // repo.go), the other slices sit in arrays on commit's stack, and the op
 // queue and the byte buffer belong to each document (docScratch),
 // guarded by the write lock commit holds anyway. A commit allocates what
-// it creates — nodes, labels, the result it returns. Only the two
-// MultiBatch signatures promise maps, and commitByName (repo.go) builds
-// them around this routine.
+// it creates — nodes and labels — and hands back only how many elements
+// it inserted: the new state is read through Query, View or a Snapshot.
+// Only the MultiBatch build callback is handed a map, and commitByName
+// (repo.go) builds it around this routine.
 // (File comment — the package doc lives in repo.go.)
 
 package repo
@@ -33,11 +34,13 @@ import (
 	"slices"
 
 	"xmldyn/internal/update"
-	"xmldyn/internal/xmltree"
 )
 
 // logPolicy is what a transaction does about the write-ahead log. The
-// zero value is policy none: the in-memory Repository logs nothing.
+// zero value is policy none: the in-memory Repository logs nothing, and
+// neither does a replayed record (applyRecord), which is already in the
+// log — recovery reads it from there, a follower appends it before
+// applying and keeps its own position.
 type logPolicy struct {
 	// leader selects policy append: the transaction runs inside the
 	// leader's commit protocol (commitMu shared, refused while closed or
@@ -46,11 +49,6 @@ type logPolicy struct {
 	// part; an empty transaction logs nothing.
 	leader *DurableRepository
 	kind   byte
-	// replay selects policy replay: the ops were decoded from a record
-	// that is already in the log (recovery reads it from there, a
-	// follower appends it before applying and keeps its own position),
-	// so nothing is written and no results are handed back.
-	replay bool
 }
 
 // inlineDocs is how many documents a transaction carries in arrays on
@@ -138,29 +136,26 @@ func (sc *docScratch) reset() {
 // itself failed (update.ErrRollback) and left a tree that replaying the
 // log does not produce.
 //
-// The results go to the MultiDocs (none under policy replay) and are
-// left there only by a commit that succeeds: the staged results
-// themselves, with each created node replaced by a detached deep copy as
-// soon as its document is staged (the live tree must only be touched
-// under its lock, which is released on return).
-func (r *Repository) commit(names []string, pol logPolicy, mds []MultiDoc, build func(n int) error) error {
+// It returns the number of elements the transaction inserted, summed
+// over its documents, and 0 with any error.
+func (r *Repository) commit(names []string, pol logPolicy, mds []MultiDoc, build func(n int) error) (int, error) {
 	ld := pol.leader
 	if ld != nil {
 		ld.commitMu.RLock()
 		defer ld.commitMu.RUnlock()
 		if ld.closed {
-			return ErrClosed
+			return 0, ErrClosed
 		}
 	}
 	var heldArr [inlineDocs]*Doc
 	held, err := r.lockLiveSorted(names, heldArr[:0])
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer unlockDocs(held)
 	if ld != nil {
 		if err := ld.checkFailed(); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	for i, d := range held {
@@ -169,7 +164,7 @@ func (r *Repository) commit(names []string, pol logPolicy, mds []MultiDoc, build
 		mds[i] = MultiDoc{doc: d, b: sc.batch}
 	}
 	if err := build(len(held)); err != nil {
-		return err
+		return 0, err
 	}
 	var partArr [inlineDocs]recordPart
 	rec := record{kind: pol.kind, parts: partArr[:0]}
@@ -177,24 +172,21 @@ func (r *Repository) commit(names []string, pol logPolicy, mds []MultiDoc, build
 		for _, d := range held {
 			if sc := d.scratchLocked(); sc.batch.Len() > 0 {
 				if sc.buf, err = update.AppendOps(sc.buf[:0], d.sess.Document(), sc.batch.Ops()); err != nil {
-					return err
+					return 0, err
 				}
 				rec.parts = append(rec.parts, recordPart{d.name, sc.buf})
 			}
 		}
 	}
-	staged := 0 // held[:staged] have an open transaction
+	staged, inserted := 0, 0 // held[:staged] have an open transaction
 	for ; staged < len(held); staged++ {
-		d, ops := held[staged], mds[staged].b.Ops()
-		if pol.replay {
-			err = d.sess.StageReplay(ops)
-		} else if mds[staged].res, err = d.sess.Stage(ops); err == nil {
-			xmltree.CloneEach(mds[staged].res.New)
-		}
-		if err != nil {
+		d := held[staged]
+		var n int
+		if n, err = d.sess.Stage(mds[staged].b.Ops()); err != nil {
 			err = fmt.Errorf("repo: transaction on %q: %w", d.name, err)
 			break // d reverted itself
 		}
+		inserted += n
 	}
 	logged := err == nil && len(rec.parts) > 0
 	if logged {
@@ -216,8 +208,7 @@ func (r *Repository) commit(names []string, pol logPolicy, mds []MultiDoc, build
 		if ld != nil && (logged || errors.Is(err, update.ErrRollback)) {
 			err = ld.poison(err)
 		}
-		clear(mds)
-		return err
+		return 0, err
 	}
 	for _, d := range held {
 		d.sess.Commit()
@@ -225,7 +216,7 @@ func (r *Repository) commit(names []string, pol logPolicy, mds []MultiDoc, build
 	if logged {
 		ld.nudgeAutoCheckpoint()
 	}
-	return nil
+	return inserted, nil
 }
 
 // lockLiveSorted write-locks the named documents in sorted-name order

@@ -124,7 +124,7 @@ func TestTransactionNodesFromSlabs(t *testing.T) {
 				ops = append(ops, update.AppendChildOp(root, "n"))
 			}
 			run := func() {
-				if err := s.StageReplay(ops); err != nil {
+				if _, err := s.Stage(ops); err != nil {
 					t.Fatal(err)
 				}
 				s.Commit()

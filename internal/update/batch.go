@@ -259,11 +259,12 @@ func (b *Batch) SetAttr(e *xmltree.Node, name, value string) *Batch {
 // Apply runs ops as one transaction (see the file comment): all of
 // them, verified once as a whole and counted as one operation, or none.
 func (s *Session) Apply(ops []Op) (BatchResult, error) {
-	res, err := s.Stage(ops)
-	if err == nil {
-		s.Commit()
+	res := BatchResult{New: make([]*xmltree.Node, len(ops))}
+	if _, err := s.stage(ops, res.New); err != nil {
+		return BatchResult{}, err
 	}
-	return res, err
+	s.Commit()
+	return res, nil
 }
 
 // Stage runs ops as one transaction up to its commit and leaves it
@@ -275,17 +276,9 @@ func (s *Session) Apply(ops []Op) (BatchResult, error) {
 // and only then commits them all — or aborts them all, so the
 // transaction shows everywhere or nowhere. A failed Stage has already
 // reverted itself and leaves nothing open; neither does an empty one.
-func (s *Session) Stage(ops []Op) (BatchResult, error) {
-	res := BatchResult{New: make([]*xmltree.Node, len(ops))}
-	if err := s.stage(ops, res.New); err != nil {
-		return BatchResult{}, err
-	}
-	return res, nil
-}
-
-// StageReplay is Stage for ops decoded from a log record: nobody reads
-// what they create, so no result is built.
-func (s *Session) StageReplay(ops []Op) error { return s.stage(ops, nil) }
+// It returns how many elements the transaction inserted — the nodes
+// Apply would report — and builds no result.
+func (s *Session) Stage(ops []Op) (int, error) { return s.stage(ops, nil) }
 
 // Commit ends the staged transaction by keeping it: it counts as one
 // operation and one batch, and the commit hook fires. It cannot fail;
@@ -319,42 +312,48 @@ func (s *Session) Abort() error {
 // single ops' form. created, when non-nil, receives per op the node an
 // insert created.
 func (s *Session) transact(ops []Op, created []*xmltree.Node) error {
-	err := s.stage(ops, created)
+	_, err := s.stage(ops, created)
 	if err == nil {
 		s.commit(false)
 	}
 	return err
 }
 
-// stage is the one transaction, up to its commit.
-func (s *Session) stage(ops []Op, created []*xmltree.Node) error {
+// stage is the one transaction, up to its commit. It returns how many
+// elements the ops inserted; created, when non-nil, receives per op the
+// node an insert created.
+func (s *Session) stage(ops []Op, created []*xmltree.Node) (int, error) {
 	if s.staged {
-		return ErrStaged
+		return 0, ErrStaged
 	}
 	if len(ops) == 0 {
-		return nil
+		return 0, nil
 	}
 	if err := s.validateBatch(ops); err != nil {
-		return err
+		return 0, err
 	}
 	clear(s.undo)
 	s.undo = s.undo[:0]
 	s.saved, s.savedMark = s.ctr, s.lab.Stats().Relabelling()
 	fresh := freshFor(ops)
+	inserted := 0
 	for i := range ops {
 		n, err := s.applyOp(&ops[i], &fresh)
 		if err != nil {
-			return s.abort(opError(i, &ops[i], err))
+			return 0, s.abort(opError(i, &ops[i], err))
 		}
-		if created != nil {
-			created[i] = n
+		if n != nil {
+			inserted++
+			if created != nil {
+				created[i] = n
+			}
 		}
 	}
 	if err := s.verifyCommitted(); err != nil {
-		return s.abort(fmt.Errorf("update: commit verify: %w", err))
+		return 0, s.abort(fmt.Errorf("update: commit verify: %w", err))
 	}
 	s.staged = true
-	return nil
+	return inserted, nil
 }
 
 // abort reverts the open transaction and returns the error that ended

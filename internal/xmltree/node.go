@@ -500,26 +500,6 @@ func (s *Slab) window(n int) []*Node {
 // original snapshot, never of a copy (freeze.go).
 func (n *Node) Clone() *Node { return n.clone(new(Slab)) }
 
-// CloneEach replaces every node of list by its Clone; nil entries stay.
-// The copies' nodes are cut from one slab, sized for a list of childless
-// nodes — one allocation, not one per node; a node's descendants take
-// from what is left of it and then from the heap. The copies are freed
-// together as well: holding one keeps the slab, and so all, reachable.
-func CloneEach(list []*Node) {
-	roots := 0
-	for _, n := range list {
-		if n != nil {
-			roots++
-		}
-	}
-	slab := NewSlab(roots, 0)
-	for i, n := range list {
-		if n != nil {
-			list[i] = n.clone(&slab)
-		}
-	}
-}
-
 // clone copies the subtree at n, taking its nodes and lists from slab.
 func (n *Node) clone(slab *Slab) *Node {
 	n = n.Source()

@@ -31,10 +31,16 @@ var pclaims = []struct {
 	seed     int64
 	bounds   []pbound
 	measure  func(scheme string, seed int64) (float64, error)
+	// raceMoves, when set, says how the race detector moves the
+	// readings: the claim is then measured only without it.
+	raceMoves string
 }{
 	{"P1", "label heap per labelled node after `update.NewSession` on `workload.BaseDocument(seed, 20000)`, bytes", 1,
 		[]pbound{{"qed", 26}, {"ordpath", 26}, {"deweyid", 26}, {"cdbs", 26}, {"xpath-accelerator", 35}, {"vector", 100}},
-		labelHeapPerNode},
+		labelHeapPerNode, ""},
+	{"P4", "heap bytes one in-memory `Repository.Batch` of 8 `AppendChild`s allocates on a clone of `workload.BaseDocument(seed, 2000)`, the least of three", 1,
+		[]pbound{{"qed", 5000}, {"ordpath", 5200}, {"deweyid", 5000}, {"cdbs", 5100}},
+		batchHeapBytes, "a label table's page list grows by more under it"},
 }
 
 type pbound struct {
@@ -70,6 +76,37 @@ func labelHeapPerNode(scheme string, seed int64) (float64, error) {
 	return float64(after-before) / float64(doc.LabelledCount()), nil
 }
 
+// batchHeapBytes is P4: the bytes one repository commit of eight
+// element inserts allocates — its nodes and their labels, and nothing it
+// hands back. Each reading commits to a fresh repository on a fresh
+// clone, and the least of three is kept: what the runtime allocates
+// beside the commit only ever adds.
+func batchHeapBytes(scheme string, seed int64) (float64, error) {
+	base := workload.BaseDocument(seed, 2000)
+	least := math.Inf(1)
+	for range 3 {
+		r := NewRepository()
+		if err := r.Open("d", base.Clone(), scheme); err != nil {
+			return 0, err
+		}
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		if _, err := r.Batch("d", func(doc *Document, b *Batch) error {
+			for range 8 {
+				b.AppendChild(doc.Root(), "n")
+			}
+			return nil
+		}); err != nil {
+			return 0, err
+		}
+		runtime.ReadMemStats(&ms)
+		least = min(least, float64(ms.TotalAlloc-before))
+	}
+	return least, nil
+}
+
 // pclaimsSection returns docs/EXPERIMENTS.md's "Performance claims"
 // section with every run of whitespace folded to one space.
 func pclaimsSection(t *testing.T) string {
@@ -93,6 +130,9 @@ func TestPClaims(t *testing.T) {
 	doc := pclaimsSection(t)
 	for _, c := range pclaims {
 		t.Run(c.id, func(t *testing.T) {
+			if raceEnabled && c.raceMoves != "" {
+				t.Skipf("measured without the race detector: %s", c.raceMoves)
+			}
 			var cells []string
 			for _, b := range c.bounds {
 				got, err := c.measure(b.scheme, c.seed)

@@ -20,7 +20,7 @@ func TestRepositoryFacade(t *testing.T) {
 		t.Fatalf("dup open: %v", err)
 	}
 
-	res, err := r.Batch("shelf", func(doc *Document, b *Batch) error {
+	inserted, err := r.Batch("shelf", func(doc *Document, b *Batch) error {
 		b.Add(AppendChildOp(doc.Root(), "book"))
 		b.Add(AppendChildOp(doc.Root(), "book"))
 		b.Add(SetAttrOp(doc.Root(), "owner", "me"))
@@ -29,8 +29,8 @@ func TestRepositoryFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.New) != 3 || res.New[0] == nil {
-		t.Fatalf("batch result: %+v", res)
+	if inserted != 2 {
+		t.Fatalf("batch inserted %d elements, want 2", inserted)
 	}
 	nodes, err := r.Query("shelf", "//book")
 	if err != nil {
@@ -38,6 +38,9 @@ func TestRepositoryFacade(t *testing.T) {
 	}
 	if len(nodes) != 4 {
 		t.Fatalf("books = %d, want 4", len(nodes))
+	}
+	if owned, err := r.Query("shelf", "/shelf[@owner='me']/book[4]"); err != nil || len(owned) != 1 {
+		t.Fatalf("the committed fourth book of the owned shelf: %d nodes, %v", len(owned), err)
 	}
 	err = r.View("shelf", func(s *Session) error {
 		if ctr := s.Counters(); ctr.Batches != 1 || ctr.Verifies != 1 {

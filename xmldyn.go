@@ -281,10 +281,10 @@ type (
 	// emptied when the commit returns: queue on it inside the callback
 	// and do not keep it.
 	Batch = update.Batch
-	// BatchResult reports a committed batch's created nodes. From a
-	// repository they are detached deep copies that share one
-	// allocation per document: holding one keeps that transaction's
-	// other copies reachable.
+	// BatchResult reports the nodes a session's Apply created: live
+	// nodes of its document, usable as refs of later ops. A repository's
+	// Batch and MultiBatch hand back only how many elements they
+	// inserted; read what they committed through Query or a snapshot.
 	BatchResult = update.BatchResult
 )
 
@@ -313,7 +313,8 @@ type (
 	// Repository manages named documents for concurrent readers and
 	// per-document-serialized writers. Its writes are Open, Batch,
 	// MultiBatch and Drop: each is an op list queued and committed under
-	// the write lock, with the durable leader's signatures.
+	// the write lock, with the durable leader's signatures. Batch and
+	// MultiBatch return the number of elements the commit inserted.
 	Repository = repo.Repository
 	// MultiDoc is one document's handle inside a MultiBatch — an
 	// atomic transaction across several named documents: the build
