@@ -265,7 +265,7 @@ func (d *DurableRepository) autoCheckpointLoop() {
 // after a successful append, under commitMu's read side (so d.log is
 // stable); the sends never block.
 func (d *DurableRepository) nudgeAutoCheckpoint() {
-	d.notifyCommit()
+	d.nudgeShippers()
 	if d.ckptWake == nil || d.log.LiveBytes() < d.opts.autoCheckpointBytes() {
 		return
 	}
@@ -547,7 +547,7 @@ func (d *DurableRepository) Checkpoint() error {
 	// tailing reader must hand off to it even if no commit follows (the
 	// follower mirrors segment boundaries, and its staleness bound only
 	// reaches zero once its position matches the leader's append end).
-	d.notifyCommit()
+	d.nudgeShippers()
 	if d.hooks.afterCut != nil {
 		d.hooks.afterCut()
 	}

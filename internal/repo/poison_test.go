@@ -30,7 +30,11 @@ func (l *flakyLabeling) NodeInserted(n *xmltree.Node) error {
 // A commit whose rollback itself fails leaves a tree the log cannot
 // reproduce: whichever call committed it, the leader must refuse every
 // further commit with ErrWALFailed until a Checkpoint re-captures
-// memory, after which recovery reproduces memory again.
+// memory, after which recovery reproduces memory again. The rollback
+// fails in the document's own Stage (Batch, MultiBatch) or in the Abort
+// of its staged part when a later document fails (MultiBatch abort);
+// either way that document's Version advances exactly once, since its
+// tree may be a state no commit produced, and no other's moves.
 func TestFailedRollbackPoisons(t *testing.T) {
 	// The ops whose rollback fails: the delete applies, the insert fails
 	// in NodeInserted, and undoing the delete relabels through the same
@@ -52,6 +56,19 @@ func TestFailedRollbackPoisons(t *testing.T) {
 				m["other"].Batch().AppendChild(m["other"].Document().Root(), "y")
 				return nil
 			})
+			return err
+		},
+		"MultiBatch abort": func(d *DurableRepository) error {
+			// "flaky" stages its delete first; "other" fails validation,
+			// and undoing the staged delete relabels through NodeInserted.
+			_, err := d.MultiBatch([]string{"other", "flaky"}, func(m map[string]*MultiDoc) error {
+				m["flaky"].Batch().Delete(m["flaky"].Document().Root().Children()[0])
+				m["other"].Batch().InsertBefore(m["other"].Document().Root(), "second-root")
+				return nil
+			})
+			if !errors.Is(err, update.ErrRootSibling) {
+				t.Errorf("the failing part's error is lost: %v", err)
+			}
 			return err
 		},
 	}
@@ -81,11 +98,18 @@ func TestFailedRollbackPoisons(t *testing.T) {
 				return err
 			}
 
+			versions := func() (flaky, other uint64) {
+				return mustDoc(t, d.repo(), "flaky").Version(), mustDoc(t, d.repo(), "other").Version()
+			}
+			flaky, other := versions()
 			lab.fail = true
 			err = commit(d)
 			lab.fail = false
 			if !errors.Is(err, update.ErrRollback) || !errors.Is(err, ErrWALFailed) {
 				t.Fatalf("commit with a failing rollback: %v, want ErrRollback under ErrWALFailed", err)
+			}
+			if f, o := versions(); f != flaky+1 || o != other {
+				t.Fatalf("after the failed rollback: flaky at version %d, other at %d; want %d and %d", f, o, flaky+1, other)
 			}
 			for _, doc := range []string{"other", "flaky"} {
 				if err := appendTo(doc); !errors.Is(err, ErrWALFailed) {

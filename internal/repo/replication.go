@@ -125,8 +125,9 @@ func (d *DurableRepository) StopCommitNotify(ch chan<- struct{}) {
 	}
 }
 
-// notifyCommit nudges every registered channel without blocking.
-func (d *DurableRepository) notifyCommit() {
+// nudgeShippers nudges every channel registered with CommitNotify (the
+// replication shippers' wake-ups) without blocking.
+func (d *DurableRepository) nudgeShippers() {
 	d.notifyMu.Lock()
 	defer d.notifyMu.Unlock()
 	for _, ch := range d.notify {

@@ -19,10 +19,10 @@
 //   - MVCC snapshot reads (version.go): Snapshot pins an immutable,
 //     transaction-consistent version of one or more documents, and
 //     reads on it run with NO lock held — a slow reader never stalls
-//     a writer, and a writer storm never starves a reader. Versions
-//     are published on commit, shared between snapshots, and
-//     reference-counted so superseded versions free their memory as
-//     soon as the last snapshot pinning them closes.
+//     a writer, and a writer storm never starves a reader. A version
+//     is published when it is first pinned, shared between snapshots,
+//     and reference-counted so superseded versions free their memory
+//     as soon as the last snapshot pinning them closes.
 //
 // Every write is an op list: Batch and MultiBatch hand a build callback
 // the locked document and its batch, and what build queues is the
@@ -56,7 +56,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"xmldyn/internal/core"
 	"xmldyn/internal/store"
@@ -88,11 +87,6 @@ type Repository struct {
 	// vstats is the repository-wide MVCC accounting behind
 	// VersionStats (version.go).
 	vstats versionStats
-	// versioning is sticky: set by the first snapshot, it switches
-	// commit hooks from counter-only updates to eager persistent
-	// publication, so snapshot pins stay O(1) while snapshot-free write
-	// workloads pay nothing.
-	versioning atomic.Bool
 }
 
 type shard struct {
@@ -115,22 +109,18 @@ type Doc struct {
 	// scratch is the commit routine's (txn.go); guarded by mu
 	scratch docScratch
 	// MVCC version chain (version.go): verSeq advances once per
-	// committed transaction via the session's commit hook; cur caches the
-	// (possibly unmaterialised) version descriptor for the current
-	// state, nil after each commit until the next snapshot pins one;
-	// dropped marks a slot removed from the name space, so a version
-	// pinned by a racing snapshot is born superseded (no commit hook
-	// will ever fire again to supersede it).
+	// committed transaction (Doc.advance, called by the commit routine);
+	// cur caches the version descriptor for the current state, nil after
+	// each commit until the next pin publishes one; dropped marks a slot
+	// removed from the name space, so a version pinned by a racing
+	// snapshot is born superseded (no commit will ever advance the slot
+	// again to supersede it). repo links back to the owning repository
+	// for its version stats.
 	vmu     sync.Mutex
 	verSeq  uint64
 	cur     *docVersion
 	dropped bool
-	// Persistent publication state (version.go): green is the last
-	// published version root and pubSeq its sequence number. repo links
-	// back to the owning repository for its stats and publication mode.
-	repo   *Repository
-	green  *xmltree.Node
-	pubSeq uint64
+	repo    *Repository
 	// ckpt is where the leader's current pack finds this slot's record
 	// (durable.go): the generation of the pack that holds it, its offset
 	// and its length; ckptSeq is the version sequence the record
@@ -226,16 +216,7 @@ func (r *Repository) add(name, scheme string, sess *update.Session) error {
 	// Every commit verifies, from before the session is reachable by
 	// name.
 	sess.SetAutoVerify(true)
-	d := &Doc{name: name, scheme: scheme, sess: sess, scratch: docScratch{batch: sess.Batch()}, verSeq: InitialVersionSeq, repo: r}
-	// Every commit of a session transaction — single op or batch,
-	// plain or durable, live or replayed — advances the document's
-	// version and supersedes the previous one, publishing it once
-	// versioning is on (version.go); a staged or aborted transaction
-	// publishes nothing. The hook fires while the writer still holds
-	// the document's write lock, so snapshot readers (read lock) can
-	// never pin a mid-commit state.
-	sess.SetOnCommit(d.publishVersion)
-	sh.docs[name] = d
+	sh.docs[name] = &Doc{name: name, scheme: scheme, sess: sess, scratch: docScratch{batch: sess.Batch()}, verSeq: InitialVersionSeq, repo: r}
 	return nil
 }
 

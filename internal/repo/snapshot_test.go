@@ -453,6 +453,9 @@ func TestSnapshotSurvivesDrop(t *testing.T) {
 // document was dropped — the interleaving where Snapshot resolved the
 // slot before Drop unlinked it. The version must be born superseded,
 // so the last unpin releases its tree and the gauges return to zero.
+// A second such pin, after the first was released, must still get the
+// dropped document's tree (it got a released version with no tree
+// while pins of a dropped slot shared one descriptor).
 func TestSnapshotRacingDropDoesNotLeakVersion(t *testing.T) {
 	r := snapRepo(t, "a")
 	d := mustDoc(t, r, "a")
@@ -474,6 +477,16 @@ func TestSnapshotRacingDropDoesNotLeakVersion(t *testing.T) {
 	v.unpin()
 	if st := r.VersionStats(); st.LiveVersions != 0 || st.PinnedVersions != 0 {
 		t.Fatalf("version pinned after Drop leaked: %+v", st)
+	}
+	d.mu.RLock()
+	v = d.pinCurrent()
+	d.mu.RUnlock()
+	if again := v.document(); again == nil || again.XML() != tree.XML() {
+		t.Fatal("a second pin on the dropped slot lost its tree")
+	}
+	v.unpin()
+	if st := r.VersionStats(); st.LiveVersions != 0 || st.PinnedVersions != 0 {
+		t.Fatalf("second version pinned after Drop leaked: %+v", st)
 	}
 }
 
@@ -708,10 +721,11 @@ func TestSnapshotConcurrentWithSaveAndMultiBatch(t *testing.T) {
 // nothing but their matches, queries whose matches sit on different
 // paths (so the same sibling lists are expanded from several sides),
 // and Document() navigators that expand everything — while a writer
-// publishes the following versions. Every reader must see the pinned
-// state and every path must resolve to one node per element. Run with
-// -race: the scan reads persistent nodes a publication may be sharing,
-// and materialises through expand() beside the navigators.
+// commits the following versions and pins each, which publishes it.
+// Every reader must see the pinned state and every path must resolve to
+// one node per element. Run with -race: the scan reads persistent nodes
+// a publication may be sharing, and materialises through expand()
+// beside the navigators.
 func TestSnapshotScansRaceNavigatorsAndWriter(t *testing.T) {
 	r := New()
 	doc, err := xmltree.ParseString(sectionsXML(t, 2000))
@@ -758,6 +772,12 @@ func TestSnapshotScansRaceNavigatorsAndWriter(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			next, err := r.Snapshot("a")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			next.Close()
 		}
 	}()
 
@@ -829,4 +849,129 @@ func TestSnapshotScansRaceNavigatorsAndWriter(t *testing.T) {
 	readers.Wait()
 	close(stop)
 	writer.Wait()
+}
+
+// TestPinPublicationRacesReadersAndWriter: a version is published by
+// the first pin of its state, under the document's read lock — beside
+// QueryFunc readers of the live tree and other pinners, serialised only
+// by the document's vmu. Four pinners, two QueryFunc readers and a
+// writer run on one document; every snapshot must read exactly the
+// state committed at the sequence it pinned, and each pinner's
+// sequences never go back. Run with -race: publication writes the live
+// nodes' shadows while the readers walk the same nodes.
+func TestPinPublicationRacesReadersAndWriter(t *testing.T) {
+	const commits = 200
+	r := New()
+	if err := r.Open("a", mustParse(t, "<r><s><t/></s><s><t/></s><s><t/></s></r>"), "qed"); err != nil {
+		t.Fatal(err)
+	}
+	committed := map[uint64]string{} // the writer's: sequence -> XML
+	state := func() {
+		if err := r.View("a", func(s *update.Session) error {
+			committed[mustDoc(t, r, "a").Version()] = s.Document().XML()
+			return nil
+		}); err != nil {
+			t.Error(err)
+		}
+	}
+	state()
+	type pinned struct {
+		seq uint64
+		xml string
+	}
+	seen := make([][]pinned, 4)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for p := range seen {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				snap, err := r.Snapshot("a")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				doc, err := snap.Document("a")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				seen[p] = append(seen[p], pinned{snap.Versions()["a"], doc.XML()})
+				snap.Close()
+			}
+		}()
+	}
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if err := r.QueryFunc("a", "//t", func(nodes []*xmltree.Node) error {
+					for _, n := range nodes {
+						if n.Parent().Name() != "s" {
+							return fmt.Errorf("<t> under <%s>", n.Parent().Name())
+						}
+					}
+					return nil
+				}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i := range commits {
+		if _, err := r.Batch("a", func(doc *xmltree.Document, b *update.Batch) error {
+			// Grow one section's <t> by a child, or empty it again:
+			// each commit changes a spine three deep.
+			t := doc.Root().Children()[i%3].FirstChild()
+			if kids := t.Children(); len(kids) < 4 {
+				b.AppendChild(t, "u")
+			} else {
+				for _, k := range kids {
+					b.Delete(k)
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		state()
+	}
+	close(done)
+	wg.Wait()
+	last, err := r.Snapshot("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer last.Close()
+	doc, err := last.Document("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen = append(seen, []pinned{{last.Versions()["a"], doc.XML()}})
+	if got := seen[len(seen)-1][0].seq; got != InitialVersionSeq+commits {
+		t.Fatalf("a pin after the last commit is at sequence %d, want %d", got, InitialVersionSeq+commits)
+	}
+	for p, pins := range seen {
+		for i, got := range pins {
+			if i > 0 && got.seq < pins[i-1].seq {
+				t.Fatalf("pinner %d: sequence %d after %d", p, got.seq, pins[i-1].seq)
+			}
+			if want, ok := committed[got.seq]; !ok || got.xml != want {
+				t.Fatalf("pinner %d: the snapshot at sequence %d reads\n %s\nthe state committed there is\n %s", p, got.seq, got.xml, want)
+			}
+		}
+	}
 }

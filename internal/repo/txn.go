@@ -111,8 +111,7 @@ func (sc *docScratch) reset() {
 //     paths must address the state replay will resolve them against;
 //  4. stage every document's part, in order (update.Session.Stage:
 //     validated, applied, verified, and shown to no one — counters,
-//     Doc.Version and every snapshot still read the pre-transaction
-//     state);
+//     Doc.Version and every pin still read the pre-transaction state);
 //  5. under policy append, assemble the one record behind the first
 //     document's program and append it while the locks are still held,
 //     so per-document log order equals commit order. The log serialises
@@ -120,10 +119,13 @@ func (sc *docScratch) reset() {
 //     documents keep going and, under grouped sync, share the in-flight
 //     fsync;
 //  6. if 4 or 5 failed, abort what is staged, in reverse; otherwise
-//     commit every document's part, which cannot fail and is what
-//     publishes the transaction. Every involved write lock is still
-//     held, so a snapshot shows the transaction on all its documents or
-//     on none.
+//     commit every document's non-empty part, which cannot fail, and
+//     advance its version (Doc.advance): that is what shows the
+//     transaction, and the next pin publishes it. Every involved write
+//     lock is still held, so a snapshot shows the transaction on all its
+//     documents or on none. A document whose revert failed — in its own
+//     Stage or in an abort — advances too: its tree may be a state no
+//     commit produced, and no pin may go on reading the one before.
 //
 // So the log is written before memory shows anything, for every policy,
 // and a commit that returns an error was never visible: a failed build,
@@ -183,6 +185,9 @@ func (r *Repository) commit(names []string, pol logPolicy, mds []MultiDoc, build
 		d := held[staged]
 		var n int
 		if n, err = d.sess.Stage(mds[staged].b.Ops()); err != nil {
+			if errors.Is(err, update.ErrRollback) {
+				d.advance()
+			}
 			err = fmt.Errorf("repo: transaction on %q: %w", d.name, err)
 			break // d reverted itself
 		}
@@ -202,6 +207,7 @@ func (r *Repository) commit(names []string, pol logPolicy, mds []MultiDoc, build
 			// surface it (it wraps ErrRollback): THAT document is
 			// partially restored and should be rebuilt from a snapshot.
 			if rbErr := held[staged].sess.Abort(); rbErr != nil {
+				held[staged].advance()
 				err = fmt.Errorf("repo: transaction rollback of %q: %w (after %w)", held[staged].name, rbErr, err)
 			}
 		}
@@ -210,8 +216,11 @@ func (r *Repository) commit(names []string, pol logPolicy, mds []MultiDoc, build
 		}
 		return 0, err
 	}
-	for _, d := range held {
-		d.sess.Commit()
+	for i, d := range held {
+		if mds[i].b.Len() > 0 {
+			d.sess.Commit()
+			d.advance()
+		}
 	}
 	if logged {
 		ld.nudgeAutoCheckpoint()

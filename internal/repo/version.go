@@ -5,16 +5,16 @@
 //
 //   - Every document carries a version sequence number, starting at
 //     InitialVersionSeq when the document is opened and advancing
-//     once per committed transaction (the update layer's commit hook
-//     fires once per committed op or batch — never for an aborted one —
-//     always under the document's write lock).
-//   - Versions are persistent, structure-sharing trees
-//     (xmltree.PublishVersion): committing a mutation republishes only
-//     the changed spine, sharing every untouched subtree with the
-//     previous version. Publication runs in the commit hook once any
-//     snapshot exists (before that, writers pay nothing and the first
-//     pin publishes the accumulated delta under the read lock), so
-//     pinning a version is O(1): no materialise step, no deep copy.
+//     once per committed transaction — never for an empty or aborted
+//     one — always under the document's write lock (the commit
+//     routine, txn.go, calls Doc.advance).
+//   - A version is made when it is read. Versions are persistent,
+//     structure-sharing trees (xmltree.PublishVersion), and the first
+//     pin of a state — a snapshot, or the checkpoint cut — publishes
+//     it: it copies the spines every commit since the previous pin
+//     changed and shares every untouched subtree with the version
+//     published then. A commit copies nothing; a pin of an unchanged
+//     state copies nothing either, and no pin copies the document.
 //   - Snapshot readers then run against the published version with NO
 //     lock held: a slow reader cannot stall writers, and a writer
 //     storm cannot starve readers (repo.query_p99_us and
@@ -105,10 +105,10 @@ func (r *Repository) VersionStats() VersionStats {
 	}
 }
 
-// docVersion is one published, immutable document version: a reference
-// to a persistent structure-sharing tree (version.go file comment). It
-// is created by the first snapshot that pins the state and is shared by
-// every snapshot of the same version.
+// docVersion is one published, immutable document version: a view of
+// a persistent structure-sharing tree (version.go file comment). It is
+// created by the first pin of the state and is shared by every snapshot
+// of the same version.
 type docVersion struct {
 	seq    uint64
 	scheme string
@@ -117,15 +117,17 @@ type docVersion struct {
 	mu         sync.Mutex
 	pins       int
 	superseded bool
-	green      *xmltree.Node     // persistent version root; nil after release
-	view       *xmltree.Document // lazily opened navigable view over green
+	view       *xmltree.Document // navigable view of the version root; nil after release
 }
 
-// newVersion wraps a published version root in a descriptor. One
+// newVersion opens a published version root and wraps it in a
+// descriptor. Opening is O(1) — view nodes materialise lazily as
+// readers descend (xmltree.OpenVersion) — and one view serves every
+// snapshot of the version, so node identity is stable across them. One
 // LiveVersions unit is held until release.
-func newVersion(seq uint64, scheme string, stats *versionStats, green *xmltree.Node, superseded bool) *docVersion {
+func newVersion(seq uint64, scheme string, stats *versionStats, root *xmltree.Node, superseded bool) *docVersion {
 	stats.live.Add(1)
-	return &docVersion{seq: seq, scheme: scheme, stats: stats, green: green, superseded: superseded}
+	return &docVersion{seq: seq, scheme: scheme, stats: stats, view: xmltree.OpenVersion(root), superseded: superseded}
 }
 
 // pin registers one snapshot reference. Caller: Doc.pinCurrent, under
@@ -167,26 +169,15 @@ func (v *docVersion) supersede() {
 // younger versions remain reachable through those versions; only this
 // root reference dies. Callers hold v.mu.
 func (v *docVersion) maybeReleaseLocked() {
-	if v.superseded && v.pins == 0 && v.green != nil {
-		v.green = nil
+	if v.superseded && v.pins == 0 && v.view != nil {
 		v.view = nil
 		v.stats.live.Add(-1)
 	}
 }
 
-// document returns the version's navigable frozen view, opening it on
-// first use. Opening is O(1) — view nodes materialise lazily as
-// readers descend (xmltree.OpenVersion) — and the view is cached so
-// every snapshot of this version shares one tree with stable node
-// identity. The caller must have pinned the version.
-func (v *docVersion) document() *xmltree.Document {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.view == nil && v.green != nil {
-		v.view = xmltree.OpenVersion(v.green)
-	}
-	return v.view
-}
+// document returns the version's navigable frozen view. The caller
+// must have pinned the version: its pin keeps the view from release.
+func (v *docVersion) document() *xmltree.Document { return v.view }
 
 // Version returns the document's current version sequence number:
 // InitialVersionSeq for a freshly opened document, advancing on every
@@ -198,26 +189,19 @@ func (d *Doc) Version() uint64 {
 	return d.verSeq
 }
 
-// publishVersion advances the version sequence, supersedes the cached
-// current version and — once versioning is active — publishes the new
-// state as a persistent version (an O(changed-spine) structure-sharing
-// republication). It is the session commit hook (installed by
-// Repository.add), so it runs on every committed mutation while the
-// writer still holds the document's write lock; Drop also routes here
-// so a dropped document's versions are released once unpinned.
-//
-// Before the first snapshot ever touches the repository the hook only
-// advances counters: write-only workloads pay nothing for versioning,
-// and the first pin publishes the accumulated delta.
-func (d *Doc) publishVersion() {
+// advance moves the document to its next version: the sequence steps
+// and the cached current version is superseded, so the next pin
+// publishes the new state. The commit routine (txn.go) calls it under
+// the document's write lock, once for every document a transaction
+// committed on and once for every document whose abort failed, which
+// may have left a state no commit produced; Drop calls it through
+// markDropped, so a dropped document's versions are released once
+// unpinned.
+func (d *Doc) advance() {
 	d.vmu.Lock()
 	d.verSeq++
 	cur := d.cur
 	d.cur = nil
-	if d.repo.versioning.Load() {
-		d.green = d.sess.Document().PublishVersion(d.verSeq)
-		d.pubSeq = d.verSeq
-	}
 	d.vmu.Unlock()
 	if cur != nil {
 		cur.supersede()
@@ -226,35 +210,34 @@ func (d *Doc) publishVersion() {
 
 // markDropped marks the slot dropped and supersedes the cached version:
 // versions pinned from here on are born superseded, because no commit
-// hook will ever fire on the slot again to supersede them
-// (Repository.Drop calls this after unlinking the name).
+// will ever advance the slot again to supersede them (Repository.Drop
+// calls this after unlinking the name).
 func (d *Doc) markDropped() {
 	d.vmu.Lock()
 	d.dropped = true
 	d.vmu.Unlock()
-	d.publishVersion()
+	d.advance()
 }
 
-// pinCurrent pins (creating on first use) the version descriptor for
-// the document's current state. The caller holds the document's read
-// lock, so no commit can advance the state concurrently; if the
-// current state has not been published yet (versioning was inactive
-// when it committed), the accumulated delta is published here, under
-// the read lock — safe, because publication only touches bookkeeping
-// fields concurrent readers never look at, and vmu serialises
-// publishers. Steady-state cost is O(1): one descriptor, no tree work.
+// pinCurrent pins the version descriptor for the document's current
+// state, publishing the state if no pin has since its commit. The
+// caller holds the document's read lock (Snapshot) or the leader's
+// commit lock (the checkpoint cut), so no commit runs concurrently.
+// Publication copies the spines the commits since the last pin changed
+// (nothing when no commit did); it runs under the read lock because it
+// touches only the live tree's shadows, which concurrent readers never
+// look at, and vmu serialises pinners. A pin of a state already pinned
+// is O(1): one descriptor, no tree work.
 func (d *Doc) pinCurrent() *docVersion {
 	d.vmu.Lock()
 	defer d.vmu.Unlock()
-	if d.cur == nil {
-		if d.green == nil || d.pubSeq != d.verSeq {
-			d.green = d.sess.Document().PublishVersion(d.verSeq)
-			d.pubSeq = d.verSeq
-		}
+	if d.cur == nil || d.dropped {
 		// A snapshot can still pin a dropped slot (it resolved the
-		// name before the drop); the version must free on its last
-		// unpin, since no future commit will supersede it.
-		d.cur = newVersion(d.verSeq, d.scheme, &d.repo.vstats, d.green, d.dropped)
+		// name before the drop). Each such pin gets a version of its
+		// own, born superseded so that it frees on its last unpin: no
+		// future commit will supersede it, and a version shared
+		// between such pins could be released under a later one.
+		d.cur = newVersion(d.verSeq, d.scheme, &d.repo.vstats, d.sess.Document().PublishVersion(d.verSeq), d.dropped)
 	}
 	d.cur.pin()
 	return d.cur
@@ -300,19 +283,15 @@ type Snapshot struct {
 // locks are released before Snapshot returns; reads on the snapshot
 // never block, and never are blocked by, any writer.
 //
-// Pinning is O(1) per document: versions are persistent
-// structure-sharing trees published at commit time, so there is
-// nothing to copy (the very first pin after a stretch of snapshot-free
-// writing publishes the accumulated delta, once). Explicitly requested
+// Pinning a document's state publishes it if no pin has since its
+// last commit, copying the spines the commits since the previous pin
+// changed, under the read lock; a state already pinned costs O(1), and
+// no pin copies the document. Explicitly requested
 // unknown names fail with ErrNotFound before any lock is taken; in the
 // all-documents form a document dropped between the listing and the
 // resolution is simply excluded, as in Save — the membership was never
 // the caller's to pin. Close the snapshot when done.
 func (r *Repository) Snapshot(names ...string) (*Snapshot, error) {
-	// Any snapshot activates eager publication at commit, permanently:
-	// from here on writers republish the changed spine in the commit
-	// hook so pins stay O(1).
-	r.versioning.Store(true)
 	all := len(names) == 0
 	if all {
 		names = r.Names()

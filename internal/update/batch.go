@@ -8,11 +8,11 @@
 //     verify the document-order invariant once, against the final tree
 //     (verifyCommitted). A failure anywhere reverts and ends the
 //     transaction; otherwise it is open, and then either
-//   - commit: count one operation and fire the commit hook — the first
-//     anyone outside the session hears of it; it cannot fail — or
+//   - commit: count one operation — the first anyone outside the
+//     session sees of it; it cannot fail — or
 //   - abort: revert — undo records in reverse, counters put back. The
-//     tree is again what the hook last announced, so the hook stays
-//     silent (it fires only for a revert that itself failed).
+//     tree is again content-equal to the last committed state, unless
+//     the revert itself failed (ErrRollback).
 //
 // Apply, Do and the named mutators stage and commit in one call; Stage,
 // Commit and Abort are the moments on their own, for a coordinator that
@@ -268,20 +268,20 @@ func (s *Session) Apply(ops []Op) (BatchResult, error) {
 }
 
 // Stage runs ops as one transaction up to its commit and leaves it
-// open: validated, applied and verified, but not yet counted or
-// announced to the commit hook. The caller ends it with Commit or Abort,
-// and until then the session refuses every other transaction
-// (ErrStaged). A coordinator (the repository's commit routine) stages
-// every document of a cross-document transaction, writes its log record
-// and only then commits them all — or aborts them all, so the
-// transaction shows everywhere or nowhere. A failed Stage has already
+// open: validated, applied and verified, but not yet counted. The
+// caller ends it with Commit or Abort, and until then the session
+// refuses every other transaction (ErrStaged). A coordinator (the
+// repository's commit routine) stages every document of a
+// cross-document transaction, writes its log record and only then
+// commits them all — or aborts them all, so the transaction shows
+// everywhere or nowhere. A failed Stage has already
 // reverted itself and leaves nothing open; neither does an empty one.
 // It returns how many elements the transaction inserted — the nodes
 // Apply would report — and builds no result.
 func (s *Session) Stage(ops []Op) (int, error) { return s.stage(ops, nil) }
 
 // Commit ends the staged transaction by keeping it: it counts as one
-// operation and one batch, and the commit hook fires. It cannot fail;
+// operation and one batch. It cannot fail;
 // with nothing staged it does nothing.
 func (s *Session) Commit() { s.commit(true) }
 
@@ -294,7 +294,6 @@ func (s *Session) commit(batch bool) {
 	if batch {
 		s.ctr.Batches++
 	}
-	s.notifyCommit()
 }
 
 // Abort ends the staged transaction by dropping it (revert): structure,
@@ -380,9 +379,8 @@ func opError(i int, op *Op, err error) error {
 // failed, or the labelling changed an existing label since begin
 // (verified, if at all, beside the transaction's nodes, not beside the
 // neighbours it has got back), the next verification is the full pass.
-// A clean revert leaves the tree content-equal to what the commit hook
-// last announced, so the hook stays silent; a failed one may not have,
-// and fires it.
+// A clean revert leaves the tree content-equal to the last committed
+// state; a failed one may not have (ErrRollback).
 func (s *Session) revert() error {
 	var err error
 	relabelled := false
@@ -418,7 +416,6 @@ func (s *Session) revert() error {
 		s.baseOK = false
 	}
 	if err != nil {
-		s.notifyCommit()
 		return fmt.Errorf("%w: %v", ErrRollback, err)
 	}
 	return nil

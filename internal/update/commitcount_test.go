@@ -9,9 +9,13 @@ import (
 	"xmldyn/internal/xmltree"
 )
 
-// hookSession builds a session over <r><a/><b/></r> with a counting
-// commit hook installed.
-func hookSession(t *testing.T) (*Session, *xmltree.Document, *int) {
+// A committed transaction is counted once — one operation, and one
+// batch when it came as one — and a failed, empty or aborted one not at
+// all. The repository advances a document's version at the same moments
+// (internal/repo's TestVersionAdvancesOncePerCommit).
+
+// countSession builds a session over <r><a/><b/></r>.
+func countSession(t *testing.T) (*Session, *xmltree.Document) {
 	t.Helper()
 	doc, err := xmltree.ParseString("<r><a/><b/></r>")
 	if err != nil {
@@ -21,32 +25,35 @@ func hookSession(t *testing.T) (*Session, *xmltree.Document, *int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fired := 0
-	s.SetOnCommit(func() { fired++ })
-	return s, doc, &fired
+	return s, doc
 }
 
-func TestOnCommitFiresPerSingleOp(t *testing.T) {
-	s, doc, fired := hookSession(t)
+// wantCommits fails unless the session has counted ops operations and
+// batches batches.
+func wantCommits(t *testing.T, s *Session, what string, ops, batches int64) {
+	t.Helper()
+	if c := s.Counters(); c.Operations != ops || c.Batches != batches {
+		t.Fatalf("%s: %d operations and %d batches counted, want %d and %d", what, c.Operations, c.Batches, ops, batches)
+	}
+}
+
+func TestCommitCountsPerSingleOp(t *testing.T) {
+	s, doc := countSession(t)
 	if _, err := s.AppendChild(doc.Root(), "c"); err != nil {
 		t.Fatal(err)
 	}
-	if *fired != 1 {
-		t.Fatalf("after one op: hook fired %d times, want 1", *fired)
-	}
+	wantCommits(t, s, "after one op", 1, 0)
 	if err := s.SetText(doc.Root().FirstChild(), "x"); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Delete(doc.Root().LastChild()); err != nil {
 		t.Fatal(err)
 	}
-	if *fired != 3 {
-		t.Fatalf("after three ops: hook fired %d times, want 3", *fired)
-	}
+	wantCommits(t, s, "after three ops", 3, 0)
 }
 
-func TestOnCommitFiresOncePerBatch(t *testing.T) {
-	s, doc, fired := hookSession(t)
+func TestCommitCountsOncePerBatch(t *testing.T) {
+	s, doc := countSession(t)
 	root := doc.Root()
 	_, err := s.Apply([]Op{
 		AppendChildOp(root, "c"),
@@ -56,9 +63,7 @@ func TestOnCommitFiresOncePerBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *fired != 1 {
-		t.Fatalf("after a 3-op batch: hook fired %d times, want 1", *fired)
-	}
+	wantCommits(t, s, "after a 3-op batch", 1, 1)
 }
 
 // failingInserts is a labelling whose NodeInserted fails on demand, so
@@ -75,9 +80,11 @@ func (l *failingInserts) NodeInserted(n *xmltree.Node) error {
 	return l.Interface.NodeInserted(n)
 }
 
-// The rollback of a batch that itself fails is the one abort the hook
-// hears of: the tree may hold a state no commit produced.
-func TestOnCommitFiresOnFailedBatchRollback(t *testing.T) {
+// A batch whose rollback itself fails reports ErrRollback and counts
+// nothing: the session cannot say what state it left, so the caller
+// must (the repository advances the document's version and poisons a
+// durable leader: internal/repo's TestFailedRollbackPoisons).
+func TestFailedRollbackCountsNothing(t *testing.T) {
 	doc, err := xmltree.ParseString("<r><a/><b/></r>")
 	if err != nil {
 		t.Fatal(err)
@@ -87,8 +94,6 @@ func TestOnCommitFiresOnFailedBatchRollback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fired := 0
-	s.SetOnCommit(func() { fired++ })
 	// The delete applies, the insert fails in NodeInserted, and undoing
 	// the delete re-labels through the same failing NodeInserted.
 	lab.fail = true
@@ -96,15 +101,12 @@ func TestOnCommitFiresOnFailedBatchRollback(t *testing.T) {
 	if !errors.Is(err, ErrRollback) {
 		t.Fatalf("batch with a failing rollback: %v, want ErrRollback", err)
 	}
-	if fired != 1 {
-		t.Fatalf("after a failed rollback: hook fired %d times, want 1", fired)
-	}
+	wantCommits(t, s, "after a failed rollback", 0, 0)
 }
 
-// A batch that fails at apply time reverts cleanly: the tree is what the
-// hook last announced, so there is nothing to announce.
-func TestOnCommitSilentOnFailedBatch(t *testing.T) {
-	s, doc, fired := hookSession(t)
+// A batch that fails at apply time reverts cleanly and counts nothing.
+func TestCommitCountsNothingOnFailedBatch(t *testing.T) {
+	s, doc := countSession(t)
 	root := doc.Root()
 	detached := xmltree.NewElement("loose")
 	// Op 0 applies, op 1 fails (detached ref) → the stage reverts itself.
@@ -115,36 +117,27 @@ func TestOnCommitSilentOnFailedBatch(t *testing.T) {
 	if !errors.Is(err, ErrDetachedRef) {
 		t.Fatalf("batch with a detached ref: %v, want ErrDetachedRef", err)
 	}
-	if *fired != 0 {
-		t.Fatalf("after a reverted batch: hook fired %d times, want 0", *fired)
-	}
+	wantCommits(t, s, "after a reverted batch", 0, 0)
 }
 
-// Stage tells the hook nothing, Abort tells it nothing, Commit tells it
-// once.
-func TestOnCommitSilentOnStagedAbort(t *testing.T) {
-	s, doc, fired := hookSession(t)
+// Stage counts nothing, Abort counts nothing, Commit counts once.
+func TestCommitCountsNothingOnStagedAbort(t *testing.T) {
+	s, doc := countSession(t)
 	for _, commit := range []bool{false, true} {
 		if _, err := s.Stage([]Op{AppendChildOp(doc.Root(), "c")}); err != nil {
 			t.Fatal(err)
 		}
-		if *fired != 0 {
-			t.Fatalf("after Stage: hook fired %d times, want 0", *fired)
-		}
+		wantCommits(t, s, "after Stage", 0, 0)
 		if !commit {
 			if err := s.Abort(); err != nil {
 				t.Fatal(err)
 			}
-			if *fired != 0 {
-				t.Fatalf("after Abort: hook fired %d times, want 0", *fired)
-			}
+			wantCommits(t, s, "after Abort", 0, 0)
 			continue
 		}
 		s.Commit()
 		s.Commit() // nothing staged any more: a no-op
-		if *fired != 1 {
-			t.Fatalf("after Commit: hook fired %d times, want 1", *fired)
-		}
+		wantCommits(t, s, "after Commit", 1, 1)
 	}
 }
 
@@ -153,7 +146,7 @@ func TestOnCommitSilentOnStagedAbort(t *testing.T) {
 // still commits, or aborts, as if nothing had been tried.
 func TestStageWhileStagedIsRefused(t *testing.T) {
 	for _, commit := range []bool{false, true} {
-		s, doc, fired := hookSession(t)
+		s, doc := countSession(t)
 		before, ctr := doc.XML(), s.Counters()
 		if _, err := s.Stage([]Op{AppendChildOp(doc.Root(), "c")}); err != nil {
 			t.Fatal(err)
@@ -173,9 +166,7 @@ func TestStageWhileStagedIsRefused(t *testing.T) {
 				t.Fatalf("%s while staged changed the document:\n got %s\nwant %s", name, got, staged)
 			}
 		}
-		if *fired != 0 {
-			t.Fatalf("hook fired %d times with nothing committed", *fired)
-		}
+		wantCommits(t, s, "with nothing committed", 0, 0)
 		if commit {
 			s.Commit()
 			ctr.Inserts, ctr.Operations, ctr.Batches = ctr.Inserts+1, ctr.Operations+1, ctr.Batches+1
@@ -195,25 +186,25 @@ func TestStageWhileStagedIsRefused(t *testing.T) {
 	}
 }
 
-func TestOnCommitFiresOnTextOnlyDeleteChildren(t *testing.T) {
-	s, doc, fired := hookSession(t)
+func TestCommitCountsTextOnlyDeleteChildren(t *testing.T) {
+	s, doc := countSession(t)
 	a := doc.Root().FirstChild()
 	if err := s.SetText(a, "payload"); err != nil {
 		t.Fatal(err)
 	}
-	before := *fired
-	// <a> has only a text child: DeleteChildren detaches it outside
-	// the op machinery, but the tree changed — the hook must fire.
+	// <a> has only a text child: DeleteChildren removes it though no
+	// labelled node goes, and the tree changed — it is one commit.
 	if err := s.DeleteChildren(a); err != nil {
 		t.Fatal(err)
 	}
-	if *fired != before+1 {
-		t.Fatalf("text-only DeleteChildren: hook fired %d times, want %d", *fired, before+1)
+	wantCommits(t, s, "after SetText and a text-only DeleteChildren", 2, 0)
+	if a.FirstChild() != nil {
+		t.Fatal("DeleteChildren left the text child")
 	}
 }
 
-func TestOnCommitSilentOnFailedMove(t *testing.T) {
-	s, doc, fired := hookSession(t)
+func TestCommitCountsNothingOnFailedMove(t *testing.T) {
+	s, doc := countSession(t)
 	a := doc.Root().FirstChild()
 	if err := s.SetText(doc.Root().LastChild(), "t"); err != nil {
 		t.Fatal(err)
@@ -222,27 +213,13 @@ func TestOnCommitSilentOnFailedMove(t *testing.T) {
 	if text.Kind() != xmltree.KindText {
 		t.Fatal("setup: expected a text node")
 	}
-	before := *fired
 	// Re-attach under a text node fails AFTER the detach: the move is
-	// reverted, a is back where it was, and the hook has nothing to say.
+	// reverted, a is back where it was, and nothing is counted.
 	if err := s.MoveAppend(text, a); err == nil {
 		t.Fatal("move under a text node succeeded")
 	}
 	if a.Parent() != doc.Root() {
 		t.Fatal("failed move lost the subtree")
 	}
-	if *fired != before {
-		t.Fatalf("failed move: hook fired %d times, want %d", *fired, before)
-	}
-}
-
-func TestOnCommitNilHookIsNoOp(t *testing.T) {
-	s, doc, fired := hookSession(t)
-	s.SetOnCommit(nil)
-	if _, err := s.AppendChild(doc.Root(), "c"); err != nil {
-		t.Fatal(err)
-	}
-	if *fired != 0 {
-		t.Fatalf("removed hook still fired %d times", *fired)
-	}
+	wantCommits(t, s, "after SetText and a failed move", 1, 0)
 }

@@ -94,13 +94,6 @@ type Session struct {
 	staged    bool
 	// marks is validateBatch's scratch: empty between transactions.
 	marks map[*xmltree.Node]uint8
-	// onCommit, when set, runs once per commit — the moment the tree
-	// differs from the last state anyone outside the session saw — and
-	// once per abort that failed, which may have left it different too.
-	// The repository layer uses it to publish MVCC versions
-	// (docs/CONCURRENCY.md); it runs while the caller still holds
-	// whatever lock guards the session.
-	onCommit func()
 }
 
 // NewSession builds the labeling for doc and returns the session. A
@@ -137,27 +130,6 @@ func (s *Session) Counters() Counters { return s.ctr }
 // first verification after turning it back on walks the whole document.
 func (s *Session) SetAutoVerify(on bool) { s.autoVerify = on }
 
-// SetOnCommit installs fn as the session's commit hook: it runs once
-// per committed transaction and never for a staged or a cleanly aborted
-// one, whose tree is content-equal to what the hook last announced; an
-// abort that itself failed (ErrRollback) fires it once, because the
-// tree may then hold a state no commit produced. fn must be fast and
-// must not call back into the session. The repository layer uses the
-// hook to publish a persistent path-copied MVCC version of the document
-// on every commit, which is what makes snapshot reads see only committed
-// states and snapshot pins O(1) (docs/CONCURRENCY.md); a nil fn removes
-// the hook. Sessions adopted into a repository have
-// their hook owned by it — replacing the hook on such a session (e.g.
-// inside a View/Update callback) breaks snapshot consistency.
-func (s *Session) SetOnCommit(fn func()) { s.onCommit = fn }
-
-// notifyCommit fires the commit hook, if any.
-func (s *Session) notifyCommit() {
-	if s.onCommit != nil {
-		s.onCommit()
-	}
-}
-
 // verifyCommitted is the one commit-time verification, run at the end
 // of every transaction's stage (batch.go). Its verdict is that of
 // labeling.VerifyOrder over the whole document; it gets there by
@@ -186,9 +158,8 @@ func (s *Session) notifyCommit() {
 //     adjacencies no verification has seen;
 //  4. transactions ran with auto-verify off.
 //
-// All structural change must go through the session, as the commit
-// hook already requires: a node attached behind its back is seen only
-// by the full pass (Verify).
+// All structural change must go through the session: a node attached
+// behind its back is seen only by the full pass (Verify).
 func (s *Session) verifyCommitted() error {
 	if !s.autoVerify {
 		s.baseOK = false // trigger 4
