@@ -2,7 +2,9 @@ package wal
 
 import (
 	"errors"
-	"os"
+	"fmt"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -28,40 +30,50 @@ func TestGroupedAppendAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestZeroPolicyWaitsOnFlusher: the zero Options is the durable policy,
-// and a durable append has one way back — a flusher round, which here
-// starts only after its pace — so four concurrent appends released
-// together each return nil, and none sooner than the pace after its
-// release.
-func TestZeroPolicyWaitsOnFlusher(t *testing.T) {
-	const pace, writers = 20 * time.Millisecond, 4
-	l, err := Create(t.TempDir(), 1, Options{pace: pace})
+// createLog creates segment 1 of a log in dir and closes it at cleanup
+// (after a script's cleanup has released any fsync it held).
+func createLog(t *testing.T, dir string, opts Options) *Log {
+	t.Helper()
+	l, err := Create(dir, 1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
+	t.Cleanup(func() { l.Close() })
+	return l
+}
+
+// TestZeroPolicyWaitsOnFlusher: the zero Options is the durable policy,
+// and a durable append has one way back — an fsync that covers it, here
+// only the flusher's — so four concurrent appends park while the
+// flusher's first fsync is held, none returns before it is released, and
+// each returns nil after.
+func TestZeroPolicyWaitsOnFlusher(t *testing.T) {
+	const writers = 4
+	l := createLog(t, t.TempDir(), Options{})
+	s := script(t, l, 1)
+	var released atomic.Bool
 	type result struct {
-		err  error
-		took time.Duration
+		err   error
+		early bool
 	}
-	gate, done := make(chan struct{}), make(chan result, writers)
-	var released time.Time
+	done := make(chan result, writers)
 	for range writers {
 		go func() {
-			<-gate
 			err := l.Append([]byte("waits"))
-			done <- result{err, time.Since(released)}
+			done <- result{err, !released.Load()}
 		}()
 	}
-	released = time.Now()
-	close(gate)
+	awaitHeld(t, s)
+	waitUntil(t, l, "4 appends numbered", func() bool { return l.appended == writers })
+	released.Store(true)
+	s.release <- nil
 	for range writers {
 		r := <-done
 		if r.err != nil {
 			t.Errorf("append returned %v", r.err)
 		}
-		if r.took < pace {
-			t.Errorf("append returned %v after its release, before the flusher's %v pace", r.took, pace)
+		if r.early {
+			t.Error("append returned before the flusher's fsync was released")
 		}
 	}
 }
@@ -73,23 +85,47 @@ func clock(l *Log) (appended, synced uint64) {
 	return l.appended, l.synced
 }
 
-// parkAppends starts n grouped appends on l and returns once all n hold
-// a sequence number, with their results to come on the channel.
-func parkAppends(t *testing.T, l *Log, n int) <-chan error {
+// waitUntil polls cond under l.mu until it holds. Its deadline only
+// fails a hung test.
+func waitUntil(t *testing.T, l *Log, what string, cond func() bool) {
 	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		l.mu.Lock()
+		ok := cond()
+		l.mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("not within 10s: %s", what)
+		}
+	}
+}
+
+// awaitHeld returns once s holds its scripted Sync.
+func awaitHeld(t *testing.T, s *scripted) {
+	t.Helper()
+	select {
+	case <-s.held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no fsync held within 10s")
+	}
+}
+
+// parkAppends starts n grouped appends on l and returns once s holds its
+// scripted Sync and all n hold a sequence number, with their results to
+// come on the channel. The first call on a log whose first flusher fsync
+// is held parks its appends behind that round.
+func parkAppends(t *testing.T, l *Log, s *scripted, n int) <-chan error {
+	t.Helper()
+	before, _ := clock(l)
 	done := make(chan error, n)
 	for range n {
 		go func() { done <- l.Append([]byte("parked")) }()
 	}
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		numbered, _ := clock(l)
-		if numbered == uint64(n) {
-			return done
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d appends numbered after 10s", numbered, n)
-		}
-	}
+	awaitHeld(t, s)
+	waitUntil(t, l, fmt.Sprintf("%d appends numbered", n), func() bool { return l.appended == before+uint64(n) })
+	return done
 }
 
 // collect waits for n results, failing the test if one does not come
@@ -110,81 +146,160 @@ func collect(t *testing.T, done <-chan error, n int, within time.Duration) []err
 }
 
 // TestFailedGroupedSyncReachesEveryWaiter: the log fails under appends
-// parked behind the flusher's pace — its segment is closed, so the
-// shared fsync fails, or a later append's write fails and Close stops the
-// flusher before it syncs — and no append it was to cover is durable.
-// Every parked append and every later one returns the failure, and none
-// hangs.
+// parked behind a held flusher fsync, and no append it was to cover is
+// durable. Every parked append and every later one returns the failure,
+// and none hangs.
+//   - failed fsync: three appends sync and return nil, then the held
+//     fsync fails. The log is poisoned at its sequence number: synced
+//     stays 3.
+//   - failed write, then Close: a later append's write fails while the
+//     round is held, and the parked appends return its failure at once.
+//     The held fsync then succeeds, and neither it nor Close counts on
+//     a failed log.
 func TestFailedGroupedSyncReachesEveryWaiter(t *testing.T) {
 	const parked = 6
-	for _, c := range []struct {
-		name string
-		pace time.Duration
-	}{{"failed fsync", 200 * time.Millisecond}, {"failed write, then Close", time.Minute}} {
-		t.Run(c.name, func(t *testing.T) {
-			l, err := Create(t.TempDir(), 1, Options{Policy: SyncGrouped, pace: c.pace})
-			if err != nil {
-				t.Fatal(err)
+	t.Run("failed fsync", func(t *testing.T) {
+		l := createLog(t, t.TempDir(), Options{})
+		s := script(t, l, 4)
+		for i := range 3 {
+			if err := l.Append([]byte("synced")); err != nil {
+				t.Fatalf("append %d: %v", i, err)
 			}
-			defer l.Close()
-			done := parkAppends(t, l, parked)
-			l.mu.Lock()
-			l.f.Close()
-			l.mu.Unlock()
-			if c.pace == time.Minute {
-				if err := l.Append([]byte("unwritable")); !errors.Is(err, os.ErrClosed) {
-					t.Fatalf("append to a closed segment returned %v", err)
-				}
-				l.Close()
+		}
+		done := parkAppends(t, l, s, parked)
+		s.release <- syscall.EIO
+		for i, err := range collect(t, done, parked, 10*time.Second) {
+			if !errors.Is(err, syscall.EIO) {
+				t.Errorf("parked append %d returned %v, want the failed fsync's EIO", i, err)
 			}
-			for i, err := range collect(t, done, parked, 10*time.Second) {
-				if !errors.Is(err, os.ErrClosed) {
-					t.Errorf("parked append %d returned %v, want the log's failure", i, err)
-				}
+		}
+		if appended, synced := clock(l); appended != 3+parked || synced != 3 {
+			t.Errorf("appended %d, synced %d, want %d and 3", appended, synced, 3+parked)
+		}
+		for i := range 3 {
+			if err := l.Append([]byte("later")); !errors.Is(err, syscall.EIO) {
+				t.Errorf("append %d after the failure returned %v, want EIO", i, err)
 			}
-			for i := range 3 {
-				if err := l.Append([]byte("later")); err == nil {
-					t.Errorf("append %d after the failure returned nil", i)
-				}
+		}
+	})
+	t.Run("failed write, then Close", func(t *testing.T) {
+		l := createLog(t, t.TempDir(), Options{})
+		s := script(t, l, 1)
+		done := parkAppends(t, l, s, parked)
+		s.tear(0, syscall.EIO)
+		if err := l.Append([]byte("unwritable")); !errors.Is(err, syscall.EIO) {
+			t.Fatalf("append whose write fails returned %v", err)
+		}
+		for i, err := range collect(t, done, parked, 10*time.Second) {
+			if !errors.Is(err, syscall.EIO) {
+				t.Errorf("parked append %d returned %v, want the failed write's EIO", i, err)
 			}
-		})
-	}
+		}
+		s.release <- nil
+		l.Close()
+		if _, synced := clock(l); synced != 0 {
+			t.Errorf("synced %d: an fsync that succeeded after the failed write counted", synced)
+		}
+		for i := range 3 {
+			if err := l.Append([]byte("later")); err == nil {
+				t.Errorf("append %d after the failure returned nil", i)
+			}
+		}
+	})
 }
 
 // TestCloseAndRotateReleaseParkedAppends: a rotation's seal and Close's
-// final sync cover every append numbered before them, so the appends
-// parked behind the flusher's pace return nil at once, and their
-// records replay.
+// final sync cover every append numbered before them. One append is in
+// the flusher's held round, and five more park behind it. The seal
+// returns all six while the round is still held; Close, once the round is
+// released, returns the five that round did not cover. Every record
+// replays.
 func TestCloseAndRotateReleaseParkedAppends(t *testing.T) {
 	const parked = 5
 	for _, release := range []string{"Rotate", "Close"} {
 		t.Run(release, func(t *testing.T) {
 			dir := t.TempDir()
-			l, err := Create(dir, 1, Options{Policy: SyncGrouped, pace: time.Minute})
-			if err != nil {
-				t.Fatal(err)
-			}
-			done := parkAppends(t, l, parked)
+			l := createLog(t, dir, Options{})
+			s := script(t, l, 1)
+			lead := parkAppends(t, l, s, 1)
+			done := parkAppends(t, l, s, parked)
 			if release == "Rotate" {
-				_, err = l.Rotate()
+				if _, err := l.Rotate(); err != nil {
+					t.Fatalf("Rotate: %v", err)
+				}
 			} else {
-				err = l.Close()
-			}
-			if err != nil {
-				t.Fatalf("%s: %v", release, err)
+				closed := make(chan error, 1)
+				go func() { closed <- l.Close() }()
+				waitUntil(t, l, "Close begun", func() bool { return l.closed })
+				s.release <- nil
+				if err := <-closed; err != nil {
+					t.Fatalf("Close: %v", err)
+				}
 			}
 			for i, err := range collect(t, done, parked, 10*time.Second) {
 				if err != nil {
 					t.Errorf("parked append %d returned %v, want nil", i, err)
 				}
 			}
+			if err := collect(t, lead, 1, 10*time.Second)[0]; err != nil {
+				t.Errorf("the held round's append returned %v, want nil", err)
+			}
 			if release == "Rotate" {
+				s.release <- nil
 				if err := l.Close(); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if got, _ := replayAll(t, dir, 1); len(got) != parked {
-				t.Fatalf("replayed %d records, want %d", len(got), parked)
+			if got, _ := replayAll(t, dir, 1); len(got) != 1+parked {
+				t.Fatalf("replayed %d records, want %d", len(got), 1+parked)
+			}
+		})
+	}
+}
+
+// TestParkedAppendsShareOneRound: appends that arrive while a flusher
+// fsync is in flight share the next one. One append is in the held first
+// round, five park behind it, and once it is released all six return nil
+// after exactly two fsyncs.
+func TestParkedAppendsShareOneRound(t *testing.T) {
+	const parked = 5
+	l := createLog(t, t.TempDir(), Options{})
+	s := script(t, l, 1)
+	lead := parkAppends(t, l, s, 1)
+	done := parkAppends(t, l, s, parked)
+	s.release <- nil
+	for i, err := range append(collect(t, lead, 1, 10*time.Second), collect(t, done, parked, 10*time.Second)...) {
+		if err != nil {
+			t.Errorf("append %d returned %v, want nil", i, err)
+		}
+	}
+	if got := s.count(); got != 2 {
+		t.Errorf("%d appends made %d fsyncs, want 2: the held round and one for the five parked", 1+parked, got)
+	}
+}
+
+// TestIdleFlusherMakesNoFsync: an async flusher round with nothing to
+// cover makes no fsync — neither when every append is synced nor on a
+// failed log. The async ticker is the policy's own clock, so this test
+// counts the fsyncs of 100 ticks' time.
+func TestIdleFlusherMakesNoFsync(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		fail error // what the first fsync returns
+	}{{"synced", nil}, {"failed", syscall.EIO}} {
+		t.Run(c.name, func(t *testing.T) {
+			l := createLog(t, t.TempDir(), Options{Policy: SyncAsync, FlushInterval: time.Millisecond})
+			s := script(t, l, 1)
+			if err := l.Append([]byte("idle after this")); err != nil {
+				t.Fatal(err)
+			}
+			awaitHeld(t, s)
+			s.release <- c.fail
+			waitUntil(t, l, "the first round settled", func() bool { return l.synced == 1 || l.err != nil })
+			before := s.count()
+			time.Sleep(100 * time.Millisecond)
+			if got := s.count() - before; got != 0 {
+				t.Errorf("an idle log made %d fsyncs in 100 ticks, want 0", got)
 			}
 		})
 	}
@@ -242,16 +357,13 @@ func TestEveryFsyncAdvancesSynced(t *testing.T) {
 }
 
 // TestSyncReleasesParkedAppends: Sync covers every append numbered
-// before it, so grouped appends parked behind the flusher's pace return
+// before it, so grouped appends parked behind a held flusher fsync return
 // nil at once.
 func TestSyncReleasesParkedAppends(t *testing.T) {
 	const parked = 4
-	l, err := Create(t.TempDir(), 1, Options{Policy: SyncGrouped, pace: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	done := parkAppends(t, l, parked)
+	l := createLog(t, t.TempDir(), Options{})
+	s := script(t, l, 1)
+	done := parkAppends(t, l, s, parked)
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}

@@ -171,9 +171,6 @@ type Options struct {
 	// segment always holds at least one record, however large). Zero
 	// means DefaultSegmentBytes; negative disables rotation.
 	SegmentBytes int64
-	// pace is a pause the flusher takes before each fsync round, which
-	// parks appends behind it (in-package tests only).
-	pace time.Duration
 }
 
 func (o Options) flushInterval() time.Duration {
@@ -204,10 +201,10 @@ type Log struct {
 	dir  string
 
 	mu     sync.Mutex
-	f      *os.File // the active (highest-index) segment
-	active uint64   // index of the active segment
-	size   int64    // bytes in the active segment
-	total  int64    // bytes across every live segment, sealed ones included
+	f      segment // the active (highest-index) segment
+	active uint64  // index of the active segment
+	size   int64   // bytes in the active segment
+	total  int64   // bytes across every live segment, sealed ones included
 	closed bool
 	// frame is where Append builds each record's frame; guarded by mu.
 	// Kept for the next append unless a record grew it past maxKeptFrame.
@@ -307,7 +304,16 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-func newLog(dir string, f *os.File, active uint64, size, total int64, opts Options) *Log {
+// segment is the active segment as the log writes, syncs and closes it.
+// *os.File is the one production segment; a test may swap a scripted one
+// in for l.f under l.mu to hold, fail or tear what the file does.
+type segment interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
+}
+
+func newLog(dir string, f segment, active uint64, size, total int64, opts Options) *Log {
 	l := &Log{opts: opts, dir: dir, f: f, active: active, size: size, total: total}
 	l.covered.L = &l.mu
 	l.wake = make(chan struct{}, 1)
@@ -362,7 +368,11 @@ func (l *Log) Append(payload []byte) error {
 		}
 	}
 	if _, err := l.f.Write(frame); err != nil {
+		// The failure poisons the log, and the appends parked on it wake
+		// to it now: a flusher round on a failed log makes no fsync, so
+		// no settle may come for them.
 		l.err = err
+		l.covered.Broadcast()
 		l.mu.Unlock()
 		return err
 	}
@@ -506,7 +516,7 @@ func (l *Log) Close() error {
 // counts, because one may succeed where an earlier one lost data;
 // otherwise synced advances to seq. Either way the waiters wake. It
 // returns the fsync's own error. Caller holds l.mu.
-func (l *Log) settle(f *os.File, seq uint64, err error) error {
+func (l *Log) settle(f segment, seq uint64, err error) error {
 	if err != nil && l.f == f && l.err == nil {
 		l.err = err
 	}
@@ -519,7 +529,10 @@ func (l *Log) settle(f *os.File, seq uint64, err error) error {
 
 // flusher is the log's one background fsync, which every log runs. A
 // round starts when a grouped append wakes it, or at each FlushInterval
-// tick under SyncAsync, and fsyncs once for every append numbered so far.
+// tick under SyncAsync. If an append numbered so far is not yet synced
+// and the log has not failed, it fsyncs once for all of them; a round
+// with nothing new (an idle async tick, or a wake token left after Sync
+// or a rotation released its appends) or on a failed log makes no fsync.
 // The fsync runs outside the log mutex, so committers keep appending —
 // and waiting for the next round — while the disk flush is in flight:
 // that in-flight window is where grouping comes from.
@@ -538,23 +551,17 @@ func (l *Log) flusher() {
 		case <-l.wake:
 		case <-tick:
 		}
-		if l.opts.pace > 0 {
-			select {
-			case <-l.stop:
-				return
-			case <-time.After(l.opts.pace):
-			}
-		}
 		l.mu.Lock()
 		if l.closed {
 			l.mu.Unlock()
 			return
 		}
-		f, seq := l.f, l.appended
-		l.mu.Unlock()
-		err := f.Sync()
-		l.mu.Lock()
-		l.settle(f, seq, err)
+		if f, seq := l.f, l.appended; seq > l.synced && l.err == nil {
+			l.mu.Unlock()
+			err := f.Sync()
+			l.mu.Lock()
+			l.settle(f, seq, err)
+		}
 		l.mu.Unlock()
 	}
 }

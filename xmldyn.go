@@ -22,14 +22,13 @@
 // instead of once per op,
 // atomic multi-document transactions (MultiBatch) that commit
 // across several named documents or roll back across all of them,
-// and MVCC snapshot reads (Repository.Snapshot → RepoSnapshot): once
-// a repository has taken its first snapshot, every commit publishes a
-// persistent path-copied version of the document — unchanged subtrees
-// shared with the live tree, only the mutated spine copied — and
-// before that the first pin publishes the accumulated changes once, so
-// a snapshot pins an immutable, transaction-consistent version of one
-// or more documents in O(1) and serves every read from it with no lock
-// held: slow readers never stall writers and a multi-document snapshot
+// and MVCC snapshot reads (Repository.Snapshot → RepoSnapshot): a
+// commit publishes nothing; the first pin of a state publishes a
+// persistent path-copied version of each document the commits since
+// the last pin changed — unchanged subtrees shared with the live tree,
+// only the mutated spines copied — so a snapshot pins an immutable,
+// transaction-consistent version of one or more documents and serves
+// every read from it with no lock held: slow readers never stall writers and a multi-document snapshot
 // can never observe a MultiBatch half applied. A superseded version
 // lives only as long as a snapshot pins it; document history belongs
 // to Persistent Labels, not to the repository (docs/CONCURRENCY.md
