@@ -112,6 +112,7 @@ var internalKeep = map[string]string{
 	"xmltree.Document.PreRank":      "a tree oracle of tests across packages",
 	"xmltree.Document.Validate":     "a tree oracle of tests across packages",
 	"xmltree.OuterXML":              "a tree oracle of tests across packages",
+	"xpath.Engine.Examined":         "claim P2 in TestPClaims and the element index's differential test",
 }
 
 // internalBenchOnly maps a name whose only non-test callers are in the

@@ -545,8 +545,9 @@ func TestCommitAllocatesWhatItCreates(t *testing.T) {
 }
 
 // queryAllocs opens xml as a document and returns what a lock-held
-// QueryFunc(path) allocates, checking that it finds want nodes.
-func queryAllocs(t *testing.T, xml, path string, want int) float64 {
+// QueryFunc(path) allocates, checking that it finds want nodes: the
+// first read on the fresh document, and then a warm one.
+func queryAllocs(t *testing.T, xml, path string, want int) (first, warm float64) {
 	t.Helper()
 	doc, err := xmltree.ParseString(xml)
 	if err != nil {
@@ -556,7 +557,7 @@ func queryAllocs(t *testing.T, xml, path string, want int) float64 {
 	if err := r.Open("a", doc, "qed"); err != nil {
 		t.Fatal(err)
 	}
-	return testing.AllocsPerRun(50, func() {
+	read := func() {
 		if err := r.QueryFunc("a", path, func(nodes []*xmltree.Node) error {
 			if len(nodes) != want {
 				t.Fatalf("%s found %d nodes, want %d", path, len(nodes), want)
@@ -565,7 +566,12 @@ func queryAllocs(t *testing.T, xml, path string, want int) float64 {
 		}); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	read()
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs - before.Mallocs), testing.AllocsPerRun(50, read)
 }
 
 // itemsAt is a chain depth deep with items <item/> leaves at its bottom.
@@ -573,25 +579,29 @@ func itemsAt(depth, items int) string {
 	return strings.Replace(deepXML(depth), "<leaf/>", strings.Repeat("<item/>", items), 1)
 }
 
-// TestQueryAllocatesItsAnswer: a lock-held QueryFunc allocates its
-// answer once and nothing for the parse, the contexts or the scan's
-// chain, so a chain 64 deep costs what one 8 deep does. The descendant
-// scan holds up to 64 matches in itself and hands out one exact-size
-// copy (48 matches cost 7 allocations while the answer grew by append);
-// a larger answer moves to the heap once at 128 and grows from there, so
-// no answer costs more than an append from nil would.
+// TestQueryAllocatesItsAnswer: a lock-held QueryFunc by name reads the
+// document's element index and hands fn a slice of the name's list, so
+// a warm //item allocates nothing, whatever its answer's size (it
+// allocated its answer once while every read walked the tree). The
+// first read of a name builds the list with one walk, which allocates
+// the list once, and the index its map: nothing for the parse, the
+// contexts or the scan's chain, so a chain 64 deep costs what one 8
+// deep does. The scan holds up to 64 matches in itself and hands out
+// one exact-size copy; a larger answer moves to the heap once at 128
+// and grows from there, so no list costs more than an append from nil
+// would.
 func TestQueryAllocatesItsAnswer(t *testing.T) {
-	for _, depth := range []int{8, 64} {
-		if got := queryAllocs(t, itemsAt(depth, 48), "//item", 48); got != 1 {
-			t.Errorf("depth %d: //item allocates %v, want 1 (its answer of 48 nodes)", depth, got)
-		}
-	}
+	const theMap = 2 // the index's map and its first group
 	for _, c := range []struct {
-		items int
-		most  float64
-	}{{0, 0}, {64, 1}, {65, 1}, {200, 3}} {
-		if got := queryAllocs(t, itemsAt(8, c.items), "//item", c.items); got > c.most {
-			t.Errorf("//item with %d matches allocates %v, want <= %v", c.items, got, c.most)
+		depth, items int
+		first        float64
+	}{{8, 48, 1}, {64, 48, 1}, {8, 0, 0}, {8, 64, 1}, {8, 65, 1}, {8, 200, 2}} {
+		first, warm := queryAllocs(t, itemsAt(c.depth, c.items), "//item", c.items)
+		if first > c.first+theMap {
+			t.Errorf("depth %d: the first //item of %d matches allocates %v, want <= %v (its list) + %d (the index's map)", c.depth, c.items, first, c.first, theMap)
+		}
+		if warm != 0 {
+			t.Errorf("depth %d: a warm //item of %d matches allocates %v, want 0", c.depth, c.items, warm)
 		}
 	}
 }

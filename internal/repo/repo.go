@@ -61,7 +61,6 @@ import (
 	"xmldyn/internal/store"
 	"xmldyn/internal/update"
 	"xmldyn/internal/xmltree"
-	"xmldyn/internal/xpath"
 )
 
 // Repository errors.
@@ -400,7 +399,10 @@ func (r *Repository) Query(name, path string) ([]*xmltree.Node, error) {
 // the read lock and hands the live result nodes to fn. The nodes belong
 // to the locked document: fn must not mutate them, retain them past its
 // return, or call back into the repository (see the package doc on
-// re-entrancy).
+// re-entrancy). Nor may fn write to the slice or keep it: a deep step by
+// name hands fn a capacity-limited slice of the document's element
+// index, uncopied, and the read lock keeps every writer out until fn
+// returns.
 func (r *Repository) QueryFunc(name, path string, fn func([]*xmltree.Node) error) error {
 	d, err := r.served(name)
 	if err != nil {
@@ -408,7 +410,7 @@ func (r *Repository) QueryFunc(name, path string, fn func([]*xmltree.Node) error
 	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	nodes, err := xpath.New(d.sess.Document(), d.sess.Labeling(), xpath.ModeStructural).Query(path)
+	nodes, err := d.sess.Engine().Query(path)
 	if err != nil {
 		return err
 	}

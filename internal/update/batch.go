@@ -410,6 +410,7 @@ func (s *Session) revert() error {
 	}
 	s.staged = false
 	s.forgetTouched()
+	s.index.Drop()
 	s.saved.Verifies, s.saved.FullVerifies = s.ctr.Verifies, s.ctr.FullVerifies
 	s.ctr = s.saved
 	if relabelled || err != nil || s.lab.Stats().Relabelling() != s.savedMark {
@@ -670,6 +671,7 @@ func (s *Session) label(root *xmltree.Node) error {
 		return fmt.Errorf("update: label %s: %w", s.lab.Name(), err)
 	}
 	s.noteLabelled(root)
+	s.index.Inserted(s.lab, root)
 	return nil
 }
 
@@ -680,6 +682,7 @@ func (s *Session) detach(n *xmltree.Node) {
 	if labellable(n) {
 		s.ctr.Deletes += int64(n.LabelledCount())
 		s.noteDeleting(n)
+		s.index.Deleting(s.lab, n)
 		s.lab.NodeDeleting(n)
 	}
 	n.Detach()
@@ -712,8 +715,10 @@ func (s *Session) rename(n *xmltree.Node, name string) error {
 			}
 		}
 	}
-	s.undo = append(s.undo, undoRec{kind: undoName, n: n, old: n.Name()})
+	old := n.Name()
+	s.undo = append(s.undo, undoRec{kind: undoName, n: n, old: old})
 	n.SetName(name)
+	s.index.Renamed(s.lab, n, old)
 	s.ctr.ContentUpdates++
 	return nil
 }

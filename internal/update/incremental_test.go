@@ -67,6 +67,9 @@ type genOptions struct {
 	// deletesInRollbacks lets a rolled-back batch delete labelled
 	// nodes, so its rollback re-labels them (fallback trigger 3).
 	deletesInRollbacks bool
+	// fewNames draws element names from three per prefix instead of a
+	// fresh one each time, so that names repeat.
+	fewNames bool
 }
 
 var genAll = genOptions{moves: true, rollbacks: true, deletesInRollbacks: true}
@@ -102,10 +105,11 @@ type gen struct {
 	nodes  []*xmltree.Node // labelled nodes, document order, as the transaction starts
 	doomed []*xmltree.Node // subtrees an earlier op of the batch detached
 	serial int
+	few    bool // genOptions.fewNames
 }
 
 func buildTxn(p picker, s *update.Session, opt genOptions) txn {
-	g := &gen{p: p, s: s, root: s.Document().Root(), nodes: s.Document().LabelledNodes()}
+	g := &gen{p: p, s: s, root: s.Document().Root(), nodes: s.Document().LabelledNodes(), few: opt.fewNames}
 	mode := [...]txnMode{modeSingle, modeSingle, modeSingle, modeSingle, modeSingle,
 		modeBatch, modeBatch, modeBatch, modeFailing, modeStaged}[p.pick(10)]
 	if !opt.rollbacks && mode >= modeFailing {
@@ -164,6 +168,9 @@ func (g *gen) deletable() *xmltree.Node {
 
 func (g *gen) name(prefix string) string {
 	g.serial++
+	if g.few {
+		return fmt.Sprintf("%s%d", prefix, g.serial%3)
+	}
 	return fmt.Sprintf("%s%d", prefix, g.serial)
 }
 

@@ -20,6 +20,7 @@ import (
 
 	"xmldyn/internal/labeling"
 	"xmldyn/internal/xmltree"
+	"xmldyn/internal/xpath"
 )
 
 // Errors reported by update operations.
@@ -94,6 +95,10 @@ type Session struct {
 	staged    bool
 	// marks is validateBatch's scratch: empty between transactions.
 	marks map[*xmltree.Node]uint8
+	// index lists the document's elements by name for the engine
+	// (Engine). The transaction primitives keep it current where they
+	// tell the labelling of a change, and revert drops it.
+	index xpath.Index
 }
 
 // NewSession builds the labeling for doc and returns the session. A
@@ -116,6 +121,15 @@ func (s *Session) Document() *xmltree.Document { return s.doc }
 
 // Labeling returns the session's labeling.
 func (s *Session) Labeling() labeling.Interface { return s.lab }
+
+// Engine returns a structural query engine over the session's
+// document that reads a deep element step by name from the session's
+// element index, building a name's list on its first read. Readers may
+// query at once, and not beside a transaction. An answer may be a slice
+// of the index's own list; Repository.QueryFunc, the one caller, states
+// what its reader may do with it. The index orders by labels, so it is
+// only for a scheme whose labels are unique, as the repository admits.
+func (s *Session) Engine() *xpath.Engine { return xpath.Indexed(s.doc, s.lab, &s.index) }
 
 // Counters returns a copy of the operation counters.
 func (s *Session) Counters() Counters { return s.ctr }
@@ -392,9 +406,13 @@ func labellable(n *xmltree.Node) bool {
 
 // Verify re-checks the session's core invariant: labels order exactly as
 // the document does. Schemes with the LSDX uniqueness defect fail here
-// once a collision occurs. It is always the full pass over the whole
+// once a collision occurs. It also checks every list of the element
+// index against a walk. It is always the full pass over the whole
 // document, reads only, and leaves the counters and the commit-time
 // verification's state alone, so it is safe under a read lock.
 func (s *Session) Verify() error {
-	return labeling.VerifyOrder(s.lab, s.doc)
+	if err := labeling.VerifyOrder(s.lab, s.doc); err != nil {
+		return err
+	}
+	return s.index.Verify(s.doc)
 }

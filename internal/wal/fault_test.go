@@ -132,3 +132,25 @@ func TestFailedRotationDoesNotPoison(t *testing.T) {
 		t.Fatalf("replayed %q over %d segments, want [before after] over 2", got, info.Segments)
 	}
 }
+
+// TestCloseReturnsTheFailure: an async log's Sync fails, so the log is
+// poisoned and what it holds past its last good fsync may be lost. Close
+// then returns that failure, not nil, and a second Close returns
+// ErrClosed.
+func TestCloseReturnsTheFailure(t *testing.T) {
+	l := createLog(t, t.TempDir(), Options{Policy: SyncAsync, FlushInterval: time.Hour})
+	s := script(t, l, 1)
+	if err := l.Append([]byte("unsynced")); err != nil {
+		t.Fatal(err)
+	}
+	s.release <- syscall.EIO
+	if err := l.Sync(); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Sync returned %v, want the scripted EIO", err)
+	}
+	if err := l.Close(); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Close of a failed log returned %v, want its EIO", err)
+	}
+	if err := l.Close(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("second Close returned %v, want ErrClosed", err)
+	}
+}

@@ -479,7 +479,9 @@ func (l *Log) ActiveIndex() uint64 {
 }
 
 // Close stops the flusher, syncs outstanding writes and closes the
-// active segment. Further appends return ErrClosed.
+// active segment. Further appends return ErrClosed. A failed log
+// returns its failure: what it holds past its last good fsync may not
+// survive a crash, so its close is no success.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -496,8 +498,8 @@ func (l *Log) Close() error {
 	defer l.mu.Unlock()
 	// A failed log syncs nothing; settle still releases the appends
 	// parked on it, with its failure.
-	var err error
-	if l.err == nil {
+	err := l.err
+	if err == nil {
 		err = l.f.Sync()
 	}
 	l.settle(l.f, l.appended, err)

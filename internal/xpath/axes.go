@@ -71,6 +71,10 @@ type Engine struct {
 	doc  *xmltree.Document
 	lab  labeling.Interface
 	mode Mode
+	// index, when set, answers deep element steps by name (index.go).
+	index *Index
+	// examined counts the nodes the engine's queries have examined.
+	examined int
 }
 
 // New returns an engine in the given mode. The labeling must already be
@@ -78,6 +82,11 @@ type Engine struct {
 func New(doc *xmltree.Document, lab labeling.Interface, mode Mode) *Engine {
 	return &Engine{doc: doc, lab: lab, mode: mode}
 }
+
+// Examined returns how many nodes the engine's queries have examined:
+// each node a walk or a child step tested, and each list entry a read
+// by name handed out or compared in a binary search.
+func (e *Engine) Examined() int { return e.examined }
 
 // Select returns the nodes on the axis from ctx whose name matches
 // nameTest ("" or "*" match any), in document order.

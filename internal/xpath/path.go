@@ -37,18 +37,19 @@ func (e *Engine) Query(path string) ([]*xmltree.Node, error) {
 	// The initial context is the document: the first step selects the
 	// root element (child axis) or any element (descendant axis).
 	// Invariant: current is duplicate-free and in document order, and
-	// while flat holds no context is an ancestor of another. Each
-	// selection is a fresh slice, so the first context's one is the next
-	// list as it is and the later ones append to it.
-	current := stepFrom(e.doc.Node(), steps[0])
+	// while flat holds no context is an ancestor of another. One
+	// context's selection is the next list as it is; several are
+	// appended into a fresh one, which alone is sorted, since a
+	// selection read by name is the index's.
+	current := e.stepFrom(e.doc.Node(), steps[0])
 	flat := !steps[0].deep
 	for _, st := range steps[1:] {
 		var next []*xmltree.Node
-		for i, ctx := range current {
-			if i == 0 {
-				next = stepFrom(ctx, st)
+		for _, ctx := range current {
+			if len(current) == 1 {
+				next = e.stepFrom(ctx, st)
 			} else {
-				next = append(next, stepFrom(ctx, st)...)
+				next = append(next, e.stepFrom(ctx, st)...)
 			}
 		}
 		// One context's candidates are distinct and ordered, and so are
@@ -171,18 +172,23 @@ func parsePredicate(s string) (predicate, error) {
 
 // stepFrom returns one step's selection from one context node: its
 // candidates, distinct and in document order, filtered by its
-// predicates. Deep steps scan with xmltree.Descendants, which on a
-// version view visits persistent nodes and materialises only the
-// matches.
-func stepFrom(ctx *xmltree.Node, st step) []*xmltree.Node {
+// predicates. A deep step reads its name's list from the engine's
+// index, if it has one (index.go), or scans with xmltree.Descendants,
+// which on a version view visits persistent nodes and materialises
+// only the matches.
+func (e *Engine) stepFrom(ctx *xmltree.Node, st step) []*xmltree.Node {
 	kind := xmltree.KindElement
 	if st.attribute {
 		kind = xmltree.KindAttribute
 	}
 	match := func(n *xmltree.Node) bool {
+		e.examined++
 		return n.Kind() == kind && (st.name == "*" || n.Name() == st.name)
 	}
 	if st.deep {
+		if nodes, ok := e.byName(ctx, st); ok {
+			return applyPredicates(nodes, st)
+		}
 		return applyPredicates(xmltree.Descendants(ctx, match), st)
 	}
 	list := ctx.Children()

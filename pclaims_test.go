@@ -23,6 +23,7 @@ import (
 	"xmldyn/internal/core"
 	"xmldyn/internal/update"
 	"xmldyn/internal/workload"
+	"xmldyn/internal/xpath"
 )
 
 // pclaims is every row of the "Performance claims" table.
@@ -38,6 +39,9 @@ var pclaims = []struct {
 	{"P1", "label heap per labelled node after `update.NewSession` on `workload.BaseDocument(seed, 20000)`, bytes", 1,
 		[]pbound{{"qed", 26}, {"ordpath", 26}, {"deweyid", 26}, {"cdbs", 26}, {"xpath-accelerator", 35}, {"vector", 100}},
 		labelHeapPerNode, ""},
+	{"P2", "labelled nodes one warm `//item` read examines on the first document of `workload.BuildCorpus(workload.FewHugeDocs(), seed)` after 48 root `item` appends (the walk examines every labelled node)", 1,
+		[]pbound{{"qed", 200}, {"ordpath", 200}, {"deweyid", 200}, {"cdbs", 200}},
+		nodesPerRead, ""},
 	{"P4", "heap bytes one in-memory `Repository.Batch` of 8 `AppendChild`s allocates on a clone of `workload.BaseDocument(seed, 2000)`, the least of three", 1,
 		[]pbound{{"qed", 5000}, {"ordpath", 5200}, {"deweyid", 5000}, {"cdbs", 5100}},
 		batchHeapBytes, "a label table's page list grows by more under it"},
@@ -74,6 +78,46 @@ func labelHeapPerNode(scheme string, seed int64) (float64, error) {
 	after := liveHeap()
 	runtime.KeepAlive(s)
 	return float64(after-before) / float64(doc.LabelledCount()), nil
+}
+
+// nodesPerRead is P2: the labelled nodes a session's engine examines
+// for one //item read after 48 appends to the root: the first append's
+// item is read, which builds the name's list (a name the document lacks
+// gets none), and the other 47 appends keep it current. The walk it
+// replaces examines every labelled node of the document, and the
+// reading must be at least 100 times fewer (H25).
+func nodesPerRead(scheme string, seed int64) (float64, error) {
+	_, docs := workload.BuildCorpus(workload.FewHugeDocs(), seed)
+	s, err := update.NewSession(docs[0], core.MustScheme(scheme).Factory())
+	if err != nil {
+		return 0, err
+	}
+	walk := xpath.New(s.Document(), s.Labeling(), xpath.ModeStructural)
+	if _, err := walk.Query("//item"); err != nil {
+		return 0, err
+	}
+	for i := range 48 {
+		if _, err := s.AppendChild(s.Document().Root(), "item"); err != nil {
+			return 0, err
+		}
+		if i == 0 {
+			if _, err := s.Engine().Query("//item"); err != nil { // builds the list
+				return 0, err
+			}
+		}
+	}
+	eng := s.Engine()
+	got, err := eng.Query("//item")
+	if err != nil {
+		return 0, err
+	}
+	if len(got) != 48 {
+		return 0, fmt.Errorf("//item found %d elements, want 48", len(got))
+	}
+	if eng.Examined()*100 > walk.Examined() {
+		return 0, fmt.Errorf("//item examined %d nodes, not 100 times fewer than the walk's %d", eng.Examined(), walk.Examined())
+	}
+	return float64(eng.Examined()), nil
 }
 
 // batchHeapBytes is P4: the bytes one repository commit of eight
