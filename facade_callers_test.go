@@ -145,6 +145,7 @@ var internalBenchOnly = map[string]string{
 	"xmltree.GenerateDeep":          "bench/scenario.go",
 	"xmltree.GenerateWide":          "bench/scenario.go",
 	"xmltree.NewDocumentWithRoot":   "bench/probes.go",
+	"xmltree.OpenVersion":           "bench/probes.go",
 }
 
 // TestInternalFunctionsHaveCallers holds internal/ to what is used, as

@@ -31,7 +31,7 @@ import (
 // with a version pinned and the lazy paths warmed, plus a write helper
 // that renames the node navigate returns (a content-only op that still
 // supersedes the published version).
-func allocRepo(t *testing.T, xml string, navigate func(*xmltree.Document) *xmltree.Node) (*Repository, func()) {
+func allocRepo(t testing.TB, xml string, navigate func(*xmltree.Document) *xmltree.Node) (*Repository, func()) {
 	t.Helper()
 	r, write := unpinnedRepo(t, xml, navigate)
 	// Publish a version and warm every lazy path once.
@@ -42,7 +42,7 @@ func allocRepo(t *testing.T, xml string, navigate func(*xmltree.Document) *xmltr
 }
 
 // unpinnedRepo is allocRepo with no version ever pinned.
-func unpinnedRepo(t *testing.T, xml string, navigate func(*xmltree.Document) *xmltree.Node) (*Repository, func()) {
+func unpinnedRepo(t testing.TB, xml string, navigate func(*xmltree.Document) *xmltree.Node) (*Repository, func()) {
 	t.Helper()
 	r := New()
 	doc, err := xmltree.ParseString(xml)
@@ -70,7 +70,7 @@ func unpinnedRepo(t *testing.T, xml string, navigate func(*xmltree.Document) *xm
 }
 
 // pinA takes a snapshot of document "a" and closes it.
-func pinA(t *testing.T, r *Repository) {
+func pinA(t testing.TB, r *Repository) {
 	t.Helper()
 	snap, err := r.Snapshot("a")
 	if err != nil {
@@ -109,10 +109,12 @@ func leafOf(d *xmltree.Document) *xmltree.Node {
 	return n
 }
 
-// TestSnapshotPinAllocsConstant: pinning a cached version costs two
-// allocations — the Snapshot and its one slice of entries (five while a
-// snapshot also copied its names, listed its documents and kept a map
-// of entries) — and the number does not grow with document size,
+// TestSnapshotPinAllocsConstant: pinning a cached version of one
+// document costs one allocation, the Snapshot, which holds its one
+// entry (two while the entries were always a slice of their own, five
+// while a snapshot also copied its names, listed its documents and kept
+// a map of entries); a snapshot of several documents adds its slice of
+// entries. The number does not grow with document size,
 // whether the pinned version is cached or freshly superseded by a
 // commit: a fresh pin also publishes the commit's spine, which on a
 // flat document is its root at any width. Names repeated and out of
@@ -138,8 +140,8 @@ func TestSnapshotPinAllocsConstant(t *testing.T) {
 		fresh[w] = both - writeOnly
 	}
 	for _, w := range widths {
-		if cached[w] > 2 {
-			t.Errorf("cached pin at width %d: %.1f allocs, want <= 2", w, cached[w])
+		if cached[w] != 1 {
+			t.Errorf("cached pin at width %d: %.1f allocs, want 1", w, cached[w])
 		}
 		if fresh[w] > 15 {
 			t.Errorf("fresh pin at width %d: %.1f allocs, want <= 15", w, fresh[w])
@@ -294,7 +296,7 @@ func TestVerifiedCommitAllocsIndependentOfSize(t *testing.T) {
 // same top in every size: a root with eight sections and four items,
 // the sections sharing the rest of the budget as bushy subtrees of
 // fan-out at most 8.
-func sectionsXML(t *testing.T, nodes int) string {
+func sectionsXML(t testing.TB, nodes int) string {
 	t.Helper()
 	root := xmltree.NewElement("r")
 	for i := 0; i < 8; i++ {
@@ -366,6 +368,47 @@ func TestSnapshotQueryAllocsIndependentOfSize(t *testing.T) {
 		t.Errorf("snapshot read scales with document size: %.0f bytes at 200 nodes, %.0f at 20000", bytes[200], bytes[20000])
 	}
 	t.Logf("snapshot read: %.1f allocs, %.0f bytes at 200 nodes; %.1f allocs, %.0f bytes at 20000", allocs[200], bytes[200], allocs[20000], bytes[20000])
+}
+
+// TestWarmSnapshotReadAllocsNothing: a version keeps the list its first
+// //item built, so a warm //item allocates nothing — on the snapshot
+// that read first, and on a second snapshot of the same version, whose
+// own first read is warm too. Both are handed the same list. (While
+// every snapshot read walked its version, each read allocated its
+// answer.)
+func TestWarmSnapshotReadAllocsNothing(t *testing.T) {
+	r, _ := allocRepo(t, sectionsXML(t, 2000), leafOf)
+	query := func(snap *Snapshot) []*xmltree.Node {
+		nodes, err := snap.Query("a", "//item")
+		if err != nil || len(nodes) != 4 {
+			t.Fatalf("//item returned %d nodes, %v", len(nodes), err)
+		}
+		return nodes
+	}
+	first, err := r.Snapshot("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Close()
+	list := query(first)
+	second, err := r.Snapshot("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	shared := query(second)
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
+		t.Errorf("a second snapshot's first //item of a read version: %d allocs, want 0", allocs)
+	}
+	if &shared[0] != &list[0] {
+		t.Error("two snapshots of one version were handed different lists")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { query(first) }); allocs != 0 {
+		t.Errorf("warm snapshot //item: %.1f allocs, want 0", allocs)
+	}
 }
 
 // carrierDoc is a flat document of 64 children, each with an attribute

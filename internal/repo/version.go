@@ -15,6 +15,10 @@
 //     changed and shares every untouched subtree with the version
 //     published then. A commit copies nothing; a pin of an unchanged
 //     state copies nothing either, and no pin copies the document.
+//   - A version is a value, so a read of it is computed once: each
+//     version keeps an element index (xpath.Index) beside its view. The
+//     first //n on the version walks it and keeps the list; every later
+//     read, on any snapshot of the version, is handed the list.
 //   - Snapshot readers then run against the published version with NO
 //     lock held: a slow reader cannot stall writers, and a writer
 //     storm cannot starve readers (repo.query_p99_us and
@@ -117,17 +121,28 @@ type docVersion struct {
 	mu         sync.Mutex
 	pins       int
 	superseded bool
-	view       *xmltree.Document // navigable view of the version root; nil after release
+	read       *versionRead // nil after release
+}
+
+// versionRead is what a version's readers read: its navigable view and
+// the index of its element names, one allocation that release drops
+// whole. A version never changes, so nothing maintains its lists.
+type versionRead struct {
+	view  xmltree.View
+	index xpath.Index
 }
 
 // newVersion opens a published version root and wraps it in a
 // descriptor. Opening is O(1) — view nodes materialise lazily as
-// readers descend (xmltree.OpenVersion) — and one view serves every
-// snapshot of the version, so node identity is stable across them. One
-// LiveVersions unit is held until release.
+// readers descend (xmltree.OpenVersion) — and one view and one index
+// serve every snapshot of the version, so node identity is stable
+// across them and a name's list is built once. One LiveVersions unit is
+// held until release.
 func newVersion(seq uint64, scheme string, stats *versionStats, root *xmltree.Node, superseded bool) *docVersion {
 	stats.live.Add(1)
-	return &docVersion{seq: seq, scheme: scheme, stats: stats, view: xmltree.OpenVersion(root), superseded: superseded}
+	read := new(versionRead)
+	read.view.Open(root)
+	return &docVersion{seq: seq, scheme: scheme, stats: stats, read: read, superseded: superseded}
 }
 
 // pin registers one snapshot reference. Caller: Doc.pinCurrent, under
@@ -163,21 +178,22 @@ func (v *docVersion) supersede() {
 	v.mu.Unlock()
 }
 
-// maybeReleaseLocked drops the version's tree reference once nothing
-// can read it again: superseded means no future snapshot can pin it,
-// zero pins means no open snapshot reads it now. Subtrees shared with
-// younger versions remain reachable through those versions; only this
-// root reference dies. Callers hold v.mu.
+// maybeReleaseLocked drops the version's tree reference, with its view
+// and its lists, once nothing can read it again: superseded means no
+// future snapshot can pin it, zero pins means no open snapshot reads it
+// now. Subtrees shared with younger versions remain reachable through
+// those versions; only this root reference dies. A reader already
+// holding the view keeps it alive for itself. Callers hold v.mu.
 func (v *docVersion) maybeReleaseLocked() {
-	if v.superseded && v.pins == 0 && v.view != nil {
-		v.view = nil
+	if v.superseded && v.pins == 0 && v.read != nil {
+		v.read = nil
 		v.stats.live.Add(-1)
 	}
 }
 
 // document returns the version's navigable frozen view. The caller
 // must have pinned the version: its pin keeps the view from release.
-func (v *docVersion) document() *xmltree.Document { return v.view }
+func (v *docVersion) document() *xmltree.Document { return v.read.view.Document() }
 
 // Version returns the document's current version sequence number:
 // InitialVersionSeq for a freshly opened document, advancing on every
@@ -244,14 +260,14 @@ func (d *Doc) pinCurrent() *docVersion {
 }
 
 // snapEntry is one document inside a snapshot: its name, the pinned
-// version and its frozen view, resolved once at capture time. Close
-// drops the view and keeps the descriptor; doc is the live document
-// only while the snapshot is being captured.
+// version and what its readers read, resolved once at capture time.
+// Close drops the read and keeps the descriptor; doc is the live
+// document only while the snapshot is being captured.
 type snapEntry struct {
 	name string
 	doc  *Doc
 	v    *docVersion
-	tree *xmltree.Document
+	read *versionRead
 }
 
 // Snapshot is a transaction-consistent, immutable view of one or more
@@ -265,11 +281,13 @@ type snapEntry struct {
 // (docs/CONCURRENCY.md specifies the full observation model).
 //
 // A Snapshot is safe for concurrent use by multiple goroutines. It is
-// the struct and one slice of entries sorted by name, searched by
-// binary search; there is no map.
+// the struct and a slice of entries sorted by name, searched by binary
+// search; there is no map. A snapshot of one document keeps its entry
+// inside the struct, so it is one allocation.
 type Snapshot struct {
 	mu     sync.RWMutex
-	docs   []snapEntry // sorted by name
+	docs   []snapEntry  // sorted by name
+	one    [1]snapEntry // docs' array when it holds one entry
 	stats  *versionStats
 	closed bool
 }
@@ -296,7 +314,11 @@ func (r *Repository) Snapshot(names ...string) (*Snapshot, error) {
 	if all {
 		names = r.Names()
 	}
-	docs := make([]snapEntry, len(names))
+	s := &Snapshot{stats: &r.vstats}
+	docs := s.one[:]
+	if len(names) != 1 {
+		docs = make([]snapEntry, len(names))
+	}
 	for i, name := range names {
 		docs[i].name = name
 	}
@@ -321,14 +343,15 @@ func (r *Repository) Snapshot(names ...string) (*Snapshot, error) {
 	for i := range docs {
 		e := &docs[i]
 		e.v = e.doc.pinCurrent()
-		e.tree = e.v.document()
+		e.read = e.v.read
 	}
 	for i := len(docs) - 1; i >= 0; i-- {
 		docs[i].doc.mu.RUnlock()
 		docs[i].doc = nil
 	}
 	r.vstats.open.Add(1)
-	return &Snapshot{docs: docs, stats: &r.vstats}, nil
+	s.docs = docs
+	return s, nil
 }
 
 // Names lists the snapshot's document names, sorted. It stays valid
@@ -375,7 +398,7 @@ func (s *Snapshot) Document(name string) (*xmltree.Document, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.tree, nil
+	return e.read.view.Document(), nil
 }
 
 // Query evaluates a location path (the xpath package's grammar)
@@ -384,14 +407,20 @@ func (s *Snapshot) Document(name string) (*xmltree.Document, error) {
 // mutate them: unlike Repository.Query there is no lock to outlive and
 // therefore no defensive deep copy. Clone a node if a mutable copy is
 // needed.
+//
+// A //n from the document node reads the version's list of n, which
+// the version's first such read builds with one walk and every later
+// read, on this or any snapshot of the version, is handed without a
+// walk. So the slice Query returns may be shared, as QueryFunc's is:
+// it is capacity-limited, so an append copies it, and the caller must
+// not write into it. A //n below an element walks: a version has no
+// labels to find the run with.
 func (s *Snapshot) Query(name, path string) ([]*xmltree.Node, error) {
 	e, err := s.entry(name)
 	if err != nil {
 		return nil, err
 	}
-	// Structural mode navigates parent/child pointers only — a frozen
-	// tree has no labeling, and needs none.
-	return xpath.New(e.tree, nil, xpath.ModeStructural).Query(path)
+	return xpath.Indexed(e.read.view.Document(), nil, &e.read.index).Query(path)
 }
 
 // entry resolves a name under the read lock, failing on closed
@@ -422,10 +451,10 @@ func (s *Snapshot) Close() {
 		return
 	}
 	s.closed = true
-	// Drop the trees, keep the descriptors: Versions reads their
+	// Drop the reads, keep the descriptors: Versions reads their
 	// immutable seq after Close.
 	for i := range s.docs {
-		s.docs[i].tree = nil
+		s.docs[i].read = nil
 	}
 	s.mu.Unlock()
 	// closed is set, so nothing writes s.docs any more.

@@ -1,0 +1,428 @@
+package repo
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+
+	"xmldyn/internal/core"
+	"xmldyn/internal/update"
+	"xmldyn/internal/xmltree"
+	"xmldyn/internal/xpath"
+)
+
+// The tests of a version's element index: each published version keeps
+// the lists its reads by name build, and every snapshot of it shares
+// them (version.go, versionRead).
+
+// listNames is the alphabet the version-list tests name elements from.
+var listNames = []string{"a", "b", "c"}
+
+// named matches the elements called name.
+func named(name string) func(*xmltree.Node) bool {
+	return func(n *xmltree.Node) bool { return n.Kind() == xmltree.KindElement && n.Name() == name }
+}
+
+// rendered spells nodes out, one after the other.
+func rendered(nodes []*xmltree.Node) string {
+	var sb strings.Builder
+	for _, n := range nodes {
+		sb.WriteString(xmltree.OuterXML(n))
+		sb.WriteByte('|')
+	}
+	return sb.String()
+}
+
+// versionBatch builds one to three random ops on doc: inserts, deletes,
+// renames, moves (a delete and a graft of a copy) and a double delete,
+// which fails the batch. An op may also fail because an earlier op of
+// the batch removed its target.
+func versionBatch(rng *rand.Rand, doc *xmltree.Document, b *update.Batch) {
+	elems := xmltree.Descendants(doc.Node(), func(n *xmltree.Node) bool { return n.Kind() == xmltree.KindElement })
+	pick := func() *xmltree.Node { return elems[rng.Intn(len(elems))] }
+	name := func() string { return listNames[rng.Intn(len(listNames))] }
+	for range 1 + rng.Intn(3) {
+		n := pick()
+		switch op := rng.Intn(7); {
+		case op < 2 || n == doc.Root() || (op == 3 && len(elems) < 12):
+			b.AppendChild(n, name())
+		case op == 2:
+			b.InsertBefore(n, name())
+		case op == 3:
+			b.Delete(n)
+		case op == 4:
+			b.Rename(n, name())
+		case op == 5:
+			to := pick()
+			for p := to; p != nil; p = p.Parent() {
+				if p == n {
+					to = doc.Root()
+					break
+				}
+			}
+			b.Delete(n).Add(update.AppendSubtreeOp(to, n.Clone()))
+		default:
+			b.Delete(n).Delete(n)
+		}
+	}
+}
+
+// heldSnapshot is a snapshot the differential test keeps open, with its
+// version's tree and, per name, the live answer when it was pinned.
+type heldSnapshot struct {
+	snap *Snapshot
+	doc  *xmltree.Document
+	at   map[string]string
+}
+
+// TestVersionListsMatchWalk: on every scheme the repository admits, a
+// seeded stream of batches — inserts, deletes, renames, moves and
+// failing batches — runs on one document, and snapshots are pinned at
+// random points, up to four held open at once. A new snapshot reads
+// each name first; a second snapshot of the same version then reads it
+// warm, and must be handed the same list. After every commit, every
+// held snapshot reads each name again. Each //n answer must be what
+// xmltree.Descendants finds in the snapshot's own version, and spell
+// what the live document held when it was pinned, so an old version
+// never shows a newer node; /*//n, which walks, must agree with the
+// walk engine.
+func TestVersionListsMatchWalk(t *testing.T) {
+	commits := 300
+	if testing.Short() {
+		commits = 30
+	}
+	for _, scheme := range core.Registry() {
+		if !scheme.UniqueLabels {
+			continue // the repository refuses it
+		}
+		t.Run(scheme.Name, func(t *testing.T) {
+			t.Parallel()
+			r := New()
+			if err := r.Open("d", mustParse(t, "<r><a><b/><c/></a><b><a/></b><c/></r>"), scheme.Name); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			var held []heldSnapshot
+			defer func() {
+				for _, h := range held {
+					h.snap.Close()
+				}
+			}()
+			check := func(h heldSnapshot, where string) {
+				t.Helper()
+				for _, name := range listNames {
+					got, err := h.snap.Query("d", "//"+name)
+					if err != nil {
+						t.Fatalf("%s, //%s: %v", where, name, err)
+					}
+					if want := xmltree.Descendants(h.doc.Node(), named(name)); !slices.Equal(got, want) {
+						t.Fatalf("%s, //%s: the version's list has %d nodes, its walk %d", where, name, len(got), len(want))
+					}
+					if s := rendered(got); s != h.at[name] {
+						t.Fatalf("%s, //%s answers %s; at its pin the document held %s", where, name, s, h.at[name])
+					}
+					deep := "/*//" + name
+					got, err = h.snap.Query("d", deep)
+					want, werr := xpath.New(h.doc, nil, xpath.ModeStructural).Query(deep)
+					if err != nil || werr != nil || !slices.Equal(got, want) {
+						t.Fatalf("%s, %s: %d nodes (%v), the walk %d (%v)", where, deep, len(got), err, len(want), werr)
+					}
+				}
+			}
+			pin := func(where string) {
+				t.Helper()
+				snap, err := r.Snapshot("d")
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := heldSnapshot{snap: snap, at: map[string]string{}}
+				if h.doc, err = snap.Document("d"); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.View("d", func(s *update.Session) error {
+					for _, name := range listNames {
+						h.at[name] = rendered(xmltree.Descendants(s.Document().Node(), named(name)))
+					}
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				check(h, where+", first read")
+				twin, err := r.Snapshot("d")
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(heldSnapshot{snap: twin, doc: h.doc, at: h.at}, where+", warm read on a twin")
+				for _, name := range listNames {
+					a, _ := snap.Query("d", "//"+name)
+					b, _ := twin.Query("d", "//"+name)
+					if len(a) > 0 && &a[0] != &b[0] {
+						t.Fatalf("%s, //%s: two snapshots of one version hold two lists", where, name)
+					}
+				}
+				twin.Close()
+				if len(held) == 4 {
+					held[0].snap.Close()
+					held = held[1:]
+				}
+				held = append(held, h)
+			}
+			pin("the opened document")
+			applied := 0
+			for i := range commits {
+				if _, err := r.Batch("d", func(doc *xmltree.Document, b *update.Batch) error {
+					versionBatch(rng, doc, b)
+					return nil
+				}); err == nil {
+					applied++
+				}
+				where := fmt.Sprintf("%s commit %d", scheme.Name, i)
+				for k, h := range held {
+					check(h, fmt.Sprintf("%s, snapshot %d of %d", where, k+1, len(held)))
+				}
+				if rng.Intn(3) == 0 {
+					pin(where)
+				}
+			}
+			if applied < commits/3 {
+				t.Fatalf("only %d of %d batches committed", applied, commits)
+			}
+			t.Logf("%d of %d batches committed; %d elements at the end", applied, commits, len(xmltree.Descendants(held[len(held)-1].doc.Node(), func(n *xmltree.Node) bool { return n.Kind() == xmltree.KindElement })))
+		})
+	}
+}
+
+// TestVersionListsRaceReadersPinsAndClose: several snapshots of one
+// version read names for the first time and warm at once, so a name's
+// list is built beside readers of it and of other names. Around them a
+// writer commits, pinners pin, read and close snapshots of their own,
+// and one of the round's snapshots is closed while its readers query
+// it. Every answer a reader gets is what a walk of its snapshot's
+// version finds, and an append to it copies. Run with -race.
+func TestVersionListsRaceReadersPinsAndClose(t *testing.T) {
+	const rounds = 100
+	r := New()
+	if err := r.Open("a", mustParse(t, "<r><s><t/><u/></s><s/><s><t k='1'/></s></r>"), "qed"); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"t", "u", "s", "item"}
+	query := func(snap *Snapshot, doc *xmltree.Document, name string) error {
+		nodes, err := snap.Query("a", "//"+name)
+		if errors.Is(err, ErrSnapshotClosed) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if want := xmltree.Descendants(doc.Node(), named(name)); !slices.Equal(nodes, want) {
+			return fmt.Errorf("//%s: %d nodes, the version's walk %d", name, len(nodes), len(want))
+		}
+		_ = append(nodes, nil) // a capacity-limited answer copies
+		return nil
+	}
+	kick := make(chan int)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // the writer: one commit a round, while the round reads
+		defer wg.Done()
+		for i := range kick {
+			_, err := r.Batch("a", func(doc *xmltree.Document, b *update.Batch) error {
+				root := doc.Root()
+				kids := root.Children()
+				switch s := kids[i%3]; i % 4 {
+				case 3:
+					b.AppendChild(root, "item").Delete(s).Delete(s) // the second delete fails
+				case 1:
+					if c := s.FirstChild(); c != nil {
+						b.Rename(c, map[string]string{"t": "u", "u": "t", "item": "t"}[c.Name()])
+					}
+				case 2:
+					if last := kids[len(kids)-1]; last.Name() == "item" {
+						b.Delete(last)
+					}
+				default:
+					b.AppendChild(root, "item").AppendChild(s, "u")
+				}
+				return nil
+			})
+			if (err != nil) != (i%4 == 3) {
+				t.Errorf("commit %d: %v", i, err)
+			}
+		}
+	}()
+	for p := range 2 {
+		wg.Add(1)
+		go func() { // a pinner
+			defer wg.Done()
+			for i := p; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				snap, err := r.Snapshot("a")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				doc, _ := snap.Document("a")
+				err = query(snap, doc, names[i%len(names)])
+				snap.Close()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for round := range rounds {
+		// No commit runs between these pins: they share one version.
+		snaps := make([]*Snapshot, 3)
+		docs := make([]*xmltree.Document, 3)
+		for i := range snaps {
+			var err error
+			if snaps[i], err = r.Snapshot("a"); err != nil {
+				t.Fatal(err)
+			}
+			docs[i], _ = snaps[i].Document("a")
+		}
+		var readers sync.WaitGroup
+		for i, snap := range snaps {
+			for g := range 2 {
+				readers.Add(1)
+				go func() {
+					defer readers.Done()
+					for k := range 2 * len(names) {
+						if err := query(snap, docs[i], names[(g+i+k)%len(names)]); err != nil {
+							t.Errorf("round %d: %v", round, err)
+							return
+						}
+					}
+				}()
+			}
+		}
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			snaps[round%len(snaps)].Close()
+		}()
+		kick <- round
+		readers.Wait()
+		for _, snap := range snaps {
+			snap.Close()
+		}
+	}
+	close(kick)
+	close(done)
+	wg.Wait()
+	if err := r.Verify("a"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// liveHeap returns the bytes the heap holds once garbage is collected.
+func liveHeap() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestClosedSnapshotsKeepNoLists: 1 000 rounds of commit, pin, //item
+// and Close, with every closed Snapshot kept. Each round's version is
+// superseded by the next commit and unpinned by its Close, so it drops
+// its view, its shells and its list, and the live heap grows only by
+// what a kept Snapshot still holds: the struct and its version's
+// descriptor. A version or a closed snapshot that kept what its readers
+// read would keep a spine, shells and a list each round.
+func TestClosedSnapshotsKeepNoLists(t *testing.T) {
+	const rounds = 1000
+	r, write := allocRepo(t, sectionsXML(t, 2000), leafOf)
+	kept := make([]*Snapshot, 0, rounds+1)
+	round := func() {
+		write()
+		snap, err := r.Snapshot("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nodes, err := snap.Query("a", "//item"); err != nil || len(nodes) != 4 {
+			t.Fatalf("//item returned %d nodes, %v", len(nodes), err)
+		}
+		snap.Close()
+		kept = append(kept, snap)
+	}
+	round()
+	before := liveHeap()
+	for range rounds {
+		round()
+	}
+	grown := float64(liveHeap()-before) / rounds
+	// The size classes of a Snapshot and a docVersion, and a little for
+	// the runtime's own noise.
+	allowed := float64(sizeClass(reflect.TypeFor[Snapshot]().Size())+sizeClass(reflect.TypeFor[docVersion]().Size())) + 16
+	t.Logf("live heap grew %.1f bytes a round (a Snapshot and a descriptor: %.0f)", grown, allowed-16)
+	if grown > allowed {
+		t.Errorf("live heap grew %.1f bytes a round, want at most %.0f", grown, allowed)
+	}
+	runtime.KeepAlive(kept)
+}
+
+// sizeClass rounds a small allocation up to the allocator's size class
+// (a multiple of 16 past 16 bytes, up to 128).
+func sizeClass(n uintptr) uintptr {
+	if n <= 8 {
+		return 8
+	}
+	return (n + 15) &^ 15
+}
+
+// BenchmarkSnapshotReadByName: //item on a pinned version of a
+// 20 000-node document. first is the version's first read, which walks
+// the version and keeps the list (each iteration commits a rename and
+// pins a new version off the clock); warm is every later read, handed
+// the list.
+func BenchmarkSnapshotReadByName(b *testing.B) {
+	r, write := allocRepo(b, sectionsXML(b, 20000), leafOf)
+	query := func(snap *Snapshot) {
+		if nodes, err := snap.Query("a", "//item"); err != nil || len(nodes) != 4 {
+			b.Fatalf("//item returned %d nodes, %v", len(nodes), err)
+		}
+	}
+	pin := func() *Snapshot {
+		snap, err := r.Snapshot("a")
+		if err != nil {
+			b.Fatal(err)
+		}
+		return snap
+	}
+	b.Run("first", func(b *testing.B) {
+		for range b.N {
+			b.StopTimer()
+			write()
+			snap := pin()
+			b.StartTimer()
+			query(snap)
+			b.StopTimer()
+			snap.Close()
+			b.StartTimer()
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		snap := pin()
+		defer snap.Close()
+		query(snap)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
+			query(snap)
+		}
+	})
+}

@@ -117,11 +117,29 @@ func publishNode(n *Node, slab *Slab) *Node {
 // materialised lazily on first child/attribute access and cached, so
 // repeated queries — and every snapshot pinning the same version — see
 // the same *Node identities, and opening a version is O(1) regardless
-// of document size.
-func OpenVersion(version *Node) *Document {
-	root := viewOf(version, nil)
-	return &Document{node: &root}
+// of document size. The Document and its document node's shell are one
+// allocation, a View.
+func OpenVersion(version *Node) *Document { return new(View).Open(version) }
+
+// View is an opened version: its read-only Document and the shell of
+// its document node. A holder that keeps more beside a version embeds a
+// View and opens it in place, so that the view and the rest are one
+// allocation.
+type View struct {
+	doc  Document
+	root Node
 }
+
+// Open points v at a version root from PublishVersion and returns its
+// Document, as OpenVersion does. Open v once, before anyone reads it.
+func (v *View) Open(version *Node) *Document {
+	v.root = viewOf(version, nil)
+	v.doc.node = &v.root
+	return &v.doc
+}
+
+// Document returns the Document of a View that Open has opened.
+func (v *View) Document() *Document { return &v.doc }
 
 // viewOf returns the shell of src under parent, children unexpanded.
 func viewOf(src, parent *Node) Node {

@@ -1,14 +1,15 @@
 package xpath
 
-// The element index: a live document's elements by name, each name's
-// list in document order as the labelling orders it. The paper's case
-// for labels is that they decide order without walking the tree; the
-// index is where the engine takes them up on it. A deep element step
-// by name reads a list — all of it from the document node, the run
-// inside the context's subtree from an element, found by two binary
-// searches over labels — instead of walking every node below the
-// context. Wildcard and attribute steps, and engines without an index
-// (version views, label-only mode), keep walking.
+// The element index: a document's elements by name, each name's list
+// in document order. The paper's case for labels is that they decide
+// order without walking the tree; the index is where the engine takes
+// them up on it. A deep element step by name reads a list — all of it
+// from the document node, the run inside the context's subtree from an
+// element, found by two binary searches over labels — instead of
+// walking every node below the context. A published version has an
+// index too, and no labels: it answers from the document node only.
+// Wildcard and attribute steps, and engines without an index
+// (label-only mode), keep walking.
 
 import (
 	"fmt"
@@ -21,18 +22,20 @@ import (
 )
 
 // Index holds, for each element name that has been read and found,
-// that name's elements of one live document in document order. The
-// first read of a name builds its list with one walk, and keeps it
-// only if it is not empty, so a read of an absent name walks each time.
-// At most maxNames lists are held: a name read past that drops the
-// others, so a reader of many names costs each commit and each Verify
-// no more than maxNames lists do. From then on the owner of the
-// document keeps it current, calling Inserted, Deleting and Renamed
-// wherever it tells the labelling of a change, and Drop where it cannot
-// say what changed. The zero value is an empty index. Labels place an
-// entry, so the lists are right while the labels order as the document
-// does, which is what Verify checks: a scheme that can give two nodes
-// one label (lsdx, com-d) breaks that, and the repository refuses it.
+// that name's elements of one document in document order. The first
+// read of a name builds its list with one walk, and keeps it only if it
+// is not empty, so a read of an absent name walks each time. At most
+// maxNames lists are held: a name read past that drops the others, so
+// a reader of many names costs each commit and each Verify no more than
+// maxNames lists do. The zero value is an empty index. The index of a
+// published version needs nothing more, since a version never changes.
+// That of a live document is kept current by the document's owner,
+// calling Inserted, Deleting and Renamed wherever it tells the
+// labelling of a change, and Drop where it cannot say what changed.
+// Labels place an entry, so the lists are right while the labels order
+// as the document does, which is what Verify checks: a scheme that can
+// give two nodes one label (lsdx, com-d) breaks that, and the
+// repository refuses it.
 //
 // Readers of the document may read and build lists at once: a build
 // holds mu. The maintenance methods run with the document held
@@ -46,19 +49,20 @@ type Index struct {
 // maxNames bounds the lists an index holds.
 const maxNames = 16
 
-// Indexed returns a structural engine over doc, the live document x
-// indexes, that answers deep element steps by name from x.
+// Indexed returns a structural engine over doc, the document x
+// indexes, that answers deep element steps by name from x. lab is nil
+// for a published version.
 func Indexed(doc *xmltree.Document, lab labeling.Interface, x *Index) *Engine {
 	return &Engine{doc: doc, lab: lab, mode: ModeStructural, index: x}
 }
 
 // byName answers a deep element step by name from ctx out of the
 // index: the whole list from the document node, the run of the list
-// inside ctx's subtree from an element. ok is false where the step
-// walks instead.
+// inside ctx's subtree from an element, which the labels find. ok is
+// false where the step walks instead.
 func (e *Engine) byName(ctx *xmltree.Node, st step) (nodes []*xmltree.Node, ok bool) {
 	kind := ctx.Kind()
-	if e.index == nil || st.attribute || st.name == "*" || (kind != xmltree.KindDocument && kind != xmltree.KindElement) {
+	if e.index == nil || st.attribute || st.name == "*" || (kind != xmltree.KindDocument && (kind != xmltree.KindElement || e.lab == nil)) {
 		return nil, false
 	}
 	l := e.index.list(e.doc.Node(), st.name, &e.examined)

@@ -23,6 +23,7 @@ import (
 	"xmldyn/internal/core"
 	"xmldyn/internal/update"
 	"xmldyn/internal/workload"
+	"xmldyn/internal/xmltree"
 	"xmldyn/internal/xpath"
 )
 
@@ -45,6 +46,9 @@ var pclaims = []struct {
 	{"P4", "heap bytes one in-memory `Repository.Batch` of 8 `AppendChild`s allocates on a clone of `workload.BaseDocument(seed, 2000)`, the least of three", 1,
 		[]pbound{{"qed", 5000}, {"ordpath", 5200}, {"deweyid", 5000}, {"cdbs", 5100}},
 		batchHeapBytes, "a label table's page list grows by more under it"},
+	{"P6", "nodes one warm `//item` read on a pinned version of the first document of `workload.BuildCorpus(workload.FewHugeDocs(), seed)` examines after 48 root `item` appends (the version's first read walks it)", 1,
+		[]pbound{{"qed", 200}, {"ordpath", 200}, {"deweyid", 200}, {"cdbs", 200}},
+		versionNodesPerRead, ""},
 }
 
 type pbound struct {
@@ -118,6 +122,48 @@ func nodesPerRead(scheme string, seed int64) (float64, error) {
 		return 0, fmt.Errorf("//item examined %d nodes, not 100 times fewer than the walk's %d", eng.Examined(), walk.Examined())
 	}
 	return float64(eng.Examined()), nil
+}
+
+// versionNodesPerRead is P6: the nodes a warm //item read on a
+// published version examines, after 48 appends to the root. A version
+// is read as Repository.Snapshot's Query reads it: an engine over the
+// version's view, with no labelling, and the version's own index, which
+// every snapshot of the version shares. The first read walks the
+// version and keeps the list; the next one, on a second engine as on a
+// second snapshot, is handed the 48 entries. It must examine at least
+// 100 times fewer nodes than the first.
+func versionNodesPerRead(scheme string, seed int64) (float64, error) {
+	_, docs := workload.BuildCorpus(workload.FewHugeDocs(), seed)
+	s, err := update.NewSession(docs[0], core.MustScheme(scheme).Factory())
+	if err != nil {
+		return 0, err
+	}
+	for range 48 {
+		if _, err := s.AppendChild(s.Document().Root(), "item"); err != nil {
+			return 0, err
+		}
+	}
+	var (
+		view  xmltree.View
+		index xpath.Index
+	)
+	version := view.Open(s.Document().PublishVersion(1))
+	first := xpath.Indexed(version, nil, &index)
+	if _, err := first.Query("//item"); err != nil {
+		return 0, err
+	}
+	warm := xpath.Indexed(version, nil, &index)
+	got, err := warm.Query("//item")
+	if err != nil {
+		return 0, err
+	}
+	if len(got) != 48 {
+		return 0, fmt.Errorf("//item found %d elements, want 48", len(got))
+	}
+	if warm.Examined()*100 > first.Examined() {
+		return 0, fmt.Errorf("a warm //item examined %d nodes, not 100 times fewer than the first read's %d", warm.Examined(), first.Examined())
+	}
+	return float64(warm.Examined()), nil
 }
 
 // batchHeapBytes is P4: the bytes one repository commit of eight

@@ -331,7 +331,10 @@ type (
 	// DurableRepository.Snapshot): reads on it hold no lock, always
 	// observe the identical committed state, and cannot see a
 	// MultiBatch half applied. Close it when done so its versions can
-	// be reclaimed. docs/CONCURRENCY.md specifies the full model.
+	// be reclaimed. A version keeps the lists its first reads by name
+	// build, and every snapshot of it is handed them: the slice Query
+	// returns is shared, and the caller must not write to it.
+	// docs/CONCURRENCY.md specifies the full model.
 	RepoSnapshot = repo.Snapshot
 	// RepoVersionStats is the repository's MVCC accounting — open
 	// snapshots, pinned versions, live version roots — for leak triage
