@@ -332,19 +332,19 @@ func emptySegment(dir string, index uint64, opts wal.Options) error {
 	return log.Close()
 }
 
-// shut marks the core closed and closes its log, reporting whether
-// this call did the closing (false on an already closed core).
-func (c *durableCore) shut() (bool, error) {
+// shut marks the core closed and closes its log; on an already closed
+// core it does nothing.
+func (c *durableCore) shut() error {
 	c.commitMu.Lock()
 	defer c.commitMu.Unlock()
 	if c.closed {
-		return false, nil
+		return nil
 	}
 	c.closed = true
 	if c.log == nil {
-		return true, nil
+		return nil
 	}
-	return true, c.log.Close()
+	return c.log.Close()
 }
 
 // --- the read surface --------------------------------------------------------

@@ -157,15 +157,14 @@ type DurableRepository struct {
 	// or sweep can interleave with an image read.
 	ckptMu sync.Mutex
 
-	// Auto-checkpoint machinery: committers nudge ckptWake when live
-	// log bytes pass the threshold; the loop goroutine runs Checkpoint
-	// off the commit path. Nil channels when auto-checkpoint is off.
-	ckptWake chan struct{}
-	ckptStop chan struct{}
-	ckptWG   sync.WaitGroup
-	autoMu   sync.Mutex
-	autoRuns uint64 // completed auto-checkpoints
-	autoErr  error  // last auto-checkpoint failure, nil after a success
+	// Auto-checkpoint: a committer that finds live log bytes past the
+	// threshold starts one goroutine to checkpoint off the commit path,
+	// unless one is running (autoRunning). Close waits for it on ckptWG.
+	autoRunning atomic.Bool
+	ckptWG      sync.WaitGroup
+	autoMu      sync.Mutex
+	autoRuns    uint64 // completed auto-checkpoints
+	autoErr     error  // last auto-checkpoint failure, nil after a success
 
 	// Replication hooks (docs/REPLICATION.md): segment pins keep a
 	// suffix of the WAL set alive across checkpoints while a shipper
@@ -189,10 +188,7 @@ type DurableRepository struct {
 // document that makes it current (a crash before the pack lands leaves
 // no pack, so the next OpenDurable simply initialises again) — and then
 // recovered like any other. A directory in the per-file layout packs
-// replaced is refused with ErrReplay and left as it is. If
-// auto-checkpointing is enabled (it is by default; see
-// DurableOptions.AutoCheckpointBytes) the background checkpointer is
-// started before OpenDurable returns.
+// replaced is refused with ErrReplay and left as it is.
 func OpenDurable(dir string, opts DurableOptions) (*DurableRepository, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -212,66 +208,45 @@ func OpenDurable(dir string, opts DurableOptions) (*DurableRepository, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.startAutoCheckpoint()
 	return d, nil
 }
 
-// startAutoCheckpoint launches the background checkpointer when the
-// options arm it. Committers nudge it after appends; it re-checks the
-// threshold and runs Checkpoint off the commit path.
-func (d *DurableRepository) startAutoCheckpoint() {
-	if d.opts.autoCheckpointBytes() <= 0 {
-		return
-	}
-	d.ckptWake = make(chan struct{}, 1)
-	d.ckptStop = make(chan struct{})
-	d.ckptWG.Add(1)
-	go d.autoCheckpointLoop()
-}
-
-// autoCheckpointLoop services ckptWake nudges: each one re-checks the
-// live-bytes threshold (commits may have raced a manual checkpoint)
-// and, if still exceeded, checkpoints. Failures are recorded for
-// AutoCheckpoints and retried on the next nudge; a closed repository
-// ends the loop via ckptStop.
-func (d *DurableRepository) autoCheckpointLoop() {
-	defer d.ckptWG.Done()
-	threshold := d.opts.autoCheckpointBytes()
-	for {
-		select {
-		case <-d.ckptStop:
-			return
-		case <-d.ckptWake:
-		}
-		if size, ok := d.LogSize(); !ok || size < threshold {
-			continue
-		}
-		err := d.Checkpoint()
-		d.autoMu.Lock()
-		switch {
-		case err == nil:
-			d.autoRuns++
-			d.autoErr = nil
-		case !errors.Is(err, ErrClosed):
-			d.autoErr = err
-		}
-		d.autoMu.Unlock()
-	}
-}
-
-// nudgeAutoCheckpoint wakes the checkpointer if live log bytes passed
-// the threshold, and nudges replication shippers unconditionally (a
-// record just became durable for them to stream). Called by committers
-// after a successful append, under commitMu's read side (so d.log is
-// stable); the sends never block.
+// nudgeAutoCheckpoint starts an auto-checkpoint if live log bytes passed
+// the threshold and none is running, and nudges replication shippers
+// unconditionally (a record just became durable for them to stream).
+// Called by committers after a successful append, under commitMu's read
+// side: d.log is stable, and the ckptWG.Add comes before Close's shut
+// takes the write side, so Close's Wait sees it.
 func (d *DurableRepository) nudgeAutoCheckpoint() {
 	d.nudgeShippers()
-	if d.ckptWake == nil || d.log.LiveBytes() < d.opts.autoCheckpointBytes() {
+	threshold := d.opts.autoCheckpointBytes()
+	if threshold <= 0 || d.log.LiveBytes() < threshold || !d.autoRunning.CompareAndSwap(false, true) {
 		return
 	}
-	select {
-	case d.ckptWake <- struct{}{}:
-	default:
+	d.ckptWG.Add(1)
+	go d.autoCheckpoint(threshold)
+}
+
+// autoCheckpoint re-checks the live-bytes threshold (a manual
+// checkpoint may have run since the nudge) and, if it is still passed,
+// checkpoints. A failure is recorded for AutoCheckpoints and retried by
+// the next commit that finds the threshold passed; a closed repository
+// is no failure.
+func (d *DurableRepository) autoCheckpoint(threshold int64) {
+	defer d.ckptWG.Done()
+	defer d.autoRunning.Store(false)
+	if size, ok := d.LogSize(); !ok || size < threshold {
+		return
+	}
+	err := d.Checkpoint()
+	d.autoMu.Lock()
+	defer d.autoMu.Unlock()
+	switch {
+	case err == nil:
+		d.autoRuns++
+		d.autoErr = nil
+	case !errors.Is(err, ErrClosed):
+		d.autoErr = err
 	}
 }
 
@@ -416,8 +391,8 @@ func (d *DurableRepository) SegmentRange() (first, active uint64, ok bool) {
 
 // AutoCheckpoints reports how many background checkpoints have
 // completed and the most recent auto-checkpoint failure (nil after any
-// subsequent success). Failures do not stop the checkpointer; it
-// retries on the next commit that crosses the threshold.
+// subsequent success). A failure stops nothing: the next commit that
+// finds the threshold passed starts another.
 func (d *DurableRepository) AutoCheckpoints() (uint64, error) {
 	d.autoMu.Lock()
 	defer d.autoMu.Unlock()
@@ -633,16 +608,11 @@ func (d *DurableRepository) Checkpoint() error {
 	return nil
 }
 
-// Close stops the auto-checkpointer, syncs and closes the log. The
+// Close syncs and closes the log, then waits for a running
+// auto-checkpoint, which finds the repository closed and gives up. The
 // repository refuses all further operations; reopen with OpenDurable.
 func (d *DurableRepository) Close() error {
-	first, err := d.shut()
-	// Stop the checkpointer outside commitMu: it may be blocked inside
-	// Checkpoint waiting for the lock, and will see closed once it gets
-	// it.
-	if first && d.ckptStop != nil {
-		close(d.ckptStop)
-		d.ckptWG.Wait()
-	}
+	err := d.shut()
+	d.ckptWG.Wait()
 	return err
 }

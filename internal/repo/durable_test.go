@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -756,6 +757,80 @@ func TestAutoCheckpointFires(t *testing.T) {
 	if err := recovered.Verify("books"); err != nil {
 		t.Fatalf("recovered order: %v", err)
 	}
+}
+
+// TestCloseWaitsForAutoCheckpoint: the first commit past the threshold
+// starts an auto-checkpoint, held waiting for ckptMu, and Close runs
+// while it waits. Close shuts the repository and waits for the
+// checkpoint, which, once ckptMu is released, finds the repository
+// closed and gives up: Close returns only then, AutoCheckpoints reports
+// no failure, and the directory recovers what was committed.
+func TestCloseWaitsForAutoCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDurable(dir, DurableOptions{AutoCheckpointBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.ckptMu.Lock()
+	held := true
+	defer func() {
+		if held {
+			d.ckptMu.Unlock()
+		}
+	}()
+	if err := d.Open("books", mustParse(t, "<lib><seed/></lib>"), "qed"); err != nil {
+		t.Fatal(err)
+	}
+	want := docXML(t, d, "books")
+	// Wait until the started checkpoint is inside Checkpoint, where
+	// ckptMu holds it.
+	for deadline := time.Now().Add(10 * time.Second); !goroutineIn("(*DurableRepository).autoCheckpoint", "(*DurableRepository).Checkpoint("); {
+		if time.Now().After(deadline) {
+			t.Fatal("a commit past the threshold started no auto-checkpoint")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- d.Close() }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while its auto-checkpoint was still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	held = false
+	d.ckptMu.Unlock()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close never returned")
+	}
+	if d.autoRunning.Load() {
+		t.Fatal("Close returned while its auto-checkpoint was still running")
+	}
+	if runs, err := d.AutoCheckpoints(); err != nil {
+		t.Fatalf("AutoCheckpoints after Close: %d runs, %v; want no failure", runs, err)
+	}
+	assertImageRecovers(t, "after Close", dir, 0, map[string]string{"books": want})
+}
+
+// goroutineIn reports whether some goroutine's stack holds every one of
+// frames.
+func goroutineIn(frames ...string) bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		all := true
+		for _, f := range frames {
+			all = all && strings.Contains(g, f)
+		}
+		if all {
+			return true
+		}
+	}
+	return false
 }
 
 // Closed repositories refuse everything.

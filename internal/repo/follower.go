@@ -278,6 +278,5 @@ func (f *FollowerRepository) Position() wal.Position {
 // Close closes the follower's log. Open snapshots stay readable;
 // further applies and bootstraps fail with ErrClosed.
 func (f *FollowerRepository) Close() error {
-	_, err := f.shut()
-	return err
+	return f.shut()
 }

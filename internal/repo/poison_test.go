@@ -145,8 +145,10 @@ func TestFailedRollbackPoisons(t *testing.T) {
 // them, the leader refuses every further commit with ErrWALFailed, a
 // crash image recovers the pre-transaction state, and a Checkpoint
 // clears the condition without capturing anything of the failed
-// commit. (The append fails because the test closes the leader's log
-// behind its back.)
+// commit. The registry records poison the same way: an Open whose
+// RecOpen cannot be appended leaves the name absent, and a Drop whose
+// RecDrop cannot be appended leaves the document served. (The append
+// fails because the test closes the leader's log behind its back.)
 func TestFailedAppendPublishesNothing(t *testing.T) {
 	appendTo := func(d *DurableRepository, name, tag string) error {
 		_, err := d.Batch(name, func(doc *xmltree.Document, b *update.Batch) error {
@@ -164,6 +166,17 @@ func TestFailedAppendPublishesNothing(t *testing.T) {
 				}
 				return nil
 			})
+			return err
+		},
+		"Open": func(d *DurableRepository) error {
+			doc, err := xmltree.ParseString(`<g><LOST/></g>`)
+			if err != nil {
+				return err
+			}
+			return d.Open("gamma", doc, "qed")
+		},
+		"Drop": func(d *DurableRepository) error {
+			_, err := d.Drop("alpha")
 			return err
 		},
 	}

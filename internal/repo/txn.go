@@ -136,7 +136,10 @@ func (sc *docScratch) reset() {
 // failed (a failed write or fsync does not say whether the bytes
 // landed, so the log may hold a record memory does not), or an abort
 // itself failed (update.ErrRollback) and left a tree that replaying the
-// log does not produce.
+// log does not produce. The one other site that poisons is the registry:
+// DurableRepository.Open and Drop (durable.go) append their RecOpen or
+// RecDrop record outside this routine, and poison the leader the same
+// way when that append fails, before the name space changes.
 //
 // It returns the number of elements the transaction inserted, summed
 // over its documents, and 0 with any error.

@@ -426,3 +426,91 @@ func BenchmarkSnapshotReadByName(b *testing.B) {
 		}
 	})
 }
+
+// TestAbsentNameWalksOncePerVersion: a version keeps its empty answer
+// to a name it lacks like any other list. On a document with no item,
+// a version's first //item walks every node and answers empty; every
+// later //item, on the same snapshot or on another snapshot of that
+// version, examines nothing and allocates nothing. Close still lets the
+// list go: as in TestClosedSnapshotsKeepNoLists, 1 000 rounds of
+// commit, pin, //item and Close, with every closed Snapshot kept, grow
+// the live heap only by a Snapshot and its version's descriptor.
+func TestAbsentNameWalksOncePerVersion(t *testing.T) {
+	r, write := allocRepo(t, strings.ReplaceAll(sectionsXML(t, 2000), "<item/>", ""), leafOf)
+	pin := func() *Snapshot {
+		snap, err := r.Snapshot("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	query := func(snap *Snapshot) {
+		if nodes, err := snap.Query("a", "//item"); err != nil || len(nodes) != 0 {
+			t.Fatalf("//item returned %d nodes, %v; want none", len(nodes), err)
+		}
+	}
+	// examined reads //item as Snapshot.Query does and returns how many
+	// nodes the read examined.
+	examined := func(snap *Snapshot) int {
+		t.Helper()
+		e, err := snap.entry("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := xpath.Indexed(e.read.view.Document(), nil, &e.read.index)
+		if nodes, err := eng.Query("//item"); err != nil || len(nodes) != 0 {
+			t.Fatalf("//item returned %d nodes, %v; want none", len(nodes), err)
+		}
+		return eng.Examined()
+	}
+	first := pin()
+	defer first.Close()
+	doc, err := first.Document("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	walk := 0
+	xmltree.Descendants(doc.Node(), func(*xmltree.Node) bool { walk++; return false })
+	if got := examined(first); got != walk {
+		t.Errorf("the version's first //item examined %d nodes, want the walk's %d", got, walk)
+	}
+	if got := examined(first); got != 0 {
+		t.Errorf("a second //item on the same snapshot examined %d nodes, want 0", got)
+	}
+	second := pin()
+	defer second.Close()
+	if got := examined(second); got != 0 {
+		t.Errorf("another snapshot's //item of the read version examined %d nodes, want 0", got)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	query(second)
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
+		t.Errorf("another snapshot's //item of the read version: %d allocs, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { query(first) }); allocs != 0 {
+		t.Errorf("a second //item on the same snapshot: %.1f allocs, want 0", allocs)
+	}
+
+	const rounds = 1000
+	kept := make([]*Snapshot, 0, rounds+1)
+	round := func() {
+		write()
+		snap := pin()
+		query(snap)
+		snap.Close()
+		kept = append(kept, snap)
+	}
+	round()
+	heap := liveHeap()
+	for range rounds {
+		round()
+	}
+	grown := float64(liveHeap()-heap) / rounds
+	allowed := float64(sizeClass(reflect.TypeFor[Snapshot]().Size())+sizeClass(reflect.TypeFor[docVersion]().Size())) + 16
+	if grown > allowed {
+		t.Errorf("live heap grew %.1f bytes a round, want at most %.0f", grown, allowed)
+	}
+	runtime.KeepAlive(kept)
+}

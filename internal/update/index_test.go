@@ -151,10 +151,11 @@ func TestVerifyChecksTheIndex(t *testing.T) {
 }
 
 // TestIndexHoldsFoundNamesUpToItsCap: a read of a name the document
-// lacks keeps no list, so it walks again; and reading more names than
-// the index holds drops the lists it held, so the first name read walks
-// again. Either way the answers are the walk's, before and after an
-// insert of that name.
+// lacks keeps its empty list, so the next read of it examines nothing,
+// and an insert of that name lands in the list; and reading more names
+// than the index holds drops the lists it held, so the first name read
+// walks again. Either way the answers are the walk's, before and after
+// an insert of that name.
 func TestIndexHoldsFoundNamesUpToItsCap(t *testing.T) {
 	const names = 40 // more than the index holds
 	var xml strings.Builder
@@ -182,10 +183,22 @@ func TestIndexHoldsFoundNamesUpToItsCap(t *testing.T) {
 		assertIndexAnswers(t, s, path, "cap")
 		return eng.Examined()
 	}
-	for range 2 {
-		if got := examined("//absent"); got < names {
-			t.Errorf("//absent examined %d nodes, want the walk's %d or more", got, names)
-		}
+	if got := examined("//absent"); got < names {
+		t.Errorf("the first //absent examined %d nodes, want the walk's %d or more", got, names)
+	}
+	if got := examined("//absent"); got != 0 {
+		t.Errorf("a warm //absent examined %d nodes, want 0 (its empty list)", got)
+	}
+	added, err := s.AppendChild(doc.Root(), "absent")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Engine().Query("//absent"); err != nil || !slices.Equal(got, []*xmltree.Node{added}) {
+		t.Fatalf("//absent after its insert returned %s, %v; want the inserted element", nodeNames(got), err)
+	}
+	assertIndexAnswers(t, s, "//absent", "cap, after an insert of an absent name")
+	if err := s.Verify(); err != nil {
+		t.Fatal(err)
 	}
 	for i := range names {
 		path := fmt.Sprintf("//w%d", i)

@@ -21,12 +21,12 @@ import (
 	"xmldyn/internal/xmltree"
 )
 
-// Index holds, for each element name that has been read and found,
-// that name's elements of one document in document order. The first
-// read of a name builds its list with one walk, and keeps it only if it
-// is not empty, so a read of an absent name walks each time. At most
-// maxNames lists are held: a name read past that drops the others, so
-// a reader of many names costs each commit and each Verify no more than
+// Index holds, for each element name that has been read, that name's
+// elements of one document in document order. The first read of a name
+// builds its list with one walk and keeps it, empty or not, so every
+// later read of the name, found or absent, is handed the list. At most
+// maxNames lists are held: a name read past that drops the others, so a
+// reader of many names costs each commit and each Verify no more than
 // maxNames lists do. The zero value is an empty index. The index of a
 // published version needs nothing more, since a version never changes.
 // That of a live document is kept current by the document's owner,
@@ -37,13 +37,20 @@ import (
 // give two nodes one label (lsdx, com-d) breaks that, and the
 // repository refuses it.
 //
-// Readers of the document may read and build lists at once: a build
-// holds mu. The maintenance methods run with the document held
-// exclusively, so they take no lock. A list a reader is handed is
-// capacity-limited, so an append copies it; nobody may write into it.
+// A read holds mu while it looks its name up, builds a missing list and
+// hands it out, so readers of the document may read at once. The
+// maintenance methods run with the document held exclusively, so they
+// take no lock. A list a reader is handed is capacity-limited, so an
+// append copies it; nobody may write into it.
 type Index struct {
-	mu    sync.RWMutex
-	lists map[string][]*xmltree.Node
+	mu    sync.Mutex
+	lists []named
+}
+
+// named is one name's list: its elements in document order.
+type named struct {
+	name  string
+	nodes []*xmltree.Node
 }
 
 // maxNames bounds the lists an index holds.
@@ -91,28 +98,31 @@ func (e *Engine) search(list []*xmltree.Node, n *xmltree.Node) int {
 // list returns the elements named name below top, the document node, in
 // document order, building the list where the index holds none.
 func (x *Index) list(top *xmltree.Node, name string, examined *int) []*xmltree.Node {
-	x.mu.RLock()
-	l, ok := x.lists[name]
-	x.mu.RUnlock()
-	if !ok {
-		x.mu.Lock()
-		if l, ok = x.lists[name]; !ok {
-			l = xmltree.Descendants(top, func(n *xmltree.Node) bool {
-				*examined++
-				return n.Kind() == xmltree.KindElement && n.Name() == name
-			})
-			if len(l) > 0 {
-				if x.lists == nil {
-					x.lists = make(map[string][]*xmltree.Node)
-				} else if len(x.lists) == maxNames {
-					clear(x.lists)
-				}
-				x.lists[name] = l
-			}
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	l := x.find(name)
+	if l == nil {
+		if len(x.lists) == maxNames {
+			x.Drop()
 		}
-		x.mu.Unlock()
+		x.lists = append(x.lists, named{name, xmltree.Descendants(top, func(n *xmltree.Node) bool {
+			*examined++
+			return n.Kind() == xmltree.KindElement && n.Name() == name
+		})})
+		l = &x.lists[len(x.lists)-1]
 	}
-	return l[:len(l):len(l)]
+	return l.nodes[:len(l.nodes):len(l.nodes)]
+}
+
+// find returns the list held for name, or nil: a scan of at most
+// maxNames names.
+func (x *Index) find(name string) *named {
+	for i := range x.lists {
+		if x.lists[i].name == name {
+			return &x.lists[i]
+		}
+	}
+	return nil
 }
 
 // Inserted adds the elements of the subtree at root, attached and
@@ -129,9 +139,9 @@ func (x *Index) Inserted(lab labeling.Interface, root *xmltree.Node) {
 
 // add puts n into its name's list, if the index holds one.
 func (x *Index) add(lab labeling.Interface, n *xmltree.Node) {
-	if l, ok := x.lists[n.Name()]; ok && n.Kind() == xmltree.KindElement {
-		i, _ := search(lab, l, n)
-		x.lists[n.Name()] = slices.Insert(l, i, n)
+	if l := x.find(n.Name()); l != nil && n.Kind() == xmltree.KindElement {
+		i, _ := search(lab, l.nodes, n)
+		l.nodes = slices.Insert(l.nodes, i, n)
 	}
 }
 
@@ -144,14 +154,15 @@ func (x *Index) Deleting(lab labeling.Interface, root *xmltree.Node) {
 		return
 	}
 	after := xmltree.NextLabelledAfter(root)
-	for name, l := range x.lists {
-		lo, _ := search(lab, l, root)
-		hi := len(l)
+	for i := range x.lists {
+		l := &x.lists[i]
+		lo, _ := search(lab, l.nodes, root)
+		hi := len(l.nodes)
 		if after != nil {
-			hi, _ = search(lab, l, after)
+			hi, _ = search(lab, l.nodes, after)
 		}
 		if lo < hi {
-			x.lists[name] = slices.Delete(l, lo, hi)
+			l.nodes = slices.Delete(l.nodes, lo, hi)
 		}
 	}
 }
@@ -162,42 +173,32 @@ func (x *Index) Renamed(lab labeling.Interface, n *xmltree.Node, old string) {
 	if len(x.lists) == 0 || n.Kind() != xmltree.KindElement {
 		return
 	}
-	if l, ok := x.lists[old]; ok {
-		if i, _ := search(lab, l, n); i < len(l) && l[i] == n {
-			x.lists[old] = slices.Delete(l, i, i+1)
+	if l := x.find(old); l != nil {
+		if i, _ := search(lab, l.nodes, n); i < len(l.nodes) && l.nodes[i] == n {
+			l.nodes = slices.Delete(l.nodes, i, i+1)
 		}
 	}
 	x.add(lab, n)
 }
 
 // Drop forgets every list; the next read of a name builds it again.
-func (x *Index) Drop() { clear(x.lists) }
+func (x *Index) Drop() {
+	clear(x.lists)
+	x.lists = x.lists[:0]
+}
 
-// Verify checks every list the index holds against one walk of doc:
-// each must hold exactly the elements of its name, in document order.
+// Verify checks every list the index holds against its own walk of
+// doc: each must hold exactly the elements of its name, in document
+// order.
 func (x *Index) Verify(doc *xmltree.Document) error {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	if len(x.lists) == 0 {
-		return nil
-	}
-	seen := make(map[string]int, len(x.lists)) // each name's elements walked so far; all listed in turn
-	doc.WalkLabelled(func(n *xmltree.Node) bool {
-		l, ok := x.lists[n.Name()]
-		if !ok || n.Kind() != xmltree.KindElement {
-			return true
-		}
-		i := seen[n.Name()]
-		if i >= len(l) || l[i] != n {
-			seen[n.Name()] = -1 // no list's length
-			return false
-		}
-		seen[n.Name()] = i + 1
-		return true
-	})
-	for name, l := range x.lists {
-		if seen[name] != len(l) {
-			return fmt.Errorf("xpath: the index's list of %q (%d elements) disagrees with the document", name, len(l))
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	for _, l := range x.lists {
+		walked := xmltree.Descendants(doc.Node(), func(n *xmltree.Node) bool {
+			return n.Kind() == xmltree.KindElement && n.Name() == l.name
+		})
+		if !slices.Equal(l.nodes, walked) {
+			return fmt.Errorf("xpath: the index's list of %q (%d elements) disagrees with the document", l.name, len(l.nodes))
 		}
 	}
 	return nil
