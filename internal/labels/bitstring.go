@@ -2,6 +2,7 @@ package labels
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -71,30 +72,23 @@ func (left BitString) split(right BitString) (base BitString, suffix string, err
 // the i-th of n codes (1-based) is the k-bit binary representation of i
 // with trailing zeros removed, where k = ceil(log2(n+1)). The resulting
 // codes are lexicographically ordered and provably of minimal total
-// length for consecutive insertion-free loading.
+// length for consecutive insertion-free loading. They are cut from one
+// string of exactly that length: n·k symbols less the trailing zeros of
+// 1..n, of which there are n − popcount(n).
 func AssignCompactBitStrings(n int) []BitString {
 	if n <= 0 {
 		return nil
 	}
-	k := 0
-	for (1 << k) < n+1 {
-		k++
-	}
+	k := bits.Len(uint(n))
+	var row strings.Builder
+	row.Grow(n*k - n + bits.OnesCount(uint(n)))
 	out := make([]BitString, n)
-	buf := make([]byte, k)
 	for i := 1; i <= n; i++ {
-		for j := 0; j < k; j++ {
-			if i&(1<<(k-1-j)) != 0 {
-				buf[j] = '1'
-			} else {
-				buf[j] = '0'
-			}
+		at := row.Len()
+		for j := k - 1; j >= bits.TrailingZeros(uint(i)); j-- {
+			row.WriteByte('0' + byte(i>>j&1))
 		}
-		end := k
-		for end > 0 && buf[end-1] == '0' {
-			end--
-		}
-		out[i-1] = BitString(buf[:end])
+		out[i-1] = BitString(row.String()[at:])
 	}
 	return out
 }

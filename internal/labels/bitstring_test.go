@@ -3,8 +3,10 @@ package labels
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -153,6 +155,57 @@ func TestAssignCompactBitStrings(t *testing.T) {
 	}
 	if AssignCompactBitStrings(0) != nil {
 		t.Error("n=0 should be nil")
+	}
+}
+
+// compactRows are AssignCompactBitStrings(n) for n = 1..20 as the
+// algorithm spelled them when each code was a string of its own.
+var compactRows = []string{
+	"1",
+	"01 1",
+	"01 1 11",
+	"001 01 011 1",
+	"001 01 011 1 101",
+	"001 01 011 1 101 11",
+	"001 01 011 1 101 11 111",
+	"0001 001 0011 01 0101 011 0111 1",
+	"0001 001 0011 01 0101 011 0111 1 1001",
+	"0001 001 0011 01 0101 011 0111 1 1001 101",
+	"0001 001 0011 01 0101 011 0111 1 1001 101 1011",
+	"0001 001 0011 01 0101 011 0111 1 1001 101 1011 11",
+	"0001 001 0011 01 0101 011 0111 1 1001 101 1011 11 1101",
+	"0001 001 0011 01 0101 011 0111 1 1001 101 1011 11 1101 111",
+	"0001 001 0011 01 0101 011 0111 1 1001 101 1011 11 1101 111 1111",
+	"00001 0001 00011 001 00101 0011 00111 01 01001 0101 01011 011 01101 0111 01111 1",
+	"00001 0001 00011 001 00101 0011 00111 01 01001 0101 01011 011 01101 0111 01111 1 10001",
+	"00001 0001 00011 001 00101 0011 00111 01 01001 0101 01011 011 01101 0111 01111 1 10001 1001",
+	"00001 0001 00011 001 00101 0011 00111 01 01001 0101 01011 011 01101 0111 01111 1 10001 1001 10011",
+	"00001 0001 00011 001 00101 0011 00111 01 01001 0101 01011 011 01101 0111 01111 1 10001 1001 10011 101",
+}
+
+// TestAssignCompactBitStringsOneString: a row's codes are cut from one
+// string of exactly their total length, so a row costs two allocations
+// (the string and the headers) however long it is, and it spells every
+// code as before: the golden rows up to 20, and at 2 000 each code is i
+// in k bits less its trailing zeros.
+func TestAssignCompactBitStringsOneString(t *testing.T) {
+	for n, want := range compactRows {
+		if got := AssignCompactBitStrings(n + 1); fmt.Sprint(got) != "["+want+"]" {
+			t.Errorf("AssignCompactBitStrings(%d) = %v, want [%s]", n+1, got, want)
+		}
+	}
+	const n = 2000
+	codes := AssignCompactBitStrings(n)
+	k := bits.Len(n)
+	for i, c := range codes {
+		if want := strings.TrimRight(fmt.Sprintf("%0*b", k, i+1), "0"); string(c) != want {
+			t.Fatalf("code %d of %d = %q, want %q", i+1, n, c, want)
+		}
+	}
+	for _, m := range []int{20, n} {
+		if got := testing.AllocsPerRun(50, func() { AssignCompactBitStrings(m) }); got != 2 {
+			t.Errorf("AssignCompactBitStrings(%d) allocates %v times, want 2", m, got)
+		}
 	}
 }
 

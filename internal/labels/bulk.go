@@ -1,6 +1,11 @@
 package labels
 
-import "sync"
+import (
+	"math/bits"
+	"reflect"
+	"slices"
+	"sync"
+)
 
 // bulkMax is the longest assignment a Bulk keeps, which bounds a table
 // at bulkMax²/2 codes however documents are shaped; a longer sibling
@@ -76,12 +81,13 @@ func (b *Bulk) Assign(n int, c *Counters, compute func(int) ([]Code, error)) ([]
 	return row.codes, nil
 }
 
-// Extend is Assign for an algebra whose i-th bulk code, at(i), is the
-// same whatever n: one list serves every n and grows by the codes it
-// lacks, so relabelling a sibling list that has grown by one boxes one.
-// The views are prefixes of the list: growing it appends behind them or
-// moves to a new array, and disturbs none.
-func (b *Bulk) Extend(n int, at func(i int) Code) []Code {
+// Extend is Assign for an algebra whose i-th bulk code is the same
+// whatever n: one list serves every n and grows by the codes it lacks,
+// so relabelling a sibling list that has grown by one boxes one. fill
+// writes the codes list[from:] lacks (Box). The views are prefixes of
+// the list: growing it appends behind them or moves to a new array, and
+// disturbs none.
+func (b *Bulk) Extend(n int, fill func(codes []Code, from int)) []Code {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	list, keep := b.list, n <= bulkMax*bulkMax/2
@@ -90,11 +96,38 @@ func (b *Bulk) Extend(n int, at func(i int) Code) []Code {
 		// next such call would write it again under this one's reader.
 		list = list[:len(list):len(list)]
 	}
-	for i := len(list); i < n; i++ {
-		list = append(list, at(i))
+	if from := len(list); from < n {
+		list = slices.Grow(list, n-from)[:n]
+		fill(list[from:], from)
 	}
 	if keep {
 		b.list = list
 	}
 	return list[:n:n]
+}
+
+// rowPiece is the most bytes one piece of a computed row takes: Go's
+// largest size class, so that a long row is not rounded up to whole
+// pages as one array of it would be.
+const rowPiece = 32 << 10
+
+// Box points each of codes at a zero T of its own, for the caller to
+// write before it hands the codes out: a bulk row that is computed costs
+// an allocation a piece, not one a code, and *T is its codes' one boxed
+// form, as it is of the codes Between cuts from a labelling's chunks
+// (Cut). A piece is at most 32 KiB and a power of two of codes, so that
+// a piece of 8- or 16-byte codes is exactly a size class: the row's
+// pieces hold its bytes and not one more.
+func Box[T any, P interface {
+	*T
+	Code
+}](codes []Code) {
+	per := max(1, rowPiece/int(reflect.TypeFor[T]().Size()))
+	var piece []T
+	for i := range codes {
+		if len(piece) == 0 {
+			piece = make([]T, 1<<(bits.Len(uint(min(per, len(codes)-i)))-1))
+		}
+		codes[i], piece = P(&piece[0]), piece[1:]
+	}
 }

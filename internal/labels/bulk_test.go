@@ -173,7 +173,12 @@ func TestBulkAssign(t *testing.T) {
 func TestBulkExtend(t *testing.T) {
 	table := labels.BulkFor(t.Name())
 	boxed := 0
-	at := func(i int) labels.Code { boxed++; return fakeCode(i) }
+	at := func(codes []labels.Code, from int) {
+		for i := range codes {
+			boxed++
+			codes[i] = fakeCode(from + i)
+		}
+	}
 	var views [][]labels.Code
 	for _, n := range []int{4, 2, 9, 9, 0} {
 		got := table.Extend(n, at)
@@ -241,6 +246,11 @@ func TestVerifyBulksSeesAWrite(t *testing.T) {
 // (run with -race).
 func TestBulkConcurrentLoaders(t *testing.T) {
 	table := labels.BulkFor(t.Name())
+	fill := func(codes []labels.Code, from int) {
+		for i := range codes {
+			codes[i] = fakeCode(from + i)
+		}
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -256,7 +266,7 @@ func TestBulkConcurrentLoaders(t *testing.T) {
 				}
 				// The list keeps growing under the readers of its earlier views.
 				m := n + i + g
-				if got := table.Extend(m, func(i int) labels.Code { return fakeCode(i) }); len(got) != m || got[0] != fakeCode(0) || got[m-1] != fakeCode(m-1) {
+				if got := table.Extend(m, fill); len(got) != m || got[0] != fakeCode(0) || got[m-1] != fakeCode(m-1) {
 					t.Errorf("Extend(%d) = %d codes", m, len(got))
 				}
 			}

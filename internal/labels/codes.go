@@ -9,9 +9,11 @@ import (
 // 512 B of headers and 256 B of digits. The minimums, 128 B and 32 B,
 // are the starts that allocated least on a recovery of 64 documents
 // (docs/EXPERIMENTS.md): a labelling that is used for a few codes and
-// dropped leaves the unused end of its last chunks behind.
+// dropped leaves the unused end of its last chunks behind. A code of
+// fixed size (IntCode, a vector or QRS code) is all header: its
+// algebra cuts it from a chunk of 8 doubling to 32 such codes.
 const (
-	qHeadsMin, qHeadsMax   = 8, 32
+	HeadsMin, HeadsMax     = 8, 32
 	qDigitsMin, qDigitsMax = 32, 256
 )
 
@@ -86,7 +88,7 @@ func (c *Codes[S, P]) Between(left, right Code) (Code, error) {
 		c.digits.Grow(size)
 		s = c.cut(base, suffix)
 	}
-	h := Cut(&c.heads, 1, qHeadsMin, qHeadsMax)
+	h := Cut(&c.heads, 1, HeadsMin, HeadsMax)
 	h[0] = s
 	return P(&h[0]), nil
 }

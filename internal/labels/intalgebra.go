@@ -6,6 +6,8 @@ import (
 )
 
 // IntCode is an integer positional identifier with a fixed storage width.
+// As a Code, an integer code is a *IntCode (IntAlgebra): the algebra
+// accepts no other form.
 type IntCode struct {
 	V     int64
 	Width int // storage width in bits
@@ -44,14 +46,16 @@ type IntAlgebraConfig struct {
 	Floor int64
 }
 
-// IntAlgebra issues integer codes. It implements Algebra.
+// IntAlgebra issues integer codes. It implements Algebra. *IntCode is
+// the one boxed form of a code; Between cuts it from heads.
 type IntAlgebra struct {
 	cfg      IntAlgebraConfig
 	counters Counters
 	// bulk lists the boxed bulk codes Start + i·Gap of every algebra so
 	// configured: relabelling k siblings costs a view of the list, not k
 	// codes and not a copy of it.
-	bulk *Bulk
+	bulk  *Bulk
+	heads []IntCode
 }
 
 // NewIntAlgebra validates cfg and returns the algebra.
@@ -100,9 +104,19 @@ func (a *IntAlgebra) Assign(n int) ([]Code, error) {
 		a.counters.OverflowHits++
 		return nil, fmt.Errorf("%w: %d codes at gap %d exceed %d-bit space", ErrOverflow, n, a.cfg.Gap, a.cfg.Width)
 	}
-	return a.bulk.Extend(n, func(i int) Code {
-		return IntCode{V: a.cfg.Start + int64(i)*a.cfg.Gap, Width: a.cfg.Width}
+	return a.bulk.Extend(n, func(codes []Code, from int) {
+		Box[IntCode](codes)
+		for i, c := range codes {
+			*c.(*IntCode) = IntCode{V: a.cfg.Start + int64(from+i)*a.cfg.Gap, Width: a.cfg.Width}
+		}
 	}), nil
+}
+
+// code is v cut from the algebra's chunk.
+func (a *IntAlgebra) code(v int64) Code {
+	h := Cut(&a.heads, 1, HeadsMin, HeadsMax)
+	h[0] = IntCode{V: v, Width: a.cfg.Width}
+	return &h[0]
 }
 
 // Between implements Algebra. An exhausted gap is the expected outcome
@@ -113,16 +127,16 @@ func (a *IntAlgebra) Between(left, right Code) (Code, error) {
 	var l, r int64
 	hasL, hasR := left != nil, right != nil
 	if hasL {
-		lc, ok := left.(IntCode)
+		lc, ok := left.(*IntCode)
 		if !ok {
-			return nil, fmt.Errorf("%w: %T", ErrBadCode, left)
+			return nil, fmt.Errorf("%w: %T is not a *IntCode", ErrBadCode, left)
 		}
 		l = lc.V
 	}
 	if hasR {
-		rc, ok := right.(IntCode)
+		rc, ok := right.(*IntCode)
 		if !ok {
-			return nil, fmt.Errorf("%w: %T", ErrBadCode, right)
+			return nil, fmt.Errorf("%w: %T is not a *IntCode", ErrBadCode, right)
 		}
 		r = rc.V
 	}
@@ -131,39 +145,39 @@ func (a *IntAlgebra) Between(left, right Code) (Code, error) {
 	}
 	switch {
 	case !hasL && !hasR:
-		return IntCode{V: a.cfg.Start, Width: a.cfg.Width}, nil
+		return a.code(a.cfg.Start), nil
 	case !hasL: // before first
 		if r <= a.cfg.Floor {
 			a.counters.RelabelErrors++
 			return nil, ErrNeedRelabel
 		}
 		if a.cfg.Midpoint {
-			return IntCode{V: a.cfg.Floor + (r-a.cfg.Floor)>>1, Width: a.cfg.Width}, nil
+			return a.code(a.cfg.Floor + (r-a.cfg.Floor)>>1), nil
 		}
-		return IntCode{V: r - 1, Width: a.cfg.Width}, nil
+		return a.code(r - 1), nil
 	case !hasR: // after last
 		v := l + a.cfg.Gap
 		if v >= a.max() {
 			a.counters.OverflowHits++
 			return nil, fmt.Errorf("%w: %d exceeds %d-bit space", ErrOverflow, v, a.cfg.Width)
 		}
-		return IntCode{V: v, Width: a.cfg.Width}, nil
+		return a.code(v), nil
 	default:
 		if r-l < 2 {
 			a.counters.RelabelErrors++
 			return nil, ErrNeedRelabel
 		}
 		if a.cfg.Midpoint {
-			return IntCode{V: l + (r-l)>>1, Width: a.cfg.Width}, nil
+			return a.code(l + (r-l)>>1), nil
 		}
-		return IntCode{V: l + 1, Width: a.cfg.Width}, nil
+		return a.code(l + 1), nil
 	}
 }
 
 // Compare implements Algebra.
 func (a *IntAlgebra) Compare(x, y Code) int {
-	xv := x.(IntCode).V
-	yv := y.(IntCode).V
+	xv := x.(*IntCode).V
+	yv := y.(*IntCode).V
 	switch {
 	case xv < yv:
 		return -1

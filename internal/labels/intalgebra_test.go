@@ -6,6 +6,9 @@ import (
 	"testing/quick"
 )
 
+// intCode boxes an integer code as IntAlgebra mints it, by pointer.
+func intCode(v int64, width int) Code { return &IntCode{V: v, Width: width} }
+
 func TestIntAlgebraConfigValidation(t *testing.T) {
 	bad := []IntAlgebraConfig{
 		{Name: "w1", Start: 1, Gap: 1, Width: 1},
@@ -35,7 +38,7 @@ func TestIntAlgebraAssign(t *testing.T) {
 	}
 	want := []int64{10, 15, 20, 25}
 	for i, c := range cs {
-		if c.(IntCode).V != want[i] {
+		if c.(*IntCode).V != want[i] {
 			t.Errorf("code %d = %v, want %d", i, c, want[i])
 		}
 		if c.Bits() != 16 {
@@ -74,14 +77,14 @@ func TestIntAlgebraAssignShares(t *testing.T) {
 	if len(first) != 1000 || cap(first) != 1000 {
 		t.Fatalf("Assign(1000): len %d, cap %d", len(first), cap(first))
 	}
-	_ = append(first, IntCode{V: -1, Width: 32}) // copies: the list's 1001st code is not this
+	_ = append(first, intCode(-1, 32)) // copies: the list's 1001st code is not this
 	for _, n := range []int{1, 7, 1000, 1500} {
 		cs, err := a.Assign(n)
 		if err != nil || len(cs) != n || cap(cs) != n {
 			t.Fatalf("Assign(%d): %d codes, cap %d, %v", n, len(cs), cap(cs), err)
 		}
 		for i, c := range cs {
-			if want := (IntCode{V: 1 + 3*int64(i), Width: 32}); c != Code(want) {
+			if want := (IntCode{V: 1 + 3*int64(i), Width: 32}); *c.(*IntCode) != want {
 				t.Fatalf("Assign(%d)[%d] = %v, want %v", n, i, c, want)
 			}
 		}
@@ -96,16 +99,13 @@ func TestIntAlgebraAssignShares(t *testing.T) {
 
 func TestIntAlgebraBetweenSequential(t *testing.T) {
 	a := MustIntAlgebra(IntAlgebraConfig{Name: "seq", Start: 1, Gap: 1, Width: 16})
-	one := IntCode{V: 1, Width: 16}
-	two := IntCode{V: 2, Width: 16}
-	five := IntCode{V: 5, Width: 16}
+	one, two, five := intCode(1, 16), intCode(2, 16), intCode(5, 16)
 	// Dense neighbours force a relabel — the expected outcome of a dense
 	// insert, so it is counted and costs no error text.
 	if _, err := a.Between(one, two); !errors.Is(err, ErrNeedRelabel) {
 		t.Errorf("dense between: %v", err)
 	}
-	var left, right Code = one, two // boxed once, outside the measurement
-	if allocs := testing.AllocsPerRun(20, func() { _, _ = a.Between(left, right) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(20, func() { _, _ = a.Between(one, two) }); allocs != 0 {
 		t.Errorf("a refused Between allocates %.0f times, want 0", allocs)
 	}
 	if got := a.Counters().RelabelErrors; got != 22 {
@@ -116,7 +116,7 @@ func TestIntAlgebraBetweenSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.(IntCode).V != 2 {
+	if m.(*IntCode).V != 2 {
 		t.Errorf("sequential between: %v", m)
 	}
 	// Before the floor relabels.
@@ -128,12 +128,12 @@ func TestIntAlgebraBetweenSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.(IntCode).V != 6 {
+	if m.(*IntCode).V != 6 {
 		t.Errorf("append: %v", m)
 	}
 	// Empty bounds yield Start.
 	m, err = a.Between(nil, nil)
-	if err != nil || m.(IntCode).V != 1 {
+	if err != nil || m.(*IntCode).V != 1 {
 		t.Errorf("empty bounds: %v %v", m, err)
 	}
 	// Misordered input is rejected.
@@ -151,13 +151,12 @@ func TestIntAlgebraBetweenSequential(t *testing.T) {
 
 func TestIntAlgebraBetweenMidpoint(t *testing.T) {
 	a := MustIntAlgebra(IntAlgebraConfig{Name: "mid", Start: 64, Gap: 64, Width: 16, Floor: 1, Midpoint: true})
-	lo := IntCode{V: 64, Width: 16}
-	hi := IntCode{V: 128, Width: 16}
+	lo, hi := intCode(64, 16), intCode(128, 16)
 	m, err := a.Between(lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.(IntCode).V != 96 {
+	if m.(*IntCode).V != 96 {
 		t.Errorf("midpoint: %v", m)
 	}
 	// Before-first bisects down to the floor.
@@ -165,7 +164,7 @@ func TestIntAlgebraBetweenMidpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := m.(IntCode).V; v < 1 || v >= 64 {
+	if v := m.(*IntCode).V; v < 1 || v >= 64 {
 		t.Errorf("before-first: %v", m)
 	}
 	// Midpoints are shifts: no division is counted.
@@ -176,8 +175,7 @@ func TestIntAlgebraBetweenMidpoint(t *testing.T) {
 
 func TestIntAlgebraAppendOverflow(t *testing.T) {
 	a := MustIntAlgebra(IntAlgebraConfig{Name: "tiny", Start: 1, Gap: 1, Width: 4})
-	last := IntCode{V: 15, Width: 4}
-	if _, err := a.Between(last, nil); !errors.Is(err, ErrOverflow) {
+	if _, err := a.Between(intCode(15, 4), nil); !errors.Is(err, ErrOverflow) {
 		t.Errorf("append at max: %v", err)
 	}
 }
@@ -195,11 +193,11 @@ func TestIntAlgebraBetweenProperty(t *testing.T) {
 		if l == r {
 			return true
 		}
-		m, err := a.Between(IntCode{V: l, Width: 30}, IntCode{V: r, Width: 30})
+		m, err := a.Between(intCode(l, 30), intCode(r, 30))
 		if err != nil {
 			return errors.Is(err, ErrNeedRelabel) && r-l < 2
 		}
-		v := m.(IntCode).V
+		v := m.(*IntCode).V
 		return l < v && v < r
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -438,8 +438,8 @@ func chunkCaps[S spelling[S], P interface {
 		hi = mint(lo, hi)
 	}
 	want := []int{8, 16, 32}
-	if !slices.Equal(heads[:len(want)], want) || slices.Max(heads) != qHeadsMax || heads[len(heads)-1] != qHeadsMax {
-		t.Fatalf("header chunks %v: want 8 doubling to %d, and staying there", heads, qHeadsMax)
+	if !slices.Equal(heads[:len(want)], want) || slices.Max(heads) != HeadsMax || heads[len(heads)-1] != HeadsMax {
+		t.Fatalf("header chunks %v: want 8 doubling to %d, and staying there", heads, HeadsMax)
 	}
 	want = []int{32, 64, 128, 256}
 	if !slices.Equal(digits[:len(want)], want) || slices.Max(digits) != qDigitsMax {

@@ -1,6 +1,7 @@
 package repo
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -627,21 +628,28 @@ func itemsAt(depth, items int) string {
 // a warm //item allocates nothing, whatever its answer's size (it
 // allocated its answer once while every read walked the tree). The
 // first read of a name builds the list with one walk, which allocates
-// the list once, and the index its map: nothing for the parse, the
-// contexts or the scan's chain, so a chain 64 deep costs what one 8
-// deep does. The scan holds up to 64 matches in itself and hands out
+// exactly the list, once, and the index's slice of lists its first
+// entry: nothing for the parse, the contexts or the scan's chain, so a
+// chain 64 deep costs what one 8 deep does, and a name the document
+// lacks costs the slice alone (its list is empty). The scan holds up to 64 matches in itself and hands out
 // one exact-size copy; a larger answer moves to the heap once at 128
 // and grows from there, so no list costs more than an append from nil
 // would.
 func TestQueryAllocatesItsAnswer(t *testing.T) {
-	const theMap = 2 // the index's map and its first group
+	const theSlice = 1 // the index's slice of lists, on its first name
 	for _, c := range []struct {
 		depth, items int
 		first        float64
 	}{{8, 48, 1}, {64, 48, 1}, {8, 0, 0}, {8, 64, 1}, {8, 65, 1}, {8, 200, 2}} {
-		first, warm := queryAllocs(t, itemsAt(c.depth, c.items), "//item", c.items)
-		if first > c.first+theMap {
-			t.Errorf("depth %d: the first //item of %d matches allocates %v, want <= %v (its list) + %d (the index's map)", c.depth, c.items, first, c.first, theMap)
+		// The least of three first reads, each on a fresh repository:
+		// what the runtime allocates beside the read only adds.
+		first, warm := math.Inf(1), 0.0
+		for range 3 {
+			f, w := queryAllocs(t, itemsAt(c.depth, c.items), "//item", c.items)
+			first, warm = min(first, f), max(warm, w)
+		}
+		if first != c.first+theSlice {
+			t.Errorf("depth %d: the first //item of %d matches allocates %v, want %v (its list) + %d (the index's slice)", c.depth, c.items, first, c.first, theSlice)
 		}
 		if warm != 0 {
 			t.Errorf("depth %d: a warm //item of %d matches allocates %v, want 0", c.depth, c.items, warm)

@@ -14,7 +14,8 @@ func (d dotted) String() string { return strings.Join(d, ".") }
 func (d dotted) Bits() int      { return 8 * len(d.String()) }
 
 // TestSameSpellingSeesThroughPointers: a QED code is boxed as a
-// *labels.QString, so two codes with one spelling are two pointers.
+// *labels.QString, an integer code as a *labels.IntCode, so two codes
+// with one spelling are two pointers.
 // sameSpelling compares what they point to — comparing the pointers
 // would count every label a renumbering kept as moved.
 func TestSameSpellingSeesThroughPointers(t *testing.T) {
@@ -25,6 +26,7 @@ func TestSameSpellingSeesThroughPointers(t *testing.T) {
 	}
 	row := []labels.QString{"2", "212"} // a bulk row boxes &row[i]
 	q := func(s string) *labels.QString { v := labels.QString(s); return &v }
+	i := func(v int64, width int) *labels.IntCode { return &labels.IntCode{V: v, Width: width} }
 	for _, c := range []struct {
 		name string
 		a, b labels.Code
@@ -35,8 +37,8 @@ func TestSameSpellingSeesThroughPointers(t *testing.T) {
 		{"one pointer", minted, minted, true},
 		{"two spellings", minted, &row[1], false},
 		{"a pointer and a value, one spelling", q("2"), labels.QString("2"), true},
-		{"integers", labels.IntCode{V: 3, Width: 8}, labels.IntCode{V: 3, Width: 8}, true},
-		{"integers of two widths", labels.IntCode{V: 3, Width: 8}, labels.IntCode{V: 3, Width: 16}, false},
+		{"two integer pointers, one spelling", i(3, 8), i(3, 8), true},
+		{"integers of two widths", i(3, 8), i(3, 16), false},
 		{"slices, rendered", dotted{"1", "3"}, dotted{"1", "3"}, true},
 		{"slices, rendered apart", dotted{"1", "3"}, dotted{"1", "5"}, false},
 	} {

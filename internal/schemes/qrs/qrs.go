@@ -18,7 +18,8 @@ import (
 	"xmldyn/internal/schemes/containment"
 )
 
-// Code is a float64 endpoint.
+// Code is a float64 endpoint. As a labels.Code, a QRS code is a *Code
+// (Algebra).
 type Code float64
 
 // String renders the float with enough digits to distinguish neighbours.
@@ -27,9 +28,12 @@ func (c Code) String() string { return strconv.FormatFloat(float64(c), 'g', -1, 
 // Bits implements labels.Code: one IEEE-754 double.
 func (c Code) Bits() int { return 64 }
 
-// Algebra is the QRS float endpoint algebra.
+// Algebra is the QRS float endpoint algebra. *Code is the one boxed
+// form of a code: Between cuts it from heads, and a bulk row's codes
+// point into pieces of the row (labels.Box).
 type Algebra struct {
 	counters labels.Counters
+	heads    []Code
 }
 
 // NewAlgebra returns a fresh algebra.
@@ -52,8 +56,9 @@ func (a *Algebra) assign(n int) ([]labels.Code, error) {
 		return nil, nil
 	}
 	out := make([]labels.Code, n)
-	for i := 0; i < n; i++ {
-		out[i] = Code(float64(i + 1))
+	labels.Box[Code](out)
+	for i, c := range out {
+		*c.(*Code) = Code(i + 1)
 	}
 	return out, nil
 }
@@ -65,26 +70,26 @@ func (a *Algebra) Between(left, right labels.Code) (labels.Code, error) {
 	var l, r float64
 	hasL, hasR := left != nil, right != nil
 	if hasL {
-		lc, ok := left.(Code)
+		lc, ok := left.(*Code)
 		if !ok {
-			return nil, fmt.Errorf("%w: %T is not a QRS code", labels.ErrBadCode, left)
+			return nil, fmt.Errorf("%w: %T is not a *qrs.Code", labels.ErrBadCode, left)
 		}
-		l = float64(lc)
+		l = float64(*lc)
 	}
 	if hasR {
-		rc, ok := right.(Code)
+		rc, ok := right.(*Code)
 		if !ok {
-			return nil, fmt.Errorf("%w: %T is not a QRS code", labels.ErrBadCode, right)
+			return nil, fmt.Errorf("%w: %T is not a *qrs.Code", labels.ErrBadCode, right)
 		}
-		r = float64(rc)
+		r = float64(*rc)
 	}
 	switch {
 	case !hasL && !hasR:
-		return Code(1), nil
+		return a.code(1), nil
 	case !hasL:
 		l = 0
 	case !hasR:
-		return Code(l + 1), nil
+		return a.code(l + 1), nil
 	}
 	if l >= r {
 		return nil, fmt.Errorf("%w: %v not before %v", labels.ErrBadCode, l, r)
@@ -97,12 +102,19 @@ func (a *Algebra) Between(left, right labels.Code) (labels.Code, error) {
 		a.counters.RelabelErrors++
 		return nil, fmt.Errorf("%w: float precision exhausted between %v and %v", labels.ErrNeedRelabel, l, r)
 	}
-	return Code(mid), nil
+	return a.code(mid), nil
+}
+
+// code is v cut from the algebra's chunk.
+func (a *Algebra) code(v float64) labels.Code {
+	h := labels.Cut(&a.heads, 1, labels.HeadsMin, labels.HeadsMax)
+	h[0] = Code(v)
+	return &h[0]
 }
 
 // Compare implements labels.Algebra.
 func (a *Algebra) Compare(x, y labels.Code) int {
-	cx, cy := float64(x.(Code)), float64(y.(Code))
+	cx, cy := float64(*x.(*Code)), float64(*y.(*Code))
 	switch {
 	case cx < cy:
 		return -1

@@ -30,22 +30,23 @@ func TestAlgebraMetadata(t *testing.T) {
 func TestBetweenEdges(t *testing.T) {
 	a := NewAlgebra()
 	// Empty bounds.
+	code := func(v float64) labels.Code { c := Code(v); return &c }
 	m, err := a.Between(nil, nil)
-	if err != nil || float64(m.(Code)) != 1 {
+	if err != nil || *m.(*Code) != 1 {
 		t.Errorf("empty bounds: %v %v", m, err)
 	}
 	// After last: +1, no division.
-	m, err = a.Between(Code(7), nil)
-	if err != nil || float64(m.(Code)) != 8 {
+	m, err = a.Between(code(7), nil)
+	if err != nil || *m.(*Code) != 8 {
 		t.Errorf("after last: %v %v", m, err)
 	}
 	// Before first: midpoint of (0, r).
-	m, err = a.Between(nil, Code(8))
-	if err != nil || float64(m.(Code)) != 4 {
+	m, err = a.Between(nil, code(8))
+	if err != nil || *m.(*Code) != 4 {
 		t.Errorf("before first: %v %v", m, err)
 	}
 	// Misorder.
-	if _, err := a.Between(Code(5), Code(4)); !errors.Is(err, labels.ErrBadCode) {
+	if _, err := a.Between(code(5), code(4)); !errors.Is(err, labels.ErrBadCode) {
 		t.Errorf("misorder: %v", err)
 	}
 	// Foreign codes.
@@ -59,7 +60,8 @@ func TestBetweenEdges(t *testing.T) {
 
 func TestCompareAndBits(t *testing.T) {
 	a := NewAlgebra()
-	if a.Compare(Code(1), Code(2)) != -1 || a.Compare(Code(2), Code(1)) != 1 || a.Compare(Code(1), Code(1)) != 0 {
+	one, two := Code(1), Code(2)
+	if a.Compare(&one, &two) != -1 || a.Compare(&two, &one) != 1 || a.Compare(&one, &one) != 0 {
 		t.Error("compare")
 	}
 	if Code(1.5).Bits() != 64 {

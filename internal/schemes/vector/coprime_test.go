@@ -20,7 +20,7 @@ func TestMediantCoprimality(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range cs {
-		v := c.(Code)
+		v := c.(*Code)
 		if gcd(v.X, v.Y) != 1 {
 			t.Fatalf("bulk vector %s not in lowest terms", v)
 		}
@@ -49,7 +49,7 @@ func TestMediantCoprimality(t *testing.T) {
 			if err != nil {
 				return true // hit the UTF-8 ceiling: acceptable stop
 			}
-			v := m.(Code)
+			v := m.(*Code)
 			if gcd(v.X, v.Y) != 1 {
 				return false
 			}

@@ -21,7 +21,7 @@ import (
 
 // Code is a vector positional identifier with positive gradient
 // ordering. The virtual bounds (1,0) and (0,1) are never assigned to
-// nodes.
+// nodes. As a labels.Code, a vector code is a *Code (Algebra).
 type Code struct {
 	X, Y uint64
 }
@@ -48,9 +48,12 @@ func (c Code) Bits() int {
 // gradLess reports G(a) < G(b) via cross multiplication.
 func gradLess(a, b Code) bool { return a.Y*b.X < b.Y*a.X }
 
-// Algebra is the vector code algebra.
+// Algebra is the vector code algebra. *Code is the one boxed form of a
+// code: Between cuts it from heads, and a bulk row's codes point into
+// pieces of the row (labels.Box).
 type Algebra struct {
 	counters labels.Counters
+	heads    []Code
 }
 
 // NewAlgebra returns a fresh algebra.
@@ -83,13 +86,14 @@ func (a *Algebra) assign(n int) ([]labels.Code, error) {
 		return nil, nil
 	}
 	out := make([]labels.Code, n)
+	labels.Box[Code](out)
 	depth := 0
 	a.fill(out, 0, n, boundLeft, boundRight, 1, &depth)
 	if depth > a.counters.MaxRecursion {
 		a.counters.MaxRecursion = depth
 	}
 	for _, c := range out {
-		v := c.(Code)
+		v := *c.(*Code)
 		if v.X > labels.MaxUTF8Value || v.Y > labels.MaxUTF8Value {
 			a.counters.OverflowHits++
 			return nil, fmt.Errorf("%w: vector component beyond the UTF-8 ceiling during bulk load", labels.ErrOverflow)
@@ -108,7 +112,7 @@ func (a *Algebra) fill(out []labels.Code, lo, hi int, l, r Code, d int, depth *i
 	}
 	mid := lo + (hi-lo)/2
 	m := mediant(l, r)
-	out[mid] = m
+	*out[mid].(*Code) = m
 	a.fill(out, lo, mid, l, m, d+1, depth)
 	a.fill(out, mid+1, hi, m, r, d+1, depth)
 }
@@ -121,18 +125,18 @@ func (a *Algebra) Between(left, right labels.Code) (labels.Code, error) {
 	a.counters.Betweens++
 	l, r := boundLeft, boundRight
 	if left != nil {
-		lc, ok := left.(Code)
+		lc, ok := left.(*Code)
 		if !ok {
-			return nil, fmt.Errorf("%w: %T is not a vector code", labels.ErrBadCode, left)
+			return nil, fmt.Errorf("%w: %T is not a *vector.Code", labels.ErrBadCode, left)
 		}
-		l = lc
+		l = *lc
 	}
 	if right != nil {
-		rc, ok := right.(Code)
+		rc, ok := right.(*Code)
 		if !ok {
-			return nil, fmt.Errorf("%w: %T is not a vector code", labels.ErrBadCode, right)
+			return nil, fmt.Errorf("%w: %T is not a *vector.Code", labels.ErrBadCode, right)
 		}
-		r = rc
+		r = *rc
 	}
 	if !gradLess(l, r) {
 		return nil, fmt.Errorf("%w: %s not before %s in gradient order", labels.ErrBadCode, l, r)
@@ -142,12 +146,14 @@ func (a *Algebra) Between(left, right labels.Code) (labels.Code, error) {
 		a.counters.OverflowHits++
 		return nil, fmt.Errorf("%w: vector %s exceeds the UTF-8 delimiter ceiling (paper §4)", labels.ErrOverflow, m)
 	}
-	return m, nil
+	h := labels.Cut(&a.heads, 1, labels.HeadsMin, labels.HeadsMax)
+	h[0] = m
+	return &h[0], nil
 }
 
 // Compare implements labels.Algebra by gradient cross multiplication.
 func (a *Algebra) Compare(x, y labels.Code) int {
-	cx, cy := x.(Code), y.(Code)
+	cx, cy := x.(*Code), y.(*Code)
 	lhs := cx.Y * cy.X
 	rhs := cy.Y * cx.X
 	switch {

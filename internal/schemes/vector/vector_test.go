@@ -13,27 +13,28 @@ import (
 func TestGradientOrder(t *testing.T) {
 	a := NewAlgebra()
 	// (1,0) < (2,1) < (1,1) < (1,2) < (0,1) in gradient order.
-	seq := []Code{{2, 1}, {1, 1}, {1, 2}}
+	seq := []*Code{{2, 1}, {1, 1}, {1, 2}}
 	for i := 1; i < len(seq); i++ {
 		if a.Compare(seq[i-1], seq[i]) >= 0 {
 			t.Fatalf("%s !< %s", seq[i-1], seq[i])
 		}
 	}
-	if a.Compare(Code{3, 6}, Code{1, 2}) != 0 {
+	if a.Compare(&Code{3, 6}, &Code{1, 2}) != 0 {
 		t.Error("proportional vectors share a gradient")
 	}
 }
 
 func TestMediantInsertion(t *testing.T) {
 	a := NewAlgebra()
-	m, err := a.Between(Code{1, 1}, Code{1, 2})
+	l, r := &Code{1, 1}, &Code{1, 2}
+	m, err := a.Between(l, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.(Code) != (Code{2, 3}) {
+	if *m.(*Code) != (Code{2, 3}) {
 		t.Errorf("mediant = %s, want (2,3)", m)
 	}
-	if a.Compare(Code{1, 1}, m) >= 0 || a.Compare(m, Code{1, 2}) >= 0 {
+	if a.Compare(l, m) >= 0 || a.Compare(m, r) >= 0 {
 		t.Error("mediant not strictly between")
 	}
 }
@@ -75,7 +76,7 @@ func TestSkewedGrowthLogarithmicBits(t *testing.T) {
 		}
 		r = m
 	}
-	if bits := r.(Code).Bits(); bits > 40 {
+	if bits := r.Bits(); bits > 40 {
 		t.Errorf("after 100 skewed insertions the vector needs %d bits; expected logarithmic growth (<=40)", bits)
 	}
 }
@@ -84,7 +85,7 @@ func TestSkewedGrowthLogarithmicBits(t *testing.T) {
 // vector components beyond 2^21: our codec surfaces ErrOverflow.
 func TestUTF8CeilingOverflow(t *testing.T) {
 	a := NewAlgebra()
-	big := Code{X: labels.MaxUTF8Value, Y: 1}
+	big := &Code{X: labels.MaxUTF8Value, Y: 1}
 	// Inserting before-first adds the (1,0) bound: X crosses 2^21.
 	_, err := a.Between(nil, big)
 	if !errors.Is(err, labels.ErrOverflow) {

@@ -49,6 +49,9 @@ var pclaims = []struct {
 	{"P6", "nodes one warm `//item` read on a pinned version of the first document of `workload.BuildCorpus(workload.FewHugeDocs(), seed)` examines after 48 root `item` appends (the version's first read walks it)", 1,
 		[]pbound{{"qed", 200}, {"ordpath", 200}, {"deweyid", 200}, {"cdbs", 200}},
 		versionNodesPerRead, ""},
+	{"P7", "heap allocations per `Session.InsertBefore` over 2 000 inserts before the root's first element child of `workload.BaseDocument(seed, 1000)`, auto-verify off", 1,
+		[]pbound{{"deweyid", 2.1}, {"ordpath", 2.1}, {"qed", 2.1}, {"cdqs", 2.1}, {"cdbs", 2.1}, {"vector", 2.1}, {"xpath-accelerator", 2.1}},
+		skewedInsertAllocs, ""},
 }
 
 type pbound struct {
@@ -195,6 +198,52 @@ func batchHeapBytes(scheme string, seed int64) (float64, error) {
 		least = min(least, float64(ms.TotalAlloc-before))
 	}
 	return least, nil
+}
+
+// skewedInsertAllocs is P7: the paper's skewed insertion, every new
+// element inserted before the one that was the root's first element
+// child, so each lands between the last insert and it. A relabel reads
+// its codes from the shared bulk rows, or cuts a row computed anew into
+// pieces, and a new code is cut from its labelling's chunks: an insert
+// allocates its node and little else, whichever scheme labels it. The
+// same run on a clone first fills the rows every document shares (as
+// P1's does), so the reading does not depend on what the process
+// labelled before.
+func skewedInsertAllocs(scheme string, seed int64) (float64, error) {
+	const inserts = 2000
+	base := workload.BaseDocument(seed, 1000)
+	var per float64
+	for _, doc := range []*xmltree.Document{base.Clone(), base} {
+		s, err := update.NewSession(doc, core.MustScheme(scheme).Factory())
+		if err != nil {
+			return 0, err
+		}
+		s.SetAutoVerify(false)
+		var ref *xmltree.Node
+		for _, c := range doc.Root().Children() {
+			if c.Kind() == xmltree.KindElement {
+				ref = c
+				break
+			}
+		}
+		if ref == nil {
+			return 0, fmt.Errorf("the root has no element child")
+		}
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		for range inserts {
+			if _, err := s.InsertBefore(ref, "sk"); err != nil {
+				return 0, err
+			}
+		}
+		runtime.ReadMemStats(&ms)
+		per = float64(ms.Mallocs-before) / inserts
+		if err := s.Verify(); err != nil {
+			return 0, err
+		}
+	}
+	return per, nil
 }
 
 // pclaimsSection returns docs/EXPERIMENTS.md's "Performance claims"
