@@ -628,15 +628,15 @@ func itemsAt(depth, items int) string {
 // a warm //item allocates nothing, whatever its answer's size (it
 // allocated its answer once while every read walked the tree). The
 // first read of a name builds the list with one walk, which allocates
-// exactly the list, once, and the index's slice of lists its first
-// entry: nothing for the parse, the contexts or the scan's chain, so a
-// chain 64 deep costs what one 8 deep does, and a name the document
-// lacks costs the slice alone (its list is empty). The scan holds up to 64 matches in itself and hands out
+// exactly the list, once: nothing for the parse, the contexts or the
+// scan's chain, nor for the index's first entry, which the index holds
+// in itself (one more while it did not), so a chain 64 deep costs what
+// one 8 deep does, and a name the document lacks costs nothing (its
+// list is empty). The scan holds up to 64 matches in itself and hands out
 // one exact-size copy; a larger answer moves to the heap once at 128
 // and grows from there, so no list costs more than an append from nil
 // would.
 func TestQueryAllocatesItsAnswer(t *testing.T) {
-	const theSlice = 1 // the index's slice of lists, on its first name
 	for _, c := range []struct {
 		depth, items int
 		first        float64
@@ -648,8 +648,8 @@ func TestQueryAllocatesItsAnswer(t *testing.T) {
 			f, w := queryAllocs(t, itemsAt(c.depth, c.items), "//item", c.items)
 			first, warm = min(first, f), max(warm, w)
 		}
-		if first != c.first+theSlice {
-			t.Errorf("depth %d: the first //item of %d matches allocates %v, want %v (its list) + %d (the index's slice)", c.depth, c.items, first, c.first, theSlice)
+		if first != c.first {
+			t.Errorf("depth %d: the first //item of %d matches allocates %v, want %v (its list)", c.depth, c.items, first, c.first)
 		}
 		if warm != 0 {
 			t.Errorf("depth %d: a warm //item of %d matches allocates %v, want 0", c.depth, c.items, warm)
@@ -767,5 +767,71 @@ func TestRecoveryAllocatesWhatItRebuilds(t *testing.T) {
 		if perRecord > 2.25 {
 			t.Errorf("serial %v: a recovery allocates %.2f a replayed record, want <= 2.25", serial, perRecord)
 		}
+	}
+}
+
+// TestNewVersionCostsWhatChanged: read_heavy's first document
+// (workload.FewHugeDocs, seed 1), with //item held by a live read, and
+// commits of eight root item appends, or eight deletes once 48 stand.
+// A commit, the pin that publishes it, the version's first //item and
+// Close cost at most eleven allocations a version: the commit's nodes
+// and codes, the Snapshot, the version, the spine's copies and lists,
+// the new leaves' slabs of four, the root's shells and the version's
+// list of item, which the pin copies from the live one. (18 while the
+// first //item walked the version, every new leaf was published on
+// its own, expanding the document node allocated its child's shell and
+// list, an index's first entry was an allocation and a version's view
+// and index were one apart from its descriptor.) A cached pin costs
+// one.
+func TestNewVersionCostsWhatChanged(t *testing.T) {
+	_, docs := workload.BuildCorpus(workload.FewHugeDocs(), 1)
+	r := New()
+	if err := r.Open("a", docs[0], "qed"); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.QueryFunc("a", "//item", func([]*xmltree.Node) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	items, shrinking := 0, false
+	version := func() {
+		shrinking = items == 48 || shrinking && items > 0
+		if _, err := r.Batch("a", func(doc *xmltree.Document, b *update.Batch) error {
+			root := doc.Root()
+			kids := root.Children()
+			for i := range 8 {
+				if shrinking {
+					b.Delete(kids[len(kids)-1-i])
+				} else {
+					b.AppendChild(root, "item")
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if shrinking {
+			items -= 8
+		} else {
+			items += 8
+		}
+		snap, err := r.Snapshot("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nodes, err := snap.Query("a", "//item"); err != nil || len(nodes) != items {
+			t.Fatalf("//item returned %d nodes, %v; want %d", len(nodes), err, items)
+		}
+		snap.Close()
+	}
+	for range 12 { // one sawtooth cycle sizes what commits reuse
+		version()
+	}
+	if got := testing.AllocsPerRun(120, version); got > 11 {
+		t.Errorf("commit, pin, first //item and close: %.2f allocs a version, want at most 11", got)
+	} else {
+		t.Logf("commit, pin, first //item and close: %.2f allocs a version", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { pinA(t, r) }); got != 1 {
+		t.Errorf("a cached pin: %.1f allocs, want 1", got)
 	}
 }

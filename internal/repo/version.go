@@ -17,8 +17,12 @@
 //     state copies nothing either, and no pin copies the document.
 //   - A version is a value, so a read of it is computed once: each
 //     version keeps an element index (xpath.Index) beside its view. The
-//     first //n on the version walks it and keeps the list; every later
-//     read, on any snapshot of the version, is handed the list.
+//     pin that publishes it hands it a copy of every list the live
+//     document's index holds, as view nodes reached by descending the
+//     view along the live nodes' child positions (xpath.Index.Capture),
+//     so its first //n of such a name is handed a list. The first //n
+//     of any other name walks the version and keeps the list; every
+//     later read, on any snapshot of the version, is handed the list.
 //   - Snapshot readers then run against the published version with NO
 //     lock held: a slow reader cannot stall writers, and a writer
 //     storm cannot starve readers (repo.query_p99_us and
@@ -112,7 +116,9 @@ func (r *Repository) VersionStats() VersionStats {
 // docVersion is one published, immutable document version: a view of
 // a persistent structure-sharing tree (version.go file comment). It is
 // created by the first pin of the state and is shared by every snapshot
-// of the same version.
+// of the same version. The descriptor and what its readers read are one
+// allocation, which the version's last holder lets go: the document
+// while it is current, and each snapshot until Close.
 type docVersion struct {
 	seq    uint64
 	scheme string
@@ -121,12 +127,14 @@ type docVersion struct {
 	mu         sync.Mutex
 	pins       int
 	superseded bool
-	read       *versionRead // nil after release
+	released   bool
+
+	read versionRead
 }
 
 // versionRead is what a version's readers read: its navigable view and
-// the index of its element names, one allocation that release drops
-// whole. A version never changes, so nothing maintains its lists.
+// the index of its element names. A version never changes, so nothing
+// maintains its lists.
 type versionRead struct {
 	view  xmltree.View
 	index xpath.Index
@@ -140,9 +148,9 @@ type versionRead struct {
 // held until release.
 func newVersion(seq uint64, scheme string, stats *versionStats, root *xmltree.Node, superseded bool) *docVersion {
 	stats.live.Add(1)
-	read := new(versionRead)
-	read.view.Open(root)
-	return &docVersion{seq: seq, scheme: scheme, stats: stats, read: read, superseded: superseded}
+	v := &docVersion{seq: seq, scheme: scheme, stats: stats, superseded: superseded}
+	v.read.view.Open(root)
+	return v
 }
 
 // pin registers one snapshot reference. Caller: Doc.pinCurrent, under
@@ -178,21 +186,23 @@ func (v *docVersion) supersede() {
 	v.mu.Unlock()
 }
 
-// maybeReleaseLocked drops the version's tree reference, with its view
-// and its lists, once nothing can read it again: superseded means no
-// future snapshot can pin it, zero pins means no open snapshot reads it
-// now. Subtrees shared with younger versions remain reachable through
-// those versions; only this root reference dies. A reader already
-// holding the view keeps it alive for itself. Callers hold v.mu.
+// maybeReleaseLocked counts the version released once nothing can read
+// it again: superseded means no future snapshot can pin it, zero pins
+// means no open snapshot reads it now. By then the document has let the
+// descriptor go, and so has every snapshot that pinned it, so its root,
+// view and lists go with it. Subtrees shared with younger versions
+// remain reachable through those versions; only this root reference
+// dies. A reader already holding the view keeps it alive for itself.
+// Callers hold v.mu.
 func (v *docVersion) maybeReleaseLocked() {
-	if v.superseded && v.pins == 0 && v.read != nil {
-		v.read = nil
+	if v.superseded && v.pins == 0 && !v.released {
+		v.released = true
 		v.stats.live.Add(-1)
 	}
 }
 
 // document returns the version's navigable frozen view. The caller
-// must have pinned the version: its pin keeps the view from release.
+// must have pinned the version.
 func (v *docVersion) document() *xmltree.Document { return v.read.view.Document() }
 
 // Version returns the document's current version sequence number:
@@ -242,8 +252,11 @@ func (d *Doc) markDropped() {
 // Publication copies the spines the commits since the last pin changed
 // (nothing when no commit did); it runs under the read lock because it
 // touches only the live tree's shadows, which concurrent readers never
-// look at, and vmu serialises pinners. A pin of a state already pinned
-// is O(1): one descriptor, no tree work.
+// look at, and vmu serialises pinners. It then captures the live
+// index's lists into the version's, under the live index's mutex, which
+// lock-held readers building a list take too: lock order document read
+// lock, vmu, Index.mu. A pin of a state already pinned is O(1): one
+// descriptor, no tree work.
 func (d *Doc) pinCurrent() *docVersion {
 	d.vmu.Lock()
 	defer d.vmu.Unlock()
@@ -254,17 +267,20 @@ func (d *Doc) pinCurrent() *docVersion {
 		// future commit will supersede it, and a version shared
 		// between such pins could be released under a later one.
 		d.cur = newVersion(d.verSeq, d.scheme, &d.repo.vstats, d.sess.Document().PublishVersion(d.verSeq), d.dropped)
+		d.cur.read.index.Capture(d.sess.Index(), &d.cur.read.view)
 	}
 	d.cur.pin()
 	return d.cur
 }
 
 // snapEntry is one document inside a snapshot: its name, the pinned
-// version and what its readers read, resolved once at capture time.
-// Close drops the read and keeps the descriptor; doc is the live
-// document only while the snapshot is being captured.
+// version's sequence number, descriptor and what its readers read,
+// resolved once at capture time. Close drops the descriptor and the
+// read and keeps the name and the number; doc is the live document only
+// while the snapshot is being captured.
 type snapEntry struct {
 	name string
+	seq  uint64
 	doc  *Doc
 	v    *docVersion
 	read *versionRead
@@ -343,7 +359,7 @@ func (r *Repository) Snapshot(names ...string) (*Snapshot, error) {
 	for i := range docs {
 		e := &docs[i]
 		e.v = e.doc.pinCurrent()
-		e.read = e.v.read
+		e.seq, e.read = e.v.seq, &e.v.read
 	}
 	for i := len(docs) - 1; i >= 0; i-- {
 		docs[i].doc.mu.RUnlock()
@@ -372,7 +388,7 @@ func (s *Snapshot) Versions() map[string]uint64 {
 	defer s.mu.RUnlock()
 	out := make(map[string]uint64, len(s.docs))
 	for _, e := range s.docs {
-		out[e.name] = e.v.seq
+		out[e.name] = e.seq
 	}
 	return out
 }
@@ -451,15 +467,13 @@ func (s *Snapshot) Close() {
 		return
 	}
 	s.closed = true
-	// Drop the reads, keep the descriptors: Versions reads their
-	// immutable seq after Close.
+	// Unpin and let go of each version, keep the names and numbers:
+	// Versions reads them after Close.
 	for i := range s.docs {
-		s.docs[i].read = nil
+		e := &s.docs[i]
+		e.v.unpin()
+		e.v, e.read = nil, nil
 	}
 	s.mu.Unlock()
-	// closed is set, so nothing writes s.docs any more.
-	for _, e := range s.docs {
-		e.v.unpin()
-	}
 	s.stats.open.Add(-1)
 }

@@ -91,7 +91,11 @@ type heldSnapshot struct {
 // xmltree.Descendants finds in the snapshot's own version, and spell
 // what the live document held when it was pinned, so an old version
 // never shows a newer node; /*//n, which walks, must agree with the
-// walk engine.
+// walk engine. In the walked mode the live document is never read by
+// name, so each version's first read of a name walks it; in the
+// captured mode every name is read live before each pin, so the pin
+// hands the version the live lists (xpath.Index.Capture), and the
+// version's first read of each name must examine only its answer.
 func TestVersionListsMatchWalk(t *testing.T) {
 	commits := 300
 	if testing.Short() {
@@ -103,99 +107,128 @@ func TestVersionListsMatchWalk(t *testing.T) {
 		}
 		t.Run(scheme.Name, func(t *testing.T) {
 			t.Parallel()
-			r := New()
-			if err := r.Open("d", mustParse(t, "<r><a><b/><c/></a><b><a/></b><c/></r>"), scheme.Name); err != nil {
-				t.Fatal(err)
+			for _, mode := range []string{"walked", "captured"} {
+				t.Run(mode, func(t *testing.T) {
+					t.Parallel()
+					versionListsMatchWalk(t, scheme.Name, mode == "captured", commits)
+				})
 			}
-			rng := rand.New(rand.NewSource(1))
-			var held []heldSnapshot
-			defer func() {
-				for _, h := range held {
-					h.snap.Close()
-				}
-			}()
-			check := func(h heldSnapshot, where string) {
-				t.Helper()
-				for _, name := range listNames {
-					got, err := h.snap.Query("d", "//"+name)
-					if err != nil {
-						t.Fatalf("%s, //%s: %v", where, name, err)
-					}
-					if want := xmltree.Descendants(h.doc.Node(), named(name)); !slices.Equal(got, want) {
-						t.Fatalf("%s, //%s: the version's list has %d nodes, its walk %d", where, name, len(got), len(want))
-					}
-					if s := rendered(got); s != h.at[name] {
-						t.Fatalf("%s, //%s answers %s; at its pin the document held %s", where, name, s, h.at[name])
-					}
-					deep := "/*//" + name
-					got, err = h.snap.Query("d", deep)
-					want, werr := xpath.New(h.doc, nil, xpath.ModeStructural).Query(deep)
-					if err != nil || werr != nil || !slices.Equal(got, want) {
-						t.Fatalf("%s, %s: %d nodes (%v), the walk %d (%v)", where, deep, len(got), err, len(want), werr)
-					}
-				}
-			}
-			pin := func(where string) {
-				t.Helper()
-				snap, err := r.Snapshot("d")
-				if err != nil {
-					t.Fatal(err)
-				}
-				h := heldSnapshot{snap: snap, at: map[string]string{}}
-				if h.doc, err = snap.Document("d"); err != nil {
-					t.Fatal(err)
-				}
-				if err := r.View("d", func(s *update.Session) error {
-					for _, name := range listNames {
-						h.at[name] = rendered(xmltree.Descendants(s.Document().Node(), named(name)))
-					}
-					return nil
-				}); err != nil {
-					t.Fatal(err)
-				}
-				check(h, where+", first read")
-				twin, err := r.Snapshot("d")
-				if err != nil {
-					t.Fatal(err)
-				}
-				check(heldSnapshot{snap: twin, doc: h.doc, at: h.at}, where+", warm read on a twin")
-				for _, name := range listNames {
-					a, _ := snap.Query("d", "//"+name)
-					b, _ := twin.Query("d", "//"+name)
-					if len(a) > 0 && &a[0] != &b[0] {
-						t.Fatalf("%s, //%s: two snapshots of one version hold two lists", where, name)
-					}
-				}
-				twin.Close()
-				if len(held) == 4 {
-					held[0].snap.Close()
-					held = held[1:]
-				}
-				held = append(held, h)
-			}
-			pin("the opened document")
-			applied := 0
-			for i := range commits {
-				if _, err := r.Batch("d", func(doc *xmltree.Document, b *update.Batch) error {
-					versionBatch(rng, doc, b)
-					return nil
-				}); err == nil {
-					applied++
-				}
-				where := fmt.Sprintf("%s commit %d", scheme.Name, i)
-				for k, h := range held {
-					check(h, fmt.Sprintf("%s, snapshot %d of %d", where, k+1, len(held)))
-				}
-				if rng.Intn(3) == 0 {
-					pin(where)
-				}
-			}
-			if applied < commits/3 {
-				t.Fatalf("only %d of %d batches committed", applied, commits)
-			}
-			t.Logf("%d of %d batches committed; %d elements at the end", applied, commits, len(xmltree.Descendants(held[len(held)-1].doc.Node(), func(n *xmltree.Node) bool { return n.Kind() == xmltree.KindElement })))
 		})
 	}
+}
+
+// versionListsMatchWalk is one run of TestVersionListsMatchWalk.
+func versionListsMatchWalk(t *testing.T, scheme string, captured bool, commits int) {
+	r := New()
+	if err := r.Open("d", mustParse(t, "<r><a><b/><c/></a><b><a/></b><c/></r>"), scheme); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var held []heldSnapshot
+	defer func() {
+		for _, h := range held {
+			h.snap.Close()
+		}
+	}()
+	check := func(h heldSnapshot, where string) {
+		t.Helper()
+		for _, name := range listNames {
+			got, err := h.snap.Query("d", "//"+name)
+			if err != nil {
+				t.Fatalf("%s, //%s: %v", where, name, err)
+			}
+			if want := xmltree.Descendants(h.doc.Node(), named(name)); !slices.Equal(got, want) {
+				t.Fatalf("%s, //%s: the version's list has %d nodes, its walk %d", where, name, len(got), len(want))
+			}
+			if s := rendered(got); s != h.at[name] {
+				t.Fatalf("%s, //%s answers %s; at its pin the document held %s", where, name, s, h.at[name])
+			}
+			deep := "/*//" + name
+			got, err = h.snap.Query("d", deep)
+			want, werr := xpath.New(h.doc, nil, xpath.ModeStructural).Query(deep)
+			if err != nil || werr != nil || !slices.Equal(got, want) {
+				t.Fatalf("%s, %s: %d nodes (%v), the walk %d (%v)", where, deep, len(got), err, len(want), werr)
+			}
+		}
+	}
+	pin := func(where string) {
+		t.Helper()
+		if captured {
+			for _, name := range listNames {
+				if err := r.QueryFunc("d", "//"+name, func([]*xmltree.Node) error { return nil }); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		snap, err := r.Snapshot("d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if captured {
+			e, err := snap.entry("d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range listNames {
+				eng := xpath.Indexed(e.read.view.Document(), nil, &e.read.index)
+				if got, err := eng.Query("//" + name); err != nil || eng.Examined() != len(got) {
+					t.Fatalf("%s, //%s: the version's first read examined %d nodes for %d (%v); want it handed the captured list", where, name, eng.Examined(), len(got), err)
+				}
+			}
+		}
+		h := heldSnapshot{snap: snap, at: map[string]string{}}
+		if h.doc, err = snap.Document("d"); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.View("d", func(s *update.Session) error {
+			for _, name := range listNames {
+				h.at[name] = rendered(xmltree.Descendants(s.Document().Node(), named(name)))
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		check(h, where+", first read")
+		twin, err := r.Snapshot("d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(heldSnapshot{snap: twin, doc: h.doc, at: h.at}, where+", warm read on a twin")
+		for _, name := range listNames {
+			a, _ := snap.Query("d", "//"+name)
+			b, _ := twin.Query("d", "//"+name)
+			if len(a) > 0 && &a[0] != &b[0] {
+				t.Fatalf("%s, //%s: two snapshots of one version hold two lists", where, name)
+			}
+		}
+		twin.Close()
+		if len(held) == 4 {
+			held[0].snap.Close()
+			held = held[1:]
+		}
+		held = append(held, h)
+	}
+	pin("the opened document")
+	applied := 0
+	for i := range commits {
+		if _, err := r.Batch("d", func(doc *xmltree.Document, b *update.Batch) error {
+			versionBatch(rng, doc, b)
+			return nil
+		}); err == nil {
+			applied++
+		}
+		where := fmt.Sprintf("%s commit %d", scheme, i)
+		for k, h := range held {
+			check(h, fmt.Sprintf("%s, snapshot %d of %d", where, k+1, len(held)))
+		}
+		if rng.Intn(3) == 0 {
+			pin(where)
+		}
+	}
+	if applied < commits/3 {
+		t.Fatalf("only %d of %d batches committed", applied, commits)
+	}
+	t.Logf("%d of %d batches committed; %d elements at the end", applied, commits, len(xmltree.Descendants(held[len(held)-1].doc.Node(), func(n *xmltree.Node) bool { return n.Kind() == xmltree.KindElement })))
 }
 
 // TestVersionListsRaceReadersPinsAndClose: several snapshots of one
@@ -513,4 +546,147 @@ func TestAbsentNameWalksOncePerVersion(t *testing.T) {
 		t.Errorf("live heap grew %.1f bytes a round, want at most %.0f", grown, allowed)
 	}
 	runtime.KeepAlive(kept)
+}
+
+// TestCaptureRacesReadersWriterAndClose: a pin that publishes a state
+// hands the new version the live document's lists (xpath.Index.Capture)
+// while live QueryFunc readers build and read those lists under the
+// document's read lock. Around them a writer commits — appends,
+// deletes, renames and a failing batch, which drops the live lists —
+// pinners pin, read every name and close, and a closer closes a shared
+// snapshot while its readers query it. Every live answer is the live
+// walk's and every snapshot answer its version's walk's. Run with -race.
+func TestCaptureRacesReadersWriterAndClose(t *testing.T) {
+	const commits = 60
+	r := New()
+	if err := r.Open("a", mustParse(t, "<r><s><t/><u/></s><s/><s><t k='1'/></s></r>"), "qed"); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"t", "u", "s", "item"}
+	live := func(name string) error {
+		return r.QueryFunc("a", "//"+name, func(nodes []*xmltree.Node) error {
+			if len(nodes) == 0 {
+				return nil
+			}
+			if want := xmltree.Descendants(nodes[0].Root(), named(name)); !slices.Equal(nodes, want) {
+				return fmt.Errorf("live //%s: %d nodes, the walk %d", name, len(nodes), len(want))
+			}
+			return nil
+		})
+	}
+	var shared sync.Mutex
+	var current *Snapshot // the snapshot the closer closes, nil once closed
+	done := make(chan struct{})
+	pinned := make(chan struct{}, 1) // the writer waits for a pin a commit
+	var wg sync.WaitGroup
+	loop := func(body func(i int) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if err := body(i); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for g := range 2 { // live readers
+		loop(func(i int) error { return live(names[(g+i)%len(names)]) })
+	}
+	for range 2 { // pinners
+		loop(func(i int) error {
+			snap, err := r.Snapshot("a")
+			if err != nil {
+				return err
+			}
+			defer snap.Close()
+			select {
+			case pinned <- struct{}{}:
+			default:
+			}
+			shared.Lock()
+			if current == nil && i%4 == 0 {
+				if current, err = r.Snapshot("a"); err != nil {
+					shared.Unlock()
+					return err
+				}
+			}
+			mine := current
+			shared.Unlock()
+			for _, s := range []*Snapshot{snap, mine} {
+				if s == nil {
+					continue
+				}
+				doc, err := s.Document("a")
+				if errors.Is(err, ErrSnapshotClosed) {
+					continue
+				}
+				if err != nil {
+					return err
+				}
+				for _, name := range names {
+					nodes, err := s.Query("a", "//"+name)
+					if errors.Is(err, ErrSnapshotClosed) {
+						break
+					}
+					if err != nil {
+						return err
+					}
+					if want := xmltree.Descendants(doc.Node(), named(name)); !slices.Equal(nodes, want) {
+						return fmt.Errorf("snapshot //%s: %d nodes, the version's walk %d", name, len(nodes), len(want))
+					}
+				}
+			}
+			return nil
+		})
+	}
+	loop(func(int) error { // the closer
+		shared.Lock()
+		s := current
+		current = nil
+		shared.Unlock()
+		if s != nil {
+			s.Close()
+		}
+		return nil
+	})
+	for i := range commits {
+		_, err := r.Batch("a", func(doc *xmltree.Document, b *update.Batch) error {
+			root := doc.Root()
+			kids := root.Children()
+			switch s := kids[i%3]; i % 5 {
+			case 4:
+				b.AppendChild(root, "item").Delete(s).Delete(s) // the second delete fails
+			case 1:
+				if c := s.FirstChild(); c != nil {
+					b.Rename(c, map[string]string{"t": "u", "u": "t", "item": "t"}[c.Name()])
+				}
+			case 2, 3:
+				if last := kids[len(kids)-1]; last.Name() == "item" {
+					b.Delete(last)
+				}
+			default:
+				b.AppendChild(root, "item").AppendChild(s, "u")
+			}
+			return nil
+		})
+		if (err != nil) != (i%5 == 4) {
+			t.Errorf("commit %d: %v", i, err)
+		}
+		<-pinned
+	}
+	close(done)
+	wg.Wait()
+	if current != nil {
+		current.Close()
+	}
+	if err := r.Verify("a"); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -131,6 +131,11 @@ func (s *Session) Labeling() labeling.Interface { return s.lab }
 // only for a scheme whose labels are unique, as the repository admits.
 func (s *Session) Engine() *xpath.Engine { return xpath.Indexed(s.doc, s.lab, &s.index) }
 
+// Index returns the session's element index, which Engine reads. A
+// version published from the document takes over its lists
+// (xpath.Index.Capture) with the document's writers held off.
+func (s *Session) Index() *xpath.Index { return &s.index }
+
 // Counters returns a copy of the operation counters.
 func (s *Session) Counters() Counters { return s.ctr }
 

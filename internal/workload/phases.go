@@ -100,7 +100,11 @@ func Stream(seed int64, docs int, skew float64, phases ...Phase) ([]Event, error
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed))
-	var events []Event
+	n := 0
+	for _, ph := range phases {
+		n += max(ph.Ops, 0)
+	}
+	events := make([]Event, 0, n)
 	for _, ph := range phases {
 		w := ph.Mix.weights()
 		var cum [numOpKinds]float64

@@ -44,6 +44,33 @@ func TestStreamDeterminism(t *testing.T) {
 	}
 }
 
+// TestStreamSizesItsOutputOnce: a stream of 32 768 events, one
+// client's stream in the benchmark, allocates its events once, sized
+// from the phases' ops, so it allocates as often as a stream of one
+// event: six times, the events, the stream's generator source, and the
+// Zipf picker, its generator, that generator's source and its table. It
+// regrew its events about 30 times while it grew by append.
+func TestStreamSizesItsOutputOnce(t *testing.T) {
+	allocs := func(ops int) float64 {
+		phases := []Phase{ReadMostly(ops / 2), {Name: "write-storm", Ops: ops - ops/2, Mix: stormMix}}
+		var events []Event
+		allocs := testing.AllocsPerRun(20, func() {
+			var err error
+			if events, err = Stream(1, 4, 1.1, phases...); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if len(events) != ops || cap(events) != ops {
+			t.Fatalf("%d events in a slice of %d, want %d in %d", len(events), cap(events), ops, ops)
+		}
+		return allocs
+	}
+	long, short := allocs(32768), allocs(1)
+	if long != short || long > 6 {
+		t.Errorf("a stream of 32768 events: %.0f allocs, of one event %.0f; want the same, at most 6", long, short)
+	}
+}
+
 // TestStreamPhasesAndMix: events appear in phase order, respect each
 // phase's op budget, and the drawn op mix tracks the configured
 // weights (loose bounds — the draw is random, the seed fixed).

@@ -12,12 +12,15 @@
 // A document's first publication copies everything, and does it in one
 // go: its nodes and lists are cut from one Slab, two allocations
 // whatever the size. Later spines stay one allocation per node and per
-// list. That split bounds what the mirror keeps: a first-version node
-// still shared keeps its slab reachable, and that slab is one copy of
-// the first version, never more; a spine node keeps only itself. Spines
-// cut from slabs would let every old slab live on through its one
-// still-shared node, and live heap grow with commit history
-// (TestPublicationRetentionBounded).
+// list, but for a copied list's never-published leaves (empty elements,
+// text, attributes), which are cut from slabs of at most leafSlab. That
+// split bounds what the mirror keeps: a first-version node still shared
+// keeps its slab reachable, and that slab is one copy of the first
+// version, never more; a spine node keeps only itself, and a leaf at
+// most the 352 B of its slab, which points at nothing older, since a
+// leaf has no list. Spines cut from slabs would let every old slab live
+// on through its one still-shared node, and live heap grow with commit
+// history (TestPublicationRetentionBounded).
 //
 // Persistent nodes are frozen and parentless — a subtree shared
 // between two versions cannot have a per-version parent pointer. They
@@ -33,8 +36,11 @@
 // The rule for readers: whole-subtree readers run on persistent nodes;
 // shells exist for handed-out nodes and their ancestors. Descendants
 // scans the persistent tree and materialises only the paths to its
-// matches; the readers that hand out no node at all (serialisation,
-// Text, Attr, Clone) step from a view to its source first.
+// matches, and View.Capture materialises the same paths for nodes
+// named by their live counterparts, descending by child positions
+// instead of scanning; the readers that hand out no node at all
+// (serialisation, Text, Attr, Clone) step from a view to its source
+// first.
 // A read of a version is thus O(visited) in time and O(selected ×
 // depth) sibling lists in memory, like publication's O(spine).
 package xmltree
@@ -94,8 +100,16 @@ func unpublished(n *Node) (nodes, links int) {
 	return nodes, links
 }
 
+// leafSlab is the most never-published leaves of one list a later
+// publication cuts from one slab: 4 × 88 B = 352 B is a size class, and
+// a still-shared leaf keeps at most three others reachable.
+const leafSlab = 4
+
 // publishNode copies what changed under n, taking nodes and lists from
-// slab while it lasts and from the heap after.
+// slab while it lasts. After it, a copied list's unpublished leaves —
+// nodes with no list: empty elements, text, attributes — are cut from
+// slabs of at most leafSlab, the first holding what full slabs leave
+// over, and every other node and list comes from the heap.
 func publishNode(n *Node, slab *Slab) *Node {
 	if n.mirror != nil {
 		return n.mirror
@@ -103,8 +117,25 @@ func publishNode(n *Node, slab *Slab) *Node {
 	p := slab.New(n.kind, n.name, n.value)
 	p.frozen, p.nattrs = true, n.nattrs
 	slab.Reserve(p, len(n.links))
+	left := 0
+	if len(slab.nodes) == 0 {
+		for _, c := range n.links {
+			if c.mirror == nil && len(c.links) == 0 {
+				left++
+			}
+		}
+	}
+	leaves := NewSlab(left%leafSlab, 0)
 	for _, c := range n.links {
-		p.links = append(p.links, publishNode(c, slab))
+		from := slab
+		if left > 0 && c.mirror == nil && len(c.links) == 0 {
+			if left%leafSlab == 0 {
+				leaves = NewSlab(leafSlab, 0)
+			}
+			left--
+			from = &leaves
+		}
+		p.links = append(p.links, publishNode(c, from))
 	}
 	n.mirror = p
 	return p
@@ -121,21 +152,97 @@ func publishNode(n *Node, slab *Slab) *Node {
 // allocation, a View.
 func OpenVersion(version *Node) *Document { return new(View).Open(version) }
 
-// View is an opened version: its read-only Document and the shell of
-// its document node. A holder that keeps more beside a version embeds a
-// View and opens it in place, so that the view and the rest are one
-// allocation.
+// View is an opened version: its read-only Document, the shell of its
+// document node and room for what the document node expands into when
+// it has one child (its root element, with no comment or PI beside it):
+// that child's shell and the one-entry list, so that expanding the first
+// level allocates nothing. A holder that keeps more beside a version
+// embeds a View and opens it in place, so that the view and the rest are
+// one allocation.
 type View struct {
 	doc  Document
 	root Node
+	kid  Node
+	kids [1]*Node
 }
 
 // Open points v at a version root from PublishVersion and returns its
 // Document, as OpenVersion does. Open v once, before anyone reads it.
+// The document node still expands on first access, as every view node
+// does, into the room v holds for it.
 func (v *View) Open(version *Node) *Document {
 	v.root = viewOf(version, nil)
+	if len(version.links) == 1 {
+		v.kids[0] = &v.kid
+		v.root.links = v.kids[:0]
+	}
 	v.doc.node = &v.root
 	return &v.doc
+}
+
+// Capture returns the nodes of the view that stand where the nodes of
+// live stand in the live document v was published from, in the same
+// order. live must be in document order and its document unchanged since
+// PublishVersion returned v's root, so that a live node's child
+// positions lead to its view. The descent keeps one cursor per level, so
+// a sibling list is scanned once however many of live it leads to, and
+// examined counts the siblings the cursors compare. ok is false where a
+// node is not found where the order puts it.
+func (v *View) Capture(live []*Node, examined *int) (nodes []*Node, ok bool) {
+	var d descent
+	d.levels.at(0).view = &v.root
+	defer func() { *examined += d.examined }()
+	nodes = make([]*Node, len(live))
+	for i, n := range live {
+		if nodes[i], _ = d.find(n); nodes[i] == nil {
+			return nil, false
+		}
+	}
+	return nodes, true
+}
+
+// cursor is one level of a capture's descent: the live node last reached
+// there, its view, and where the scan of its children resumes.
+type cursor struct {
+	live, view *Node
+	next       int
+}
+
+// descent is one Capture: its levels run from the document node, at
+// depth 0, down to the node last reached.
+type descent struct {
+	levels   chain[cursor]
+	examined int
+}
+
+// find returns the view of live node n and n's depth, or nil where n's
+// parent holds it before its cursor.
+func (d *descent) find(n *Node) (*Node, int) {
+	if n.parent == nil {
+		top := d.levels.at(0)
+		top.live = n
+		return top.view, 0
+	}
+	pv, at := d.find(n.parent)
+	if pv == nil {
+		return nil, 0
+	}
+	at++
+	c := d.levels.at(at) // before the parent's: it may move the spill
+	if c.live != n {
+		p := d.levels.at(at - 1)
+		kids, i := p.live.children(), p.next
+		for i < len(kids) && kids[i] != n {
+			i++
+		}
+		d.examined += i - p.next + 1
+		if i == len(kids) {
+			return nil, 0
+		}
+		p.next = i + 1
+		*c = cursor{live: n, view: pv.children()[i]}
+	}
+	return c.view, at
 }
 
 // Document returns the Document of a View that Open has opened.
@@ -161,7 +268,8 @@ func viewOf(src, parent *Node) Node {
 var expandMu sync.Mutex
 
 // expand materialises the attribute and child shells of a view node, as
-// one slab of shells behind one list of pointers. Publication order
+// one slab of shells behind one list of pointers, or into the room a
+// View holds for its document node's one child. Publication order
 // guarantees the source node is immutable by the time any reader can
 // reach it, so expansion only needs to synchronise with other
 // expansions: the atomic expanded flag is written after the list and
@@ -176,7 +284,13 @@ func (n *Node) expand() {
 	if atomic.LoadUint32(&n.expanded) != 0 {
 		return
 	}
-	if src := n.mirror; len(src.links) > 0 {
+	switch src := n.mirror; {
+	case len(src.links) == 1 && cap(n.links) == 1:
+		// View.Open's room: the list and the shell are the View's.
+		n.links = n.links[:1]
+		*n.links[0] = viewOf(src.links[0], n)
+		n.nattrs = src.nattrs
+	case len(src.links) > 0:
 		shells := make([]Node, len(src.links))
 		list := make([]*Node, len(src.links))
 		for i, c := range src.links {
@@ -211,7 +325,7 @@ func (n *Node) Source() *Node {
 // identity; any other tree is its own source, scanned the same way.
 func Descendants(ctx *Node, match func(*Node) bool) []*Node {
 	s := scan{ready: 1}
-	s.chain[0].view = ctx
+	s.chain.at(0).view = ctx
 	s.walk(ctx.Source(), 0, match)
 	if s.n > scanAnswer {
 		return s.more
@@ -219,9 +333,31 @@ func Descendants(ctx *Node, match func(*Node) bool) []*Node {
 	return append([]*Node(nil), s.buf[:s.n]...)
 }
 
-// scanDepth is how deep a scan's chain runs inside the scan itself; a
-// deeper document spills the rest of it to the heap.
+// scanDepth is how deep a chain runs inside its holder; a deeper
+// document spills the rest of it to the heap.
 const scanDepth = 128
+
+// chain is per-level state of a descent from depth 0: the first
+// scanDepth levels inside its holder, so a holder on its caller's stack
+// keeps them there, and the rest on the heap.
+type chain[T any] struct {
+	head  [scanDepth]T
+	spill []T // the levels at scanDepth and below
+}
+
+// at returns the level at depth, which is at most one below the deepest
+// level so far. A level past scanDepth may move when a deeper one is
+// first reached.
+func (c *chain[T]) at(depth int) *T {
+	if depth < scanDepth {
+		return &c.head[depth]
+	}
+	if depth -= scanDepth; depth == len(c.spill) {
+		var zero T
+		c.spill = append(c.spill, zero)
+	}
+	return &c.spill[depth]
+}
 
 // scanAnswer is how many matches a scan holds inside itself. A smaller
 // answer leaves in one copy, or as nil; a larger one moves to the heap
@@ -248,20 +384,7 @@ type scan struct {
 	more  []*Node // the answer once it outgrew buf
 	buf   [scanAnswer]*Node
 	ready int
-	chain [scanDepth]link
-	spill []link // the links at scanDepth and below
-}
-
-// at returns the chain's link at depth, which is at most one below the
-// deepest link so far.
-func (s *scan) at(depth int) *link {
-	if depth < scanDepth {
-		return &s.chain[depth]
-	}
-	if depth -= scanDepth; depth == len(s.spill) {
-		s.spill = append(s.spill, link{})
-	}
-	return &s.spill[depth]
+	chain chain[link]
 }
 
 // add appends n to the answer.
@@ -285,7 +408,7 @@ func (s *scan) walk(p *Node, depth int, match func(*Node) bool) {
 		}
 	}
 	d := depth + 1
-	l := s.at(d)
+	l := s.chain.at(d)
 	for i, c := range p.children() {
 		if c.kind != KindElement {
 			continue
@@ -299,7 +422,7 @@ func (s *scan) walk(p *Node, depth int, match func(*Node) bool) {
 		}
 		if len(c.links) > 0 {
 			s.walk(c, d, match)
-			l = s.at(d) // the walk below may have moved the spill
+			l = s.chain.at(d) // the walk below may have moved the spill
 		}
 	}
 }
@@ -307,10 +430,10 @@ func (s *scan) walk(p *Node, depth int, match func(*Node) bool) {
 // view returns the node to hand out for the chain's node at depth.
 func (s *scan) view(depth int) *Node {
 	for ; s.ready <= depth; s.ready++ {
-		l := s.at(s.ready)
-		l.view = s.at(s.ready - 1).view.children()[l.index]
+		l := s.chain.at(s.ready)
+		l.view = s.chain.at(s.ready - 1).view.children()[l.index]
 	}
-	return s.at(depth).view
+	return s.chain.at(depth).view
 }
 
 // list returns the attributes and then the non-attribute children,

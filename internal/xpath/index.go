@@ -41,10 +41,13 @@ import (
 // hands it out, so readers of the document may read at once. The
 // maintenance methods run with the document held exclusively, so they
 // take no lock. A list a reader is handed is capacity-limited, so an
-// append copies it; nobody may write into it.
+// append copies it; nobody may write into it. The first name's entry is
+// held inside the index, so an index of one name allocates only its
+// list.
 type Index struct {
 	mu    sync.Mutex
 	lists []named
+	first [1]named // lists' array until a second name is held
 }
 
 // named is one name's list: its elements in document order.
@@ -102,16 +105,47 @@ func (x *Index) list(top *xmltree.Node, name string, examined *int) []*xmltree.N
 	defer x.mu.Unlock()
 	l := x.find(name)
 	if l == nil {
-		if len(x.lists) == maxNames {
-			x.Drop()
-		}
-		x.lists = append(x.lists, named{name, xmltree.Descendants(top, func(n *xmltree.Node) bool {
+		l = x.hold(name, xmltree.Descendants(top, func(n *xmltree.Node) bool {
 			*examined++
 			return n.Kind() == xmltree.KindElement && n.Name() == name
-		})})
-		l = &x.lists[len(x.lists)-1]
+		}))
 	}
 	return l.nodes[:len(l.nodes):len(l.nodes)]
+}
+
+// hold keeps nodes as name's list, dropping the others if the index
+// holds maxNames already.
+func (x *Index) hold(name string, nodes []*xmltree.Node) *named {
+	if len(x.lists) == maxNames {
+		x.Drop()
+	}
+	if x.lists == nil {
+		x.lists = x.first[:0]
+	}
+	grown := append(x.lists, named{name, nodes})
+	if len(x.lists) > 0 && &grown[0] != &x.lists[0] {
+		clear(x.lists) // the array left behind keeps no list
+	}
+	x.lists = grown
+	return &x.lists[len(x.lists)-1]
+}
+
+// Capture gives x, the empty index of a version just published from the
+// document live indexes, each of live's lists, as the version's nodes
+// (xmltree.View.Capture): the version's first read of a name live holds
+// is handed its list, with no walk. Call it before anyone reads the
+// version, with the live document's writers held off and unchanged since
+// the publication. It returns the nodes the capture examined. A list the
+// view does not match is left to the version's first read.
+func (x *Index) Capture(live *Index, version *xmltree.View) (examined int) {
+	live.mu.Lock()
+	defer live.mu.Unlock()
+	for _, l := range live.lists {
+		if nodes, ok := version.Capture(l.nodes, &examined); ok {
+			x.hold(l.name, nodes)
+		}
+	}
+	return examined
 }
 
 // find returns the list held for name, or nil: a scan of at most

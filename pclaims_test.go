@@ -52,6 +52,9 @@ var pclaims = []struct {
 	{"P7", "heap allocations per `Session.InsertBefore` over 2 000 inserts before the root's first element child of `workload.BaseDocument(seed, 1000)`, auto-verify off", 1,
 		[]pbound{{"deweyid", 2.1}, {"ordpath", 2.1}, {"qed", 2.1}, {"cdqs", 2.1}, {"cdbs", 2.1}, {"vector", 2.1}, {"xpath-accelerator", 2.1}},
 		skewedInsertAllocs, ""},
+	{"P8", "nodes the first `//item` read on a version pinned after one more root `item` append examines, the pin's capture of the live lists included, on P6's document with `//item` read live before the pins (the walk examines every node)", 1,
+		[]pbound{{"qed", 200}, {"ordpath", 200}, {"deweyid", 200}, {"cdbs", 200}},
+		versionFirstReadNodes, ""},
 }
 
 type pbound struct {
@@ -167,6 +170,57 @@ func versionNodesPerRead(scheme string, seed int64) (float64, error) {
 		return 0, fmt.Errorf("a warm //item examined %d nodes, not 100 times fewer than the first read's %d", warm.Examined(), first.Examined())
 	}
 	return float64(warm.Examined()), nil
+}
+
+// versionFirstReadNodes is P8: the nodes a version's first //item
+// examines, when the live document's index holds item. P6's document
+// is read by name live, published as P6's version, given one more root
+// item, and published again. That pin hands the new version the live
+// lists (xpath.Index.Capture, as Doc.pinCurrent calls it), and what
+// the capture examines counts with what the version's first read
+// does, so no work hides in the pin. A walk of the version, the first
+// read without a capture, must examine at least 100 times more.
+func versionFirstReadNodes(scheme string, seed int64) (float64, error) {
+	_, docs := workload.BuildCorpus(workload.FewHugeDocs(), seed)
+	s, err := update.NewSession(docs[0], core.MustScheme(scheme).Factory())
+	if err != nil {
+		return 0, err
+	}
+	for range 48 {
+		if _, err := s.AppendChild(s.Document().Root(), "item"); err != nil {
+			return 0, err
+		}
+	}
+	if _, err := s.Engine().Query("//item"); err != nil { // the live read
+		return 0, err
+	}
+	s.Document().PublishVersion(1)
+	if _, err := s.AppendChild(s.Document().Root(), "item"); err != nil {
+		return 0, err
+	}
+	var (
+		view  xmltree.View
+		index xpath.Index
+	)
+	version := view.Open(s.Document().PublishVersion(2))
+	captured := index.Capture(s.Index(), &view)
+	first := xpath.Indexed(version, nil, &index)
+	got, err := first.Query("//item")
+	if err != nil {
+		return 0, err
+	}
+	if len(got) != 49 {
+		return 0, fmt.Errorf("//item found %d elements, want 49", len(got))
+	}
+	walk := xpath.Indexed(version, nil, new(xpath.Index))
+	if _, err := walk.Query("//item"); err != nil {
+		return 0, err
+	}
+	examined := captured + first.Examined()
+	if examined*100 > walk.Examined() {
+		return 0, fmt.Errorf("the capture and the first //item examined %d nodes, not 100 times fewer than the walk's %d", examined, walk.Examined())
+	}
+	return float64(examined), nil
 }
 
 // batchHeapBytes is P4: the bytes one repository commit of eight
