@@ -13,6 +13,7 @@ import (
 
 	"xmldyn/internal/core"
 	"xmldyn/internal/update"
+	"xmldyn/internal/workload"
 	"xmldyn/internal/xmltree"
 	"xmldyn/internal/xpath"
 )
@@ -548,17 +549,43 @@ func TestAbsentNameWalksOncePerVersion(t *testing.T) {
 	runtime.KeepAlive(kept)
 }
 
+// readWriter is the surface TestCaptureRacesReadersWriterAndClose
+// drives on both repository flavours.
+type readWriter interface {
+	writer
+	Snapshot(names ...string) (*Snapshot, error)
+	QueryFunc(name, path string, fn func([]*xmltree.Node) error) error
+	Verify(name string) error
+}
+
 // TestCaptureRacesReadersWriterAndClose: a pin that publishes a state
 // hands the new version the live document's lists (xpath.Index.Capture)
 // while live QueryFunc readers build and read those lists under the
 // document's read lock. Around them a writer commits — appends,
 // deletes, renames and a failing batch, which drops the live lists —
 // pinners pin, read every name and close, and a closer closes a shared
-// snapshot while its readers query it. Every live answer is the live
-// walk's and every snapshot answer its version's walk's. Run with -race.
+// snapshot while its readers query it. On a durable repository a
+// checkpointer checkpoints all along, and its cut's pins publish and
+// capture too, under the leader's commit lock. Every live answer is the
+// live walk's and every snapshot answer its version's walk's. Run with
+// -race.
 func TestCaptureRacesReadersWriterAndClose(t *testing.T) {
+	t.Run("memory", func(t *testing.T) { captureRaces(t, New(), nil) })
+	t.Run("durable", func(t *testing.T) {
+		d, err := OpenDurable(t.TempDir(), DurableOptions{AutoCheckpointBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		captureRaces(t, d, d.Checkpoint)
+	})
+}
+
+// captureRaces is one run of TestCaptureRacesReadersWriterAndClose on
+// r, with a goroutine that calls checkpoint over and over unless it is
+// nil.
+func captureRaces(t *testing.T, r readWriter, checkpoint func() error) {
 	const commits = 60
-	r := New()
 	if err := r.Open("a", mustParse(t, "<r><s><t/><u/></s><s/><s><t k='1'/></s></r>"), "qed"); err != nil {
 		t.Fatal(err)
 	}
@@ -656,6 +683,9 @@ func TestCaptureRacesReadersWriterAndClose(t *testing.T) {
 		}
 		return nil
 	})
+	if checkpoint != nil {
+		loop(func(int) error { return checkpoint() })
+	}
 	for i := range commits {
 		_, err := r.Batch("a", func(doc *xmltree.Document, b *update.Batch) error {
 			root := doc.Root()
@@ -688,5 +718,81 @@ func TestCaptureRacesReadersWriterAndClose(t *testing.T) {
 	}
 	if err := r.Verify("a"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSnapshotAfterCheckpointReadsAsP8: the checkpoint cut's pin
+// publishes the document's version and captures the live lists into
+// it, and a snapshot that follows with no commit between pins that same
+// version, so P8 reads as it does with no checkpoint between: on P6's
+// document, with //item read live and one more root item appended after
+// the last pin, the capture and the version's first //item examine 107
+// nodes (58 capture steps, the 49 entries the read is handed).
+func TestSnapshotAfterCheckpointReadsAsP8(t *testing.T) {
+	d, err := OpenDurable(t.TempDir(), DurableOptions{AutoCheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	_, docs := workload.BuildCorpus(workload.FewHugeDocs(), 1)
+	if err := d.Open("a", docs[0], "qed"); err != nil {
+		t.Fatal(err)
+	}
+	appendItems := func(n int) {
+		t.Helper()
+		if _, err := d.Batch("a", func(doc *xmltree.Document, b *update.Batch) error {
+			for range n {
+				b.AppendChild(doc.Root(), "item")
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendItems(48)
+	if err := d.QueryFunc("a", "//item", func([]*xmltree.Node) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	first, err := d.Snapshot("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.Close()
+	appendItems(1)
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	doc, _ := lookup(d.repo(), "a")
+	doc.vmu.Lock()
+	cut := doc.cur
+	doc.vmu.Unlock()
+	snap, err := d.Snapshot("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	e, err := snap.entry("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cut == nil || e.v != cut {
+		t.Fatalf("the snapshot pinned %p, want the checkpoint cut's version %p", e.v, cut)
+	}
+	eng := xpath.Indexed(e.read.view.Document(), nil, &e.read.index)
+	got, err := eng.Query("//item")
+	if err != nil || len(got) != 49 || eng.Examined() != len(got) {
+		t.Fatalf("the version's first //item: %d nodes, %d examined (%v); want the 49 captured", len(got), eng.Examined(), err)
+	}
+	// The capture's steps, counted again on a fresh index: the live
+	// document is the cut's state still.
+	steps := 0
+	if err := d.View("a", func(s *update.Session) error {
+		steps = new(xpath.Index).Capture(s.Index(), &e.read.view)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if p8 := steps + eng.Examined(); p8 != 107 {
+		t.Errorf("the capture and the first //item examined %d + %d = %d nodes, want P8's 107", steps, eng.Examined(), p8)
 	}
 }

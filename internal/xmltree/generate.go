@@ -1,7 +1,7 @@
 package xmltree
 
 import (
-	"fmt"
+	"math/bits"
 	"math/rand"
 	"strconv"
 )
@@ -22,7 +22,9 @@ type GenOptions struct {
 }
 
 // Generate builds a random document according to opt. Generation is fully
-// deterministic for a given options value.
+// deterministic for a given options value. With a node target the
+// document is built as a decoded one is: its nodes and lists are cut
+// from one Slab, and its names and values from one string.
 func Generate(opt GenOptions) *Document {
 	if opt.MaxDepth <= 0 {
 		opt.MaxDepth = 1
@@ -30,17 +32,14 @@ func Generate(opt GenOptions) *Document {
 	if opt.MaxChildren <= 0 {
 		opt.MaxChildren = 2
 	}
-	rng := rand.New(rand.NewSource(opt.Seed))
-	g := &generator{opt: opt, rng: rng}
-	doc := NewDocument()
-	root := NewElement("root")
-	if err := doc.SetRoot(root); err != nil {
-		panic(err) // cannot happen: root is an element
-	}
-	g.count = 1
+	g := &generator{opt: opt, rng: rand.New(rand.NewSource(opt.Seed)), count: 1}
+	var doc *Document
 	if opt.TargetNodes > 0 {
-		g.fillToTarget(root)
+		doc = g.fillToTarget()
 	} else {
+		doc = NewDocument()
+		root := NewElement("root")
+		_ = doc.SetRoot(root) // cannot fail: root is an element
 		g.fill(root, 0)
 	}
 	g.cut()
@@ -49,35 +48,77 @@ func Generate(opt GenOptions) *Document {
 
 // fillToTarget grows the tree breadth-first until the node budget is
 // spent, guaranteeing the target is reached whenever MaxDepth permits.
-func (g *generator) fillToTarget(root *Node) {
+// It decides the whole shape first, each element's attribute and child
+// count (the attribute counted against the budget), and then builds it
+// from one slab, each list reserved once with the room appending would
+// give it.
+func (g *generator) fillToTarget() *Document {
 	type item struct {
-		n     *Node
-		depth int
+		n                  *Node
+		depth, attrs, kids int32
 	}
-	queue := []item{{root, 0}}
-	for len(queue) > 0 && g.budgetLeft() {
-		it := queue[0]
-		queue = queue[1:]
-		if g.rng.Float64() < g.opt.AttrProb && g.budgetLeft() {
-			if err := it.n.AppendAttr(g.named(NewAttribute("", ""), 'a', 'v')); err == nil {
-				g.count++
-				g.next++
-			}
-		}
-		if it.depth >= g.opt.MaxDepth {
-			continue
-		}
-		n := 1 + g.rng.Intn(g.opt.MaxChildren)
-		for i := 0; i < n && g.budgetLeft(); i++ {
-			c := g.named(NewElement(""), 'e', 0)
-			g.next++
-			if err := it.n.AppendChild(c); err != nil {
-				return
-			}
+	// The nodes are allocated before the queue: in that order
+	// read_heavy's nine set-ups, each from a collected heap, collect
+	// 31–38 times, and 41–45 with the queue first. A MaxDepth that
+	// stops growth short of the target leaves the rest of them unused.
+	t := g.opt.TargetNodes
+	nodes := make([]Node, t)
+	queue := append(make([]item, 0, t), item{})
+	links := 0
+	for i := 0; i < len(queue) && g.budgetLeft(); i++ {
+		it := item{depth: queue[i].depth}
+		if g.rng.Float64() < g.opt.AttrProb {
+			it.attrs = 1
 			g.count++
-			queue = append(queue, item{c, it.depth + 1})
+		}
+		if int(it.depth) < g.opt.MaxDepth {
+			it.kids = int32(min(1+g.rng.Intn(g.opt.MaxChildren), t-g.count))
+		}
+		g.count += int(it.kids)
+		links += room(int(it.attrs + it.kids))
+		queue[i] = it
+		for range it.kids {
+			queue = append(queue, item{depth: it.depth + 1})
 		}
 	}
+	// A node has at most a name and a value of 1+digits(t) bytes each.
+	doc, slab := slabDocument(nodes[:g.count], links)
+	g.slab, g.marks, g.text = slab, make([]mark, 0, g.count), make([]byte, 0, 2*g.count*(1+digits(t)))
+	queue[0].n = g.slab.New(KindElement, "root", "")
+	_ = doc.SetRoot(queue[0].n)
+	// The appends cannot fail: each attaches a fresh attribute or
+	// element to an element.
+	next := 1
+	for _, it := range queue {
+		g.slab.Reserve(it.n, room(int(it.attrs+it.kids)))
+		if it.attrs > 0 {
+			_ = it.n.AppendAttr(g.named(KindAttribute, 'a', 'v'))
+			g.next++
+		}
+		for range it.kids {
+			queue[next].n = g.named(KindElement, 'e', 0)
+			_ = it.n.AppendChild(queue[next].n)
+			g.next++
+			next++
+		}
+	}
+	return doc
+}
+
+// room is the least power of two at or above k, 0 for none (k-1 wraps,
+// and 1<<64 is 0): the room appending k entries one at a time gives a
+// list of up to 64 (past 64, a malloc header makes append's room odd).
+// Generated lists keep it, so an insert into one allocates as it did
+// when they were appended to.
+func room(k int) int { return 1 << bits.Len(uint(k-1)) }
+
+// digits is the length of n >= 0 in decimal.
+func digits(n int) int {
+	d := 1
+	for ; n >= 10; n /= 10 {
+		d++
+	}
+	return d
 }
 
 type generator struct {
@@ -85,6 +126,7 @@ type generator struct {
 	rng   *rand.Rand
 	count int
 	next  int
+	slab  Slab   // of the target's nodes; empty without a target
 	text  []byte // every name and value, in the order of marks
 	marks []mark
 }
@@ -95,10 +137,11 @@ type mark struct {
 	name, value int
 }
 
-// named records n, numbered g.next, for cut: its name is the name
-// prefix and the number, its value the value prefix and the number, and
-// a zero prefix leaves either empty.
-func (g *generator) named(n *Node, name, value byte) *Node {
+// named returns a new node of kind, numbered g.next and recorded for
+// cut: its name is the name prefix and the number, its value the value
+// prefix and the number, and a zero prefix leaves either empty.
+func (g *generator) named(kind Kind, name, value byte) *Node {
+	n := g.slab.New(kind, "", "")
 	g.number(name)
 	m := mark{n: n, name: len(g.text)}
 	g.number(value)
@@ -132,21 +175,21 @@ func (g *generator) budgetLeft() bool {
 
 func (g *generator) fill(e *Node, depth int) {
 	if g.rng.Float64() < g.opt.AttrProb && g.budgetLeft() {
-		if err := e.AppendAttr(g.named(NewAttribute("", ""), 'a', 'v')); err == nil {
+		if err := e.AppendAttr(g.named(KindAttribute, 'a', 'v')); err == nil {
 			g.count++
 			g.next++
 		}
 	}
 	if depth >= g.opt.MaxDepth || !g.budgetLeft() {
 		if g.rng.Float64() < g.opt.TextProb {
-			_ = e.AppendChild(g.named(NewText(""), 0, 't'))
+			_ = e.AppendChild(g.named(KindText, 0, 't'))
 			g.next++
 		}
 		return
 	}
 	n := g.rng.Intn(g.opt.MaxChildren + 1)
 	for i := 0; i < n && g.budgetLeft(); i++ {
-		c := g.named(NewElement(""), 'e', 0)
+		c := g.named(KindElement, 'e', 0)
 		g.next++
 		if err := e.AppendChild(c); err != nil {
 			return
@@ -155,7 +198,7 @@ func (g *generator) fill(e *Node, depth int) {
 		g.fill(c, depth+1)
 	}
 	if n == 0 && g.rng.Float64() < g.opt.TextProb {
-		_ = e.AppendChild(g.named(NewText(""), 0, 't'))
+		_ = e.AppendChild(g.named(KindText, 0, 't'))
 		g.next++
 	}
 }
@@ -164,47 +207,79 @@ func (g *generator) fill(e *Node, depth int) {
 // and no deeper structure: the fan-out shape used by the sibling-insertion
 // experiments (claims C2, C6 in docs/EXPERIMENTS.md).
 func GenerateWide(n int) *Document {
-	doc := NewDocument()
-	root := NewElement("root")
-	_ = doc.SetRoot(root)
-	for i := 0; i < n; i++ {
-		_ = root.AppendChild(NewElement(fmt.Sprintf("c%d", i)))
-	}
-	return doc
+	n = max(n, 0)
+	return complete(1, n, 3+digits(n), func(b []byte, i int) []byte {
+		if i == 0 {
+			return append(b, "root"...)
+		}
+		return strconv.AppendInt(append(b, 'c'), int64(i-1), 10)
+	})
 }
 
 // GenerateDeep builds a single chain of n nested elements: the depth shape
 // used by level-encoding and prefix-growth probes.
 func GenerateDeep(n int) *Document {
-	doc := NewDocument()
-	root := NewElement("d0")
-	_ = doc.SetRoot(root)
-	cur := root
-	for i := 1; i < n; i++ {
-		c := NewElement(fmt.Sprintf("d%d", i))
-		_ = cur.AppendChild(c)
-		cur = c
-	}
-	return doc
+	return complete(n-1, 1, 1+digits(n), func(b []byte, i int) []byte {
+		return strconv.AppendInt(append(b, 'd'), int64(i), 10)
+	})
 }
 
 // GenerateBalanced builds a complete tree of the given depth and fan-out.
 // depth 0 yields just the root.
 func GenerateBalanced(depth, fanout int) *Document {
-	doc := NewDocument()
-	root := NewElement("n")
-	_ = doc.SetRoot(root)
-	var grow func(e *Node, d int)
-	grow = func(e *Node, d int) {
-		if d >= depth {
-			return
+	fanout = max(fanout, 0)
+	return complete(depth, fanout, 2+digits(depth)+digits(fanout), func(b []byte, i int) []byte {
+		if i == 0 {
+			return append(b, 'n')
 		}
-		for i := 0; i < fanout; i++ {
-			c := NewElement(fmt.Sprintf("n%d_%d", d+1, i))
-			_ = e.AppendChild(c)
-			grow(c, d+1)
+		// The i-th node is child (i-1)%fanout of its parent, on the
+		// level its index falls in.
+		d := 1
+		for w := fanout; i > w; w *= fanout {
+			i -= w
+			d++
+		}
+		b = strconv.AppendInt(append(b, 'n'), int64(d), 10)
+		return strconv.AppendInt(append(b, '_'), int64((i-1)%fanout), 10)
+	})
+}
+
+// complete builds a complete tree of the given depth and fan-out from one
+// slab, breadth-first: the parents are its first nodes, and each level's
+// children follow. The i-th node is named what name appends to a buffer
+// for i, at most width bytes, each name a window of one string.
+func complete(depth, fanout, width int, name func(b []byte, i int) []byte) *Document {
+	count, leaves := 1, 1
+	for range depth {
+		leaves *= fanout
+		count += leaves
+	}
+	doc, slab := slabDocument(make([]Node, count), (count-leaves)*room(fanout))
+	nodes := slab.nodes
+	// The root and every child are fresh elements: no attachment fails.
+	_ = doc.SetRoot(slab.New(KindElement, "", ""))
+	for p := range count - leaves {
+		slab.Reserve(&nodes[p], room(fanout))
+		for range fanout {
+			_ = nodes[p].AppendChild(slab.New(KindElement, "", ""))
 		}
 	}
-	grow(root, 0)
+	text := make([]byte, 0, count*width)
+	for i := range nodes {
+		text = name(text, i)
+	}
+	s, at := string(text), 0
+	for i := range nodes {
+		end := at + len(name(text[:0], i))
+		nodes[i].name, at = s[at:end], end
+	}
 	return doc
+}
+
+// slabDocument returns an empty document and a slab of nodes whose
+// lists hold links entries, the document's list (its root) already cut.
+func slabDocument(nodes []Node, links int) (*Document, Slab) {
+	doc, slab := NewDocument(), Slab{nodes: nodes, links: make([]*Node, links+1)}
+	slab.Reserve(doc.node, 1)
+	return doc, slab
 }

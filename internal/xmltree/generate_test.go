@@ -1,6 +1,11 @@
 package xmltree
 
-import "testing"
+import (
+	"fmt"
+	"math/bits"
+	"math/rand"
+	"testing"
+)
 
 func TestGenerateDeterministic(t *testing.T) {
 	opt := GenOptions{Seed: 1, MaxDepth: 6, MaxChildren: 8, AttrProb: 0.3, TextProb: 0.5}
@@ -98,4 +103,99 @@ func maxDepth(doc *Document) int {
 		return true
 	})
 	return max
+}
+
+// baseOptions are workload.BaseDocument's options: the generated
+// database every benchmark corpus and P-claim reads.
+func baseOptions(seed int64, target int) GenOptions {
+	return GenOptions{Seed: seed, MaxDepth: 12, MaxChildren: 8, AttrProb: 0.25, TextProb: 0.3, TargetNodes: target}
+}
+
+// TestGeneratedListsKeepTheirRoom: every list of a generated document
+// has the room appending its entries one at a time gives it, the least
+// power of two at or above its length (none when it is empty). A later
+// insert into a list allocates or not by that room, so the generator
+// may not trim it to the entries, nor over-reserve the last node it
+// fills by leaving its attribute out of the node budget.
+func TestGeneratedListsKeepTheirRoom(t *testing.T) {
+	lists := 0
+	var check func(n *Node) error
+	check = func(n *Node) error {
+		lists++
+		want := 0
+		if len(n.links) > 0 {
+			want = 1 << bits.Len(uint(len(n.links)-1))
+		}
+		if cap(n.links) != want {
+			return fmt.Errorf("a list of %d entries under %q has room for %d, want %d", len(n.links), n.name, cap(n.links), want)
+		}
+		for _, c := range n.links {
+			if err := check(c); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		for _, target := range []int{32, 33, 96, 97, 1000, 2000, 4999, 20000} {
+			if err := check(Generate(baseOptions(seed, target)).node); err != nil {
+				t.Fatalf("seed %d, target %d: %v", seed, target, err)
+			}
+		}
+	}
+	t.Logf("%d lists", lists)
+}
+
+// TestGeneratedSlabIsUsedUp: the generator decides a document's shape
+// before it cuts the slab, so the slab holds exactly the document's
+// nodes and the room of its lists, and no unused room stays reachable
+// with them.
+func TestGeneratedSlabIsUsedUp(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		for _, target := range []int{32, 97, 2000, 20000} {
+			g := &generator{opt: baseOptions(seed, target), rng: rand.New(rand.NewSource(seed)), count: 1}
+			g.fillToTarget()
+			if len(g.slab.nodes) != 0 || len(g.slab.links) != 0 {
+				t.Fatalf("seed %d, target %d: %d nodes and %d list entries left in the slab", seed, target, len(g.slab.nodes), len(g.slab.links))
+			}
+		}
+	}
+}
+
+// TestGenerateAllocatesPerDocument: a generated document is cut from
+// one slab and its names from one string, as a decoded one is, so its
+// allocations do not grow with its nodes: a 20 000-node document of
+// the generated database, and each shape's, takes a handful.
+func TestGenerateAllocatesPerDocument(t *testing.T) {
+	for _, c := range []struct {
+		what string
+		max  float64
+		gen  func() *Document
+	}{
+		{"Generate, 20 000 nodes", 12, func() *Document { return Generate(baseOptions(1, 20000)) }},
+		{"GenerateWide(20000)", 5, func() *Document { return GenerateWide(20000) }},
+		{"GenerateDeep(2000)", 5, func() *Document { return GenerateDeep(2000) }},
+		{"GenerateBalanced(6, 5)", 5, func() *Document { return GenerateBalanced(6, 5) }},
+	} {
+		if got := testing.AllocsPerRun(5, func() { c.gen() }); got > c.max {
+			t.Errorf("%s: %v allocations, want at most %v", c.what, got, c.max)
+		}
+	}
+}
+
+// BenchmarkGenerate builds one of read_heavy's 20 000-node documents.
+func BenchmarkGenerate(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		Generate(baseOptions(1, 20000))
+	}
+}
+
+// BenchmarkClone copies a 20 000-node generated document.
+func BenchmarkClone(b *testing.B) {
+	doc := Generate(baseOptions(1, 20000))
+	b.ReportAllocs()
+	for b.Loop() {
+		doc.Clone()
+	}
 }

@@ -497,8 +497,24 @@ func (s *Slab) window(n int) []*Node {
 
 // Clone returns a deep copy of the subtree rooted at n. The copy is
 // detached and always mutable: frozenness is a property of the
-// original snapshot, never of a copy (freeze.go).
-func (n *Node) Clone() *Node { return n.clone(new(Slab)) }
+// original snapshot, never of a copy (freeze.go). Its nodes and exact
+// lists are cut from one Slab, as a decoded tree's are.
+func (n *Node) Clone() *Node {
+	slab := NewSlab(n.size())
+	return n.clone(&slab)
+}
+
+// size counts the nodes of the subtree at n and their list entries:
+// what copying it takes.
+func (n *Node) size() (nodes, links int) {
+	n = n.Source()
+	nodes, links = 1, len(n.links)
+	for _, c := range n.links {
+		k, l := c.size()
+		nodes, links = nodes+k, links+l
+	}
+	return nodes, links
+}
 
 // clone copies the subtree at n, taking its nodes and lists from slab.
 func (n *Node) clone(slab *Slab) *Node {

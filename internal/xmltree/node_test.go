@@ -431,27 +431,34 @@ func TestSlabWindowsAreExact(t *testing.T) {
 	}
 }
 
-// TestCloneAllocatesPerNodeAndList: a copy is its nodes and one exact
-// list per node that has attributes or children — no growth by doubling.
-func TestCloneAllocatesPerNodeAndList(t *testing.T) {
-	doc := Generate(GenOptions{Seed: 5, MaxDepth: 5, MaxChildren: 7, AttrProb: 0.6, TextProb: 0.5, TargetNodes: 300})
-	want := 0
-	var count func(n *Node)
-	count = func(n *Node) {
-		want++
-		if len(n.links) > 0 {
-			want++
-		}
-		for _, c := range n.links {
-			count(c)
-		}
-	}
-	count(doc.Root())
+// TestCloneAllocatesPerTree: a copy is cut from one slab, its nodes
+// and its lists, whatever its size, and each list is exact: room for
+// its entries and no more, as a decoded tree's.
+func TestCloneAllocatesPerTree(t *testing.T) {
+	doc := Generate(GenOptions{Seed: 5, MaxDepth: 12, MaxChildren: 8, AttrProb: 0.25, TextProb: 0.3, TargetNodes: 20000})
 	var c *Node
-	if got := testing.AllocsPerRun(10, func() { c = doc.Root().Clone() }); int(got) != want {
-		t.Errorf("Clone of %d nodes: %v allocations, want %d", doc.NodeCount(), got, want)
+	if got := testing.AllocsPerRun(10, func() { c = doc.Root().Clone() }); got > 3 {
+		t.Errorf("Clone of %d nodes: %v allocations, want at most 3", doc.NodeCount(), got)
 	}
 	if OuterXML(c) != OuterXML(doc.Root()) {
 		t.Error("the copy differs")
+	}
+	var exact func(n *Node) error
+	exact = func(n *Node) error {
+		if cap(n.links) != len(n.links) {
+			return fmt.Errorf("a copied list of %d entries under %q has room for %d", len(n.links), n.name, cap(n.links))
+		}
+		for _, k := range n.links {
+			if err := exact(k); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := exact(c); err != nil {
+		t.Error(err)
+	}
+	if err := c.Validate(); err != nil {
+		t.Error(err)
 	}
 }
