@@ -94,25 +94,24 @@ func callerFiles(t *testing.T, dirs ...string) []string {
 // internalKeep names what internal/ exports for tests alone, each with
 // the reason it stays.
 var internalKeep = map[string]string{
-	"analysistest.Run":              "the test-support package's entry: every analyzer's golden test runs through it",
-	"analysistest.loader.Import":    "the types.Importer the test-support package hands go/types, which calls it",
-	"containment.NewGapInterval":    "claim C1's scheme in TestClaims and the ablation",
-	"core.MustScheme":               "the registry lookup tests in eight packages share",
-	"core.PublishedRow":             "the published Figure 7 row the matrix tests compare against",
-	"labels.CheckAscending":         "the order oracle of eight test files",
-	"labels.DecodeQStream":          "the candidate codec for storing QED labels on disk (ROADMAP item 29)",
-	"labels.EncodeQStream":          "the candidate codec for storing QED labels on disk (ROADMAP item 29)",
-	"labels.TotalBits":              "claim C3 in TestClaims",
-	"replica.Follower.Repo":         "the facade Follower's only handle on its full read API; the replica tests read through it",
-	"update.Session.DeleteChildren": "TestTransactionAtomicity's mid-transaction failure",
-	"workload.Zipf.Prob":            "the exact pmf the Zipf property test compares against",
-	"workload.Zipf.Ranks":           "the rank count the Zipf property test walks",
-	"xmltree.Document.Clone":        "the documented way past labeling.ErrHeld: tests label one tree under several schemes",
-	"xmltree.Document.NodeCount":    "a tree oracle of tests across packages",
-	"xmltree.Document.PreRank":      "a tree oracle of tests across packages",
-	"xmltree.Document.Validate":     "a tree oracle of tests across packages",
-	"xmltree.OuterXML":              "a tree oracle of tests across packages",
-	"xpath.Engine.Examined":         "claim P2 in TestPClaims and the element index's differential test",
+	"analysistest.Run":           "the test-support package's entry: every analyzer's golden test runs through it",
+	"analysistest.loader.Import": "the types.Importer the test-support package hands go/types, which calls it",
+	"containment.NewGapInterval": "claim C1's scheme in TestClaims and the ablation",
+	"core.MustScheme":            "the registry lookup tests in eight packages share",
+	"core.PublishedRow":          "the published Figure 7 row the matrix tests compare against",
+	"labels.CheckAscending":      "the order oracle of eight test files",
+	"labels.DecodeQStream":       "the candidate codec for storing QED labels on disk (ROADMAP item 29)",
+	"labels.EncodeQStream":       "the candidate codec for storing QED labels on disk (ROADMAP item 29)",
+	"labels.TotalBits":           "claim C3 in TestClaims",
+	"replica.Follower.Repo":      "the facade Follower's only handle on its full read API; the replica tests read through it",
+	"workload.Zipf.Prob":         "the exact pmf the Zipf property test compares against",
+	"workload.Zipf.Ranks":        "the rank count the Zipf property test walks",
+	"xmltree.Document.Clone":     "the documented way past labeling.ErrHeld: tests label one tree under several schemes",
+	"xmltree.Document.NodeCount": "a tree oracle of tests across packages",
+	"xmltree.Document.PreRank":   "a tree oracle of tests across packages",
+	"xmltree.Document.Validate":  "a tree oracle of tests across packages",
+	"xmltree.OuterXML":           "a tree oracle of tests across packages",
+	"xpath.Engine.Examined":      "claim P2 in TestPClaims and the element index's differential test",
 }
 
 // internalBenchOnly maps a name whose only non-test callers are in the
@@ -132,7 +131,6 @@ var internalBenchOnly = map[string]string{
 	"update.Batch.SetText":          "bench/ops.go",
 	"update.DecodeOps":              "bench/traced.go",
 	"update.EncodeOps":              "bench/traced.go",
-	"update.Session.Apply":          "bench/traced.go",
 	"wal.SyncPerCommit":             "bench/spec.go",
 	"workload.BuildCorpus":          "bench/scenario.go",
 	"workload.FewHugeDocs":          "bench/spec.go",

@@ -70,7 +70,7 @@ func relabelStorm(t *testing.T, s *update.Session) {
 	}
 	graft := sub.Root()
 	graft.Detach()
-	if err := s.InsertSubtreeAfter(s.Document().Root().FirstChild(), graft); err != nil {
+	if _, err := s.Do(update.InsertSubtreeAfterOp(s.Document().Root().FirstChild(), graft)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -172,7 +172,7 @@ func TestIntervalRenumberInsideGraft(t *testing.T) {
 	}
 	root := sub.Root()
 	root.Detach()
-	if err := s.InsertSubtreeAfter(doc.Root().FirstChild(), root); err != nil {
+	if _, err := s.Do(update.InsertSubtreeAfterOp(doc.Root().FirstChild(), root)); err != nil {
 		t.Fatalf("graft: %v", err)
 	}
 	if err := s.Verify(); err != nil {

@@ -38,7 +38,8 @@ func (l *sabotaged) CompareNodes(a, b *xmltree.Node) (int, bool) {
 const atomicityDoc = `<r><a x="1" y="2">t1<b/>t2</a><c><d k="v"><e/></d></c><f q="1"/></r>`
 
 // atomicityRow is one mutator: as the batch that spells it, and as the
-// call of the session's single-op surface.
+// call that commits it on its own — a named op or Do, and for a mutator
+// of several ops (a move, deleting every child) an Apply of its list.
 type atomicityRow struct {
 	name   string
 	ops    func(el func(string) *xmltree.Node) []update.Op
@@ -58,6 +59,14 @@ func atomicityRows() []atomicityRow {
 	op1 := func(name string, op func(el) update.Op, single func(*update.Session, el) error) atomicityRow {
 		return atomicityRow{name, func(e el) []update.Op { return []update.Op{op(e)} }, single}
 	}
+	// viaDo is a row whose single form is Do of its op.
+	viaDo := func(name string, op func(el) update.Op) atomicityRow {
+		return op1(name, op, func(s *update.Session, e el) error { _, err := s.Do(op(e)); return err })
+	}
+	// multi is a row of several ops, committed on its own by Apply.
+	multi := func(name string, ops func(el) []update.Op) atomicityRow {
+		return atomicityRow{name, ops, func(s *update.Session, e el) error { _, err := s.Apply(ops(e)); return err }}
+	}
 	attr := func(e *xmltree.Node, name string) *xmltree.Node {
 		for _, a := range e.Attributes() {
 			if a.Name() == name {
@@ -75,12 +84,9 @@ func atomicityRows() []atomicityRow {
 			func(s *update.Session, e el) error { _, err := s.InsertFirstChild(e("a"), "n"); return err }),
 		op1("append-child", func(e el) update.Op { return update.AppendChildOp(e("a"), "n") },
 			func(s *update.Session, e el) error { _, err := s.AppendChild(e("a"), "n"); return err }),
-		op1("insert-subtree-before", func(e el) update.Op { return update.InsertSubtreeBeforeOp(e("c"), graftee()) },
-			func(s *update.Session, e el) error { return s.InsertSubtreeBefore(e("c"), graftee()) }),
-		op1("insert-subtree-after", func(e el) update.Op { return update.InsertSubtreeAfterOp(e("c"), graftee()) },
-			func(s *update.Session, e el) error { return s.InsertSubtreeAfter(e("c"), graftee()) }),
-		op1("insert-subtree-first", func(e el) update.Op { return update.InsertSubtreeFirstOp(e("a"), graftee()) },
-			func(s *update.Session, e el) error { return s.InsertSubtreeFirst(e("a"), graftee()) }),
+		viaDo("insert-subtree-before", func(e el) update.Op { return update.InsertSubtreeBeforeOp(e("c"), graftee()) }),
+		viaDo("insert-subtree-after", func(e el) update.Op { return update.InsertSubtreeAfterOp(e("c"), graftee()) }),
+		viaDo("insert-subtree-first", func(e el) update.Op { return update.InsertSubtreeFirstOp(e("a"), graftee()) }),
 		op1("append-subtree", func(e el) update.Op { return update.AppendSubtreeOp(e("a"), graftee()) },
 			func(s *update.Session, e el) error { return s.AppendSubtree(e("a"), graftee()) }),
 		op1("delete", func(e el) update.Op { return update.DeleteOp(e("c")) },
@@ -89,38 +95,26 @@ func atomicityRows() []atomicityRow {
 			func(s *update.Session, e el) error { return s.Delete(attr(e("a"), "x")) }),
 		op1("set-text", func(e el) update.Op { return update.SetTextOp(e("a"), "new") },
 			func(s *update.Session, e el) error { return s.SetText(e("a"), "new") }),
-		op1("rename", func(e el) update.Op { return update.RenameOp(e("a"), "z") },
-			func(s *update.Session, e el) error { return s.Rename(e("a"), "z") }),
-		op1("rename-attribute", func(e el) update.Op { return update.RenameOp(attr(e("a"), "x"), "z") },
-			func(s *update.Session, e el) error { return s.Rename(attr(e("a"), "x"), "z") }),
-		op1("set-attr-new", func(e el) update.Op { return update.SetAttrOp(e("a"), "z", "9") },
-			func(s *update.Session, e el) error { _, err := s.SetAttr(e("a"), "z", "9"); return err }),
-		op1("set-attr-existing", func(e el) update.Op { return update.SetAttrOp(e("a"), "x", "9") },
-			func(s *update.Session, e el) error { _, err := s.SetAttr(e("a"), "x", "9"); return err }),
-		{"move-before",
-			func(e el) []update.Op {
-				return []update.Op{update.DeleteOp(e("c")), update.InsertSubtreeBeforeOp(e("a"), e("c"))}
-			},
-			func(s *update.Session, e el) error { return s.MoveBefore(e("a"), e("c")) }},
-		{"move-after",
-			func(e el) []update.Op {
-				return []update.Op{update.DeleteOp(e("a")), update.InsertSubtreeAfterOp(e("f"), e("a"))}
-			},
-			func(s *update.Session, e el) error { return s.MoveAfter(e("f"), e("a")) }},
-		{"move-append",
-			func(e el) []update.Op {
-				return []update.Op{update.DeleteOp(e("c")), update.AppendSubtreeOp(e("f"), e("c"))}
-			},
-			func(s *update.Session, e el) error { return s.MoveAppend(e("f"), e("c")) }},
-		{"delete-children",
-			func(e el) []update.Op {
-				var ops []update.Op
-				for _, c := range e("a").Children() {
-					ops = append(ops, update.DeleteOp(c))
-				}
-				return ops
-			},
-			func(s *update.Session, e el) error { return s.DeleteChildren(e("a")) }},
+		viaDo("rename", func(e el) update.Op { return update.RenameOp(e("a"), "z") }),
+		viaDo("rename-attribute", func(e el) update.Op { return update.RenameOp(attr(e("a"), "x"), "z") }),
+		viaDo("set-attr-new", func(e el) update.Op { return update.SetAttrOp(e("a"), "z", "9") }),
+		viaDo("set-attr-existing", func(e el) update.Op { return update.SetAttrOp(e("a"), "x", "9") }),
+		multi("move-before", func(e el) []update.Op {
+			return []update.Op{update.DeleteOp(e("c")), update.InsertSubtreeBeforeOp(e("a"), e("c"))}
+		}),
+		multi("move-after", func(e el) []update.Op {
+			return []update.Op{update.DeleteOp(e("a")), update.InsertSubtreeAfterOp(e("f"), e("a"))}
+		}),
+		multi("move-append", func(e el) []update.Op {
+			return []update.Op{update.DeleteOp(e("c")), update.AppendSubtreeOp(e("f"), e("c"))}
+		}),
+		multi("delete-children", func(e el) []update.Op {
+			var ops []update.Op
+			for _, c := range e("a").Children() {
+				ops = append(ops, update.DeleteOp(c))
+			}
+			return ops
+		}),
 	}
 }
 
@@ -253,10 +247,10 @@ func TestTransactionAtomicity(t *testing.T) {
 // text node, an attribute, a node outside the document — used to leave
 // the subtree deleted.
 func TestFailedMoveLosesNothing(t *testing.T) {
-	moves := map[string]func(s *update.Session, dest, n *xmltree.Node) error{
-		"MoveAppend": (*update.Session).MoveAppend,
-		"MoveBefore": (*update.Session).MoveBefore,
-		"MoveAfter":  (*update.Session).MoveAfter,
+	moves := map[string]func(ref, root *xmltree.Node) update.Op{
+		"MoveAppend": update.AppendSubtreeOp,
+		"MoveBefore": update.InsertSubtreeBeforeOp,
+		"MoveAfter":  update.InsertSubtreeAfterOp,
 	}
 	dests := map[string]func(doc *xmltree.Document) *xmltree.Node{
 		"text":      func(doc *xmltree.Document) *xmltree.Node { return doc.FindElement("b").FirstChild() },
@@ -267,7 +261,7 @@ func TestFailedMoveLosesNothing(t *testing.T) {
 			return loose.FirstChild()
 		},
 	}
-	for mname, move := range moves {
+	for mname, graft := range moves {
 		for dname, dest := range dests {
 			t.Run(mname+"/"+dname, func(t *testing.T) {
 				doc, err := xmltree.ParseString(`<a><b>txt</b><c k="v"><d/></c></a>`)
@@ -279,7 +273,8 @@ func TestFailedMoveLosesNothing(t *testing.T) {
 					t.Fatal(err)
 				}
 				xml, ctr, labels := doc.XML(), s.Counters(), renderedLabels(s)
-				if err := move(s, dest(doc), doc.FindElement("d")); err == nil {
+				d := doc.FindElement("d")
+				if _, err := s.Apply([]update.Op{update.DeleteOp(d), graft(dest(doc), d)}); err == nil {
 					// MoveBefore/MoveAfter beside a text node is a legal move.
 					if dname == "text" && mname != "MoveAppend" {
 						return

@@ -17,8 +17,8 @@
 // Apply, Do and the named mutators stage and commit in one call; Stage,
 // Commit and Abort are the moments on their own, for a coordinator that
 // has a log record to write in between. A single op is the one-op case,
-// a move is a delete and a graft, DeleteChildren one delete per child,
-// Apply the n-op case: FLUX-style update programs (Cheney) motivate the
+// Apply the n-op case, and a move is a delete and a graft of the same
+// root in one op list: FLUX-style update programs (Cheney) motivate the
 // shape — updates compose into a program that is checked as a whole and
 // then either taken or dropped.
 //
@@ -307,17 +307,6 @@ func (s *Session) Abort() error {
 	return s.revert()
 }
 
-// transact is a transaction committed as soon as it is staged: the
-// single ops' form. created, when non-nil, receives per op the node an
-// insert created.
-func (s *Session) transact(ops []Op, created []*xmltree.Node) error {
-	_, err := s.stage(ops, created)
-	if err == nil {
-		s.commit(false)
-	}
-	return err
-}
-
 // stage is the one transaction, up to its commit. It returns how many
 // elements the ops inserted; created, when non-nil, receives per op the
 // node an insert created.
@@ -570,9 +559,15 @@ func (s *Session) attached(n *xmltree.Node) bool {
 // document: pre-validation only sees the transaction's starting state,
 // so a ref inside a subtree an earlier op deleted — or one that never
 // was in this document — is caught here; otherwise the op would
-// silently mutate a detached subtree.
+// silently mutate a detached subtree. A graft whose ref lies in its own
+// subtree is a move into itself, reported as the cycle it is: checked
+// here, against the tree as the earlier ops left it, and not at
+// validation, because an earlier op of the list may move the ref out.
 func (s *Session) applyOp(op *Op, fresh *freshNodes) (*xmltree.Node, error) {
 	if !s.attached(op.Ref) {
+		if t := op.Subtree; t != nil && (t == op.Ref || t.IsAncestorOf(op.Ref)) {
+			return nil, xmltree.ErrCycle
+		}
 		return nil, ErrDetachedRef
 	}
 	switch op.Kind {

@@ -362,6 +362,51 @@ func TestBatchMove(t *testing.T) {
 	}
 }
 
+// TestBatchMoveIntoItselfIsACycle: a batched move of a subtree under
+// itself or one of its own nodes reports xmltree.ErrCycle, whichever op
+// list spells it, and leaves document and counters as they were. An op
+// list that first moves the destination out of the subtree is no cycle.
+func TestBatchMoveIntoItselfIsACycle(t *testing.T) {
+	doc, err := xmltree.ParseString(`<r><a><b/></a><c/></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSession(doc, qed.NewPrefix())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := doc.FindElement("a"), doc.FindElement("b")
+	before, ctr := doc.XML(), s.Counters()
+	for name, ops := range map[string][]Op{
+		"under its child":   {DeleteOp(a), AppendSubtreeOp(b, a)},
+		"first under it":    {DeleteOp(a), InsertSubtreeFirstOp(a, a)},
+		"before itself":     {DeleteOp(a), InsertSubtreeBeforeOp(a, a)},
+		"after its child":   {DeleteOp(a), InsertSubtreeAfterOp(b, a)},
+		"after other edits": {AppendChildOp(b, "x"), DeleteOp(a), AppendSubtreeOp(b, a)},
+	} {
+		if _, err := s.Apply(ops); !errors.Is(err, xmltree.ErrCycle) {
+			t.Fatalf("%s: %v, want ErrCycle", name, err)
+		}
+		if got := doc.XML(); got != before {
+			t.Fatalf("%s: the document is %s, want %s", name, got, before)
+		}
+		if got := s.Counters(); got != ctr {
+			t.Fatalf("%s: counters %+v, want %+v", name, got, ctr)
+		}
+	}
+	// b leaves a first, so a may then go under it.
+	c := doc.FindElement("c")
+	if _, err := s.Apply([]Op{DeleteOp(b), AppendSubtreeOp(c, b), DeleteOp(a), AppendSubtreeOp(b, a)}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := doc.XML(), `<r><c><b><a/></b></c></r>`; got != want {
+		t.Fatalf("b out of a, then a under b: %s, want %s", got, want)
+	}
+	if err := s.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestBatchEmpty: an empty batch is a no-op.
 func TestBatchEmpty(t *testing.T) {
 	doc := xmltree.ExampleTree()

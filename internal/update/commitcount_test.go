@@ -157,7 +157,11 @@ func TestStageWhileStagedIsRefused(t *testing.T) {
 			"Stage(nil)": func() error { _, err := s.Stage(nil); return err },
 			"Apply":      func() error { _, err := s.Apply([]Op{AppendChildOp(doc.Root(), "d")}); return err },
 			"single op":  func() error { return s.Delete(doc.Root().FirstChild()) },
-			"move":       func() error { return s.MoveAppend(doc.Root().LastChild(), doc.Root().FirstChild()) },
+			"move": func() error {
+				a := doc.Root().FirstChild()
+				_, err := s.Apply([]Op{DeleteOp(a), AppendSubtreeOp(doc.Root().LastChild(), a)})
+				return err
+			},
 		} {
 			if err := try(); !errors.Is(err, ErrStaged) {
 				t.Fatalf("%s while staged: %v, want ErrStaged", name, err)
@@ -192,14 +196,15 @@ func TestCommitCountsTextOnlyDeleteChildren(t *testing.T) {
 	if err := s.SetText(a, "payload"); err != nil {
 		t.Fatal(err)
 	}
-	// <a> has only a text child: DeleteChildren removes it though no
-	// labelled node goes, and the tree changed — it is one commit.
-	if err := s.DeleteChildren(a); err != nil {
+	// <a> has only a text child: deleting its children removes it
+	// though no labelled node goes, and the tree changed — it is one
+	// commit, and one batch.
+	if _, err := s.Apply([]Op{DeleteOp(a.FirstChild())}); err != nil {
 		t.Fatal(err)
 	}
-	wantCommits(t, s, "after SetText and a text-only DeleteChildren", 2, 0)
+	wantCommits(t, s, "after SetText and a text-only delete of the children", 2, 1)
 	if a.FirstChild() != nil {
-		t.Fatal("DeleteChildren left the text child")
+		t.Fatal("the delete left the text child")
 	}
 }
 
@@ -215,7 +220,7 @@ func TestCommitCountsNothingOnFailedMove(t *testing.T) {
 	}
 	// Re-attach under a text node fails AFTER the detach: the move is
 	// reverted, a is back where it was, and nothing is counted.
-	if err := s.MoveAppend(text, a); err == nil {
+	if _, err := s.Apply([]Op{DeleteOp(a), AppendSubtreeOp(text, a)}); err == nil {
 		t.Fatal("move under a text node succeeded")
 	}
 	if a.Parent() != doc.Root() {

@@ -50,7 +50,7 @@ func (p *bytePicker) pick(n int) int {
 type txnMode int
 
 const (
-	modeSingle  txnMode = iota // one named op or move: a transaction of one
+	modeSingle  txnMode = iota // one op through Do, or a move's two through Apply
 	modeBatch                  // Apply
 	modeFailing                // Apply of a batch whose last op fails at apply time
 	modeStaged                 // Stage, then Abort
@@ -78,8 +78,8 @@ var genAll = genOptions{moves: true, rollbacks: true, deletesInRollbacks: true}
 type txn struct {
 	mode txnMode
 	desc string
-	// single runs a modeSingle transaction through the session's
-	// single-op surface; ops is the same transaction spelt as a batch,
+	// single runs a modeSingle transaction on its own (Do, or Apply for
+	// a move); ops is the same transaction spelt as a batch,
 	// which is how the unverified twin runs it — it has to be able to
 	// undo what the verified twin refuses.
 	single func() error
@@ -268,15 +268,13 @@ func (g *gen) singleOp(t *txn, opt genOptions) {
 			t.restores = true
 			switch {
 			case pos == 0 && dest != g.root:
-				t.desc, t.single = "move-before", func() error { return s.MoveBefore(dest, n) }
-				t.ops = []update.Op{update.DeleteOp(n), update.InsertSubtreeBeforeOp(dest, n)}
+				t.desc, t.ops = "move-before", []update.Op{update.DeleteOp(n), update.InsertSubtreeBeforeOp(dest, n)}
 			case pos == 1 && dest != g.root:
-				t.desc, t.single = "move-after", func() error { return s.MoveAfter(dest, n) }
-				t.ops = []update.Op{update.DeleteOp(n), update.InsertSubtreeAfterOp(dest, n)}
+				t.desc, t.ops = "move-after", []update.Op{update.DeleteOp(n), update.InsertSubtreeAfterOp(dest, n)}
 			default:
-				t.desc, t.single = "move-append", func() error { return s.MoveAppend(dest, n) }
-				t.ops = []update.Op{update.DeleteOp(n), update.AppendSubtreeOp(dest, n)}
+				t.desc, t.ops = "move-append", []update.Op{update.DeleteOp(n), update.AppendSubtreeOp(dest, n)}
 			}
+			t.single = func() error { _, err := s.Apply(t.ops); return err }
 			return
 		}
 	case "content":

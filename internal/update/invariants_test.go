@@ -60,9 +60,16 @@ func TestOrderInvariantQuick(t *testing.T) {
 	}
 }
 
-// TestMoveSubtree verifies the move operations across schemes: the
-// subtree survives, gets fresh labels at the destination, and order
-// holds.
+// move moves the subtree rooted at n to where graft puts it relative
+// to ref: a delete and a graft of the same root in one op list, the one
+// form a move has.
+func move(s *update.Session, n *xmltree.Node, graft func(ref, root *xmltree.Node) update.Op, ref *xmltree.Node) error {
+	_, err := s.Apply([]update.Op{update.DeleteOp(n), graft(ref, n)})
+	return err
+}
+
+// TestMoveSubtree verifies moves across schemes: the subtree survives,
+// gets fresh labels at the destination, and order holds.
 func TestMoveSubtree(t *testing.T) {
 	for _, factory := range []labeling.Factory{qed.NewPrefix, ordpath.New} {
 		doc := xmltree.SampleBook()
@@ -72,7 +79,7 @@ func TestMoveSubtree(t *testing.T) {
 		}
 		editor := doc.FindElement("editor")
 		title := doc.FindElement("title")
-		if err := s.MoveAfter(title, editor); err != nil {
+		if err := move(s, editor, update.InsertSubtreeAfterOp, title); err != nil {
 			t.Fatal(err)
 		}
 		if editor.Parent() != doc.Root() {
@@ -103,14 +110,14 @@ func TestMoveBeforeAndAppend(t *testing.T) {
 	}
 	c := doc.FindElement("c")
 	a := doc.FindElement("a")
-	if err := s.MoveBefore(a, c); err != nil {
+	if err := move(s, c, update.InsertSubtreeBeforeOp, a); err != nil {
 		t.Fatal(err)
 	}
 	if doc.Root().Children()[0] != c {
 		t.Fatal("c not first")
 	}
 	b1 := doc.FindElement("b1")
-	if err := s.MoveAppend(doc.FindElement("a"), b1); err != nil {
+	if err := move(s, b1, update.AppendSubtreeOp, doc.FindElement("a")); err != nil {
 		t.Fatal(err)
 	}
 	if b1.Parent() != doc.FindElement("a") {
@@ -130,14 +137,14 @@ func TestMoveRejectsCyclesAndDetached(t *testing.T) {
 	publisher := doc.FindElement("publisher")
 	editor := doc.FindElement("editor")
 	// Moving an ancestor under its own descendant is a cycle.
-	if err := s.MoveAppend(editor, publisher); !errors.Is(err, xmltree.ErrCycle) {
+	if err := move(s, publisher, update.AppendSubtreeOp, editor); !errors.Is(err, xmltree.ErrCycle) {
 		t.Fatalf("cycle move: %v", err)
 	}
 	// Moving a node onto itself is a cycle too.
-	if err := s.MoveAfter(editor, editor); !errors.Is(err, xmltree.ErrCycle) {
+	if err := move(s, editor, update.InsertSubtreeAfterOp, editor); !errors.Is(err, xmltree.ErrCycle) {
 		t.Fatalf("self move: %v", err)
 	}
-	if err := s.MoveAppend(publisher, xmltree.NewElement("x")); !errors.Is(err, update.ErrDetachedRef) {
+	if err := move(s, xmltree.NewElement("x"), update.AppendSubtreeOp, publisher); !errors.Is(err, update.ErrDetachedRef) {
 		t.Fatalf("detached move: %v", err)
 	}
 	// The failed moves must not have corrupted anything.
@@ -218,9 +225,9 @@ func stormOpWithMoves(rng *rand.Rand, s *update.Session, doc *xmltree.Document) 
 			return nil
 		}
 		// Move may legally fail only on cycles, which we filtered.
-		return s.MoveAppend(other, ref)
+		return move(s, ref, update.AppendSubtreeOp, other)
 	case 6:
-		_, err := s.SetAttr(ref, "k", "v")
+		_, err := s.Do(update.SetAttrOp(ref, "k", "v"))
 		return err
 	default:
 		return s.SetText(ref, "t")

@@ -25,17 +25,18 @@ func TestRootSiblingRejected(t *testing.T) {
 	if _, err := s.InsertAfter(root, "x"); !errors.Is(err, update.ErrRootSibling) {
 		t.Errorf("InsertAfter root: %v", err)
 	}
-	if err := s.InsertSubtreeBefore(root, xmltree.NewElement("x")); !errors.Is(err, update.ErrRootSibling) {
+	if _, err := s.Do(update.InsertSubtreeBeforeOp(root, xmltree.NewElement("x"))); !errors.Is(err, update.ErrRootSibling) {
 		t.Errorf("InsertSubtreeBefore root: %v", err)
 	}
-	if err := s.InsertSubtreeAfter(root, xmltree.NewElement("x")); !errors.Is(err, update.ErrRootSibling) {
+	if _, err := s.Do(update.InsertSubtreeAfterOp(root, xmltree.NewElement("x"))); !errors.Is(err, update.ErrRootSibling) {
 		t.Errorf("InsertSubtreeAfter root: %v", err)
 	}
-	if err := s.MoveBefore(root, doc.FindElement("editor")); !errors.Is(err, update.ErrRootSibling) {
-		t.Errorf("MoveBefore root: %v", err)
+	editor := doc.FindElement("editor")
+	if _, err := s.Apply([]update.Op{update.DeleteOp(editor), update.InsertSubtreeBeforeOp(root, editor)}); !errors.Is(err, update.ErrRootSibling) {
+		t.Errorf("move before root: %v", err)
 	}
-	if err := s.MoveAfter(root, doc.FindElement("editor")); !errors.Is(err, update.ErrRootSibling) {
-		t.Errorf("MoveAfter root: %v", err)
+	if _, err := s.Apply([]update.Op{update.DeleteOp(editor), update.InsertSubtreeAfterOp(root, editor)}); !errors.Is(err, update.ErrRootSibling) {
+		t.Errorf("move after root: %v", err)
 	}
 	// Detached references still report detachment.
 	if _, err := s.InsertBefore(xmltree.NewElement("loose"), "x"); !errors.Is(err, update.ErrDetachedRef) {
@@ -81,8 +82,9 @@ func TestSessionRefusesSecondRoot(t *testing.T) {
 			t.Errorf("%v under the document node: %v, want ErrRootSibling", op.Kind, err)
 		}
 	}
-	if err := s.MoveAppend(top, doc.FindElement("editor")); !errors.Is(err, update.ErrRootSibling) {
-		t.Errorf("MoveAppend under the document node: %v, want ErrRootSibling", err)
+	editor := doc.FindElement("editor")
+	if _, err := s.Apply([]update.Op{update.DeleteOp(editor), update.AppendSubtreeOp(top, editor)}); !errors.Is(err, update.ErrRootSibling) {
+		t.Errorf("move under the document node: %v, want ErrRootSibling", err)
 	}
 	if doc.XML() != before {
 		t.Fatalf("refused ops changed the document:\n%s", doc.XML())
@@ -109,7 +111,7 @@ func TestInsertSubtreeFirst(t *testing.T) {
 	if err := sub.AppendChild(xmltree.NewElement("inner")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.InsertSubtreeFirst(doc.FindElement("c"), sub); err != nil {
+	if _, err := s.Do(update.InsertSubtreeFirstOp(doc.FindElement("c"), sub)); err != nil {
 		t.Fatal(err)
 	}
 	if doc.FindElement("c").FirstChild() != sub {

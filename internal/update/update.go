@@ -8,7 +8,8 @@
 // off the session counters.
 //
 // Every mutation is a transaction (batch.go): a named single op is the
-// one-op case, a move is a delete and a graft, Apply is the n-op case.
+// one-op case, Apply the n-op case, and a move is a delete and a graft
+// in one op list.
 // A transaction that fails — at validation, at an op, or at the
 // commit-time order check — leaves document, labels' order and counters
 // as it found them.
@@ -55,7 +56,7 @@ type Counters struct {
 	Inserts        int64 // labellable nodes inserted
 	Deletes        int64 // labellable nodes deleted
 	ContentUpdates int64
-	Operations     int64 // committed transactions (a single op, a move, a batch: one each)
+	Operations     int64 // committed transactions (a single op or a batch: one each)
 	Batches        int64 // those among them that were batches (Apply, or Stage and Commit)
 	// Verifies counts commit-time order verifications: one per
 	// auto-verified transaction, whichever way it was answered.
@@ -264,14 +265,17 @@ func (s *Session) forgetTouched() {
 //
 // Each named mutator is a transaction of one op (batch.go): validated,
 // applied, verified and committed — or reverted — exactly as a batch is.
+// Every other change, a move among them, is an op list for Apply.
 
 // Do runs op as a transaction of one op and returns the node an insert
-// created (nil for the other kinds, and on error).
+// created (nil for the other kinds, and on error). It counts as one
+// operation, not as a batch.
 func (s *Session) Do(op Op) (*xmltree.Node, error) {
 	ops, created := [1]Op{op}, [1]*xmltree.Node{}
-	if err := s.transact(ops[:], created[:]); err != nil {
+	if _, err := s.stage(ops[:], created[:]); err != nil {
 		return nil, err
 	}
+	s.commit(false)
 	return created[0], nil
 }
 
@@ -301,43 +305,12 @@ func (s *Session) AppendChild(parent *xmltree.Node, name string) (*xmltree.Node,
 	return s.Do(AppendChildOp(parent, name))
 }
 
-// SetAttr sets an attribute and returns its node; a newly created
-// attribute node is labelled (attributes are labellable leaves in the
-// paper's model).
-func (s *Session) SetAttr(e *xmltree.Node, name, value string) (*xmltree.Node, error) {
-	if err := s.do(SetAttrOp(e, name, value)); err != nil {
-		return nil, err
-	}
-	for _, a := range e.Attributes() {
-		if a.Name() == name {
-			return a, nil
-		}
-	}
-	panic("update: committed SetAttr left no attribute " + name)
-}
-
-// InsertSubtreeBefore grafts a detached subtree immediately before ref,
-// labelling every labellable node in document order ("subtree insertions
-// may be serialised as a sequence of nodes and inserted individually" —
-// §3.1.2).
-func (s *Session) InsertSubtreeBefore(ref *xmltree.Node, root *xmltree.Node) error {
-	return s.do(InsertSubtreeBeforeOp(ref, root))
-}
-
-// InsertSubtreeAfter grafts a detached subtree immediately after ref.
-func (s *Session) InsertSubtreeAfter(ref *xmltree.Node, root *xmltree.Node) error {
-	return s.do(InsertSubtreeAfterOp(ref, root))
-}
-
-// AppendSubtree grafts a detached subtree as parent's last child.
+// AppendSubtree grafts a detached subtree as parent's last child,
+// labelling every labellable node in document order ("subtree
+// insertions may be serialised as a sequence of nodes and inserted
+// individually" — §3.1.2).
 func (s *Session) AppendSubtree(parent *xmltree.Node, root *xmltree.Node) error {
 	return s.do(AppendSubtreeOp(parent, root))
-}
-
-// InsertSubtreeFirst grafts a detached subtree as parent's first
-// non-attribute child.
-func (s *Session) InsertSubtreeFirst(parent *xmltree.Node, root *xmltree.Node) error {
-	return s.do(InsertSubtreeFirstOp(parent, root))
 }
 
 // Delete detaches the subtree rooted at n (leaf deletion is the
@@ -347,51 +320,6 @@ func (s *Session) Delete(n *xmltree.Node) error { return s.do(DeleteOp(n)) }
 // SetText replaces the direct text content of an element. Content
 // updates never touch labels (§3.1).
 func (s *Session) SetText(e *xmltree.Node, text string) error { return s.do(SetTextOp(e, text)) }
-
-// Rename changes an element or attribute name (a content update).
-func (s *Session) Rename(n *xmltree.Node, name string) error { return s.do(RenameOp(n, name)) }
-
-// MoveBefore detaches the subtree rooted at n and re-inserts it
-// immediately before ref. A move is delete-plus-insert at the labelling
-// level: the subtree receives fresh labels at the destination (the
-// paper's update taxonomy has no primitive move; §3.1.2: subtrees are
-// "serialised as a sequence of nodes and inserted individually"). Here
-// it is those two ops in one transaction: a move that cannot land
-// leaves n where it was.
-func (s *Session) MoveBefore(ref, n *xmltree.Node) error {
-	return s.move(InsertSubtreeBeforeOp(ref, n))
-}
-
-// MoveAfter detaches the subtree rooted at n and re-inserts it
-// immediately after ref.
-func (s *Session) MoveAfter(ref, n *xmltree.Node) error {
-	return s.move(InsertSubtreeAfterOp(ref, n))
-}
-
-// MoveAppend detaches the subtree rooted at n and appends it under
-// parent.
-func (s *Session) MoveAppend(parent, n *xmltree.Node) error {
-	return s.move(AppendSubtreeOp(parent, n))
-}
-
-func (s *Session) move(graft Op) error {
-	if n, dest := graft.Subtree, graft.Ref; n == dest || n.IsAncestorOf(dest) {
-		return xmltree.ErrCycle
-	}
-	ops := [2]Op{DeleteOp(graft.Subtree), graft}
-	return s.transact(ops[:], nil)
-}
-
-// DeleteChildren removes all children of n (an internal-node content
-// reset), keeping n itself labelled: one transaction, one delete per
-// child.
-func (s *Session) DeleteChildren(n *xmltree.Node) error {
-	ops := make([]Op, 0, len(n.Children()))
-	for _, c := range n.Children() {
-		ops = append(ops, DeleteOp(c))
-	}
-	return s.transact(ops, nil)
-}
 
 // --- internals ---------------------------------------------------------------
 

@@ -138,7 +138,7 @@ func randomOp(rng *rand.Rand, s *update.Session, doc *xmltree.Document) error {
 		}
 		return nil
 	case 8:
-		_, err := s.SetAttr(ref, "attr", "value")
+		_, err := s.Do(update.SetAttrOp(ref, "attr", "value"))
 		return err
 	default:
 		return s.SetText(ref, "text")
@@ -209,10 +209,10 @@ func TestContentUpdatesNeverTouchLabels(t *testing.T) {
 		if err := s.SetText(doc.FindElement("title"), "Homecoming"); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Rename(doc.FindElement("author"), "writer"); err != nil {
+		if _, err := s.Do(update.RenameOp(doc.FindElement("author"), "writer")); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.SetAttr(doc.FindElement("title"), "genre", "SciFi"); err != nil {
+		if _, err := s.Do(update.SetAttrOp(doc.FindElement("title"), "genre", "SciFi")); err != nil {
 			t.Fatal(err)
 		}
 		after := labeling.Snapshot(s.Labeling(), doc)
@@ -244,7 +244,7 @@ func TestSubtreeInsertLabelsAllNodes(t *testing.T) {
 	if err := mid.AppendChild(xmltree.NewElement("leaf")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.InsertSubtreeAfter(doc.FindElement("b"), sub); err != nil {
+	if _, err := s.Do(update.InsertSubtreeAfterOp(doc.FindElement("b"), sub)); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Counters().Inserts; got != 4 {
@@ -280,8 +280,13 @@ func TestDeleteChildren(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One transaction, one delete per child.
 	pub := doc.FindElement("publisher")
-	if err := s.DeleteChildren(pub); err != nil {
+	var ops []update.Op
+	for _, c := range pub.Children() {
+		ops = append(ops, update.DeleteOp(c))
+	}
+	if _, err := s.Apply(ops); err != nil {
 		t.Fatal(err)
 	}
 	if len(pub.Children()) != 0 {

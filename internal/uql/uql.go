@@ -1,9 +1,13 @@
 // Package uql implements a small textual update language modelled on
 // the W3C XQuery Update Facility's updating expressions — the standard
 // whose "real-world requirement to support efficient updates to XML
-// documents" motivates the paper (§1). Statements compile to the
-// structural and content updates of internal/update, so any labelling
-// scheme maintains document order underneath them.
+// documents" motivates the paper (§1). A statement compiles to a list
+// of internal/update's structural and content ops, committed by one
+// Session.Apply: one transaction, all of it or none (FLUX's reading of
+// an update as a list of primitive updates applied as a whole), and one
+// batch in the session's counters. Any labelling scheme maintains
+// document order underneath them. A move is a delete and a graft of the
+// same subtree, which therefore gets fresh labels at its destination.
 //
 // Grammar (statements separated by ';'):
 //
@@ -18,7 +22,7 @@
 //
 // PATH is a location path (see internal/xpath); it must select exactly
 // one node unless the statement is "delete node", which applies to all
-// matches (XQUF semantics).
+// matches (XQUF semantics): a match inside another goes with it.
 package uql
 
 import (
@@ -110,11 +114,8 @@ func parseStatement(stmt string) (Op, error) {
 	case strings.HasPrefix(stmt, "insert attribute "):
 		return parseInsertAttribute(strings.TrimPrefix(stmt, "insert attribute "))
 	case strings.HasPrefix(stmt, "delete node "):
-		path := strings.TrimSpace(strings.TrimPrefix(stmt, "delete node "))
-		if path == "" {
-			return Op{}, fmt.Errorf("%w: delete node needs a path", ErrSyntax)
-		}
-		return Op{Kind: OpDelete, Target: path}, nil
+		// stmt is trimmed, so a path follows the prefix.
+		return Op{Kind: OpDelete, Target: strings.TrimSpace(strings.TrimPrefix(stmt, "delete node "))}, nil
 	case strings.HasPrefix(stmt, "replace value of node "):
 		rest := strings.TrimPrefix(stmt, "replace value of node ")
 		i := strings.Index(rest, " with ")
@@ -245,130 +246,120 @@ func Apply(s *update.Session, script string) (Result, error) {
 	return Run(s, ops)
 }
 
-// Run executes parsed operations in order.
+// Run executes parsed operations in order. Each statement resolves its
+// paths against the document as the statements before it left it and
+// commits as one op list, one Session.Apply: a transaction, all of it or
+// none, counted as one batch. A failing statement changes nothing; the
+// statements before it stay.
 func Run(s *update.Session, ops []Op) (Result, error) {
 	var res Result
 	eng := xpath.New(s.Document(), s.Labeling(), xpath.ModeStructural)
 	for i, op := range ops {
-		if err := runOne(s, eng, op, &res); err != nil {
+		list, err := statementOps(eng, op)
+		if err == nil {
+			_, err = s.Apply(list)
+		}
+		if err != nil {
 			return res, fmt.Errorf("uql: statement %d: %w", i+1, err)
+		}
+		switch op.Kind {
+		case OpInsert, OpInsertAttribute:
+			res.Inserted++
+		case OpDelete:
+			res.Deleted += len(list)
+		case OpReplaceValue:
+			res.Replaced++
+		case OpRename:
+			res.Renamed++
+		case OpMove:
+			res.Moved++
 		}
 		res.Statements++
 	}
 	return res, nil
 }
 
-func runOne(s *update.Session, eng *xpath.Engine, op Op, res *Result) error {
-	selectOne := func(path string) (*xmltree.Node, error) {
-		nodes, err := eng.Query(path)
-		if err != nil {
-			return nil, err
-		}
-		if len(nodes) == 0 {
-			return nil, fmt.Errorf("%w: %s", ErrNoMatch, path)
-		}
-		if len(nodes) > 1 {
-			return nil, fmt.Errorf("%w: %s (%d matches)", ErrAmbiguous, path, len(nodes))
-		}
-		return nodes[0], nil
+// statementOps spells one statement as the update ops that commit it.
+func statementOps(eng *xpath.Engine, op Op) ([]update.Op, error) {
+	if op.Kind == OpDelete {
+		return deleteOps(eng, op.Target)
+	}
+	n, err := selectOne(eng, op.Target)
+	if err != nil {
+		return nil, err
 	}
 	switch op.Kind {
 	case OpInsert:
-		ref, err := selectOne(op.Target)
-		if err != nil {
-			return err
-		}
 		// Each statement inserts a fresh copy so scripts are
 		// re-runnable and fragments shareable.
-		frag := op.Fragment.Clone()
-		switch op.Position {
-		case Before:
-			err = s.InsertSubtreeBefore(ref, frag)
-		case After:
-			err = s.InsertSubtreeAfter(ref, frag)
-		case FirstInto:
-			err = s.InsertSubtreeFirst(ref, frag)
-		default:
-			err = s.AppendSubtree(ref, frag)
-		}
-		if err != nil {
-			return err
-		}
-		res.Inserted++
-		return nil
+		return []update.Op{graftOp(op.Position, n, op.Fragment.Clone())}, nil
 	case OpInsertAttribute:
-		ref, err := selectOne(op.Target)
-		if err != nil {
-			return err
-		}
-		if _, err := s.SetAttr(ref, op.Name, op.Value); err != nil {
-			return err
-		}
-		res.Inserted++
-		return nil
-	case OpDelete:
-		nodes, err := eng.Query(op.Target)
-		if err != nil {
-			return err
-		}
-		if len(nodes) == 0 {
-			return fmt.Errorf("%w: %s", ErrNoMatch, op.Target)
-		}
-		for _, n := range nodes {
-			if n.Parent() == nil {
-				continue // an earlier deletion removed an ancestor
-			}
-			if err := s.Delete(n); err != nil {
-				return err
-			}
-			res.Deleted++
-		}
-		return nil
+		return []update.Op{update.SetAttrOp(n, op.Name, op.Value)}, nil
 	case OpReplaceValue:
-		n, err := selectOne(op.Target)
-		if err != nil {
-			return err
-		}
 		if n.Kind() == xmltree.KindAttribute {
-			n.SetValue(op.Value)
-		} else if err := s.SetText(n, op.Value); err != nil {
-			return err
+			return []update.Op{update.SetAttrOp(n.Parent(), n.Name(), op.Value)}, nil
 		}
-		res.Replaced++
-		return nil
+		return []update.Op{update.SetTextOp(n, op.Value)}, nil
 	case OpRename:
-		n, err := selectOne(op.Target)
-		if err != nil {
-			return err
-		}
-		if err := s.Rename(n, op.Name); err != nil {
-			return err
-		}
-		res.Renamed++
-		return nil
+		return []update.Op{update.RenameOp(n, op.Name)}, nil
 	case OpMove:
-		n, err := selectOne(op.Target)
+		dest, err := selectOne(eng, op.Dest)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		dest, err := selectOne(op.Dest)
-		if err != nil {
-			return err
-		}
-		switch op.Position {
-		case Before:
-			err = s.MoveBefore(dest, n)
-		case After:
-			err = s.MoveAfter(dest, n)
-		default:
-			err = s.MoveAppend(dest, n)
-		}
-		if err != nil {
-			return err
-		}
-		res.Moved++
-		return nil
+		return []update.Op{update.DeleteOp(n), graftOp(op.Position, dest, n)}, nil
 	default:
-		return fmt.Errorf("%w: unknown op kind %d", ErrSyntax, op.Kind)
+		return nil, fmt.Errorf("%w: unknown op kind %d", ErrSyntax, op.Kind)
 	}
+}
+
+// graftOp places the subtree rooted at root at pos relative to ref.
+func graftOp(pos Position, ref, root *xmltree.Node) update.Op {
+	switch pos {
+	case Before:
+		return update.InsertSubtreeBeforeOp(ref, root)
+	case After:
+		return update.InsertSubtreeAfterOp(ref, root)
+	case FirstInto:
+		return update.InsertSubtreeFirstOp(ref, root)
+	default:
+		return update.AppendSubtreeOp(ref, root)
+	}
+}
+
+// deleteOps deletes every match of path but one inside an earlier match,
+// which goes with that match's subtree. Matches come in document order,
+// so such a match lies inside the last one kept.
+func deleteOps(eng *xpath.Engine, path string) ([]update.Op, error) {
+	nodes, err := eng.Query(path)
+	if err != nil {
+		return nil, err
+	}
+	if len(nodes) == 0 {
+		return nil, fmt.Errorf("%w: %s", ErrNoMatch, path)
+	}
+	ops := make([]update.Op, 0, len(nodes))
+	var last *xmltree.Node
+	for _, n := range nodes {
+		if last == nil || !last.IsAncestorOf(n) {
+			ops = append(ops, update.DeleteOp(n))
+			last = n
+		}
+	}
+	return ops, nil
+}
+
+// selectOne resolves a path that must select exactly one node.
+func selectOne(eng *xpath.Engine, path string) (*xmltree.Node, error) {
+	nodes, err := eng.Query(path)
+	if err != nil {
+		return nil, err
+	}
+	if len(nodes) == 0 {
+		return nil, fmt.Errorf("%w: %s", ErrNoMatch, path)
+	}
+	if len(nodes) > 1 {
+		return nil, fmt.Errorf("%w: %s (%d matches)", ErrAmbiguous, path, len(nodes))
+	}
+	return nodes[0], nil
 }

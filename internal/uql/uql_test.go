@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"xmldyn/internal/labeling"
+	"xmldyn/internal/schemes/ordpath"
 	"xmldyn/internal/schemes/qed"
 	"xmldyn/internal/update"
 	"xmldyn/internal/xmltree"
@@ -253,4 +255,223 @@ func TestInsertAttributeErrors(t *testing.T) {
 	if _, err := Apply(s, `insert attribute a="v" into //missing`); !errors.Is(err, ErrNoMatch) {
 		t.Errorf("missing target: %v", err)
 	}
+}
+
+// TestNestedDeleteIsOneStatement: a delete whose matches nest deletes
+// the outer match, and the inner one goes with it — one statement, one
+// deletion, not a failure after the first.
+func TestNestedDeleteIsOneStatement(t *testing.T) {
+	doc, err := xmltree.ParseString(`<r><a><a/></a><b x='1'/></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := update.NewSession(doc, qed.NewPrefix())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Apply(s, `delete node //a`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Deleted != 1 || res.Statements != 1 {
+		t.Fatalf("result: %+v, want 1 deleted in 1 statement", res)
+	}
+	if got, want := doc.XML(), `<r><b x="1"/></r>`; got != want {
+		t.Fatalf("document: %s, want %s", got, want)
+	}
+	if c := s.Counters(); c.Operations != 1 || c.Batches != 1 {
+		t.Fatalf("counters: %+v, want one operation, one batch", c)
+	}
+	if err := s.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAttributeReplaceIsAnUpdate: replacing an attribute's value is a
+// content update of the session — counted, undone by an abort —
+// not a write beside it.
+func TestAttributeReplaceIsAnUpdate(t *testing.T) {
+	s := session(t)
+	before := s.Counters()
+	if _, err := Apply(s, `replace value of node //edition/@year with "2005"`); err != nil {
+		t.Fatal(err)
+	}
+	after := s.Counters()
+	if after.ContentUpdates != before.ContentUpdates+1 || after.Operations != before.Operations+1 {
+		t.Fatalf("counters: %+v before, %+v after; want ContentUpdates and Operations up by one", before, after)
+	}
+	if v, _ := s.Document().FindElement("edition").Attr("year"); v != "2005" {
+		t.Fatalf("year = %q", v)
+	}
+}
+
+// refusing is a labelling that orders nothing beside node z, so the
+// commit-time check of a transaction that closes a gap next to z fails.
+type refusing struct {
+	labeling.Interface
+	z *xmltree.Node
+}
+
+func (l *refusing) CompareNodes(a, b *xmltree.Node) (int, bool) {
+	if l.z != nil && (a == l.z || b == l.z) {
+		return 0, true
+	}
+	return l.Interface.CompareNodes(a, b)
+}
+
+func (l *refusing) Compare(a, b labeling.Label) int {
+	if l.z != nil {
+		if z := l.Label(l.z).String(); a.String() == z || b.String() == z {
+			return 0
+		}
+	}
+	return l.Interface.Compare(a, b)
+}
+
+// TestFailedStatementChangesNothing: a statement is one transaction, so
+// one that fails leaves the document and the counters as they were
+// before it, however far it got. The checks a failed commit-time
+// verification made are history, not state: Verifies and FullVerifies
+// are left out of the comparison.
+func TestFailedStatementChangesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name, doc, script string
+		want              error // nil: the commit-time order check
+	}{
+		// The first match detaches the second; the third match's delete
+		// closes the gap before <z>, which the commit check refuses.
+		{"multi-match delete", `<r><a><a/></a><x/><a/><z/></r>`, `delete node //a`, nil},
+		{"move to a missing destination", `<r><a/><b/></r>`, `move node //a into //missing`, ErrNoMatch},
+		{"move into itself", `<r><a><b/></a></r>`, `move node //a into //b`, xmltree.ErrCycle},
+		{"move under an attribute", `<r><a/><b k='v'/></r>`, `move node //a into //b/@k`, xmltree.ErrWrongKind},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			doc, err := xmltree.ParseString(tc.doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lab := &refusing{Interface: qed.NewPrefix()}
+			s, err := update.NewSession(doc, lab)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lab.z = doc.FindElement("z")
+			s.SetAutoVerify(true)
+			if _, err := Apply(s, `insert node <y/> as first into /r`); err != nil {
+				t.Fatal(err)
+			}
+			xml, ctr := xmltree.OuterXML(doc.Node()), s.Counters()
+			res, err := Apply(s, tc.script)
+			failed := errors.Is(err, tc.want)
+			if tc.want == nil {
+				failed = err != nil && strings.Contains(err.Error(), "document order violated")
+			}
+			if !failed {
+				t.Fatalf("%s: %v, want %v", tc.script, err, tc.want)
+			}
+			if res != (Result{}) {
+				t.Errorf("result of the failed statement: %+v, want none", res)
+			}
+			if got := xmltree.OuterXML(doc.Node()); got != xml {
+				t.Errorf("document: %s, want %s", got, xml)
+			}
+			got := s.Counters()
+			got.Verifies, got.FullVerifies = ctr.Verifies, ctr.FullVerifies
+			if got != ctr {
+				t.Errorf("counters: %+v, want %+v", got, ctr)
+			}
+		})
+	}
+}
+
+// scriptPicker draws a statement's choices from the fuzzer's bytes.
+type scriptPicker struct {
+	data []byte
+	pos  int
+}
+
+func (p *scriptPicker) pick(choices ...string) string {
+	if p.pos >= len(p.data) {
+		return choices[0]
+	}
+	p.pos++
+	return choices[int(p.data[p.pos-1])%len(choices)]
+}
+
+// statement is one statement of the fuzzer's grammar: every kind, with
+// paths drawn from the sample book's names, paths whose matches nest
+// (//x once fragments have put an x inside an x), attributes, and a
+// path that matches nothing.
+func (p *scriptPicker) statement() string {
+	elem := func() string {
+		return p.pick("//title", "//author", "//publisher", "//editor", "//name", "//address", "//edition",
+			"/book", "/book/*", "//editor/*", "//publisher//*", "//*", "//*[name]", "//x", "//x/x", "//missing")
+	}
+	node := func() string {
+		if p.pick("element", "attribute") == "element" {
+			return elem()
+		}
+		return p.pick("//title/@genre", "//edition/@year", "//@k", "//x/@k", "//missing/@k")
+	}
+	frag := func() string { return p.pick(`<x/>`, `<x k="v">t</x>`, `<x><x/><y/></x>`, `<y k="w"/>`) }
+	name := func() string { return p.pick("x", "y", "k") }
+	switch p.pick("insert", "attribute", "delete", "replace", "rename", "move") {
+	case "insert":
+		return "insert node " + frag() + " " + p.pick("before", "after", "as first into", "as last into", "into") + " " + elem()
+	case "attribute":
+		return "insert attribute " + name() + `="v" into ` + elem()
+	case "delete":
+		return "delete node " + node()
+	case "replace":
+		return "replace value of node " + node() + ` with "v"`
+	case "rename":
+		return "rename node " + node() + " as " + name()
+	default:
+		return "move node " + elem() + " " + p.pick("before", "after", "into") + " " + elem()
+	}
+}
+
+// FuzzApplyScript runs generated statements, one at a time, on a qed
+// and an ordpath session with auto-verify on. Each statement either
+// fails and leaves the document and the counters exactly as they were,
+// or succeeds and leaves a document the full Session.Verify passes.
+func FuzzApplyScript(f *testing.F) {
+	f.Add([]byte{0, 2, 4, 3, 0, 1, 0, 1, 2, 0, 13})                       // fragments in, then a delete whose matches nest
+	f.Add([]byte{5, 3, 2, 4, 5, 3, 0, 15, 5, 6, 1, 0})                    // moves: into itself, to nowhere, and one that lands
+	f.Add([]byte{1, 2, 1, 3, 1, 2, 4, 1, 0, 1, 2, 1, 1, 3, 0, 0})         // attributes: insert, replace, rename, delete; text
+	f.Add([]byte{4, 0, 2, 0, 0, 0, 4, 13, 2, 0, 13, 2, 0, 7, 0, 0, 1, 0}) // rename, nested delete, the root deleted
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, lab := range []labeling.Interface{qed.NewPrefix(), ordpath.New()} {
+			doc := xmltree.SampleBook()
+			s, err := update.NewSession(doc, lab)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.SetAutoVerify(true)
+			p := &scriptPicker{data: data}
+			for n := 0; p.pos < len(data) && n < 24; n++ {
+				stmt := p.statement()
+				ops, err := Parse(stmt)
+				if err != nil {
+					t.Fatalf("%s: %v", stmt, err)
+				}
+				xml, ctr := xmltree.OuterXML(doc.Node()), s.Counters()
+				if _, err := Run(s, ops); err != nil {
+					if got := xmltree.OuterXML(doc.Node()); got != xml {
+						t.Fatalf("%s failed (%v) and changed the document:\n got %s\nwant %s", stmt, err, got, xml)
+					}
+					if got := s.Counters(); got != ctr {
+						t.Fatalf("%s failed (%v) and changed the counters: %+v, want %+v", stmt, err, got, ctr)
+					}
+					continue
+				}
+				if err := s.Verify(); err != nil {
+					t.Fatalf("%s: %v", stmt, err)
+				}
+				if err := doc.Validate(); err != nil {
+					t.Fatalf("%s: %v", stmt, err)
+				}
+			}
+		}
+	})
 }

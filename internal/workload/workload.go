@@ -208,7 +208,6 @@ func BaseDocument(seed int64, target int) *xmltree.Document {
 		target = 200
 	}
 	return xmltree.Generate(xmltree.GenOptions{
-		Seed: seed, MaxDepth: 12, MaxChildren: 8, AttrProb: 0.25, TextProb: 0.3,
-		TargetNodes: target,
+		Seed: seed, MaxDepth: 12, MaxChildren: 8, AttrProb: 0.25, TargetNodes: target,
 	})
 }

@@ -15,7 +15,9 @@ type GenOptions struct {
 	MaxDepth    int     // maximum element nesting depth below the root
 	MaxChildren int     // maximum element children per element
 	AttrProb    float64 // probability that an element carries an attribute
-	TextProb    float64 // probability that a leaf element carries text
+	// TextProb is the probability that a leaf element carries text. It
+	// applies only without a node target: a targeted tree has no text.
+	TextProb float64
 	// TargetNodes, when > 0, stops growth once roughly this many
 	// labellable nodes exist.
 	TargetNodes int

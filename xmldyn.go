@@ -247,6 +247,10 @@ type UpdateResult = uql.Result
 //	insert node <isbn>1</isbn> after //author;
 //	replace value of node //title with "Homecoming";
 //	delete node //edition
+//
+// Each statement is one transaction, counted as one batch: it commits
+// whole or, on an error, leaves the session as the statements before it
+// left it.
 func ApplyUpdates(s *Session, script string) (UpdateResult, error) {
 	return uql.Apply(s, script)
 }

@@ -299,7 +299,8 @@ func TestMoveFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc := s.Document()
-	if err := s.MoveAfter(doc.FindElement("title"), doc.FindElement("edition")); err != nil {
+	edition := doc.FindElement("edition")
+	if _, err := s.Apply([]Op{DeleteOp(edition), InsertSubtreeAfterOp(doc.FindElement("title"), edition)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := VerifyOrder(s); err != nil {
