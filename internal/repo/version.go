@@ -424,19 +424,18 @@ func (s *Snapshot) Document(name string) (*xmltree.Document, error) {
 // therefore no defensive deep copy. Clone a node if a mutable copy is
 // needed.
 //
-// A //n from the document node reads the version's list of n, which
-// the version's first such read builds with one walk and every later
-// read, on this or any snapshot of the version, is handed without a
-// walk. So the slice Query returns may be shared, as QueryFunc's is:
-// it is capacity-limited, so an append copies it, and the caller must
-// not write into it. A //n below an element walks: a version has no
-// labels to find the run with.
+// A //n reads the version's list of n (from an element, the run of it
+// inside the element's subtree), which the version's first such read
+// builds with one walk and every later read, on this or any snapshot of
+// the version, is handed without a walk. So the slice Query returns may
+// be shared, as QueryFunc's is: it is capacity-limited, so an append
+// copies it, and the caller must not write into it.
 func (s *Snapshot) Query(name, path string) ([]*xmltree.Node, error) {
 	e, err := s.entry(name)
 	if err != nil {
 		return nil, err
 	}
-	return xpath.Indexed(e.read.view.Document(), nil, &e.read.index).Query(path)
+	return xpath.Indexed(e.read.view.Document(), &e.read.index).Query(path)
 }
 
 // entry resolves a name under the read lock, failing on closed

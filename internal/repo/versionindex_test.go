@@ -91,8 +91,9 @@ type heldSnapshot struct {
 // held snapshot reads each name again. Each //n answer must be what
 // xmltree.Descendants finds in the snapshot's own version, and spell
 // what the live document held when it was pinned, so an old version
-// never shows a newer node; /*//n, which walks, must agree with the
-// walk engine. In the walked mode the live document is never read by
+// never shows a newer node; /*//n, which reads the run of the list
+// below the root element, must agree with the walk engine. In the
+// walked mode the live document is never read by
 // name, so each version's first read of a name walks it; in the
 // captured mode every name is read live before each pin, so the pin
 // hands the version the live lists (xpath.Index.Capture), and the
@@ -171,7 +172,7 @@ func versionListsMatchWalk(t *testing.T, scheme string, captured bool, commits i
 				t.Fatal(err)
 			}
 			for _, name := range listNames {
-				eng := xpath.Indexed(e.read.view.Document(), nil, &e.read.index)
+				eng := xpath.Indexed(e.read.view.Document(), &e.read.index)
 				if got, err := eng.Query("//" + name); err != nil || eng.Examined() != len(got) {
 					t.Fatalf("%s, //%s: the version's first read examined %d nodes for %d (%v); want it handed the captured list", where, name, eng.Examined(), len(got), err)
 				}
@@ -491,7 +492,7 @@ func TestAbsentNameWalksOncePerVersion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := xpath.Indexed(e.read.view.Document(), nil, &e.read.index)
+		eng := xpath.Indexed(e.read.view.Document(), &e.read.index)
 		if nodes, err := eng.Query("//item"); err != nil || len(nodes) != 0 {
 			t.Fatalf("//item returned %d nodes, %v; want none", len(nodes), err)
 		}
@@ -778,7 +779,7 @@ func TestSnapshotAfterCheckpointReadsAsP8(t *testing.T) {
 	if cut == nil || e.v != cut {
 		t.Fatalf("the snapshot pinned %p, want the checkpoint cut's version %p", e.v, cut)
 	}
-	eng := xpath.Indexed(e.read.view.Document(), nil, &e.read.index)
+	eng := xpath.Indexed(e.read.view.Document(), &e.read.index)
 	got, err := eng.Query("//item")
 	if err != nil || len(got) != 49 || eng.Examined() != len(got) {
 		t.Fatalf("the version's first //item: %d nodes, %d examined (%v); want the 49 captured", len(got), eng.Examined(), err)

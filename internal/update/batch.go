@@ -666,7 +666,7 @@ func (s *Session) label(root *xmltree.Node) error {
 		return fmt.Errorf("update: label %s: %w", s.lab.Name(), err)
 	}
 	s.noteLabelled(root)
-	s.index.Inserted(s.lab, root)
+	s.index.Inserted(root)
 	return nil
 }
 
@@ -677,7 +677,7 @@ func (s *Session) detach(n *xmltree.Node) {
 	if labellable(n) {
 		s.ctr.Deletes += int64(n.LabelledCount())
 		s.noteDeleting(n)
-		s.index.Deleting(s.lab, n)
+		s.index.Deleting(n)
 		s.lab.NodeDeleting(n)
 	}
 	n.Detach()
@@ -713,7 +713,7 @@ func (s *Session) rename(n *xmltree.Node, name string) error {
 	old := n.Name()
 	s.undo = append(s.undo, undoRec{kind: undoName, n: n, old: old})
 	n.SetName(name)
-	s.index.Renamed(s.lab, n, old)
+	s.index.Renamed(n, old)
 	s.ctr.ContentUpdates++
 	return nil
 }

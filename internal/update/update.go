@@ -126,11 +126,13 @@ func (s *Session) Labeling() labeling.Interface { return s.lab }
 // Engine returns a structural query engine over the session's
 // document that reads a deep element step by name from the session's
 // element index, building a name's list on its first read. Readers may
-// query at once, and not beside a transaction. An answer may be a slice
-// of the index's own list; Repository.QueryFunc, the one caller, states
-// what its reader may do with it. The index orders by labels, so it is
-// only for a scheme whose labels are unique, as the repository admits.
-func (s *Session) Engine() *xpath.Engine { return xpath.Indexed(s.doc, s.lab, &s.index) }
+// query at once, and not beside a transaction. The index orders by the
+// tree, so every scheme reads through it; it is the session's one read
+// path. An answer may be a slice of the index's own list, which the next
+// transaction edits in place: a caller that keeps an answer past a
+// transaction copies it first, as xmldyn.Query does, and
+// Repository.QueryFunc states what its reader may do with it.
+func (s *Session) Engine() *xpath.Engine { return xpath.Indexed(s.doc, &s.index) }
 
 // Index returns the session's element index, which Engine reads. A
 // version published from the document takes over its lists

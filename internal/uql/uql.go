@@ -250,10 +250,13 @@ func Apply(s *update.Session, script string) (Result, error) {
 // paths against the document as the statements before it left it and
 // commits as one op list, one Session.Apply: a transaction, all of it or
 // none, counted as one batch. A failing statement changes nothing; the
-// statements before it stay.
+// statements before it stay. Paths read through the session's element
+// index (Session.Engine), whose lists a commit edits in place, so a
+// statement's op list is built in full before its Apply, and no match is
+// read after it.
 func Run(s *update.Session, ops []Op) (Result, error) {
 	var res Result
-	eng := xpath.New(s.Document(), s.Labeling(), xpath.ModeStructural)
+	eng := s.Engine()
 	for i, op := range ops {
 		list, err := statementOps(eng, op)
 		if err == nil {

@@ -2,6 +2,7 @@ package xpath_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -52,7 +53,10 @@ func fuzzPath(program []byte) string {
 
 // FuzzQuery: any path of the grammar gives, on a published version,
 // the nodes it gives on the live document, and on both the answer is
-// in document order with no node twice. The paths run past the
+// in document order with no node twice. On each, an engine reading
+// through a fresh element index gives the very nodes the walk gave:
+// a deep step by name below an element reads the run of its list that
+// two searches in tree order find. The paths run past the
 // parser's four inline steps and through every predicate kind; the
 // documents are renamedDocument's, where names repeat and contexts
 // nest.
@@ -79,5 +83,17 @@ func FuzzQuery(f *testing.F) {
 			t.Fatalf("%s on the view: %v", path, err)
 		}
 		sameResult(t, path, view, want, got)
+		for _, c := range []struct {
+			doc  *xmltree.Document
+			walk []*xmltree.Node
+		}{{live, want}, {view, got}} {
+			indexed, err := xpath.Indexed(c.doc, new(xpath.Index)).Query(path)
+			if err != nil {
+				t.Fatalf("%s through an index: %v", path, err)
+			}
+			if !slices.Equal(indexed, c.walk) {
+				t.Fatalf("%s: through an index %d nodes, the walk %d (or other nodes)", path, len(indexed), len(c.walk))
+			}
+		}
 	})
 }

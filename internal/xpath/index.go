@@ -1,15 +1,15 @@
 package xpath
 
 // The element index: a document's elements by name, each name's list
-// in document order. The paper's case for labels is that they decide
-// order without walking the tree; the index is where the engine takes
-// them up on it. A deep element step by name reads a list — all of it
-// from the document node, the run inside the context's subtree from an
-// element, found by two binary searches over labels — instead of
-// walking every node below the context. A published version has an
-// index too, and no labels: it answers from the document node only.
-// Wildcard and attribute steps, and engines without an index
-// (label-only mode), keep walking.
+// in document order. A deep element step by name reads a list — all of
+// it from the document node, the run inside the context's subtree from
+// an element, found by two binary searches — instead of walking every
+// node below the context. A list is ordered, and searched, by the tree
+// (xmltree.DocOrderCompare), the order the structural engine answers
+// in, not by labels: a scheme that can give two nodes one label (lsdx,
+// com-d) and a published version, which has no labels, are read from
+// their lists as every other document is. Wildcard and attribute steps,
+// and engines without an index (label-only mode), keep walking.
 
 import (
 	"fmt"
@@ -17,7 +17,6 @@ import (
 	"sort"
 	"sync"
 
-	"xmldyn/internal/labeling"
 	"xmldyn/internal/xmltree"
 )
 
@@ -32,10 +31,8 @@ import (
 // That of a live document is kept current by the document's owner,
 // calling Inserted, Deleting and Renamed wherever it tells the
 // labelling of a change, and Drop where it cannot say what changed.
-// Labels place an entry, so the lists are right while the labels order
-// as the document does, which is what Verify checks: a scheme that can
-// give two nodes one label (lsdx, com-d) breaks that, and the
-// repository refuses it.
+// The tree places an entry, so the lists hold for every scheme; Verify
+// checks them against a walk.
 //
 // A read holds mu while it looks its name up, builds a missing list and
 // hands it out, so readers of the document may read at once. The
@@ -60,19 +57,18 @@ type named struct {
 const maxNames = 16
 
 // Indexed returns a structural engine over doc, the document x
-// indexes, that answers deep element steps by name from x. lab is nil
-// for a published version.
-func Indexed(doc *xmltree.Document, lab labeling.Interface, x *Index) *Engine {
-	return &Engine{doc: doc, lab: lab, mode: ModeStructural, index: x}
+// indexes, that answers deep element steps by name from x.
+func Indexed(doc *xmltree.Document, x *Index) *Engine {
+	return &Engine{doc: doc, mode: ModeStructural, index: x}
 }
 
 // byName answers a deep element step by name from ctx out of the
 // index: the whole list from the document node, the run of the list
-// inside ctx's subtree from an element, which the labels find. ok is
+// inside ctx's subtree from an element, which two searches find. ok is
 // false where the step walks instead.
 func (e *Engine) byName(ctx *xmltree.Node, st step) (nodes []*xmltree.Node, ok bool) {
 	kind := ctx.Kind()
-	if e.index == nil || st.attribute || st.name == "*" || (kind != xmltree.KindDocument && (kind != xmltree.KindElement || e.lab == nil)) {
+	if e.index == nil || st.attribute || st.name == "*" || (kind != xmltree.KindDocument && kind != xmltree.KindElement) {
 		return nil, false
 	}
 	l := e.index.list(e.doc.Node(), st.name, &e.examined)
@@ -93,7 +89,7 @@ func (e *Engine) byName(ctx *xmltree.Node, st step) (nodes []*xmltree.Node, ok b
 // search is the index's binary search, counted among the nodes the
 // engine examined.
 func (e *Engine) search(list []*xmltree.Node, n *xmltree.Node) int {
-	i, probes := search(e.lab, list, n)
+	i, probes := search(list, n)
 	e.examined += probes
 	return i
 }
@@ -159,41 +155,40 @@ func (x *Index) find(name string) *named {
 	return nil
 }
 
-// Inserted adds the elements of the subtree at root, attached and
-// labelled, to the lists held for their names.
-func (x *Index) Inserted(lab labeling.Interface, root *xmltree.Node) {
+// Inserted adds the elements of the subtree at root, just attached, to
+// the lists held for their names.
+func (x *Index) Inserted(root *xmltree.Node) {
 	if len(x.lists) == 0 {
 		return
 	}
 	root.WalkLabelled(func(n *xmltree.Node) bool {
-		x.add(lab, n)
+		x.add(n)
 		return true
 	})
 }
 
 // add puts n into its name's list, if the index holds one.
-func (x *Index) add(lab labeling.Interface, n *xmltree.Node) {
+func (x *Index) add(n *xmltree.Node) {
 	if l := x.find(n.Name()); l != nil && n.Kind() == xmltree.KindElement {
-		i, _ := search(lab, l.nodes, n)
+		i, _ := search(l.nodes, n)
 		l.nodes = slices.Insert(l.nodes, i, n)
 	}
 }
 
 // Deleting drops the elements of the subtree at root from every list.
-// Call it while the subtree is still attached and labelled: its
-// elements are the run of each list from root up to the labelled node
-// after the subtree.
-func (x *Index) Deleting(lab labeling.Interface, root *xmltree.Node) {
+// Call it while the subtree is still attached: its elements are the run
+// of each list from root up to the labellable node after the subtree.
+func (x *Index) Deleting(root *xmltree.Node) {
 	if len(x.lists) == 0 || root.Kind() != xmltree.KindElement {
 		return
 	}
 	after := xmltree.NextLabelledAfter(root)
 	for i := range x.lists {
 		l := &x.lists[i]
-		lo, _ := search(lab, l.nodes, root)
+		lo, _ := search(l.nodes, root)
 		hi := len(l.nodes)
 		if after != nil {
-			hi, _ = search(lab, l.nodes, after)
+			hi, _ = search(l.nodes, after)
 		}
 		if lo < hi {
 			l.nodes = slices.Delete(l.nodes, lo, hi)
@@ -203,16 +198,16 @@ func (x *Index) Deleting(lab labeling.Interface, root *xmltree.Node) {
 
 // Renamed moves n, just renamed from old, from old's list to its new
 // name's.
-func (x *Index) Renamed(lab labeling.Interface, n *xmltree.Node, old string) {
+func (x *Index) Renamed(n *xmltree.Node, old string) {
 	if len(x.lists) == 0 || n.Kind() != xmltree.KindElement {
 		return
 	}
 	if l := x.find(old); l != nil {
-		if i, _ := search(lab, l.nodes, n); i < len(l.nodes) && l.nodes[i] == n {
+		if i, _ := search(l.nodes, n); i < len(l.nodes) && l.nodes[i] == n {
 			l.nodes = slices.Delete(l.nodes, i, i+1)
 		}
 	}
-	x.add(lab, n)
+	x.add(n)
 }
 
 // Drop forgets every list; the next read of a name builds it again.
@@ -238,20 +233,13 @@ func (x *Index) Verify(doc *xmltree.Document) error {
 	return nil
 }
 
-// search returns the first position in list, nodes in document order,
-// whose node does not precede n, and how many nodes it compared with n.
-func search(lab labeling.Interface, list []*xmltree.Node, n *xmltree.Node) (i, probes int) {
+// search returns the first position in list, attached nodes in
+// document order, whose node does not precede n, and how many nodes it
+// compared with n.
+func search(list []*xmltree.Node, n *xmltree.Node) (i, probes int) {
 	i = sort.Search(len(list), func(i int) bool {
 		probes++
-		return order(lab, list[i], n) >= 0
+		return xmltree.DocOrderCompare(list[i], n) >= 0
 	})
 	return i, probes
-}
-
-// order compares two labelled nodes by their labels.
-func order(lab labeling.Interface, a, b *xmltree.Node) int {
-	if cmp, ok := lab.CompareNodes(a, b); ok {
-		return cmp
-	}
-	return lab.Compare(lab.Label(a), lab.Label(b))
 }

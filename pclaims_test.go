@@ -158,11 +158,11 @@ func versionNodesPerRead(scheme string, seed int64) (float64, error) {
 		index xpath.Index
 	)
 	version := view.Open(s.Document().PublishVersion(1))
-	first := xpath.Indexed(version, nil, &index)
+	first := xpath.Indexed(version, &index)
 	if _, err := first.Query("//item"); err != nil {
 		return 0, err
 	}
-	warm := xpath.Indexed(version, nil, &index)
+	warm := xpath.Indexed(version, &index)
 	got, err := warm.Query("//item")
 	if err != nil {
 		return 0, err
@@ -208,7 +208,7 @@ func versionFirstReadNodes(scheme string, seed int64) (float64, error) {
 	)
 	version := view.Open(s.Document().PublishVersion(2))
 	captured := index.Capture(s.Index(), &view)
-	first := xpath.Indexed(version, nil, &index)
+	first := xpath.Indexed(version, &index)
 	got, err := first.Query("//item")
 	if err != nil {
 		return 0, err
@@ -216,7 +216,7 @@ func versionFirstReadNodes(scheme string, seed int64) (float64, error) {
 	if len(got) != 49 {
 		return 0, fmt.Errorf("//item found %d elements, want 49", len(got))
 	}
-	walk := xpath.Indexed(version, nil, new(xpath.Index))
+	walk := xpath.Indexed(version, new(xpath.Index))
 	if _, err := walk.Query("//item"); err != nil {
 		return 0, err
 	}

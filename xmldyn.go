@@ -59,6 +59,7 @@ package xmldyn
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"xmldyn/internal/core"
@@ -222,9 +223,13 @@ func Restore(data []byte) (*Session, error) {
 }
 
 // Query evaluates a location path (see Engine.Query for the grammar)
-// over a session's document using structural navigation.
+// over a session's document, reading a deep step by name from the
+// session's element index (Session.Engine). The answer is a copy: the
+// index's lists change in place as the session commits, and the answer
+// does not.
 func Query(s *Session, path string) ([]*Node, error) {
-	return xpath.New(s.Document(), s.Labeling(), xpath.ModeStructural).Query(path)
+	nodes, err := s.Engine().Query(path)
+	return slices.Clone(nodes), err
 }
 
 // LabelQuery returns an engine that answers axes purely from label

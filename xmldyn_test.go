@@ -2,6 +2,7 @@ package xmldyn
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -104,6 +105,44 @@ func TestQueryFacade(t *testing.T) {
 	}
 	if len(got) != 1 || got[0].Name() != "name" {
 		t.Fatalf("query result: %v", got)
+	}
+}
+
+// TestQueryAnswerOutlivesCommit: Query reads through the session's
+// element index, whose lists a commit edits in place, so its answer is
+// a copy. An answer taken before commits that insert and delete
+// elements of the name it read holds the same nodes after them, on a
+// scheme whose labels are unique and on one whose labels can tie.
+func TestQueryAnswerOutlivesCommit(t *testing.T) {
+	for _, scheme := range []string{"qed", "lsdx"} {
+		doc, err := ParseString("<a><b/><c><b/></c><b/></a>")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(doc, scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Query(s, "//b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := slices.Clone(got)
+		if err := s.Delete(got[0]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.InsertBefore(got[1], "b"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.InsertAfter(got[2], "b"); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: the answer taken before the commits changed under them", scheme)
+		}
+		if after, _ := Query(s, "//b"); len(after) != 4 || after[1] != want[1] || after[2] != want[2] {
+			t.Fatalf("%s: after the commits //b reads %d nodes, want the 4 in document order", scheme, len(after))
+		}
 	}
 }
 
