@@ -454,17 +454,22 @@ func probeCompact(s SchemeUnderTest, cfg ProbeConfig, rep *Report) error {
 }
 
 // collectCounters folds the division/recursion counters of a labeling's
-// algebra into the report; a labeling without an algebra (prime, dde,
-// xpath-accelerator) leaves it "declared", with none of either.
+// algebra into the report. An algebra without counters never divides or
+// recurses; a labeling without an algebra (prime, dde,
+// xpath-accelerator) leaves the report "declared", with none of either.
 func collectCounters(lab labeling.Interface, rep *Report) {
 	ap, ok := lab.(algebraProvider)
 	if !ok {
 		return
 	}
-	c := ap.Algebra().Counters()
+	rep.TraitsSource = "instrumented"
+	cp, ok := ap.Algebra().(interface{ Counters() *labels.Counters })
+	if !ok {
+		return
+	}
+	c := cp.Counters()
 	rep.Divisions += c.Divisions
 	if c.MaxRecursion > rep.MaxRecursion {
 		rep.MaxRecursion = c.MaxRecursion
 	}
-	rep.TraitsSource = "instrumented"
 }

@@ -31,9 +31,9 @@ type Bulk struct {
 // bulkRow is Assign(n) computed once: its codes, and what computing
 // them added to the algebra's counters.
 type bulkRow struct {
-	codes              []Code
-	assigns, divisions int64
-	depth              int
+	codes     []Code
+	divisions int64
+	depth     int
 }
 
 var bulks sync.Map // kind → *Bulk
@@ -46,19 +46,21 @@ func BulkFor(kind any) *Bulk {
 }
 
 // Assign returns compute(n), from the table when n has been computed
-// before. The counters read the same either way — the framework's
-// division and recursion probes print them: a row holds what its
-// computation added to c, and a hit adds that. compute advances c
-// itself; an error is not kept.
+// before. The counters read the same either way — the framework grades
+// division and recursion from them: a row holds what its computation
+// added to c, and a hit adds that. compute advances c itself; c is nil
+// for an algebra that keeps none. An error is not kept.
 func (b *Bulk) Assign(n int, c *Counters, compute func(int) ([]Code, error)) ([]Code, error) {
 	if n <= 0 || n > bulkMax {
 		return compute(n)
+	}
+	if c == nil {
+		c = new(Counters)
 	}
 	b.mu.Lock()
 	row := b.rows[n]
 	b.mu.Unlock()
 	if row.codes != nil {
-		c.Assigns += row.assigns
 		c.Divisions += row.divisions
 		c.MaxRecursion = max(c.MaxRecursion, row.depth)
 		return row.codes, nil
@@ -67,7 +69,7 @@ func (b *Bulk) Assign(n int, c *Counters, compute func(int) ([]Code, error)) ([]
 	was := *c
 	c.MaxRecursion = 0
 	codes, err := compute(n)
-	row = bulkRow{codes[:len(codes):len(codes)], c.Assigns - was.Assigns, c.Divisions - was.Divisions, c.MaxRecursion}
+	row = bulkRow{codes[:len(codes):len(codes)], c.Divisions - was.Divisions, c.MaxRecursion}
 	c.MaxRecursion = max(was.MaxRecursion, row.depth)
 	if err != nil {
 		return nil, err

@@ -11,26 +11,17 @@ import (
 	"xmldyn/internal/workload"
 )
 
-// buildCounters is what each instrumented registry scheme's algebra
+// buildCounters is what each counting registry scheme's algebra
 // counted while labelling workload.BaseDocument(1, 300), read at the
-// commit before the bulk tables existed (PR 21). internal/core's
-// division and recursion probes, and so cmd/matrix, print these.
+// commit before the bulk tables existed. internal/core's division and
+// recursion probes, and so cmd/matrix, print these.
 var buildCounters = map[string]labels.Counters{
-	"xrel":           {Assigns: 1},
-	"sector":         {Assigns: 1},
-	"qrs":            {Assigns: 1},
-	"deweyid":        {Assigns: 63},
-	"ordpath":        {Assigns: 63},
-	"dln":            {Assigns: 63},
-	"lsdx":           {Assigns: 62},
-	"improvedbinary": {Assigns: 62, Divisions: 174, MaxRecursion: 4},
-	"qed":            {Assigns: 63, Divisions: 290, MaxRecursion: 3},
-	"cdqs":           {Assigns: 63},
-	"vector":         {Assigns: 1, MaxRecursion: 11},
-	"vector-prefix":  {Assigns: 63, MaxRecursion: 5},
-	"cdbs":           {Assigns: 62},
-	"com-d":          {Assigns: 62},
-	"cohen":          {Assigns: 63},
+	"qrs":            {},
+	"ordpath":        {},
+	"improvedbinary": {Divisions: 174, MaxRecursion: 4},
+	"qed":            {Divisions: 290, MaxRecursion: 3},
+	"vector":         {MaxRecursion: 11},
+	"vector-prefix":  {MaxRecursion: 5},
 }
 
 // TestBuildCountersSameColdAndWarm: a bulk table answers for the
@@ -49,17 +40,21 @@ func TestBuildCountersSameColdAndWarm(t *testing.T) {
 			if !ok {
 				continue
 			}
+			cp, ok := ap.Algebra().(interface{ Counters() *labels.Counters })
+			if !ok {
+				continue
+			}
 			if err := lab.Build(doc.Clone()); err != nil { // one labelling a document
 				t.Fatalf("%s: %v", s.Name, err)
 			}
 			want, pinned := buildCounters[s.Name]
-			if got := *ap.Algebra().Counters(); !pinned || got != want {
+			if got := *cp.Counters(); !pinned || got != want {
 				t.Errorf("%s, tables %s: Build counted %+v, want %+v (pinned: %v)", s.Name, tables, got, want, pinned)
 			}
 			seen++
 		}
 		if seen != len(buildCounters) {
-			t.Errorf("%d instrumented schemes, %d pinned", seen, len(buildCounters))
+			t.Errorf("%d counting schemes, %d pinned", seen, len(buildCounters))
 		}
 	}
 	if n, err := labels.VerifyBulks(registryAlgebras()...); err != nil || n == 0 {
@@ -95,9 +90,7 @@ var errThirteen = errors.New("thirteen")
 
 func (a *fakeAlgebra) assign(n int) ([]labels.Code, error) {
 	a.calls++
-	a.c.Assigns++
 	if n == 13 {
-		a.c.OverflowHits++
 		return nil, errThirteen
 	}
 	a.c.Divisions += int64(2 * n)
@@ -130,10 +123,11 @@ func isView(t *testing.T, what string, got []labels.Code) {
 // as the computation would have; what a caller gets is a view of the
 // kept row — len == cap == n, an append leaves the table intact, and two
 // Assign(n) share one backing array; an error, an n beyond the bound and
-// n ≤ 0 are computed every time.
+// n ≤ 0 are computed every time. A loader without counters (nil) gets
+// the same codes.
 func TestBulkAssign(t *testing.T) {
 	table := labels.BulkFor(t.Name())
-	var direct, first, second fakeAlgebra
+	var direct, first, second, uncounted fakeAlgebra
 	sizes := []int{5, 0, 3, 13, 5, 6, labels.BulkMax, labels.BulkMax + 1, 13, -1, 3}
 	for _, n := range sizes {
 		want, wantErr := direct.assign(n)
@@ -156,6 +150,9 @@ func TestBulkAssign(t *testing.T) {
 		}
 		if kept := n > 0 && n <= labels.BulkMax && wantErr == nil; kept && &views[0][0] != &views[1][0] {
 			t.Fatalf("two Assign(%d) do not share a backing array", n)
+		}
+		if got, err := table.Assign(n, nil, uncounted.assign); !errors.Is(err, wantErr) || len(got) != len(want) || len(got) > 0 && got[0] != want[0] {
+			t.Fatalf("Assign(%d, nil) = %d codes, %v; want %d, %v", n, len(got), err, len(want), wantErr)
 		}
 	}
 	// 5, 3, 6 and BulkMax were computed once, by whoever came first.

@@ -49,8 +49,7 @@ type IntAlgebraConfig struct {
 // IntAlgebra issues integer codes. It implements Algebra. *IntCode is
 // the one boxed form of a code; Between cuts it from heads.
 type IntAlgebra struct {
-	cfg      IntAlgebraConfig
-	counters Counters
+	cfg IntAlgebraConfig
 	// bulk lists the boxed bulk codes Start + i·Gap of every algebra so
 	// configured: relabelling k siblings costs a view of the list, not k
 	// codes and not a copy of it.
@@ -88,20 +87,15 @@ func MustIntAlgebra(cfg IntAlgebraConfig) *IntAlgebra {
 	return a
 }
 
-// Counters implements Algebra.
-func (a *IntAlgebra) Counters() *Counters { return &a.counters }
-
 func (a *IntAlgebra) max() int64 { return int64(1) << a.cfg.Width }
 
 // Assign implements Algebra: Start, Start+Gap, Start+2*Gap, ...
 func (a *IntAlgebra) Assign(n int) ([]Code, error) {
-	a.counters.Assigns++
 	if n <= 0 {
 		return nil, nil
 	}
 	last := a.cfg.Start + int64(n-1)*a.cfg.Gap
 	if last >= a.max() {
-		a.counters.OverflowHits++
 		return nil, fmt.Errorf("%w: %d codes at gap %d exceed %d-bit space", ErrOverflow, n, a.cfg.Gap, a.cfg.Width)
 	}
 	return a.bulk.Extend(n, func(codes []Code, from int) {
@@ -123,7 +117,6 @@ func (a *IntAlgebra) code(v int64) Code {
 // of every dense insert (DeweyID takes it on each one) and the caller
 // relabels without reading the text, so ErrNeedRelabel is returned bare.
 func (a *IntAlgebra) Between(left, right Code) (Code, error) {
-	a.counters.Betweens++
 	var l, r int64
 	hasL, hasR := left != nil, right != nil
 	if hasL {
@@ -148,7 +141,6 @@ func (a *IntAlgebra) Between(left, right Code) (Code, error) {
 		return a.code(a.cfg.Start), nil
 	case !hasL: // before first
 		if r <= a.cfg.Floor {
-			a.counters.RelabelErrors++
 			return nil, ErrNeedRelabel
 		}
 		if a.cfg.Midpoint {
@@ -158,13 +150,11 @@ func (a *IntAlgebra) Between(left, right Code) (Code, error) {
 	case !hasR: // after last
 		v := l + a.cfg.Gap
 		if v >= a.max() {
-			a.counters.OverflowHits++
 			return nil, fmt.Errorf("%w: %d exceeds %d-bit space", ErrOverflow, v, a.cfg.Width)
 		}
 		return a.code(v), nil
 	default:
 		if r-l < 2 {
-			a.counters.RelabelErrors++
 			return nil, ErrNeedRelabel
 		}
 		if a.cfg.Midpoint {

@@ -52,9 +52,6 @@ func TestIntAlgebraAssign(t *testing.T) {
 	if _, err := a.Assign(70000); !errors.Is(err, ErrOverflow) {
 		t.Errorf("bulk overflow: %v", err)
 	}
-	if a.Counters().OverflowHits == 0 {
-		t.Error("overflow not counted")
-	}
 }
 
 // TestIntAlgebraAssignShares: bulk codes are boxed once per algebra and
@@ -89,9 +86,6 @@ func TestIntAlgebraAssignShares(t *testing.T) {
 			}
 		}
 	}
-	if got := a.Counters().Assigns; got != 27 {
-		t.Errorf("Assigns = %d, want one per call = 27", got)
-	}
 	if n, err := VerifyBulks(a); n < 1500 || err != nil {
 		t.Errorf("%d kept codes recomputed, %v", n, err)
 	}
@@ -101,15 +95,12 @@ func TestIntAlgebraBetweenSequential(t *testing.T) {
 	a := MustIntAlgebra(IntAlgebraConfig{Name: "seq", Start: 1, Gap: 1, Width: 16})
 	one, two, five := intCode(1, 16), intCode(2, 16), intCode(5, 16)
 	// Dense neighbours force a relabel — the expected outcome of a dense
-	// insert, so it is counted and costs no error text.
+	// insert, so it costs no error text.
 	if _, err := a.Between(one, two); !errors.Is(err, ErrNeedRelabel) {
 		t.Errorf("dense between: %v", err)
 	}
 	if allocs := testing.AllocsPerRun(20, func() { _, _ = a.Between(one, two) }); allocs != 0 {
 		t.Errorf("a refused Between allocates %.0f times, want 0", allocs)
-	}
-	if got := a.Counters().RelabelErrors; got != 22 {
-		t.Errorf("RelabelErrors = %d, want one per refusal = 22", got)
 	}
 	// A deletion gap is reusable.
 	m, err := a.Between(one, five)
@@ -166,10 +157,6 @@ func TestIntAlgebraBetweenMidpoint(t *testing.T) {
 	}
 	if v := m.(*IntCode).V; v < 1 || v >= 64 {
 		t.Errorf("before-first: %v", m)
-	}
-	// Midpoints are shifts: no division is counted.
-	if a.Counters().Divisions != 0 {
-		t.Error("midpoint counted divisions")
 	}
 }
 

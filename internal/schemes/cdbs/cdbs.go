@@ -7,7 +7,6 @@
 package cdbs
 
 import (
-	"errors"
 	"fmt"
 
 	"xmldyn/internal/labeling"
@@ -24,29 +23,23 @@ const LengthFieldBits = 8
 
 // Algebra is the CDBS code algebra.
 type Algebra struct {
-	counters labels.Counters
-	codes    labels.BitCodes // what Between mints
+	codes labels.BitCodes // what Between mints
 }
 
 // NewAlgebra returns a fresh algebra.
 func NewAlgebra() *Algebra { return &Algebra{codes: labels.BitCodes{Max: MaxCodeBits}} }
 
-// Counters implements labels.Algebra.
-func (a *Algebra) Counters() *labels.Counters { return &a.counters }
-
 // bulk holds the bulk codes every algebra of this package shares.
 var bulk = labels.BulkFor("cdbs")
 
 // Assign implements labels.Algebra with the compact binary enumeration.
-func (a *Algebra) Assign(n int) ([]labels.Code, error) { return bulk.Assign(n, &a.counters, a.assign) }
+func (a *Algebra) Assign(n int) ([]labels.Code, error) { return bulk.Assign(n, nil, a.assign) }
 
 func (a *Algebra) assign(n int) ([]labels.Code, error) {
-	a.counters.Assigns++
 	bs := labels.AssignCompactBitStrings(n)
 	out := make([]labels.Code, n)
 	for i := range bs {
 		if len(bs[i]) > MaxCodeBits {
-			a.counters.OverflowHits++
 			return nil, fmt.Errorf("%w: bulk code of %d bits exceeds the %d-bit length field",
 				labels.ErrOverflow, len(bs[i]), MaxCodeBits)
 		}
@@ -57,12 +50,7 @@ func (a *Algebra) assign(n int) ([]labels.Code, error) {
 
 // Between implements labels.Algebra (the ImprovedBinary insertion rule).
 func (a *Algebra) Between(left, right labels.Code) (labels.Code, error) {
-	a.counters.Betweens++
-	m, err := a.codes.Between(left, right)
-	if errors.Is(err, labels.ErrOverflow) {
-		a.counters.OverflowHits++
-	}
-	return m, err
+	return a.codes.Between(left, right)
 }
 
 // Compare implements labels.Algebra.

@@ -15,15 +15,11 @@ import (
 
 // Algebra is the CDQS code algebra.
 type Algebra struct {
-	counters labels.Counters
-	codes    labels.QCodes // what Between mints
+	codes labels.QCodes // what Between mints
 }
 
 // NewAlgebra returns a fresh algebra.
 func NewAlgebra() *Algebra { return &Algebra{} }
-
-// Counters implements labels.Algebra.
-func (a *Algebra) Counters() *labels.Counters { return &a.counters }
 
 // bulk holds the bulk codes every algebra of this package shares.
 var bulk = labels.BulkFor("cdqs")
@@ -33,10 +29,9 @@ var bulk = labels.BulkFor("cdqs")
 // Algorithm because the original bulk routine is recursive; this one
 // enumerates the n shortest codes in closed form, neither recursive nor
 // dividing, so the measured cells diverge (docs/EXPERIMENTS.md, C8).
-func (a *Algebra) Assign(n int) ([]labels.Code, error) { return bulk.Assign(n, &a.counters, a.assign) }
+func (a *Algebra) Assign(n int) ([]labels.Code, error) { return bulk.Assign(n, nil, a.assign) }
 
 func (a *Algebra) assign(n int) ([]labels.Code, error) {
-	a.counters.Assigns++
 	qs := labels.AssignCompactQStrings(n)
 	out := make([]labels.Code, n)
 	for i := range qs {
@@ -47,7 +42,6 @@ func (a *Algebra) assign(n int) ([]labels.Code, error) {
 
 // Between implements labels.Algebra (QED insertion; never fails).
 func (a *Algebra) Between(left, right labels.Code) (labels.Code, error) {
-	a.counters.Betweens++
 	return a.codes.Between(left, right)
 }
 

@@ -9,18 +9,23 @@ import (
 
 // TestAlgebraMetadata measures CDQS's Division-Computation and
 // Recursive-Algorithm facts: the closed-form bulk routine and
-// between-insertion neither divide nor recurse.
+// between-insertion neither divide nor recurse, so the algebra keeps no
+// counters, and the codes they mint stay in order.
 func TestAlgebraMetadata(t *testing.T) {
 	a := NewAlgebra()
+	if _, ok := any(a).(interface{ Counters() *labels.Counters }); ok {
+		t.Error("algebra keeps counters; it neither divides nor recurses")
+	}
 	cs, err := a.Assign(50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Between(cs[0], cs[1]); err != nil {
+	m, err := a.Between(cs[0], cs[1])
+	if err != nil {
 		t.Fatal(err)
 	}
-	if c := a.Counters(); c.Assigns != 1 || c.Betweens != 1 || c.Divisions != 0 || c.MaxRecursion != 0 {
-		t.Errorf("counters: %+v", *c)
+	if a.Compare(cs[0], m) >= 0 || a.Compare(m, cs[1]) >= 0 {
+		t.Errorf("Between(%v, %v) = %v, not between", cs[0], cs[1], m)
 	}
 }
 

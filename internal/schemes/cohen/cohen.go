@@ -34,15 +34,10 @@ func (c Code) String() string { return string(c) }
 func (c Code) Bits() int { return len(c) }
 
 // Algebra is the Cohen bit-code algebra.
-type Algebra struct {
-	counters labels.Counters
-}
+type Algebra struct{}
 
 // NewAlgebra returns a fresh algebra.
 func NewAlgebra() *Algebra { return &Algebra{} }
-
-// Counters implements labels.Algebra.
-func (a *Algebra) Counters() *labels.Counters { return &a.counters }
 
 // codeFor returns the identifier of the i-th child (0-based): i ones
 // and a terminal zero.
@@ -55,10 +50,9 @@ var bulk = labels.BulkFor("cohen")
 
 // Assign implements labels.Algebra: one-bit growth per sibling, the
 // "significant label sizes" of §3.1.2 (the n-th code is n bits long).
-func (a *Algebra) Assign(n int) ([]labels.Code, error) { return bulk.Assign(n, &a.counters, a.assign) }
+func (a *Algebra) Assign(n int) ([]labels.Code, error) { return bulk.Assign(n, nil, a.assign) }
 
 func (a *Algebra) assign(n int) ([]labels.Code, error) {
-	a.counters.Assigns++
 	if n <= 0 {
 		return nil, nil
 	}
@@ -75,7 +69,6 @@ func (a *Algebra) assign(n int) ([]labels.Code, error) {
 // insertions require relabelling — the reason the paper excludes the
 // scheme from its dynamic survey.
 func (a *Algebra) Between(left, right labels.Code) (labels.Code, error) {
-	a.counters.Betweens++
 	l, err := toCode(left)
 	if err != nil {
 		return nil, err
@@ -91,7 +84,6 @@ func (a *Algebra) Between(left, right labels.Code) (labels.Code, error) {
 		// After last: one more leading 1 than the last code.
 		return codeFor(len(l)), nil
 	default:
-		a.counters.RelabelErrors++
 		return nil, fmt.Errorf("%w: cohen bit codes admit no insertion before %q", labels.ErrNeedRelabel, r)
 	}
 }

@@ -40,14 +40,11 @@ type Algebra struct {
 // unbounded; the compressed-size budget is enforced here.
 func NewAlgebra() *Algebra { return &Algebra{inner: lsdx.NewUnboundedAlgebra()} }
 
-// Counters implements labels.Algebra.
-func (a *Algebra) Counters() *labels.Counters { return a.inner.Counters() }
-
 // bulk holds the bulk codes every algebra of this package shares.
 var bulk = labels.BulkFor("comd")
 
 // Assign implements labels.Algebra.
-func (a *Algebra) Assign(n int) ([]labels.Code, error) { return bulk.Assign(n, a.Counters(), a.assign) }
+func (a *Algebra) Assign(n int) ([]labels.Code, error) { return bulk.Assign(n, nil, a.assign) }
 
 func (a *Algebra) assign(n int) ([]labels.Code, error) {
 	cs, err := a.inner.Assign(n)

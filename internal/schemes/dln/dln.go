@@ -46,9 +46,8 @@ func (c Code) Bits() int { return len(c.vals) * (c.width + 1) }
 
 // Algebra is the DLN code algebra for a given component width.
 type Algebra struct {
-	width    int
-	counters labels.Counters
-	bulk     *labels.Bulk // the bulk codes every algebra of this width shares
+	width int
+	bulk  *labels.Bulk // the bulk codes every algebra of this width shares
 }
 
 // bulkKind names the bulk table of the algebras of one width.
@@ -71,23 +70,18 @@ func MustAlgebra(width int) *Algebra {
 	return a
 }
 
-// Counters implements labels.Algebra.
-func (a *Algebra) Counters() *labels.Counters { return &a.counters }
-
 func (a *Algebra) max() uint64 { return uint64(1)<<a.width - 1 }
 
 // Assign implements labels.Algebra: positions 1..n at the primary level.
 func (a *Algebra) Assign(n int) ([]labels.Code, error) {
-	return a.bulk.Assign(n, &a.counters, a.assign)
+	return a.bulk.Assign(n, nil, a.assign)
 }
 
 func (a *Algebra) assign(n int) ([]labels.Code, error) {
-	a.counters.Assigns++
 	if n <= 0 {
 		return nil, nil
 	}
 	if uint64(n) > a.max() {
-		a.counters.OverflowHits++
 		return nil, fmt.Errorf("%w: %d siblings exceed the %d-bit component", labels.ErrOverflow, n, a.width)
 	}
 	out := make([]labels.Code, n)
@@ -99,7 +93,6 @@ func (a *Algebra) assign(n int) ([]labels.Code, error) {
 
 // Between implements labels.Algebra.
 func (a *Algebra) Between(left, right labels.Code) (labels.Code, error) {
-	a.counters.Betweens++
 	l, err := toCode(left, a.width)
 	if err != nil {
 		return nil, err
@@ -119,13 +112,11 @@ func (a *Algebra) Between(left, right labels.Code) (labels.Code, error) {
 		if r.vals[0] > 1 {
 			return Code{vals: []uint64{r.vals[0] - 1}, width: a.width}, nil
 		}
-		a.counters.RelabelErrors++
 		return nil, fmt.Errorf("%w: no DLN position before %s", labels.ErrNeedRelabel, r)
 	case r.vals == nil:
 		// After the last sibling: bump the primary value.
 		v := l.vals[0] + 1
 		if v > a.max() {
-			a.counters.OverflowHits++
 			return nil, fmt.Errorf("%w: component %d exceeds %d bits", labels.ErrOverflow, v, a.width)
 		}
 		return Code{vals: []uint64{v}, width: a.width}, nil
@@ -172,7 +163,6 @@ func (a *Algebra) betweenCodes(l, r Code) (labels.Code, error) {
 		if next >= 1 {
 			return Code{vals: append(append([]uint64{}, r.vals[:i]...), next>>1), width: a.width}, nil
 		}
-		a.counters.RelabelErrors++
 		return nil, fmt.Errorf("%w: no DLN sublevel between %s and %s", labels.ErrNeedRelabel, l, r)
 	}
 	// r is a proper prefix of l — impossible for l < r since extensions
@@ -183,7 +173,6 @@ func (a *Algebra) betweenCodes(l, r Code) (labels.Code, error) {
 // extend appends a sublevel midway through the fresh value space.
 func (a *Algebra) extend(l Code) (labels.Code, error) {
 	if (len(l.vals)+1)*(a.width+1) > 255 {
-		a.counters.OverflowHits++
 		return nil, fmt.Errorf("%w: DLN sublevel chain for %s exceeds the label budget", labels.ErrOverflow, l)
 	}
 	mid := a.max() >> 1

@@ -7,7 +7,6 @@
 package improvedbinary
 
 import (
-	"errors"
 	"fmt"
 
 	"xmldyn/internal/labeling"
@@ -32,7 +31,7 @@ type Algebra struct {
 // NewAlgebra returns a fresh algebra.
 func NewAlgebra() *Algebra { return &Algebra{codes: labels.BitCodes{Max: MaxCodeBits}} }
 
-// Counters implements labels.Algebra.
+// Counters reports the middle algorithm's divisions and recursion.
 func (a *Algebra) Counters() *labels.Counters { return &a.counters }
 
 // bulk holds the bulk codes every algebra of this package shares.
@@ -42,7 +41,6 @@ var bulk = labels.BulkFor("improvedbinary")
 func (a *Algebra) Assign(n int) ([]labels.Code, error) { return bulk.Assign(n, &a.counters, a.assign) }
 
 func (a *Algebra) assign(n int) ([]labels.Code, error) {
-	a.counters.Assigns++
 	depth := 0
 	bs, err := labels.AssignMiddleBitStrings(n, &depth)
 	if err != nil {
@@ -55,7 +53,6 @@ func (a *Algebra) assign(n int) ([]labels.Code, error) {
 	out := make([]labels.Code, n)
 	for i := range bs {
 		if len(bs[i]) > MaxCodeBits {
-			a.counters.OverflowHits++
 			return nil, fmt.Errorf("%w: bulk code of %d bits exceeds the %d-bit length field",
 				labels.ErrOverflow, len(bs[i]), MaxCodeBits)
 		}
@@ -67,12 +64,7 @@ func (a *Algebra) assign(n int) ([]labels.Code, error) {
 // Between implements labels.Algebra, failing with ErrOverflow once the
 // new code no longer fits the length field.
 func (a *Algebra) Between(left, right labels.Code) (labels.Code, error) {
-	a.counters.Betweens++
-	m, err := a.codes.Between(left, right)
-	if errors.Is(err, labels.ErrOverflow) {
-		a.counters.OverflowHits++
-	}
-	return m, err
+	return a.codes.Between(left, right)
 }
 
 // Compare implements labels.Algebra.

@@ -35,7 +35,6 @@ const MaxCodeBytes = 255
 
 // Algebra is the LSDX letter algebra.
 type Algebra struct {
-	counters labels.Counters
 	// maxBytes bounds code length; 0 disables the bound (Com-D wraps
 	// this algebra and applies its own bound to the compressed form).
 	maxBytes int
@@ -47,9 +46,6 @@ func NewAlgebra() *Algebra { return &Algebra{maxBytes: MaxCodeBytes} }
 // NewUnboundedAlgebra returns an algebra without a length budget.
 func NewUnboundedAlgebra() *Algebra { return &Algebra{} }
 
-// Counters implements labels.Algebra.
-func (a *Algebra) Counters() *labels.Counters { return &a.counters }
-
 // bulk holds the bulk codes every algebra of this package shares.
 var bulk = labels.BulkFor("lsdx")
 
@@ -57,10 +53,9 @@ var bulk = labels.BulkFor("lsdx")
 // the letter b instead of a to permit future insertions before the first
 // child. If the previously assigned positional identifier is z, then the
 // next identifier will be zb."
-func (a *Algebra) Assign(n int) ([]labels.Code, error) { return bulk.Assign(n, &a.counters, a.assign) }
+func (a *Algebra) Assign(n int) ([]labels.Code, error) { return bulk.Assign(n, nil, a.assign) }
 
 func (a *Algebra) assign(n int) ([]labels.Code, error) {
-	a.counters.Assigns++
 	if n <= 0 {
 		return nil, nil
 	}
@@ -86,7 +81,6 @@ func successor(s string) string {
 // rules. It never requests a relabel — LSDX always produces *a* label;
 // whether the label is unique is exactly the defect under study.
 func (a *Algebra) Between(left, right labels.Code) (labels.Code, error) {
-	a.counters.Betweens++
 	l, err := toCode(left)
 	if err != nil {
 		return nil, err
@@ -117,7 +111,6 @@ func (a *Algebra) Between(left, right labels.Code) (labels.Code, error) {
 		out = Code(string(l) + "b")
 	}
 	if a.maxBytes > 0 && len(out) > a.maxBytes {
-		a.counters.OverflowHits++
 		return nil, fmt.Errorf("%w: LSDX code of %d letters exceeds the %d-byte length field",
 			labels.ErrOverflow, len(out), a.maxBytes)
 	}

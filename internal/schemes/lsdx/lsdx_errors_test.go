@@ -51,9 +51,6 @@ func TestLengthBudgetOverflow(t *testing.T) {
 	if !overflowed {
 		t.Fatal("LSDX length budget never overflowed")
 	}
-	if a.Counters().OverflowHits == 0 {
-		t.Error("overflow not counted")
-	}
 	// The unbounded variant keeps going.
 	u := NewUnboundedAlgebra()
 	cs, err = u.Assign(1)

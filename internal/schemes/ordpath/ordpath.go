@@ -100,7 +100,7 @@ type Algebra struct {
 // NewAlgebra returns a fresh algebra.
 func NewAlgebra() *Algebra { return &Algebra{} }
 
-// Counters implements labels.Algebra.
+// Counters reports the halvings of the careting-in insertion.
 func (a *Algebra) Counters() *labels.Counters { return &a.counters }
 
 // bulk holds the bulk codes every algebra of this package shares.
@@ -110,7 +110,6 @@ var bulk = labels.BulkFor("ordpath")
 func (a *Algebra) Assign(n int) ([]labels.Code, error) { return bulk.Assign(n, &a.counters, a.assign) }
 
 func (a *Algebra) assign(n int) ([]labels.Code, error) {
-	a.counters.Assigns++
 	if n <= 0 {
 		return nil, nil
 	}
@@ -127,7 +126,6 @@ func (a *Algebra) assign(n int) ([]labels.Code, error) {
 // new code is spelled in a buffer on the stack and copied into the
 // chunks.
 func (a *Algebra) Between(left, right labels.Code) (labels.Code, error) {
-	a.counters.Betweens++
 	l, err := toCode(left)
 	if err != nil {
 		return nil, err
@@ -164,7 +162,6 @@ func (a *Algebra) spell(dst []int64, l, r Code) ([]int64, error) {
 		dst = a.betweenCodes(dst, l.comps, r.comps)
 	}
 	if err := checkBudget(dst); err != nil {
-		a.counters.OverflowHits++
 		return nil, err
 	}
 	return dst, nil

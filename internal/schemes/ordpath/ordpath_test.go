@@ -181,9 +181,6 @@ func TestSkewedCaretingOverflows(t *testing.T) {
 	if !sawOverflow {
 		t.Fatal("expected caret-depth overflow within 300 adversarial insertions")
 	}
-	if a.Counters().OverflowHits == 0 {
-		t.Error("overflow not counted")
-	}
 }
 
 func TestCompressedBitsGrowWithMagnitude(t *testing.T) {

@@ -22,7 +22,7 @@ type Algebra struct {
 // NewAlgebra returns a fresh QED algebra.
 func NewAlgebra() *Algebra { return &Algebra{} }
 
-// Counters implements labels.Algebra.
+// Counters reports the thirds algorithm's divisions and recursion.
 func (a *Algebra) Counters() *labels.Counters { return &a.counters }
 
 // bulk holds the bulk codes every algebra of this package shares.
@@ -32,7 +32,6 @@ var bulk = labels.BulkFor("qed")
 func (a *Algebra) Assign(n int) ([]labels.Code, error) { return bulk.Assign(n, &a.counters, a.assign) }
 
 func (a *Algebra) assign(n int) ([]labels.Code, error) {
-	a.counters.Assigns++
 	depth := 0
 	qs, err := labels.AssignThirdsQStrings(n, &depth)
 	if err != nil {
@@ -53,7 +52,6 @@ func (a *Algebra) assign(n int) ([]labels.Code, error) {
 // Between implements labels.Algebra. QED never fails: any neighbour pair
 // admits a new code, so the scheme is overflow-free.
 func (a *Algebra) Between(left, right labels.Code) (labels.Code, error) {
-	a.counters.Betweens++
 	return a.codes.Between(left, right)
 }
 

@@ -39,7 +39,7 @@ type Algebra struct {
 // NewAlgebra returns a fresh algebra.
 func NewAlgebra() *Algebra { return &Algebra{} }
 
-// Counters implements labels.Algebra. Midpoints are true floating-point
+// Counters reports the midpoints, which are true floating-point
 // divisions and are counted as such, although the published matrix
 // grades QRS division-free (docs/EXPERIMENTS.md, C8).
 func (a *Algebra) Counters() *labels.Counters { return &a.counters }
@@ -51,7 +51,6 @@ var bulk = labels.BulkFor("qrs")
 func (a *Algebra) Assign(n int) ([]labels.Code, error) { return bulk.Assign(n, &a.counters, a.assign) }
 
 func (a *Algebra) assign(n int) ([]labels.Code, error) {
-	a.counters.Assigns++
 	if n <= 0 {
 		return nil, nil
 	}
@@ -66,7 +65,6 @@ func (a *Algebra) assign(n int) ([]labels.Code, error) {
 // Between implements labels.Algebra: the float midpoint, failing with
 // ErrNeedRelabel once the mantissa can no longer separate the bounds.
 func (a *Algebra) Between(left, right labels.Code) (labels.Code, error) {
-	a.counters.Betweens++
 	var l, r float64
 	hasL, hasR := left != nil, right != nil
 	if hasL {
@@ -99,7 +97,6 @@ func (a *Algebra) Between(left, right labels.Code) (labels.Code, error) {
 	if mid <= l || mid >= r {
 		// Mantissa exhausted: "in practice the solution is similar to an
 		// integer representation of labels with sparse allocation".
-		a.counters.RelabelErrors++
 		return nil, fmt.Errorf("%w: float precision exhausted between %v and %v", labels.ErrNeedRelabel, l, r)
 	}
 	return a.code(mid), nil

@@ -59,7 +59,7 @@ type Algebra struct {
 // NewAlgebra returns a fresh algebra.
 func NewAlgebra() *Algebra { return &Algebra{} }
 
-// Counters implements labels.Algebra.
+// Counters reports the bulk mediant recursion's depth.
 func (a *Algebra) Counters() *labels.Counters { return &a.counters }
 
 // virtual bounds of the gradient space.
@@ -81,7 +81,6 @@ var bulk = labels.BulkFor("vector")
 func (a *Algebra) Assign(n int) ([]labels.Code, error) { return bulk.Assign(n, &a.counters, a.assign) }
 
 func (a *Algebra) assign(n int) ([]labels.Code, error) {
-	a.counters.Assigns++
 	if n <= 0 {
 		return nil, nil
 	}
@@ -95,7 +94,6 @@ func (a *Algebra) assign(n int) ([]labels.Code, error) {
 	for _, c := range out {
 		v := *c.(*Code)
 		if v.X > labels.MaxUTF8Value || v.Y > labels.MaxUTF8Value {
-			a.counters.OverflowHits++
 			return nil, fmt.Errorf("%w: vector component beyond the UTF-8 ceiling during bulk load", labels.ErrOverflow)
 		}
 	}
@@ -122,7 +120,6 @@ func (a *Algebra) fill(out []labels.Code, lo, hi int, l, r Code, d int, depth *i
 // component exceeds the UTF-8-style limit — the paper's §4 question made
 // concrete.
 func (a *Algebra) Between(left, right labels.Code) (labels.Code, error) {
-	a.counters.Betweens++
 	l, r := boundLeft, boundRight
 	if left != nil {
 		lc, ok := left.(*Code)
@@ -143,7 +140,6 @@ func (a *Algebra) Between(left, right labels.Code) (labels.Code, error) {
 	}
 	m := mediant(l, r)
 	if m.X > labels.MaxUTF8Value || m.Y > labels.MaxUTF8Value {
-		a.counters.OverflowHits++
 		return nil, fmt.Errorf("%w: vector %s exceeds the UTF-8 delimiter ceiling (paper §4)", labels.ErrOverflow, m)
 	}
 	h := labels.Cut(&a.heads, 1, labels.HeadsMin, labels.HeadsMax)

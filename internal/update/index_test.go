@@ -6,9 +6,11 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"xmldyn/internal/core"
 	"xmldyn/internal/update"
+	"xmldyn/internal/workload"
 	"xmldyn/internal/xmltree"
 	"xmldyn/internal/xpath"
 )
@@ -229,4 +231,51 @@ func TestIndexHoldsFoundNamesUpToItsCap(t *testing.T) {
 	if err := s.Verify(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// BenchmarkIndexUpkeepWideParent: the element index's upkeep under one
+// wide parent. An iteration appends 4 000 item elements to the root of
+// read_heavy's first document (seed 1) with //item held, then deletes
+// them, reporting the time of one append and of one delete. The list is
+// ordered by the tree, so each search compares siblings by scanning the
+// root's child list: an op costs the parent's width, where a label
+// compare cost a label's length.
+func BenchmarkIndexUpkeepWideParent(b *testing.B) {
+	const items = 4000
+	_, docs := workload.BuildCorpus(workload.FewHugeDocs(), 1)
+	s, err := update.NewSession(docs[0], core.MustScheme("qed").Factory())
+	if err != nil {
+		b.Fatal(err)
+	}
+	held, err := s.Engine().Query("//item")
+	if err != nil {
+		b.Fatal(err)
+	}
+	root := s.Document().Root()
+	added := make([]*xmltree.Node, items)
+	var appending, deleting time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		start := time.Now()
+		for i := range added {
+			if added[i], err = s.AppendChild(root, "item"); err != nil {
+				b.Fatal(err)
+			}
+		}
+		mid := time.Now()
+		for _, n := range slices.Backward(added) {
+			if err := s.Delete(n); err != nil {
+				b.Fatal(err)
+			}
+		}
+		appending += mid.Sub(start)
+		deleting += time.Since(mid)
+	}
+	b.StopTimer()
+	if got, err := s.Engine().Query("//item"); err != nil || len(got) != len(held) {
+		b.Fatalf("//item after the round trips: %d nodes, %v; want %d", len(got), err, len(held))
+	}
+	b.ReportMetric(float64(appending.Nanoseconds())/float64(b.N*items), "ns/append")
+	b.ReportMetric(float64(deleting.Nanoseconds())/float64(b.N*items), "ns/delete")
 }
