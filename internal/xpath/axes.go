@@ -2,16 +2,17 @@
 // paper's "XPath Evaluations" property (§5.1) asks whether
 // ancestor-descendant, parent-child and sibling relationships can be
 // decided "from the node label alone"; this engine has two modes that
-// make the property executable: label-only mode answers every axis
-// purely from label comparisons and fails when the scheme lacks the
-// capability, and structural mode navigates the tree (the ground truth
-// the framework compares against).
+// make the property executable: label-only mode answers each axis from
+// the one label relation the axis declares (labelAxes) and fails when
+// the scheme lacks it, and structural mode navigates the tree (the
+// ground truth the framework compares against). Path queries (Query)
+// read the tree in both modes.
 package xpath
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"xmldyn/internal/labeling"
 	"xmldyn/internal/xmltree"
@@ -61,8 +62,8 @@ type Mode int
 const (
 	// ModeStructural navigates parent/child pointers (ground truth).
 	ModeStructural Mode = iota
-	// ModeLabelOnly uses only Label comparisons and the scheme's
-	// capability interfaces.
+	// ModeLabelOnly answers Select from Label comparisons and the
+	// scheme's capability interfaces alone.
 	ModeLabelOnly
 )
 
@@ -91,194 +92,140 @@ func (e *Engine) Examined() int { return e.examined }
 // Select returns the nodes on the axis from ctx whose name matches
 // nameTest ("" or "*" match any), in document order.
 func (e *Engine) Select(ctx *xmltree.Node, axis Axis, nameTest string) ([]*xmltree.Node, error) {
-	var nodes []*xmltree.Node
-	var err error
 	if e.mode == ModeLabelOnly {
-		nodes, err = e.selectByLabel(ctx, axis)
-	} else {
-		nodes, err = e.selectStructural(ctx, axis, nameTest)
+		return e.selectByLabel(ctx, axis, nameTest)
 	}
+	nodes, err := e.selectStructural(ctx, axis, nameTest)
 	if err != nil {
 		return nil, err
 	}
-	if nameTest != "" && nameTest != "*" {
-		filtered := nodes[:0]
-		for _, n := range nodes {
-			if n.Name() == nameTest {
-				filtered = append(filtered, n)
-			}
-		}
-		nodes = filtered
-	}
-	e.sortDocOrder(nodes)
+	nodes = slices.DeleteFunc(nodes, func(n *xmltree.Node) bool { return !matchesName(n, nameTest) })
+	slices.SortFunc(nodes, xmltree.DocOrderCompare)
 	return nodes, nil
 }
 
-func (e *Engine) sortDocOrder(nodes []*xmltree.Node) {
-	if e.mode == ModeLabelOnly {
-		sort.SliceStable(nodes, func(i, j int) bool {
-			return e.lab.Compare(e.lab.Label(nodes[i]), e.lab.Label(nodes[j])) < 0
-		})
-		return
-	}
-	sort.SliceStable(nodes, func(i, j int) bool {
-		return xmltree.DocOrderCompare(nodes[i], nodes[j]) < 0
-	})
+// matchesName reports whether n passes the name test ("" or "*" pass any).
+func matchesName(n *xmltree.Node, nameTest string) bool {
+	return nameTest == "" || nameTest == "*" || n.Name() == nameTest
 }
 
 // --- label-only evaluation ---------------------------------------------------
 
-func (e *Engine) selectByLabel(ctx *xmltree.Node, axis Axis) ([]*xmltree.Node, error) {
+// relation names a label relation a scheme may decide, one of the
+// capability interfaces of package labeling, as ErrUnsupported reports
+// it. The self axis reads none.
+type relation string
+
+const (
+	ancestorDescendant relation = "ancestor-descendant" // labeling.AncestorByLabel
+	parentChild        relation = "parent-child"        // labeling.ParentByLabel
+	sibling            relation = "sibling"             // labeling.SiblingByLabel
+)
+
+// labelAxis declares an axis in label-only mode: node n is on the axis
+// from ctx when n is of a kind the axis admits and rel(ctx, n) holds —
+// rel(n, ctx) if up, does not hold if off — and, for an ordered axis,
+// Compare(n, ctx) has the sign of order. The context is on an -or-self
+// axis.
+type labelAxis struct {
+	rel    relation
+	up     bool
+	off    bool
+	order  int
+	attr   int // > 0 admits attributes only, < 0 no attributes, 0 any kind
+	orSelf bool
+}
+
+var labelAxes = [...]labelAxis{
+	AxisSelf:             {orSelf: true},
+	AxisChild:            {rel: parentChild, attr: -1},
+	AxisParent:           {rel: parentChild, up: true},
+	AxisDescendant:       {rel: ancestorDescendant},
+	AxisDescendantOrSelf: {rel: ancestorDescendant, orSelf: true},
+	AxisAncestor:         {rel: ancestorDescendant, up: true},
+	AxisAncestorOrSelf:   {rel: ancestorDescendant, up: true, orSelf: true},
+	AxisFollowing:        {rel: ancestorDescendant, off: true, order: 1, attr: -1},
+	AxisPreceding:        {rel: ancestorDescendant, up: true, off: true, order: -1, attr: -1},
+	AxisFollowingSibling: {rel: sibling, order: 1, attr: -1},
+	AxisPrecedingSibling: {rel: sibling, order: -1, attr: -1},
+	AxisAttribute:        {rel: parentChild, attr: 1},
+}
+
+// selectByLabel answers the axis from labels: it looks the axis's
+// relation up on the scheme once, then filters one walk of the
+// labelled nodes, so the answer is in document order.
+func (e *Engine) selectByLabel(ctx *xmltree.Node, axis Axis, nameTest string) ([]*xmltree.Node, error) {
+	if axis < 0 || int(axis) >= len(labelAxes) {
+		return nil, fmt.Errorf("xpath: unknown axis %v", axis)
+	}
+	ax := labelAxes[axis]
+	holds := e.relation(ax.rel)
+	if holds == nil && ax.rel != "" {
+		return nil, fmt.Errorf("%w: %s (%s)", ErrUnsupported, ax.rel, e.lab.Name())
+	}
 	cl := e.lab.Label(ctx)
 	if cl == nil {
 		return nil, fmt.Errorf("xpath: context node %q unlabelled", ctx.Name())
 	}
-	switch axis {
-	case AxisSelf:
-		return []*xmltree.Node{ctx}, nil
-	case AxisAttribute:
-		// Attributes are identified by the parent relationship plus
-		// node kind.
-		return e.filterLabelled(func(n *xmltree.Node, nl labeling.Label) (bool, error) {
-			if n.Kind() != xmltree.KindAttribute {
-				return false, nil
-			}
-			return e.isParent(cl, nl)
-		})
-	case AxisChild:
-		return e.filterLabelled(func(n *xmltree.Node, nl labeling.Label) (bool, error) {
-			if n.Kind() == xmltree.KindAttribute {
-				return false, nil
-			}
-			return e.isParent(cl, nl)
-		})
-	case AxisParent:
-		return e.filterLabelled(func(n *xmltree.Node, nl labeling.Label) (bool, error) {
-			return e.isParent(nl, cl)
-		})
-	case AxisDescendant, AxisDescendantOrSelf:
-		out, err := e.filterLabelled(func(n *xmltree.Node, nl labeling.Label) (bool, error) {
-			return e.isAncestor(cl, nl)
-		})
-		if err != nil {
-			return nil, err
-		}
-		if axis == AxisDescendantOrSelf {
-			out = append(out, ctx)
-		}
-		return out, nil
-	case AxisAncestor, AxisAncestorOrSelf:
-		out, err := e.filterLabelled(func(n *xmltree.Node, nl labeling.Label) (bool, error) {
-			return e.isAncestor(nl, cl)
-		})
-		if err != nil {
-			return nil, err
-		}
-		if axis == AxisAncestorOrSelf {
-			out = append(out, ctx)
-		}
-		return out, nil
-	case AxisFollowing:
-		return e.filterLabelled(func(n *xmltree.Node, nl labeling.Label) (bool, error) {
-			if n.Kind() == xmltree.KindAttribute {
-				return false, nil
-			}
-			if e.lab.Compare(nl, cl) <= 0 {
-				return false, nil
-			}
-			anc, err := e.isAncestor(cl, nl)
-			if err != nil {
-				return false, err
-			}
-			return !anc, nil
-		})
-	case AxisPreceding:
-		return e.filterLabelled(func(n *xmltree.Node, nl labeling.Label) (bool, error) {
-			if n.Kind() == xmltree.KindAttribute {
-				return false, nil
-			}
-			if e.lab.Compare(nl, cl) >= 0 {
-				return false, nil
-			}
-			anc, err := e.isAncestor(nl, cl)
-			if err != nil {
-				return false, err
-			}
-			return !anc, nil
-		})
-	case AxisFollowingSibling:
-		return e.filterLabelled(func(n *xmltree.Node, nl labeling.Label) (bool, error) {
-			if n.Kind() == xmltree.KindAttribute {
-				return false, nil
-			}
-			sib, err := e.isSibling(cl, nl)
-			if err != nil || !sib {
-				return false, err
-			}
-			return e.lab.Compare(nl, cl) > 0, nil
-		})
-	case AxisPrecedingSibling:
-		return e.filterLabelled(func(n *xmltree.Node, nl labeling.Label) (bool, error) {
-			if n.Kind() == xmltree.KindAttribute {
-				return false, nil
-			}
-			sib, err := e.isSibling(cl, nl)
-			if err != nil || !sib {
-				return false, err
-			}
-			return e.lab.Compare(nl, cl) < 0, nil
-		})
-	default:
-		return nil, fmt.Errorf("xpath: unknown axis %v", axis)
-	}
-}
-
-func (e *Engine) filterLabelled(pred func(n *xmltree.Node, nl labeling.Label) (bool, error)) ([]*xmltree.Node, error) {
 	var out []*xmltree.Node
-	var walkErr error
+	if ax.rel == "" || (ax.rel == sibling && ctx.Kind() == xmltree.KindAttribute) {
+		// Self is the context alone; an attribute has no siblings
+		// (XPath 1.0 §2.2).
+		if ax.orSelf && matchesName(ctx, nameTest) {
+			out = append(out, ctx)
+		}
+		return out, nil
+	}
 	e.doc.WalkLabelled(func(n *xmltree.Node) bool {
-		nl := e.lab.Label(n)
-		if nl == nil {
+		if n == ctx {
+			if ax.orSelf && matchesName(n, nameTest) {
+				out = append(out, n)
+			}
 			return true
 		}
-		ok, err := pred(n, nl)
-		if err != nil {
-			walkErr = err
-			return false
+		if ax.attr != 0 && (n.Kind() == xmltree.KindAttribute) != (ax.attr > 0) {
+			return true
 		}
-		if ok {
-			out = append(out, n)
+		nl := e.lab.Label(n)
+		if nl == nil || !matchesName(n, nameTest) {
+			return true
 		}
+		a, b := cl, nl
+		if ax.up {
+			a, b = nl, cl
+		}
+		if holds(a, b) == ax.off {
+			return true
+		}
+		if ax.order != 0 {
+			if c := e.lab.Compare(nl, cl); c == 0 || (c > 0) != (ax.order > 0) {
+				return true
+			}
+		}
+		out = append(out, n)
 		return true
 	})
-	if walkErr != nil {
-		return nil, walkErr
-	}
 	return out, nil
 }
 
-func (e *Engine) isAncestor(a, d labeling.Label) (bool, error) {
-	ev, ok := e.lab.(labeling.AncestorByLabel)
-	if !ok {
-		return false, fmt.Errorf("%w: ancestor-descendant (%s)", ErrUnsupported, e.lab.Name())
+// relation returns the scheme's test for r, or nil if the scheme
+// cannot decide r from labels.
+func (e *Engine) relation(r relation) func(a, b labeling.Label) bool {
+	switch r {
+	case ancestorDescendant:
+		if ev, ok := e.lab.(labeling.AncestorByLabel); ok {
+			return ev.IsAncestor
+		}
+	case parentChild:
+		if ev, ok := e.lab.(labeling.ParentByLabel); ok {
+			return ev.IsParent
+		}
+	case sibling:
+		if ev, ok := e.lab.(labeling.SiblingByLabel); ok {
+			return ev.IsSibling
+		}
 	}
-	return ev.IsAncestor(a, d), nil
-}
-
-func (e *Engine) isParent(p, c labeling.Label) (bool, error) {
-	ev, ok := e.lab.(labeling.ParentByLabel)
-	if !ok {
-		return false, fmt.Errorf("%w: parent-child (%s)", ErrUnsupported, e.lab.Name())
-	}
-	return ev.IsParent(p, c), nil
-}
-
-func (e *Engine) isSibling(a, b labeling.Label) (bool, error) {
-	ev, ok := e.lab.(labeling.SiblingByLabel)
-	if !ok {
-		return false, fmt.Errorf("%w: sibling (%s)", ErrUnsupported, e.lab.Name())
-	}
-	return ev.IsSibling(a, b), nil
+	return nil
 }
 
 // --- structural evaluation ---------------------------------------------------
@@ -307,7 +254,7 @@ func (e *Engine) selectStructural(ctx *xmltree.Node, axis Axis, nameTest string)
 		return nil, nil
 	case AxisDescendant, AxisDescendantOrSelf:
 		out := xmltree.Descendants(ctx, func(n *xmltree.Node) bool {
-			return nameTest == "" || nameTest == "*" || n.Name() == nameTest
+			return matchesName(n, nameTest)
 		})
 		if axis == AxisDescendantOrSelf {
 			out = append(out, ctx)

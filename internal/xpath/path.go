@@ -2,6 +2,7 @@ package xpath
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -55,9 +56,11 @@ func (e *Engine) Query(path string) ([]*xmltree.Node, error) {
 		// One context's candidates are distinct and ordered, and so are
 		// the children of flat ordered contexts (disjoint subtrees, one
 		// after the other). Nested contexts interleave, and a deep step
-		// reaches a node from each of its selected ancestors.
+		// reaches a node from each of its selected ancestors: the tree
+		// orders the merge, and the duplicates it leaves adjacent go.
 		if len(current) > 1 && (st.deep || !flat) {
-			next = e.uniqueInDocOrder(next)
+			slices.SortFunc(next, xmltree.DocOrderCompare)
+			next = slices.Compact(next)
 		}
 		if st.deep {
 			flat = false
@@ -65,19 +68,6 @@ func (e *Engine) Query(path string) ([]*xmltree.Node, error) {
 		current = next
 	}
 	return current, nil
-}
-
-// uniqueInDocOrder sorts nodes into document order and drops the
-// duplicates, which the sort leaves adjacent.
-func (e *Engine) uniqueInDocOrder(nodes []*xmltree.Node) []*xmltree.Node {
-	e.sortDocOrder(nodes)
-	out := nodes[:0]
-	for i, n := range nodes {
-		if i == 0 || n != nodes[i-1] {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 type step struct {

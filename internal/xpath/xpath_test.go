@@ -3,17 +3,17 @@ package xpath_test
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
+	"xmldyn/internal/core"
 	"xmldyn/internal/labeling"
 	"xmldyn/internal/schemes/containment"
 	"xmldyn/internal/schemes/dewey"
-	"xmldyn/internal/schemes/ordpath"
-	"xmldyn/internal/schemes/qed"
 	"xmldyn/internal/schemes/qrs"
-	"xmldyn/internal/schemes/vector"
+	"xmldyn/internal/update"
+	"xmldyn/internal/workload"
 	"xmldyn/internal/xmltree"
 	"xmldyn/internal/xpath"
 )
@@ -75,63 +75,79 @@ func TestAxesStructuralSampleBook(t *testing.T) {
 }
 
 // TestLabelOnlyMatchesStructural is the XPath-Evaluations property made
-// executable: for every scheme with full label capabilities, the
-// label-only engine must agree with the structural engine on every axis
-// and every context node.
+// executable. On every registry scheme, every axis and every labelled
+// context, attributes included, it holds on the Build-labelled document
+// and after a random, a skewed and a uniform storm:
+//   - an axis whose relation the scheme's labels cannot decide is
+//     ErrUnsupported, from every context, and that set is pinned;
+//   - every other axis answers as the structural engine does, the same
+//     nodes in the same order, on every scheme whose labels are unique.
+//
+// lsdx and com-d, whose labels can tie once a storm has inserted, are
+// held to the second on the Build-labelled document only; the axes they
+// disagree on after a storm are logged (docs/EXPERIMENTS.md).
 func TestLabelOnlyMatchesStructural(t *testing.T) {
-	schemes := []labeling.Interface{
-		dewey.New(), ordpath.New(), qed.NewPrefix(), vector.NewPrefix(),
+	siblings := []xpath.Axis{xpath.AxisFollowingSibling, xpath.AxisPrecedingSibling}
+	noLevel := append([]xpath.Axis{xpath.AxisChild, xpath.AxisParent, xpath.AxisAttribute}, siblings...)
+	unsupported := map[string][]xpath.Axis{
+		"xpath-accelerator": siblings, "xrel": siblings, "prime": siblings,
+		"sector": noLevel, "qrs": noLevel, "vector": noLevel,
 	}
-	axes := []xpath.Axis{
-		xpath.AxisSelf, xpath.AxisChild, xpath.AxisParent,
-		xpath.AxisDescendant, xpath.AxisAncestor,
-		xpath.AxisFollowing, xpath.AxisPreceding,
-		xpath.AxisFollowingSibling, xpath.AxisPrecedingSibling,
-		xpath.AxisAttribute,
+	storms := []workload.Spec{
+		{Kind: workload.Random, Ops: 0}, // none: the Build-labelled document
+		{Kind: workload.Random, Ops: 100, Seed: 1},
+		{Kind: workload.Skewed, Ops: 100},
+		{Kind: workload.Uniform, Ops: 100, Seed: 2},
 	}
-	for _, lab := range schemes {
-		doc := xmltree.Generate(xmltree.GenOptions{Seed: 8, MaxDepth: 4, MaxChildren: 4, AttrProb: 0.4})
-		built(t, doc, lab)
-		truth := xpath.New(doc, lab, xpath.ModeStructural)
-		byLabel := xpath.New(doc, lab, xpath.ModeLabelOnly)
-		ctxs := doc.LabelledNodes()
-		for _, ctx := range ctxs {
-			if ctx.Kind() != xmltree.KindElement {
-				continue
-			}
-			for _, ax := range axes {
-				want, err := truth.Select(ctx, ax, "")
+	for _, scheme := range core.Registry() {
+		t.Run(scheme.Name, func(t *testing.T) {
+			t.Parallel()
+			for _, storm := range storms {
+				doc := xmltree.Generate(xmltree.GenOptions{Seed: 8, MaxDepth: 4, MaxChildren: 4, AttrProb: 0.4})
+				s, err := update.NewSession(doc, scheme.Factory())
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := byLabel.Select(ctx, ax, "")
-				if err != nil {
-					t.Fatalf("%s/%v: %v", lab.Name(), ax, err)
+				if _, err := workload.Apply(s, storm); err != nil {
+					t.Fatal(err)
 				}
-				if !sameNodes(got, want) {
-					t.Fatalf("%s: axis %v at %s: label-only %q != structural %q",
-						lab.Name(), ax, ctx.Name(), names(got), names(want))
+				where := fmt.Sprintf("%s after %d %v ops", scheme.Name, storm.Ops, storm.Kind)
+				truth := xpath.New(doc, s.Labeling(), xpath.ModeStructural)
+				byLabel := xpath.New(doc, s.Labeling(), xpath.ModeLabelOnly)
+				var disagree []xpath.Axis
+				for ax := xpath.AxisSelf; ax <= xpath.AxisAttribute; ax++ {
+					for _, ctx := range doc.LabelledNodes() {
+						want, err := truth.Select(ctx, ax, "")
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := byLabel.Select(ctx, ax, "")
+						if slices.Contains(unsupported[scheme.Name], ax) {
+							if !errors.Is(err, xpath.ErrUnsupported) {
+								t.Fatalf("%s: axis %v at %s: want ErrUnsupported, got %v", where, ax, ctx.Name(), err)
+							}
+							continue
+						}
+						if err != nil {
+							t.Fatalf("%s: axis %v at %s: %v", where, ax, ctx.Name(), err)
+						}
+						if slices.Equal(got, want) {
+							continue
+						}
+						if scheme.UniqueLabels || storm.Ops == 0 {
+							t.Fatalf("%s: axis %v at %s %s: label-only %q != structural %q",
+								where, ax, ctx.Kind(), ctx.Name(), names(got), names(want))
+						}
+						disagree = append(disagree, ax)
+						break
+					}
+				}
+				if len(disagree) > 0 {
+					t.Logf("%s: label-only disagrees on %v", where, disagree)
 				}
 			}
-		}
+		})
 	}
-}
-
-func sameNodes(a, b []*xmltree.Node) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	as := append([]*xmltree.Node{}, a...)
-	bs := append([]*xmltree.Node{}, b...)
-	key := func(n *xmltree.Node) string { return fmt.Sprintf("%p", n) }
-	sort.Slice(as, func(i, j int) bool { return key(as[i]) < key(as[j]) })
-	sort.Slice(bs, func(i, j int) bool { return key(bs[i]) < key(bs[j]) })
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestPartialSchemesFailSiblingAxis: containment labels without sibling

@@ -232,9 +232,11 @@ func Query(s *Session, path string) ([]*Node, error) {
 	return slices.Clone(nodes), err
 }
 
-// LabelQuery returns an engine that answers axes purely from label
-// comparisons — the paper's "from the node label alone" XPath property.
-// Axes the scheme cannot decide return xpath.ErrUnsupported.
+// LabelQuery returns an engine whose Select answers axes purely from
+// label comparisons — the paper's "from the node label alone" XPath
+// property. Axes the scheme cannot decide return xpath.ErrUnsupported.
+// Only Select decides from labels: the engine's Query reads the tree,
+// as Query does, and answers as it does.
 func LabelQuery(s *Session) *Engine {
 	return xpath.New(s.Document(), s.Labeling(), xpath.ModeLabelOnly)
 }

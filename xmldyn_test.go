@@ -167,6 +167,33 @@ func TestLabelQueryCapabilities(t *testing.T) {
 	}
 }
 
+// TestLabelQueryPathsMatchQuery: a label-only engine's path queries
+// read the tree, as the session's own engine does, so on every scheme
+// they answer what Query answers: a deep step, a child step, a
+// predicate, and merges of nested contexts.
+func TestLabelQueryPathsMatchQuery(t *testing.T) {
+	paths := []string{"/book/publisher//name", "/book/*", "//edition[@year='2004']", "//*//*", "//*/*"}
+	for _, scheme := range Schemes() {
+		s, err := Open(SampleBook(), scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range paths {
+			want, err := Query(s, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := LabelQuery(s).Query(p)
+			if err != nil {
+				t.Fatalf("%s %s: %v", scheme, p, err)
+			}
+			if len(want) == 0 || !slices.Equal(got, want) {
+				t.Errorf("%s %s: label-only engine %d nodes, Query %d", scheme, p, len(got), len(want))
+			}
+		}
+	}
+}
+
 func TestMatrixFacade(t *testing.T) {
 	pub := PublishedMatrix()
 	if len(pub) != 12 {
