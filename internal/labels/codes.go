@@ -60,13 +60,16 @@ type Codes[S spelling[S], P interface {
 // Between is the insertion rule of S on what left and right point to
 // (nil is an open end), with the result cut from the chunks.
 func (c *Codes[S, P]) Between(left, right Code) (Code, error) {
-	l, err := c.unbox(left)
+	lp, rp, err := Neighbours[P](left, right)
 	if err != nil {
 		return nil, err
 	}
-	r, err := c.unbox(right)
-	if err != nil {
-		return nil, err
+	var l, r S
+	if lp != nil {
+		l = *lp
+	}
+	if rp != nil {
+		r = *rp
 	}
 	base, suffix, err := l.split(r)
 	if err != nil {
@@ -99,20 +102,6 @@ func (c *Codes[S, P]) cut(base S, suffix string) S {
 	c.digits.WriteString(string(base))
 	c.digits.WriteString(suffix)
 	return S(c.digits.String()[at:])
-}
-
-// unbox reads a code in its one boxed form, P; nil is "". An S value is
-// refused like any foreign code, so a caller that boxes one fails here
-// rather than passing unnoticed.
-func (*Codes[S, P]) unbox(c Code) (S, error) {
-	if c == nil {
-		return "", nil
-	}
-	p, ok := c.(P)
-	if !ok {
-		return "", fmt.Errorf("%w: %T is not a %T", ErrBadCode, c, p)
-	}
-	return *p, nil
 }
 
 // Cut hands out the next n elements of *chunk, zero, from a slice that

@@ -117,50 +117,35 @@ func (a *IntAlgebra) code(v int64) Code {
 // of every dense insert (DeweyID takes it on each one) and the caller
 // relabels without reading the text, so ErrNeedRelabel is returned bare.
 func (a *IntAlgebra) Between(left, right Code) (Code, error) {
-	var l, r int64
-	hasL, hasR := left != nil, right != nil
-	if hasL {
-		lc, ok := left.(*IntCode)
-		if !ok {
-			return nil, fmt.Errorf("%w: %T is not a *IntCode", ErrBadCode, left)
-		}
-		l = lc.V
-	}
-	if hasR {
-		rc, ok := right.(*IntCode)
-		if !ok {
-			return nil, fmt.Errorf("%w: %T is not a *IntCode", ErrBadCode, right)
-		}
-		r = rc.V
-	}
-	if hasL && hasR && l >= r {
-		return nil, fmt.Errorf("%w: %d not before %d", ErrBadCode, l, r)
+	l, r, err := Neighbours[*IntCode](left, right)
+	if err != nil {
+		return nil, err
 	}
 	switch {
-	case !hasL && !hasR:
+	case l == nil && r == nil:
 		return a.code(a.cfg.Start), nil
-	case !hasL: // before first
-		if r <= a.cfg.Floor {
+	case l == nil: // before first
+		if r.V <= a.cfg.Floor {
 			return nil, ErrNeedRelabel
 		}
 		if a.cfg.Midpoint {
-			return a.code(a.cfg.Floor + (r-a.cfg.Floor)>>1), nil
+			return a.code(a.cfg.Floor + (r.V-a.cfg.Floor)>>1), nil
 		}
-		return a.code(r - 1), nil
-	case !hasR: // after last
-		v := l + a.cfg.Gap
+		return a.code(r.V - 1), nil
+	case r == nil: // after last
+		v := l.V + a.cfg.Gap
 		if v >= a.max() {
 			return nil, fmt.Errorf("%w: %d exceeds %d-bit space", ErrOverflow, v, a.cfg.Width)
 		}
 		return a.code(v), nil
+	case l.V >= r.V:
+		return nil, fmt.Errorf("%w: %d not before %d", ErrBadCode, l.V, r.V)
+	case r.V-l.V < 2:
+		return nil, ErrNeedRelabel
+	case a.cfg.Midpoint:
+		return a.code(l.V + (r.V-l.V)>>1), nil
 	default:
-		if r-l < 2 {
-			return nil, ErrNeedRelabel
-		}
-		if a.cfg.Midpoint {
-			return a.code(l + (r-l)>>1), nil
-		}
-		return a.code(l + 1), nil
+		return a.code(l.V + 1), nil
 	}
 }
 

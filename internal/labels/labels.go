@@ -84,13 +84,42 @@ var (
 // Assign produces n codes in strictly ascending order for initial
 // document loading; the result is a read-only view of a row the whole
 // process shares (Bulk) — index it, copy out of it, never write it, and
-// an append copies. Between produces a code strictly between left and
-// right; a nil left means "before the first code", a nil right means
-// "after the last code". Compare orders any two codes of the algebra.
+// an append copies. Compare orders any two codes of the algebra.
+//
+// Between produces a code strictly between left and right. Its
+// neighbour contract:
+//   - a nil left means "before the first code", a nil right means
+//     "after the last code";
+//   - a neighbour of another type is refused with ErrBadCode, and so is
+//     the other boxed form of the algebra's own code (a value where the
+//     algebra mints pointers, or a pointer where it mints values): every
+//     Between reads its neighbours through Neighbours;
+//   - a refused Between returns a nil code;
+//   - LSDX and Com-D make a code for any pair, out of order too: their
+//     published rules do not check it, which is their uniqueness defect.
 type Algebra interface {
 	Assign(n int) ([]Code, error)
 	Between(left, right Code) (Code, error)
 	Compare(a, b Code) int
+}
+
+// Neighbours reads the neighbours handed to a Between as P, the one
+// form of the algebra's codes: nil, an open end, is P's zero value, and
+// any other type, the other boxed form of P's code included, is
+// ErrBadCode.
+func Neighbours[P Code](left, right Code) (l, r P, err error) {
+	l, okL := left.(P)
+	r, okR := right.(P)
+	switch {
+	case !okL && left != nil:
+		err = fmt.Errorf("%w: %T is not a %T", ErrBadCode, left, l)
+	case !okR && right != nil:
+		err = fmt.Errorf("%w: %T is not a %T", ErrBadCode, right, r)
+	default:
+		return l, r, nil
+	}
+	var zero P
+	return zero, zero, err
 }
 
 // Counters is what the framework grades an algebra's bulk labelling

@@ -69,11 +69,7 @@ func (a *Algebra) assign(n int) ([]labels.Code, error) {
 // insertions require relabelling — the reason the paper excludes the
 // scheme from its dynamic survey.
 func (a *Algebra) Between(left, right labels.Code) (labels.Code, error) {
-	l, err := toCode(left)
-	if err != nil {
-		return nil, err
-	}
-	r, err := toCode(right)
+	l, r, err := labels.Neighbours[Code](left, right)
 	if err != nil {
 		return nil, err
 	}
@@ -93,17 +89,6 @@ func (a *Algebra) Between(left, right labels.Code) (labels.Code, error) {
 // '0' < '1' makes a shorter code's terminal zero decide.
 func (a *Algebra) Compare(x, y labels.Code) int {
 	return strings.Compare(string(x.(Code)), string(y.(Code)))
-}
-
-func toCode(c labels.Code) (Code, error) {
-	if c == nil {
-		return "", nil
-	}
-	cc, ok := c.(Code)
-	if !ok {
-		return "", fmt.Errorf("%w: %T is not a cohen bit code", labels.ErrBadCode, c)
-	}
-	return cc, nil
 }
 
 // New returns a Cohen bit-code prefix labeling.

@@ -60,15 +60,11 @@ func (a *Algebra) assign(n int) ([]labels.Code, error) {
 
 // Between implements labels.Algebra.
 func (a *Algebra) Between(left, right labels.Code) (labels.Code, error) {
-	l, err := unwrap(left)
+	l, r, err := labels.Neighbours[Code](left, right)
 	if err != nil {
 		return nil, err
 	}
-	r, err := unwrap(right)
-	if err != nil {
-		return nil, err
-	}
-	m, err := a.inner.Between(l, r)
+	m, err := a.inner.Between(lsdx.Code(l.raw), lsdx.Code(r.raw))
 	if err != nil {
 		return nil, err
 	}
@@ -91,17 +87,6 @@ func (a *Algebra) Compare(x, y labels.Code) int {
 	default:
 		return 0
 	}
-}
-
-func unwrap(c labels.Code) (labels.Code, error) {
-	if c == nil {
-		return nil, nil
-	}
-	cc, ok := c.(Code)
-	if !ok {
-		return nil, fmt.Errorf("%w: %T is not a Com-D code", labels.ErrBadCode, c)
-	}
-	return lsdx.Code(cc.raw), nil
 }
 
 // Render formats a Com-D label like LSDX but with compressed components.

@@ -93,13 +93,14 @@ func (a *Algebra) assign(n int) ([]labels.Code, error) {
 
 // Between implements labels.Algebra.
 func (a *Algebra) Between(left, right labels.Code) (labels.Code, error) {
-	l, err := toCode(left, a.width)
+	l, r, err := labels.Neighbours[Code](left, right)
 	if err != nil {
 		return nil, err
 	}
-	r, err := toCode(right, a.width)
-	if err != nil {
-		return nil, err
+	for _, c := range [2]Code{l, r} {
+		if c.vals != nil && c.width != a.width {
+			return nil, fmt.Errorf("%w: DLN width mismatch %d != %d", labels.ErrBadCode, c.width, a.width)
+		}
 	}
 	switch {
 	case l.vals == nil && r.vals == nil:
@@ -122,7 +123,7 @@ func (a *Algebra) Between(left, right labels.Code) (labels.Code, error) {
 		return Code{vals: []uint64{v}, width: a.width}, nil
 	default:
 		if compare(l, r) >= 0 {
-			return Code{}, fmt.Errorf("%w: %s not before %s", labels.ErrBadCode, l, r)
+			return nil, fmt.Errorf("%w: %s not before %s", labels.ErrBadCode, l, r)
 		}
 		return a.betweenCodes(l, r)
 	}
@@ -209,20 +210,6 @@ func compare(x, y Code) int {
 	default:
 		return 0
 	}
-}
-
-func toCode(c labels.Code, width int) (Code, error) {
-	if c == nil {
-		return Code{}, nil
-	}
-	dc, ok := c.(Code)
-	if !ok {
-		return Code{}, fmt.Errorf("%w: %T is not a DLN code", labels.ErrBadCode, c)
-	}
-	if dc.width != width {
-		return Code{}, fmt.Errorf("%w: DLN width mismatch %d != %d", labels.ErrBadCode, dc.width, width)
-	}
-	return dc, nil
 }
 
 // New returns a DLN labeling at the default component width.

@@ -81,11 +81,7 @@ func successor(s string) string {
 // rules. It never requests a relabel — LSDX always produces *a* label;
 // whether the label is unique is exactly the defect under study.
 func (a *Algebra) Between(left, right labels.Code) (labels.Code, error) {
-	l, err := toCode(left)
-	if err != nil {
-		return nil, err
-	}
-	r, err := toCode(right)
+	l, r, err := labels.Neighbours[Code](left, right)
 	if err != nil {
 		return nil, err
 	}
@@ -120,17 +116,6 @@ func (a *Algebra) Between(left, right labels.Code) (labels.Code, error) {
 // Compare implements labels.Algebra: plain lexicographic letter order.
 func (a *Algebra) Compare(x, y labels.Code) int {
 	return strings.Compare(string(x.(Code)), string(y.(Code)))
-}
-
-func toCode(c labels.Code) (Code, error) {
-	if c == nil {
-		return "", nil
-	}
-	lc, ok := c.(Code)
-	if !ok {
-		return "", fmt.Errorf("%w: %T is not an LSDX code", labels.ErrBadCode, c)
-	}
-	return lc, nil
 }
 
 // RootCode is the root element's positional identifier: the root is

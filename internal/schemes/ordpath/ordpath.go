@@ -126,16 +126,19 @@ func (a *Algebra) assign(n int) ([]labels.Code, error) {
 // new code is spelled in a buffer on the stack and copied into the
 // chunks.
 func (a *Algebra) Between(left, right labels.Code) (labels.Code, error) {
-	l, err := toCode(left)
+	l, r, err := labels.Neighbours[*Code](left, right)
 	if err != nil {
 		return nil, err
 	}
-	r, err := toCode(right)
-	if err != nil {
-		return nil, err
+	var lv, rv Code
+	if l != nil {
+		lv = *l
+	}
+	if r != nil {
+		rv = *r
 	}
 	var buf [16]int64
-	m, err := a.spell(buf[:0], l, r)
+	m, err := a.spell(buf[:0], lv, rv)
 	if err != nil {
 		return nil, err
 	}
@@ -259,19 +262,6 @@ func (a *Algebra) Compare(p, q labels.Code) int {
 	default:
 		return 0
 	}
-}
-
-// toCode reads a code in the one boxed form, *Code; nil is the zero
-// Code. A Code value is refused like any foreign code.
-func toCode(c labels.Code) (Code, error) {
-	if c == nil {
-		return Code{}, nil
-	}
-	oc, ok := c.(*Code)
-	if !ok {
-		return Code{}, fmt.Errorf("%w: %T is not an ORDPATH code", labels.ErrBadCode, c)
-	}
-	return *oc, nil
 }
 
 // New returns an ORDPATH labeling.

@@ -65,30 +65,20 @@ func (a *Algebra) assign(n int) ([]labels.Code, error) {
 // Between implements labels.Algebra: the float midpoint, failing with
 // ErrNeedRelabel once the mantissa can no longer separate the bounds.
 func (a *Algebra) Between(left, right labels.Code) (labels.Code, error) {
-	var l, r float64
-	hasL, hasR := left != nil, right != nil
-	if hasL {
-		lc, ok := left.(*Code)
-		if !ok {
-			return nil, fmt.Errorf("%w: %T is not a *qrs.Code", labels.ErrBadCode, left)
-		}
+	lc, rc, err := labels.Neighbours[*Code](left, right)
+	if err != nil {
+		return nil, err
+	}
+	var l float64 // an open left end is 0
+	switch {
+	case lc == nil && rc == nil:
+		return a.code(1), nil
+	case rc == nil:
+		return a.code(float64(*lc) + 1), nil
+	case lc != nil:
 		l = float64(*lc)
 	}
-	if hasR {
-		rc, ok := right.(*Code)
-		if !ok {
-			return nil, fmt.Errorf("%w: %T is not a *qrs.Code", labels.ErrBadCode, right)
-		}
-		r = float64(*rc)
-	}
-	switch {
-	case !hasL && !hasR:
-		return a.code(1), nil
-	case !hasL:
-		l = 0
-	case !hasR:
-		return a.code(l + 1), nil
-	}
+	r := float64(*rc)
 	if l >= r {
 		return nil, fmt.Errorf("%w: %v not before %v", labels.ErrBadCode, l, r)
 	}

@@ -120,19 +120,15 @@ func (a *Algebra) fill(out []labels.Code, lo, hi int, l, r Code, d int, depth *i
 // component exceeds the UTF-8-style limit — the paper's §4 question made
 // concrete.
 func (a *Algebra) Between(left, right labels.Code) (labels.Code, error) {
+	lc, rc, err := labels.Neighbours[*Code](left, right)
+	if err != nil {
+		return nil, err
+	}
 	l, r := boundLeft, boundRight
-	if left != nil {
-		lc, ok := left.(*Code)
-		if !ok {
-			return nil, fmt.Errorf("%w: %T is not a *vector.Code", labels.ErrBadCode, left)
-		}
+	if lc != nil {
 		l = *lc
 	}
-	if right != nil {
-		rc, ok := right.(*Code)
-		if !ok {
-			return nil, fmt.Errorf("%w: %T is not a *vector.Code", labels.ErrBadCode, right)
-		}
+	if rc != nil {
 		r = *rc
 	}
 	if !gradLess(l, r) {
