@@ -516,8 +516,8 @@ func TestCommitCarriersAllocNothing(t *testing.T) {
 var mapSink any
 
 // insertAllocs is what a transaction of n element inserts on a qed
-// document may allocate — per transaction, not per node: its nodes' slabs
-// (four nodes to a slab, update.freshFor), at most one chunk of code
+// document may allocate — per transaction, not per node: at most ⌈n/4⌉
+// chunks of its session's nodes (four to a chunk), at most one chunk of code
 // digits and one of code headers (labels.QCodes; the codes here stay
 // short), and one to spare for a child list that grows.
 func insertAllocs(n int) float64 { return float64((n+3)/4 + 2 + 1) }

@@ -100,12 +100,18 @@ func (pl *Labeling) assignChildren(parent *xmltree.Node) error {
 type Path struct {
 	codes []labels.Code
 	cfg   *Config
+	room  [pathRoom]labels.Code // codes, for a path of up to pathRoom
 }
+
+// pathRoom is how many components a Path holds inline: the deepest node
+// of a generated corpus (a 20 000-node BaseDocument) has eight, and
+// eight make a Path 160 B, a size class.
+const pathRoom = 8
 
 // String renders the path using the scheme's renderer. The default
 // renderer joins component strings with dots, skipping empty components
 // (ImprovedBinary assigns the root the empty string).
-func (p Path) String() string {
+func (p *Path) String() string {
 	if p.cfg.Render != nil {
 		return p.cfg.Render(p.codes)
 	}
@@ -119,7 +125,7 @@ func (p Path) String() string {
 }
 
 // Bits implements labeling.Label.
-func (p Path) Bits() int {
+func (p *Path) Bits() int {
 	total := 0
 	for _, c := range p.codes {
 		total += c.Bits()
@@ -127,27 +133,31 @@ func (p Path) Bits() int {
 	return total + p.cfg.ExtraBitsPerLevel*len(p.codes)
 }
 
-// Label implements labeling.Interface. Two allocations: the depth is
-// counted first and the path filled from the back into one slice, then
-// the Path is boxed.
+// Label implements labeling.Interface. One allocation for a path of up
+// to pathRoom components, the Path with its codes inline; a deeper one
+// adds its code slice. The path is filled from the back.
 func (pl *Labeling) Label(n *xmltree.Node) labeling.Label {
 	depth := n.Depth() + 1
-	codes := make([]labels.Code, depth)
+	p := &Path{cfg: &pl.cfg}
+	p.codes = p.room[:min(depth, pathRoom)]
+	if depth > pathRoom {
+		p.codes = make([]labels.Code, depth)
+	}
 	for x := n; x != nil; x = xmltree.LabelledParent(x) {
 		c, ok := pl.codes.Get(x)
 		if !ok {
 			return nil
 		}
 		depth--
-		codes[depth] = c
+		p.codes[depth] = c
 	}
-	return Path{codes: codes, cfg: &pl.cfg}
+	return p
 }
 
 // Compare implements labeling.Interface: component-wise algebra order
 // with an ancestor (proper path prefix) ordered before its descendants.
 func (pl *Labeling) Compare(a, b labeling.Label) int {
-	pa, pb := a.(Path), b.(Path)
+	pa, pb := a.(*Path), b.(*Path)
 	n := len(pa.codes)
 	if len(pb.codes) < n {
 		n = len(pb.codes)
@@ -220,7 +230,7 @@ func (pl *Labeling) CompareNodes(a, b *xmltree.Node) (int, bool) {
 // IsAncestor implements labeling.AncestorByLabel: label(a) is a proper
 // prefix of label(d) (paper §3.1.2).
 func (pl *Labeling) IsAncestor(a, d labeling.Label) bool {
-	pa, pd := a.(Path), d.(Path)
+	pa, pd := a.(*Path), d.(*Path)
 	if len(pa.codes) >= len(pd.codes) {
 		return false
 	}
@@ -234,14 +244,14 @@ func (pl *Labeling) IsAncestor(a, d labeling.Label) bool {
 
 // IsParent implements labeling.ParentByLabel.
 func (pl *Labeling) IsParent(p, c labeling.Label) bool {
-	pp, pc := p.(Path), c.(Path)
+	pp, pc := p.(*Path), c.(*Path)
 	return len(pp.codes)+1 == len(pc.codes) && pl.IsAncestor(p, c)
 }
 
 // IsSibling implements labeling.SiblingByLabel: equal-length paths that
 // agree on every component except the last.
 func (pl *Labeling) IsSibling(a, b labeling.Label) bool {
-	pa, pb := a.(Path), b.(Path)
+	pa, pb := a.(*Path), b.(*Path)
 	if len(pa.codes) != len(pb.codes) || len(pa.codes) == 0 {
 		return false
 	}
@@ -256,7 +266,7 @@ func (pl *Labeling) IsSibling(a, b labeling.Label) bool {
 // Level implements labeling.LevelByLabel: the component count determines
 // depth (root element is level 0).
 func (pl *Labeling) Level(l labeling.Label) (int, bool) {
-	return len(l.(Path).codes) - 1, true
+	return len(l.(*Path).codes) - 1, true
 }
 
 // NodeInserted implements labeling.Interface. The new node is already

@@ -2,6 +2,8 @@ package prefix_test
 
 import (
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"runtime"
 	"testing"
 
@@ -9,7 +11,9 @@ import (
 	"xmldyn/internal/labels"
 	"xmldyn/internal/schemes/dewey"
 	"xmldyn/internal/schemes/prefix"
+	"xmldyn/internal/schemes/qed"
 	"xmldyn/internal/update"
+	"xmldyn/internal/workload"
 	"xmldyn/internal/xmltree"
 )
 
@@ -213,28 +217,75 @@ func TestPrefixBadAlgebraPropagates(t *testing.T) {
 }
 
 // TestLabelAllocations pins the cost of materialising one prefix label:
-// the code slice and the boxed Path, at any depth. Every prefix scheme
-// shares Label; commit-time verification no longer calls it for a pair
+// one allocation, the boxed Path with its components inline, for a path
+// of up to eight components (the deepest node of a generated corpus);
+// a deeper one adds its component slice. Every prefix scheme shares
+// Label; commit-time verification does not call it for a pair
 // CompareNodes decides, readers and error reports still do.
 func TestLabelAllocations(t *testing.T) {
-	doc, err := xmltree.ParseString("<d0><d1><d2><d3><d4><d5><d6/></d5></d4></d3></d2></d1></d0>")
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc := xmltree.GenerateDeep(12)
 	lab := dewey.New()
 	if err := lab.Build(doc); err != nil {
 		t.Fatal(err)
 	}
-	deep := doc.FindElement("d6")
-	if got := lab.Label(deep).String(); got != "1.1.1.1.1.1.1" {
-		t.Fatalf("depth-6 label = %s", got)
-	}
 	var sink labeling.Label
-	if a := testing.AllocsPerRun(100, func() { sink = lab.Label(deep) }); a > 2 {
-		t.Fatalf("Label of a depth-6 node allocates %.0f times, want at most 2", a)
+	for _, c := range []struct {
+		depth int
+		want  string
+		max   float64
+	}{
+		{6, "1.1.1.1.1.1.1", 1},
+		{7, "1.1.1.1.1.1.1.1", 1},
+		{8, "1.1.1.1.1.1.1.1.1", 2},
+	} {
+		n := doc.Root()
+		for range c.depth {
+			n = n.Children()[0]
+		}
+		if got := lab.Label(n).String(); got != c.want {
+			t.Fatalf("depth-%d label = %s, want %s", c.depth, got, c.want)
+		}
+		if a := testing.AllocsPerRun(100, func() { sink = lab.Label(n) }); a > c.max {
+			t.Errorf("Label of a depth-%d node allocates %.0f times, want at most %.0f", c.depth, a, c.max)
+		}
 	}
 	_ = sink
 }
+
+// TestLabelOfGeneratedCorpus: every label of a QED BaseDocument(1, 1000)
+// is one allocation, and the labels read as they always have — the same
+// total bits and the same text (an FNV-64a of every label's String in
+// document order).
+func TestLabelOfGeneratedCorpus(t *testing.T) {
+	doc := workload.BaseDocument(1, 1000)
+	lab := qed.NewPrefix()
+	if err := lab.Build(doc); err != nil {
+		t.Fatal(err)
+	}
+	if got := labeling.TotalBits(lab, doc); got != qedBaseBits {
+		t.Errorf("TotalBits = %d, want %d", got, qedBaseBits)
+	}
+	h := fnv.New64a()
+	var sink labeling.Label
+	doc.WalkLabelled(func(n *xmltree.Node) bool {
+		fmt.Fprintln(h, lab.Label(n))
+		if a := testing.AllocsPerRun(10, func() { sink = lab.Label(n) }); a > 1 {
+			t.Fatalf("Label of %q at depth %d allocates %.0f times, want at most 1", n.Name(), n.Depth(), a)
+		}
+		return true
+	})
+	_ = sink
+	if got := h.Sum64(); got != qedBaseDigest {
+		t.Errorf("label text digest = %#x, want %#x", got, qedBaseDigest)
+	}
+}
+
+// The readings of TestLabelOfGeneratedCorpus, as two allocations a label
+// read them.
+const (
+	qedBaseBits          = 26358
+	qedBaseDigest uint64 = 0xcb69cf6a4fd2f2fb
+)
 
 // TestRelabelAllocsIndependentOfSiblings: a DeweyID front insert
 // relabels every sibling and pays for none of them — the new codes are a

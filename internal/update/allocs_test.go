@@ -91,15 +91,17 @@ func (l *silentLabels) NodeInserted(*xmltree.Node) error { return nil }
 func (l *silentLabels) NodeDeleting(*xmltree.Node)       {}
 func (l *silentLabels) Stats() *labeling.Stats           { return &l.stats }
 
-// slabBytes is what a slab of 1 to 4 nodes of 88 bytes costs: the size
-// class of its array, no more (xmltree.TestNodeSize holds the 88).
-var slabBytes = [...]uint64{0, 96, 176, 288, 352}
+// chunkBytes is what a chunk of four 88-byte nodes costs: its size
+// class, no more (xmltree.TestNodeSize holds the 88).
+const chunkBytes = 352
 
-// TestTransactionNodesFromSlabs: the nodes a transaction creates — one
-// per element insert and per set-text with a value — are cut from slabs
-// of at most four, so k of them cost ⌈k/4⌉ allocations: the first slab
-// holds what full slabs leave over, and each costs its size class.
-func TestTransactionNodesFromSlabs(t *testing.T) {
+// TestSessionNodesFromChunks: the nodes a transaction creates — one per
+// element insert and per set-text with a value — are cut from the
+// session's chunk of four, which outlives the transaction, so a run of
+// transactions that create n nodes in total costs ⌈n/4⌉ allocations of
+// a chunk each, whatever the transactions' sizes. An aborted
+// transaction's nodes are cut like any other's and never cut again.
+func TestSessionNodesFromChunks(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
@@ -112,54 +114,88 @@ func TestTransactionNodesFromSlabs(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := doc.Root()
-	for _, k := range []int{1, 2, 3, 4, 5, 8, 16, 17, 31} {
-		for _, text := range []bool{false, true} {
-			ops := []update.Op{update.SetTextOp(root, "")} // creates nothing
-			for len(ops) < k {
-				ops = append(ops, update.AppendChildOp(root, "n"))
-			}
-			if text {
-				ops = append(ops, update.SetTextOp(root, "v"))
-			} else {
-				ops = append(ops, update.AppendChildOp(root, "n"))
-			}
-			run := func() {
-				if _, err := s.Stage(ops); err != nil {
-					t.Fatal(err)
-				}
-				s.Commit()
-			}
-			// The first run grows the root's child list and the undo log;
-			// detaching the children again keeps both as large.
-			empty := func() {
-				for kids := root.Children(); len(kids) > 0; kids = root.Children() {
-					kids[len(kids)-1].Detach()
-				}
-			}
-			run()
-			empty()
-			// MemStats count the whole process, so another goroutine's
-			// allocation can land in a reading but only ever adds to it:
-			// of three readings, the one with the fewest allocations is
-			// the transaction's, and a real extra slab shows in all three.
-			var allocs, bytes uint64
-			for i := range 3 {
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				run()
-				runtime.ReadMemStats(&after)
-				if got := len(root.Children()); got != k {
-					t.Fatalf("k=%d: the transaction left %d children, want %d", k, got, k)
-				}
-				empty()
-				if a := after.Mallocs - before.Mallocs; i == 0 || a < allocs {
-					allocs, bytes = a, after.TotalAlloc-before.TotalAlloc
-				}
-			}
-			want, wantBytes := uint64(k+3)/4, uint64(k/4)*slabBytes[4]+slabBytes[k%4]
-			if allocs != want || bytes != wantBytes {
-				t.Errorf("k=%d (set-text %v): %d allocations, %d B; want %d and %d B", k, text, allocs, bytes, want, wantBytes)
-			}
+	// ops(k, text) creates k nodes under root, the last a text node if
+	// text.
+	ops := func(k int, text bool) []update.Op {
+		ops := []update.Op{update.SetTextOp(root, "")} // creates nothing
+		for len(ops) < k {
+			ops = append(ops, update.AppendChildOp(root, "n"))
 		}
+		if text {
+			return append(ops, update.SetTextOp(root, "v"))
+		}
+		return append(ops, update.AppendChildOp(root, "n"))
+	}
+	type txn struct {
+		ops   []update.Op
+		abort bool
+	}
+	var txns []txn
+	n := 0
+	for _, text := range []bool{false, true} {
+		for _, k := range []int{1, 2, 3, 5, 17} {
+			txns = append(txns, txn{ops: ops(k, text)})
+			n += k
+		}
+		if !text {
+			txns = append(txns, txn{ops: ops(3, false), abort: true})
+			n += 3
+		}
+	}
+	do := func(x txn) {
+		if _, err := s.Stage(x.ops); err != nil {
+			t.Fatal(err)
+		}
+		if x.abort {
+			if err := s.Abort(); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		s.Commit()
+	}
+	run := func() {
+		for _, x := range txns {
+			do(x)
+		}
+	}
+	// The first run grows the root's child list and the undo log;
+	// detaching the children again keeps both as large. pad uses up the
+	// chunk, so that each measured run starts without an uncut node.
+	empty := func() {
+		for kids := root.Children(); len(kids) > 0; kids = root.Children() {
+			kids[len(kids)-1].Detach()
+		}
+	}
+	padding := txn{ops: ops(4-n%4, false)}
+	pad := func() {
+		do(padding)
+		empty()
+	}
+	run()
+	pad()
+	// MemStats count the whole process, so another goroutine's
+	// allocation can land in a reading but only ever adds to it: of
+	// three readings, the one with the fewest allocations is the run's,
+	// and a real extra chunk shows in all three.
+	var allocs, bytes uint64
+	for i := range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		// Every committed node stays but the four texts a later
+		// set-text replaced.
+		if got, want := len(root.Children()), n-3-4; got != want {
+			t.Fatalf("the run left %d children, want %d", got, want)
+		}
+		pad()
+		if a := after.Mallocs - before.Mallocs; i == 0 || a < allocs {
+			allocs, bytes = a, after.TotalAlloc-before.TotalAlloc
+		}
+	}
+	want := uint64(n+3) / 4
+	if allocs != want || bytes != want*chunkBytes {
+		t.Errorf("%d nodes: %d allocations, %d B; want %d and %d B", n, allocs, bytes, want, want*chunkBytes)
 	}
 }

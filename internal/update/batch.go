@@ -323,10 +323,9 @@ func (s *Session) stage(ops []Op, created []*xmltree.Node) (int, error) {
 	clear(s.undo)
 	s.undo = s.undo[:0]
 	s.saved, s.savedMark = s.ctr, s.lab.Stats().Relabelling()
-	fresh := freshFor(ops)
 	inserted := 0
 	for i := range ops {
-		n, err := s.applyOp(&ops[i], &fresh)
+		n, err := s.applyOp(&ops[i])
 		if err != nil {
 			return 0, s.abort(opError(i, &ops[i], err))
 		}
@@ -563,7 +562,7 @@ func (s *Session) attached(n *xmltree.Node) bool {
 // subtree is a move into itself, reported as the cycle it is: checked
 // here, against the tree as the earlier ops left it, and not at
 // validation, because an earlier op of the list may move the ref out.
-func (s *Session) applyOp(op *Op, fresh *freshNodes) (*xmltree.Node, error) {
+func (s *Session) applyOp(op *Op) (*xmltree.Node, error) {
 	if !s.attached(op.Ref) {
 		if t := op.Subtree; t != nil && (t == op.Ref || t.IsAncestorOf(op.Ref)) {
 			return nil, xmltree.ErrCycle
@@ -572,7 +571,7 @@ func (s *Session) applyOp(op *Op, fresh *freshNodes) (*xmltree.Node, error) {
 	}
 	switch op.Kind {
 	case OpInsertBefore, OpInsertAfter, OpInsertFirstChild, OpAppendChild:
-		n := fresh.cut(xmltree.KindElement, op.Name, "")
+		n := s.fresh.cut(xmltree.KindElement, op.Name, "")
 		return n, s.graft(op, n)
 	case OpInsertSubtreeBefore, OpInsertSubtreeAfter, OpInsertSubtreeFirst, OpAppendSubtree:
 		return nil, s.graft(op, op.Subtree)
@@ -580,7 +579,7 @@ func (s *Session) applyOp(op *Op, fresh *freshNodes) (*xmltree.Node, error) {
 		s.detach(op.Ref)
 		return nil, nil
 	case OpSetText:
-		return nil, s.setText(op.Ref, op.Value, fresh)
+		return nil, s.setText(op.Ref, op.Value)
 	case OpRename:
 		return nil, s.rename(op.Ref, op.Name)
 	default: // OpSetAttr: validateBatch admits no other kind
@@ -588,42 +587,26 @@ func (s *Session) applyOp(op *Op, fresh *freshNodes) (*xmltree.Node, error) {
 	}
 }
 
-// slabNodes is the most nodes one slab of a transaction holds: 4 × 88 B
-// = 352 B is a size class, so a full slab costs exactly its nodes, and a
-// live node keeps at most three others reachable, 352 B of the 512 B a
-// live node may keep.
+// slabNodes is how many nodes one chunk holds: 4 × 88 B = 352 B is a
+// size class, so a chunk costs exactly its nodes, and a live node keeps
+// at most three others reachable, 352 B of the 512 B a live node may
+// keep.
 const slabNodes = 4
 
-// freshNodes is where the nodes a transaction creates are cut from:
-// slabs of at most slabNodes, the first holding what full slabs leave
-// over. left counts the nodes still to come. It lives on stage's stack,
-// so an aborted transaction's slab is garbage with its nodes.
+// freshNodes is the session's chunk of nodes not yet cut. It outlives
+// the transaction, so single-op transactions share a chunk, and a
+// session holds at most slabNodes-1 uncut nodes between transactions
+// (none before its first create). A node an aborted transaction cut is
+// never cut again.
 type freshNodes struct {
 	left int
 	slab xmltree.Slab
 }
 
-// freshFor counts the nodes ops create — one per element insert and per
-// set-text with a value — and cuts the first slab.
-func freshFor(ops []Op) freshNodes {
-	n := 0
-	for i := range ops {
-		switch ops[i].Kind {
-		case OpInsertBefore, OpInsertAfter, OpInsertFirstChild, OpAppendChild:
-			n++
-		case OpSetText:
-			if ops[i].Value != "" {
-				n++
-			}
-		}
-	}
-	return freshNodes{left: n, slab: xmltree.NewSlab(n%slabNodes, 0)}
-}
-
-// cut returns the next node; one beyond the count comes from the heap.
+// cut returns the next node, cutting a new chunk when the last is used.
 func (ns *freshNodes) cut(kind xmltree.Kind, name, value string) *xmltree.Node {
-	if ns.left > 0 && ns.left%slabNodes == 0 {
-		ns.slab = xmltree.NewSlab(slabNodes, 0)
+	if ns.left == 0 {
+		ns.slab, ns.left = xmltree.NewSlab(slabNodes, 0), slabNodes
 	}
 	ns.left--
 	return ns.slab.New(kind, name, value)
@@ -683,7 +666,7 @@ func (s *Session) detach(n *xmltree.Node) {
 	n.Detach()
 }
 
-func (s *Session) setText(e *xmltree.Node, text string, fresh *freshNodes) error {
+func (s *Session) setText(e *xmltree.Node, text string) error {
 	// Backwards: detaching a child shifts only the ones after it.
 	kids := e.Children()
 	for i := len(kids) - 1; i >= 0; i-- {
@@ -692,7 +675,7 @@ func (s *Session) setText(e *xmltree.Node, text string, fresh *freshNodes) error
 		}
 	}
 	if text != "" {
-		t := fresh.cut(xmltree.KindText, "", text)
+		t := s.fresh.cut(xmltree.KindText, "", text)
 		if err := e.AppendChild(t); err != nil {
 			return err
 		}
@@ -719,15 +702,18 @@ func (s *Session) rename(n *xmltree.Node, name string) error {
 }
 
 func (s *Session) setAttr(e *xmltree.Node, name, value string) error {
-	old, existed := e.Attr(name)
-	a, err := e.SetAttr(name, value)
-	if err != nil {
-		return err
-	}
-	if existed {
+	if old, existed := e.Attr(name); existed {
+		a, err := e.SetAttr(name, value)
+		if err != nil {
+			return err
+		}
 		s.undo = append(s.undo, undoRec{kind: undoValue, n: a, old: old})
 		s.ctr.ContentUpdates++
 		return nil
+	}
+	a := s.fresh.cut(xmltree.KindAttribute, name, value)
+	if err := e.AppendAttr(a); err != nil {
+		return err
 	}
 	return s.label(a)
 }

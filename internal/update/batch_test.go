@@ -621,3 +621,68 @@ func TestOversizedTransactionMarksAreLetGo(t *testing.T) {
 		t.Fatalf("after a %d-delete transaction the session keeps its mark set (nil: %t) and the batch room for %d ops", big, s.marks == nil, cap(b.Ops()))
 	}
 }
+
+// TestSessionHoldsAtMostThreeUncutNodes: the session's chunk outlives
+// every transaction — committed, aborted after staging, failed while
+// applying or refused at validation — and holds at most three uncut
+// nodes between them, none before its first create. Every chunk is a
+// whole four: the nodes cut so far and the uncut ones add up to a
+// multiple of four.
+func TestSessionHoldsAtMostThreeUncutNodes(t *testing.T) {
+	doc, err := xmltree.ParseString(`<r a="1"><x/></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSession(doc, qed.NewPrefix())
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := doc.Root()
+	x := root.Children()[0]
+	cut := 0
+	check := func(what string, created int) {
+		t.Helper()
+		cut += created
+		if left := s.fresh.left; left > slabNodes-1 || (cut+left)%slabNodes != 0 {
+			t.Fatalf("after %s (%d nodes cut in all): %d uncut nodes held", what, cut, left)
+		}
+	}
+	if _, err := s.Do(RenameOp(x, "y")); err != nil {
+		t.Fatal(err)
+	}
+	if s.fresh.left != 0 {
+		t.Fatalf("a session that created nothing holds %d uncut nodes", s.fresh.left)
+	}
+	for k := 1; k <= 9; k++ {
+		ops := make([]Op, k)
+		for i := range ops {
+			ops[i] = AppendChildOp(root, "n")
+		}
+		if _, err := s.Apply(ops); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("a commit of %d", k), k)
+		ops = append(ops, SetTextOp(x, "t"), SetAttrOp(root, fmt.Sprintf("b%d", k), "v"))
+		if _, err := s.Stage(ops); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("an abort of %d", k+2), k+2)
+	}
+	// Two inserts, then an insert under a node the transaction deleted.
+	failing := []Op{AppendChildOp(root, "n"), AppendChildOp(root, "n"), DeleteOp(x), AppendChildOp(x, "n")}
+	if _, err := s.Apply(failing); !errors.Is(err, ErrDetachedRef) {
+		t.Fatalf("failing transaction: %v, want ErrDetachedRef", err)
+	}
+	check("a failed transaction", 2)
+	if _, err := s.AppendChild(root, "bad name"); !errors.Is(err, ErrBadName) {
+		t.Fatalf("refused transaction: %v, want ErrBadName", err)
+	}
+	check("a refused transaction", 0)
+	if _, err := s.Do(SetAttrOp(root, "a", "2")); err != nil {
+		t.Fatal(err)
+	}
+	check("a value change", 0)
+}

@@ -96,6 +96,9 @@ type Session struct {
 	staged    bool
 	// marks is validateBatch's scratch: empty between transactions.
 	marks map[*xmltree.Node]uint8
+	// fresh is the chunk the nodes a transaction creates are cut from;
+	// it outlives the transaction (batch.go).
+	fresh freshNodes
 	// index lists the document's elements by name for the engine
 	// (Engine). The transaction primitives keep it current where they
 	// tell the labelling of a change, and revert drops it.

@@ -51,7 +51,7 @@ var pclaims = []struct {
 		[]pbound{{"qed", 200}, {"ordpath", 200}, {"deweyid", 200}, {"cdbs", 200}},
 		versionNodesPerRead, ""},
 	{"P7", "heap allocations per `Session.InsertBefore` over 2 000 inserts before the root's first element child of `workload.BaseDocument(seed, 1000)`, auto-verify off", 1,
-		[]pbound{{"deweyid", 2.1}, {"ordpath", 2.1}, {"qed", 2.1}, {"cdqs", 2.1}, {"cdbs", 2.1}, {"vector", 2.1}, {"xpath-accelerator", 2.1}},
+		[]pbound{{"deweyid", 1.5}, {"ordpath", 1.5}, {"qed", 1.5}, {"cdqs", 1.5}, {"cdbs", 1.5}, {"vector", 1.5}, {"xpath-accelerator", 1.5}},
 		skewedInsertAllocs, ""},
 	{"P8", "nodes the first `//item` read on a version pinned after one more root `item` append examines, the pin's capture of the live lists included, on P6's document with `//item` read live before the pins (the walk examines every node)", 1,
 		[]pbound{{"qed", 200}, {"ordpath", 200}, {"deweyid", 200}, {"cdbs", 200}},
@@ -262,8 +262,10 @@ func batchHeapBytes(scheme string, seed int64) (float64, error) {
 // element inserted before the one that was the root's first element
 // child, so each lands between the last insert and it. A relabel reads
 // its codes from the shared bulk rows, or cuts a row computed anew into
-// pieces, and a new code is cut from its labelling's chunks: an insert
-// allocates its node and little else, whichever scheme labels it. The
+// pieces, a new code is cut from its labelling's chunks, and a new node
+// from the session's chunk of four: an insert allocates a quarter of a
+// chunk and little else, whichever scheme labels it. The bound, 1.5, is
+// to be tightened, never loosened. The
 // same run on a clone first fills the rows every document shares (as
 // P1's does), so the reading does not depend on what the process
 // labelled before.
